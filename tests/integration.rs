@@ -230,3 +230,157 @@ fn trends_hold_on_tesla_p100() {
         p99[1]
     );
 }
+
+// -- default-path golden ----------------------------------------------------
+
+/// FNV-1a, one 64-bit word at a time.
+fn fold(h: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Drives `sys` through `arrivals` and digests both terminal streams in the
+/// order the system emitted them: `(request, client_visible_at ns)` per
+/// completion, `(request, reason, at ns)` per failure, where a request's id
+/// is its index in the arrival trace. Returns `(digest, completed, failed)`.
+fn golden_digest(
+    sys: &mut dyn paella_core::ServingSystem,
+    arrivals: &[paella_workload::Arrival],
+) -> (u64, usize, usize) {
+    use paella_core::{FailureReason, InferenceRequest};
+    let mut index = std::collections::HashMap::new();
+    for (i, a) in arrivals.iter().enumerate() {
+        let clash = index.insert((a.client.0, a.at.as_nanos()), i as u64);
+        assert!(clash.is_none(), "arrival {i} is not unique per client/time");
+    }
+    let request_id = |r: &InferenceRequest| index[&(r.client.0, r.submitted_at.as_nanos())];
+    let (mut done, mut failed) = (Vec::new(), Vec::new());
+    for a in arrivals {
+        while let Some(t) = sys.next_event_time().filter(|&t| t <= a.at) {
+            sys.advance_until(t);
+        }
+        sys.submit(InferenceRequest {
+            client: a.client,
+            model: a.model,
+            submitted_at: a.at,
+        });
+        done.append(&mut sys.drain_completions());
+        failed.append(&mut sys.drain_failures());
+    }
+    sys.run_to_idle();
+    done.append(&mut sys.drain_completions());
+    failed.append(&mut sys.drain_failures());
+    assert_eq!(done.len() + failed.len(), arrivals.len(), "lost requests");
+
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for c in &done {
+        h = fold(h, request_id(&c.request));
+        h = fold(h, c.client_visible_at.as_nanos());
+    }
+    for f in &failed {
+        h = fold(h, request_id(&f.request));
+        h = fold(
+            h,
+            match f.reason {
+                FailureReason::DeadlineExceeded => 1,
+                FailureReason::Shed => 2,
+                FailureReason::Disconnected => 3,
+                FailureReason::RetryBudgetExhausted => 4,
+                FailureReason::NodeCrash => 5,
+            },
+        );
+        h = fold(h, f.at.as_nanos());
+    }
+    (h, done.len(), failed.len())
+}
+
+/// GoogleNet with its inception branches on four virtual streams — the
+/// `examples/intra_job_parallelism.rs` graph.
+fn googlenet_4_streams() -> paella_compiler::CompiledModel {
+    paella_compiler::compile_parallel(
+        "googlenet-par4",
+        &paella_models::zoo::googlenet(),
+        &paella_compiler::CostModel::default(),
+        1.0,
+        4,
+    )
+}
+
+/// Pins the virtual-time behaviour of the shipped dispatch path: any change
+/// to which op activates when, what the scheduler is told, or how failures
+/// unwind moves at least one of these digests. Refactors of the dispatcher
+/// must leave the constants alone; a change that means to move virtual time
+/// re-records them and says so.
+#[test]
+fn default_path_golden_digests() {
+    use paella_core::{Dispatcher, DispatcherConfig, SrptDeficitScheduler};
+    let paella = |cfg: DispatcherConfig, seed: u64| {
+        Dispatcher::new(
+            device(),
+            ChannelConfig::default(),
+            Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS))),
+            cfg,
+            seed,
+        )
+    };
+
+    // 1. The bursty Table 2 zoo mix under the full system.
+    let mut zoo = ModelZoo::new(device());
+    let table2 = zoo.table2();
+    let mut sys = paella(DispatcherConfig::paella(), 5);
+    let ids: Vec<_> = table2.iter().map(|m| sys.register_model(m)).collect();
+    let arrivals = generate(&WorkloadSpec::bursty(150.0, 200), &Mix::uniform(&ids));
+    let zoo_mix = golden_digest(&mut sys, &arrivals);
+
+    // 2. A 4-stream model under contention: cross-stream joins, pipelined
+    // release on placement, several jobs ready at once.
+    let cfg = DispatcherConfig::paella();
+    assert!(cfg.release_on_placement);
+    let mut sys = paella(cfg, 21);
+    let par = sys.register_model(&googlenet_4_streams());
+    let arrivals = generate(&WorkloadSpec::bursty(900.0, 96), &Mix::single(par));
+    let multi_stream = golden_digest(&mut sys, &arrivals);
+
+    // 3. Job granularity: whole jobs pushed to the device, scheduled models
+    // run as one sequential stream.
+    let mut sys = make_system(
+        SystemKey::PaellaMsJbj,
+        device(),
+        ChannelConfig::default(),
+        5,
+    );
+    let ids = [
+        sys.register_model(zoo.get("resnet18")),
+        sys.register_model(&googlenet_4_streams()),
+    ];
+    let arrivals = generate(&WorkloadSpec::bursty(300.0, 120), &Mix::uniform(&ids));
+    let job_by_job = golden_digest(sys.as_mut(), &arrivals);
+
+    // 4. Kernel faults with retry, and deadlines that cancel mid-flight.
+    let mut sys = paella(
+        DispatcherConfig {
+            kernel_fault_rate: 0.02,
+            deadline_factor: Some(25.0),
+            ..DispatcherConfig::paella()
+        },
+        7,
+    );
+    let ids = [
+        sys.register_model(zoo.get("resnet18")),
+        sys.register_model(&googlenet_4_streams()),
+    ];
+    let arrivals = generate(&WorkloadSpec::bursty(600.0, 160), &Mix::uniform(&ids));
+    let faults = golden_digest(&mut sys, &arrivals);
+
+    assert_eq!(
+        [zoo_mix, multi_stream, job_by_job, faults],
+        [
+            (0x489b_0324_dd6a_f24d, 200, 0),
+            (0x97d9_067e_ca13_a3e7, 96, 0),
+            (0xe9f2_7a24_ac08_6e84, 120, 0),
+            (0xa656_e901_3788_0bbd, 134, 26),
+        ],
+        "(digest, completed, failed) of: zoo mix, 4-stream contention, job-by-job, faults + deadlines"
+    );
+}
