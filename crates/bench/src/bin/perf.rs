@@ -10,11 +10,9 @@
 //!   shape) run serially and on a 4-thread [`SweepExecutor`]; the committed
 //!   baseline demonstrates the harness's parallel speedup.
 //! - **cluster smoke** — the `fig_cluster --smoke` grid on 4 threads.
-//! - **dispatch smoke** — a launch-bound tiny-kernel pipeline run twice,
-//!   with event-triggered DAG dispatch (the committed number) and with the
-//!   per-kernel scheduler loop (the `loop_*` comparison fields), plus a
+//! - **dispatch smoke** — a launch-bound tiny-kernel pipeline, plus a
 //!   `load_signal()` poll-rate probe pinning the O(1) incremental
-//!   aggregate. Both runs must complete identical simulated work.
+//!   aggregate.
 //!
 //! Along with `sweep.rs`, this binary is the one place wall-clock time is
 //! legitimate (it measures the harness, not the simulation); the
@@ -108,18 +106,14 @@ const DISPATCH_REQUESTS: u64 = 3_000;
 
 /// The dispatch smoke: a launch-bound pipeline of tiny kernels — the
 /// regime where per-kernel host work dominates — spaced so the device is
-/// uncontended and event-triggered DAG dispatch (when enabled) carries the
-/// steady state off GPU completion notifications. A `load_signal()`
-/// poll-rate probe is taken mid-run with a job in flight. Returns
-/// (wall_s, jobs, kernels, polls_per_s).
-fn run_dispatch(dag: bool, polls: u64) -> (f64, u64, u64, f64) {
-    let mut cfg = DispatcherConfig::paella();
-    cfg.dag_dispatch = dag;
+/// uncontended. A `load_signal()` poll-rate probe is taken mid-run with a
+/// job in flight. Returns (wall_s, jobs, kernels, polls_per_s).
+fn run_dispatch(polls: u64) -> (f64, u64, u64, f64) {
     let mut sys = Dispatcher::new(
         DeviceConfig::gtx_1660_super(),
         channels(),
         Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
-        cfg,
+        DispatcherConfig::paella(),
         7,
     );
     let m = paella_core::ServingSystem::register_model(
@@ -139,7 +133,7 @@ fn run_dispatch(dag: bool, polls: u64) -> (f64, u64, u64, f64) {
             submitted_at: at,
         });
         // Wider than the chain's ~860 µs JCT, so the steady state is one
-        // uncontended job — the regime the DAG fast path serves.
+        // uncontended job.
         at = at.saturating_add(SimDuration::from_micros(1_000));
     }
     // Advance partway, then park the sim at an instant with a job on the
@@ -172,12 +166,7 @@ fn run_dispatch(dag: bool, polls: u64) -> (f64, u64, u64, f64) {
     let (_, rest_wall) = timed(|| sys.run_to_idle());
     let jobs = sys.drain_completions().len() as u64;
     let wall = warm_wall + rest_wall;
-    let polls_per_s = if polls > 0 {
-        polls as f64 / poll_wall
-    } else {
-        0.0
-    };
-    (wall, jobs, jobs * DISPATCH_DEPTH, polls_per_s)
+    (wall, jobs, jobs * DISPATCH_DEPTH, polls as f64 / poll_wall)
 }
 
 /// Extracts `"key": <number>` from flat JSON (the schema below is flat on
@@ -236,17 +225,9 @@ fn main() {
     let (cluster_wall, cluster_jobs) = run_cluster(BASELINE_THREADS);
     println!("# cluster: 4 policies, {cluster_wall:.3}s, {cluster_jobs} jobs");
 
-    let (disp_wall, disp_jobs, disp_kernels, polls_per_s) = run_dispatch(true, 1_000_000);
-    let (loop_wall, loop_jobs, loop_kernels, _) = run_dispatch(false, 0);
-    assert_eq!(
-        (disp_jobs, disp_kernels),
-        (loop_jobs, loop_kernels),
-        "DAG dispatch must complete identical simulated work"
-    );
-    let dag_speedup = loop_wall / disp_wall;
+    let (disp_wall, disp_jobs, disp_kernels, polls_per_s) = run_dispatch(1_000_000);
     println!(
-        "# dispatch: {disp_jobs} jobs in {disp_wall:.3}s (dag) vs {loop_wall:.3}s \
-         (per-kernel loop, {dag_speedup:.2}x), load_signal {:.1}M polls/s",
+        "# dispatch: {disp_jobs} jobs in {disp_wall:.3}s, load_signal {:.1}M polls/s",
         polls_per_s / 1e6
     );
 
@@ -265,16 +246,13 @@ fn main() {
         kernels as f64 / par_wall,
     );
     let dispatch_json = format!(
-        "{{\n  \"schema_version\": 2,\n  \"bench\": \"dispatch_smoke\",\n  \
+        "{{\n  \"schema_version\": 3,\n  \"bench\": \"dispatch_smoke\",\n  \
          \"requests\": {DISPATCH_REQUESTS},\n  \"pipeline_depth\": {DISPATCH_DEPTH},\n  \
          \"wall_s\": {disp_wall:.4},\n  \
          \"sim_jobs\": {disp_jobs},\n  \"sim_kernels\": {disp_kernels},\n  \
          \"sim_kernels_per_s\": {:.0},\n  \
-         \"loop_wall_s\": {loop_wall:.4},\n  \"loop_sim_kernels_per_s\": {:.0},\n  \
-         \"dag_speedup\": {dag_speedup:.3},\n  \
          \"load_signal_polls_per_s\": {polls_per_s:.0}\n}}\n",
         disp_kernels as f64 / disp_wall,
-        loop_kernels as f64 / loop_wall,
     );
 
     // Gate against the committed baseline before overwriting it.

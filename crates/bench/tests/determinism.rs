@@ -76,11 +76,6 @@ fn fig_faults_smoke_stdout_is_thread_count_invariant() {
 }
 
 #[test]
-fn fig_dag_smoke_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig_dag"), &["--smoke"]);
-}
-
-#[test]
 fn fig_latency_blame_smoke_stdout_is_thread_count_invariant() {
     assert_deterministic(env!("CARGO_BIN_EXE_fig_latency_blame"), &["--smoke"]);
 }

@@ -1,33 +1,30 @@
-//! Lockstep proofs for whole-DAG submission and event-triggered dispatch
-//! (DESIGN §15).
+//! Lockstep proofs for release by predecessor counting (DESIGN §15).
 //!
 //! Two layers:
 //!
-//! * **Structure** — for random stream plans, the [`KernelDag`]'s
-//!   predecessor-count activation rule is replayed in lockstep against the
-//!   brute-force [`StreamOracle`] *and* the production [`Waitlist`], with
-//!   the fast↔slow handoff point chosen at random per release
-//!   (`release_quiet` vs `release`). Event-triggered release may never
-//!   activate an op before the oracle does (a DAG-edge violation), and the
-//!   handoff may never lose or duplicate a token.
-//! * **Behavior** — a real dispatcher runs the same workload with DAG
-//!   dispatch on and off. A single uncontended job must produce a
-//!   byte-identical completion schedule and journey; a contended burst must
-//!   fall back to SRPT arbitration, conserve every kernel across the
-//!   handoff, and still satisfy the journey-conservation oracle.
+//! * **Structure** — for random stream plans and release orders, the
+//!   [`KernelDag`]'s predecessor-count activation rule is replayed in
+//!   lockstep against the brute-force [`StreamOracle`]: it may never
+//!   activate an op before or after the oracle does, and every op releases
+//!   exactly once. (`Waitlist` vs `StreamOracle` lives in `oracle_prop.rs`,
+//!   so the three agree pairwise.)
+//! * **Behavior** — a real dispatcher serves bursty arrivals of a random
+//!   multi-stream plan: every kernel of every job is dispatched once, only
+//!   after all of its DAG predecessors, and completes once; and the
+//!   journey-conservation oracle balances.
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use paella_check::{check_journeys, StreamOracle};
 use paella_compiler::{CompiledModel, DeviceOp, JobSchedule, KernelDag};
 use paella_core::{
-    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
-    StreamKind, VStream, Waitlist,
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, SrptDeficitScheduler, StreamKind,
 };
 use paella_gpu::{DeviceConfig, KernelDesc};
-use paella_models::synthetic;
-use paella_sim::{SimDuration, SimTime};
-use paella_telemetry::{extract_journeys, TraceEvent, TraceLog};
+use paella_sim::SimTime;
+use paella_telemetry::TraceEvent;
 
 /// Cheap deterministic stream of choices derived from one generated seed.
 fn nx(s: &mut u64) -> u64 {
@@ -47,13 +44,33 @@ fn kind_of(stream: u32) -> StreamKind {
     }
 }
 
-/// An all-kernel model with the given per-op stream plan and explicit
-/// backward dependencies (op index == token).
+/// Expands a generated `(stream, dep count)` plan into per-op streams and
+/// explicit backward dependencies (op index == token), drawing the dep
+/// targets from `s`.
+fn expand_plan(plan: &[(u32, usize)], s: &mut u64) -> (Vec<u32>, Vec<Vec<usize>>) {
+    let mut streams = Vec::with_capacity(plan.len());
+    let mut deps = Vec::with_capacity(plan.len());
+    for (i, &(st, nd)) in plan.iter().enumerate() {
+        streams.push(st);
+        let mut d: Vec<usize> = Vec::new();
+        for _ in 0..nd.min(i) {
+            let j = (nx(s) as usize) % i;
+            if !d.contains(&j) {
+                d.push(j);
+            }
+        }
+        deps.push(d);
+    }
+    (streams, deps)
+}
+
+/// An all-kernel model with the given stream plan. Op `i` launches `i + 1`
+/// blocks, so a dispatch trace event identifies its op by grid size.
 fn plan_model(streams: &[u32], deps: &[Vec<usize>]) -> CompiledModel {
     CompiledModel {
         name: "dag-prop".into(),
         ops: (0..streams.len())
-            .map(|i| DeviceOp::Kernel(KernelDesc::empty(&format!("k{i}"), 1)))
+            .map(|i| DeviceOp::Kernel(KernelDesc::empty(&format!("k{i}"), i as u32 + 1)))
             .collect(),
         schedule: Some(JobSchedule {
             streams: streams.to_vec(),
@@ -69,48 +86,29 @@ fn plan_model(streams: &[u32], deps: &[Vec<usize>]) -> CompiledModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Event-triggered release never violates a DAG edge, and the
-    /// fast↔slow handoff loses no tokens: for random stream plans, the
-    /// pred-count activation rule, the production waitlist (with the
-    /// handoff mode re-rolled on every release), and the brute-force
-    /// oracle agree on every activation, and every op releases exactly
-    /// once.
+    /// Predecessor counting never violates a stream-order edge: for random
+    /// stream plans and release orders, the pred-count activation rule and
+    /// the brute-force oracle agree on every activation, and every op
+    /// releases exactly once.
     #[test]
-    fn kernel_dag_matches_stream_oracle_across_handoff(
+    fn kernel_dag_matches_stream_oracle(
         plan in proptest::collection::vec((0u32..4, 0usize..3), 1..40),
         drive in any::<u64>(),
     ) {
         let n = plan.len();
         let mut s = drive ^ 0x9E37_79B9_7F4A_7C15;
-        let mut streams: Vec<u32> = Vec::with_capacity(n);
-        let mut deps: Vec<Vec<usize>> = Vec::with_capacity(n);
-        for (i, &(st, nd)) in plan.iter().enumerate() {
-            streams.push(st);
-            let mut d: Vec<usize> = Vec::new();
-            for _ in 0..nd.min(i) {
-                let j = (nx(&mut s) as usize) % i;
-                if !d.contains(&j) {
-                    d.push(j);
-                }
-            }
-            deps.push(d);
-        }
-        let model = plan_model(&streams, &deps);
-        let dag = KernelDag::build(&model).expect("backward deps are acyclic");
+        let (streams, deps) = expand_plan(&plan, &mut s);
+        let dag = KernelDag::build(&plan_model(&streams, &deps))
+            .expect("backward deps are acyclic");
         prop_assert_eq!(dag.len(), n);
 
         let mut oracle = StreamOracle::new();
-        let mut wl = Waitlist::new();
         let mut preds: Vec<u32> = dag.pred_counts().to_vec();
         for i in 0..n {
             let d64: Vec<u64> = deps[i].iter().map(|&j| j as u64).collect();
-            let oa = oracle
+            oracle
                 .push(streams[i], kind_of(streams[i]), i as u64, &d64)
                 .expect("acyclic by construction");
-            let wa = wl
-                .push_with_deps(VStream(streams[i]), i as u64, &d64)
-                .expect("acyclic by construction");
-            prop_assert_eq!(oa, wa, "push activity diverges at op {}", i);
         }
 
         // The DAG's roots are exactly the initially-active frontier.
@@ -123,7 +121,6 @@ proptest! {
         while !active.is_empty() {
             let pick = active.remove((nx(&mut s) as usize) % active.len());
             let o_newly = oracle.release(pick);
-            // Event-triggered activation off the DAG alone.
             let mut d_newly: Vec<u64> = Vec::new();
             for &succ in dag.successors(pick as usize) {
                 let left = &mut preds[succ as usize];
@@ -138,164 +135,97 @@ proptest! {
                 &d_newly, &o_newly,
                 "DAG edge violated releasing op {}", pick
             );
-            // Production waitlist, handoff mode re-rolled per release: the
-            // fast path releases quietly (activation comes from the DAG),
-            // the slow path takes the waitlist's own diff.
-            let vs = VStream(streams[pick as usize]);
-            if nx(&mut s).is_multiple_of(2) {
-                wl.release_quiet(vs, pick);
-            } else {
-                let w_newly = wl.release(vs, pick);
-                prop_assert_eq!(
-                    &w_newly, &o_newly,
-                    "waitlist diverges from oracle at op {}", pick
-                );
-            }
-            wl.retire(vs, pick);
             oracle.retire(pick);
             released += 1;
             active.extend(d_newly);
         }
-        prop_assert_eq!(released, n, "handoff lost tokens");
+        prop_assert_eq!(released, n, "ops never activated");
         prop_assert!(oracle.is_empty(), "oracle still tracks ops");
-        prop_assert!(wl.is_empty(), "waitlist still tracks ops");
         prop_assert!(preds.iter().all(|&p| p == 0), "unreleased predecessors remain");
     }
 }
 
-struct RunOut {
-    schedule: String,
-    journeys: String,
-    kernels_completed: usize,
-    completed: usize,
-    log: TraceLog,
-    sched_picks: u64,
-    dag_releases: u64,
-    fastpath_enters: u64,
-    fastpath_exits: u64,
-}
-
-/// Runs `n` requests against a telemetry-enabled Paella dispatcher with DAG
-/// dispatch on or off, returning a byte-comparable completion schedule and
-/// journey transcript plus the fast-path counters.
-fn run_dispatcher(seed: u64, n: usize, gap_ns: u64, dag: bool) -> RunOut {
-    let mut cfg = DispatcherConfig::paella();
-    cfg.dag_dispatch = dag;
-    let mut d = Dispatcher::new(
-        DeviceConfig::tesla_t4(),
-        paella_channels::ChannelConfig::default(),
-        Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
-        cfg,
-        seed,
-    );
-    d.enable_telemetry();
-    let a = ServingSystem::register_model(&mut d, &synthetic::fig2_job());
-    let b = ServingSystem::register_model(
-        &mut d,
-        &synthetic::uniform_job("small", 3, SimDuration::from_micros(60), 4),
-    );
-    let mut s = seed;
-    let mut at = 0u64;
-    for i in 0..n {
-        let model = if i == 0 || nx(&mut s).is_multiple_of(2) {
-            a
-        } else {
-            b
-        };
-        d.submit(InferenceRequest {
-            client: ClientId((i % 4) as u32),
-            model,
-            submitted_at: SimTime::from_nanos(at),
-        });
-        at += gap_ns;
-    }
-    d.run_to_idle();
-    let mut done = d.drain_completions();
-    done.sort_by_key(|c| (c.client_visible_at, c.job.0));
-    let schedule = done
-        .iter()
-        .map(|c| {
-            format!(
-                "{} vis={} jct={} dev={} q={} fw={} comm={} client={}",
-                c.job.0,
-                c.client_visible_at.as_nanos(),
-                c.jct().as_nanos(),
-                c.breakdown.device.as_nanos(),
-                c.breakdown.queuing_scheduling.as_nanos(),
-                c.breakdown.framework.as_nanos(),
-                c.breakdown.communication.as_nanos(),
-                c.breakdown.client_send_recv.as_nanos(),
-            )
-        })
-        .collect::<Vec<_>>()
-        .join("\n");
-    let log = Dispatcher::take_trace_log(&mut d);
-    let journeys = extract_journeys(&log)
-        .iter()
-        .map(|j| format!("{j:?}"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let snap = d.metrics_snapshot().expect("telemetry on");
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(k, _)| k == name)
-            .map_or(0, |(_, v)| *v)
-    };
-    RunOut {
-        schedule,
-        journeys,
-        kernels_completed: log
-            .events
-            .iter()
-            .filter(|te| matches!(te.event, TraceEvent::KernelCompleted { .. }))
-            .count(),
-        completed: done.len(),
-        log,
-        sched_picks: counter("sched_picks"),
-        dag_releases: counter("dag_releases"),
-        fastpath_enters: counter("fastpath_enters"),
-        fastpath_exits: counter("fastpath_exits"),
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A single uncontended job takes the event-triggered fast path and
-    /// produces a byte-identical completion schedule and journey to the
-    /// per-kernel scheduler loop it bypasses.
+    /// A real dispatcher under bursty arrivals of a random multi-stream
+    /// plan dispatches every kernel of every job once, after all of the
+    /// op's DAG predecessors, completes each once, and keeps the journey
+    /// ledger exact.
     #[test]
-    fn uncontended_job_is_byte_identical_across_fast_path(seed in 0u64..500) {
-        let fast = run_dispatcher(seed, 1, 0, true);
-        let slow = run_dispatcher(seed, 1, 0, false);
-        prop_assert_eq!(fast.completed, 1);
-        prop_assert_eq!(&fast.schedule, &slow.schedule, "completion schedules diverge");
-        prop_assert_eq!(&fast.journeys, &slow.journeys, "journeys diverge");
-        prop_assert!(fast.fastpath_enters >= 1, "fast path never engaged");
-        prop_assert!(fast.dag_releases > 0, "no event-triggered release fired");
-        prop_assert_eq!(fast.fastpath_enters, fast.fastpath_exits, "unbalanced handoff");
-        prop_assert_eq!(slow.fastpath_enters, 0, "fast path ran with DAG dispatch off");
-        check_journeys(&fast.log).expect("journey conservation (dag on)");
-        check_journeys(&slow.log).expect("journey conservation (dag off)");
-    }
+    fn dispatcher_serves_random_plans_in_dag_order(
+        plan in proptest::collection::vec((0u32..4, 0usize..3), 2..24),
+        drive in any::<u64>(),
+    ) {
+        let n = plan.len();
+        let mut s = drive ^ 0x5851_F42D_4C95_7F2D;
+        let (streams, deps) = expand_plan(&plan, &mut s);
+        let model = plan_model(&streams, &deps);
+        let dag = KernelDag::build(&model).expect("backward deps are acyclic");
+        let mut preds_of: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for t in 0..n {
+            for &succ in dag.successors(t) {
+                preds_of[succ as usize].push(t);
+            }
+        }
 
-    /// A contended burst falls back to SRPT-with-deficit arbitration, and
-    /// the fast↔arbitration handoff conserves every kernel: both modes
-    /// complete the same jobs and the same kernel count, and the journey
-    /// ledger stays exact.
-    #[test]
-    fn contended_burst_falls_back_and_conserves(seed in 0u64..200) {
-        let n = 12;
-        let fast = run_dispatcher(seed, n, 5_000, true);
-        let slow = run_dispatcher(seed, n, 5_000, false);
-        prop_assert_eq!(fast.completed, n, "jobs lost with DAG dispatch on");
-        prop_assert_eq!(slow.completed, n);
-        prop_assert!(fast.sched_picks > 0, "arbitration never engaged under contention");
-        prop_assert_eq!(
-            fast.kernels_completed, slow.kernels_completed,
-            "kernel count not conserved across the handoff"
+        let mut d = Dispatcher::new(
+            DeviceConfig::tesla_t4(),
+            paella_channels::ChannelConfig::default(),
+            Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
+            DispatcherConfig::paella(),
+            drive,
         );
-        check_journeys(&fast.log).expect("journey conservation (dag on)");
+        d.enable_telemetry();
+        let id = d.register_model(&model);
+        // Bursts of back-to-back submissions separated by idle gaps.
+        let jobs = 10usize;
+        let mut at = 0u64;
+        for i in 0..jobs {
+            d.submit(InferenceRequest {
+                client: ClientId((i % 4) as u32),
+                model: id,
+                submitted_at: SimTime::from_nanos(at),
+            });
+            at += if nx(&mut s).is_multiple_of(3) { 400_000 } else { 2_000 };
+        }
+        d.run_to_idle();
+        prop_assert_eq!(d.drain_completions().len(), jobs, "jobs lost");
+
+        let log = d.take_trace_log();
+        let mut dispatched: HashMap<u64, Vec<bool>> = HashMap::new();
+        let mut completions: HashMap<u64, u32> = HashMap::new();
+        for te in &log.events {
+            match te.event {
+                TraceEvent::KernelDispatched { job, kernel, grid_blocks, .. } => {
+                    let token = grid_blocks as usize - 1;
+                    let seen = dispatched.entry(job).or_insert_with(|| vec![false; n]);
+                    prop_assert!(!seen[token], "job {} op {} dispatched twice", job, token);
+                    for &p in &preds_of[token] {
+                        prop_assert!(
+                            seen[p],
+                            "job {} op {} dispatched before its predecessor {}", job, token, p
+                        );
+                    }
+                    seen[token] = true;
+                    completions.entry(kernel).or_insert(0);
+                }
+                TraceEvent::KernelCompleted { kernel } => {
+                    *completions.entry(kernel).or_insert(0) += 1;
+                }
+                _ => {}
+            }
+        }
+        prop_assert_eq!(dispatched.len(), jobs);
+        prop_assert!(
+            dispatched.values().all(|seen| seen.iter().all(|&b| b)),
+            "some op was never dispatched"
+        );
+        prop_assert_eq!(completions.len(), jobs * n);
+        prop_assert!(
+            completions.values().all(|&c| c == 1),
+            "a kernel did not complete exactly once"
+        );
+        check_journeys(&log).expect("journey conservation");
     }
 }

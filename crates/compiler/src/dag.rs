@@ -1,12 +1,10 @@
-//! The pre-validated kernel-DAG artifact for whole-DAG submission.
+//! The pre-validated kernel-DAG artifact the dispatcher releases ops by.
 //!
-//! Paella's kernel-granularity dispatcher re-derives "which op may run
-//! next?" from the per-job [`Waitlist`] on every release. The DAG artifact
-//! flattens that question once, at `register_model` time: every op of a
-//! [`CompiledModel`] becomes a node with a dense successor list and a
-//! predecessor count, such that *an op is schedulable exactly when its
-//! predecessor count reaches zero*. The encoded edge set reproduces CUDA
-//! stream semantics precisely:
+//! "Which of this job's ops may run next?" is flattened once, at
+//! `register_model` time: every op of a [`CompiledModel`] becomes a node
+//! with a dense successor list and a predecessor count, such that *an op
+//! is schedulable exactly when its predecessor count reaches zero*. The
+//! encoded edge set reproduces CUDA stream semantics precisely:
 //!
 //! * the explicit cross-stream dependencies of the model's
 //!   [`JobSchedule`] (`cudaStreamWaitEvent`-style joins);
@@ -17,16 +15,15 @@
 //!   *every* earlier-issued op of a blocking stream, and vice versa).
 //!
 //! Because releases within a stream are totally ordered, predecessor
-//! counting over this edge set activates each op at exactly the instant the
-//! waitlist's from-scratch active-set scan would — the lockstep proof lives
-//! in `paella-check`. The dispatcher's event-triggered fast path walks the
-//! successor list of a completed op directly off the GPU notification, with
-//! no waitlist re-scan and no scheduler invocation.
+//! counting over this edge set activates each op at exactly the instant a
+//! from-scratch scan of the stream rules (`paella_core::Waitlist`, the
+//! executable model of those rules) would — the lockstep proofs live in
+//! `paella-check`. This is the dispatcher's only activation mechanism: a
+//! fresh job copies the predecessor counts, and each release walks the
+//! released op's successor list.
 //!
 //! Construction validates the artifact once — shape checks, range checks,
 //! and a Kahn cycle check — so per-job ingest can trust it unconditionally.
-//!
-//! [`Waitlist`]: ../paella_core/struct.Waitlist.html
 
 use std::fmt;
 
@@ -236,8 +233,8 @@ impl KernelDag {
             succ_off[t + 1] += succ_off[t];
         }
         // `edges` is sorted by (pred, succ), so successor lists land in the
-        // CSR ascending per node — matching the waitlist's stream-id-ordered
-        // activation reports after the per-release sort in the dispatcher.
+        // CSR ascending per node; the dispatcher orders each release's
+        // activations by stream id on top of that.
         let succ: Vec<u32> = edges.iter().map(|&(_, s)| s).collect();
 
         let dag = KernelDag {

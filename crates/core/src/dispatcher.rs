@@ -1,8 +1,9 @@
 //! The Paella dispatcher (§5): a single-core serving loop that ingests
-//! requests from client shared-memory rings, runs each job's adaptor under
-//! the CUDA-emulation waitlist, dispatches kernels per the configured
-//! scheduler and occupancy budget, folds device notifications into the
-//! occupancy mirror, and returns results through the hybrid wake-up channel.
+//! requests from client shared-memory rings, activates each job's ops in
+//! CUDA stream order by predecessor counting over the model's op graph,
+//! dispatches kernels per the configured scheduler and occupancy budget,
+//! folds device notifications into the occupancy mirror, and returns
+//! results through the hybrid wake-up channel.
 //!
 //! The same component, reconfigured, implements every Paella ablation of
 //! Table 3 (Paella-SS, Paella-MS-jbj, Paella-MS-kbk, Paella-SJF, Paella-RR)
@@ -12,7 +13,7 @@ use std::collections::{HashMap, VecDeque};
 
 use paella_channels::{ChannelConfig, KernelUid};
 use paella_compiler::{
-    bootstrap_profile, instrumented, CompiledModel, DeviceOp, KernelDag, ModelProfile,
+    bootstrap_profile, instrumented, CompiledModel, DagResources, DeviceOp, KernelDag, ModelProfile,
 };
 use paella_gpu::{
     CopyDir, DeviceConfig, GpuOutput, GpuSim, InstrumentationSpec, KernelDesc, KernelLaunch,
@@ -29,7 +30,6 @@ use crate::types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
     ModelId,
 };
-use crate::waitlist::{VStream, Waitlist};
 
 /// Dispatch granularity (Table 3's "Dispatch" column).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -136,19 +136,6 @@ pub struct DispatcherConfig {
     /// `load_signal().outstanding()` is at or above this is shed instead of
     /// queued. `None` disables shedding.
     pub shed_watermark: Option<u64>,
-    /// Whole-DAG submission with event-triggered release (DESIGN §15): when
-    /// exactly one job is in flight and the device sits below
-    /// `fastpath_occupancy_pct`, its successors activate directly off GPU
-    /// completion notifications via the model's pre-validated [`KernelDag`]
-    /// — no waitlist re-scan, no scheduler invocation. Falls back to full
-    /// SRPT-with-deficit arbitration the moment the device is contended.
-    /// Off by default: the fast path skips per-kernel deficit charges, so
-    /// enabling it is an explicit serving-policy choice.
-    pub dag_dispatch: bool,
-    /// Occupancy watermark (percent of device block capacity, from the
-    /// software mirror) above which the DAG fast path hands the job back to
-    /// the arbitrating scheduler even if it is alone.
-    pub fastpath_occupancy_pct: u64,
 }
 
 impl Default for DispatcherConfig {
@@ -187,8 +174,6 @@ impl Default for DispatcherConfig {
             deadline_factor: None,
             deadline_floor: SimDuration::from_micros(500),
             shed_watermark: None,
-            dag_dispatch: false,
-            fastpath_occupancy_pct: 75,
         }
     }
 }
@@ -253,7 +238,7 @@ impl DispatcherConfig {
 
 /// A model registered with the dispatcher.
 struct RegisteredModel {
-    model: CompiledModel,
+    name: std::sync::Arc<str>,
     profile: ModelProfile,
     /// Uncontended device execution time (for breakdown reporting).
     uncontended: SimDuration,
@@ -263,29 +248,42 @@ struct RegisteredModel {
     /// [`LoadSignal`](crate::types::LoadSignal) remaining-work aggregate
     /// updates in O(1) per event instead of rescanning every job per poll.
     left: Vec<f64>,
-    /// The pre-validated kernel DAG (dense successor lists + predecessor
-    /// counts), built once here so per-job ingest can copy the counts and
-    /// the event-triggered fast path can walk successors unconditionally.
+    /// The op graph this dispatcher executes (DESIGN §15), validated once at
+    /// registration: each node carries its op's virtual stream and
+    /// resources, and an op activates when its predecessor count reaches
+    /// zero. Kernel granularity runs the model's stream plan; job
+    /// granularity the sequential single-stream chain.
     dag: KernelDag,
+    /// The distinct virtual streams of `dag`, sorted: a job's i-th real
+    /// stream backs the i-th entry.
+    vstreams: Vec<u32>,
     /// Kernel descriptors indexed by kernel location, for O(1) lookup on
     /// the dispatch hot path (`model.kernels().nth(loc)` is O(K)).
     kernel_descs: Vec<KernelDesc>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum OpKind {
-    H2D(usize),
-    Kernel(usize), // kernel location (index among kernels)
-    D2H(usize),
+impl RegisteredModel {
+    /// What dispatching op `token` costs the device.
+    fn op(&self, token: u64) -> DagResources {
+        self.dag.node(token as usize).resources
+    }
+
+    fn is_kernel(&self, token: u64) -> bool {
+        matches!(self.op(token), DagResources::Kernel { .. })
+    }
+
+    /// Index into a job's real streams of the one backing op `token`.
+    fn stream_slot(&self, token: u64) -> usize {
+        // invariant: vstreams is the sorted dedup of this same dag's node
+        // vstreams, built beside it in register_model.
+        self.vstreams
+            .binary_search(&self.dag.node(token as usize).vstream)
+            .expect("vstream registered")
+    }
 }
 
 struct Job {
     request: InferenceRequest,
-    waitlist: Waitlist,
-    /// Ops of the model, as (kind, waitlist token) in issue order.
-    ops: Vec<OpKind>,
-    /// Virtual stream of each op (all 1 for sequential models).
-    op_vstreams: Vec<u32>,
     /// Tokens currently active (released predecessors) and not dispatched.
     active_undispatched: VecDeque<u64>,
     /// Ops dispatched but not completed.
@@ -298,8 +296,6 @@ struct Job {
     /// order (index i backs the i-th distinct vstream). Empty until a pool
     /// stream is available.
     streams: Vec<StreamId>,
-    /// The distinct vstreams of the model, sorted.
-    vstreams: Vec<u32>,
     total_estimate: SimDuration,
     almost_finished_at: Option<SimTime>,
     ingested_at: SimTime,
@@ -307,16 +303,13 @@ struct Job {
     last_dispatched: bool,
     /// Accumulated framework CPU time attributed to this job.
     framework: SimDuration,
-    /// Tokens already released in the waitlist: a dense bitset, one bit per
-    /// op (tokens are compact indices into `ops`). Replaces a per-job
+    /// Ops already released: a dense bitset, one bit per op (tokens are
+    /// compact indices into the model's op list). Replaces a per-job
     /// `HashSet<u64>` — the release path is per-kernel hot, and hashing a
     /// compact index to test membership wastes both time and an allocation.
     released_ops: ReleasedSet,
-    /// Per-op unreleased-predecessor counts over the model's [`KernelDag`]
-    /// (kernel granularity only; empty in job mode). An op activates exactly
-    /// when its count hits zero — maintained on *every* release so the
-    /// event-triggered fast path can take over mid-job, and cross-validated
-    /// against the waitlist diff in debug builds on the slow path.
+    /// Per-op unreleased-predecessor counts over the model's [`KernelDag`].
+    /// An op activates exactly when its count hits zero.
     preds_left: Vec<u32>,
     /// Deadline instant, when a deadline factor is configured (SLO ledger).
     deadline_at: Option<SimTime>,
@@ -335,38 +328,13 @@ struct Job {
 }
 
 impl Job {
-    fn is_ready(&self) -> bool {
-        !self.active_undispatched.is_empty()
-    }
-
     /// Whether real streams have been assigned.
     fn has_streams(&self) -> bool {
         !self.streams.is_empty()
     }
 
-    /// The real stream backing op `token`.
-    fn real_stream(&self, token: u64) -> StreamId {
-        let vs = self.op_vstreams[token as usize];
-        // invariant: vstreams is the sorted dedup of op_vstreams, built from
-        // the same ops vector at ingest, so every op's vstream is present.
-        let idx = self
-            .vstreams
-            .binary_search(&vs)
-            .expect("vstream registered");
-        self.streams[idx]
-    }
-
-    /// The virtual stream of op `token`.
-    fn vstream(&self, token: u64) -> VStream {
-        VStream(self.op_vstreams[token as usize])
-    }
-
     fn next_active(&self) -> Option<u64> {
         self.active_undispatched.front().copied()
-    }
-
-    fn done(&self) -> bool {
-        self.completed == self.ops.len()
     }
 }
 
@@ -454,9 +422,6 @@ pub struct Dispatcher {
     /// Rendered flight-recorder dumps from terminal failures, awaiting
     /// [`take_postmortems`](Self::take_postmortems).
     postmortems: Vec<String>,
-    /// The job currently served by the event-triggered DAG fast path, if
-    /// any (`dag_dispatch` only). `None` whenever the device is contended.
-    fast_job: Option<JobId>,
 }
 
 /// Flight-recorder ring depth: the last N traced events kept for post-mortem
@@ -519,7 +484,6 @@ impl Dispatcher {
             next_sample: SimTime::ZERO,
             last_charge: (0, SimTime::ZERO),
             postmortems: Vec::new(),
-            fast_job: None,
         }
     }
 
@@ -581,46 +545,46 @@ impl Dispatcher {
     ///
     /// # Panics
     ///
-    /// Panics if the model's multi-stream schedule contains a
-    /// stream/dependency wait cycle: every job of such a model would wedge
+    /// Panics if the model's multi-stream schedule is malformed or contains
+    /// a stream/dependency wait cycle: every job of such a model would wedge
     /// at ingest, so the bad artifact is rejected once, here, where the
     /// failure names the model.
     pub fn register_model(&mut self, model: &CompiledModel) -> ModelId {
-        let compiled = if self.cfg.instrument {
+        let mut compiled = if self.cfg.instrument {
             instrumented(model, InstrumentationSpec::default())
         } else {
             model.clone()
         };
-        if let Some(sched) = &compiled.schedule {
-            let mut scratch = Waitlist::new();
-            for token in 0..compiled.ops.len() {
-                let deps: Vec<u64> = sched.deps[token].iter().map(|&d| d as u64).collect();
-                if let Err(e) =
-                    scratch.push_with_deps(VStream(sched.streams[token]), token as u64, &deps)
-                {
-                    panic!("model {:?}: unschedulable stream plan: {e}", compiled.name);
-                }
-            }
-        }
-        // Whole-DAG submission artifact: dense successor lists + predecessor
-        // counts, cycle/shape-checked once here so every later per-job use
+        // Shape-, range- and cycle-checked once here, so every per-job use
         // (pred-count copies at ingest, successor walks at release) can
         // trust it unconditionally.
-        let dag = match KernelDag::build(&compiled) {
+        let build = |m: &CompiledModel| match KernelDag::build(m) {
             Ok(d) => d,
-            Err(e) => panic!("model {:?}: unschedulable stream plan: {e}", compiled.name),
+            Err(e) => panic!("model {:?}: unschedulable stream plan: {e}", m.name),
         };
+        let mut dag = build(&compiled);
+        if self.cfg.granularity == Granularity::Job && compiled.schedule.is_some() {
+            // Cross-stream joins need the kernel-granularity dispatcher
+            // (there is no device-side event in job-by-job submission), so
+            // job-mode configs run scheduled models sequentially.
+            compiled.schedule = None;
+            dag = build(&compiled);
+        }
+        let mut vstreams: Vec<u32> = (0..dag.len()).map(|t| dag.node(t).vstream).collect();
+        vstreams.sort_unstable();
+        vstreams.dedup();
         let kernel_descs: Vec<KernelDesc> = compiled.kernels().cloned().collect();
         let profile = bootstrap_profile(model);
         let uncontended = paella_models_measure(&compiled, self.gpu.config());
         let id = ModelId(self.models.len() as u32);
         let left = vec![0.0; profile.kernels.len()];
         self.models.push(RegisteredModel {
-            model: compiled,
+            name: compiled.name,
             profile,
             uncontended,
             left,
             dag,
+            vstreams,
             kernel_descs,
         });
         id
@@ -721,6 +685,25 @@ impl Dispatcher {
     }
 
     // -- incremental LoadSignal maintenance ---------------------------------
+
+    /// Takes one request, charged `est` at submit, off the queued half of
+    /// the load signal (it was ingested, or lost with the ring).
+    fn load_dequeue(&mut self, est: SimDuration) {
+        let left = self
+            .queued_ingest
+            .checked_sub(1)
+            .zip(self.queued_work.checked_sub(est));
+        debug_assert!(
+            left.is_some(),
+            "queued load underflow: dequeued more than was submitted"
+        );
+        if left.is_none() {
+            if let Some(m) = self.metrics.as_mut() {
+                m.inc("accounting_underflow", 1);
+            }
+        }
+        (self.queued_ingest, self.queued_work) = left.unwrap_or((0, SimDuration::ZERO));
+    }
 
     /// Credits a freshly ingested job of `model_idx`: every kernel location
     /// still owes its full expected executions.
@@ -889,20 +872,7 @@ impl Dispatcher {
         while self.next_sample <= self.now {
             let at = self.next_sample;
             self.next_sample = at + SAMPLE_INTERVAL;
-            // The fast-path job is deregistered from the scheduler but still
-            // runnable; count it so the ready series stays honest.
-            let mut ready = self.scheduler.ready_len() as u64;
-            if let Some(id) = self.fast_job {
-                if self.jobs.get(&id).is_some_and(|j| {
-                    j.is_ready()
-                        && matches!(
-                            j.next_active().map(|t| j.ops[t as usize]),
-                            Some(OpKind::Kernel(_))
-                        )
-                }) {
-                    ready += 1;
-                }
-            }
+            let ready = self.scheduler.ready_len() as u64;
             let inflight = self.jobs.len() as u64;
             let waiters = self.stream_waiters.len() as u64;
             let backlog = self.notifq_outstanding;
@@ -990,8 +960,7 @@ impl Dispatcher {
     // -- ingest & job construction ------------------------------------------
 
     fn ingest(&mut self, at: SimTime, req: InferenceRequest, charged: SimDuration) {
-        self.queued_ingest = self.queued_ingest.saturating_sub(1);
-        self.queued_work = self.queued_work.saturating_sub(charged);
+        self.load_dequeue(charged);
         // A request queued on the ring when its client disconnected fails
         // here, without ever becoming a job.
         if self.disconnected.contains(&req.client) {
@@ -1017,7 +986,7 @@ impl Dispatcher {
         let id = JobId(self.next_job);
         self.next_job += 1;
         if self.tracer.is_enabled() {
-            let model = self.models[model_idx].model.name.clone();
+            let model = self.models[model_idx].name.clone();
             let (job, client, submitted_at) = (id.0, req.client.0, req.submitted_at);
             self.tracer
                 .record_with(t_ingested, || TraceEvent::JobBegin {
@@ -1031,96 +1000,26 @@ impl Dispatcher {
             m.inc("jobs_ingested", 1);
         }
 
-        // Build the op list and waitlist; the adaptor's run() issues every
-        // CUDA call up front (the coroutine yields at the final sync). Models
-        // with a multi-stream schedule get per-op virtual streams and
-        // cudaStreamWaitEvent-style joins.
-        let mut ops = Vec::new();
-        let mut op_vstreams = Vec::new();
-        let mut waitlist = Waitlist::new();
-        let mut kernel_loc = 0usize;
-        let mut initially_active = Vec::new();
-        {
-            let m = &self.models[model_idx].model;
-            for (token, op) in m.ops.iter().enumerate() {
-                let kind = match op {
-                    DeviceOp::InputCopy { bytes } => OpKind::H2D(*bytes),
-                    DeviceOp::Kernel(_) => {
-                        let k = OpKind::Kernel(kernel_loc);
-                        kernel_loc += 1;
-                        k
-                    }
-                    DeviceOp::OutputCopy { bytes } => OpKind::D2H(*bytes),
-                };
-                ops.push(kind);
-                // Multi-stream schedules need the kernel-granularity
-                // dispatcher to realize cross-stream joins (there is no
-                // device-side event in job-by-job submission), so job-mode
-                // configs run scheduled models sequentially.
-                let (vs, deps) = match (&m.schedule, self.cfg.granularity) {
-                    (Some(sched), Granularity::Kernel) => (
-                        sched.streams[token],
-                        sched.deps[token]
-                            .iter()
-                            .map(|&d| d as u64)
-                            .collect::<Vec<u64>>(),
-                    ),
-                    _ => (1, Vec::new()),
-                };
-                op_vstreams.push(vs);
-                // invariant: register_model replayed this exact schedule
-                // through a scratch waitlist and panicked on cycles, so every
-                // ingest-time push is admissible and skips the cycle search.
-                let active = waitlist.push_prevalidated(VStream(vs), token as u64, &deps);
-                if active {
-                    initially_active.push(token as u64);
-                }
-            }
-        }
-        let mut vstreams = op_vstreams.clone();
-        vstreams.sort_unstable();
-        vstreams.dedup();
-        let kernel_count = kernel_loc;
-        let total_estimate = self.models[model_idx].profile.total_estimate();
-        // Kernel granularity activates ops by predecessor counting over the
-        // model DAG (kept in lockstep with the waitlist; the fast path runs
-        // on it alone). Job mode forces sequential single-stream execution,
-        // which the schedule-derived DAG does not describe — leave empty.
-        let preds_left = match self.cfg.granularity {
-            Granularity::Kernel => self.models[model_idx].dag.pred_counts().to_vec(),
-            Granularity::Job => Vec::new(),
-        };
-        debug_assert!(
-            self.cfg.granularity != Granularity::Kernel || {
-                let roots: Vec<u64> = self.models[model_idx]
-                    .dag
-                    .roots()
-                    .map(|t| t as u64)
-                    .collect();
-                roots == initially_active
-            },
-            "KernelDag roots diverge from the waitlist's initial active set"
-        );
-
-        let op_count = ops.len();
+        // The adaptor's run() issues every CUDA call up front (the coroutine
+        // yields at the final sync), so the whole op graph is known here:
+        // the job starts with the model's predecessor counts and its roots
+        // active.
+        let rm = &self.models[model_idx];
+        let total_estimate = rm.profile.total_estimate();
         let job = Job {
             request: req,
-            waitlist,
-            ops,
-            op_vstreams,
-            active_undispatched: initially_active.into_iter().collect(),
+            active_undispatched: rm.dag.roots().map(|t| t as u64).collect(),
             outstanding: 0,
             completed: 0,
-            done_counts: vec![0; kernel_count],
+            done_counts: vec![0; rm.kernel_descs.len()],
             streams: Vec::new(),
-            vstreams,
             total_estimate,
             almost_finished_at: None,
             ingested_at: t_ingested,
             last_dispatched: false,
             framework: self.cfg.ingest_cost,
-            released_ops: ReleasedSet::with_capacity(op_count),
-            preds_left,
+            released_ops: ReleasedSet::with_capacity(rm.dag.len()),
+            preds_left: rm.dag.pred_counts().to_vec(),
             deadline_at: None,
             backoff_ns: 0,
             dep_since: None,
@@ -1154,13 +1053,13 @@ impl Dispatcher {
         let want = self
             .jobs
             .get(&id)
-            .map(|j| j.vstreams.len())
+            .map(|j| self.models[j.request.model.0 as usize].vstreams.len())
             .unwrap_or(1)
             .max(1);
         let streams: Vec<StreamId> = match self.cfg.streams {
             // A single shared stream backs every virtual stream (correct but
             // serialized — deps still hold because dispatch order respects
-            // the waitlist).
+            // the op graph).
             StreamPolicy::Single => vec![StreamId(1); want],
             StreamPolicy::PerJobUnbounded => (0..want)
                 .map(|_| {
@@ -1191,8 +1090,7 @@ impl Dispatcher {
 
     /// Job-granularity: push the entire op sequence to the device at once.
     fn dispatch_whole_job(&mut self, id: JobId, ready: SimTime) {
-        let tokens: Vec<u64> = (0..self.jobs[&id].ops.len() as u64).collect();
-        for token in tokens {
+        for token in 0..self.model_of(id).dag.len() as u64 {
             // In job mode every op is "released" logically; stream ordering
             // on the device enforces execution order.
             self.dispatch_op(id, token, ready, true);
@@ -1213,16 +1111,14 @@ impl Dispatcher {
                 return; // waiting for pool streams
             }
             let Some(token) = j.next_active() else { return };
-            match j.ops[token as usize] {
-                OpKind::Kernel(_) => return,
-                OpKind::H2D(_) | OpKind::D2H(_) => {
-                    // invariant: the get() at loop top just returned Some for
-                    // this id.
-                    let j = self.jobs.get_mut(&id).expect("job exists");
-                    j.active_undispatched.pop_front();
-                    self.dispatch_op(id, token, ready, false);
-                }
+            if self.models[j.request.model.0 as usize].is_kernel(token) {
+                return;
             }
+            // invariant: the get() at loop top just returned Some for this
+            // id.
+            let j = self.jobs.get_mut(&id).expect("job exists");
+            j.active_undispatched.pop_front();
+            self.dispatch_op(id, token, ready, false);
         }
     }
 
@@ -1238,21 +1134,22 @@ impl Dispatcher {
         let (kind, stream, client) = {
             let j = &self.jobs[&id];
             assert!(j.has_streams(), "dispatch without streams");
+            let rm = &self.models[j.request.model.0 as usize];
             (
-                j.ops[token as usize],
-                j.real_stream(token),
+                rm.op(token),
+                j.streams[rm.stream_slot(token)],
                 j.request.client,
             )
         };
         match kind {
-            OpKind::H2D(bytes) | OpKind::D2H(bytes) => {
-                let dir = if matches!(kind, OpKind::H2D(_)) {
+            DagResources::H2D(bytes) | DagResources::D2H(bytes) => {
+                let dir = if matches!(kind, DagResources::H2D(_)) {
                     CopyDir::HostToDevice
                 } else {
                     CopyDir::DeviceToHost
                 };
                 // Almost-finished: fired before the final D2H (§4.2).
-                if matches!(kind, OpKind::D2H(_)) && self.is_last_op(id, token) {
+                if matches!(kind, DagResources::D2H(_)) && self.is_last_op(id, token) {
                     self.fire_almost_finished(id, ready);
                 }
                 let done = self.charge_cpu(client, ready, self.channels.cuda.memcpy_overhead);
@@ -1279,7 +1176,8 @@ impl Dispatcher {
                     self.jobs.get_mut(&id).expect("job").last_dispatched = true;
                 }
             }
-            OpKind::Kernel(loc) => {
+            DagResources::Kernel { loc, .. } => {
+                let loc = loc as usize;
                 let cost = if whole_job {
                     self.channels.cuda.launch_overhead
                 } else {
@@ -1292,7 +1190,7 @@ impl Dispatcher {
                 self.next_kernel_uid += 1;
                 let desc = {
                     let j = &self.jobs[&id];
-                    // invariant: ingest derived `loc` by enumerating this
+                    // invariant: the dag numbered `loc` by enumerating this
                     // same model's kernels, and models are append-only.
                     self.models[j.request.model.0 as usize].kernel_descs[loc].clone()
                 };
@@ -1343,8 +1241,7 @@ impl Dispatcher {
                     // (placement notification) — see `handle_gpu_output`.
                     // Without instrumentation there is no placement signal,
                     // so fall back to firing at launch.
-                    let pinned = !matches!(j.ops.last(), Some(OpKind::D2H(_)));
-                    if pinned && !self.cfg.instrument {
+                    if !self.cfg.instrument {
                         self.fire_almost_finished(id, done);
                     }
                 }
@@ -1353,7 +1250,12 @@ impl Dispatcher {
     }
 
     fn is_last_op(&self, id: JobId, token: u64) -> bool {
-        token as usize + 1 == self.jobs[&id].ops.len()
+        token as usize + 1 == self.model_of(id).dag.len()
+    }
+
+    /// The registered model in-flight job `id` runs.
+    fn model_of(&self, id: JobId) -> &RegisteredModel {
+        &self.models[self.jobs[&id].request.model.0 as usize]
     }
 
     fn fire_almost_finished(&mut self, id: JobId, at: SimTime) {
@@ -1372,13 +1274,6 @@ impl Dispatcher {
         if self.cfg.granularity != Granularity::Kernel {
             return;
         }
-        if self.cfg.dag_dispatch {
-            self.fastpath_transition();
-            if let Some(id) = self.fast_job {
-                self.fast_dispatch(id);
-                return;
-            }
-        }
         let mut spin_guard = 0u64;
         while let Some((job, rationale)) = self.scheduler.pick_next_explained() {
             spin_guard += 1;
@@ -1388,14 +1283,16 @@ impl Dispatcher {
                 self.scheduler.job_blocked(job);
                 continue;
             };
-            let loc = match self.jobs[&job].ops[token as usize] {
-                OpKind::Kernel(loc) => loc,
-                _ => {
-                    // Non-kernel ops auto-dispatch.
-                    self.dispatch_auto_ops(job, self.now);
-                    self.update_readiness(job);
-                    continue;
-                }
+            let DagResources::Kernel {
+                grid_blocks,
+                footprint,
+                ..
+            } = self.model_of(job).op(token)
+            else {
+                // Non-kernel ops auto-dispatch.
+                self.dispatch_auto_ops(job, self.now);
+                self.update_readiness(job);
+                continue;
             };
             if !self.jobs[&job].has_streams() {
                 // Waiting for pool streams; skip until they free.
@@ -1409,16 +1306,9 @@ impl Dispatcher {
                 continue;
             }
             if self.cfg.hold_for_occupancy {
-                let (fp, blocks) = {
-                    let j = &self.jobs[&job];
-                    // invariant: `loc` was enumerated from this model's
-                    // kernels at ingest (see dispatch_op).
-                    let k = &self.models[j.request.model.0 as usize].kernel_descs[loc];
-                    (k.footprint, k.grid_blocks)
-                };
                 if !self
                     .occupancy
-                    .should_dispatch(&fp, self.cfg.lookahead_blocks)
+                    .should_dispatch(&footprint, self.cfg.lookahead_blocks)
                 {
                     self.tracer
                         .record_with(self.now, || TraceEvent::OccupancyHold {
@@ -1433,7 +1323,8 @@ impl Dispatcher {
                 }
                 // notifQ flow control: never reserve past the ring capacity.
                 if self.cfg.instrument
-                    && self.notifq_outstanding + 2 * u64::from(blocks) > self.cfg.notifq_capacity
+                    && self.notifq_outstanding + 2 * u64::from(grid_blocks)
+                        > self.cfg.notifq_capacity
                 {
                     self.tracer
                         .record_with(self.now, || TraceEvent::OccupancyHold {
@@ -1474,196 +1365,32 @@ impl Dispatcher {
         }
     }
 
-    // -- event-triggered DAG fast path (DESIGN §15) -------------------------
-
-    /// Whether the software occupancy mirror sits at or above the fast-path
-    /// watermark — "contended" even with a single job in flight.
-    fn occupancy_above_watermark(&self) -> bool {
-        let capacity = u64::from(self.gpu.config().num_sms)
-            * u64::from(self.gpu.config().sm_limits.max_blocks);
-        self.occupancy.resident_blocks() * 100 >= self.cfg.fastpath_occupancy_pct * capacity.max(1)
-    }
-
-    /// The fast-path state machine, evaluated once per dispatch pass:
-    /// enter when exactly one job is in flight and the device is below the
-    /// occupancy watermark; exit the moment either stops holding. Finish
-    /// and cancel clear the state on their own paths.
-    fn fastpath_transition(&mut self) {
-        let contended = self.jobs.len() > 1 || self.occupancy_above_watermark();
-        match self.fast_job {
-            Some(id) => {
-                if !self.jobs.contains_key(&id) {
-                    // Finished/cancelled under us; exit already traced there.
-                    self.fast_job = None;
-                } else if contended {
-                    let reason = if self.jobs.len() > 1 {
-                        "contended"
-                    } else {
-                        "occupancy"
-                    };
-                    self.fastpath_exit(reason);
-                }
-            }
-            None => {
-                if !contended && self.jobs.len() == 1 {
-                    // invariant: the guard above checked len == 1; min() is
-                    // an order-insensitive terminal, so hash order never
-                    // leaks into the decision (R6).
-                    let id = *self.jobs.keys().min().expect("len == 1");
-                    self.fast_job = Some(id);
-                    // The fast path owns dispatch now; deregister so the
-                    // arbitration loop never sees a phantom ready job.
-                    self.scheduler.job_blocked(id);
-                    self.tracer
-                        .record_with(self.now, || TraceEvent::FastPathEnter { job: id.0 });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("fastpath_enters", 1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Leaves the fast path and hands the job back to the arbitrating
-    /// scheduler: trace, count, and re-register its readiness.
-    fn fastpath_exit(&mut self, reason: &'static str) {
-        if let Some(id) = self.fast_job.take() {
-            self.tracer
-                .record_with(self.now, || TraceEvent::FastPathExit { job: id.0, reason });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("fastpath_exits", 1);
-            }
-            self.update_readiness(id);
-        }
-    }
-
-    /// The event-triggered dispatch loop: structurally [`try_dispatch`]'s
-    /// single-job iteration with the scheduler pick/charge removed. Every
-    /// gate (stream pool, occupancy budget, notifQ backpressure) holds with
-    /// the same traces, counters, and wait accounting, so an uncontended
-    /// job's completion schedule and journey are byte-identical to the
-    /// arbitrated path's (pinned by proptest).
-    ///
-    /// [`try_dispatch`]: Self::try_dispatch
-    fn fast_dispatch(&mut self, id: JobId) {
-        loop {
-            // Non-kernel ops auto-dispatch, exactly as the slow loop does
-            // before consulting the occupancy gate.
-            self.dispatch_auto_ops(id, self.now);
-            let Some(j) = self.jobs.get(&id) else { return };
-            let ready = j.is_ready()
-                && matches!(
-                    j.next_active().map(|t| j.ops[t as usize]),
-                    Some(OpKind::Kernel(_))
-                );
-            if !ready {
-                return;
-            }
-            // invariant: `ready` above proved the front op exists and is a
-            // kernel.
-            let token = j.next_active().expect("ready job has an active op");
-            let OpKind::Kernel(loc) = j.ops[token as usize] else {
-                unreachable!("ready predicate admits only kernel fronts")
-            };
-            if !j.has_streams() {
-                self.tracer
-                    .record_with(self.now, || TraceEvent::OccupancyHold {
-                        job: id.0,
-                        reason: HoldReason::StreamPool,
-                    });
-                self.mark_occ_hold(id);
-                return;
-            }
-            if self.cfg.hold_for_occupancy {
-                let (fp, blocks) = {
-                    let j = &self.jobs[&id];
-                    let k = &self.models[j.request.model.0 as usize].kernel_descs[loc];
-                    (k.footprint, k.grid_blocks)
-                };
-                if !self
-                    .occupancy
-                    .should_dispatch(&fp, self.cfg.lookahead_blocks)
-                {
-                    self.tracer
-                        .record_with(self.now, || TraceEvent::OccupancyHold {
-                            job: id.0,
-                            reason: HoldReason::OccupancyBudget,
-                        });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("occupancy_holds", 1);
-                    }
-                    self.mark_occ_hold(id);
-                    return;
-                }
-                if self.cfg.instrument
-                    && self.notifq_outstanding + 2 * u64::from(blocks) > self.cfg.notifq_capacity
-                {
-                    self.tracer
-                        .record_with(self.now, || TraceEvent::OccupancyHold {
-                            job: id.0,
-                            reason: HoldReason::NotifqBackpressure,
-                        });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("notifq_holds", 1);
-                    }
-                    self.mark_occ_hold(id);
-                    return;
-                }
-            }
-            {
-                // invariant: the ready predicate above proved the job is
-                // present with a non-empty active queue.
-                let j = self.jobs.get_mut(&id).expect("job exists");
-                j.active_undispatched.pop_front();
-            }
-            self.dispatch_op(id, token, self.now, false);
-            self.dispatch_auto_ops(id, self.now);
-            self.update_readiness(id);
-        }
-    }
-
     /// Syncs a job's readiness with the scheduler, closing/opening the
-    /// dependency-wait interval on the transition. For the fast-path job the
-    /// dependency accounting (and its DepWait trace) runs identically but
-    /// the scheduler registration — and the O(kernels) remaining-estimate
-    /// recompute feeding it — is skipped: the fast path dispatches without
-    /// arbitration, and `fastpath_exit` re-registers on handoff.
+    /// dependency-wait interval on the transition.
     fn update_readiness(&mut self, id: JobId) {
-        let fast = self.fast_job == Some(id);
         let Some(j) = self.jobs.get_mut(&id) else {
             self.scheduler.job_blocked(id);
             return;
         };
-        let ready = j.is_ready()
-            && matches!(
-                j.next_active().map(|t| j.ops[t as usize]),
-                Some(OpKind::Kernel(_))
-            );
+        let m = &self.models[j.request.model.0 as usize];
+        let ready = j.next_active().is_some_and(|t| m.is_kernel(t));
         if ready {
             if let Some(s) = j.dep_since.take() {
                 j.dep_wait_ns += self.now.saturating_since(s).as_nanos();
             }
-            if !fast {
-                let remaining = {
-                    let m = &self.models[j.request.model.0 as usize];
-                    m.profile.remaining(&j.done_counts)
-                };
-                self.scheduler.job_ready(JobInfo {
-                    job: id,
-                    client: j.request.client,
-                    arrival: j.ingested_at,
-                    total_estimate: j.total_estimate,
-                    remaining_estimate: remaining,
-                });
-            }
+            self.scheduler.job_ready(JobInfo {
+                job: id,
+                client: j.request.client,
+                arrival: j.ingested_at,
+                total_estimate: j.total_estimate,
+                remaining_estimate: m.profile.remaining(&j.done_counts),
+            });
         } else {
             let newly_blocked = j.dep_since.is_none();
             if newly_blocked {
                 j.dep_since = Some(self.now);
             }
-            if !fast {
-                self.scheduler.job_blocked(id);
-            }
+            self.scheduler.job_blocked(id);
             if newly_blocked {
                 self.tracer
                     .record_with(self.now, || TraceEvent::OccupancyHold {
@@ -1776,9 +1503,9 @@ impl Dispatcher {
                     }
                     // Online profile refinement from the observed span.
                     if let Some(started) = self.kernel_started.remove(&uid) {
-                        let j = &self.jobs[&job];
-                        if let OpKind::Kernel(loc) = j.ops[token as usize] {
-                            let model = j.request.model.0 as usize;
+                        let model = self.jobs[&job].request.model.0 as usize;
+                        if let DagResources::Kernel { loc, .. } = self.models[model].op(token) {
+                            let loc = loc as usize;
                             let old_us = self.models[model].profile.kernels[loc].time_us.mean();
                             self.models[model]
                                 .profile
@@ -1804,79 +1531,44 @@ impl Dispatcher {
         let Some(j) = self.jobs.get(&id) else {
             return SimDuration::ZERO;
         };
-        let OpKind::Kernel(loc) = j.ops[token as usize] else {
+        let m = &self.models[j.request.model.0 as usize];
+        let DagResources::Kernel { loc, .. } = m.op(token) else {
             return SimDuration::ZERO;
         };
-        let profile = &self.models[j.request.model.0 as usize].profile;
-        SimDuration::from_micros_f64(profile.kernels[loc].time_us.mean())
+        SimDuration::from_micros_f64(m.profile.kernels[loc as usize].time_us.mean())
     }
 
-    /// The release bookkeeping shared by every path: marks `token` released,
-    /// maintains the job's DAG predecessor counts, and appends the
-    /// newly-activated tokens to its dispatch queue. Returns whether the op
-    /// was actually released (`false` = already released, idempotent no-op).
-    ///
-    /// On the event-triggered fast path the activations come from the
-    /// model's [`KernelDag`] successor walk — no waitlist active-set
-    /// re-scans. On the arbitrated path the waitlist diff stays
-    /// authoritative, and debug builds assert the DAG derivation matches it
-    /// exactly — every debug test run cross-validates the fast path's
-    /// activation rule against the waitlist's from-scratch semantics.
+    /// Marks `token` released and walks its successors in the model's
+    /// [`KernelDag`], appending every op whose predecessor count reaches
+    /// zero to the job's dispatch queue. Returns whether the op was actually
+    /// released (`false` = already released, idempotent no-op).
     fn apply_release(&mut self, id: JobId, token: u64) -> bool {
-        let fast = self.fast_job == Some(id);
         let Some(j) = self.jobs.get_mut(&id) else {
             return false;
         };
         if j.released(token) {
             return false;
         }
-        let vs = j.vstream(token);
-        let mut dag_newly: Vec<u64> = Vec::new();
-        if !j.preds_left.is_empty() {
-            let dag = &self.models[j.request.model.0 as usize].dag;
-            for &s in dag.successors(token as usize) {
-                let left = &mut j.preds_left[s as usize];
-                debug_assert!(*left > 0, "KernelDag predecessor count underflow");
-                *left -= 1;
-                if *left == 0 {
-                    dag_newly.push(u64::from(s));
-                }
+        let dag = &self.models[j.request.model.0 as usize].dag;
+        let mut newly: Vec<u32> = Vec::new();
+        for &s in dag.successors(token as usize) {
+            let left = &mut j.preds_left[s as usize];
+            debug_assert!(*left > 0, "KernelDag predecessor count underflow");
+            *left -= 1;
+            if *left == 0 {
+                newly.push(s);
             }
-            // The waitlist reports newly-active ops in stream-id order (at
-            // most one activation per stream per release); match it.
-            dag_newly.sort_unstable_by_key(|&t| j.op_vstreams[t as usize]);
         }
-        let newly = if fast {
-            j.waitlist.release_quiet(vs, token);
-            dag_newly
-        } else {
-            let newly = j.waitlist.release(vs, token);
-            debug_assert!(
-                j.preds_left.is_empty() || newly == dag_newly,
-                "DAG-derived activations {dag_newly:?} diverge from waitlist {newly:?}"
-            );
-            newly
-        };
+        // Stream semantics report newly-active ops in stream-id order (at
+        // most one activation per stream per release).
+        newly.sort_unstable_by_key(|&t| dag.node(t as usize).vstream);
         j.mark_released(token);
-        let activated = newly.len() as u32;
-        for t in newly {
-            j.active_undispatched.push_back(t);
-        }
-        if fast {
-            self.tracer
-                .record_with(self.now, || TraceEvent::DagRelease {
-                    job: id.0,
-                    token,
-                    activated,
-                });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("dag_releases", 1);
-            }
-        }
+        j.active_undispatched
+            .extend(newly.into_iter().map(u64::from));
         true
     }
 
-    /// Marks an op released in the waitlist (idempotent per op).
+    /// Releases an op and dispatches what that activated (idempotent per op).
     fn release_op(&mut self, id: JobId, token: u64) {
         if !self.apply_release(id, token) {
             return;
@@ -1893,8 +1585,6 @@ impl Dispatcher {
             let Some(j) = self.jobs.get_mut(&id) else {
                 return;
             };
-            let vs = j.vstream(token);
-            j.waitlist.retire(vs, token);
             debug_assert!(
                 j.outstanding >= 1,
                 "job outstanding underflow: completion without a dispatch"
@@ -1906,23 +1596,12 @@ impl Dispatcher {
             self.dispatch_auto_ops(id, self.now);
             self.update_readiness(id);
         }
-        if self.jobs[&id].done() {
+        if self.jobs[&id].completed == self.model_of(id).dag.len() {
             self.finish_job(id, at);
         }
     }
 
     fn finish_job(&mut self, id: JobId, device_done: SimTime) {
-        if self.fast_job == Some(id) {
-            self.fast_job = None;
-            self.tracer
-                .record_with(self.now, || TraceEvent::FastPathExit {
-                    job: id.0,
-                    reason: "finished",
-                });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("fastpath_exits", 1);
-            }
-        }
         // invariant: the only caller just indexed self.jobs[&id] to test
         // done(), and jobs are removed nowhere else.
         let j = self.jobs.remove(&id).expect("finishing unknown job");
@@ -2064,7 +1743,10 @@ impl Dispatcher {
                     self.stream_waiters.pop_front();
                     continue;
                 };
-                let want = w.vstreams.len().max(1);
+                let want = self.models[w.request.model.0 as usize]
+                    .vstreams
+                    .len()
+                    .max(1);
                 if self.free_streams.len() < want {
                     break;
                 }
@@ -2147,25 +1829,15 @@ impl Dispatcher {
     }
 
     /// Cancels one in-flight job and reclaims everything it holds: queued
-    /// waitlist ops, scheduler state, stream-pool slots, notifQ reservations,
+    /// ops, scheduler state, stream-pool slots, notifQ reservations,
     /// and the occupancy mirror's accounting for its in-flight kernels. The
     /// device runs already-placed kernels to completion, but their outputs no
     /// longer map to a job, so late notifications and completions fall
     /// through the uid lookups harmlessly.
     fn cancel_job(&mut self, id: JobId, at: SimTime, reason: FailureReason) {
-        let Some(mut j) = self.jobs.remove(&id) else {
+        let Some(j) = self.jobs.remove(&id) else {
             return; // already finished or cancelled (e.g. a stale deadline)
         };
-        if self.fast_job == Some(id) {
-            self.fast_job = None;
-            self.tracer.record_with(at, || TraceEvent::FastPathExit {
-                job: id.0,
-                reason: "cancelled",
-            });
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("fastpath_exits", 1);
-            }
-        }
         self.load_remove_job(j.request.model.0 as usize, &j.done_counts);
         self.scheduler.job_done(id);
         if let Some(n) = self.client_inflight.get_mut(&j.request.client) {
@@ -2201,8 +1873,6 @@ impl Dispatcher {
         }
         self.memcpy_to_job.retain(|_, &mut (job, _)| job != id);
         self.kernel_attempts.retain(|&(job, _), _| job != id);
-        // Drain queued ops so the waitlist leaves no orphaned dependents.
-        j.waitlist.drain();
         self.return_streams(&j, at);
         let reason_str = reason.as_str();
         self.tracer.record_with(at, || TraceEvent::JobCancelled {
@@ -2249,8 +1919,7 @@ impl Dispatcher {
         // contents are lost with the node); stale deadlines/retries are moot.
         for (_, ev) in self.events.drain() {
             if let Ev::Ingest(req, est) = ev {
-                self.queued_ingest = self.queued_ingest.saturating_sub(1);
-                self.queued_work = self.queued_work.saturating_sub(est);
+                self.load_dequeue(est);
                 if let Some(m) = self.metrics.as_mut() {
                     m.slo_fail(req.client.0, reason.as_str());
                 }

@@ -5,8 +5,9 @@
 //! The paper's primary contribution: a model-serving dispatcher that lifts
 //! GPU scheduling out of the hardware and into software.
 //!
-//! * [`waitlist`] — per-job kernel waitlists reproducing CUDA stream
-//!   semantics (Fig. 7), with pipelined release on full placement.
+//! * [`waitlist`] — the executable model of CUDA stream semantics (Fig. 7),
+//!   with pipelined release on full placement; the dispatcher runs its
+//!   compiled form, predecessor counting over a `KernelDag`.
 //! * [`occupancy`] — the software mirror of per-SM resource usage (Table 1),
 //!   fed by instrumented-kernel notifications.
 //! * [`sched`] — the scheduling policies of Table 3: FIFO, SJF, round-robin,

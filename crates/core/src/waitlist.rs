@@ -1,4 +1,5 @@
-//! Per-job kernel waitlists (Fig. 7, §4.2).
+//! The kernel waitlist (Fig. 7, §4.2): the executable model of CUDA stream
+//! semantics.
 //!
 //! The waitlist replaces the CUDA runtime's stream machinery: it tracks
 //! which of a job's intercepted operations are *active* (schedulable now)
@@ -22,6 +23,14 @@
 //! [`Waitlist::push_with_deps`] therefore reject any op that would close a
 //! wait cycle with [`WaitlistError::DepCycle`] instead of admitting a
 //! guaranteed deadlock.
+//!
+//! The dispatcher does not hold one of these per job: a registered model's
+//! op list is fixed, so it compiles these rules into a `KernelDag` edge set
+//! once and activates ops by predecessor counting (DESIGN §15). The
+//! waitlist is the general form — ops issued dynamically, non-blocking
+//! streams, forward dependencies — that the edge set is proven against
+//! (`paella-check`'s lockstep proptests) and that the repo benchmark
+//! replays as its own layer.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -84,7 +93,7 @@ struct Entry {
     deps: Vec<OpToken>,
 }
 
-/// The per-job waitlist.
+/// The waitlist of one job's intercepted ops.
 ///
 /// # Examples
 ///
@@ -195,13 +204,11 @@ impl Waitlist {
     }
 
     /// Like [`push_with_deps`](Self::push_with_deps), for schedules whose
-    /// admissibility is already proven. Paella replays each model's whole
-    /// schedule through a scratch waitlist once at `register_model` (and
-    /// rejects the model on a cycle), so the identical per-ingest replay
-    /// cannot close a wait cycle — re-running the O(n²) cycle search on
-    /// every push made ingest cubic in pipeline depth and dominated the
-    /// host cost of deep-pipeline jobs. Release builds skip the search;
-    /// debug builds keep it as an assertion.
+    /// admissibility is already proven (a model that passed
+    /// `register_model`'s `KernelDag` validation has no wait cycle, so a
+    /// replay of its schedule cannot close one). The O(n²) cycle search per
+    /// push makes replaying a schedule cubic in pipeline depth; release
+    /// builds skip it, debug builds keep it as an assertion.
     ///
     /// # Panics
     ///
@@ -409,41 +416,6 @@ impl Waitlist {
             .collect()
     }
 
-    /// Releases an op *without* computing the newly-active diff — the
-    /// event-triggered fast path, where the caller derives activations from
-    /// a pre-validated [`KernelDag`] successor walk instead of the
-    /// before/after [`active`](Self::active) scans [`release`](Self::release)
-    /// pays for. All ordering state (released flags, unreleased seq sets,
-    /// released-token set) is updated identically, so a later handoff back
-    /// to [`release`](Self::release)/[`active`](Self::active) observes
-    /// exactly the state a plain release would have left.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is not the front unreleased op of `s` or the stream
-    /// is unknown, exactly like [`release`](Self::release).
-    pub fn release_quiet(&mut self, s: VStream, token: OpToken) {
-        let kind = self.kind(s);
-        let q = self.streams.get_mut(&s).expect("release on unknown stream");
-        let pos = q
-            .iter()
-            .position(|e| !e.released)
-            .expect("stream has no unreleased ops");
-        assert_eq!(q[pos].token, token, "out-of-order release on stream {s:?}");
-        q[pos].released = true;
-        let seq = q[pos].seq;
-        self.released_tokens.insert(token);
-        match kind {
-            StreamKind::Default => {
-                self.default_unreleased.remove(&seq);
-            }
-            StreamKind::Blocking => {
-                self.blocking_unreleased.remove(&seq);
-            }
-            StreamKind::NonBlocking => {}
-        }
-    }
-
     /// Retires a released op entirely (its resources are gone); used when a
     /// released-but-running op finally completes.
     ///
@@ -530,7 +502,7 @@ mod tests {
 
     #[test]
     fn push_prevalidated_matches_checked_push() {
-        // The ingest fast path and the checked push must agree on activation
+        // The unchecked push and the checked push must agree on activation
         // verdicts and produce identical waitlists for an acyclic schedule
         // (here: two cross-joined streams plus a stream-0 barrier).
         let plan: &[(u32, OpToken, &[OpToken])] = &[
@@ -813,33 +785,6 @@ mod tests {
         // A fresh op on a blocking stream must not wait on the drained
         // stream-0 op: the unreleased sets were rolled back.
         assert!(push(&mut w, VStream(2), 9), "clean slate after drain");
-    }
-
-    #[test]
-    fn release_quiet_matches_release_state() {
-        // Quiet release leaves identical ordering state: the successor shows
-        // up in active() even though no diff was reported at release time.
-        let mut w = Waitlist::new();
-        push(&mut w, VStream::DEFAULT, 1);
-        push(&mut w, VStream(1), 2);
-        push(&mut w, VStream(1), 3);
-        assert_eq!(w.active(), vec![1]);
-        w.release_quiet(VStream::DEFAULT, 1);
-        assert_eq!(w.active(), vec![2], "serialization state updated");
-        w.retire(VStream::DEFAULT, 1);
-        // Handoff back to the diff-reporting release works seamlessly.
-        assert_eq!(w.complete(VStream(1), 2), vec![3]);
-        w.complete(VStream(1), 3);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order release")]
-    fn release_quiet_checks_order() {
-        let mut w = Waitlist::new();
-        push(&mut w, VStream(1), 1);
-        push(&mut w, VStream(1), 2);
-        w.release_quiet(VStream(1), 2);
     }
 
     #[test]

@@ -513,7 +513,7 @@ fn srpt_prefers_partially_completed_jobs() {
 #[test]
 fn copy_only_job_completes() {
     // Degenerate adaptor: set_input + get_output with no kernels (e.g. an
-    // identity model). The waitlist and completion paths must still work.
+    // identity model). The release and completion paths must still work.
     use paella_compiler::{CompiledModel, DeviceOp};
     let model = CompiledModel {
         name: "identity".to_string().into(),
@@ -749,4 +749,51 @@ fn cancel_all_fails_everything_without_leaks() {
     assert!(d.drain_completions().is_empty());
     assert_eq!(d.occupancy_tracked_kernels(), 0);
     assert_eq!(d.occupancy_resident_blocks(), 0);
+}
+
+#[test]
+fn cancel_all_before_ingest_zeroes_the_queued_load() {
+    let mut d = paella(DeviceConfig::tesla_t4());
+    d.enable_telemetry();
+    let model = d.register_model(&synthetic::fig2_job());
+    submit_n(&mut d, model, 8, SimDuration::from_micros(10), 0);
+    let sig = d.load_signal();
+    assert_eq!((sig.queued, sig.inflight), (8, 0), "nothing ingested yet");
+    assert!(sig.remaining_work > SimDuration::ZERO);
+    // The ring's contents are lost before the dispatcher polled any of it.
+    d.cancel_all(SimTime::ZERO, FailureReason::NodeCrash);
+    d.run_to_idle();
+    assert_eq!(d.drain_failures().len(), 8);
+    let sig = d.load_signal();
+    assert_eq!(sig.queued, 0);
+    assert_eq!(sig.remaining_work, SimDuration::ZERO);
+    let snap = d.metrics_snapshot().expect("telemetry on");
+    assert_eq!(snap.counter("accounting_underflow"), 0);
+}
+
+/// A single-stream model whose first op waits on its second: the in-stream
+/// edge plus the forward dependency close a wait cycle.
+fn cyclic_model() -> paella_compiler::CompiledModel {
+    let mut m = synthetic::uniform_job("cyclic", 2, SimDuration::from_micros(5), 1);
+    m.schedule = Some(paella_compiler::JobSchedule {
+        streams: vec![1; m.ops.len()],
+        deps: (0..m.ops.len())
+            .map(|t| if t == 0 { vec![1] } else { Vec::new() })
+            .collect(),
+    });
+    m
+}
+
+#[test]
+#[should_panic(expected = "unschedulable stream plan")]
+fn register_model_rejects_a_wait_cycle() {
+    paella(DeviceConfig::tesla_t4()).register_model(&cyclic_model());
+}
+
+#[test]
+#[should_panic(expected = "unschedulable stream plan")]
+fn register_model_rejects_a_wait_cycle_at_job_granularity() {
+    // Job mode would run the model sequentially, but the artifact is still
+    // malformed and is still refused.
+    paella_with(DispatcherConfig::paella_ms_jbj(), 1).register_model(&cyclic_model());
 }

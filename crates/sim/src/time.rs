@@ -130,6 +130,11 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
 
+    /// `self - other`, or `None` if `other` is longer.
+    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
+        self.0.checked_sub(other.0).map(SimDuration)
+    }
+
     /// `self + other`, saturating at [`SimDuration::MAX`].
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))

@@ -375,34 +375,6 @@ pub enum TraceEvent {
         /// Pool-wide resident page count *after* this event.
         resident: u64,
     },
-    /// An event-triggered DAG release: a completed op's successors were
-    /// activated directly off the GPU completion notification, with no
-    /// waitlist re-scan and no scheduler invocation (SET-style whole-DAG
-    /// submission; DESIGN §15).
-    DagRelease {
-        /// Owning job.
-        job: u64,
-        /// The released op's token (index into the model's op list).
-        token: u64,
-        /// Successor ops activated by this release.
-        activated: u32,
-    },
-    /// The dispatcher entered the event-triggered fast path for `job`: it
-    /// is the only runnable job and the device is below the occupancy
-    /// watermark, so per-kernel SRPT arbitration is bypassed.
-    FastPathEnter {
-        /// The job now dispatched event-triggered.
-        job: u64,
-    },
-    /// The dispatcher left the fast path and handed `job` back to full
-    /// SRPT-with-deficit arbitration.
-    FastPathExit {
-        /// The job handed back to the scheduler.
-        job: u64,
-        /// Stable reason label (`"contended"`, `"occupancy"`, `"finished"`,
-        /// `"cancelled"`).
-        reason: &'static str,
-    },
     /// A periodic virtual-time counter sample (also rendered as a Chrome
     /// counter track).
     CounterSample {
@@ -442,9 +414,6 @@ impl TraceEvent {
             TraceEvent::PrefillStart { .. } => "prefill-start",
             TraceEvent::DecodeStep { .. } => "decode-step",
             TraceEvent::KvAlloc { .. } => "kv-alloc",
-            TraceEvent::DagRelease { .. } => "dag-release",
-            TraceEvent::FastPathEnter { .. } => "fastpath-enter",
-            TraceEvent::FastPathExit { .. } => "fastpath-exit",
             TraceEvent::CounterSample { .. } => "counter-sample",
         }
     }

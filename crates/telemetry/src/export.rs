@@ -649,37 +649,6 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     &mut first,
                 );
             }
-            TraceEvent::DagRelease {
-                job,
-                token,
-                activated,
-            } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"dag release op {token} (job {job})","cat":"sched","s":"t","pid":0,"tid":{SCHED_TID},"ts":"{at}","args":{{"activated":{activated}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::FastPathEnter { job } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"fastpath enter job {job}","cat":"sched","s":"t","pid":0,"tid":{SCHED_TID},"ts":"{at}","args":{{}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::FastPathExit { job, reason } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"fastpath exit job {job}","cat":"sched","s":"t","pid":0,"tid":{SCHED_TID},"ts":"{at}","args":{{"reason":"{reason}"}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
             TraceEvent::CounterSample { name, value } => {
                 push(
                     format!(

@@ -1,9 +1,9 @@
 //! Intra-job parallelism: compile GoogleNet's inception branches onto
 //! parallel virtual streams (`compile_parallel`) and serve it under Paella,
 //! which binds the virtual streams to real CUDA streams at launch and
-//! realizes the cross-stream joins with waitlist dependencies — the
-//! Rammer-style optimization (§9) expressed as a compiler pass over the same
-//! serving stack.
+//! realizes the cross-stream joins as dependency edges of the model's
+//! `KernelDag` — the Rammer-style optimization (§9) expressed as a compiler
+//! pass over the same serving stack.
 //!
 //! Run with: `cargo run --release --example intra_job_parallelism`
 
@@ -63,7 +63,7 @@ fn main() {
     println!(
         "\nBranch-heavy models (inception/fire modules) gain from co-residency;\n\
          chain-structured ResNet bottlenecks cannot, as expected. The same\n\
-         dispatcher serves both: virtual streams and waitlist joins are the\n\
+         dispatcher serves both: virtual streams and dependency edges are the\n\
          only machinery involved."
     );
 }
