@@ -122,12 +122,12 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "PR-4 bug resurrected: seeded-hash client walk in the fairness argmax",
         },
         GraftMutant {
-            id: "r6-dispatcher-unsorted-collect",
+            id: "r6-sched-hash-order-pick",
             rule: "det-hash-iteration",
-            file: "crates/core/src/dispatcher.rs",
-            find: "let mut ids: Vec<JobId> = self.jobs.keys().copied().collect();\n        ids.sort_unstable();",
-            replace: "let ids: Vec<JobId> = self.jobs.keys().copied().collect();",
-            description: "collect-and-sort with the sort deleted",
+            file: "crates/core/src/sched.rs",
+            find: "self.srpt\n            .values()\n            .next()",
+            replace: "self.ready_jobs\n            .keys()\n            .next()",
+            description: "SRPT pick replaced by the first ready job in seeded-hash order",
         },
         GraftMutant {
             id: "r7-dispatcher-guard-stripped",

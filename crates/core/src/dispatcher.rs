@@ -9,7 +9,7 @@
 //! Table 3 (Paella-SS, Paella-MS-jbj, Paella-MS-kbk, Paella-SJF, Paella-RR)
 //! and serves as the submission engine for the direct-CUDA baselines.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use paella_channels::{ChannelConfig, KernelUid};
 use paella_compiler::{
@@ -19,7 +19,7 @@ use paella_gpu::{
     CopyDir, DeviceConfig, GpuOutput, GpuSim, InstrumentationSpec, KernelDesc, KernelLaunch,
     MemcpyOp, MemcpyUid, StreamId,
 };
-use paella_sim::{EventQueue, SimDuration, SimTime, Xoshiro256pp};
+use paella_sim::{EventQueue, IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{
     HoldReason, HostOpKind, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
 };
@@ -325,6 +325,29 @@ struct Job {
     occ_since: Option<SimTime>,
     /// Accumulated flow-control hold nanoseconds.
     occ_wait_ns: u64,
+    /// Fault count per op, for retry budgeting and backoff doubling. Empty
+    /// (and unallocated) unless a kernel of this job faulted.
+    attempts: BTreeMap<u64, u32>,
+}
+
+/// A dispatched kernel the device has not yet reported complete: everything
+/// the notification path needs, under the kernel's uid, so one word costs
+/// one index instead of a probe per question. Dropped at completion, or
+/// with its job at cancellation — late words for a cancelled kernel find no
+/// record and fall through.
+#[derive(Clone, Copy)]
+struct InflightKernel {
+    job: JobId,
+    token: u64,
+    /// The owning job's client (the dispatcher shard that polls its notifQ).
+    client: ClientId,
+    /// Whether this is the job's final op (pinned-output wakeup).
+    is_last: bool,
+    /// First-placement time (online profiling).
+    started: Option<SimTime>,
+    /// notifQ slots reserved at dispatch and not yet consumed by a word;
+    /// the rest is released at completion (flow control).
+    notifq_reserved: u64,
 }
 
 impl Job {
@@ -358,33 +381,34 @@ pub struct Dispatcher {
     gpu: GpuSim,
     scheduler: Box<dyn Scheduler>,
     models: Vec<RegisteredModel>,
-    jobs: HashMap<JobId, Job>,
+    /// In-flight jobs, indexed by job id. Boxed so a slot of the id window
+    /// a straggler holds open costs a pointer, not a whole `Job`.
+    jobs: IdMap<Box<Job>>,
     events: EventQueue<Ev>,
     /// Jobs waiting for a free pool stream.
     stream_waiters: VecDeque<JobId>,
     free_streams: Vec<StreamId>,
     next_stream: u32,
     occupancy: OccupancyTracker,
-    kernel_to_job: HashMap<KernelUid, (JobId, u64)>,
-    memcpy_to_job: HashMap<MemcpyUid, (JobId, u64)>,
+    /// Dispatched, uncompleted kernels, indexed by kernel uid.
+    kernels: IdMap<InflightKernel>,
+    /// `(job, token)` of each outstanding memcpy, indexed by memcpy uid.
+    memcpy_to_job: IdMap<(JobId, u64)>,
     next_kernel_uid: KernelUid,
     next_memcpy_uid: u64,
     next_job: u64,
     /// Single-core CPU availability (central mode).
     cpu_free_at: Vec<SimTime>,
     /// Per-client CPU availability (direct mode).
-    client_cpu_free_at: HashMap<ClientId, SimTime>,
+    client_cpu_free_at: BTreeMap<ClientId, SimTime>,
     completions: Vec<JobCompletion>,
     gpu_out: Vec<GpuOutput>,
     /// Jobs in flight per client (for deficit resets on idle).
-    client_inflight: HashMap<ClientId, usize>,
-    /// First-placement time per in-flight kernel (online profiling).
-    kernel_started: HashMap<KernelUid, SimTime>,
+    client_inflight: BTreeMap<ClientId, usize>,
     /// notifQ slots reserved by in-flight kernels minus consumed
-    /// notifications (flow control).
+    /// notifications (flow control): the sum of the records'
+    /// `notifq_reserved`.
     notifq_outstanding: u64,
-    /// Reserved-but-unconsumed slots per kernel (released at completion).
-    notifq_reserved: HashMap<KernelUid, u64>,
     /// Total dispatcher CPU busy time (for utilization reports).
     cpu_busy: SimDuration,
     /// Requests submitted but not yet ingested off the ring, with the sum of
@@ -408,9 +432,7 @@ pub struct Dispatcher {
     failures: Vec<JobFailure>,
     /// Clients that disconnected: their in-flight jobs were cancelled and
     /// later submissions are refused.
-    disconnected: std::collections::HashSet<ClientId>,
-    /// Fault count per op, for retry budgeting and backoff doubling.
-    kernel_attempts: HashMap<(JobId, u64), u32>,
+    disconnected: BTreeSet<ClientId>,
     /// Structured telemetry sink for host-side events (no-op by default).
     tracer: Tracer,
     /// Metrics registry, allocated only when telemetry is enabled.
@@ -451,25 +473,23 @@ impl Dispatcher {
             gpu: GpuSim::new(device, seed),
             scheduler,
             models: Vec::new(),
-            jobs: HashMap::new(),
+            jobs: IdMap::new(),
             events: EventQueue::new(),
             stream_waiters: VecDeque::new(),
             free_streams,
             next_stream: 1,
             occupancy,
-            kernel_to_job: HashMap::new(),
-            memcpy_to_job: HashMap::new(),
+            kernels: IdMap::new(),
+            memcpy_to_job: IdMap::new(),
             next_kernel_uid: 1,
             next_memcpy_uid: 1,
             next_job: 1,
             cpu_free_at: vec![SimTime::ZERO; cfg.dispatcher_cores.max(1) as usize],
-            client_cpu_free_at: HashMap::new(),
+            client_cpu_free_at: BTreeMap::new(),
             completions: Vec::new(),
             gpu_out: Vec::new(),
-            client_inflight: HashMap::new(),
-            kernel_started: HashMap::new(),
+            client_inflight: BTreeMap::new(),
             notifq_outstanding: 0,
-            notifq_reserved: HashMap::new(),
             cpu_busy: SimDuration::ZERO,
             queued_ingest: 0,
             queued_work: SimDuration::ZERO,
@@ -477,8 +497,7 @@ impl Dispatcher {
             now: SimTime::ZERO,
             fault_rng: Xoshiro256pp::seed_from_u64(seed ^ 0xFA_0175),
             failures: Vec::new(),
-            disconnected: std::collections::HashSet::new(),
-            kernel_attempts: HashMap::new(),
+            disconnected: BTreeSet::new(),
             tracer: Tracer::disabled(),
             metrics: None,
             next_sample: SimTime::ZERO,
@@ -646,16 +665,14 @@ impl Dispatcher {
     /// microseconds: the O(in-flight jobs) scan `load_signal` used to do.
     /// Kept as the verification oracle for the incremental aggregate (the
     /// two are equal up to float-summation-order rounding). Summed in
-    /// job-id order: float addition doesn't commute exactly, so summing in
-    /// `jobs`' seeded-hash order would make the oracle itself vary across
-    /// processes (R6).
+    /// job-id order, the order `jobs` iterates in: float addition doesn't
+    /// commute exactly, so any other order would make the oracle itself
+    /// vary (R6).
     #[doc(hidden)]
     pub fn inflight_work_scratch_us(&self) -> f64 {
-        let mut ids: Vec<JobId> = self.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        ids.iter()
-            .map(|id| {
-                let job = &self.jobs[id];
+        self.jobs
+            .iter()
+            .map(|(_, job)| {
                 let idx = job.request.model.0 as usize;
                 self.models[idx]
                     .profile
@@ -682,6 +699,13 @@ impl Dispatcher {
     #[doc(hidden)]
     pub fn occupancy_resident_blocks(&self) -> u64 {
         self.occupancy.resident_blocks()
+    }
+
+    /// notifQ slots still reserved by in-flight kernels (conservation test
+    /// hook).
+    #[doc(hidden)]
+    pub fn notifq_outstanding(&self) -> u64 {
+        self.notifq_outstanding
     }
 
     // -- incremental LoadSignal maintenance ---------------------------------
@@ -1026,16 +1050,15 @@ impl Dispatcher {
             dep_wait_ns: 0,
             occ_since: None,
             occ_wait_ns: 0,
+            attempts: BTreeMap::new(),
         };
-        self.jobs.insert(id, job);
+        self.jobs.insert(id.0, Box::new(job));
         self.load_add_job(model_idx);
         self.assign_stream(id);
         if let Some(f) = self.cfg.deadline_factor {
             let budget = total_estimate.mul_f64(f).max(self.cfg.deadline_floor);
             let deadline = req.submitted_at.saturating_add(budget);
-            if let Some(j) = self.jobs.get_mut(&id) {
-                j.deadline_at = Some(deadline);
-            }
+            self.job_mut(id).deadline_at = Some(deadline);
             self.events
                 .schedule_at(deadline.max(self.events.now()), Ev::Deadline(id));
         }
@@ -1050,12 +1073,7 @@ impl Dispatcher {
     }
 
     fn assign_stream(&mut self, id: JobId) {
-        let want = self
-            .jobs
-            .get(&id)
-            .map(|j| self.models[j.request.model.0 as usize].vstreams.len())
-            .unwrap_or(1)
-            .max(1);
+        let want = self.model_of(id).vstreams.len().max(1);
         let streams: Vec<StreamId> = match self.cfg.streams {
             // A single shared stream backs every virtual stream (correct but
             // serialized — deps still hold because dispatch order respects
@@ -1081,9 +1099,7 @@ impl Dispatcher {
                 }
             }
         };
-        if let Some(j) = self.jobs.get_mut(&id) {
-            j.streams = streams;
-        }
+        self.job_mut(id).streams = streams;
     }
 
     // -- dispatch paths -----------------------------------------------------
@@ -1095,9 +1111,7 @@ impl Dispatcher {
             // on the device enforces execution order.
             self.dispatch_op(id, token, ready, true);
         }
-        // invariant: callers pass an id freshly inserted into self.jobs, and
-        // dispatch_op never removes the job.
-        let j = self.jobs.get_mut(&id).expect("job exists");
+        let j = self.job_mut(id);
         j.active_undispatched.clear();
         j.last_dispatched = true;
     }
@@ -1106,7 +1120,7 @@ impl Dispatcher {
     /// are not scheduled).
     fn dispatch_auto_ops(&mut self, id: JobId, ready: SimTime) {
         loop {
-            let Some(j) = self.jobs.get(&id) else { return };
+            let Some(j) = self.jobs.get(id.0) else { return };
             if !j.has_streams() {
                 return; // waiting for pool streams
             }
@@ -1114,33 +1128,24 @@ impl Dispatcher {
             if self.models[j.request.model.0 as usize].is_kernel(token) {
                 return;
             }
-            // invariant: the get() at loop top just returned Some for this
-            // id.
-            let j = self.jobs.get_mut(&id).expect("job exists");
-            j.active_undispatched.pop_front();
+            self.job_mut(id).active_undispatched.pop_front();
             self.dispatch_op(id, token, ready, false);
         }
     }
 
     /// Dispatches one op to the device, charging host costs.
     fn dispatch_op(&mut self, id: JobId, token: u64, ready: SimTime, whole_job: bool) {
+        let j = self.job_mut(id);
         // Close any open flow-control hold interval: the op is leaving now,
         // so everything since the first hold was occupancy wait.
-        if let Some(j) = self.jobs.get_mut(&id) {
-            if let Some(s) = j.occ_since.take() {
-                j.occ_wait_ns += ready.saturating_since(s).as_nanos();
-            }
+        if let Some(s) = j.occ_since.take() {
+            j.occ_wait_ns += ready.saturating_since(s).as_nanos();
         }
-        let (kind, stream, client) = {
-            let j = &self.jobs[&id];
-            assert!(j.has_streams(), "dispatch without streams");
-            let rm = &self.models[j.request.model.0 as usize];
-            (
-                rm.op(token),
-                j.streams[rm.stream_slot(token)],
-                j.request.client,
-            )
-        };
+        assert!(j.has_streams(), "dispatch without streams");
+        let (model_idx, client) = (j.request.model.0 as usize, j.request.client);
+        let rm = &self.models[model_idx];
+        let (kind, last) = (rm.op(token), token as usize + 1 == rm.dag.len());
+        let stream = self.job(id).streams[rm.stream_slot(token)];
         match kind {
             DagResources::H2D(bytes) | DagResources::D2H(bytes) => {
                 let dir = if matches!(kind, DagResources::H2D(_)) {
@@ -1149,13 +1154,14 @@ impl Dispatcher {
                     CopyDir::DeviceToHost
                 };
                 // Almost-finished: fired before the final D2H (§4.2).
-                if matches!(kind, DagResources::D2H(_)) && self.is_last_op(id, token) {
+                if matches!(kind, DagResources::D2H(_)) && last {
                     self.fire_almost_finished(id, ready);
                 }
-                let done = self.charge_cpu(client, ready, self.channels.cuda.memcpy_overhead);
+                let overhead = self.channels.cuda.memcpy_overhead;
+                let done = self.charge_cpu(client, ready, overhead);
                 let uid = MemcpyUid(self.next_memcpy_uid);
                 self.next_memcpy_uid += 1;
-                self.memcpy_to_job.insert(uid, (id, token));
+                self.memcpy_to_job.insert(uid.0, (id, token));
                 let at = done.max(self.now);
                 self.gpu.enqueue_memcpy(
                     at,
@@ -1166,15 +1172,10 @@ impl Dispatcher {
                         dir,
                     },
                 );
-                // invariant: the indexing borrow of self.jobs[&id] at function
-                // entry proved the job present; nothing above removes it.
-                let j = self.jobs.get_mut(&id).expect("job exists");
+                let j = self.job_mut(id);
                 j.outstanding += 1;
-                j.framework += self.channels.cuda.memcpy_overhead;
-                if self.is_last_op(id, token) {
-                    // invariant: same job as two lines up.
-                    self.jobs.get_mut(&id).expect("job").last_dispatched = true;
-                }
+                j.framework += overhead;
+                j.last_dispatched |= last;
             }
             DagResources::Kernel { loc, .. } => {
                 let loc = loc as usize;
@@ -1188,12 +1189,9 @@ impl Dispatcher {
                 let done = self.charge_cpu_traced(client, ready, cost, HostOpKind::Sched);
                 let uid = self.next_kernel_uid;
                 self.next_kernel_uid += 1;
-                let desc = {
-                    let j = &self.jobs[&id];
-                    // invariant: the dag numbered `loc` by enumerating this
-                    // same model's kernels, and models are append-only.
-                    self.models[j.request.model.0 as usize].kernel_descs[loc].clone()
-                };
+                // The dag numbered `loc` by enumerating this same model's
+                // kernels, and models are append-only.
+                let desc = self.models[model_idx].kernel_descs[loc].clone();
                 {
                     let grid_blocks = desc.grid_blocks;
                     self.tracer
@@ -1210,57 +1208,69 @@ impl Dispatcher {
                 // The occupancy mirror only works when instrumented kernels
                 // report back; without instrumentation there is nothing to
                 // clean the tracker up, so skip it entirely.
+                let mut notifq_reserved = 0;
                 if self.cfg.instrument {
                     self.occupancy
                         .on_launch(uid, desc.footprint, desc.grid_blocks);
                     // Reserve worst-case notifQ slots: two phases, at most
                     // one word per block per phase.
-                    let words = 2 * u64::from(desc.grid_blocks);
-                    self.notifq_outstanding += words;
-                    self.notifq_reserved.insert(uid, words);
+                    notifq_reserved = 2 * u64::from(desc.grid_blocks);
+                    self.notifq_outstanding += notifq_reserved;
                 }
-                self.kernel_to_job.insert(uid, (id, token));
+                self.kernels.insert(
+                    u64::from(uid),
+                    InflightKernel {
+                        job: id,
+                        token,
+                        client,
+                        is_last: last,
+                        started: None,
+                        notifq_reserved,
+                    },
+                );
                 let at = (done + self.channels.cuda.launch_latency).max(self.now);
                 self.gpu
                     .launch_kernel(at, KernelLaunch { uid, stream, desc });
-                let last = self.is_last_op(id, token);
-                // Debit the load aggregate with the pre-dispatch count.
-                let done_before = self.jobs[&id].done_counts[loc];
-                let model_idx = self.jobs[&id].request.model.0 as usize;
-                self.load_on_kernel_dispatch(model_idx, loc, done_before);
-                // invariant: the indexing borrow of self.jobs[&id] at function
-                // entry proved the job present; nothing above removes it.
-                let j = self.jobs.get_mut(&id).expect("job exists");
+                let j = self.job_mut(id);
+                let done_before = j.done_counts[loc];
                 j.outstanding += 1;
                 j.done_counts[loc] += 1;
                 j.framework += cost;
-                if last {
-                    j.last_dispatched = true;
-                    // Pinned-output jobs (last op is a kernel) fire the
-                    // almost-finished wakeup when that kernel *starts*
-                    // (placement notification) — see `handle_gpu_output`.
-                    // Without instrumentation there is no placement signal,
-                    // so fall back to firing at launch.
-                    if !self.cfg.instrument {
-                        self.fire_almost_finished(id, done);
-                    }
+                j.last_dispatched |= last;
+                // Debit the load aggregate with the pre-dispatch count.
+                self.load_on_kernel_dispatch(model_idx, loc, done_before);
+                // Pinned-output jobs (last op is a kernel) fire the
+                // almost-finished wakeup when that kernel *starts*
+                // (placement notification) — see `handle_gpu_output`.
+                // Without instrumentation there is no placement signal,
+                // so fall back to firing at launch.
+                if last && !self.cfg.instrument {
+                    self.fire_almost_finished(id, done);
                 }
             }
         }
     }
 
-    fn is_last_op(&self, id: JobId, token: u64) -> bool {
-        token as usize + 1 == self.model_of(id).dag.len()
+    /// In-flight job `id`.
+    fn job(&self, id: JobId) -> &Job {
+        // invariant: callers pass an id they just found in (or inserted
+        // into) self.jobs, and jobs leave only through finish_job/cancel_job.
+        self.jobs.get(id.0).expect("job in flight")
+    }
+
+    fn job_mut(&mut self, id: JobId) -> &mut Job {
+        // invariant: as for `job`.
+        self.jobs.get_mut(id.0).expect("job in flight")
     }
 
     /// The registered model in-flight job `id` runs.
     fn model_of(&self, id: JobId) -> &RegisteredModel {
-        &self.models[self.jobs[&id].request.model.0 as usize]
+        &self.models[self.job(id).request.model.0 as usize]
     }
 
     fn fire_almost_finished(&mut self, id: JobId, at: SimTime) {
         let wake = at + self.channels.socket.one_way();
-        if let Some(j) = self.jobs.get_mut(&id) {
+        if let Some(j) = self.jobs.get_mut(id.0) {
             if j.almost_finished_at.is_none() {
                 j.almost_finished_at = Some(wake);
                 self.tracer
@@ -1278,7 +1288,7 @@ impl Dispatcher {
         while let Some((job, rationale)) = self.scheduler.pick_next_explained() {
             spin_guard += 1;
             debug_assert!(spin_guard < 10_000_000, "try_dispatch spinning on {job:?}");
-            let Some(token) = self.jobs.get(&job).and_then(|j| j.next_active()) else {
+            let Some(token) = self.jobs.get(job.0).and_then(|j| j.next_active()) else {
                 // Stale readiness; clear and retry.
                 self.scheduler.job_blocked(job);
                 continue;
@@ -1294,7 +1304,7 @@ impl Dispatcher {
                 self.update_readiness(job);
                 continue;
             };
-            if !self.jobs[&job].has_streams() {
+            if !self.job(job).has_streams() {
                 // Waiting for pool streams; skip until they free.
                 self.tracer
                     .record_with(self.now, || TraceEvent::OccupancyHold {
@@ -1353,12 +1363,7 @@ impl Dispatcher {
                 m.inc("sched_picks", 1);
             }
             self.scheduler.on_dispatched(job);
-            {
-                // invariant: the next_active() guard at loop top returned
-                // Some for this job, so it is still in self.jobs.
-                let j = self.jobs.get_mut(&job).expect("job exists");
-                j.active_undispatched.pop_front();
-            }
+            self.job_mut(job).active_undispatched.pop_front();
             self.dispatch_op(job, token, self.now, false);
             self.dispatch_auto_ops(job, self.now);
             self.update_readiness(job);
@@ -1368,7 +1373,7 @@ impl Dispatcher {
     /// Syncs a job's readiness with the scheduler, closing/opening the
     /// dependency-wait interval on the transition.
     fn update_readiness(&mut self, id: JobId) {
-        let Some(j) = self.jobs.get_mut(&id) else {
+        let Some(j) = self.jobs.get_mut(id.0) else {
             self.scheduler.job_blocked(id);
             return;
         };
@@ -1404,7 +1409,7 @@ impl Dispatcher {
     /// Opens the flow-control hold interval for a held job, if not already
     /// open. Closed (and accumulated) when the op finally dispatches.
     fn mark_occ_hold(&mut self, id: JobId) {
-        if let Some(j) = self.jobs.get_mut(&id) {
+        if let Some(j) = self.jobs.get_mut(id.0) {
             if j.occ_since.is_none() {
                 j.occ_since = Some(self.now);
             }
@@ -1416,110 +1421,106 @@ impl Dispatcher {
     fn handle_gpu_output(&mut self, out: GpuOutput) {
         match out {
             GpuOutput::Notif { n, at } => {
-                // Each dispatcher thread polls its own notifQ (§5.2), so the
-                // processing cost lands on the owning job's shard.
-                let owner = self
-                    .kernel_to_job
-                    .get(&n.kernel)
-                    .and_then(|&(job, _)| self.jobs.get(&job))
-                    .map(|j| j.request.client)
-                    .unwrap_or(ClientId(0));
-                let done =
-                    self.charge_cpu_traced(owner, at, self.cfg.notif_cost, HostOpKind::Notif);
-                self.now = self.now.max(done);
-                let kuid = n.kernel;
-                self.tracer.record_with(done, || TraceEvent::NotifBatch {
-                    kernel: u64::from(kuid),
-                    sm: u32::from(n.sm_id),
-                    placement: matches!(n.kind, paella_channels::NotifKind::Placement),
-                    blocks: u32::from(n.group),
-                });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("notifs_processed", 1);
-                }
-                if let Some(r) = self.notifq_reserved.get_mut(&kuid) {
-                    if *r > 0 {
-                        *r -= 1;
+                let placement = matches!(n.kind, paella_channels::NotifKind::Placement);
+                // The one lookup a word costs here: the owner shard, the
+                // last-op test and the notifQ reservation all come from the
+                // kernel's record.
+                let mut rec = None;
+                if let Some(k) = self.kernels.get_mut(u64::from(n.kernel)) {
+                    // First placement starts the online-profiling clock.
+                    if placement && self.cfg.online_profiling {
+                        k.started.get_or_insert(at);
+                    }
+                    if k.notifq_reserved > 0 {
+                        k.notifq_reserved -= 1;
                         debug_assert!(
                             self.notifq_outstanding >= 1,
                             "notifq_outstanding underflow: reservation held with zero outstanding"
                         );
                         self.notifq_outstanding -= 1;
                     }
+                    rec = Some(*k);
+                }
+                // Each dispatcher thread polls its own notifQ (§5.2), so the
+                // processing cost lands on the owning job's shard.
+                let owner = rec.map_or(ClientId(0), |k| k.client);
+                let done =
+                    self.charge_cpu_traced(owner, at, self.cfg.notif_cost, HostOpKind::Notif);
+                self.now = self.now.max(done);
+                self.tracer.record_with(done, || TraceEvent::NotifBatch {
+                    kernel: u64::from(n.kernel),
+                    sm: u32::from(n.sm_id),
+                    placement,
+                    blocks: u32::from(n.group),
+                });
+                if let Some(m) = self.metrics.as_mut() {
+                    m.inc("notifs_processed", 1);
                 }
                 self.occupancy.on_notification(n);
-                if matches!(n.kind, paella_channels::NotifKind::Placement) {
-                    // First placement starts the online-profiling clock.
-                    if self.cfg.online_profiling {
-                        self.kernel_started.entry(kuid).or_insert(at);
-                    }
-                    // Pinned-output wakeup: the job's final kernel started.
-                    if let Some(&(job, token)) = self.kernel_to_job.get(&kuid) {
-                        if self.is_last_op(job, token) {
-                            self.fire_almost_finished(job, at);
-                        }
-                    }
+                let Some(k) = rec else {
+                    return; // the kernel's job was cancelled
+                };
+                if !placement {
+                    return;
+                }
+                // Pinned-output wakeup: the job's final kernel started.
+                if k.is_last {
+                    self.fire_almost_finished(k.job, at);
                 }
                 // Pipelined release: successor activates on full placement,
                 // but only for kernels that will finish "soon" — otherwise a
                 // dependent successor would park at a hardware-queue head
                 // for the predecessor's whole runtime.
                 if self.cfg.release_on_placement
-                    && matches!(n.kind, paella_channels::NotifKind::Placement)
-                    && self.occupancy.fully_placed(kuid)
+                    && self.occupancy.fully_placed(n.kernel)
+                    && self.kernel_expected_runtime(k.job, k.token) <= self.cfg.pipeline_window
                 {
-                    if let Some(&(job, token)) = self.kernel_to_job.get(&kuid) {
-                        if self.kernel_expected_runtime(job, token) <= self.cfg.pipeline_window {
-                            self.release_op(job, token);
-                        }
-                    }
+                    self.release_op(k.job, k.token);
                 }
             }
             GpuOutput::KernelCompleted { uid, at } => {
-                if let Some(rest) = self.notifq_reserved.remove(&uid) {
-                    debug_assert!(
-                        self.notifq_outstanding >= rest,
-                        "notifq_outstanding underflow: releasing more than reserved"
-                    );
-                    self.notifq_outstanding -= rest;
-                }
                 // Reconcile the occupancy mirror: if any of this kernel's
                 // notifications were lost, its leaked accounting would
                 // otherwise wedge the dispatch gate.
                 if self.cfg.instrument {
                     self.occupancy.on_kernel_completed(uid);
                 }
-                if let Some((job, token)) = self.kernel_to_job.remove(&uid) {
-                    // Injected kernel fault (DESIGN §11): the execution's
-                    // results are discarded and the op is retried with
-                    // backoff. Rolled per completion in DES order, so same
-                    // seed ⇒ identical fault sets.
-                    if self.cfg.kernel_fault_rate > 0.0
-                        && self.fault_rng.chance(self.cfg.kernel_fault_rate)
-                    {
-                        self.kernel_started.remove(&uid);
-                        self.on_kernel_fault(job, token, uid, at);
-                        return;
-                    }
-                    // Online profile refinement from the observed span.
-                    if let Some(started) = self.kernel_started.remove(&uid) {
-                        let model = self.jobs[&job].request.model.0 as usize;
-                        if let DagResources::Kernel { loc, .. } = self.models[model].op(token) {
-                            let loc = loc as usize;
-                            let old_us = self.models[model].profile.kernels[loc].time_us.mean();
-                            self.models[model]
-                                .profile
-                                .observe_kernel(loc, at.saturating_since(started));
-                            // The refined mean reprices everyone's still-owed
-                            // executions of this kernel in the load aggregate.
-                            self.load_on_profile_refined(model, loc, old_us);
-                        }
-                    }
-                    self.complete_op(job, token, at);
+                let Some(k) = self.kernels.remove(u64::from(uid)) else {
+                    return; // reclaimed when its job was cancelled
+                };
+                debug_assert!(
+                    self.notifq_outstanding >= k.notifq_reserved,
+                    "notifq_outstanding underflow: releasing more than reserved"
+                );
+                self.notifq_outstanding -= k.notifq_reserved;
+                // Injected kernel fault (DESIGN §11): the execution's
+                // results are discarded and the op is retried with
+                // backoff. Rolled per completion in DES order, so same
+                // seed ⇒ identical fault sets.
+                if self.cfg.kernel_fault_rate > 0.0
+                    && self.fault_rng.chance(self.cfg.kernel_fault_rate)
+                {
+                    self.on_kernel_fault(k.job, k.token, uid, at);
+                    return;
                 }
+                // Online profile refinement from the observed span.
+                if let Some(started) = k.started {
+                    let model = self.job(k.job).request.model.0 as usize;
+                    if let DagResources::Kernel { loc, .. } = self.models[model].op(k.token) {
+                        let loc = loc as usize;
+                        let old_us = self.models[model].profile.kernels[loc].time_us.mean();
+                        self.models[model]
+                            .profile
+                            .observe_kernel(loc, at.saturating_since(started));
+                        // The refined mean reprices everyone's still-owed
+                        // executions of this kernel in the load aggregate.
+                        self.load_on_profile_refined(model, loc, old_us);
+                    }
+                }
+                self.complete_op(k.job, k.token, at);
             }
             GpuOutput::MemcpyCompleted { uid, at } => {
-                if let Some((job, token)) = self.memcpy_to_job.remove(&uid) {
+                if let Some((job, token)) = self.memcpy_to_job.remove(uid.0) {
                     self.complete_op(job, token, at);
                 }
             }
@@ -1528,7 +1529,7 @@ impl Dispatcher {
 
     /// Expected runtime of a dispatched kernel op, from the model profile.
     fn kernel_expected_runtime(&self, id: JobId, token: u64) -> SimDuration {
-        let Some(j) = self.jobs.get(&id) else {
+        let Some(j) = self.jobs.get(id.0) else {
             return SimDuration::ZERO;
         };
         let m = &self.models[j.request.model.0 as usize];
@@ -1543,7 +1544,7 @@ impl Dispatcher {
     /// zero to the job's dispatch queue. Returns whether the op was actually
     /// released (`false` = already released, idempotent no-op).
     fn apply_release(&mut self, id: JobId, token: u64) -> bool {
-        let Some(j) = self.jobs.get_mut(&id) else {
+        let Some(j) = self.jobs.get_mut(id.0) else {
             return false;
         };
         if j.released(token) {
@@ -1582,7 +1583,7 @@ impl Dispatcher {
     fn complete_op(&mut self, id: JobId, token: u64, at: SimTime) {
         self.apply_release(id, token);
         {
-            let Some(j) = self.jobs.get_mut(&id) else {
+            let Some(j) = self.jobs.get_mut(id.0) else {
                 return;
             };
             debug_assert!(
@@ -1596,25 +1597,17 @@ impl Dispatcher {
             self.dispatch_auto_ops(id, self.now);
             self.update_readiness(id);
         }
-        if self.jobs[&id].completed == self.model_of(id).dag.len() {
+        if self.job(id).completed == self.model_of(id).dag.len() {
             self.finish_job(id, at);
         }
     }
 
     fn finish_job(&mut self, id: JobId, device_done: SimTime) {
-        // invariant: the only caller just indexed self.jobs[&id] to test
+        // invariant: the only caller just indexed self.job(id) to test
         // done(), and jobs are removed nowhere else.
-        let j = self.jobs.remove(&id).expect("finishing unknown job");
+        let j = self.jobs.remove(id.0).expect("finishing unknown job");
         self.load_remove_job(j.request.model.0 as usize, &j.done_counts);
-        self.scheduler.job_done(id);
-        if let Some(n) = self.client_inflight.get_mut(&j.request.client) {
-            debug_assert!(*n >= 1, "client_inflight underflow on job finish");
-            *n -= 1;
-            if *n == 0 {
-                self.client_inflight.remove(&j.request.client);
-                self.scheduler.client_idle(j.request.client);
-            }
-        }
+        self.retire_from_scheduler(id, j.request.client);
         self.return_streams(&j, device_done);
 
         // Completion path: dispatcher posts the result, client picks it up.
@@ -1733,13 +1726,27 @@ impl Dispatcher {
         });
     }
 
+    /// Tells the scheduler a job of `client` retired (completed or was
+    /// cancelled), and that the client went idle if it was its last.
+    fn retire_from_scheduler(&mut self, id: JobId, client: ClientId) {
+        self.scheduler.job_done(id);
+        if let Some(n) = self.client_inflight.get_mut(&client) {
+            debug_assert!(*n >= 1, "client_inflight underflow on job retire");
+            *n -= 1;
+            if *n == 0 {
+                self.client_inflight.remove(&client);
+                self.scheduler.client_idle(client);
+            }
+        }
+    }
+
     /// Returns a retiring job's pool streams and re-kicks waiters, oldest
     /// first. Shared by the completion and cancellation paths.
     fn return_streams(&mut self, j: &Job, ready: SimTime) {
         if matches!(self.cfg.streams, StreamPolicy::Pool(_)) && j.has_streams() {
             self.free_streams.extend(j.streams.iter().copied());
             while let Some(&waiter) = self.stream_waiters.front() {
-                let Some(w) = self.jobs.get(&waiter) else {
+                let Some(w) = self.jobs.get(waiter.0) else {
                     self.stream_waiters.pop_front();
                     continue;
                 };
@@ -1755,7 +1762,7 @@ impl Dispatcher {
                 let streams: Vec<StreamId> = (0..want)
                     .map(|_| self.free_streams.pop().expect("checked"))
                     .collect();
-                if let Some(w) = self.jobs.get_mut(&waiter) {
+                if let Some(w) = self.jobs.get_mut(waiter.0) {
                     w.streams = streams;
                 }
                 // Kick the waiter's pending ops now that it can run.
@@ -1771,7 +1778,10 @@ impl Dispatcher {
     /// give the whole job up once the retry budget is spent.
     fn on_kernel_fault(&mut self, id: JobId, token: u64, uid: KernelUid, at: SimTime) {
         let attempt = {
-            let e = self.kernel_attempts.entry((id, token)).or_insert(0);
+            // invariant: the faulted kernel's record was live, and cancel_job
+            // drops a job's records together with the job.
+            let j = self.jobs.get_mut(id.0).expect("faulted kernel's job");
+            let e = j.attempts.entry(token).or_insert(0);
             *e += 1;
             *e
         };
@@ -1799,7 +1809,7 @@ impl Dispatcher {
             attempt,
             backoff_ns,
         });
-        if let Some(j) = self.jobs.get_mut(&id) {
+        if let Some(j) = self.jobs.get_mut(id.0) {
             j.backoff_ns += backoff_ns;
         }
         self.events.schedule_at(
@@ -1810,7 +1820,7 @@ impl Dispatcher {
 
     /// Re-dispatches a faulted op after its backoff elapsed.
     fn retry_kernel(&mut self, id: JobId, token: u64, at: SimTime) {
-        if !self.jobs.contains_key(&id) {
+        if self.jobs.get(id.0).is_none() {
             return; // cancelled while backing off
         }
         // dispatch_op re-increments `outstanding` and the per-location done
@@ -1819,7 +1829,7 @@ impl Dispatcher {
         // over-increment is harmless: every consumer clamps remaining work
         // with max(0, C̄ − done).
         self.dispatch_op(id, token, at, false);
-        if let Some(j) = self.jobs.get_mut(&id) {
+        if let Some(j) = self.jobs.get_mut(id.0) {
             debug_assert!(
                 j.outstanding >= 1,
                 "job outstanding underflow: retry compensation without a dispatch"
@@ -1835,44 +1845,30 @@ impl Dispatcher {
     /// longer map to a job, so late notifications and completions fall
     /// through the uid lookups harmlessly.
     fn cancel_job(&mut self, id: JobId, at: SimTime, reason: FailureReason) {
-        let Some(j) = self.jobs.remove(&id) else {
+        let Some(j) = self.jobs.remove(id.0) else {
             return; // already finished or cancelled (e.g. a stale deadline)
         };
         self.load_remove_job(j.request.model.0 as usize, &j.done_counts);
-        self.scheduler.job_done(id);
-        if let Some(n) = self.client_inflight.get_mut(&j.request.client) {
-            debug_assert!(*n >= 1, "client_inflight underflow on job cancel");
-            *n -= 1;
-            if *n == 0 {
-                self.client_inflight.remove(&j.request.client);
-                self.scheduler.client_idle(j.request.client);
+        self.retire_from_scheduler(id, j.request.client);
+        // Reclaim its in-flight kernels, in ascending uid order.
+        let mut released = 0;
+        self.kernels.retain(|uid, k| {
+            if k.job != id {
+                return true;
             }
-        }
-        // Reclaim in-flight kernels, in sorted uid order so cancellation is
-        // independent of HashMap iteration order.
-        let mut kuids: Vec<KernelUid> = self
-            .kernel_to_job
-            .iter()
-            .filter(|&(_, &(job, _))| job == id)
-            .map(|(&uid, _)| uid)
-            .collect();
-        kuids.sort_unstable();
-        for uid in kuids {
-            self.kernel_to_job.remove(&uid);
-            self.kernel_started.remove(&uid);
-            if let Some(rest) = self.notifq_reserved.remove(&uid) {
-                debug_assert!(
-                    self.notifq_outstanding >= rest,
-                    "notifq_outstanding underflow: cancel releasing more than reserved"
-                );
-                self.notifq_outstanding -= rest;
-            }
+            released += k.notifq_reserved;
             if self.cfg.instrument {
-                self.occupancy.on_kernel_completed(uid);
+                // Keys are widened KernelUids.
+                self.occupancy.on_kernel_completed(uid as KernelUid);
             }
-        }
+            false
+        });
+        debug_assert!(
+            self.notifq_outstanding >= released,
+            "notifq_outstanding underflow: cancel releasing more than reserved"
+        );
+        self.notifq_outstanding -= released;
         self.memcpy_to_job.retain(|_, &mut (job, _)| job != id);
-        self.kernel_attempts.retain(|&(job, _), _| job != id);
         self.return_streams(&j, at);
         let reason_str = reason.as_str();
         self.tracer.record_with(at, || TraceEvent::JobCancelled {
@@ -1899,13 +1895,12 @@ impl Dispatcher {
     /// submissions (including requests already queued on its ring).
     pub fn cancel_client(&mut self, client: ClientId, at: SimTime) {
         self.disconnected.insert(client);
-        let mut ids: Vec<JobId> = self
+        let ids: Vec<JobId> = self
             .jobs
             .iter()
             .filter(|(_, j)| j.request.client == client)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| JobId(id))
             .collect();
-        ids.sort_unstable();
         for id in ids {
             self.cancel_job(id, at, FailureReason::Disconnected);
         }
@@ -1930,8 +1925,7 @@ impl Dispatcher {
                 });
             }
         }
-        let mut ids: Vec<JobId> = self.jobs.keys().copied().collect();
-        ids.sort_unstable();
+        let ids: Vec<JobId> = self.jobs.iter().map(|(id, _)| JobId(id)).collect();
         for id in ids {
             self.cancel_job(id, at, reason);
         }

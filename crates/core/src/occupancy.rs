@@ -11,10 +11,9 @@
 //! the dispatcher keeps the hardware queue primed with a slack of `B` blocks
 //! beyond estimated full utilization (§6 "(3) Full utilization").
 
-use std::collections::HashMap;
-
 use paella_channels::{KernelUid, NotifKind, Notification};
 use paella_gpu::{BlockFootprint, SmLimits, SmUsage};
+use paella_sim::IdMap;
 
 /// Tracker state for one launched kernel.
 #[derive(Clone, Debug)]
@@ -23,9 +22,9 @@ struct TrackedKernel {
     total_blocks: u32,
     placed: u32,
     completed: u32,
-    /// Blocks placed per SM (needed to release the right SM on completion
-    /// when notifications arrive out of order across SMs).
-    per_sm: HashMap<u8, u32>,
+    /// Blocks placed per SM, indexed by SM (needed to release the right SM
+    /// on completion when notifications arrive out of order across SMs).
+    per_sm: Vec<u32>,
 }
 
 /// The occupancy tracker.
@@ -33,7 +32,8 @@ struct TrackedKernel {
 pub struct OccupancyTracker {
     limits: SmLimits,
     sms: Vec<SmUsage>,
-    kernels: HashMap<KernelUid, TrackedKernel>,
+    /// In-flight kernels, indexed by launch uid.
+    kernels: IdMap<TrackedKernel>,
     /// Blocks launched but with no placement notification yet — the
     /// "hardware queue depth" proxy the B-slack controls.
     unplaced_blocks: u64,
@@ -47,7 +47,7 @@ impl OccupancyTracker {
         OccupancyTracker {
             limits,
             sms: vec![SmUsage::default(); num_sms as usize],
-            kernels: HashMap::new(),
+            kernels: IdMap::new(),
             unplaced_blocks: 0,
             resident_blocks: 0,
         }
@@ -60,13 +60,13 @@ impl OccupancyTracker {
     /// Panics if `uid` is already tracked.
     pub fn on_launch(&mut self, uid: KernelUid, footprint: BlockFootprint, blocks: u32) {
         let prev = self.kernels.insert(
-            uid,
+            u64::from(uid),
             TrackedKernel {
                 footprint,
                 total_blocks: blocks,
                 placed: 0,
                 completed: 0,
-                per_sm: HashMap::new(),
+                per_sm: vec![0; self.sms.len()],
             },
         );
         assert!(prev.is_none(), "kernel {uid} launched twice");
@@ -81,25 +81,29 @@ impl OccupancyTracker {
     ///
     /// [`on_kernel_completed`]: Self::on_kernel_completed
     pub fn on_notification(&mut self, n: Notification) {
-        let Some(k) = self.kernels.get_mut(&n.kernel) else {
+        let Some(k) = self.kernels.get_mut(u64::from(n.kernel)) else {
             return;
         };
+        let sm = n.sm_id as usize;
         match n.kind {
             NotifKind::Placement => {
                 let g = u32::from(n.group)
                     .min(k.total_blocks - k.placed)
-                    .min(self.sms[n.sm_id as usize].fit_count(&k.footprint, &self.limits));
+                    .min(self.sms[sm].fit_count(&k.footprint, &self.limits));
                 if g == 0 {
                     return;
                 }
                 k.placed += g;
-                *k.per_sm.entry(n.sm_id).or_insert(0) += g;
-                self.sms[n.sm_id as usize].allocate(&k.footprint, g, &self.limits);
+                k.per_sm[sm] += g;
+                self.sms[sm].allocate(&k.footprint, g, &self.limits);
                 self.unplaced_blocks = self.unplaced_blocks.saturating_sub(u64::from(g));
                 self.resident_blocks += u64::from(g);
             }
             NotifKind::Completion => {
-                let on_sm = k.per_sm.entry(n.sm_id).or_insert(0);
+                // A word naming an SM the device does not have is garbage.
+                let Some(on_sm) = k.per_sm.get_mut(sm) else {
+                    return;
+                };
                 let g = u32::from(n.group)
                     .min(k.total_blocks - k.completed)
                     .min(*on_sm);
@@ -109,10 +113,10 @@ impl OccupancyTracker {
                 k.completed += g;
                 debug_assert!(*on_sm >= g, "per-SM block count underflow on completion");
                 *on_sm -= g;
-                self.sms[n.sm_id as usize].release(&k.footprint, g);
+                self.sms[sm].release(&k.footprint, g);
                 self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(g));
                 if k.completed == k.total_blocks {
-                    self.kernels.remove(&n.kernel);
+                    self.kernels.remove(u64::from(n.kernel));
                 }
             }
         }
@@ -123,7 +127,7 @@ impl OccupancyTracker {
     /// kernel already fully completed and was dropped).
     pub fn fully_placed(&self, uid: KernelUid) -> bool {
         self.kernels
-            .get(&uid)
+            .get(u64::from(uid))
             .is_none_or(|k| k.placed == k.total_blocks)
     }
 
@@ -162,7 +166,7 @@ impl OccupancyTracker {
     /// or unplaced for `uid` are released. Without this, a lost completion
     /// word would leak SM capacity forever and eventually wedge dispatching.
     pub fn on_kernel_completed(&mut self, uid: KernelUid) {
-        let Some(k) = self.kernels.remove(&uid) else {
+        let Some(k) = self.kernels.remove(u64::from(uid)) else {
             return;
         };
         // Blocks never seen placing still count against the backlog.
@@ -170,9 +174,9 @@ impl OccupancyTracker {
         self.unplaced_blocks = self.unplaced_blocks.saturating_sub(never_placed);
         // Blocks placed but whose completion word was lost still occupy SMs
         // in the mirror.
-        for (sm, blocks) in k.per_sm {
+        for (sm, &blocks) in k.per_sm.iter().enumerate() {
             if blocks > 0 {
-                self.sms[sm as usize].release(&k.footprint, blocks);
+                self.sms[sm].release(&k.footprint, blocks);
                 self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(blocks));
             }
         }

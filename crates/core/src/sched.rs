@@ -256,8 +256,9 @@ pub struct SrptDeficitScheduler {
     /// Fairness threshold (µs-equivalent units of deficit); `None` disables
     /// fairness (pure SRPT).
     threshold: Option<f64>,
+    /// Ready jobs by [`key`](Self::key) of the `remaining_estimate` recorded
+    /// in `ready_jobs`, so a job's tree entry is always derivable from there.
     srpt: BTreeMap<(u64, JobId), JobId>,
-    srpt_index: HashMap<JobId, (u64, JobId)>,
     /// Per-client state. A `BTreeMap` so every walk over clients (the
     /// fairness argmax, the ready-client census) runs in client-id order —
     /// seeded-hash iteration here made same-seed runs differ across
@@ -283,7 +284,6 @@ impl SrptDeficitScheduler {
         SrptDeficitScheduler {
             threshold,
             srpt: BTreeMap::new(),
-            srpt_index: HashMap::new(),
             clients: BTreeMap::new(),
             ready_jobs: HashMap::new(),
             baseline: 0.0,
@@ -361,9 +361,8 @@ impl Scheduler for SrptDeficitScheduler {
         // Re-readying with a different remaining-time key must not leave a
         // stale tree entry behind, or `job_blocked` can no longer remove it.
         self.job_blocked(info.job);
-        let key = Self::key(info.remaining_estimate, info.job);
-        self.srpt.insert(key, info.job);
-        self.srpt_index.insert(info.job, key);
+        self.srpt
+            .insert(Self::key(info.remaining_estimate, info.job), info.job);
         self.ready_jobs.insert(info.job, info);
         self.clients
             .entry(info.client)
@@ -373,10 +372,8 @@ impl Scheduler for SrptDeficitScheduler {
     }
 
     fn job_blocked(&mut self, job: JobId) {
-        if let Some(key) = self.srpt_index.remove(&job) {
-            self.srpt.remove(&key);
-        }
         if let Some(info) = self.ready_jobs.remove(&job) {
+            self.srpt.remove(&Self::key(info.remaining_estimate, job));
             if let Some(s) = self.clients.get_mut(&info.client) {
                 s.ready.remove(&(info.arrival, job));
             }
@@ -384,14 +381,10 @@ impl Scheduler for SrptDeficitScheduler {
     }
 
     fn remaining_changed(&mut self, job: JobId, remaining: SimDuration) {
-        if let Some(old_key) = self.srpt_index.remove(&job) {
-            self.srpt.remove(&old_key);
-            let key = Self::key(remaining, job);
-            self.srpt.insert(key, job);
-            self.srpt_index.insert(job, key);
-            if let Some(info) = self.ready_jobs.get_mut(&job) {
-                info.remaining_estimate = remaining;
-            }
+        if let Some(info) = self.ready_jobs.get_mut(&job) {
+            self.srpt.remove(&Self::key(info.remaining_estimate, job));
+            info.remaining_estimate = remaining;
+            self.srpt.insert(Self::key(remaining, job), job);
         }
     }
 

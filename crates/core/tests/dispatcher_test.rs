@@ -771,6 +771,113 @@ fn cancel_all_before_ingest_zeroes_the_queued_load() {
     assert_eq!(snap.counter("accounting_underflow"), 0);
 }
 
+#[test]
+fn late_outputs_for_retired_kernels_fall_through() {
+    use paella_telemetry::TraceEvent;
+    // In-flight kernels live in a uid-indexed window. Words and completions
+    // the device delivers for a kernel whose job is already gone must miss
+    // it both ways — as a hole inside the window and below its base —
+    // without touching any accounting. FIFO keeps uids in submission order.
+    let mut d = Dispatcher::new(
+        DeviceConfig::tesla_t4(),
+        ChannelConfig::default(),
+        Box::new(FifoScheduler::new()),
+        DispatcherConfig::paella(),
+        42,
+    );
+    d.enable_telemetry();
+    let long = d.register_model(&synthetic::uniform_job(
+        "long",
+        2,
+        SimDuration::from_micros(2_000),
+        8,
+    ));
+    let short = d.register_model(&synthetic::uniform_job(
+        "short",
+        2,
+        SimDuration::from_micros(300),
+        8,
+    ));
+    let us = SimTime::from_micros;
+    let submit = |d: &mut Dispatcher, client: u32, model: ModelId, at: SimTime| {
+        d.submit(InferenceRequest {
+            client: ClientId(client),
+            model,
+            submitted_at: at,
+        });
+    };
+    submit(&mut d, 0, long, us(0)); // job 1: kernel uid 1 runs until ~2 ms
+    submit(&mut d, 1, short, us(20)); // job 2: uid 2
+    submit(&mut d, 0, short, us(40)); // job 3: uid 3
+    d.advance_until(us(100));
+    // Job 2 goes while uids 1 and 3 stay live: uid 2 is a hole inside the
+    // window when its completion words and KernelCompleted land (~320 µs).
+    d.cancel_client(ClientId(1), us(100));
+    d.advance_until(us(340));
+    // The node crashes with uid 1 still on the device; a fresh job then
+    // moves the window past every retired uid before uid 1's outputs land.
+    d.cancel_all(us(340), FailureReason::NodeCrash);
+    submit(&mut d, 2, long, us(500)); // job 4
+    d.run_to_idle();
+
+    let log = d.take_trace_log();
+    let dispatched = |kernel: u64| {
+        log.events.iter().find_map(|e| match e.event {
+            TraceEvent::KernelDispatched { job, kernel: k, .. } if k == kernel => Some((job, e.at)),
+            _ => None,
+        })
+    };
+    let words_after = |kernel: u64, after: SimTime| {
+        log.events
+            .iter()
+            .filter(|e| {
+                e.at > after
+                    && matches!(e.event, TraceEvent::NotifBatch { kernel: k, .. } if k == kernel)
+            })
+            .count()
+    };
+    for uid in 1..=3 {
+        let (job, at) = dispatched(uid).expect("dispatched");
+        assert!(
+            job == uid && at < us(100),
+            "uid {uid} is job {job}'s first kernel"
+        );
+    }
+    let (job, at) = dispatched(4).expect("the fresh job's first kernel");
+    assert!(
+        job == 4 && at < us(1_000),
+        "window re-based at uid 4 before uid 1 finishes"
+    );
+    assert!(
+        words_after(2, us(100)) > 0,
+        "uid 2 reported after its job went"
+    );
+    assert!(
+        words_after(1, us(1_000)) > 0,
+        "uid 1 reported after the crash"
+    );
+
+    let done = d.drain_completions();
+    assert_eq!(done.len(), 1, "only the fresh job completes");
+    assert_eq!(done[0].job.0, 4);
+    let reasons: Vec<_> = d.drain_failures().iter().map(|f| f.reason).collect();
+    assert_eq!(
+        reasons,
+        [
+            FailureReason::Disconnected,
+            FailureReason::NodeCrash,
+            FailureReason::NodeCrash
+        ]
+    );
+    assert_eq!(d.inflight(), 0);
+    assert_eq!(d.occupancy_tracked_kernels(), 0);
+    assert_eq!(d.occupancy_resident_blocks(), 0);
+    assert_eq!(d.load_signal().outstanding(), 0);
+    assert_eq!(d.notifq_outstanding(), 0, "no leaked notifQ slots");
+    let snap = d.metrics_snapshot().expect("telemetry on");
+    assert_eq!(snap.counter("accounting_underflow"), 0);
+}
+
 /// A single-stream model whose first op waits on its second: the in-stream
 /// edge plus the forward dependency close a wait cycle.
 fn cyclic_model() -> paella_compiler::CompiledModel {

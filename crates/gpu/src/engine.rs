@@ -23,11 +23,11 @@
 //! [`GpuSim::enqueue_memcpy`], then [`GpuSim::advance_until`] to pump
 //! simulated time forward and collect host-visible [`GpuOutput`]s.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use paella_channels::{KernelUid, Notification};
 use paella_sim::rng::Xoshiro256pp;
-use paella_sim::{EventQueue, SimDuration, SimTime};
+use paella_sim::{EventQueue, IdMap, SimDuration, SimTime};
 use paella_telemetry::{TraceEvent, TraceLog, Tracer};
 
 use crate::config::DeviceConfig;
@@ -128,11 +128,18 @@ enum StreamOp {
     Copy(MemcpyUid),
 }
 
+/// A stream with work outstanding; dropped as soon as `pending` empties.
 #[derive(Debug, Default)]
 struct StreamState {
     /// Ops issued on this stream that have not yet *completed*, in order.
     /// Only the front op may run.
     pending: VecDeque<StreamOp>,
+    /// Hardware-queue arrival time of the stream's latest launch: same-stream
+    /// launches reach the queue in issue order even if host timestamps
+    /// interleave (the CUDA runtime serializes per-stream submission). Safe
+    /// to forget with the rest of the state: the arrival fired before the
+    /// stream drained, so it is ≤ the engine clock ≤ any later arrival.
+    last_arrival: SimTime,
 }
 
 struct KernelState {
@@ -150,8 +157,8 @@ struct KernelState {
 }
 
 struct CopyEngine {
-    /// Queue of (uid, bytes) waiting, front is running.
-    queue: VecDeque<(MemcpyUid, usize)>,
+    /// Queue of (uid, stream, bytes) waiting, front is running.
+    queue: VecDeque<(MemcpyUid, StreamId, usize)>,
     /// When the currently running copy finishes (if any).
     busy_until: Option<SimTime>,
 }
@@ -164,8 +171,10 @@ pub struct GpuSim {
     sms: Vec<SmUsage>,
     /// Hardware queues of kernels, in arrival order.
     queues: Vec<VecDeque<KernelUid>>,
-    kernels: HashMap<KernelUid, KernelState>,
-    streams: HashMap<StreamId, StreamState>,
+    /// In-flight kernels, indexed by launch uid.
+    kernels: IdMap<KernelState>,
+    /// Streams with outstanding ops, indexed by stream id.
+    streams: IdMap<StreamState>,
     copy_engines: Vec<CopyEngine>,
     outputs: Vec<GpuOutput>,
     rr_sm: usize,
@@ -188,12 +197,6 @@ pub struct GpuSim {
     rr_queue: usize,
     /// Copies submitted but not yet at the front of their stream.
     pending_copies: Vec<(MemcpyOp, SimTime)>,
-    /// Stream of each copy currently queued on an engine.
-    copy_streams: HashMap<MemcpyUid, StreamId>,
-    /// Last hardware-queue arrival time per stream: same-stream launches
-    /// reach the queue in issue order even if host timestamps interleave
-    /// (the CUDA runtime serializes per-stream submission).
-    last_arrival: HashMap<StreamId, SimTime>,
 }
 
 impl GpuSim {
@@ -209,8 +212,8 @@ impl GpuSim {
             events: EventQueue::new(),
             sms: vec![SmUsage::default(); num_sms],
             queues: vec![VecDeque::new(); num_queues],
-            kernels: HashMap::new(),
-            streams: HashMap::new(),
+            kernels: IdMap::new(),
+            streams: IdMap::new(),
             copy_engines: (0..engines)
                 .map(|_| CopyEngine {
                     queue: VecDeque::new(),
@@ -230,8 +233,6 @@ impl GpuSim {
             tracer: Tracer::disabled(),
             rr_queue: 0,
             pending_copies: Vec::new(),
-            last_arrival: HashMap::new(),
-            copy_streams: HashMap::new(),
         }
     }
 
@@ -316,7 +317,7 @@ impl GpuSim {
     /// Panics if the launch's `uid` is already in flight.
     pub fn launch_kernel(&mut self, now: SimTime, launch: KernelLaunch) {
         assert!(
-            !self.kernels.contains_key(&launch.uid),
+            self.kernels.get(u64::from(launch.uid)).is_none(),
             "kernel uid {:?} already in flight",
             launch.uid
         );
@@ -325,13 +326,17 @@ impl GpuSim {
         let stream = launch.stream;
         let blocks = launch.desc.grid_blocks;
         assert!(blocks > 0, "kernel must have at least one block");
-        self.streams
-            .entry(stream)
-            .or_default()
-            .pending
-            .push_back(StreamOp::Kernel(uid));
+        let earliest = now
+            .saturating_add(self.cfg.queue_to_scheduler)
+            .max(self.events.now());
+        let s = self.stream_mut(stream);
+        s.pending.push_back(StreamOp::Kernel(uid));
+        // Same-stream launches reach the hardware queue in issue order even
+        // when host-side timestamps interleave across submitting threads.
+        let at = earliest.max(s.last_arrival);
+        s.last_arrival = at;
         self.kernels.insert(
-            uid,
+            u64::from(uid),
             KernelState {
                 launch,
                 unplaced: blocks,
@@ -341,23 +346,38 @@ impl GpuSim {
                 waves: 0,
             },
         );
-        let delay = self.cfg.queue_to_scheduler;
-        let mut at = now.saturating_add(delay).max(self.events.now());
-        // Same-stream launches reach the hardware queue in issue order even
-        // when host-side timestamps interleave across submitting threads.
-        if let Some(&prev) = self.last_arrival.get(&stream) {
-            at = at.max(prev);
-        }
-        self.last_arrival.insert(stream, at);
         self.events.schedule_at(at, Ev::QueueArrival { uid });
+    }
+
+    /// The state of `stream`, created idle if it has no outstanding op.
+    fn stream_mut(&mut self, stream: StreamId) -> &mut StreamState {
+        self.streams
+            .get_or_insert_with(u64::from(stream.0), StreamState::default)
+    }
+
+    /// Retires the front op of `stream`, dropping the stream once drained.
+    fn pop_stream_front(&mut self, stream: StreamId, op: StreamOp) {
+        let id = u64::from(stream.0);
+        let s = self.streams.get_mut(id).expect("op without its stream");
+        debug_assert_eq!(s.pending.front(), Some(&op));
+        s.pending.pop_front();
+        if s.pending.is_empty() {
+            self.streams.remove(id);
+        }
+    }
+
+    /// Whether `op` is at the front of `stream` (its predecessor finished).
+    fn at_stream_front(&self, stream: StreamId, op: StreamOp) -> bool {
+        self.streams
+            .get(u64::from(stream.0))
+            .and_then(|s| s.pending.front())
+            .is_some_and(|&front| front == op)
     }
 
     /// Submits an async memory copy at time `now`.
     pub fn enqueue_memcpy(&mut self, now: SimTime, op: MemcpyOp) {
         self.catch_up(now);
-        self.streams
-            .entry(op.stream)
-            .or_default()
+        self.stream_mut(op.stream)
             .pending
             .push_back(StreamOp::Copy(op.uid));
         // Stash the op so it can start when it reaches the stream front.
@@ -402,7 +422,7 @@ impl GpuSim {
             Ev::QueueArrival { uid } => {
                 let k = self
                     .kernels
-                    .get_mut(&uid)
+                    .get_mut(u64::from(uid))
                     .expect("arrival for unknown kernel");
                 k.in_queue = true;
                 let stream = k.launch.stream.0;
@@ -448,8 +468,7 @@ impl GpuSim {
                     break;
                 }
                 self.place_head_blocks(now, head);
-                let k = &self.kernels[&head];
-                if k.unplaced == 0 {
+                if self.kernel(head).unplaced == 0 {
                     // Fully placed: the kernel leaves the hardware queue;
                     // the next kernel in this queue may now be considered.
                     self.queues[qi].pop_front();
@@ -464,11 +483,14 @@ impl GpuSim {
 
     /// Whether `uid` is at the front of its stream (its predecessor finished).
     fn stream_ready(&self, uid: KernelUid) -> bool {
-        let k = &self.kernels[&uid];
-        self.streams
-            .get(&k.launch.stream)
-            .and_then(|s| s.pending.front())
-            .is_some_and(|&front| front == StreamOp::Kernel(uid))
+        self.at_stream_front(self.kernel(uid).launch.stream, StreamOp::Kernel(uid))
+    }
+
+    /// The in-flight kernel `uid`.
+    fn kernel(&self, uid: KernelUid) -> &KernelState {
+        self.kernels
+            .get(u64::from(uid))
+            .expect("kernel not in flight")
     }
 
     /// Places as many blocks of `uid` as fit right now, as one *wave*: a
@@ -477,7 +499,7 @@ impl GpuSim {
     /// instead of O(per-SM groups) without changing resource accounting.
     fn place_head_blocks(&mut self, now: SimTime, uid: KernelUid) {
         let (mut unplaced, fp, instr, total_blocks) = {
-            let k = &self.kernels[&uid];
+            let k = self.kernel(uid);
             (
                 k.unplaced,
                 k.launch.desc.footprint,
@@ -541,7 +563,10 @@ impl GpuSim {
 
         // Sample one duration for the wave and add instrumentation overhead.
         let mut dur = {
-            let k = &self.kernels[&uid];
+            let k = self
+                .kernels
+                .get(u64::from(uid))
+                .expect("placing unknown kernel");
             k.launch.desc.duration.sample(&mut self.rng)
         };
         if let Some(spec) = instr {
@@ -562,7 +587,10 @@ impl GpuSim {
         }
 
         let wave = {
-            let k = self.kernels.get_mut(&uid).expect("placing unknown kernel");
+            let k = self
+                .kernels
+                .get_mut(u64::from(uid))
+                .expect("placing unknown kernel");
             debug_assert!(
                 k.unplaced >= placed,
                 "kernel unplaced underflow: wave placed more than remained"
@@ -575,7 +603,7 @@ impl GpuSim {
         };
 
         if self.tracer.is_enabled() {
-            let name = self.kernels[&uid].launch.desc.name.clone();
+            let name = self.kernel(uid).launch.desc.name.clone();
             for &(sm, group) in &allocs {
                 let name = name.clone();
                 self.tracer.record_with(now, || TraceEvent::SmSpanBegin {
@@ -653,7 +681,7 @@ impl GpuSim {
         allocs: &[(u32, u32)],
     ) {
         let (fp, instr) = {
-            let k = &self.kernels[&uid];
+            let k = self.kernel(uid);
             (k.launch.desc.footprint, k.launch.desc.instrumentation)
         };
         let blocks: u32 = allocs.iter().map(|&(_, g)| g).sum();
@@ -672,7 +700,7 @@ impl GpuSim {
         self.resident_blocks -= u64::from(blocks);
 
         if self.trace.is_some() {
-            let name = self.kernels[&uid].launch.desc.name.clone();
+            let name = self.kernel(uid).launch.desc.name.clone();
             if let Some(trace) = self.trace.as_mut() {
                 for &(sm, group) in allocs {
                     trace.push(TraceEntry {
@@ -698,7 +726,7 @@ impl GpuSim {
         let kernel_done = {
             let k = self
                 .kernels
-                .get_mut(&uid)
+                .get_mut(u64::from(uid))
                 .expect("finish for unknown kernel");
             debug_assert!(
                 k.running >= blocks,
@@ -724,19 +752,10 @@ impl GpuSim {
     fn complete_kernel(&mut self, at: SimTime, uid: KernelUid) {
         let k = self
             .kernels
-            .remove(&uid)
+            .remove(u64::from(uid))
             .expect("completing unknown kernel");
         debug_assert!(k.in_queue, "kernel completed before reaching its queue");
-        let stream = k.launch.stream;
-        let s = self
-            .streams
-            .get_mut(&stream)
-            .expect("kernel without stream");
-        debug_assert_eq!(s.pending.front(), Some(&StreamOp::Kernel(uid)));
-        s.pending.pop_front();
-        if s.pending.is_empty() {
-            self.streams.remove(&stream);
-        }
+        self.pop_stream_front(k.launch.stream, StreamOp::Kernel(uid));
         self.tracer.record_with(at, || TraceEvent::KernelCompleted {
             kernel: u64::from(uid),
         });
@@ -753,18 +772,12 @@ impl GpuSim {
         let mut i = 0;
         while i < self.pending_copies.len() {
             let (op, _submitted) = self.pending_copies[i];
-            let ready = self
-                .streams
-                .get(&op.stream)
-                .and_then(|s| s.pending.front())
-                .is_some_and(|&front| front == StreamOp::Copy(op.uid));
-            if ready {
+            if self.at_stream_front(op.stream, StreamOp::Copy(op.uid)) {
                 self.pending_copies.remove(i);
                 let engine = self.engine_for(op.dir);
                 self.copy_engines[engine as usize]
                     .queue
-                    .push_back((op.uid, op.bytes));
-                self.copy_streams.insert(op.uid, op.stream);
+                    .push_back((op.uid, op.stream, op.bytes));
                 self.pump_engine(now, engine);
             } else {
                 i += 1;
@@ -788,7 +801,7 @@ impl GpuSim {
         if e.busy_until.is_some() {
             return;
         }
-        let Some(&(uid, bytes)) = e.queue.front() else {
+        let Some(&(uid, _, bytes)) = e.queue.front() else {
             return;
         };
         let dur = self.cfg.copy_time(bytes).max(SimDuration::from_nanos(1));
@@ -800,22 +813,13 @@ impl GpuSim {
 
     fn on_copy_finish(&mut self, at: SimTime, uid: MemcpyUid, engine: u32) {
         let e = &mut self.copy_engines[engine as usize];
-        let (front, _) = e
+        let (front, stream, _) = e
             .queue
             .pop_front()
             .expect("engine finished with empty queue");
         debug_assert_eq!(front, uid);
         e.busy_until = None;
-        let stream = self.copy_streams.remove(&uid).expect("copy without stream");
-        let s = self
-            .streams
-            .get_mut(&stream)
-            .expect("copy's stream missing");
-        debug_assert_eq!(s.pending.front(), Some(&StreamOp::Copy(uid)));
-        s.pending.pop_front();
-        if s.pending.is_empty() {
-            self.streams.remove(&stream);
-        }
+        self.pop_stream_front(stream, StreamOp::Copy(uid));
         self.outputs.push(GpuOutput::MemcpyCompleted { uid, at });
         self.pump_engine(at, engine);
         self.try_start_copies(at);
@@ -1233,6 +1237,31 @@ mod tests {
         };
         gpu.launch_kernel(SimTime::ZERO, l.clone());
         gpu.launch_kernel(SimTime::ZERO, l);
+    }
+
+    #[test]
+    fn fresh_stream_per_job_leaves_no_stream_state_behind() {
+        // StreamPolicy::PerJobUnbounded (CUDA-MS, -jbj, -kbk) mints a new
+        // stream id per job; nothing per stream may outlive its last op.
+        let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), 1);
+        let mut out = Vec::new();
+        for job in 1..=10_000u32 {
+            let at = SimTime::from_micros(u64::from(job) * 5);
+            gpu.launch_kernel(
+                at,
+                KernelLaunch {
+                    uid: job,
+                    stream: StreamId(job),
+                    desc: kernel("k", 1, 128, 20),
+                },
+            );
+            gpu.advance_until(at, &mut out);
+            assert!(gpu.streams.len() <= 8, "only the live streams are held");
+        }
+        out.extend(drain_all(&mut gpu));
+        assert_eq!(out.len(), 10_000, "every kernel completed");
+        assert!(gpu.is_idle());
+        assert!(gpu.streams.is_empty(), "drained streams are forgotten");
     }
 
     #[test]

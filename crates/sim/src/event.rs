@@ -6,18 +6,18 @@
 //! they were scheduled.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 
-/// Identifier of a scheduled event, usable for cancellation.
+/// Identifier of a scheduled event, usable for cancellation: the event's
+/// insertion sequence number.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(u64);
 
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -46,6 +46,59 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// One bit per sequence number in `[base, next_seq)`: set once the event is
+/// *settled* (popped or cancelled), so `cancel` can tell a pending event
+/// from a finished one without a hash probe. Sequence numbers are monotone,
+/// so the window is dense; fully settled words are dropped from the front.
+/// A heap entry whose bit is set can only be a cancelled tombstone — popped
+/// entries have left the heap. The cost is one bit per event scheduled since
+/// the oldest still-pending one.
+#[derive(Default)]
+struct SettledWindow {
+    /// Sequence number of bit 0 of `words[0]`.
+    base: u64,
+    words: VecDeque<u64>,
+}
+
+impl SettledWindow {
+    /// `(word index, bit mask)` of `seq`, which must be ≥ `base`.
+    fn locate(&self, seq: u64) -> (usize, u64) {
+        let off = seq - self.base;
+        ((off / 64) as usize, 1 << (off % 64))
+    }
+
+    /// Extends the window to cover a freshly minted `seq`.
+    fn cover(&mut self, seq: u64) {
+        if self.locate(seq).0 == self.words.len() {
+            self.words.push_back(0);
+        }
+    }
+
+    /// Whether `seq` is settled; everything below the window is.
+    fn is_set(&self, seq: u64) -> bool {
+        if seq < self.base {
+            return true;
+        }
+        let (w, mask) = self.locate(seq);
+        self.words[w] & mask != 0
+    }
+
+    fn set(&mut self, seq: u64) {
+        let (w, mask) = self.locate(seq);
+        self.words[w] |= mask;
+        while self.words.front() == Some(&u64::MAX) {
+            self.words.pop_front();
+            self.base += 64;
+        }
+    }
+
+    /// Forgets everything: every sequence number below `next_seq` is settled.
+    fn reset(&mut self, next_seq: u64) {
+        self.words.clear();
+        self.base = next_seq;
+    }
+}
+
 /// A deterministic discrete-event queue over payload type `E`.
 ///
 /// # Examples
@@ -63,16 +116,16 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
-    next_id: u64,
-    /// Ids of heap entries cancelled but not yet physically removed.
-    /// Entries are dropped lazily on pop-through, or eagerly by
-    /// [`compact`](Self::compact) once the tombstones outnumber a fraction
+    /// Pending (scheduled, neither popped nor cancelled) events.
+    live: usize,
+    /// Which sequence numbers are popped or cancelled.
+    settled: SettledWindow,
+    /// Heap entries cancelled but not yet physically removed. They are
+    /// dropped lazily on pop-through, or eagerly by
+    /// [`maybe_compact`](Self::maybe_compact) once they outnumber a fraction
     /// of the heap — without compaction a schedule/cancel-heavy workload
-    /// (timeouts that almost never fire) grows both sets without bound.
-    cancelled: std::collections::HashSet<EventId>,
-    /// Ids currently in the heap and not cancelled; makes `cancel` O(1)
-    /// instead of an O(heap) membership scan.
-    pending: std::collections::HashSet<EventId>,
+    /// (timeouts that almost never fire) grows the heap without bound.
+    tombstones: usize,
     /// Total cancellations accepted (diagnostics).
     cancelled_total: u64,
     /// Total eager compaction passes run (diagnostics).
@@ -96,9 +149,9 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            next_id: 0,
-            cancelled: std::collections::HashSet::new(),
-            pending: std::collections::HashSet::new(),
+            live: 0,
+            settled: SettledWindow::default(),
+            tombstones: 0,
             cancelled_total: 0,
             compactions: 0,
         }
@@ -111,7 +164,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Whether no events are pending.
@@ -130,18 +183,12 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < {:?}",
             self.now
         );
-        let id = EventId(self.next_id);
-        self.next_id += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            id,
-            payload,
-        });
-        self.pending.insert(id);
-        id
+        self.settled.cover(seq);
+        self.heap.push(Entry { at, seq, payload });
+        self.live += 1;
+        EventId(seq)
     }
 
     /// Schedules `payload` after a delay from the current time.
@@ -154,12 +201,13 @@ impl<E> EventQueue<E> {
     /// event was still pending. Cancelled events are dropped lazily on pop,
     /// or eagerly once tombstones exceed the compaction threshold.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // `pending` tracks exactly the live heap entries, so membership
-        // replaces the old O(heap) scan and double-cancels stay `false`.
-        if !self.pending.remove(&id) {
+        // Never minted, already popped, or already cancelled.
+        if id.0 >= self.next_seq || self.settled.is_set(id.0) {
             return false;
         }
-        self.cancelled.insert(id);
+        self.settled.set(id.0);
+        self.live -= 1;
+        self.tombstones += 1;
         self.cancelled_total += 1;
         self.maybe_compact();
         true
@@ -167,7 +215,7 @@ impl<E> EventQueue<E> {
 
     /// Number of cancelled tombstones still occupying heap slots.
     pub fn cancelled_len(&self) -> usize {
-        self.cancelled.len()
+        self.tombstones
     }
 
     /// Total cancellations accepted over the queue's lifetime.
@@ -183,15 +231,14 @@ impl<E> EventQueue<E> {
     /// Physically removes tombstoned entries once they exceed both
     /// [`COMPACT_FLOOR`] and a quarter of the heap. A cancelled event that
     /// would never pop through (scheduled far in the virtual future, as
-    /// timeout guards are) can otherwise pin its slot — and its tombstone —
-    /// forever.
+    /// timeout guards are) can otherwise pin its slot forever.
     fn maybe_compact(&mut self) {
-        if self.cancelled.len() <= COMPACT_FLOOR || self.cancelled.len() * 4 <= self.heap.len() {
+        if self.tombstones <= COMPACT_FLOOR || self.tombstones * 4 <= self.heap.len() {
             return;
         }
-        let cancelled = &self.cancelled;
-        self.heap.retain(|e| !cancelled.contains(&e.id));
-        self.cancelled.clear();
+        let settled = &self.settled;
+        self.heap.retain(|e| !settled.is_set(e.seq));
+        self.tombstones = 0;
         self.compactions += 1;
     }
 
@@ -205,7 +252,8 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.skip_cancelled();
         let e = self.heap.pop()?;
-        self.pending.remove(&e.id);
+        self.settled.set(e.seq);
+        self.live -= 1;
         debug_assert!(e.at >= self.now);
         self.now = e.at;
         Some((e.at, e.payload))
@@ -217,24 +265,27 @@ impl<E> EventQueue<E> {
     /// (to fail or re-route them) while `now` stays put so survivors can keep
     /// scheduling into what is still their future.
     pub fn drain(&mut self) -> Vec<(SimTime, E)> {
-        let mut out: Vec<Entry<E>> = Vec::with_capacity(self.pending.len());
-        for e in std::mem::take(&mut self.heap).into_iter() {
-            if !self.cancelled.contains(&e.id) {
+        let mut out: Vec<Entry<E>> = Vec::with_capacity(self.live);
+        for e in std::mem::take(&mut self.heap) {
+            if !self.settled.is_set(e.seq) {
                 out.push(e);
             }
         }
-        self.pending.clear();
-        self.cancelled.clear();
+        self.live = 0;
+        self.tombstones = 0;
+        self.settled.reset(self.next_seq);
         out.sort_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
         out.into_iter().map(|e| (e.at, e.payload)).collect()
     }
 
     fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.id) {
-                self.heap.pop();
-            } else {
-                break;
+        while self.tombstones > 0 {
+            match self.heap.peek() {
+                Some(top) if self.settled.is_set(top.seq) => {
+                    self.heap.pop();
+                    self.tombstones -= 1;
+                }
+                _ => break,
             }
         }
     }

@@ -9,6 +9,8 @@
 //!   [`SimDuration`]).
 //! * [`event`] — a deterministic event queue with stable tie-breaking
 //!   ([`EventQueue`]).
+//! * [`idmap`] — storage indexed by monotonically minted ids ([`IdMap`]), the
+//!   container behind every per-job / per-kernel table on the hot path.
 //! * [`fault`] — seeded fault schedules ([`FaultPlan`]) for deterministic
 //!   fault-injection runs.
 //! * [`rng`] — seedable, version-stable PRNGs ([`Xoshiro256pp`]).
@@ -23,6 +25,7 @@
 pub mod dist;
 pub mod event;
 pub mod fault;
+pub mod idmap;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -30,6 +33,7 @@ pub mod time;
 pub use dist::{Constant, Distribution, Exponential, Geometric, LogNormal, Normal, Uniform};
 pub use event::{EventId, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
+pub use idmap::IdMap;
 pub use rng::{SplitMix64, Xoshiro256pp};
 pub use stats::{BusyTracker, Histogram, OnlineStats, Percentiles};
 pub use time::{SimDuration, SimTime};

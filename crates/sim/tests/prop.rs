@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use paella_sim::dist::Distribution;
-use paella_sim::{EventQueue, LogNormal, Percentiles, SimDuration, SimTime, Xoshiro256pp};
+use paella_sim::{EventQueue, IdMap, LogNormal, Percentiles, SimDuration, SimTime, Xoshiro256pp};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -60,6 +60,101 @@ proptest! {
             popped += 1;
         }
         prop_assert_eq!(popped, expected);
+    }
+
+    /// Interleaved schedule / cancel / pop agrees with a reference model of
+    /// the pending set: `cancel` is `true` exactly for ids still pending
+    /// (never for popped, already-cancelled or unminted ones), pops come in
+    /// `(time, insertion)` order, and `len` tracks the pending count.
+    #[test]
+    fn event_queue_matches_reference_under_interleaving(
+        ops in proptest::collection::vec((0u8..4, 0u64..500, 0usize..400), 1..400),
+    ) {
+        let mut q = EventQueue::new();
+        let mut pending: std::collections::BTreeMap<(SimTime, usize), usize> = Default::default();
+        let mut ids = Vec::new();
+        for &(kind, ahead, pick) in &ops {
+            match kind {
+                0 | 1 => {
+                    let at = q.now() + SimDuration::from_nanos(ahead);
+                    let seq = ids.len();
+                    ids.push((q.schedule_at(at, seq), at));
+                    pending.insert((at, seq), seq);
+                }
+                2 if !ids.is_empty() => {
+                    let seq = pick % ids.len();
+                    let (id, at) = ids[seq];
+                    prop_assert_eq!(q.cancel(id), pending.remove(&(at, seq)).is_some());
+                }
+                _ => {
+                    let want = pending.pop_first().map(|((at, _), seq)| (at, seq));
+                    prop_assert_eq!(q.pop(), want);
+                }
+            }
+            prop_assert_eq!(q.len(), pending.len());
+        }
+        let rest: Vec<(SimTime, usize)> = pending.into_iter().map(|((at, _), s)| (at, s)).collect();
+        prop_assert_eq!(q.drain(), rest);
+        prop_assert!(ids.iter().all(|&(id, _)| !q.cancel(id)), "nothing is pending after drain");
+    }
+
+    /// `IdMap` agrees with a `BTreeMap` under random insert / get / get_mut /
+    /// remove / retain, with ids that drift upward but arrive out of order
+    /// and with gaps, as minted ids retire roughly oldest-first.
+    #[test]
+    fn id_map_matches_btreemap(
+        ops in proptest::collection::vec((0u8..8, 0u64..40, 0u32..1_000), 1..300),
+    ) {
+        let mut m: IdMap<u32> = IdMap::new();
+        let mut r: std::collections::BTreeMap<u64, u32> = Default::default();
+        let mut drift = 0u64;
+        for &(kind, off, v) in &ops {
+            // Ids land in a 40-wide band that creeps upward, so inserts hit
+            // below, inside and above the live window.
+            let id = drift + off;
+            match kind {
+                0..=2 => {
+                    prop_assert_eq!(m.insert(id, v), r.insert(id, v));
+                    drift += u64::from(v % 3);
+                }
+                3 => prop_assert_eq!(m.remove(id), r.remove(&id)),
+                4 => {
+                    // Retire the oldest entry: the window's front must trim.
+                    let oldest = r.keys().next().copied();
+                    prop_assert_eq!(m.iter().next().map(|(id, _)| id), oldest);
+                    if let Some(id) = oldest {
+                        prop_assert_eq!(m.remove(id), r.remove(&id));
+                    }
+                }
+                5 => {
+                    if let Some(x) = m.get_mut(id) {
+                        *x += 1;
+                    }
+                    if let Some(x) = r.get_mut(&id) {
+                        *x += 1;
+                    }
+                }
+                6 => {
+                    prop_assert_eq!(*m.get_or_insert_with(id, || v), *r.entry(id).or_insert(v));
+                }
+                _ => {
+                    let mut seen = Vec::new();
+                    m.retain(|id, x| {
+                        seen.push(id);
+                        *x % 4 != v % 4
+                    });
+                    prop_assert_eq!(seen, r.keys().copied().collect::<Vec<_>>());
+                    r.retain(|_, x| *x % 4 != v % 4);
+                }
+            }
+            prop_assert_eq!(m.get(id), r.get(&id));
+            prop_assert_eq!(m.len(), r.len());
+            prop_assert_eq!(m.is_empty(), r.is_empty());
+        }
+        prop_assert_eq!(
+            m.iter().map(|(id, &v)| (id, v)).collect::<Vec<_>>(),
+            r.into_iter().collect::<Vec<_>>()
+        );
     }
 
     /// Quantiles of a percentile collector match a naive sorted computation.
