@@ -8,9 +8,11 @@
 use paella_bench::header;
 use paella_gpu::{
     BlockFootprint, DeviceConfig, DurationModel, GpuSim, KernelDesc, KernelLaunch, Microarch,
-    StreamId, TraceEntry,
+    StreamId,
 };
 use paella_sim::{SimDuration, SimTime};
+use paella_telemetry::export::{sm_spans, SmSpan};
+use paella_telemetry::Tracer;
 
 const TASKS: u32 = 4;
 const KERNELS_PER_TASK: u32 = 3;
@@ -35,9 +37,9 @@ fn run(
     device: DeviceConfig,
     stream_of: impl Fn(u32) -> u32,
     submit_order: &[(u32, u32)],
-) -> Vec<TraceEntry> {
+) -> Vec<SmSpan> {
     let mut gpu = GpuSim::new(device, 1);
-    gpu.enable_trace();
+    gpu.set_tracer(Tracer::enabled());
     let mut uid = 0;
     for &(task, k) in submit_order {
         uid += 1;
@@ -54,11 +56,11 @@ fn run(
     while let Some(t) = gpu.next_time() {
         gpu.advance_until(t, &mut out);
     }
-    gpu.take_trace()
+    sm_spans(&gpu.take_trace_log())
 }
 
 /// Renders a per-SM timeline: one slot per T.
-fn render(name: &str, trace: &[TraceEntry]) {
+fn render(name: &str, trace: &[SmSpan]) {
     println!("\n{name}");
     let end = trace.iter().map(|t| t.end.as_nanos()).max().unwrap_or(0);
     let slots = (end / (T_US * 1_000)) as usize;
@@ -69,8 +71,7 @@ fn render(name: &str, trace: &[TraceEntry]) {
             let k = trace
                 .iter()
                 .find(|t| t.sm == sm && t.start <= t_mid && t_mid < t.end)
-                .map(|t| t.name.clone())
-                .unwrap_or_else(|| "--".into());
+                .map_or("--", |t| t.name.as_str());
             line.push_str(&format!(" {k:>2} |"));
         }
         println!("{line}");

@@ -489,34 +489,12 @@ impl ConservationOracle {
 /// [`JobJourney`]: paella_telemetry::TraceEvent::JobJourney
 /// [`JobEnd`]: paella_telemetry::TraceEvent::JobEnd
 pub fn check_journeys(log: &paella_telemetry::TraceLog) -> Result<usize, String> {
-    use paella_telemetry::TraceEvent;
-    // (jct, client_send_recv, communication, queuing, framework, device)
-    let mut ends: HashMap<u64, (u64, u64, u64, u64, u64, u64)> = HashMap::new();
+    use paella_telemetry::{JobEnd, TraceEvent};
+    let mut ends: HashMap<u64, JobEnd> = HashMap::new();
     for e in &log.events {
-        if let TraceEvent::JobEnd {
-            job,
-            jct_ns,
-            client_send_recv_ns,
-            communication_ns,
-            queuing_scheduling_ns,
-            framework_ns,
-            device_ns,
-            ..
-        } = e.event
-        {
-            let prev = ends.insert(
-                job,
-                (
-                    jct_ns,
-                    client_send_recv_ns,
-                    communication_ns,
-                    queuing_scheduling_ns,
-                    framework_ns,
-                    device_ns,
-                ),
-            );
-            if prev.is_some() {
-                return Err(format!("job {job}: duplicate JobEnd"));
+        if let TraceEvent::JobEnd(end) = &e.event {
+            if ends.insert(end.job, **end).is_some() {
+                return Err(format!("job {}: duplicate JobEnd", end.job));
             }
         }
     }
@@ -527,21 +505,24 @@ pub fn check_journeys(log: &paella_telemetry::TraceLog) -> Result<usize, String>
             .map_err(|e| format!("job {}: {e}", j.job))?;
         b.check_device_split()
             .map_err(|e| format!("job {}: {e}", j.job))?;
-        let Some(&(jct, csr, comm, queuing, fw, dev)) = ends.get(&j.job) else {
+        let Some(end) = ends.remove(&j.job) else {
             return Err(format!("job {}: journey without a JobEnd", j.job));
         };
-        ends.remove(&j.job);
-        if b.jct_ns != jct {
+        if b.jct_ns != end.jct_ns {
             return Err(format!(
-                "job {}: journey jct {} != JobEnd {jct}",
-                j.job, b.jct_ns
+                "job {}: journey jct {} != JobEnd {}",
+                j.job, b.jct_ns, end.jct_ns
             ));
         }
         let first_level = [
-            ("client_send_recv", b.client_send_recv_ns, csr),
-            ("communication", b.communication_ns, comm),
-            ("framework", b.framework_ns, fw),
-            ("device", b.device_ns, dev),
+            (
+                "client_send_recv",
+                b.client_send_recv_ns,
+                end.client_send_recv_ns,
+            ),
+            ("communication", b.communication_ns, end.communication_ns),
+            ("framework", b.framework_ns, end.framework_ns),
+            ("device", b.device_ns, end.device_ns),
         ];
         for (name, got, want) in first_level {
             if got != want {
@@ -552,10 +533,10 @@ pub fn check_journeys(log: &paella_telemetry::TraceLog) -> Result<usize, String>
             }
         }
         let queue_sum = b.retry_backoff_ns + b.queue_dep_ns + b.queue_occupancy_ns + b.queue_hol_ns;
-        if queue_sum != queuing {
+        if queue_sum != end.queuing_scheduling_ns {
             return Err(format!(
-                "job {}: queue sub-phases sum {queue_sum} != JobEnd queuing {queuing}",
-                j.job
+                "job {}: queue sub-phases sum {queue_sum} != JobEnd queuing {}",
+                j.job, end.queuing_scheduling_ns
             ));
         }
         checked += 1;
@@ -797,14 +778,14 @@ mod tests {
 
     fn journey_log(queue_split: [u64; 4]) -> paella_telemetry::TraceLog {
         use paella_sim::SimTime;
-        use paella_telemetry::{TraceEvent, TracedEvent};
+        use paella_telemetry::{JobEnd, JobJourney, TraceEvent, TracedEvent};
         let queuing: u64 = queue_split.iter().sum();
         paella_telemetry::TraceLog {
             events: vec![
                 TracedEvent {
                     at: SimTime::from_micros(5),
                     seq: 0,
-                    event: TraceEvent::JobEnd {
+                    event: TraceEvent::JobEnd(Box::new(JobEnd {
                         job: 1,
                         client: 0,
                         jct_ns: 1_000 + queuing,
@@ -813,12 +794,12 @@ mod tests {
                         queuing_scheduling_ns: queuing,
                         framework_ns: 300,
                         device_ns: 400,
-                    },
+                    })),
                 },
                 TracedEvent {
                     at: SimTime::from_micros(5),
                     seq: 1,
-                    event: TraceEvent::JobJourney {
+                    event: TraceEvent::JobJourney(Box::new(JobJourney {
                         job: 1,
                         client: 0,
                         jct_ns: 1_000 + queuing,
@@ -832,7 +813,7 @@ mod tests {
                         queue_hol_ns: queue_split[3],
                         device_prefill_ns: 400,
                         device_decode_ns: 0,
-                    },
+                    })),
                 },
             ],
         }
@@ -846,10 +827,8 @@ mod tests {
         // Inflate one queue sub-phase: conservation breaks with no slack
         // allowed, and the error names the delta.
         let mut bad = journey_log([10, 20, 30, 40]);
-        if let paella_telemetry::TraceEvent::JobJourney { queue_hol_ns, .. } =
-            &mut bad.events[1].event
-        {
-            *queue_hol_ns += 1;
+        if let paella_telemetry::TraceEvent::JobJourney(j) = &mut bad.events[1].event {
+            j.queue_hol_ns += 1;
         }
         let err = check_journeys(&bad).unwrap_err();
         assert!(err.contains("delta"), "{err}");

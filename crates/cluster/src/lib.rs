@@ -42,7 +42,9 @@ use paella_core::types::{
 };
 use paella_gpu::DeviceConfig;
 use paella_sim::{EventQueue, FaultKind, FaultPlan, SimDuration, SimTime, Xoshiro256pp};
-use paella_telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer};
+use paella_telemetry::{
+    MetricsRegistry, MetricsSnapshot, RouteDecision, TraceEvent, TraceLog, Tracer,
+};
 
 /// Cluster-wide knobs.
 #[derive(Clone, Copy, Debug)]
@@ -355,12 +357,14 @@ impl Cluster {
                 self.router.policy().as_str(),
                 candidates.len() as u32,
             );
-            self.tracer.record_with(at, || TraceEvent::RouteDecision {
-                model,
-                node,
-                policy,
-                outstanding,
-                candidates: n_cand,
+            self.tracer.record_with(at, || {
+                TraceEvent::RouteDecision(Box::new(RouteDecision {
+                    model,
+                    node,
+                    policy,
+                    outstanding,
+                    candidates: n_cand,
+                }))
             });
         }
         if let Some(m) = self.metrics.as_mut() {

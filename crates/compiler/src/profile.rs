@@ -19,8 +19,8 @@ use crate::module::{CompiledModel, DeviceOp};
 /// Per-kernel profile entry: running averages over observed executions.
 #[derive(Clone, Debug, Default)]
 pub struct KernelProfile {
-    /// Kernel name (diagnostic only; interned, shared with the kernel).
-    pub name: std::sync::Arc<str>,
+    /// Kernel name (diagnostic only; shared with the kernel).
+    pub name: std::sync::Arc<String>,
     /// Average executions per job (`C̄_i`) — 1 for straight-line TVM graphs,
     /// kept general for control flow.
     pub count: OnlineStats,

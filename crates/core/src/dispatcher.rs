@@ -21,7 +21,8 @@ use paella_gpu::{
 };
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{
-    HoldReason, HostOpKind, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
+    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, MetricsRegistry, MetricsSnapshot,
+    TraceEvent, TraceLog, Tracer,
 };
 
 use crate::occupancy::OccupancyTracker;
@@ -1012,13 +1013,14 @@ impl Dispatcher {
         if self.tracer.is_enabled() {
             let model = self.models[model_idx].name.clone();
             let (job, client, submitted_at) = (id.0, req.client.0, req.submitted_at);
-            self.tracer
-                .record_with(t_ingested, || TraceEvent::JobBegin {
+            self.tracer.record_with(t_ingested, || {
+                TraceEvent::JobBegin(Box::new(JobBegin {
                     job,
                     client,
                     model,
                     submitted_at,
-                });
+                }))
+            });
         }
         if let Some(m) = self.metrics.as_mut() {
             m.inc("jobs_ingested", 1);
@@ -1670,8 +1672,8 @@ impl Dispatcher {
         let queue_dep_ns = take_ns(j.dep_wait_ns);
         let queue_occupancy_ns = take_ns(j.occ_wait_ns);
         let queue_hol_ns = queue_rem;
-        self.tracer
-            .record_with(client_visible, || TraceEvent::JobEnd {
+        self.tracer.record_with(client_visible, || {
+            TraceEvent::JobEnd(Box::new(JobEnd {
                 job: id.0,
                 client: j.request.client.0,
                 jct_ns: total.as_nanos(),
@@ -1680,9 +1682,10 @@ impl Dispatcher {
                 queuing_scheduling_ns: queuing.as_nanos(),
                 framework_ns: framework.as_nanos(),
                 device_ns: device.as_nanos(),
-            });
-        self.tracer
-            .record_with(client_visible, || TraceEvent::JobJourney {
+            }))
+        });
+        self.tracer.record_with(client_visible, || {
+            TraceEvent::JobJourney(Box::new(JobJourney {
                 job: id.0,
                 client: j.request.client.0,
                 jct_ns: total.as_nanos(),
@@ -1698,7 +1701,8 @@ impl Dispatcher {
                 // "prefill"; decode time is an LLM-tier concept.
                 device_prefill_ns: device.as_nanos(),
                 device_decode_ns: 0,
-            });
+            }))
+        });
         if let Some(m) = self.metrics.as_mut() {
             m.inc("jobs_completed", 1);
             m.observe("jct_ns", total.as_nanos());

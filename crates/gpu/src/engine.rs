@@ -88,33 +88,15 @@ pub enum GpuOutput {
     },
 }
 
-/// One entry in the execution trace (for tests, Fig. 1, and debugging).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Kernel that the block group belongs to.
-    pub uid: KernelUid,
-    /// Kernel name.
-    pub name: std::sync::Arc<str>,
-    /// SM the group was placed on.
-    pub sm: u32,
-    /// Number of blocks in the group.
-    pub blocks: u32,
-    /// Placement time.
-    pub start: SimTime,
-    /// Completion time.
-    pub end: SimTime,
-}
-
 #[derive(Clone, Debug)]
 enum Ev {
     /// A launch reached its hardware queue and may now be considered.
     QueueArrival { uid: KernelUid },
     /// A placed wave of block groups finished; `allocs` holds the per-SM
-    /// block counts, `start` the placement time (for tracing).
+    /// block counts.
     GroupFinish {
         uid: KernelUid,
         wave: u32,
-        start: SimTime,
         allocs: Vec<(u32, u32)>,
     },
     /// A memcpy finished on its engine.
@@ -190,7 +172,6 @@ pub struct GpuSim {
     free_threads: u64,
     free_regs: u64,
     free_shmem: u64,
-    trace: Option<Vec<TraceEntry>>,
     /// Structured telemetry sink (no-op unless enabled by the host).
     tracer: Tracer,
     /// Round-robin cursor over the hardware queues.
@@ -229,21 +210,10 @@ impl GpuSim {
             free_threads: num_sms as u64 * u64::from(lim.max_threads),
             free_regs: num_sms as u64 * u64::from(lim.max_registers),
             free_shmem: num_sms as u64 * u64::from(lim.max_shmem),
-            trace: None,
             tracer: Tracer::disabled(),
             rr_queue: 0,
             pending_copies: Vec::new(),
         }
-    }
-
-    /// Enables trace recording (see [`GpuSim::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Takes the recorded trace, leaving recording enabled.
-    pub fn take_trace(&mut self) -> Vec<TraceEntry> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Enables structured telemetry: hardware-queue, per-SM placement, and
@@ -435,13 +405,8 @@ impl GpuSim {
                 });
                 self.schedule_blocks(at);
             }
-            Ev::GroupFinish {
-                uid,
-                wave,
-                start,
-                allocs,
-            } => {
-                self.on_group_finish(at, uid, wave, start, &allocs);
+            Ev::GroupFinish { uid, wave, allocs } => {
+                self.on_group_finish(at, uid, wave, &allocs);
             }
             Ev::CopyFinish { uid, engine } => {
                 self.on_copy_finish(at, uid, engine);
@@ -626,15 +591,8 @@ impl GpuSim {
             }
         }
 
-        self.events.schedule_at(
-            now + dur,
-            Ev::GroupFinish {
-                uid,
-                wave,
-                start: now,
-                allocs,
-            },
-        );
+        self.events
+            .schedule_at(now + dur, Ev::GroupFinish { uid, wave, allocs });
     }
 
     /// Emits start/end notifications for `blocks` blocks of one per-SM group.
@@ -672,14 +630,7 @@ impl GpuSim {
         }
     }
 
-    fn on_group_finish(
-        &mut self,
-        at: SimTime,
-        uid: KernelUid,
-        wave: u32,
-        start: SimTime,
-        allocs: &[(u32, u32)],
-    ) {
+    fn on_group_finish(&mut self, at: SimTime, uid: KernelUid, wave: u32, allocs: &[(u32, u32)]) {
         let (fp, instr) = {
             let k = self.kernel(uid);
             (k.launch.desc.footprint, k.launch.desc.instrumentation)
@@ -699,21 +650,6 @@ impl GpuSim {
         );
         self.resident_blocks -= u64::from(blocks);
 
-        if self.trace.is_some() {
-            let name = self.kernel(uid).launch.desc.name.clone();
-            if let Some(trace) = self.trace.as_mut() {
-                for &(sm, group) in allocs {
-                    trace.push(TraceEntry {
-                        uid,
-                        name: name.clone(),
-                        sm,
-                        blocks: group,
-                        start,
-                        end: at,
-                    });
-                }
-            }
-        }
         for &(sm, group) in allocs {
             self.tracer.record_with(at, || TraceEvent::SmSpanEnd {
                 kernel: u64::from(uid),
@@ -1205,9 +1141,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_block_groups() {
+    fn tracer_records_block_groups() {
         let mut gpu = GpuSim::new(DeviceConfig::tiny(2, 2, Microarch::KeplerPlus), 1);
-        gpu.enable_trace();
+        gpu.set_tracer(Tracer::enabled());
         gpu.launch_kernel(
             SimTime::ZERO,
             KernelLaunch {
@@ -1217,12 +1153,13 @@ mod tests {
             },
         );
         drain_all(&mut gpu);
-        let trace = gpu.take_trace();
-        assert_eq!(trace.len(), 2, "two single-block groups on two SMs");
-        let sms: Vec<u32> = trace.iter().map(|t| t.sm).collect();
+        let spans = paella_telemetry::export::sm_spans(&gpu.take_trace_log());
+        assert_eq!(spans.len(), 2, "two single-block groups on two SMs");
+        let sms: Vec<u32> = spans.iter().map(|s| s.sm).collect();
         assert!(sms.contains(&0) && sms.contains(&1));
-        for t in &trace {
-            assert_eq!((t.end - t.start).as_micros_f64(), 100.0);
+        for s in &spans {
+            assert_eq!((s.end - s.start).as_micros_f64(), 100.0);
+            assert_eq!((s.name.as_str(), s.blocks), ("t", 1));
         }
     }
 

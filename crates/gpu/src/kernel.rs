@@ -112,10 +112,11 @@ impl InstrumentationSpec {
 #[derive(Clone, Debug)]
 pub struct KernelDesc {
     /// Human-readable name (e.g. `"conv2d_3x3_64"`); used by the profiler to
-    /// key per-kernel statistics. Interned as `Arc<str>`: the engine labels
-    /// every per-wave trace span with it, so a plain `String` would be
-    /// cloned once per wave on the hot path.
-    pub name: std::sync::Arc<str>,
+    /// key per-kernel statistics. Shared, and a thin (one-word) pointer: the
+    /// engine labels every per-SM trace span with it, so a plain `String`
+    /// would be cloned once per span on the hot path and `Arc<str>`'s second
+    /// word would widen every recorded event.
+    pub name: std::sync::Arc<String>,
     /// Number of thread blocks in the grid (`Dg`).
     pub grid_blocks: u32,
     /// Per-block resource footprint.
@@ -131,7 +132,7 @@ impl KernelDesc {
     /// threads doing nothing but (optionally) notifying.
     pub fn empty(name: &str, blocks: u32) -> Self {
         KernelDesc {
-            name: name.into(),
+            name: name.to_string().into(),
             grid_blocks: blocks,
             footprint: BlockFootprint {
                 threads: 32,

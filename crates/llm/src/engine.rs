@@ -49,7 +49,9 @@ use paella_core::types::{
 use paella_core::ServingSystem;
 use paella_sim::event::EventQueue;
 use paella_sim::{SimDuration, SimTime, Xoshiro256pp};
-use paella_telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer};
+use paella_telemetry::{
+    JobBegin, JobEnd, JobJourney, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
+};
 
 use crate::kv::KvPool;
 use crate::spec::LlmModelSpec;
@@ -567,30 +569,34 @@ impl LlmEngine {
         let device_ns = device_prefill_ns + device_decode_ns;
         let queuing_ns = queue_occupancy_ns + queue_hol_ns;
         let client = job.request.client.0;
-        self.tracer.record_with(at, || TraceEvent::JobEnd {
-            job: id.0,
-            client,
-            jct_ns: total,
-            client_send_recv_ns: 0,
-            communication_ns: 0,
-            queuing_scheduling_ns: queuing_ns,
-            framework_ns: 0,
-            device_ns,
+        self.tracer.record_with(at, || {
+            TraceEvent::JobEnd(Box::new(JobEnd {
+                job: id.0,
+                client,
+                jct_ns: total,
+                client_send_recv_ns: 0,
+                communication_ns: 0,
+                queuing_scheduling_ns: queuing_ns,
+                framework_ns: 0,
+                device_ns,
+            }))
         });
-        self.tracer.record_with(at, || TraceEvent::JobJourney {
-            job: id.0,
-            client,
-            jct_ns: total,
-            client_send_recv_ns: 0,
-            communication_ns: 0,
-            framework_ns: 0,
-            device_ns,
-            retry_backoff_ns: 0,
-            queue_dep_ns: 0,
-            queue_occupancy_ns,
-            queue_hol_ns,
-            device_prefill_ns,
-            device_decode_ns,
+        self.tracer.record_with(at, || {
+            TraceEvent::JobJourney(Box::new(JobJourney {
+                job: id.0,
+                client,
+                jct_ns: total,
+                client_send_recv_ns: 0,
+                communication_ns: 0,
+                framework_ns: 0,
+                device_ns,
+                retry_backoff_ns: 0,
+                queue_dep_ns: 0,
+                queue_occupancy_ns,
+                queue_hol_ns,
+                device_prefill_ns,
+                device_decode_ns,
+            }))
         });
 
         let first_token_at = job.first_token_at.unwrap_or(at);
@@ -910,13 +916,14 @@ impl ServingSystem for LlmEngine {
         let id = JobId(self.next_job);
         self.next_job += 1;
         let name = spec.name.clone();
-        self.tracer
-            .record_with(req.submitted_at, || TraceEvent::JobBegin {
+        self.tracer.record_with(req.submitted_at, || {
+            TraceEvent::JobBegin(Box::new(JobBegin {
                 job: id.0,
                 client: req.client.0,
                 model: name,
                 submitted_at: req.submitted_at,
-            });
+            }))
+        });
         self.jobs.insert(
             id,
             LlmJob {

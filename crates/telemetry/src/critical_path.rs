@@ -121,36 +121,22 @@ pub struct Journey {
 pub fn extract_journeys(log: &TraceLog) -> Vec<Journey> {
     log.events
         .iter()
-        .filter_map(|e| match e.event {
-            TraceEvent::JobJourney {
-                job,
-                client,
-                jct_ns,
-                client_send_recv_ns,
-                communication_ns,
-                framework_ns,
-                device_ns,
-                retry_backoff_ns,
-                queue_dep_ns,
-                queue_occupancy_ns,
-                queue_hol_ns,
-                device_prefill_ns,
-                device_decode_ns,
-            } => Some(Journey {
-                job,
-                tenant: client,
+        .filter_map(|e| match &e.event {
+            TraceEvent::JobJourney(j) => Some(Journey {
+                job: j.job,
+                tenant: j.client,
                 breakdown: PhaseBreakdown {
-                    jct_ns,
-                    client_send_recv_ns,
-                    communication_ns,
-                    framework_ns,
-                    device_ns,
-                    retry_backoff_ns,
-                    queue_dep_ns,
-                    queue_occupancy_ns,
-                    queue_hol_ns,
-                    device_prefill_ns,
-                    device_decode_ns,
+                    jct_ns: j.jct_ns,
+                    client_send_recv_ns: j.client_send_recv_ns,
+                    communication_ns: j.communication_ns,
+                    framework_ns: j.framework_ns,
+                    device_ns: j.device_ns,
+                    retry_backoff_ns: j.retry_backoff_ns,
+                    queue_dep_ns: j.queue_dep_ns,
+                    queue_occupancy_ns: j.queue_occupancy_ns,
+                    queue_hol_ns: j.queue_hol_ns,
+                    device_prefill_ns: j.device_prefill_ns,
+                    device_decode_ns: j.device_decode_ns,
                 },
             }),
             _ => None,
@@ -268,6 +254,7 @@ pub fn per_tenant_blame(journeys: &[Journey]) -> Vec<(u32, BlameReport)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::JobJourney;
     use crate::tracer::TracedEvent;
     use paella_sim::SimTime;
 
@@ -365,7 +352,7 @@ mod tests {
                 TracedEvent {
                     at: SimTime::from_micros(1),
                     seq: 1,
-                    event: TraceEvent::JobJourney {
+                    event: TraceEvent::JobJourney(Box::new(JobJourney {
                         job: 42,
                         client: 5,
                         jct_ns: b.jct_ns,
@@ -379,7 +366,7 @@ mod tests {
                         queue_hol_ns: b.queue_hol_ns,
                         device_prefill_ns: b.device_prefill_ns,
                         device_decode_ns: b.device_decode_ns,
-                    },
+                    })),
                 },
             ],
         };

@@ -4,6 +4,13 @@
 //! rather than the domain newtypes of `paella-core`/`paella-gpu`, so this
 //! crate sits below both in the dependency graph and either side can record
 //! into the same [`Tracer`](crate::Tracer).
+//!
+//! Size budget (DESIGN §8): a [`TraceEvent`] is at most 32 bytes, because
+//! recording costs what its bytes cost. The four variants that occur once
+//! per request or per job carry their payload behind a `Box`.
+
+use std::fmt;
+use std::sync::Arc;
 
 use paella_sim::SimTime;
 
@@ -88,85 +95,116 @@ impl PickRationale {
     }
 }
 
+/// Payload of [`TraceEvent::JobBegin`]: a request was ingested; opens the
+/// job's end-to-end span (anchored at the client's `submitted_at`, which
+/// precedes the ingest timestamp by the ring-crossing latency).
+#[derive(Clone, PartialEq, Debug)]
+pub struct JobBegin {
+    /// Dispatcher-assigned job id.
+    pub job: u64,
+    /// Submitting client.
+    pub client: u32,
+    /// Registered model name (interned; shared with the model artifact).
+    pub model: Arc<str>,
+    /// Client-side submission instant.
+    pub submitted_at: SimTime,
+}
+
+/// Payload of [`TraceEvent::JobEnd`]: the job's result became
+/// client-visible; closes the end-to-end span. Breakdown components are
+/// nanoseconds and sum to the end-to-end JCT.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct JobEnd {
+    /// Dispatcher-assigned job id.
+    pub job: u64,
+    /// Submitting client.
+    pub client: u32,
+    /// End-to-end JCT in nanoseconds.
+    pub jct_ns: u64,
+    /// Client send/receive channel time.
+    pub client_send_recv_ns: u64,
+    /// PCIe/launch/notification communication time.
+    pub communication_ns: u64,
+    /// Queuing + scheduling time.
+    pub queuing_scheduling_ns: u64,
+    /// Framework (dispatcher CPU) time.
+    pub framework_ns: u64,
+    /// Device execution time.
+    pub device_ns: u64,
+}
+
+/// Payload of [`TraceEvent::JobJourney`]: the request's JCT decomposed into
+/// the full phase taxonomy (DESIGN §12). Emitted alongside
+/// [`TraceEvent::JobEnd`]; where `JobEnd` keeps the paper's legacy
+/// 5-category breakdown, the journey further splits the queuing remainder
+/// into retry backoff, dependency wait, occupancy/flow-control wait, and
+/// scheduler head-of-line wait. All fields are nanoseconds and the eight
+/// phases sum *exactly* to `jct_ns` (conservation is oracle-enforced).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct JobJourney {
+    /// Dispatcher-assigned job id.
+    pub job: u64,
+    /// Submitting client — the tenant for SLO accounting.
+    pub client: u32,
+    /// End-to-end JCT in nanoseconds.
+    pub jct_ns: u64,
+    /// Client send/receive channel time.
+    pub client_send_recv_ns: u64,
+    /// PCIe/launch/notification communication time.
+    pub communication_ns: u64,
+    /// Framework (dispatcher CPU) time.
+    pub framework_ns: u64,
+    /// Device execution time.
+    pub device_ns: u64,
+    /// Time parked in retry backoff after injected kernel faults.
+    pub retry_backoff_ns: u64,
+    /// Time the job's frontier was blocked on its own dependencies.
+    pub queue_dep_ns: u64,
+    /// Time held by dispatcher flow control (occupancy budget, notifQ
+    /// backpressure, stream-pool exhaustion).
+    pub queue_occupancy_ns: u64,
+    /// Residual queuing: runnable but not picked — scheduler
+    /// head-of-line wait plus unattributed overlap.
+    pub queue_hol_ns: u64,
+    /// Device time spent in the prefill phase (prompt processing), for
+    /// autoregressive jobs; zero for fixed-trace jobs. Together with
+    /// `device_decode_ns` this sub-splits `device_ns` exactly:
+    /// `device_prefill_ns + device_decode_ns == device_ns`.
+    pub device_prefill_ns: u64,
+    /// Device time spent in per-token decode iterations; zero for
+    /// fixed-trace jobs.
+    pub device_decode_ns: u64,
+}
+
+/// Payload of [`TraceEvent::RouteDecision`]: a cluster router sent a request
+/// to a node (the cluster tier's analogue of [`TraceEvent::SchedDecision`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct RouteDecision {
+    /// Public (cluster-level) model id of the routed request.
+    pub model: u32,
+    /// The node the request was sent to.
+    pub node: u32,
+    /// Balancing policy name.
+    pub policy: &'static str,
+    /// Requests outstanding on the chosen node at decision time.
+    pub outstanding: u64,
+    /// Replica-set size the policy chose from.
+    pub candidates: u32,
+}
+
 /// One virtual-time-stamped observation. The timestamp lives in the
 /// enclosing [`TracedEvent`](crate::TracedEvent); span-shaped events carry
 /// their own `start` so begin/end pairs stay self-describing.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A request was ingested; opens the job's end-to-end span (anchored at
-    /// the client's `submitted_at`, which precedes the ingest timestamp by
-    /// the ring-crossing latency).
-    JobBegin {
-        /// Dispatcher-assigned job id.
-        job: u64,
-        /// Submitting client.
-        client: u32,
-        /// Registered model name (interned; shared with the model artifact).
-        model: std::sync::Arc<str>,
-        /// Client-side submission instant.
-        submitted_at: SimTime,
-    },
-    /// The job's result became client-visible; closes the end-to-end span.
-    /// Breakdown components are nanoseconds and sum to the end-to-end JCT.
-    JobEnd {
-        /// Dispatcher-assigned job id.
-        job: u64,
-        /// Submitting client.
-        client: u32,
-        /// End-to-end JCT in nanoseconds.
-        jct_ns: u64,
-        /// Client send/receive channel time.
-        client_send_recv_ns: u64,
-        /// PCIe/launch/notification communication time.
-        communication_ns: u64,
-        /// Queuing + scheduling time.
-        queuing_scheduling_ns: u64,
-        /// Framework (dispatcher CPU) time.
-        framework_ns: u64,
-        /// Device execution time.
-        device_ns: u64,
-    },
-    /// The journey record: the request's JCT decomposed into the full phase
-    /// taxonomy (DESIGN §12). Emitted alongside [`TraceEvent::JobEnd`];
-    /// where `JobEnd` keeps the paper's legacy 5-category breakdown, the
-    /// journey further splits the queuing remainder into retry backoff,
-    /// dependency wait, occupancy/flow-control wait, and scheduler
-    /// head-of-line wait. All fields are nanoseconds and the eight phases
-    /// sum *exactly* to `jct_ns` (conservation is oracle-enforced).
-    JobJourney {
-        /// Dispatcher-assigned job id.
-        job: u64,
-        /// Submitting client — the tenant for SLO accounting.
-        client: u32,
-        /// End-to-end JCT in nanoseconds.
-        jct_ns: u64,
-        /// Client send/receive channel time.
-        client_send_recv_ns: u64,
-        /// PCIe/launch/notification communication time.
-        communication_ns: u64,
-        /// Framework (dispatcher CPU) time.
-        framework_ns: u64,
-        /// Device execution time.
-        device_ns: u64,
-        /// Time parked in retry backoff after injected kernel faults.
-        retry_backoff_ns: u64,
-        /// Time the job's frontier was blocked on its own dependencies.
-        queue_dep_ns: u64,
-        /// Time held by dispatcher flow control (occupancy budget, notifQ
-        /// backpressure, stream-pool exhaustion).
-        queue_occupancy_ns: u64,
-        /// Residual queuing: runnable but not picked — scheduler
-        /// head-of-line wait plus unattributed overlap.
-        queue_hol_ns: u64,
-        /// Device time spent in the prefill phase (prompt processing), for
-        /// autoregressive jobs; zero for fixed-trace jobs. Together with
-        /// `device_decode_ns` this sub-splits `device_ns` exactly:
-        /// `device_prefill_ns + device_decode_ns == device_ns`.
-        device_prefill_ns: u64,
-        /// Device time spent in per-token decode iterations; zero for
-        /// fixed-trace jobs.
-        device_decode_ns: u64,
-    },
+    /// A request was ingested (once per request; payload out of line).
+    JobBegin(Box<JobBegin>),
+    /// The job's result became client-visible (once per job; payload out of
+    /// line).
+    JobEnd(Box<JobEnd>),
+    /// The journey record, emitted alongside [`TraceEvent::JobEnd`] (once
+    /// per job; payload out of line).
+    JobJourney(Box<JobJourney>),
     /// A host CPU charge: `start..` the event timestamp.
     HostOp {
         /// What the CPU time paid for.
@@ -238,8 +276,10 @@ pub enum TraceEvent {
         sm: u32,
         /// Blocks in the group.
         blocks: u32,
-        /// Kernel name, for slice labels (interned; shared with the kernel).
-        name: std::sync::Arc<str>,
+        /// Kernel name, for slice labels (shared with the kernel). A thin
+        /// pointer — one word, not `Arc<str>`'s two — because this variant
+        /// is ~16 % of all events and sets the enum's size.
+        name: Arc<String>,
     },
     /// The matching end of an [`TraceEvent::SmSpanBegin`] group.
     SmSpanEnd {
@@ -269,20 +309,9 @@ pub enum TraceEvent {
         /// The nearly-done job.
         job: u64,
     },
-    /// A cluster router sent a request to a node (the cluster tier's
-    /// analogue of [`TraceEvent::SchedDecision`]).
-    RouteDecision {
-        /// Public (cluster-level) model id of the routed request.
-        model: u32,
-        /// The node the request was sent to.
-        node: u32,
-        /// Balancing policy name.
-        policy: &'static str,
-        /// Requests outstanding on the chosen node at decision time.
-        outstanding: u64,
-        /// Replica-set size the policy chose from.
-        candidates: u32,
-    },
+    /// A cluster router sent a request to a node (once per routed request;
+    /// payload out of line).
+    RouteDecision(Box<RouteDecision>),
     /// A kernel execution faulted on the device (injected); the dispatcher
     /// will retry it with backoff until the retry budget runs out.
     KernelFault {
@@ -389,9 +418,9 @@ impl TraceEvent {
     /// Stable kind label (summaries, tests).
     pub fn kind(&self) -> &'static str {
         match self {
-            TraceEvent::JobBegin { .. } => "job-begin",
-            TraceEvent::JobEnd { .. } => "job-end",
-            TraceEvent::JobJourney { .. } => "job-journey",
+            TraceEvent::JobBegin(_) => "job-begin",
+            TraceEvent::JobEnd(_) => "job-end",
+            TraceEvent::JobJourney(_) => "job-journey",
             TraceEvent::HostOp { .. } => "host-op",
             TraceEvent::SchedDecision { .. } => "sched-decision",
             TraceEvent::OccupancyHold { .. } => "occupancy-hold",
@@ -403,7 +432,7 @@ impl TraceEvent {
             TraceEvent::SmSpanEnd { .. } => "sm-span-end",
             TraceEvent::NotifBatch { .. } => "notif-batch",
             TraceEvent::DoorbellWake { .. } => "doorbell-wake",
-            TraceEvent::RouteDecision { .. } => "route-decision",
+            TraceEvent::RouteDecision(_) => "route-decision",
             TraceEvent::KernelFault { .. } => "kernel-fault",
             TraceEvent::RetryBackoff { .. } => "retry-backoff",
             TraceEvent::FailoverHop { .. } => "failover-hop",
@@ -415,6 +444,53 @@ impl TraceEvent {
             TraceEvent::DecodeStep { .. } => "decode-step",
             TraceEvent::KvAlloc { .. } => "kv-alloc",
             TraceEvent::CounterSample { .. } => "counter-sample",
+        }
+    }
+}
+
+/// Prints every variant as `#[derive(Debug)]` did when all payloads were
+/// inline struct variants — `JobEnd { job: 1, .. }`, never
+/// `JobEnd(JobEnd { .. })` — because the flight recorder's dump renders
+/// events with `{:?}` and that text is a byte-stable output.
+impl fmt::Debug for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        macro_rules! inline_variants {
+            ($($variant:ident { $($field:ident),* })*) => {
+                match self {
+                    TraceEvent::JobBegin(p) => p.fmt(f),
+                    TraceEvent::JobEnd(p) => p.fmt(f),
+                    TraceEvent::JobJourney(p) => p.fmt(f),
+                    TraceEvent::RouteDecision(p) => p.fmt(f),
+                    $(TraceEvent::$variant { $($field),* } => f
+                        .debug_struct(stringify!($variant))
+                        $(.field(stringify!($field), $field))*
+                        .finish(),)*
+                }
+            };
+        }
+        inline_variants! {
+            HostOp { kind, core, start }
+            SchedDecision { job, policy, rationale, ready }
+            OccupancyHold { job, reason }
+            KernelQueued { kernel, stream, hw_queue }
+            HwQueueStall { hw_queue, kernel }
+            KernelDispatched { job, kernel, stream, grid_blocks }
+            KernelCompleted { kernel }
+            SmSpanBegin { kernel, wave, sm, blocks, name }
+            SmSpanEnd { kernel, wave, sm, blocks }
+            NotifBatch { kernel, sm, placement, blocks }
+            DoorbellWake { job }
+            KernelFault { job, kernel, attempt }
+            RetryBackoff { job, kernel, attempt, backoff_ns }
+            FailoverHop { client, model, attempt }
+            JobCancelled { job, reason }
+            RequestShed { client, model }
+            NodeCrash { node }
+            NodeRecover { node }
+            PrefillStart { job, prompt_tokens }
+            DecodeStep { iter, batch, tokens }
+            KvAlloc { job, pages, freed, resident }
+            CounterSample { name, value }
         }
     }
 }

@@ -16,12 +16,12 @@
 //! sequence numbers; timestamps are formatted with integer arithmetic; all
 //! grouping uses ordered maps. Identical logs produce identical bytes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use paella_sim::SimTime;
 
-use crate::event::TraceEvent;
+use crate::event::{JobBegin, JobEnd, JobJourney, RouteDecision, TraceEvent};
 use crate::metrics::MetricsSnapshot;
 use crate::tracer::{TraceLog, TracedEvent};
 
@@ -37,8 +37,8 @@ pub struct SmSpan {
     pub sm: u32,
     /// Blocks in the group.
     pub blocks: u32,
-    /// Kernel name (interned).
-    pub name: std::sync::Arc<str>,
+    /// Kernel name (shared with the kernel).
+    pub name: std::sync::Arc<String>,
     /// Placement time.
     pub start: SimTime,
     /// Completion time.
@@ -49,14 +49,21 @@ pub struct SmSpan {
 
 /// Pairs SM begin/end events into spans, ordered by `(start, seq)`.
 ///
-/// # Panics
-///
-/// Panics if an end event has no matching begin (a malformed log).
+/// A log may be one window of a run ([`Tracer::take`](crate::Tracer::take)
+/// leaves the tracer recording), so a span can straddle its edges: an end
+/// whose begin fell in an earlier window is skipped, as is a begin still
+/// open at the tail.
 pub fn sm_spans(log: &TraceLog) -> Vec<SmSpan> {
+    pair_sm_spans(log).0
+}
+
+/// [`sm_spans`], plus the number of ends skipped for want of a begin.
+fn pair_sm_spans(log: &TraceLog) -> (Vec<SmSpan>, u64) {
     // (kernel, wave, sm) -> (blocks, name, start, seq) of the open span.
-    type OpenSpans = BTreeMap<(u64, u32, u32), (u32, std::sync::Arc<str>, SimTime, u64)>;
+    type OpenSpans = BTreeMap<(u64, u32, u32), (u32, std::sync::Arc<String>, SimTime, u64)>;
     let mut open: OpenSpans = BTreeMap::new();
     let mut spans = Vec::new();
+    let mut orphan_ends = 0u64;
     for e in &log.events {
         match &e.event {
             TraceEvent::SmSpanBegin {
@@ -71,9 +78,10 @@ pub fn sm_spans(log: &TraceLog) -> Vec<SmSpan> {
             TraceEvent::SmSpanEnd {
                 kernel, wave, sm, ..
             } => {
-                let (blocks, name, start, seq) = open
-                    .remove(&(*kernel, *wave, *sm))
-                    .expect("SmSpanEnd without matching SmSpanBegin");
+                let Some((blocks, name, start, seq)) = open.remove(&(*kernel, *wave, *sm)) else {
+                    orphan_ends += 1;
+                    continue;
+                };
                 spans.push(SmSpan {
                     kernel: *kernel,
                     wave: *wave,
@@ -89,7 +97,7 @@ pub fn sm_spans(log: &TraceLog) -> Vec<SmSpan> {
         }
     }
     spans.sort_by_key(|s| (s.start, s.seq));
-    spans
+    (spans, orphan_ends)
 }
 
 /// Formats nanoseconds as the microsecond `ts` field, using integer
@@ -160,18 +168,29 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     // Flow anchors per job: every kernel-dispatch slice plus the first SM
     // placement of each dispatched kernel, in time order.
     let mut job_of_kernel: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut begun_jobs: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+    let mut begun_jobs: BTreeSet<u64> = BTreeSet::new();
+    let mut closed_jobs: BTreeSet<u64> = BTreeSet::new();
     for e in &events {
-        match e.event {
+        match &e.event {
             TraceEvent::KernelDispatched { job, kernel, .. } => {
-                job_of_kernel.insert(kernel, job);
+                job_of_kernel.insert(*kernel, *job);
             }
-            TraceEvent::JobBegin { job, .. } => {
-                begun_jobs.insert(job);
+            TraceEvent::JobBegin(b) => {
+                begun_jobs.insert(b.job);
+            }
+            TraceEvent::JobEnd(end) => {
+                closed_jobs.insert(end.job);
+            }
+            TraceEvent::JobCancelled { job, .. } => {
+                closed_jobs.insert(*job);
             }
             _ => {}
         }
     }
+    // Job async spans are rendered only when this log holds both ends: in a
+    // windowed log a span may open before it or close after it, and a lone
+    // "b" or "e" is an invalid trace (and an infinite bar in Perfetto).
+    let whole_jobs: BTreeSet<u64> = begun_jobs.intersection(&closed_jobs).copied().collect();
     let mut first_span_of_kernel: BTreeMap<u64, &SmSpan> = BTreeMap::new();
     for s in &spans {
         first_span_of_kernel.entry(s.kernel).or_insert(s);
@@ -234,7 +253,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             | TraceEvent::HwQueueStall { hw_queue, .. } => {
                 hw_queues.insert(hw_queue, ());
             }
-            TraceEvent::RouteDecision { .. } => has_routes = true,
+            TraceEvent::RouteDecision(_) => has_routes = true,
             TraceEvent::KernelFault { .. }
             | TraceEvent::RetryBackoff { .. }
             | TraceEvent::FailoverHop { .. }
@@ -342,12 +361,16 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     for e in &events {
         let at = ts(e.at.as_nanos());
         match &e.event {
-            TraceEvent::JobBegin {
-                job,
-                client,
-                model,
-                submitted_at,
-            } => {
+            TraceEvent::JobBegin(begin) => {
+                let JobBegin {
+                    job,
+                    client,
+                    model,
+                    submitted_at,
+                } = &**begin;
+                if !whole_jobs.contains(job) {
+                    continue;
+                }
                 push(
                     format!(
                         r#"{{"ph":"b","cat":"job","id":{job},"name":"job {job} ({})","pid":0,"tid":0,"ts":"{}","args":{{"client":{client}}}}}"#,
@@ -358,16 +381,20 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     &mut first,
                 );
             }
-            TraceEvent::JobEnd {
-                job,
-                client,
-                jct_ns,
-                client_send_recv_ns,
-                communication_ns,
-                queuing_scheduling_ns,
-                framework_ns,
-                device_ns,
-            } => {
+            TraceEvent::JobEnd(end) => {
+                let JobEnd {
+                    job,
+                    client,
+                    jct_ns,
+                    client_send_recv_ns,
+                    communication_ns,
+                    queuing_scheduling_ns,
+                    framework_ns,
+                    device_ns,
+                } = **end;
+                if !whole_jobs.contains(&job) {
+                    continue;
+                }
                 push(
                     format!(
                         r#"{{"ph":"e","cat":"job","id":{job},"name":"job {job}","pid":0,"tid":0,"ts":"{at}","args":{{"client":{client},"jct_ns":{jct_ns},"client_send_recv_ns":{client_send_recv_ns},"communication_ns":{communication_ns},"queuing_scheduling_ns":{queuing_scheduling_ns},"framework_ns":{framework_ns},"device_ns":{device_ns}}}}}"#
@@ -376,21 +403,22 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     &mut first,
                 );
             }
-            TraceEvent::JobJourney {
-                job,
-                client,
-                jct_ns,
-                client_send_recv_ns,
-                communication_ns,
-                framework_ns,
-                device_ns,
-                retry_backoff_ns,
-                queue_dep_ns,
-                queue_occupancy_ns,
-                queue_hol_ns,
-                device_prefill_ns,
-                device_decode_ns,
-            } => {
+            TraceEvent::JobJourney(journey) => {
+                let JobJourney {
+                    job,
+                    client,
+                    jct_ns,
+                    client_send_recv_ns,
+                    communication_ns,
+                    framework_ns,
+                    device_ns,
+                    retry_backoff_ns,
+                    queue_dep_ns,
+                    queue_occupancy_ns,
+                    queue_hol_ns,
+                    device_prefill_ns,
+                    device_decode_ns,
+                } = **journey;
                 push(
                     format!(
                         r#"{{"ph":"i","name":"journey job {job}","cat":"journey","s":"t","pid":0,"tid":0,"ts":"{at}","args":{{"client":{client},"jct_ns":{jct_ns},"client_send_recv_ns":{client_send_recv_ns},"communication_ns":{communication_ns},"framework_ns":{framework_ns},"device_ns":{device_ns},"retry_backoff_ns":{retry_backoff_ns},"queue_dep_ns":{queue_dep_ns},"queue_occupancy_ns":{queue_occupancy_ns},"queue_hol_ns":{queue_hol_ns},"device_prefill_ns":{device_prefill_ns},"device_decode_ns":{device_decode_ns}}}}}"#
@@ -508,13 +536,14 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     &mut first,
                 );
             }
-            TraceEvent::RouteDecision {
-                model,
-                node,
-                policy,
-                outstanding,
-                candidates,
-            } => {
+            TraceEvent::RouteDecision(route) => {
+                let RouteDecision {
+                    model,
+                    node,
+                    policy,
+                    outstanding,
+                    candidates,
+                } = **route;
                 push(
                     format!(
                         r#"{{"ph":"i","name":"route model {model} -> node {node}","cat":"route","s":"t","pid":0,"tid":{ROUTER_TID},"ts":"{at}","args":{{"policy":"{policy}","outstanding":{outstanding},"candidates":{candidates}}}}}"#
@@ -572,10 +601,9 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     &mut first,
                 );
                 // Close the job's async span: a cancelled job gets no
-                // JobEnd, and dangling "b" spans are invalid (and render
-                // as infinite bars in Perfetto). Only when this log opened
-                // the span — partial logs may carry the cancel alone.
-                if begun_jobs.contains(job) {
+                // JobEnd. Only when this log opened the span — partial
+                // logs may carry the cancel alone.
+                if whole_jobs.contains(job) {
                     push(
                         format!(
                             r#"{{"ph":"e","cat":"job","id":{job},"name":"job {job}","pid":0,"tid":0,"ts":"{at}","args":{{"cancelled":"{reason}"}}}}"#
@@ -1046,7 +1074,13 @@ pub fn text_summary(log: &TraceLog, metrics: Option<&MetricsSnapshot>) -> String
         let _ = writeln!(out, "  {kind:<20} {n}");
     }
 
-    let spans = sm_spans(log);
+    let (spans, orphan_ends) = pair_sm_spans(log);
+    if orphan_ends > 0 {
+        let _ = writeln!(
+            out,
+            "skipped {orphan_ends} SM span end(s) whose begin precedes this log"
+        );
+    }
     if !spans.is_empty() {
         let mut busy: BTreeMap<u32, u64> = BTreeMap::new();
         for s in &spans {
@@ -1115,11 +1149,13 @@ mod tests {
 
     fn sample_log() -> TraceLog {
         let mut t = Tracer::enabled();
-        t.record_with(SimTime::from_micros(1), || TraceEvent::JobBegin {
-            job: 1,
-            client: 0,
-            model: "m".into(),
-            submitted_at: SimTime::ZERO,
+        t.record_with(SimTime::from_micros(1), || {
+            TraceEvent::JobBegin(Box::new(JobBegin {
+                job: 1,
+                client: 0,
+                model: "m".into(),
+                submitted_at: SimTime::ZERO,
+            }))
         });
         t.record_with(SimTime::from_micros(2), || TraceEvent::HostOp {
             kind: HostOpKind::Ingest,
@@ -1143,7 +1179,7 @@ mod tests {
             wave: 0,
             sm: 3,
             blocks: 2,
-            name: "k\"x".into(),
+            name: std::sync::Arc::new("k\"x".into()),
         });
         t.record_with(SimTime::from_micros(5), || TraceEvent::OccupancyHold {
             job: 2,
@@ -1155,15 +1191,17 @@ mod tests {
             sm: 3,
             blocks: 2,
         });
-        t.record_with(SimTime::from_micros(10), || TraceEvent::JobEnd {
-            job: 1,
-            client: 0,
-            jct_ns: 10_000,
-            client_send_recv_ns: 1_000,
-            communication_ns: 1_000,
-            queuing_scheduling_ns: 2_000,
-            framework_ns: 1_000,
-            device_ns: 5_000,
+        t.record_with(SimTime::from_micros(10), || {
+            TraceEvent::JobEnd(Box::new(JobEnd {
+                job: 1,
+                client: 0,
+                jct_ns: 10_000,
+                client_send_recv_ns: 1_000,
+                communication_ns: 1_000,
+                queuing_scheduling_ns: 2_000,
+                framework_ns: 1_000,
+                device_ns: 5_000,
+            }))
         });
         t.take()
     }
@@ -1201,7 +1239,7 @@ mod tests {
                 wave: 0,
                 sm: 0,
                 blocks: 1,
-                name: "k".into(),
+                name: std::sync::Arc::new("k".into()),
             });
         }
         for k in 0..2u64 {
@@ -1356,11 +1394,13 @@ mod tests {
     #[test]
     fn cancelled_jobs_close_their_spans() {
         let mut t = Tracer::enabled();
-        t.record_with(SimTime::from_micros(1), || TraceEvent::JobBegin {
-            job: 5,
-            client: 0,
-            model: "m".into(),
-            submitted_at: SimTime::ZERO,
+        t.record_with(SimTime::from_micros(1), || {
+            TraceEvent::JobBegin(Box::new(JobBegin {
+                job: 5,
+                client: 0,
+                model: "m".into(),
+                submitted_at: SimTime::ZERO,
+            }))
         });
         t.record_with(SimTime::from_micros(4), || TraceEvent::JobCancelled {
             job: 5,
@@ -1385,20 +1425,22 @@ mod tests {
             model: 0,
             attempt: 2,
         });
-        t.record_with(SimTime::from_micros(8), || TraceEvent::JobJourney {
-            job: 1,
-            client: 6,
-            jct_ns: 8_000,
-            client_send_recv_ns: 1_000,
-            communication_ns: 500,
-            framework_ns: 500,
-            device_ns: 3_000,
-            retry_backoff_ns: 2_000,
-            queue_dep_ns: 400,
-            queue_occupancy_ns: 300,
-            queue_hol_ns: 300,
-            device_prefill_ns: 3_000,
-            device_decode_ns: 0,
+        t.record_with(SimTime::from_micros(8), || {
+            TraceEvent::JobJourney(Box::new(JobJourney {
+                job: 1,
+                client: 6,
+                jct_ns: 8_000,
+                client_send_recv_ns: 1_000,
+                communication_ns: 500,
+                framework_ns: 500,
+                device_ns: 3_000,
+                retry_backoff_ns: 2_000,
+                queue_dep_ns: 400,
+                queue_occupancy_ns: 300,
+                queue_hol_ns: 300,
+                device_prefill_ns: 3_000,
+                device_decode_ns: 0,
+            }))
         });
         let json = chrome_trace_json(&t.take());
         validate_chrome_trace(&json).expect("valid trace");

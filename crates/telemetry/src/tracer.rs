@@ -28,22 +28,22 @@ impl TraceLog {
     /// ordered by timestamp; ties break first on the position of the source
     /// log in `sources` (callers must pass sources in a fixed order), then
     /// on recording order within the source.
+    ///
+    /// Each source must hold its events in recording (`seq`) order, as
+    /// [`Tracer::take`] and `merged` itself produce them: concatenating the
+    /// sources and stably sorting on `at` alone then *is* `(at, source, seq)`
+    /// order, in place — a tagged copy beside a log of hundreds of megabytes
+    /// doubled the peak.
     pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
-        let mut tagged: Vec<(SimTime, usize, u64, TracedEvent)> = Vec::new();
-        for (src, log) in sources.into_iter().enumerate() {
-            for e in log.events {
-                tagged.push((e.at, src, e.seq, e));
-            }
+        let mut sources = sources.into_iter();
+        let mut events = sources.next().map(|log| log.events).unwrap_or_default();
+        for mut log in sources {
+            events.append(&mut log.events);
         }
-        tagged.sort_by_key(|t| (t.0, t.1, t.2));
-        let events = tagged
-            .into_iter()
-            .enumerate()
-            .map(|(i, (_, _, _, mut e))| {
-                e.seq = i as u64;
-                e
-            })
-            .collect();
+        events.sort_by_key(|e| e.at);
+        for (i, e) in events.iter_mut().enumerate() {
+            e.seq = i as u64;
+        }
         TraceLog { events }
     }
 
@@ -62,25 +62,24 @@ impl TraceLog {
 struct Inner {
     events: Vec<TracedEvent>,
     next_seq: u64,
-    /// Flight-recorder ring: the last `flight_cap` events, kept even as
-    /// `take` drains the main log. `flight_head` is the logical start of
-    /// the ring within `flight` (oldest retained event).
-    flight: Vec<TracedEvent>,
-    flight_head: usize,
+    /// Flight recorder: the last `flight_cap` events recorded since arming,
+    /// kept even as `take` drains the main log. They are the tail of
+    /// `events[flight_start..]`, preceded by `flight_carry` — the tail saved
+    /// from drained logs — so recording an event costs the recorder nothing.
+    flight_carry: Vec<TracedEvent>,
+    flight_start: usize,
     flight_cap: usize,
 }
 
 impl Inner {
-    fn push(&mut self, e: TracedEvent) {
-        if self.flight_cap > 0 {
-            if self.flight.len() < self.flight_cap {
-                self.flight.push(e.clone());
-            } else {
-                self.flight[self.flight_head] = e.clone();
-                self.flight_head = (self.flight_head + 1) % self.flight_cap;
-            }
-        }
-        self.events.push(e);
+    fn flight_tail(&self) -> Vec<TracedEvent> {
+        let live = &self.events[self.flight_start..];
+        let from_live = live.len().min(self.flight_cap);
+        let from_carry = (self.flight_cap - from_live).min(self.flight_carry.len());
+        let mut tail = Vec::with_capacity(from_carry + from_live);
+        tail.extend_from_slice(&self.flight_carry[self.flight_carry.len() - from_carry..]);
+        tail.extend_from_slice(&live[live.len() - from_live..]);
+        tail
     }
 }
 
@@ -115,7 +114,7 @@ impl Tracer {
         if let Some(inner) = self.0.as_mut() {
             let seq = inner.next_seq;
             inner.next_seq += 1;
-            inner.push(TracedEvent {
+            inner.events.push(TracedEvent {
                 at,
                 seq,
                 event: f(),
@@ -123,39 +122,37 @@ impl Tracer {
         }
     }
 
-    /// Arms the flight-recorder ring: the tracer keeps the last `n`
-    /// recorded events available through [`flight_snapshot`]
+    /// Arms the flight recorder: the tracer keeps the last `n` events
+    /// recorded from now on available through [`flight_snapshot`]
     /// (Tracer::flight_snapshot) even after [`take`](Tracer::take) drains
-    /// the main log. `n = 0` disarms the ring. No-op when disabled.
+    /// the main log. `n = 0` disarms it. No-op when disabled.
     pub fn set_flight_capacity(&mut self, n: usize) {
         if let Some(inner) = self.0.as_mut() {
-            inner.flight.clear();
-            inner.flight_head = 0;
+            inner.flight_carry.clear();
+            inner.flight_start = inner.events.len();
             inner.flight_cap = n;
         }
     }
 
-    /// The flight-recorder ring's contents, oldest first. Empty when the
-    /// ring is disarmed or the tracer is disabled.
+    /// The flight recorder's contents, oldest first. Empty when it is
+    /// disarmed or the tracer is disabled.
     pub fn flight_snapshot(&self) -> Vec<TracedEvent> {
-        match self.0.as_ref() {
-            Some(inner) => {
-                let mut out = Vec::with_capacity(inner.flight.len());
-                out.extend_from_slice(&inner.flight[inner.flight_head..]);
-                out.extend_from_slice(&inner.flight[..inner.flight_head]);
-                out
-            }
-            None => Vec::new(),
-        }
+        self.0
+            .as_ref()
+            .map_or_else(Vec::new, |inner| inner.flight_tail())
     }
 
     /// Takes everything recorded so far, leaving the tracer enabled (or a
     /// no-op if it never was).
     pub fn take(&mut self) -> TraceLog {
         match self.0.as_mut() {
-            Some(inner) => TraceLog {
-                events: std::mem::take(&mut inner.events),
-            },
+            Some(inner) => {
+                inner.flight_carry = inner.flight_tail();
+                inner.flight_start = 0;
+                TraceLog {
+                    events: std::mem::take(&mut inner.events),
+                }
+            }
             None => TraceLog::default(),
         }
     }
@@ -246,6 +243,12 @@ mod tests {
         let mut t = Tracer::enabled();
         t.record_with(SimTime::ZERO, || TraceEvent::KernelCompleted { kernel: 1 });
         assert!(t.flight_snapshot().is_empty(), "ring off by default");
+        // Arming starts the recorder from here: earlier events stay out.
+        t.set_flight_capacity(8);
+        t.record_with(SimTime::ZERO, || TraceEvent::KernelCompleted { kernel: 2 });
+        let armed = t.flight_snapshot();
+        assert_eq!(armed.len(), 1);
+        assert_eq!(armed[0].event, TraceEvent::KernelCompleted { kernel: 2 });
         let mut d = Tracer::disabled();
         d.set_flight_capacity(8);
         assert!(d.flight_snapshot().is_empty());

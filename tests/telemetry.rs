@@ -3,15 +3,17 @@
 //! disabled.
 
 use paella_core::{
-    Dispatcher, DispatcherConfig, LatencyBreakdown, ServingSystem, SrptDeficitScheduler,
+    Dispatcher, DispatcherConfig, InferenceRequest, LatencyBreakdown, ServingSystem,
+    SrptDeficitScheduler,
 };
 use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
-use paella_sim::SimDuration;
+use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{
-    chrome_trace_json, export::sm_spans, validate_chrome_trace, TraceEvent, TraceLog,
+    chrome_trace_json, export::sm_spans, flight, text_summary, validate_chrome_trace, JobEnd,
+    JobJourney, TraceEvent, TraceLog, TracedEvent,
 };
-use paella_workload::{generate, run_trace, Mix, RunStats, WorkloadSpec};
+use paella_workload::{generate, run_trace, Arrival, Mix, RunStats, WorkloadSpec};
 
 fn dispatcher(seed: u64) -> Dispatcher {
     Dispatcher::new(
@@ -24,7 +26,7 @@ fn dispatcher(seed: u64) -> Dispatcher {
 }
 
 /// A small contended two-model workload, long enough to exercise queuing.
-fn run(seed: u64, telemetry: bool) -> RunStats {
+fn workload(seed: u64, telemetry: bool) -> (Dispatcher, Vec<Arrival>) {
     let mut sys = dispatcher(seed);
     if telemetry {
         sys.enable_telemetry();
@@ -39,6 +41,11 @@ fn run(seed: u64, telemetry: bool) -> RunStats {
         ..WorkloadSpec::steady(8_000.0, 80)
     };
     let arrivals = generate(&spec, &Mix::uniform(&[a, b]));
+    (sys, arrivals)
+}
+
+fn run(seed: u64, telemetry: bool) -> RunStats {
+    let (mut sys, arrivals) = workload(seed, telemetry);
     run_trace(&mut sys, &arrivals, 0)
 }
 
@@ -58,8 +65,7 @@ fn trace_spans_pair_and_time_is_monotone() {
         assert!(w[0].seq < w[1].seq, "merged log not re-sequenced");
     }
 
-    // Every SM span begin has exactly one matching end, at or after it
-    // (sm_spans panics on an end without a begin).
+    // Every SM span begin has exactly one matching end, at or after it.
     let spans = sm_spans(log);
     let begins = log
         .events
@@ -90,12 +96,12 @@ fn trace_spans_pair_and_time_is_monotone() {
     let begins = log
         .events
         .iter()
-        .filter(|e| matches!(e.event, TraceEvent::JobBegin { .. }))
+        .filter(|e| matches!(e.event, TraceEvent::JobBegin(_)))
         .count();
     let ends = log
         .events
         .iter()
-        .filter(|e| matches!(e.event, TraceEvent::JobEnd { .. }))
+        .filter(|e| matches!(e.event, TraceEvent::JobEnd(_)))
         .count();
     assert_eq!(begins, stats.completions.len());
     assert_eq!(ends, stats.completions.len());
@@ -107,16 +113,16 @@ fn job_end_breakdown_sums_to_jct() {
     let log = trace_of(&stats);
     let mut checked = 0;
     for e in &log.events {
-        if let TraceEvent::JobEnd {
-            jct_ns,
-            client_send_recv_ns,
-            communication_ns,
-            queuing_scheduling_ns,
-            framework_ns,
-            device_ns,
-            ..
-        } = e.event
-        {
+        if let TraceEvent::JobEnd(end) = &e.event {
+            let JobEnd {
+                jct_ns,
+                client_send_recv_ns,
+                communication_ns,
+                queuing_scheduling_ns,
+                framework_ns,
+                device_ns,
+                ..
+            } = **end;
             assert_eq!(
                 client_send_recv_ns
                     + communication_ns
@@ -222,4 +228,126 @@ fn disabled_telemetry_changes_nothing_and_records_nothing() {
     assert_eq!(m.counter("jobs_ingested"), on.completions.len() as u64);
     assert!(m.counter("kernels_dispatched") > 0);
     assert!(m.series("inflight_jobs").is_some());
+}
+
+/// The deterministic gate on bytes per recorded event (DESIGN §8): recording
+/// cost is proportional to them, so a new wide variant must go out of line
+/// rather than widen every event.
+#[test]
+fn trace_events_stay_inside_the_size_budget() {
+    assert!(std::mem::size_of::<TraceEvent>() <= 32);
+    assert!(std::mem::size_of::<TracedEvent>() <= 48);
+}
+
+/// The flight recorder prints events with `{:?}` and its dump is a
+/// byte-stable output: out-of-line payloads must print as the inline struct
+/// variants they replaced.
+#[test]
+fn flight_dump_lines_for_boxed_payloads_are_pinned() {
+    let events = [
+        TracedEvent {
+            at: SimTime::from_micros(8),
+            seq: 41,
+            event: TraceEvent::JobEnd(Box::new(JobEnd {
+                job: 1,
+                client: 6,
+                jct_ns: 8_000,
+                client_send_recv_ns: 1_000,
+                communication_ns: 500,
+                queuing_scheduling_ns: 3_000,
+                framework_ns: 500,
+                device_ns: 3_000,
+            })),
+        },
+        TracedEvent {
+            at: SimTime::from_micros(8),
+            seq: 42,
+            event: TraceEvent::JobJourney(Box::new(JobJourney {
+                job: 1,
+                client: 6,
+                jct_ns: 8_000,
+                client_send_recv_ns: 1_000,
+                communication_ns: 500,
+                framework_ns: 500,
+                device_ns: 3_000,
+                retry_backoff_ns: 2_000,
+                queue_dep_ns: 400,
+                queue_occupancy_ns: 300,
+                queue_hol_ns: 300,
+                device_prefill_ns: 3_000,
+                device_decode_ns: 0,
+            })),
+        },
+    ];
+    let dump = flight::render("test", SimTime::from_micros(8), &[], &events);
+    flight::validate_dump(&dump).expect("dump parses");
+    let lines: Vec<&str> = dump.lines().filter(|l| l.starts_with("event: ")).collect();
+    assert_eq!(
+        lines,
+        [
+            "event: at_ns=8000 seq=41 kind=job-end JobEnd { job: 1, client: 6, jct_ns: 8000, \
+             client_send_recv_ns: 1000, communication_ns: 500, queuing_scheduling_ns: 3000, \
+             framework_ns: 500, device_ns: 3000 }",
+            "event: at_ns=8000 seq=42 kind=job-journey JobJourney { job: 1, client: 6, \
+             jct_ns: 8000, client_send_recv_ns: 1000, communication_ns: 500, framework_ns: 500, \
+             device_ns: 3000, retry_backoff_ns: 2000, queue_dep_ns: 400, queue_occupancy_ns: 300, \
+             queue_hol_ns: 300, device_prefill_ns: 3000, device_decode_ns: 0 }",
+        ]
+    );
+}
+
+/// `take_trace_log` leaves the tracer recording, so a log may be one window
+/// of a run and spans may straddle its edges. The exporter must render each
+/// window on its own (it used to panic on an SM span end whose begin fell in
+/// the previous window).
+#[test]
+fn windowed_logs_export_without_their_straddling_spans() {
+    let (mut sys, arrivals) = workload(7, true);
+    let (head, tail) = arrivals.split_at(arrivals.len() / 2);
+    let submit = |sys: &mut Dispatcher, batch: &[Arrival]| {
+        for a in batch {
+            while let Some(t) = sys.next_event_time().filter(|&t| t <= a.at) {
+                sys.advance_until(t);
+            }
+            sys.submit(InferenceRequest {
+                client: a.client,
+                model: a.model,
+                submitted_at: a.at,
+            });
+        }
+    };
+    submit(&mut sys, head);
+    let mid_run = sys.take_trace_log();
+    submit(&mut sys, tail);
+    sys.run_to_idle();
+    let at_idle = sys.take_trace_log();
+
+    let count =
+        |log: &TraceLog, kind: &str| log.events.iter().filter(|e| e.event.kind() == kind).count();
+    let straddling = count(&mid_run, "sm-span-begin") - count(&mid_run, "sm-span-end");
+    assert!(
+        straddling > 0,
+        "the first window must cut through running kernels"
+    );
+    assert_eq!(
+        count(&at_idle, "sm-span-end") - count(&at_idle, "sm-span-begin"),
+        straddling,
+        "their ends land in the second window"
+    );
+    assert!(
+        count(&mid_run, "job-begin") > count(&mid_run, "job-end"),
+        "and through running jobs"
+    );
+
+    for log in [&mid_run, &at_idle] {
+        validate_chrome_trace(&chrome_trace_json(log)).expect("each window is a valid trace");
+    }
+    assert_eq!(
+        sm_spans(&mid_run).len() + sm_spans(&at_idle).len() + straddling,
+        count(&mid_run, "sm-span-begin") + count(&at_idle, "sm-span-begin"),
+        "exactly the straddling spans are dropped"
+    );
+    let skipped = format!("skipped {straddling} SM span end(s)");
+    assert!(text_summary(&at_idle, None).contains(&skipped));
+    assert!(!text_summary(&mid_run, None).contains("skipped"));
 }
