@@ -4,9 +4,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use paella_gpu::{
     BlockFootprint, DeviceConfig, DurationModel, GpuSim, InstrumentationSpec, KernelDesc,
-    KernelLaunch, StreamId,
+    KernelLaunch, Microarch, StreamId,
 };
 use paella_sim::{SimDuration, SimTime};
+
+/// The engine-output golden test's load (`tests/integration.rs`).
+#[path = "../../../tests/common/contended.rs"]
+mod contended;
 
 fn kernel(blocks: u32, instrumented: bool) -> KernelDesc {
     KernelDesc {
@@ -61,6 +65,20 @@ fn bench_engine(c: &mut Criterion) {
             &(streams, per),
             |b, &(s, p)| b.iter(|| run_batch(s, p, true)),
         );
+    }
+    g.finish();
+
+    // The regime that costs: a saturated device, heads turned away on
+    // threads, registers and shared memory, waves of every shape.
+    let mut g = c.benchmark_group("contended");
+    for (name, cfg) in [
+        ("tesla_t4", DeviceConfig::tesla_t4()),
+        ("tiny_8sm_1q", DeviceConfig::tiny(8, 1, Microarch::Fermi)),
+    ] {
+        g.throughput(Throughput::Elements(u64::from(contended::KERNELS)));
+        g.bench_function(name, |b| {
+            b.iter(|| contended::run(&mut GpuSim::new(cfg.clone(), 0x5eed)).len())
+        });
     }
     g.finish();
 }

@@ -37,6 +37,18 @@ fn bench_notifications(c: &mut Criterion) {
         }
         b.iter(|| std::hint::black_box(t.should_dispatch(&fp(), 24)));
     });
+    // The hold: a full mirror and a backlog at or above the slack, so the
+    // answer is "no" and has to come from the capacity side of the predicate
+    // (the case above short-circuits on `unplaced < b`).
+    g.bench_function("should_dispatch_hold_full_mirror", |b| {
+        let mut t = OccupancyTracker::new(40, SmLimits::TURING);
+        t.on_launch(1, fp(), 40 * 8 + 64);
+        for sm in 0..40 {
+            t.on_notification(Notification::placement(sm, 1, 8));
+        }
+        assert!(t.unplaced_blocks() >= 24 && !t.should_dispatch(&fp(), 24));
+        b.iter(|| std::hint::black_box(t.should_dispatch(std::hint::black_box(&fp()), 24)));
+    });
     g.bench_function("launch_and_fully_place_16_blocks", |b| {
         let mut t = OccupancyTracker::new(40, SmLimits::TURING);
         let mut uid = 0;

@@ -269,6 +269,109 @@ proptest! {
             prop_assert!(safe.is_ok(), "event {i} broke safety: {}", safe.unwrap_err());
         }
     }
+
+    /// The §6 dispatch predicate against ground truth. Words arrive in any
+    /// order, for any SM (one past the last included), some twice and some
+    /// never; the oracle is told what the tracker's contract says such a
+    /// word is worth — its group clamped to the kernel's unplaced (or
+    /// resident-on-that-SM) share and to what the SM still fits by the
+    /// reference `SmUsage::fit_count`. After every event the mirror equals
+    /// the oracle and `should_dispatch(fp, b)` is exactly
+    /// `unplaced < b || Σ_sm fit > unplaced` over the oracle's SMs.
+    #[test]
+    fn should_dispatch_matches_oracle_predicate(
+        events in proptest::collection::vec(
+            (0u32..8, 0u8..=4, any::<u64>(), 1u16..=12, any::<bool>(), 0u32..4),
+            1..160,
+        ),
+    ) {
+        const NUM_SMS: u32 = 4;
+        let lim = SmLimits::TURING;
+        let fps = [
+            small_fp(),
+            big_fp(),
+            BlockFootprint { threads: 1, regs_per_thread: 0, shmem: 0 },
+            BlockFootprint { threads: 96, regs_per_thread: 64, shmem: 40 * 1024 },
+        ];
+        let mut t = OccupancyTracker::new(NUM_SMS, lim);
+        let mut o = ConservationOracle::new(NUM_SMS, lim);
+        // What has been *seen* of each live kernel — the clamps' inputs.
+        struct Seen { uid: u32, fp: BlockFootprint, total: u32, placed: u32, completed: u32, per_sm: [u32; 4] }
+        let mut live: Vec<Seen> = Vec::new();
+        let mut next_uid = 0u32;
+        for &(action, sm, pick, group, twice, shape) in &events {
+            let ki = (pick % (live.len() as u64).max(1)) as usize;
+            match action {
+                // Launch; more often while little is in flight.
+                0 | 1 if action == 0 || live.len() < 3 => {
+                    let (fp, blocks) = (fps[shape as usize], 1 + (pick % 24) as u32);
+                    t.on_launch(next_uid, fp, blocks);
+                    o.on_launch(next_uid, fp, blocks);
+                    live.push(Seen { uid: next_uid, fp, total: blocks, placed: 0, completed: 0, per_sm: [0; 4] });
+                    next_uid += 1;
+                }
+                // Host-side reconciliation of a kernel in any phase.
+                2 if !live.is_empty() => {
+                    let k = live.swap_remove(ki);
+                    t.on_kernel_completed(k.uid);
+                    o.on_kernel_completed(k.uid);
+                }
+                // A placement (3..=5) or completion (6, 7) word.
+                _ if !live.is_empty() => {
+                    for _ in 0..=u8::from(twice) {
+                        let Some(k) = live.get_mut(ki) else { break };
+                        let on_device = u32::from(sm) < NUM_SMS;
+                        if action <= 5 {
+                            t.on_notification(Notification::placement(sm, k.uid, group));
+                            let g = if on_device {
+                                u32::from(group)
+                                    .min(k.total - k.placed)
+                                    .min(o.sm_usage(sm).fit_count(&k.fp, &lim))
+                            } else {
+                                0
+                            };
+                            if g > 0 {
+                                o.on_placement(sm, k.uid, g as u16);
+                                k.placed += g;
+                                k.per_sm[sm as usize] += g;
+                            }
+                        } else {
+                            t.on_notification(Notification::completion(sm, k.uid, group));
+                            let g = if on_device {
+                                u32::from(group).min(k.total - k.completed).min(k.per_sm[sm as usize])
+                            } else {
+                                0
+                            };
+                            if g > 0 {
+                                o.on_completion(sm, k.uid, g as u16);
+                                k.completed += g;
+                                k.per_sm[sm as usize] -= g;
+                                if k.completed == k.total {
+                                    live.swap_remove(ki);
+                                }
+                            }
+                        }
+                    }
+                }
+                _ => {}
+            }
+            let check = o.verify(&t);
+            prop_assert!(check.is_ok(), "mirror diverged: {}", check.unwrap_err());
+            let unplaced = o.unplaced();
+            for fp in &fps {
+                let fit: u64 = (0..NUM_SMS as u8)
+                    .map(|sm| u64::from(o.sm_usage(sm).fit_count(fp, &lim)))
+                    .sum();
+                for b in [0, 1, unplaced, unplaced + 1, 24, 10_000] {
+                    prop_assert_eq!(
+                        t.should_dispatch(fp, b),
+                        unplaced < b || fit > unplaced,
+                        "should_dispatch({:?}, {}) with unplaced {} and fit {}", fp, b, unplaced, fit
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

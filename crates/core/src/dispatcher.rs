@@ -948,7 +948,10 @@ impl Dispatcher {
     fn charge_cpu(&mut self, client: ClientId, ready: SimTime, cost: SimDuration) -> SimTime {
         let (core, free) = if self.cfg.central_cpu {
             // Central mode: jobs shard across dispatcher cores by client.
-            let shard = client.0 as usize % self.cpu_free_at.len();
+            let shard = match self.cpu_free_at.len() {
+                1 => 0,
+                cores => client.0 as usize % cores,
+            };
             (shard as u32, &mut self.cpu_free_at[shard])
         } else {
             (

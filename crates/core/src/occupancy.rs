@@ -12,7 +12,7 @@
 //! beyond estimated full utilization (§6 "(3) Full utilization").
 
 use paella_channels::{KernelUid, NotifKind, Notification};
-use paella_gpu::{BlockFootprint, SmLimits, SmUsage};
+use paella_gpu::{BlockFootprint, SmLimits, SmPool, SmUsage};
 use paella_sim::IdMap;
 
 /// Tracker state for one launched kernel.
@@ -30,8 +30,8 @@ struct TrackedKernel {
 /// The occupancy tracker.
 #[derive(Clone, Debug)]
 pub struct OccupancyTracker {
-    limits: SmLimits,
-    sms: Vec<SmUsage>,
+    /// The per-SM mirror, on the same arithmetic as the device's own.
+    pool: SmPool,
     /// In-flight kernels, indexed by launch uid.
     kernels: IdMap<TrackedKernel>,
     /// Blocks launched but with no placement notification yet — the
@@ -45,8 +45,7 @@ impl OccupancyTracker {
     /// Creates a tracker for a device with `num_sms` SMs of the given limits.
     pub fn new(num_sms: u32, limits: SmLimits) -> Self {
         OccupancyTracker {
-            limits,
-            sms: vec![SmUsage::default(); num_sms as usize],
+            pool: SmPool::new(num_sms, limits),
             kernels: IdMap::new(),
             unplaced_blocks: 0,
             resident_blocks: 0,
@@ -66,7 +65,7 @@ impl OccupancyTracker {
                 total_blocks: blocks,
                 placed: 0,
                 completed: 0,
-                per_sm: vec![0; self.sms.len()],
+                per_sm: vec![0; self.pool.num_sms()],
             },
         );
         assert!(prev.is_none(), "kernel {uid} launched twice");
@@ -74,7 +73,8 @@ impl OccupancyTracker {
     }
 
     /// Folds one notification into the mirror. Unknown kernel uids are
-    /// ignored (stale notifications after a reset), and counts are clamped
+    /// ignored (stale notifications after a reset), as is a word naming an
+    /// SM the device does not have (garbage), and counts are clamped
     /// so a lost or duplicated word can never corrupt the accounting — the
     /// mirror may drift, but [`on_kernel_completed`] reconciles it when the
     /// runtime observes the kernel finish.
@@ -87,20 +87,20 @@ impl OccupancyTracker {
         let sm = n.sm_id as usize;
         match n.kind {
             NotifKind::Placement => {
-                let g = u32::from(n.group)
-                    .min(k.total_blocks - k.placed)
-                    .min(self.sms[sm].fit_count(&k.footprint, &self.limits));
+                let want = u32::from(n.group).min(k.total_blocks - k.placed);
+                // 0 for an SM the device does not have.
+                let g = self.pool.fit_up_to(sm, &k.footprint, want);
                 if g == 0 {
                     return;
                 }
                 k.placed += g;
                 k.per_sm[sm] += g;
-                self.sms[sm].allocate(&k.footprint, g, &self.limits);
-                self.unplaced_blocks = self.unplaced_blocks.saturating_sub(u64::from(g));
+                self.pool.allocate(sm, &k.footprint, g);
+                debug_assert!(self.unplaced_blocks >= u64::from(g), "placed > launched");
+                self.unplaced_blocks -= u64::from(g);
                 self.resident_blocks += u64::from(g);
             }
             NotifKind::Completion => {
-                // A word naming an SM the device does not have is garbage.
                 let Some(on_sm) = k.per_sm.get_mut(sm) else {
                     return;
                 };
@@ -113,8 +113,9 @@ impl OccupancyTracker {
                 k.completed += g;
                 debug_assert!(*on_sm >= g, "per-SM block count underflow on completion");
                 *on_sm -= g;
-                self.sms[sm].release(&k.footprint, g);
-                self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(g));
+                self.pool.release(sm, &k.footprint, g);
+                debug_assert!(self.resident_blocks >= u64::from(g), "completed > placed");
+                self.resident_blocks -= u64::from(g);
                 if k.completed == k.total_blocks {
                     self.kernels.remove(u64::from(n.kernel));
                 }
@@ -134,10 +135,7 @@ impl OccupancyTracker {
     /// How many more blocks with footprint `fp` fit on the device right now,
     /// per the mirror.
     pub fn fit_count(&self, fp: &BlockFootprint) -> u64 {
-        self.sms
-            .iter()
-            .map(|sm| u64::from(sm.fit_count(fp, &self.limits)))
-            .sum()
+        self.pool.fit_total(fp)
     }
 
     /// Blocks launched but not yet observed placed.
@@ -155,9 +153,12 @@ impl OccupancyTracker {
     /// launched-but-unplaced backlog lands (pessimistically assuming the
     /// backlog consumes same-shaped slots), or the backlog is below the
     /// slack `b` (keeping the hardware queue primed despite notification
-    /// lag).
+    /// lag). A hold is usually answered by the free gauges alone; the SMs
+    /// are only scanned when the gauges say the backlog plus one could fit.
     pub fn should_dispatch(&self, fp: &BlockFootprint, b: u64) -> bool {
-        self.unplaced_blocks < b || self.fit_count(fp) > self.unplaced_blocks
+        self.unplaced_blocks < b
+            || (self.pool.room_for(fp, self.unplaced_blocks + 1)
+                && self.fit_count(fp) > self.unplaced_blocks)
     }
 
     /// Reconciles the mirror when the host observes a kernel's completion
@@ -171,13 +172,21 @@ impl OccupancyTracker {
         };
         // Blocks never seen placing still count against the backlog.
         let never_placed = u64::from(k.total_blocks - k.placed);
-        self.unplaced_blocks = self.unplaced_blocks.saturating_sub(never_placed);
+        debug_assert!(
+            self.unplaced_blocks >= never_placed,
+            "reconciled > launched"
+        );
+        self.unplaced_blocks -= never_placed;
         // Blocks placed but whose completion word was lost still occupy SMs
         // in the mirror.
         for (sm, &blocks) in k.per_sm.iter().enumerate() {
             if blocks > 0 {
-                self.sms[sm].release(&k.footprint, blocks);
-                self.resident_blocks = self.resident_blocks.saturating_sub(u64::from(blocks));
+                self.pool.release(sm, &k.footprint, blocks);
+                debug_assert!(
+                    self.resident_blocks >= u64::from(blocks),
+                    "reconciled > placed"
+                );
+                self.resident_blocks -= u64::from(blocks);
             }
         }
     }
@@ -188,7 +197,7 @@ impl OccupancyTracker {
     ///
     /// Panics if `sm` is out of range.
     pub fn sm_usage(&self, sm: u8) -> SmUsage {
-        self.sms[sm as usize]
+        *self.pool.usage(sm as usize).expect("SM out of range")
     }
 
     /// Number of kernels still tracked.
@@ -291,6 +300,16 @@ mod tests {
         t.on_notification(Notification::completion(0, 99, 4));
         assert_eq!(t.resident_blocks(), 0);
         assert!(t.fully_placed(99), "unknown ⇒ treated as long gone");
+    }
+
+    #[test]
+    fn words_naming_a_missing_sm_are_ignored() {
+        let mut t = tracker();
+        t.on_launch(1, fp(), 8);
+        t.on_notification(Notification::placement(200, 1, 4));
+        t.on_notification(Notification::completion(200, 1, 4));
+        assert_eq!((t.unplaced_blocks(), t.resident_blocks()), (8, 0));
+        assert!((0..4).all(|sm| t.sm_usage(sm).is_idle()));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use paella_telemetry::{TraceEvent, TraceLog, Tracer};
 
 use crate::config::DeviceConfig;
 use crate::kernel::{KernelLaunch, StreamId};
-use crate::resources::SmUsage;
+use crate::resources::{blocks_per_sm, SmPool, SmUsage};
 
 /// Identifier of a memory-copy operation, assigned by the host.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -136,6 +136,9 @@ struct KernelState {
     finished_blocks: u32,
     /// Placement waves issued so far (telemetry span key).
     waves: u32,
+    /// Smallest wave worth a finish event (fewer blocks only when fewer
+    /// remain): 1/8 of an empty device's fill of this footprint.
+    wave_quantum: u64,
 }
 
 struct CopyEngine {
@@ -150,7 +153,7 @@ pub struct GpuSim {
     cfg: DeviceConfig,
     rng: Xoshiro256pp,
     events: EventQueue<Ev>,
-    sms: Vec<SmUsage>,
+    pool: SmPool,
     /// Hardware queues of kernels, in arrival order.
     queues: Vec<VecDeque<KernelUid>>,
     /// In-flight kernels, indexed by launch uid.
@@ -166,32 +169,27 @@ pub struct GpuSim {
     occupancy_integral: u128,
     /// Wall time of the last `resident_blocks` change.
     last_resident_change: SimTime,
-    /// Aggregate free resources across all SMs — a cheap upper bound that
-    /// lets the block scheduler skip the per-SM scan when nothing can fit.
-    free_slots: u64,
-    free_threads: u64,
-    free_regs: u64,
-    free_shmem: u64,
     /// Structured telemetry sink (no-op unless enabled by the host).
     tracer: Tracer,
     /// Round-robin cursor over the hardware queues.
     rr_queue: usize,
     /// Copies submitted but not yet at the front of their stream.
     pending_copies: Vec<(MemcpyOp, SimTime)>,
+    /// Emptied `allocs` buffers of finished waves, for the next waves.
+    spare_allocs: Vec<Vec<(u32, u32)>>,
 }
 
 impl GpuSim {
     /// Creates a device in the idle state.
     pub fn new(cfg: DeviceConfig, seed: u64) -> Self {
-        let num_sms = cfg.num_sms as usize;
+        let pool = SmPool::new(cfg.num_sms, cfg.sm_limits);
         let num_queues = cfg.num_hw_queues as usize;
         let engines = cfg.copy_engines.max(1) as usize;
-        let lim = cfg.sm_limits;
         GpuSim {
             cfg,
             rng: Xoshiro256pp::seed_from_u64(seed),
             events: EventQueue::new(),
-            sms: vec![SmUsage::default(); num_sms],
+            pool,
             queues: vec![VecDeque::new(); num_queues],
             kernels: IdMap::new(),
             streams: IdMap::new(),
@@ -206,13 +204,10 @@ impl GpuSim {
             resident_blocks: 0,
             occupancy_integral: 0,
             last_resident_change: SimTime::ZERO,
-            free_slots: num_sms as u64 * u64::from(lim.max_blocks),
-            free_threads: num_sms as u64 * u64::from(lim.max_threads),
-            free_regs: num_sms as u64 * u64::from(lim.max_registers),
-            free_shmem: num_sms as u64 * u64::from(lim.max_shmem),
             tracer: Tracer::disabled(),
             rr_queue: 0,
             pending_copies: Vec::new(),
+            spare_allocs: Vec::new(),
         }
     }
 
@@ -261,7 +256,7 @@ impl GpuSim {
     ///
     /// Panics if `sm` is out of range.
     pub fn sm_usage(&self, sm: u32) -> SmUsage {
-        self.sms[sm as usize]
+        *self.pool.usage(sm as usize).expect("SM out of range")
     }
 
     /// Number of kernels the device still knows about (queued or running).
@@ -291,7 +286,6 @@ impl GpuSim {
             "kernel uid {:?} already in flight",
             launch.uid
         );
-        self.catch_up(now);
         let uid = launch.uid;
         let stream = launch.stream;
         let blocks = launch.desc.grid_blocks;
@@ -305,6 +299,8 @@ impl GpuSim {
         // when host-side timestamps interleave across submitting threads.
         let at = earliest.max(s.last_arrival);
         s.last_arrival = at;
+        let per_sm_fit = u64::from(blocks_per_sm(&launch.desc.footprint, &self.cfg.sm_limits));
+        let wave_quantum = (per_sm_fit * u64::from(self.cfg.num_sms) / 8).max(1);
         self.kernels.insert(
             u64::from(uid),
             KernelState {
@@ -314,6 +310,7 @@ impl GpuSim {
                 in_queue: false,
                 finished_blocks: 0,
                 waves: 0,
+                wave_quantum,
             },
         );
         self.events.schedule_at(at, Ev::QueueArrival { uid });
@@ -346,7 +343,6 @@ impl GpuSim {
 
     /// Submits an async memory copy at time `now`.
     pub fn enqueue_memcpy(&mut self, now: SimTime, op: MemcpyOp) {
-        self.catch_up(now);
         self.stream_mut(op.stream)
             .pending
             .push_back(StreamOp::Copy(op.uid));
@@ -373,20 +369,6 @@ impl GpuSim {
         sink.append(&mut self.outputs);
     }
 
-    /// Advances internal time to at least `now` without processing events
-    /// beyond it (used so `schedule_at` never fires into the past).
-    fn catch_up(&mut self, now: SimTime) {
-        debug_assert!(
-            self.events
-                .peek_time()
-                .is_none_or(|t| t >= self.events.now()),
-            "event queue corrupt"
-        );
-        // `EventQueue::now` only advances on pop; nothing to do here other
-        // than assert the host is not travelling backwards.
-        let _ = now;
-    }
-
     fn handle(&mut self, at: SimTime, ev: Ev) {
         match ev {
             Ev::QueueArrival { uid } => {
@@ -405,8 +387,14 @@ impl GpuSim {
                 });
                 self.schedule_blocks(at);
             }
-            Ev::GroupFinish { uid, wave, allocs } => {
+            Ev::GroupFinish {
+                uid,
+                wave,
+                mut allocs,
+            } => {
                 self.on_group_finish(at, uid, wave, &allocs);
+                allocs.clear();
+                self.spare_allocs.push(allocs);
             }
             Ev::CopyFinish { uid, engine } => {
                 self.on_copy_finish(at, uid, engine);
@@ -421,8 +409,8 @@ impl GpuSim {
     /// back into this scheduler.
     fn schedule_blocks(&mut self, now: SimTime) {
         let nq = self.queues.len();
-        for i in 0..nq {
-            let qi = (self.rr_queue + i) % nq;
+        let mut qi = self.rr_queue;
+        for _ in 0..nq {
             while let Some(&head) = self.queues[qi].front() {
                 if !self.stream_ready(head) {
                     // HoL blocking: an ineligible head stalls this queue.
@@ -442,8 +430,9 @@ impl GpuSim {
                     break;
                 }
             }
+            qi = wrapping_succ(qi, nq);
         }
-        self.rr_queue = (self.rr_queue + 1) % nq;
+        self.rr_queue = wrapping_succ(self.rr_queue, nq);
     }
 
     /// Whether `uid` is at the front of its stream (its predecessor finished).
@@ -463,13 +452,13 @@ impl GpuSim {
     /// finish event. This keeps the event count per kernel at O(waves)
     /// instead of O(per-SM groups) without changing resource accounting.
     fn place_head_blocks(&mut self, now: SimTime, uid: KernelUid) {
-        let (mut unplaced, fp, instr, total_blocks) = {
+        let (mut unplaced, fp, instr, wave_quantum) = {
             let k = self.kernel(uid);
             (
                 k.unplaced,
                 k.launch.desc.footprint,
                 k.launch.desc.instrumentation,
-                k.launch.desc.grid_blocks,
+                k.wave_quantum,
             )
         };
         if unplaced == 0 {
@@ -481,47 +470,34 @@ impl GpuSim {
         // a device fill so a large kernel back-fills in a handful of events
         // instead of block-by-block; the resulting timing shift is bounded
         // by one wave's drain time, far below the latencies measured.
-        let per_sm_fit = u64::from(crate::resources::blocks_per_sm(&fp, &self.cfg.sm_limits));
-        let quantum = u64::from(unplaced).min((per_sm_fit * self.sms.len() as u64 / 8).max(1));
-        if self.free_slots < quantum
-            || self.free_threads < quantum * u64::from(fp.threads)
-            || self.free_regs < quantum * u64::from(fp.registers())
-            || self.free_shmem < quantum * u64::from(fp.shmem)
+        if !self
+            .pool
+            .room_for(&fp, u64::from(unplaced).min(wave_quantum))
         {
             return;
         }
         // Round-robin wave over the SMs.
-        let num_sms = self.sms.len();
-        let mut allocs: Vec<(u32, u32)> = Vec::new();
-        for i in 0..num_sms {
+        let num_sms = self.pool.num_sms();
+        let mut allocs = self.spare_allocs.pop().unwrap_or_default();
+        let mut smi = self.rr_sm;
+        for _ in 0..num_sms {
             if unplaced == 0 {
                 break;
             }
-            let smi = (self.rr_sm + i) % num_sms;
-            let fit = self.sms[smi].fit_count(&fp, &self.cfg.sm_limits);
-            if fit == 0 {
-                continue;
+            let fit = self.pool.fit(smi, &fp);
+            if fit > 0 {
+                let group = fit.min(unplaced);
+                self.pool.allocate(smi, &fp, group);
+                unplaced -= group;
+                allocs.push((smi as u32, group));
             }
-            let group = fit.min(unplaced);
-            self.sms[smi].allocate(&fp, group, &self.cfg.sm_limits);
-            debug_assert!(
-                self.free_slots >= u64::from(group)
-                    && self.free_threads >= u64::from(group) * u64::from(fp.threads)
-                    && self.free_regs >= u64::from(group) * u64::from(fp.registers())
-                    && self.free_shmem >= u64::from(group) * u64::from(fp.shmem),
-                "free-resource gauge underflow: fit_count over-reported"
-            );
-            self.free_slots -= u64::from(group);
-            self.free_threads -= u64::from(group) * u64::from(fp.threads);
-            self.free_regs -= u64::from(group) * u64::from(fp.registers());
-            self.free_shmem -= u64::from(group) * u64::from(fp.shmem);
-            unplaced -= group;
-            allocs.push((smi as u32, group));
+            smi = wrapping_succ(smi, num_sms);
         }
         if allocs.is_empty() {
+            self.spare_allocs.push(allocs);
             return;
         }
-        self.rr_sm = (self.rr_sm + 1) % num_sms;
+        self.rr_sm = wrapping_succ(self.rr_sm, num_sms);
         let placed: u32 = allocs.iter().map(|&(_, g)| g).sum();
         self.account_occupancy(now);
         self.resident_blocks += u64::from(placed);
@@ -542,7 +518,6 @@ impl GpuSim {
             // (near-)empty kernels. In longer waves the block starts/ends
             // spread out, the atomic queue stays drained, and only a small
             // residue reaches the critical path.
-            let _ = total_blocks;
             let oh = spec.kernel_overhead(placed);
             dur += if dur <= SimDuration::from_micros(15) {
                 oh
@@ -637,12 +612,8 @@ impl GpuSim {
         };
         let blocks: u32 = allocs.iter().map(|&(_, g)| g).sum();
         for &(sm, group) in allocs {
-            self.sms[sm as usize].release(&fp, group);
+            self.pool.release(sm as usize, &fp, group);
         }
-        self.free_slots += u64::from(blocks);
-        self.free_threads += u64::from(blocks) * u64::from(fp.threads);
-        self.free_regs += u64::from(blocks) * u64::from(fp.registers());
-        self.free_shmem += u64::from(blocks) * u64::from(fp.shmem);
         self.account_occupancy(at);
         debug_assert!(
             self.resident_blocks >= u64::from(blocks),
@@ -760,6 +731,15 @@ impl GpuSim {
         self.pump_engine(at, engine);
         self.try_start_copies(at);
         self.schedule_blocks(at);
+    }
+}
+
+/// `i + 1` on a ring of `n`: round-robin cursors wrap by comparison.
+fn wrapping_succ(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
     }
 }
 

@@ -24,4 +24,4 @@ pub mod resources;
 pub use config::{DeviceConfig, Microarch};
 pub use engine::{CopyDir, GpuOutput, GpuSim, MemcpyOp, MemcpyUid};
 pub use kernel::{DurationModel, InstrumentationSpec, KernelDesc, KernelLaunch, StreamId};
-pub use resources::{blocks_per_sm, BlockFootprint, SmLimits, SmUsage};
+pub use resources::{blocks_per_sm, BlockFootprint, SmLimits, SmPool, SmUsage};

@@ -134,6 +134,141 @@ impl SmUsage {
     }
 }
 
+/// Every SM of one device plus device-wide free gauges: the one home of
+/// Table 1's arithmetic, behind both the device's block scheduler
+/// ([`GpuSim`](crate::GpuSim)) and the dispatcher's software mirror of it.
+///
+/// Invariant: each gauge is the sum over SMs of `limit − usage` for its
+/// resource; [`allocate`](Self::allocate) and [`release`](Self::release) are
+/// the only writers of either side. The gauges are thus a *necessary*
+/// condition for placing blocks and never a sufficient one — free capacity
+/// scattered in pieces smaller than a block adds up and hosts nothing — but
+/// on a saturated device the necessary condition is the one that fails, so
+/// "does it fit" costs four comparisons, and a division is spent only on an
+/// SM that takes at least one block (DESIGN §4b).
+#[derive(Clone, Debug)]
+pub struct SmPool {
+    limits: SmLimits,
+    sms: Vec<SmUsage>,
+    /// Free block slots, threads, registers and shared-memory bytes.
+    free: [u64; 4],
+}
+
+/// What `n` blocks of `fp` take of each gauge. A product that saturates
+/// exceeds every gauge, as the true one would.
+fn demand(fp: &BlockFootprint, n: u64) -> [u64; 4] {
+    [1, fp.threads, fp.registers(), fp.shmem].map(|each| n.saturating_mul(u64::from(each)))
+}
+
+impl SmPool {
+    /// `num_sms` idle SMs of the given limits.
+    pub fn new(num_sms: u32, limits: SmLimits) -> Self {
+        let l = &limits;
+        let per_sm = [l.max_blocks, l.max_threads, l.max_registers, l.max_shmem];
+        SmPool {
+            limits,
+            sms: vec![SmUsage::default(); num_sms as usize],
+            free: per_sm.map(|each| u64::from(num_sms) * u64::from(each)),
+        }
+    }
+
+    /// Number of SMs.
+    pub fn num_sms(&self) -> usize {
+        self.sms.len()
+    }
+
+    /// Usage of SM `sm`; `None` for an SM the device does not have.
+    pub fn usage(&self, sm: usize) -> Option<&SmUsage> {
+        self.sms.get(sm)
+    }
+
+    /// The free gauges: `[block slots, threads, registers, shmem bytes]`.
+    pub fn free(&self) -> [u64; 4] {
+        self.free
+    }
+
+    /// [`SmUsage::fit_count`] of SM `sm` (0 for an SM the device does not
+    /// have), rejecting by comparison: the quotients are taken only when
+    /// every one of them is at least 1.
+    pub fn fit(&self, sm: usize, fp: &BlockFootprint) -> u32 {
+        let Some(u) = self.sms.get(sm) else { return 0 };
+        let l = &self.limits;
+        if u.blocks >= l.max_blocks
+            || l.max_threads - u.threads < fp.threads
+            || l.max_registers - u.registers < fp.registers()
+            || l.max_shmem - u.shmem < fp.shmem
+        {
+            return 0;
+        }
+        u.fit_count(fp, l)
+    }
+
+    /// `min(want, fit(sm, fp))`, by multiply-and-compare when all `want`
+    /// blocks fit — the common case for a placement word, which reports
+    /// blocks the hardware did place.
+    pub fn fit_up_to(&self, sm: usize, fp: &BlockFootprint, want: u32) -> u32 {
+        let Some(u) = self.sms.get(sm) else { return 0 };
+        let l = &self.limits;
+        let over = |used: u32, each: u32, max: u32| {
+            u64::from(used) + u64::from(want) * u64::from(each) > u64::from(max)
+        };
+        if over(u.blocks, 1, l.max_blocks)
+            || over(u.threads, fp.threads, l.max_threads)
+            || over(u.registers, fp.registers(), l.max_registers)
+            || over(u.shmem, fp.shmem, l.max_shmem)
+        {
+            want.min(self.fit(sm, fp))
+        } else {
+            want
+        }
+    }
+
+    /// Whether the free gauges could host `n` more blocks of footprint `fp`.
+    /// `false` implies [`fit_total`](Self::fit_total)` < n`; `true` promises
+    /// nothing.
+    pub fn room_for(&self, fp: &BlockFootprint, n: u64) -> bool {
+        self.free.iter().zip(demand(fp, n)).all(|(f, d)| *f >= d)
+    }
+
+    /// How many more blocks of footprint `fp` fit on the device right now:
+    /// the sum of [`fit`](Self::fit) over its SMs.
+    pub fn fit_total(&self, fp: &BlockFootprint) -> u64 {
+        (0..self.sms.len())
+            .map(|sm| u64::from(self.fit(sm, fp)))
+            .sum()
+    }
+
+    /// Allocates `n` blocks of footprint `fp` on SM `sm`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is out of range, and (debug assertions) if the
+    /// allocation exceeds the limits; callers check [`fit`](Self::fit) first.
+    pub fn allocate(&mut self, sm: usize, fp: &BlockFootprint, n: u32) {
+        self.sms[sm].allocate(fp, n, &self.limits);
+        for (free, d) in self.free.iter_mut().zip(demand(fp, u64::from(n))) {
+            debug_assert!(
+                *free >= d,
+                "free gauge underflow: allocated what did not fit"
+            );
+            *free -= d;
+        }
+    }
+
+    /// Releases `n` blocks of footprint `fp` from SM `sm`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is out of range or the SM holds fewer than `n` blocks —
+    /// an accounting bug in the caller.
+    pub fn release(&mut self, sm: usize, fp: &BlockFootprint, n: u32) {
+        self.sms[sm].release(fp, n);
+        for (free, d) in self.free.iter_mut().zip(demand(fp, u64::from(n))) {
+            *free += d;
+        }
+    }
+}
+
 /// Theoretical occupancy: how many blocks of footprint `fp` fit on one empty
 /// SM. This is what CUDA's occupancy calculator reports and what the Paella
 /// dispatcher uses to bound per-kernel concurrency.

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use paella_channels::NotifKind;
 use paella_gpu::{
     BlockFootprint, DeviceConfig, DurationModel, GpuOutput, GpuSim, InstrumentationSpec,
-    KernelDesc, KernelLaunch, Microarch, StreamId,
+    KernelDesc, KernelLaunch, Microarch, SmLimits, SmPool, SmUsage, StreamId,
 };
 use paella_sim::{SimDuration, SimTime};
 
@@ -33,8 +33,97 @@ fn arb_kernel() -> impl Strategy<Value = KernelDesc> {
         })
 }
 
+/// Table 1 written out: the block-slot remainder and the three quotients,
+/// a zero divisor meaning "this resource does not bind".
+fn four_quotients(u: &SmUsage, fp: &BlockFootprint, l: &SmLimits) -> u32 {
+    let q = |free: u32, each: u32| free.checked_div(each).unwrap_or(u32::MAX);
+    (l.max_blocks - u.blocks)
+        .min(q(l.max_threads - u.threads, fp.threads))
+        .min(q(l.max_registers - u.registers, fp.registers()))
+        .min(q(l.max_shmem - u.shmem, fp.shmem))
+}
+
+/// Footprints for the pool property, including the degenerate divisors:
+/// `threads == 1`, `regs_per_thread == 0`, `shmem == 0`.
+fn arb_footprint() -> impl Strategy<Value = BlockFootprint> {
+    (0u32..6, 1u32..=1024, 0u32..=64, 0u32..=48 * 1024).prop_map(|(shape, t, r, s)| {
+        let (threads, regs_per_thread, shmem) = match shape {
+            0 => (1, 0, 0),
+            1 => (t, 0, s),
+            2 => (t, r, 0),
+            _ => (t, r, s),
+        };
+        BlockFootprint {
+            threads,
+            regs_per_thread,
+            shmem,
+        }
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// After every step of an arbitrary allocate/release sequence the pool's
+    /// gauges equal the sums over its SMs, `fit` is the four-quotient
+    /// formula, `fit_up_to` is its clamp, and a `room_for` refusal is never
+    /// contradicted by the per-SM truth.
+    #[test]
+    fn sm_pool_gauges_and_fit_match_the_formula(
+        steps in proptest::collection::vec(
+            (any::<bool>(), 0usize..6, arb_footprint(), 1u32..=20, 0usize..64),
+            1..120,
+        ),
+        probes in proptest::collection::vec(arb_footprint(), 1..4),
+        pascal in any::<bool>(),
+    ) {
+        let lim = if pascal { SmLimits::PASCAL } else { SmLimits::TURING };
+        let mut pool = SmPool::new(5, lim);
+        let mut live: Vec<(usize, BlockFootprint, u32)> = Vec::new();
+        for (allocate, sm, fp, want, pick) in steps {
+            if allocate || live.is_empty() {
+                // SM 5 does not exist: nothing fits there.
+                let n = pool.fit_up_to(sm, &fp, want);
+                prop_assert_eq!(n, want.min(pool.fit(sm, &fp)));
+                prop_assert!(sm < 5 || n == 0);
+                if n > 0 {
+                    pool.allocate(sm, &fp, n);
+                    live.push((sm, fp, n));
+                }
+            } else {
+                let (sm, fp, n) = live.swap_remove(pick % live.len());
+                pool.release(sm, &fp, n);
+            }
+
+            let sms: Vec<SmUsage> = (0..5).map(|sm| *pool.usage(sm).unwrap()).collect();
+            let sum = |limit: u32, used: fn(&SmUsage) -> u32| -> u64 {
+                sms.iter().map(|u| u64::from(limit - used(u))).sum()
+            };
+            prop_assert_eq!(
+                pool.free(),
+                [
+                    sum(lim.max_blocks, |u| u.blocks),
+                    sum(lim.max_threads, |u| u.threads),
+                    sum(lim.max_registers, |u| u.registers),
+                    sum(lim.max_shmem, |u| u.shmem),
+                ]
+            );
+            for fp in probes.iter().chain([&fp]) {
+                let mut total = 0u64;
+                for (sm, u) in sms.iter().enumerate() {
+                    let want = four_quotients(u, fp, &lim);
+                    prop_assert_eq!(pool.fit(sm, fp), want);
+                    prop_assert_eq!(u.fit_count(fp, &lim), want);
+                    total += u64::from(want);
+                }
+                prop_assert_eq!(pool.fit_total(fp), total);
+                for n in [1, total, total + 1, 4 * total + 7] {
+                    prop_assert!(pool.room_for(fp, n) || total < n, "room_for refused {n} of {total}");
+                }
+                prop_assert!(pool.room_for(fp, total), "what fits per SM fits in aggregate");
+            }
+        }
+    }
 
     /// Every launched kernel completes exactly once, the device drains to
     /// idle, and blocks are conserved, for arbitrary kernels, streams, and

@@ -384,3 +384,58 @@ fn default_path_golden_digests() {
         "(digest, completed, failed) of: zoo mix, 4-stream contention, job-by-job, faults + deadlines"
     );
 }
+
+// -- engine-output golden ---------------------------------------------------
+
+#[path = "common/contended.rs"]
+mod contended;
+
+/// Digest of a bare device's whole host-visible output stream — every
+/// notification word, kernel completion and copy completion with its
+/// timestamp, in emission order — under [`contended::run`].
+fn engine_output_digest(cfg: DeviceConfig) -> (u64, usize) {
+    use paella_gpu::{GpuOutput, GpuSim};
+    let out = contended::run(&mut GpuSim::new(cfg, 0x5eed));
+    let completed = out
+        .iter()
+        .filter(|o| matches!(o, GpuOutput::KernelCompleted { .. }))
+        .count();
+    assert_eq!(completed, contended::KERNELS as usize);
+    let digest = out.iter().fold(0xcbf2_9ce4_8422_2325, |h, o| {
+        let (tag, what, at) = match *o {
+            GpuOutput::Notif { n, at } => (1, n.encode(), at),
+            GpuOutput::KernelCompleted { uid, at } => (2, u64::from(uid), at),
+            GpuOutput::MemcpyCompleted { uid, at } => (3, uid.0, at),
+        };
+        fold(fold(fold(h, tag), what), at.as_nanos())
+    });
+    (digest, out.len())
+}
+
+/// Pins what the block scheduler places where and when on a saturated
+/// device: which queue and SM each round-robin cursor points at on every
+/// pass, the order of RNG draws (one duration per wave, one `chance` per word
+/// under `notif_drop_rate`), and the order of outputs. The constants were
+/// recorded before `SmPool` existed; a change to the placement arithmetic
+/// must leave them alone.
+#[test]
+fn engine_output_golden_digests() {
+    use paella_gpu::Microarch;
+    let lossy = DeviceConfig {
+        notif_drop_rate: 0.03,
+        ..DeviceConfig::tesla_t4()
+    };
+    assert_eq!(
+        [
+            engine_output_digest(DeviceConfig::tesla_t4()),
+            engine_output_digest(DeviceConfig::tiny(8, 1, Microarch::Fermi)),
+            engine_output_digest(lossy),
+        ],
+        [
+            (0x8dfd_e5c8_625a_cde7, 392_144),
+            (0xb8e9_2fb2_f43b_2e99, 305_980),
+            (0xc52e_5e1c_134a_8f90, 380_926),
+        ],
+        "(digest, outputs) on: tesla_t4, tiny(8 SMs, 1 queue, Fermi), tesla_t4 dropping 3 % of words"
+    );
+}
