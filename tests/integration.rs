@@ -3,6 +3,7 @@
 //! Table 3.
 
 use paella_channels::ChannelConfig;
+use paella_core::ServingSystem;
 use paella_gpu::DeviceConfig;
 use paella_models::{measure_uncontended, registry, synthetic, ModelZoo};
 use paella_sim::SimDuration;
@@ -29,12 +30,63 @@ fn every_table2_model_calibrates_within_two_percent() {
     }
 }
 
+/// A fresh full-Paella dispatcher, for the systems that wrap one.
+fn paella_dispatcher(cfg: paella_core::DispatcherConfig, seed: u64) -> paella_core::Dispatcher {
+    paella_core::Dispatcher::new(
+        device(),
+        ChannelConfig::default(),
+        Box::new(paella_core::SrptDeficitScheduler::new(Some(
+            SystemKey::DEFAULT_FAIRNESS,
+        ))),
+        cfg,
+        seed,
+    )
+}
+
+/// Triton with its dynamic batcher on (the `BatchTimeout` path).
+fn triton_batch4(seed: u64) -> Box<dyn ServingSystem> {
+    let cfg = paella_baselines::TritonConfig {
+        max_batch: 4,
+        ..Default::default()
+    };
+    Box::new(paella_baselines::Triton::new(
+        device(),
+        ChannelConfig::default(),
+        cfg,
+        seed,
+    ))
+}
+
 #[test]
 fn no_system_loses_or_duplicates_jobs() {
+    use paella_core::{BatchPolicy, DispatcherConfig, RemoteGateway, RpcNetModel};
     let mut zoo = ModelZoo::new(device());
     let r18 = zoo.get("resnet18").clone();
-    for key in SystemKey::ALL {
-        let mut sys = make_system(key, device(), ChannelConfig::default(), 5);
+    // `(name, system, shares job ids)`: a batching system reports one inner
+    // job per batch, so its members share that job's id.
+    let mut systems: Vec<(String, Box<dyn ServingSystem>, bool)> = SystemKey::ALL
+        .iter()
+        .map(|&key| {
+            let sys = make_system(key, device(), ChannelConfig::default(), 5);
+            (key.key().to_string(), sys, false)
+        })
+        .collect();
+    let inner = || paella_dispatcher(DispatcherConfig::paella(), 5);
+    systems.push(("Triton b4".into(), triton_batch4(5), true));
+    systems.push((
+        "remote".into(),
+        Box::new(RemoteGateway::new(inner(), RpcNetModel::default())),
+        false,
+    ));
+    systems.push((
+        "batched".into(),
+        Box::new(paella_core::SaturationBatcher::new(
+            inner(),
+            BatchPolicy::default(),
+        )),
+        true,
+    ));
+    for (name, mut sys, shares_job_ids) in systems {
         let id = sys.register_model(&r18);
         let spec = WorkloadSpec {
             clients: 4,
@@ -42,19 +94,31 @@ fn no_system_loses_or_duplicates_jobs() {
         };
         let arrivals = generate(&spec, &Mix::single(id));
         let stats = run_trace(sys.as_mut(), &arrivals, 0);
-        assert_eq!(stats.completions.len(), 120, "{}", key.key());
-        // Each job id appears exactly once.
-        let mut jobs: Vec<u64> = stats.completions.iter().map(|c| c.job.0).collect();
-        jobs.sort_unstable();
-        jobs.dedup();
-        assert_eq!(jobs.len(), 120, "{} duplicated completions", key.key());
+        assert_eq!(stats.completions.len(), 120, "{name}");
+        // Each request comes back exactly once, and (where jobs are not
+        // shared) so does each job id.
+        let mut requests: Vec<(u32, u64)> = stats
+            .completions
+            .iter()
+            .map(|c| (c.request.client.0, c.request.submitted_at.as_nanos()))
+            .collect();
+        requests.sort_unstable();
+        let mut submitted: Vec<(u32, u64)> = arrivals
+            .iter()
+            .map(|a| (a.client.0, a.at.as_nanos()))
+            .collect();
+        submitted.sort_unstable();
+        assert_eq!(requests, submitted, "{name} lost or duplicated a request");
+        if !shares_job_ids {
+            let mut jobs: Vec<u64> = stats.completions.iter().map(|c| c.job.0).collect();
+            jobs.sort_unstable();
+            jobs.dedup();
+            assert_eq!(jobs.len(), 120, "{name} duplicated completions");
+        }
         // Completion timestamps never precede submission.
         for c in &stats.completions {
-            assert!(
-                c.client_visible_at >= c.request.submitted_at,
-                "{}",
-                key.key()
-            );
+            assert_eq!(c.request.model, id, "{name}");
+            assert!(c.client_visible_at >= c.request.submitted_at, "{name}");
         }
     }
 }
@@ -382,6 +446,68 @@ fn default_path_golden_digests() {
             (0xa656_e901_3788_0bbd, 134, 26),
         ],
         "(digest, completed, failed) of: zoo mix, 4-stream contention, job-by-job, faults + deadlines"
+    );
+}
+
+/// Pins the virtual-time behaviour of every front end that drives an inner
+/// system through its own event queue — the baselines of Table 3 and the §8
+/// wrappers: when a front-end event and inner work fall on the same instant,
+/// which one steps first; when a batch window closes; how a completion is
+/// translated on the way out. Recorded with each system running its own
+/// hand-written event loop; the shared driver must reproduce them.
+#[test]
+fn front_end_golden_digests() {
+    use paella_core::{BatchPolicy, DispatcherConfig, RemoteGateway, RpcNetModel};
+    let mut zoo = ModelZoo::new(device());
+    let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
+    // The bursty two-model mix.
+    let two_models = |sys: &mut dyn ServingSystem| {
+        let ids: Vec<_> = models.iter().map(|m| sys.register_model(m)).collect();
+        let spec = WorkloadSpec {
+            clients: 4,
+            ..WorkloadSpec::bursty(200.0, 120)
+        };
+        golden_digest(sys, &generate(&spec, &Mix::uniform(&ids)))
+    };
+    let keyed = [
+        SystemKey::Triton,
+        SystemKey::Clockwork,
+        SystemKey::CudaMs,
+        SystemKey::Mps,
+    ]
+    .map(|key| two_models(make_system(key, device(), ChannelConfig::default(), 5).as_mut()));
+    let triton_b4 = two_models(triton_batch4(5).as_mut());
+    let remote = two_models(&mut RemoteGateway::new(
+        paella_dispatcher(DispatcherConfig::paella(), 5),
+        RpcNetModel::default(),
+    ));
+
+    // A burst far beyond one device's capacity, so the saturation detector
+    // engages and batches of every size up to the cap are in flight at once.
+    let mut sys = paella_core::SaturationBatcher::new(
+        paella_dispatcher(DispatcherConfig::paella(), 13),
+        BatchPolicy::default(),
+    );
+    let id = sys.register_model(&models[0]);
+    let spec = WorkloadSpec {
+        clients: 4,
+        ..WorkloadSpec::bursty(4_000.0, 96)
+    };
+    let batched = golden_digest(&mut sys, &generate(&spec, &Mix::single(id)));
+
+    assert_eq!(
+        [keyed[0], keyed[1], keyed[2], keyed[3], triton_b4, remote, batched],
+        [
+            (0x9feb_f3f9_f25a_d93d, 120, 0),
+            (0x5f35_b616_8580_8d13, 120, 0),
+            (0xe75c_86e5_06b5_31a7, 120, 0),
+            (0x4b57_c731_7cc7_bb74, 120, 0),
+            (0x1cfe_ed9a_753f_6410, 120, 0),
+            (0xfcf4_fb93_cdfb_0ccf, 120, 0),
+            (0xa4a8_55fa_4084_a432, 96, 0),
+        ],
+        "(digest, completed, failed) of: Triton, Clockwork, CUDA-MS, MPS, Triton max_batch 4, \
+         RemoteGateway<Dispatcher>, SaturationBatcher<Dispatcher> under a saturating burst"
     );
 }
 
