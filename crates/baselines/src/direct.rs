@@ -16,8 +16,8 @@
 use paella_channels::ChannelConfig;
 use paella_compiler::CompiledModel;
 use paella_core::{
-    Dispatcher, DispatcherConfig, FifoScheduler, InferenceRequest, JobCompletion, ModelId,
-    ServingSystem, StreamPolicy,
+    Dispatcher, DispatcherConfig, FifoScheduler, Front, InferenceRequest, Layered, ModelId,
+    ServingSystem, StreamPolicy, Tier,
 };
 use paella_gpu::DeviceConfig;
 use paella_sim::{SimDuration, SimTime};
@@ -44,15 +44,22 @@ impl DirectMode {
     }
 }
 
-/// A direct-submission baseline.
+/// A direct-submission baseline: nothing in front of a job-granularity
+/// dispatcher but the clients' own `predict` calls, so journeys, metrics and
+/// load come from the dispatcher. The hardware queues make the scheduling
+/// decisions either way.
 pub struct DirectCuda {
-    inner: Dispatcher,
     mode: DirectMode,
 }
 
 impl DirectCuda {
     /// Creates the baseline over a fresh device.
-    pub fn new(device: DeviceConfig, channels: ChannelConfig, mode: DirectMode, seed: u64) -> Self {
+    pub fn new(
+        device: DeviceConfig,
+        channels: ChannelConfig,
+        mode: DirectMode,
+        seed: u64,
+    ) -> Layered<Self, Dispatcher> {
         let streams = match mode {
             DirectMode::SingleStream => StreamPolicy::Single,
             DirectMode::MultiStream | DirectMode::Mps => StreamPolicy::PerJobUnbounded,
@@ -66,10 +73,8 @@ impl DirectCuda {
             // MPS-server cost.
             DirectMode::Mps => cfg.ingest_cost = SimDuration::from_nanos(500),
         }
-        DirectCuda {
-            inner: Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), cfg, seed),
-            mode,
-        }
+        let inner = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), cfg, seed);
+        Layered::new(DirectCuda { mode }, inner)
     }
 
     /// The variant in use.
@@ -78,59 +83,40 @@ impl DirectCuda {
     }
 }
 
-impl ServingSystem for DirectCuda {
-    fn register_model(&mut self, model: &CompiledModel) -> ModelId {
-        self.inner.register_model(model)
-    }
+impl Tier<Dispatcher> for DirectCuda {
+    /// A client's `predict` call.
+    type Ev = InferenceRequest;
 
-    fn submit(&mut self, req: InferenceRequest) {
-        self.inner.submit(req)
-    }
+    /// Device work due at the instant of a call lands first, as it would
+    /// were the call made on the dispatcher itself.
+    const INNER_FIRST: bool = true;
 
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        ServingSystem::next_event_time(&mut self.inner)
-    }
-
-    fn advance_until(&mut self, t: SimTime) {
-        ServingSystem::advance_until(&mut self.inner, t)
-    }
-
-    fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        self.inner.drain_completions()
-    }
-
-    fn drain_failures(&mut self) -> Vec<paella_core::JobFailure> {
-        ServingSystem::drain_failures(&mut self.inner)
-    }
-
-    fn name(&self) -> String {
+    fn name(&self, _inner: &Dispatcher) -> String {
         self.mode.key().to_string()
     }
 
-    // The baseline wraps a job-granularity dispatcher, so the journey and
-    // metrics plumbing comes for free — forward it. The hardware queues make
-    // the scheduling decisions either way.
-    fn enable_telemetry(&mut self) {
-        ServingSystem::enable_telemetry(&mut self.inner)
+    fn register_model(&mut self, inner: &mut Dispatcher, model: &CompiledModel) -> ModelId {
+        inner.register_model(model)
     }
 
-    fn take_trace_log(&mut self) -> Option<paella_telemetry::TraceLog> {
-        ServingSystem::take_trace_log(&mut self.inner)
+    fn submit(&mut self, req: InferenceRequest) -> (SimTime, InferenceRequest) {
+        (req.submitted_at, req)
     }
 
-    fn metrics_snapshot(&self) -> Option<paella_telemetry::MetricsSnapshot> {
-        ServingSystem::metrics_snapshot(&self.inner)
-    }
-
-    fn take_postmortems(&mut self) -> Vec<String> {
-        ServingSystem::take_postmortems(&mut self.inner)
+    fn on_event(
+        &mut self,
+        front: &mut Front<Dispatcher, InferenceRequest>,
+        _at: SimTime,
+        req: InferenceRequest,
+    ) {
+        front.inner.submit(req);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paella_core::ClientId;
+    use paella_core::{ClientId, JobCompletion};
     use paella_models::synthetic;
 
     fn run(mode: DirectMode, n: usize) -> Vec<JobCompletion> {

@@ -10,13 +10,13 @@
 use std::collections::VecDeque;
 
 use paella_channels::ChannelConfig;
-use paella_compiler::{CompiledModel, DeviceOp};
+use paella_compiler::CompiledModel;
 use paella_core::{
-    Dispatcher, DispatcherConfig, FifoScheduler, InferenceRequest, JobCompletion, ModelId,
-    ServingSystem, StreamPolicy,
+    batched_model, split, Dispatcher, DispatcherConfig, FifoScheduler, Front, InferenceRequest,
+    JobCompletion, LatencyBreakdown, Layered, ModelId, ServingSystem, StreamPolicy, Tier,
 };
 use paella_gpu::DeviceConfig;
-use paella_sim::{EventQueue, SimDuration, SimTime};
+use paella_sim::{SimDuration, SimTime};
 
 /// Triton configuration.
 #[derive(Clone, Copy, Debug)]
@@ -55,26 +55,26 @@ struct ModelState {
     executing: Vec<InferenceRequest>,
 }
 
+/// A front-end event of the Triton-like server.
 #[derive(Clone, Copy, Debug)]
-enum Ev {
+pub enum TritonEv {
     /// A request finished gRPC ingress.
     Ingress(InferenceRequest),
     /// Batch window expired for a model.
     BatchTimeout(u32),
 }
 
-/// The Triton-like serving system.
+/// The Triton-like serving system's front end; the backend is a dispatcher.
 pub struct Triton {
     cfg: TritonConfig,
     channels: ChannelConfig,
-    backend: Dispatcher,
     models: Vec<ModelState>,
-    events: EventQueue<Ev>,
-    completions: Vec<JobCompletion>,
     /// Maps backend model ids (one per (model, batch-size) pair) back to
     /// the public model id. Index = backend ModelId.0.
     backend_models: Vec<(u32, usize)>,
 }
+
+type TritonFront = Front<Dispatcher, TritonEv>;
 
 impl Triton {
     /// Creates a Triton-like server over a fresh device.
@@ -83,22 +83,21 @@ impl Triton {
         channels: ChannelConfig,
         cfg: TritonConfig,
         seed: u64,
-    ) -> Self {
+    ) -> Layered<Self, Dispatcher> {
         // The TVM-in-TensorFlow backend funnels every execution through
         // TensorFlow's single compute stream, and the wrapper's per-call CPU
         // serializes on the server process.
         let mut bcfg = DispatcherConfig::direct(StreamPolicy::Single);
         bcfg.central_cpu = true;
         bcfg.ingest_cost = cfg.wrapper_cost;
-        Triton {
+        let backend = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed);
+        let tier = Triton {
             cfg,
             channels,
-            backend: Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed),
             models: Vec::new(),
-            events: EventQueue::new(),
-            completions: Vec::new(),
             backend_models: Vec::new(),
-        }
+        };
+        Layered::new(tier, backend)
     }
 
     fn rpc_in(&self, model: usize) -> SimDuration {
@@ -113,79 +112,45 @@ impl Triton {
             .one_way(self.models[model].model.output_bytes)
     }
 
-    /// Builds a batch-`b` variant of a model: kernel durations scale
-    /// sub-linearly (batching amortizes fixed kernel costs), copies scale
-    /// linearly.
-    pub fn batched_model(model: &CompiledModel, b: usize) -> CompiledModel {
-        if b <= 1 {
-            return model.clone();
-        }
-        // Batch-b kernels do b× the work but amortize fixed per-kernel costs;
-        // an effective scale of 0.35 + 0.65·b matches the usual ~35 % fixed
-        // fraction of small-batch inference kernels.
-        let scale = 0.35 + 0.65 * b as f64;
-        let mut m = model.clone();
-        m.name = format!("{}@b{b}", m.name).into();
-        for op in &mut m.ops {
-            match op {
-                DeviceOp::Kernel(k) => {
-                    k.duration.base = k.duration.base.mul_f64(scale);
-                }
-                DeviceOp::InputCopy { bytes } | DeviceOp::OutputCopy { bytes } => {
-                    *bytes *= b;
-                }
-            }
-        }
-        m.input_bytes *= b;
-        m.output_bytes *= b;
-        m
-    }
-
-    fn try_launch(&mut self, model_idx: usize, now: SimTime) {
-        let ready = {
-            let st = &self.models[model_idx];
-            !st.busy && !st.queue.is_empty()
-        };
-        if !ready {
+    fn try_launch(&mut self, front: &mut TritonFront, model_idx: usize, now: SimTime) {
+        let st = &self.models[model_idx];
+        let Some(oldest) = st.queue.front().filter(|_| !st.busy) else {
             return;
-        }
+        };
         let want = self.cfg.max_batch.max(1);
-        let have = self.models[model_idx].queue.len();
+        let have = st.queue.len();
         if have < want {
             // Wait for more requests unless the batch window expired; arm a
             // timeout on first queued request.
-            let oldest = self.models[model_idx]
-                .queue
-                .front()
-                .expect("non-empty")
-                .submitted_at;
-            let deadline = oldest + self.rpc_in(model_idx) + self.cfg.batch_timeout;
+            let deadline = oldest.submitted_at + self.rpc_in(model_idx) + self.cfg.batch_timeout;
             if now < deadline {
-                self.events
-                    .schedule_at(deadline.max(now), Ev::BatchTimeout(model_idx as u32));
+                front
+                    .events
+                    .schedule_at(deadline, TritonEv::BatchTimeout(model_idx as u32));
                 return;
             }
         }
         let b = have.min(want);
-        let batch: Vec<InferenceRequest> = {
-            let st = &mut self.models[model_idx];
-            st.busy = true;
-            st.queue.drain(..b).collect()
-        };
         // Register (or reuse) the backend variant for this batch size.
-        let backend_id = self.backend_model_for(model_idx, b);
-        let lead = batch[0];
-        self.models[model_idx].executing = batch;
+        let backend_id = self.backend_model_for(&mut front.inner, model_idx, b);
+        let st = &mut self.models[model_idx];
+        st.busy = true;
+        st.executing = st.queue.drain(..b).collect();
         // Dispatch bookkeeping (+ batch formation cost per request).
         let submit_at = now + self.cfg.dispatch_cost + SimDuration::from_nanos(500) * b as u64;
-        self.backend.submit(InferenceRequest {
-            client: lead.client,
+        front.inner.submit(InferenceRequest {
+            client: st.executing[0].client,
             model: backend_id,
             submitted_at: submit_at,
         });
     }
 
-    fn backend_model_for(&mut self, model_idx: usize, b: usize) -> ModelId {
+    fn backend_model_for(
+        &mut self,
+        backend: &mut Dispatcher,
+        model_idx: usize,
+        b: usize,
+    ) -> ModelId {
         if let Some(pos) = self
             .backend_models
             .iter()
@@ -193,124 +158,93 @@ impl Triton {
         {
             return ModelId(pos as u32);
         }
-        let variant = Self::batched_model(&self.models[model_idx].model, b);
-        let id = self.backend.register_model(&variant);
+        let variant = batched_model(&self.models[model_idx].model, b);
+        let id = backend.register_model(&variant);
         debug_assert_eq!(id.0 as usize, self.backend_models.len());
         self.backend_models.push((model_idx as u32, b));
         id
     }
-
-    fn handle_backend_completion(&mut self, c: JobCompletion) {
-        let (model_idx, _b) = self.backend_models[c.request.model.0 as usize];
-        let model_idx = model_idx as usize;
-        let rpc_out = self.rpc_out(model_idx);
-        let batch = std::mem::take(&mut self.models[model_idx].executing);
-        self.models[model_idx].busy = false;
-        for req in batch {
-            let visible = c.client_visible_at + rpc_out;
-            let total = visible.saturating_since(req.submitted_at);
-            let rpc_in = self.rpc_in(model_idx);
-            let device = c.breakdown.device;
-            let mut remaining = total;
-            let mut take = |d: SimDuration| {
-                let t = d.min(remaining);
-                remaining -= t;
-                t
-            };
-            // Device time first: overhead is end-to-end minus CUDA work.
-            let device = take(device);
-            let client_send_recv = take(rpc_in + rpc_out);
-            let framework = take(self.cfg.dispatch_cost + c.breakdown.framework);
-            let communication = take(self.channels.cuda.launch_latency * 2);
-            let breakdown = paella_core::LatencyBreakdown {
-                client_send_recv,
-                communication,
-                queuing_scheduling: remaining,
-                framework,
-                device,
-            };
-            self.completions.push(JobCompletion {
-                job: c.job,
-                request: req,
-                almost_finished_at: None,
-                device_done_at: c.device_done_at,
-                client_visible_at: visible,
-                breakdown,
-            });
-        }
-        self.try_launch(model_idx, c.client_visible_at);
-    }
 }
 
-impl ServingSystem for Triton {
-    fn register_model(&mut self, model: &CompiledModel) -> ModelId {
-        let id = ModelId(self.models.len() as u32);
+impl Tier<Dispatcher> for Triton {
+    type Ev = TritonEv;
+
+    /// The server re-examines a model's queue on every backend completion,
+    /// before it looks at requests landing at the same instant.
+    const INNER_FIRST: bool = true;
+
+    fn name(&self, _backend: &Dispatcher) -> String {
+        "Triton".to_string()
+    }
+
+    fn register_model(&mut self, _backend: &mut Dispatcher, model: &CompiledModel) -> ModelId {
         self.models.push(ModelState {
             model: model.clone(),
             queue: VecDeque::new(),
             busy: false,
             executing: Vec::new(),
         });
-        id
+        ModelId(self.models.len() as u32 - 1)
     }
 
-    fn submit(&mut self, req: InferenceRequest) {
+    fn submit(&mut self, req: InferenceRequest) -> (SimTime, TritonEv) {
         let m = req.model.0 as usize;
         assert!(m < self.models.len(), "unknown model");
-        let arrive = req.submitted_at + self.rpc_in(m);
-        self.events
-            .schedule_at(arrive.max(self.events.now()), Ev::Ingress(req));
+        (req.submitted_at + self.rpc_in(m), TritonEv::Ingress(req))
     }
 
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        let tb = ServingSystem::next_event_time(&mut self.backend);
-        let te = self.events.peek_time();
-        match (tb, te) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    fn on_event(&mut self, front: &mut TritonFront, at: SimTime, ev: TritonEv) {
+        match ev {
+            TritonEv::Ingress(req) => {
+                let m = req.model.0 as usize;
+                self.models[m].queue.push_back(req);
+                self.try_launch(front, m, at);
+            }
+            TritonEv::BatchTimeout(m) => self.try_launch(front, m as usize, at),
         }
     }
 
-    fn advance_until(&mut self, t: SimTime) {
-        loop {
-            let tb = ServingSystem::next_event_time(&mut self.backend);
-            let te = self.events.peek_time();
-            let next = match (tb, te) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > t {
-                break;
-            }
-            if tb.is_some_and(|a| te.is_none_or(|b| a <= b)) {
-                ServingSystem::advance_until(&mut self.backend, next);
-                for c in self.backend.drain_completions() {
-                    self.handle_backend_completion(c);
-                }
-            } else {
-                let (at, ev) = self.events.pop().expect("peeked");
-                match ev {
-                    Ev::Ingress(req) => {
-                        let m = req.model.0 as usize;
-                        self.models[m].queue.push_back(req);
-                        self.try_launch(m, at);
-                    }
-                    Ev::BatchTimeout(m) => self.try_launch(m as usize, at),
-                }
-            }
+    fn on_completion(&mut self, front: &mut TritonFront, c: JobCompletion) {
+        let model_idx = self.backend_models[c.request.model.0 as usize].0 as usize;
+        let (rpc_in, rpc_out) = (self.rpc_in(model_idx), self.rpc_out(model_idx));
+        let st = &mut self.models[model_idx];
+        st.busy = false;
+        for request in std::mem::take(&mut st.executing) {
+            let visible = c.client_visible_at + rpc_out;
+            let ([device, client_send_recv, framework, communication], queuing) = split(
+                visible.saturating_since(request.submitted_at),
+                [
+                    c.breakdown.device,
+                    rpc_in + rpc_out,
+                    self.cfg.dispatch_cost + c.breakdown.framework,
+                    self.channels.cuda.launch_latency * 2,
+                ],
+            );
+            front.deliver(JobCompletion {
+                request,
+                almost_finished_at: None,
+                client_visible_at: visible,
+                breakdown: LatencyBreakdown {
+                    client_send_recv,
+                    communication,
+                    queuing_scheduling: queuing,
+                    framework,
+                    device,
+                },
+                ..c
+            });
         }
+        self.try_launch(front, model_idx, c.client_visible_at);
     }
 
-    fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn name(&self) -> String {
-        "Triton".to_string()
+    fn parked(&self) -> u64 {
+        self.models.iter().map(|st| st.queue.len() as u64).sum()
     }
 }
+
+/// Boost-Asio style ingress of the Clockwork-like system: cheaper than gRPC,
+/// pricier than shm.
+const CLOCKWORK_INGRESS: SimDuration = SimDuration::from_micros(25);
 
 /// A Clockwork-like system (§9 related work; Table 3): a controller that
 /// runs exactly one model execution on the GPU at a time, prioritizing
@@ -318,33 +252,33 @@ impl ServingSystem for Triton {
 /// per request.
 pub struct Clockwork {
     channels: ChannelConfig,
-    backend: Dispatcher,
-    models: Vec<CompiledModel>,
     queue: VecDeque<InferenceRequest>,
     busy: Option<InferenceRequest>,
-    events: EventQueue<InferenceRequest>,
-    completions: Vec<JobCompletion>,
     /// Controller→worker action + result RPC costs.
     controller_cost: SimDuration,
 }
 
+type ClockworkFront = Front<Dispatcher, InferenceRequest>;
+
 impl Clockwork {
     /// Creates a Clockwork-like server over a fresh device.
-    pub fn new(device: DeviceConfig, channels: ChannelConfig, seed: u64) -> Self {
+    pub fn new(
+        device: DeviceConfig,
+        channels: ChannelConfig,
+        seed: u64,
+    ) -> Layered<Self, Dispatcher> {
         let bcfg = DispatcherConfig::direct(StreamPolicy::Single);
-        Clockwork {
+        let backend = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed);
+        let tier = Clockwork {
             channels,
-            backend: Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed),
-            models: Vec::new(),
             queue: VecDeque::new(),
             busy: None,
-            events: EventQueue::new(),
-            completions: Vec::new(),
             controller_cost: SimDuration::from_micros(45),
-        }
+        };
+        Layered::new(tier, backend)
     }
 
-    fn try_launch(&mut self, now: SimTime) {
+    fn try_launch(&mut self, front: &mut ClockworkFront, now: SimTime) {
         if self.busy.is_some() {
             return;
         }
@@ -352,97 +286,70 @@ impl Clockwork {
             return;
         };
         self.busy = Some(req);
-        self.backend.submit(InferenceRequest {
-            client: req.client,
-            model: req.model,
+        front.inner.submit(InferenceRequest {
             submitted_at: now + self.controller_cost,
+            ..req
         });
     }
 }
 
-impl ServingSystem for Clockwork {
-    fn register_model(&mut self, model: &CompiledModel) -> ModelId {
-        self.models.push(model.clone());
-        self.backend.register_model(model)
-    }
+impl Tier<Dispatcher> for Clockwork {
+    /// A request that finished ingress.
+    type Ev = InferenceRequest;
 
-    fn submit(&mut self, req: InferenceRequest) {
-        // Boost-Asio style ingress: cheaper than gRPC, pricier than shm.
-        let arrive = req.submitted_at + SimDuration::from_micros(25);
-        self.events.schedule_at(arrive.max(self.events.now()), req);
-    }
+    /// The controller starts the next queued action on a worker's result
+    /// before it looks at requests landing at the same instant.
+    const INNER_FIRST: bool = true;
 
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        let tb = ServingSystem::next_event_time(&mut self.backend);
-        let te = self.events.peek_time();
-        match (tb, te) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    fn advance_until(&mut self, t: SimTime) {
-        loop {
-            let tb = ServingSystem::next_event_time(&mut self.backend);
-            let te = self.events.peek_time();
-            let next = match (tb, te) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > t {
-                break;
-            }
-            if tb.is_some_and(|a| te.is_none_or(|b| a <= b)) {
-                ServingSystem::advance_until(&mut self.backend, next);
-                let done: Vec<JobCompletion> = self.backend.drain_completions();
-                for c in done {
-                    let req = self.busy.take().expect("completion without busy job");
-                    let visible = c.client_visible_at + self.controller_cost;
-                    let total = visible.saturating_since(req.submitted_at);
-                    let mut remaining = total;
-                    let mut take = |d: SimDuration| {
-                        let x = d.min(remaining);
-                        remaining -= x;
-                        x
-                    };
-                    // Device time first, as in the paper's overhead
-                    // definition.
-                    let device = take(c.breakdown.device);
-                    let client_send_recv = take(SimDuration::from_micros(25));
-                    let framework = take(self.controller_cost * 2 + c.breakdown.framework);
-                    let communication = take(self.channels.cuda.launch_latency * 2);
-                    self.completions.push(JobCompletion {
-                        job: c.job,
-                        request: req,
-                        almost_finished_at: None,
-                        device_done_at: c.device_done_at,
-                        client_visible_at: visible,
-                        breakdown: paella_core::LatencyBreakdown {
-                            client_send_recv,
-                            communication,
-                            queuing_scheduling: remaining,
-                            framework,
-                            device,
-                        },
-                    });
-                    self.try_launch(c.client_visible_at);
-                }
-            } else {
-                let (at, req) = self.events.pop().expect("peeked");
-                self.queue.push_back(req);
-                self.try_launch(at);
-            }
-        }
-    }
-
-    fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn name(&self) -> String {
+    fn name(&self, _backend: &Dispatcher) -> String {
         "Clockwork".to_string()
+    }
+
+    fn register_model(&mut self, backend: &mut Dispatcher, model: &CompiledModel) -> ModelId {
+        backend.register_model(model)
+    }
+
+    fn submit(&mut self, req: InferenceRequest) -> (SimTime, InferenceRequest) {
+        (req.submitted_at + CLOCKWORK_INGRESS, req)
+    }
+
+    fn on_event(&mut self, front: &mut ClockworkFront, at: SimTime, req: InferenceRequest) {
+        self.queue.push_back(req);
+        self.try_launch(front, at);
+    }
+
+    fn on_completion(&mut self, front: &mut ClockworkFront, c: JobCompletion) {
+        // invariant: the controller submits one request at a time and holds
+        // it in `busy` until the worker answers.
+        let request = self.busy.take().expect("completion without busy job");
+        let visible = c.client_visible_at + self.controller_cost;
+        let ([device, client_send_recv, framework, communication], queuing) = split(
+            visible.saturating_since(request.submitted_at),
+            [
+                c.breakdown.device,
+                CLOCKWORK_INGRESS,
+                self.controller_cost * 2 + c.breakdown.framework,
+                self.channels.cuda.launch_latency * 2,
+            ],
+        );
+        front.deliver(JobCompletion {
+            request,
+            almost_finished_at: None,
+            client_visible_at: visible,
+            breakdown: LatencyBreakdown {
+                client_send_recv,
+                communication,
+                queuing_scheduling: queuing,
+                framework,
+                device,
+            },
+            ..c
+        });
+        self.try_launch(front, c.client_visible_at);
+    }
+
+    fn parked(&self) -> u64 {
+        self.queue.len() as u64
     }
 }
 

@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use paella_channels::ChannelConfig;
-use paella_core::{ClientId, Dispatcher, DispatcherConfig, InferenceRequest, SrptDeficitScheduler};
+use paella_core::{
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
+};
 use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
 use paella_sim::{SimDuration, SimTime};

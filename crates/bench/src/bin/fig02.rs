@@ -5,6 +5,7 @@
 //! queues with dependent chains and uses only 32/176 = 18 % of the device.
 
 use paella_bench::{channels, f, header, row, scaled};
+use paella_core::ServingSystem;
 
 use paella_gpu::{blocks_per_sm, BlockFootprint, DeviceConfig, SmLimits};
 use paella_models::synthetic;
@@ -91,7 +92,7 @@ fn main() {
             cfg,
             7,
         );
-        let m = paella_core::ServingSystem::register_model(&mut sys, &big);
+        let m = sys.register_model(&big);
         let spec = WorkloadSpec {
             clients: 16,
             ..WorkloadSpec::steady(3_000.0, n / 2)

@@ -4,7 +4,7 @@
 
 use paella_baselines::{Triton, TritonConfig};
 use paella_bench::{channels, device, f, header, row, zoo};
-use paella_core::{ClientId, InferenceRequest, ServingSystem};
+use paella_core::{batched_model, ClientId, InferenceRequest, ServingSystem};
 use paella_sim::SimTime;
 
 const MODELS: [&str; 7] = [
@@ -22,7 +22,7 @@ fn overhead_pct(model_name: &str, batch: usize) -> f64 {
     let model = zoo.get(model_name).clone();
     // The paper submits the entire batch immediately (one pre-formed
     // batch-`b` tensor) to elide the dynamic batcher's configurable wait.
-    let submitted = Triton::batched_model(&model, batch);
+    let submitted = batched_model(&model, batch);
     let mut triton = Triton::new(device(), channels(), TritonConfig::default(), 3);
     let id = triton.register_model(&submitted);
     triton.submit(InferenceRequest {

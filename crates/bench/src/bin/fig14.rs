@@ -3,7 +3,7 @@
 //! hybrid interrupt-then-poll — while submitting a stream of small jobs.
 
 use paella_bench::{channels, device, f, header, row, scaled};
-use paella_core::{Dispatcher, DispatcherConfig, SrptDeficitScheduler, WakeupMode};
+use paella_core::{Dispatcher, DispatcherConfig, ServingSystem, SrptDeficitScheduler, WakeupMode};
 use paella_models::synthetic;
 use paella_sim::SimDuration;
 use paella_workload::{client_utilization, generate, run_trace, Mix, WorkloadSpec};

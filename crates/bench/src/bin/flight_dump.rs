@@ -54,8 +54,8 @@ fn main() {
     c.run_to_idle();
 
     let done = c.drain_completions().len();
-    let failed = ServingSystem::drain_failures(&mut c).len();
-    let dumps = ServingSystem::take_postmortems(&mut c);
+    let failed = c.drain_failures().len();
+    let dumps = c.take_postmortems();
     assert_eq!(done + failed, 20, "every request accounted for");
     assert_eq!(dumps.len(), failed, "one dump per terminal failure");
     for d in &dumps {

@@ -21,7 +21,9 @@
 use paella_bench::channels;
 use paella_bench::sweep::{timed, SweepExecutor};
 use paella_cluster::RoutingPolicy;
-use paella_core::{ClientId, Dispatcher, DispatcherConfig, InferenceRequest, SrptDeficitScheduler};
+use paella_core::{
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
+};
 use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
 use paella_sim::SimDuration;
@@ -116,15 +118,12 @@ fn run_dispatch(polls: u64) -> (f64, u64, u64, f64) {
         DispatcherConfig::paella(),
         7,
     );
-    let m = paella_core::ServingSystem::register_model(
-        &mut sys,
-        &synthetic::uniform_job(
-            "tiny",
-            DISPATCH_DEPTH as u32,
-            SimDuration::from_micros(2),
-            1,
-        ),
-    );
+    let m = sys.register_model(&synthetic::uniform_job(
+        "tiny",
+        DISPATCH_DEPTH as u32,
+        SimDuration::from_micros(2),
+        1,
+    ));
     let mut at = paella_sim::SimTime::ZERO;
     for i in 0..DISPATCH_REQUESTS {
         sys.submit(InferenceRequest {

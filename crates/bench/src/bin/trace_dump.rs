@@ -37,11 +37,13 @@ fn main() {
         // Two model classes sharing the device: the paper's Fig. 2 job (eight
         // dependent ~300 µs kernels) against a small latency-sensitive job, so
         // the trace shows queuing, deficit overrides, and occupancy holds.
-        let big = ServingSystem::register_model(&mut sys, &synthetic::fig2_job());
-        let small = ServingSystem::register_model(
-            &mut sys,
-            &synthetic::uniform_job("small", 2, SimDuration::from_micros(40), 4),
-        );
+        let big = sys.register_model(&synthetic::fig2_job());
+        let small = sys.register_model(&synthetic::uniform_job(
+            "small",
+            2,
+            SimDuration::from_micros(40),
+            4,
+        ));
         let spec = WorkloadSpec {
             clients: 8,
             ..WorkloadSpec::steady(9_000.0, 120)

@@ -8,7 +8,7 @@
 //! Run with: `./target/release/validate`
 
 use paella_bench::{channels, device, zoo};
-use paella_core::{ClientId, InferenceRequest};
+use paella_core::{ClientId, InferenceRequest, ServingSystem};
 use paella_gpu::{blocks_per_sm, BlockFootprint, DeviceConfig, SmLimits};
 use paella_models::{measure_uncontended, registry, synthetic};
 use paella_sim::{SimDuration, SimTime};

@@ -1008,6 +1008,80 @@ mod tests {
 
     const SCHED: &str = "crates/core/src/sched.rs";
 
+    /// The rule ids `src` trips when it sits at `path`.
+    fn rules_at(path: &str, src: &str) -> Vec<&'static str> {
+        analyze_snippet(path, src).iter().map(|v| v.rule).collect()
+    }
+
+    #[test]
+    fn r1_wall_clock_in_the_virtual_time_stack_tests_included() {
+        let src = "#[cfg(test)]\nmod tests {\n    use std::time::Instant;\n}\n";
+        for path in [
+            "crates/core/src/x.rs",
+            "crates/gpu/src/x.rs",
+            "crates/cluster/src/router.rs",
+            "crates/bench/src/bin/fig02.rs",
+            // No carve-out for the harness: its reads are allowlisted.
+            "crates/bench/src/sweep.rs",
+        ] {
+            assert_eq!(rules_at(path, src), ["no-wall-clock"], "{path}");
+        }
+        assert!(rules_at("crates/channels/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn r2_relaxed_needs_a_justification_on_its_statement() {
+        const CH: &str = "crates/channels/src/x.rs";
+        let flagged = [
+            "fn f(a: &A) { a.load(Ordering::Relaxed); }\n",
+            // The comment belongs to an earlier statement.
+            "fn f(a: &A) {\n    // relaxed: justification\n    let y = 1;\n    a.load(Ordering::Relaxed);\n}\n",
+        ];
+        for src in flagged {
+            assert_eq!(rules_at(CH, src), ["relaxed-needs-justification"], "{src}");
+        }
+        let clean = [
+            "fn f(a: &A) { a.load(Ordering::Relaxed); } // relaxed: why\n",
+            "fn f(a: &A) {\n    // relaxed: a long justification\n    // spanning two lines.\n    a.load(Ordering::Relaxed);\n}\n",
+            // The flagged access is on a continuation line of the statement
+            // the comment sits above.
+            "fn f(a: &A) {\n    // relaxed: why this is fine\n    let v = a\n        .chained()\n        .load(Ordering::Relaxed);\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn t(a: &A) { a.load(Ordering::Relaxed); }\n}\n",
+        ];
+        for src in clean {
+            assert!(rules_at(CH, src).is_empty(), "{src}");
+        }
+    }
+
+    #[test]
+    fn r3_hot_paths_take_no_unwrap_and_no_bare_expect() {
+        let unwrap = "fn f(x: Option<u8>) { x.unwrap(); }\n";
+        let bare = "fn f(x: Option<u8>) { x.expect(\"msg\"); }\n";
+        let ok = "fn f(x: Option<u8>) {\n    // invariant: checked by caller\n    x.expect(\"msg\");\n}\n";
+        for path in [
+            "crates/core/src/dispatcher.rs",
+            "crates/cluster/src/lib.rs",
+            "crates/cluster/src/router.rs",
+        ] {
+            assert_eq!(rules_at(path, unwrap), ["hot-path-unwrap"], "{path}");
+            assert_eq!(rules_at(path, bare), ["hot-path-unwrap"], "{path}");
+            assert!(rules_at(path, ok).is_empty(), "{path}");
+        }
+        assert!(rules_at("crates/core/src/waitlist.rs", unwrap).is_empty());
+    }
+
+    #[test]
+    fn r4_thread_sleep_banned_outside_bench_and_tests() {
+        let src = "fn f() { std::thread::sleep(d); }\n";
+        assert_eq!(
+            rules_at("crates/channels/src/x.rs", src),
+            ["no-thread-sleep"]
+        );
+        assert!(rules_at("crates/bench/src/x.rs", src).is_empty());
+        let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { std::thread::sleep(d); }\n}\n";
+        assert!(rules_at("crates/channels/src/x.rs", test_src).is_empty());
+    }
+
     #[test]
     fn r6_flags_for_loop_over_hashmap_field() {
         let src = "struct S { clients: HashMap<u32, St> }\n\

@@ -130,12 +130,12 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "SRPT pick replaced by the first ready job in seeded-hash order",
         },
         GraftMutant {
-            id: "r7-dispatcher-guard-stripped",
+            id: "r7-dispatcher-debit-bypassed",
             rule: "unchecked-counter-sub",
             file: "crates/core/src/dispatcher.rs",
-            find: "j.outstanding >= 1,",
-            replace: "true,",
-            description: "PR-5 bug class: underflow debug_assert neutered",
+            find: "self.core.debit(&mut j.outstanding, 1, \"job outstanding\");",
+            replace: "j.outstanding -= 1;",
+            description: "PR-5 bug class: a bare subtraction in place of the checked debit",
         },
         GraftMutant {
             id: "r7-engine-guard-stripped",

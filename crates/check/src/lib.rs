@@ -1,6 +1,6 @@
 //! `paella-check`: the verification layer for the Paella reproduction.
 //!
-//! Correctness of this codebase leans on four properties that `cargo test`
+//! Correctness of this codebase leans on three properties that `cargo test`
 //! alone cannot establish, and this crate attacks each with a dedicated
 //! tool:
 //!
@@ -17,20 +17,21 @@
 //!    provides brute-force reference implementations of CUDA stream
 //!    semantics and Table-1 block conservation, cross-checked against the
 //!    production `Waitlist` and `OccupancyTracker` by property tests.
-//! 3. **Source-level contracts** — the [`lint`] module enforces repo rules
-//!    no off-the-shelf linter knows: no wall clock in the virtual-time
-//!    stack, justified `Relaxed` orderings, no `unwrap()` on the dispatcher
-//!    hot path, no `thread::sleep` in library code.
-//! 4. **Determinism & accounting dataflow** — the [`analysis`] module is a
-//!    std-only AST-lite engine (token trees, item/scope recognition,
-//!    struct-field classification) hosting rules R1–R9: the lints above
-//!    plus no hash-order leakage into decision paths (R6), no unchecked
-//!    counter subtraction in accounting code (R7), per-operation atomic
-//!    ordering justifications (R8), and total float comparators (R9), with
-//!    a byte-sorted stale-checked allowlist and a graft-mutant self-test
-//!    ([`analysis::selftest`]) proving every rule fires.
+//! 3. **Source-level contracts, determinism & accounting dataflow** — the
+//!    [`analysis`] module is a std-only AST-lite engine (token trees,
+//!    item/scope recognition, struct-field classification) hosting the repo
+//!    rules no off-the-shelf linter knows, R1–R9: no wall clock in the
+//!    virtual-time stack, justified `Relaxed` orderings, no `unwrap()` on
+//!    the request hot paths, no `thread::sleep` in library code, exhaustive
+//!    `TraceEvent` handling, no hash-order leakage into decision paths (R6),
+//!    no unchecked counter subtraction in accounting code (R7),
+//!    per-operation atomic ordering justifications (R8), and total float
+//!    comparators (R9), with a byte-sorted stale-checked allowlist and a
+//!    graft-mutant self-test ([`analysis::selftest`]) proving every rule
+//!    fires. The [`lint`] module holds what the rules share: the tokenizer,
+//!    the test mask, justification comments.
 //!
-//! The `paella-check` binary wires all four into CI:
+//! The `paella-check` binary wires all three into CI:
 //! `cargo run -p paella-check` exits nonzero on any violation, finding,
 //! surviving mutant, or non-exhausted model.
 
@@ -43,7 +44,7 @@ pub mod oracle;
 
 pub use analysis::{analyze, analyze_sources, Analysis};
 pub use atomic::AtomicCell;
-pub use lint::{lint_source, Violation};
+pub use lint::Violation;
 pub use mc::{Checker, Config, Report};
 pub use models::{clean_models, mutants, ModelCheck, Mutant};
 pub use oracle::{check_journeys, check_kv, ConservationOracle, KvOracle, StreamOracle};

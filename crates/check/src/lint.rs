@@ -1,33 +1,8 @@
-//! Custom source lints for the Paella codebase.
-//!
-//! `cargo clippy` cannot express the repo's own contracts, so this module
-//! implements a small line-oriented lint pass over a comment/string-aware
-//! tokenization of each source file:
-//!
-//! * **R1 `no-wall-clock`** — the simulation stack (`crates/sim`,
-//!   `crates/core`, `crates/gpu`, `crates/cluster`) runs on virtual time;
-//!   `Instant` and `SystemTime` are banned outright. Wall-clock reads there
-//!   silently break determinism and reproducibility of every experiment.
-//!   The bench crate is covered too — figure binaries are deterministic
-//!   grids now — except the two allowlisted harness files
-//!   (`crates/bench/src/sweep.rs`, `crates/bench/src/bin/perf.rs`), which
-//!   measure how long *we* take, never what the simulation observes.
-//! * **R2 `relaxed-needs-justification`** — every `Ordering::Relaxed` in
-//!   `crates/channels` must carry a `relaxed:` justification comment (same
-//!   line, or the comment block above the statement). A relaxed access
-//!   with no written argument is exactly where the model checker's mutation
-//!   corpus finds bugs.
-//! * **R3 `hot-path-unwrap`** — the per-request hot paths
-//!   (`crates/core/src/dispatcher.rs` and all of `crates/cluster/src`) must
-//!   not `unwrap()`; `expect(` is allowed only with an `invariant:` comment
-//!   stating why the value cannot be absent.
-//! * **R4 `no-thread-sleep`** — `thread::sleep` is banned in library code
-//!   (everything under `crates/*/src` except `crates/bench`): the stack is
-//!   event-driven and virtual-timed, so a sleep is always a latent hang or a
-//!   hidden wall-clock dependency.
-//!
-//! Test code (`#[cfg(test)]` regions) is exempt from R2–R4; R1 applies
-//! everywhere in the sim crates, tests included.
+//! What the [`crate::analysis`] engine shares with its rules: the
+//! comment/string-aware tokenizer, the `#[cfg(test)]` mask, justification
+//! comments, the [`Violation`] record, and the one rule that needs two files
+//! side by side (R5, `TraceEvent` exhaustiveness). Rules R1–R4 and R6–R9
+//! live in [`crate::analysis::rules`].
 
 use std::fs;
 use std::io;
@@ -59,9 +34,9 @@ impl std::fmt::Display for Violation {
 /// One source line after tokenization: executable text with comments and
 /// literal contents blanked, plus the concatenated comment text.
 ///
-/// Shared with the [`crate::analysis`] engine, which lexes its token trees
-/// from the blanked `code` text so both passes agree on what is and is not
-/// executable source.
+/// The [`crate::analysis`] engine lexes its token trees from the blanked
+/// `code` text, so every rule agrees on what is and is not executable
+/// source.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Line {
     pub(crate) code: String,
@@ -302,99 +277,6 @@ pub(crate) fn justified(lines: &[Line], idx: usize, tag: &str) -> bool {
     false
 }
 
-/// Lints one file's `content` under its workspace-relative `path`
-/// (`/`-separated). Pure function of its inputs, so rules are unit-testable
-/// on synthetic sources.
-pub fn lint_source(path: &str, content: &str) -> Vec<Violation> {
-    let lines = tokenize(content);
-    let in_test = test_mask(&lines);
-    let mut out = Vec::new();
-    let mut push = |line: usize, rule: &'static str, message: String| {
-        out.push(Violation {
-            file: path.to_string(),
-            line: line + 1,
-            rule,
-            message,
-        });
-    };
-
-    // Wall-clock allowlist: the sweep harness and the perf baseline binary
-    // time the *host* by design. Nothing else in bench (or the sim stack)
-    // may read the clock — cells must stay deterministic at every thread
-    // count.
-    let wall_clock_allowed =
-        path == "crates/bench/src/sweep.rs" || path == "crates/bench/src/bin/perf.rs";
-    let sim_stack = [
-        "crates/sim/src/",
-        "crates/core/src/",
-        "crates/gpu/src/",
-        "crates/cluster/src/",
-        "crates/bench/src/",
-        // The fault-injection and robustness layers (DESIGN §11) live on
-        // the same virtual clock: the workload harness replays fault plans
-        // and the telemetry layer timestamps fault events, so neither may
-        // read the host clock.
-        "crates/workload/src/",
-        "crates/telemetry/src/",
-        // The LLM tier shares the virtual clock and its batch formation is
-        // a decision path: same determinism obligations.
-        "crates/llm/src/",
-    ]
-    .iter()
-    .any(|p| path.starts_with(p))
-        && !wall_clock_allowed;
-    let channels = path.starts_with("crates/channels/src/");
-    let hot_path =
-        path == "crates/core/src/dispatcher.rs" || path.starts_with("crates/cluster/src/");
-    let library =
-        path.starts_with("crates/") && path.contains("/src/") && !path.starts_with("crates/bench/");
-
-    for (i, l) in lines.iter().enumerate() {
-        if sim_stack && (l.code.contains("Instant") || l.code.contains("SystemTime")) {
-            push(
-                i,
-                "no-wall-clock",
-                "wall-clock time in the virtual-time simulation stack".into(),
-            );
-        }
-        if in_test[i] {
-            continue;
-        }
-        if channels && l.code.contains("Ordering::Relaxed") && !justified(&lines, i, "relaxed:") {
-            push(
-                i,
-                "relaxed-needs-justification",
-                "Ordering::Relaxed without a `relaxed:` justification comment".into(),
-            );
-        }
-        if hot_path {
-            if l.code.contains(".unwrap()") {
-                push(
-                    i,
-                    "hot-path-unwrap",
-                    "unwrap() on a request hot path; use expect() with an `invariant:` comment"
-                        .into(),
-                );
-            }
-            if l.code.contains(".expect(") && !justified(&lines, i, "invariant:") {
-                push(
-                    i,
-                    "hot-path-unwrap",
-                    "expect() on a request hot path without an `invariant:` comment".into(),
-                );
-            }
-        }
-        if library && l.code.contains("thread::sleep") {
-            push(
-                i,
-                "no-thread-sleep",
-                "thread::sleep in library code; the stack is event-driven".into(),
-            );
-        }
-    }
-    out
-}
-
 /// Extracts the variant names of `pub enum TraceEvent` from a tokenized
 /// source, with the 0-based line each was declared on.
 fn trace_event_variants(lines: &[Line]) -> Vec<(usize, String)> {
@@ -549,43 +431,6 @@ pub(crate) fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Lints every `crates/*/src/**/*.rs` under the workspace `root`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors (unreadable directories or files).
-pub fn run(root: &Path) -> io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    for entry in fs::read_dir(root.join("crates"))? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            rs_files(&src, &mut files)?;
-        }
-    }
-    files.sort();
-    let mut out = Vec::new();
-    for f in files {
-        let rel = f
-            .strip_prefix(root)
-            .unwrap_or(&f)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        out.extend(lint_source(&rel, &fs::read_to_string(&f)?));
-    }
-    // R5 needs two files side by side, so it runs outside the per-file loop.
-    let event_p = root.join("crates/telemetry/src/event.rs");
-    let export_p = root.join("crates/telemetry/src/export.rs");
-    if event_p.is_file() && export_p.is_file() {
-        out.extend(trace_event_exhaustiveness(
-            &fs::read_to_string(&event_p)?,
-            &fs::read_to_string(&export_p)?,
-        ));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -648,87 +493,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_in_sim_stack_only() {
-        let src = "use std::time::Instant;\n";
-        assert_eq!(lint_source("crates/core/src/x.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/gpu/src/x.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/cluster/src/router.rs", src).len(), 1);
-        assert!(lint_source("crates/channels/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_in_bench_flagged_except_harness_allowlist() {
-        let src = "use std::time::Instant;\n";
-        // Figure binaries and bench lib code are deterministic grid cells:
-        // wall-clock is a lint error there.
-        assert_eq!(lint_source("crates/bench/src/bin/fig02.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/bench/src/lib.rs", src).len(), 1);
-        assert_eq!(lint_source("crates/bench/src/chart.rs", src).len(), 1);
-        // The harness and the perf baseline measure the host on purpose.
-        assert!(lint_source("crates/bench/src/sweep.rs", src).is_empty());
-        assert!(lint_source("crates/bench/src/bin/perf.rs", src).is_empty());
-    }
-
-    #[test]
-    fn relaxed_needs_justification_same_line_or_block_above() {
-        let bad = "fn f(a: &A) { a.load(Ordering::Relaxed); }\n";
-        let v = lint_source("crates/channels/src/x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "relaxed-needs-justification");
-
-        let same_line = "fn f(a: &A) { a.load(Ordering::Relaxed); } // relaxed: why\n";
-        assert!(lint_source("crates/channels/src/x.rs", same_line).is_empty());
-
-        let block_above = "fn f(a: &A) {\n    // relaxed: a long justification\n    // spanning two lines.\n    a.load(Ordering::Relaxed);\n}\n";
-        assert!(lint_source("crates/channels/src/x.rs", block_above).is_empty());
-
-        let detached = "fn f(a: &A) {\n    // relaxed: justification\n    let y = 1;\n    a.load(Ordering::Relaxed);\n}\n";
-        assert_eq!(lint_source("crates/channels/src/x.rs", detached).len(), 1);
-
-        // Multi-line expression: the comment sits above the statement while
-        // the flagged access is on a continuation line.
-        let multiline = "fn f(a: &A) {\n    // relaxed: why this is fine\n    let v = a\n        .chained()\n        .load(Ordering::Relaxed);\n}\n";
-        assert!(lint_source("crates/channels/src/x.rs", multiline).is_empty());
-    }
-
-    #[test]
-    fn relaxed_in_tests_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t(a: &A) { a.load(Ordering::Relaxed); }\n}\n";
-        assert!(lint_source("crates/channels/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn dispatcher_unwrap_and_bare_expect_flagged() {
-        let src = "fn f(x: Option<u8>) { x.unwrap(); }\n";
-        let v = lint_source("crates/core/src/dispatcher.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "hot-path-unwrap");
-        // Same code in another core file is fine.
-        assert!(lint_source("crates/core/src/waitlist.rs", src).is_empty());
-
-        let bare = "fn f(x: Option<u8>) { x.expect(\"msg\"); }\n";
-        assert_eq!(lint_source("crates/core/src/dispatcher.rs", bare).len(), 1);
-        let ok = "fn f(x: Option<u8>) {\n    // invariant: checked by caller\n    x.expect(\"msg\");\n}\n";
-        assert!(lint_source("crates/core/src/dispatcher.rs", ok).is_empty());
-
-        // The cluster tier is a hot path too: every file under its src.
-        let v = lint_source("crates/cluster/src/lib.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "hot-path-unwrap");
-        assert_eq!(lint_source("crates/cluster/src/router.rs", bare).len(), 1);
-        assert!(lint_source("crates/cluster/src/router.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn thread_sleep_banned_outside_bench_and_tests() {
-        let src = "fn f() { std::thread::sleep(d); }\n";
-        assert_eq!(lint_source("crates/channels/src/x.rs", src).len(), 1);
-        assert!(lint_source("crates/bench/src/x.rs", src).is_empty());
-        let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { std::thread::sleep(d); }\n}\n";
-        assert!(lint_source("crates/channels/src/x.rs", test_src).is_empty());
-    }
-
-    #[test]
     fn trace_event_lint_clean_on_real_sources() {
         let event_src = include_str!("../../telemetry/src/event.rs");
         let export_src = include_str!("../../telemetry/src/export.rs");
@@ -781,26 +545,6 @@ mod tests {
             v.iter()
                 .any(|x| x.message.contains("CounterSample") && x.message.contains("kind()")),
             "orphaned variant not flagged: {v:?}"
-        );
-    }
-
-    #[test]
-    fn the_repo_itself_is_clean() {
-        // The CI gate in miniature: linting the enclosing workspace from the
-        // crate's own manifest dir must produce no violations.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-            .parent()
-            .and_then(Path::parent)
-            .expect("workspace root");
-        let violations = run(root).expect("lint walk");
-        assert!(
-            violations.is_empty(),
-            "repo lint violations:\n{}",
-            violations
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n")
         );
     }
 }

@@ -1,11 +1,10 @@
 //! The `paella-check` CI gate.
 //!
 //! ```text
-//! paella-check [all|lint|analyze|selftest|model|mutate] [--root <workspace-root>]
+//! paella-check [all|analyze|selftest|model|mutate] [--root <workspace-root>]
 //! ```
 //!
-//! * `lint`     — run the custom source lints over `crates/*/src`.
-//! * `analyze`  — run the syntax-aware dataflow rules (R1–R9) with the
+//! * `analyze`  — run the source rules (R1–R9) over `crates/*/src` with the
 //!   `crates/check/analyze.allow` allowlist; stale or unsorted allowlist
 //!   entries fail the run.
 //! * `selftest` — graft every analyzer mutant into the real sources and
@@ -20,12 +19,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use paella_check::analysis::{self, selftest};
-use paella_check::{clean_models, lint, mutants};
+use paella_check::{clean_models, mutants};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: paella-check [all|lint|analyze|selftest|model|mutate] [--root <workspace-root>]"
-    );
+    eprintln!("usage: paella-check [all|analyze|selftest|model|mutate] [--root <workspace-root>]");
     std::process::exit(2);
 }
 
@@ -50,28 +47,8 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
     }
 }
 
-fn run_lint(root: &Path) -> bool {
-    println!("== lint: crates/*/src ==");
-    let violations = match lint::run(root) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("lint walk failed: {e}");
-            return false;
-        }
-    };
-    for v in &violations {
-        println!("  {v}");
-    }
-    println!(
-        "lint: {} violation{}",
-        violations.len(),
-        if violations.len() == 1 { "" } else { "s" }
-    );
-    violations.is_empty()
-}
-
 fn run_analyze(root: &Path) -> bool {
-    println!("== analyze: syntax-aware dataflow rules R1–R9 ==");
+    println!("== analyze: source rules R1–R9 over crates/*/src ==");
     match analysis::analyze(root) {
         Ok(a) => {
             println!("{a}");
@@ -168,7 +145,7 @@ fn main() -> ExitCode {
     let mut root = None;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "all" | "lint" | "analyze" | "selftest" | "model" | "mutate" => cmd = a,
+            "all" | "analyze" | "selftest" | "model" | "mutate" => cmd = a,
             "--root" => root = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             _ => usage(),
         }
@@ -176,9 +153,6 @@ fn main() -> ExitCode {
     let root = workspace_root(root);
 
     let mut ok = true;
-    if cmd == "all" || cmd == "lint" {
-        ok &= run_lint(&root);
-    }
     if cmd == "all" || cmd == "analyze" {
         ok &= run_analyze(&root);
     }

@@ -20,7 +20,8 @@ use proptest::prelude::*;
 use paella_check::{check_journeys, StreamOracle};
 use paella_compiler::{CompiledModel, DeviceOp, JobSchedule, KernelDag};
 use paella_core::{
-    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, SrptDeficitScheduler, StreamKind,
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
+    StreamKind,
 };
 use paella_gpu::{DeviceConfig, KernelDesc};
 use paella_sim::SimTime;
@@ -192,7 +193,7 @@ proptest! {
         d.run_to_idle();
         prop_assert_eq!(d.drain_completions().len(), jobs, "jobs lost");
 
-        let log = d.take_trace_log();
+        let log = d.take_trace_log().expect("telemetry on");
         let mut dispatched: HashMap<u64, Vec<bool>> = HashMap::new();
         let mut completions: HashMap<u64, u32> = HashMap::new();
         for te in &log.events {

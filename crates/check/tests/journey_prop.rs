@@ -52,11 +52,13 @@ fn run_once(seed: u64, n: usize, fault_rate: f64, deadlines: bool) -> RunOut {
         seed,
     );
     sys.enable_telemetry();
-    let a = ServingSystem::register_model(&mut sys, &synthetic::fig2_job());
-    let b = ServingSystem::register_model(
-        &mut sys,
-        &synthetic::uniform_job("small", 2, SimDuration::from_micros(40), 4),
-    );
+    let a = sys.register_model(&synthetic::fig2_job());
+    let b = sys.register_model(&synthetic::uniform_job(
+        "small",
+        2,
+        SimDuration::from_micros(40),
+        4,
+    ));
     let mut s = seed ^ 0x9E3779B97F4A7C15;
     let mut at = 0u64;
     for _ in 0..n {
@@ -74,9 +76,9 @@ fn run_once(seed: u64, n: usize, fault_rate: f64, deadlines: bool) -> RunOut {
         .into_iter()
         .map(|c| (c.job.0, c.jct().as_nanos()))
         .collect();
-    let failed = ServingSystem::drain_failures(&mut sys).len();
+    let failed = sys.drain_failures().len();
     RunOut {
-        log: Dispatcher::take_trace_log(&mut sys),
+        log: sys.take_trace_log().expect("telemetry on"),
         completed,
         failed,
     }
@@ -131,7 +133,7 @@ fn run_llm_once(seed: u64, n: usize, policy: paella_llm::LlmPolicy, pages: u64) 
         .into_iter()
         .map(|c| (c.job.0, c.jct().as_nanos()))
         .collect();
-    let failed = ServingSystem::drain_failures(&mut sys).len();
+    let failed = sys.drain_failures().len();
     RunOut {
         log: sys.take_trace_log().expect("telemetry on"),
         completed,

@@ -36,15 +36,13 @@ use paella_compiler::CompiledModel;
 use paella_core::dispatcher::{Dispatcher, DispatcherConfig};
 use paella_core::remote::RpcNetModel;
 use paella_core::sched::SrptDeficitScheduler;
-use paella_core::serve::ServingSystem;
+use paella_core::serve::{earliest, EngineCore, ServingSystem};
 use paella_core::types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, LoadSignal, ModelId,
 };
 use paella_gpu::DeviceConfig;
 use paella_sim::{EventQueue, FaultKind, FaultPlan, SimDuration, SimTime, Xoshiro256pp};
-use paella_telemetry::{
-    MetricsRegistry, MetricsSnapshot, RouteDecision, TraceEvent, TraceLog, Tracer,
-};
+use paella_telemetry::{MetricsSnapshot, RouteDecision, TraceEvent, TraceLog};
 
 /// Cluster-wide knobs.
 #[derive(Clone, Copy, Debug)]
@@ -191,17 +189,13 @@ pub struct Cluster {
     frontend: EventQueue<FrontEv>,
     /// Whether a ScaleTick is already scheduled (one in flight at a time).
     tick_scheduled: bool,
-    completions: Vec<JobCompletion>,
-    /// Terminal failures (public ids, original submission times).
-    failures: Vec<JobFailure>,
     /// Crash re-routes consumed per request, keyed by
     /// `(client, public model, original submitted_at ns)`.
     reroutes: HashMap<(u32, u32, u64), u32>,
-    tracer: Tracer,
-    metrics: Option<Box<MetricsRegistry>>,
-    /// Router-tier flight-recorder dumps (replica loss), awaiting
-    /// [`ServingSystem::take_postmortems`].
-    postmortems: Vec<String>,
+    /// The router tier's telemetry (routing counters, per-node depth
+    /// series, the failure ledger), its outboxes — results carry public ids
+    /// and original submission times — and the accounting debit.
+    core: EngineCore,
     scale_ups: u64,
     scale_downs: u64,
 }
@@ -237,12 +231,8 @@ impl Cluster {
             models: Vec::new(),
             frontend: EventQueue::new(),
             tick_scheduled: false,
-            completions: Vec::new(),
-            failures: Vec::new(),
             reroutes: HashMap::new(),
-            tracer: Tracer::disabled(),
-            metrics: None,
-            postmortems: Vec::new(),
+            core: EngineCore::default(),
             scale_ups: 0,
             scale_downs: 0,
         }
@@ -350,14 +340,14 @@ impl Cluster {
         let pos = self.router.pick(&candidates, &loads);
         let chosen = candidates[pos];
         let outstanding = loads[pos].outstanding;
-        if self.tracer.is_enabled() {
+        if self.core.tracer.is_enabled() {
             let (model, node, policy, n_cand) = (
                 public as u32,
                 chosen as u32,
                 self.router.policy().as_str(),
                 candidates.len() as u32,
             );
-            self.tracer.record_with(at, || {
+            self.core.tracer.record_with(at, || {
                 TraceEvent::RouteDecision(Box::new(RouteDecision {
                     model,
                     node,
@@ -367,12 +357,10 @@ impl Cluster {
                 }))
             });
         }
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("requests_routed", 1);
-            if let Some(name) = NODE_DEPTH.get(chosen) {
-                m.gauge(name, outstanding + 1);
-                m.sample(name, at, outstanding + 1);
-            }
+        self.core.inc("requests_routed", 1);
+        if let Some(name) = NODE_DEPTH.get(chosen) {
+            self.core.gauge(name, outstanding + 1);
+            self.core.sample(name, at, outstanding + 1);
         }
         let est = self.models[public].estimate;
         let hop = self.cfg.net.transfer(self.models[public].model.input_bytes);
@@ -412,47 +400,23 @@ impl Cluster {
     fn fail_terminal(&mut self, req: InferenceRequest, at: SimTime, reason: FailureReason) {
         self.reroutes
             .remove(&(req.client.0, req.model.0, req.submitted_at.as_nanos()));
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("requests_failed", 1);
-            m.slo_fail(req.client.0, reason.as_str());
-        }
+        self.core.inc("requests_failed", 1);
         // Losing a request to a crash with no surviving replica (or a spent
         // crash budget) is the cluster's terminal failure: snapshot the
-        // router tier's flight ring into a post-mortem dump (DESIGN §12).
+        // router tier's flight ring and fixed-order cluster state into a
+        // post-mortem dump (DESIGN §12).
         if reason == FailureReason::NodeCrash {
-            self.record_postmortem("replica-loss", at);
+            let crashed = self.nodes.iter().filter(|n| n.crashed).count() as u64;
+            let state = [
+                ("frontend_queued", self.frontend.len() as u64),
+                ("nodes_online", self.nodes_online() as u64),
+                ("nodes_crashed", crashed),
+                ("outstanding", self.total_outstanding()),
+                ("failures", self.core.failures_pending() as u64),
+            ];
+            self.core.postmortem("replica-loss", at, &state);
         }
-        self.failures.push(JobFailure {
-            request: req,
-            reason,
-            at,
-        });
-    }
-
-    /// Renders the router tier's flight-recorder ring plus fixed-order
-    /// cluster state into a deterministic post-mortem dump.
-    fn record_postmortem(&mut self, trigger: &str, at: SimTime) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let online = self
-            .nodes
-            .iter()
-            .filter(|n| n.state == NodeState::Online)
-            .count() as u64;
-        let crashed = self.nodes.iter().filter(|n| n.crashed).count() as u64;
-        let outstanding: u64 = self.nodes.iter().map(|n| n.outstanding).sum();
-        let state = [
-            ("frontend_queued", self.frontend.len() as u64),
-            ("nodes_online", online),
-            ("nodes_crashed", crashed),
-            ("outstanding", outstanding),
-            ("failures", self.failures.len() as u64),
-        ];
-        let events = self.tracer.flight_snapshot();
-        self.postmortems.push(paella_telemetry::flight::render(
-            trigger, at, &state, &events,
-        ));
+        self.core.fail(req, reason, at);
     }
 
     /// A request lost to a node crash: re-enter routing if its per-request
@@ -467,14 +431,14 @@ impl Cluster {
         }
         self.reroutes.insert(key, used + 1);
         let (client, model, attempt) = (req.client.0, req.model.0, used + 1);
-        self.tracer.record_with(at, || TraceEvent::FailoverHop {
-            client,
-            model,
-            attempt,
-        });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("requests_rerouted", 1);
-        }
+        self.core
+            .tracer
+            .record_with(at, || TraceEvent::FailoverHop {
+                client,
+                model,
+                attempt,
+            });
+        self.core.inc("requests_rerouted", 1);
         self.frontend
             .schedule_at(at.max(self.frontend.now()), FrontEv::Reroute(req));
     }
@@ -496,11 +460,10 @@ impl Cluster {
         if i >= self.nodes.len() || self.nodes[i].crashed {
             return;
         }
-        self.tracer
+        self.core
+            .tracer
             .record_with(at, || TraceEvent::NodeCrash { node: i as u32 });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("node_crashes", 1);
-        }
+        self.core.inc("node_crashes", 1);
         self.collect_completions(i);
         self.nodes[i].crashed = true;
         self.nodes[i].state = NodeState::Offline;
@@ -509,25 +472,14 @@ impl Cluster {
             .cancel_all(at, FailureReason::NodeCrash);
         self.collect_failures(i);
         // Requests still crossing the wire to the crashed node are lost too.
-        let pending = self.nodes[i].ingress.drain();
-        let net = self.cfg.net;
-        let mut underflows = 0u64;
-        for (_, (req, _est)) in pending {
-            let n = &mut self.nodes[i];
-            match n.outstanding.checked_sub(1) {
-                Some(v) => n.outstanding = v,
-                None => underflows += 1,
-            }
-            let ingress = net.transfer(self.models[req.model.0 as usize].model.input_bytes) * 2;
-            let orig = SimTime::from_nanos(
-                req.submitted_at
-                    .as_nanos()
-                    .saturating_sub(ingress.as_nanos()),
-            );
+        for (_, (req, _est)) in self.nodes[i].ingress.drain() {
+            self.settle(i, 1);
+            let submitted_at =
+                RpcNetModel::origin(req.submitted_at, self.ingress(req.model.0 as usize));
             self.try_reroute(
                 at,
                 InferenceRequest {
-                    submitted_at: orig,
+                    submitted_at,
                     ..req
                 },
             );
@@ -537,15 +489,10 @@ impl Cluster {
         let n = &mut self.nodes[i];
         n.in_network = 0;
         n.in_network_work = SimDuration::ZERO;
+        debug_assert_eq!(n.outstanding, 0, "node {i} crash accounting out of balance");
         if n.outstanding != 0 {
-            underflows += 1;
             n.outstanding = 0;
-        }
-        debug_assert_eq!(underflows, 0, "node {i} crash accounting out of balance");
-        if underflows > 0 {
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("accounting_underflow", underflows);
-            }
+            self.core.inc("accounting_underflow", 1);
         }
     }
 
@@ -556,11 +503,10 @@ impl Cluster {
         if i >= self.nodes.len() || !self.nodes[i].crashed {
             return;
         }
-        self.tracer
+        self.core
+            .tracer
             .record_with(at, || TraceEvent::NodeRecover { node: i as u32 });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("node_recoveries", 1);
-        }
+        self.core.inc("node_recoveries", 1);
         self.nodes[i].crashed = false;
         let weight: u64 = self
             .models
@@ -578,9 +524,7 @@ impl Cluster {
     /// in-flight jobs now; anything of theirs still crossing the network is
     /// refused at node ingress by the dispatcher's disconnect set.
     fn on_client_disconnect(&mut self, at: SimTime, client: ClientId) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("client_disconnects", 1);
-        }
+        self.core.inc("client_disconnects", 1);
         for i in 0..self.nodes.len() {
             self.nodes[i].dispatcher.cancel_client(client, at);
             self.collect_failures(i);
@@ -623,9 +567,7 @@ impl Cluster {
 
     fn scale_up(&mut self, at: SimTime) {
         self.scale_ups += 1;
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("scale_ups", 1);
-        }
+        self.core.inc("scale_ups", 1);
         // Prefer re-activating a warm offline node: weights are resident,
         // only the activation delay applies. Crashed nodes are *not* warm —
         // the crash dropped their device memory — so they are skipped until
@@ -680,9 +622,7 @@ impl Cluster {
             .map(|(i, _)| i);
         if let Some(i) = victim {
             self.scale_downs += 1;
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("scale_downs", 1);
-            }
+            self.core.inc("scale_downs", 1);
             self.nodes[i].state = if self.nodes[i].outstanding == 0 {
                 NodeState::Offline
             } else {
@@ -691,115 +631,71 @@ impl Cluster {
         }
     }
 
+    /// The two ingress crossings (client→router, router→node) folded into
+    /// the submission time a node sees for public model `public`.
+    fn ingress(&self, public: usize) -> SimDuration {
+        self.cfg.net.transfer(self.models[public].model.input_bytes) * 2
+    }
+
+    /// Translates a request node `i` echoes back to the cluster's public
+    /// model id and the client's original submission time (both crossings
+    /// are deterministic per model, so they subtract back out exactly).
+    /// Returns the public model index.
+    fn restore(&self, i: usize, req: &mut InferenceRequest) -> usize {
+        let local = Some(req.model);
+        let public = self.nodes[i].local_ids.iter().position(|&l| l == local);
+        let public = public
+            .unwrap_or_else(|| panic!("node {i} reported unknown local model {:?}", req.model));
+        req.model = ModelId(public as u32);
+        req.submitted_at = RpcNetModel::origin(req.submitted_at, self.ingress(public));
+        public
+    }
+
+    /// Node `i` answered `n` of the requests routed to it; a draining node
+    /// that answered its last goes offline.
+    fn settle(&mut self, i: usize, n: u64) {
+        let node = &mut self.nodes[i];
+        self.core
+            .debit(&mut node.outstanding, n, "node outstanding");
+        if node.state == NodeState::Draining && node.outstanding == 0 {
+            node.state = NodeState::Offline;
+        }
+    }
+
     /// Drains completions from node `i`, translating them back to the
-    /// cluster's public ids and times.
+    /// cluster's public ids and times. The nodes' own ledgers booked them;
+    /// the router tier's books failures only.
     fn collect_completions(&mut self, i: usize) {
-        let net = self.cfg.net;
-        let mut drained = self.nodes[i].dispatcher.drain_completions();
+        let drained = self.nodes[i].dispatcher.drain_completions();
         if drained.is_empty() {
             return;
         }
-        for c in &mut drained {
-            let public = self.nodes[i]
-                .local_ids
-                .iter()
-                .position(|&l| l == Some(c.request.model))
-                .unwrap_or_else(|| {
-                    panic!(
-                        "node {i} completed unknown local model {:?}",
-                        c.request.model
-                    )
-                });
-            let m = &self.models[public].model;
-            // Two ingress crossings (client→router, router→node) were folded
-            // into the submission time the node saw; both are deterministic
-            // per model, so subtract them back out exactly.
-            let ingress = net.transfer(m.input_bytes) * 2;
-            let egress = net.transfer(m.output_bytes);
-            c.request.model = ModelId(public as u32);
-            c.request.submitted_at = SimTime::from_nanos(
-                c.request
-                    .submitted_at
-                    .as_nanos()
-                    .saturating_sub(ingress.as_nanos()),
-            );
+        self.settle(i, drained.len() as u64);
+        for mut c in drained {
+            let public = self.restore(i, &mut c.request);
+            let egress = self
+                .cfg
+                .net
+                .transfer(self.models[public].model.output_bytes);
             c.client_visible_at += egress;
-            c.breakdown.communication += ingress + egress;
+            c.breakdown.communication += self.ingress(public) + egress;
             // A completed request retires whatever re-route budget it used.
             self.reroutes.remove(&(
                 c.request.client.0,
                 c.request.model.0,
                 c.request.submitted_at.as_nanos(),
             ));
+            self.core.forward(c);
         }
-        // A double-drain would underflow here; `checked_sub` surfaces the
-        // accounting bug (debug assert + counter) instead of masking it the
-        // way `saturating_sub` silently did.
-        let n = &mut self.nodes[i];
-        let under = match n.outstanding.checked_sub(drained.len() as u64) {
-            Some(v) => {
-                n.outstanding = v;
-                false
-            }
-            None => {
-                n.outstanding = 0;
-                true
-            }
-        };
-        debug_assert!(!under, "node {i} completed more requests than routed");
-        if n.state == NodeState::Draining && n.outstanding == 0 {
-            n.state = NodeState::Offline;
-        }
-        if under {
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("accounting_underflow", 1);
-            }
-        }
-        self.completions.append(&mut drained);
     }
 
     /// Drains failures from node `i`, translating them back to public ids
     /// and original submission times. Crash-reason failures re-enter routing
     /// under the per-request budget; everything else is terminal.
     fn collect_failures(&mut self, i: usize) {
-        let net = self.cfg.net;
-        let drained = self.nodes[i].dispatcher.drain_failures();
-        if drained.is_empty() {
-            return;
-        }
-        for mut f in drained {
-            let public = self.nodes[i]
-                .local_ids
-                .iter()
-                .position(|&l| l == Some(f.request.model))
-                .unwrap_or_else(|| {
-                    panic!("node {i} failed unknown local model {:?}", f.request.model)
-                });
-            let ingress = net.transfer(self.models[public].model.input_bytes) * 2;
-            f.request.model = ModelId(public as u32);
-            f.request.submitted_at = SimTime::from_nanos(
-                f.request
-                    .submitted_at
-                    .as_nanos()
-                    .saturating_sub(ingress.as_nanos()),
-            );
-            let n = &mut self.nodes[i];
-            let under = match n.outstanding.checked_sub(1) {
-                Some(v) => {
-                    n.outstanding = v;
-                    false
-                }
-                None => true,
-            };
-            debug_assert!(!under, "node {i} failed more requests than routed");
-            if n.state == NodeState::Draining && n.outstanding == 0 {
-                n.state = NodeState::Offline;
-            }
-            if under {
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("accounting_underflow", 1);
-                }
-            }
+        for mut f in self.nodes[i].dispatcher.drain_failures() {
+            self.restore(i, &mut f.request);
+            self.settle(i, 1);
             if f.reason == FailureReason::NodeCrash {
                 self.try_reroute(f.at, f.request);
             } else {
@@ -885,8 +781,8 @@ impl ServingSystem for Cluster {
     fn next_event_time(&mut self) -> Option<SimTime> {
         let mut t = self.frontend.peek_time();
         for n in &mut self.nodes {
-            t = min_opt(t, n.ingress.peek_time());
-            t = min_opt(t, n.dispatcher.next_event_time());
+            t = earliest(t, n.ingress.peek_time());
+            t = earliest(t, n.dispatcher.next_event_time());
         }
         t
     }
@@ -912,14 +808,10 @@ impl ServingSystem for Cluster {
                     }
                 }
             }
-            let next = [tf, ti.map(|(a, _)| a), tn.map(|(a, _)| a)]
-                .into_iter()
-                .flatten()
-                .min();
-            let Some(next) = next else { break };
-            if next > t {
+            let next = earliest(tf, earliest(ti.map(|(a, _)| a), tn.map(|(a, _)| a)));
+            let Some(next) = next.filter(|&next| next <= t) else {
                 break;
-            }
+            };
             if tf == Some(next) {
                 // invariant: peek_time returned Some(next), so pop succeeds.
                 let (at, ev) = self.frontend.pop().expect("peeked");
@@ -930,23 +822,13 @@ impl ServingSystem for Cluster {
                     FrontEv::ScaleTick => self.on_scale_tick(at),
                     FrontEv::Fault(kind) => self.on_fault(at, kind),
                 }
-            } else if let Some((a, i)) = ti.filter(|&(a, _)| a == next) {
+            } else if let Some((_, i)) = ti.filter(|&(a, _)| a == next) {
                 let n = &mut self.nodes[i];
-                // invariant: peek_time returned Some(a), so pop succeeds.
+                // invariant: peek_time returned Some(next), so pop succeeds.
                 let (_, (req, est)) = n.ingress.pop().expect("peeked");
-                // Checked, not saturating: a drain below the router's
-                // in-network charge is an accounting bug worth surfacing.
-                let mut under = false;
-                match n.in_network.checked_sub(1) {
-                    Some(v) => n.in_network = v,
-                    None => under = true,
-                }
-                if n.in_network_work >= est {
-                    n.in_network_work = n.in_network_work.saturating_sub(est);
-                } else {
-                    n.in_network_work = SimDuration::ZERO;
-                    under = true;
-                }
+                self.core.debit(&mut n.in_network, 1, "in-network requests");
+                self.core
+                    .debit_work(&mut n.in_network_work, est, "in-network work");
                 let local = n.local_ids[req.model.0 as usize].unwrap_or_else(|| {
                     panic!("request routed to node {i} without model {:?}", req.model)
                 });
@@ -954,17 +836,10 @@ impl ServingSystem for Cluster {
                     model: local,
                     ..req
                 });
-                debug_assert!(!under, "node {i} ingress drained below its charge");
-                if under {
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("accounting_underflow", 1);
-                    }
-                }
                 // Ingress-time refusals (shed, disconnected client) surface
                 // here, not on the device clock — collect them promptly so a
                 // node with no device work cannot strand `outstanding`.
                 self.collect_failures(i);
-                let _ = a;
             } else if let Some((a, i)) = tn {
                 self.nodes[i].dispatcher.advance_until(a);
                 self.collect_completions(i);
@@ -974,11 +849,11 @@ impl ServingSystem for Cluster {
     }
 
     fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
+        self.core.take_completions()
     }
 
     fn drain_failures(&mut self) -> Vec<JobFailure> {
-        std::mem::take(&mut self.failures)
+        self.core.take_failures()
     }
 
     fn name(&self) -> String {
@@ -992,9 +867,7 @@ impl ServingSystem for Cluster {
     /// Enables the router's own telemetry and forwards the call to every
     /// node's dispatcher.
     fn enable_telemetry(&mut self) {
-        self.tracer = Tracer::enabled();
-        self.tracer.set_flight_capacity(64);
-        self.metrics = Some(Box::new(MetricsRegistry::new()));
+        self.core.enable_telemetry();
         for n in &mut self.nodes {
             n.dispatcher.enable_telemetry();
         }
@@ -1002,24 +875,24 @@ impl ServingSystem for Cluster {
 
     /// The router's trace merged with every node's host+device trace.
     fn take_trace_log(&mut self) -> Option<TraceLog> {
-        if !self.tracer.is_enabled() {
+        if !self.core.tracer.is_enabled() {
             return None;
         }
-        let mut sources = vec![self.tracer.take()];
+        let mut sources = vec![self.core.tracer.take()];
         for n in &mut self.nodes {
-            sources.push(n.dispatcher.take_trace_log());
+            sources.extend(n.dispatcher.take_trace_log());
         }
         Some(TraceLog::merged(sources))
     }
 
     /// The cluster-level registry (routing counters, per-node depth series).
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.snapshot())
+        self.core.metrics_snapshot()
     }
 
     /// Router-tier dumps first, then each node's, in node order.
     fn take_postmortems(&mut self) -> Vec<String> {
-        let mut out = std::mem::take(&mut self.postmortems);
+        let mut out = self.core.take_postmortems();
         for n in &mut self.nodes {
             out.extend(n.dispatcher.take_postmortems());
         }
@@ -1033,21 +906,11 @@ impl ServingSystem for Cluster {
             ..LoadSignal::default()
         };
         for n in &self.nodes {
-            let ns = n.dispatcher.load_signal();
-            s.queued += ns.queued + n.in_network;
-            s.inflight += ns.inflight;
-            s.remaining_work += ns.remaining_work + n.in_network_work;
-            s.kv_pages_used += ns.kv_pages_used;
-            s.kv_pages_total += ns.kv_pages_total;
+            s = s + n.dispatcher.load_signal();
+            s.queued += n.in_network;
+            s.remaining_work += n.in_network_work;
         }
         s
-    }
-}
-
-fn min_opt(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
     }
 }
 
@@ -1292,17 +1155,14 @@ mod tests {
         assert_eq!(crash_fails, failed.len() as u64);
         // Each terminal loss snapshots the router's flight ring into a
         // parseable post-mortem dump.
-        let dumps = ServingSystem::take_postmortems(&mut c);
+        let dumps = c.take_postmortems();
         assert_eq!(dumps.len(), failed.len());
         for d in &dumps {
             paella_telemetry::flight::validate_dump(d).expect("dump parses");
             assert!(d.contains("trigger: replica-loss"), "{d}");
             assert!(d.contains("event:"), "ring must hold recent events: {d}");
         }
-        assert!(
-            ServingSystem::take_postmortems(&mut c).is_empty(),
-            "dumps drain on take"
-        );
+        assert!(c.take_postmortems().is_empty(), "dumps drain on take");
     }
 
     #[test]
@@ -1380,6 +1240,57 @@ mod tests {
         }
         let snap = c.metrics_snapshot().expect("metrics enabled");
         assert_eq!(snap.counter("client_disconnects"), 1);
+        assert_eq!(snap.counter("accounting_underflow"), 0);
+    }
+
+    #[test]
+    fn every_terminal_failure_is_booked_in_the_router_ledger_once() {
+        // Deadlines, shedding, kernel faults, a crash and a disconnect in one
+        // run: whatever the reason and whichever tier decided it, a failure
+        // the cluster returns is in the router tier's ledger exactly once
+        // (which books failures only — completions stay in the nodes').
+        use paella_sim::FaultSpec;
+        let mut dispatcher = DispatcherConfig::paella();
+        dispatcher.deadline_factor = Some(3.0);
+        dispatcher.shed_watermark = Some(6);
+        dispatcher.retry_budget = 0;
+        let mut c = Cluster::new(
+            DeviceConfig::tesla_t4(),
+            2,
+            ClusterConfig {
+                seed: 21,
+                dispatcher,
+                ..ClusterConfig::with_policy(RoutingPolicy::LeastRemainingWork)
+            },
+        );
+        c.enable_telemetry();
+        let m = synthetic::uniform_job("mix", 4, SimDuration::from_micros(300), 320);
+        let id = c.register_model(&m);
+        submit_n(&mut c, id, 80, 60);
+        c.inject(
+            &FaultSpec {
+                kernel_fault_rate: 0.1,
+                node_crashes: 1,
+                nodes: 2,
+                window_start: SimTime::from_micros(500),
+                window_end: SimTime::from_micros(3_000),
+                recovery_after: Some(SimDuration::from_micros(1_000)),
+                client_disconnects: 1,
+                clients: 4,
+            }
+            .generate(7),
+        );
+        c.run_to_idle();
+        let (done, failed) = (c.drain_completions(), c.drain_failures());
+        assert_eq!(done.len() + failed.len(), 80, "every request accounted");
+        let mut reasons: Vec<&str> = failed.iter().map(|f| f.reason.as_str()).collect();
+        reasons.sort_unstable();
+        reasons.dedup();
+        assert!(reasons.len() >= 3, "a mix of failure paths: {reasons:?}");
+        let snap = c.metrics_snapshot().expect("metrics enabled");
+        assert_eq!(snap.slo_failures(), failed.len() as u64);
+        assert_eq!(snap.slo_completed(), 0);
+        assert_eq!(snap.counter("requests_failed"), failed.len() as u64);
         assert_eq!(snap.counter("accounting_underflow"), 0);
     }
 

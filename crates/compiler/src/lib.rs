@@ -26,4 +26,4 @@ pub use ir::{Graph, GraphError, Node, NodeId, Op, Shape};
 pub use lower::{lower_group, op_bytes, op_flops, CostModel, LoweredKernel};
 pub use module::{compile, CompiledModel, DeviceOp, JobSchedule};
 pub use parallel::{compile_parallel, stream_count};
-pub use profile::{bootstrap_profile, KernelProfile, ModelProfile};
+pub use profile::{bootstrap_profile, measure_uncontended, KernelProfile, ModelProfile};

@@ -12,7 +12,8 @@
 //! Here a kernel's "location in the shared library" is its index in the
 //! compiled op sequence.
 
-use paella_sim::{OnlineStats, SimDuration};
+use paella_gpu::{CopyDir, DeviceConfig, GpuSim, KernelLaunch, MemcpyOp, MemcpyUid, StreamId};
+use paella_sim::{OnlineStats, SimDuration, SimTime};
 
 use crate::module::{CompiledModel, DeviceOp};
 
@@ -123,6 +124,52 @@ pub fn bootstrap_profile(model: &CompiledModel) -> ModelProfile {
         }
     }
     p
+}
+
+/// Simulates one uncontended execution — input copy, every kernel on one
+/// stream of an idle device, output copy — and returns the end-to-end device
+/// time: the paper's "TVM Exec Time" measurement (Table 2), and the device
+/// share the dispatcher reports in each latency breakdown.
+pub fn measure_uncontended(model: &CompiledModel, device: &DeviceConfig) -> SimDuration {
+    let mut gpu = GpuSim::new(device.clone(), 0xCA11B);
+    let stream = StreamId(1);
+    let mut kuid = 0u32;
+    let mut muid = 0u64;
+    for op in &model.ops {
+        match op {
+            DeviceOp::Kernel(k) => {
+                kuid += 1;
+                let (uid, desc) = (kuid, k.clone());
+                gpu.launch_kernel(SimTime::ZERO, KernelLaunch { uid, stream, desc });
+            }
+            DeviceOp::InputCopy { bytes } | DeviceOp::OutputCopy { bytes } => {
+                muid += 1;
+                let dir = if matches!(op, DeviceOp::InputCopy { .. }) {
+                    CopyDir::HostToDevice
+                } else {
+                    CopyDir::DeviceToHost
+                };
+                let (uid, bytes) = (MemcpyUid(muid), *bytes);
+                gpu.enqueue_memcpy(
+                    SimTime::ZERO,
+                    MemcpyOp {
+                        uid,
+                        stream,
+                        bytes,
+                        dir,
+                    },
+                );
+            }
+        }
+    }
+    let mut out = Vec::new();
+    let mut last = SimTime::ZERO;
+    while let Some(t) = gpu.next_time() {
+        gpu.advance_until(t, &mut out);
+        last = t;
+    }
+    debug_assert!(gpu.is_idle());
+    last - SimTime::ZERO
 }
 
 #[cfg(test)]

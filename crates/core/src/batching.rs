@@ -12,10 +12,10 @@
 use std::collections::VecDeque;
 
 use paella_compiler::{CompiledModel, DeviceOp};
-use paella_sim::{EventQueue, SimDuration, SimTime};
+use paella_sim::{SimDuration, SimTime};
 
-use crate::serve::ServingSystem;
-use crate::types::{InferenceRequest, JobCompletion, LoadSignal, ModelId};
+use crate::serve::{Front, Layered, ServingSystem, Tier};
+use crate::types::{InferenceRequest, JobCompletion, JobFailure, ModelId};
 
 /// Batching policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -40,6 +40,28 @@ impl Default for BatchPolicy {
     }
 }
 
+/// Builds the batch-`b` variant of a model: kernels do `b`× the work at
+/// sub-linear cost, copies scale linearly. Batch-`b` kernels amortize fixed
+/// per-kernel costs; an effective scale of 0.35 + 0.65·b matches the usual
+/// ~35 % fixed fraction of small-batch inference kernels.
+pub fn batched_model(model: &CompiledModel, b: usize) -> CompiledModel {
+    if b <= 1 {
+        return model.clone();
+    }
+    let scale = 0.35 + 0.65 * b as f64;
+    let mut m = model.clone();
+    m.name = format!("{}@b{b}", m.name).into();
+    for op in &mut m.ops {
+        match op {
+            DeviceOp::Kernel(k) => k.duration.base = k.duration.base.mul_f64(scale),
+            DeviceOp::InputCopy { bytes } | DeviceOp::OutputCopy { bytes } => *bytes *= b,
+        }
+    }
+    m.input_bytes *= b;
+    m.output_bytes *= b;
+    m
+}
+
 struct ModelState {
     /// Queued requests not yet handed to the inner system.
     queue: VecDeque<InferenceRequest>,
@@ -51,30 +73,24 @@ struct ModelState {
     model: CompiledModel,
 }
 
-/// The saturation-batching front end.
-pub struct SaturationBatcher<S: ServingSystem> {
-    inner: S,
+/// The saturation-batching front end. It adds no latency while the system
+/// is unsaturated: arrivals pass straight through at their submission time.
+pub struct SaturationBatcher {
     policy: BatchPolicy,
     models: Vec<ModelState>,
-    /// Pending pass-through arrivals (the batcher adds no latency when the
-    /// system is unsaturated).
-    arrivals: EventQueue<InferenceRequest>,
-    completions: Vec<JobCompletion>,
     /// Total batched executions formed (diagnostics).
     batches_formed: u64,
 }
 
-impl<S: ServingSystem> SaturationBatcher<S> {
-    /// Wraps `inner` with the given policy.
-    pub fn new(inner: S, policy: BatchPolicy) -> Self {
-        SaturationBatcher {
-            inner,
+impl SaturationBatcher {
+    /// Puts the batcher in front of `inner` with the given policy.
+    pub fn new<S: ServingSystem>(inner: S, policy: BatchPolicy) -> Layered<Self, S> {
+        let tier = SaturationBatcher {
             policy,
             models: Vec::new(),
-            arrivals: EventQueue::new(),
-            completions: Vec::new(),
             batches_formed: 0,
-        }
+        };
+        Layered::new(tier, inner)
     }
 
     /// Number of batched executions formed so far.
@@ -82,43 +98,19 @@ impl<S: ServingSystem> SaturationBatcher<S> {
         self.batches_formed
     }
 
-    /// Builds the batch-`b` variant of a model: kernels do `b`× the work at
-    /// sub-linear cost (fixed overheads amortize), copies scale linearly.
-    fn batched_model(model: &CompiledModel, b: usize) -> CompiledModel {
-        if b <= 1 {
-            return model.clone();
+    fn variant<S: ServingSystem>(&mut self, inner: &mut S, model: usize, b: usize) -> ModelId {
+        let st = &mut self.models[model];
+        if st.variants.len() < b {
+            st.variants.resize(b, None);
         }
-        let scale = 0.35 + 0.65 * b as f64;
-        let mut m = model.clone();
-        m.name = format!("{}@b{b}", m.name).into();
-        for op in &mut m.ops {
-            match op {
-                DeviceOp::Kernel(k) => k.duration.base = k.duration.base.mul_f64(scale),
-                DeviceOp::InputCopy { bytes } | DeviceOp::OutputCopy { bytes } => *bytes *= b,
-            }
-        }
-        m.input_bytes *= b;
-        m.output_bytes *= b;
-        m
-    }
-
-    fn variant(&mut self, model: usize, b: usize) -> ModelId {
-        if self.models[model].variants.len() < b {
-            self.models[model].variants.resize(b, None);
-        }
-        if let Some(id) = self.models[model].variants[b - 1] {
-            return id;
-        }
-        let v = Self::batched_model(&self.models[model].model, b);
-        let id = self.inner.register_model(&v);
-        self.models[model].variants[b - 1] = id.into();
-        id
+        *st.variants[b - 1]
+            .get_or_insert_with(|| inner.register_model(&batched_model(&st.model, b)))
     }
 
     /// Feeds the inner system: singletons while unsaturated, full batches
     /// through a bounded submission window once the backlog crosses the
     /// threshold.
-    fn pump(&mut self, model: usize, now: SimTime) {
+    fn pump<S: ServingSystem>(&mut self, inner: &mut S, model: usize, now: SimTime) {
         loop {
             let st = &self.models[model];
             if st.queue.is_empty() {
@@ -141,13 +133,12 @@ impl<S: ServingSystem> SaturationBatcher<S> {
             if b > 1 {
                 self.batches_formed += 1;
             }
-            let inner_id = self.variant(model, b);
+            let inner_id = self.variant(inner, model, b);
             // Batch formation: gather each request's input into the batch
             // tensor; submitted when the gather finishes.
             let submit_at = now + self.policy.gather_cost * b as u64;
-            let lead = batch[0];
-            self.inner.submit(InferenceRequest {
-                client: lead.client,
+            inner.submit(InferenceRequest {
+                client: batch[0].client,
                 model: inner_id,
                 submitted_at: submit_at,
             });
@@ -155,118 +146,94 @@ impl<S: ServingSystem> SaturationBatcher<S> {
         }
     }
 
-    fn on_inner_completion(&mut self, c: JobCompletion) {
-        // Find the owning model by matching the inner model id variants.
+    /// Takes the in-flight submission a result from the inner system
+    /// answers, freeing its window slot: `(owning model, member requests)`.
+    fn settle(&mut self, echoed: &InferenceRequest) -> (usize, Vec<InferenceRequest>) {
+        // invariant: the inner system only reports requests this tier
+        // submitted, each under a variant id `variant` registered.
         let model = self
             .models
             .iter()
-            .position(|st| st.variants.contains(&Some(c.request.model)))
-            .expect("completion for unknown variant");
+            .position(|st| st.variants.contains(&Some(echoed.model)))
+            .expect("result for unknown variant");
         // Pair with the right in-flight submission: the inner system may
         // finish different-sized batches out of order (SRPT favours the
         // small ones), so match on the submission timestamp it echoes back.
-        let pos = self.models[model]
-            .inflight
+        let inflight = &mut self.models[model].inflight;
+        let pos = inflight
             .iter()
-            .position(|&(at, _)| at == c.request.submitted_at)
+            .position(|&(at, _)| at == echoed.submitted_at)
             .unwrap_or(0);
-        let (_, batch) = self.models[model]
-            .inflight
+        // invariant: every submission pushed its members onto `inflight`,
+        // and each is answered exactly once.
+        let (_, batch) = inflight
             .remove(pos)
-            .expect("completion without in-flight batch");
-        for req in batch {
-            let mut jc = c;
-            jc.request = req;
-            // The batch scatter on the way out mirrors the gather.
-            jc.client_visible_at += self.policy.gather_cost;
-            self.completions.push(jc);
-        }
-        self.pump(model, c.client_visible_at);
+            .expect("result without in-flight batch");
+        (model, batch)
     }
 }
 
-impl<S: ServingSystem> ServingSystem for SaturationBatcher<S> {
-    fn register_model(&mut self, model: &CompiledModel) -> ModelId {
-        let id = ModelId(self.models.len() as u32);
+impl<S: ServingSystem> Tier<S> for SaturationBatcher {
+    /// An arrival.
+    type Ev = InferenceRequest;
+
+    /// An arrival joins its queue before the inner system moves past it.
+    const INNER_FIRST: bool = false;
+
+    fn name(&self, inner: &S) -> String {
+        format!("batched[{}]", inner.name())
+    }
+
+    fn register_model(&mut self, _inner: &mut S, model: &CompiledModel) -> ModelId {
         self.models.push(ModelState {
             queue: VecDeque::new(),
             inflight: VecDeque::new(),
             variants: Vec::new(),
             model: model.clone(),
         });
-        id
+        ModelId(self.models.len() as u32 - 1)
     }
 
-    fn submit(&mut self, req: InferenceRequest) {
-        let at = req.submitted_at.max(self.arrivals.now());
-        self.arrivals.schedule_at(at, req);
+    fn submit(&mut self, req: InferenceRequest) -> (SimTime, InferenceRequest) {
+        (req.submitted_at, req)
     }
 
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        match (self.inner.next_event_time(), self.arrivals.peek_time()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    fn on_event(
+        &mut self,
+        front: &mut Front<S, InferenceRequest>,
+        at: SimTime,
+        req: InferenceRequest,
+    ) {
+        let model = req.model.0 as usize;
+        self.models[model].queue.push_back(req);
+        self.pump(&mut front.inner, model, at);
+    }
+
+    fn on_completion(&mut self, front: &mut Front<S, InferenceRequest>, c: JobCompletion) {
+        let (model, batch) = self.settle(&c.request);
+        for request in batch {
+            front.deliver(JobCompletion {
+                request,
+                // The batch scatter on the way out mirrors the gather.
+                client_visible_at: c.client_visible_at + self.policy.gather_cost,
+                ..c
+            });
         }
+        self.pump(&mut front.inner, model, c.client_visible_at);
     }
 
-    fn advance_until(&mut self, t: SimTime) {
-        loop {
-            let ta = self.arrivals.peek_time();
-            let tn = self.inner.next_event_time();
-            let next = match (ta, tn) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > t {
-                break;
-            }
-            if ta.is_some_and(|a| tn.is_none_or(|b| a <= b)) {
-                let (at, req) = self.arrivals.pop().expect("peeked");
-                let model = req.model.0 as usize;
-                self.models[model].queue.push_back(req);
-                self.pump(model, at);
-            } else {
-                self.inner.advance_until(next);
-            }
-            for c in self.inner.drain_completions() {
-                self.on_inner_completion(c);
-            }
+    /// A failed submission fails every member, and frees its window slot
+    /// like a completion does.
+    fn on_failure(&mut self, front: &mut Front<S, InferenceRequest>, f: JobFailure) {
+        let (model, batch) = self.settle(&f.request);
+        for request in batch {
+            front.deliver_failure(JobFailure { request, ..f });
         }
+        self.pump(&mut front.inner, model, f.at);
     }
 
-    fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn name(&self) -> String {
-        format!("batched[{}]", self.inner.name())
-    }
-
-    fn enable_telemetry(&mut self) {
-        self.inner.enable_telemetry()
-    }
-
-    fn take_trace_log(&mut self) -> Option<paella_telemetry::TraceLog> {
-        self.inner.take_trace_log()
-    }
-
-    fn metrics_snapshot(&self) -> Option<paella_telemetry::MetricsSnapshot> {
-        self.inner.metrics_snapshot()
-    }
-
-    fn load_signal(&self) -> LoadSignal {
-        // Requests parked in the batcher's own queues are load the inner
-        // system can't see yet; fold them into `queued`.
-        let mut s = self.inner.load_signal();
-        s.queued += self.arrivals.len() as u64;
-        s.queued += self
-            .models
-            .iter()
-            .map(|st| st.queue.len() as u64)
-            .sum::<u64>();
-        s
+    fn parked(&self) -> u64 {
+        self.models.iter().map(|st| st.queue.len() as u64).sum()
     }
 }
 
@@ -333,7 +300,7 @@ mod tests {
         }
         b.run_to_idle();
         assert_eq!(b.drain_completions().len(), 5);
-        assert_eq!(b.batches_formed(), 0, "no batching below saturation");
+        assert_eq!(b.tier().batches_formed(), 0, "no batching below saturation");
     }
 
     #[test]
@@ -360,7 +327,7 @@ mod tests {
             assert_eq!(done.len(), burst as usize);
             (
                 done.iter().map(|c| c.client_visible_at).max().unwrap(),
-                b.batches_formed(),
+                b.tier().batches_formed(),
             )
         };
         let (t_plain, n0) = makespan(false);
@@ -421,13 +388,13 @@ mod tests {
         }
         // Run past the burst; it is far over capacity so batching engages.
         b.advance_until(SimTime::from_millis(390));
-        let formed_during_burst = b.batches_formed();
+        let formed_during_burst = b.tier().batches_formed();
         assert!(formed_during_burst > 0, "burst must engage batching");
         assert_eq!(b.drain_completions().len(), burst as usize);
         // The trickle phase must not form a single new batch.
         b.run_to_idle();
         assert_eq!(
-            b.batches_formed(),
+            b.tier().batches_formed(),
             formed_during_burst,
             "batching must disengage once the backlog drains"
         );

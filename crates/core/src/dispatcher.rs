@@ -13,7 +13,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use paella_channels::{ChannelConfig, KernelUid};
 use paella_compiler::{
-    bootstrap_profile, instrumented, CompiledModel, DagResources, DeviceOp, KernelDag, ModelProfile,
+    bootstrap_profile, instrumented, measure_uncontended, CompiledModel, DagResources, KernelDag,
+    ModelProfile,
 };
 use paella_gpu::{
     CopyDir, DeviceConfig, GpuOutput, GpuSim, InstrumentationSpec, KernelDesc, KernelLaunch,
@@ -21,15 +22,15 @@ use paella_gpu::{
 };
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{
-    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, MetricsRegistry, MetricsSnapshot,
-    TraceEvent, TraceLog, Tracer,
+    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, MetricsSnapshot, TraceEvent, TraceLog,
 };
 
 use crate::occupancy::OccupancyTracker;
 use crate::sched::{JobInfo, Scheduler};
+use crate::serve::{earliest, split, EngineCore, ServingSystem};
 use crate::types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
-    ModelId,
+    LoadSignal, ModelId,
 };
 
 /// Dispatch granularity (Table 3's "Dispatch" column).
@@ -288,7 +289,7 @@ struct Job {
     /// Tokens currently active (released predecessors) and not dispatched.
     active_undispatched: VecDeque<u64>,
     /// Ops dispatched but not completed.
-    outstanding: usize,
+    outstanding: u64,
     /// Ops completed.
     completed: usize,
     /// Per-kernel-location dispatch counts (for remaining-time estimates).
@@ -402,10 +403,9 @@ pub struct Dispatcher {
     cpu_free_at: Vec<SimTime>,
     /// Per-client CPU availability (direct mode).
     client_cpu_free_at: BTreeMap<ClientId, SimTime>,
-    completions: Vec<JobCompletion>,
     gpu_out: Vec<GpuOutput>,
     /// Jobs in flight per client (for deficit resets on idle).
-    client_inflight: BTreeMap<ClientId, usize>,
+    client_inflight: BTreeMap<ClientId, u64>,
     /// notifQ slots reserved by in-flight kernels minus consumed
     /// notifications (flow control): the sum of the records'
     /// `notifq_reserved`.
@@ -428,31 +428,203 @@ pub struct Dispatcher {
     /// Bernoulli source for injected kernel faults, independent of the GPU's
     /// own RNG so enabling faults never perturbs device timing draws.
     fault_rng: Xoshiro256pp,
-    /// Terminal failures (shed, deadline, disconnect, crash loss) awaiting
-    /// [`drain_failures`](Self::drain_failures).
-    failures: Vec<JobFailure>,
     /// Clients that disconnected: their in-flight jobs were cancelled and
     /// later submissions are refused.
     disconnected: BTreeSet<ClientId>,
-    /// Structured telemetry sink for host-side events (no-op by default).
-    tracer: Tracer,
-    /// Metrics registry, allocated only when telemetry is enabled.
-    metrics: Option<Box<MetricsRegistry>>,
+    /// Host-side telemetry, the completion / failure / post-mortem outboxes
+    /// and the accounting debit.
+    core: EngineCore,
     /// Next virtual-time series sample instant.
     next_sample: SimTime,
     /// `(core, start)` of the most recent CPU charge (telemetry span data).
     last_charge: (u32, SimTime),
-    /// Rendered flight-recorder dumps from terminal failures, awaiting
-    /// [`take_postmortems`](Self::take_postmortems).
-    postmortems: Vec<String>,
 }
-
-/// Flight-recorder ring depth: the last N traced events kept for post-mortem
-/// dumps on terminal failures.
-const FLIGHT_CAPACITY: usize = 64;
 
 /// Virtual-time spacing of periodic metric samples.
 const SAMPLE_INTERVAL: SimDuration = SimDuration::from_micros(50);
+
+impl ServingSystem for Dispatcher {
+    /// Registers a model, applying the instrumentation pass if configured,
+    /// and bootstrapping its profile ("a series of simple profiling runs").
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model's multi-stream schedule is malformed or contains
+    /// a stream/dependency wait cycle: every job of such a model would wedge
+    /// at ingest, so the bad artifact is rejected once, here, where the
+    /// failure names the model.
+    fn register_model(&mut self, model: &CompiledModel) -> ModelId {
+        let mut compiled = if self.cfg.instrument {
+            instrumented(model, InstrumentationSpec::default())
+        } else {
+            model.clone()
+        };
+        // Shape-, range- and cycle-checked once here, so every per-job use
+        // (pred-count copies at ingest, successor walks at release) can
+        // trust it unconditionally.
+        let build = |m: &CompiledModel| match KernelDag::build(m) {
+            Ok(d) => d,
+            Err(e) => panic!("model {:?}: unschedulable stream plan: {e}", m.name),
+        };
+        let mut dag = build(&compiled);
+        if self.cfg.granularity == Granularity::Job && compiled.schedule.is_some() {
+            // Cross-stream joins need the kernel-granularity dispatcher
+            // (there is no device-side event in job-by-job submission), so
+            // job-mode configs run scheduled models sequentially.
+            compiled.schedule = None;
+            dag = build(&compiled);
+        }
+        let mut vstreams: Vec<u32> = (0..dag.len()).map(|t| dag.node(t).vstream).collect();
+        vstreams.sort_unstable();
+        vstreams.dedup();
+        let kernel_descs: Vec<KernelDesc> = compiled.kernels().cloned().collect();
+        let profile = bootstrap_profile(model);
+        let uncontended = measure_uncontended(&compiled, self.gpu.config());
+        let id = ModelId(self.models.len() as u32);
+        let left = vec![0.0; profile.kernels.len()];
+        self.models.push(RegisteredModel {
+            name: compiled.name,
+            profile,
+            uncontended,
+            left,
+            dag,
+            vstreams,
+            kernel_descs,
+        });
+        id
+    }
+
+    /// Submits an inference request (the client's `paella.predict`). The
+    /// request crosses the shared-memory ring and is ingested when the
+    /// dispatcher polls it.
+    fn submit(&mut self, req: InferenceRequest) {
+        if self.disconnected.contains(&req.client) {
+            self.core
+                .fail(req, FailureReason::Disconnected, req.submitted_at);
+            return;
+        }
+        if let Some(w) = self.cfg.shed_watermark {
+            if self.load_signal().outstanding() >= w {
+                self.core
+                    .tracer
+                    .record_with(req.submitted_at, || TraceEvent::RequestShed {
+                        client: req.client.0,
+                        model: req.model.0,
+                    });
+                self.core.inc("requests_shed", 1);
+                self.core.fail(req, FailureReason::Shed, req.submitted_at);
+                return;
+            }
+        }
+        let arrive = req
+            .submitted_at
+            .saturating_add(self.channel_submit_latency())
+            .max(self.events.now());
+        let est = self
+            .models
+            .get(req.model.0 as usize)
+            .map_or(SimDuration::ZERO, |m| m.profile.total_estimate());
+        self.queued_ingest += 1;
+        self.queued_work += est;
+        self.events.schedule_at(arrive, Ev::Ingest(req, est));
+    }
+
+    /// Earliest pending work (GPU or dispatcher).
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        earliest(self.gpu.next_time(), self.events.peek_time())
+    }
+
+    /// Processes all work with timestamp ≤ `t`. The device steps first when
+    /// it and a host event fall on the same instant.
+    fn advance_until(&mut self, t: SimTime) {
+        loop {
+            let tg = self.gpu.next_time();
+            let Some(next) = earliest(tg, self.events.peek_time()).filter(|&next| next <= t) else {
+                break;
+            };
+            self.now = next.max(self.now);
+            self.maybe_sample();
+            if tg == Some(next) {
+                let mut buf = std::mem::take(&mut self.gpu_out);
+                self.gpu.advance_until(next, &mut buf);
+                for out in buf.drain(..) {
+                    self.handle_gpu_output(out);
+                }
+                self.gpu_out = buf;
+            } else {
+                // invariant: `next` is the earlier of the two peeks and not
+                // the device's, and nothing pops between peek and here.
+                let (at, ev) = self.events.pop().expect("peeked event");
+                self.now = self.now.max(at);
+                match ev {
+                    Ev::Ingest(req, est) => self.ingest(at, req, est),
+                    Ev::Deadline(id) => self.cancel_job(id, at, FailureReason::DeadlineExceeded),
+                    Ev::Retry(id, token) => self.retry_kernel(id, token, at),
+                }
+            }
+            self.try_dispatch();
+        }
+        self.now = self.now.max(t);
+    }
+
+    fn drain_completions(&mut self) -> Vec<JobCompletion> {
+        self.core.take_completions()
+    }
+
+    fn drain_failures(&mut self) -> Vec<JobFailure> {
+        self.core.take_failures()
+    }
+
+    fn name(&self) -> String {
+        format!("dispatcher[{}]", self.scheduler_name())
+    }
+
+    /// Turns on structured telemetry: the dispatcher and its device record
+    /// typed events, and a metrics registry starts counting. Costs nothing
+    /// until called — the default sinks are no-ops.
+    fn enable_telemetry(&mut self) {
+        self.core.enable_telemetry();
+        self.gpu.set_tracer(paella_telemetry::Tracer::enabled());
+    }
+
+    /// Takes the merged host + device trace recorded so far. Merge order is
+    /// fixed — dispatcher events sort before device events at equal
+    /// timestamps — so output is deterministic.
+    fn take_trace_log(&mut self) -> Option<TraceLog> {
+        self.telemetry_enabled()
+            .then(|| TraceLog::merged(vec![self.core.tracer.take(), self.gpu.take_trace_log()]))
+    }
+
+    fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        self.core.metrics_snapshot()
+    }
+
+    /// Flight-recorder dumps rendered on terminal failures so far (empty
+    /// unless telemetry is enabled and a retry budget ran out).
+    fn take_postmortems(&mut self) -> Vec<String> {
+        self.core.take_postmortems()
+    }
+
+    /// The dispatcher's ground-truth load: queued + in-flight request counts
+    /// and the SRPT estimated-remaining-time summed over all of them. This is
+    /// the same per-job `profile.remaining(done_counts)` quantity the
+    /// scheduler ranks on, so a cluster router reading it routes on exactly
+    /// what the node's scheduler will see.
+    /// O(1): the remaining-work sum is maintained incrementally (see
+    /// `inflight_work_us`) rather than recomputed by scanning every
+    /// in-flight job — this sits on the cluster router's per-poll path.
+    fn load_signal(&self) -> LoadSignal {
+        LoadSignal {
+            queued: self.queued_ingest,
+            inflight: self.jobs.len() as u64,
+            remaining_work: self.queued_work
+                + SimDuration::from_micros_f64(self.inflight_work_us.max(0.0)),
+            // Fixed-trace serving has no KV budget; the LLM tier reports one.
+            kv_pages_used: 0,
+            kv_pages_total: 0,
+        }
+    }
+}
 
 impl Dispatcher {
     /// Creates a dispatcher over a fresh device.
@@ -487,7 +659,6 @@ impl Dispatcher {
             next_job: 1,
             cpu_free_at: vec![SimTime::ZERO; cfg.dispatcher_cores.max(1) as usize],
             client_cpu_free_at: BTreeMap::new(),
-            completions: Vec::new(),
             gpu_out: Vec::new(),
             client_inflight: BTreeMap::new(),
             notifq_outstanding: 0,
@@ -497,117 +668,16 @@ impl Dispatcher {
             inflight_work_us: 0.0,
             now: SimTime::ZERO,
             fault_rng: Xoshiro256pp::seed_from_u64(seed ^ 0xFA_0175),
-            failures: Vec::new(),
             disconnected: BTreeSet::new(),
-            tracer: Tracer::disabled(),
-            metrics: None,
+            core: EngineCore::default(),
             next_sample: SimTime::ZERO,
             last_charge: (0, SimTime::ZERO),
-            postmortems: Vec::new(),
         }
-    }
-
-    /// Turns on structured telemetry: the dispatcher and its device record
-    /// typed events, and a metrics registry starts counting. Costs nothing
-    /// until called — the default sinks are no-ops.
-    pub fn enable_telemetry(&mut self) {
-        self.tracer = Tracer::enabled();
-        self.tracer.set_flight_capacity(FLIGHT_CAPACITY);
-        self.gpu.set_tracer(Tracer::enabled());
-        self.metrics = Some(Box::new(MetricsRegistry::new()));
-    }
-
-    /// Takes the flight-recorder dumps rendered on terminal failures so far
-    /// (empty unless telemetry is enabled and a terminal failure occurred).
-    pub fn take_postmortems(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.postmortems)
-    }
-
-    /// Renders the flight-recorder ring plus a fixed-order snapshot of
-    /// queue/occupancy state into a deterministic post-mortem dump.
-    fn record_postmortem(&mut self, trigger: &str, at: SimTime) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let state = [
-            ("jobs_inflight", self.jobs.len() as u64),
-            ("queued_ingest", self.queued_ingest),
-            ("notifq_outstanding", self.notifq_outstanding),
-            ("stream_waiters", self.stream_waiters.len() as u64),
-            ("free_streams", self.free_streams.len() as u64),
-        ];
-        let events = self.tracer.flight_snapshot();
-        self.postmortems.push(paella_telemetry::flight::render(
-            trigger, at, &state, &events,
-        ));
     }
 
     /// Whether telemetry is currently recording.
     pub fn telemetry_enabled(&self) -> bool {
-        self.tracer.is_enabled()
-    }
-
-    /// Takes the merged host + device trace recorded so far (empty when
-    /// telemetry is off). Merge order is fixed — dispatcher events sort
-    /// before device events at equal timestamps — so output is
-    /// deterministic.
-    pub fn take_trace_log(&mut self) -> TraceLog {
-        TraceLog::merged(vec![self.tracer.take(), self.gpu.take_trace_log()])
-    }
-
-    /// A frozen copy of the metrics registry, if telemetry is enabled.
-    pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.snapshot())
-    }
-
-    /// Registers a model, applying the instrumentation pass if configured,
-    /// and bootstrapping its profile ("a series of simple profiling runs").
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model's multi-stream schedule is malformed or contains
-    /// a stream/dependency wait cycle: every job of such a model would wedge
-    /// at ingest, so the bad artifact is rejected once, here, where the
-    /// failure names the model.
-    pub fn register_model(&mut self, model: &CompiledModel) -> ModelId {
-        let mut compiled = if self.cfg.instrument {
-            instrumented(model, InstrumentationSpec::default())
-        } else {
-            model.clone()
-        };
-        // Shape-, range- and cycle-checked once here, so every per-job use
-        // (pred-count copies at ingest, successor walks at release) can
-        // trust it unconditionally.
-        let build = |m: &CompiledModel| match KernelDag::build(m) {
-            Ok(d) => d,
-            Err(e) => panic!("model {:?}: unschedulable stream plan: {e}", m.name),
-        };
-        let mut dag = build(&compiled);
-        if self.cfg.granularity == Granularity::Job && compiled.schedule.is_some() {
-            // Cross-stream joins need the kernel-granularity dispatcher
-            // (there is no device-side event in job-by-job submission), so
-            // job-mode configs run scheduled models sequentially.
-            compiled.schedule = None;
-            dag = build(&compiled);
-        }
-        let mut vstreams: Vec<u32> = (0..dag.len()).map(|t| dag.node(t).vstream).collect();
-        vstreams.sort_unstable();
-        vstreams.dedup();
-        let kernel_descs: Vec<KernelDesc> = compiled.kernels().cloned().collect();
-        let profile = bootstrap_profile(model);
-        let uncontended = paella_models_measure(&compiled, self.gpu.config());
-        let id = ModelId(self.models.len() as u32);
-        let left = vec![0.0; profile.kernels.len()];
-        self.models.push(RegisteredModel {
-            name: compiled.name,
-            profile,
-            uncontended,
-            left,
-            dag,
-            vstreams,
-            kernel_descs,
-        });
-        id
+        self.core.tracer.is_enabled()
     }
 
     /// The scheduler in use (diagnostics).
@@ -640,26 +710,6 @@ impl Dispatcher {
     /// Number of jobs in flight.
     pub fn inflight(&self) -> usize {
         self.jobs.len()
-    }
-
-    /// The dispatcher's ground-truth load: queued + in-flight request counts
-    /// and the SRPT estimated-remaining-time summed over all of them. This is
-    /// the same per-job `profile.remaining(done_counts)` quantity the
-    /// scheduler ranks on, so a cluster router reading it routes on exactly
-    /// what the node's scheduler will see.
-    /// O(1): the remaining-work sum is maintained incrementally (see
-    /// [`Self::inflight_work_us`]) rather than recomputed by scanning every
-    /// in-flight job — this sits on the cluster router's per-poll path.
-    pub fn load_signal(&self) -> crate::types::LoadSignal {
-        crate::types::LoadSignal {
-            queued: self.queued_ingest,
-            inflight: self.jobs.len() as u64,
-            remaining_work: self.queued_work
-                + SimDuration::from_micros_f64(self.inflight_work_us.max(0.0)),
-            // Fixed-trace serving has no KV budget; the LLM tier reports one.
-            kv_pages_used: 0,
-            kv_pages_total: 0,
-        }
     }
 
     /// From-scratch recomputation of the in-flight remaining-work sum, in
@@ -714,20 +764,10 @@ impl Dispatcher {
     /// Takes one request, charged `est` at submit, off the queued half of
     /// the load signal (it was ingested, or lost with the ring).
     fn load_dequeue(&mut self, est: SimDuration) {
-        let left = self
-            .queued_ingest
-            .checked_sub(1)
-            .zip(self.queued_work.checked_sub(est));
-        debug_assert!(
-            left.is_some(),
-            "queued load underflow: dequeued more than was submitted"
-        );
-        if left.is_none() {
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("accounting_underflow", 1);
-            }
-        }
-        (self.queued_ingest, self.queued_work) = left.unwrap_or((0, SimDuration::ZERO));
+        self.core
+            .debit(&mut self.queued_ingest, 1, "queued requests");
+        self.core
+            .debit_work(&mut self.queued_work, est, "queued work");
     }
 
     /// Credits a freshly ingested job of `model_idx`: every kernel location
@@ -785,50 +825,6 @@ impl Dispatcher {
         self.inflight_work_us += rm.left[loc] * (new_us - old_us);
     }
 
-    /// Submits an inference request (the client's `paella.predict`). The
-    /// request crosses the shared-memory ring and is ingested when the
-    /// dispatcher polls it.
-    pub fn submit(&mut self, req: InferenceRequest) {
-        if self.disconnected.contains(&req.client) {
-            self.failures.push(JobFailure {
-                request: req,
-                reason: FailureReason::Disconnected,
-                at: req.submitted_at,
-            });
-            return;
-        }
-        if let Some(w) = self.cfg.shed_watermark {
-            if self.load_signal().outstanding() >= w {
-                self.tracer
-                    .record_with(req.submitted_at, || TraceEvent::RequestShed {
-                        client: req.client.0,
-                        model: req.model.0,
-                    });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("requests_shed", 1);
-                    m.slo_fail(req.client.0, FailureReason::Shed.as_str());
-                }
-                self.failures.push(JobFailure {
-                    request: req,
-                    reason: FailureReason::Shed,
-                    at: req.submitted_at,
-                });
-                return;
-            }
-        }
-        let arrive = req
-            .submitted_at
-            .saturating_add(self.channel_submit_latency())
-            .max(self.events.now());
-        let est = self
-            .models
-            .get(req.model.0 as usize)
-            .map_or(SimDuration::ZERO, |m| m.profile.total_estimate());
-        self.queued_ingest += 1;
-        self.queued_work += est;
-        self.events.schedule_at(arrive, Ev::Ingest(req, est));
-    }
-
     fn channel_submit_latency(&self) -> SimDuration {
         if self.cfg.central_cpu {
             self.channels.shm.one_way()
@@ -837,59 +833,10 @@ impl Dispatcher {
         }
     }
 
-    /// Earliest pending work (GPU or dispatcher).
-    pub fn next_event_time(&mut self) -> Option<SimTime> {
-        let tg = self.gpu.next_time();
-        let te = self.events.peek_time();
-        match (tg, te) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Processes all work with timestamp ≤ `t`.
-    pub fn advance_until(&mut self, t: SimTime) {
-        loop {
-            let tg = self.gpu.next_time();
-            let te = self.events.peek_time();
-            let next = match (tg, te) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > t {
-                break;
-            }
-            self.now = next.max(self.now);
-            self.maybe_sample();
-            if tg.is_some_and(|a| te.is_none_or(|b| a <= b)) {
-                let mut buf = std::mem::take(&mut self.gpu_out);
-                self.gpu.advance_until(next, &mut buf);
-                for out in buf.drain(..) {
-                    self.handle_gpu_output(out);
-                }
-                self.gpu_out = buf;
-            } else {
-                // invariant: this branch is taken only when next_event_time
-                // peeked a host event, and nothing pops between peek and here.
-                let (at, ev) = self.events.pop().expect("peeked event");
-                self.now = self.now.max(at);
-                match ev {
-                    Ev::Ingest(req, est) => self.ingest(at, req, est),
-                    Ev::Deadline(id) => self.cancel_job(id, at, FailureReason::DeadlineExceeded),
-                    Ev::Retry(id, token) => self.retry_kernel(id, token, at),
-                }
-            }
-            self.try_dispatch();
-        }
-        self.now = self.now.max(t);
-    }
-
     /// Emits periodic virtual-time metric samples (and matching counter
     /// trace events) on a fixed grid, so series are seed-stable.
     fn maybe_sample(&mut self) {
-        if self.metrics.is_none() {
+        if !self.core.metrics_enabled() {
             return;
         }
         let capacity = u64::from(self.gpu.config().num_sms)
@@ -911,34 +858,15 @@ impl Dispatcher {
                 ("resident_blocks", resident),
                 ("occupancy_pct", occupancy_pct),
             ];
-            // invariant: the is_none() guard at function entry returned, and
-            // nothing in this loop clears the registry.
-            let m = self.metrics.as_mut().expect("checked above");
             for (name, value) in samples {
-                m.sample(name, at, value);
+                self.core.sample(name, at, value);
             }
             for (name, value) in samples {
-                self.tracer
+                self.core
+                    .tracer
                     .record_with(at, || TraceEvent::CounterSample { name, value });
             }
         }
-    }
-
-    /// Runs until fully idle (drains all in-flight work).
-    pub fn run_to_idle(&mut self) {
-        while let Some(t) = self.next_event_time() {
-            self.advance_until(t);
-        }
-    }
-
-    /// Takes all completions recorded so far.
-    pub fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    /// Takes all terminal failures recorded so far.
-    pub fn drain_failures(&mut self) -> Vec<JobFailure> {
-        std::mem::take(&mut self.failures)
     }
 
     // -- CPU accounting -----------------------------------------------------
@@ -980,7 +908,8 @@ impl Dispatcher {
     ) -> SimTime {
         let done = self.charge_cpu(client, ready, cost);
         let (core, start) = self.last_charge;
-        self.tracer
+        self.core
+            .tracer
             .record_with(done, || TraceEvent::HostOp { kind, core, start });
         done
     }
@@ -992,14 +921,7 @@ impl Dispatcher {
         // A request queued on the ring when its client disconnected fails
         // here, without ever becoming a job.
         if self.disconnected.contains(&req.client) {
-            if let Some(m) = self.metrics.as_mut() {
-                m.slo_fail(req.client.0, FailureReason::Disconnected.as_str());
-            }
-            self.failures.push(JobFailure {
-                request: req,
-                reason: FailureReason::Disconnected,
-                at,
-            });
+            self.core.fail(req, FailureReason::Disconnected, at);
             return;
         }
         let t_ingested =
@@ -1013,10 +935,10 @@ impl Dispatcher {
         );
         let id = JobId(self.next_job);
         self.next_job += 1;
-        if self.tracer.is_enabled() {
+        if self.core.tracer.is_enabled() {
             let model = self.models[model_idx].name.clone();
             let (job, client, submitted_at) = (id.0, req.client.0, req.submitted_at);
-            self.tracer.record_with(t_ingested, || {
+            self.core.tracer.record_with(t_ingested, || {
                 TraceEvent::JobBegin(Box::new(JobBegin {
                     job,
                     client,
@@ -1025,9 +947,7 @@ impl Dispatcher {
                 }))
             });
         }
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("jobs_ingested", 1);
-        }
+        self.core.inc("jobs_ingested", 1);
 
         // The adaptor's run() issues every CUDA call up front (the coroutine
         // yields at the final sync), so the whole op graph is known here:
@@ -1199,7 +1119,8 @@ impl Dispatcher {
                 let desc = self.models[model_idx].kernel_descs[loc].clone();
                 {
                     let grid_blocks = desc.grid_blocks;
-                    self.tracer
+                    self.core
+                        .tracer
                         .record_with(done, || TraceEvent::KernelDispatched {
                             job: id.0,
                             kernel: u64::from(uid),
@@ -1207,9 +1128,7 @@ impl Dispatcher {
                             grid_blocks,
                         });
                 }
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("kernels_dispatched", 1);
-                }
+                self.core.inc("kernels_dispatched", 1);
                 // The occupancy mirror only works when instrumented kernels
                 // report back; without instrumentation there is nothing to
                 // clean the tracker up, so skip it entirely.
@@ -1278,7 +1197,8 @@ impl Dispatcher {
         if let Some(j) = self.jobs.get_mut(id.0) {
             if j.almost_finished_at.is_none() {
                 j.almost_finished_at = Some(wake);
-                self.tracer
+                self.core
+                    .tracer
                     .record_with(wake, || TraceEvent::DoorbellWake { job: id.0 });
             }
         }
@@ -1311,7 +1231,8 @@ impl Dispatcher {
             };
             if !self.job(job).has_streams() {
                 // Waiting for pool streams; skip until they free.
-                self.tracer
+                self.core
+                    .tracer
                     .record_with(self.now, || TraceEvent::OccupancyHold {
                         job: job.0,
                         reason: HoldReason::StreamPool,
@@ -1325,14 +1246,13 @@ impl Dispatcher {
                     .occupancy
                     .should_dispatch(&footprint, self.cfg.lookahead_blocks)
                 {
-                    self.tracer
+                    self.core
+                        .tracer
                         .record_with(self.now, || TraceEvent::OccupancyHold {
                             job: job.0,
                             reason: HoldReason::OccupancyBudget,
                         });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("occupancy_holds", 1);
-                    }
+                    self.core.inc("occupancy_holds", 1);
                     self.mark_occ_hold(job);
                     break;
                 }
@@ -1341,22 +1261,22 @@ impl Dispatcher {
                     && self.notifq_outstanding + 2 * u64::from(grid_blocks)
                         > self.cfg.notifq_capacity
                 {
-                    self.tracer
+                    self.core
+                        .tracer
                         .record_with(self.now, || TraceEvent::OccupancyHold {
                             job: job.0,
                             reason: HoldReason::NotifqBackpressure,
                         });
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("notifq_holds", 1);
-                    }
+                    self.core.inc("notifq_holds", 1);
                     self.mark_occ_hold(job);
                     break;
                 }
             }
-            if self.tracer.is_enabled() {
+            if self.core.tracer.is_enabled() {
                 let policy = self.scheduler.name();
                 let ready = self.scheduler.ready_len() as u32;
-                self.tracer
+                self.core
+                    .tracer
                     .record_with(self.now, || TraceEvent::SchedDecision {
                         job: job.0,
                         policy,
@@ -1364,9 +1284,7 @@ impl Dispatcher {
                         ready,
                     });
             }
-            if let Some(m) = self.metrics.as_mut() {
-                m.inc("sched_picks", 1);
-            }
+            self.core.inc("sched_picks", 1);
             self.scheduler.on_dispatched(job);
             self.job_mut(job).active_undispatched.pop_front();
             self.dispatch_op(job, token, self.now, false);
@@ -1402,7 +1320,8 @@ impl Dispatcher {
             }
             self.scheduler.job_blocked(id);
             if newly_blocked {
-                self.tracer
+                self.core
+                    .tracer
                     .record_with(self.now, || TraceEvent::OccupancyHold {
                         job: id.0,
                         reason: HoldReason::DepWait,
@@ -1438,11 +1357,8 @@ impl Dispatcher {
                     }
                     if k.notifq_reserved > 0 {
                         k.notifq_reserved -= 1;
-                        debug_assert!(
-                            self.notifq_outstanding >= 1,
-                            "notifq_outstanding underflow: reservation held with zero outstanding"
-                        );
-                        self.notifq_outstanding -= 1;
+                        self.core
+                            .debit(&mut self.notifq_outstanding, 1, "notifq_outstanding");
                     }
                     rec = Some(*k);
                 }
@@ -1452,15 +1368,15 @@ impl Dispatcher {
                 let done =
                     self.charge_cpu_traced(owner, at, self.cfg.notif_cost, HostOpKind::Notif);
                 self.now = self.now.max(done);
-                self.tracer.record_with(done, || TraceEvent::NotifBatch {
-                    kernel: u64::from(n.kernel),
-                    sm: u32::from(n.sm_id),
-                    placement,
-                    blocks: u32::from(n.group),
-                });
-                if let Some(m) = self.metrics.as_mut() {
-                    m.inc("notifs_processed", 1);
-                }
+                self.core
+                    .tracer
+                    .record_with(done, || TraceEvent::NotifBatch {
+                        kernel: u64::from(n.kernel),
+                        sm: u32::from(n.sm_id),
+                        placement,
+                        blocks: u32::from(n.group),
+                    });
+                self.core.inc("notifs_processed", 1);
                 self.occupancy.on_notification(n);
                 let Some(k) = rec else {
                     return; // the kernel's job was cancelled
@@ -1493,11 +1409,11 @@ impl Dispatcher {
                 let Some(k) = self.kernels.remove(u64::from(uid)) else {
                     return; // reclaimed when its job was cancelled
                 };
-                debug_assert!(
-                    self.notifq_outstanding >= k.notifq_reserved,
-                    "notifq_outstanding underflow: releasing more than reserved"
+                self.core.debit(
+                    &mut self.notifq_outstanding,
+                    k.notifq_reserved,
+                    "notifq_outstanding",
                 );
-                self.notifq_outstanding -= k.notifq_reserved;
                 // Injected kernel fault (DESIGN §11): the execution's
                 // results are discarded and the op is retried with
                 // backoff. Rolled per completion in DES order, so same
@@ -1591,11 +1507,8 @@ impl Dispatcher {
             let Some(j) = self.jobs.get_mut(id.0) else {
                 return;
             };
-            debug_assert!(
-                j.outstanding >= 1,
-                "job outstanding underflow: completion without a dispatch"
-            );
-            j.outstanding -= 1;
+            // A completion without a dispatch would underflow here.
+            self.core.debit(&mut j.outstanding, 1, "job outstanding");
             j.completed += 1;
         }
         if self.cfg.granularity == Granularity::Kernel {
@@ -1639,43 +1552,33 @@ impl Dispatcher {
         let model = &self.models[j.request.model.0 as usize];
         let total = client_visible.saturating_since(j.request.submitted_at);
         // Normalize the breakdown so the categories always sum to the total
-        // JCT. Device time is taken first — the paper defines overhead as
-        // end-to-end latency minus the CUDA work — and host costs that
-        // overlapped device execution (pipelined dispatch) are clamped to
-        // whatever critical-path time remains.
-        let mut remaining = total;
-        let mut take = |d: SimDuration| {
-            let t = d.min(remaining);
-            remaining -= t;
-            t
-        };
-        let device = take(model.uncontended);
-        let client_send_recv = take(self.channel_submit_latency() + ring);
-        let communication = take(
-            self.channels.cuda.launch_latency
-                + self.gpu.config().notif_visibility
-                + match self.cfg.wakeup {
-                    WakeupMode::Socket => self.channels.socket.one_way(),
-                    _ => SimDuration::ZERO,
-                },
+        // JCT: device time first, then the host costs (which may have
+        // overlapped device execution under pipelined dispatch), and
+        // queuing is what remains.
+        let communication = self.channels.cuda.launch_latency
+            + self.gpu.config().notif_visibility
+            + match self.cfg.wakeup {
+                WakeupMode::Socket => self.channels.socket.one_way(),
+                _ => SimDuration::ZERO,
+            };
+        let ([device, client_send_recv, communication, framework], queuing) = split(
+            total,
+            [
+                model.uncontended,
+                self.channel_submit_latency() + ring,
+                communication,
+                j.framework + self.cfg.completion_cost,
+            ],
         );
-        let framework = take(j.framework + self.cfg.completion_cost);
-        let queuing = remaining;
         // Second-level decomposition (DESIGN §12): split the queuing
-        // remainder by cause with the same clamped-take discipline, so the
-        // eight journey phases still sum exactly to the JCT. Attribution is
-        // best-effort under overlap; conservation is exact by construction.
-        let mut queue_rem = queuing.as_nanos();
-        let mut take_ns = |x: u64| {
-            let t = x.min(queue_rem);
-            queue_rem -= t;
-            t
-        };
-        let retry_backoff_ns = take_ns(j.backoff_ns);
-        let queue_dep_ns = take_ns(j.dep_wait_ns);
-        let queue_occupancy_ns = take_ns(j.occ_wait_ns);
-        let queue_hol_ns = queue_rem;
-        self.tracer.record_with(client_visible, || {
+        // remainder by cause the same way, so the eight journey phases still
+        // sum exactly to the JCT. Attribution is best-effort under overlap;
+        // conservation is exact by construction.
+        let ([retry_backoff_ns, queue_dep_ns, queue_occupancy_ns], queue_hol_ns) = split(
+            queuing.as_nanos(),
+            [j.backoff_ns, j.dep_wait_ns, j.occ_wait_ns],
+        );
+        self.core.tracer.record_with(client_visible, || {
             TraceEvent::JobEnd(Box::new(JobEnd {
                 job: id.0,
                 client: j.request.client.0,
@@ -1687,7 +1590,7 @@ impl Dispatcher {
                 device_ns: device.as_nanos(),
             }))
         });
-        self.tracer.record_with(client_visible, || {
+        self.core.tracer.record_with(client_visible, || {
             TraceEvent::JobJourney(Box::new(JobJourney {
                 job: id.0,
                 client: j.request.client.0,
@@ -1706,31 +1609,25 @@ impl Dispatcher {
                 device_decode_ns: 0,
             }))
         });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("jobs_completed", 1);
-            m.observe("jct_ns", total.as_nanos());
-            let (met, burn_ns) = match j.deadline_at {
-                Some(d) if client_visible > d => {
-                    (false, client_visible.saturating_since(d).as_nanos())
-                }
-                _ => (true, 0),
-            };
-            m.slo_complete(j.request.client.0, met, burn_ns);
-        }
-        self.completions.push(JobCompletion {
-            job: id,
-            request: j.request,
-            almost_finished_at: j.almost_finished_at,
-            device_done_at: device_done,
-            client_visible_at: client_visible,
-            breakdown: LatencyBreakdown {
-                client_send_recv,
-                communication,
-                queuing_scheduling: queuing,
-                framework,
-                device,
+        self.core.inc("jobs_completed", 1);
+        self.core.observe("jct_ns", total.as_nanos());
+        self.core.complete(
+            JobCompletion {
+                job: id,
+                request: j.request,
+                almost_finished_at: j.almost_finished_at,
+                device_done_at: device_done,
+                client_visible_at: client_visible,
+                breakdown: LatencyBreakdown {
+                    client_send_recv,
+                    communication,
+                    queuing_scheduling: queuing,
+                    framework,
+                    device,
+                },
             },
-        });
+            j.deadline_at,
+        );
     }
 
     /// Tells the scheduler a job of `client` retired (completed or was
@@ -1738,8 +1635,7 @@ impl Dispatcher {
     fn retire_from_scheduler(&mut self, id: JobId, client: ClientId) {
         self.scheduler.job_done(id);
         if let Some(n) = self.client_inflight.get_mut(&client) {
-            debug_assert!(*n >= 1, "client_inflight underflow on job retire");
-            *n -= 1;
+            self.core.debit(n, 1, "client_inflight");
             if *n == 0 {
                 self.client_inflight.remove(&client);
                 self.scheduler.client_idle(client);
@@ -1792,30 +1688,30 @@ impl Dispatcher {
             *e += 1;
             *e
         };
-        self.tracer.record_with(at, || TraceEvent::KernelFault {
-            job: id.0,
-            kernel: u64::from(uid),
-            attempt,
-        });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("kernel_faults", 1);
-        }
+        self.core
+            .tracer
+            .record_with(at, || TraceEvent::KernelFault {
+                job: id.0,
+                kernel: u64::from(uid),
+                attempt,
+            });
+        self.core.inc("kernel_faults", 1);
         if attempt > self.cfg.retry_budget {
             self.cancel_job(id, at, FailureReason::RetryBudgetExhausted);
             return;
         }
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("kernel_retries", 1);
-        }
+        self.core.inc("kernel_retries", 1);
         // Exponential backoff, shift-capped so the doubling can't overflow.
         let backoff = self.cfg.retry_backoff * (1u64 << (attempt - 1).min(16));
         let backoff_ns = backoff.as_nanos();
-        self.tracer.record_with(at, || TraceEvent::RetryBackoff {
-            job: id.0,
-            kernel: u64::from(uid),
-            attempt,
-            backoff_ns,
-        });
+        self.core
+            .tracer
+            .record_with(at, || TraceEvent::RetryBackoff {
+                job: id.0,
+                kernel: u64::from(uid),
+                attempt,
+                backoff_ns,
+            });
         if let Some(j) = self.jobs.get_mut(id.0) {
             j.backoff_ns += backoff_ns;
         }
@@ -1837,11 +1733,7 @@ impl Dispatcher {
         // with max(0, C̄ − done).
         self.dispatch_op(id, token, at, false);
         if let Some(j) = self.jobs.get_mut(id.0) {
-            debug_assert!(
-                j.outstanding >= 1,
-                "job outstanding underflow: retry compensation without a dispatch"
-            );
-            j.outstanding -= 1;
+            self.core.debit(&mut j.outstanding, 1, "job outstanding");
         }
     }
 
@@ -1870,32 +1762,32 @@ impl Dispatcher {
             }
             false
         });
-        debug_assert!(
-            self.notifq_outstanding >= released,
-            "notifq_outstanding underflow: cancel releasing more than reserved"
-        );
-        self.notifq_outstanding -= released;
+        self.core
+            .debit(&mut self.notifq_outstanding, released, "notifq_outstanding");
         self.memcpy_to_job.retain(|_, &mut (job, _)| job != id);
         self.return_streams(&j, at);
         let reason_str = reason.as_str();
-        self.tracer.record_with(at, || TraceEvent::JobCancelled {
-            job: id.0,
-            reason: reason_str,
-        });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("jobs_cancelled", 1);
-            m.slo_fail(j.request.client.0, reason_str);
-        }
+        self.core
+            .tracer
+            .record_with(at, || TraceEvent::JobCancelled {
+                job: id.0,
+                reason: reason_str,
+            });
+        self.core.inc("jobs_cancelled", 1);
         // A spent retry budget is a terminal, single-node failure: snapshot
-        // the flight-recorder ring into a post-mortem dump (DESIGN §12).
+        // the flight-recorder ring and a fixed-order view of queue state into
+        // a post-mortem dump (DESIGN §12).
         if reason == FailureReason::RetryBudgetExhausted {
-            self.record_postmortem("retry-budget-exhausted", at);
+            let state = [
+                ("jobs_inflight", self.jobs.len() as u64),
+                ("queued_ingest", self.queued_ingest),
+                ("notifq_outstanding", self.notifq_outstanding),
+                ("stream_waiters", self.stream_waiters.len() as u64),
+                ("free_streams", self.free_streams.len() as u64),
+            ];
+            self.core.postmortem("retry-budget-exhausted", at, &state);
         }
-        self.failures.push(JobFailure {
-            request: j.request,
-            reason,
-            at,
-        });
+        self.core.fail(j.request, reason, at);
     }
 
     /// A client disconnected: cancel its in-flight jobs and refuse its later
@@ -1922,14 +1814,7 @@ impl Dispatcher {
         for (_, ev) in self.events.drain() {
             if let Ev::Ingest(req, est) = ev {
                 self.load_dequeue(est);
-                if let Some(m) = self.metrics.as_mut() {
-                    m.slo_fail(req.client.0, reason.as_str());
-                }
-                self.failures.push(JobFailure {
-                    request: req,
-                    reason,
-                    at,
-                });
+                self.core.fail(req, reason, at);
             }
         }
         let ids: Vec<JobId> = self.jobs.iter().map(|(id, _)| JobId(id)).collect();
@@ -1995,59 +1880,4 @@ impl ReleasedSet {
     pub fn is_empty(&self) -> bool {
         self.bits.iter().all(|&w| w == 0)
     }
-}
-
-/// Measures the uncontended device time of a compiled model — local copy of
-/// `paella_models::measure_uncontended` to avoid a dependency cycle.
-fn paella_models_measure(model: &CompiledModel, device: &DeviceConfig) -> SimDuration {
-    let mut gpu = GpuSim::new(device.clone(), 0xCA11B);
-    let stream = StreamId(1);
-    let mut kuid = 0u32;
-    let mut muid = 0u64;
-    for op in &model.ops {
-        match op {
-            DeviceOp::InputCopy { bytes } => {
-                muid += 1;
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid: MemcpyUid(muid),
-                        stream,
-                        bytes: *bytes,
-                        dir: CopyDir::HostToDevice,
-                    },
-                );
-            }
-            DeviceOp::Kernel(k) => {
-                kuid += 1;
-                gpu.launch_kernel(
-                    SimTime::ZERO,
-                    KernelLaunch {
-                        uid: kuid,
-                        stream,
-                        desc: k.clone(),
-                    },
-                );
-            }
-            DeviceOp::OutputCopy { bytes } => {
-                muid += 1;
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid: MemcpyUid(muid),
-                        stream,
-                        bytes: *bytes,
-                        dir: CopyDir::DeviceToHost,
-                    },
-                );
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut last = SimTime::ZERO;
-    while let Some(t) = gpu.next_time() {
-        gpu.advance_until(t, &mut out);
-        last = t;
-    }
-    last - SimTime::ZERO
 }

@@ -15,6 +15,10 @@
 //! * [`dispatcher`] — the single-core serving loop tying everything
 //!   together: ingest from shared-memory rings, dispatch under the occupancy
 //!   budget, hybrid interrupt-then-poll result delivery (§5).
+//! * [`serve`] — the [`ServingSystem`] interface and the skeleton every
+//!   implementation shares: [`EngineCore`] (telemetry, the terminal-state
+//!   funnel, the accounting debit) and [`Layered`] (one driver for every
+//!   front end over an inner system).
 //! * [`types`] — requests, completions, and the Fig. 10 latency-breakdown
 //!   categories.
 
@@ -28,7 +32,7 @@ pub mod serve;
 pub mod types;
 pub mod waitlist;
 
-pub use batching::{BatchPolicy, SaturationBatcher};
+pub use batching::{batched_model, BatchPolicy, SaturationBatcher};
 pub use dispatcher::{
     Dispatcher, DispatcherConfig, Granularity, ReleasedSet, StreamPolicy, WakeupMode,
 };
@@ -38,7 +42,7 @@ pub use remote::{RemoteGateway, RpcNetModel};
 pub use sched::{
     FifoScheduler, JobInfo, RrScheduler, Scheduler, SjfScheduler, SrptDeficitScheduler,
 };
-pub use serve::ServingSystem;
+pub use serve::{earliest, split, EngineCore, Front, Layered, ServingSystem, Tier};
 pub use types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
     ModelId,

@@ -11,11 +11,12 @@ use paella_channels::ChannelConfig;
 use paella_compiler::CompiledModel;
 use paella_gpu::DeviceConfig;
 use paella_sim::SimTime;
+use paella_telemetry::{MetricsSnapshot, TraceLog};
 
 use crate::dispatcher::{Dispatcher, DispatcherConfig};
 use crate::sched::{Scheduler, SrptDeficitScheduler};
-use crate::serve::ServingSystem;
-use crate::types::{InferenceRequest, JobCompletion, ModelId};
+use crate::serve::{earliest, EngineCore, ServingSystem};
+use crate::types::{InferenceRequest, JobCompletion, JobFailure, LoadSignal, ModelId};
 
 /// Splits a device into MIG-style partitions with `slices[i]` SMs each.
 /// Hardware queues are apportioned to partitions proportionally to their SM
@@ -109,6 +110,9 @@ pub struct MigServing {
     routes: Vec<(usize, ModelId)>,
     /// Round-robin cursor for model registration.
     next_partition: usize,
+    /// The facade's outboxes (results carry public model ids) and its own
+    /// registry: what it returned, per tenant and failure reason.
+    core: EngineCore,
 }
 
 impl MigServing {
@@ -139,6 +143,7 @@ impl MigServing {
             partitions,
             routes: Vec::new(),
             next_partition: 0,
+            core: EngineCore::default(),
         }
     }
 
@@ -170,6 +175,28 @@ impl MigServing {
     pub fn partitions(&self) -> usize {
         self.partitions.len()
     }
+
+    /// Moves every partition's results to the facade's outboxes,
+    /// translating partition-local model ids back to public ones.
+    fn collect(&mut self) {
+        for (p, d) in self.partitions.iter_mut().enumerate() {
+            let public = |local: ModelId| {
+                let at = self.routes.iter().position(|&r| r == (p, local));
+                // invariant: a partition only reports models registered on
+                // it, and register_model_on recorded each of those.
+                ModelId(at.expect("result for an unrouted model") as u32)
+            };
+            for mut c in d.drain_completions() {
+                c.request.model = public(c.request.model);
+                self.core.inc("jobs_completed", 1);
+                self.core.forward(c);
+            }
+            for mut f in d.drain_failures() {
+                f.request.model = public(f.request.model);
+                self.core.fail(f.request, f.reason, f.at);
+            }
+        }
+    }
 }
 
 impl ServingSystem for MigServing {
@@ -188,42 +215,72 @@ impl ServingSystem for MigServing {
             model: local,
             ..req
         });
+        // A refusal (shed, disconnected client) fails on the spot.
+        self.collect();
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
         self.partitions
             .iter_mut()
-            .filter_map(|d| d.next_event_time())
-            .min()
+            .map(|d| d.next_event_time())
+            .fold(None, earliest)
     }
 
+    /// Partitions share nothing, so each advances on its own, in index
+    /// order.
     fn advance_until(&mut self, t: SimTime) {
         for d in &mut self.partitions {
             d.advance_until(t);
         }
+        self.collect();
     }
 
     fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        let mut out = Vec::new();
-        for (p, d) in self.partitions.iter_mut().enumerate() {
-            for mut c in d.drain_completions() {
-                // Translate the partition-local model id back to the public
-                // id for the harness.
-                if let Some(pub_id) = self
-                    .routes
-                    .iter()
-                    .position(|&(rp, rm)| rp == p && rm == c.request.model)
-                {
-                    c.request.model = ModelId(pub_id as u32);
-                }
-                out.push(c);
-            }
-        }
-        out
+        self.core.take_completions()
+    }
+
+    fn drain_failures(&mut self) -> Vec<JobFailure> {
+        self.core.take_failures()
     }
 
     fn name(&self) -> String {
         format!("paella-mig[{}]", self.partitions.len())
+    }
+
+    fn enable_telemetry(&mut self) {
+        self.core.enable_telemetry();
+        for d in &mut self.partitions {
+            d.enable_telemetry();
+        }
+    }
+
+    /// Every partition's host + device trace, merged in partition order.
+    fn take_trace_log(&mut self) -> Option<TraceLog> {
+        let logs: Vec<TraceLog> = self
+            .partitions
+            .iter_mut()
+            .filter_map(|d| d.take_trace_log())
+            .collect();
+        (!logs.is_empty()).then(|| TraceLog::merged(logs))
+    }
+
+    /// The facade-level registry: completions returned and the failure
+    /// ledger. Per-partition scheduling counters stay with the partitions.
+    fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
+        self.core.metrics_snapshot()
+    }
+
+    fn take_postmortems(&mut self) -> Vec<String> {
+        self.partitions
+            .iter_mut()
+            .flat_map(|d| d.take_postmortems())
+            .collect()
+    }
+
+    fn load_signal(&self) -> LoadSignal {
+        self.partitions
+            .iter()
+            .fold(LoadSignal::default(), |s, d| s + d.load_signal())
     }
 }
 

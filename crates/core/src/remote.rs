@@ -8,10 +8,11 @@
 //! kernel-bypass RPC latency plus line-rate payload serialization on each
 //! direction, and a gateway CPU cost on the forwarding client.
 
-use paella_sim::{EventQueue, SimDuration, SimTime};
+use paella_compiler::CompiledModel;
+use paella_sim::{SimDuration, SimTime};
 
-use crate::serve::ServingSystem;
-use crate::types::{InferenceRequest, JobCompletion, LoadSignal, ModelId};
+use crate::serve::{Front, Layered, ServingSystem, Tier};
+use crate::types::{InferenceRequest, JobCompletion, JobFailure, ModelId};
 
 /// Cost model for an eRPC-style kernel-bypass network path.
 #[derive(Clone, Copy, Debug)]
@@ -42,142 +43,94 @@ impl RpcNetModel {
             + self.forward_cost
             + SimDuration::from_micros_f64(self.per_byte_ns * bytes as f64 / 1_000.0)
     }
+
+    /// The instant a caller submitted a request, recovered from the
+    /// submission time `seen` by a system behind `ingress` of network: the
+    /// crossing is deterministic per model, so a front end folds it into the
+    /// time it hands inward and subtracts it back out exactly on the way
+    /// out. A `seen` earlier than `ingress` never crossed this network.
+    pub fn origin(seen: SimTime, ingress: SimDuration) -> SimTime {
+        debug_assert!(
+            seen >= SimTime::ZERO + ingress,
+            "restoring an origin from {seen}, which predates the {ingress} ingress"
+        );
+        SimTime::from_nanos(seen.as_nanos().saturating_sub(ingress.as_nanos()))
+    }
 }
 
 /// A remote-inference front end over any serving system.
-pub struct RemoteGateway<S: ServingSystem> {
-    inner: S,
+pub struct RemoteGateway {
     net: RpcNetModel,
     /// Input/output payload sizes per registered model.
     payloads: Vec<(usize, usize)>,
-    /// Requests in flight over the ingress network.
-    ingress: EventQueue<InferenceRequest>,
-    completions: Vec<JobCompletion>,
 }
 
-impl<S: ServingSystem> RemoteGateway<S> {
-    /// Wraps `inner` with the given network model.
-    pub fn new(inner: S, net: RpcNetModel) -> Self {
-        RemoteGateway {
-            inner,
-            net,
-            payloads: Vec::new(),
-            ingress: EventQueue::new(),
-            completions: Vec::new(),
-        }
+impl RemoteGateway {
+    /// Puts `inner` behind the given network.
+    pub fn new<S: ServingSystem>(inner: S, net: RpcNetModel) -> Layered<Self, S> {
+        let payloads = Vec::new();
+        Layered::new(RemoteGateway { net, payloads }, inner)
     }
 
-    /// Registers a model along with its request/response payload sizes.
-    pub fn register_model_with_payload(
-        &mut self,
-        model: &paella_compiler::CompiledModel,
-    ) -> ModelId {
-        let id = self.inner.register_model(model);
+    /// Request and response crossing costs of `model`.
+    fn crossings(&self, model: ModelId) -> (SimDuration, SimDuration) {
+        let (input, output) = self.payloads[model.0 as usize];
+        (self.net.transfer(input), self.net.transfer(output))
+    }
+}
+
+impl<S: ServingSystem> Tier<S> for RemoteGateway {
+    /// A request in flight over the ingress network.
+    type Ev = InferenceRequest;
+
+    /// The gateway hands a landed request over before the inner system
+    /// moves past its arrival.
+    const INNER_FIRST: bool = false;
+
+    fn name(&self, inner: &S) -> String {
+        format!("remote[{}]", inner.name())
+    }
+
+    fn register_model(&mut self, inner: &mut S, model: &CompiledModel) -> ModelId {
+        let id = inner.register_model(model);
         debug_assert_eq!(id.0 as usize, self.payloads.len());
         self.payloads.push((model.input_bytes, model.output_bytes));
         id
     }
 
-    /// The wrapped system.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: ServingSystem> ServingSystem for RemoteGateway<S> {
-    fn register_model(&mut self, model: &paella_compiler::CompiledModel) -> ModelId {
-        self.register_model_with_payload(model)
+    fn submit(&mut self, req: InferenceRequest) -> (SimTime, InferenceRequest) {
+        (req.submitted_at + self.crossings(req.model).0, req)
     }
 
-    fn submit(&mut self, req: InferenceRequest) {
-        let (input, _) = self.payloads[req.model.0 as usize];
-        let arrive = req.submitted_at + self.net.transfer(input);
-        self.ingress
-            .schedule_at(arrive.max(self.ingress.now()), req);
+    /// The gateway's local client re-submits through the shared-memory
+    /// protocol; the ingress delay is charged by shifting the submission
+    /// time the inner system sees.
+    fn on_event(
+        &mut self,
+        front: &mut Front<S, InferenceRequest>,
+        at: SimTime,
+        req: InferenceRequest,
+    ) {
+        front.inner.submit(InferenceRequest {
+            submitted_at: at,
+            ..req
+        });
     }
 
-    fn next_event_time(&mut self) -> Option<SimTime> {
-        match (self.inner.next_event_time(), self.ingress.peek_time()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    /// Adds the egress network and restores the remote client's original
+    /// submission time.
+    fn on_completion(&mut self, front: &mut Front<S, InferenceRequest>, mut c: JobCompletion) {
+        let (ingress, egress) = self.crossings(c.request.model);
+        c.client_visible_at += egress;
+        c.request.submitted_at = RpcNetModel::origin(c.request.submitted_at, ingress);
+        c.breakdown.communication += ingress + egress;
+        front.deliver(c);
     }
 
-    fn advance_until(&mut self, t: SimTime) {
-        loop {
-            let ti = self.ingress.peek_time();
-            let tn = self.inner.next_event_time();
-            let next = match (ti, tn) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            if next > t {
-                break;
-            }
-            if ti.is_some_and(|a| tn.is_none_or(|b| a <= b)) {
-                let (at, req) = self.ingress.pop().expect("peeked");
-                // The gateway's local client re-submits through the
-                // shared-memory protocol; the original submission time is
-                // kept for end-to-end accounting, so charge the ingress
-                // delay by shifting the submission the inner system sees.
-                let _ = at;
-                self.inner.submit(InferenceRequest {
-                    submitted_at: at,
-                    ..req
-                });
-            } else {
-                self.inner.advance_until(next);
-            }
-            // Drain matured completions: add the egress network and restore
-            // the remote client's original submission time (the ingress
-            // delay is deterministic per model, so it can be subtracted
-            // back out exactly).
-            for mut c in self.inner.drain_completions() {
-                let (input, output) = self.payloads[c.request.model.0 as usize];
-                let ingress = self.net.transfer(input);
-                let egress = self.net.transfer(output);
-                c.client_visible_at += egress;
-                c.request.submitted_at = SimTime::from_nanos(
-                    c.request
-                        .submitted_at
-                        .as_nanos()
-                        .saturating_sub(ingress.as_nanos()),
-                );
-                c.breakdown.communication += ingress + egress;
-                self.completions.push(c);
-            }
-        }
-    }
-
-    fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
-    fn name(&self) -> String {
-        format!("remote[{}]", self.inner.name())
-    }
-
-    fn enable_telemetry(&mut self) {
-        self.inner.enable_telemetry()
-    }
-
-    fn take_trace_log(&mut self) -> Option<paella_telemetry::TraceLog> {
-        self.inner.take_trace_log()
-    }
-
-    fn metrics_snapshot(&self) -> Option<paella_telemetry::MetricsSnapshot> {
-        self.inner.metrics_snapshot()
-    }
-
-    fn load_signal(&self) -> LoadSignal {
-        // Requests still crossing the ingress network count as queued: the
-        // node is committed to them even though the inner system has not
-        // seen them yet.
-        let mut s = self.inner.load_signal();
-        s.queued += self.ingress.len() as u64;
-        s
+    fn on_failure(&mut self, front: &mut Front<S, InferenceRequest>, mut f: JobFailure) {
+        let (ingress, _) = self.crossings(f.request.model);
+        f.request.submitted_at = RpcNetModel::origin(f.request.submitted_at, ingress);
+        front.deliver_failure(f);
     }
 }
 

@@ -95,6 +95,21 @@ impl LoadSignal {
     }
 }
 
+impl std::ops::Add for LoadSignal {
+    type Output = LoadSignal;
+
+    /// The load of two systems taken together.
+    fn add(self, other: LoadSignal) -> LoadSignal {
+        LoadSignal {
+            queued: self.queued + other.queued,
+            inflight: self.inflight + other.inflight,
+            remaining_work: self.remaining_work + other.remaining_work,
+            kv_pages_used: self.kv_pages_used + other.kv_pages_used,
+            kv_pages_total: self.kv_pages_total + other.kv_pages_total,
+        }
+    }
+}
+
 /// Why a request failed instead of completing (DESIGN §11).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FailureReason {

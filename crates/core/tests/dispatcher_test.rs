@@ -3,7 +3,7 @@
 use paella_channels::ChannelConfig;
 use paella_core::{
     ClientId, Dispatcher, DispatcherConfig, FailureReason, FifoScheduler, InferenceRequest,
-    JobCompletion, ModelId, SrptDeficitScheduler,
+    JobCompletion, ModelId, ServingSystem, SrptDeficitScheduler,
 };
 use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
@@ -663,6 +663,68 @@ fn client_disconnect_cancels_in_flight_and_refuses_later() {
 }
 
 #[test]
+fn every_terminal_request_is_booked_in_the_slo_ledger_once() {
+    // The refusal of a disconnected client at `submit` was the one terminal
+    // failure that never reached the ledger.
+    let mut d = paella(DeviceConfig::tesla_t4());
+    d.enable_telemetry();
+    let model = d.register_model(&synthetic::fig2_job());
+    d.cancel_client(ClientId(3), SimTime::ZERO);
+    submit_n(&mut d, model, 1, SimDuration::ZERO, 3);
+    let failed = d.drain_failures();
+    assert_eq!(failed.len(), 1);
+    assert_eq!(failed[0].reason, FailureReason::Disconnected);
+    let snap = d.metrics_snapshot().expect("telemetry on");
+    assert_eq!(snap.slo_failures(), 1, "the refusal is booked");
+
+    // Every way a request can end, in one run: kernel faults past the retry
+    // budget, deadlines, shedding, and a disconnect that catches jobs in
+    // flight, requests on the ring, and later submissions.
+    let mut d = paella_with(
+        DispatcherConfig {
+            kernel_fault_rate: 0.15,
+            retry_budget: 0,
+            deadline_factor: Some(3.0),
+            shed_watermark: Some(10),
+            ..DispatcherConfig::paella()
+        },
+        17,
+    );
+    d.enable_telemetry();
+    // Device-filling kernels: ten jobs in flight miss a 3x deadline.
+    let model = d.register_model(&synthetic::uniform_job(
+        "big",
+        4,
+        SimDuration::from_micros(300),
+        320,
+    ));
+    for i in 0..48u64 {
+        let at = SimTime::from_micros(i * 150);
+        d.advance_until(at);
+        if i == 20 {
+            d.cancel_client(ClientId(2), at);
+        }
+        d.submit(InferenceRequest {
+            client: ClientId((i % 4) as u32),
+            model,
+            submitted_at: at,
+        });
+    }
+    d.run_to_idle();
+    let (done, failed) = (d.drain_completions(), d.drain_failures());
+    assert_eq!(done.len() + failed.len(), 48, "every request ends once");
+    let mut reasons: Vec<&str> = failed.iter().map(|f| f.reason.as_str()).collect();
+    reasons.sort_unstable();
+    reasons.dedup();
+    assert_eq!(reasons.len(), 4, "every failure path: {reasons:?}");
+    assert!(!done.is_empty());
+    let snap = d.metrics_snapshot().expect("telemetry on");
+    assert_eq!(snap.slo_failures(), failed.len() as u64);
+    assert_eq!(snap.slo_completed(), done.len() as u64);
+    assert_eq!(snap.counter("accounting_underflow"), 0);
+}
+
+#[test]
 fn kernel_faults_retry_transparently() {
     // A 10% per-kernel fault rate with budget to spare: everything still
     // completes, just slower than the fault-free run.
@@ -820,7 +882,7 @@ fn late_outputs_for_retired_kernels_fall_through() {
     submit(&mut d, 2, long, us(500)); // job 4
     d.run_to_idle();
 
-    let log = d.take_trace_log();
+    let log = d.take_trace_log().expect("telemetry on");
     let dispatched = |kernel: u64| {
         log.events.iter().find_map(|e| match e.event {
             TraceEvent::KernelDispatched { job, kernel: k, .. } if k == kernel => Some((job, e.at)),

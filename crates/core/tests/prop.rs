@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use paella_channels::Notification;
 use paella_core::{
     ClientId, FifoScheduler, JobId, JobInfo, OccupancyTracker, RrScheduler, Scheduler,
-    SjfScheduler, SrptDeficitScheduler, VStream, Waitlist,
+    ServingSystem, SjfScheduler, SrptDeficitScheduler, VStream, Waitlist,
 };
 use paella_gpu::{BlockFootprint, SmLimits};
 use paella_sim::{SimDuration, SimTime};

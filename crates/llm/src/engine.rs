@@ -42,16 +42,14 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use paella_core::sched::{JobInfo, Scheduler, SrptDeficitScheduler};
+use paella_core::serve::{split, EngineCore, ServingSystem};
 use paella_core::types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
     LoadSignal, ModelId,
 };
-use paella_core::ServingSystem;
 use paella_sim::event::EventQueue;
 use paella_sim::{SimDuration, SimTime, Xoshiro256pp};
-use paella_telemetry::{
-    JobBegin, JobEnd, JobJourney, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
-};
+use paella_telemetry::{JobBegin, JobEnd, JobJourney, MetricsSnapshot, TraceEvent, TraceLog};
 
 use crate::kv::KvPool;
 use crate::spec::LlmModelSpec;
@@ -234,13 +232,23 @@ impl LlmJob {
         self.prefill_done >= self.recompute_tokens
     }
 
+    /// Tokens of the current recompute span still to prefill.
+    fn prefill_left(&self) -> u64 {
+        // Clamping is the definition, not a mask: chunks are cut to what is
+        // left, so `prefill_done` stops at the span, and zero left is
+        // exactly `in_decode`.
+        self.recompute_tokens.saturating_sub(self.prefill_done)
+    }
+
     /// Estimated remaining device time, ns, for SRPT ranking: remaining
     /// prefill at the per-token rate plus remaining output at the
     /// batch-of-1 decode rate.
     fn remaining_estimate_ns(&self, cfg: &LlmEngineConfig) -> u64 {
-        let prefill_left = self.recompute_tokens.saturating_sub(self.prefill_done);
+        // Clamped like `prefill_left`: a sequence retires the moment
+        // `generated` reaches `output_tokens`, so there is never more
+        // generated than asked for, only nothing left to estimate.
         let out_left = self.output_tokens.saturating_sub(self.generated);
-        prefill_left * cfg.prefill_ns_per_token
+        self.prefill_left() * cfg.prefill_ns_per_token
             + out_left * (cfg.decode_fixed_ns + cfg.decode_ns_per_seq)
     }
 }
@@ -268,11 +276,11 @@ pub struct LlmEngine {
     rng: Xoshiro256pp,
     /// The real SRPT-with-deficit policy (SrptDeficit mode only).
     srpt: Option<SrptDeficitScheduler>,
-    tracer: Tracer,
-    metrics: Option<MetricsRegistry>,
-    completions: Vec<JobCompletion>,
+    /// Telemetry, the completion / failure outboxes and the accounting
+    /// debit.
+    core: EngineCore,
+    /// Token-level records of the completions (TTFT/TPOT).
     llm_completions: Vec<LlmCompletion>,
-    failures: Vec<JobFailure>,
 }
 
 impl LlmEngine {
@@ -297,11 +305,8 @@ impl LlmEngine {
             inflight: None,
             iter_seq: 0,
             next_job: 1,
-            tracer: Tracer::disabled(),
-            metrics: None,
-            completions: Vec::new(),
+            core: EngineCore::default(),
             llm_completions: Vec::new(),
-            failures: Vec::new(),
         }
     }
 
@@ -378,23 +383,19 @@ impl LlmEngine {
             return;
         }
         let resident = self.pool.resident();
-        self.tracer.record_with(at, || TraceEvent::KvAlloc {
+        self.core.tracer.record_with(at, || TraceEvent::KvAlloc {
             job: job.0,
             pages,
             freed,
             resident,
         });
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc(
-                if freed {
-                    "kv_pages_freed"
-                } else {
-                    "kv_pages_allocated"
-                },
-                pages,
-            );
-            m.gauge("kv_pages_resident", resident);
-        }
+        let counter = if freed {
+            "kv_pages_freed"
+        } else {
+            "kv_pages_allocated"
+        };
+        self.core.inc(counter, pages);
+        self.core.gauge("kv_pages_resident", resident);
     }
 
     fn job_info(&self, id: JobId) -> JobInfo {
@@ -428,9 +429,7 @@ impl LlmEngine {
         self.emit_kv(at, victim, pages, true);
         self.running.remove(&victim);
         self.pending.push_front(victim);
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("llm_preempted", 1);
-        }
+        self.core.inc("llm_preempted", 1);
         if let Some(s) = self.srpt.as_mut() {
             let est = self.jobs[&victim].remaining_estimate_ns(&self.cfg);
             s.remaining_changed(victim, SimDuration::from_nanos(est));
@@ -441,12 +440,16 @@ impl LlmEngine {
     /// the youngest unprotected running sequence on exhaustion. Returns
     /// `false` when no page can be found (the caller skips or fails `id`).
     fn ensure_decode_page(&mut self, id: JobId, at: SimTime, protected: &BTreeSet<JobId>) -> bool {
-        let delta = {
-            let job = &self.jobs[&id];
-            self.pool
-                .pages_for_tokens(job.kv_tokens + 1)
-                .saturating_sub(job.pages_held)
-        };
+        // A sequence never holds more pages than its next token needs:
+        // admission reserves exactly the prompt's, and each step adds at most
+        // the one page the step crosses into.
+        let job = &self.jobs[&id];
+        let mut delta = self.pool.pages_for_tokens(job.kv_tokens + 1);
+        self.core.debit(
+            &mut delta,
+            job.pages_held,
+            "kv pages beyond the working set",
+        );
         if delta == 0 {
             return true;
         }
@@ -486,21 +489,11 @@ impl LlmEngine {
             return;
         }
         if let Some(n) = self.client_jobs.get_mut(&client) {
-            match n.checked_sub(1) {
-                Some(v) => {
-                    *n = v;
-                    if v == 0 {
-                        self.client_jobs.remove(&client);
-                        if let Some(s) = self.srpt.as_mut() {
-                            s.client_idle(client);
-                        }
-                    }
-                }
-                None => {
-                    debug_assert!(false, "client_jobs underflow for {client:?}");
-                    if let Some(m) = self.metrics.as_mut() {
-                        m.inc("accounting_underflow", 1);
-                    }
+            self.core.debit(n, 1, "client_jobs");
+            if *n == 0 {
+                self.client_jobs.remove(&client);
+                if let Some(s) = self.srpt.as_mut() {
+                    s.client_idle(client);
                 }
             }
         }
@@ -528,18 +521,13 @@ impl LlmEngine {
             s.job_done(id);
         }
         self.detach(id, &job, at);
-        self.tracer.record_with(at, || TraceEvent::JobCancelled {
-            job: id.0,
-            reason: reason.as_str(),
-        });
-        if let Some(m) = self.metrics.as_mut() {
-            m.slo_fail(job.request.client.0, reason.as_str());
-        }
-        self.failures.push(JobFailure {
-            request: job.request,
-            reason,
-            at,
-        });
+        self.core
+            .tracer
+            .record_with(at, || TraceEvent::JobCancelled {
+                job: id.0,
+                reason: reason.as_str(),
+            });
+        self.core.fail(job.request, reason, at);
     }
 
     /// Retires a finished sequence: frees KV, emits the journey (the
@@ -556,20 +544,12 @@ impl LlmEngine {
         self.detach(id, &job, at);
 
         let total = at.saturating_since(job.request.submitted_at).as_nanos();
-        let mut rem = total;
-        let mut take = |x: u64| {
-            let t = x.min(rem);
-            rem -= t;
-            t
-        };
-        let device_prefill_ns = take(job.prefill_ns);
-        let device_decode_ns = take(job.decode_ns);
-        let queue_occupancy_ns = take(job.kv_wait_ns);
-        let queue_hol_ns = rem;
+        let ([device_prefill_ns, device_decode_ns, queue_occupancy_ns], queue_hol_ns) =
+            split(total, [job.prefill_ns, job.decode_ns, job.kv_wait_ns]);
         let device_ns = device_prefill_ns + device_decode_ns;
         let queuing_ns = queue_occupancy_ns + queue_hol_ns;
         let client = job.request.client.0;
-        self.tracer.record_with(at, || {
+        self.core.tracer.record_with(at, || {
             TraceEvent::JobEnd(Box::new(JobEnd {
                 job: id.0,
                 client,
@@ -581,7 +561,7 @@ impl LlmEngine {
                 device_ns,
             }))
         });
-        self.tracer.record_with(at, || {
+        self.core.tracer.record_with(at, || {
             TraceEvent::JobJourney(Box::new(JobJourney {
                 job: id.0,
                 client,
@@ -610,27 +590,28 @@ impl LlmEngine {
             finished_at: at,
             preemptions: job.preemptions,
         };
-        if let Some(m) = self.metrics.as_mut() {
-            m.inc("llm_completed", 1);
-            m.observe("jct_ns", total);
-            m.observe("tpot_ns", done.tpot_ns());
-            m.slo_complete(client, true, 0);
-        }
+        self.core.inc("llm_completed", 1);
+        self.core.observe("jct_ns", total);
+        self.core.observe("tpot_ns", done.tpot_ns());
         self.llm_completions.push(done);
-        self.completions.push(JobCompletion {
-            job: id,
-            request: job.request,
-            almost_finished_at: None,
-            device_done_at: at,
-            client_visible_at: at,
-            breakdown: LatencyBreakdown {
-                client_send_recv: SimDuration::ZERO,
-                communication: SimDuration::ZERO,
-                queuing_scheduling: SimDuration::from_nanos(queuing_ns),
-                framework: SimDuration::ZERO,
-                device: SimDuration::from_nanos(device_ns),
+        // The engine sets no deadlines: every completion meets its SLO.
+        self.core.complete(
+            JobCompletion {
+                job: id,
+                request: job.request,
+                almost_finished_at: None,
+                device_done_at: at,
+                client_visible_at: at,
+                breakdown: LatencyBreakdown {
+                    client_send_recv: SimDuration::ZERO,
+                    communication: SimDuration::ZERO,
+                    queuing_scheduling: SimDuration::from_nanos(queuing_ns),
+                    framework: SimDuration::ZERO,
+                    device: SimDuration::from_nanos(device_ns),
+                },
             },
-        });
+            None,
+        );
     }
 
     /// Admits the job at the head of `pending` if its prompt pages fit.
@@ -668,10 +649,12 @@ impl LlmEngine {
         self.pending.retain(|j| *j != id);
         self.running.insert(id);
         if emit_prefill {
-            self.tracer.record_with(at, || TraceEvent::PrefillStart {
-                job: id.0,
-                prompt_tokens: prompt_tokens.min(u64::from(u32::MAX)) as u32,
-            });
+            self.core
+                .tracer
+                .record_with(at, || TraceEvent::PrefillStart {
+                    job: id.0,
+                    prompt_tokens: prompt_tokens.min(u64::from(u32::MAX)) as u32,
+                });
         }
         true
     }
@@ -747,11 +730,7 @@ impl LlmEngine {
             if budget == 0 {
                 break;
             }
-            let left = {
-                let job = &self.jobs[&id];
-                job.recompute_tokens.saturating_sub(job.prefill_done)
-            };
-            let t = left.min(budget);
+            let t = self.jobs[&id].prefill_left().min(budget);
             if t > 0 {
                 budget -= t;
                 items.push((id, Work::Prefill(t)));
@@ -804,11 +783,7 @@ impl LlmEngine {
                 if job.in_decode() {
                     None
                 } else {
-                    Some(
-                        job.recompute_tokens
-                            .saturating_sub(job.prefill_done)
-                            .min(self.cfg.prefill_chunk),
-                    )
+                    Some(job.prefill_left().min(self.cfg.prefill_chunk))
                 }
             };
             let work = match work {
@@ -827,12 +802,14 @@ impl LlmEngine {
             let ready = sched.ready_len() as u32;
             let policy = sched.name();
             sched.on_dispatched(id);
-            self.tracer.record_with(at, || TraceEvent::SchedDecision {
-                job: id.0,
-                policy,
-                rationale,
-                ready,
-            });
+            self.core
+                .tracer
+                .record_with(at, || TraceEvent::SchedDecision {
+                    job: id.0,
+                    policy,
+                    rationale,
+                    ready,
+                });
             return vec![(id, work)];
         }
     }
@@ -846,7 +823,7 @@ impl LlmEngine {
         if iter.decode_batch > 0 {
             let seq = self.iter_seq;
             let b = iter.decode_batch.min(u64::from(u32::MAX)) as u32;
-            self.tracer.record_with(at, || TraceEvent::DecodeStep {
+            self.core.tracer.record_with(at, || TraceEvent::DecodeStep {
                 iter: seq,
                 batch: b,
                 tokens: b,
@@ -875,9 +852,7 @@ impl LlmEngine {
                             if job.first_token_at.is_none() {
                                 job.first_token_at = Some(at);
                                 let ttft = at.saturating_since(job.request.submitted_at).as_nanos();
-                                if let Some(m) = self.metrics.as_mut() {
-                                    m.observe("ttft_ns", ttft);
-                                }
+                                self.core.observe("ttft_ns", ttft);
                             }
                         }
                     }
@@ -916,7 +891,7 @@ impl ServingSystem for LlmEngine {
         let id = JobId(self.next_job);
         self.next_job += 1;
         let name = spec.name.clone();
-        self.tracer.record_with(req.submitted_at, || {
+        self.core.tracer.record_with(req.submitted_at, || {
             TraceEvent::JobBegin(Box::new(JobBegin {
                 job: id.0,
                 client: req.client.0,
@@ -969,11 +944,11 @@ impl ServingSystem for LlmEngine {
     }
 
     fn drain_completions(&mut self) -> Vec<JobCompletion> {
-        std::mem::take(&mut self.completions)
+        self.core.take_completions()
     }
 
     fn drain_failures(&mut self) -> Vec<JobFailure> {
-        std::mem::take(&mut self.failures)
+        self.core.take_failures()
     }
 
     fn name(&self) -> String {
@@ -981,16 +956,18 @@ impl ServingSystem for LlmEngine {
     }
 
     fn enable_telemetry(&mut self) {
-        self.tracer = Tracer::enabled();
-        self.metrics = Some(MetricsRegistry::new());
+        self.core.enable_telemetry();
     }
 
     fn take_trace_log(&mut self) -> Option<TraceLog> {
-        self.tracer.is_enabled().then(|| self.tracer.take())
+        self.core
+            .tracer
+            .is_enabled()
+            .then(|| self.core.tracer.take())
     }
 
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.metrics.as_ref().map(MetricsRegistry::snapshot)
+        self.core.metrics_snapshot()
     }
 
     fn load_signal(&self) -> LoadSignal {

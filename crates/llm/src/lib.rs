@@ -74,6 +74,10 @@ mod tests {
             "{}: every request completes or fails",
             eng.name()
         );
+        // Every terminal request is booked in the SLO ledger exactly once.
+        let snap = eng.metrics_snapshot().expect("telemetry on");
+        assert_eq!(snap.slo_completed(), done.len() as u64);
+        assert_eq!(snap.slo_failures(), failed.len() as u64);
         let llm = eng.drain_llm_completions();
         assert_eq!(llm.len(), done.len());
         for c in &llm {
@@ -223,6 +227,11 @@ mod tests {
             0,
             "client_jobs ledger must never go negative"
         );
+        // Every cancelled request is booked in the SLO ledger exactly once.
+        let (done, failed) = (eng.drain_completions(), eng.drain_failures());
+        assert_eq!((done.len(), failed.len()), (0, 12));
+        assert_eq!(snap.slo_completed(), 0);
+        assert_eq!(snap.slo_failures(), 12);
     }
 
     #[test]

@@ -10,74 +10,9 @@
 //! the factor, so the solve is a short fixed-point iteration rather than a
 //! single division.
 
-use paella_compiler::{compile, CostModel, DeviceOp, Graph};
-use paella_gpu::{
-    CopyDir, DeviceConfig, GpuOutput, GpuSim, KernelLaunch, MemcpyOp, MemcpyUid, StreamId,
-};
-use paella_sim::{SimDuration, SimTime};
-
-/// Simulates one uncontended execution: H2D copy, all kernels on one stream,
-/// D2H copy. Returns the end-to-end device time.
-pub fn measure_uncontended(
-    model: &paella_compiler::CompiledModel,
-    device: &DeviceConfig,
-) -> SimDuration {
-    let mut gpu = GpuSim::new(device.clone(), 0xCA11B);
-    let stream = StreamId(1);
-    let mut kuid = 0u32;
-    let mut muid = 0u64;
-    for op in &model.ops {
-        match op {
-            DeviceOp::InputCopy { bytes } => {
-                muid += 1;
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid: MemcpyUid(muid),
-                        stream,
-                        bytes: *bytes,
-                        dir: CopyDir::HostToDevice,
-                    },
-                );
-            }
-            DeviceOp::Kernel(k) => {
-                kuid += 1;
-                gpu.launch_kernel(
-                    SimTime::ZERO,
-                    KernelLaunch {
-                        uid: kuid,
-                        stream,
-                        desc: k.clone(),
-                    },
-                );
-            }
-            DeviceOp::OutputCopy { bytes } => {
-                muid += 1;
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid: MemcpyUid(muid),
-                        stream,
-                        bytes: *bytes,
-                        dir: CopyDir::DeviceToHost,
-                    },
-                );
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut last = SimTime::ZERO;
-    while let Some(t) = gpu.next_time() {
-        gpu.advance_until(t, &mut out);
-        last = t;
-    }
-    debug_assert!(gpu.is_idle());
-    let _ = out
-        .iter()
-        .filter(|o| matches!(o, GpuOutput::KernelCompleted { .. }))
-        .count();
-    last - SimTime::ZERO
-}
+use paella_compiler::{compile, measure_uncontended, CostModel, Graph};
+use paella_gpu::DeviceConfig;
+use paella_sim::SimDuration;
 
 /// Compiles `graph` and solves the calibration factor so the uncontended
 /// simulated execution time matches `target` within `tol` (relative).

@@ -18,7 +18,8 @@ use paella_compiler::{CompiledModel, CostModel, Graph};
 use paella_gpu::DeviceConfig;
 use paella_sim::SimDuration;
 
-pub use calibrate::{calibrate, measure_uncontended};
+pub use calibrate::calibrate;
+pub use paella_compiler::measure_uncontended;
 
 /// One zoo entry: a graph builder plus its Table 2 target execution time and
 /// serialized weight size.

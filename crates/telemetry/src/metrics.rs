@@ -338,6 +338,18 @@ impl MetricsSnapshot {
             .map(|(_, v)| v.as_slice())
     }
 
+    /// Completions booked across every tenant's SLO ledger.
+    pub fn slo_completed(&self) -> u64 {
+        self.tenant_slo.iter().map(|(_, s)| s.completed).sum()
+    }
+
+    /// Terminal failures booked across every tenant's SLO ledger, all
+    /// reasons together.
+    pub fn slo_failures(&self) -> u64 {
+        let per_tenant = |s: &TenantSloSummary| s.failures.iter().map(|&(_, n)| n).sum::<u64>();
+        self.tenant_slo.iter().map(|(_, s)| per_tenant(s)).sum()
+    }
+
     /// One tenant's SLO ledger, if it recorded anything.
     pub fn tenant(&self, tenant: u32) -> Option<&TenantSloSummary> {
         self.tenant_slo

@@ -12,7 +12,7 @@
 
 use paella_cluster::{Cluster, ClusterConfig, RoutingPolicy};
 use paella_compiler::CompiledModel;
-use paella_core::ModelId;
+use paella_core::{ModelId, ServingSystem};
 use paella_gpu::DeviceConfig;
 use paella_models::{measure_uncontended, synthetic};
 use paella_sim::SimDuration;
@@ -117,10 +117,7 @@ pub fn run_cluster_point(models: &[CompiledModel], spec: &ClusterExpSpec) -> Clu
             ..ClusterConfig::with_policy(spec.policy)
         },
     );
-    let ids: Vec<ModelId> = models
-        .iter()
-        .map(|m| paella_core::ServingSystem::register_model(&mut cluster, m))
-        .collect();
+    let ids: Vec<ModelId> = models.iter().map(|m| cluster.register_model(m)).collect();
     // Per-model SLO targets from the uncontended execution time (the same
     // ground truth the goodput definition in the paper's §7 rests on).
     let slo: Vec<SimDuration> = models

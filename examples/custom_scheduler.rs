@@ -11,7 +11,9 @@
 use std::collections::{BTreeMap, HashMap};
 
 use paella_channels::ChannelConfig;
-use paella_core::{Dispatcher, DispatcherConfig, FifoScheduler, JobId, JobInfo, Scheduler};
+use paella_core::{
+    Dispatcher, DispatcherConfig, FifoScheduler, JobId, JobInfo, Scheduler, ServingSystem,
+};
 use paella_gpu::DeviceConfig;
 use paella_models::ModelZoo;
 use paella_sim::{SimDuration, SimTime};

@@ -9,7 +9,9 @@
 
 use paella_channels::ChannelConfig;
 use paella_compiler::{compile, compile_parallel, stream_count, CostModel};
-use paella_core::{ClientId, Dispatcher, DispatcherConfig, InferenceRequest, SrptDeficitScheduler};
+use paella_core::{
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
+};
 use paella_gpu::DeviceConfig;
 use paella_models::zoo;
 use paella_sim::{SimDuration, SimTime};

@@ -5,7 +5,9 @@
 
 use paella_channels::ChannelConfig;
 use paella_compiler::{compile, CostModel, Graph, Op, Shape};
-use paella_core::{ClientId, Dispatcher, DispatcherConfig, InferenceRequest, SrptDeficitScheduler};
+use paella_core::{
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
+};
 use paella_gpu::DeviceConfig;
 use paella_sim::{SimDuration, SimTime};
 

@@ -123,6 +123,128 @@ fn no_system_loses_or_duplicates_jobs() {
     }
 }
 
+/// Every front end returns what its inner system returns — failures as well
+/// as completions, under the ids and submission times the caller used — and
+/// shows the load it is holding.
+#[test]
+fn no_wrapper_loses_a_request_or_hides_load() {
+    use paella_core::{
+        BatchPolicy, ClientId, DispatcherConfig, InferenceRequest, MigServing, ModelId,
+        RemoteGateway, RpcNetModel, SaturationBatcher, SrptDeficitScheduler,
+    };
+    use paella_sim::SimTime;
+    let model = synthetic::uniform_job("w", 4, SimDuration::from_micros(150), 64);
+    let srpt = || -> Box<dyn paella_core::Scheduler> {
+        Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS)))
+    };
+    let mig = |cfg| MigServing::new(&device(), &[20, 20], ChannelConfig::default(), cfg, srpt, 7);
+    // Forty requests 5 µs apart from four clients, spread over `ids`.
+    let burst = |sys: &mut dyn ServingSystem, ids: &[ModelId]| -> Vec<(u32, u32, u64)> {
+        (0..40u64)
+            .map(|i| {
+                let req = InferenceRequest {
+                    client: ClientId((i % 4) as u32),
+                    model: ids[i as usize % ids.len()],
+                    submitted_at: SimTime::from_micros(i * 5),
+                };
+                sys.submit(req);
+                (req.client.0, req.model.0, req.submitted_at.as_nanos())
+            })
+            .collect()
+    };
+
+    // 1. An inner system that sheds above two outstanding requests and
+    // cancels on a deadline: every request still comes back exactly once.
+    let tight = DispatcherConfig {
+        shed_watermark: Some(2),
+        deadline_factor: Some(4.0),
+        ..DispatcherConfig::paella()
+    };
+    let eager = BatchPolicy {
+        saturation_threshold: 2,
+        max_batch: 4,
+        ..BatchPolicy::default()
+    };
+    let mut wrappers: [(&str, &mut dyn ServingSystem, usize); 3] = [
+        ("mig", &mut mig(tight), 2),
+        (
+            "remote",
+            &mut RemoteGateway::new(paella_dispatcher(tight, 5), RpcNetModel::default()),
+            1,
+        ),
+        (
+            "batched",
+            &mut SaturationBatcher::new(paella_dispatcher(tight, 5), eager),
+            1,
+        ),
+    ];
+    for (name, sys, models) in &mut wrappers {
+        let ids: Vec<ModelId> = (0..*models).map(|_| sys.register_model(&model)).collect();
+        let mut submitted = burst(*sys, &ids);
+        sys.run_to_idle();
+        let (done, failed) = (sys.drain_completions(), sys.drain_failures());
+        assert!(!done.is_empty() && !failed.is_empty(), "{name}: both paths");
+        let mut returned: Vec<(u32, u32, u64)> = done
+            .iter()
+            .map(|c| c.request)
+            .chain(failed.iter().map(|f| f.request))
+            .map(|r| (r.client.0, r.model.0, r.submitted_at.as_nanos()))
+            .collect();
+        returned.sort_unstable();
+        submitted.sort_unstable();
+        assert_eq!(
+            returned, submitted,
+            "{name}: every request, once, as submitted"
+        );
+        assert_eq!(sys.load_signal().outstanding(), 0, "{name}");
+        if *name == "batched" {
+            // A failed submission frees its slot in the batcher's window of
+            // four: that many used to park the saturated path for good, with
+            // the rest of the burst still queued behind it.
+            assert!(failed.len() > 4, "{} failed", failed.len());
+        }
+    }
+
+    // 2. Load, traces, metrics and post-mortems reach the caller through
+    // every front end.
+    let roomy = DispatcherConfig::paella();
+    let baseline = |key| make_system(key, device(), ChannelConfig::default(), 5);
+    let systems: [(&str, Box<dyn ServingSystem>); 6] = [
+        ("mig", Box::new(mig(roomy))),
+        (
+            "remote",
+            Box::new(RemoteGateway::new(
+                paella_dispatcher(roomy, 5),
+                RpcNetModel::default(),
+            )),
+        ),
+        (
+            "batched",
+            Box::new(SaturationBatcher::new(paella_dispatcher(roomy, 5), eager)),
+        ),
+        ("CUDA-MS", baseline(SystemKey::CudaMs)),
+        ("Triton", baseline(SystemKey::Triton)),
+        ("Clockwork", baseline(SystemKey::Clockwork)),
+    ];
+    for (name, mut sys) in systems {
+        sys.enable_telemetry();
+        let id = sys.register_model(&model);
+        burst(sys.as_mut(), &[id]);
+        assert_eq!(sys.load_signal().outstanding(), 40, "{name}: queued load");
+        sys.run_to_idle();
+        assert_eq!(sys.load_signal().outstanding(), 0, "{name}: idle");
+        assert_eq!(sys.drain_completions().len(), 40, "{name}");
+        let trace = sys.take_trace_log().expect(name);
+        assert!(
+            trace.events.iter().any(|e| e.event.kind() == "job-begin"),
+            "{name}: inner events surface"
+        );
+        let snap = sys.metrics_snapshot().expect(name);
+        assert!(snap.counter("jobs_completed") > 0, "{name}");
+        assert!(sys.take_postmortems().is_empty(), "{name}: nothing failed");
+    }
+}
+
 #[test]
 fn full_runs_are_deterministic_across_repeats() {
     let run = || {

@@ -31,11 +31,13 @@ fn workload(seed: u64, telemetry: bool) -> (Dispatcher, Vec<Arrival>) {
     if telemetry {
         sys.enable_telemetry();
     }
-    let a = ServingSystem::register_model(&mut sys, &synthetic::fig2_job());
-    let b = ServingSystem::register_model(
-        &mut sys,
-        &synthetic::uniform_job("small", 2, SimDuration::from_micros(40), 4),
-    );
+    let a = sys.register_model(&synthetic::fig2_job());
+    let b = sys.register_model(&synthetic::uniform_job(
+        "small",
+        2,
+        SimDuration::from_micros(40),
+        4,
+    ));
     let spec = WorkloadSpec {
         clients: 8,
         ..WorkloadSpec::steady(8_000.0, 80)
@@ -317,10 +319,10 @@ fn windowed_logs_export_without_their_straddling_spans() {
         }
     };
     submit(&mut sys, head);
-    let mid_run = sys.take_trace_log();
+    let mid_run = sys.take_trace_log().expect("telemetry on");
     submit(&mut sys, tail);
     sys.run_to_idle();
-    let at_idle = sys.take_trace_log();
+    let at_idle = sys.take_trace_log().expect("telemetry on");
 
     let count =
         |log: &TraceLog, kind: &str| log.events.iter().filter(|e| e.event.kind() == kind).count();
