@@ -347,7 +347,7 @@ impl Cluster {
                 self.router.policy().as_str(),
                 candidates.len() as u32,
             );
-            self.core.tracer.record_with(at, || {
+            self.core.trace(at, || {
                 TraceEvent::RouteDecision(Box::new(RouteDecision {
                     model,
                     node,
@@ -431,13 +431,11 @@ impl Cluster {
         }
         self.reroutes.insert(key, used + 1);
         let (client, model, attempt) = (req.client.0, req.model.0, used + 1);
-        self.core
-            .tracer
-            .record_with(at, || TraceEvent::FailoverHop {
-                client,
-                model,
-                attempt,
-            });
+        self.core.trace(at, || TraceEvent::FailoverHop {
+            client,
+            model,
+            attempt,
+        });
         self.core.inc("requests_rerouted", 1);
         self.frontend
             .schedule_at(at.max(self.frontend.now()), FrontEv::Reroute(req));
@@ -461,8 +459,7 @@ impl Cluster {
             return;
         }
         self.core
-            .tracer
-            .record_with(at, || TraceEvent::NodeCrash { node: i as u32 });
+            .trace(at, || TraceEvent::NodeCrash { node: i as u32 });
         self.core.inc("node_crashes", 1);
         self.collect_completions(i);
         self.nodes[i].crashed = true;
@@ -504,8 +501,7 @@ impl Cluster {
             return;
         }
         self.core
-            .tracer
-            .record_with(at, || TraceEvent::NodeRecover { node: i as u32 });
+            .trace(at, || TraceEvent::NodeRecover { node: i as u32 });
         self.core.inc("node_recoveries", 1);
         self.nodes[i].crashed = false;
         let weight: u64 = self
@@ -640,15 +636,16 @@ impl Cluster {
     /// Translates a request node `i` echoes back to the cluster's public
     /// model id and the client's original submission time (both crossings
     /// are deterministic per model, so they subtract back out exactly).
-    /// Returns the public model index.
-    fn restore(&self, i: usize, req: &mut InferenceRequest) -> usize {
+    /// Returns the public model index and the ingress subtracted.
+    fn restore(&self, i: usize, req: &mut InferenceRequest) -> (usize, SimDuration) {
         let local = Some(req.model);
         let public = self.nodes[i].local_ids.iter().position(|&l| l == local);
         let public = public
             .unwrap_or_else(|| panic!("node {i} reported unknown local model {:?}", req.model));
         req.model = ModelId(public as u32);
-        req.submitted_at = RpcNetModel::origin(req.submitted_at, self.ingress(public));
-        public
+        let ingress = self.ingress(public);
+        req.submitted_at = RpcNetModel::origin(req.submitted_at, ingress);
+        (public, ingress)
     }
 
     /// Node `i` answered `n` of the requests routed to it; a draining node
@@ -672,13 +669,13 @@ impl Cluster {
         }
         self.settle(i, drained.len() as u64);
         for mut c in drained {
-            let public = self.restore(i, &mut c.request);
+            let (public, ingress) = self.restore(i, &mut c.request);
             let egress = self
                 .cfg
                 .net
                 .transfer(self.models[public].model.output_bytes);
             c.client_visible_at += egress;
-            c.breakdown.communication += self.ingress(public) + egress;
+            c.breakdown.communication += ingress + egress;
             // A completed request retires whatever re-route budget it used.
             self.reroutes.remove(&(
                 c.request.client.0,

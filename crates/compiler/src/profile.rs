@@ -139,8 +139,13 @@ pub fn measure_uncontended(model: &CompiledModel, device: &DeviceConfig) -> SimD
         match op {
             DeviceOp::Kernel(k) => {
                 kuid += 1;
-                let (uid, desc) = (kuid, k.clone());
-                gpu.launch_kernel(SimTime::ZERO, KernelLaunch { uid, stream, desc });
+                let desc = k.clone();
+                let launch = KernelLaunch {
+                    uid: kuid,
+                    stream,
+                    desc,
+                };
+                gpu.launch_kernel(SimTime::ZERO, launch);
             }
             DeviceOp::InputCopy { bytes } | DeviceOp::OutputCopy { bytes } => {
                 muid += 1;
@@ -149,16 +154,13 @@ pub fn measure_uncontended(model: &CompiledModel, device: &DeviceConfig) -> SimD
                 } else {
                     CopyDir::DeviceToHost
                 };
-                let (uid, bytes) = (MemcpyUid(muid), *bytes);
-                gpu.enqueue_memcpy(
-                    SimTime::ZERO,
-                    MemcpyOp {
-                        uid,
-                        stream,
-                        bytes,
-                        dir,
-                    },
-                );
+                let copy = MemcpyOp {
+                    uid: MemcpyUid(muid),
+                    stream,
+                    bytes: *bytes,
+                    dir,
+                };
+                gpu.enqueue_memcpy(SimTime::ZERO, copy);
             }
         }
     }

@@ -506,8 +506,7 @@ impl ServingSystem for Dispatcher {
         if let Some(w) = self.cfg.shed_watermark {
             if self.load_signal().outstanding() >= w {
                 self.core
-                    .tracer
-                    .record_with(req.submitted_at, || TraceEvent::RequestShed {
+                    .trace(req.submitted_at, || TraceEvent::RequestShed {
                         client: req.client.0,
                         model: req.model.0,
                     });
@@ -863,8 +862,7 @@ impl Dispatcher {
             }
             for (name, value) in samples {
                 self.core
-                    .tracer
-                    .record_with(at, || TraceEvent::CounterSample { name, value });
+                    .trace(at, || TraceEvent::CounterSample { name, value });
             }
         }
     }
@@ -909,8 +907,7 @@ impl Dispatcher {
         let done = self.charge_cpu(client, ready, cost);
         let (core, start) = self.last_charge;
         self.core
-            .tracer
-            .record_with(done, || TraceEvent::HostOp { kind, core, start });
+            .trace(done, || TraceEvent::HostOp { kind, core, start });
         done
     }
 
@@ -938,7 +935,7 @@ impl Dispatcher {
         if self.core.tracer.is_enabled() {
             let model = self.models[model_idx].name.clone();
             let (job, client, submitted_at) = (id.0, req.client.0, req.submitted_at);
-            self.core.tracer.record_with(t_ingested, || {
+            self.core.trace(t_ingested, || {
                 TraceEvent::JobBegin(Box::new(JobBegin {
                     job,
                     client,
@@ -1119,14 +1116,12 @@ impl Dispatcher {
                 let desc = self.models[model_idx].kernel_descs[loc].clone();
                 {
                     let grid_blocks = desc.grid_blocks;
-                    self.core
-                        .tracer
-                        .record_with(done, || TraceEvent::KernelDispatched {
-                            job: id.0,
-                            kernel: u64::from(uid),
-                            stream: stream.0,
-                            grid_blocks,
-                        });
+                    self.core.trace(done, || TraceEvent::KernelDispatched {
+                        job: id.0,
+                        kernel: u64::from(uid),
+                        stream: stream.0,
+                        grid_blocks,
+                    });
                 }
                 self.core.inc("kernels_dispatched", 1);
                 // The occupancy mirror only works when instrumented kernels
@@ -1198,8 +1193,7 @@ impl Dispatcher {
             if j.almost_finished_at.is_none() {
                 j.almost_finished_at = Some(wake);
                 self.core
-                    .tracer
-                    .record_with(wake, || TraceEvent::DoorbellWake { job: id.0 });
+                    .trace(wake, || TraceEvent::DoorbellWake { job: id.0 });
             }
         }
     }
@@ -1231,12 +1225,10 @@ impl Dispatcher {
             };
             if !self.job(job).has_streams() {
                 // Waiting for pool streams; skip until they free.
-                self.core
-                    .tracer
-                    .record_with(self.now, || TraceEvent::OccupancyHold {
-                        job: job.0,
-                        reason: HoldReason::StreamPool,
-                    });
+                self.core.trace(self.now, || TraceEvent::OccupancyHold {
+                    job: job.0,
+                    reason: HoldReason::StreamPool,
+                });
                 self.mark_occ_hold(job);
                 self.scheduler.job_blocked(job);
                 continue;
@@ -1246,12 +1238,10 @@ impl Dispatcher {
                     .occupancy
                     .should_dispatch(&footprint, self.cfg.lookahead_blocks)
                 {
-                    self.core
-                        .tracer
-                        .record_with(self.now, || TraceEvent::OccupancyHold {
-                            job: job.0,
-                            reason: HoldReason::OccupancyBudget,
-                        });
+                    self.core.trace(self.now, || TraceEvent::OccupancyHold {
+                        job: job.0,
+                        reason: HoldReason::OccupancyBudget,
+                    });
                     self.core.inc("occupancy_holds", 1);
                     self.mark_occ_hold(job);
                     break;
@@ -1261,12 +1251,10 @@ impl Dispatcher {
                     && self.notifq_outstanding + 2 * u64::from(grid_blocks)
                         > self.cfg.notifq_capacity
                 {
-                    self.core
-                        .tracer
-                        .record_with(self.now, || TraceEvent::OccupancyHold {
-                            job: job.0,
-                            reason: HoldReason::NotifqBackpressure,
-                        });
+                    self.core.trace(self.now, || TraceEvent::OccupancyHold {
+                        job: job.0,
+                        reason: HoldReason::NotifqBackpressure,
+                    });
                     self.core.inc("notifq_holds", 1);
                     self.mark_occ_hold(job);
                     break;
@@ -1275,14 +1263,12 @@ impl Dispatcher {
             if self.core.tracer.is_enabled() {
                 let policy = self.scheduler.name();
                 let ready = self.scheduler.ready_len() as u32;
-                self.core
-                    .tracer
-                    .record_with(self.now, || TraceEvent::SchedDecision {
-                        job: job.0,
-                        policy,
-                        rationale,
-                        ready,
-                    });
+                self.core.trace(self.now, || TraceEvent::SchedDecision {
+                    job: job.0,
+                    policy,
+                    rationale,
+                    ready,
+                });
             }
             self.core.inc("sched_picks", 1);
             self.scheduler.on_dispatched(job);
@@ -1320,12 +1306,10 @@ impl Dispatcher {
             }
             self.scheduler.job_blocked(id);
             if newly_blocked {
-                self.core
-                    .tracer
-                    .record_with(self.now, || TraceEvent::OccupancyHold {
-                        job: id.0,
-                        reason: HoldReason::DepWait,
-                    });
+                self.core.trace(self.now, || TraceEvent::OccupancyHold {
+                    job: id.0,
+                    reason: HoldReason::DepWait,
+                });
             }
         }
     }
@@ -1368,14 +1352,12 @@ impl Dispatcher {
                 let done =
                     self.charge_cpu_traced(owner, at, self.cfg.notif_cost, HostOpKind::Notif);
                 self.now = self.now.max(done);
-                self.core
-                    .tracer
-                    .record_with(done, || TraceEvent::NotifBatch {
-                        kernel: u64::from(n.kernel),
-                        sm: u32::from(n.sm_id),
-                        placement,
-                        blocks: u32::from(n.group),
-                    });
+                self.core.trace(done, || TraceEvent::NotifBatch {
+                    kernel: u64::from(n.kernel),
+                    sm: u32::from(n.sm_id),
+                    placement,
+                    blocks: u32::from(n.group),
+                });
                 self.core.inc("notifs_processed", 1);
                 self.occupancy.on_notification(n);
                 let Some(k) = rec else {
@@ -1578,7 +1560,7 @@ impl Dispatcher {
             queuing.as_nanos(),
             [j.backoff_ns, j.dep_wait_ns, j.occ_wait_ns],
         );
-        self.core.tracer.record_with(client_visible, || {
+        self.core.trace(client_visible, || {
             TraceEvent::JobEnd(Box::new(JobEnd {
                 job: id.0,
                 client: j.request.client.0,
@@ -1590,7 +1572,7 @@ impl Dispatcher {
                 device_ns: device.as_nanos(),
             }))
         });
-        self.core.tracer.record_with(client_visible, || {
+        self.core.trace(client_visible, || {
             TraceEvent::JobJourney(Box::new(JobJourney {
                 job: id.0,
                 client: j.request.client.0,
@@ -1688,13 +1670,11 @@ impl Dispatcher {
             *e += 1;
             *e
         };
-        self.core
-            .tracer
-            .record_with(at, || TraceEvent::KernelFault {
-                job: id.0,
-                kernel: u64::from(uid),
-                attempt,
-            });
+        self.core.trace(at, || TraceEvent::KernelFault {
+            job: id.0,
+            kernel: u64::from(uid),
+            attempt,
+        });
         self.core.inc("kernel_faults", 1);
         if attempt > self.cfg.retry_budget {
             self.cancel_job(id, at, FailureReason::RetryBudgetExhausted);
@@ -1704,14 +1684,12 @@ impl Dispatcher {
         // Exponential backoff, shift-capped so the doubling can't overflow.
         let backoff = self.cfg.retry_backoff * (1u64 << (attempt - 1).min(16));
         let backoff_ns = backoff.as_nanos();
-        self.core
-            .tracer
-            .record_with(at, || TraceEvent::RetryBackoff {
-                job: id.0,
-                kernel: u64::from(uid),
-                attempt,
-                backoff_ns,
-            });
+        self.core.trace(at, || TraceEvent::RetryBackoff {
+            job: id.0,
+            kernel: u64::from(uid),
+            attempt,
+            backoff_ns,
+        });
         if let Some(j) = self.jobs.get_mut(id.0) {
             j.backoff_ns += backoff_ns;
         }
@@ -1767,12 +1745,10 @@ impl Dispatcher {
         self.memcpy_to_job.retain(|_, &mut (job, _)| job != id);
         self.return_streams(&j, at);
         let reason_str = reason.as_str();
-        self.core
-            .tracer
-            .record_with(at, || TraceEvent::JobCancelled {
-                job: id.0,
-                reason: reason_str,
-            });
+        self.core.trace(at, || TraceEvent::JobCancelled {
+            job: id.0,
+            reason: reason_str,
+        });
         self.core.inc("jobs_cancelled", 1);
         // A spent retry budget is a terminal, single-node failure: snapshot
         // the flight-recorder ring and a fixed-order view of queue state into

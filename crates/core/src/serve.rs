@@ -7,7 +7,7 @@
 
 use paella_compiler::CompiledModel;
 use paella_sim::{EventQueue, SimDuration, SimTime};
-use paella_telemetry::{MetricsRegistry, MetricsSnapshot, TraceLog, Tracer};
+use paella_telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer};
 
 use crate::types::{
     FailureReason, InferenceRequest, JobCompletion, JobFailure, LoadSignal, ModelId,
@@ -143,6 +143,13 @@ impl EngineCore {
     /// A frozen copy of the metrics registry, if telemetry is enabled.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.metrics.as_ref().map(|m| m.snapshot())
+    }
+
+    /// Records the event built by `f` at virtual time `at`; with telemetry
+    /// off `f` is never called.
+    #[inline]
+    pub fn trace(&mut self, at: SimTime, f: impl FnOnce() -> TraceEvent) {
+        self.tracer.record_with(at, f);
     }
 
     /// Adds `n` to a counter (no-op with telemetry off).
@@ -453,5 +460,59 @@ impl<T: Tier<S>, S: ServingSystem> ServingSystem for Layered<T, S> {
         let mut s = self.front.inner.load_signal();
         s.queued += self.front.events.len() as u64 + self.tier.parked();
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn split_takes_in_order_and_conserves_the_total() {
+        assert_eq!(split(10u64, [4, 3, 2]), ([4, 3, 2], 1));
+        // Later parts get only what earlier ones left.
+        assert_eq!(split(10u64, [7, 5, 2]), ([7, 3, 0], 0));
+        let us = SimDuration::from_micros;
+        assert_eq!(split(us(5), [us(9)]), ([us(5)], SimDuration::ZERO));
+    }
+
+    #[test]
+    fn earliest_ignores_an_idle_source() {
+        let t = |us| Some(SimTime::from_micros(us));
+        assert_eq!(earliest(t(3), t(2)), t(2));
+        assert_eq!(earliest(None, t(2)), t(2));
+        assert_eq!(earliest(t(3), None), t(3));
+        assert_eq!(earliest(None, None), None);
+    }
+
+    #[test]
+    fn debit_subtracts_and_counts_nothing_when_the_books_balance() {
+        let mut core = EngineCore::default();
+        core.enable_telemetry();
+        let (mut n, mut work) = (3u64, SimDuration::from_micros(5));
+        core.debit(&mut n, 3, "n");
+        core.debit_work(&mut work, SimDuration::from_micros(2), "work");
+        assert_eq!((n, work), (0, SimDuration::from_micros(3)));
+        let snap = core.metrics_snapshot().expect("telemetry on");
+        assert_eq!(snap.counter("accounting_underflow"), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "node outstanding underflow")]
+    fn debit_below_zero_fails_a_debug_build() {
+        EngineCore::default().debit(&mut 1, 2, "node outstanding");
+    }
+
+    #[test]
+    #[cfg(not(debug_assertions))]
+    fn debit_below_zero_clamps_and_counts_in_a_release_build() {
+        let mut core = EngineCore::default();
+        core.enable_telemetry();
+        let mut n = 1u64;
+        core.debit(&mut n, 2, "node outstanding");
+        assert_eq!(n, 0);
+        let snap = core.metrics_snapshot().expect("telemetry on");
+        assert_eq!(snap.counter("accounting_underflow"), 1);
     }
 }

@@ -383,7 +383,7 @@ impl LlmEngine {
             return;
         }
         let resident = self.pool.resident();
-        self.core.tracer.record_with(at, || TraceEvent::KvAlloc {
+        self.core.trace(at, || TraceEvent::KvAlloc {
             job: job.0,
             pages,
             freed,
@@ -521,12 +521,10 @@ impl LlmEngine {
             s.job_done(id);
         }
         self.detach(id, &job, at);
-        self.core
-            .tracer
-            .record_with(at, || TraceEvent::JobCancelled {
-                job: id.0,
-                reason: reason.as_str(),
-            });
+        self.core.trace(at, || TraceEvent::JobCancelled {
+            job: id.0,
+            reason: reason.as_str(),
+        });
         self.core.fail(job.request, reason, at);
     }
 
@@ -549,7 +547,7 @@ impl LlmEngine {
         let device_ns = device_prefill_ns + device_decode_ns;
         let queuing_ns = queue_occupancy_ns + queue_hol_ns;
         let client = job.request.client.0;
-        self.core.tracer.record_with(at, || {
+        self.core.trace(at, || {
             TraceEvent::JobEnd(Box::new(JobEnd {
                 job: id.0,
                 client,
@@ -561,7 +559,7 @@ impl LlmEngine {
                 device_ns,
             }))
         });
-        self.core.tracer.record_with(at, || {
+        self.core.trace(at, || {
             TraceEvent::JobJourney(Box::new(JobJourney {
                 job: id.0,
                 client,
@@ -649,12 +647,10 @@ impl LlmEngine {
         self.pending.retain(|j| *j != id);
         self.running.insert(id);
         if emit_prefill {
-            self.core
-                .tracer
-                .record_with(at, || TraceEvent::PrefillStart {
-                    job: id.0,
-                    prompt_tokens: prompt_tokens.min(u64::from(u32::MAX)) as u32,
-                });
+            self.core.trace(at, || TraceEvent::PrefillStart {
+                job: id.0,
+                prompt_tokens: prompt_tokens.min(u64::from(u32::MAX)) as u32,
+            });
         }
         true
     }
@@ -802,14 +798,12 @@ impl LlmEngine {
             let ready = sched.ready_len() as u32;
             let policy = sched.name();
             sched.on_dispatched(id);
-            self.core
-                .tracer
-                .record_with(at, || TraceEvent::SchedDecision {
-                    job: id.0,
-                    policy,
-                    rationale,
-                    ready,
-                });
+            self.core.trace(at, || TraceEvent::SchedDecision {
+                job: id.0,
+                policy,
+                rationale,
+                ready,
+            });
             return vec![(id, work)];
         }
     }
@@ -823,7 +817,7 @@ impl LlmEngine {
         if iter.decode_batch > 0 {
             let seq = self.iter_seq;
             let b = iter.decode_batch.min(u64::from(u32::MAX)) as u32;
-            self.core.tracer.record_with(at, || TraceEvent::DecodeStep {
+            self.core.trace(at, || TraceEvent::DecodeStep {
                 iter: seq,
                 batch: b,
                 tokens: b,
@@ -891,7 +885,7 @@ impl ServingSystem for LlmEngine {
         let id = JobId(self.next_job);
         self.next_job += 1;
         let name = spec.name.clone();
-        self.core.tracer.record_with(req.submitted_at, || {
+        self.core.trace(req.submitted_at, || {
             TraceEvent::JobBegin(Box::new(JobBegin {
                 job: id.0,
                 client: req.client.0,

@@ -500,16 +500,8 @@ fn googlenet_4_streams() -> paella_compiler::CompiledModel {
 /// re-records them and says so.
 #[test]
 fn default_path_golden_digests() {
-    use paella_core::{Dispatcher, DispatcherConfig, SrptDeficitScheduler};
-    let paella = |cfg: DispatcherConfig, seed: u64| {
-        Dispatcher::new(
-            device(),
-            ChannelConfig::default(),
-            Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS))),
-            cfg,
-            seed,
-        )
-    };
+    use paella_core::DispatcherConfig;
+    let paella = paella_dispatcher;
 
     // 1. The bursty Table 2 zoo mix under the full system.
     let mut zoo = ModelZoo::new(device());
