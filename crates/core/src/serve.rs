@@ -76,6 +76,7 @@ pub trait ServingSystem {
 
 /// The earlier of two optional instants: the merge step of every loop that
 /// advances two event sources on one clock.
+#[inline]
 pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
@@ -89,6 +90,7 @@ pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
 /// time is taken first (the paper defines overhead as end-to-end latency
 /// minus the CUDA work), and host costs that overlapped device execution
 /// are clamped to whatever critical-path time remains.
+#[inline]
 pub fn split<T, const N: usize>(total: T, parts: [T; N]) -> ([T; N], T)
 where
     T: Ord + Copy + std::ops::SubAssign,
