@@ -48,7 +48,7 @@ use paella_core::types::{
     LoadSignal, ModelId,
 };
 use paella_sim::event::EventQueue;
-use paella_sim::{SimDuration, SimTime, Xoshiro256pp};
+use paella_sim::{IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{JobBegin, JobEnd, JobJourney, MetricsSnapshot, TraceEvent, TraceLog};
 
 use crate::kv::KvPool;
@@ -257,7 +257,8 @@ impl LlmJob {
 pub struct LlmEngine {
     cfg: LlmEngineConfig,
     specs: Vec<LlmModelSpec>,
-    jobs: BTreeMap<JobId, LlmJob>,
+    /// Live sequences, indexed by job id.
+    jobs: IdMap<LlmJob>,
     /// Admission queue, submission order; recompute-preempted jobs re-enter
     /// at the front (their original arrival already paid its wait).
     pending: VecDeque<JobId>,
@@ -296,7 +297,7 @@ impl LlmEngine {
             srpt,
             cfg,
             specs: Vec::new(),
-            jobs: BTreeMap::new(),
+            jobs: IdMap::new(),
             pending: VecDeque::new(),
             running: BTreeSet::new(),
             kv_blocked: BTreeSet::new(),
@@ -335,11 +336,12 @@ impl LlmEngine {
     /// with the signal, pinning the classification against drift (R7).
     #[doc(hidden)]
     pub fn load_counts_scratch(&self) -> (u64, u64, u64) {
-        let in_transit = self.jobs.values().filter(|j| !j.arrived).count() as u64;
+        let in_transit = self.jobs.iter().filter(|(_, j)| !j.arrived).count() as u64;
         let arrived = self.jobs.len() as u64 - in_transit;
         let structural = self
             .jobs
-            .keys()
+            .iter()
+            .map(|(id, _)| JobId(id))
             .filter(|id| {
                 self.pending.contains(id)
                     || self.running.contains(id)
@@ -353,7 +355,7 @@ impl LlmEngine {
     /// pages are freed exactly once; `at` must not precede the engine's
     /// current virtual time.
     pub fn cancel_all(&mut self, at: SimTime) {
-        let ids: Vec<JobId> = self.jobs.keys().copied().collect();
+        let ids: Vec<JobId> = self.jobs.iter().map(|(id, _)| JobId(id)).collect();
         for id in ids {
             self.fail_job(id, FailureReason::Disconnected, at);
         }
@@ -361,11 +363,16 @@ impl LlmEngine {
 
     // -- internals ---------------------------------------------------------
 
+    /// Live sequence `id`.
+    fn job(&self, id: JobId) -> &LlmJob {
+        self.jobs.get(id.0).expect("job exists")
+    }
+
     /// The arrival instant: the job joins the admission queue and (under
     /// SRPT) becomes pickable. No-op if the request was cancelled before
     /// arriving.
     fn mark_arrived(&mut self, id: JobId) {
-        let Some(job) = self.jobs.get_mut(&id) else {
+        let Some(job) = self.jobs.get_mut(id.0) else {
             return;
         };
         job.arrived = true;
@@ -399,7 +406,7 @@ impl LlmEngine {
     }
 
     fn job_info(&self, id: JobId) -> JobInfo {
-        let job = &self.jobs[&id];
+        let job = &self.job(id);
         let total = job.prompt_tokens * self.cfg.prefill_ns_per_token
             + job.output_tokens * (self.cfg.decode_fixed_ns + self.cfg.decode_ns_per_seq);
         JobInfo {
@@ -416,7 +423,7 @@ impl LlmEngine {
     /// into the prompt to rebuild.
     fn preempt_job(&mut self, victim: JobId, at: SimTime) {
         let pages = {
-            let job = self.jobs.get_mut(&victim).expect("victim exists");
+            let job = self.jobs.get_mut(victim.0).expect("victim exists");
             let pages = job.pages_held;
             job.pages_held = 0;
             job.recompute_tokens = job.prompt_tokens + job.generated;
@@ -430,8 +437,8 @@ impl LlmEngine {
         self.running.remove(&victim);
         self.pending.push_front(victim);
         self.core.inc("llm_preempted", 1);
+        let est = self.job(victim).remaining_estimate_ns(&self.cfg);
         if let Some(s) = self.srpt.as_mut() {
-            let est = self.jobs[&victim].remaining_estimate_ns(&self.cfg);
             s.remaining_changed(victim, SimDuration::from_nanos(est));
         }
     }
@@ -443,7 +450,7 @@ impl LlmEngine {
         // A sequence never holds more pages than its next token needs:
         // admission reserves exactly the prompt's, and each step adds at most
         // the one page the step crosses into.
-        let job = &self.jobs[&id];
+        let job = &self.job(id);
         let mut delta = self.pool.pages_for_tokens(job.kv_tokens + 1);
         self.core.debit(
             &mut delta,
@@ -455,7 +462,7 @@ impl LlmEngine {
         }
         loop {
             if self.pool.try_alloc(delta) {
-                self.jobs.get_mut(&id).expect("job exists").pages_held += delta;
+                self.jobs.get_mut(id.0).expect("job exists").pages_held += delta;
                 self.emit_kv(at, id, delta, false);
                 return true;
             }
@@ -514,7 +521,7 @@ impl LlmEngine {
     }
 
     fn fail_job(&mut self, id: JobId, reason: FailureReason, at: SimTime) {
-        let Some(job) = self.jobs.remove(&id) else {
+        let Some(job) = self.jobs.remove(id.0) else {
             return;
         };
         if let Some(s) = self.srpt.as_mut() {
@@ -533,7 +540,7 @@ impl LlmEngine {
     /// construction, and the prefill/decode sub-split sums to the device
     /// phase), and records completions.
     fn complete_job(&mut self, id: JobId, at: SimTime) {
-        let Some(job) = self.jobs.remove(&id) else {
+        let Some(job) = self.jobs.remove(id.0) else {
             return;
         };
         if let Some(s) = self.srpt.as_mut() {
@@ -618,7 +625,7 @@ impl LlmEngine {
     /// never fit.
     fn try_admit(&mut self, id: JobId, at: SimTime) -> bool {
         let need = {
-            let job = &self.jobs[&id];
+            let job = &self.job(id);
             self.pool.pages_for_tokens(job.recompute_tokens)
         };
         if need > self.pool.total_pages() {
@@ -626,7 +633,7 @@ impl LlmEngine {
             return false;
         }
         if !self.pool.try_alloc(need) {
-            let job = self.jobs.get_mut(&id).expect("job exists");
+            let job = self.jobs.get_mut(id.0).expect("job exists");
             if job.kv_since.is_none() {
                 job.kv_since = Some(at);
             }
@@ -634,7 +641,7 @@ impl LlmEngine {
         }
         self.emit_kv(at, id, need, false);
         let (emit_prefill, prompt_tokens) = {
-            let job = self.jobs.get_mut(&id).expect("job exists");
+            let job = self.jobs.get_mut(id.0).expect("job exists");
             job.pages_held = need;
             job.kv_tokens = job.recompute_tokens;
             if let Some(since) = job.kv_since.take() {
@@ -697,7 +704,7 @@ impl LlmEngine {
         let decode_ids: Vec<JobId> = self
             .running
             .iter()
-            .filter(|j| self.jobs[j].in_decode())
+            .filter(|j| self.job(**j).in_decode())
             .take(self.cfg.max_batch as usize)
             .copied()
             .collect();
@@ -719,14 +726,14 @@ impl LlmEngine {
         let prefill_ids: Vec<JobId> = self
             .running
             .iter()
-            .filter(|j| !self.jobs[j].in_decode())
+            .filter(|j| !self.job(**j).in_decode())
             .copied()
             .collect();
         for id in prefill_ids {
             if budget == 0 {
                 break;
             }
-            let t = self.jobs[&id].prefill_left().min(budget);
+            let t = self.job(id).prefill_left().min(budget);
             if t > 0 {
                 budget -= t;
                 items.push((id, Work::Prefill(t)));
@@ -739,12 +746,12 @@ impl LlmEngine {
             if !self.try_admit(head, at) {
                 // `try_admit` either failed the job (retry the new head) or
                 // head-of-line blocked on KV (stop admitting).
-                if self.jobs.contains_key(&head) {
+                if self.jobs.get(head.0).is_some() {
                     break;
                 }
                 continue;
             }
-            let left = self.jobs[&head].recompute_tokens;
+            let left = self.job(head).recompute_tokens;
             let t = left.min(budget);
             budget -= t;
             items.push((head, Work::Prefill(t)));
@@ -766,7 +773,7 @@ impl LlmEngine {
                 return Vec::new();
             };
             if !self.running.contains(&id) && !self.try_admit(id, at) {
-                if self.jobs.contains_key(&id) {
+                if self.jobs.get(id.0).is_some() {
                     // Park until KV frees up; the scheduler must stop
                     // returning it.
                     self.kv_blocked.insert(id);
@@ -775,7 +782,7 @@ impl LlmEngine {
                 continue;
             }
             let work = {
-                let job = &self.jobs[&id];
+                let job = &self.job(id);
                 if job.in_decode() {
                     None
                 } else {
@@ -833,7 +840,7 @@ impl LlmEngine {
             .map_or(0, |share| self.cfg.decode_ns_per_seq + share);
         for (id, work) in iter.items {
             let done = {
-                let Some(job) = self.jobs.get_mut(&id) else {
+                let Some(job) = self.jobs.get_mut(id.0) else {
                     continue; // cancelled or preempted mid-iteration
                 };
                 match work {
@@ -861,7 +868,7 @@ impl LlmEngine {
             if done {
                 self.complete_job(id, at);
             } else {
-                let est = self.jobs[&id].remaining_estimate_ns(&self.cfg);
+                let est = self.job(id).remaining_estimate_ns(&self.cfg);
                 if let Some(srpt) = self.srpt.as_mut() {
                     srpt.remaining_changed(id, SimDuration::from_nanos(est));
                 }
@@ -894,7 +901,7 @@ impl ServingSystem for LlmEngine {
             }))
         });
         self.jobs.insert(
-            id,
+            id.0,
             LlmJob {
                 request: req,
                 prompt_tokens,
@@ -973,7 +980,7 @@ impl ServingSystem for LlmEngine {
         let mut remaining = 0u64;
         let mut queued = 0u64;
         let mut inflight = 0u64;
-        for job in self.jobs.values() {
+        for (_, job) in self.jobs.iter() {
             remaining += job.remaining_estimate_ns(&self.cfg);
             if job.arrived {
                 inflight += 1;
