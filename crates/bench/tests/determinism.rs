@@ -6,6 +6,12 @@
 //! Thread count 1 takes the serial short-circuit inside `SweepExecutor`
 //! (the pre-harness reference path), so these tests also pin the parallel
 //! grids against the original serial loops.
+//!
+//! The binaries whose grid does not depend on `PAELLA_BENCH_SCALE` also pin
+//! a golden digest of that serial stdout: "the figures are byte-identical"
+//! is a constant a refactor must leave alone, not a manual `cmp` against a
+//! build of the parent. A change that means to move a figure re-records its
+//! digest and says so.
 
 use std::process::Command;
 
@@ -28,10 +34,22 @@ fn stdout_at(bin: &str, args: &[&str], threads: usize) -> Vec<u8> {
     out.stdout
 }
 
-/// Asserts stdout is byte-identical across thread counts 1, 2, and 8.
-fn assert_deterministic(bin: &str, args: &[&str]) {
+/// Asserts stdout is byte-identical across thread counts 1, 2, and 8, and
+/// that its FNV-1a digest is `golden` when one is given.
+fn assert_deterministic(bin: &str, args: &[&str], golden: Option<u64>) {
     let serial = stdout_at(bin, args, 1);
     assert!(!serial.is_empty(), "{bin} produced no output");
+    if let Some(want) = golden {
+        let got = serial.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(
+            got,
+            want,
+            "{bin}: stdout moved (digest {got:#018x}):\n{}",
+            String::from_utf8_lossy(&serial)
+        );
+    }
     for threads in [2usize, 8] {
         let parallel = stdout_at(bin, args, threads);
         assert_eq!(
@@ -47,42 +65,73 @@ fn assert_deterministic(bin: &str, args: &[&str]) {
 
 #[test]
 fn fig02_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig02"), &[]);
+    assert_deterministic(env!("CARGO_BIN_EXE_fig02"), &[], None);
 }
 
 #[test]
 fn fig13_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig13"), &[]);
+    assert_deterministic(env!("CARGO_BIN_EXE_fig13"), &[], None);
 }
 
 #[test]
 fn fig14_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig14"), &[]);
+    assert_deterministic(env!("CARGO_BIN_EXE_fig14"), &[], None);
 }
 
 #[test]
 fn fig_cluster_smoke_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig_cluster"), &["--smoke"]);
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig_cluster"),
+        &["--smoke"],
+        Some(0xd81f_4e2c_7f24_e37e),
+    );
 }
 
 #[test]
 fn fig_llm_smoke_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig_llm"), &["--smoke"]);
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig_llm"),
+        &["--smoke"],
+        Some(0x3823_b52b_b339_a3fc),
+    );
 }
 
 #[test]
 fn fig_faults_smoke_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig_faults"), &["--smoke"]);
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig_faults"),
+        &["--smoke"],
+        Some(0x9a6f_72d0_0218_9239),
+    );
 }
 
 #[test]
 fn fig_latency_blame_smoke_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig_latency_blame"), &["--smoke"]);
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig_latency_blame"),
+        &["--smoke"],
+        Some(0x1689_8f9f_3e16_11aa),
+    );
 }
 
 #[test]
 fn flight_dump_stdout_is_thread_count_invariant() {
     // The dump contents themselves (not just the summary line) must be
     // byte-identical: the flight ring is populated on virtual time only.
-    assert_deterministic(env!("CARGO_BIN_EXE_flight_dump"), &[]);
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_flight_dump"),
+        &[],
+        Some(0xd836_be86_9848_dabf),
+    );
+}
+
+#[test]
+fn fig01_stdout_is_thread_count_invariant() {
+    // The timeline is drawn from the tracer's SM spans, so this digest also
+    // pins the device-side trace of the two Fig. 1 schedules.
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig01"),
+        &[],
+        Some(0x605e_960c_56a0_6002),
+    );
 }

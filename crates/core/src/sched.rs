@@ -610,13 +610,21 @@ mod tests {
         // Regression: a job re-readied with a different remaining estimate
         // must be fully removable; a stale tree entry would make pick_next
         // return it forever.
-        let mut s = SrptDeficitScheduler::new(Some(100.0));
-        s.job_ready(info(1, 0, 0, 100, 100));
-        s.job_ready(info(1, 0, 0, 100, 40)); // same job, new remaining
-        assert_eq!(s.ready_len(), 1);
-        s.job_blocked(JobId(1));
-        assert_eq!(s.pick_next(), None, "no ghost entries may survive");
-        assert_eq!(s.ready_len(), 0);
+        let policies: [Box<dyn Scheduler>; 5] = [
+            Box::new(FifoScheduler::new()),
+            Box::new(SjfScheduler::new()),
+            Box::new(RrScheduler::new()),
+            Box::new(SrptDeficitScheduler::srpt_only()),
+            Box::new(SrptDeficitScheduler::new(Some(100.0))),
+        ];
+        for mut s in policies {
+            s.job_ready(info(1, 0, 0, 100, 100));
+            s.job_ready(info(1, 0, 0, 100, 40)); // same job, new remaining
+            assert_eq!(s.ready_len(), 1, "{}", s.name());
+            s.job_blocked(JobId(1));
+            assert_eq!(s.pick_next(), None, "{}: a ghost survived", s.name());
+            assert_eq!(s.ready_len(), 0, "{}", s.name());
+        }
     }
 
     #[test]
