@@ -23,7 +23,11 @@ fn point_row(nodes: usize, policy: RoutingPolicy, spec: &ClusterExpSpec) -> [Str
         nodes.to_string(),
         policy.as_str().to_string(),
         format!("{:.0}", r.offered),
-        r.row(),
+        // Fixed precision so identical runs print identical bytes.
+        format!(
+            "{:.1},{:.1},{:.1},{:.1}",
+            r.throughput, r.goodput, r.p99_us, r.mean_us
+        ),
     ]
 }
 

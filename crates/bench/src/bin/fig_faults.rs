@@ -10,7 +10,7 @@
 use paella_bench::{header, row, scaled};
 use paella_cluster::RoutingPolicy;
 use paella_sim::FaultSpec;
-use paella_workload::{run_fault_point, smoke_models, FaultExpSpec};
+use paella_workload::{run_cluster_point, smoke_models, ClusterExpSpec, FailureModel};
 
 const POLICIES: [RoutingPolicy; 4] = [
     RoutingPolicy::RoundRobin,
@@ -19,13 +19,17 @@ const POLICIES: [RoutingPolicy; 4] = [
     RoutingPolicy::LeastRemainingWork,
 ];
 
-fn point_row(scenario: &str, policy: RoutingPolicy, spec: &FaultExpSpec) -> [String; 4] {
-    let r = run_fault_point(&smoke_models(), spec);
+fn point_row(scenario: &str, policy: RoutingPolicy, spec: &ClusterExpSpec) -> [String; 4] {
+    let r = run_cluster_point(&smoke_models(), spec);
     [
         scenario.to_string(),
         policy.as_str().to_string(),
         format!("{:.0}", r.offered),
-        r.row(),
+        // Fixed precision so identical runs print identical bytes.
+        format!(
+            "{:.1},{:.1},{:.1},{},{},{},{:.4}",
+            r.goodput, r.p99_us, r.mean_us, r.completed, r.shed, r.failed, r.within_deadline
+        ),
     ]
 }
 
@@ -46,7 +50,11 @@ fn main() {
         // deterministic and the tests assert its within-deadline bar.
         let grid = paella_bench::sweep::run_grid(POLICIES.len(), |i| {
             let policy = POLICIES[i];
-            point_row("crash+kfaults", policy, &FaultExpSpec::smoke(policy))
+            point_row(
+                "crash+kfaults",
+                policy,
+                &ClusterExpSpec::fault_smoke(policy),
+            )
         });
         for r in &grid {
             row(r);
@@ -67,20 +75,19 @@ fn main() {
     let grid = paella_bench::sweep::run_grid(cells, |i| {
         let (name, kernel_fault_rate, node_crashes, recovers) = severities[i / POLICIES.len()];
         let policy = POLICIES[i % POLICIES.len()];
-        let base = FaultExpSpec::smoke(policy);
-        let spec = FaultExpSpec {
+        let base = ClusterExpSpec::fault_smoke(policy);
+        let spec = ClusterExpSpec {
             requests,
             warmup: requests / 7,
-            faults: FaultSpec {
-                kernel_fault_rate,
-                node_crashes,
-                recovery_after: if recovers {
-                    base.faults.recovery_after
-                } else {
-                    None
+            failure: base.failure.map(|f| FailureModel {
+                faults: FaultSpec {
+                    kernel_fault_rate,
+                    node_crashes,
+                    recovery_after: f.faults.recovery_after.filter(|_| recovers),
+                    ..f.faults
                 },
-                ..base.faults
-            },
+                ..f
+            }),
             ..base
         };
         point_row(name, policy, &spec)

@@ -12,15 +12,9 @@
 //! and returns them re-assembled in grid order. Callers then print rows
 //! sequentially, so **stdout is byte-identical at every thread count** —
 //! the determinism contract the `determinism` integration test enforces.
-//!
-//! This module (and the `perf` binary) are the only places in the workspace
-//! allowed to read wall-clock time: the sweep measures how long *we* take,
-//! never what the simulation observes. `paella-check`'s no-wall-clock lint
-//! allowlists exactly these two files.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::Instant;
 
 /// Runs grids of independent experiment cells on a fixed worker pool,
 /// returning results in grid order regardless of execution order.
@@ -114,15 +108,6 @@ where
     SweepExecutor::from_env().run(cells, cell)
 }
 
-/// Times a closure against the host wall clock, returning its result and
-/// elapsed seconds. For harness/perf measurement only — simulation code is
-/// wall-clock-free by construction (and by lint).
-pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed().as_secs_f64())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,9 +148,16 @@ mod tests {
     }
 
     #[test]
-    fn timed_returns_value() {
-        let (v, secs) = timed(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(secs >= 0.0);
+    fn two_workers_overlap_cells() {
+        // Clock-free proof that cells run concurrently: both cells wait at
+        // a two-party barrier, so the grid finishes only if two workers are
+        // inside `cell` at once. A serialised executor would hang here, not
+        // pass slowly.
+        let barrier = std::sync::Barrier::new(2);
+        let out = SweepExecutor::with_threads(2).run(2, |i| {
+            barrier.wait();
+            i
+        });
+        assert_eq!(out, [0, 1]);
     }
 }

@@ -17,8 +17,6 @@ pub struct FnItem<'a> {
     pub name: String,
     /// 0-based line of the `fn` keyword.
     pub line: usize,
-    /// Parameter-list group children, if present.
-    pub params: Option<&'a [Tree]>,
     /// Body group children (absent for trait method declarations).
     pub body: Option<&'a [Tree]>,
     /// Whether the fn lives under `#[cfg(test)]` (directly or via an
@@ -115,18 +113,12 @@ pub fn collect_items<'a>(trees: &'a [Tree], in_test: bool, out: &mut Items<'a>) 
                     .and_then(Tree::leaf)
                     .unwrap_or("")
                     .to_string();
-                // Scan forward for the param group and body group, stopping
-                // at a `;` (trait method declaration) or the next item.
-                let mut params = None;
+                // Scan forward for the body group, stopping at a `;` (trait
+                // method declaration) or the next item.
                 let mut body = None;
                 let mut j = i + 2;
                 while j < trees.len() {
                     match &trees[j] {
-                        Tree::Group {
-                            delim: '(',
-                            children,
-                            ..
-                        } if params.is_none() => params = Some(children.as_slice()),
                         Tree::Group {
                             delim: '{',
                             children,
@@ -143,7 +135,6 @@ pub fn collect_items<'a>(trees: &'a [Tree], in_test: bool, out: &mut Items<'a>) 
                 out.fns.push(FnItem {
                     name,
                     line,
-                    params,
                     body,
                     in_test: in_test || pending_test,
                 });
@@ -234,13 +225,6 @@ pub fn collect_items<'a>(trees: &'a [Tree], in_test: bool, out: &mut Items<'a>) 
             _ => i += 1,
         }
     }
-}
-
-/// Parses `name : type` pairs from any comma-separated group. Used for fn
-/// parameter lists too: tokens that don't fit the pattern (`&self`, complex
-/// patterns) are skipped rather than mis-parsed.
-pub fn parse_fields_of(children: &[Tree]) -> Vec<StructField> {
-    parse_fields(children)
 }
 
 /// Parses named struct fields: `vis? name : type ,` sequences, splitting on

@@ -5,10 +5,10 @@
 //! file into brace-aware token trees ([`tree`]), recognizes items
 //! ([`items`]), indexes struct fields workspace-wide, and walks function
 //! bodies with binding/guard/condition tracking ([`rules`]). That buys the
-//! precision the determinism (R6) and accounting (R7) rules need: an
-//! iteration is only a finding if its *receiver* resolves to seeded-hash
-//! storage, and a `-=` is only a finding if its lvalue is an unsigned
-//! counter with no checked/guarded subtraction in scope.
+//! precision the accounting rule (R7) needs: a `-=` is only a finding if
+//! its lvalue is an unsigned counter with no checked/guarded subtraction in
+//! scope. Every other rule, the determinism rule (R6) included, is a scan
+//! of the token stream.
 //!
 //! The entry points are [`analyze`] (filesystem) and [`analyze_sources`]
 //! (pure, for tests and the [`selftest`] mutant harness). Findings can be
@@ -146,8 +146,8 @@ fn parse_allowlist(src: &str, problems: &mut Vec<String>) -> Vec<AllowEntry> {
 /// source)` pairs; `allow` is the allowlist file content (empty for none).
 ///
 /// Pass 1 indexes struct fields across every file so cross-file field
-/// accesses classify; pass 2 runs the token rules and the per-function
-/// walker. Findings matching a live allowlist entry are suppressed;
+/// accesses classify; pass 2 runs the token rules and, over accounting
+/// files, the per-function walker. Findings matching a live allowlist entry are suppressed;
 /// allowlist entries matching nothing are reported stale.
 #[must_use]
 pub fn analyze_sources(files: &[(String, String)], allow: &str) -> Analysis {
@@ -175,13 +175,9 @@ pub fn analyze_sources(files: &[(String, String)], allow: &str) -> Analysis {
         let trees = tree::parse(&lines);
         let mut items = Items::default();
         collect_items(&trees, false, &mut items);
-        for f in &items.fns {
-            if f.in_test {
-                continue;
-            }
+        for f in items.fns.iter().filter(|f| scope.accounting && !f.in_test) {
             if let Some(body) = f.body {
-                let mut w = FnWalker::new(path, &fidx, scope, &mut raw_findings);
-                w.walk_fn(f.params, body);
+                FnWalker::new(path, &fidx, &mut raw_findings).walk_fn(body);
             }
         }
     }
@@ -299,12 +295,11 @@ mod tests {
     fn allowlist_suppresses_matching_finding() {
         let files = [f(
             "crates/core/src/sched.rs",
-            "struct S { clients: HashMap<u32, St> }\n\
-             impl S {\n    fn pick(&self) {\n        for c in self.clients.values() { go(c); }\n    }\n}\n",
+            "struct S { clients: HashMap<u32, St> }\n",
         )];
         let dirty = analyze_sources(&files, "");
         assert_eq!(dirty.findings.len(), 1, "{dirty:?}");
-        let allow = "det-hash-iteration crates/core/src/sched.rs clients.values -- \
+        let allow = "det-hash-container crates/core/src/sched.rs clients: -- \
                      unit-test fixture justifying enough characters\n";
         let clean = analyze_sources(&files, allow);
         assert!(clean.ok(), "{clean}");
@@ -314,7 +309,7 @@ mod tests {
     #[test]
     fn stale_allowlist_entry_is_a_problem() {
         let files = [f("crates/core/src/sched.rs", "fn ok() {}\n")];
-        let allow = "det-hash-iteration crates/core/src/sched.rs nothing_here -- \
+        let allow = "det-hash-container crates/core/src/sched.rs nothing_here -- \
                      site was fixed but the entry lingers on\n";
         let a = analyze_sources(&files, allow);
         assert!(!a.ok());
@@ -325,12 +320,11 @@ mod tests {
     fn unsorted_allowlist_is_a_problem() {
         let files = [f(
             "crates/core/src/sched.rs",
-            "struct S { a: HashMap<u32, u32>, b: HashMap<u32, u32> }\n\
-             impl S {\n    fn p(&self) {\n        for x in self.b.values() { g(x); }\n        for x in self.a.values() { g(x); }\n    }\n}\n",
+            "struct S {\n    b: HashMap<u32, u32>,\n    a: HashMap<u32, u32>,\n}\n",
         )];
-        let allow = "det-hash-iteration crates/core/src/sched.rs b.values -- \
+        let allow = "det-hash-container crates/core/src/sched.rs b: -- \
                      fixture entry for the sortedness check\n\
-                     det-hash-iteration crates/core/src/sched.rs a.values -- \
+                     det-hash-container crates/core/src/sched.rs a: -- \
                      fixture entry for the sortedness check\n";
         let a = analyze_sources(&files, allow);
         assert!(
@@ -351,20 +345,21 @@ mod tests {
 
     #[test]
     fn cross_file_field_classification_via_global_index() {
-        // `JobTable.jobs` is declared in one file, iterated from another.
+        // `JobTable.outstanding` is declared in one file, debited from
+        // another.
         let files = [
             f(
                 "crates/core/src/tables.rs",
-                "pub struct JobTable { pub jobs_by_uid: HashMap<u64, J> }\n",
+                "pub struct JobTable { pub outstanding: u64 }\n",
             ),
             f(
                 "crates/core/src/sched.rs",
-                "fn pick(t: &JobTable) {\n    for j in t.jobs_by_uid.values() { go(j); }\n}\n",
+                "fn done(t: &mut JobTable) {\n    t.outstanding -= 1;\n}\n",
             ),
         ];
         let a = analyze_sources(&files, "");
         assert_eq!(a.findings.len(), 1, "{a:?}");
-        assert_eq!(a.findings[0].rule, rules::R6);
+        assert_eq!(a.findings[0].rule, rules::R7);
     }
 
     #[test]

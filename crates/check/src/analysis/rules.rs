@@ -2,16 +2,17 @@
 //!
 //! Two execution strategies, matched to what each rule needs:
 //!
-//! * **Linear token rules** (R1–R4, R8, R9, and R6's hasher ban) scan the
-//!   flat token stream with the `#[cfg(test)]` mask — they need operator
-//!   fusion and literal-blanking but no block structure.
-//! * **Dataflow-lite rules** (R6 iteration, R7 accounting) walk function
-//!   bodies statement by statement, tracking `let` bindings, enclosing
+//! * **Linear token rules** (R1–R4, R6, R8, R9) scan the flat token stream
+//!   with the `#[cfg(test)]` mask — they need operator fusion and
+//!   literal-blanking but no block structure. R6 is a type ban: the
+//!   identifiers `HashMap`/`HashSet` (and the seeded hashers behind them)
+//!   may not appear in non-test code of the virtual-time stack, so there is
+//!   no iteration order to audit.
+//! * **The dataflow-lite rule** (R7 accounting) walks function bodies
+//!   statement by statement, tracking `let` bindings, enclosing
 //!   `if`/`while` conditions, preceding `assert!` guards, and the
-//!   workspace-wide struct-field index, so they can tell
-//!   `self.jobs.values().…sum::<f64>()` (order-dependent: flag) from
-//!   `….keys().copied().collect()` followed by `ids.sort_unstable()`
-//!   (collected-and-sorted: escape).
+//!   workspace-wide struct-field index, so it can tell an unsigned counter's
+//!   bare `-=` from one a `debug_assert!` or a comparison protects.
 //!
 //! Every rule is heuristic by design: it must never panic on odd code, and
 //! it errs toward flagging — the allowlist (with a written justification)
@@ -24,7 +25,7 @@ use super::tree::{linearize, LTok, Tok, Tree};
 use crate::lint::{justified, Line, Violation};
 
 /// R6 rule id.
-pub const R6: &str = "det-hash-iteration";
+pub const R6: &str = "det-hash-container";
 /// R7 rule id.
 pub const R7: &str = "unchecked-counter-sub";
 /// R8 rule id.
@@ -35,19 +36,19 @@ pub const R9: &str = "float-cmp-totality";
 /// Which rules apply to a workspace-relative path.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
-    /// R1: virtual-time stack (sim/core/gpu/cluster/bench/workload/
-    /// telemetry). Unlike the legacy lint, the bench harness files are NOT
-    /// carved out here — their wall-clock reads are allowlisted in
-    /// `analyze.allow` with written justifications instead.
+    /// R1: virtual-time stack (sim/core/gpu/cluster/llm/workload/telemetry
+    /// and the bench harness, which is not carved out).
     pub sim_stack: bool,
     /// R2: lock-free channels.
     pub channels: bool,
     /// R3: per-request hot paths.
     pub hot_path: bool,
-    /// R4: library code (everything but bench).
+    /// R4: every crate's `src/`.
     pub library: bool,
-    /// R6: scheduling/dispatch/cluster/workload decision paths.
-    pub decision: bool,
+    /// R6: the virtual-time stack minus the reference model
+    /// `core/src/waitlist.rs` (it is compared against, never on a run's
+    /// path, and is meant to be the naive implementation).
+    pub hash_free: bool,
     /// R7: occupancy/accounting structs (core, cluster, gpu).
     pub accounting: bool,
     /// R8: atomic operations (channels, core).
@@ -65,27 +66,23 @@ pub fn scope_of(path: &str) -> Scope {
     let sim = starts("crates/sim/src/");
     let workload = starts("crates/workload/src/");
     let llm = starts("crates/llm/src/");
+    let sim_stack = sim
+        || core
+        || gpu
+        || cluster
+        || workload
+        || llm
+        || starts("crates/bench/src/")
+        || starts("crates/telemetry/src/");
     Scope {
-        sim_stack: sim
-            || core
-            || gpu
-            || cluster
-            || workload
-            || llm
-            || starts("crates/bench/src/")
-            || starts("crates/telemetry/src/"),
+        sim_stack,
         channels: starts("crates/channels/src/"),
-        hot_path: path == "crates/core/src/dispatcher.rs" || cluster,
-        library: starts("crates/") && path.contains("/src/") && !starts("crates/bench/"),
-        decision: matches!(
+        hot_path: matches!(
             path,
-            "crates/core/src/sched.rs"
-                | "crates/core/src/dispatcher.rs"
-                | "crates/core/src/batching.rs"
-                | "crates/core/src/mig.rs"
-        ) || cluster
-            || workload
-            || llm,
+            "crates/core/src/dispatcher.rs" | "crates/core/src/serve.rs"
+        ) || cluster,
+        library: starts("crates/") && path.contains("/src/"),
+        hash_free: sim_stack && path != "crates/core/src/waitlist.rs",
         accounting: core || cluster || gpu || llm,
         atomics: starts("crates/channels/src/") || core,
         float_cmp: sim || core || cluster || workload || gpu || llm,
@@ -99,8 +96,6 @@ pub fn scope_of(path: &str) -> Scope {
 /// What the rules know about one struct field.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FieldClass {
-    /// Typed `HashMap`/`HashSet`: iteration order is per-process seeded.
-    pub hash: bool,
     /// Unsigned scalar counter/gauge (counter-ish name): `-=` can underflow.
     pub counter: bool,
     /// Map with unsigned counter values: `*map.get_mut(k) -= …` underflows.
@@ -110,10 +105,9 @@ pub struct FieldClass {
 impl FieldClass {
     fn merge(self, other: FieldClass) -> FieldClass {
         // Name collisions across structs resolve conservatively: a field
-        // name that is hash-iterable or a counter *anywhere* is treated so
-        // everywhere the same-file index has no better answer.
+        // name that is a counter *anywhere* is treated so everywhere the
+        // same-file index has no better answer.
         FieldClass {
-            hash: self.hash || other.hash,
             counter: self.counter || other.counter,
             counter_map: self.counter_map || other.counter_map,
         }
@@ -156,7 +150,6 @@ fn classify_field(name: &str, ty: &str) -> FieldClass {
         .first()
         .is_some_and(|t| *t == "HashMap" || *t == "BTreeMap" || t.ends_with("Map"));
     FieldClass {
-        hash: toks.iter().any(|t| *t == "HashMap" || *t == "HashSet"),
         counter: toks.len() == 1 && unsigned_somewhere && named,
         counter_map: is_map && unsigned_somewhere && named,
     }
@@ -197,7 +190,7 @@ impl FieldIndex {
 }
 
 // ---------------------------------------------------------------------------
-// Linear token rules: R1–R4, R8, R9, R6-hasher
+// Linear token rules: R1–R4, R6, R8, R9
 // ---------------------------------------------------------------------------
 
 const ATOMIC_METHODS: &[&str] = &[
@@ -305,13 +298,22 @@ pub(crate) fn token_rules(
                 "thread::sleep in library code; the stack is event-driven".into(),
             );
         }
-        // R6 (hasher half): seeded hashers anywhere in decision paths.
-        if scope.decision && t.ident && (t.text == "RandomState" || t.text == "DefaultHasher") {
+        // R6: no seeded-hash container (or hasher) in the virtual-time
+        // stack, used or merely named — `IdMap` and `BTreeMap` iterate in
+        // key order, so same-seed runs agree across processes by
+        // construction.
+        if scope.hash_free
+            && t.ident
+            && matches!(
+                t.text.as_str(),
+                "HashMap" | "HashSet" | "RandomState" | "DefaultHasher"
+            )
+        {
             push(
                 t.line,
                 R6,
                 format!(
-                    "{} is per-process seeded; decision paths must be cross-process deterministic",
+                    "{} is per-process seeded; the virtual-time stack uses IdMap or BTreeMap/BTreeSet",
                     t.text
                 ),
             );
@@ -409,7 +411,7 @@ pub(crate) fn token_rules(
 }
 
 // ---------------------------------------------------------------------------
-// Dataflow-lite walker: R6 iteration, R7 accounting
+// Dataflow-lite walker: R7 accounting
 // ---------------------------------------------------------------------------
 
 /// One scanned token of a statement (delimiters included as plain tokens).
@@ -472,95 +474,25 @@ fn chain_back(s: &[S], at: usize) -> (Vec<String>, bool) {
     (chain, deref)
 }
 
-/// Reads a field chain forward from `j` (skipping `&`/`mut`), for
-/// `for … in &self.map` headers. Empty if the expression is a call.
-fn chain_fwd(s: &[S], mut j: usize) -> Vec<String> {
-    while j < s.len() && (s[j].t == "&" || s[j].t == "mut") {
-        j += 1;
-    }
-    let mut chain = Vec::new();
-    while j < s.len() && s[j].id {
-        chain.push(s[j].t.clone());
-        if j + 1 < s.len() && s[j + 1].t == "." {
-            j += 2;
-        } else {
-            j += 1;
-            break;
-        }
-    }
-    // A trailing `(` means this was a method call, not a field path.
-    if j < s.len() && s[j].t == "(" {
-        chain.clear();
-    }
-    chain
-}
-
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-    "into_keys",
-    "into_values",
-    "retain",
-];
-
-/// Adapters that preserve order-dependence: keep scanning the chain.
-const TRANSPARENT: &[&str] = &[
-    "map",
-    "filter",
-    "filter_map",
-    "flat_map",
-    "copied",
-    "cloned",
-    "enumerate",
-    "inspect",
-    "chain",
-    "take",
-    "skip",
-    "by_ref",
-];
-
-/// Terminals whose result cannot depend on iteration order.
-const ORDER_OK: &[&str] = &["count", "any", "all", "min", "max", "is_empty", "len"];
-
-const INTEGER_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-];
-
-#[derive(Clone, Copy, Debug, Default)]
-struct Bind {
-    hash: bool,
-    counter_ref: bool,
-}
-
-/// Per-function walker state for R6/R7.
+/// Per-function walker state for R7; only files in the `accounting` scope
+/// are walked.
 pub(crate) struct FnWalker<'a> {
     pub path: &'a str,
     pub fidx: &'a FieldIndex,
-    pub r6: bool,
-    pub r7: bool,
     pub out: &'a mut Vec<Violation>,
     conds: Vec<Vec<String>>,
     guards: Vec<Vec<String>>,
-    binds: Vec<(String, Bind)>,
+    /// `let` bindings in scope, innermost last, and whether each was
+    /// initialised from a counter field (so `*name -= …` is a counter
+    /// subtraction).
+    binds: Vec<(String, bool)>,
 }
 
 impl<'a> FnWalker<'a> {
-    pub fn new(
-        path: &'a str,
-        fidx: &'a FieldIndex,
-        scope: Scope,
-        out: &'a mut Vec<Violation>,
-    ) -> Self {
+    pub fn new(path: &'a str, fidx: &'a FieldIndex, out: &'a mut Vec<Violation>) -> Self {
         FnWalker {
             path,
             fidx,
-            r6: scope.decision,
-            r7: scope.accounting,
             out,
             conds: Vec::new(),
             guards: Vec::new(),
@@ -568,74 +500,36 @@ impl<'a> FnWalker<'a> {
         }
     }
 
-    /// Walks a function: seeds parameter bindings, then walks the body.
-    pub fn walk_fn(&mut self, params: Option<&[Tree]>, body: &[Tree]) {
-        if let Some(p) = params {
-            for f in super::items::parse_fields_of(p) {
-                let hash = f.ty.contains("HashMap") || f.ty.contains("HashSet");
-                self.binds.push((
-                    f.name,
-                    Bind {
-                        hash,
-                        counter_ref: false,
-                    },
-                ));
-            }
-        }
+    /// Walks a function body.
+    pub fn walk_fn(&mut self, body: &[Tree]) {
         self.walk_block(body);
         self.conds.clear();
         self.guards.clear();
         self.binds.clear();
     }
 
-    fn lookup_bind(&self, name: &str) -> Bind {
+    /// Whether the innermost binding of `name` refers to a counter.
+    fn counter_ref(&self, name: &str) -> bool {
         self.binds
             .iter()
             .rev()
             .find(|(n, _)| n == name)
-            .map(|&(_, b)| b)
-            .unwrap_or_default()
+            .is_some_and(|&(_, counter)| counter)
     }
 
-    /// Whether a receiver chain resolves to hash-iterable storage.
-    fn hashy(&self, chain: &[String]) -> bool {
-        let Some(comp) = chain.last() else {
-            return false;
-        };
-        if chain.len() == 1 {
-            self.lookup_bind(comp).hash
-        } else {
-            self.fidx.lookup(self.path, comp).hash
-        }
-    }
-
-    /// Classifies the RHS of a `let` from its scanned tokens after `=`.
-    fn classify_init(&self, s: &[S], eq: usize, full_text: &str) -> Bind {
-        let init = &s[eq + 1..];
-        let has_collect = init.iter().any(|t| t.id && t.t == "collect");
-        let names_hash_ty = full_text.contains("HashMap") || full_text.contains("HashSet");
-        let hash = if has_collect {
-            // Collected result: hash only if collected *into* a hash type.
-            names_hash_ty
-        } else {
-            // Direct alias/constructor: `&self.jobs`, `HashMap::new()`.
-            let last_id = init.iter().rev().find(|t| t.id);
-            let aliases_hash_field = last_id.is_some_and(|t| {
-                self.fidx.lookup(self.path, &t.t).hash || self.lookup_bind(&t.t).hash
-            });
-            names_hash_ty || aliases_hash_field
-        };
-        let counter_ref = init.iter().any(|t| {
+    /// Whether the RHS of a `let` (the scanned tokens after `=`) names a
+    /// counter field.
+    fn init_names_counter(&self, s: &[S], eq: usize) -> bool {
+        s[eq + 1..].iter().any(|t| {
             let c = self.fidx.lookup(self.path, &t.t);
             t.id && (c.counter || c.counter_map)
-        });
-        Bind { hash, counter_ref }
+        })
     }
 
     /// Extracts bindings from a control header containing `let`
     /// (`if let Some(r) = …`, `while let …`): pattern idents bind to the
     /// RHS classification.
-    fn header_let_binds(&mut self, s: &[S], text: &str) {
+    fn header_let_binds(&mut self, s: &[S]) {
         let Some(let_at) = s.iter().position(|t| t.t == "let") else {
             return;
         };
@@ -643,7 +537,7 @@ impl<'a> FnWalker<'a> {
             return;
         };
         let eq = let_at + eq_rel;
-        let bind = self.classify_init(s, eq, text);
+        let bind = self.init_names_counter(s, eq);
         for t in &s[let_at + 1..eq] {
             if t.id && t.t.starts_with(|c: char| c.is_ascii_lowercase()) && t.t != "mut" {
                 self.binds.push((t.t.clone(), bind));
@@ -653,11 +547,9 @@ impl<'a> FnWalker<'a> {
 
     fn walk_block(&mut self, children: &[Tree]) {
         let stmts = super::tree::split_stmts(children);
-        // Flat texts of each statement, for collected-then-sorted lookahead.
-        let texts: Vec<String> = stmts.iter().map(|st| st.text.clone()).collect();
         let base_binds = self.binds.len();
         let base_guards = self.guards.len();
-        for (si, stmt) in stmts.iter().enumerate() {
+        for stmt in &stmts {
             // Split a trailing `{}` group off: its statements are walked
             // recursively; everything before it is this statement's header.
             let (head, block) = match stmt.trees.last() {
@@ -669,12 +561,7 @@ impl<'a> FnWalker<'a> {
                 _ => (stmt.trees, None),
             };
             let s = scan(head);
-            if self.r6 {
-                self.check_iter(&s, &stmt.text, &texts[si + 1..]);
-            }
-            if self.r7 {
-                self.check_sub(&s, &stmt.text);
-            }
+            self.check_sub(&s, &stmt.text);
             // Record guards and bindings *after* checking the statement
             // itself (a guard does not exempt its own line).
             let first = s.first().map(|t| t.t.as_str()).unwrap_or("");
@@ -689,7 +576,7 @@ impl<'a> FnWalker<'a> {
                     .find(|t| t.id && t.t != "mut")
                     .map(|t| t.t.clone());
                 if let (Some(name), Some(eq)) = (name, s.iter().position(|t| t.t == "=")) {
-                    let bind = self.classify_init(&s, eq, &stmt.text);
+                    let bind = self.init_names_counter(&s, eq);
                     self.binds.push((name, bind));
                 }
             }
@@ -699,7 +586,7 @@ impl<'a> FnWalker<'a> {
                     || first == "while"
                     || (first == "else" && s.iter().any(|t| t.t == "if"));
                 if s.iter().any(|t| t.t == "let") && first != "let" {
-                    self.header_let_binds(&s, &stmt.text);
+                    self.header_let_binds(&s);
                 }
                 if is_cond {
                     self.conds.push(s.iter().map(|t| t.t.clone()).collect());
@@ -713,163 +600,6 @@ impl<'a> FnWalker<'a> {
         }
         self.binds.truncate(base_binds);
         self.guards.truncate(base_guards);
-    }
-
-    // -- R6 ---------------------------------------------------------------
-
-    fn check_iter(&mut self, s: &[S], stmt_text: &str, later: &[String]) {
-        // Method-call iteration: `recv.iter()`, `recv.values_mut()`, …
-        for i in 0..s.len() {
-            if !(s[i].id && ITER_METHODS.contains(&s[i].t.as_str())) {
-                continue;
-            }
-            if i == 0 || s[i - 1].t != "." {
-                continue;
-            }
-            if s.get(i + 1).is_none_or(|n| n.t != "(") {
-                continue;
-            }
-            let (chain, _) = chain_back(s, i - 1);
-            if chain.is_empty() || !self.hashy(&chain) {
-                continue;
-            }
-            if s[i].t != "retain" && self.escaped(s, i, stmt_text, later) {
-                continue;
-            }
-            let m = &s[i].t;
-            self.out.push(Violation {
-                file: self.path.to_string(),
-                line: s[i].line + 1,
-                rule: R6,
-                message: format!(
-                    "`{}.{m}()` iterates seeded-hash storage in a decision path; \
-                     collect-and-sort, use a BTreeMap, or allowlist with justification",
-                    chain.join(".")
-                ),
-            });
-        }
-        // `for pat in &self.map { … }` headers.
-        if s.first().is_some_and(|t| t.t == "for") {
-            if let Some(in_at) = s.iter().position(|t| t.t == "in") {
-                let chain = chain_fwd(s, in_at + 1);
-                if !chain.is_empty() && self.hashy(&chain) {
-                    self.out.push(Violation {
-                        file: self.path.to_string(),
-                        line: s[in_at].line + 1,
-                        rule: R6,
-                        message: format!(
-                            "`for … in {}` iterates seeded-hash storage in a decision path; \
-                             collect-and-sort or use a BTreeMap",
-                            chain.join(".")
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Whether the chain following the iteration call at `i` ends in an
-    /// order-insensitive terminal, or is collected and sorted afterwards.
-    fn escaped(&self, s: &[S], i: usize, stmt_text: &str, later: &[String]) -> bool {
-        // Jump past the method's argument group.
-        let mut j = i + 1;
-        let mut depth = 0i64;
-        while j < s.len() {
-            match s[j].t.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth <= 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-        loop {
-            if j + 1 >= s.len() || s[j].t != "." || !s[j + 1].id {
-                return false; // chain ended without an order-safe terminal
-            }
-            let m = s[j + 1].t.clone();
-            j += 2;
-            // Optional turbofish: `::<…>`.
-            let mut turbofish = String::new();
-            if s.get(j).is_some_and(|t| t.t == "::") && s.get(j + 1).is_some_and(|t| t.t == "<") {
-                let mut angle = 0i64;
-                j += 1;
-                while j < s.len() {
-                    match s[j].t.as_str() {
-                        "<" => angle += 1,
-                        ">" => {
-                            angle -= 1;
-                            if angle <= 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {
-                            turbofish.push_str(&s[j].t);
-                            turbofish.push(' ');
-                        }
-                    }
-                    j += 1;
-                }
-            }
-            // Skip the call's argument group, if present.
-            if s.get(j).is_some_and(|t| t.t == "(") {
-                let mut depth = 0i64;
-                while j < s.len() {
-                    match s[j].t.as_str() {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => {
-                            depth -= 1;
-                            if depth <= 0 {
-                                j += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-            if TRANSPARENT.contains(&m.as_str()) {
-                continue;
-            }
-            if ORDER_OK.contains(&m.as_str()) {
-                return true;
-            }
-            if m == "sum" {
-                // Integer sums commute exactly; float sums don't.
-                return turbofish
-                    .split_whitespace()
-                    .any(|t| INTEGER_TYPES.contains(&t));
-            }
-            if m == "collect" {
-                if turbofish.contains("BTree") || stmt_text.contains("BTree") {
-                    return true;
-                }
-                // `let NAME … = ….collect();` followed by `NAME.sort…` in
-                // the same block: the PR-4 cancellation pattern.
-                let name = if stmt_text.starts_with("let ") {
-                    scan_let_name(stmt_text)
-                } else {
-                    None
-                };
-                if let Some(name) = name {
-                    let sorted = later
-                        .iter()
-                        .any(|t| t.starts_with(&format!("{name} . sort")));
-                    if sorted {
-                        return true;
-                    }
-                }
-                return false;
-            }
-            return false; // unknown terminal: order-sensitivity unproven
-        }
     }
 
     // -- R7 ---------------------------------------------------------------
@@ -893,11 +623,7 @@ impl<'a> FnWalker<'a> {
                 continue;
             };
             let is_counter = if deref {
-                if chain.len() == 1 {
-                    self.lookup_bind(&comp).counter_ref
-                } else {
-                    false
-                }
+                chain.len() == 1 && self.counter_ref(&comp)
             } else if chain.len() >= 2 {
                 self.fidx.lookup(self.path, &comp).counter
             } else {
@@ -934,26 +660,6 @@ impl<'a> FnWalker<'a> {
     }
 }
 
-/// The bound name of a flattened `let` statement text
-/// (`let mut kuids : … = …`).
-fn scan_let_name(text: &str) -> Option<String> {
-    let mut words = text.split_whitespace();
-    let _let = words.next()?;
-    let mut w = words.next()?;
-    if w == "mut" {
-        w = words.next()?;
-    }
-    let name: String = w
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_')
-        .collect();
-    if name.is_empty() {
-        None
-    } else {
-        Some(name)
-    }
-}
-
 /// Whether the tokens after the `=` at `eq` repeat the lvalue chain and then
 /// subtract (`self.len = self.len - 1`).
 fn rhs_repeats_lvalue(s: &[S], eq: usize, chain: &[String], deref: bool) -> bool {
@@ -978,32 +684,9 @@ fn rhs_repeats_lvalue(s: &[S], eq: usize, chain: &[String], deref: bool) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::items::{collect_items, Items};
-    use crate::analysis::tree::parse;
-    use crate::lint::tokenize;
 
     fn analyze_snippet(path: &str, src: &str) -> Vec<Violation> {
-        let lines = tokenize(src);
-        let trees = parse(&lines);
-        let mut items = Items::default();
-        collect_items(&trees, false, &mut items);
-        let mut fidx = FieldIndex::default();
-        fidx.add_structs(path, &items.structs);
-        let scope = scope_of(path);
-        let mut out = Vec::new();
-        let toks = crate::analysis::tree::lex(&lines);
-        let mask = crate::lint::test_mask(&lines);
-        token_rules(path, &lines, &toks, &mask, scope, &mut out);
-        for f in &items.fns {
-            if f.in_test {
-                continue;
-            }
-            if let Some(body) = f.body {
-                let mut w = FnWalker::new(path, &fidx, scope, &mut out);
-                w.walk_fn(f.params, body);
-            }
-        }
-        out
+        crate::analysis::analyze_sources(&[(path.to_string(), src.to_string())], "").findings
     }
 
     const SCHED: &str = "crates/core/src/sched.rs";
@@ -1021,7 +704,7 @@ mod tests {
             "crates/gpu/src/x.rs",
             "crates/cluster/src/router.rs",
             "crates/bench/src/bin/fig02.rs",
-            // No carve-out for the harness: its reads are allowlisted.
+            // No carve-out for the harness.
             "crates/bench/src/sweep.rs",
         ] {
             assert_eq!(rules_at(path, src), ["no-wall-clock"], "{path}");
@@ -1060,6 +743,7 @@ mod tests {
         let ok = "fn f(x: Option<u8>) {\n    // invariant: checked by caller\n    x.expect(\"msg\");\n}\n";
         for path in [
             "crates/core/src/dispatcher.rs",
+            "crates/core/src/serve.rs",
             "crates/cluster/src/lib.rs",
             "crates/cluster/src/router.rs",
         ] {
@@ -1071,105 +755,44 @@ mod tests {
     }
 
     #[test]
-    fn r4_thread_sleep_banned_outside_bench_and_tests() {
+    fn r4_thread_sleep_banned_outside_tests() {
         let src = "fn f() { std::thread::sleep(d); }\n";
-        assert_eq!(
-            rules_at("crates/channels/src/x.rs", src),
-            ["no-thread-sleep"]
-        );
-        assert!(rules_at("crates/bench/src/x.rs", src).is_empty());
+        for path in ["crates/channels/src/x.rs", "crates/bench/src/x.rs"] {
+            assert_eq!(rules_at(path, src), ["no-thread-sleep"], "{path}");
+        }
         let test_src = "#[cfg(test)]\nmod tests {\n    fn f() { std::thread::sleep(d); }\n}\n";
         assert!(rules_at("crates/channels/src/x.rs", test_src).is_empty());
     }
 
     #[test]
-    fn r6_flags_for_loop_over_hashmap_field() {
-        let src = "struct S { clients: HashMap<u32, St> }\n\
-            impl S {\n    fn pick(&self) {\n        for (c, s) in &self.clients { use_it(c, s); }\n    }\n}\n";
-        let v = analyze_snippet(SCHED, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, R6);
-        assert!(v[0].message.contains("clients"));
-    }
-
-    #[test]
-    fn r6_btreemap_field_is_clean() {
-        let src = "struct S { clients: BTreeMap<u32, St> }\n\
-            impl S {\n    fn pick(&self) {\n        for (c, s) in &self.clients { use_it(c, s); }\n    }\n}\n";
-        assert!(analyze_snippet(SCHED, src).is_empty());
-    }
-
-    #[test]
-    fn r6_count_and_integer_sum_escape() {
-        let src = "struct S { clients: HashMap<u32, St> }\n\
-            impl S {\n    fn n(&self) -> usize {\n        let a = self.clients.iter().filter(|x| x.ok()).count();\n        let b: u64 = self.clients.values().map(|s| s.n).sum::<u64>();\n        a + b as usize\n    }\n}\n";
-        assert!(analyze_snippet(SCHED, src).is_empty());
-    }
-
-    #[test]
-    fn r6_float_sum_is_flagged() {
-        let src = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn w(&self) -> f64 {\n        self.jobs.values().map(|j| j.w).sum::<f64>()\n    }\n}\n";
-        let v = analyze_snippet(SCHED, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, R6);
-    }
-
-    #[test]
-    fn r6_collect_then_sort_escapes_and_unsorted_does_not() {
-        let sorted = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn c(&mut self) {\n        let mut ids: Vec<u64> = self.jobs.keys().copied().collect();\n        ids.sort_unstable();\n        for id in ids { self.kill(id); }\n    }\n}\n";
-        assert!(analyze_snippet(SCHED, sorted).is_empty());
-        let unsorted = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn c(&mut self) {\n        let mut ids: Vec<u64> = self.jobs.keys().copied().collect();\n        for id in ids { self.kill(id); }\n    }\n}\n";
-        let v = analyze_snippet(SCHED, unsorted);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, R6);
-    }
-
-    #[test]
-    fn r6_collect_into_btreemap_escapes() {
-        let src = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn c(&self) -> BTreeMap<u64, u32> {\n        self.jobs.iter().map(|(k, v)| (*k, v.n)).collect::<BTreeMap<u64, u32>>()\n    }\n}\n";
-        assert!(analyze_snippet(SCHED, src).is_empty());
-    }
-
-    #[test]
-    fn r6_retain_always_flags() {
-        let src = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn c(&mut self, id: u64) {\n        self.jobs.retain(|_, j| j.id != id);\n    }\n}\n";
-        let v = analyze_snippet(SCHED, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn r6_binding_alias_of_hash_field_is_tracked() {
-        let src = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn c(&self) {\n        let m = &self.jobs;\n        for j in m.values() { go(j); }\n    }\n}\n";
-        let v = analyze_snippet(SCHED, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn r6_vec_receiver_is_clean() {
-        let src = "struct S { nodes: Vec<N> }\n\
-            impl S {\n    fn c(&self) -> f64 {\n        self.nodes.iter().map(|n| n.w).sum::<f64>()\n    }\n}\n";
-        assert!(analyze_snippet(SCHED, src).is_empty());
-    }
-
-    #[test]
-    fn r6_outside_decision_scope_is_ignored() {
-        let src = "struct S { jobs: HashMap<u64, J> }\n\
-            impl S {\n    fn w(&self) -> f64 { self.jobs.values().map(|j| j.w).sum::<f64>() }\n}\n";
-        assert!(analyze_snippet("crates/telemetry/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r6_test_fns_are_exempt() {
-        let src = "struct S { jobs: HashMap<u64, J> }\n\
-            #[cfg(test)]\nmod tests {\n    fn t(s: &S) { for j in s.jobs.values() { go(j); } }\n}\n";
-        // The field index sees `jobs`, but the fn is test-gated.
-        assert!(analyze_snippet(SCHED, src).is_empty());
+    fn r6_hash_containers_are_banned_by_name_in_the_virtual_time_stack() {
+        let cases = [
+            "struct S { index: HashMap<u64, u32> }\n",
+            "fn f() { let seen: HashSet<u64> = Default::default(); go(seen); }\n",
+            "use std::collections::HashMap;\n",
+            "fn f() { let h = RandomState::new(); go(h); }\n",
+        ];
+        for src in cases {
+            for path in [
+                SCHED,
+                "crates/sim/src/event.rs",
+                "crates/gpu/src/engine.rs",
+                "crates/cluster/src/router.rs",
+                "crates/llm/src/engine.rs",
+                "crates/workload/src/runner.rs",
+                "crates/telemetry/src/export.rs",
+                "crates/bench/src/sweep.rs",
+            ] {
+                assert_eq!(rules_at(path, src), [R6], "{path}: {src}");
+            }
+            // The reference model and crates outside the stack may hash;
+            // so may tests, and a comment may say the word.
+            for path in ["crates/core/src/waitlist.rs", "crates/compiler/src/dag.rs"] {
+                assert!(rules_at(path, src).is_empty(), "{path}: {src}");
+            }
+            let gated = format!("#[cfg(test)]\nmod tests {{\n    {src}}}\n// a HashMap\n");
+            assert!(rules_at(SCHED, &gated).is_empty(), "{gated}");
+        }
     }
 
     const DISP: &str = "crates/core/src/dispatcher.rs";
@@ -1288,13 +911,5 @@ mod tests {
         let v = analyze_snippet(path, src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, R9);
-    }
-
-    #[test]
-    fn r6_random_state_is_flagged() {
-        let src = "fn f() { let h = RandomState::new(); go(h); }\n";
-        let v = analyze_snippet(SCHED, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, R6);
     }
 }

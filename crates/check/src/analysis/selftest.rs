@@ -115,19 +115,19 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
         },
         GraftMutant {
             id: "r6-sched-hashmap-clients",
-            rule: "det-hash-iteration",
+            rule: "det-hash-container",
             file: "crates/core/src/sched.rs",
             find: "clients: BTreeMap<ClientId, ClientState>,",
             replace: "clients: HashMap<ClientId, ClientState>,",
             description: "PR-4 bug resurrected: seeded-hash client walk in the fairness argmax",
         },
         GraftMutant {
-            id: "r6-sched-hash-order-pick",
-            rule: "det-hash-iteration",
-            file: "crates/core/src/sched.rs",
-            find: "self.srpt\n            .values()\n            .next()",
-            replace: "self.ready_jobs\n            .keys()\n            .next()",
-            description: "SRPT pick replaced by the first ready job in seeded-hash order",
+            id: "r6-router-hashset-seen",
+            rule: "det-hash-container",
+            file: "crates/cluster/src/router.rs",
+            find: "    rng: Xoshiro256pp,\n}",
+            replace: "    rng: Xoshiro256pp,\n    seen: std::collections::HashSet<usize>,\n}",
+            description: "a lookup-only hash set added to the router: banned by name, not audited per use",
         },
         GraftMutant {
             id: "r7-dispatcher-debit-bypassed",
@@ -173,8 +173,8 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             id: "r9-sched-nan-argmax",
             rule: "float-cmp-totality",
             file: "crates/core/src/sched.rs",
-            find: "fn key(remaining: SimDuration, job: JobId) -> (u64, JobId) {",
-            replace: "fn worst(v: &[f64]) -> Option<&f64> {\n        v.iter().max_by(|a, b| a.partial_cmp(b).unwrap())\n    }\n\n    fn key(remaining: SimDuration, job: JobId) -> (u64, JobId) {",
+            find: "fn key(info: &JobInfo) -> (u64, u64, JobId) {",
+            replace: "fn worst(v: &[f64]) -> Option<&f64> {\n        v.iter().max_by(|a, b| a.partial_cmp(b).unwrap())\n    }\n\n    fn key(info: &JobInfo) -> (u64, u64, JobId) {",
             description: "NaN-unsafe max_by argmax grafted into the scheduler",
         },
     ]
@@ -262,7 +262,7 @@ mod tests {
             "hot-path-unwrap",
             "no-thread-sleep",
             "trace-event-exhaustiveness",
-            "det-hash-iteration",
+            "det-hash-container",
             "unchecked-counter-sub",
             "atomic-ordering-audit",
             "float-cmp-totality",

@@ -23,7 +23,7 @@
 //!    rules no off-the-shelf linter knows, R1–R9: no wall clock in the
 //!    virtual-time stack, justified `Relaxed` orderings, no `unwrap()` on
 //!    the request hot paths, no `thread::sleep` in library code, exhaustive
-//!    `TraceEvent` handling, no hash-order leakage into decision paths (R6),
+//!    `TraceEvent` handling, no hash container in the virtual-time stack (R6),
 //!    no unchecked counter subtraction in accounting code (R7),
 //!    per-operation atomic ordering justifications (R8), and total float
 //!    comparators (R9), with a byte-sorted stale-checked allowlist and a

@@ -29,7 +29,7 @@ pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleDecision};
 pub use placement::{PlacementConfig, PlacementManager};
 pub use router::{ClusterRouter, NodeLoad, RoutingPolicy};
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use paella_channels::ChannelConfig;
 use paella_compiler::CompiledModel;
@@ -191,7 +191,7 @@ pub struct Cluster {
     tick_scheduled: bool,
     /// Crash re-routes consumed per request, keyed by
     /// `(client, public model, original submitted_at ns)`.
-    reroutes: HashMap<(u32, u32, u64), u32>,
+    reroutes: BTreeMap<(u32, u32, u64), u32>,
     /// The router tier's telemetry (routing counters, per-node depth
     /// series, the failure ledger), its outboxes — results carry public ids
     /// and original submission times — and the accounting debit.
@@ -231,7 +231,7 @@ impl Cluster {
             models: Vec::new(),
             frontend: EventQueue::new(),
             tick_scheduled: false,
-            reroutes: HashMap::new(),
+            reroutes: BTreeMap::new(),
             core: EngineCore::default(),
             scale_ups: 0,
             scale_downs: 0,

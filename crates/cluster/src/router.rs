@@ -9,7 +9,7 @@
 //! `ServingSystem::load_signal()` instead of being thrown away at the node
 //! boundary.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use paella_sim::{SimDuration, Xoshiro256pp};
 
@@ -90,7 +90,7 @@ pub struct ClusterRouter {
     /// Round-robin cursor *per candidate set*: a single global cursor would
     /// skew the rotation whenever picks over replica sets of different sizes
     /// interleave (alternating 2- and 3-replica models starves one replica).
-    cursors: HashMap<Vec<usize>, usize>,
+    cursors: BTreeMap<Vec<usize>, usize>,
     rng: Xoshiro256pp,
 }
 
@@ -99,7 +99,7 @@ impl ClusterRouter {
     pub fn new(policy: RoutingPolicy, seed: u64) -> Self {
         ClusterRouter {
             policy,
-            cursors: HashMap::new(),
+            cursors: BTreeMap::new(),
             rng: Xoshiro256pp::seed_from_u64(seed),
         }
     }

@@ -34,8 +34,6 @@ pub struct KernelProfile {
 pub struct ModelProfile {
     /// Entries indexed by kernel location in the compiled module.
     pub kernels: Vec<KernelProfile>,
-    /// Average whole-job device time observed during profiling.
-    pub job_time_us: OnlineStats,
 }
 
 impl ModelProfile {
@@ -49,7 +47,6 @@ impl ModelProfile {
                     ..Default::default()
                 })
                 .collect(),
-            job_time_us: OnlineStats::new(),
         }
     }
 
@@ -61,24 +58,6 @@ impl ModelProfile {
     /// Panics if `location` is out of range.
     pub fn observe_kernel(&mut self, location: usize, time: SimDuration) {
         self.kernels[location].time_us.push(time.as_micros_f64());
-    }
-
-    /// Records the per-job execution counts after a run: `counts[i]` is how
-    /// many times kernel `i` ran in the job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts` has the wrong length.
-    pub fn observe_counts(&mut self, counts: &[u32]) {
-        assert_eq!(counts.len(), self.kernels.len(), "count vector shape");
-        for (k, &c) in self.kernels.iter_mut().zip(counts) {
-            k.count.push(f64::from(c));
-        }
-    }
-
-    /// Records a whole-job device time.
-    pub fn observe_job(&mut self, time: SimDuration) {
-        self.job_time_us.push(time.as_micros_f64());
     }
 
     /// The paper's remaining-time estimate for a job that has already run

@@ -284,6 +284,9 @@ impl RegisteredModel {
     }
 }
 
+/// What a released op's [`Job::preds_left`] slot holds.
+const RELEASED: u32 = u32::MAX;
+
 struct Job {
     request: InferenceRequest,
     /// Tokens currently active (released predecessors) and not dispatched.
@@ -305,13 +308,11 @@ struct Job {
     last_dispatched: bool,
     /// Accumulated framework CPU time attributed to this job.
     framework: SimDuration,
-    /// Ops already released: a dense bitset, one bit per op (tokens are
-    /// compact indices into the model's op list). Replaces a per-job
-    /// `HashSet<u64>` — the release path is per-kernel hot, and hashing a
-    /// compact index to test membership wastes both time and an allocation.
-    released_ops: ReleasedSet,
     /// Per-op unreleased-predecessor counts over the model's [`KernelDag`].
-    /// An op activates exactly when its count hits zero.
+    /// An op activates exactly when its count hits zero; once the op itself
+    /// is released its count is never read again (every predecessor has
+    /// released, and each releases once), so the slot holds [`RELEASED`]
+    /// from then on and doubles as the release-idempotency mark.
     preds_left: Vec<u32>,
     /// Deadline instant, when a deadline factor is configured (SLO ledger).
     deadline_at: Option<SimTime>,
@@ -410,8 +411,6 @@ pub struct Dispatcher {
     /// notifications (flow control): the sum of the records'
     /// `notifq_reserved`.
     notifq_outstanding: u64,
-    /// Total dispatcher CPU busy time (for utilization reports).
-    cpu_busy: SimDuration,
     /// Requests submitted but not yet ingested off the ring, with the sum of
     /// their profiled total estimates (the queued half of [`LoadSignal`]).
     queued_ingest: u64,
@@ -661,7 +660,6 @@ impl Dispatcher {
             gpu_out: Vec::new(),
             client_inflight: BTreeMap::new(),
             notifq_outstanding: 0,
-            cpu_busy: SimDuration::ZERO,
             queued_ingest: 0,
             queued_work: SimDuration::ZERO,
             inflight_work_us: 0.0,
@@ -689,11 +687,6 @@ impl Dispatcher {
     /// nodes built before the plan existed).
     pub fn set_kernel_fault_rate(&mut self, rate: f64) {
         self.cfg.kernel_fault_rate = rate;
-    }
-
-    /// Total dispatcher CPU busy time so far.
-    pub fn cpu_busy(&self) -> SimDuration {
-        self.cpu_busy
     }
 
     /// The current profiled total-time estimate for a model (bootstrap plus
@@ -890,7 +883,6 @@ impl Dispatcher {
         let start = ready.max(*free);
         let done = start + cost;
         *free = done;
-        self.cpu_busy += cost;
         self.last_charge = (core, start);
         done
     }
@@ -964,7 +956,6 @@ impl Dispatcher {
             ingested_at: t_ingested,
             last_dispatched: false,
             framework: self.cfg.ingest_cost,
-            released_ops: ReleasedSet::with_capacity(rm.dag.len()),
             preds_left: rm.dag.pred_counts().to_vec(),
             deadline_at: None,
             backoff_ns: 0,
@@ -1450,9 +1441,13 @@ impl Dispatcher {
         let Some(j) = self.jobs.get_mut(id.0) else {
             return false;
         };
-        if j.released(token) {
+        if j.preds_left[token as usize] == RELEASED {
             return false;
         }
+        debug_assert_eq!(
+            j.preds_left[token as usize], 0,
+            "released before it activated"
+        );
         let dag = &self.models[j.request.model.0 as usize].dag;
         let mut newly: Vec<u32> = Vec::new();
         for &s in dag.successors(token as usize) {
@@ -1466,7 +1461,7 @@ impl Dispatcher {
         // Stream semantics report newly-active ops in stream-id order (at
         // most one activation per stream per release).
         newly.sort_unstable_by_key(|&t| dag.node(t as usize).vstream);
-        j.mark_released(token);
+        j.preds_left[token as usize] = RELEASED;
         j.active_undispatched
             .extend(newly.into_iter().map(u64::from));
         true
@@ -1797,63 +1792,5 @@ impl Dispatcher {
         for id in ids {
             self.cancel_job(id, at, reason);
         }
-    }
-}
-
-impl Job {
-    fn released(&self, token: u64) -> bool {
-        self.released_ops.contains(token)
-    }
-
-    fn mark_released(&mut self, token: u64) {
-        self.released_ops.insert(token);
-    }
-}
-
-/// Dense released-token set: one bit per op, indexed by the compact token.
-/// This is the per-job structure behind release idempotency — it replaced a
-/// `HashSet<u64>` on the per-kernel release path, so a property test pins
-/// its semantics against the hash-set reference it displaced.
-#[doc(hidden)]
-#[derive(Clone, Debug, Default)]
-pub struct ReleasedSet {
-    bits: Vec<u64>,
-}
-
-impl ReleasedSet {
-    /// An empty set sized for `ops` tokens (`0..ops`).
-    #[must_use]
-    pub fn with_capacity(ops: usize) -> Self {
-        ReleasedSet {
-            bits: vec![0u64; ops.div_ceil(64)],
-        }
-    }
-
-    /// Whether `token` has been released.
-    #[must_use]
-    pub fn contains(&self, token: u64) -> bool {
-        let (word, bit) = ((token / 64) as usize, token % 64);
-        self.bits.get(word).is_some_and(|&w| (w >> bit) & 1 == 1)
-    }
-
-    /// Marks `token` released; returns whether it was newly inserted
-    /// (mirrors `HashSet::insert`).
-    pub fn insert(&mut self, token: u64) -> bool {
-        let (word, bit) = ((token / 64) as usize, token % 64);
-        let fresh = (self.bits[word] >> bit) & 1 == 0;
-        self.bits[word] |= 1 << bit;
-        fresh
-    }
-
-    /// Number of released tokens.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether no token has been released.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
     }
 }

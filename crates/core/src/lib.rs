@@ -33,9 +33,7 @@ pub mod types;
 pub mod waitlist;
 
 pub use batching::{batched_model, BatchPolicy, SaturationBatcher};
-pub use dispatcher::{
-    Dispatcher, DispatcherConfig, Granularity, ReleasedSet, StreamPolicy, WakeupMode,
-};
+pub use dispatcher::{Dispatcher, DispatcherConfig, Granularity, StreamPolicy, WakeupMode};
 pub use mig::{partition_device, MigServing};
 pub use occupancy::OccupancyTracker;
 pub use remote::{RemoteGateway, RpcNetModel};

@@ -14,9 +14,9 @@
 //! * [`SrptDeficitScheduler`] — the default: shortest *remaining* processing
 //!   time, bounded by per-client deficit counters for fairness.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use paella_sim::{SimDuration, SimTime};
+use paella_sim::{IdMap, SimDuration, SimTime};
 pub use paella_telemetry::PickRationale;
 
 use crate::types::{ClientId, JobId};
@@ -24,7 +24,10 @@ use crate::types::{ClientId, JobId};
 /// Everything a policy may consider about a ready job.
 #[derive(Clone, Copy, Debug)]
 pub struct JobInfo {
-    /// The job.
+    /// The job. Ids are expected to be minted densely — from a counter, as
+    /// `Dispatcher` and `LlmEngine` do — because the provided policies index
+    /// ready jobs in an [`IdMap`], whose window spans oldest to newest
+    /// ready id.
     pub job: JobId,
     /// Submitting client (for fairness accounting).
     pub client: ClientId,
@@ -93,14 +96,110 @@ pub trait Scheduler {
 }
 
 // ---------------------------------------------------------------------------
-// FIFO
+// FIFO, SJF, SRPT: one ready-set under three ranks
 // ---------------------------------------------------------------------------
 
+// What a [`RankedScheduler`] orders its ready jobs by (plain `u8`s: a const
+// generic cannot be an enum on stable Rust).
+const ARRIVAL: u8 = 0;
+const TOTAL: u8 = 1;
+const REMAINING: u8 = 2;
+
 /// First-come-first-served over job arrival times.
+pub type FifoScheduler = RankedScheduler<ARRIVAL>;
+
+/// Shortest (total) job first; ties break on arrival.
+pub type SjfScheduler = RankedScheduler<TOTAL>;
+
+/// The §6 default policy: shortest remaining time first, bounded by
+/// per-client deficit counters when built with a fairness threshold.
+///
+/// Dispatching a kernel charges the picked client `1 − 1/#clients` and
+/// credits every other client `1/#clients` — realized O(1) by shifting a
+/// global baseline instead of touching every counter. When a client's
+/// deficit exceeds the threshold, its *oldest* ready job is picked instead
+/// of the SRPT winner.
+pub type SrptDeficitScheduler = RankedScheduler<REMAINING>;
+
+/// The ready jobs in rank order; the pick is the first of them.
+///
+/// Arbitration is "which ready job next" (SET, PAPERS.md), so FIFO, SJF and
+/// SRPT are one ordered set and differ only in the key it is ordered by —
+/// `(arrival, 0)`, `(total, arrival)` and `(remaining, 0)`, ties on the job
+/// id. Deficit fairness rides on top of the SRPT rank only.
 #[derive(Debug, Default)]
-pub struct FifoScheduler {
-    ready: BTreeMap<(SimTime, JobId), JobId>,
-    index: HashMap<JobId, (SimTime, JobId)>,
+pub struct RankedScheduler<const BY: u8> {
+    /// Ready jobs by [`key`](Self::key) of the `JobInfo` recorded in `jobs`,
+    /// so a job's entry here is always derivable from there.
+    order: BTreeSet<(u64, u64, JobId)>,
+    /// The ready jobs, by id (minted densely, see [`JobInfo::job`]).
+    jobs: IdMap<JobInfo>,
+    /// Deficit state; only an SRPT scheduler built with a threshold has it.
+    fairness: Option<Fairness>,
+}
+
+/// Per-client deficit counters and the threshold that bounds them.
+#[derive(Debug, Default)]
+struct Fairness {
+    /// Fairness threshold (µs-equivalent units of deficit).
+    threshold: f64,
+    /// Per-client state. A `BTreeMap` so every walk over clients (the
+    /// fairness argmax, the ready-client census) runs in client-id order
+    /// and same-seed runs agree across processes. Entries are never
+    /// removed: a client that went idle keeps its (reset) counter.
+    clients: BTreeMap<ClientId, ClientState>,
+    /// Global deficit baseline: true_deficit(c) = raw(c) − baseline.
+    baseline: f64,
+}
+
+#[derive(Debug, Default)]
+struct ClientState {
+    raw_deficit: f64,
+    /// Ready jobs of this client, oldest first.
+    ready: BTreeSet<(SimTime, JobId)>,
+}
+
+impl Fairness {
+    /// The oldest ready job of the client currently over the threshold with
+    /// the highest deficit, if any. `clients` is walked in id order and a
+    /// later client must be strictly higher to win, so exact-deficit ties
+    /// break on the lower client id whatever order clients arrived in.
+    fn override_pick(&self) -> Option<JobId> {
+        let mut best: Option<(f64, JobId)> = None;
+        for s in self.clients.values() {
+            let Some(&(_, oldest)) = s.ready.first() else {
+                continue;
+            };
+            let d = s.raw_deficit - self.baseline;
+            if d > self.threshold && best.is_none_or(|(bd, _)| d > bd) {
+                best = Some((d, oldest));
+            }
+        }
+        best.map(|(_, job)| job)
+    }
+
+    /// Charges `client` for one dispatched kernel.
+    fn charge(&mut self, client: ClientId) {
+        let n = self
+            .clients
+            .values()
+            .filter(|s| !s.ready.is_empty())
+            .count()
+            .max(1) as f64;
+        // Charged client: −(1 − 1/n); everyone else: +1/n. Realized as
+        // raw[c] −= 1 and baseline −= 1/n (an O(1) global credit).
+        if let Some(s) = self.clients.get_mut(&client) {
+            s.raw_deficit -= 1.0;
+        }
+        self.baseline -= 1.0 / n;
+        // Periodically rebase to avoid unbounded drift.
+        if self.baseline < -1e12 {
+            for s in self.clients.values_mut() {
+                s.raw_deficit -= self.baseline;
+            }
+            self.baseline = 0.0;
+        }
+    }
 }
 
 impl FifoScheduler {
@@ -110,45 +209,6 @@ impl FifoScheduler {
     }
 }
 
-impl Scheduler for FifoScheduler {
-    fn job_ready(&mut self, info: JobInfo) {
-        let key = (info.arrival, info.job);
-        self.ready.insert(key, info.job);
-        self.index.insert(info.job, key);
-    }
-
-    fn job_blocked(&mut self, job: JobId) {
-        if let Some(key) = self.index.remove(&job) {
-            self.ready.remove(&key);
-        }
-    }
-
-    fn remaining_changed(&mut self, _job: JobId, _remaining: SimDuration) {}
-
-    fn pick_next(&mut self) -> Option<JobId> {
-        self.ready.values().next().copied()
-    }
-
-    fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SJF
-// ---------------------------------------------------------------------------
-
-/// Shortest (total) job first; ties break on arrival.
-#[derive(Debug, Default)]
-pub struct SjfScheduler {
-    ready: BTreeMap<(SimDuration, SimTime, JobId), JobId>,
-    index: HashMap<JobId, (SimDuration, SimTime, JobId)>,
-}
-
 impl SjfScheduler {
     /// Creates an empty SJF scheduler.
     pub fn new() -> Self {
@@ -156,33 +216,132 @@ impl SjfScheduler {
     }
 }
 
-impl Scheduler for SjfScheduler {
-    fn job_ready(&mut self, info: JobInfo) {
-        let key = (info.total_estimate, info.arrival, info.job);
-        self.ready.insert(key, info.job);
-        self.index.insert(info.job, key);
-    }
-
-    fn job_blocked(&mut self, job: JobId) {
-        if let Some(key) = self.index.remove(&job) {
-            self.ready.remove(&key);
+impl SrptDeficitScheduler {
+    /// Creates the default scheduler with the given fairness threshold
+    /// (µs-equivalent units of deficit); `None` disables fairness.
+    pub fn new(threshold: Option<f64>) -> Self {
+        RankedScheduler {
+            fairness: threshold.map(|threshold| Fairness {
+                threshold,
+                ..Fairness::default()
+            }),
+            ..Self::default()
         }
     }
 
-    fn remaining_changed(&mut self, _job: JobId, _remaining: SimDuration) {
-        // SJF keys on the total estimate, fixed at arrival.
+    /// Pure SRPT (no fairness bound).
+    pub fn srpt_only() -> Self {
+        Self::new(None)
+    }
+
+    /// Current deficit of a client (test/diagnostic hook).
+    pub fn deficit(&self, client: ClientId) -> f64 {
+        self.fairness
+            .as_ref()
+            .and_then(|f| Some(f.clients.get(&client)?.raw_deficit - f.baseline))
+            .unwrap_or(0.0)
+    }
+
+    /// Records that a kernel of `job` was dispatched, charging fairness
+    /// deficits. The dispatcher calls this on every dispatch.
+    pub fn charge(&mut self, job: JobId) {
+        self.on_dispatched(job);
+    }
+}
+
+impl<const BY: u8> RankedScheduler<BY> {
+    fn key(info: &JobInfo) -> (u64, u64, JobId) {
+        let (major, minor) = match BY {
+            ARRIVAL => (info.arrival.as_nanos(), 0),
+            TOTAL => (info.total_estimate.as_nanos(), info.arrival.as_nanos()),
+            _ => (info.remaining_estimate.as_nanos(), 0),
+        };
+        (major, minor, info.job)
+    }
+}
+
+impl<const BY: u8> Scheduler for RankedScheduler<BY> {
+    fn job_ready(&mut self, info: JobInfo) {
+        // Re-readying with a different remaining-time key must not leave a
+        // stale tree entry behind, or `job_blocked` can no longer remove it.
+        self.job_blocked(info.job);
+        self.order.insert(Self::key(&info));
+        self.jobs.insert(info.job.0, info);
+        if let Some(f) = &mut self.fairness {
+            // A client seen for the first time starts at raw 0.0, not at
+            // the baseline (DESIGN §6 records what that means for late
+            // arrivals; changing it moves pick digests).
+            let client = f.clients.entry(info.client).or_default();
+            client.ready.insert((info.arrival, info.job));
+        }
+    }
+
+    fn job_blocked(&mut self, job: JobId) {
+        if let Some(info) = self.jobs.remove(job.0) {
+            self.order.remove(&Self::key(&info));
+            let clients = self.fairness.as_mut().map(|f| &mut f.clients);
+            if let Some(s) = clients.and_then(|c| c.get_mut(&info.client)) {
+                s.ready.remove(&(info.arrival, job));
+            }
+        }
+    }
+
+    fn remaining_changed(&mut self, job: JobId, remaining: SimDuration) {
+        if let Some(info) = self.jobs.get_mut(job.0) {
+            let old = Self::key(info);
+            info.remaining_estimate = remaining;
+            let new = Self::key(info);
+            // Only the SRPT rank reads the remaining estimate.
+            if new != old {
+                self.order.remove(&old);
+                self.order.insert(new);
+            }
+        }
+    }
+
+    fn on_dispatched(&mut self, job: JobId) {
+        if let (Some(f), Some(info)) = (&mut self.fairness, self.jobs.get(job.0)) {
+            f.charge(info.client);
+        }
+    }
+
+    fn client_idle(&mut self, client: ClientId) {
+        // DRR semantics: an idle client's credit resets, so deficits only
+        // reflect *current* contention, not history.
+        if let Some(f) = &mut self.fairness {
+            if let Some(c) = f.clients.get_mut(&client) {
+                c.raw_deficit = f.baseline;
+            }
+        }
     }
 
     fn pick_next(&mut self) -> Option<JobId> {
-        self.ready.values().next().copied()
+        self.pick_next_explained().map(|(job, _)| job)
+    }
+
+    fn pick_next_explained(&mut self) -> Option<(JobId, PickRationale)> {
+        if let Some(job) = self.fairness.as_ref().and_then(Fairness::override_pick) {
+            return Some((job, PickRationale::DeficitOverride));
+        }
+        let rationale = match BY {
+            ARRIVAL => PickRationale::ArrivalOrder,
+            TOTAL => PickRationale::ShortestTotal,
+            _ => PickRationale::ShortestRemaining,
+        };
+        self.order.first().map(|&(_, _, job)| (job, rationale))
     }
 
     fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.jobs.len()
     }
 
     fn name(&self) -> &'static str {
-        "sjf"
+        match BY {
+            ARRIVAL => "fifo",
+            TOTAL => "sjf",
+            _ if self.fairness.is_some() => "srpt+deficit",
+            _ => "srpt",
+        }
     }
 }
 
@@ -236,199 +395,6 @@ impl Scheduler for RrScheduler {
 
     fn name(&self) -> &'static str {
         "rr"
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SRPT + deficit fairness (the Paella default)
-// ---------------------------------------------------------------------------
-
-/// The §6 default policy.
-///
-/// Two ordered trees: one keyed on remaining time (SRPT) and one on client
-/// deficit. Dispatching a kernel charges the picked client
-/// `1 − 1/#clients` and credits every other client `1/#clients` — realized
-/// O(1) by shifting a global baseline instead of touching every counter.
-/// When a client's deficit exceeds `threshold`, its *oldest* ready job is
-/// picked instead of the SRPT winner.
-#[derive(Debug)]
-pub struct SrptDeficitScheduler {
-    /// Fairness threshold (µs-equivalent units of deficit); `None` disables
-    /// fairness (pure SRPT).
-    threshold: Option<f64>,
-    /// Ready jobs by [`key`](Self::key) of the `remaining_estimate` recorded
-    /// in `ready_jobs`, so a job's tree entry is always derivable from there.
-    srpt: BTreeMap<(u64, JobId), JobId>,
-    /// Per-client state. A `BTreeMap` so every walk over clients (the
-    /// fairness argmax, the ready-client census) runs in client-id order —
-    /// seeded-hash iteration here made same-seed runs differ across
-    /// processes (R6).
-    clients: BTreeMap<ClientId, ClientState>,
-    /// Deficit order: (quantized negative-deficit, client) → client, so the
-    /// *highest* deficit sorts first.
-    ready_jobs: HashMap<JobId, JobInfo>,
-    /// Global deficit baseline: true_deficit(c) = raw(c) − baseline.
-    baseline: f64,
-}
-
-#[derive(Debug, Default)]
-struct ClientState {
-    raw_deficit: f64,
-    /// Ready jobs of this client, oldest first.
-    ready: BTreeSet<(SimTime, JobId)>,
-}
-
-impl SrptDeficitScheduler {
-    /// Creates the default scheduler with the given fairness threshold.
-    pub fn new(threshold: Option<f64>) -> Self {
-        SrptDeficitScheduler {
-            threshold,
-            srpt: BTreeMap::new(),
-            clients: BTreeMap::new(),
-            ready_jobs: HashMap::new(),
-            baseline: 0.0,
-        }
-    }
-
-    /// Pure SRPT (no fairness bound).
-    pub fn srpt_only() -> Self {
-        Self::new(None)
-    }
-
-    fn key(remaining: SimDuration, job: JobId) -> (u64, JobId) {
-        (remaining.as_nanos(), job)
-    }
-
-    /// The client currently over the fairness threshold with the highest
-    /// deficit, if any, among clients with ready jobs. Exact-deficit ties
-    /// break on the lower client id, and `clients` is a `BTreeMap`, so the
-    /// argmax visits clients in id order and is deterministic across
-    /// processes regardless of insertion order.
-    fn over_threshold_client(&self) -> Option<ClientId> {
-        let threshold = self.threshold?;
-        let mut best: Option<(f64, ClientId)> = None;
-        for (&c, s) in &self.clients {
-            if s.ready.is_empty() {
-                continue;
-            }
-            let d = s.raw_deficit - self.baseline;
-            if d > threshold && best.is_none_or(|(bd, bc)| d > bd || (d == bd && c < bc)) {
-                best = Some((d, c));
-            }
-        }
-        best.map(|(_, c)| c)
-    }
-
-    /// Current deficit of a client (test/diagnostic hook).
-    pub fn deficit(&self, client: ClientId) -> f64 {
-        self.clients
-            .get(&client)
-            .map(|s| s.raw_deficit - self.baseline)
-            .unwrap_or(0.0)
-    }
-
-    /// Records that a kernel of `job` was dispatched, charging fairness
-    /// deficits. The dispatcher calls this on every dispatch.
-    pub fn charge(&mut self, job: JobId) {
-        let Some(info) = self.ready_jobs.get(&job) else {
-            return;
-        };
-        let client = info.client;
-        let n = self
-            .clients
-            .iter()
-            .filter(|(_, s)| !s.ready.is_empty())
-            .count()
-            .max(1) as f64;
-        // Charged client: −(1 − 1/n); everyone else: +1/n. Realized as
-        // raw[c] −= 1 and baseline −= 1/n (an O(1) global credit).
-        if let Some(s) = self.clients.get_mut(&client) {
-            s.raw_deficit -= 1.0;
-        }
-        self.baseline -= 1.0 / n;
-        // Periodically rebase to avoid unbounded drift.
-        if self.baseline < -1e12 {
-            for s in self.clients.values_mut() {
-                s.raw_deficit -= self.baseline;
-            }
-            self.baseline = 0.0;
-        }
-    }
-}
-
-impl Scheduler for SrptDeficitScheduler {
-    fn job_ready(&mut self, info: JobInfo) {
-        // Re-readying with a different remaining-time key must not leave a
-        // stale tree entry behind, or `job_blocked` can no longer remove it.
-        self.job_blocked(info.job);
-        self.srpt
-            .insert(Self::key(info.remaining_estimate, info.job), info.job);
-        self.ready_jobs.insert(info.job, info);
-        self.clients
-            .entry(info.client)
-            .or_default()
-            .ready
-            .insert((info.arrival, info.job));
-    }
-
-    fn job_blocked(&mut self, job: JobId) {
-        if let Some(info) = self.ready_jobs.remove(&job) {
-            self.srpt.remove(&Self::key(info.remaining_estimate, job));
-            if let Some(s) = self.clients.get_mut(&info.client) {
-                s.ready.remove(&(info.arrival, job));
-            }
-        }
-    }
-
-    fn remaining_changed(&mut self, job: JobId, remaining: SimDuration) {
-        if let Some(info) = self.ready_jobs.get_mut(&job) {
-            self.srpt.remove(&Self::key(info.remaining_estimate, job));
-            info.remaining_estimate = remaining;
-            self.srpt.insert(Self::key(remaining, job), job);
-        }
-    }
-
-    fn on_dispatched(&mut self, job: JobId) {
-        self.charge(job);
-    }
-
-    fn client_idle(&mut self, client: ClientId) {
-        // DRR semantics: an idle client's credit resets, so deficits only
-        // reflect *current* contention, not history.
-        if let Some(c) = self.clients.get_mut(&client) {
-            c.raw_deficit = self.baseline;
-        }
-    }
-
-    fn pick_next(&mut self) -> Option<JobId> {
-        self.pick_next_explained().map(|(job, _)| job)
-    }
-
-    fn pick_next_explained(&mut self) -> Option<(JobId, PickRationale)> {
-        if let Some(client) = self.over_threshold_client() {
-            // Oldest ready job of the most-starved client.
-            let s = &self.clients[&client];
-            if let Some(&(_, job)) = s.ready.first() {
-                return Some((job, PickRationale::DeficitOverride));
-            }
-        }
-        self.srpt
-            .values()
-            .next()
-            .copied()
-            .map(|job| (job, PickRationale::ShortestRemaining))
-    }
-
-    fn ready_len(&self) -> usize {
-        self.ready_jobs.len()
-    }
-
-    fn name(&self) -> &'static str {
-        if self.threshold.is_some() {
-            "srpt+deficit"
-        } else {
-            "srpt"
-        }
     }
 }
 
@@ -638,14 +604,5 @@ mod tests {
         // Client 1's job goes away (blocked): SRPT winner is client 0 again.
         s.job_blocked(JobId(2));
         assert_eq!(s.pick_next(), Some(JobId(1)));
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(FifoScheduler::new().name(), "fifo");
-        assert_eq!(SjfScheduler::new().name(), "sjf");
-        assert_eq!(RrScheduler::new().name(), "rr");
-        assert_eq!(SrptDeficitScheduler::new(Some(1.0)).name(), "srpt+deficit");
-        assert_eq!(SrptDeficitScheduler::srpt_only().name(), "srpt");
     }
 }

@@ -281,31 +281,4 @@ proptest! {
         let min = jobs.iter().copied().min().unwrap();
         prop_assert_eq!(jobs[picked.0 as usize], min);
     }
-
-    /// The dense per-job released bitset is observationally equivalent to
-    /// the `HashSet<u64>` it replaced on the release path: same membership
-    /// answers, same newly-inserted verdicts, same cardinality, under any
-    /// interleaving of duplicate releases.
-    #[test]
-    fn released_bitset_matches_hashset(
-        ops in 1usize..200,
-        picks in proptest::collection::vec(0u64..200, 0..400),
-    ) {
-        use paella_core::ReleasedSet;
-        let mut dense = ReleasedSet::with_capacity(ops);
-        let mut reference: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        prop_assert!(dense.is_empty());
-        for p in picks {
-            let token = p % ops as u64;
-            prop_assert_eq!(dense.contains(token), reference.contains(&token));
-            let fresh = dense.insert(token);
-            prop_assert_eq!(fresh, reference.insert(token), "insert verdicts diverge");
-            prop_assert!(dense.contains(token));
-            prop_assert_eq!(dense.len(), reference.len());
-        }
-        prop_assert_eq!(dense.is_empty(), reference.is_empty());
-        for t in 0..ops as u64 {
-            prop_assert_eq!(dense.contains(t), reference.contains(&t));
-        }
-    }
 }

@@ -164,11 +164,6 @@ pub struct GpuSim {
     outputs: Vec<GpuOutput>,
     rr_sm: usize,
     resident_blocks: u64,
-    /// Integral of resident blocks over time (block·ns), for utilization
-    /// reporting.
-    occupancy_integral: u128,
-    /// Wall time of the last `resident_blocks` change.
-    last_resident_change: SimTime,
     /// Structured telemetry sink (no-op unless enabled by the host).
     tracer: Tracer,
     /// Round-robin cursor over the hardware queues.
@@ -202,8 +197,6 @@ impl GpuSim {
             outputs: Vec::new(),
             rr_sm: 0,
             resident_blocks: 0,
-            occupancy_integral: 0,
-            last_resident_change: SimTime::ZERO,
             tracer: Tracer::disabled(),
             rr_queue: 0,
             pending_copies: Vec::new(),
@@ -230,24 +223,6 @@ impl GpuSim {
     /// Ground-truth count of currently resident (placed, unfinished) blocks.
     pub fn resident_blocks(&self) -> u64 {
         self.resident_blocks
-    }
-
-    fn account_occupancy(&mut self, now: SimTime) {
-        let dt = now.saturating_since(self.last_resident_change).as_nanos();
-        self.occupancy_integral += u128::from(dt) * u128::from(self.resident_blocks);
-        self.last_resident_change = self.last_resident_change.max(now);
-    }
-
-    /// Average resident blocks over `[0, until]` — the device-utilization
-    /// ground truth behind the paper's 32/176 = 18 % HoL claim.
-    pub fn mean_occupancy(&self, until: SimTime) -> f64 {
-        let dt = until.saturating_since(self.last_resident_change).as_nanos();
-        let integral = self.occupancy_integral + u128::from(dt) * u128::from(self.resident_blocks);
-        if until == SimTime::ZERO {
-            0.0
-        } else {
-            integral as f64 / until.as_nanos() as f64
-        }
     }
 
     /// Ground-truth usage of one SM.
@@ -499,7 +474,6 @@ impl GpuSim {
         }
         self.rr_sm = wrapping_succ(self.rr_sm, num_sms);
         let placed: u32 = allocs.iter().map(|&(_, g)| g).sum();
-        self.account_occupancy(now);
         self.resident_blocks += u64::from(placed);
 
         // Sample one duration for the wave and add instrumentation overhead.
@@ -614,7 +588,6 @@ impl GpuSim {
         for &(sm, group) in allocs {
             self.pool.release(sm as usize, &fp, group);
         }
-        self.account_occupancy(at);
         debug_assert!(
             self.resident_blocks >= u64::from(blocks),
             "resident_blocks underflow: finishing blocks that never placed"
@@ -1179,33 +1152,6 @@ mod tests {
         assert_eq!(out.len(), 10_000, "every kernel completed");
         assert!(gpu.is_idle());
         assert!(gpu.streams.is_empty(), "drained streams are forgotten");
-    }
-
-    #[test]
-    fn mean_occupancy_integrates_residency() {
-        // One kernel: 40 blocks resident for 100 µs, then idle for 100 µs.
-        let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), 1);
-        gpu.launch_kernel(
-            SimTime::ZERO,
-            KernelLaunch {
-                uid: 1,
-                stream: StreamId(1),
-                desc: kernel("k", 40, 128, 100),
-            },
-        );
-        drain_all(&mut gpu);
-        let end = SimTime::from_micros(100) + gpu.config().queue_to_scheduler;
-        let m = gpu.mean_occupancy(end);
-        assert!(
-            (m - 40.0).abs() < 0.5,
-            "full residency ≈ 40 blocks, got {m}"
-        );
-        let m2 = gpu.mean_occupancy(SimTime::from_micros(200));
-        assert!(
-            (m2 - 20.0).abs() < 0.5,
-            "half-idle window ≈ 20 blocks, got {m2}"
-        );
-        assert_eq!(gpu.mean_occupancy(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The paper's request inter-arrival pattern is lognormal with σ = 2 (bursty)
 //! or σ = 1.5 (less bursty) and a mean set by the offered load (§7). Kernel
-//! duration jitter uses normals; Poisson arrivals use exponential gaps.
+//! duration jitter uses normals; LLM output lengths are geometric.
 
 use crate::rng::Xoshiro256pp;
 use crate::time::SimDuration;
@@ -16,69 +16,6 @@ pub trait Distribution {
     /// Draws one sample as a duration, clamping negatives to zero.
     fn sample_duration(&self, rng: &mut Xoshiro256pp) -> SimDuration {
         SimDuration::from_micros_f64(self.sample(rng) / 1_000.0)
-    }
-}
-
-/// Degenerate distribution: always returns the same value.
-#[derive(Clone, Copy, Debug)]
-pub struct Constant(pub f64);
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut Xoshiro256pp) -> f64 {
-        self.0
-    }
-}
-
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo > hi` or either bound is non-finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo <= hi,
-            "bad uniform bounds"
-        );
-        Uniform { lo, hi }
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-}
-
-/// Exponential distribution with the given mean (i.e. rate = 1 / mean).
-#[derive(Clone, Copy, Debug)]
-pub struct Exponential {
-    mean: f64,
-}
-
-impl Exponential {
-    /// Creates an exponential distribution with mean `mean`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not strictly positive and finite.
-    pub fn with_mean(mean: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "bad exponential mean");
-        Exponential { mean }
-    }
-}
-
-impl Distribution for Exponential {
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        // Inverse CDF; `1 - u` avoids ln(0).
-        -self.mean * (1.0 - rng.next_f64()).ln()
     }
 }
 
@@ -222,34 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn constant_is_constant() {
-        let d = Constant(7.5);
-        let mut rng = Xoshiro256pp::seed_from_u64(1);
-        for _ in 0..10 {
-            assert_eq!(d.sample(&mut rng), 7.5);
-        }
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Uniform::new(10.0, 20.0);
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((10.0..20.0).contains(&x));
-        }
-        let m = mean_of(&d, 100_000, 3);
-        assert!((m - 15.0).abs() < 0.1, "uniform mean {m}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let d = Exponential::with_mean(250.0);
-        let m = mean_of(&d, 200_000, 4);
-        assert!((m - 250.0).abs() < 5.0, "exp mean {m}");
-    }
-
-    #[test]
     fn normal_mean_and_sd() {
         let d = Normal::new(100.0, 15.0);
         let mut rng = Xoshiro256pp::seed_from_u64(5);
@@ -307,10 +216,11 @@ mod tests {
 
     #[test]
     fn sample_duration_clamps() {
-        let d = Constant(-5.0);
+        // σ = 0 makes the sample the mean.
+        let d = Normal::new(-5.0, 0.0);
         let mut rng = Xoshiro256pp::seed_from_u64(9);
         assert_eq!(d.sample_duration(&mut rng), SimDuration::ZERO);
-        let d = Constant(1_500.0); // 1500 ns
+        let d = Normal::new(1_500.0, 0.0); // 1500 ns
         assert_eq!(d.sample_duration(&mut rng).as_nanos(), 1_500);
     }
 }

@@ -14,9 +14,9 @@
 //! * [`fault`] — seeded fault schedules ([`FaultPlan`]) for deterministic
 //!   fault-injection runs.
 //! * [`rng`] — seedable, version-stable PRNGs ([`Xoshiro256pp`]).
-//! * [`dist`] — the distributions the paper's workloads need (lognormal
-//!   arrivals with σ ∈ {1.5, 2}, exponential, normal, uniform).
-//! * [`stats`] — streaming statistics (p99, CDFs, utilization trackers).
+//! * [`dist`] — the distributions the workloads need (lognormal arrivals
+//!   with σ ∈ {1.5, 2}, normal, geometric).
+//! * [`stats`] — streaming statistics (mean/variance, p99, CDFs).
 //!
 //! All higher layers (the GPU simulator, the Paella dispatcher, the baseline
 //! serving systems, the experiment harness) build on these primitives, and
@@ -30,10 +30,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{Constant, Distribution, Exponential, Geometric, LogNormal, Normal, Uniform};
+pub use dist::{Distribution, Geometric, LogNormal, Normal};
 pub use event::{EventId, EventQueue};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use idmap::IdMap;
 pub use rng::{SplitMix64, Xoshiro256pp};
-pub use stats::{BusyTracker, Histogram, OnlineStats, Percentiles};
+pub use stats::{OnlineStats, Percentiles};
 pub use time::{SimDuration, SimTime};

@@ -1,5 +1,5 @@
-//! Streaming statistics: online mean/variance, percentile collectors, CDFs,
-//! and fixed-width histograms for the evaluation harness.
+//! Streaming statistics: online mean/variance, percentile collectors and
+//! CDFs for the evaluation harness.
 
 use crate::time::SimDuration;
 
@@ -206,120 +206,6 @@ impl Percentiles {
     }
 }
 
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    width: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `n` equal buckets spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, n: usize) -> Self {
-        assert!(n > 0 && hi > lo, "bad histogram shape");
-        Histogram {
-            lo,
-            width: (hi - lo) / n as f64,
-            buckets: vec![0; n],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else {
-            let idx = ((x - self.lo) / self.width) as usize;
-            if idx >= self.buckets.len() {
-                self.overflow += 1;
-            } else {
-                self.buckets[idx] += 1;
-            }
-        }
-    }
-
-    /// Total observations including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Count outside the histogram range.
-    pub fn out_of_range(&self) -> u64 {
-        self.underflow + self.overflow
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Iterates `(bucket_midpoint, count)`, *including* the out-of-range
-    /// edges: the first yielded bucket is the underflow count (centered one
-    /// half-width below `lo`) and the last is the overflow count (one
-    /// half-width above `hi`), so consumers render tails instead of
-    /// silently dropping them.
-    pub fn iter(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        let hi = self.lo + self.width * self.buckets.len() as f64;
-        std::iter::once((self.lo - 0.5 * self.width, self.underflow))
-            .chain(
-                self.buckets
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, &c)| (self.lo + (i as f64 + 0.5) * self.width, c)),
-            )
-            .chain(std::iter::once((hi + 0.5 * self.width, self.overflow)))
-    }
-}
-
-/// Tracks the fraction of time a binary resource (e.g. a CPU core) is busy.
-#[derive(Clone, Debug, Default)]
-pub struct BusyTracker {
-    busy_ns: u64,
-}
-
-impl BusyTracker {
-    /// Creates an idle tracker.
-    pub fn new() -> Self {
-        BusyTracker::default()
-    }
-
-    /// Records `d` of busy time.
-    pub fn add_busy(&mut self, d: SimDuration) {
-        self.busy_ns += d.as_nanos();
-    }
-
-    /// Accumulated busy time.
-    pub fn busy(&self) -> SimDuration {
-        SimDuration::from_nanos(self.busy_ns)
-    }
-
-    /// Utilization over a window of total length `window`, clamped to `[0, 1]`.
-    pub fn utilization(&self, window: SimDuration) -> f64 {
-        if window == SimDuration::ZERO {
-            0.0
-        } else {
-            (self.busy_ns as f64 / window.as_nanos() as f64).min(1.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,39 +304,5 @@ mod tests {
             assert!(w[0].0 <= w[1].0, "values non-decreasing");
             assert!(w[0].1 <= w[1].1, "fractions non-decreasing");
         }
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [-1.0, 0.5, 1.5, 1.6, 9.9, 10.0, 55.0] {
-            h.push(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.out_of_range(), 3); // -1.0, 10.0, 55.0
-        assert_eq!(h.underflow(), 1); // -1.0
-        assert_eq!(h.overflow(), 2); // 10.0, 55.0
-        let entries: Vec<(f64, u64)> = h.iter().collect();
-        assert_eq!(entries.len(), 12, "10 interior + underflow + overflow");
-        let counts: Vec<u64> = entries.iter().map(|&(_, c)| c).collect();
-        assert_eq!(counts[0], 1, "underflow edge bucket");
-        assert_eq!(counts[1], 1, "0.5 in [0,1)");
-        assert_eq!(counts[2], 2, "1.5, 1.6 in [1,2)");
-        assert_eq!(counts[10], 1, "9.9 in [9,10)");
-        assert_eq!(counts[11], 2, "overflow edge bucket");
-        assert_eq!(counts.iter().sum::<u64>(), 7, "iter covers every sample");
-        // Edge midpoints sit one half-width outside the range.
-        assert!((entries[0].0 - (-0.5)).abs() < 1e-12);
-        assert!((entries[11].0 - 10.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn busy_tracker_utilization() {
-        let mut b = BusyTracker::new();
-        b.add_busy(SimDuration::from_micros(250));
-        assert!((b.utilization(SimDuration::from_millis(1)) - 0.25).abs() < 1e-12);
-        assert_eq!(b.utilization(SimDuration::ZERO), 0.0);
-        b.add_busy(SimDuration::from_millis(2));
-        assert_eq!(b.utilization(SimDuration::from_millis(1)), 1.0, "clamped");
     }
 }

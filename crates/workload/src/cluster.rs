@@ -1,6 +1,6 @@
 //! The cluster experiment: a skewed-popularity model mix over a
 //! [`paella_cluster::Cluster`], reduced to goodput and tail latency per
-//! routing policy.
+//! routing policy — fault-free, or under a seeded failure model.
 //!
 //! Real serving traffic is Zipf-skewed — a few hot models take most of the
 //! requests while a long tail stays resident — which is exactly the regime
@@ -9,13 +9,24 @@
 //! load-aware policies (JSQ, power-of-two, least-remaining-work) steer
 //! around it. The committed smoke configuration pins that ordering in an
 //! integration test.
+//!
+//! With a [`FailureModel`] the same workload runs under deadlines, admission
+//! shedding and an injected [`FaultSpec`] scenario (kernel faults, node
+//! crashes, recoveries), and the metrics that matter when things break come
+//! out beside the others: goodput and tail latency of the requests that
+//! *succeeded*, and the fraction of admitted requests that completed within
+//! their deadline. Everything stays deterministic: the fault plan expands
+//! from the seed before the run starts, kernel faults roll on each
+//! dispatcher's own seeded RNG in DES order, and the cluster advances in
+//! lockstep on virtual time — so one `(spec, seed)` pair names one exact
+//! execution, failures included.
 
 use paella_cluster::{Cluster, ClusterConfig, RoutingPolicy};
 use paella_compiler::CompiledModel;
-use paella_core::{ModelId, ServingSystem};
+use paella_core::{FailureReason, ModelId, ServingSystem};
 use paella_gpu::DeviceConfig;
 use paella_models::{measure_uncontended, synthetic};
-use paella_sim::SimDuration;
+use paella_sim::{FaultSpec, SimDuration, SimTime};
 
 use crate::gen::{generate, Mix, WorkloadSpec};
 use crate::runner::run_trace;
@@ -38,8 +49,29 @@ pub struct ClusterExpSpec {
     /// A request is "good" if its JCT is within `slo_factor` × the model's
     /// uncontended execution time.
     pub slo_factor: f64,
-    /// Seed for the cluster (dispatchers, router RNG) and the trace.
+    /// Seed for the cluster (dispatchers, router RNG), the trace, and the
+    /// fault plan.
     pub seed: u64,
+    /// The failure model in force; `None` runs fault-free on the cluster's
+    /// default failure handling (no deadlines, no shedding).
+    pub failure: Option<FailureModel>,
+}
+
+/// How requests may fail and what is injected to make them: the
+/// failure-handling knobs of every node plus the fault scenario.
+#[derive(Clone, Copy, Debug)]
+pub struct FailureModel {
+    /// Per-request deadline as a multiple of the model's profiled estimate
+    /// (requests past it are cancelled and their resources reclaimed).
+    pub deadline_factor: f64,
+    /// Per-node admission watermark; arrivals at a node whose outstanding
+    /// load is at or above it are shed.
+    pub shed_watermark: u64,
+    /// How many times the frontend re-routes a request lost to a crash.
+    pub crash_retries: u32,
+    /// The fault scenario, expanded under the spec's seed into a concrete
+    /// plan.
+    pub faults: FaultSpec,
 }
 
 impl ClusterExpSpec {
@@ -56,36 +88,63 @@ impl ClusterExpSpec {
             skew: 1.1,
             slo_factor: 8.0,
             seed: 0xC1_0C5,
+            failure: None,
+        }
+    }
+
+    /// The committed deterministic fault scenario: the smoke workload with
+    /// kernel faults *and* a mid-run node crash (with recovery) injected.
+    /// Small enough for CI; faulty enough that the failure paths all
+    /// execute.
+    pub fn fault_smoke(policy: RoutingPolicy) -> Self {
+        ClusterExpSpec {
+            seed: 0xFA_175,
+            failure: Some(FailureModel {
+                deadline_factor: 40.0,
+                shed_watermark: 96,
+                crash_retries: 3,
+                faults: FaultSpec {
+                    kernel_fault_rate: 0.02,
+                    node_crashes: 1,
+                    nodes: 4,
+                    window_start: SimTime::from_millis(20),
+                    window_end: SimTime::from_millis(60),
+                    recovery_after: Some(SimDuration::from_millis(25)),
+                    client_disconnects: 0,
+                    clients: 8,
+                },
+            }),
+            ..Self::smoke(policy)
         }
     }
 }
 
-/// Reduced metrics from one cluster experiment point.
-#[derive(Clone, Copy, Debug)]
+/// Reduced metrics from one cluster experiment point. Failures are broken
+/// out by kind so the headline ratio — admitted requests that finished
+/// within deadline — is computable without the raw completion lists.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClusterExpResult {
     /// Offered load, req/s.
     pub offered: f64,
     /// Achieved throughput, req/s.
     pub throughput: f64,
-    /// SLO-attaining completions per second (the serving-tier headline).
+    /// SLO-attaining successful completions per second, post-warmup (the
+    /// serving-tier headline).
     pub goodput: f64,
-    /// p99 JCT over post-warmup completions, µs.
+    /// p99 JCT over post-warmup *successful* requests, µs.
     pub p99_us: f64,
-    /// Mean JCT over post-warmup completions, µs.
+    /// Mean JCT over post-warmup successful requests, µs.
     pub mean_us: f64,
-    /// Completions observed (all of them, including warmup).
+    /// Successful completions (all of them, including warmup).
     pub completed: usize,
-}
-
-impl ClusterExpResult {
-    /// One stable CSV row: `throughput,goodput,p99_us,mean_us`. Fixed
-    /// precision so identical runs print identical bytes.
-    pub fn row(&self) -> String {
-        format!(
-            "{:.1},{:.1},{:.1},{:.1}",
-            self.throughput, self.goodput, self.p99_us, self.mean_us
-        )
-    }
+    /// Requests refused by admission control.
+    pub shed: usize,
+    /// Requests that failed for any other reason (deadline, crash budget,
+    /// retry budget, disconnect).
+    pub failed: usize,
+    /// `completed / (submitted - shed)`: of the requests the cluster
+    /// admitted, the fraction it finished within deadline.
+    pub within_deadline: f64,
 }
 
 /// The smoke experiment's heterogeneous model set: four synthetic models
@@ -105,18 +164,22 @@ pub fn smoke_models() -> Vec<CompiledModel> {
     vec![hot, mid, deep, rare]
 }
 
-/// Runs one cluster experiment point: builds a fresh cluster, registers
-/// `models`, generates the Zipf-skewed trace, and reduces the completions.
+/// Runs one cluster experiment point: builds a fresh cluster (with the
+/// spec's failure-handling knobs, if any), registers `models`, arms the
+/// expanded fault plan, drives the Zipf-skewed trace, and reduces successes
+/// and failures separately.
 pub fn run_cluster_point(models: &[CompiledModel], spec: &ClusterExpSpec) -> ClusterExpResult {
     let device = DeviceConfig::tesla_t4();
-    let mut cluster = Cluster::new(
-        device.clone(),
-        spec.nodes,
-        ClusterConfig {
-            seed: spec.seed,
-            ..ClusterConfig::with_policy(spec.policy)
-        },
-    );
+    let mut cfg = ClusterConfig {
+        seed: spec.seed,
+        ..ClusterConfig::with_policy(spec.policy)
+    };
+    if let Some(f) = &spec.failure {
+        cfg.crash_retries = f.crash_retries;
+        cfg.dispatcher.deadline_factor = Some(f.deadline_factor);
+        cfg.dispatcher.shed_watermark = Some(f.shed_watermark);
+    }
+    let mut cluster = Cluster::new(device.clone(), spec.nodes, cfg);
     let ids: Vec<ModelId> = models.iter().map(|m| cluster.register_model(m)).collect();
     // Per-model SLO targets from the uncontended execution time (the same
     // ground truth the goodput definition in the paper's §7 rests on).
@@ -124,6 +187,9 @@ pub fn run_cluster_point(models: &[CompiledModel], spec: &ClusterExpSpec) -> Clu
         .iter()
         .map(|m| measure_uncontended(m, &device).mul_f64(spec.slo_factor))
         .collect();
+    if let Some(f) = &spec.failure {
+        cluster.inject(&f.faults.generate(spec.seed));
+    }
     let mix = Mix::zipf(&ids, spec.skew);
     let arrivals = generate(
         &WorkloadSpec {
@@ -136,6 +202,11 @@ pub fn run_cluster_point(models: &[CompiledModel], spec: &ClusterExpSpec) -> Clu
         &mix,
     );
     let mut stats = run_trace(&mut cluster, &arrivals, spec.warmup);
+    let shed = stats
+        .failures
+        .iter()
+        .filter(|f| f.reason == FailureReason::Shed)
+        .count();
 
     let measured = stats.completions.iter().skip(spec.warmup);
     let good = measured
@@ -147,6 +218,12 @@ pub fn run_cluster_point(models: &[CompiledModel], spec: &ClusterExpSpec) -> Clu
     } else {
         0.0
     };
+    let admitted = arrivals.len() - shed;
+    let within_deadline = if admitted > 0 {
+        stats.completions.len() as f64 / admitted as f64
+    } else {
+        1.0
+    };
     ClusterExpResult {
         offered: spec.rate_per_sec,
         throughput: stats.throughput,
@@ -154,6 +231,9 @@ pub fn run_cluster_point(models: &[CompiledModel], spec: &ClusterExpSpec) -> Clu
         p99_us: stats.p99_us(),
         mean_us: stats.mean_us(),
         completed: stats.completions.len(),
+        shed,
+        failed: stats.failures.len() - shed,
+        within_deadline,
     }
 }
 
@@ -169,10 +249,88 @@ mod tests {
             ..ClusterExpSpec::smoke(RoutingPolicy::Jsq)
         };
         let r = run_cluster_point(&smoke_models(), &spec);
-        assert_eq!(r.completed, 120);
+        assert_eq!((r.completed, r.shed, r.failed), (120, 0, 0));
         assert!(r.throughput > 0.0);
         assert!(r.goodput <= r.throughput + 1e-9);
         assert!(r.p99_us >= r.mean_us * 0.5);
+    }
+
+    #[test]
+    fn fault_point_accounts_for_every_request() {
+        let spec = ClusterExpSpec {
+            requests: 200,
+            warmup: 40,
+            ..ClusterExpSpec::fault_smoke(RoutingPolicy::LeastRemainingWork)
+        };
+        let r = run_cluster_point(&smoke_models(), &spec);
+        assert_eq!(
+            r.completed + r.shed + r.failed,
+            200,
+            "success + shed + failed must cover the trace"
+        );
+        assert!(r.completed > 0 && r.goodput > 0.0);
+        assert!(r.within_deadline > 0.5, "got {}", r.within_deadline);
+    }
+
+    #[test]
+    fn committed_fault_scenario_holds_its_deadline_bar() {
+        // The acceptance bar for the committed fault scenario: with kernel
+        // faults and a node crash injected, at least 95% of the admitted
+        // (non-shed) requests still complete within deadline.
+        let r = run_cluster_point(
+            &smoke_models(),
+            &ClusterExpSpec::fault_smoke(RoutingPolicy::LeastRemainingWork),
+        );
+        assert!(
+            r.within_deadline >= 0.95,
+            "within-deadline fraction {} under the committed fault scenario",
+            r.within_deadline
+        );
+    }
+
+    #[test]
+    fn fault_point_is_deterministic() {
+        let spec = ClusterExpSpec {
+            requests: 150,
+            warmup: 30,
+            ..ClusterExpSpec::fault_smoke(RoutingPolicy::Jsq)
+        };
+        let a = run_cluster_point(&smoke_models(), &spec);
+        let b = run_cluster_point(&smoke_models(), &spec);
+        assert_eq!(a, b, "same spec must reduce to identical results");
+    }
+
+    #[test]
+    fn harder_faults_hurt() {
+        let base = ClusterExpSpec {
+            requests: 200,
+            warmup: 40,
+            ..ClusterExpSpec::fault_smoke(RoutingPolicy::LeastRemainingWork)
+        };
+        let with_faults = |edit: fn(FaultSpec) -> FaultSpec| {
+            let failure = base.failure.map(|f| FailureModel {
+                faults: edit(f.faults),
+                ..f
+            });
+            run_cluster_point(&smoke_models(), &ClusterExpSpec { failure, ..base })
+        };
+        let calm = with_faults(|faults| FaultSpec {
+            kernel_fault_rate: 0.0,
+            node_crashes: 0,
+            ..faults
+        });
+        let stormy = with_faults(|faults| FaultSpec {
+            kernel_fault_rate: 0.3,
+            node_crashes: 3,
+            recovery_after: None,
+            ..faults
+        });
+        assert!(
+            stormy.completed < calm.completed || stormy.p99_us > calm.p99_us,
+            "a fault storm must cost something: calm {:?} vs stormy {:?}",
+            calm,
+            stormy
+        );
     }
 
     #[test]

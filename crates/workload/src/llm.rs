@@ -12,7 +12,7 @@
 //! configuration shows the effect: continuous batching wins TPOT p99 by a
 //! wide margin while holding TTFT p99 in the same band.
 
-use paella_core::{ModelId, ServingSystem};
+use paella_core::ModelId;
 use paella_llm::{LlmEngine, LlmEngineConfig, LlmModelSpec, LlmPolicy};
 use paella_sim::dist::{Distribution, LogNormal};
 use paella_sim::{SimDuration, SimTime, Xoshiro256pp};
@@ -167,7 +167,6 @@ pub fn run_llm_point(spec: &LlmExpSpec) -> LlmExpResult {
     assert_eq!(model.0, 0, "trace targets model 0");
     let arrivals = generate_llm_trace(spec);
     let stats = run_trace(&mut eng, &arrivals, spec.warmup);
-    let failed = eng.drain_failures().len();
 
     let mut llm = eng.drain_llm_completions();
     llm.sort_by_key(|c| (c.finished_at, c.job.0));
@@ -206,7 +205,7 @@ pub fn run_llm_point(spec: &LlmExpSpec) -> LlmExpResult {
         tpot_mean_us: mean_us(&tpot_ns),
         preemptions,
         completed: stats.completions.len(),
-        failed,
+        failed: stats.failures.len(),
     }
 }
 

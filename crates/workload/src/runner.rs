@@ -2,9 +2,9 @@
 //! arrival trace on virtual time and reduces completions to the metrics the
 //! paper plots (p99 JCT, mean latency, throughput, per-model stats).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use paella_core::{InferenceRequest, JobCompletion, ModelId, ServingSystem};
+use paella_core::{InferenceRequest, JobCompletion, JobFailure, ModelId, ServingSystem};
 use paella_sim::{Percentiles, SimDuration, SimTime};
 use paella_telemetry::{MetricsSnapshot, TraceLog};
 
@@ -15,6 +15,9 @@ use crate::gen::Arrival;
 pub struct RunStats {
     /// All completions, in completion order.
     pub completions: Vec<JobCompletion>,
+    /// All terminal failures (shed, deadline, disconnect, crash loss), in
+    /// the order the system booked them.
+    pub failures: Vec<JobFailure>,
     /// Span from first submission to last completion.
     pub span: SimDuration,
     /// Completed requests per second over the span.
@@ -22,7 +25,7 @@ pub struct RunStats {
     /// JCT percentiles, microseconds.
     pub jct_us: Percentiles,
     /// Per-model JCT percentiles.
-    pub per_model_jct_us: HashMap<ModelId, Percentiles>,
+    pub per_model_jct_us: BTreeMap<ModelId, Percentiles>,
     /// The run's structured trace, when the system had telemetry enabled.
     pub trace: Option<TraceLog>,
     /// The run's metrics snapshot, when the system had telemetry enabled.
@@ -75,6 +78,9 @@ pub fn run_trace(system: &mut dyn ServingSystem, arrivals: &[Arrival], warmup: u
     system.run_to_idle();
     completions.append(&mut system.drain_completions());
     completions.sort_by_key(|c| c.client_visible_at);
+    // Taken once, at idle: a cluster post-mortem reports how many failures
+    // sit undrained, so draining mid-run would change its dumps.
+    let failures = system.drain_failures();
 
     let first_submit = arrivals.first().map(|a| a.at).unwrap_or(SimTime::ZERO);
     let last_done = completions
@@ -89,7 +95,7 @@ pub fn run_trace(system: &mut dyn ServingSystem, arrivals: &[Arrival], warmup: u
     };
 
     let mut jct_us = Percentiles::new();
-    let mut per_model: HashMap<ModelId, Percentiles> = HashMap::new();
+    let mut per_model: BTreeMap<ModelId, Percentiles> = BTreeMap::new();
     for c in completions.iter().skip(warmup) {
         let us = c.jct().as_micros_f64();
         jct_us.push(us);
@@ -97,6 +103,7 @@ pub fn run_trace(system: &mut dyn ServingSystem, arrivals: &[Arrival], warmup: u
     }
     RunStats {
         completions,
+        failures,
         span,
         throughput,
         jct_us,
@@ -104,43 +111,6 @@ pub fn run_trace(system: &mut dyn ServingSystem, arrivals: &[Arrival], warmup: u
         trace: system.take_trace_log(),
         metrics: system.metrics_snapshot(),
     }
-}
-
-/// One point of a load sweep (a Fig. 11/12 curve sample).
-#[derive(Clone, Copy, Debug)]
-pub struct SweepPoint {
-    /// Offered load, req/s.
-    pub offered: f64,
-    /// Achieved throughput, req/s.
-    pub throughput: f64,
-    /// p99 JCT, µs.
-    pub p99_us: f64,
-    /// Mean JCT, µs.
-    pub mean_us: f64,
-}
-
-/// Sweeps offered load over `rates`, building a fresh system per point via
-/// `make_system` (systems keep state; reuse would leak backlog across
-/// points).
-pub fn load_sweep(
-    mut make_system: impl FnMut() -> Box<dyn ServingSystem>,
-    mut make_arrivals: impl FnMut(f64) -> Vec<Arrival>,
-    rates: &[f64],
-    warmup: usize,
-) -> Vec<SweepPoint> {
-    let mut out = Vec::with_capacity(rates.len());
-    for &rate in rates {
-        let arrivals = make_arrivals(rate);
-        let mut sys = make_system();
-        let mut stats = run_trace(sys.as_mut(), &arrivals, warmup);
-        out.push(SweepPoint {
-            offered: rate,
-            throughput: stats.throughput,
-            p99_us: stats.p99_us(),
-            mean_us: stats.mean_us(),
-        });
-    }
-    out
 }
 
 #[cfg(test)]
@@ -200,37 +170,5 @@ mod tests {
         assert!(na > 50 && nb > 50, "roughly uniform split: {na}/{nb}");
         // The 4-kernel job must be slower on average.
         assert!(stats.model_mean_us(b).unwrap() > stats.model_mean_us(a).unwrap());
-    }
-
-    #[test]
-    fn load_sweep_latency_grows_with_load() {
-        let rates = [500.0, 8_000.0];
-        let points = load_sweep(
-            || {
-                let mut sys = system();
-                sys.register_model(&synthetic::uniform_job(
-                    "u",
-                    4,
-                    SimDuration::from_micros(200),
-                    176,
-                ));
-                Box::new(sys)
-            },
-            |rate| {
-                generate(
-                    &WorkloadSpec::steady(rate, 400),
-                    &Mix::single(paella_core::ModelId(0)),
-                )
-            },
-            &rates,
-            50,
-        );
-        assert_eq!(points.len(), 2);
-        assert!(
-            points[1].p99_us > points[0].p99_us,
-            "overload p99 {} must exceed light-load {}",
-            points[1].p99_us,
-            points[0].p99_us
-        );
     }
 }

@@ -21,9 +21,12 @@ fn smoke_run_is_bit_deterministic() {
             warmup: 40,
             ..ClusterExpSpec::smoke(policy)
         };
-        let a = run_cluster_point(&models, &spec).row();
-        let b = run_cluster_point(&models, &spec).row();
-        assert_eq!(a, b, "{policy:?}: same seed must print identical rows");
+        let a = run_cluster_point(&models, &spec);
+        let b = run_cluster_point(&models, &spec);
+        assert_eq!(
+            a, b,
+            "{policy:?}: same seed must reduce to identical results"
+        );
     }
 }
 
