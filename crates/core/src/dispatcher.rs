@@ -309,10 +309,10 @@ struct Job {
     /// Accumulated framework CPU time attributed to this job.
     framework: SimDuration,
     /// Per-op unreleased-predecessor counts over the model's [`KernelDag`].
-    /// An op activates exactly when its count hits zero; once the op itself
-    /// is released its count is never read again (every predecessor has
-    /// released, and each releases once), so the slot holds [`RELEASED`]
-    /// from then on and doubles as the release-idempotency mark.
+    /// An op activates exactly when its count hits zero. Once the op itself
+    /// is released its count has no reader left, so the slot holds
+    /// [`RELEASED`] from then on and doubles as the release-idempotency
+    /// mark.
     preds_left: Vec<u32>,
     /// Deadline instant, when a deadline factor is configured (SLO ledger).
     deadline_at: Option<SimTime>,
@@ -1444,14 +1444,15 @@ impl Dispatcher {
         if j.preds_left[token as usize] == RELEASED {
             return false;
         }
-        debug_assert_eq!(
-            j.preds_left[token as usize], 0,
-            "released before it activated"
-        );
         let dag = &self.models[j.request.model.0 as usize].dag;
         let mut newly: Vec<u32> = Vec::new();
         for &s in dag.successors(token as usize) {
             let left = &mut j.preds_left[s as usize];
+            // Job-by-job submission runs ahead of a faulted op's retry, so a
+            // successor can complete (and release) before this op does.
+            if *left == RELEASED {
+                continue;
+            }
             debug_assert!(*left > 0, "KernelDag predecessor count underflow");
             *left -= 1;
             if *left == 0 {

@@ -165,17 +165,15 @@ impl Fairness {
     /// later client must be strictly higher to win, so exact-deficit ties
     /// break on the lower client id whatever order clients arrived in.
     fn override_pick(&self) -> Option<JobId> {
-        let mut best: Option<(f64, JobId)> = None;
+        let mut best: Option<(f64, &ClientState)> = None;
         for s in self.clients.values() {
-            let Some(&(_, oldest)) = s.ready.first() else {
-                continue;
-            };
             let d = s.raw_deficit - self.baseline;
-            if d > self.threshold && best.is_none_or(|(bd, _)| d > bd) {
-                best = Some((d, oldest));
+            if !s.ready.is_empty() && d > self.threshold && best.is_none_or(|(bd, _)| d > bd) {
+                best = Some((d, s));
             }
         }
-        best.map(|(_, job)| job)
+        let (_, starved) = best?;
+        starved.ready.first().map(|&(_, job)| job)
     }
 
     /// Charges `client` for one dispatched kernel.
@@ -269,7 +267,7 @@ impl<const BY: u8> Scheduler for RankedScheduler<BY> {
         self.jobs.insert(info.job.0, info);
         if let Some(f) = &mut self.fairness {
             // A client seen for the first time starts at raw 0.0, not at
-            // the baseline (DESIGN §6 records what that means for late
+            // the baseline (DESIGN §4b records what that means for late
             // arrivals; changing it moves pick digests).
             let client = f.clients.entry(info.client).or_default();
             client.ready.insert((info.arrival, info.job));

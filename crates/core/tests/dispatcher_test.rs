@@ -727,20 +727,26 @@ fn every_terminal_request_is_booked_in_the_slo_ledger_once() {
 #[test]
 fn kernel_faults_retry_transparently() {
     // A 10% per-kernel fault rate with budget to spare: everything still
-    // completes, just slower than the fault-free run.
-    let mut cfg = DispatcherConfig::paella();
-    cfg.kernel_fault_rate = 0.10;
-    cfg.retry_budget = 10;
-    let mut d = paella_with(cfg, 42);
-    let model = d.register_model(&synthetic::fig2_job());
-    submit_n(&mut d, model, 32, SimDuration::from_micros(50), 0);
-    d.run_to_idle();
-    let done = d.drain_completions();
-    let failed = d.drain_failures();
-    assert_eq!(done.len(), 32, "retries must mask faults: {failed:?}");
-    assert!(failed.is_empty());
-    assert_eq!(d.inflight(), 0);
-    assert_eq!(d.occupancy_tracked_kernels(), 0);
+    // completes, just slower than the fault-free run. Job-by-job submission
+    // has the whole chain on the device already, so the ops behind a faulted
+    // one complete — and release — before its retry does.
+    for mut cfg in [
+        DispatcherConfig::paella(),
+        DispatcherConfig::paella_ms_jbj(),
+    ] {
+        cfg.kernel_fault_rate = 0.10;
+        cfg.retry_budget = 10;
+        let mut d = paella_with(cfg, 42);
+        let model = d.register_model(&synthetic::fig2_job());
+        submit_n(&mut d, model, 32, SimDuration::from_micros(50), 0);
+        d.run_to_idle();
+        let done = d.drain_completions();
+        let failed = d.drain_failures();
+        assert_eq!(done.len(), 32, "retries must mask faults: {failed:?}");
+        assert!(failed.is_empty());
+        assert_eq!(d.inflight(), 0);
+        assert_eq!(d.occupancy_tracked_kernels(), 0);
+    }
 }
 
 #[test]
