@@ -172,12 +172,15 @@ pub fn analyze_sources(files: &[(String, String)], allow: &str) -> Analysis {
         let toks = tree::lex(&lines);
         let mask = test_mask(&lines);
         rules::token_rules(path, &lines, &toks, &mask, scope, &mut raw_findings);
-        let trees = tree::parse(&lines);
-        let mut items = Items::default();
-        collect_items(&trees, false, &mut items);
-        for f in items.fns.iter().filter(|f| scope.accounting && !f.in_test) {
-            if let Some(body) = f.body {
-                FnWalker::new(path, &fidx, &mut raw_findings).walk_fn(body);
+        if scope.accounting {
+            let trees = tree::parse(&lines);
+            let mut items = Items::default();
+            collect_items(&trees, false, &mut items);
+            let mut walker = FnWalker::new(path, &fidx, &mut raw_findings);
+            for f in items.fns.iter().filter(|f| !f.in_test) {
+                if let Some(body) = f.body {
+                    walker.walk_fn(body);
+                }
             }
         }
     }

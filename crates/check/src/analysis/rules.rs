@@ -500,12 +500,10 @@ impl<'a> FnWalker<'a> {
         }
     }
 
-    /// Walks a function body.
+    /// Walks a function body. `walk_block` leaves the scope stacks as it
+    /// found them, so one walker serves every fn of a file.
     pub fn walk_fn(&mut self, body: &[Tree]) {
         self.walk_block(body);
-        self.conds.clear();
-        self.guards.clear();
-        self.binds.clear();
     }
 
     /// Whether the innermost binding of `name` refers to a counter.
