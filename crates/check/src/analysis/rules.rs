@@ -1,29 +1,21 @@
-//! Rules R1–R9 over token trees.
+//! Rules R1–R9: one pass over the flat token stream of each file.
 //!
-//! Two execution strategies, matched to what each rule needs:
+//! Every rule needs operator fusion, literal blanking and the `#[cfg(test)]`
+//! mask and nothing more; the two that care about scope (R5: inside which
+//! `fn`; R7: which asserts are still in scope) count brace depth as the pass
+//! goes. Each rule is either a flat ban (R1, R4, R5, R6, R9) or a ban whose
+//! exception is written at the site as a tagged comment found by
+//! [`justified`](crate::lint::justified): `relaxed:` (R2), `invariant:`
+//! (R3), `sub:` (R7), the ordering tags (R8). There is no second place to
+//! suppress a finding.
 //!
-//! * **Linear token rules** (R1–R4, R6, R8, R9) scan the flat token stream
-//!   with the `#[cfg(test)]` mask — they need operator fusion and
-//!   literal-blanking but no block structure. R6 is a type ban: the
-//!   identifiers `HashMap`/`HashSet` (and the seeded hashers behind them)
-//!   may not appear in non-test code of the virtual-time stack, so there is
-//!   no iteration order to audit.
-//! * **The dataflow-lite rule** (R7 accounting) walks function bodies
-//!   statement by statement, tracking `let` bindings, enclosing
-//!   `if`/`while` conditions, preceding `assert!` guards, and the
-//!   workspace-wide struct-field index, so it can tell an unsigned counter's
-//!   bare `-=` from one a `debug_assert!` or a comparison protects.
-//!
-//! Every rule is heuristic by design: it must never panic on odd code, and
-//! it errs toward flagging — the allowlist (with a written justification)
-//! is the pressure valve, not a weaker rule.
+//! The rules must never panic on odd code, and they err toward flagging.
 
-use std::collections::HashMap;
+use super::tree::{group_end, lex, seq, test_mask, Tok};
+use crate::lint::{justified, tokenize, Violation};
 
-use super::items::StructItem;
-use super::tree::{linearize, LTok, Tok, Tree};
-use crate::lint::{justified, Line, Violation};
-
+/// R5 rule id.
+pub const R5: &str = "trace-event-exhaustiveness";
 /// R6 rule id.
 pub const R6: &str = "det-hash-container";
 /// R7 rule id.
@@ -33,7 +25,8 @@ pub const R8: &str = "atomic-ordering-audit";
 /// R9 rule id.
 pub const R9: &str = "float-cmp-totality";
 
-/// Which rules apply to a workspace-relative path.
+/// Which rules apply to a workspace-relative path. Scopes are directories,
+/// so splitting a file needs no edit here.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
     /// R1: virtual-time stack (sim/core/gpu/cluster/llm/workload/telemetry
@@ -41,16 +34,18 @@ pub struct Scope {
     pub sim_stack: bool,
     /// R2: lock-free channels.
     pub channels: bool,
-    /// R3: per-request hot paths.
-    pub hot_path: bool,
+    /// R3 and R7: the serving engines (core, cluster, gpu, llm) minus the
+    /// reference model `core/src/waitlist.rs`.
+    pub engine: bool,
     /// R4: every crate's `src/`.
     pub library: bool,
+    /// R5: the function of this file that must match every `TraceEvent`
+    /// variant by name.
+    pub exhaustive_fn: Option<&'static str>,
     /// R6: the virtual-time stack minus the reference model
     /// `core/src/waitlist.rs` (it is compared against, never on a run's
     /// path, and is meant to be the naive implementation).
     pub hash_free: bool,
-    /// R7: occupancy/accounting structs (core, cluster, gpu).
-    pub accounting: bool,
     /// R8: atomic operations (channels, core).
     pub atomics: bool,
     /// R9: float comparisons feeding decisions.
@@ -66,6 +61,7 @@ pub fn scope_of(path: &str) -> Scope {
     let sim = starts("crates/sim/src/");
     let workload = starts("crates/workload/src/");
     let llm = starts("crates/llm/src/");
+    let reference_model = path == "crates/core/src/waitlist.rs";
     let sim_stack = sim
         || core
         || gpu
@@ -77,121 +73,18 @@ pub fn scope_of(path: &str) -> Scope {
     Scope {
         sim_stack,
         channels: starts("crates/channels/src/"),
-        hot_path: matches!(
-            path,
-            "crates/core/src/dispatcher.rs" | "crates/core/src/serve.rs"
-        ) || cluster,
+        engine: (core || cluster || gpu || llm) && !reference_model,
         library: starts("crates/") && path.contains("/src/"),
-        hash_free: sim_stack && path != "crates/core/src/waitlist.rs",
-        accounting: core || cluster || gpu || llm,
+        exhaustive_fn: match path {
+            "crates/telemetry/src/event.rs" => Some("kind"),
+            "crates/telemetry/src/export.rs" => Some("chrome_trace_json"),
+            _ => None,
+        },
+        hash_free: sim_stack && !reference_model,
         atomics: starts("crates/channels/src/") || core,
         float_cmp: sim || core || cluster || workload || gpu || llm,
     }
 }
-
-// ---------------------------------------------------------------------------
-// Struct-field index
-// ---------------------------------------------------------------------------
-
-/// What the rules know about one struct field.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FieldClass {
-    /// Unsigned scalar counter/gauge (counter-ish name): `-=` can underflow.
-    pub counter: bool,
-    /// Map with unsigned counter values: `*map.get_mut(k) -= …` underflows.
-    pub counter_map: bool,
-}
-
-impl FieldClass {
-    fn merge(self, other: FieldClass) -> FieldClass {
-        // Name collisions across structs resolve conservatively: a field
-        // name that is a counter *anywhere* is treated so everywhere the
-        // same-file index has no better answer.
-        FieldClass {
-            counter: self.counter || other.counter,
-            counter_map: self.counter_map || other.counter_map,
-        }
-    }
-}
-
-/// Name fragments marking a field as an accounting counter/gauge.
-const COUNTER_FRAGMENTS: &[&str] = &[
-    "count",
-    "outstanding",
-    "inflight",
-    "queued",
-    "free",
-    "used",
-    "len",
-    "resident",
-    "running",
-    "unplaced",
-    "reserved",
-    "blocks",
-    "threads",
-    "registers",
-    "regs",
-    "shmem",
-    "slots",
-    "occupancy",
-    "credits",
-    "budget",
-    "seq",
-    "per_sm",
-];
-
-const UNSIGNED: &[&str] = &["u8", "u16", "u32", "u64", "u128", "usize"];
-
-fn classify_field(name: &str, ty: &str) -> FieldClass {
-    let toks: Vec<&str> = ty.split_whitespace().collect();
-    let unsigned_somewhere = toks.iter().any(|t| UNSIGNED.contains(t));
-    let named = COUNTER_FRAGMENTS.iter().any(|f| name.contains(f));
-    let is_map = toks
-        .first()
-        .is_some_and(|t| *t == "HashMap" || *t == "BTreeMap" || t.ends_with("Map"));
-    FieldClass {
-        counter: toks.len() == 1 && unsigned_somewhere && named,
-        counter_map: is_map && unsigned_somewhere && named,
-    }
-}
-
-/// Workspace-wide struct-field classification. Lookup prefers fields of
-/// structs declared in the same file; unknown names fall back to the global
-/// (conservatively merged) index, so cross-crate field accesses still
-/// classify.
-#[derive(Debug, Default)]
-pub struct FieldIndex {
-    per_file: HashMap<String, HashMap<String, FieldClass>>,
-    global: HashMap<String, FieldClass>,
-}
-
-impl FieldIndex {
-    /// Adds every field of `structs` (declared in `path`) to the index.
-    pub fn add_structs(&mut self, path: &str, structs: &[StructItem]) {
-        let file = self.per_file.entry(path.to_string()).or_default();
-        for s in structs {
-            for f in &s.fields {
-                let c = classify_field(&f.name, &f.ty);
-                let e = file.entry(f.name.clone()).or_default();
-                *e = e.merge(c);
-                let g = self.global.entry(f.name.clone()).or_default();
-                *g = g.merge(c);
-            }
-        }
-    }
-
-    /// Classification of field `name` as seen from `path`.
-    pub fn lookup(&self, path: &str, name: &str) -> FieldClass {
-        if let Some(c) = self.per_file.get(path).and_then(|m| m.get(name)) {
-            return *c;
-        }
-        self.global.get(name).copied().unwrap_or_default()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Linear token rules: R1–R4, R6, R8, R9
-// ---------------------------------------------------------------------------
 
 const ATOMIC_METHODS: &[&str] = &[
     "load",
@@ -220,22 +113,37 @@ fn ordering_tag(ordering: &str) -> Option<&'static str> {
     }
 }
 
-fn seq(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
-    pat.iter()
-        .enumerate()
-        .all(|(k, p)| toks.get(i + k).is_some_and(|t| t.text == *p))
+/// Last path component of the place expression that ends just before `at`
+/// (`k.running` → `running`, `self.per_sm[i]` → `per_sm`, `*free` → `free`),
+/// stepping over trailing index and call groups. `None` when the expression
+/// does not end in a name an assert could mention.
+fn place_before(toks: &[Tok], at: usize) -> Option<&str> {
+    let mut j = at;
+    while j > 0 && matches!(toks[j - 1].text.as_str(), "]" | ")") {
+        let mut depth = 0usize;
+        while j > 0 {
+            j -= 1;
+            match toks[j].text.as_str() {
+                "]" | ")" => depth += 1,
+                "[" | "(" => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    let t = toks.get(j.checked_sub(1)?)?;
+    (t.ident && !t.text.starts_with(|c: char| c.is_ascii_digit())).then_some(t.text.as_str())
 }
 
-/// Runs the token-stream rules over one file.
+/// Runs every rule in scope at `path` over the file's token stream.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn token_rules(
-    path: &str,
-    lines: &[Line],
-    toks: &[Tok],
-    mask: &[bool],
-    scope: Scope,
-    out: &mut Vec<Violation>,
-) {
+pub(crate) fn token_rules(path: &str, src: &str, out: &mut Vec<Violation>) {
+    let scope = scope_of(path);
+    let lines = &tokenize(src);
+    let toks = &lex(lines);
+    let mask = test_mask(toks);
     let mut push = |line: usize, rule: &'static str, message: String| {
         out.push(Violation {
             file: path.to_string(),
@@ -244,8 +152,22 @@ pub(crate) fn token_rules(
             message,
         });
     };
-    let in_test = |line: usize| mask.get(line).copied().unwrap_or(false);
+    // R7: the identifiers named by asserts so far, one frame per open brace,
+    // so `asserted.len()` is also the brace depth.
+    let mut asserted: Vec<Vec<&str>> = Vec::new();
+    // R5: brace depth of the `fn` token while inside `scope.exhaustive_fn`.
+    let mut exhaustive_at: Option<usize> = None;
     for (i, t) in toks.iter().enumerate() {
+        match t.text.as_str() {
+            "{" => asserted.push(Vec::new()),
+            "}" => {
+                asserted.pop();
+                if exhaustive_at == Some(asserted.len()) {
+                    exhaustive_at = None;
+                }
+            }
+            _ => {}
+        }
         // R1: wall clock in the virtual-time stack (applies in tests too —
         // a test that reads the host clock is as nondeterministic as the
         // code it checks).
@@ -256,7 +178,7 @@ pub(crate) fn token_rules(
                 "wall-clock time in the virtual-time simulation stack".into(),
             );
         }
-        if in_test(t.line) {
+        if mask[i] {
             continue;
         }
         // R2: Relaxed in channels needs a written argument.
@@ -270,13 +192,13 @@ pub(crate) fn token_rules(
                 "Ordering::Relaxed without a `relaxed:` justification comment".into(),
             );
         }
-        // R3: hot-path unwrap/bare expect.
-        if scope.hot_path {
+        // R3: unwrap/bare expect in an engine.
+        if scope.engine {
             if seq(toks, i, &[".", "unwrap", "(", ")"]) {
                 push(
                     toks[i + 1].line,
                     "hot-path-unwrap",
-                    "unwrap() on a request hot path; use expect() with an `invariant:` comment"
+                    "unwrap() in a serving engine; use expect() with an `invariant:` comment"
                         .into(),
                 );
             }
@@ -286,7 +208,7 @@ pub(crate) fn token_rules(
                 push(
                     toks[i + 1].line,
                     "hot-path-unwrap",
-                    "expect() on a request hot path without an `invariant:` comment".into(),
+                    "expect() in a serving engine without an `invariant:` comment".into(),
                 );
             }
         }
@@ -297,6 +219,22 @@ pub(crate) fn token_rules(
                 "no-thread-sleep",
                 "thread::sleep in library code; the stack is event-driven".into(),
             );
+        }
+        // R5: no wildcard arm in the two functions that consume every
+        // `TraceEvent` variant. Without one, rustc itself rejects a variant
+        // that lacks an arm; with one, the next variant someone adds is
+        // silently swallowed, which is how observability gaps are born.
+        if let Some(name) = scope.exhaustive_fn {
+            if seq(toks, i, &["fn", name]) {
+                exhaustive_at = Some(asserted.len());
+            }
+            if exhaustive_at.is_some() && seq(toks, i, &["_", "=>"]) {
+                push(
+                    t.line,
+                    R5,
+                    format!("wildcard `_ =>` in {name}() swallows new TraceEvent variants"),
+                );
+            }
         }
         // R6: no seeded-hash container (or hasher) in the virtual-time
         // stack, used or merely named — `IdMap` and `BTreeMap` iterate in
@@ -318,6 +256,42 @@ pub(crate) fn token_rules(
                 ),
             );
         }
+        // R7: in an engine a subtraction says why it cannot underflow —
+        // an assert that names the subtracted place, earlier in this or an
+        // enclosing block, or a `sub:` comment. `saturating_sub` is no
+        // proof: it masks the underflow the assert would report.
+        if scope.engine {
+            let is_assert = t.text.starts_with("assert") || t.text.starts_with("debug_assert");
+            if is_assert && seq(toks, i + 1, &["!", "("]) {
+                if let Some(frame) = asserted.last_mut() {
+                    let args = &toks[i + 2..group_end(toks, i + 2)];
+                    frame.extend(args.iter().filter(|a| a.ident).map(|a| a.text.as_str()));
+                }
+            }
+            let place = match t.text.as_str() {
+                "-=" => Some(place_before(toks, i)),
+                "saturating_sub" | "wrapping_sub" if i > 0 && toks[i - 1].text == "." => {
+                    Some(place_before(toks, i - 1))
+                }
+                // `u64::saturating_sub(a, b)`: no receiver to name.
+                "saturating_sub" | "wrapping_sub" => Some(None),
+                _ => None,
+            };
+            if let Some(place) = place {
+                let named = place.is_some_and(|p| asserted.iter().flatten().any(|name| *name == p));
+                if !named && !justified(lines, t.line, "sub:") {
+                    push(
+                        t.line,
+                        R7,
+                        format!(
+                            "`{}` on `{}` with no earlier assert naming it in scope and no `sub:` comment saying what bounds it",
+                            t.text,
+                            place.unwrap_or("<expression>")
+                        ),
+                    );
+                }
+            }
+        }
         // R8: every atomic op needs a per-operation ordering justification.
         if scope.atomics
             && t.ident
@@ -326,48 +300,33 @@ pub(crate) fn token_rules(
             && toks[i - 1].text == "."
             && toks.get(i + 1).is_some_and(|n| n.text == "(")
         {
-            // Scan the argument region (to the matching close paren) for
-            // Ordering::X mentions; no Ordering argument ⇒ not an atomic op
-            // (e.g. `.load` of a config cache).
-            let mut depth = 0i64;
-            let mut j = i + 1;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        if depth <= 0 {
-                            break;
-                        }
-                    }
-                    "Ordering" if seq(toks, j, &["Ordering", "::"]) => {
-                        if let Some(ord) = toks.get(j + 2) {
-                            let tag = ordering_tag(&ord.text);
-                            // R2 already owns Relaxed-in-channels; R8 covers
-                            // every other (file, ordering) pair so no op is
-                            // double-reported.
-                            let r2_owns = scope.channels && ord.text == "Relaxed";
-                            if let (Some(tag), false) = (tag, r2_owns) {
-                                let ok = justified(lines, ord.line, tag)
-                                    || justified(lines, ord.line, "ordering:")
-                                    || justified(lines, t.line, tag)
-                                    || justified(lines, t.line, "ordering:");
-                                if !ok {
-                                    push(
-                                        ord.line,
-                                        R8,
-                                        format!(
-                                            "atomic `{}` with Ordering::{} lacks an adjacent `{}` (or `ordering:`) justification",
-                                            t.text, ord.text, tag
-                                        ),
-                                    );
-                                }
-                            }
-                        }
-                    }
-                    _ => {}
+            // Scan the argument list for Ordering::X mentions; no Ordering
+            // argument ⇒ not an atomic op (e.g. `.load` of a config cache).
+            for j in i + 1..group_end(toks, i + 1) {
+                if !seq(toks, j, &["Ordering", "::"]) {
+                    continue;
                 }
-                j += 1;
+                let Some(ord) = toks.get(j + 2) else { continue };
+                // R2 already owns Relaxed-in-channels; R8 covers every other
+                // (file, ordering) pair so no op is double-reported.
+                let r2_owns = scope.channels && ord.text == "Relaxed";
+                let Some(tag) = ordering_tag(&ord.text).filter(|_| !r2_owns) else {
+                    continue;
+                };
+                let ok = justified(lines, ord.line, tag)
+                    || justified(lines, ord.line, "ordering:")
+                    || justified(lines, t.line, tag)
+                    || justified(lines, t.line, "ordering:");
+                if !ok {
+                    push(
+                        ord.line,
+                        R8,
+                        format!(
+                            "atomic `{}` with Ordering::{} lacks an adjacent `{}` (or `ordering:`) justification",
+                            t.text, ord.text, tag
+                        ),
+                    );
+                }
             }
         }
         // R9: NaN-unsafe comparisons in decision code. `fn partial_cmp` is
@@ -410,281 +369,12 @@ pub(crate) fn token_rules(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Dataflow-lite walker: R7 accounting
-// ---------------------------------------------------------------------------
-
-/// One scanned token of a statement (delimiters included as plain tokens).
-#[derive(Clone, Debug)]
-struct S {
-    t: String,
-    line: usize,
-    id: bool,
-}
-
-fn scan(trees: &[Tree]) -> Vec<S> {
-    let mut l = Vec::new();
-    linearize(trees, false, &mut l);
-    l.into_iter()
-        .map(|x| match x {
-            LTok::T(t) => S {
-                id: t.ident,
-                t: t.text,
-                line: t.line,
-            },
-            other => S {
-                t: other.text().to_string(),
-                line: other.line(),
-                id: false,
-            },
-        })
-        .collect()
-}
-
-/// Walks back from the operator/dot at `at` and collects the receiver chain
-/// (outermost first), plus whether it was dereferenced (`*x`). Gives up
-/// (empty chain) on anything but a plain `a.b.c` path — unknown receivers
-/// are never flagged.
-fn chain_back(s: &[S], at: usize) -> (Vec<String>, bool) {
-    let mut chain = Vec::new();
-    let mut j = at;
-    loop {
-        if j == 0 {
-            chain.clear();
-            break;
-        }
-        j -= 1;
-        if s[j].id {
-            chain.push(s[j].t.clone());
-        } else {
-            chain.clear();
-            break;
-        }
-        if j == 0 {
-            break;
-        }
-        if s[j - 1].t == "." {
-            j -= 1;
-            continue;
-        }
-        break;
-    }
-    let deref = !chain.is_empty() && j > 0 && s[j - 1].t == "*";
-    chain.reverse();
-    (chain, deref)
-}
-
-/// Per-function walker state for R7; only files in the `accounting` scope
-/// are walked.
-pub(crate) struct FnWalker<'a> {
-    pub path: &'a str,
-    pub fidx: &'a FieldIndex,
-    pub out: &'a mut Vec<Violation>,
-    conds: Vec<Vec<String>>,
-    guards: Vec<Vec<String>>,
-    /// `let` bindings in scope, innermost last, and whether each was
-    /// initialised from a counter field (so `*name -= …` is a counter
-    /// subtraction).
-    binds: Vec<(String, bool)>,
-}
-
-impl<'a> FnWalker<'a> {
-    pub fn new(path: &'a str, fidx: &'a FieldIndex, out: &'a mut Vec<Violation>) -> Self {
-        FnWalker {
-            path,
-            fidx,
-            out,
-            conds: Vec::new(),
-            guards: Vec::new(),
-            binds: Vec::new(),
-        }
-    }
-
-    /// Walks a function body. `walk_block` leaves the scope stacks as it
-    /// found them, so one walker serves every fn of a file.
-    pub fn walk_fn(&mut self, body: &[Tree]) {
-        self.walk_block(body);
-    }
-
-    /// Whether the innermost binding of `name` refers to a counter.
-    fn counter_ref(&self, name: &str) -> bool {
-        self.binds
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .is_some_and(|&(_, counter)| counter)
-    }
-
-    /// Whether the RHS of a `let` (the scanned tokens after `=`) names a
-    /// counter field.
-    fn init_names_counter(&self, s: &[S], eq: usize) -> bool {
-        s[eq + 1..].iter().any(|t| {
-            let c = self.fidx.lookup(self.path, &t.t);
-            t.id && (c.counter || c.counter_map)
-        })
-    }
-
-    /// Extracts bindings from a control header containing `let`
-    /// (`if let Some(r) = …`, `while let …`): pattern idents bind to the
-    /// RHS classification.
-    fn header_let_binds(&mut self, s: &[S]) {
-        let Some(let_at) = s.iter().position(|t| t.t == "let") else {
-            return;
-        };
-        let Some(eq_rel) = s[let_at..].iter().position(|t| t.t == "=") else {
-            return;
-        };
-        let eq = let_at + eq_rel;
-        let bind = self.init_names_counter(s, eq);
-        for t in &s[let_at + 1..eq] {
-            if t.id && t.t.starts_with(|c: char| c.is_ascii_lowercase()) && t.t != "mut" {
-                self.binds.push((t.t.clone(), bind));
-            }
-        }
-    }
-
-    fn walk_block(&mut self, children: &[Tree]) {
-        let stmts = super::tree::split_stmts(children);
-        let base_binds = self.binds.len();
-        let base_guards = self.guards.len();
-        for stmt in &stmts {
-            // Split a trailing `{}` group off: its statements are walked
-            // recursively; everything before it is this statement's header.
-            let (head, block) = match stmt.trees.last() {
-                Some(Tree::Group {
-                    delim: '{',
-                    children,
-                    ..
-                }) => (&stmt.trees[..stmt.trees.len() - 1], Some(children)),
-                _ => (stmt.trees, None),
-            };
-            let s = scan(head);
-            self.check_sub(&s, &stmt.text);
-            // Record guards and bindings *after* checking the statement
-            // itself (a guard does not exempt its own line).
-            let first = s.first().map(|t| t.t.as_str()).unwrap_or("");
-            if first.starts_with("assert") || first.starts_with("debug_assert") {
-                self.guards
-                    .push(s.iter().filter(|t| t.id).map(|t| t.t.clone()).collect());
-            }
-            if first == "let" {
-                let name = s
-                    .iter()
-                    .skip(1)
-                    .find(|t| t.id && t.t != "mut")
-                    .map(|t| t.t.clone());
-                if let (Some(name), Some(eq)) = (name, s.iter().position(|t| t.t == "=")) {
-                    let bind = self.init_names_counter(&s, eq);
-                    self.binds.push((name, bind));
-                }
-            }
-            if let Some(block) = block {
-                let inner_binds = self.binds.len();
-                let is_cond = first == "if"
-                    || first == "while"
-                    || (first == "else" && s.iter().any(|t| t.t == "if"));
-                if s.iter().any(|t| t.t == "let") && first != "let" {
-                    self.header_let_binds(&s);
-                }
-                if is_cond {
-                    self.conds.push(s.iter().map(|t| t.t.clone()).collect());
-                }
-                self.walk_block(block);
-                if is_cond {
-                    self.conds.pop();
-                }
-                self.binds.truncate(inner_binds);
-            }
-        }
-        self.binds.truncate(base_binds);
-        self.guards.truncate(base_guards);
-    }
-
-    // -- R7 ---------------------------------------------------------------
-
-    fn check_sub(&mut self, s: &[S], stmt_text: &str) {
-        if stmt_text.contains("checked_sub") || stmt_text.contains("saturating_sub") {
-            return;
-        }
-        for i in 0..s.len() {
-            let sub_assign = s[i].t == "-=";
-            // The `x = x - y` spelling of the same unchecked subtraction.
-            let reassign = s[i].t == "=" && {
-                let (chain, deref) = chain_back(s, i);
-                !chain.is_empty() && rhs_repeats_lvalue(s, i, &chain, deref)
-            };
-            if !sub_assign && !reassign {
-                continue;
-            }
-            let (chain, deref) = chain_back(s, i);
-            let Some(comp) = chain.last().cloned() else {
-                continue;
-            };
-            let is_counter = if deref {
-                chain.len() == 1 && self.counter_ref(&comp)
-            } else if chain.len() >= 2 {
-                self.fidx.lookup(self.path, &comp).counter
-            } else {
-                false // bare locals are not struct accounting state
-            };
-            if !is_counter || self.sub_guarded(&comp) {
-                continue;
-            }
-            self.out.push(Violation {
-                file: self.path.to_string(),
-                line: s[i].line + 1,
-                rule: R7,
-                message: format!(
-                    "unchecked subtraction on unsigned counter `{}`; use checked_sub/saturating_sub \
-                     or precede with a debug_assert naming `{comp}`",
-                    chain.join(".")
-                ),
-            });
-        }
-    }
-
-    /// Whether `comp` is protected by a preceding assert in this or an
-    /// enclosing block, or by an enclosing comparison condition naming it.
-    fn sub_guarded(&self, comp: &str) -> bool {
-        if self.guards.iter().any(|g| g.iter().any(|t| t == comp)) {
-            return true;
-        }
-        self.conds.iter().any(|c| {
-            c.iter().any(|t| t == comp)
-                && c.iter().any(|t| {
-                    matches!(t.as_str(), ">" | ">=" | "!=" | "<" | "<=") || t == "checked_sub"
-                })
-        })
-    }
-}
-
-/// Whether the tokens after the `=` at `eq` repeat the lvalue chain and then
-/// subtract (`self.len = self.len - 1`).
-fn rhs_repeats_lvalue(s: &[S], eq: usize, chain: &[String], deref: bool) -> bool {
-    let mut expect: Vec<String> = Vec::new();
-    if deref {
-        expect.push("*".into());
-    }
-    for (k, c) in chain.iter().enumerate() {
-        if k > 0 {
-            expect.push(".".into());
-        }
-        expect.push(c.clone());
-    }
-    expect.push("-".into());
-    s[eq + 1..]
-        .iter()
-        .take(expect.len())
-        .map(|t| t.t.as_str())
-        .eq(expect.iter().map(String::as_str))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn analyze_snippet(path: &str, src: &str) -> Vec<Violation> {
-        crate::analysis::analyze_sources(&[(path.to_string(), src.to_string())], "").findings
+        crate::analysis::analyze_sources(&[(path.to_string(), src.to_string())]).findings
     }
 
     const SCHED: &str = "crates/core/src/sched.rs";
@@ -735,21 +425,24 @@ mod tests {
     }
 
     #[test]
-    fn r3_hot_paths_take_no_unwrap_and_no_bare_expect() {
+    fn r3_engines_take_no_unwrap_and_no_bare_expect() {
         let unwrap = "fn f(x: Option<u8>) { x.unwrap(); }\n";
         let bare = "fn f(x: Option<u8>) { x.expect(\"msg\"); }\n";
         let ok = "fn f(x: Option<u8>) {\n    // invariant: checked by caller\n    x.expect(\"msg\");\n}\n";
         for path in [
             "crates/core/src/dispatcher.rs",
-            "crates/core/src/serve.rs",
-            "crates/cluster/src/lib.rs",
+            "crates/core/src/a_file_split_out_of_it.rs",
             "crates/cluster/src/router.rs",
+            "crates/gpu/src/engine.rs",
+            "crates/llm/src/engine.rs",
         ] {
             assert_eq!(rules_at(path, unwrap), ["hot-path-unwrap"], "{path}");
             assert_eq!(rules_at(path, bare), ["hot-path-unwrap"], "{path}");
             assert!(rules_at(path, ok).is_empty(), "{path}");
         }
-        assert!(rules_at("crates/core/src/waitlist.rs", unwrap).is_empty());
+        for path in ["crates/core/src/waitlist.rs", "crates/sim/src/event.rs"] {
+            assert!(rules_at(path, unwrap).is_empty(), "{path}");
+        }
     }
 
     #[test]
@@ -793,61 +486,106 @@ mod tests {
         }
     }
 
-    const DISP: &str = "crates/core/src/dispatcher.rs";
-
     #[test]
-    fn r7_flags_bare_counter_sub() {
-        let src = "struct S { outstanding: u64 }\n\
-            impl S {\n    fn f(&mut self) {\n        self.outstanding -= 1;\n    }\n}\n";
-        let v: Vec<_> = analyze_snippet(DISP, src)
-            .into_iter()
-            .filter(|v| v.rule == R7)
-            .collect();
+    fn r5_no_wildcard_arm_where_every_variant_is_consumed() {
+        const EVENT: &str = "crates/telemetry/src/event.rs";
+        const EXPORT: &str = "crates/telemetry/src/export.rs";
+        let kind = "impl TraceEvent {\n    pub fn kind(&self) -> &'static str {\n        match self {\n            TraceEvent::A(_) => \"a\",\n            _ => \"rest\",\n        }\n    }\n}\n";
+        let v = analyze_snippet(EVENT, kind);
         assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("outstanding"));
+        assert_eq!((v[0].rule, v[0].line), (R5, 5));
+        let render = "pub fn chrome_trace_json(log: &TraceLog) -> String {\n    for e in &log.events {\n        match &e.event {\n            TraceEvent::A(_) => a(),\n            _ => {}\n        }\n    }\n}\n";
+        assert_eq!(rules_at(EXPORT, render), [R5]);
+        // The ban is per function: a wildcard before, after, or in another
+        // file is an ordinary match.
+        let clean = [
+            (EVENT, "fn other(x: u8) -> u8 { match x { 0 => 1, _ => 2 } }\nfn kind(e: &E) -> u8 { match e { E::A => 0 } }\nfn after(x: u8) -> u8 { match x { 0 => 1, _ => 2 } }\n"),
+            (EXPORT, "fn pair_sm_spans(log: &TraceLog) { match e { A => {} _ => {} } }\n"),
+            ("crates/telemetry/src/tracer.rs", kind),
+        ];
+        for (path, src) in clean {
+            assert!(rules_at(path, src).is_empty(), "{path}: {src}");
+        }
     }
 
     #[test]
-    fn r7_debug_assert_before_sub_exempts() {
-        let src = "struct S { outstanding: u64 }\n\
-            impl S {\n    fn f(&mut self) {\n        debug_assert!(self.outstanding >= 1, \"underflow\");\n        self.outstanding -= 1;\n    }\n}\n";
-        assert!(analyze_snippet(DISP, src).iter().all(|v| v.rule != R7));
+    fn r7_a_subtraction_names_its_assert_or_says_why() {
+        const OCC: &str = "crates/core/src/occupancy.rs";
+        // Each flagged snippet holds exactly one subtraction.
+        let flagged = [
+            // Five subtractions on unsigned struct counters, of which the
+            // dataflow walker this rule replaced flagged only the fifth: the
+            // others have names outside its fragment list, an indexed
+            // place, or a saturating_sub it counted as proof.
+            "fn f(&mut self) { self.pending -= 1; }\n",
+            "fn f(&mut self) { self.waiting_jobs -= 1; }\n",
+            "fn f(&mut self, i: usize) { self.per_sm[i] -= 1; }\n",
+            "fn f(&mut self) { self.outstanding = self.outstanding.saturating_sub(1); }\n",
+            "fn f(&mut self) { self.outstanding -= 1; }\n",
+            "fn f(a: u64, b: u64) -> u64 { a.wrapping_sub(b) }\n",
+            // An assert that names a different field.
+            "fn f(&mut self) {\n    debug_assert!(self.resident_blocks >= 1);\n    self.running -= 1;\n}\n",
+            // An assert in a sibling block that has already closed.
+            "fn f(&mut self) {\n    if self.check {\n        assert!(self.running >= 1);\n    }\n    self.running -= 1;\n}\n",
+            // Floats get no pass: nothing says the type, so the site does.
+            "fn f(&mut self, d: f64) { self.work_us -= d; }\n",
+            // A `sub:` on the previous statement only.
+            "fn f(&mut self) {\n    // sub: bounded by the line below\n    let n = 1;\n    self.running -= n;\n}\n",
+            // A name in the assert's message string is not in its arguments.
+            "fn f(&mut self) {\n    debug_assert!(true, \"running underflow\");\n    self.running -= 1;\n}\n",
+            // No place an assert could name.
+            "fn f(a: u64, b: u64) -> u64 { (a + b).saturating_sub(1) }\n",
+            "fn f(p: &mut (u64, u64)) {\n    debug_assert!(p.0 > 0);\n    p.0 -= 1;\n}\n",
+        ];
+        for src in flagged {
+            assert_eq!(rules_at(OCC, src), [R7], "{src}");
+        }
+        let clean = [
+            // An assert naming the component, in the same block…
+            "fn f(&mut self, k: &mut K, n: u32) {\n    debug_assert!(k.running >= n, \"underflow\");\n    k.running -= n;\n}\n",
+            "fn f(&mut self, i: usize) {\n    assert!(self.per_sm[i] > 0);\n    self.per_sm[i] -= 1;\n}\n",
+            "fn f(free: &mut u32) {\n    debug_assert_ne!(*free, 0);\n    *free -= 1;\n}\n",
+            // …and in an enclosing one.
+            "fn f(&mut self) {\n    debug_assert!(self.running >= 2);\n    for _ in 0..2 {\n        if self.on {\n            self.running -= 1;\n        }\n    }\n}\n",
+            "fn f(&mut self) {\n    assert!(self.left >= 1);\n    self.left = self.left.saturating_sub(1);\n}\n",
+            // Same-line and comment-above `sub:`.
+            "fn f(&mut self, d: f64) { self.work_us -= d; } // sub: f64, may go negative\n",
+            "fn f(&mut self) {\n    // sub: the loop runs at most `left` times,\n    // see the bound above.\n    self.left -= 1;\n}\n",
+            // checked_sub returns the underflow to its caller.
+            "fn f(a: u64, b: u64) -> Option<u64> { a.checked_sub(b) }\n",
+        ];
+        for src in clean {
+            assert!(rules_at(OCC, src).is_empty(), "{src}");
+        }
+        // Out of scope: test code, the reference model, crates that are
+        // not engines.
+        let bare = flagged[0];
+        let gated = format!("#[cfg(test)]\nmod tests {{\n    {bare}}}\n");
+        assert!(rules_at(OCC, &gated).is_empty());
+        for path in [
+            "crates/core/src/waitlist.rs",
+            "crates/workload/src/runner.rs",
+            "crates/sim/src/event.rs",
+        ] {
+            assert!(rules_at(path, bare).is_empty(), "{path}");
+        }
+        for path in [
+            "crates/cluster/src/router.rs",
+            "crates/gpu/src/engine.rs",
+            "crates/llm/src/kv.rs",
+        ] {
+            assert_eq!(rules_at(path, bare), [R7], "{path}");
+        }
     }
 
     #[test]
-    fn r7_comparison_condition_exempts() {
-        let src = "struct S { reserved: HashMap<u32, u64> }\n\
-            impl S {\n    fn f(&mut self, k: u32) {\n        if let Some(r) = self.reserved.get_mut(&k) {\n            if *r > 0 {\n                *r -= 1;\n            }\n        }\n    }\n}\n";
-        assert!(analyze_snippet(DISP, src).iter().all(|v| v.rule != R7));
-    }
-
-    #[test]
-    fn r7_deref_of_counter_map_entry_is_flagged() {
-        let src = "struct S { client_inflight: HashMap<u32, u64> }\n\
-            impl S {\n    fn f(&mut self, c: u32) {\n        if let Some(n) = self.client_inflight.get_mut(&c) {\n            *n -= 1;\n        }\n    }\n}\n";
-        let v: Vec<_> = analyze_snippet(DISP, src)
-            .into_iter()
-            .filter(|v| v.rule == R7)
-            .collect();
-        assert_eq!(v.len(), 1, "{v:?}");
-    }
-
-    #[test]
-    fn r7_float_and_local_subs_are_exempt() {
-        let src = "struct S { work_us: f64 }\n\
-            impl S {\n    fn f(&mut self, d: f64) {\n        self.work_us -= d;\n        let mut left = 3;\n        left -= 1;\n        go(left);\n    }\n}\n";
-        assert!(analyze_snippet(DISP, src).iter().all(|v| v.rule != R7));
-    }
-
-    #[test]
-    fn r7_reassign_spelling_is_flagged() {
-        let src = "struct S { len: usize }\n\
-            impl S {\n    fn f(&mut self) {\n        self.len = self.len - 1;\n    }\n}\n";
-        let v: Vec<_> = analyze_snippet(DISP, src)
-            .into_iter()
-            .filter(|v| v.rule == R7)
-            .collect();
-        assert_eq!(v.len(), 1, "{v:?}");
+    fn cfg_test_on_a_braceless_item_does_not_hide_the_next_fn() {
+        // The line-oriented mask brace-counted from the attribute to the
+        // close of the first `{…}` and so swallowed `prod` whole.
+        let src = "#[cfg(test)]\nuse a::B;\nfn prod() { let t = std::thread::sleep; let m: HashMap<u8, u8> = HashMap::new(); }";
+        let mut rules = rules_at("crates/core/src/x.rs", src);
+        rules.dedup();
+        assert_eq!(rules, [R6, "no-thread-sleep"]);
     }
 
     const CHAN: &str = "crates/channels/src/spsc.rs";

@@ -1,21 +1,16 @@
-//! Lexer and brace-aware token trees for the [`crate::analysis`] engine.
+//! The token stream every rule runs over, and the one notion of test code.
 //!
-//! The engine works in three layers:
+//! The engine has two layers and no parser above them:
 //!
-//! 1. the comment/string-aware line tokenizer shared with [`crate::lint`]
-//!    blanks literals and splits comments from code, so a pattern inside a
-//!    string can never trip a rule;
+//! 1. the comment/string-aware line tokenizer in [`crate::lint`] blanks
+//!    literals and splits comments from code, so a pattern inside a string
+//!    can never trip a rule;
 //! 2. [`lex`] turns each blanked code line into [`Tok`]s — identifiers and
 //!    punctuation, with a small set of fused multi-char operators (`::`,
-//!    `-=`, `=>`, …) so rules match on operators, not character pairs;
-//! 3. [`build_trees`] nests the token stream by `{}`/`()`/`[]` delimiters
-//!    into [`Tree`]s, giving every rule a real notion of scope, argument
-//!    list, and body.
+//!    `-=`, `=>`, …) so rules match on operators, not character pairs.
 //!
-//! On top of the trees, [`split_stmts`] cuts a brace group's children into
-//! statements (at `;` leaves and top-level `{}` groups), which is what the
-//! dataflow-lite passes (collected-and-sorted escapes, `debug_assert`
-//! guards, binding scopes) iterate over.
+//! [`test_mask`] marks the tokens of `#[cfg(test)]` items on that stream;
+//! scope (brace depth, fn extent) is counted by the rules pass itself.
 
 use crate::lint::Line;
 
@@ -28,45 +23,6 @@ pub struct Tok {
     pub line: usize,
     /// Whether this is an identifier/number token.
     pub ident: bool,
-}
-
-/// A token tree: a leaf token or a delimited group.
-#[derive(Clone, Debug)]
-pub enum Tree {
-    /// A single token.
-    Leaf(Tok),
-    /// A `{…}`, `(…)`, or `[…]` group.
-    Group {
-        /// Opening delimiter: `'{'`, `'('`, or `'['`.
-        delim: char,
-        /// 0-based line of the opening delimiter.
-        open_line: usize,
-        /// Nested trees.
-        children: Vec<Tree>,
-    },
-}
-
-impl Tree {
-    /// The first source line of this tree.
-    pub fn line(&self) -> usize {
-        match self {
-            Tree::Leaf(t) => t.line,
-            Tree::Group { open_line, .. } => *open_line,
-        }
-    }
-
-    /// Leaf text, if this is a leaf.
-    pub fn leaf(&self) -> Option<&str> {
-        match self {
-            Tree::Leaf(t) => Some(&t.text),
-            Tree::Group { .. } => None,
-        }
-    }
-
-    /// Whether this is a leaf with exactly this text.
-    pub fn is(&self, text: &str) -> bool {
-        self.leaf() == Some(text)
-    }
 }
 
 /// Multi-char operators fused into single tokens, longest first. `>>`/`<<`
@@ -123,222 +79,63 @@ pub(crate) fn lex(lines: &[Line]) -> Vec<Tok> {
     out
 }
 
-/// Nests a token stream into trees by `{}`/`()`/`[]`. Tolerant of
-/// imbalance: a stray closer is dropped, an unclosed group is closed at
-/// end of input — the analyzer must never panic on in-progress code.
-pub fn build_trees(toks: Vec<Tok>) -> Vec<Tree> {
-    let mut stack: Vec<(char, usize, Vec<Tree>)> = Vec::new();
-    let mut cur: Vec<Tree> = Vec::new();
-    for t in toks {
+/// Whether the tokens at `i..` spell `pat`.
+pub(crate) fn seq(toks: &[Tok], i: usize, pat: &[&str]) -> bool {
+    pat.iter()
+        .enumerate()
+        .all(|(k, p)| toks.get(i + k).is_some_and(|t| t.text == *p))
+}
+
+/// Index of the closer matching the opening delimiter at `open`, or the end
+/// of input if it never closes.
+pub(crate) fn group_end(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0usize;
+    for (j, t) in toks.iter().enumerate().skip(open) {
         match t.text.as_str() {
-            "{" | "(" | "[" => {
-                let delim = t.text.chars().next().unwrap_or('{');
-                stack.push((delim, t.line, std::mem::take(&mut cur)));
-            }
-            "}" | ")" | "]" => {
-                if let Some((delim, open_line, parent)) = stack.pop() {
-                    let group = Tree::Group {
-                        delim,
-                        open_line,
-                        children: std::mem::replace(&mut cur, parent),
-                    };
-                    cur.push(group);
-                }
-                // Stray closer with empty stack: drop it.
-            }
-            _ => cur.push(Tree::Leaf(t)),
-        }
-    }
-    while let Some((delim, open_line, parent)) = stack.pop() {
-        let group = Tree::Group {
-            delim,
-            open_line,
-            children: std::mem::replace(&mut cur, parent),
-        };
-        cur.push(group);
-    }
-    cur
-}
-
-/// Parses a source file (already line-tokenized) into token trees.
-pub(crate) fn parse(lines: &[Line]) -> Vec<Tree> {
-    build_trees(lex(lines))
-}
-
-/// Flattens trees into a canonical space-separated text (groups rendered
-/// with their delimiters), used for cheap containment checks.
-pub fn flat(trees: &[Tree]) -> String {
-    let mut s = String::new();
-    flat_into(trees, &mut s);
-    s
-}
-
-fn flat_into(trees: &[Tree], s: &mut String) {
-    for t in trees {
-        if !s.is_empty() && !s.ends_with(' ') {
-            s.push(' ');
-        }
-        match t {
-            Tree::Leaf(tok) => s.push_str(&tok.text),
-            Tree::Group {
-                delim, children, ..
-            } => {
-                let (open, close) = match delim {
-                    '(' => ('(', ')'),
-                    '[' => ('[', ']'),
-                    _ => ('{', '}'),
-                };
-                s.push(open);
-                flat_into(children, s);
-                if !s.ends_with(' ') {
-                    s.push(' ');
-                }
-                s.push(close);
-            }
-        }
-    }
-}
-
-/// One statement of a brace group: a slice of the group's children.
-#[derive(Debug)]
-pub struct Stmt<'a> {
-    /// The statement's trees (including any trailing `;` or block).
-    pub trees: &'a [Tree],
-    /// Canonical flattened text (see [`flat`]).
-    pub text: String,
-}
-
-impl Stmt<'_> {
-    /// First source line of the statement (0-based); 0 if empty.
-    pub fn line(&self) -> usize {
-        self.trees.first().map_or(0, Tree::line)
-    }
-}
-
-/// Splits a group's children into statements. A statement ends after a `;`
-/// leaf or after a top-level `{}` group (control-flow blocks, item bodies).
-/// Brace groups nested inside `(...)` (closure bodies in arguments) do not
-/// split the enclosing statement.
-pub fn split_stmts(children: &[Tree]) -> Vec<Stmt<'_>> {
-    let mut out = Vec::new();
-    let mut start = 0;
-    for (i, t) in children.iter().enumerate() {
-        let ends = match t {
-            Tree::Leaf(tok) => tok.text == ";",
-            Tree::Group { delim, .. } => *delim == '{',
-        };
-        if ends {
-            let trees = &children[start..=i];
-            out.push(Stmt {
-                trees,
-                text: flat(trees),
-            });
-            start = i + 1;
-        }
-    }
-    if start < children.len() {
-        let trees = &children[start..];
-        out.push(Stmt {
-            trees,
-            text: flat(trees),
-        });
-    }
-    out
-}
-
-/// Linearized token with group boundaries preserved, for pattern scans that
-/// need to look across call parentheses (receiver and chain resolution).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LTok {
-    /// An ordinary token.
-    T(Tok),
-    /// A group opener: `(`, `[`, or `{`.
-    Open(char, usize),
-    /// A group closer, tagged with its opener.
-    Close(char, usize),
-}
-
-impl LTok {
-    /// Token text (`(`/`[`/`{` and `)`/`]`/`}` for boundaries).
-    pub fn text(&self) -> &str {
-        match self {
-            LTok::T(t) => &t.text,
-            LTok::Open('(', _) => "(",
-            LTok::Open('[', _) => "[",
-            LTok::Open(..) => "{",
-            LTok::Close('(', _) => ")",
-            LTok::Close('[', _) => "]",
-            LTok::Close(..) => "}",
-        }
-    }
-
-    /// 0-based source line.
-    pub fn line(&self) -> usize {
-        match self {
-            LTok::T(t) => t.line,
-            LTok::Open(_, l) | LTok::Close(_, l) => *l,
-        }
-    }
-}
-
-/// Linearizes trees depth-first, keeping group boundaries. When
-/// `skip_braces` is set, `{}` groups are emitted as boundaries but their
-/// contents are omitted — statement-header scans use this so a control
-/// block's body (walked separately) cannot leak into the header pattern.
-pub fn linearize(trees: &[Tree], skip_braces: bool, out: &mut Vec<LTok>) {
-    for t in trees {
-        match t {
-            Tree::Leaf(tok) => out.push(LTok::T(tok.clone())),
-            Tree::Group {
-                delim,
-                open_line,
-                children,
-            } => {
-                out.push(LTok::Open(*delim, *open_line));
-                if !(skip_braces && *delim == '{') {
-                    linearize(children, skip_braces, out);
-                }
-                out.push(LTok::Close(*delim, *open_line));
-            }
-        }
-    }
-}
-
-/// Index of the matching `Close` for the `Open` at `open_idx` (same
-/// nesting level), or the end of the list if unbalanced.
-pub fn matching_close(l: &[LTok], open_idx: usize) -> usize {
-    let mut depth = 0usize;
-    for (i, t) in l.iter().enumerate().skip(open_idx) {
-        match t {
-            LTok::Open(..) => depth += 1,
-            LTok::Close(..) => {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
                 depth = depth.saturating_sub(1);
                 if depth == 0 {
-                    return i;
+                    return j;
                 }
             }
-            LTok::T(_) => {}
+            _ => {}
         }
     }
-    l.len().saturating_sub(1)
+    toks.len()
 }
 
-/// Index of the matching `Open` for the `Close` at `close_idx`, or 0.
-pub fn matching_open(l: &[LTok], close_idx: usize) -> usize {
-    let mut depth = 0usize;
-    for i in (0..=close_idx).rev() {
-        match &l[i] {
-            LTok::Close(..) => depth += 1,
-            LTok::Open(..) => {
-                depth = depth.saturating_sub(1);
-                if depth == 0 {
-                    return i;
-                }
-            }
-            LTok::T(_) => {}
+/// Marks, per token, what `#[cfg(test)]` gates. The attribute gates one
+/// item, which ends at the first `;` at the attribute's depth or at the
+/// close of the first `{…}` group, whichever comes first — so an attribute
+/// on a braceless item (`use`, a gated `const`) never reaches the next one.
+pub(crate) fn test_mask(toks: &[Tok]) -> Vec<bool> {
+    const ATTR: [&str; 7] = ["#", "[", "cfg", "(", "test", ")", "]"];
+    let mut mask = vec![false; toks.len()];
+    let mut i = 0;
+    while i < toks.len() {
+        if !seq(toks, i, &ATTR) {
+            i += 1;
+            continue;
         }
+        let mut end = i + ATTR.len();
+        while let Some(t) = toks.get(end) {
+            match t.text.as_str() {
+                ";" => break,
+                "{" => {
+                    end = group_end(toks, end);
+                    break;
+                }
+                "(" | "[" => end = group_end(toks, end),
+                _ => {}
+            }
+            end += 1;
+        }
+        let end = end.min(toks.len() - 1);
+        mask[i..=end].fill(true);
+        i = end + 1;
     }
-    0
+    mask
 }
 
 #[cfg(test)]
@@ -346,104 +143,82 @@ mod tests {
     use super::*;
     use crate::lint::tokenize;
 
-    fn parse_src(src: &str) -> Vec<Tree> {
-        parse(&tokenize(src))
+    fn texts(src: &str) -> Vec<String> {
+        lex(&tokenize(src)).into_iter().map(|t| t.text).collect()
     }
 
     #[test]
     fn fused_operators_lex_as_single_tokens() {
-        let toks = lex(&tokenize("a -= b; c::d => e == f\n"));
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
         assert_eq!(
-            texts,
+            texts("a -= b; c::d => e == f\n"),
             ["a", "-=", "b", ";", "c", "::", "d", "=>", "e", "==", "f"]
         );
     }
 
     #[test]
     fn nested_generics_do_not_fuse_shift() {
-        let toks = lex(&tokenize("let x: Vec<Vec<u8>> = v;\n"));
-        let texts: Vec<&str> = toks.iter().map(|t| t.text.as_str()).collect();
-        assert!(texts.contains(&">"), "closers stay single: {texts:?}");
-        assert!(!texts.contains(&">>"));
-    }
-
-    #[test]
-    fn groups_nest() {
-        let trees = parse_src("fn f(a: u8) { g(a); }\n");
-        let f = flat(&trees);
-        assert_eq!(f, "fn f ( a : u8 ) { g ( a ) ; }");
-    }
-
-    #[test]
-    fn tolerates_imbalance() {
-        // Unclosed group and stray closer must not panic or drop trailing
-        // tokens.
-        let trees = parse_src("} fn f() { let x = (1;\n");
-        assert!(flat(&trees).contains("let x"));
+        let texts = texts("let x: Vec<Vec<u8>> = v;\n");
+        assert!(texts.contains(&">".to_string()), "closers stay single");
+        assert!(!texts.contains(&">>".to_string()));
     }
 
     #[test]
     fn raw_strings_and_literals_are_opaque() {
-        let trees = parse_src("let s = r#\"HashMap { } ) \"#; h();\n");
-        let f = flat(&trees);
+        let f = texts("let s = r#\"HashMap { } ) \"#; h();\n").join(" ");
         assert!(!f.contains("HashMap"), "literal contents blanked: {f}");
         assert!(f.contains("h ( )"), "code after the literal survives: {f}");
     }
 
     #[test]
-    fn statements_split_on_semicolon_and_blocks() {
-        let trees = parse_src("{ let a = 1; if x { y(); } let b = 2; }\n");
-        let Tree::Group { children, .. } = &trees[0] else {
-            panic!("expected group");
-        };
-        let stmts = split_stmts(children);
-        assert_eq!(stmts.len(), 3, "{stmts:?}");
-        assert!(stmts[0].text.contains("let a"));
-        assert!(stmts[1].text.starts_with("if x"));
-        assert!(stmts[2].text.contains("let b"));
-    }
-
-    #[test]
-    fn closure_braces_in_args_do_not_split() {
-        let trees = parse_src("{ v.iter().map(|x| { x + 1 }).count(); done(); }\n");
-        let Tree::Group { children, .. } = &trees[0] else {
-            panic!("expected group");
-        };
-        let stmts = split_stmts(children);
-        assert_eq!(stmts.len(), 2, "{stmts:?}");
-    }
-
-    #[test]
-    fn match_guards_parse_into_arm_statements() {
-        // A match with guards: the arms live inside one brace group; the
-        // guard expression stays on the arm's line.
-        let src = "match x { Some(v) if v > 0 => a(), None => b(), _ => c() }\n";
-        let trees = parse_src(src);
-        let f = flat(&trees);
-        assert!(f.contains("if v > 0 =>"));
-    }
-
-    #[test]
-    fn linearize_skips_brace_bodies_when_asked() {
-        let trees = parse_src("if a.b(c) { hidden(); }\n");
-        let mut l = Vec::new();
-        linearize(&trees, true, &mut l);
-        let texts: Vec<&str> = l.iter().map(LTok::text).collect();
-        assert!(texts.contains(&"c"));
-        assert!(!texts.contains(&"hidden"));
-        assert!(texts.contains(&"{") && texts.contains(&"}"));
-    }
-
-    #[test]
-    fn matching_close_and_open() {
-        let trees = parse_src("f(a, g(b), c)\n");
-        let mut l = Vec::new();
-        linearize(&trees, false, &mut l);
-        // l: f ( a , g ( b ) , c )
-        let first_open = l.iter().position(|t| t.text() == "(").unwrap();
-        let close = matching_close(&l, first_open);
-        assert_eq!(close, l.len() - 1);
-        assert_eq!(matching_open(&l, close), first_open);
+    fn cfg_test_gates_exactly_one_item() {
+        // (source, identifiers that must be masked, identifiers that must not)
+        let cases: [(&str, &[&str], &[&str]); 6] = [
+            (
+                "fn prod() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n",
+                &["tests", "t"],
+                &["prod", "after"],
+            ),
+            (
+                "#[cfg(test)]\nfn helper() { inner(); }\nfn after() {}\n",
+                &["helper", "inner"],
+                &["after"],
+            ),
+            // A braceless item: the attribute ends at its `;`.
+            (
+                "#[cfg(test)]\nuse a::B;\nfn prod() { body(); }\n",
+                &["a", "B"],
+                &["prod", "body"],
+            ),
+            (
+                "#[cfg(test)]\nconst N: [u8; 2] = [0; 2];\nfn prod() { body(); }\n",
+                &["N"],
+                &["prod", "body"],
+            ),
+            (
+                "#[cfg(test)]\ntype T = Vec<u8>;\nstatic S: u8 = 0;\n",
+                &["T", "Vec"],
+                &["S"],
+            ),
+            // A `;` inside the item's own parentheses does not end it.
+            (
+                "#[cfg(test)]\nfn f(x: [u8; 4]) { inner(); }\nfn after() {}\n",
+                &["f", "inner"],
+                &["after"],
+            ),
+        ];
+        for (src, masked, clear) in cases {
+            let toks = lex(&tokenize(src));
+            let mask = test_mask(&toks);
+            let is_masked = |name: &str| {
+                let i = toks.iter().position(|t| t.text == name).expect(name);
+                mask[i]
+            };
+            for name in masked {
+                assert!(is_masked(name), "`{name}` should be test code in {src:?}");
+            }
+            for name in clear {
+                assert!(!is_masked(name), "`{name}` leaked into the mask in {src:?}");
+            }
+        }
     }
 }

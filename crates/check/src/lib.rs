@@ -17,19 +17,21 @@
 //!    provides brute-force reference implementations of CUDA stream
 //!    semantics and Table-1 block conservation, cross-checked against the
 //!    production `Waitlist` and `OccupancyTracker` by property tests.
-//! 3. **Source-level contracts, determinism & accounting dataflow** — the
-//!    [`analysis`] module is a std-only AST-lite engine (token trees,
-//!    item/scope recognition, struct-field classification) hosting the repo
-//!    rules no off-the-shelf linter knows, R1–R9: no wall clock in the
-//!    virtual-time stack, justified `Relaxed` orderings, no `unwrap()` on
-//!    the request hot paths, no `thread::sleep` in library code, exhaustive
-//!    `TraceEvent` handling, no hash container in the virtual-time stack (R6),
-//!    no unchecked counter subtraction in accounting code (R7),
-//!    per-operation atomic ordering justifications (R8), and total float
-//!    comparators (R9), with a byte-sorted stale-checked allowlist and a
-//!    graft-mutant self-test ([`analysis::selftest`]) proving every rule
-//!    fires. The [`lint`] module holds what the rules share: the tokenizer,
-//!    the test mask, justification comments.
+//! 3. **Source-level contracts, determinism & accounting** — the
+//!    [`analysis`] module is a std-only token-level engine (tokenizer, a
+//!    flat lexed stream, one pass per file; no parser and no classification
+//!    of what a name means) hosting the repo rules no off-the-shelf linter
+//!    knows, R1–R9: no wall clock in the virtual-time stack, justified
+//!    `Relaxed` orderings, no `unwrap()` or unexplained `expect()` in the
+//!    serving engines, no `thread::sleep` in library code, no wildcard arm
+//!    where every `TraceEvent` variant is consumed, no hash container in
+//!    the virtual-time stack (R6), no engine subtraction without an assert
+//!    naming it or a written `sub:` reason (R7), per-operation atomic
+//!    ordering justifications (R8), and total float comparators (R9). A
+//!    rule's exception is a tagged comment at the site, never a list
+//!    elsewhere, and a graft-mutant self-test ([`analysis::selftest`])
+//!    proves every rule fires. The [`lint`] module holds what the rules
+//!    share: the tokenizer and justification comments.
 //!
 //! The `paella-check` binary wires all three into CI:
 //! `cargo run -p paella-check` exits nonzero on any violation, finding,

@@ -4,9 +4,7 @@
 //! paella-check [all|analyze|selftest|model|mutate] [--root <workspace-root>]
 //! ```
 //!
-//! * `analyze`  — run the source rules (R1–R9) over `crates/*/src` with the
-//!   `crates/check/analyze.allow` allowlist; stale or unsorted allowlist
-//!   entries fail the run.
+//! * `analyze`  — run the source rules (R1–R9) over `crates/*/src`.
 //! * `selftest` — graft every analyzer mutant into the real sources and
 //!   require its rule to fire (the analyzer's own mutation test).
 //! * `model`    — exhaustively model-check the clean channel models.

@@ -784,8 +784,9 @@ impl Dispatcher {
         let cbar = kp.count.mean();
         let d = (cbar - f64::from(done)).max(0.0) - (cbar - f64::from(done + 1)).max(0.0);
         let t = kp.time_us.mean();
+        // sub: f64 estimate; `d` is part of what ingest credited, `d ≥ 0`.
         rm.left[loc] -= d;
-        self.inflight_work_us -= d * t;
+        self.inflight_work_us -= d * t; // sub: f64, the same delta in µs
     }
 
     /// Debits a retired job's residual (usually zero: every kernel has
@@ -798,8 +799,10 @@ impl Dispatcher {
             let kp = &rm.profile.kernels[loc];
             let d = (kp.count.mean() - f64::from(done)).max(0.0);
             let t = kp.time_us.mean();
+            // sub: f64 estimate; the residual ingest credited and no
+            // dispatch debited, snapped to zero below once idle.
             rm.left[loc] -= d;
-            self.inflight_work_us -= d * t;
+            self.inflight_work_us -= d * t; // sub: f64, the same delta in µs
         }
         if self.jobs.is_empty() {
             self.inflight_work_us = 0.0;
@@ -1331,7 +1334,7 @@ impl Dispatcher {
                         k.started.get_or_insert(at);
                     }
                     if k.notifq_reserved > 0 {
-                        k.notifq_reserved -= 1;
+                        k.notifq_reserved -= 1; // sub: tested `> 0` on the line above
                         self.core
                             .debit(&mut self.notifq_outstanding, 1, "notifq_outstanding");
                     }

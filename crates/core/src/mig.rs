@@ -83,7 +83,7 @@ fn apportion_queues(total_queues: u32, slices: &[u32]) -> Vec<u32> {
             break;
         }
         out[i] += 1;
-        left -= 1;
+        left -= 1; // sub: the loop breaks at `left == 0` just above
     }
     // Every partition needs a queue to make progress; the caller guarantees
     // slices.len() <= total_queues, so stealing from the richest partition
@@ -95,7 +95,10 @@ fn apportion_queues(total_queues: u32, slices: &[u32]) -> Vec<u32> {
                 .enumerate()
                 .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
                 .map(|(j, _)| j)
+                // invariant: `out[i]` was just read, so `out` has an entry.
                 .expect("non-empty slices");
+            // sub: entries sum to `total_queues ≥ out.len()` and one is 0,
+            // so the maximum is ≥ 2.
             out[donor] -= 1;
             out[i] += 1;
         }

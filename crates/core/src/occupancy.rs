@@ -197,6 +197,7 @@ impl OccupancyTracker {
     ///
     /// Panics if `sm` is out of range.
     pub fn sm_usage(&self, sm: u8) -> SmUsage {
+        // invariant: the documented panic; no serving path calls this.
         *self.pool.usage(sm as usize).expect("SM out of range")
     }
 

@@ -54,6 +54,8 @@ impl RpcNetModel {
             seen >= SimTime::ZERO + ingress,
             "restoring an origin from {seen}, which predates the {ingress} ingress"
         );
+        // sub: `seen ≥ ingress` is asserted above; the clamp only keeps a
+        // release build from wrapping if a caller breaks that.
         SimTime::from_nanos(seen.as_nanos().saturating_sub(ingress.as_nanos()))
     }
 }

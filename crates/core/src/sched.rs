@@ -187,13 +187,14 @@ impl Fairness {
         // Charged client: −(1 − 1/n); everyone else: +1/n. Realized as
         // raw[c] −= 1 and baseline −= 1/n (an O(1) global credit).
         if let Some(s) = self.clients.get_mut(&client) {
-            s.raw_deficit -= 1.0;
+            s.raw_deficit -= 1.0; // sub: f64 deficit, signed by design
         }
+        // sub: f64 credit, negative by design; rebased below.
         self.baseline -= 1.0 / n;
         // Periodically rebase to avoid unbounded drift.
         if self.baseline < -1e12 {
             for s in self.clients.values_mut() {
-                s.raw_deficit -= self.baseline;
+                s.raw_deficit -= self.baseline; // sub: f64 rebase, `baseline < 0` here
             }
             self.baseline = 0.0;
         }
@@ -241,7 +242,8 @@ impl SrptDeficitScheduler {
     }
 
     /// Records that a kernel of `job` was dispatched, charging fairness
-    /// deficits. The dispatcher calls this on every dispatch.
+    /// deficits: [`Scheduler::on_dispatched`] under the name callers holding
+    /// the concrete type use (the dispatcher goes through the trait).
     pub fn charge(&mut self, job: JobId) {
         self.on_dispatched(job);
     }

@@ -98,7 +98,7 @@ where
     let mut rest = total;
     let taken = parts.map(|want| {
         let take = want.min(rest);
-        rest -= take;
+        rest -= take; // sub: `take ≤ rest` by the `min` above
         take
     });
     (taken, rest)

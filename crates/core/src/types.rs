@@ -159,7 +159,7 @@ pub struct JobCompletion {
     pub job: JobId,
     /// The request that spawned it.
     pub request: InferenceRequest,
-    /// When the *almost finished* wake-up was sent (0 if never).
+    /// When the *almost finished* wake-up was sent (`None` if never).
     pub almost_finished_at: Option<SimTime>,
     /// When the final device op finished.
     pub device_done_at: SimTime,

@@ -231,6 +231,7 @@ impl GpuSim {
     ///
     /// Panics if `sm` is out of range.
     pub fn sm_usage(&self, sm: u32) -> SmUsage {
+        // invariant: the documented panic; no serving path calls this.
         *self.pool.usage(sm as usize).expect("SM out of range")
     }
 
@@ -300,6 +301,8 @@ impl GpuSim {
     /// Retires the front op of `stream`, dropping the stream once drained.
     fn pop_stream_front(&mut self, stream: StreamId, op: StreamOp) {
         let id = u64::from(stream.0);
+        // invariant: an op is pushed on its stream when enqueued and a
+        // stream is dropped only once drained, so a finishing op has one.
         let s = self.streams.get_mut(id).expect("op without its stream");
         debug_assert_eq!(s.pending.front(), Some(&op));
         s.pending.pop_front();
@@ -338,6 +341,7 @@ impl GpuSim {
             if next > t {
                 break;
             }
+            // invariant: `peek_time` just returned this event's time.
             let (at, ev) = self.events.pop().expect("peeked event");
             self.handle(at, ev);
         }
@@ -347,6 +351,8 @@ impl GpuSim {
     fn handle(&mut self, at: SimTime, ev: Ev) {
         match ev {
             Ev::QueueArrival { uid } => {
+                // invariant: `launch` inserts the record before scheduling
+                // the arrival, and only completion removes it.
                 let k = self
                     .kernels
                     .get_mut(u64::from(uid))
@@ -417,6 +423,8 @@ impl GpuSim {
 
     /// The in-flight kernel `uid`.
     fn kernel(&self, uid: KernelUid) -> &KernelState {
+        // invariant: callers take `uid` from a hardware queue or a pending
+        // event, and a kernel leaves both before its record is removed.
         self.kernels
             .get(u64::from(uid))
             .expect("kernel not in flight")
@@ -463,7 +471,7 @@ impl GpuSim {
             if fit > 0 {
                 let group = fit.min(unplaced);
                 self.pool.allocate(smi, &fp, group);
-                unplaced -= group;
+                unplaced -= group; // sub: `group ≤ unplaced` by the `min` above
                 allocs.push((smi as u32, group));
             }
             smi = wrapping_succ(smi, num_sms);
@@ -478,6 +486,7 @@ impl GpuSim {
 
         // Sample one duration for the wave and add instrumentation overhead.
         let mut dur = {
+            // invariant: `self.kernel(uid)` resolved at the top of this fn.
             let k = self
                 .kernels
                 .get(u64::from(uid))
@@ -501,6 +510,7 @@ impl GpuSim {
         }
 
         let wave = {
+            // invariant: `self.kernel(uid)` resolved at the top of this fn.
             let k = self
                 .kernels
                 .get_mut(u64::from(uid))
@@ -565,6 +575,7 @@ impl GpuSim {
         let mut remaining = blocks;
         while remaining > 0 {
             let g = remaining.min(word_size).max(1) as u16;
+            // sub: `1 ≤ g ≤ remaining`, the loop tests `> 0`.
             remaining -= u32::from(g);
             // Fault injection: a dropped word models a notifQ overrun.
             if self.cfg.notif_drop_rate > 0.0 && self.rng.chance(self.cfg.notif_drop_rate) {
@@ -604,6 +615,8 @@ impl GpuSim {
         }
 
         let kernel_done = {
+            // invariant: a wave's finish event is scheduled at placement and
+            // the record is removed only after the last wave finished.
             let k = self
                 .kernels
                 .get_mut(u64::from(uid))
@@ -630,6 +643,8 @@ impl GpuSim {
     }
 
     fn complete_kernel(&mut self, at: SimTime, uid: KernelUid) {
+        // invariant: called once per kernel, from the wave-finish that saw
+        // its last block, on the record it had just borrowed.
         let k = self
             .kernels
             .remove(u64::from(uid))
@@ -693,6 +708,8 @@ impl GpuSim {
 
     fn on_copy_finish(&mut self, at: SimTime, uid: MemcpyUid, engine: u32) {
         let e = &mut self.copy_engines[engine as usize];
+        // invariant: a copy-finish event is scheduled only for the op at
+        // the front of this engine's queue, which stays there until now.
         let (front, stream, _) = e
             .queue
             .pop_front()

@@ -234,9 +234,9 @@ impl LlmJob {
 
     /// Tokens of the current recompute span still to prefill.
     fn prefill_left(&self) -> u64 {
-        // Clamping is the definition, not a mask: chunks are cut to what is
-        // left, so `prefill_done` stops at the span, and zero left is
-        // exactly `in_decode`.
+        // sub: clamping is the definition, not a mask: chunks are cut to
+        // what is left, so `prefill_done` stops at the span, and zero left
+        // is exactly `in_decode`.
         self.recompute_tokens.saturating_sub(self.prefill_done)
     }
 
@@ -244,7 +244,7 @@ impl LlmJob {
     /// prefill at the per-token rate plus remaining output at the
     /// batch-of-1 decode rate.
     fn remaining_estimate_ns(&self, cfg: &LlmEngineConfig) -> u64 {
-        // Clamped like `prefill_left`: a sequence retires the moment
+        // sub: clamped like `prefill_left`: a sequence retires the moment
         // `generated` reaches `output_tokens`, so there is never more
         // generated than asked for, only nothing left to estimate.
         let out_left = self.output_tokens.saturating_sub(self.generated);
@@ -365,6 +365,9 @@ impl LlmEngine {
 
     /// Live sequence `id`.
     fn job(&self, id: JobId) -> &LlmJob {
+        // invariant: callers take `id` from `running`, `pending`,
+        // `kv_blocked` or the scheduler; `fail_job`/`complete_job` clear
+        // all four in the same call that removes the record.
         self.jobs.get(id.0).expect("job exists")
     }
 
@@ -423,6 +426,7 @@ impl LlmEngine {
     /// into the prompt to rebuild.
     fn preempt_job(&mut self, victim: JobId, at: SimTime) {
         let pages = {
+            // invariant: the victim was just drawn from `running`.
             let job = self.jobs.get_mut(victim.0).expect("victim exists");
             let pages = job.pages_held;
             job.pages_held = 0;
@@ -462,6 +466,8 @@ impl LlmEngine {
         }
         loop {
             if self.pool.try_alloc(delta) {
+                // invariant: `self.job(id)` resolved above; preemption
+                // never picks `id` itself.
                 self.jobs.get_mut(id.0).expect("job exists").pages_held += delta;
                 self.emit_kv(at, id, delta, false);
                 return true;
@@ -516,6 +522,7 @@ impl LlmEngine {
         self.kv_blocked.clear();
         for id in ids {
             let info = self.job_info(id);
+            // invariant: returned above when there is no scheduler.
             self.srpt.as_mut().expect("srpt policy").job_ready(info);
         }
     }
@@ -633,6 +640,8 @@ impl LlmEngine {
             return false;
         }
         if !self.pool.try_alloc(need) {
+            // invariant: `self.job(id)` resolved above and nothing since
+            // removed it.
             let job = self.jobs.get_mut(id.0).expect("job exists");
             if job.kv_since.is_none() {
                 job.kv_since = Some(at);
@@ -641,6 +650,7 @@ impl LlmEngine {
         }
         self.emit_kv(at, id, need, false);
         let (emit_prefill, prompt_tokens) = {
+            // invariant: as above; the shed path returned.
             let job = self.jobs.get_mut(id.0).expect("job exists");
             job.pages_held = need;
             job.kv_tokens = job.recompute_tokens;
@@ -735,7 +745,7 @@ impl LlmEngine {
             }
             let t = self.job(id).prefill_left().min(budget);
             if t > 0 {
-                budget -= t;
+                budget -= t; // sub: `t ≤ budget` by the `min` above
                 items.push((id, Work::Prefill(t)));
             }
         }
@@ -753,7 +763,7 @@ impl LlmEngine {
             }
             let left = self.job(head).recompute_tokens;
             let t = left.min(budget);
-            budget -= t;
+            budget -= t; // sub: `t ≤ budget` by the `min` above
             items.push((head, Work::Prefill(t)));
         }
         items
@@ -764,6 +774,8 @@ impl LlmEngine {
     /// free up.
     fn form_batch_srpt(&mut self, at: SimTime) -> Vec<(JobId, Work)> {
         loop {
+            // invariant: `form_batch` calls this fn only under
+            // `LlmPolicy::SrptDeficit`, which `new` builds a scheduler for.
             let picked = self
                 .srpt
                 .as_mut()
@@ -777,6 +789,7 @@ impl LlmEngine {
                     // Park until KV frees up; the scheduler must stop
                     // returning it.
                     self.kv_blocked.insert(id);
+                    // invariant: as at the top of the loop.
                     self.srpt.as_mut().expect("srpt policy").job_blocked(id);
                 }
                 continue;
@@ -801,6 +814,7 @@ impl LlmEngine {
                     Work::Decode
                 }
             };
+            // invariant: as at the top of the loop.
             let sched = self.srpt.as_mut().expect("srpt policy");
             let ready = sched.ready_len() as u32;
             let policy = sched.name();
@@ -930,6 +944,7 @@ impl ServingSystem for LlmEngine {
 
     fn advance_until(&mut self, t: SimTime) {
         while self.queue.peek_time().is_some_and(|at| at <= t) {
+            // invariant: the loop condition just peeked this event.
             let (at, ev) = self.queue.pop().expect("peeked");
             match ev {
                 Ev::Arrive(id) => {

@@ -679,3 +679,12 @@ fn engine_output_golden_digests() {
         "(digest, outputs) on: tesla_t4, tiny(8 SMs, 1 queue, Fermi), tesla_t4 dropping 3 % of words"
     );
 }
+
+/// Runs the `paella-check` source rules (R1–R9) over this workspace, so the
+/// tier-1 `cargo test -q` enforces them and not only the CI `check` job.
+#[test]
+fn workspace_passes_the_source_rules() {
+    let findings = paella_check::analyze(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace walk");
+    assert!(findings.ok(), "{findings}");
+}
