@@ -1,13 +1,13 @@
 //! End-to-end dispatcher benchmark: simulated-seconds-per-wall-second for a
 //! full Paella serving loop, plus an ablation of the §6 lookahead slack B.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use paella_channels::ChannelConfig;
 use paella_core::{
     ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
 };
 use paella_gpu::DeviceConfig;
-use paella_models::synthetic;
+use paella_models::{synthetic, ModelZoo};
 use paella_sim::{SimDuration, SimTime};
 
 fn serve(jobs: u32, lookahead: u64) -> usize {
@@ -84,9 +84,50 @@ fn bench_single_request_latency_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// The contended hot path: a burst of many-block Table 2 jobs, so every wave
+/// posts a run of words and the notification loop, not the scheduler, is
+/// where the host's time goes.
+fn bench_zoo_burst(c: &mut Criterion) {
+    const JOBS: u32 = 12;
+    let mut zoo = ModelZoo::new(DeviceConfig::tesla_t4());
+    let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
+    let mut g = c.benchmark_group("dispatcher");
+    g.throughput(Throughput::Elements(u64::from(JOBS)));
+    g.bench_function("zoo_burst", |b| {
+        b.iter_batched(
+            || {
+                let mut d = Dispatcher::new(
+                    DeviceConfig::tesla_t4(),
+                    ChannelConfig::default(),
+                    Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
+                    DispatcherConfig::paella(),
+                    5,
+                );
+                let ids = models.each_ref().map(|m| d.register_model(m));
+                (d, ids)
+            },
+            |(mut d, ids)| {
+                for i in 0..JOBS {
+                    d.submit(InferenceRequest {
+                        client: ClientId(i % 4),
+                        model: ids[i as usize % ids.len()],
+                        submitted_at: SimTime::from_micros(u64::from(i) * 200),
+                    });
+                }
+                d.run_to_idle();
+                assert_eq!(d.drain_completions().len(), JOBS as usize);
+                assert_eq!(d.notifq_outstanding(), 0);
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_serving, bench_lookahead_ablation, bench_single_request_latency_path
+    targets = bench_serving, bench_lookahead_ablation, bench_single_request_latency_path,
+        bench_zoo_burst
 }
 criterion_main!(benches);

@@ -1,9 +1,10 @@
-//! Occupancy-tracker microbenchmarks: every notification the dispatcher
-//! polls goes through `on_notification`, and every dispatch decision calls
-//! `should_dispatch` — both sit on the critical path.
+//! Occupancy-tracker microbenchmarks: every wave's notifications the
+//! dispatcher polls go through `on_run` (`on_notification` is its one-word
+//! case), and every dispatch decision calls `should_dispatch` — both sit on
+//! the critical path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use paella_channels::Notification;
+use paella_channels::{NotifKind, Notification};
 use paella_core::OccupancyTracker;
 use paella_gpu::{BlockFootprint, SmLimits};
 
@@ -58,6 +59,34 @@ fn bench_notifications(c: &mut Criterion) {
             t.on_notification(Notification::placement(0, uid, 16));
             t.on_notification(Notification::completion(0, uid, 16));
         });
+    });
+    // One wave over all 40 SMs, as the dispatcher handles it (one run: one
+    // kernel lookup, one gauge settlement) and as its word-by-word twin.
+    let wave: Vec<(u8, u16)> = (0..40).map(|sm| (sm, 8)).collect();
+    g.throughput(Throughput::Elements(2 * wave.len() as u64));
+    g.bench_function("run_40sm", |b| {
+        let mut t = OccupancyTracker::new(40, SmLimits::TURING);
+        t.on_launch(1, fp(), u32::MAX / 2);
+        b.iter(|| {
+            t.on_run(1, NotifKind::Placement, &wave);
+            assert_eq!(t.resident_blocks(), 320);
+            t.on_run(1, NotifKind::Completion, &wave);
+        });
+        assert_eq!((t.resident_blocks(), t.fit_count(&fp())), (0, 320));
+    });
+    g.bench_function("words_40sm", |b| {
+        let mut t = OccupancyTracker::new(40, SmLimits::TURING);
+        t.on_launch(1, fp(), u32::MAX / 2);
+        b.iter(|| {
+            for &(sm, group) in &wave {
+                t.on_notification(Notification::placement(sm, 1, group));
+            }
+            assert_eq!(t.resident_blocks(), 320);
+            for &(sm, group) in &wave {
+                t.on_notification(Notification::completion(sm, 1, group));
+            }
+        });
+        assert_eq!((t.resident_blocks(), t.fit_count(&fp())), (0, 320));
     });
     g.finish();
 }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use paella_channels::Notification;
+use paella_channels::{NotifKind, Notification};
 use paella_check::{ConservationOracle, StreamOracle};
 use paella_core::{OccupancyTracker, StreamKind, VStream, Waitlist};
 use paella_gpu::{BlockFootprint, SmLimits};
@@ -46,6 +46,36 @@ fn big_fp() -> BlockFootprint {
         regs_per_thread: 32,
         shmem: 16 * 1024,
     }
+}
+
+/// Footprints binding on threads, on everything at once, on block slots
+/// only, and on registers and shared memory.
+fn footprints() -> [BlockFootprint; 4] {
+    [
+        small_fp(),
+        big_fp(),
+        BlockFootprint {
+            threads: 1,
+            regs_per_thread: 0,
+            shmem: 0,
+        },
+        BlockFootprint {
+            threads: 96,
+            regs_per_thread: 64,
+            shmem: 40 * 1024,
+        },
+    ]
+}
+
+/// What has been *seen* of a live kernel — the inputs of the tracker's
+/// clamps, kept by the tests that tell the oracle what a word is worth.
+struct Seen {
+    uid: u32,
+    fp: BlockFootprint,
+    total: u32,
+    placed: u32,
+    completed: u32,
+    per_sm: [u32; 4],
 }
 
 proptest! {
@@ -287,16 +317,9 @@ proptest! {
     ) {
         const NUM_SMS: u32 = 4;
         let lim = SmLimits::TURING;
-        let fps = [
-            small_fp(),
-            big_fp(),
-            BlockFootprint { threads: 1, regs_per_thread: 0, shmem: 0 },
-            BlockFootprint { threads: 96, regs_per_thread: 64, shmem: 40 * 1024 },
-        ];
+        let fps = footprints();
         let mut t = OccupancyTracker::new(NUM_SMS, lim);
         let mut o = ConservationOracle::new(NUM_SMS, lim);
-        // What has been *seen* of each live kernel — the clamps' inputs.
-        struct Seen { uid: u32, fp: BlockFootprint, total: u32, placed: u32, completed: u32, per_sm: [u32; 4] }
         let mut live: Vec<Seen> = Vec::new();
         let mut next_uid = 0u32;
         for &(action, sm, pick, group, twice, shape) in &events {
@@ -369,6 +392,107 @@ proptest! {
                         "should_dispatch({:?}, {}) with unplaced {} and fit {}", fp, b, unplaced, fit
                     );
                 }
+            }
+        }
+    }
+
+    /// A run is its words one at a time. Two trackers in lockstep — one fed
+    /// `on_run`, one `on_notification` per word — under words that are lost
+    /// (runs cover only part of a kernel), duplicated, name an SM the device
+    /// does not have or carry over-long groups, for kernels in any phase
+    /// (unknown, dropped in the middle of the run when `completed == total`):
+    /// after every run the two mirrors are equal field for field (gauges and
+    /// recycled vectors included), `on_run` returned the index of the first
+    /// word after which `fully_placed` held, and the mirror equals the
+    /// oracle, which is told what the tracker's contract says each word is
+    /// worth.
+    #[test]
+    fn on_run_is_its_words_one_at_a_time(
+        events in proptest::collection::vec(
+            (
+                0u32..9,
+                any::<u64>(),
+                any::<bool>(),
+                0u32..4,
+                proptest::collection::vec((0u8..=4, 1u16..=16, any::<bool>()), 1..10),
+            ),
+            1..100,
+        ),
+    ) {
+        const NUM_SMS: u32 = 4;
+        let lim = SmLimits::TURING;
+        let fps = footprints();
+        let mut by_run = OccupancyTracker::new(NUM_SMS, lim);
+        let mut by_word = OccupancyTracker::new(NUM_SMS, lim);
+        let mut o = ConservationOracle::new(NUM_SMS, lim);
+        let mut live: Vec<Seen> = Vec::new();
+        let mut next_uid = 0u32;
+        for (action, pick, placement, shape, words) in &events {
+            let ki = (pick % (live.len() as u64).max(1)) as usize;
+            match action {
+                0 | 1 if *action == 0 || live.len() < 3 => {
+                    let (fp, blocks) = (fps[*shape as usize], 1 + (pick % 20) as u32);
+                    by_run.on_launch(next_uid, fp, blocks);
+                    by_word.on_launch(next_uid, fp, blocks);
+                    o.on_launch(next_uid, fp, blocks);
+                    live.push(Seen { uid: next_uid, fp, total: blocks, placed: 0, completed: 0, per_sm: [0; 4] });
+                    next_uid += 1;
+                }
+                2 if !live.is_empty() => {
+                    let k = live.swap_remove(ki);
+                    by_run.on_kernel_completed(k.uid);
+                    by_word.on_kernel_completed(k.uid);
+                    o.on_kernel_completed(k.uid);
+                }
+                _ => {
+                    // A kernel nobody launched, or one in flight.
+                    let uid = if *action == 3 || live.is_empty() { 1_000 + ki as u32 } else { live[ki].uid };
+                    let kind = if *placement { NotifKind::Placement } else { NotifKind::Completion };
+                    let run: Vec<(u8, u16)> = words
+                        .iter()
+                        .flat_map(|&(sm, group, twice)| std::iter::repeat_n((sm, group), 1 + usize::from(twice)))
+                        .collect();
+                    let mut first_full = None;
+                    for (i, &(sm_id, group)) in run.iter().enumerate() {
+                        by_word.on_notification(Notification { kind, sm_id, group, kernel: uid });
+                        if first_full.is_none() && by_word.fully_placed(uid) {
+                            first_full = Some(i);
+                        }
+                        let Some(at) = live.iter().position(|k| k.uid == uid) else { continue };
+                        let k = &mut live[at];
+                        if u32::from(sm_id) >= NUM_SMS {
+                            continue;
+                        }
+                        let on_sm = &mut k.per_sm[sm_id as usize];
+                        if *placement {
+                            let g = u32::from(group)
+                                .min(k.total - k.placed)
+                                .min(o.sm_usage(sm_id).fit_count(&k.fp, &lim));
+                            if g > 0 {
+                                o.on_placement(sm_id, uid, g as u16);
+                                k.placed += g;
+                                *on_sm += g;
+                            }
+                        } else {
+                            let g = u32::from(group).min(k.total - k.completed).min(*on_sm);
+                            if g > 0 {
+                                o.on_completion(sm_id, uid, g as u16);
+                                k.completed += g;
+                                *on_sm -= g;
+                                if k.completed == k.total {
+                                    live.swap_remove(at);
+                                }
+                            }
+                        }
+                    }
+                    prop_assert_eq!(by_run.on_run(uid, kind, &run), first_full, "fully-placed index");
+                }
+            }
+            prop_assert_eq!(format!("{by_run:?}"), format!("{by_word:?}"));
+            let check = o.verify(&by_run);
+            prop_assert!(check.is_ok(), "mirror diverged: {}", check.unwrap_err());
+            for fp in &fps {
+                prop_assert_eq!(by_run.should_dispatch(fp, 1), by_word.should_dispatch(fp, 1));
             }
         }
     }

@@ -11,14 +11,14 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use paella_channels::{ChannelConfig, KernelUid};
+use paella_channels::{ChannelConfig, KernelUid, NotifKind, SmId};
 use paella_compiler::{
     bootstrap_profile, instrumented, measure_uncontended, CompiledModel, DagResources, KernelDag,
     ModelProfile,
 };
 use paella_gpu::{
-    CopyDir, DeviceConfig, GpuOutput, GpuSim, InstrumentationSpec, KernelDesc, KernelLaunch,
-    MemcpyOp, MemcpyUid, StreamId,
+    CopyDir, DeviceConfig, GpuRunOutput, GpuRuns, GpuSim, InstrumentationSpec, KernelDesc,
+    KernelLaunch, MemcpyOp, MemcpyUid, StreamId,
 };
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{
@@ -338,7 +338,6 @@ struct Job {
 /// one index instead of a probe per question. Dropped at completion, or
 /// with its job at cancellation — late words for a cancelled kernel find no
 /// record and fall through.
-#[derive(Clone, Copy)]
 struct InflightKernel {
     job: JobId,
     token: u64,
@@ -404,7 +403,9 @@ pub struct Dispatcher {
     cpu_free_at: Vec<SimTime>,
     /// Per-client CPU availability (direct mode).
     client_cpu_free_at: BTreeMap<ClientId, SimTime>,
-    gpu_out: Vec<GpuOutput>,
+    gpu_out: GpuRuns,
+    /// Ops one release activated, before they join the job's queue.
+    newly_active: Vec<u32>,
     /// Jobs in flight per client (for deficit resets on idle).
     client_inflight: BTreeMap<ClientId, u64>,
     /// notifQ slots reserved by in-flight kernels minus consumed
@@ -544,9 +545,9 @@ impl ServingSystem for Dispatcher {
             self.maybe_sample();
             if tg == Some(next) {
                 let mut buf = std::mem::take(&mut self.gpu_out);
-                self.gpu.advance_until(next, &mut buf);
-                for out in buf.drain(..) {
-                    self.handle_gpu_output(out);
+                self.gpu.advance_until_runs(next, &mut buf);
+                for (out, words) in buf.iter() {
+                    self.handle_gpu_output(out, words);
                 }
                 self.gpu_out = buf;
             } else {
@@ -657,7 +658,8 @@ impl Dispatcher {
             next_job: 1,
             cpu_free_at: vec![SimTime::ZERO; cfg.dispatcher_cores.max(1) as usize],
             client_cpu_free_at: BTreeMap::new(),
-            gpu_out: Vec::new(),
+            gpu_out: GpuRuns::default(),
+            newly_active: Vec::new(),
             client_inflight: BTreeMap::new(),
             notifq_outstanding: 0,
             queued_ingest: 0,
@@ -1320,62 +1322,12 @@ impl Dispatcher {
 
     // -- device feedback ----------------------------------------------------
 
-    fn handle_gpu_output(&mut self, out: GpuOutput) {
+    fn handle_gpu_output(&mut self, out: GpuRunOutput, words: &[(SmId, u16)]) {
         match out {
-            GpuOutput::Notif { n, at } => {
-                let placement = matches!(n.kind, paella_channels::NotifKind::Placement);
-                // The one lookup a word costs here: the owner shard, the
-                // last-op test and the notifQ reservation all come from the
-                // kernel's record.
-                let mut rec = None;
-                if let Some(k) = self.kernels.get_mut(u64::from(n.kernel)) {
-                    // First placement starts the online-profiling clock.
-                    if placement && self.cfg.online_profiling {
-                        k.started.get_or_insert(at);
-                    }
-                    if k.notifq_reserved > 0 {
-                        k.notifq_reserved -= 1; // sub: tested `> 0` on the line above
-                        self.core
-                            .debit(&mut self.notifq_outstanding, 1, "notifq_outstanding");
-                    }
-                    rec = Some(*k);
-                }
-                // Each dispatcher thread polls its own notifQ (§5.2), so the
-                // processing cost lands on the owning job's shard.
-                let owner = rec.map_or(ClientId(0), |k| k.client);
-                let done =
-                    self.charge_cpu_traced(owner, at, self.cfg.notif_cost, HostOpKind::Notif);
-                self.now = self.now.max(done);
-                self.core.trace(done, || TraceEvent::NotifBatch {
-                    kernel: u64::from(n.kernel),
-                    sm: u32::from(n.sm_id),
-                    placement,
-                    blocks: u32::from(n.group),
-                });
-                self.core.inc("notifs_processed", 1);
-                self.occupancy.on_notification(n);
-                let Some(k) = rec else {
-                    return; // the kernel's job was cancelled
-                };
-                if !placement {
-                    return;
-                }
-                // Pinned-output wakeup: the job's final kernel started.
-                if k.is_last {
-                    self.fire_almost_finished(k.job, at);
-                }
-                // Pipelined release: successor activates on full placement,
-                // but only for kernels that will finish "soon" — otherwise a
-                // dependent successor would park at a hardware-queue head
-                // for the predecessor's whole runtime.
-                if self.cfg.release_on_placement
-                    && self.occupancy.fully_placed(n.kernel)
-                    && self.kernel_expected_runtime(k.job, k.token) <= self.cfg.pipeline_window
-                {
-                    self.release_op(k.job, k.token);
-                }
-            }
-            GpuOutput::KernelCompleted { uid, at } => {
+            GpuRunOutput::Notifs {
+                kernel, kind, at, ..
+            } => self.handle_notif_run(kernel, kind, at, words),
+            GpuRunOutput::KernelCompleted(uid, at) => {
                 // Reconcile the occupancy mirror: if any of this kernel's
                 // notifications were lost, its leaked accounting would
                 // otherwise wedge the dispatch gate.
@@ -1416,11 +1368,98 @@ impl Dispatcher {
                 }
                 self.complete_op(k.job, k.token, at);
             }
-            GpuOutput::MemcpyCompleted { uid, at } => {
+            GpuRunOutput::MemcpyCompleted(uid, at) => {
                 if let Some((job, token)) = self.memcpy_to_job.remove(uid.0) {
                     self.complete_op(job, token, at);
                 }
             }
+        }
+    }
+
+    /// Handles a wave's words (§5.2) as the one event they are: one record
+    /// lookup, one notifQ debit, one mirror update. The words became visible
+    /// together and their shard handles them back to back, so one CPU charge
+    /// covers every stretch of words that nothing else interrupts.
+    fn handle_notif_run(
+        &mut self,
+        kernel: KernelUid,
+        kind: NotifKind,
+        at: SimTime,
+        words: &[(SmId, u16)],
+    ) {
+        let placement = kind == NotifKind::Placement;
+        // The one lookup a run costs here: the owner shard, the last-op
+        // test and the notifQ reservation all come from the kernel's record.
+        // Each dispatcher thread polls its own notifQ (§5.2), so the
+        // processing cost lands on the owning job's shard.
+        let (mut owner, mut placing) = (ClientId(0), None);
+        if let Some(k) = self.kernels.get_mut(u64::from(kernel)) {
+            // First placement starts the online-profiling clock.
+            if placement && self.cfg.online_profiling {
+                k.started.get_or_insert(at);
+            }
+            let slots = k.notifq_reserved.min(words.len() as u64);
+            k.notifq_reserved -= slots; // sub: `slots ≤ notifq_reserved` by the `min`
+            self.core
+                .debit(&mut self.notifq_outstanding, slots, "notifq_outstanding");
+            owner = k.client;
+            placing = placement.then_some((k.job, k.token, k.is_last));
+        }
+        self.core.inc("notifs_processed", words.len() as u64);
+        let full_at = self.occupancy.on_run(kernel, kind, words);
+        // What a placement word of a live kernel (not one whose job was
+        // cancelled) can set off. The first: the pinned-output wakeup, the
+        // job's final kernel having started. The one that completes
+        // placement: the pipelined release of the successor — but only for
+        // kernels that will finish "soon", otherwise a dependent successor
+        // would park at a hardware-queue head for the predecessor's whole
+        // runtime.
+        let wake = placing.is_some_and(|(.., is_last)| is_last);
+        let release_at = full_at.filter(|_| {
+            placing.is_some_and(|(job, token, _)| {
+                self.cfg.release_on_placement
+                    && self.kernel_expected_runtime(job, token) <= self.cfg.pipeline_window
+            })
+        });
+        let cost = self.cfg.notif_cost;
+        let mut from = 0;
+        while from < words.len() {
+            // Charge up to and including the next word that sets something
+            // off, so that what it sets off sees `self.now` as of that word.
+            let to = match release_at {
+                _ if wake && from == 0 => 1,
+                Some(i) if i >= from => i + 1,
+                _ => words.len(),
+            };
+            let done = self.charge_cpu(owner, at, cost * (to - from) as u64);
+            self.now = self.now.max(done);
+            if self.core.tracer.is_enabled() {
+                let (core, mut start) = self.last_charge;
+                for &(sm, group) in &words[from..to] {
+                    let done = start + cost;
+                    self.core.trace(done, || TraceEvent::HostOp {
+                        kind: HostOpKind::Notif,
+                        core,
+                        start,
+                    });
+                    self.core.trace(done, || TraceEvent::NotifBatch {
+                        kernel: u64::from(kernel),
+                        sm: u32::from(sm),
+                        placement,
+                        blocks: u32::from(group),
+                    });
+                    start = done;
+                }
+            }
+            if let Some((job, token, _)) = placing {
+                if wake && from == 0 {
+                    self.fire_almost_finished(job, at);
+                }
+                if release_at.is_some_and(|i| i + 1 == to) {
+                    self.release_op(job, token);
+                }
+            }
+            from = to;
         }
     }
 
@@ -1448,7 +1487,7 @@ impl Dispatcher {
             return false;
         }
         let dag = &self.models[j.request.model.0 as usize].dag;
-        let mut newly: Vec<u32> = Vec::new();
+        let newly = &mut self.newly_active;
         for &s in dag.successors(token as usize) {
             let left = &mut j.preds_left[s as usize];
             // Job-by-job submission runs ahead of a faulted op's retry, so a
@@ -1466,8 +1505,7 @@ impl Dispatcher {
         // most one activation per stream per release).
         newly.sort_unstable_by_key(|&t| dag.node(t as usize).vstream);
         j.preds_left[token as usize] = RELEASED;
-        j.active_undispatched
-            .extend(newly.into_iter().map(u64::from));
+        j.active_undispatched.extend(newly.drain(..).map(u64::from));
         true
     }
 

@@ -11,7 +11,7 @@
 //! the dispatcher keeps the hardware queue primed with a slack of `B` blocks
 //! beyond estimated full utilization (§6 "(3) Full utilization").
 
-use paella_channels::{KernelUid, NotifKind, Notification};
+use paella_channels::{KernelUid, NotifKind, Notification, SmId};
 use paella_gpu::{BlockFootprint, SmLimits, SmPool, SmUsage};
 use paella_sim::IdMap;
 
@@ -39,6 +39,8 @@ pub struct OccupancyTracker {
     unplaced_blocks: u64,
     /// Blocks placed and not yet completed.
     resident_blocks: u64,
+    /// All-zero `per_sm` vectors of dropped kernels, for the next launches.
+    spare_per_sm: Vec<Vec<u32>>,
 }
 
 impl OccupancyTracker {
@@ -49,6 +51,7 @@ impl OccupancyTracker {
             kernels: IdMap::new(),
             unplaced_blocks: 0,
             resident_blocks: 0,
+            spare_per_sm: Vec::new(),
         }
     }
 
@@ -58,6 +61,7 @@ impl OccupancyTracker {
     ///
     /// Panics if `uid` is already tracked.
     pub fn on_launch(&mut self, uid: KernelUid, footprint: BlockFootprint, blocks: u32) {
+        let per_sm = self.spare_per_sm.pop();
         let prev = self.kernels.insert(
             u64::from(uid),
             TrackedKernel {
@@ -65,61 +69,97 @@ impl OccupancyTracker {
                 total_blocks: blocks,
                 placed: 0,
                 completed: 0,
-                per_sm: vec![0; self.pool.num_sms()],
+                per_sm: per_sm.unwrap_or_else(|| vec![0; self.pool.num_sms()]),
             },
         );
         assert!(prev.is_none(), "kernel {uid} launched twice");
         self.unplaced_blocks += u64::from(blocks);
     }
 
-    /// Folds one notification into the mirror. Unknown kernel uids are
-    /// ignored (stale notifications after a reset), as is a word naming an
-    /// SM the device does not have (garbage), and counts are clamped
-    /// so a lost or duplicated word can never corrupt the accounting — the
-    /// mirror may drift, but [`on_kernel_completed`] reconciles it when the
-    /// runtime observes the kernel finish.
+    /// Folds one notification into the mirror: a run of one word.
+    pub fn on_notification(&mut self, n: Notification) {
+        self.on_run(n.kernel, n.kind, &[(n.sm_id, n.group)]);
+    }
+
+    /// Folds a run — words of one `kind` for one kernel, as `(sm, group)`
+    /// pairs — into the mirror, word by word. Unknown kernel uids are ignored
+    /// (stale notifications after a reset), as is a word naming an SM the
+    /// device does not have (garbage), and counts are clamped so a lost or
+    /// duplicated word can never corrupt the accounting — the mirror may
+    /// drift, but [`on_kernel_completed`] reconciles it when the runtime
+    /// observes the kernel finish. Block totals and the pool's gauges are
+    /// settled once, after the last word. Returns the index of the first
+    /// word after which [`fully_placed`](Self::fully_placed) holds (0 if it
+    /// did before).
     ///
     /// [`on_kernel_completed`]: Self::on_kernel_completed
-    pub fn on_notification(&mut self, n: Notification) {
-        let Some(k) = self.kernels.get_mut(u64::from(n.kernel)) else {
-            return;
+    pub fn on_run(
+        &mut self,
+        uid: KernelUid,
+        kind: NotifKind,
+        words: &[(SmId, u16)],
+    ) -> Option<usize> {
+        let Some(k) = self.kernels.get_mut(u64::from(uid)) else {
+            return Some(0);
         };
-        let sm = n.sm_id as usize;
-        match n.kind {
+        let mut full_at = (k.placed == k.total_blocks).then_some(0);
+        let mut blocks = 0;
+        match kind {
             NotifKind::Placement => {
-                let want = u32::from(n.group).min(k.total_blocks - k.placed);
-                // 0 for an SM the device does not have.
-                let g = self.pool.fit_up_to(sm, &k.footprint, want);
-                if g == 0 {
-                    return;
+                for (i, &(sm, group)) in words.iter().enumerate() {
+                    if full_at.is_some() {
+                        break;
+                    }
+                    let sm = sm as usize;
+                    let want = u32::from(group).min(k.total_blocks - k.placed);
+                    // 0 for an SM the device does not have.
+                    let g = self.pool.fit_up_to(sm, &k.footprint, want);
+                    if g == 0 {
+                        continue;
+                    }
+                    k.placed += g;
+                    k.per_sm[sm] += g;
+                    self.pool.allocate_on(sm, &k.footprint, g);
+                    blocks += u64::from(g);
+                    if k.placed == k.total_blocks {
+                        full_at = Some(i);
+                    }
                 }
-                k.placed += g;
-                k.per_sm[sm] += g;
-                self.pool.allocate(sm, &k.footprint, g);
-                debug_assert!(self.unplaced_blocks >= u64::from(g), "placed > launched");
-                self.unplaced_blocks -= u64::from(g);
-                self.resident_blocks += u64::from(g);
+                self.pool.settle_allocated(&k.footprint, blocks);
+                debug_assert!(self.unplaced_blocks >= blocks, "placed > launched");
+                self.unplaced_blocks -= blocks;
+                self.resident_blocks += blocks;
             }
             NotifKind::Completion => {
-                let Some(on_sm) = k.per_sm.get_mut(sm) else {
-                    return;
-                };
-                let g = u32::from(n.group)
-                    .min(k.total_blocks - k.completed)
-                    .min(*on_sm);
-                if g == 0 {
-                    return;
+                for &(sm, group) in words {
+                    let Some(on_sm) = k.per_sm.get_mut(sm as usize) else {
+                        continue;
+                    };
+                    let g = u32::from(group)
+                        .min(k.total_blocks - k.completed)
+                        .min(*on_sm);
+                    k.completed += g;
+                    *on_sm -= g; // sub: `g ≤ *on_sm` by the `min` above
+                    self.pool.release_on(sm as usize, &k.footprint, g);
+                    blocks += u64::from(g);
                 }
-                k.completed += g;
-                debug_assert!(*on_sm >= g, "per-SM block count underflow on completion");
-                *on_sm -= g;
-                self.pool.release(sm, &k.footprint, g);
-                debug_assert!(self.resident_blocks >= u64::from(g), "completed > placed");
-                self.resident_blocks -= u64::from(g);
+                self.pool.settle_released(&k.footprint, blocks);
+                debug_assert!(self.resident_blocks >= blocks, "completed > placed");
+                self.resident_blocks -= blocks;
+                // Words after the one that completes the kernel clamp to 0.
                 if k.completed == k.total_blocks {
-                    self.kernels.remove(u64::from(n.kernel));
+                    self.drop_kernel(uid);
                 }
             }
+        }
+        full_at
+    }
+
+    /// Forgets `uid`, keeping its (by now all-zero) per-SM vector.
+    fn drop_kernel(&mut self, uid: KernelUid) {
+        if let Some(k) = self.kernels.remove(u64::from(uid)) {
+            debug_assert!(k.per_sm.iter().all(|&n| n == 0), "dropped with residents");
+            self.spare_per_sm.push(k.per_sm);
         }
     }
 
@@ -167,7 +207,7 @@ impl OccupancyTracker {
     /// or unplaced for `uid` are released. Without this, a lost completion
     /// word would leak SM capacity forever and eventually wedge dispatching.
     pub fn on_kernel_completed(&mut self, uid: KernelUid) {
-        let Some(k) = self.kernels.remove(u64::from(uid)) else {
+        let Some(k) = self.kernels.get_mut(u64::from(uid)) else {
             return;
         };
         // Blocks never seen placing still count against the backlog.
@@ -179,7 +219,8 @@ impl OccupancyTracker {
         self.unplaced_blocks -= never_placed;
         // Blocks placed but whose completion word was lost still occupy SMs
         // in the mirror.
-        for (sm, &blocks) in k.per_sm.iter().enumerate() {
+        for (sm, on_sm) in k.per_sm.iter_mut().enumerate() {
+            let blocks = std::mem::take(on_sm);
             if blocks > 0 {
                 self.pool.release(sm, &k.footprint, blocks);
                 debug_assert!(
@@ -189,6 +230,7 @@ impl OccupancyTracker {
                 self.resident_blocks -= u64::from(blocks);
             }
         }
+        self.drop_kernel(uid);
     }
 
     /// Mirror of one SM's usage (for tests and debugging).

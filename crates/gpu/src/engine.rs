@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use paella_channels::{KernelUid, Notification};
+use paella_channels::{KernelUid, NotifKind, Notification, SmId};
 use paella_sim::rng::Xoshiro256pp;
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime};
 use paella_telemetry::{TraceEvent, TraceLog, Tracer};
@@ -60,11 +60,16 @@ pub struct MemcpyOp {
     pub dir: CopyDir,
 }
 
-/// Host-visible outputs of the device, in timestamp order.
+/// Host-visible outputs of the device, one notification word at a time, in
+/// *emission* order: nondecreasing in device time but not in `at` — a word's
+/// `at` is its host-visibility instant, `notif_visibility` after the device
+/// posted it, so a kernel's last words precede its `KernelCompleted`, whose
+/// `at` is earlier.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GpuOutput {
-    /// A kernel's last block finished at `at` (host observes this through
-    /// stream queries/synchronization, which add their own cost).
+    /// A kernel's last block finished at device time `at` (host observes
+    /// this through stream queries/synchronization, which add their own
+    /// cost).
     KernelCompleted {
         /// The launch's unique id.
         uid: KernelUid,
@@ -79,13 +84,66 @@ pub enum GpuOutput {
         /// Host visibility time.
         at: SimTime,
     },
-    /// A memory copy finished at `at`.
+    /// A memory copy finished at device time `at`.
     MemcpyCompleted {
         /// The op's host-assigned id.
         uid: MemcpyUid,
         /// Completion time.
         at: SimTime,
     },
+}
+
+/// A [`GpuOutput`] with a wave's words kept together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GpuRunOutput {
+    /// [`GpuOutput::KernelCompleted`]'s `uid` and `at`.
+    KernelCompleted(KernelUid, SimTime),
+    /// [`GpuOutput::MemcpyCompleted`]'s `uid` and `at`.
+    MemcpyCompleted(MemcpyUid, SimTime),
+    /// A run: the words one wave posted, all for one `kernel`, of one `kind`,
+    /// visible to the host at one instant `at`, in posting order; their
+    /// `(sm, group)` pairs travel beside it. Words lost to `notif_drop_rate`
+    /// are absent, and a wave that lost them all has no run.
+    Notifs {
+        /// The kernel every word names.
+        kernel: KernelUid,
+        /// Placement or completion, for every word.
+        kind: NotifKind,
+        /// Host visibility time of every word.
+        at: SimTime,
+        /// Number of words (≥ 1).
+        len: u32,
+    },
+}
+
+/// What the device produces: its outputs in emission order and, run after
+/// run, the `(sm, group)` pair of every word. The word-level stream of
+/// [`GpuSim::advance_until`] is the expansion of this one.
+#[derive(Debug, Default)]
+pub struct GpuRuns {
+    outputs: Vec<GpuRunOutput>,
+    words: Vec<(SmId, u16)>,
+}
+
+impl GpuRuns {
+    /// Each output with its words (none unless it is a run).
+    pub fn iter(&self) -> impl Iterator<Item = (GpuRunOutput, &[(SmId, u16)])> {
+        let mut rest = &self.words[..];
+        self.outputs.iter().map(move |&out| {
+            let len = match out {
+                GpuRunOutput::Notifs { len, .. } => len as usize,
+                _ => 0,
+            };
+            let (words, tail) = rest.split_at(len);
+            rest = tail;
+            (out, words)
+        })
+    }
+
+    fn clear(&mut self) {
+        self.outputs.clear();
+        self.words.clear();
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -161,7 +219,7 @@ pub struct GpuSim {
     /// Streams with outstanding ops, indexed by stream id.
     streams: IdMap<StreamState>,
     copy_engines: Vec<CopyEngine>,
-    outputs: Vec<GpuOutput>,
+    outputs: GpuRuns,
     rr_sm: usize,
     resident_blocks: u64,
     /// Structured telemetry sink (no-op unless enabled by the host).
@@ -194,7 +252,7 @@ impl GpuSim {
                     busy_until: None,
                 })
                 .collect(),
-            outputs: Vec::new(),
+            outputs: GpuRuns::default(),
             rr_sm: 0,
             resident_blocks: 0,
             tracer: Tracer::disabled(),
@@ -334,9 +392,44 @@ impl GpuSim {
         self.events.peek_time()
     }
 
-    /// Processes all internal events with timestamp ≤ `t` and appends
-    /// host-visible outputs (in timestamp order) to `sink`.
+    /// Processes all internal events with timestamp ≤ `t` and appends the
+    /// host-visible outputs, in emission order (see [`GpuOutput`]), to
+    /// `sink`, a run as one [`GpuOutput::Notif`] per word.
     pub fn advance_until(&mut self, t: SimTime, sink: &mut Vec<GpuOutput>) {
+        self.run_until(t);
+        for (out, words) in self.outputs.iter() {
+            match out {
+                GpuRunOutput::KernelCompleted(uid, at) => {
+                    sink.push(GpuOutput::KernelCompleted { uid, at });
+                }
+                GpuRunOutput::MemcpyCompleted(uid, at) => {
+                    sink.push(GpuOutput::MemcpyCompleted { uid, at });
+                }
+                GpuRunOutput::Notifs {
+                    kernel, kind, at, ..
+                } => sink.extend(words.iter().map(|&(sm_id, group)| {
+                    let n = Notification {
+                        kind,
+                        sm_id,
+                        group,
+                        kernel,
+                    };
+                    GpuOutput::Notif { n, at }
+                })),
+            }
+        }
+        self.outputs.clear();
+    }
+
+    /// [`advance_until`](Self::advance_until) with runs kept whole. The
+    /// outputs replace what `sink` held: host and device swap two buffers.
+    pub fn advance_until_runs(&mut self, t: SimTime, sink: &mut GpuRuns) {
+        self.run_until(t);
+        sink.clear();
+        std::mem::swap(sink, &mut self.outputs);
+    }
+
+    fn run_until(&mut self, t: SimTime) {
         while let Some(next) = self.events.peek_time() {
             if next > t {
                 break;
@@ -345,7 +438,6 @@ impl GpuSim {
             let (at, ev) = self.events.pop().expect("peeked event");
             self.handle(at, ev);
         }
-        sink.append(&mut self.outputs);
     }
 
     fn handle(&mut self, at: SimTime, ev: Ev) {
@@ -470,7 +562,7 @@ impl GpuSim {
             let fit = self.pool.fit(smi, &fp);
             if fit > 0 {
                 let group = fit.min(unplaced);
-                self.pool.allocate(smi, &fp, group);
+                self.pool.allocate_on(smi, &fp, group);
                 unplaced -= group; // sub: `group ≤ unplaced` by the `min` above
                 allocs.push((smi as u32, group));
             }
@@ -482,6 +574,7 @@ impl GpuSim {
         }
         self.rr_sm = wrapping_succ(self.rr_sm, num_sms);
         let placed: u32 = allocs.iter().map(|&(_, g)| g).sum();
+        self.pool.settle_allocated(&fp, u64::from(placed));
         self.resident_blocks += u64::from(placed);
 
         // Sample one duration for the wave and add instrumentation overhead.
@@ -541,52 +634,55 @@ impl GpuSim {
         }
 
         // Placement notifications, attributed to the SM each group landed
-        // on. Aggregation batches a group's blocks into one word (groups are
-        // ≤ blocks-per-SM ≈ the paper's aggregation factor of 16);
-        // unaggregated instrumentation posts one word per block.
+        // on.
         if let Some(spec) = instr {
-            for &(sm, group) in &allocs {
-                self.emit_notif_words(now, uid, sm, group, spec.aggregation, true);
-            }
+            self.emit_notif_run(now, uid, &allocs, spec.aggregation, NotifKind::Placement);
         }
 
         self.events
             .schedule_at(now + dur, Ev::GroupFinish { uid, wave, allocs });
     }
 
-    /// Emits start/end notifications for `blocks` blocks of one per-SM group.
-    /// With aggregation > 1 the group posts a single batched word; without
-    /// it, one word per block (Fig. 6 semantics applied per group).
-    fn emit_notif_words(
+    /// Emits a wave's start or end notifications as one run, group by group.
+    /// Aggregation batches a group's blocks into one word (groups are ≤
+    /// blocks-per-SM ≈ the paper's aggregation factor of 16); without it,
+    /// one word per block (Fig. 6 semantics applied per group).
+    fn emit_notif_run(
         &mut self,
         now: SimTime,
-        uid: KernelUid,
-        sm: u32,
-        blocks: u32,
+        kernel: KernelUid,
+        allocs: &[(u32, u32)],
         aggregation: u32,
-        start: bool,
+        kind: NotifKind,
     ) {
-        let visible = now + self.cfg.notif_visibility;
-        let word_size = if aggregation <= 1 {
-            1
-        } else {
-            blocks.min(u16::MAX as u32)
-        };
-        let mut remaining = blocks;
-        while remaining > 0 {
-            let g = remaining.min(word_size).max(1) as u16;
-            // sub: `1 ≤ g ≤ remaining`, the loop tests `> 0`.
-            remaining -= u32::from(g);
-            // Fault injection: a dropped word models a notifQ overrun.
-            if self.cfg.notif_drop_rate > 0.0 && self.rng.chance(self.cfg.notif_drop_rate) {
-                continue;
-            }
-            let n = if start {
-                Notification::placement((sm % 256) as u8, uid, g)
+        let first = self.outputs.words.len();
+        for &(sm, blocks) in allocs {
+            let word_size = if aggregation <= 1 {
+                1
             } else {
-                Notification::completion((sm % 256) as u8, uid, g)
+                blocks.min(u16::MAX as u32)
             };
-            self.outputs.push(GpuOutput::Notif { n, at: visible });
+            let mut remaining = blocks;
+            while remaining > 0 {
+                let g = remaining.min(word_size).max(1) as u16;
+                // sub: `1 ≤ g ≤ remaining`, the loop tests `> 0`.
+                remaining -= u32::from(g);
+                // Fault injection: a dropped word models a notifQ overrun.
+                if self.cfg.notif_drop_rate > 0.0 && self.rng.chance(self.cfg.notif_drop_rate) {
+                    continue;
+                }
+                self.outputs.words.push(((sm % 256) as u8, g));
+            }
+        }
+        let len = (self.outputs.words.len() - first) as u32;
+        if len > 0 {
+            let at = now + self.cfg.notif_visibility;
+            self.outputs.outputs.push(GpuRunOutput::Notifs {
+                kernel,
+                kind,
+                at,
+                len,
+            });
         }
     }
 
@@ -597,8 +693,9 @@ impl GpuSim {
         };
         let blocks: u32 = allocs.iter().map(|&(_, g)| g).sum();
         for &(sm, group) in allocs {
-            self.pool.release(sm as usize, &fp, group);
+            self.pool.release_on(sm as usize, &fp, group);
         }
+        self.pool.settle_released(&fp, u64::from(blocks));
         debug_assert!(
             self.resident_blocks >= u64::from(blocks),
             "resident_blocks underflow: finishing blocks that never placed"
@@ -631,9 +728,7 @@ impl GpuSim {
         };
 
         if let Some(spec) = instr {
-            for &(sm, group) in allocs {
-                self.emit_notif_words(at, uid, sm, group, spec.aggregation, false);
-            }
+            self.emit_notif_run(at, uid, allocs, spec.aggregation, NotifKind::Completion);
         }
         if kernel_done {
             self.complete_kernel(at, uid);
@@ -654,7 +749,9 @@ impl GpuSim {
         self.tracer.record_with(at, || TraceEvent::KernelCompleted {
             kernel: u64::from(uid),
         });
-        self.outputs.push(GpuOutput::KernelCompleted { uid, at });
+        self.outputs
+            .outputs
+            .push(GpuRunOutput::KernelCompleted(uid, at));
         // The stream's next op may now start.
         self.try_start_copies(at);
         self.schedule_blocks(at);
@@ -717,7 +814,9 @@ impl GpuSim {
         debug_assert_eq!(front, uid);
         e.busy_until = None;
         self.pop_stream_front(stream, StreamOp::Copy(uid));
-        self.outputs.push(GpuOutput::MemcpyCompleted { uid, at });
+        self.outputs
+            .outputs
+            .push(GpuRunOutput::MemcpyCompleted(uid, at));
         self.pump_engine(at, engine);
         self.try_start_copies(at);
         self.schedule_blocks(at);
@@ -739,7 +838,6 @@ mod tests {
     use crate::config::Microarch;
     use crate::kernel::{DurationModel, InstrumentationSpec, KernelDesc};
     use crate::resources::BlockFootprint;
-    use paella_channels::NotifKind;
 
     fn kernel(name: &str, blocks: u32, threads: u32, dur_us: u64) -> KernelDesc {
         KernelDesc {

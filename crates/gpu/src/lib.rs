@@ -22,6 +22,6 @@ pub mod kernel;
 pub mod resources;
 
 pub use config::{DeviceConfig, Microarch};
-pub use engine::{CopyDir, GpuOutput, GpuSim, MemcpyOp, MemcpyUid};
+pub use engine::{CopyDir, GpuOutput, GpuRunOutput, GpuRuns, GpuSim, MemcpyOp, MemcpyUid};
 pub use kernel::{DurationModel, InstrumentationSpec, KernelDesc, KernelLaunch, StreamId};
 pub use resources::{blocks_per_sm, BlockFootprint, SmLimits, SmPool, SmUsage};

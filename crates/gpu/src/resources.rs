@@ -138,9 +138,10 @@ impl SmUsage {
 /// Table 1's arithmetic, behind both the device's block scheduler
 /// ([`GpuSim`](crate::GpuSim)) and the dispatcher's software mirror of it.
 ///
-/// Invariant: each gauge is the sum over SMs of `limit − usage` for its
-/// resource; [`allocate`](Self::allocate) and [`release`](Self::release) are
-/// the only writers of either side. The gauges are thus a *necessary*
+/// Invariant, *between runs*: each gauge is the sum over SMs of
+/// `limit − usage` for its resource. [`allocate`](Self::allocate) and
+/// [`release`](Self::release) write both sides; a run writes the SMs one by
+/// one and the gauges once. The gauges are thus a *necessary*
 /// condition for placing blocks and never a sufficient one — free capacity
 /// scattered in pieces smaller than a block adds up and hosts nothing — but
 /// on a saturated device the necessary condition is the one that fails, so
@@ -245,14 +246,8 @@ impl SmPool {
     /// Panics if `sm` is out of range, and (debug assertions) if the
     /// allocation exceeds the limits; callers check [`fit`](Self::fit) first.
     pub fn allocate(&mut self, sm: usize, fp: &BlockFootprint, n: u32) {
-        self.sms[sm].allocate(fp, n, &self.limits);
-        for (free, d) in self.free.iter_mut().zip(demand(fp, u64::from(n))) {
-            debug_assert!(
-                *free >= d,
-                "free gauge underflow: allocated what did not fit"
-            );
-            *free -= d;
-        }
+        self.allocate_on(sm, fp, n);
+        self.settle_allocated(fp, u64::from(n));
     }
 
     /// Releases `n` blocks of footprint `fp` from SM `sm`.
@@ -262,8 +257,41 @@ impl SmPool {
     /// Panics if `sm` is out of range or the SM holds fewer than `n` blocks —
     /// an accounting bug in the caller.
     pub fn release(&mut self, sm: usize, fp: &BlockFootprint, n: u32) {
+        self.release_on(sm, fp, n);
+        self.settle_released(fp, u64::from(n));
+    }
+
+    /// The per-SM half of [`allocate`](Self::allocate), for a *run*: blocks
+    /// of one footprint move SM by SM and the gauges are owed one
+    /// [`settle_allocated`](Self::settle_allocated) of their sum before
+    /// anything reads them. `fit` and `fit_up_to` read only the SM, so they
+    /// stay exact inside a run.
+    #[inline]
+    pub fn allocate_on(&mut self, sm: usize, fp: &BlockFootprint, n: u32) {
+        self.sms[sm].allocate(fp, n, &self.limits);
+    }
+
+    /// The per-SM half of [`release`](Self::release), owed one
+    /// [`settle_released`](Self::settle_released).
+    #[inline]
+    pub fn release_on(&mut self, sm: usize, fp: &BlockFootprint, n: u32) {
         self.sms[sm].release(fp, n);
-        for (free, d) in self.free.iter_mut().zip(demand(fp, u64::from(n))) {
+    }
+
+    /// Takes a run's `n` blocks of `fp` off the gauges.
+    pub fn settle_allocated(&mut self, fp: &BlockFootprint, n: u64) {
+        for (free, d) in self.free.iter_mut().zip(demand(fp, n)) {
+            debug_assert!(
+                *free >= d,
+                "free gauge underflow: allocated what did not fit"
+            );
+            *free -= d;
+        }
+    }
+
+    /// Returns a run's `n` blocks of `fp` to the gauges.
+    pub fn settle_released(&mut self, fp: &BlockFootprint, n: u64) {
+        for (free, d) in self.free.iter_mut().zip(demand(fp, n)) {
             *free += d;
         }
     }

@@ -3,10 +3,10 @@
 
 use proptest::prelude::*;
 
-use paella_channels::NotifKind;
+use paella_channels::{NotifKind, Notification};
 use paella_gpu::{
-    BlockFootprint, DeviceConfig, DurationModel, GpuOutput, GpuSim, InstrumentationSpec,
-    KernelDesc, KernelLaunch, Microarch, SmLimits, SmPool, SmUsage, StreamId,
+    BlockFootprint, DeviceConfig, DurationModel, GpuOutput, GpuRunOutput, GpuRuns, GpuSim,
+    InstrumentationSpec, KernelDesc, KernelLaunch, Microarch, SmLimits, SmPool, SmUsage, StreamId,
 };
 use paella_sim::{SimDuration, SimTime};
 
@@ -267,6 +267,92 @@ proptest! {
                 prop_assert!(u.threads <= lim.max_threads);
                 prop_assert!(u.registers <= lim.max_registers);
                 prop_assert!(u.shmem <= lim.max_shmem);
+            }
+        }
+    }
+    /// The word view is exactly the expansion of the run view: twin devices,
+    /// one pumped word-level event by event, one run-level in coarse steps,
+    /// emit the same stream, with and without lost words. A run is never
+    /// empty; with aggregation its words name distinct SMs (one word per
+    /// per-SM group), without it every word is one block.
+    #[test]
+    fn word_view_is_the_expansion_of_the_run_view(
+        kernels in proptest::collection::vec((arb_kernel(), 0u32..12, 0u64..2_000), 1..24),
+        aggregate in any::<bool>(),
+        lossy in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let cfg = DeviceConfig {
+            notif_drop_rate: if lossy { 0.03 } else { 0.0 },
+            ..DeviceConfig::tesla_t4()
+        };
+        let spec = if aggregate {
+            InstrumentationSpec::default()
+        } else {
+            InstrumentationSpec::without_aggregation()
+        };
+        let mut twins = [GpuSim::new(cfg.clone(), seed), GpuSim::new(cfg, seed)];
+        for (i, (k, stream, at)) in kernels.iter().enumerate() {
+            for gpu in &mut twins {
+                gpu.launch_kernel(
+                    SimTime::from_micros(*at),
+                    KernelLaunch {
+                        uid: i as u32 + 1,
+                        stream: StreamId(stream + 1),
+                        desc: k.clone().instrumented(spec),
+                    },
+                );
+            }
+        }
+        let [by_word, by_run] = &mut twins;
+        let mut words = Vec::new();
+        while let Some(t) = by_word.next_time() {
+            by_word.advance_until(t, &mut words);
+        }
+        // The test's own expansion, a buffer-full at a time (each call
+        // replaces what the buffer held).
+        let mut runs = GpuRuns::default();
+        let mut expanded = Vec::new();
+        let mut covered = vec![[0u32; 2]; kernels.len()];
+        while let Some(t) = by_run.next_time() {
+            by_run.advance_until_runs(t + SimDuration::from_micros(500), &mut runs);
+            for (out, pairs) in runs.iter() {
+                let (kernel, kind, at) = match out {
+                    GpuRunOutput::KernelCompleted(uid, at) => {
+                        expanded.push(GpuOutput::KernelCompleted { uid, at });
+                        prop_assert!(pairs.is_empty());
+                        continue;
+                    }
+                    GpuRunOutput::MemcpyCompleted(uid, at) => {
+                        expanded.push(GpuOutput::MemcpyCompleted { uid, at });
+                        continue;
+                    }
+                    GpuRunOutput::Notifs { kernel, kind, at, len } => {
+                        prop_assert!(len >= 1 && len as usize == pairs.len());
+                        (kernel, kind, at)
+                    }
+                };
+                for &(sm_id, group) in pairs {
+                    let n = Notification { kind, sm_id, group, kernel };
+                    expanded.push(GpuOutput::Notif { n, at });
+                }
+                if aggregate {
+                    let mut sms: Vec<u8> = pairs.iter().map(|&(sm, _)| sm).collect();
+                    sms.sort_unstable();
+                    sms.dedup();
+                    prop_assert_eq!(sms.len(), pairs.len(), "one word per SM group");
+                } else {
+                    prop_assert!(pairs.iter().all(|&(_, g)| g == 1));
+                }
+                let blocks: u32 = pairs.iter().map(|&(_, g)| u32::from(g)).sum();
+                covered[kernel as usize - 1][usize::from(kind == NotifKind::Completion)] += blocks;
+            }
+        }
+        prop_assert_eq!(&expanded, &words);
+        for (k, seen) in kernels.iter().zip(&covered) {
+            for &blocks in seen {
+                prop_assert!(blocks <= k.0.grid_blocks);
+                prop_assert!(lossy || blocks == k.0.grid_blocks, "every block reported once");
             }
         }
     }

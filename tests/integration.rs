@@ -625,6 +625,104 @@ fn front_end_golden_digests() {
     );
 }
 
+// -- notification-path golden -------------------------------------------------
+
+/// Digest of a whole trace log: every event's instant, sequence number and
+/// `Debug` rendering, in log order.
+fn trace_digest(log: &paella_telemetry::TraceLog) -> (u64, usize) {
+    let digest = log.events.iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
+        let h = fold(fold(h, e.at.as_nanos()), e.seq);
+        format!("{:?}", e.event)
+            .bytes()
+            .fold(h, |h, b| fold(h, u64::from(b)))
+    });
+    (digest, log.len())
+}
+
+/// Pins the dispatcher's notification path with telemetry on — the instant
+/// and order of every `HostOp` / `NotifBatch` pair, the `DoorbellWake` of a
+/// pinned-output job and the events of a pipelined release between the words
+/// they follow — on a device that loses words, where the mirror clamps, the
+/// notifQ reservation is only partly consumed and a kernel may never be seen
+/// fully placed. Recorded with one word handled at a time; handling a wave's
+/// words as one run must reproduce both the completions and the log.
+#[test]
+fn notification_path_golden_digests() {
+    use paella_core::DispatcherConfig;
+    let mut zoo = ModelZoo::new(device());
+    // Pinned output (the last op is a kernel) with many-word waves, so the
+    // wake-up lands between the first and second word of a run.
+    let mut pinned =
+        synthetic::tiny_model_pinned(SimDuration::from_micros(80), SimDuration::from_micros(20));
+    for op in &mut pinned.ops {
+        if let paella_compiler::DeviceOp::Kernel(k) = op {
+            k.grid_blocks = 300;
+        }
+    }
+    let models = [zoo.get("resnet18").clone(), googlenet_4_streams(), pinned];
+    let run = |drop_rate: f64, cfg: DispatcherConfig| {
+        let lossy = DeviceConfig {
+            notif_drop_rate: drop_rate,
+            ..device()
+        };
+        let mut sys = paella_core::Dispatcher::new(
+            lossy,
+            ChannelConfig::default(),
+            Box::new(paella_core::SrptDeficitScheduler::new(Some(
+                SystemKey::DEFAULT_FAIRNESS,
+            ))),
+            cfg,
+            11,
+        );
+        sys.enable_telemetry();
+        let ids: Vec<_> = models.iter().map(|m| sys.register_model(m)).collect();
+        let spec = WorkloadSpec {
+            clients: 5,
+            ..WorkloadSpec::bursty(900.0, 20)
+        };
+        let completions = golden_digest(&mut sys, &generate(&spec, &Mix::uniform(&ids)));
+        let log = sys.take_trace_log().expect("telemetry is on");
+        let notifs = sys
+            .metrics_snapshot()
+            .expect("telemetry is on")
+            .counter("notifs_processed");
+        (completions, trace_digest(&log), notifs)
+    };
+    let two_shards = DispatcherConfig {
+        dispatcher_cores: 2,
+        release_on_placement: false,
+        online_profiling: false,
+        ..DispatcherConfig::paella()
+    };
+    assert_eq!(
+        [
+            run(0.03, two_shards),
+            run(0.03, DispatcherConfig::paella()),
+            run(0.0, DispatcherConfig::paella()),
+        ],
+        [
+            (
+                (0x5844_06dc_901b_9f13, 20, 0),
+                (0x9943_256f_c150_0b32, 535_563),
+                171_708
+            ),
+            (
+                (0x28a6_1b9e_7800_4241, 20, 0),
+                (0xf017_fa42_35d8_0e6c, 514_421),
+                164_836
+            ),
+            (
+                (0x7e26_168c_f814_0b94, 20, 0),
+                (0x160b_bfee_697e_60d9, 536_958),
+                173_912
+            ),
+        ],
+        "((digest, completed, failed), (trace digest, events), words handled) of: 3 % loss on \
+         two shards without pipelined release or online profiling, 3 % loss on the default \
+         config, the default config"
+    );
+}
+
 // -- engine-output golden ---------------------------------------------------
 
 #[path = "common/contended.rs"]
