@@ -13,12 +13,19 @@
 //! build of the parent. A change that means to move a figure re-records its
 //! digest and says so.
 
+use std::path::Path;
 use std::process::Command;
 
 /// Runs `bin` with the given worker count and returns its raw stdout.
 fn stdout_at(bin: &str, args: &[&str], threads: usize) -> Vec<u8> {
+    stdout_in(Path::new("."), bin, args, threads)
+}
+
+/// [`stdout_at`], with `dir` as the binary's working directory.
+fn stdout_in(dir: &Path, bin: &str, args: &[&str], threads: usize) -> Vec<u8> {
     let out = Command::new(bin)
         .args(args)
+        .current_dir(dir)
         .env("PAELLA_BENCH_THREADS", threads.to_string())
         // Shrink request counts so debug-build test runs stay quick; the
         // floor in `paella_bench::scaled` keeps grids non-trivial.
@@ -34,15 +41,20 @@ fn stdout_at(bin: &str, args: &[&str], threads: usize) -> Vec<u8> {
     out.stdout
 }
 
+/// FNV-1a over `bytes`.
+fn digest(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Asserts stdout is byte-identical across thread counts 1, 2, and 8, and
 /// that its FNV-1a digest is `golden` when one is given.
 fn assert_deterministic(bin: &str, args: &[&str], golden: Option<u64>) {
     let serial = stdout_at(bin, args, 1);
     assert!(!serial.is_empty(), "{bin} produced no output");
     if let Some(want) = golden {
-        let got = serial.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
+        let got = digest(&serial);
         assert_eq!(
             got,
             want,
@@ -134,4 +146,23 @@ fn fig01_stdout_is_thread_count_invariant() {
         &[],
         Some(0x605e_960c_56a0_6002),
     );
+}
+
+#[test]
+fn trace_dump_stdout_and_export_are_pinned() {
+    // The text summary (per-kind counts of the word-level log, per-SM busy
+    // time, the metrics) and the Chrome-trace file, which the binary writes
+    // under its working directory: the whole exporter surface, byte for byte.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_dump");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    for threads in [1usize, 8] {
+        let stdout = stdout_in(&dir, env!("CARGO_BIN_EXE_trace_dump"), &[], threads);
+        let json = std::fs::read(dir.join("results/trace_dump.json")).expect("trace file");
+        assert_eq!(
+            (digest(&stdout), digest(&json)),
+            (0x8117_b3d9_6d87_004f, 0xa2ed_3b8a_301e_7602),
+            "trace_dump moved at {threads} thread(s): (stdout, results/trace_dump.json)\n{}",
+            String::from_utf8_lossy(&stdout)
+        );
+    }
 }

@@ -22,7 +22,8 @@ use paella_gpu::{
 };
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{
-    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, MetricsSnapshot, TraceEvent, TraceLog,
+    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, MetricsSnapshot, NotifRun, TraceEvent,
+    TraceLog,
 };
 
 use crate::occupancy::OccupancyTracker;
@@ -1433,24 +1434,21 @@ impl Dispatcher {
             };
             let done = self.charge_cpu(owner, at, cost * (to - from) as u64);
             self.now = self.now.max(done);
-            if self.core.tracer.is_enabled() {
-                let (core, mut start) = self.last_charge;
-                for &(sm, group) in &words[from..to] {
-                    let done = start + cost;
-                    self.core.trace(done, || TraceEvent::HostOp {
-                        kind: HostOpKind::Notif,
-                        core,
-                        start,
-                    });
-                    self.core.trace(done, || TraceEvent::NotifBatch {
-                        kernel: u64::from(kernel),
-                        sm: u32::from(sm),
-                        placement,
-                        blocks: u32::from(group),
-                    });
-                    start = done;
-                }
-            }
+            // One event per charge, at its first word's end; the host op and
+            // the notification of each word are its expansion.
+            let (core, start) = self.last_charge;
+            self.core.trace(start + cost, || {
+                TraceEvent::NotifRun(Box::new(NotifRun {
+                    kernel: u64::from(kernel),
+                    placement,
+                    core,
+                    start,
+                    cost,
+                    words: (words[from..to].iter())
+                        .map(|&(sm, group)| (u32::from(sm), u32::from(group)))
+                        .collect(),
+                }))
+            });
             if let Some((job, token, _)) = placing {
                 if wake && from == 0 {
                     self.fire_almost_finished(job, at);

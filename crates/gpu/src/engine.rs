@@ -24,11 +24,12 @@
 //! simulated time forward and collect host-visible [`GpuOutput`]s.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use paella_channels::{KernelUid, NotifKind, Notification, SmId};
 use paella_sim::rng::Xoshiro256pp;
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime};
-use paella_telemetry::{TraceEvent, TraceLog, Tracer};
+use paella_telemetry::{SmWave, TraceEvent, TraceLog, Tracer};
 
 use crate::config::DeviceConfig;
 use crate::kernel::{KernelLaunch, StreamId};
@@ -197,6 +198,21 @@ struct KernelState {
     /// Smallest wave worth a finish event (fewer blocks only when fewer
     /// remain): 1/8 of an empty device's fill of this footprint.
     wave_quantum: u64,
+    /// Telemetry payloads of the waves still running, each shared by its
+    /// begin event and the end event to come. Empty with telemetry off.
+    open_waves: Vec<Arc<SmWave>>,
+}
+
+impl KernelState {
+    /// What the telemetry events of wave `wave`, placed as `allocs`, carry.
+    fn wave_span(&self, wave: u32, allocs: &[(u32, u32)]) -> Arc<SmWave> {
+        Arc::new(SmWave {
+            kernel: u64::from(self.launch.uid),
+            wave,
+            name: self.launch.desc.name.clone(),
+            groups: allocs.into(),
+        })
+    }
 }
 
 struct CopyEngine {
@@ -214,6 +230,9 @@ pub struct GpuSim {
     pool: SmPool,
     /// Hardware queues of kernels, in arrival order.
     queues: Vec<VecDeque<KernelUid>>,
+    /// Bit `q` is set while `queues[q]` holds a kernel, so the block
+    /// scheduler visits those queues only.
+    busy_queues: u64,
     /// In-flight kernels, indexed by launch uid.
     kernels: IdMap<KernelState>,
     /// Streams with outstanding ops, indexed by stream id.
@@ -237,6 +256,7 @@ impl GpuSim {
     pub fn new(cfg: DeviceConfig, seed: u64) -> Self {
         let pool = SmPool::new(cfg.num_sms, cfg.sm_limits);
         let num_queues = cfg.num_hw_queues as usize;
+        assert!(num_queues <= 64, "one bit of `busy_queues` per queue");
         let engines = cfg.copy_engines.max(1) as usize;
         GpuSim {
             cfg,
@@ -244,6 +264,7 @@ impl GpuSim {
             events: EventQueue::new(),
             pool,
             queues: vec![VecDeque::new(); num_queues],
+            busy_queues: 0,
             kernels: IdMap::new(),
             streams: IdMap::new(),
             copy_engines: (0..engines)
@@ -345,6 +366,7 @@ impl GpuSim {
                 finished_blocks: 0,
                 waves: 0,
                 wave_quantum,
+                open_waves: Vec::new(),
             },
         );
         self.events.schedule_at(at, Ev::QueueArrival { uid });
@@ -453,6 +475,7 @@ impl GpuSim {
                 let stream = k.launch.stream.0;
                 let q = self.cfg.queue_for_stream(stream) as usize;
                 self.queues[q].push_back(uid);
+                self.busy_queues |= 1 << q;
                 self.tracer.record_with(at, || TraceEvent::KernelQueued {
                     kernel: u64::from(uid),
                     stream,
@@ -481,31 +504,45 @@ impl GpuSim {
     /// becomes eligible through completions or arrivals, both of which call
     /// back into this scheduler.
     fn schedule_blocks(&mut self, now: SimTime) {
-        let nq = self.queues.len();
-        let mut qi = self.rr_queue;
-        for _ in 0..nq {
-            while let Some(&head) = self.queues[qi].front() {
-                if !self.stream_ready(head) {
-                    // HoL blocking: an ineligible head stalls this queue.
-                    self.tracer.record_with(now, || TraceEvent::HwQueueStall {
-                        hw_queue: qi as u32,
-                        kernel: u64::from(head),
-                    });
-                    break;
-                }
-                self.place_head_blocks(now, head);
-                if self.kernel(head).unplaced == 0 {
-                    // Fully placed: the kernel leaves the hardware queue;
-                    // the next kernel in this queue may now be considered.
-                    self.queues[qi].pop_front();
-                } else {
-                    // Strict FIFO: cannot look past a partially placed head.
-                    break;
-                }
+        // Round-robin from the cursor over the queues that hold a kernel:
+        // those at or past it, then those before it. Nothing enters a queue
+        // during the pass.
+        let before_cursor = (1u64 << self.rr_queue) - 1;
+        for mut round in [
+            self.busy_queues & !before_cursor,
+            self.busy_queues & before_cursor,
+        ] {
+            while round != 0 {
+                let qi = round.trailing_zeros() as usize;
+                round &= round - 1;
+                self.schedule_queue(now, qi);
             }
-            qi = wrapping_succ(qi, nq);
         }
-        self.rr_queue = wrapping_succ(self.rr_queue, nq);
+        self.rr_queue = wrapping_succ(self.rr_queue, self.queues.len());
+    }
+
+    /// Places from the head of hardware queue `qi` until a head stalls, does
+    /// not fit whole, or the queue empties.
+    fn schedule_queue(&mut self, now: SimTime, qi: usize) {
+        while let Some(&head) = self.queues[qi].front() {
+            if !self.stream_ready(head) {
+                // HoL blocking: an ineligible head stalls this queue.
+                self.tracer.record_with(now, || TraceEvent::HwQueueStall {
+                    hw_queue: qi as u32,
+                    kernel: u64::from(head),
+                });
+                return;
+            }
+            self.place_head_blocks(now, head);
+            if self.kernel(head).unplaced > 0 {
+                // Strict FIFO: cannot look past a partially placed head.
+                return;
+            }
+            // Fully placed: the kernel leaves the hardware queue; the next
+            // kernel in this queue may now be considered.
+            self.queues[qi].pop_front();
+        }
+        self.busy_queues &= !(1 << qi);
     }
 
     /// Whether `uid` is at the front of its stream (its predecessor finished).
@@ -616,22 +653,14 @@ impl GpuSim {
             k.running += placed;
             let wave = k.waves;
             k.waves += 1;
+            if self.tracer.is_enabled() {
+                let span = k.wave_span(wave, &allocs);
+                k.open_waves.push(span.clone());
+                self.tracer
+                    .record_with(now, || TraceEvent::SmWaveBegin(span));
+            }
             wave
         };
-
-        if self.tracer.is_enabled() {
-            let name = self.kernel(uid).launch.desc.name.clone();
-            for &(sm, group) in &allocs {
-                let name = name.clone();
-                self.tracer.record_with(now, || TraceEvent::SmSpanBegin {
-                    kernel: u64::from(uid),
-                    wave,
-                    sm,
-                    blocks: group,
-                    name,
-                });
-            }
-        }
 
         // Placement notifications, attributed to the SM each group landed
         // on.
@@ -702,15 +731,6 @@ impl GpuSim {
         );
         self.resident_blocks -= u64::from(blocks);
 
-        for &(sm, group) in allocs {
-            self.tracer.record_with(at, || TraceEvent::SmSpanEnd {
-                kernel: u64::from(uid),
-                wave,
-                sm,
-                blocks: group,
-            });
-        }
-
         let kernel_done = {
             // invariant: a wave's finish event is scheduled at placement and
             // the record is removed only after the last wave finished.
@@ -724,6 +744,14 @@ impl GpuSim {
             );
             k.running -= blocks;
             k.finished_blocks += blocks;
+            if self.tracer.is_enabled() {
+                let span = match k.open_waves.iter().position(|w| w.wave == wave) {
+                    Some(open) => k.open_waves.swap_remove(open),
+                    // Telemetry came on with the wave already running.
+                    None => k.wave_span(wave, allocs),
+                };
+                self.tracer.record_with(at, || TraceEvent::SmWaveEnd(span));
+            }
             k.finished_blocks == k.launch.desc.grid_blocks && k.running == 0 && k.unplaced == 0
         };
 
@@ -1229,6 +1257,50 @@ mod tests {
             assert_eq!((s.end - s.start).as_micros_f64(), 100.0);
             assert_eq!((s.name.as_str(), s.blocks), ("t", 1));
         }
+    }
+
+    #[test]
+    fn a_wave_shares_one_record_unless_telemetry_came_on_under_it() {
+        let launch = |gpu: &mut GpuSim| {
+            gpu.launch_kernel(
+                SimTime::ZERO,
+                KernelLaunch {
+                    uid: 1,
+                    stream: StreamId(1),
+                    desc: kernel("t", 2, 1024, 100),
+                },
+            );
+        };
+        let waves = |log: TraceLog| -> Vec<(&'static str, Arc<SmWave>)> {
+            (log.events.into_iter())
+                .filter_map(|e| match e.event {
+                    TraceEvent::SmWaveBegin(w) => Some(("begin", w)),
+                    TraceEvent::SmWaveEnd(w) => Some(("end", w)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut gpu = GpuSim::new(DeviceConfig::tiny(2, 2, Microarch::KeplerPlus), 1);
+        gpu.set_tracer(Tracer::enabled());
+        launch(&mut gpu);
+        drain_all(&mut gpu);
+        let whole = waves(gpu.take_trace_log());
+        assert_eq!((whole[0].0, whole[1].0, whole.len()), ("begin", "end", 2));
+        assert!(Arc::ptr_eq(&whole[0].1, &whole[1].1));
+
+        // Switched on mid-wave, the end carries a record of its own.
+        let mut gpu = GpuSim::new(DeviceConfig::tiny(2, 2, Microarch::KeplerPlus), 1);
+        launch(&mut gpu);
+        let mut out = Vec::new();
+        gpu.advance_until(SimTime::from_micros(50), &mut out);
+        assert_eq!(gpu.resident_blocks(), 2, "the wave is running");
+        gpu.set_tracer(Tracer::enabled());
+        drain_all(&mut gpu);
+        let log = gpu.take_trace_log();
+        assert!(paella_telemetry::export::sm_spans(&log).is_empty());
+        let late = waves(log);
+        assert_eq!((late[0].0, late.len()), ("end", 1));
+        assert_eq!(late[0].1, whole[1].1);
     }
 
     #[test]

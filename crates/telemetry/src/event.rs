@@ -7,12 +7,21 @@
 //!
 //! Size budget (DESIGN §8): a [`TraceEvent`] is at most 32 bytes, because
 //! recording costs what its bytes cost. The four variants that occur once
-//! per request or per job carry their payload behind a `Box`.
+//! per request or per job carry their payload behind a `Box`. So do the
+//! three *run* variants ([`TraceEvent::SmWaveBegin`] and
+//! [`TraceEvent::SmWaveEnd`] behind an `Arc` the two share,
+//! [`TraceEvent::NotifRun`]), which are what the device and the dispatcher
+//! record per wave and per charged stretch of
+//! notification words. The per-word variants they stand for
+//! ([`TraceEvent::SmSpanBegin`], [`TraceEvent::SmSpanEnd`], the
+//! [`HostOpKind::Notif`] host op and [`TraceEvent::NotifBatch`]) are what
+//! [`TraceLog::expanded`](crate::TraceLog::expanded) yields; nothing records
+//! them.
 
 use std::fmt;
 use std::sync::Arc;
 
-use paella_sim::SimTime;
+use paella_sim::{SimDuration, SimTime};
 
 /// Which host-side CPU charge a [`TraceEvent::HostOp`] span covers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -192,6 +201,41 @@ pub struct RouteDecision {
     pub candidates: u32,
 }
 
+/// Payload of [`TraceEvent::SmWaveBegin`] and [`TraceEvent::SmWaveEnd`]: one
+/// placement pass of a kernel, a group of blocks per SM it landed on. The two
+/// events of a wave share one payload.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SmWave {
+    /// Owning kernel uid.
+    pub kernel: u64,
+    /// Wave index within the kernel (0-based placement pass).
+    pub wave: u32,
+    /// Kernel name, for slice labels (shared with the kernel).
+    pub name: Arc<String>,
+    /// `(sm, blocks)` of every group, in placement order.
+    pub groups: Box<[(u32, u32)]>,
+}
+
+/// Payload of [`TraceEvent::NotifRun`]: notification words of one kernel and
+/// one kind that a dispatcher core folded back to back under one CPU charge.
+/// Word `i` took the core from `start + i·cost` to `start + (i+1)·cost`; the
+/// event is recorded at the first word's end, `start + cost`.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct NotifRun {
+    /// Kernel every word belongs to.
+    pub kernel: u64,
+    /// `true` for placement words, `false` for completion words.
+    pub placement: bool,
+    /// Dispatcher core (shard) that handled the words.
+    pub core: u32,
+    /// When the core started on the first word.
+    pub start: SimTime,
+    /// CPU time per word.
+    pub cost: SimDuration,
+    /// `(sm, blocks)` of every word, in handling order.
+    pub words: Vec<(u32, u32)>,
+}
+
 /// One virtual-time-stamped observation. The timestamp lives in the
 /// enclosing [`TracedEvent`](crate::TracedEvent); span-shaped events carry
 /// their own `start` so begin/end pairs stay self-describing.
@@ -266,7 +310,20 @@ pub enum TraceEvent {
         /// Launch uid.
         kernel: u64,
     },
+    /// A wave of block groups was placed; stands for one
+    /// [`TraceEvent::SmSpanBegin`] per group, all at this event's instant
+    /// (once per wave; payload shared with the wave's end).
+    SmWaveBegin(Arc<SmWave>),
+    /// The matching end of a [`TraceEvent::SmWaveBegin`]; stands for one
+    /// [`TraceEvent::SmSpanEnd`] per group.
+    SmWaveEnd(Arc<SmWave>),
+    /// The host folded a stretch of notifQ words into the occupancy mirror;
+    /// stands for a [`HostOpKind::Notif`] [`TraceEvent::HostOp`] and a
+    /// [`TraceEvent::NotifBatch`] per word, at the word's own instant (once
+    /// per CPU charge; payload out of line).
+    NotifRun(Box<NotifRun>),
     /// A group of blocks was placed on one SM (one allocation of a wave).
+    /// Word-level view of [`TraceEvent::SmWaveBegin`].
     SmSpanBegin {
         /// Owning kernel uid.
         kernel: u64,
@@ -281,7 +338,8 @@ pub enum TraceEvent {
         /// is ~16 % of all events and sets the enum's size.
         name: Arc<String>,
     },
-    /// The matching end of an [`TraceEvent::SmSpanBegin`] group.
+    /// The matching end of an [`TraceEvent::SmSpanBegin`] group. Word-level
+    /// view of [`TraceEvent::SmWaveEnd`].
     SmSpanEnd {
         /// Owning kernel uid.
         kernel: u64,
@@ -292,7 +350,8 @@ pub enum TraceEvent {
         /// Blocks in the group.
         blocks: u32,
     },
-    /// The host folded one notifQ word into the occupancy mirror.
+    /// The host folded one notifQ word into the occupancy mirror. Word-level
+    /// view of [`TraceEvent::NotifRun`].
     NotifBatch {
         /// Kernel the word belongs to.
         kernel: u64,
@@ -428,6 +487,9 @@ impl TraceEvent {
             TraceEvent::HwQueueStall { .. } => "hw-queue-stall",
             TraceEvent::KernelDispatched { .. } => "kernel-dispatched",
             TraceEvent::KernelCompleted { .. } => "kernel-completed",
+            TraceEvent::SmWaveBegin(_) => "sm-wave-begin",
+            TraceEvent::SmWaveEnd(_) => "sm-wave-end",
+            TraceEvent::NotifRun(_) => "notif-run",
             TraceEvent::SmSpanBegin { .. } => "sm-span-begin",
             TraceEvent::SmSpanEnd { .. } => "sm-span-end",
             TraceEvent::NotifBatch { .. } => "notif-batch",
@@ -446,6 +508,17 @@ impl TraceEvent {
             TraceEvent::CounterSample { .. } => "counter-sample",
         }
     }
+
+    /// How many word-level events this one stands for in
+    /// [`TraceLog::expanded`](crate::TraceLog::expanded): one, unless it is
+    /// a run.
+    pub fn expanded_len(&self) -> usize {
+        match self {
+            TraceEvent::SmWaveBegin(w) | TraceEvent::SmWaveEnd(w) => w.groups.len(),
+            TraceEvent::NotifRun(r) => 2 * r.words.len(),
+            _ => 1,
+        }
+    }
 }
 
 /// Prints every variant as `#[derive(Debug)]` did when all payloads were
@@ -461,6 +534,9 @@ impl fmt::Debug for TraceEvent {
                     TraceEvent::JobEnd(p) => p.fmt(f),
                     TraceEvent::JobJourney(p) => p.fmt(f),
                     TraceEvent::RouteDecision(p) => p.fmt(f),
+                    TraceEvent::SmWaveBegin(p) => f.debug_tuple("SmWaveBegin").field(p).finish(),
+                    TraceEvent::SmWaveEnd(p) => f.debug_tuple("SmWaveEnd").field(p).finish(),
+                    TraceEvent::NotifRun(p) => p.fmt(f),
                     $(TraceEvent::$variant { $($field),* } => f
                         .debug_struct(stringify!($variant))
                         $(.field(stringify!($field), $field))*

@@ -12,6 +12,10 @@
 //! * **flow arrows** (`s`/`t`/`f`, id = job) connect each job's kernel
 //!   dispatches to their first placement on an SM.
 //!
+//! Everything here renders the word-level view of the log
+//! ([`TraceLog::expanded`]): a recorded run shows as the per-group spans and
+//! per-word instants it stands for.
+//!
 //! Determinism: all output is derived from virtual timestamps and stable
 //! sequence numbers; timestamps are formatted with integer arithmetic; all
 //! grouping uses ordered maps. Identical logs produce identical bytes.
@@ -54,10 +58,11 @@ pub struct SmSpan {
 /// whose begin fell in an earlier window is skipped, as is a begin still
 /// open at the tail.
 pub fn sm_spans(log: &TraceLog) -> Vec<SmSpan> {
-    pair_sm_spans(log).0
+    pair_sm_spans(&log.expanded()).0
 }
 
-/// [`sm_spans`], plus the number of ends skipped for want of a begin.
+/// [`sm_spans`] of an expanded log, plus the number of ends skipped for want
+/// of a begin.
 fn pair_sm_spans(log: &TraceLog) -> (Vec<SmSpan>, u64) {
     // (kernel, wave, sm) -> (blocks, name, start, seq) of the open span.
     type OpenSpans = BTreeMap<(u64, u32, u32), (u32, std::sync::Arc<String>, SimTime, u64)>;
@@ -140,11 +145,12 @@ const LLM_TID: u32 = 95;
 
 /// Renders the log as Chrome-trace JSON (array-of-events form).
 pub fn chrome_trace_json(log: &TraceLog) -> String {
+    let log = &log.expanded();
     // Stable global order, independent of how sources were merged.
     let mut events: Vec<&TracedEvent> = log.events.iter().collect();
     events.sort_by_key(|e| (e.at, e.seq));
 
-    let spans = sm_spans(log);
+    let spans = pair_sm_spans(log).0;
 
     // Greedy interval partitioning per SM: a span takes the first lane
     // whose previous span ended at or before its start.
@@ -689,6 +695,9 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => {
                 // Rendered above as paired "X" slices.
             }
+            TraceEvent::SmWaveBegin(_) | TraceEvent::SmWaveEnd(_) | TraceEvent::NotifRun(_) => {
+                // Runs: an expanded log holds their words instead.
+            }
         }
     }
 
@@ -1052,6 +1061,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 /// Renders a human-readable run summary: event counts, the busiest SMs, and
 /// (when provided) the metrics snapshot.
 pub fn text_summary(log: &TraceLog, metrics: Option<&MetricsSnapshot>) -> String {
+    let log = &log.expanded();
     let mut out = String::new();
     let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut t_min = SimTime::MAX;

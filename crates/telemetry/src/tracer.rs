@@ -2,18 +2,114 @@
 
 use paella_sim::SimTime;
 
-use crate::event::TraceEvent;
+use crate::event::{HostOpKind, NotifRun, TraceEvent};
 
 /// One recorded event with its virtual timestamp and intra-source sequence
 /// number (the determinism tiebreak for same-instant events).
 #[derive(Clone, PartialEq, Debug)]
 pub struct TracedEvent {
-    /// Virtual time of the observation.
+    /// Virtual time of the observation; of a run, of its first word.
     pub at: SimTime,
-    /// Recording order within the source tracer.
+    /// Recording order within the source tracer, counted in word-level
+    /// events: a run takes as many numbers as it stands for events.
     pub seq: u64,
     /// The observation.
     pub event: TraceEvent,
+}
+
+impl TracedEvent {
+    /// Sort key of the event's first word among the events being merged:
+    /// its instant, then (`seq` holding it during a merge) its position.
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+
+    /// Appends the word-level events this one stands for — itself, unless it
+    /// is a run — numbered from `self.seq`.
+    fn expand_into(&self, out: &mut Vec<TracedEvent>) {
+        let mut seq = self.seq;
+        let mut push = |at, event| {
+            out.push(TracedEvent { at, seq, event });
+            seq += 1;
+        };
+        match &self.event {
+            TraceEvent::SmWaveBegin(w) => {
+                for &(sm, blocks) in w.groups.iter() {
+                    let (kernel, wave, name) = (w.kernel, w.wave, w.name.clone());
+                    push(
+                        self.at,
+                        TraceEvent::SmSpanBegin {
+                            kernel,
+                            wave,
+                            sm,
+                            blocks,
+                            name,
+                        },
+                    );
+                }
+            }
+            TraceEvent::SmWaveEnd(w) => {
+                for &(sm, blocks) in w.groups.iter() {
+                    let (kernel, wave) = (w.kernel, w.wave);
+                    push(
+                        self.at,
+                        TraceEvent::SmSpanEnd {
+                            kernel,
+                            wave,
+                            sm,
+                            blocks,
+                        },
+                    );
+                }
+            }
+            TraceEvent::NotifRun(run) => {
+                let mut start = run.start;
+                for &(sm, blocks) in &run.words {
+                    let done = start + run.cost;
+                    let (kind, core) = (HostOpKind::Notif, run.core);
+                    push(done, TraceEvent::HostOp { kind, core, start });
+                    let (kernel, placement) = (run.kernel, run.placement);
+                    push(
+                        done,
+                        TraceEvent::NotifBatch {
+                            kernel,
+                            sm,
+                            placement,
+                            blocks,
+                        },
+                    );
+                    start = done;
+                }
+            }
+            plain => push(self.at, plain.clone()),
+        }
+    }
+
+    /// Cuts a run before its first word whose key is not below `bound`,
+    /// returning the cut-off words as an event of their own, at their own
+    /// first instant and with this event's `seq`. `None` when every word
+    /// sorts below `bound`; always so for events of one instant.
+    fn split_before(&mut self, bound: (SimTime, u64)) -> Option<TracedEvent> {
+        let TraceEvent::NotifRun(run) = &mut self.event else {
+            return None;
+        };
+        let (start, cost, seq) = (run.start, run.cost, self.seq);
+        let done = |word: usize| start + cost * (word as u64 + 1);
+        if (done(run.words.len().saturating_sub(1)), seq) < bound {
+            return None;
+        }
+        let keep = (1..run.words.len()).find(|&word| (done(word), seq) >= bound)?;
+        let tail = NotifRun {
+            start: done(keep - 1),
+            words: run.words.split_off(keep),
+            ..**run
+        };
+        Some(TracedEvent {
+            at: tail.start + cost,
+            seq,
+            event: TraceEvent::NotifRun(Box::new(tail)),
+        })
+    }
 }
 
 /// An ordered batch of recorded events.
@@ -30,19 +126,71 @@ impl TraceLog {
     /// on recording order within the source.
     ///
     /// Each source must hold its events in recording (`seq`) order, as
-    /// [`Tracer::take`] and `merged` itself produce them: concatenating the
-    /// sources and stably sorting on `at` alone then *is* `(at, source, seq)`
-    /// order, in place — a tagged copy beside a log of hundreds of megabytes
-    /// doubled the peak.
+    /// [`Tracer::take`] and `merged` itself produce them.
+    ///
+    /// That order is defined on the word-level events (see
+    /// [`expanded`](Self::expanded)), and merging commutes with expanding:
+    /// `merged(sources).expanded()` is `merged` of the expanded sources. A
+    /// run's words have instants of their own, so an event of another source
+    /// — or of the same one, recorded earlier with a later `at` — can fall
+    /// between two of them; the run is cut there, and each piece is a run.
     pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
         let mut sources = sources.into_iter();
         let mut events = sources.next().map(|log| log.events).unwrap_or_default();
         for mut log in sources {
             events.append(&mut log.events);
         }
-        events.sort_by_key(|e| e.at);
+        // Until the renumbering below, `seq` is the position in source
+        // order: with the instant, what words that tie are ordered by.
         for (i, e) in events.iter_mut().enumerate() {
             e.seq = i as u64;
+        }
+        events.sort_by_key(|e| e.at);
+        // `events` is now ordered by first word. Take events in key order,
+        // each up to the key of what follows it; what that cuts off a run
+        // waits in `cut` (latest first — a handful, one per dispatcher core
+        // at most, since a core's runs do not overlap).
+        let mut merged = Vec::with_capacity(events.len());
+        let mut whole = events.into_iter().peekable();
+        let mut cut: Vec<TracedEvent> = Vec::new();
+        let mut seq = 0;
+        loop {
+            let from_cut = match (cut.last(), whole.peek()) {
+                (Some(c), Some(w)) => c.key() < w.key(),
+                (c, _) => c.is_some(),
+            };
+            let Some(mut e) = (if from_cut { cut.pop() } else { whole.next() }) else {
+                break;
+            };
+            let next = [cut.last(), whole.peek()]
+                .into_iter()
+                .flatten()
+                .map(TracedEvent::key)
+                .min();
+            if let Some(tail) = next.and_then(|bound| e.split_before(bound)) {
+                let behind = cut.partition_point(|c| c.key() > tail.key());
+                cut.insert(behind, tail);
+            }
+            e.seq = seq;
+            seq += e.event.expanded_len() as u64;
+            merged.push(e);
+        }
+        TraceLog { events: merged }
+    }
+
+    /// The word-level log: every run replaced, in place, by the per-word
+    /// events it stands for — one [`TraceEvent::SmSpanBegin`] /
+    /// [`TraceEvent::SmSpanEnd`] per group of a wave, one
+    /// [`HostOpKind::Notif`] host op and one [`TraceEvent::NotifBatch`] per
+    /// notification word — each at its own instant and numbered on from the
+    /// run's `seq`. The exporters, the text summary and the flight recorder
+    /// read this view; journeys, blame, the SLO ledger and counts by
+    /// [`kind`](TraceEvent::kind) read the log as recorded.
+    pub fn expanded(&self) -> TraceLog {
+        let len = self.events.iter().map(|e| e.event.expanded_len()).sum();
+        let mut events = Vec::with_capacity(len);
+        for e in &self.events {
+            e.expand_into(&mut events);
         }
         TraceLog { events }
     }
@@ -62,23 +210,45 @@ impl TraceLog {
 struct Inner {
     events: Vec<TracedEvent>,
     next_seq: u64,
-    /// Flight recorder: the last `flight_cap` events recorded since arming,
-    /// kept even as `take` drains the main log. They are the tail of
-    /// `events[flight_start..]`, preceded by `flight_carry` — the tail saved
-    /// from drained logs — so recording an event costs the recorder nothing.
+    /// Flight recorder: the last `flight_cap` word-level events recorded
+    /// since arming, kept even as `take` drains the main log. They are the
+    /// tail of `events[flight_start..]` expanded, preceded by `flight_carry`
+    /// — the tail saved from drained logs — so recording an event costs the
+    /// recorder nothing.
     flight_carry: Vec<TracedEvent>,
     flight_start: usize,
     flight_cap: usize,
 }
 
 impl Inner {
+    /// Out of line: every instrumented site inlines `record_with`, and with
+    /// telemetry off all that should sit in its hot code is the branch.
+    #[inline(never)]
+    fn push(&mut self, at: SimTime, event: TraceEvent) {
+        let seq = self.next_seq;
+        self.next_seq += event.expanded_len() as u64;
+        self.events.push(TracedEvent { at, seq, event });
+    }
+
     fn flight_tail(&self) -> Vec<TracedEvent> {
+        // The shortest suffix of the live events that stands for at least
+        // `flight_cap` word-level ones (all of them if they fall short).
         let live = &self.events[self.flight_start..];
-        let from_live = live.len().min(self.flight_cap);
-        let from_carry = (self.flight_cap - from_live).min(self.flight_carry.len());
-        let mut tail = Vec::with_capacity(from_carry + from_live);
-        tail.extend_from_slice(&self.flight_carry[self.flight_carry.len() - from_carry..]);
-        tail.extend_from_slice(&live[live.len() - from_live..]);
+        let (mut from, mut from_live) = (live.len(), 0);
+        while from > 0 && from_live < self.flight_cap {
+            from -= 1;
+            from_live += live[from].event.expanded_len();
+        }
+        let from_carry = self
+            .flight_cap
+            .saturating_sub(from_live)
+            .min(self.flight_carry.len());
+        let mut tail = self.flight_carry[self.flight_carry.len() - from_carry..].to_vec();
+        for e in &live[from..] {
+            e.expand_into(&mut tail);
+        }
+        // The first live event taken may be a run that overshoots.
+        tail.drain(..tail.len().saturating_sub(self.flight_cap));
         tail
     }
 }
@@ -112,20 +282,15 @@ impl Tracer {
     #[inline]
     pub fn record_with(&mut self, at: SimTime, f: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = self.0.as_mut() {
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.events.push(TracedEvent {
-                at,
-                seq,
-                event: f(),
-            });
+            inner.push(at, f());
         }
     }
 
-    /// Arms the flight recorder: the tracer keeps the last `n` events
-    /// recorded from now on available through [`flight_snapshot`]
-    /// (Tracer::flight_snapshot) even after [`take`](Tracer::take) drains
-    /// the main log. `n = 0` disarms it. No-op when disabled.
+    /// Arms the flight recorder: the tracer keeps the last `n` word-level
+    /// events (see [`TraceLog::expanded`]) recorded from now on available
+    /// through [`flight_snapshot`](Tracer::flight_snapshot) even after
+    /// [`take`](Tracer::take) drains the main log. `n = 0` disarms it. No-op
+    /// when disabled.
     pub fn set_flight_capacity(&mut self, n: usize) {
         if let Some(inner) = self.0.as_mut() {
             inner.flight_carry.clear();

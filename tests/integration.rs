@@ -644,8 +644,10 @@ fn trace_digest(log: &paella_telemetry::TraceLog) -> (u64, usize) {
 /// pinned-output job and the events of a pipelined release between the words
 /// they follow — on a device that loses words, where the mirror clamps, the
 /// notifQ reservation is only partly consumed and a kernel may never be seen
-/// fully placed. Recorded with one word handled at a time; handling a wave's
-/// words as one run must reproduce both the completions and the log.
+/// fully placed. Recorded with one word handled, and one event pair written,
+/// at a time; handling a wave's words as one run, and recording each charged
+/// stretch of them as one event, must reproduce both the completions and —
+/// expanded — the log.
 #[test]
 fn notification_path_golden_digests() {
     use paella_core::DispatcherConfig;
@@ -686,7 +688,7 @@ fn notification_path_golden_digests() {
             .metrics_snapshot()
             .expect("telemetry is on")
             .counter("notifs_processed");
-        (completions, trace_digest(&log), notifs)
+        (completions, trace_digest(&log.expanded()), notifs)
     };
     let two_shards = DispatcherConfig {
         dispatcher_cores: 2,

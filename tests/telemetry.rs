@@ -61,26 +61,38 @@ fn trace_spans_pair_and_time_is_monotone() {
     let log = trace_of(&stats);
     assert!(!log.is_empty());
 
-    // The merged log is globally ordered on virtual time.
-    for w in log.events.windows(2) {
-        assert!(w[0].at <= w[1].at, "merged log out of order");
-        assert!(w[0].seq < w[1].seq, "merged log not re-sequenced");
+    // The merged log is globally ordered on virtual time — as recorded (a
+    // run sorts at its first word) and in the word-level view.
+    let words = log.expanded();
+    for view in [log, &words] {
+        for w in view.events.windows(2) {
+            assert!(w[0].at <= w[1].at, "merged log out of order");
+            assert!(w[0].seq < w[1].seq, "merged log not re-sequenced");
+        }
     }
 
     // Every SM span begin has exactly one matching end, at or after it.
+    // Spans are the word-level view of what is recorded, a wave at a time.
     let spans = sm_spans(log);
-    let begins = log
+    let begins = words
         .events
         .iter()
         .filter(|e| matches!(e.event, TraceEvent::SmSpanBegin { .. }))
         .count();
-    let ends = log
+    let ends = words
         .events
         .iter()
         .filter(|e| matches!(e.event, TraceEvent::SmSpanEnd { .. }))
         .count();
     assert_eq!(begins, ends, "unbalanced SM span events");
     assert_eq!(spans.len(), begins, "every begin paired");
+    let groups_of = |kind: &str| -> usize {
+        (log.events.iter().filter(|e| e.event.kind() == kind))
+            .map(|e| e.event.expanded_len())
+            .sum()
+    };
+    assert_eq!(groups_of("sm-wave-begin"), begins);
+    assert_eq!(groups_of("sm-wave-end"), ends);
     for s in &spans {
         assert!(s.end >= s.start, "span ends before it starts");
         assert!(s.blocks > 0);
@@ -241,6 +253,47 @@ fn trace_events_stay_inside_the_size_budget() {
     assert!(std::mem::size_of::<TracedEvent>() <= 48);
 }
 
+/// The deterministic gate on events per kernel: the device and the
+/// dispatcher record a wave and a charged stretch of words as one event each,
+/// and only the exporters' view pays per word. Pinned on a burst of Table 2
+/// jobs (many-block kernels, so every wave posts a run of words); going back
+/// to per-word recording moves the first number to the second.
+#[test]
+fn recording_is_per_run_not_per_word() {
+    let mut zoo = paella_models::ModelZoo::new(DeviceConfig::tesla_t4());
+    let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
+    let mut sys = dispatcher(5);
+    sys.enable_telemetry();
+    let ids = models.each_ref().map(|m| sys.register_model(m));
+    for i in 0..12u32 {
+        sys.submit(InferenceRequest {
+            client: paella_core::ClientId(i % 4),
+            model: ids[i as usize % ids.len()],
+            submitted_at: SimTime::from_micros(u64::from(i) * 200),
+        });
+    }
+    sys.run_to_idle();
+    assert_eq!(sys.drain_completions().len(), 12);
+
+    let log = sys.take_trace_log().expect("telemetry on");
+    let kernels = (log.events.iter())
+        .filter(|e| e.event.kind() == "kernel-dispatched")
+        .count();
+    let (recorded, words) = (log.len(), log.expanded().len());
+    // 54.9 events recorded per kernel, 710 in the word-level view.
+    assert_eq!((kernels, recorded, words), (684, 37_523, 485_661));
+    assert!(
+        recorded * 8 <= words,
+        "{recorded} events recorded for {words} word-level ones"
+    );
+    for kind in ["sm-span-begin", "sm-span-end", "notif-batch"] {
+        assert!(
+            log.events.iter().all(|e| e.event.kind() != kind),
+            "{kind} is a view, nothing records it"
+        );
+    }
+}
+
 /// The flight recorder prints events with `{:?}` and its dump is a
 /// byte-stable output: out-of-line payloads must print as the inline struct
 /// variants they replaced.
@@ -324,8 +377,15 @@ fn windowed_logs_export_without_their_straddling_spans() {
     sys.run_to_idle();
     let at_idle = sys.take_trace_log().expect("telemetry on");
 
-    let count =
-        |log: &TraceLog, kind: &str| log.events.iter().filter(|e| e.event.kind() == kind).count();
+    // Spans are counted in the word-level view, as the exporter pairs them.
+    let count = |log: &TraceLog, kind: &str| {
+        let words = log.expanded();
+        words
+            .events
+            .iter()
+            .filter(|e| e.event.kind() == kind)
+            .count()
+    };
     let straddling = count(&mid_run, "sm-span-begin") - count(&mid_run, "sm-span-end");
     assert!(
         straddling > 0,
