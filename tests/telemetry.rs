@@ -413,3 +413,335 @@ fn windowed_logs_export_without_their_straddling_spans() {
     assert!(text_summary(&at_idle, None).contains(&skipped));
     assert!(!text_summary(&mid_run, None).contains("skipped"));
 }
+
+/// FNV-1a over bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One synthetic log holding every `TraceEvent` variant — `trace_dump`'s
+/// golden has no cluster, fault, LLM or cancelled-job event — including the
+/// cases the exporter treats specially: a whole job span, a `JobBegin` whose
+/// end falls outside the window, a `JobCancelled` that closes a span and one
+/// that arrives alone, a `JobEnd` without its begin, two dispatcher cores,
+/// overlapping groups on one SM, a kernel name that needs escaping, a job with
+/// three flow anchors, and the three run variants beside their word-level
+/// views. The match is wildcard-free, so a new variant fails to compile here
+/// until it is added to the log.
+fn every_variant_log() -> TraceLog {
+    use paella_telemetry::{
+        HoldReason, HostOpKind, JobBegin, NotifRun, PickRationale, RouteDecision, SmWave, Tracer,
+    };
+    use std::sync::Arc;
+
+    let us = SimTime::from_micros;
+    let mut t = Tracer::enabled();
+    let mut rec = |at: u64, e: TraceEvent| t.record_with(us(at), || e);
+    let begin = |job: u64, client: u32, model: &str, at: u64| {
+        TraceEvent::JobBegin(Box::new(JobBegin {
+            job,
+            client,
+            model: model.into(),
+            submitted_at: us(at),
+        }))
+    };
+    let host = |kind, core, start: u64| TraceEvent::HostOp {
+        kind,
+        core,
+        start: us(start),
+    };
+    let wave = Arc::new(SmWave {
+        kernel: 7,
+        wave: 0,
+        name: Arc::new("conv\"1\\x\n".into()),
+        groups: vec![(0, 2), (1, 4)].into(),
+    });
+
+    rec(1, begin(1, 0, "resnet\"18", 0));
+    rec(2, host(HostOpKind::Ingest, 0, 1));
+    rec(2, begin(2, 1, "open-ended", 1));
+    rec(3, begin(3, 2, "cancelled", 2));
+    rec(
+        3,
+        TraceEvent::RouteDecision(Box::new(RouteDecision {
+            model: 4,
+            node: 2,
+            policy: "least-remaining-work",
+            outstanding: 9,
+            candidates: 3,
+        })),
+    );
+    rec(
+        4,
+        TraceEvent::SchedDecision {
+            job: 1,
+            policy: "srpt+deficit",
+            rationale: PickRationale::DeficitOverride,
+            ready: 3,
+        },
+    );
+    rec(5, host(HostOpKind::Sched, 1, 4));
+    for reason in [
+        HoldReason::OccupancyBudget,
+        HoldReason::NotifqBackpressure,
+        HoldReason::StreamPool,
+        HoldReason::DepWait,
+    ] {
+        rec(5, TraceEvent::OccupancyHold { job: 2, reason });
+    }
+    for kernel in [7, 8, 9] {
+        rec(
+            6,
+            TraceEvent::KernelDispatched {
+                job: 1,
+                kernel,
+                stream: 3,
+                grid_blocks: 6,
+            },
+        );
+    }
+    rec(
+        7,
+        TraceEvent::KernelQueued {
+            kernel: 7,
+            stream: 3,
+            hw_queue: 1,
+        },
+    );
+    rec(
+        7,
+        TraceEvent::HwQueueStall {
+            hw_queue: 5,
+            kernel: 8,
+        },
+    );
+    rec(8, TraceEvent::SmWaveBegin(wave.clone()));
+    // Word-level spans beside the run: kernel 8 overlaps kernel 7 on SM 0
+    // (a second lane), kernel 9 follows it on the first.
+    let name = Arc::new(String::from("gemm"));
+    let span = |kernel, sm| TraceEvent::SmSpanBegin {
+        kernel,
+        wave: 1,
+        sm,
+        blocks: 3,
+        name: name.clone(),
+    };
+    let span_end = |kernel, sm| TraceEvent::SmSpanEnd {
+        kernel,
+        wave: 1,
+        sm,
+        blocks: 3,
+    };
+    rec(9, span(8, 0));
+    rec(
+        10,
+        TraceEvent::NotifRun(Box::new(NotifRun {
+            kernel: 7,
+            placement: true,
+            core: 1,
+            start: us(9),
+            cost: SimDuration::from_nanos(400),
+            words: vec![(0, 2), (1, 4)],
+        })),
+    );
+    rec(
+        11,
+        TraceEvent::NotifBatch {
+            kernel: 8,
+            sm: 0,
+            placement: false,
+            blocks: 3,
+        },
+    );
+    rec(11, host(HostOpKind::Notif, 0, 10));
+    rec(12, TraceEvent::SmWaveEnd(wave));
+    rec(13, span(9, 0));
+    rec(14, span_end(8, 0));
+    rec(15, span_end(9, 0));
+    // An end whose begin precedes the window.
+    rec(15, span_end(6, 2));
+    rec(16, TraceEvent::KernelCompleted { kernel: 7 });
+    rec(16, TraceEvent::DoorbellWake { job: 1 });
+    rec(
+        17,
+        TraceEvent::KernelFault {
+            job: 3,
+            kernel: 10,
+            attempt: 1,
+        },
+    );
+    rec(
+        17,
+        TraceEvent::RetryBackoff {
+            job: 3,
+            kernel: 10,
+            attempt: 1,
+            backoff_ns: 20_000,
+        },
+    );
+    rec(
+        18,
+        TraceEvent::FailoverHop {
+            client: 2,
+            model: 4,
+            attempt: 2,
+        },
+    );
+    rec(
+        19,
+        TraceEvent::JobCancelled {
+            job: 3,
+            reason: "retry-budget-exhausted",
+        },
+    );
+    rec(
+        19,
+        TraceEvent::JobCancelled {
+            job: 4,
+            reason: "node-crash",
+        },
+    );
+    rec(
+        20,
+        TraceEvent::RequestShed {
+            client: 5,
+            model: 4,
+        },
+    );
+    rec(20, TraceEvent::NodeCrash { node: 2 });
+    rec(21, TraceEvent::NodeRecover { node: 2 });
+    rec(
+        22,
+        TraceEvent::PrefillStart {
+            job: 6,
+            prompt_tokens: 128,
+        },
+    );
+    for (at, freed, resident) in [(22, false, 8), (24, true, 0)] {
+        rec(
+            at,
+            TraceEvent::KvAlloc {
+                job: 6,
+                pages: 8,
+                freed,
+                resident,
+            },
+        );
+    }
+    rec(
+        23,
+        TraceEvent::DecodeStep {
+            iter: 0,
+            batch: 2,
+            tokens: 2,
+        },
+    );
+    rec(
+        25,
+        TraceEvent::CounterSample {
+            name: "inflight_jobs",
+            value: 3,
+        },
+    );
+    rec(26, host(HostOpKind::Completion, 0, 25));
+    for job in [1, 5] {
+        rec(
+            27,
+            TraceEvent::JobEnd(Box::new(JobEnd {
+                job,
+                client: 0,
+                jct_ns: 27_000,
+                client_send_recv_ns: 1_000,
+                communication_ns: 2_000,
+                queuing_scheduling_ns: 9_000,
+                framework_ns: 3_000,
+                device_ns: 12_000,
+            })),
+        );
+    }
+    rec(
+        27,
+        TraceEvent::JobJourney(Box::new(JobJourney {
+            job: 1,
+            client: 0,
+            jct_ns: 27_000,
+            client_send_recv_ns: 1_000,
+            communication_ns: 2_000,
+            framework_ns: 3_000,
+            device_ns: 12_000,
+            retry_backoff_ns: 4_000,
+            queue_dep_ns: 3_000,
+            queue_occupancy_ns: 1_500,
+            queue_hol_ns: 500,
+            device_prefill_ns: 7_000,
+            device_decode_ns: 5_000,
+        })),
+    );
+    let log = t.take();
+
+    let mut seen = std::collections::BTreeSet::new();
+    for e in log.events.iter().chain(&log.expanded().events) {
+        seen.insert(match e.event {
+            TraceEvent::JobBegin(_) => 0,
+            TraceEvent::JobEnd(_) => 1,
+            TraceEvent::JobJourney(_) => 2,
+            TraceEvent::HostOp { .. } => 3,
+            TraceEvent::SchedDecision { .. } => 4,
+            TraceEvent::OccupancyHold { .. } => 5,
+            TraceEvent::KernelQueued { .. } => 6,
+            TraceEvent::HwQueueStall { .. } => 7,
+            TraceEvent::KernelDispatched { .. } => 8,
+            TraceEvent::KernelCompleted { .. } => 9,
+            TraceEvent::SmWaveBegin(_) => 10,
+            TraceEvent::SmWaveEnd(_) => 11,
+            TraceEvent::NotifRun(_) => 12,
+            TraceEvent::SmSpanBegin { .. } => 13,
+            TraceEvent::SmSpanEnd { .. } => 14,
+            TraceEvent::NotifBatch { .. } => 15,
+            TraceEvent::DoorbellWake { .. } => 16,
+            TraceEvent::RouteDecision(_) => 17,
+            TraceEvent::KernelFault { .. } => 18,
+            TraceEvent::RetryBackoff { .. } => 19,
+            TraceEvent::FailoverHop { .. } => 20,
+            TraceEvent::JobCancelled { .. } => 21,
+            TraceEvent::RequestShed { .. } => 22,
+            TraceEvent::NodeCrash { .. } => 23,
+            TraceEvent::NodeRecover { .. } => 24,
+            TraceEvent::PrefillStart { .. } => 25,
+            TraceEvent::DecodeStep { .. } => 26,
+            TraceEvent::KvAlloc { .. } => 27,
+            TraceEvent::CounterSample { .. } => 28,
+        });
+    }
+    assert_eq!(seen.len(), 29, "the log must hold every variant");
+    log
+}
+
+/// The three renderings of [`every_variant_log`], byte for byte: the Chrome
+/// export, the text summary (both of the word-level view), and a flight dump
+/// of the log as recorded, which prints `kind()` and `{:?}` of every variant.
+#[test]
+fn every_variant_renders_to_pinned_bytes() {
+    let log = every_variant_log();
+    let json = chrome_trace_json(&log);
+    validate_chrome_trace(&json).expect("valid trace");
+    let summary = text_summary(&log, None);
+    let dump = flight::render(
+        "every-variant",
+        SimTime::from_micros(27),
+        &[("jobs_inflight", 2)],
+        &log.events,
+    );
+    flight::validate_dump(&dump).expect("dump parses");
+    assert_eq!(
+        (
+            fnv(json.as_bytes()),
+            fnv(summary.as_bytes()),
+            fnv(dump.as_bytes())
+        ),
+        (0x5711_9831_1c82_3cd5, 0x397f_edcf_c3df_b560, 0x7f27_926e_5b70_08b2),
+        "\n{json}\n{summary}\n{dump}"
+    );
+}
