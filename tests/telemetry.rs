@@ -741,7 +741,11 @@ fn every_variant_renders_to_pinned_bytes() {
             fnv(summary.as_bytes()),
             fnv(dump.as_bytes())
         ),
-        (0x5711_9831_1c82_3cd5, 0x397f_edcf_c3df_b560, 0x7f27_926e_5b70_08b2),
+        (
+            0x5711_9831_1c82_3cd5,
+            0x397f_edcf_c3df_b560,
+            0x7f27_926e_5b70_08b2
+        ),
         "\n{json}\n{summary}\n{dump}"
     );
 }
