@@ -39,9 +39,9 @@ pub struct Scope {
     pub engine: bool,
     /// R4: every crate's `src/`.
     pub library: bool,
-    /// R5: the function of this file that must match every `TraceEvent`
+    /// R5: the functions of this file that must match every `TraceEvent`
     /// variant by name.
-    pub exhaustive_fn: Option<&'static str>,
+    pub exhaustive_fns: &'static [&'static str],
     /// R6: the virtual-time stack minus the reference model
     /// `core/src/waitlist.rs` (it is compared against, never on a run's
     /// path, and is meant to be the naive implementation).
@@ -75,10 +75,11 @@ pub fn scope_of(path: &str) -> Scope {
         channels: starts("crates/channels/src/"),
         engine: (core || cluster || gpu || llm) && !reference_model,
         library: starts("crates/") && path.contains("/src/"),
-        exhaustive_fn: match path {
-            "crates/telemetry/src/event.rs" => Some("kind"),
-            "crates/telemetry/src/export.rs" => Some("chrome_trace_json"),
-            _ => None,
+        exhaustive_fns: match path {
+            // The vocabulary table expands into both.
+            "crates/telemetry/src/event.rs" => &["kind", "fmt"],
+            "crates/telemetry/src/export.rs" => &["place", "chrome_trace_json"],
+            _ => &[],
         },
         hash_free: sim_stack && !reference_model,
         atomics: starts("crates/channels/src/") || core,
@@ -155,14 +156,15 @@ pub(crate) fn token_rules(path: &str, src: &str, out: &mut Vec<Violation>) {
     // R7: the identifiers named by asserts so far, one frame per open brace,
     // so `asserted.len()` is also the brace depth.
     let mut asserted: Vec<Vec<&str>> = Vec::new();
-    // R5: brace depth of the `fn` token while inside `scope.exhaustive_fn`.
-    let mut exhaustive_at: Option<usize> = None;
+    // R5: the function of `scope.exhaustive_fns` the pass is inside, and the
+    // brace depth of its `fn` token.
+    let mut exhaustive_at: Option<(&str, usize)> = None;
     for (i, t) in toks.iter().enumerate() {
         match t.text.as_str() {
             "{" => asserted.push(Vec::new()),
             "}" => {
                 asserted.pop();
-                if exhaustive_at == Some(asserted.len()) {
+                if exhaustive_at.is_some_and(|(_, depth)| depth == asserted.len()) {
                     exhaustive_at = None;
                 }
             }
@@ -220,21 +222,21 @@ pub(crate) fn token_rules(path: &str, src: &str, out: &mut Vec<Violation>) {
                 "thread::sleep in library code; the stack is event-driven".into(),
             );
         }
-        // R5: no wildcard arm in the two functions that consume every
+        // R5: no wildcard arm in the functions that consume every
         // `TraceEvent` variant. Without one, rustc itself rejects a variant
         // that lacks an arm; with one, the next variant someone adds is
         // silently swallowed, which is how observability gaps are born.
-        if let Some(name) = scope.exhaustive_fn {
-            if seq(toks, i, &["fn", name]) {
-                exhaustive_at = Some(asserted.len());
+        if t.text == "fn" {
+            if let Some(name) = scope.exhaustive_fns.iter().find(|n| seq(toks, i + 1, &[n])) {
+                exhaustive_at = Some((name, asserted.len()));
             }
-            if exhaustive_at.is_some() && seq(toks, i, &["_", "=>"]) {
-                push(
-                    t.line,
-                    R5,
-                    format!("wildcard `_ =>` in {name}() swallows new TraceEvent variants"),
-                );
-            }
+        }
+        if let Some((name, _)) = exhaustive_at.filter(|_| seq(toks, i, &["_", "=>"])) {
+            push(
+                t.line,
+                R5,
+                format!("wildcard `_ =>` in {name}() swallows new TraceEvent variants"),
+            );
         }
         // R6: no seeded-hash container (or hasher) in the virtual-time
         // stack, used or merely named — `IdMap` and `BTreeMap` iterate in
@@ -496,6 +498,9 @@ mod tests {
         assert_eq!((v[0].rule, v[0].line), (R5, 5));
         let render = "pub fn chrome_trace_json(log: &TraceLog) -> String {\n    for e in &log.events {\n        match &e.event {\n            TraceEvent::A(_) => a(),\n            _ => {}\n        }\n    }\n}\n";
         assert_eq!(rules_at(EXPORT, render), [R5]);
+        // A file may hold more than one such function.
+        let place = "fn place(e: &TraceEvent) -> Option<Track> {\n    match e {\n        TraceEvent::A(_) => None,\n        _ => None,\n    }\n}\n";
+        assert_eq!(rules_at(EXPORT, &format!("{place}{render}")), [R5, R5]);
         // The ban is per function: a wildcard before, after, or in another
         // file is an ordinary match.
         let clean = [

@@ -104,17 +104,17 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             id: "r5-exporter-wildcard-arm",
             rule: "trace-event-exhaustiveness",
             file: "crates/telemetry/src/export.rs",
-            find: "TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => {\n                // Rendered above",
-            replace: "_ => {\n                // Rendered above",
+            find: "TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => continue,",
+            replace: "_ => continue,",
             description: "wildcard arm grafted into the Chrome exporter's rendering match",
         },
         GraftMutant {
             id: "r5-wildcard-arm",
             rule: "trace-event-exhaustiveness",
             file: "crates/telemetry/src/event.rs",
-            find: "TraceEvent::CounterSample { .. } => \"counter-sample\",",
-            replace: "_ => \"counter-sample\",",
-            description: "wildcard arm grafted into kind(): swallows future variants",
+            find: "$(TraceEvent::$v { .. } => $vl,)*",
+            replace: "_ => \"inline\",",
+            description: "wildcard arm grafted into the vocabulary table's kind(): swallows future variants",
         },
         GraftMutant {
             id: "r6-sched-hashmap-clients",

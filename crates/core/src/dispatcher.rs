@@ -22,16 +22,15 @@ use paella_gpu::{
 };
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{
-    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, MetricsSnapshot, NotifRun, TraceEvent,
-    TraceLog,
+    HoldReason, HostOpKind, JobBegin, JobJourney, MetricsSnapshot, NotifRun, TraceEvent, TraceLog,
 };
 
 use crate::occupancy::OccupancyTracker;
 use crate::sched::{JobInfo, Scheduler};
 use crate::serve::{earliest, split, EngineCore, ServingSystem};
 use crate::types::{
-    ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
-    LoadSignal, ModelId,
+    ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LoadSignal,
+    ModelId,
 };
 
 /// Dispatch granularity (Table 3's "Dispatch" column).
@@ -67,6 +66,21 @@ pub enum WakeupMode {
     Socket,
 }
 
+/// Maximum expected predecessor runtime for pipelined release. Covers typical
+/// inference kernels (tens of µs) so intra-job boundaries are gap-hidden;
+/// long synthetic kernels (hundreds of µs) stay completion-released to avoid
+/// parking dep-blocked kernels at hardware-queue heads.
+const PIPELINE_WINDOW: SimDuration = SimDuration::from_micros(100);
+/// CPU cost of one scheduling decision.
+const SCHED_COST: SimDuration = SimDuration::from_nanos(300);
+/// CPU cost to process one notification.
+const NOTIF_COST: SimDuration = SimDuration::from_nanos(120);
+/// CPU cost to process a completion and post the result.
+const COMPLETION_COST: SimDuration = SimDuration::from_nanos(700);
+/// Base backoff before a faulted kernel's first retry; doubles per
+/// subsequent fault of the same op (exponential backoff).
+const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(20);
+
 /// Dispatcher configuration. Defaults reproduce the full Paella system.
 #[derive(Clone, Copy, Debug)]
 pub struct DispatcherConfig {
@@ -77,12 +91,10 @@ pub struct DispatcherConfig {
     /// Release a job's next op when its predecessor is *fully placed*
     /// (pipelined, requires instrumentation) instead of completed. Only
     /// applied when the predecessor's expected runtime is within
-    /// `pipeline_window`, so a dependent kernel is dispatched only when it
+    /// `PIPELINE_WINDOW`, so a dependent kernel is dispatched only when it
     /// can be placed "soon" (§3) rather than parking at a hardware-queue
     /// head.
     pub release_on_placement: bool,
-    /// Maximum expected predecessor runtime for pipelined release.
-    pub pipeline_window: SimDuration,
     /// Gate kernel dispatch on the occupancy mirror. When `false`, active
     /// kernels dispatch immediately (the -kbk ablation).
     pub hold_for_occupancy: bool,
@@ -96,12 +108,6 @@ pub struct DispatcherConfig {
     pub injected_delay: SimDuration,
     /// CPU cost to ingest one request from the client ring.
     pub ingest_cost: SimDuration,
-    /// CPU cost of one scheduling decision.
-    pub sched_cost: SimDuration,
-    /// CPU cost to process one notification.
-    pub notif_cost: SimDuration,
-    /// CPU cost to process a completion and post the result.
-    pub completion_cost: SimDuration,
     /// Whether host-side costs serialize on one dispatcher core (serving
     /// systems) or per client (direct CUDA submission).
     pub central_cpu: bool,
@@ -125,9 +131,6 @@ pub struct DispatcherConfig {
     /// How many times a faulted kernel is re-dispatched before the whole job
     /// fails with [`FailureReason::RetryBudgetExhausted`].
     pub retry_budget: u32,
-    /// Base backoff before a faulted kernel's first retry; doubles per
-    /// subsequent fault of the same op (exponential backoff).
-    pub retry_backoff: SimDuration,
     /// Per-request deadline as a multiple of the model's profiled total
     /// estimate, anchored at `submitted_at`; the job is cancelled and its
     /// resources reclaimed when it passes. `None` disables deadlines.
@@ -150,11 +153,6 @@ impl Default for DispatcherConfig {
             // hardware queues. The Criterion lookahead ablation sweeps this.
             lookahead_blocks: 320,
             release_on_placement: true,
-            // Covers typical inference kernels (tens of µs) so intra-job
-            // boundaries are gap-hidden; long synthetic kernels (hundreds
-            // of µs) stay completion-released to avoid parking dep-blocked
-            // kernels at hardware-queue heads.
-            pipeline_window: SimDuration::from_micros(100),
             hold_for_occupancy: true,
             instrument: true,
             // Virtual streams bound to real streams at launch (§5.2): the
@@ -164,16 +162,12 @@ impl Default for DispatcherConfig {
             wakeup: WakeupMode::Hybrid,
             injected_delay: SimDuration::ZERO,
             ingest_cost: SimDuration::from_nanos(800),
-            sched_cost: SimDuration::from_nanos(300),
-            notif_cost: SimDuration::from_nanos(120),
-            completion_cost: SimDuration::from_nanos(700),
             central_cpu: true,
             online_profiling: true,
             notifq_capacity: 65_536,
             dispatcher_cores: 1,
             kernel_fault_rate: 0.0,
             retry_budget: 3,
-            retry_backoff: SimDuration::from_micros(20),
             deadline_factor: None,
             deadline_floor: SimDuration::from_micros(500),
             shed_watermark: None,
@@ -1101,9 +1095,7 @@ impl Dispatcher {
                 let cost = if whole_job {
                     self.channels.cuda.launch_overhead
                 } else {
-                    self.cfg.sched_cost
-                        + self.cfg.injected_delay
-                        + self.channels.cuda.launch_overhead
+                    SCHED_COST + self.cfg.injected_delay + self.channels.cuda.launch_overhead
                 };
                 let done = self.charge_cpu_traced(client, ready, cost, HostOpKind::Sched);
                 let uid = self.next_kernel_uid;
@@ -1419,10 +1411,9 @@ impl Dispatcher {
         let release_at = full_at.filter(|_| {
             placing.is_some_and(|(job, token, _)| {
                 self.cfg.release_on_placement
-                    && self.kernel_expected_runtime(job, token) <= self.cfg.pipeline_window
+                    && self.kernel_expected_runtime(job, token) <= PIPELINE_WINDOW
             })
         });
-        let cost = self.cfg.notif_cost;
         let mut from = 0;
         while from < words.len() {
             // Charge up to and including the next word that sets something
@@ -1432,18 +1423,18 @@ impl Dispatcher {
                 Some(i) if i >= from => i + 1,
                 _ => words.len(),
             };
-            let done = self.charge_cpu(owner, at, cost * (to - from) as u64);
+            let done = self.charge_cpu(owner, at, NOTIF_COST * (to - from) as u64);
             self.now = self.now.max(done);
             // One event per charge, at its first word's end; the host op and
             // the notification of each word are its expansion.
             let (core, start) = self.last_charge;
-            self.core.trace(start + cost, || {
+            self.core.trace(start + NOTIF_COST, || {
                 TraceEvent::NotifRun(Box::new(NotifRun {
                     kernel: u64::from(kernel),
                     placement,
                     core,
                     start,
-                    cost,
+                    cost: NOTIF_COST,
                     words: (words[from..to].iter())
                         .map(|&(sm, group)| (u32::from(sm), u32::from(group)))
                         .collect(),
@@ -1549,7 +1540,7 @@ impl Dispatcher {
         let t_posted = self.charge_cpu_traced(
             j.request.client,
             device_done,
-            self.cfg.completion_cost,
+            COMPLETION_COST,
             HostOpKind::Completion,
         );
         let ring = self.channels.shm.one_way();
@@ -1584,7 +1575,7 @@ impl Dispatcher {
                 model.uncontended,
                 self.channel_submit_latency() + ring,
                 communication,
-                j.framework + self.cfg.completion_cost,
+                j.framework + COMPLETION_COST,
             ],
         );
         // Second-level decomposition (DESIGN §12): split the queuing
@@ -1595,20 +1586,9 @@ impl Dispatcher {
             queuing.as_nanos(),
             [j.backoff_ns, j.dep_wait_ns, j.occ_wait_ns],
         );
-        self.core.trace(client_visible, || {
-            TraceEvent::JobEnd(Box::new(JobEnd {
-                job: id.0,
-                client: j.request.client.0,
-                jct_ns: total.as_nanos(),
-                client_send_recv_ns: client_send_recv.as_nanos(),
-                communication_ns: communication.as_nanos(),
-                queuing_scheduling_ns: queuing.as_nanos(),
-                framework_ns: framework.as_nanos(),
-                device_ns: device.as_nanos(),
-            }))
-        });
-        self.core.trace(client_visible, || {
-            TraceEvent::JobJourney(Box::new(JobJourney {
+        self.core.inc("jobs_completed", 1);
+        self.core.complete(
+            JobJourney {
                 job: id.0,
                 client: j.request.client.0,
                 jct_ns: total.as_nanos(),
@@ -1624,25 +1604,11 @@ impl Dispatcher {
                 // "prefill"; decode time is an LLM-tier concept.
                 device_prefill_ns: device.as_nanos(),
                 device_decode_ns: 0,
-            }))
-        });
-        self.core.inc("jobs_completed", 1);
-        self.core.observe("jct_ns", total.as_nanos());
-        self.core.complete(
-            JobCompletion {
-                job: id,
-                request: j.request,
-                almost_finished_at: j.almost_finished_at,
-                device_done_at: device_done,
-                client_visible_at: client_visible,
-                breakdown: LatencyBreakdown {
-                    client_send_recv,
-                    communication,
-                    queuing_scheduling: queuing,
-                    framework,
-                    device,
-                },
             },
+            j.request,
+            j.almost_finished_at,
+            device_done,
+            client_visible,
             j.deadline_at,
         );
     }
@@ -1717,7 +1683,7 @@ impl Dispatcher {
         }
         self.core.inc("kernel_retries", 1);
         // Exponential backoff, shift-capped so the doubling can't overflow.
-        let backoff = self.cfg.retry_backoff * (1u64 << (attempt - 1).min(16));
+        let backoff = RETRY_BACKOFF * (1u64 << (attempt - 1).min(16));
         let backoff_ns = backoff.as_nanos();
         self.core.trace(at, || TraceEvent::RetryBackoff {
             job: id.0,

@@ -7,10 +7,13 @@
 
 use paella_compiler::CompiledModel;
 use paella_sim::{EventQueue, SimDuration, SimTime};
-use paella_telemetry::{MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer};
+use paella_telemetry::{
+    JobEnd, JobJourney, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
+};
 
 use crate::types::{
-    FailureReason, InferenceRequest, JobCompletion, JobFailure, LoadSignal, ModelId,
+    FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
+    LoadSignal, ModelId,
 };
 
 /// A model-serving system running on simulated time.
@@ -186,15 +189,40 @@ impl EngineCore {
         }
     }
 
-    /// A request completed: books it in its tenant's SLO ledger — met unless
-    /// it became visible after `deadline` — and queues the completion.
-    pub fn complete(&mut self, c: JobCompletion, deadline: Option<SimTime>) {
+    /// A request completed, its JCT decomposed as `journey` — the one record
+    /// an engine builds. Everything else that reports the completion is
+    /// derived from it here: the `JobEnd` and `JobJourney` events at
+    /// `client_visible_at`, the `jct_ns` histogram, the tenant's SLO ledger
+    /// entry — met unless it became visible after `deadline` — and the queued
+    /// [`JobCompletion`] with its [`LatencyBreakdown`].
+    pub fn complete(
+        &mut self,
+        journey: JobJourney,
+        request: InferenceRequest,
+        almost_finished_at: Option<SimTime>,
+        device_done_at: SimTime,
+        client_visible_at: SimTime,
+        deadline: Option<SimTime>,
+    ) {
+        self.trace(client_visible_at, || {
+            TraceEvent::JobEnd(Box::new(JobEnd::from(&journey)))
+        });
+        self.trace(client_visible_at, || {
+            TraceEvent::JobJourney(Box::new(journey))
+        });
         if let Some(m) = self.metrics.as_mut() {
-            let burn_ns =
-                deadline.map_or(0, |d| c.client_visible_at.saturating_since(d).as_nanos());
-            m.slo_complete(c.request.client.0, burn_ns == 0, burn_ns);
+            m.observe("jct_ns", journey.jct_ns);
+            let burn_ns = deadline.map_or(0, |d| client_visible_at.saturating_since(d).as_nanos());
+            m.slo_complete(journey.client, burn_ns == 0, burn_ns);
         }
-        self.completions.push(c);
+        self.completions.push(JobCompletion {
+            job: JobId(journey.job),
+            request,
+            almost_finished_at,
+            device_done_at,
+            client_visible_at,
+            breakdown: LatencyBreakdown::from(&journey),
+        });
     }
 
     /// Queues a completion a tier below already booked in its own ledger.

@@ -1,6 +1,7 @@
 //! Core identifiers and request/response types of the Paella service.
 
 use paella_sim::{SimDuration, SimTime};
+use paella_telemetry::{JobEnd, JobJourney};
 
 /// Identifier of a registered model in the dispatcher's library.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -52,6 +53,21 @@ impl LatencyBreakdown {
     /// Total end-to-end latency.
     pub fn total(&self) -> SimDuration {
         self.overhead() + self.device
+    }
+}
+
+impl From<&JobJourney> for LatencyBreakdown {
+    /// The five categories of a journey (its [`JobEnd`] view), as durations.
+    fn from(journey: &JobJourney) -> Self {
+        let end = JobEnd::from(journey);
+        let ns = SimDuration::from_nanos;
+        LatencyBreakdown {
+            client_send_recv: ns(end.client_send_recv_ns),
+            communication: ns(end.communication_ns),
+            queuing_scheduling: ns(end.queuing_scheduling_ns),
+            framework: ns(end.framework_ns),
+            device: ns(end.device_ns),
+        }
     }
 }
 

@@ -8,7 +8,7 @@
 //! chunks and/or one decode step for a set of decode-phase sequences.
 //! Iteration cost is affine in its contents — a fixed per-iteration
 //! overhead, a per-token prefill cost, and a decode cost of
-//! `decode_fixed_ns + batch · decode_ns_per_seq` (the fixed part models
+//! `DECODE_FIXED_NS + batch · DECODE_NS_PER_SEQ` (the fixed part models
 //! weight streaming, which co-batched sequences amortize; that
 //! amortization is exactly why iteration-level continuous batching wins on
 //! inter-token latency).
@@ -25,7 +25,7 @@
 //!   outstanding decode stream pays the full fixed cost per token.
 //! * [`LlmPolicy::ContinuousBatching`] — Orca-style iteration-level
 //!   batching: every decode-phase sequence joins each iteration (up to
-//!   `max_batch`), and leftover prefill budget admits pending prompts
+//!   `MAX_BATCH`), and leftover prefill budget admits pending prompts
 //!   chunk by chunk (Sarathi-style chunked prefill keeps admission from
 //!   stalling decode).
 //!
@@ -44,12 +44,12 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use paella_core::sched::{JobInfo, Scheduler, SrptDeficitScheduler};
 use paella_core::serve::{split, EngineCore, ServingSystem};
 use paella_core::types::{
-    ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
-    LoadSignal, ModelId,
+    ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LoadSignal,
+    ModelId,
 };
 use paella_sim::event::EventQueue;
 use paella_sim::{IdMap, SimDuration, SimTime, Xoshiro256pp};
-use paella_telemetry::{JobBegin, JobEnd, JobJourney, MetricsSnapshot, TraceEvent, TraceLog};
+use paella_telemetry::{JobBegin, JobJourney, MetricsSnapshot, TraceEvent, TraceLog};
 
 use crate::kv::KvPool;
 use crate::spec::LlmModelSpec;
@@ -74,49 +74,43 @@ impl LlmPolicy {
     }
 }
 
-/// Engine configuration. All costs are integer nanoseconds: the iteration
+/// Tokens per KV page.
+const KV_PAGE_TOKENS: u64 = 16;
+/// Decode co-batch cap (continuous batching only).
+const MAX_BATCH: usize = 16;
+/// Prefill token budget per iteration (chunked prefill).
+const PREFILL_CHUNK: u64 = 256;
+/// Fixed per-iteration overhead (scheduling + launch), ns.
+const ITER_OVERHEAD_NS: u64 = 5_000;
+/// Prefill cost per prompt token, ns.
+const PREFILL_NS_PER_TOKEN: u64 = 500;
+/// Fixed cost of a decode step regardless of batch size (weight
+/// streaming), ns. This is the term continuous batching amortizes.
+const DECODE_FIXED_NS: u64 = 50_000;
+/// Marginal decode cost per co-batched sequence, ns.
+const DECODE_NS_PER_SEQ: u64 = 2_000;
+
+/// Engine configuration. The cost model is the constants above, modeled on
+/// a mid-size decoder: ~0.5 µs/token prefill, 50 µs fixed + 2 µs/seq decode
+/// steps, 16-token pages. All costs are integer nanoseconds: the iteration
 /// arithmetic stays exact, so runs are byte-reproducible and the journey
 /// conservation law needs no rounding slack.
 #[derive(Clone, Debug)]
 pub struct LlmEngineConfig {
     /// Iteration-formation policy.
     pub policy: LlmPolicy,
-    /// Tokens per KV page.
-    pub kv_page_tokens: u64,
     /// Total KV pages on the device.
     pub kv_pages_total: u64,
-    /// Decode co-batch cap (continuous batching only).
-    pub max_batch: u64,
-    /// Prefill token budget per iteration (chunked prefill).
-    pub prefill_chunk: u64,
-    /// Fixed per-iteration overhead (scheduling + launch), ns.
-    pub iter_overhead_ns: u64,
-    /// Prefill cost per prompt token, ns.
-    pub prefill_ns_per_token: u64,
-    /// Fixed cost of a decode step regardless of batch size (weight
-    /// streaming), ns. This is the term continuous batching amortizes.
-    pub decode_fixed_ns: u64,
-    /// Marginal decode cost per co-batched sequence, ns.
-    pub decode_ns_per_seq: u64,
     /// Seed for per-request length sampling.
     pub seed: u64,
 }
 
 impl LlmEngineConfig {
-    /// A workable default configuration for the given policy, modeled on a
-    /// mid-size decoder: ~0.5 µs/token prefill, 50 µs fixed + 2 µs/seq
-    /// decode steps, 16-token pages.
+    /// A workable default configuration for the given policy.
     pub fn new(policy: LlmPolicy) -> Self {
         LlmEngineConfig {
             policy,
-            kv_page_tokens: 16,
             kv_pages_total: 4096,
-            max_batch: 16,
-            prefill_chunk: 256,
-            iter_overhead_ns: 5_000,
-            prefill_ns_per_token: 500,
-            decode_fixed_ns: 50_000,
-            decode_ns_per_seq: 2_000,
             seed: 0x11A0,
         }
     }
@@ -243,13 +237,13 @@ impl LlmJob {
     /// Estimated remaining device time, ns, for SRPT ranking: remaining
     /// prefill at the per-token rate plus remaining output at the
     /// batch-of-1 decode rate.
-    fn remaining_estimate_ns(&self, cfg: &LlmEngineConfig) -> u64 {
+    fn remaining_estimate_ns(&self) -> u64 {
         // sub: clamped like `prefill_left`: a sequence retires the moment
         // `generated` reaches `output_tokens`, so there is never more
         // generated than asked for, only nothing left to estimate.
         let out_left = self.output_tokens.saturating_sub(self.generated);
-        self.prefill_left() * cfg.prefill_ns_per_token
-            + out_left * (cfg.decode_fixed_ns + cfg.decode_ns_per_seq)
+        self.prefill_left() * PREFILL_NS_PER_TOKEN
+            + out_left * (DECODE_FIXED_NS + DECODE_NS_PER_SEQ)
     }
 }
 
@@ -292,7 +286,7 @@ impl LlmEngine {
             LlmPolicy::ContinuousBatching => None,
         };
         LlmEngine {
-            pool: KvPool::new(cfg.kv_page_tokens, cfg.kv_pages_total),
+            pool: KvPool::new(KV_PAGE_TOKENS, cfg.kv_pages_total),
             rng: Xoshiro256pp::seed_from_u64(cfg.seed),
             srpt,
             cfg,
@@ -410,14 +404,14 @@ impl LlmEngine {
 
     fn job_info(&self, id: JobId) -> JobInfo {
         let job = &self.job(id);
-        let total = job.prompt_tokens * self.cfg.prefill_ns_per_token
-            + job.output_tokens * (self.cfg.decode_fixed_ns + self.cfg.decode_ns_per_seq);
+        let total = job.prompt_tokens * PREFILL_NS_PER_TOKEN
+            + job.output_tokens * (DECODE_FIXED_NS + DECODE_NS_PER_SEQ);
         JobInfo {
             job: id,
             client: job.request.client,
             arrival: job.request.submitted_at,
             total_estimate: SimDuration::from_nanos(total),
-            remaining_estimate: SimDuration::from_nanos(job.remaining_estimate_ns(&self.cfg)),
+            remaining_estimate: SimDuration::from_nanos(job.remaining_estimate_ns()),
         }
     }
 
@@ -441,7 +435,7 @@ impl LlmEngine {
         self.running.remove(&victim);
         self.pending.push_front(victim);
         self.core.inc("llm_preempted", 1);
-        let est = self.job(victim).remaining_estimate_ns(&self.cfg);
+        let est = self.job(victim).remaining_estimate_ns();
         if let Some(s) = self.srpt.as_mut() {
             s.remaining_changed(victim, SimDuration::from_nanos(est));
         }
@@ -558,38 +552,6 @@ impl LlmEngine {
         let total = at.saturating_since(job.request.submitted_at).as_nanos();
         let ([device_prefill_ns, device_decode_ns, queue_occupancy_ns], queue_hol_ns) =
             split(total, [job.prefill_ns, job.decode_ns, job.kv_wait_ns]);
-        let device_ns = device_prefill_ns + device_decode_ns;
-        let queuing_ns = queue_occupancy_ns + queue_hol_ns;
-        let client = job.request.client.0;
-        self.core.trace(at, || {
-            TraceEvent::JobEnd(Box::new(JobEnd {
-                job: id.0,
-                client,
-                jct_ns: total,
-                client_send_recv_ns: 0,
-                communication_ns: 0,
-                queuing_scheduling_ns: queuing_ns,
-                framework_ns: 0,
-                device_ns,
-            }))
-        });
-        self.core.trace(at, || {
-            TraceEvent::JobJourney(Box::new(JobJourney {
-                job: id.0,
-                client,
-                jct_ns: total,
-                client_send_recv_ns: 0,
-                communication_ns: 0,
-                framework_ns: 0,
-                device_ns,
-                retry_backoff_ns: 0,
-                queue_dep_ns: 0,
-                queue_occupancy_ns,
-                queue_hol_ns,
-                device_prefill_ns,
-                device_decode_ns,
-            }))
-        });
 
         let first_token_at = job.first_token_at.unwrap_or(at);
         let done = LlmCompletion {
@@ -603,25 +565,31 @@ impl LlmEngine {
             preemptions: job.preemptions,
         };
         self.core.inc("llm_completed", 1);
-        self.core.observe("jct_ns", total);
         self.core.observe("tpot_ns", done.tpot_ns());
         self.llm_completions.push(done);
-        // The engine sets no deadlines: every completion meets its SLO.
+        // The engine models no host path: a sequence is device time plus
+        // queuing, and its last token is client-visible as it is produced.
+        // It sets no deadlines either: every completion meets its SLO.
         self.core.complete(
-            JobCompletion {
-                job: id,
-                request: job.request,
-                almost_finished_at: None,
-                device_done_at: at,
-                client_visible_at: at,
-                breakdown: LatencyBreakdown {
-                    client_send_recv: SimDuration::ZERO,
-                    communication: SimDuration::ZERO,
-                    queuing_scheduling: SimDuration::from_nanos(queuing_ns),
-                    framework: SimDuration::ZERO,
-                    device: SimDuration::from_nanos(device_ns),
-                },
+            JobJourney {
+                job: id.0,
+                client: job.request.client.0,
+                jct_ns: total,
+                client_send_recv_ns: 0,
+                communication_ns: 0,
+                framework_ns: 0,
+                device_ns: device_prefill_ns + device_decode_ns,
+                retry_backoff_ns: 0,
+                queue_dep_ns: 0,
+                queue_occupancy_ns,
+                queue_hol_ns,
+                device_prefill_ns,
+                device_decode_ns,
             },
+            job.request,
+            None,
+            at,
+            at,
             None,
         );
     }
@@ -692,9 +660,9 @@ impl LlmEngine {
                 Work::Decode => decode_batch += 1,
             }
         }
-        let mut dur = self.cfg.iter_overhead_ns + prefill_tokens * self.cfg.prefill_ns_per_token;
+        let mut dur = ITER_OVERHEAD_NS + prefill_tokens * PREFILL_NS_PER_TOKEN;
         if decode_batch > 0 {
-            dur += self.cfg.decode_fixed_ns + decode_batch * self.cfg.decode_ns_per_seq;
+            dur += DECODE_FIXED_NS + decode_batch * DECODE_NS_PER_SEQ;
         }
         self.inflight = Some(InflightIter {
             items,
@@ -705,7 +673,7 @@ impl LlmEngine {
     }
 
     /// Continuous batching: every decode sequence joins (up to
-    /// `max_batch`), then leftover prefill budget continues admitted
+    /// `MAX_BATCH`), then leftover prefill budget continues admitted
     /// prompts and admits pending ones FCFS.
     fn form_batch_cb(&mut self, at: SimTime) -> Vec<(JobId, Work)> {
         let mut items: Vec<(JobId, Work)> = Vec::new();
@@ -715,7 +683,7 @@ impl LlmEngine {
             .running
             .iter()
             .filter(|j| self.job(**j).in_decode())
-            .take(self.cfg.max_batch as usize)
+            .take(MAX_BATCH)
             .copied()
             .collect();
         for id in decode_ids {
@@ -732,7 +700,7 @@ impl LlmEngine {
             }
         }
 
-        let mut budget = self.cfg.prefill_chunk;
+        let mut budget = PREFILL_CHUNK;
         let prefill_ids: Vec<JobId> = self
             .running
             .iter()
@@ -799,7 +767,7 @@ impl LlmEngine {
                 if job.in_decode() {
                     None
                 } else {
-                    Some(job.prefill_left().min(self.cfg.prefill_chunk))
+                    Some(job.prefill_left().min(PREFILL_CHUNK))
                 }
             };
             let work = match work {
@@ -847,11 +815,9 @@ impl LlmEngine {
         self.iter_seq += 1;
         // Remainder of the integer split stays unattributed (it lands in
         // the journey's queue_hol residual, keeping conservation exact).
-        let decode_share = self
-            .cfg
-            .decode_fixed_ns
+        let decode_share = DECODE_FIXED_NS
             .checked_div(iter.decode_batch)
-            .map_or(0, |share| self.cfg.decode_ns_per_seq + share);
+            .map_or(0, |share| DECODE_NS_PER_SEQ + share);
         for (id, work) in iter.items {
             let done = {
                 let Some(job) = self.jobs.get_mut(id.0) else {
@@ -860,7 +826,7 @@ impl LlmEngine {
                 match work {
                     Work::Prefill(t) => {
                         job.prefill_done += t;
-                        job.prefill_ns += t * self.cfg.prefill_ns_per_token;
+                        job.prefill_ns += t * PREFILL_NS_PER_TOKEN;
                         if job.prefill_done >= job.recompute_tokens {
                             // The prefill pass produces the next token.
                             job.generated += 1;
@@ -882,7 +848,7 @@ impl LlmEngine {
             if done {
                 self.complete_job(id, at);
             } else {
-                let est = self.job(id).remaining_estimate_ns(&self.cfg);
+                let est = self.job(id).remaining_estimate_ns();
                 if let Some(srpt) = self.srpt.as_mut() {
                     srpt.remaining_changed(id, SimDuration::from_nanos(est));
                 }
@@ -996,7 +962,7 @@ impl ServingSystem for LlmEngine {
         let mut queued = 0u64;
         let mut inflight = 0u64;
         for (_, job) in self.jobs.iter() {
-            remaining += job.remaining_estimate_ns(&self.cfg);
+            remaining += job.remaining_estimate_ns();
             if job.arrived {
                 inflight += 1;
             } else {

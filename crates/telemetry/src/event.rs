@@ -142,6 +142,26 @@ pub struct JobEnd {
     pub device_ns: u64,
 }
 
+impl From<&JobJourney> for JobEnd {
+    /// The paper's five categories of a journey: its four queuing phases are
+    /// the one `queuing_scheduling_ns`.
+    fn from(j: &JobJourney) -> Self {
+        JobEnd {
+            job: j.job,
+            client: j.client,
+            jct_ns: j.jct_ns,
+            client_send_recv_ns: j.client_send_recv_ns,
+            communication_ns: j.communication_ns,
+            queuing_scheduling_ns: j.retry_backoff_ns
+                + j.queue_dep_ns
+                + j.queue_occupancy_ns
+                + j.queue_hol_ns,
+            framework_ns: j.framework_ns,
+            device_ns: j.device_ns,
+        }
+    }
+}
+
 /// Payload of [`TraceEvent::JobJourney`]: the request's JCT decomposed into
 /// the full phase taxonomy (DESIGN §12). Emitted alongside
 /// [`TraceEvent::JobEnd`]; where `JobEnd` keeps the paper's legacy
@@ -473,42 +493,86 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// Stable kind label (summaries, tests).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::JobBegin(_) => "job-begin",
-            TraceEvent::JobEnd(_) => "job-end",
-            TraceEvent::JobJourney(_) => "job-journey",
-            TraceEvent::HostOp { .. } => "host-op",
-            TraceEvent::SchedDecision { .. } => "sched-decision",
-            TraceEvent::OccupancyHold { .. } => "occupancy-hold",
-            TraceEvent::KernelQueued { .. } => "kernel-queued",
-            TraceEvent::HwQueueStall { .. } => "hw-queue-stall",
-            TraceEvent::KernelDispatched { .. } => "kernel-dispatched",
-            TraceEvent::KernelCompleted { .. } => "kernel-completed",
-            TraceEvent::SmWaveBegin(_) => "sm-wave-begin",
-            TraceEvent::SmWaveEnd(_) => "sm-wave-end",
-            TraceEvent::NotifRun(_) => "notif-run",
-            TraceEvent::SmSpanBegin { .. } => "sm-span-begin",
-            TraceEvent::SmSpanEnd { .. } => "sm-span-end",
-            TraceEvent::NotifBatch { .. } => "notif-batch",
-            TraceEvent::DoorbellWake { .. } => "doorbell-wake",
-            TraceEvent::RouteDecision(_) => "route-decision",
-            TraceEvent::KernelFault { .. } => "kernel-fault",
-            TraceEvent::RetryBackoff { .. } => "retry-backoff",
-            TraceEvent::FailoverHop { .. } => "failover-hop",
-            TraceEvent::JobCancelled { .. } => "job-cancelled",
-            TraceEvent::RequestShed { .. } => "request-shed",
-            TraceEvent::NodeCrash { .. } => "node-crash",
-            TraceEvent::NodeRecover { .. } => "node-recover",
-            TraceEvent::PrefillStart { .. } => "prefill-start",
-            TraceEvent::DecodeStep { .. } => "decode-step",
-            TraceEvent::KvAlloc { .. } => "kv-alloc",
-            TraceEvent::CounterSample { .. } => "counter-sample",
+/// The vocabulary's one table. A row is a variant, the field list `Debug`
+/// prints for it, and its stable [`kind`](TraceEvent::kind) label.
+///
+/// `Debug` prints every variant as `#[derive(Debug)]` did when all payloads
+/// were inline struct variants — `JobEnd { job: 1, .. }`, never
+/// `JobEnd(JobEnd { .. })` — because the flight recorder's dump renders
+/// events with `{:?}` and that text is a byte-stable output. A `payload` row
+/// is a variant boxing the struct it is named after, which prints itself; a
+/// `shared` row prints as the tuple variant it is.
+macro_rules! vocabulary {
+    (
+        payload { $($p:ident => $pl:literal,)* }
+        shared { $($s:ident => $sl:literal,)* }
+        inline { $($v:ident { $($f:ident),* } => $vl:literal,)* }
+    ) => {
+        impl TraceEvent {
+            /// Stable kind label (summaries, tests).
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(TraceEvent::$p(_) => $pl,)*
+                    $(TraceEvent::$s(_) => $sl,)*
+                    $(TraceEvent::$v { .. } => $vl,)*
+                }
+            }
         }
-    }
 
+        impl fmt::Debug for TraceEvent {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $(TraceEvent::$p(p) => p.fmt(f),)*
+                    $(TraceEvent::$s(p) => f.debug_tuple(stringify!($s)).field(p).finish(),)*
+                    $(TraceEvent::$v { $($f),* } => f
+                        .debug_struct(stringify!($v))
+                        $(.field(stringify!($f), $f))*
+                        .finish(),)*
+                }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    payload {
+        JobBegin => "job-begin",
+        JobEnd => "job-end",
+        JobJourney => "job-journey",
+        NotifRun => "notif-run",
+        RouteDecision => "route-decision",
+    }
+    shared {
+        SmWaveBegin => "sm-wave-begin",
+        SmWaveEnd => "sm-wave-end",
+    }
+    inline {
+        HostOp { kind, core, start } => "host-op",
+        SchedDecision { job, policy, rationale, ready } => "sched-decision",
+        OccupancyHold { job, reason } => "occupancy-hold",
+        KernelQueued { kernel, stream, hw_queue } => "kernel-queued",
+        HwQueueStall { hw_queue, kernel } => "hw-queue-stall",
+        KernelDispatched { job, kernel, stream, grid_blocks } => "kernel-dispatched",
+        KernelCompleted { kernel } => "kernel-completed",
+        SmSpanBegin { kernel, wave, sm, blocks, name } => "sm-span-begin",
+        SmSpanEnd { kernel, wave, sm, blocks } => "sm-span-end",
+        NotifBatch { kernel, sm, placement, blocks } => "notif-batch",
+        DoorbellWake { job } => "doorbell-wake",
+        KernelFault { job, kernel, attempt } => "kernel-fault",
+        RetryBackoff { job, kernel, attempt, backoff_ns } => "retry-backoff",
+        FailoverHop { client, model, attempt } => "failover-hop",
+        JobCancelled { job, reason } => "job-cancelled",
+        RequestShed { client, model } => "request-shed",
+        NodeCrash { node } => "node-crash",
+        NodeRecover { node } => "node-recover",
+        PrefillStart { job, prompt_tokens } => "prefill-start",
+        DecodeStep { iter, batch, tokens } => "decode-step",
+        KvAlloc { job, pages, freed, resident } => "kv-alloc",
+        CounterSample { name, value } => "counter-sample",
+    }
+}
+
+impl TraceEvent {
     /// How many word-level events this one stands for in
     /// [`TraceLog::expanded`](crate::TraceLog::expanded): one, unless it is
     /// a run.
@@ -517,56 +581,6 @@ impl TraceEvent {
             TraceEvent::SmWaveBegin(w) | TraceEvent::SmWaveEnd(w) => w.groups.len(),
             TraceEvent::NotifRun(r) => 2 * r.words.len(),
             _ => 1,
-        }
-    }
-}
-
-/// Prints every variant as `#[derive(Debug)]` did when all payloads were
-/// inline struct variants — `JobEnd { job: 1, .. }`, never
-/// `JobEnd(JobEnd { .. })` — because the flight recorder's dump renders
-/// events with `{:?}` and that text is a byte-stable output.
-impl fmt::Debug for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        macro_rules! inline_variants {
-            ($($variant:ident { $($field:ident),* })*) => {
-                match self {
-                    TraceEvent::JobBegin(p) => p.fmt(f),
-                    TraceEvent::JobEnd(p) => p.fmt(f),
-                    TraceEvent::JobJourney(p) => p.fmt(f),
-                    TraceEvent::RouteDecision(p) => p.fmt(f),
-                    TraceEvent::SmWaveBegin(p) => f.debug_tuple("SmWaveBegin").field(p).finish(),
-                    TraceEvent::SmWaveEnd(p) => f.debug_tuple("SmWaveEnd").field(p).finish(),
-                    TraceEvent::NotifRun(p) => p.fmt(f),
-                    $(TraceEvent::$variant { $($field),* } => f
-                        .debug_struct(stringify!($variant))
-                        $(.field(stringify!($field), $field))*
-                        .finish(),)*
-                }
-            };
-        }
-        inline_variants! {
-            HostOp { kind, core, start }
-            SchedDecision { job, policy, rationale, ready }
-            OccupancyHold { job, reason }
-            KernelQueued { kernel, stream, hw_queue }
-            HwQueueStall { hw_queue, kernel }
-            KernelDispatched { job, kernel, stream, grid_blocks }
-            KernelCompleted { kernel }
-            SmSpanBegin { kernel, wave, sm, blocks, name }
-            SmSpanEnd { kernel, wave, sm, blocks }
-            NotifBatch { kernel, sm, placement, blocks }
-            DoorbellWake { job }
-            KernelFault { job, kernel, attempt }
-            RetryBackoff { job, kernel, attempt, backoff_ns }
-            FailoverHop { client, model, attempt }
-            JobCancelled { job, reason }
-            RequestShed { client, model }
-            NodeCrash { node }
-            NodeRecover { node }
-            PrefillStart { job, prompt_tokens }
-            DecodeStep { iter, batch, tokens }
-            KvAlloc { job, pages, freed, resident }
-            CounterSample { name, value }
         }
     }
 }

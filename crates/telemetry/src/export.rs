@@ -21,7 +21,7 @@
 //! grouping uses ordered maps. Identical logs produce identical bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use paella_sim::SimTime;
 
@@ -130,8 +130,16 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// A track: `(pid, tid)`. pid 0 is the dispatcher process.
+type Track = (u32, u32);
+
+/// Where events with no thread of their own are drawn.
+const PROCESS_ROW: Track = (0, 0);
+
 const GPU_PID: u32 = 1;
-/// Lanes reserved per SM track for overlapping groups.
+/// Fewest tids an SM's lanes are spaced by (overlapping groups fan out into
+/// lanes `sm * stride + lane`); the stride grows to the widest SM's lane
+/// count when that is larger.
 const SM_LANES: u32 = 16;
 /// tid offset of hardware-queue tracks within the GPU process.
 const HWQ_TID_BASE: u32 = 1_000_000;
@@ -142,6 +150,150 @@ const DISPATCH_TID: u32 = 92;
 const ROUTER_TID: u32 = 93;
 const FAULTS_TID: u32 = 94;
 const LLM_TID: u32 = 95;
+
+/// The thread track an event is drawn on — the one place that decides it:
+/// the track-name metadata names exactly the tracks this returns. `None` for
+/// an event with no thread of its own: job spans, journeys and counters sit
+/// on the dispatcher's process row, the halves of an SM span are drawn as
+/// one paired slice, and a run is what an expanded log holds the words of.
+fn place(event: &TraceEvent) -> Option<Track> {
+    match event {
+        TraceEvent::HostOp { core, .. } => Some((0, *core)),
+        TraceEvent::SchedDecision { .. } | TraceEvent::OccupancyHold { .. } => Some((0, SCHED_TID)),
+        TraceEvent::NotifBatch { .. } | TraceEvent::DoorbellWake { .. } => Some((0, NOTIF_TID)),
+        TraceEvent::KernelDispatched { .. } | TraceEvent::KernelCompleted { .. } => {
+            Some((0, DISPATCH_TID))
+        }
+        TraceEvent::RouteDecision(_) => Some((0, ROUTER_TID)),
+        TraceEvent::KernelFault { .. }
+        | TraceEvent::RetryBackoff { .. }
+        | TraceEvent::FailoverHop { .. }
+        | TraceEvent::JobCancelled { .. }
+        | TraceEvent::RequestShed { .. }
+        | TraceEvent::NodeCrash { .. }
+        | TraceEvent::NodeRecover { .. } => Some((0, FAULTS_TID)),
+        TraceEvent::PrefillStart { .. }
+        | TraceEvent::DecodeStep { .. }
+        | TraceEvent::KvAlloc { .. } => Some((0, LLM_TID)),
+        TraceEvent::KernelQueued { hw_queue, .. } | TraceEvent::HwQueueStall { hw_queue, .. } => {
+            Some((GPU_PID, HWQ_TID_BASE + hw_queue))
+        }
+        TraceEvent::JobBegin(_)
+        | TraceEvent::JobEnd(_)
+        | TraceEvent::JobJourney(_)
+        | TraceEvent::CounterSample { .. }
+        | TraceEvent::SmSpanBegin { .. }
+        | TraceEvent::SmSpanEnd { .. }
+        | TraceEvent::SmWaveBegin(_)
+        | TraceEvent::SmWaveEnd(_)
+        | TraceEvent::NotifRun(_) => None,
+    }
+}
+
+/// Display name of a track [`place`] returns.
+fn track_name((pid, tid): Track) -> String {
+    match (pid, tid) {
+        (0, SCHED_TID) => "scheduler".into(),
+        (0, NOTIF_TID) => "notifications".into(),
+        (0, DISPATCH_TID) => "kernel dispatch".into(),
+        (0, ROUTER_TID) => "cluster router".into(),
+        (0, FAULTS_TID) => "faults".into(),
+        (0, LLM_TID) => "llm engine".into(),
+        (0, core) => format!("core {core}"),
+        (_, tid) => format!("hw queue {}", tid - HWQ_TID_BASE),
+    }
+}
+
+/// A string argument: prints quoted and escaped.
+struct Quoted<'a>(&'a str);
+
+impl fmt::Display for Quoted<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{}\"", esc(self.0))
+    }
+}
+
+/// The `args` object of an event: `(key, value)` pairs in print order.
+type Args<'a> = &'a [(&'a str, &'a dyn fmt::Display)];
+
+/// Arguments that are fields printed under their own names.
+macro_rules! args {
+    ($($field:ident),*) => {
+        &[$((stringify!($field), &$field as &dyn fmt::Display)),*]
+    };
+}
+
+fn args_json(args: Args) -> String {
+    let pairs: Vec<String> = args.iter().map(|(k, v)| format!(r#""{k}":{v}"#)).collect();
+    format!("{{{}}}", pairs.join(","))
+}
+
+// One function per object shape of the trace-event format; every line of the
+// export is built by one of them.
+
+fn metadata(name: &str, (pid, tid): Track, args: Args) -> String {
+    format!(
+        r#"{{"ph":"M","name":"{name}","pid":{pid},"tid":{tid},"ts":"0.000","args":{}}}"#,
+        args_json(args)
+    )
+}
+
+fn slice(
+    name: &str,
+    cat: &str,
+    (pid, tid): Track,
+    start: SimTime,
+    end: SimTime,
+    args: Args,
+) -> String {
+    format!(
+        r#"{{"ph":"X","name":"{}","cat":"{cat}","pid":{pid},"tid":{tid},"ts":"{}","dur":"{}","args":{}}}"#,
+        esc(name),
+        ts(start.as_nanos()),
+        ts(end.saturating_since(start).as_nanos()),
+        args_json(args)
+    )
+}
+
+fn instant(name: &str, cat: &str, (pid, tid): Track, at: SimTime, args: Args) -> String {
+    format!(
+        r#"{{"ph":"i","name":"{name}","cat":"{cat}","s":"t","pid":{pid},"tid":{tid},"ts":"{}","args":{}}}"#,
+        ts(at.as_nanos()),
+        args_json(args)
+    )
+}
+
+fn async_begin(job: u64, model: &str, at: SimTime, args: Args) -> String {
+    format!(
+        r#"{{"ph":"b","cat":"job","id":{job},"name":"job {job} ({})","pid":0,"tid":0,"ts":"{}","args":{}}}"#,
+        esc(model),
+        ts(at.as_nanos()),
+        args_json(args)
+    )
+}
+
+fn async_end(job: u64, at: SimTime, args: Args) -> String {
+    format!(
+        r#"{{"ph":"e","cat":"job","id":{job},"name":"job {job}","pid":0,"tid":0,"ts":"{}","args":{}}}"#,
+        ts(at.as_nanos()),
+        args_json(args)
+    )
+}
+
+fn counter(name: &str, at: SimTime, value: u64) -> String {
+    format!(
+        r#"{{"ph":"C","name":"{name}","pid":0,"tid":0,"ts":"{}","args":{{"{name}":{value}}}}}"#,
+        ts(at.as_nanos())
+    )
+}
+
+fn flow(ph: &str, job: u64, (pid, tid): Track, at_ns: u64) -> String {
+    let bp = if ph == "f" { r#","bp":"e""# } else { "" };
+    format!(
+        r#"{{"ph":"{ph}","name":"job {job}","cat":"flow","id":{job},"pid":{pid},"tid":{tid},"ts":"{}"{bp}}}"#,
+        ts(at_ns)
+    )
+}
 
 /// Renders the log as Chrome-trace JSON (array-of-events form).
 pub fn chrome_trace_json(log: &TraceLog) -> String {
@@ -154,34 +306,32 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
 
     // Greedy interval partitioning per SM: a span takes the first lane
     // whose previous span ended at or before its start.
-    let mut lane_of: BTreeMap<(u64, u32, u32), u32> = BTreeMap::new();
     let mut lanes: BTreeMap<u32, Vec<SimTime>> = BTreeMap::new();
-    for s in &spans {
-        let ends = lanes.entry(s.sm).or_default();
-        let lane = match ends.iter().position(|&e| e <= s.start) {
-            Some(i) => {
-                ends[i] = s.end;
-                i as u32
+    let lane_of: Vec<u32> = (spans.iter())
+        .map(|s| {
+            let ends = lanes.entry(s.sm).or_default();
+            let lane = (ends.iter().position(|&e| e <= s.start)).unwrap_or(ends.len());
+            match ends.get_mut(lane) {
+                Some(end) => *end = s.end,
+                None => ends.push(s.end),
             }
-            None => {
-                ends.push(s.end);
-                (ends.len() - 1) as u32
-            }
-        };
-        lane_of.insert((s.kernel, s.wave, s.sm), lane.min(SM_LANES - 1));
-    }
+            lane as u32
+        })
+        .collect();
+    // Every SM's lanes get tids of their own, however many it has.
+    let widest = lanes.values().map(|ends| ends.len() as u32).max();
+    let stride = widest.unwrap_or(0).max(SM_LANES);
+    let span_track = |i: usize| (GPU_PID, spans[i].sm * stride + lane_of[i]);
 
-    // Flow anchors per job: every kernel-dispatch slice plus the first SM
-    // placement of each dispatched kernel, in time order.
-    let mut job_of_kernel: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut begun_jobs: BTreeSet<u64> = BTreeSet::new();
-    let mut closed_jobs: BTreeSet<u64> = BTreeSet::new();
+    // Job async spans are rendered only when this log holds both ends: in a
+    // windowed log a span may open before it or close after it, and a lone
+    // "b" or "e" is an invalid trace (and an infinite bar in Perfetto).
     // `if let`, not `match … _ => {}`: this fn holds the rendering match
     // below, so paella-check R5 allows no wildcard arm anywhere in it.
+    let mut begun_jobs: BTreeSet<u64> = BTreeSet::new();
+    let mut closed_jobs: BTreeSet<u64> = BTreeSet::new();
     for e in &events {
-        if let TraceEvent::KernelDispatched { job, kernel, .. } = e.event {
-            job_of_kernel.insert(kernel, job);
-        } else if let TraceEvent::JobBegin(b) = &e.event {
+        if let TraceEvent::JobBegin(b) = &e.event {
             begun_jobs.insert(b.job);
         } else if let TraceEvent::JobEnd(end) = &e.event {
             closed_jobs.insert(end.job);
@@ -189,184 +339,96 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             closed_jobs.insert(job);
         }
     }
-    // Job async spans are rendered only when this log holds both ends: in a
-    // windowed log a span may open before it or close after it, and a lone
-    // "b" or "e" is an invalid trace (and an infinite bar in Perfetto).
     let whole_jobs: BTreeSet<u64> = begun_jobs.intersection(&closed_jobs).copied().collect();
-    let mut first_span_of_kernel: BTreeMap<u64, &SmSpan> = BTreeMap::new();
-    for s in &spans {
-        first_span_of_kernel.entry(s.kernel).or_insert(s);
+
+    // Flow anchors per job: every kernel-dispatch instant plus the first SM
+    // placement of each dispatched kernel, as (ts_ns, seq, track); seq keeps
+    // same-instant anchors stable.
+    let mut first_span_of_kernel: BTreeMap<u64, usize> = BTreeMap::new();
+    for (i, s) in spans.iter().enumerate() {
+        first_span_of_kernel.entry(s.kernel).or_insert(i);
     }
-    // (ts_ns, order, pid, tid) per anchor; order keeps same-instant anchors
-    // stable.
-    let mut anchors: BTreeMap<u64, Vec<(u64, u64, u32, u32)>> = BTreeMap::new();
+    let mut anchors: BTreeMap<u64, Vec<(u64, u64, Track)>> = BTreeMap::new();
     for e in &events {
-        if let TraceEvent::KernelDispatched { job, kernel, .. } = e.event {
-            anchors
-                .entry(job)
-                .or_default()
-                .push((e.at.as_nanos(), e.seq, 0, DISPATCH_TID));
-            if let Some(s) = first_span_of_kernel.get(&kernel) {
-                let tid = lane_of
-                    .get(&(s.kernel, s.wave, s.sm))
-                    .map(|&l| s.sm * SM_LANES + l)
-                    .unwrap_or(s.sm * SM_LANES);
-                anchors
-                    .entry(job)
-                    .or_default()
-                    .push((s.start.as_nanos(), s.seq, GPU_PID, tid));
-            }
+        let (TraceEvent::KernelDispatched { job, kernel, .. }, Some(track)) =
+            (&e.event, place(&e.event))
+        else {
+            continue;
+        };
+        let list = anchors.entry(*job).or_default();
+        list.push((e.at.as_nanos(), e.seq, track));
+        if let Some(&i) = first_span_of_kernel.get(kernel) {
+            list.push((spans[i].start.as_nanos(), spans[i].seq, span_track(i)));
         }
     }
 
-    let mut out = String::new();
-    out.push_str("[\n");
-    let mut first = true;
-    let push = |line: String, out: &mut String, first: &mut bool| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
+    // One object per line; each is followed by a separator, the last one's
+    // taken back at the end (the two process names are always there).
+    let mut out = String::from("[\n");
+    let mut push = |line: String| {
         out.push(' ');
         out.push_str(&line);
+        out.push_str(",\n");
     };
 
-    // -- metadata: process and thread names, in fixed order ------------------
-    for (pid, name) in [(0u32, "dispatcher"), (GPU_PID, "gpu")] {
-        push(
-            format!(
-                r#"{{"ph":"M","name":"process_name","pid":{pid},"tid":0,"ts":"0.000","args":{{"name":"{name}"}}}}"#
-            ),
-            &mut out,
-            &mut first,
-        );
+    // -- metadata: process names, then every track's name in (pid, tid) order
+    for (pid, name) in [(0, "dispatcher"), (GPU_PID, "gpu")] {
+        push(metadata(
+            "process_name",
+            (pid, 0),
+            &[("name", &Quoted(name))],
+        ));
     }
-    let mut host_cores: BTreeMap<u32, ()> = BTreeMap::new();
-    let mut hw_queues: BTreeMap<u32, ()> = BTreeMap::new();
-    let mut has_routes = false;
-    let mut has_faults = false;
-    let mut has_llm = false;
-    for e in &events {
-        if let TraceEvent::HostOp { core, .. } = e.event {
-            host_cores.insert(core, ());
-        }
-        if let TraceEvent::KernelQueued { hw_queue, .. }
-        | TraceEvent::HwQueueStall { hw_queue, .. } = e.event
-        {
-            hw_queues.insert(hw_queue, ());
-        }
-        has_routes |= matches!(e.event, TraceEvent::RouteDecision(_));
-        has_faults |= matches!(
-            e.event,
-            TraceEvent::KernelFault { .. }
-                | TraceEvent::RetryBackoff { .. }
-                | TraceEvent::FailoverHop { .. }
-                | TraceEvent::JobCancelled { .. }
-                | TraceEvent::RequestShed { .. }
-                | TraceEvent::NodeCrash { .. }
-                | TraceEvent::NodeRecover { .. }
-        );
-        has_llm |= matches!(
-            e.event,
-            TraceEvent::PrefillStart { .. }
-                | TraceEvent::DecodeStep { .. }
-                | TraceEvent::KvAlloc { .. }
-        );
+    let mut tracks: BTreeMap<Track, String> = BTreeMap::new();
+    for tid in [SCHED_TID, NOTIF_TID, DISPATCH_TID] {
+        tracks.insert((0, tid), track_name((0, tid)));
     }
-    for &core in host_cores.keys() {
-        push(
-            format!(
-                r#"{{"ph":"M","name":"thread_name","pid":0,"tid":{core},"ts":"0.000","args":{{"name":"core {core}"}}}}"#
-            ),
-            &mut out,
-            &mut first,
-        );
-    }
-    let mut fixed_tids = vec![
-        (SCHED_TID, "scheduler"),
-        (NOTIF_TID, "notifications"),
-        (DISPATCH_TID, "kernel dispatch"),
-    ];
-    if has_routes {
-        fixed_tids.push((ROUTER_TID, "cluster router"));
-    }
-    if has_faults {
-        fixed_tids.push((FAULTS_TID, "faults"));
-    }
-    if has_llm {
-        fixed_tids.push((LLM_TID, "llm engine"));
-    }
-    for (tid, name) in fixed_tids {
-        push(
-            format!(
-                r#"{{"ph":"M","name":"thread_name","pid":0,"tid":{tid},"ts":"0.000","args":{{"name":"{name}"}}}}"#
-            ),
-            &mut out,
-            &mut first,
-        );
+    for track in events.iter().filter_map(|e| place(&e.event)) {
+        tracks.entry(track).or_insert_with(|| track_name(track));
     }
     for (&sm, ends) in &lanes {
-        for lane in 0..(ends.len() as u32).min(SM_LANES) {
-            let tid = sm * SM_LANES + lane;
-            let label = if lane == 0 {
-                format!("SM {sm}")
-            } else {
-                format!("SM {sm} (+{lane})")
-            };
-            push(
-                format!(
-                    r#"{{"ph":"M","name":"thread_name","pid":{GPU_PID},"tid":{tid},"ts":"0.000","args":{{"name":"{label}"}}}}"#
-                ),
-                &mut out,
-                &mut first,
-            );
-            push(
-                format!(
-                    r#"{{"ph":"M","name":"thread_sort_index","pid":{GPU_PID},"tid":{tid},"ts":"0.000","args":{{"sort_index":{tid}}}}}"#
-                ),
-                &mut out,
-                &mut first,
-            );
+        tracks.insert((GPU_PID, sm * stride), format!("SM {sm}"));
+        for lane in 1..ends.len() as u32 {
+            tracks.insert((GPU_PID, sm * stride + lane), format!("SM {sm} (+{lane})"));
         }
     }
-    for &q in hw_queues.keys() {
-        let tid = HWQ_TID_BASE + q;
-        push(
-            format!(
-                r#"{{"ph":"M","name":"thread_name","pid":{GPU_PID},"tid":{tid},"ts":"0.000","args":{{"name":"hw queue {q}"}}}}"#
-            ),
-            &mut out,
-            &mut first,
-        );
+    for (&track, name) in &tracks {
+        push(metadata("thread_name", track, &[("name", &Quoted(name))]));
+        let (pid, tid) = track;
+        if pid == GPU_PID && tid < HWQ_TID_BASE {
+            push(metadata(
+                "thread_sort_index",
+                track,
+                &[("sort_index", &tid)],
+            ));
+        }
     }
 
     // -- SM execution slices (complete events) ------------------------------
-    for s in &spans {
-        let lane = lane_of.get(&(s.kernel, s.wave, s.sm)).copied().unwrap_or(0);
-        let tid = s.sm * SM_LANES + lane;
-        let dur_ns = s.end.saturating_since(s.start).as_nanos();
-        push(
-            format!(
-                r#"{{"ph":"X","name":"{} #{} w{} ({}b)","cat":"sm","pid":{GPU_PID},"tid":{tid},"ts":"{}","dur":"{}","args":{{"kernel":{},"wave":{},"blocks":{}}}}}"#,
-                esc(&s.name),
-                s.kernel,
-                s.wave,
-                s.blocks,
-                ts(s.start.as_nanos()),
-                ts(dur_ns),
-                s.kernel,
-                s.wave,
-                s.blocks,
-            ),
-            &mut out,
-            &mut first,
-        );
+    for (i, s) in spans.iter().enumerate() {
+        let SmSpan {
+            kernel,
+            wave,
+            blocks,
+            ..
+        } = s;
+        let name = format!("{} #{kernel} w{wave} ({blocks}b)", s.name);
+        let args = args![kernel, wave, blocks];
+        push(slice(&name, "sm", span_track(i), s.start, s.end, args));
     }
 
     // -- everything else, in global time order -------------------------------
     for e in &events {
-        let at = ts(e.at.as_nanos());
-        match &e.event {
+        let at = e.at;
+        let track = place(&e.event).unwrap_or(PROCESS_ROW);
+        // An instant on the event's track: category, name, then the fields
+        // that are its arguments.
+        macro_rules! instant {
+            ($cat:literal, $name:literal $(, $field:ident)*) => {
+                instant(&format!($name), $cat, track, at, args![$($field),*])
+            };
+        }
+        let line = match &e.event {
             TraceEvent::JobBegin(begin) => {
                 let JobBegin {
                     job,
@@ -377,15 +439,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 if !whole_jobs.contains(job) {
                     continue;
                 }
-                push(
-                    format!(
-                        r#"{{"ph":"b","cat":"job","id":{job},"name":"job {job} ({})","pid":0,"tid":0,"ts":"{}","args":{{"client":{client}}}}}"#,
-                        esc(model),
-                        ts(submitted_at.as_nanos()),
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                async_begin(*job, model, *submitted_at, args![client])
             }
             TraceEvent::JobEnd(end) => {
                 let JobEnd {
@@ -401,13 +455,16 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 if !whole_jobs.contains(&job) {
                     continue;
                 }
-                push(
-                    format!(
-                        r#"{{"ph":"e","cat":"job","id":{job},"name":"job {job}","pid":0,"tid":0,"ts":"{at}","args":{{"client":{client},"jct_ns":{jct_ns},"client_send_recv_ns":{client_send_recv_ns},"communication_ns":{communication_ns},"queuing_scheduling_ns":{queuing_scheduling_ns},"framework_ns":{framework_ns},"device_ns":{device_ns}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                let args = args![
+                    client,
+                    jct_ns,
+                    client_send_recv_ns,
+                    communication_ns,
+                    queuing_scheduling_ns,
+                    framework_ns,
+                    device_ns
+                ];
+                async_end(job, at, args)
             }
             TraceEvent::JobJourney(journey) => {
                 let JobJourney {
@@ -425,26 +482,25 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     device_prefill_ns,
                     device_decode_ns,
                 } = **journey;
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"journey job {job}","cat":"journey","s":"t","pid":0,"tid":0,"ts":"{at}","args":{{"client":{client},"jct_ns":{jct_ns},"client_send_recv_ns":{client_send_recv_ns},"communication_ns":{communication_ns},"framework_ns":{framework_ns},"device_ns":{device_ns},"retry_backoff_ns":{retry_backoff_ns},"queue_dep_ns":{queue_dep_ns},"queue_occupancy_ns":{queue_occupancy_ns},"queue_hol_ns":{queue_hol_ns},"device_prefill_ns":{device_prefill_ns},"device_decode_ns":{device_decode_ns}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                instant!(
+                    "journey",
+                    "journey job {job}",
+                    client,
+                    jct_ns,
+                    client_send_recv_ns,
+                    communication_ns,
+                    framework_ns,
+                    device_ns,
+                    retry_backoff_ns,
+                    queue_dep_ns,
+                    queue_occupancy_ns,
+                    queue_hol_ns,
+                    device_prefill_ns,
+                    device_decode_ns
+                )
             }
-            TraceEvent::HostOp { kind, core, start } => {
-                let dur = e.at.saturating_since(*start).as_nanos();
-                push(
-                    format!(
-                        r#"{{"ph":"X","name":"{}","cat":"host","pid":0,"tid":{core},"ts":"{}","dur":"{}","args":{{}}}}"#,
-                        kind.as_str(),
-                        ts(start.as_nanos()),
-                        ts(dur),
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+            TraceEvent::HostOp { kind, start, .. } => {
+                slice(kind.as_str(), "host", track, *start, at, &[])
             }
             TraceEvent::SchedDecision {
                 job,
@@ -452,72 +508,29 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 rationale,
                 ready,
             } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"pick job {job}","cat":"sched","s":"t","pid":0,"tid":{SCHED_TID},"ts":"{at}","args":{{"policy":"{policy}","rationale":"{}","ready":{ready}}}}}"#,
-                        rationale.as_str()
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                let (policy, rationale) = (Quoted(policy), Quoted(rationale.as_str()));
+                instant!("sched", "pick job {job}", policy, rationale, ready)
             }
             TraceEvent::OccupancyHold { job, reason } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"hold job {job}","cat":"sched","s":"t","pid":0,"tid":{SCHED_TID},"ts":"{at}","args":{{"reason":"{}"}}}}"#,
-                        reason.as_str()
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                let reason = Quoted(reason.as_str());
+                instant!("sched", "hold job {job}", reason)
             }
-            TraceEvent::KernelQueued {
-                kernel,
-                stream,
-                hw_queue,
-            } => {
-                let tid = HWQ_TID_BASE + hw_queue;
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"enqueue #{kernel}","cat":"hwq","s":"t","pid":{GPU_PID},"tid":{tid},"ts":"{at}","args":{{"stream":{stream}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+            TraceEvent::KernelQueued { kernel, stream, .. } => {
+                instant!("hwq", "enqueue #{kernel}", stream)
             }
-            TraceEvent::HwQueueStall { hw_queue, kernel } => {
-                let tid = HWQ_TID_BASE + hw_queue;
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"HoL stall #{kernel}","cat":"hwq","s":"t","pid":{GPU_PID},"tid":{tid},"ts":"{at}","args":{{}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            TraceEvent::HwQueueStall { kernel, .. } => instant!("hwq", "HoL stall #{kernel}"),
             TraceEvent::KernelDispatched {
                 job,
                 kernel,
                 stream,
                 grid_blocks,
-            } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"dispatch #{kernel} (job {job})","cat":"dispatch","s":"t","pid":0,"tid":{DISPATCH_TID},"ts":"{at}","args":{{"stream":{stream},"grid_blocks":{grid_blocks}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::KernelCompleted { kernel } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"complete #{kernel}","cat":"dispatch","s":"t","pid":0,"tid":{DISPATCH_TID},"ts":"{at}","args":{{}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            } => instant!(
+                "dispatch",
+                "dispatch #{kernel} (job {job})",
+                stream,
+                grid_blocks
+            ),
+            TraceEvent::KernelCompleted { kernel } => instant!("dispatch", "complete #{kernel}"),
             TraceEvent::NotifBatch {
                 kernel,
                 sm,
@@ -525,23 +538,9 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 blocks,
             } => {
                 let what = if *placement { "place" } else { "done" };
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"notif {what} #{kernel}","cat":"notif","s":"t","pid":0,"tid":{NOTIF_TID},"ts":"{at}","args":{{"sm":{sm},"blocks":{blocks}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                instant!("notif", "notif {what} #{kernel}", sm, blocks)
             }
-            TraceEvent::DoorbellWake { job } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"doorbell job {job}","cat":"notif","s":"t","pid":0,"tid":{NOTIF_TID},"ts":"{at}","args":{{}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            TraceEvent::DoorbellWake { job } => instant!("notif", "doorbell job {job}"),
             TraceEvent::RouteDecision(route) => {
                 let RouteDecision {
                     model,
@@ -550,124 +549,62 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     outstanding,
                     candidates,
                 } = **route;
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"route model {model} -> node {node}","cat":"route","s":"t","pid":0,"tid":{ROUTER_TID},"ts":"{at}","args":{{"policy":"{policy}","outstanding":{outstanding},"candidates":{candidates}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                let policy = Quoted(policy);
+                instant!(
+                    "route",
+                    "route model {model} -> node {node}",
+                    policy,
+                    outstanding,
+                    candidates
+                )
             }
             TraceEvent::KernelFault {
                 job,
                 kernel,
                 attempt,
-            } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"fault #{kernel} (job {job})","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{"attempt":{attempt}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            } => instant!("fault", "fault #{kernel} (job {job})", attempt),
             TraceEvent::RetryBackoff {
                 job,
                 kernel,
                 attempt,
                 backoff_ns,
-            } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"backoff #{kernel} (job {job})","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{"attempt":{attempt},"backoff_ns":{backoff_ns}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            } => instant!(
+                "fault",
+                "backoff #{kernel} (job {job})",
+                attempt,
+                backoff_ns
+            ),
             TraceEvent::FailoverHop {
                 client,
                 model,
                 attempt,
-            } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"failover client {client}","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{"model":{model},"attempt":{attempt}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            } => instant!("fault", "failover client {client}", model, attempt),
             TraceEvent::JobCancelled { job, reason } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"cancel job {job}","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{"reason":"{reason}"}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                let reason = Quoted(reason);
+                let cancel = instant!("fault", "cancel job {job}", reason);
                 // Close the job's async span: a cancelled job gets no
                 // JobEnd. Only when this log opened the span — partial
                 // logs may carry the cancel alone.
-                if whole_jobs.contains(job) {
-                    push(
-                        format!(
-                            r#"{{"ph":"e","cat":"job","id":{job},"name":"job {job}","pid":0,"tid":0,"ts":"{at}","args":{{"cancelled":"{reason}"}}}}"#
-                        ),
-                        &mut out,
-                        &mut first,
-                    );
+                if !whole_jobs.contains(job) {
+                    cancel
+                } else {
+                    push(cancel);
+                    async_end(*job, at, &[("cancelled", &reason)])
                 }
             }
             TraceEvent::RequestShed { client, model } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"shed client {client}","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{"model":{model}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                instant!("fault", "shed client {client}", model)
             }
-            TraceEvent::NodeCrash { node } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"crash node {node}","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::NodeRecover { node } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"recover node {node}","cat":"fault","s":"t","pid":0,"tid":{FAULTS_TID},"ts":"{at}","args":{{}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            TraceEvent::NodeCrash { node } => instant!("fault", "crash node {node}"),
+            TraceEvent::NodeRecover { node } => instant!("fault", "recover node {node}"),
             TraceEvent::PrefillStart { job, prompt_tokens } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"prefill job {job}","cat":"llm","s":"t","pid":0,"tid":{LLM_TID},"ts":"{at}","args":{{"prompt_tokens":{prompt_tokens}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                instant!("llm", "prefill job {job}", prompt_tokens)
             }
             TraceEvent::DecodeStep {
                 iter,
                 batch,
                 tokens,
-            } => {
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"decode iter {iter}","cat":"llm","s":"t","pid":0,"tid":{LLM_TID},"ts":"{at}","args":{{"batch":{batch},"tokens":{tokens}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
+            } => instant!("llm", "decode iter {iter}", batch, tokens),
             TraceEvent::KvAlloc {
                 job,
                 pages,
@@ -675,41 +612,27 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 resident,
             } => {
                 let what = if *freed { "free" } else { "alloc" };
-                push(
-                    format!(
-                        r#"{{"ph":"i","name":"kv {what} job {job}","cat":"llm","s":"t","pid":0,"tid":{LLM_TID},"ts":"{at}","args":{{"pages":{pages},"resident":{resident}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
+                instant!("llm", "kv {what} job {job}", pages, resident)
             }
-            TraceEvent::CounterSample { name, value } => {
-                push(
-                    format!(
-                        r#"{{"ph":"C","name":"{name}","pid":0,"tid":0,"ts":"{at}","args":{{"{name}":{value}}}}}"#
-                    ),
-                    &mut out,
-                    &mut first,
-                );
-            }
-            TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => {
-                // Rendered above as paired "X" slices.
-            }
+            TraceEvent::CounterSample { name, value } => counter(name, at, *value),
+            // Rendered above as paired "X" slices.
+            TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => continue,
+            // Runs: an expanded log holds their words instead.
             TraceEvent::SmWaveBegin(_) | TraceEvent::SmWaveEnd(_) | TraceEvent::NotifRun(_) => {
-                // Runs: an expanded log holds their words instead.
+                continue
             }
-        }
+        };
+        push(line);
     }
 
     // -- per-job flow arrows -------------------------------------------------
-    for (&job, list) in &anchors {
+    for (&job, list) in &mut anchors {
         if list.len() < 2 {
             continue;
         }
-        let mut list = list.clone();
         list.sort();
         let last = list.len() - 1;
-        for (i, &(t, _, pid, tid)) in list.iter().enumerate() {
+        for (i, &(at_ns, _, track)) in list.iter().enumerate() {
             let ph = if i == 0 {
                 "s"
             } else if i == last {
@@ -717,18 +640,11 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             } else {
                 "t"
             };
-            let bp = if ph == "f" { r#","bp":"e""# } else { "" };
-            push(
-                format!(
-                    r#"{{"ph":"{ph}","name":"job {job}","cat":"flow","id":{job},"pid":{pid},"tid":{tid},"ts":"{}"{bp}}}"#,
-                    ts(t)
-                ),
-                &mut out,
-                &mut first,
-            );
+            push(flow(ph, job, track, at_ns));
         }
     }
 
+    out.truncate(out.len() - ",\n".len());
     out.push_str("\n]\n");
     out
 }
@@ -1263,6 +1179,36 @@ mod tests {
         let json = chrome_trace_json(&t.take());
         assert!(json.contains(r#""name":"SM 0""#));
         assert!(json.contains(r#""name":"SM 0 (+1)""#), "second lane used");
+    }
+
+    /// `tesla_p100` has 32 block slots per SM; lanes past the 16th used to
+    /// fold onto the 16th, where staggered groups partially overlap.
+    #[test]
+    fn an_sm_with_more_lanes_than_the_minimum_stride_stays_valid() {
+        let mut t = Tracer::enabled();
+        let name = std::sync::Arc::new(String::from("k"));
+        let groups = (0..18u64).map(|k| (k, 0)).chain([(18, 1)]);
+        for (k, sm) in groups.clone() {
+            t.record_with(SimTime::from_micros(1 + k), || TraceEvent::SmSpanBegin {
+                kernel: k,
+                wave: 0,
+                sm,
+                blocks: 1,
+                name: name.clone(),
+            });
+        }
+        for (k, sm) in groups {
+            t.record_with(SimTime::from_micros(100 + k), || TraceEvent::SmSpanEnd {
+                kernel: k,
+                wave: 0,
+                sm,
+                blocks: 1,
+            });
+        }
+        let json = chrome_trace_json(&t.take());
+        validate_chrome_trace(&json).expect("every lane has a tid of its own");
+        assert!(json.contains(r#""tid":17,"ts":"0.000","args":{"name":"SM 0 (+17)"}"#));
+        assert!(json.contains(r#""tid":18,"ts":"0.000","args":{"name":"SM 1"}"#));
     }
 
     #[test]
