@@ -190,8 +190,9 @@ fn place(event: &TraceEvent) -> Option<Track> {
     }
 }
 
-/// Display name of a track [`place`] returns.
-fn track_name((pid, tid): Track) -> String {
+/// Display name of a thread track: one [`place`] returns, or an SM lane
+/// (`sm * stride + lane`).
+fn track_name((pid, tid): Track, stride: u32) -> String {
     match (pid, tid) {
         (0, SCHED_TID) => "scheduler".into(),
         (0, NOTIF_TID) => "notifications".into(),
@@ -200,7 +201,9 @@ fn track_name((pid, tid): Track) -> String {
         (0, FAULTS_TID) => "faults".into(),
         (0, LLM_TID) => "llm engine".into(),
         (0, core) => format!("core {core}"),
-        (_, tid) => format!("hw queue {}", tid - HWQ_TID_BASE),
+        (_, tid) if tid >= HWQ_TID_BASE => format!("hw queue {}", tid - HWQ_TID_BASE),
+        (_, tid) if tid % stride == 0 => format!("SM {}", tid / stride),
+        (_, tid) => format!("SM {} (+{})", tid / stride, tid % stride),
     }
 }
 
@@ -379,21 +382,15 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             &[("name", &Quoted(name))],
         ));
     }
-    let mut tracks: BTreeMap<Track, String> = BTreeMap::new();
-    for tid in [SCHED_TID, NOTIF_TID, DISPATCH_TID] {
-        tracks.insert((0, tid), track_name((0, tid)));
-    }
-    for track in events.iter().filter_map(|e| place(&e.event)) {
-        tracks.entry(track).or_insert_with(|| track_name(track));
-    }
-    for (&sm, ends) in &lanes {
-        tracks.insert((GPU_PID, sm * stride), format!("SM {sm}"));
-        for lane in 1..ends.len() as u32 {
-            tracks.insert((GPU_PID, sm * stride + lane), format!("SM {sm} (+{lane})"));
-        }
-    }
-    for (&track, name) in &tracks {
-        push(metadata("thread_name", track, &[("name", &Quoted(name))]));
+    // The three that are always named, every track an event is placed on,
+    // and every SM lane a slice is drawn on.
+    let mut tracks: BTreeSet<Track> = BTreeSet::new();
+    tracks.extend([SCHED_TID, NOTIF_TID, DISPATCH_TID].map(|tid| (0, tid)));
+    tracks.extend(events.iter().filter_map(|e| place(&e.event)));
+    tracks.extend((0..spans.len()).map(span_track));
+    for &track in &tracks {
+        let name = track_name(track, stride);
+        push(metadata("thread_name", track, &[("name", &Quoted(&name))]));
         let (pid, tid) = track;
         if pid == GPU_PID && tid < HWQ_TID_BASE {
             push(metadata(
