@@ -350,10 +350,17 @@ impl<const BY: u8> Scheduler for RankedScheduler<BY> {
 // ---------------------------------------------------------------------------
 
 /// Round-robin over ready jobs: each pick rotates the job to the back.
+///
+/// A job holds at most one slot in the queue. Blocking it leaves the slot
+/// where it is, and re-readying it while the slot is still queued reuses
+/// that slot; a blocked job's slot is dropped when it reaches the front.
 #[derive(Debug, Default)]
 pub struct RrScheduler {
     queue: VecDeque<JobId>,
-    ready: BTreeSet<JobId>,
+    /// The jobs holding a slot in `queue`, and whether each is ready.
+    queued: IdMap<bool>,
+    /// How many of `queued` are ready.
+    ready: usize,
 }
 
 impl RrScheduler {
@@ -365,32 +372,45 @@ impl RrScheduler {
 
 impl Scheduler for RrScheduler {
     fn job_ready(&mut self, info: JobInfo) {
-        if self.ready.insert(info.job) {
-            self.queue.push_back(info.job);
+        match self.queued.get_mut(info.job.0) {
+            Some(true) => {}
+            Some(is_ready) => {
+                *is_ready = true;
+                self.ready += 1;
+            }
+            None => {
+                self.queued.insert(info.job.0, true);
+                self.queue.push_back(info.job);
+                self.ready += 1;
+            }
         }
     }
 
     fn job_blocked(&mut self, job: JobId) {
-        self.ready.remove(&job);
+        if let Some(is_ready) = self.queued.get_mut(job.0).filter(|r| **r) {
+            *is_ready = false;
+            self.ready -= 1; // sub: the job was counted in `ready` until now
+        }
     }
 
     fn remaining_changed(&mut self, _job: JobId, _remaining: SimDuration) {}
 
     fn pick_next(&mut self) -> Option<JobId> {
-        // Skip stale queue entries for jobs no longer ready.
+        // Drop the slots of jobs no longer ready.
         while let Some(&front) = self.queue.front() {
-            if self.ready.contains(&front) {
+            if self.queued.get(front.0) == Some(&true) {
                 // Rotate so the next pick favours a different job.
                 self.queue.rotate_left(1);
                 return Some(front);
             }
             self.queue.pop_front();
+            self.queued.remove(front.0);
         }
         None
     }
 
     fn ready_len(&self) -> usize {
-        self.ready.len()
+        self.ready
     }
 
     fn name(&self) -> &'static str {
@@ -453,6 +473,27 @@ mod tests {
         s.job_blocked(JobId(2));
         let picks: Vec<JobId> = (0..4).map(|_| s.pick_next().unwrap()).collect();
         assert_eq!(picks, [1, 3, 1, 3].map(JobId).to_vec());
+    }
+
+    #[test]
+    fn rr_alternates_when_picked_jobs_block_and_come_back() {
+        // The dispatcher's cycle: pick a job, block it (its kernel went
+        // out), ready it again (the next kernel was released). Each job
+        // keeps one queue slot, so two jobs strictly alternate; re-queueing
+        // on every re-ready gave 1,2,1,1,2,2,1,1,1,1,2,2 and 14 slots.
+        let mut s = RrScheduler::new();
+        s.job_ready(info(1, 0, 0, 10, 10));
+        s.job_ready(info(2, 0, 0, 10, 10));
+        let mut picks = Vec::new();
+        for _ in 0..12 {
+            let j = s.pick_next().unwrap();
+            picks.push(j.0);
+            s.job_blocked(j);
+            s.job_ready(info(j.0, 0, 0, 10, 10));
+            assert!(s.queue.len() <= 2, "queue grew to {}", s.queue.len());
+        }
+        assert_eq!(picks, [1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2]);
+        assert_eq!(s.ready_len(), 2);
     }
 
     #[test]

@@ -141,7 +141,9 @@ fn scheduler_pick_stream_golden_digests() {
             0x4fb6_5083_c848_2808,
             0,
         ),
-        ("rr", Box::new(RrScheduler::new()), 0xdfbf_77ca_0d18_06c9, 0),
+        // Re-recorded when a re-readied job stopped taking a second queue
+        // slot (it had been 0xdfbf_77ca_0d18_06c9).
+        ("rr", Box::new(RrScheduler::new()), 0x11d9_1fce_602a_d792, 0),
         ("srpt", srpt(None), 0x66a8_8bdb_50f2_d5aa, 0),
         // Thresholds at which overrides are about half of the picks, a few
         // percent of them, and (the shipped value) none: the last must pick
