@@ -192,8 +192,8 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             id: "r9-sched-nan-argmax",
             rule: "float-cmp-totality",
             file: "crates/core/src/sched.rs",
-            find: "fn key(info: &JobInfo) -> (u64, u64, JobId) {",
-            replace: "fn worst(v: &[f64]) -> Option<&f64> {\n        v.iter().max_by(|a, b| a.partial_cmp(b).unwrap())\n    }\n\n    fn key(info: &JobInfo) -> (u64, u64, JobId) {",
+            find: "fn key(info: &JobInfo) -> (u64, u64) {",
+            replace: "fn worst(v: &[f64]) -> Option<&f64> {\n        v.iter().max_by(|a, b| a.partial_cmp(b).unwrap())\n    }\n\n    fn key(info: &JobInfo) -> (u64, u64) {",
             description: "NaN-unsafe max_by argmax grafted into the scheduler",
         },
     ]

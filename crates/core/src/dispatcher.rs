@@ -316,6 +316,8 @@ struct Job {
     /// Nanoseconds parked in retry backoff after injected kernel faults.
     backoff_ns: u64,
     /// When the job's frontier became dependency-blocked (open interval).
+    /// While it is set the job is not ready in the scheduler
+    /// (`update_readiness`).
     dep_since: Option<SimTime>,
     /// Accumulated dependency-blocked nanoseconds.
     dep_wait_ns: u64,
@@ -1193,7 +1195,12 @@ impl Dispatcher {
             return;
         }
         let mut spin_guard = 0u64;
-        while let Some((job, rationale)) = self.scheduler.pick_next_explained() {
+        // Asked after every event, the loop usually finds nothing ready; it
+        // then costs a length check, not a pick.
+        while self.scheduler.ready_len() > 0 {
+            let Some((job, rationale)) = self.scheduler.pick_next_explained() else {
+                break;
+            };
             spin_guard += 1;
             debug_assert!(spin_guard < 10_000_000, "try_dispatch spinning on {job:?}");
             let Some(token) = self.jobs.get(job.0).and_then(|j| j.next_active()) else {
@@ -1288,18 +1295,16 @@ impl Dispatcher {
                 total_estimate: j.total_estimate,
                 remaining_estimate: m.profile.remaining(&j.done_counts),
             });
-        } else {
-            let newly_blocked = j.dep_since.is_none();
-            if newly_blocked {
-                j.dep_since = Some(self.now);
-            }
+        } else if j.dep_since.is_none() {
+            // Only on the transition: the branch above is the one caller of
+            // `job_ready` and takes `dep_since` first, so while `dep_since`
+            // is set the job is already blocked in the scheduler.
+            j.dep_since = Some(self.now);
             self.scheduler.job_blocked(id);
-            if newly_blocked {
-                self.core.trace(self.now, || TraceEvent::OccupancyHold {
-                    job: id.0,
-                    reason: HoldReason::DepWait,
-                });
-            }
+            self.core.trace(self.now, || TraceEvent::OccupancyHold {
+                job: id.0,
+                reason: HoldReason::DepWait,
+            });
         }
     }
 

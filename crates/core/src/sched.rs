@@ -14,7 +14,7 @@
 //! * [`SrptDeficitScheduler`] — the default: shortest *remaining* processing
 //!   time, bounded by per-client deficit counters for fairness.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use paella_sim::{IdMap, SimDuration, SimTime};
 pub use paella_telemetry::PickRationale;
@@ -131,11 +131,128 @@ pub type SrptDeficitScheduler = RankedScheduler<REMAINING>;
 pub struct RankedScheduler<const BY: u8> {
     /// Ready jobs by [`key`](Self::key) of the `JobInfo` recorded in `jobs`,
     /// so a job's entry here is always derivable from there.
-    order: BTreeSet<(u64, u64, JobId)>,
+    order: ReadyHeap<(u64, u64), IN_ORDER>,
     /// The ready jobs, by id (minted densely, see [`JobInfo::job`]).
-    jobs: IdMap<JobInfo>,
+    jobs: IdMap<Ready>,
     /// Deficit state; only an SRPT scheduler built with a threshold has it.
     fairness: Option<Fairness>,
+}
+
+/// A ready job and where it sits in the two heaps that hold it.
+#[derive(Debug)]
+struct Ready {
+    info: JobInfo,
+    /// Its index in `order` (`at[IN_ORDER]`) and in its client's `ready`
+    /// heap (`at[IN_CLIENT]`, unused without fairness).
+    at: [usize; 2],
+}
+
+const IN_ORDER: usize = 0;
+const IN_CLIENT: usize = 1;
+
+/// A binary min-heap of `(key, job)` that writes each entry's index into
+/// `at[SLOT]` of the job's [`Ready`] record, so any job — not only the
+/// minimum — leaves in O(log n). Entries are unique (a job is in a heap at
+/// most once), so the minimum is the first element of the same total order
+/// an ordered set would keep. Emptying it keeps its capacity: a lone job
+/// cycling through ready and blocked allocates nothing.
+#[derive(Debug)]
+struct ReadyHeap<K, const SLOT: usize> {
+    heap: Vec<(K, JobId)>,
+}
+
+impl<K, const SLOT: usize> Default for ReadyHeap<K, SLOT> {
+    fn default() -> Self {
+        ReadyHeap { heap: Vec::new() }
+    }
+}
+
+impl<K: Ord + Copy, const SLOT: usize> ReadyHeap<K, SLOT> {
+    fn first(&self) -> Option<JobId> {
+        self.heap.first().map(|&(_, job)| job)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Adds `job`, whose record must already be in `jobs`.
+    fn push(&mut self, key: K, job: JobId, jobs: &mut IdMap<Ready>) {
+        self.heap.push((key, job));
+        self.sift_up(self.heap.len() - 1, jobs);
+    }
+
+    /// Removes the entry at index `i` (a record's `at[SLOT]`).
+    fn remove(&mut self, i: usize, jobs: &mut IdMap<Ready>) {
+        // invariant: `i` is the index of a live entry.
+        let last = self.heap.pop().expect("heap holds entry i");
+        if i < self.heap.len() {
+            self.heap[i] = last;
+            self.restore(i, jobs);
+        }
+    }
+
+    /// Gives the entry at index `i` a new key.
+    fn rekey(&mut self, i: usize, key: K, jobs: &mut IdMap<Ready>) {
+        self.heap[i].0 = key;
+        self.restore(i, jobs);
+    }
+
+    /// Moves the entry at `i` up or down to where its key belongs.
+    fn restore(&mut self, i: usize, jobs: &mut IdMap<Ready>) {
+        if i > 0 && self.heap[i] < self.heap[(i - 1) / 2] {
+            self.sift_up(i, jobs);
+        } else {
+            self.sift_down(i, jobs);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, jobs: &mut IdMap<Ready>) {
+        let entry = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[parent] < entry {
+                break;
+            }
+            self.heap[i] = self.heap[parent];
+            self.place(i, jobs);
+            i = parent;
+        }
+        self.heap[i] = entry;
+        self.place(i, jobs);
+    }
+
+    fn sift_down(&mut self, mut i: usize, jobs: &mut IdMap<Ready>) {
+        let entry = self.heap[i];
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.heap[right] < self.heap[left] {
+                right
+            } else {
+                left
+            };
+            if entry < self.heap[child] {
+                break;
+            }
+            self.heap[i] = self.heap[child];
+            self.place(i, jobs);
+            i = child;
+        }
+        self.heap[i] = entry;
+        self.place(i, jobs);
+    }
+
+    /// Records in the job's record that its entry is now at index `i`.
+    fn place(&self, i: usize, jobs: &mut IdMap<Ready>) {
+        let job = self.heap[i].1;
+        // invariant: a job is in a heap only while its record is in `jobs`.
+        jobs.get_mut(job.0).expect("heaped job has a record").at[SLOT] = i;
+    }
 }
 
 /// Per-client deficit counters and the threshold that bounds them.
@@ -143,11 +260,14 @@ pub struct RankedScheduler<const BY: u8> {
 struct Fairness {
     /// Fairness threshold (µs-equivalent units of deficit).
     threshold: f64,
-    /// Per-client state. A `BTreeMap` so every walk over clients (the
-    /// fairness argmax, the ready-client census) runs in client-id order
-    /// and same-seed runs agree across processes. Entries are never
-    /// removed: a client that went idle keeps its (reset) counter.
+    /// Per-client state. A `BTreeMap` so the fairness argmax walks clients
+    /// in client-id order and same-seed runs agree across processes.
+    /// Entries are never removed: a client that went idle keeps its (reset)
+    /// counter.
     clients: BTreeMap<ClientId, ClientState>,
+    /// How many `clients` have at least one ready job: the `#clients` a
+    /// charge divides by, kept on each client's empty ↔ non-empty change.
+    ready_clients: usize,
     /// Global deficit baseline: true_deficit(c) = raw(c) − baseline.
     baseline: f64,
 }
@@ -156,7 +276,7 @@ struct Fairness {
 struct ClientState {
     raw_deficit: f64,
     /// Ready jobs of this client, oldest first.
-    ready: BTreeSet<(SimTime, JobId)>,
+    ready: ReadyHeap<SimTime, IN_CLIENT>,
 }
 
 impl Fairness {
@@ -173,17 +293,12 @@ impl Fairness {
             }
         }
         let (_, starved) = best?;
-        starved.ready.first().map(|&(_, job)| job)
+        starved.ready.first()
     }
 
     /// Charges `client` for one dispatched kernel.
     fn charge(&mut self, client: ClientId) {
-        let n = self
-            .clients
-            .values()
-            .filter(|s| !s.ready.is_empty())
-            .count()
-            .max(1) as f64;
+        let n = self.ready_clients.max(1) as f64;
         // Charged client: −(1 − 1/n); everyone else: +1/n. Realized as
         // raw[c] −= 1 and baseline −= 1/n (an O(1) global credit).
         if let Some(s) = self.clients.get_mut(&client) {
@@ -250,58 +365,67 @@ impl SrptDeficitScheduler {
 }
 
 impl<const BY: u8> RankedScheduler<BY> {
-    fn key(info: &JobInfo) -> (u64, u64, JobId) {
-        let (major, minor) = match BY {
+    /// The rank of a job; ties break on its id, the heap entry's second half.
+    fn key(info: &JobInfo) -> (u64, u64) {
+        match BY {
             ARRIVAL => (info.arrival.as_nanos(), 0),
             TOTAL => (info.total_estimate.as_nanos(), info.arrival.as_nanos()),
             _ => (info.remaining_estimate.as_nanos(), 0),
-        };
-        (major, minor, info.job)
+        }
     }
 }
 
 impl<const BY: u8> Scheduler for RankedScheduler<BY> {
     fn job_ready(&mut self, info: JobInfo) {
         // Re-readying with a different remaining-time key must not leave a
-        // stale tree entry behind, or `job_blocked` can no longer remove it.
+        // stale heap entry behind, or `job_blocked` can no longer remove it.
         self.job_blocked(info.job);
-        self.order.insert(Self::key(&info));
-        self.jobs.insert(info.job.0, info);
+        self.jobs.insert(info.job.0, Ready { info, at: [0; 2] });
+        self.order.push(Self::key(&info), info.job, &mut self.jobs);
         if let Some(f) = &mut self.fairness {
             // A client seen for the first time starts at raw 0.0, not at
             // the baseline (DESIGN §4b records what that means for late
             // arrivals; changing it moves pick digests).
             let client = f.clients.entry(info.client).or_default();
-            client.ready.insert((info.arrival, info.job));
+            if client.ready.is_empty() {
+                f.ready_clients += 1;
+            }
+            client.ready.push(info.arrival, info.job, &mut self.jobs);
         }
     }
 
     fn job_blocked(&mut self, job: JobId) {
-        if let Some(info) = self.jobs.remove(job.0) {
-            self.order.remove(&Self::key(&info));
-            let clients = self.fairness.as_mut().map(|f| &mut f.clients);
-            if let Some(s) = clients.and_then(|c| c.get_mut(&info.client)) {
-                s.ready.remove(&(info.arrival, job));
+        let Some(Ready { info, at }) = self.jobs.remove(job.0) else {
+            return;
+        };
+        self.order.remove(at[IN_ORDER], &mut self.jobs);
+        if let Some(f) = &mut self.fairness {
+            if let Some(client) = f.clients.get_mut(&info.client) {
+                client.ready.remove(at[IN_CLIENT], &mut self.jobs);
+                if client.ready.is_empty() {
+                    assert!(f.ready_clients > 0, "census counts this client");
+                    f.ready_clients -= 1;
+                }
             }
         }
     }
 
     fn remaining_changed(&mut self, job: JobId, remaining: SimDuration) {
-        if let Some(info) = self.jobs.get_mut(job.0) {
-            let old = Self::key(info);
-            info.remaining_estimate = remaining;
-            let new = Self::key(info);
+        if let Some(r) = self.jobs.get_mut(job.0) {
+            let old = Self::key(&r.info);
+            r.info.remaining_estimate = remaining;
+            let new = Self::key(&r.info);
             // Only the SRPT rank reads the remaining estimate.
             if new != old {
-                self.order.remove(&old);
-                self.order.insert(new);
+                let at = r.at[IN_ORDER];
+                self.order.rekey(at, new, &mut self.jobs);
             }
         }
     }
 
     fn on_dispatched(&mut self, job: JobId) {
-        if let (Some(f), Some(info)) = (&mut self.fairness, self.jobs.get(job.0)) {
-            f.charge(info.client);
+        if let (Some(f), Some(r)) = (&mut self.fairness, self.jobs.get(job.0)) {
+            f.charge(r.info.client);
         }
     }
 
@@ -320,6 +444,10 @@ impl<const BY: u8> Scheduler for RankedScheduler<BY> {
     }
 
     fn pick_next_explained(&mut self) -> Option<(JobId, PickRationale)> {
+        if self.jobs.is_empty() {
+            // Nothing is ready, so no client is either: skip the argmax.
+            return None;
+        }
         if let Some(job) = self.fairness.as_ref().and_then(Fairness::override_pick) {
             return Some((job, PickRationale::DeficitOverride));
         }
@@ -328,7 +456,7 @@ impl<const BY: u8> Scheduler for RankedScheduler<BY> {
             TOTAL => PickRationale::ShortestTotal,
             _ => PickRationale::ShortestRemaining,
         };
-        self.order.first().map(|&(_, _, job)| (job, rationale))
+        self.order.first().map(|job| (job, rationale))
     }
 
     fn ready_len(&self) -> usize {
