@@ -72,6 +72,30 @@ fn bench_dispatch_cycle(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_lone_job_cycle(c: &mut Criterion) {
+    // What the dispatcher asks per kernel when one job is in flight: the job
+    // becomes ready, is picked and charged, blocks behind its dispatched
+    // kernel, and the loop then finds nothing ready. Sixteen clients have
+    // been seen, so the deficit table is as wide as `launch_bound`'s.
+    let mut g = c.benchmark_group("scheduler_lone_job_cycle");
+    g.bench_function("srpt_deficit_16_clients", |b| {
+        let mut s = SrptDeficitScheduler::new(Some(100.0));
+        fill(&mut s, 16);
+        for i in 0..16 {
+            s.job_done(JobId(i));
+        }
+        let job = info(16);
+        b.iter(|| {
+            s.job_ready(job);
+            let j = s.pick_next().expect("one job ready");
+            s.on_dispatched(j);
+            s.job_blocked(j);
+            assert_eq!(s.pick_next(), None);
+        });
+    });
+    g.finish();
+}
+
 fn bench_remaining_update(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler_remaining_changed");
     g.bench_function("srpt_10k_jobs", |b| {
@@ -89,6 +113,6 @@ fn bench_remaining_update(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_pick, bench_dispatch_cycle, bench_remaining_update
+    targets = bench_pick, bench_dispatch_cycle, bench_lone_job_cycle, bench_remaining_update
 }
 criterion_main!(benches);
