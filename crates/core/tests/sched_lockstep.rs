@@ -181,7 +181,7 @@ impl<const BY: u8> Scheduler for Reference<BY> {
 }
 
 // ---------------------------------------------------------------------------
-// The lockstep driver.
+// The lockstep harness.
 // ---------------------------------------------------------------------------
 
 /// A scheduler whose per-client deficits can be read back.
