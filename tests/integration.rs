@@ -625,6 +625,38 @@ fn front_end_golden_digests() {
     );
 }
 
+/// Pins the MIG facade: two 20-SM partitions, each behind its own dispatcher,
+/// with shedding and deadlines on, so failures as well as completions cross
+/// the facade's model-id translation on the way out.
+#[test]
+fn mig_golden_digest() {
+    use paella_core::{DispatcherConfig, MigServing, Scheduler, SrptDeficitScheduler};
+    let mut zoo = ModelZoo::new(device());
+    let cfg = DispatcherConfig {
+        shed_watermark: Some(8),
+        deadline_factor: Some(6.0),
+        ..DispatcherConfig::paella()
+    };
+    let srpt = || -> Box<dyn Scheduler> {
+        Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS)))
+    };
+    let mut sys = MigServing::new(&device(), &[20, 20], ChannelConfig::default(), cfg, srpt, 7);
+    let ids = [
+        sys.register_model(zoo.get("resnet18")),
+        sys.register_model(zoo.get("googlenet")),
+    ];
+    let spec = WorkloadSpec {
+        clients: 4,
+        ..WorkloadSpec::bursty(600.0, 160)
+    };
+    let mig = golden_digest(&mut sys, &generate(&spec, &Mix::uniform(&ids)));
+    assert_eq!(
+        mig,
+        (0x81bb_0c4a_b4f6_befb, 73, 87),
+        "(digest, completed, failed) of MigServing over two 20-SM partitions"
+    );
+}
+
 // -- notification-path golden -------------------------------------------------
 
 /// Digest of a whole trace log: every event's instant, sequence number and
