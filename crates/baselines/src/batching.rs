@@ -1,4 +1,6 @@
-//! Saturation-aware dynamic batching — the §8 "Dynamic batching" item.
+//! Batching front ends: the batch-`b` variant of a model, the table of
+//! variants a front end registered with its inner system, and
+//! saturation-aware dynamic batching — the §8 "Dynamic batching" item.
 //!
 //! The paper argues dynamic batching hurts critical-path latency (waiting +
 //! marshalling) but concedes that "at high loads where throughput
@@ -7,15 +9,16 @@
 //! in these cases." [`SaturationBatcher`] is that extension: a front end
 //! over any [`ServingSystem`] that passes requests straight through while
 //! the system keeps up, and coalesces same-model requests into batched
-//! executions only once the backlog crosses a threshold.
+//! executions only once the backlog crosses a threshold. Triton's dynamic
+//! batcher keeps its variants in the same `BatchVariants` table.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use paella_compiler::{CompiledModel, DeviceOp};
+use paella_core::{InferenceRequest, JobCompletion, JobFailure, ModelId, ServingSystem};
 use paella_sim::{SimDuration, SimTime};
 
-use crate::serve::{Front, Layered, ServingSystem, Tier};
-use crate::types::{InferenceRequest, JobCompletion, JobFailure, ModelId};
+use crate::layered::{Front, Layered, Tier};
 
 /// Batching policy knobs.
 #[derive(Clone, Copy, Debug)]
@@ -25,9 +28,6 @@ pub struct BatchPolicy {
     pub saturation_threshold: usize,
     /// Maximum batch size.
     pub max_batch: usize,
-    /// Per-request cost of forming the batched input (copying into the
-    /// batch tensor).
-    pub gather_cost: SimDuration,
 }
 
 impl Default for BatchPolicy {
@@ -35,10 +35,13 @@ impl Default for BatchPolicy {
         BatchPolicy {
             saturation_threshold: 8,
             max_batch: 8,
-            gather_cost: SimDuration::from_micros(4),
         }
     }
 }
+
+/// Per-request cost of forming the batched input (copying into the batch
+/// tensor); the scatter on the way out costs the same once per batch.
+const GATHER_COST: SimDuration = SimDuration::from_micros(4);
 
 /// Builds the batch-`b` variant of a model: kernels do `b`× the work at
 /// sub-linear cost, copies scale linearly. Batch-`b` kernels amortize fixed
@@ -62,14 +65,48 @@ pub fn batched_model(model: &CompiledModel, b: usize) -> CompiledModel {
     m
 }
 
+/// The batch variants a front end registered with its inner system, in
+/// first-use order: `(model, b)` → inner id when a batch is formed, and
+/// inner id → `(model, b)` by index when its result comes back.
+#[derive(Default)]
+pub(crate) struct BatchVariants {
+    ids: BTreeMap<(usize, usize), ModelId>,
+    /// `(model, b)` of each inner id, indexed by the id.
+    keys: Vec<(usize, usize)>,
+}
+
+impl BatchVariants {
+    /// The inner id of the batch-`b` variant of `model` (the front end's
+    /// index for `compiled`), registering it with `inner` on first use.
+    pub(crate) fn id<S: ServingSystem>(
+        &mut self,
+        inner: &mut S,
+        model: usize,
+        compiled: &CompiledModel,
+        b: usize,
+    ) -> ModelId {
+        let keys = &mut self.keys;
+        *self.ids.entry((model, b)).or_insert_with(|| {
+            let id = inner.register_model(&batched_model(compiled, b));
+            // The reverse lookup is an index only if ids are dense.
+            assert_eq!(id.0 as usize, keys.len(), "inner ids in registration order");
+            keys.push((model, b));
+            id
+        })
+    }
+
+    /// The `(model, b)` inner id `id` was registered for.
+    pub(crate) fn key(&self, id: ModelId) -> (usize, usize) {
+        self.keys[id.0 as usize]
+    }
+}
+
 struct ModelState {
     /// Queued requests not yet handed to the inner system.
     queue: VecDeque<InferenceRequest>,
     /// Requests inside in-flight submissions (singleton or batch), in
     /// submission order, keyed by the inner submission's `submitted_at`.
     inflight: VecDeque<(SimTime, Vec<InferenceRequest>)>,
-    /// Inner model ids per batch size: `variants[b-1]`, registered lazily.
-    variants: Vec<Option<ModelId>>,
     model: CompiledModel,
 }
 
@@ -78,6 +115,7 @@ struct ModelState {
 pub struct SaturationBatcher {
     policy: BatchPolicy,
     models: Vec<ModelState>,
+    variants: BatchVariants,
     /// Total batched executions formed (diagnostics).
     batches_formed: u64,
 }
@@ -88,6 +126,7 @@ impl SaturationBatcher {
         let tier = SaturationBatcher {
             policy,
             models: Vec::new(),
+            variants: BatchVariants::default(),
             batches_formed: 0,
         };
         Layered::new(tier, inner)
@@ -96,15 +135,6 @@ impl SaturationBatcher {
     /// Number of batched executions formed so far.
     pub fn batches_formed(&self) -> u64 {
         self.batches_formed
-    }
-
-    fn variant<S: ServingSystem>(&mut self, inner: &mut S, model: usize, b: usize) -> ModelId {
-        let st = &mut self.models[model];
-        if st.variants.len() < b {
-            st.variants.resize(b, None);
-        }
-        *st.variants[b - 1]
-            .get_or_insert_with(|| inner.register_model(&batched_model(&st.model, b)))
     }
 
     /// Feeds the inner system: singletons while unsaturated, full batches
@@ -133,10 +163,10 @@ impl SaturationBatcher {
             if b > 1 {
                 self.batches_formed += 1;
             }
-            let inner_id = self.variant(inner, model, b);
+            let inner_id = self.variants.id(inner, model, &self.models[model].model, b);
             // Batch formation: gather each request's input into the batch
             // tensor; submitted when the gather finishes.
-            let submit_at = now + self.policy.gather_cost * b as u64;
+            let submit_at = now + GATHER_COST * b as u64;
             inner.submit(InferenceRequest {
                 client: batch[0].client,
                 model: inner_id,
@@ -149,13 +179,7 @@ impl SaturationBatcher {
     /// Takes the in-flight submission a result from the inner system
     /// answers, freeing its window slot: `(owning model, member requests)`.
     fn settle(&mut self, echoed: &InferenceRequest) -> (usize, Vec<InferenceRequest>) {
-        // invariant: the inner system only reports requests this tier
-        // submitted, each under a variant id `variant` registered.
-        let model = self
-            .models
-            .iter()
-            .position(|st| st.variants.contains(&Some(echoed.model)))
-            .expect("result for unknown variant");
+        let (model, _) = self.variants.key(echoed.model);
         // Pair with the right in-flight submission: the inner system may
         // finish different-sized batches out of order (SRPT favours the
         // small ones), so match on the submission timestamp it echoes back.
@@ -188,7 +212,6 @@ impl<S: ServingSystem> Tier<S> for SaturationBatcher {
         self.models.push(ModelState {
             queue: VecDeque::new(),
             inflight: VecDeque::new(),
-            variants: Vec::new(),
             model: model.clone(),
         });
         ModelId(self.models.len() as u32 - 1)
@@ -215,7 +238,7 @@ impl<S: ServingSystem> Tier<S> for SaturationBatcher {
             front.deliver(JobCompletion {
                 request,
                 // The batch scatter on the way out mirrors the gather.
-                client_visible_at: c.client_visible_at + self.policy.gather_cost,
+                client_visible_at: c.client_visible_at + GATHER_COST,
                 ..c
             });
         }
@@ -240,10 +263,8 @@ impl<S: ServingSystem> Tier<S> for SaturationBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dispatcher::{Dispatcher, DispatcherConfig};
-    use crate::sched::SrptDeficitScheduler;
-    use crate::types::ClientId;
     use paella_channels::ChannelConfig;
+    use paella_core::{ClientId, Dispatcher, DispatcherConfig, SrptDeficitScheduler};
     use paella_gpu::DeviceConfig;
 
     fn paella() -> Dispatcher {
@@ -285,6 +306,25 @@ mod tests {
             weight_bytes: 0,
             flops: 0,
         }
+    }
+
+    #[test]
+    fn variants_register_on_first_use_and_map_back_by_index() {
+        let mut inner = paella();
+        let mut v = BatchVariants::default();
+        let (a, b) = (model(), batched_model(&model(), 3));
+        // First-use order across models and sizes, not size order.
+        let ids = [
+            v.id(&mut inner, 1, &b, 4),
+            v.id(&mut inner, 0, &a, 1),
+            v.id(&mut inner, 1, &b, 4),
+            v.id(&mut inner, 0, &a, 8),
+        ];
+        assert_eq!(ids.map(|id| id.0), [0, 1, 0, 2]);
+        assert_eq!(
+            [0, 1, 2].map(|i| v.key(ModelId(i))),
+            [(1, 4), (0, 1), (0, 8)]
+        );
     }
 
     #[test]
@@ -408,7 +448,6 @@ mod tests {
             BatchPolicy {
                 saturation_threshold: 2,
                 max_batch: 4,
-                ..BatchPolicy::default()
             },
         );
         let id = b.register_model(&model());

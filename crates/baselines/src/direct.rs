@@ -16,11 +16,13 @@
 use paella_channels::ChannelConfig;
 use paella_compiler::CompiledModel;
 use paella_core::{
-    Dispatcher, DispatcherConfig, FifoScheduler, Front, InferenceRequest, Layered, ModelId,
-    ServingSystem, StreamPolicy, Tier,
+    Dispatcher, DispatcherConfig, FifoScheduler, InferenceRequest, ModelId, ServingSystem,
+    StreamPolicy,
 };
 use paella_gpu::DeviceConfig;
 use paella_sim::{SimDuration, SimTime};
+
+use crate::layered::{Front, Layered, Tier};
 
 /// Which direct-submission variant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -12,38 +12,37 @@ use std::collections::VecDeque;
 use paella_channels::ChannelConfig;
 use paella_compiler::CompiledModel;
 use paella_core::{
-    batched_model, split, Dispatcher, DispatcherConfig, FifoScheduler, Front, InferenceRequest,
-    JobCompletion, LatencyBreakdown, Layered, ModelId, ServingSystem, StreamPolicy, Tier,
+    split, Dispatcher, DispatcherConfig, FifoScheduler, InferenceRequest, JobCompletion,
+    LatencyBreakdown, ModelId, ServingSystem, StreamPolicy,
 };
 use paella_gpu::DeviceConfig;
 use paella_sim::{SimDuration, SimTime};
+
+use crate::batching::BatchVariants;
+use crate::layered::{Front, Layered, Tier};
 
 /// Triton configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct TritonConfig {
     /// Maximum dynamic batch size (1 disables batching).
     pub max_batch: usize,
-    /// How long the batcher waits for more requests before launching a
-    /// partial batch.
-    pub batch_timeout: SimDuration,
-    /// Server-side per-request dispatch bookkeeping cost.
-    pub dispatch_cost: SimDuration,
-    /// Per-execution CPU cost of the TVM-in-TensorFlow wrapper the paper had
-    /// to build (§7 Baselines): SavedModel invocation, tensor hand-off, and
-    /// output copies, serialized on the backend.
-    pub wrapper_cost: SimDuration,
 }
 
 impl Default for TritonConfig {
     fn default() -> Self {
-        TritonConfig {
-            max_batch: 1,
-            batch_timeout: SimDuration::from_micros(100),
-            dispatch_cost: SimDuration::from_micros(15),
-            wrapper_cost: SimDuration::from_micros(1_400),
-        }
+        TritonConfig { max_batch: 1 }
     }
 }
+
+/// How long the dynamic batcher waits for more requests before launching a
+/// partial batch.
+const BATCH_TIMEOUT: SimDuration = SimDuration::from_micros(100);
+/// Server-side per-request dispatch bookkeeping cost.
+const DISPATCH_COST: SimDuration = SimDuration::from_micros(15);
+/// Per-execution CPU cost of the TVM-in-TensorFlow wrapper the paper had to
+/// build (§7 Baselines): SavedModel invocation, tensor hand-off, and output
+/// copies, serialized on the backend.
+const WRAPPER_COST: SimDuration = SimDuration::from_micros(1_400);
 
 struct ModelState {
     model: CompiledModel,
@@ -69,9 +68,8 @@ pub struct Triton {
     cfg: TritonConfig,
     channels: ChannelConfig,
     models: Vec<ModelState>,
-    /// Maps backend model ids (one per (model, batch-size) pair) back to
-    /// the public model id. Index = backend ModelId.0.
-    backend_models: Vec<(u32, usize)>,
+    /// The backend model of each `(model, batch size)` executed so far.
+    variants: BatchVariants,
 }
 
 type TritonFront = Front<Dispatcher, TritonEv>;
@@ -89,13 +87,13 @@ impl Triton {
         // serializes on the server process.
         let mut bcfg = DispatcherConfig::direct(StreamPolicy::Single);
         bcfg.central_cpu = true;
-        bcfg.ingest_cost = cfg.wrapper_cost;
+        bcfg.ingest_cost = WRAPPER_COST;
         let backend = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed);
         let tier = Triton {
             cfg,
             channels,
             models: Vec::new(),
-            backend_models: Vec::new(),
+            variants: BatchVariants::default(),
         };
         Layered::new(tier, backend)
     }
@@ -122,7 +120,7 @@ impl Triton {
         if have < want {
             // Wait for more requests unless the batch window expired; arm a
             // timeout on first queued request.
-            let deadline = oldest.submitted_at + self.rpc_in(model_idx) + self.cfg.batch_timeout;
+            let deadline = oldest.submitted_at + self.rpc_in(model_idx) + BATCH_TIMEOUT;
             if now < deadline {
                 front
                     .events
@@ -132,37 +130,22 @@ impl Triton {
         }
         let b = have.min(want);
         // Register (or reuse) the backend variant for this batch size.
-        let backend_id = self.backend_model_for(&mut front.inner, model_idx, b);
+        let backend_id = self.variants.id(
+            &mut front.inner,
+            model_idx,
+            &self.models[model_idx].model,
+            b,
+        );
         let st = &mut self.models[model_idx];
         st.busy = true;
         st.executing = st.queue.drain(..b).collect();
         // Dispatch bookkeeping (+ batch formation cost per request).
-        let submit_at = now + self.cfg.dispatch_cost + SimDuration::from_nanos(500) * b as u64;
+        let submit_at = now + DISPATCH_COST + SimDuration::from_nanos(500) * b as u64;
         front.inner.submit(InferenceRequest {
             client: st.executing[0].client,
             model: backend_id,
             submitted_at: submit_at,
         });
-    }
-
-    fn backend_model_for(
-        &mut self,
-        backend: &mut Dispatcher,
-        model_idx: usize,
-        b: usize,
-    ) -> ModelId {
-        if let Some(pos) = self
-            .backend_models
-            .iter()
-            .position(|&(m, bb)| m == model_idx as u32 && bb == b)
-        {
-            return ModelId(pos as u32);
-        }
-        let variant = batched_model(&self.models[model_idx].model, b);
-        let id = backend.register_model(&variant);
-        debug_assert_eq!(id.0 as usize, self.backend_models.len());
-        self.backend_models.push((model_idx as u32, b));
-        id
     }
 }
 
@@ -205,7 +188,7 @@ impl Tier<Dispatcher> for Triton {
     }
 
     fn on_completion(&mut self, front: &mut TritonFront, c: JobCompletion) {
-        let model_idx = self.backend_models[c.request.model.0 as usize].0 as usize;
+        let (model_idx, _) = self.variants.key(c.request.model);
         let (rpc_in, rpc_out) = (self.rpc_in(model_idx), self.rpc_out(model_idx));
         let st = &mut self.models[model_idx];
         st.busy = false;
@@ -216,7 +199,7 @@ impl Tier<Dispatcher> for Triton {
                 [
                     c.breakdown.device,
                     rpc_in + rpc_out,
-                    self.cfg.dispatch_cost + c.breakdown.framework,
+                    DISPATCH_COST + c.breakdown.framework,
                     self.channels.cuda.launch_latency * 2,
                 ],
             );
@@ -451,10 +434,7 @@ mod tests {
 
     #[test]
     fn triton_dynamic_batching_coalesces() {
-        let cfg = TritonConfig {
-            max_batch: 4,
-            ..TritonConfig::default()
-        };
+        let cfg = TritonConfig { max_batch: 4 };
         let mut t = Triton::new(DeviceConfig::tesla_t4(), ChannelConfig::default(), cfg, 1);
         let m = t.register_model(&synthetic::uniform_job(
             "u",

@@ -2,9 +2,9 @@
 //! requests to the Triton-like server, as a percentage of the CUDA
 //! execution time (kernels + memcpys), for batch sizes 1 and 64.
 
-use paella_baselines::{Triton, TritonConfig};
+use paella_baselines::{batched_model, Triton, TritonConfig};
 use paella_bench::{channels, device, f, header, row, zoo};
-use paella_core::{batched_model, ClientId, InferenceRequest, ServingSystem};
+use paella_core::{ClientId, InferenceRequest, ServingSystem};
 use paella_sim::SimTime;
 
 const MODELS: [&str; 7] = [

@@ -29,13 +29,13 @@ pub const R9: &str = "float-cmp-totality";
 /// so splitting a file needs no edit here.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Scope {
-    /// R1: virtual-time stack (sim/core/gpu/cluster/llm/workload/telemetry
-    /// and the bench harness, which is not carved out).
+    /// R1: virtual-time stack (sim/core/gpu/cluster/baselines/llm/workload/
+    /// telemetry and the bench harness, which is not carved out).
     pub sim_stack: bool,
     /// R2: lock-free channels.
     pub channels: bool,
-    /// R3 and R7: the serving engines (core, cluster, gpu, llm) minus the
-    /// reference model `core/src/waitlist.rs`.
+    /// R3 and R7: the serving engines (core, cluster, baselines, gpu, llm)
+    /// minus the reference model `core/src/waitlist.rs`.
     pub engine: bool,
     /// R4: every crate's `src/`.
     pub library: bool,
@@ -57,6 +57,7 @@ pub fn scope_of(path: &str) -> Scope {
     let starts = |p: &str| path.starts_with(p);
     let core = starts("crates/core/src/");
     let cluster = starts("crates/cluster/src/");
+    let baselines = starts("crates/baselines/src/");
     let gpu = starts("crates/gpu/src/");
     let sim = starts("crates/sim/src/");
     let workload = starts("crates/workload/src/");
@@ -66,6 +67,7 @@ pub fn scope_of(path: &str) -> Scope {
         || core
         || gpu
         || cluster
+        || baselines
         || workload
         || llm
         || starts("crates/bench/src/")
@@ -73,7 +75,7 @@ pub fn scope_of(path: &str) -> Scope {
     Scope {
         sim_stack,
         channels: starts("crates/channels/src/"),
-        engine: (core || cluster || gpu || llm) && !reference_model,
+        engine: (core || cluster || baselines || gpu || llm) && !reference_model,
         library: starts("crates/") && path.contains("/src/"),
         exhaustive_fns: match path {
             // The vocabulary table expands into both.
@@ -83,7 +85,7 @@ pub fn scope_of(path: &str) -> Scope {
         },
         hash_free: sim_stack && !reference_model,
         atomics: starts("crates/channels/src/") || core,
-        float_cmp: sim || core || cluster || workload || gpu || llm,
+        float_cmp: sim || core || cluster || baselines || workload || gpu || llm,
     }
 }
 
@@ -393,6 +395,7 @@ mod tests {
             "crates/core/src/x.rs",
             "crates/gpu/src/x.rs",
             "crates/cluster/src/router.rs",
+            "crates/baselines/src/triton.rs",
             "crates/bench/src/bin/fig02.rs",
             // No carve-out for the harness.
             "crates/bench/src/sweep.rs",
@@ -435,6 +438,7 @@ mod tests {
             "crates/core/src/dispatcher.rs",
             "crates/core/src/a_file_split_out_of_it.rs",
             "crates/cluster/src/router.rs",
+            "crates/baselines/src/triton.rs",
             "crates/gpu/src/engine.rs",
             "crates/llm/src/engine.rs",
         ] {
@@ -471,6 +475,7 @@ mod tests {
                 "crates/sim/src/event.rs",
                 "crates/gpu/src/engine.rs",
                 "crates/cluster/src/router.rs",
+                "crates/baselines/src/batching.rs",
                 "crates/llm/src/engine.rs",
                 "crates/workload/src/runner.rs",
                 "crates/telemetry/src/export.rs",
@@ -576,6 +581,7 @@ mod tests {
         }
         for path in [
             "crates/cluster/src/router.rs",
+            "crates/baselines/src/layered.rs",
             "crates/gpu/src/engine.rs",
             "crates/llm/src/kv.rs",
         ] {

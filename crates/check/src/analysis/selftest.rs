@@ -133,6 +133,14 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "a lookup-only hash set added to the router: banned by name, not audited per use",
         },
         GraftMutant {
+            id: "r6-batch-variants-hashmap",
+            rule: "det-hash-container",
+            file: "crates/baselines/src/batching.rs",
+            find: "    ids: BTreeMap<(usize, usize), ModelId>,",
+            replace: "    ids: std::collections::HashMap<(usize, usize), ModelId>,",
+            description: "the front ends' batch-variant table keyed by a per-process seeded hash",
+        },
+        GraftMutant {
             id: "r7-dispatcher-debit-bypassed",
             rule: "unchecked-counter-sub",
             file: "crates/core/src/dispatcher.rs",

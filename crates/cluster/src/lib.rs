@@ -12,6 +12,11 @@
 //! the fleet on sustained backlog, paying a modelled cold-start (weights
 //! over PCIe) for every node it adds.
 //!
+//! [`MigServing`] is the same idea one level down (§8): static MIG
+//! partitions of one device, each behind its own dispatcher. A cluster node
+//! and a partition keep their models in one per-node table that maps public
+//! ids to dispatcher-local ones and back by index.
+//!
 //! Determinism: all nodes advance in lockstep on the shared DES clock. The
 //! cluster's `advance_until` repeatedly processes the globally earliest
 //! event (router arrival, node ingress, or node-internal work); ties break
@@ -22,11 +27,14 @@
 #![warn(missing_docs)]
 
 pub mod autoscaler;
+mod host;
+pub mod mig;
 pub mod placement;
 pub mod router;
 
 pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleDecision};
-pub use placement::{PlacementConfig, PlacementManager};
+pub use mig::{partition_device, MigServing};
+pub use placement::PlacementManager;
 pub use router::{ClusterRouter, NodeLoad, RoutingPolicy};
 
 use std::collections::BTreeMap;
@@ -44,15 +52,15 @@ use paella_gpu::DeviceConfig;
 use paella_sim::{EventQueue, FaultKind, FaultPlan, SimDuration, SimTime, Xoshiro256pp};
 use paella_telemetry::{MetricsSnapshot, RouteDecision, TraceEvent, TraceLog};
 
-/// Cluster-wide knobs.
+use host::Host;
+
+/// Cluster-wide knobs. Client↔router and router↔node crossings cost an
+/// [`RpcNetModel`] transfer each; placement replicates every model twice
+/// under a 16 GB per-node budget.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
-    /// Client↔router and router↔node network cost model.
-    pub net: RpcNetModel,
     /// Balancing policy.
     pub policy: RoutingPolicy,
-    /// Replication factor and per-node memory budget.
-    pub placement: PlacementConfig,
     /// Autoscaling; `None` pins the fleet at its initial size.
     pub autoscale: Option<AutoscaleConfig>,
     /// Configuration for every node's dispatcher (deadlines, shedding, and
@@ -66,14 +74,11 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Defaults with the given policy: eRPC-style network, 2× replication
-    /// under a 16 GB budget, no autoscaling, the Paella dispatcher on every
-    /// node, and up to 3 crash re-routes per request.
+    /// Defaults with the given policy: no autoscaling, the Paella
+    /// dispatcher on every node, and up to 3 crash re-routes per request.
     pub fn with_policy(policy: RoutingPolicy) -> Self {
         ClusterConfig {
-            net: RpcNetModel::default(),
             policy,
-            placement: PlacementConfig::default(),
             autoscale: None,
             dispatcher: DispatcherConfig::paella(),
             crash_retries: 3,
@@ -100,14 +105,13 @@ pub enum NodeState {
 }
 
 struct Node {
-    dispatcher: Dispatcher,
+    /// The node's dispatcher and the table of models replicated here.
+    host: Host,
     state: NodeState,
     /// Crashed by fault injection: `Offline` but *not* reactivatable until a
     /// recovery event lands (a crash drops the node's device memory, so even
     /// the autoscaler must treat it as gone, not warm).
     crashed: bool,
-    /// Public model id → node-local id (`None` if not replicated here).
-    local_ids: Vec<Option<ModelId>>,
     /// Requests crossing the router→node link, with the work estimate the
     /// router charged them (`(request-with-public-id, estimate)`).
     ingress: EventQueue<(InferenceRequest, SimDuration)>,
@@ -119,8 +123,21 @@ struct Node {
 }
 
 impl Node {
+    /// An online node with nothing registered and nothing routed to it.
+    fn new(dispatcher: Dispatcher) -> Self {
+        Node {
+            host: Host::new(dispatcher),
+            state: NodeState::Online,
+            crashed: false,
+            ingress: EventQueue::new(),
+            in_network: 0,
+            in_network_work: SimDuration::ZERO,
+            outstanding: 0,
+        }
+    }
+
     fn load(&self) -> NodeLoad {
-        let s = self.dispatcher.load_signal();
+        let s = self.host.dispatcher.load_signal();
         NodeLoad {
             outstanding: self.outstanding,
             remaining_work: s.remaining_work + self.in_network_work,
@@ -207,23 +224,14 @@ impl Cluster {
         assert!(nodes > 0, "a cluster needs at least one node");
         let channels = ChannelConfig::default();
         let node_vec = (0..nodes)
-            .map(|i| Node {
-                dispatcher: make_dispatcher(&device, channels, &cfg, i as u64),
-                state: NodeState::Online,
-                crashed: false,
-                local_ids: Vec::new(),
-                ingress: EventQueue::new(),
-                in_network: 0,
-                in_network_work: SimDuration::ZERO,
-                outstanding: 0,
-            })
+            .map(|i| Node::new(make_dispatcher(&device, channels, &cfg, i as u64)))
             .collect();
         let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed ^ 0xC1A5_7E2D);
         let router_seed = rng.next_u64();
         Cluster {
             device,
             channels,
-            placement: PlacementManager::new(cfg.placement, nodes),
+            placement: PlacementManager::new(nodes),
             router: ClusterRouter::new(cfg.policy, router_seed),
             autoscaler: cfg.autoscale.map(Autoscaler::new),
             cfg,
@@ -363,7 +371,7 @@ impl Cluster {
             self.core.sample(name, at, outstanding + 1);
         }
         let est = self.models[public].estimate;
-        let hop = self.cfg.net.transfer(self.models[public].model.input_bytes);
+        let hop = RpcNetModel::transfer(self.models[public].model.input_bytes);
         let node = &mut self.nodes[chosen];
         node.outstanding += 1;
         node.in_network += 1;
@@ -465,6 +473,7 @@ impl Cluster {
         self.nodes[i].crashed = true;
         self.nodes[i].state = NodeState::Offline;
         self.nodes[i]
+            .host
             .dispatcher
             .cancel_all(at, FailureReason::NodeCrash);
         self.collect_failures(i);
@@ -508,7 +517,7 @@ impl Cluster {
             .models
             .iter()
             .enumerate()
-            .filter(|(p, _)| self.nodes[i].local_ids.get(*p).is_some_and(|l| l.is_some()))
+            .filter(|&(p, _)| self.nodes[i].host.local(ModelId(p as u32)).is_some())
             .map(|(_, m)| m.model.weight_bytes)
             .sum();
         let ready_at = at + self.cold_start_cost(weight);
@@ -522,7 +531,7 @@ impl Cluster {
     fn on_client_disconnect(&mut self, at: SimTime, client: ClientId) {
         self.core.inc("client_disconnects", 1);
         for i in 0..self.nodes.len() {
-            self.nodes[i].dispatcher.cancel_client(client, at);
+            self.nodes[i].host.dispatcher.cancel_client(client, at);
             self.collect_failures(i);
         }
     }
@@ -581,22 +590,17 @@ impl Cluster {
         // Fresh node: register every model that fits (public-id order) and
         // pay for its weights over PCIe.
         let i = self.placement.add_node();
-        let mut node = Node {
-            dispatcher: make_dispatcher(&self.device, self.channels, &self.cfg, i as u64),
-            state: NodeState::Online, // overwritten below
-            crashed: false,
-            local_ids: vec![None; self.models.len()],
-            ingress: EventQueue::new(),
-            in_network: 0,
-            in_network_work: SimDuration::ZERO,
-            outstanding: 0,
-        };
+        let mut node = Node::new(make_dispatcher(
+            &self.device,
+            self.channels,
+            &self.cfg,
+            i as u64,
+        ));
         let compiled: Vec<CompiledModel> = self.models.iter().map(|m| m.model.clone()).collect();
         let placed = self.placement.fill_node(i, &compiled);
         let mut weight = 0u64;
         for idx in placed {
-            let local = node.dispatcher.register_model(&compiled[idx]);
-            node.local_ids[idx] = Some(local);
+            node.host.register(ModelId(idx as u32), &compiled[idx]);
             weight += compiled[idx].weight_bytes;
             self.models[idx].replicas.push(i);
         }
@@ -630,7 +634,7 @@ impl Cluster {
     /// The two ingress crossings (client→router, router→node) folded into
     /// the submission time a node sees for public model `public`.
     fn ingress(&self, public: usize) -> SimDuration {
-        self.cfg.net.transfer(self.models[public].model.input_bytes) * 2
+        RpcNetModel::transfer(self.models[public].model.input_bytes) * 2
     }
 
     /// Translates a request node `i` echoes back to the cluster's public
@@ -638,11 +642,8 @@ impl Cluster {
     /// are deterministic per model, so they subtract back out exactly).
     /// Returns the public model index and the ingress subtracted.
     fn restore(&self, i: usize, req: &mut InferenceRequest) -> (usize, SimDuration) {
-        let local = Some(req.model);
-        let public = self.nodes[i].local_ids.iter().position(|&l| l == local);
-        let public = public
-            .unwrap_or_else(|| panic!("node {i} reported unknown local model {:?}", req.model));
-        req.model = ModelId(public as u32);
+        req.model = self.nodes[i].host.public(req.model);
+        let public = req.model.0 as usize;
         let ingress = self.ingress(public);
         req.submitted_at = RpcNetModel::origin(req.submitted_at, ingress);
         (public, ingress)
@@ -663,17 +664,14 @@ impl Cluster {
     /// cluster's public ids and times. The nodes' own ledgers booked them;
     /// the router tier's books failures only.
     fn collect_completions(&mut self, i: usize) {
-        let drained = self.nodes[i].dispatcher.drain_completions();
+        let drained = self.nodes[i].host.dispatcher.drain_completions();
         if drained.is_empty() {
             return;
         }
         self.settle(i, drained.len() as u64);
         for mut c in drained {
             let (public, ingress) = self.restore(i, &mut c.request);
-            let egress = self
-                .cfg
-                .net
-                .transfer(self.models[public].model.output_bytes);
+            let egress = RpcNetModel::transfer(self.models[public].model.output_bytes);
             c.client_visible_at += egress;
             c.breakdown.communication += ingress + egress;
             // A completed request retires whatever re-route budget it used.
@@ -690,7 +688,7 @@ impl Cluster {
     /// and original submission times. Crash-reason failures re-enter routing
     /// under the per-request budget; everything else is terminal.
     fn collect_failures(&mut self, i: usize) {
-        for mut f in self.nodes[i].dispatcher.drain_failures() {
+        for mut f in self.nodes[i].host.dispatcher.drain_failures() {
             self.restore(i, &mut f.request);
             self.settle(i, 1);
             if f.reason == FailureReason::NodeCrash {
@@ -713,7 +711,9 @@ impl Cluster {
     pub fn inject(&mut self, plan: &FaultPlan) {
         self.cfg.dispatcher.kernel_fault_rate = plan.kernel_fault_rate;
         for n in &mut self.nodes {
-            n.dispatcher.set_kernel_fault_rate(plan.kernel_fault_rate);
+            n.host
+                .dispatcher
+                .set_kernel_fault_rate(plan.kernel_fault_rate);
         }
         for e in &plan.events {
             self.frontend
@@ -747,18 +747,9 @@ impl ServingSystem for Cluster {
         let replicas = self.placement.place(model);
         let mut estimate = SimDuration::ZERO;
         for &i in &replicas {
-            let local = self.nodes[i].dispatcher.register_model(model);
-            while self.nodes[i].local_ids.len() < public.0 as usize {
-                self.nodes[i].local_ids.push(None);
-            }
-            self.nodes[i].local_ids.push(Some(local));
-            estimate = self.nodes[i].dispatcher.profile_estimate(local);
-        }
-        // Non-replica nodes still need the id column to stay aligned.
-        for n in &mut self.nodes {
-            while n.local_ids.len() < public.0 as usize + 1 {
-                n.local_ids.push(None);
-            }
+            let host = &mut self.nodes[i].host;
+            let local = host.register(public, model);
+            estimate = host.dispatcher.profile_estimate(local);
         }
         self.models.push(ClusterModel {
             model: model.clone(),
@@ -770,7 +761,7 @@ impl ServingSystem for Cluster {
 
     fn submit(&mut self, req: InferenceRequest) {
         let input = self.models[req.model.0 as usize].model.input_bytes;
-        let arrive = (req.submitted_at + self.cfg.net.transfer(input)).max(self.frontend.now());
+        let arrive = (req.submitted_at + RpcNetModel::transfer(input)).max(self.frontend.now());
         self.frontend.schedule_at(arrive, FrontEv::Arrive(req));
         self.schedule_tick_after(arrive);
     }
@@ -779,7 +770,7 @@ impl ServingSystem for Cluster {
         let mut t = self.frontend.peek_time();
         for n in &mut self.nodes {
             t = earliest(t, n.ingress.peek_time());
-            t = earliest(t, n.dispatcher.next_event_time());
+            t = earliest(t, n.host.dispatcher.next_event_time());
         }
         t
     }
@@ -799,7 +790,7 @@ impl ServingSystem for Cluster {
                         ti = Some((a, i));
                     }
                 }
-                if let Some(a) = n.dispatcher.next_event_time() {
+                if let Some(a) = n.host.dispatcher.next_event_time() {
                     if tn.is_none_or(|(b, _)| a < b) {
                         tn = Some((a, i));
                     }
@@ -826,10 +817,10 @@ impl ServingSystem for Cluster {
                 self.core.debit(&mut n.in_network, 1, "in-network requests");
                 self.core
                     .debit_work(&mut n.in_network_work, est, "in-network work");
-                let local = n.local_ids[req.model.0 as usize].unwrap_or_else(|| {
+                let local = n.host.local(req.model).unwrap_or_else(|| {
                     panic!("request routed to node {i} without model {:?}", req.model)
                 });
-                n.dispatcher.submit(InferenceRequest {
+                n.host.dispatcher.submit(InferenceRequest {
                     model: local,
                     ..req
                 });
@@ -838,7 +829,7 @@ impl ServingSystem for Cluster {
                 // node with no device work cannot strand `outstanding`.
                 self.collect_failures(i);
             } else if let Some((a, i)) = tn {
-                self.nodes[i].dispatcher.advance_until(a);
+                self.nodes[i].host.dispatcher.advance_until(a);
                 self.collect_completions(i);
                 self.collect_failures(i);
             }
@@ -866,7 +857,7 @@ impl ServingSystem for Cluster {
     fn enable_telemetry(&mut self) {
         self.core.enable_telemetry();
         for n in &mut self.nodes {
-            n.dispatcher.enable_telemetry();
+            n.host.dispatcher.enable_telemetry();
         }
     }
 
@@ -877,7 +868,7 @@ impl ServingSystem for Cluster {
         }
         let mut sources = vec![self.core.tracer.take()];
         for n in &mut self.nodes {
-            sources.extend(n.dispatcher.take_trace_log());
+            sources.extend(n.host.dispatcher.take_trace_log());
         }
         Some(TraceLog::merged(sources))
     }
@@ -891,7 +882,7 @@ impl ServingSystem for Cluster {
     fn take_postmortems(&mut self) -> Vec<String> {
         let mut out = self.core.take_postmortems();
         for n in &mut self.nodes {
-            out.extend(n.dispatcher.take_postmortems());
+            out.extend(n.host.dispatcher.take_postmortems());
         }
         out
     }
@@ -903,7 +894,7 @@ impl ServingSystem for Cluster {
             ..LoadSignal::default()
         };
         for n in &self.nodes {
-            s = s + n.dispatcher.load_signal();
+            s = s + n.host.dispatcher.load_signal();
             s.queued += n.in_network;
             s.remaining_work += n.in_network_work;
         }
@@ -1010,8 +1001,8 @@ mod tests {
         });
         c.run_to_idle();
         let done = c.drain_completions();
-        let net = RpcNetModel::default();
-        let expected = net.transfer(m.input_bytes) * 2 + net.transfer(m.output_bytes);
+        let expected =
+            RpcNetModel::transfer(m.input_bytes) * 2 + RpcNetModel::transfer(m.output_bytes);
         let extra = done[0].jct().saturating_sub(jct_solo);
         assert!(
             extra >= expected.saturating_sub(SimDuration::from_micros(2))

@@ -5,18 +5,20 @@
 //! each partition gets its own dispatcher over its own slice of SMs and
 //! hardware queues. [`MigServing`] implements that topology: a set of
 //! per-partition [`Dispatcher`]s behind one [`ServingSystem`] facade, with
-//! models pinned to partitions at registration time.
+//! models pinned to partitions at registration time. Each partition keeps
+//! its models in the same per-node table as a cluster node.
 
 use paella_channels::ChannelConfig;
 use paella_compiler::CompiledModel;
+use paella_core::dispatcher::{Dispatcher, DispatcherConfig};
+use paella_core::sched::{Scheduler, SrptDeficitScheduler};
+use paella_core::serve::{earliest, EngineCore, ServingSystem};
+use paella_core::types::{InferenceRequest, JobCompletion, JobFailure, LoadSignal, ModelId};
 use paella_gpu::DeviceConfig;
 use paella_sim::SimTime;
 use paella_telemetry::{MetricsSnapshot, TraceLog};
 
-use crate::dispatcher::{Dispatcher, DispatcherConfig};
-use crate::sched::{Scheduler, SrptDeficitScheduler};
-use crate::serve::{earliest, EngineCore, ServingSystem};
-use crate::types::{InferenceRequest, JobCompletion, JobFailure, LoadSignal, ModelId};
+use crate::host::Host;
 
 /// Splits a device into MIG-style partitions with `slices[i]` SMs each.
 /// Hardware queues are apportioned to partitions proportionally to their SM
@@ -108,9 +110,9 @@ fn apportion_queues(total_queues: u32, slices: &[u32]) -> Vec<u32> {
 
 /// A Paella deployment over static MIG partitions.
 pub struct MigServing {
-    partitions: Vec<Dispatcher>,
-    /// Maps the public model id to (partition, partition-local model id).
-    routes: Vec<(usize, ModelId)>,
+    partitions: Vec<Host>,
+    /// The partition each public model id is pinned to.
+    homes: Vec<usize>,
     /// Round-robin cursor for model registration.
     next_partition: usize,
     /// The facade's outboxes (results carry public model ids) and its own
@@ -133,18 +135,18 @@ impl MigServing {
             .into_iter()
             .enumerate()
             .map(|(i, d)| {
-                Dispatcher::new(
+                Host::new(Dispatcher::new(
                     d,
                     channels,
                     make_scheduler(),
                     cfg,
                     seed.wrapping_add(i as u64),
-                )
+                ))
             })
             .collect();
         MigServing {
             partitions,
-            routes: Vec::new(),
+            homes: Vec::new(),
             next_partition: 0,
             core: EngineCore::default(),
         }
@@ -168,9 +170,9 @@ impl MigServing {
     ///
     /// Panics if `partition` is out of range.
     pub fn register_model_on(&mut self, partition: usize, model: &CompiledModel) -> ModelId {
-        let local = self.partitions[partition].register_model(model);
-        let public = ModelId(self.routes.len() as u32);
-        self.routes.push((partition, local));
+        let public = ModelId(self.homes.len() as u32);
+        self.partitions[partition].register(public, model);
+        self.homes.push(partition);
         public
     }
 
@@ -182,20 +184,14 @@ impl MigServing {
     /// Moves every partition's results to the facade's outboxes,
     /// translating partition-local model ids back to public ones.
     fn collect(&mut self) {
-        for (p, d) in self.partitions.iter_mut().enumerate() {
-            let public = |local: ModelId| {
-                let at = self.routes.iter().position(|&r| r == (p, local));
-                // invariant: a partition only reports models registered on
-                // it, and register_model_on recorded each of those.
-                ModelId(at.expect("result for an unrouted model") as u32)
-            };
-            for mut c in d.drain_completions() {
-                c.request.model = public(c.request.model);
+        for host in &mut self.partitions {
+            for mut c in host.dispatcher.drain_completions() {
+                c.request.model = host.public(c.request.model);
                 self.core.inc("jobs_completed", 1);
                 self.core.forward(c);
             }
-            for mut f in d.drain_failures() {
-                f.request.model = public(f.request.model);
+            for mut f in host.dispatcher.drain_failures() {
+                f.request.model = host.public(f.request.model);
                 self.core.fail(f.request, f.reason, f.at);
             }
         }
@@ -213,8 +209,10 @@ impl ServingSystem for MigServing {
     }
 
     fn submit(&mut self, req: InferenceRequest) {
-        let (p, local) = self.routes[req.model.0 as usize];
-        self.partitions[p].submit(InferenceRequest {
+        let host = &mut self.partitions[self.homes[req.model.0 as usize]];
+        // invariant: register_model_on put every public id on its home.
+        let local = host.local(req.model).expect("model hosted on its home");
+        host.dispatcher.submit(InferenceRequest {
             model: local,
             ..req
         });
@@ -225,15 +223,15 @@ impl ServingSystem for MigServing {
     fn next_event_time(&mut self) -> Option<SimTime> {
         self.partitions
             .iter_mut()
-            .map(|d| d.next_event_time())
+            .map(|h| h.dispatcher.next_event_time())
             .fold(None, earliest)
     }
 
     /// Partitions share nothing, so each advances on its own, in index
     /// order.
     fn advance_until(&mut self, t: SimTime) {
-        for d in &mut self.partitions {
-            d.advance_until(t);
+        for h in &mut self.partitions {
+            h.dispatcher.advance_until(t);
         }
         self.collect();
     }
@@ -252,8 +250,8 @@ impl ServingSystem for MigServing {
 
     fn enable_telemetry(&mut self) {
         self.core.enable_telemetry();
-        for d in &mut self.partitions {
-            d.enable_telemetry();
+        for h in &mut self.partitions {
+            h.dispatcher.enable_telemetry();
         }
     }
 
@@ -262,7 +260,7 @@ impl ServingSystem for MigServing {
         let logs: Vec<TraceLog> = self
             .partitions
             .iter_mut()
-            .filter_map(|d| d.take_trace_log())
+            .filter_map(|h| h.dispatcher.take_trace_log())
             .collect();
         (!logs.is_empty()).then(|| TraceLog::merged(logs))
     }
@@ -276,21 +274,21 @@ impl ServingSystem for MigServing {
     fn take_postmortems(&mut self) -> Vec<String> {
         self.partitions
             .iter_mut()
-            .flat_map(|d| d.take_postmortems())
+            .flat_map(|h| h.dispatcher.take_postmortems())
             .collect()
     }
 
     fn load_signal(&self) -> LoadSignal {
         self.partitions
             .iter()
-            .fold(LoadSignal::default(), |s, d| s + d.load_signal())
+            .fold(LoadSignal::default(), |s, h| s + h.dispatcher.load_signal())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::ClientId;
+    use paella_core::types::ClientId;
     use paella_gpu::{BlockFootprint, DurationModel, KernelDesc};
     use paella_sim::SimDuration;
 

@@ -7,43 +7,23 @@
 
 use paella_compiler::CompiledModel;
 
-/// Placement knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct PlacementConfig {
-    /// Desired replicas per model (capped by how many nodes can fit it).
-    pub replication: usize,
-    /// Per-node weight-memory budget in bytes (the T4 carries 16 GB).
-    pub mem_budget_bytes: u64,
-}
-
-impl Default for PlacementConfig {
-    fn default() -> Self {
-        PlacementConfig {
-            replication: 2,
-            mem_budget_bytes: 16 << 30,
-        }
-    }
-}
+/// Desired replicas per model (capped by how many nodes can fit it).
+const REPLICATION: usize = 2;
+/// Per-node weight-memory budget in bytes (the T4 carries 16 GB).
+const MEM_BUDGET_BYTES: u64 = 16 << 30;
 
 /// Chooses replica sets and tracks per-node weight memory.
 pub struct PlacementManager {
-    cfg: PlacementConfig,
     /// Weight bytes charged per node (index = node).
     used: Vec<u64>,
 }
 
 impl PlacementManager {
     /// A manager for `nodes` empty nodes.
-    pub fn new(cfg: PlacementConfig, nodes: usize) -> Self {
+    pub fn new(nodes: usize) -> Self {
         PlacementManager {
-            cfg,
             used: vec![0; nodes],
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &PlacementConfig {
-        &self.cfg
     }
 
     /// Weight bytes charged to `node`.
@@ -57,7 +37,7 @@ impl PlacementManager {
         self.used.len() - 1
     }
 
-    /// Picks the replica set for `model`: up to `replication` nodes with
+    /// Picks the replica set for `model`: up to `REPLICATION` nodes with
     /// room, most-free-memory first (ties to the lower index), and charges
     /// the weight bytes against each. The returned indices are sorted.
     ///
@@ -68,19 +48,19 @@ impl PlacementManager {
     pub fn place(&mut self, model: &CompiledModel) -> Vec<usize> {
         let weight = model.weight_bytes;
         let mut fits: Vec<usize> = (0..self.used.len())
-            .filter(|&i| self.used[i] + weight <= self.cfg.mem_budget_bytes)
+            .filter(|&i| self.used[i] + weight <= MEM_BUDGET_BYTES)
             .collect();
         assert!(
             !fits.is_empty(),
             "model {:?} ({} bytes) fits on no node (budget {} bytes/node)",
             model.name,
             weight,
-            self.cfg.mem_budget_bytes
+            MEM_BUDGET_BYTES
         );
         // Most free memory first; stable tie-break on index keeps placement
         // deterministic.
         fits.sort_by_key(|&i| (self.used[i], i));
-        fits.truncate(self.cfg.replication.max(1));
+        fits.truncate(REPLICATION);
         fits.sort_unstable();
         for &i in &fits {
             self.used[i] += weight;
@@ -94,7 +74,7 @@ impl PlacementManager {
     pub fn fill_node(&mut self, node: usize, models: &[CompiledModel]) -> Vec<usize> {
         let mut placed = Vec::new();
         for (idx, m) in models.iter().enumerate() {
-            if self.used[node] + m.weight_bytes <= self.cfg.mem_budget_bytes {
+            if self.used[node] + m.weight_bytes <= MEM_BUDGET_BYTES {
                 self.used[node] += m.weight_bytes;
                 placed.push(idx);
             }
@@ -107,72 +87,55 @@ impl PlacementManager {
 mod tests {
     use super::*;
 
-    fn weighted(name: &str, weight: u64) -> CompiledModel {
+    /// A hundredth of the budget: 100 of these fit on a node, 101 do not.
+    const PCT: u64 = MEM_BUDGET_BYTES / 100;
+
+    fn weighted(name: &str, pct: u64) -> CompiledModel {
         CompiledModel {
             name: name.to_string().into(),
             ops: Vec::new(),
             schedule: None,
             input_bytes: 0,
             output_bytes: 0,
-            weight_bytes: weight,
+            weight_bytes: pct * PCT,
             flops: 0,
         }
     }
 
     #[test]
     fn replicas_spread_across_emptiest_nodes() {
-        let mut p = PlacementManager::new(
-            PlacementConfig {
-                replication: 2,
-                mem_budget_bytes: 100,
-            },
-            4,
-        );
+        assert_eq!(REPLICATION, 2);
+        let mut p = PlacementManager::new(4);
         assert_eq!(p.place(&weighted("a", 60)), vec![0, 1]);
         // Nodes 2 and 3 are now the emptiest.
         assert_eq!(p.place(&weighted("b", 60)), vec![2, 3]);
-        // 60-byte nodes can't take another 60; all four are full for "c".
+        // 60 % nodes can't take another 60 %; all four are full for "c".
         assert_eq!(p.place(&weighted("c", 30)), vec![0, 1]);
     }
 
     #[test]
     fn replication_caps_at_fitting_nodes() {
-        let mut p = PlacementManager::new(
-            PlacementConfig {
-                replication: 3,
-                mem_budget_bytes: 100,
-            },
-            2,
-        );
-        assert_eq!(p.place(&weighted("a", 10)).len(), 2, "only 2 nodes exist");
+        let mut p = PlacementManager::new(1);
+        assert_eq!(p.place(&weighted("a", 10)).len(), 1, "only 1 node exists");
+        let mut p = PlacementManager::new(3);
+        assert_eq!(p.place(&weighted("a", 60)), vec![0, 1]);
+        assert_eq!(p.place(&weighted("b", 60)), vec![2], "only node 2 has room");
     }
 
     #[test]
     #[should_panic(expected = "fits on no node")]
     fn unplaceable_model_rejected() {
-        let mut p = PlacementManager::new(
-            PlacementConfig {
-                replication: 1,
-                mem_budget_bytes: 100,
-            },
-            2,
-        );
+        let mut p = PlacementManager::new(2);
         p.place(&weighted("huge", 101));
     }
 
     #[test]
     fn fill_node_respects_budget() {
-        let mut p = PlacementManager::new(
-            PlacementConfig {
-                replication: 1,
-                mem_budget_bytes: 100,
-            },
-            1,
-        );
+        let mut p = PlacementManager::new(1);
         let n = p.add_node();
         let models = vec![weighted("a", 70), weighted("b", 50), weighted("c", 20)];
         // 70 fits, 50 no longer does, 20 still does.
         assert_eq!(p.fill_node(n, &models), vec![0, 2]);
-        assert_eq!(p.used(n), 90);
+        assert_eq!(p.used(n), 90 * PCT);
     }
 }

@@ -80,6 +80,9 @@ const COMPLETION_COST: SimDuration = SimDuration::from_nanos(700);
 /// Base backoff before a faulted kernel's first retry; doubles per
 /// subsequent fault of the same op (exponential backoff).
 const RETRY_BACKOFF: SimDuration = SimDuration::from_micros(20);
+/// Lower bound on a deadline budget, so tiny models are not cancelled on
+/// queueing noise.
+const DEADLINE_FLOOR: SimDuration = SimDuration::from_micros(500);
 
 /// Dispatcher configuration. Defaults reproduce the full Paella system.
 #[derive(Clone, Copy, Debug)]
@@ -132,12 +135,10 @@ pub struct DispatcherConfig {
     /// fails with [`FailureReason::RetryBudgetExhausted`].
     pub retry_budget: u32,
     /// Per-request deadline as a multiple of the model's profiled total
-    /// estimate, anchored at `submitted_at`; the job is cancelled and its
-    /// resources reclaimed when it passes. `None` disables deadlines.
+    /// estimate (never less than `DEADLINE_FLOOR`), anchored at
+    /// `submitted_at`; the job is cancelled and its resources reclaimed when
+    /// it passes. `None` disables deadlines.
     pub deadline_factor: Option<f64>,
-    /// Lower bound on the deadline budget, so tiny models are not cancelled
-    /// on queueing noise.
-    pub deadline_floor: SimDuration,
     /// Admission-control watermark: a request arriving while
     /// `load_signal().outstanding()` is at or above this is shed instead of
     /// queued. `None` disables shedding.
@@ -169,7 +170,6 @@ impl Default for DispatcherConfig {
             kernel_fault_rate: 0.0,
             retry_budget: 3,
             deadline_factor: None,
-            deadline_floor: SimDuration::from_micros(500),
             shed_watermark: None,
         }
     }
@@ -971,7 +971,7 @@ impl Dispatcher {
         self.load_add_job(model_idx);
         self.assign_stream(id);
         if let Some(f) = self.cfg.deadline_factor {
-            let budget = total_estimate.mul_f64(f).max(self.cfg.deadline_floor);
+            let budget = total_estimate.mul_f64(f).max(DEADLINE_FLOOR);
             let deadline = req.submitted_at.saturating_add(budget);
             self.job_mut(id).deadline_at = Some(deadline);
             self.events

@@ -15,16 +15,19 @@
 //! * [`dispatcher`] — the single-core serving loop tying everything
 //!   together: ingest from shared-memory rings, dispatch under the occupancy
 //!   budget, hybrid interrupt-then-poll result delivery (§5).
-//! * [`serve`] — the [`ServingSystem`] interface and the skeleton every
-//!   implementation shares: [`EngineCore`] (telemetry, the terminal-state
-//!   funnel, the accounting debit) and [`Layered`] (one driver for every
-//!   front end over an inner system).
+//! * [`serve`] — the [`ServingSystem`] interface and [`EngineCore`], the
+//!   skeleton every engine shares (telemetry, the terminal-state funnel, the
+//!   accounting debit).
+//! * [`remote`] — [`RpcNetModel`], the kernel-bypass network crossing of
+//!   remote inference (§5.1).
 //! * [`types`] — requests, completions, and the Fig. 10 latency-breakdown
 //!   categories.
+//!
+//! The front ends (the Table 3 baselines, the remote gateway, saturation
+//! batching) live in `paella-baselines`; the MIG facade and the multi-node
+//! router in `paella-cluster`.
 
-pub mod batching;
 pub mod dispatcher;
-pub mod mig;
 pub mod occupancy;
 pub mod remote;
 pub mod sched;
@@ -32,15 +35,13 @@ pub mod serve;
 pub mod types;
 pub mod waitlist;
 
-pub use batching::{batched_model, BatchPolicy, SaturationBatcher};
 pub use dispatcher::{Dispatcher, DispatcherConfig, Granularity, StreamPolicy, WakeupMode};
-pub use mig::{partition_device, MigServing};
 pub use occupancy::OccupancyTracker;
-pub use remote::{RemoteGateway, RpcNetModel};
+pub use remote::RpcNetModel;
 pub use sched::{
     FifoScheduler, JobInfo, RrScheduler, Scheduler, SjfScheduler, SrptDeficitScheduler,
 };
-pub use serve::{earliest, split, EngineCore, Front, Layered, ServingSystem, Tier};
+pub use serve::{earliest, split, EngineCore, ServingSystem};
 pub use types::{
     ClientId, FailureReason, InferenceRequest, JobCompletion, JobFailure, JobId, LatencyBreakdown,
     ModelId,

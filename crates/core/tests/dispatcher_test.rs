@@ -563,7 +563,6 @@ fn deadline_cancels_stragglers_and_reclaims_resources() {
     // most jobs can't make it and must be cancelled, not completed late.
     let mut cfg = DispatcherConfig::paella();
     cfg.deadline_factor = Some(1.5);
-    cfg.deadline_floor = SimDuration::from_micros(100);
     let mut d = paella_with(cfg, 42);
     let model = d.register_model(&synthetic::uniform_job(
         "dl",
@@ -586,7 +585,8 @@ fn deadline_cancels_stragglers_and_reclaims_resources() {
     assert!(failed
         .iter()
         .all(|f| f.reason == FailureReason::DeadlineExceeded));
-    // Completions that did land honored the deadline budget.
+    // Completions that did land honored the deadline budget (1.5 × ~2.4 ms,
+    // well above the 500 µs floor).
     let budget = d.profile_estimate(model).mul_f64(1.5);
     for c in &done {
         assert!(c.jct() <= budget + SimDuration::from_micros(1));

@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run --release --example mig_partitions`
 
-use paella_core::{ClientId, InferenceRequest, JobCompletion, MigServing, ModelId, ServingSystem};
+use paella_cluster::MigServing;
+use paella_core::{ClientId, InferenceRequest, JobCompletion, ModelId, ServingSystem};
 use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
 use paella_sim::{SimDuration, SimTime};

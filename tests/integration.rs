@@ -45,10 +45,7 @@ fn paella_dispatcher(cfg: paella_core::DispatcherConfig, seed: u64) -> paella_co
 
 /// Triton with its dynamic batcher on (the `BatchTimeout` path).
 fn triton_batch4(seed: u64) -> Box<dyn ServingSystem> {
-    let cfg = paella_baselines::TritonConfig {
-        max_batch: 4,
-        ..Default::default()
-    };
+    let cfg = paella_baselines::TritonConfig { max_batch: 4 };
     Box::new(paella_baselines::Triton::new(
         device(),
         ChannelConfig::default(),
@@ -59,7 +56,8 @@ fn triton_batch4(seed: u64) -> Box<dyn ServingSystem> {
 
 #[test]
 fn no_system_loses_or_duplicates_jobs() {
-    use paella_core::{BatchPolicy, DispatcherConfig, RemoteGateway, RpcNetModel};
+    use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
+    use paella_core::DispatcherConfig;
     let mut zoo = ModelZoo::new(device());
     let r18 = zoo.get("resnet18").clone();
     // `(name, system, shares job ids)`: a batching system reports one inner
@@ -75,15 +73,12 @@ fn no_system_loses_or_duplicates_jobs() {
     systems.push(("Triton b4".into(), triton_batch4(5), true));
     systems.push((
         "remote".into(),
-        Box::new(RemoteGateway::new(inner(), RpcNetModel::default())),
+        Box::new(RemoteGateway::new(inner())),
         false,
     ));
     systems.push((
         "batched".into(),
-        Box::new(paella_core::SaturationBatcher::new(
-            inner(),
-            BatchPolicy::default(),
-        )),
+        Box::new(SaturationBatcher::new(inner(), BatchPolicy::default())),
         true,
     ));
     for (name, mut sys, shares_job_ids) in systems {
@@ -128,9 +123,10 @@ fn no_system_loses_or_duplicates_jobs() {
 /// shows the load it is holding.
 #[test]
 fn no_wrapper_loses_a_request_or_hides_load() {
+    use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
+    use paella_cluster::MigServing;
     use paella_core::{
-        BatchPolicy, ClientId, DispatcherConfig, InferenceRequest, MigServing, ModelId,
-        RemoteGateway, RpcNetModel, SaturationBatcher, SrptDeficitScheduler,
+        ClientId, DispatcherConfig, InferenceRequest, ModelId, SrptDeficitScheduler,
     };
     use paella_sim::SimTime;
     let model = synthetic::uniform_job("w", 4, SimDuration::from_micros(150), 64);
@@ -163,13 +159,12 @@ fn no_wrapper_loses_a_request_or_hides_load() {
     let eager = BatchPolicy {
         saturation_threshold: 2,
         max_batch: 4,
-        ..BatchPolicy::default()
     };
     let mut wrappers: [(&str, &mut dyn ServingSystem, usize); 3] = [
         ("mig", &mut mig(tight), 2),
         (
             "remote",
-            &mut RemoteGateway::new(paella_dispatcher(tight, 5), RpcNetModel::default()),
+            &mut RemoteGateway::new(paella_dispatcher(tight, 5)),
             1,
         ),
         (
@@ -213,10 +208,7 @@ fn no_wrapper_loses_a_request_or_hides_load() {
         ("mig", Box::new(mig(roomy))),
         (
             "remote",
-            Box::new(RemoteGateway::new(
-                paella_dispatcher(roomy, 5),
-                RpcNetModel::default(),
-            )),
+            Box::new(RemoteGateway::new(paella_dispatcher(roomy, 5))),
         ),
         (
             "batched",
@@ -571,7 +563,8 @@ fn default_path_golden_digests() {
 /// hand-written event loop; the shared driver must reproduce them.
 #[test]
 fn front_end_golden_digests() {
-    use paella_core::{BatchPolicy, DispatcherConfig, RemoteGateway, RpcNetModel};
+    use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
+    use paella_core::DispatcherConfig;
     let mut zoo = ModelZoo::new(device());
     let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
     // The bursty two-model mix.
@@ -591,14 +584,14 @@ fn front_end_golden_digests() {
     ]
     .map(|key| two_models(make_system(key, device(), ChannelConfig::default(), 5).as_mut()));
     let triton_b4 = two_models(triton_batch4(5).as_mut());
-    let remote = two_models(&mut RemoteGateway::new(
-        paella_dispatcher(DispatcherConfig::paella(), 5),
-        RpcNetModel::default(),
-    ));
+    let remote = two_models(&mut RemoteGateway::new(paella_dispatcher(
+        DispatcherConfig::paella(),
+        5,
+    )));
 
     // A burst far beyond one device's capacity, so the saturation detector
     // engages and batches of every size up to the cap are in flight at once.
-    let mut sys = paella_core::SaturationBatcher::new(
+    let mut sys = SaturationBatcher::new(
         paella_dispatcher(DispatcherConfig::paella(), 13),
         BatchPolicy::default(),
     );
@@ -630,7 +623,8 @@ fn front_end_golden_digests() {
 /// the facade's model-id translation on the way out.
 #[test]
 fn mig_golden_digest() {
-    use paella_core::{DispatcherConfig, MigServing, Scheduler, SrptDeficitScheduler};
+    use paella_cluster::MigServing;
+    use paella_core::{DispatcherConfig, Scheduler, SrptDeficitScheduler};
     let mut zoo = ModelZoo::new(device());
     let cfg = DispatcherConfig {
         shed_watermark: Some(8),
