@@ -58,6 +58,80 @@ fn lines(log: &TraceLog) -> Vec<String> {
     log.events.iter().map(line).collect()
 }
 
+/// `TraceLog::merged` as it was when it cut runs into a second vector:
+/// concatenate, stable-sort on `at`, then push every event and every cut-off
+/// tail into a new `Vec`. Verbatim but for `TracedEvent`'s two private
+/// helpers, which are free functions here. It is the reference the merge in
+/// one buffer must equal.
+mod reference {
+    use paella_sim::SimTime;
+    use paella_telemetry::{NotifRun, TraceEvent, TraceLog, TracedEvent};
+
+    fn key(e: &TracedEvent) -> (SimTime, u64) {
+        (e.at, e.seq)
+    }
+
+    fn split_before(e: &mut TracedEvent, bound: (SimTime, u64)) -> Option<TracedEvent> {
+        let TraceEvent::NotifRun(run) = &mut e.event else {
+            return None;
+        };
+        let (start, cost, seq) = (run.start, run.cost, e.seq);
+        let done = |word: usize| start + cost * (word as u64 + 1);
+        if (done(run.words.len().saturating_sub(1)), seq) < bound {
+            return None;
+        }
+        let keep = (1..run.words.len()).find(|&word| (done(word), seq) >= bound)?;
+        let tail = NotifRun {
+            start: done(keep - 1),
+            words: run.words.split_off(keep),
+            ..**run
+        };
+        Some(TracedEvent {
+            at: tail.start + cost,
+            seq,
+            event: TraceEvent::NotifRun(Box::new(tail)),
+        })
+    }
+
+    pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
+        let mut sources = sources.into_iter();
+        let mut events = sources.next().map(|log| log.events).unwrap_or_default();
+        for mut log in sources {
+            events.append(&mut log.events);
+        }
+        for (i, e) in events.iter_mut().enumerate() {
+            e.seq = i as u64;
+        }
+        events.sort_by_key(|e| e.at);
+        let mut merged = Vec::with_capacity(events.len());
+        let mut whole = events.into_iter().peekable();
+        let mut cut: Vec<TracedEvent> = Vec::new();
+        let mut seq = 0;
+        loop {
+            let from_cut = match (cut.last(), whole.peek()) {
+                (Some(c), Some(w)) => key(c) < key(w),
+                (c, _) => c.is_some(),
+            };
+            let Some(mut e) = (if from_cut { cut.pop() } else { whole.next() }) else {
+                break;
+            };
+            let next = [cut.last(), whole.peek()]
+                .into_iter()
+                .flatten()
+                .map(key)
+                .min();
+            if let Some(tail) = next.and_then(|bound| split_before(&mut e, bound)) {
+                let behind = cut.partition_point(|c| key(c) > key(&tail));
+                cut.insert(behind, tail);
+            }
+            e.seq = seq;
+            seq += e.event.expanded_len() as u64;
+            merged.push(e);
+        }
+        TraceLog { events: merged }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -142,6 +216,31 @@ proptest! {
         prop_assert_eq!(lines(&nested.expanded()), lines(&word_level));
     }
 
+    /// The merge gives what the two-buffer reference gives — the same events
+    /// at the same instants with the same numbers, so the same word-level
+    /// view — on a host and a device log whose runs get cut.
+    #[test]
+    fn merged_equals_the_two_buffer_reference(
+        host in specs(40),
+        device in specs(40),
+    ) {
+        let logs = || -> Vec<TraceLog> {
+            [&host, &device]
+                .into_iter()
+                .enumerate()
+                .map(|(id, specs)| {
+                    let mut t = Tracer::enabled();
+                    record(&mut t, id as u64, specs);
+                    t.take()
+                })
+                .collect()
+        };
+        let want = reference::merged(logs());
+        let got = TraceLog::merged(logs());
+        prop_assert_eq!(lines(&got), lines(&want));
+        prop_assert_eq!(lines(&got.expanded()), lines(&want.expanded()));
+    }
+
     /// The flight recorder holds the last N *word-level* events recorded
     /// since arming, whatever was drained in between: post-mortems print
     /// words, not runs.
@@ -161,4 +260,23 @@ proptest! {
         let tail = all.split_off(all.len().saturating_sub(cap));
         prop_assert_eq!(lines(&TraceLog { events: snapshot }), lines(&TraceLog { events: tail }));
     }
+}
+
+/// The comparison above cuts runs: eight words 1 ns apart, with a device
+/// event at every word's instant, come out as eight one-word runs.
+#[test]
+fn a_run_interleaved_word_by_word_is_cut_at_every_word() {
+    let logs = || {
+        let mut host = Tracer::enabled();
+        record(&mut host, 0, &[(0, 3, 8, 1)]);
+        let mut device = Tracer::enabled();
+        let instants: Vec<Spec> = (1..=8).map(|at| (at, 0, 1, 0)).collect();
+        record(&mut device, 1, &instants);
+        vec![host.take(), device.take()]
+    };
+    let got = TraceLog::merged(logs());
+    assert_eq!(lines(&got), lines(&reference::merged(logs())));
+    let runs = got.events.iter().filter(|e| e.event.kind() == "notif-run");
+    assert!(runs.map(|e| e.event.expanded_len()).all(|len| len == 2));
+    assert_eq!(got.len(), 16);
 }
