@@ -112,6 +112,14 @@ impl TracedEvent {
     }
 }
 
+/// What [`TraceLog::merged`] leaves where it took an event and has not yet
+/// written one.
+const HOLE: TracedEvent = TracedEvent {
+    at: SimTime::ZERO,
+    seq: 0,
+    event: TraceEvent::KernelCompleted { kernel: 0 },
+};
+
 /// An ordered batch of recorded events.
 #[derive(Clone, Default, Debug)]
 pub struct TraceLog {
@@ -134,48 +142,72 @@ impl TraceLog {
     /// run's words have instants of their own, so an event of another source
     /// — or of the same one, recorded earlier with a later `at` — can fall
     /// between two of them; the run is cut there, and each piece is a run.
+    ///
+    /// The merge holds the log once: the sources are moved into the first
+    /// one's buffer, sorted there and merged in place, so it never needs
+    /// more than that buffer plus a quarter (the room cut-off pieces take,
+    /// grown only if they need more).
     pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
+        let len: usize = sources.iter().map(TraceLog::len).sum();
         let mut sources = sources.into_iter();
         let mut events = sources.next().map(|log| log.events).unwrap_or_default();
+        events.reserve_exact(len + len / 4 - events.len());
         for mut log in sources {
             events.append(&mut log.events);
         }
         // Until the renumbering below, `seq` is the position in source
-        // order: with the instant, what words that tie are ordered by.
+        // order: with the instant, what words that tie are ordered by. It
+        // is unique, so the unstable sort is the stable one on `at`.
         for (i, e) in events.iter_mut().enumerate() {
             e.seq = i as u64;
         }
-        events.sort_by_key(|e| e.at);
+        events.sort_unstable_by_key(TracedEvent::key);
         // `events` is now ordered by first word. Take events in key order,
         // each up to the key of what follows it; what that cuts off a run
         // waits in `cut` (latest first — a handful, one per dispatcher core
-        // at most, since a core's runs do not overlap).
-        let mut merged = Vec::with_capacity(events.len());
-        let mut whole = events.into_iter().peekable();
+        // at most, since a core's runs do not overlap). The merged events
+        // are written over the front of `events`: `..out` is merged,
+        // `next..` still to take, and `out..next` holes.
+        let (mut out, mut next) = (0, 0);
         let mut cut: Vec<TracedEvent> = Vec::new();
         let mut seq = 0;
         loop {
-            let from_cut = match (cut.last(), whole.peek()) {
+            let from_cut = match (cut.last(), events.get(next)) {
                 (Some(c), Some(w)) => c.key() < w.key(),
                 (c, _) => c.is_some(),
             };
-            let Some(mut e) = (if from_cut { cut.pop() } else { whole.next() }) else {
+            let Some(mut e) = (if from_cut {
+                cut.pop()
+            } else {
+                events.get_mut(next).map(|e| std::mem::replace(e, HOLE))
+            }) else {
                 break;
             };
-            let next = [cut.last(), whole.peek()]
+            next += usize::from(!from_cut);
+            let bound = [cut.last(), events.get(next)]
                 .into_iter()
                 .flatten()
                 .map(TracedEvent::key)
                 .min();
-            if let Some(tail) = next.and_then(|bound| e.split_before(bound)) {
+            if let Some(tail) = bound.and_then(|bound| e.split_before(bound)) {
                 let behind = cut.partition_point(|c| c.key() > tail.key());
                 cut.insert(behind, tail);
             }
             e.seq = seq;
             seq += e.event.expanded_len() as u64;
-            merged.push(e);
+            if out == next {
+                // A piece of a run is one event more than was taken: open
+                // a gap before what is still to take.
+                let room = (events.len() - next) / 8 + 1;
+                events.splice(next..next, std::iter::repeat_n(HOLE, room));
+                next += room;
+            }
+            events[out] = e;
+            out += 1;
         }
-        TraceLog { events: merged }
+        events.truncate(out);
+        events.shrink_to_fit();
+        TraceLog { events }
     }
 
     /// The word-level log: every run replaced, in place, by the per-word
@@ -376,6 +408,39 @@ mod tests {
         assert_eq!(kernels, vec![21, 10, 20], "time first, then source order");
         let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "merged log is re-sequenced");
+    }
+
+    /// Cutting makes more events than were recorded, here 1.8× as many; the
+    /// merged log still takes about what it holds.
+    #[test]
+    fn merged_capacity_stays_near_its_length() {
+        let (mut host, mut device) = (Tracer::enabled(), Tracer::enabled());
+        let ns = SimTime::from_nanos;
+        for k in 0..500u64 {
+            host.record_with(ns(k * 100 + 1), || {
+                TraceEvent::NotifRun(Box::new(NotifRun {
+                    kernel: k,
+                    placement: true,
+                    core: 0,
+                    start: ns(k * 100),
+                    cost: paella_sim::SimDuration::from_nanos(1),
+                    words: vec![(0, 1); 8],
+                }))
+            });
+            for word in 1..=8 {
+                device.record_with(ns(k * 100 + word), || TraceEvent::KernelCompleted {
+                    kernel: k,
+                });
+            }
+        }
+        let log = TraceLog::merged(vec![host.take(), device.take()]);
+        assert_eq!(log.len(), 8_000, "every run cut at every word");
+        assert!(
+            log.events.capacity() * 4 < log.len() * 5,
+            "capacity {} for {} events",
+            log.events.capacity(),
+            log.len()
+        );
     }
 
     #[test]
