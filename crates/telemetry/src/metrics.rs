@@ -1,8 +1,8 @@
 //! The metrics registry: counters, gauges, log-bucketed histograms, and
 //! periodic virtual-time series.
 //!
-//! All maps are `BTreeMap`s keyed on `&'static str` so iteration order — and
-//! therefore every exported rendering — is deterministic.
+//! Metrics are kept by name in first-use order and listed by name, so every
+//! exported rendering is deterministic.
 
 use std::collections::BTreeMap;
 
@@ -120,13 +120,51 @@ struct TenantSlo {
     failures: BTreeMap<&'static str, u64>,
 }
 
+/// Values by name, in first-use order. A name is found by its address first
+/// — a call site passes the same literal every time — and by its text only
+/// when no address matches, so two copies of one literal name one value.
+#[derive(Clone, Debug)]
+struct Named<T>(Vec<(&'static str, T)>);
+
+impl<T> Default for Named<T> {
+    fn default() -> Self {
+        Named(Vec::new())
+    }
+}
+
+impl<T: Default> Named<T> {
+    /// The value named `name`, created at its default on first use.
+    fn entry(&mut self, name: &'static str) -> &mut T {
+        let found = (self.0.iter().position(|&(k, _)| std::ptr::eq(k, name)))
+            .or_else(|| self.0.iter().position(|&(k, _)| k == name));
+        let i = found.unwrap_or_else(|| {
+            self.0.push((name, T::default()));
+            self.0.len() - 1
+        });
+        &mut self.0[i].1
+    }
+}
+
+impl<T> Named<T> {
+    fn get(&self, name: &str) -> Option<&T> {
+        self.0.iter().find(|&&(k, _)| k == name).map(|(_, v)| v)
+    }
+
+    /// Every `(name, value)`, name-sorted, through `f`.
+    fn sorted<U>(&self, f: impl Fn(&T) -> U) -> Vec<(String, U)> {
+        let mut all: Vec<(String, U)> = self.0.iter().map(|(k, v)| (k.to_string(), f(v))).collect();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all
+    }
+}
+
 /// A registry of named metrics, all updated on virtual time.
 #[derive(Clone, Default, Debug)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, LogHistogram>,
-    series: BTreeMap<&'static str, Vec<(SimTime, u64)>>,
+    counters: Named<u64>,
+    gauges: Named<u64>,
+    histograms: Named<LogHistogram>,
+    series: Named<Vec<(SimTime, u64)>>,
     tenant_slo: BTreeMap<u32, TenantSlo>,
 }
 
@@ -138,22 +176,22 @@ impl MetricsRegistry {
 
     /// Adds `n` to a monotonic counter.
     pub fn inc(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        *self.counters.entry(name) += n;
     }
 
     /// Sets a gauge to its current value.
     pub fn gauge(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
+        *self.gauges.entry(name) = value;
     }
 
     /// Adds one observation to a log-bucketed histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().push(value);
+        self.histograms.entry(name).push(value);
     }
 
     /// Appends one `(t, value)` sample to a virtual-time series.
     pub fn sample(&mut self, name: &'static str, at: SimTime, value: u64) {
-        self.series.entry(name).or_default().push((at, value));
+        self.series.entry(name).push((at, value));
     }
 
     /// Records one completed request for `tenant`'s SLO ledger.
@@ -203,38 +241,17 @@ impl MetricsRegistry {
     /// Freezes the registry into a plain snapshot for reports.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(&k, h)| {
-                    (
-                        k.to_string(),
-                        HistogramSummary {
-                            count: h.count(),
-                            mean: h.mean(),
-                            min: h.min().unwrap_or(0),
-                            max: h.max().unwrap_or(0),
-                            p50_bound: h.quantile_bound(0.50).unwrap_or(0),
-                            p99_bound: h.quantile_bound(0.99).unwrap_or(0),
-                        },
-                    )
-                })
-                .collect(),
-            series: self
-                .series
-                .iter()
-                .map(|(&k, v)| (k.to_string(), v.clone()))
-                .collect(),
+            counters: self.counters.sorted(|&v| v),
+            gauges: self.gauges.sorted(|&v| v),
+            histograms: self.histograms.sorted(|h| HistogramSummary {
+                count: h.count(),
+                mean: h.mean(),
+                min: h.min().unwrap_or(0),
+                max: h.max().unwrap_or(0),
+                p50_bound: h.quantile_bound(0.50).unwrap_or(0),
+                p99_bound: h.quantile_bound(0.99).unwrap_or(0),
+            }),
+            series: self.series.sorted(Vec::clone),
             tenant_slo: self
                 .tenant_slo
                 .iter()
@@ -411,6 +428,20 @@ mod tests {
         assert_eq!(snap.series("ready").unwrap().len(), 2);
         assert_eq!(snap.histograms[0].0, "jct_ns");
         assert_eq!(snap.histograms[0].1.count, 1);
+    }
+
+    #[test]
+    fn a_name_at_two_addresses_is_one_metric() {
+        let copy: &'static str = String::from("jobs").leak();
+        assert!(!std::ptr::eq(copy, "jobs"));
+        let mut m = MetricsRegistry::new();
+        m.inc("jobs", 1);
+        m.inc(copy, 2);
+        m.sample(copy, SimTime::ZERO, 4);
+        m.sample("jobs", SimTime::ZERO, 5);
+        let snap = m.snapshot();
+        assert_eq!(snap.counters, vec![("jobs".to_string(), 3)]);
+        assert_eq!(snap.series("jobs").unwrap().len(), 2);
     }
 
     #[test]
