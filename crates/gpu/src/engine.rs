@@ -151,15 +151,32 @@ impl GpuRuns {
 enum Ev {
     /// A launch reached its hardware queue and may now be considered.
     QueueArrival { uid: KernelUid },
-    /// A placed wave of block groups finished; `allocs` holds the per-SM
-    /// block counts.
+    /// A placed wave of block groups finished.
     GroupFinish {
         uid: KernelUid,
         wave: u32,
-        allocs: Vec<(u32, u32)>,
+        groups: Groups,
     },
     /// A memcpy finished on its engine.
     CopyFinish { uid: MemcpyUid, engine: u32 },
+}
+
+/// The per-SM block counts of a placed wave, in the one slot its finish event
+/// has for them: the buffer they were placed into, or with telemetry on the
+/// payload its begin event shares (the buffer went back to the spares).
+#[derive(Clone, Debug)]
+enum Groups {
+    Plain(Vec<(u32, u32)>),
+    Traced(Arc<SmWave>),
+}
+
+impl Groups {
+    fn as_slice(&self) -> &[(u32, u32)] {
+        match self {
+            Groups::Plain(allocs) => allocs,
+            Groups::Traced(span) => &span.groups,
+        }
+    }
 }
 
 /// Per-stream op, in issue order.
@@ -198,9 +215,6 @@ struct KernelState {
     /// Smallest wave worth a finish event (fewer blocks only when fewer
     /// remain): 1/8 of an empty device's fill of this footprint.
     wave_quantum: u64,
-    /// Telemetry payloads of the waves still running, each shared by its
-    /// begin event and the end event to come. Empty with telemetry off.
-    open_waves: Vec<Arc<SmWave>>,
 }
 
 impl KernelState {
@@ -247,7 +261,8 @@ pub struct GpuSim {
     rr_queue: usize,
     /// Copies submitted but not yet at the front of their stream.
     pending_copies: Vec<(MemcpyOp, SimTime)>,
-    /// Emptied `allocs` buffers of finished waves, for the next waves.
+    /// Emptied group buffers, for the next waves: a finished wave's, or with
+    /// telemetry on a just-placed one's.
     spare_allocs: Vec<Vec<(u32, u32)>>,
 }
 
@@ -366,7 +381,6 @@ impl GpuSim {
                 finished_blocks: 0,
                 waves: 0,
                 wave_quantum,
-                open_waves: Vec::new(),
             },
         );
         self.events.schedule_at(at, Ev::QueueArrival { uid });
@@ -483,14 +497,12 @@ impl GpuSim {
                 });
                 self.schedule_blocks(at);
             }
-            Ev::GroupFinish {
-                uid,
-                wave,
-                mut allocs,
-            } => {
-                self.on_group_finish(at, uid, wave, &allocs);
-                allocs.clear();
-                self.spare_allocs.push(allocs);
+            Ev::GroupFinish { uid, wave, groups } => {
+                self.on_group_finish(at, uid, wave, &groups);
+                if let Groups::Plain(mut allocs) = groups {
+                    allocs.clear();
+                    self.spare_allocs.push(allocs);
+                }
             }
             Ev::CopyFinish { uid, engine } => {
                 self.on_copy_finish(at, uid, engine);
@@ -639,7 +651,7 @@ impl GpuSim {
             };
         }
 
-        let wave = {
+        let (wave, span) = {
             // invariant: `self.kernel(uid)` resolved at the top of this fn.
             let k = self
                 .kernels
@@ -653,13 +665,12 @@ impl GpuSim {
             k.running += placed;
             let wave = k.waves;
             k.waves += 1;
-            if self.tracer.is_enabled() {
-                let span = k.wave_span(wave, &allocs);
-                k.open_waves.push(span.clone());
+            let span = self.tracer.is_enabled().then(|| k.wave_span(wave, &allocs));
+            if let Some(span) = &span {
                 self.tracer
-                    .record_with(now, || TraceEvent::SmWaveBegin(span));
+                    .record_with(now, || TraceEvent::SmWaveBegin(span.clone()));
             }
-            wave
+            (wave, span)
         };
 
         // Placement notifications, attributed to the SM each group landed
@@ -668,8 +679,16 @@ impl GpuSim {
             self.emit_notif_run(now, uid, &allocs, spec.aggregation, NotifKind::Placement);
         }
 
+        let groups = match span {
+            Some(span) => {
+                allocs.clear();
+                self.spare_allocs.push(allocs);
+                Groups::Traced(span)
+            }
+            None => Groups::Plain(allocs),
+        };
         self.events
-            .schedule_at(now + dur, Ev::GroupFinish { uid, wave, allocs });
+            .schedule_at(now + dur, Ev::GroupFinish { uid, wave, groups });
     }
 
     /// Emits a wave's start or end notifications as one run, group by group.
@@ -715,7 +734,8 @@ impl GpuSim {
         }
     }
 
-    fn on_group_finish(&mut self, at: SimTime, uid: KernelUid, wave: u32, allocs: &[(u32, u32)]) {
+    fn on_group_finish(&mut self, at: SimTime, uid: KernelUid, wave: u32, groups: &Groups) {
+        let allocs = groups.as_slice();
         let (fp, instr) = {
             let k = self.kernel(uid);
             (k.launch.desc.footprint, k.launch.desc.instrumentation)
@@ -745,10 +765,10 @@ impl GpuSim {
             k.running -= blocks;
             k.finished_blocks += blocks;
             if self.tracer.is_enabled() {
-                let span = match k.open_waves.iter().position(|w| w.wave == wave) {
-                    Some(open) => k.open_waves.swap_remove(open),
+                let span = match groups {
+                    Groups::Traced(span) => span.clone(),
                     // Telemetry came on with the wave already running.
-                    None => k.wave_span(wave, allocs),
+                    Groups::Plain(allocs) => k.wave_span(wave, allocs),
                 };
                 self.tracer.record_with(at, || TraceEvent::SmWaveEnd(span));
             }
@@ -896,6 +916,13 @@ mod tests {
                 _ => None,
             })
             .expect("kernel completed")
+    }
+
+    /// A finishing wave's groups and its telemetry payload share one slot,
+    /// so the event a wave schedules is no wider with telemetry off.
+    #[test]
+    fn a_wave_event_is_four_words() {
+        assert_eq!(std::mem::size_of::<Ev>(), 32);
     }
 
     #[test]
