@@ -16,7 +16,8 @@
 //! ([`TraceEvent::SmSpanBegin`], [`TraceEvent::SmSpanEnd`], the
 //! [`HostOpKind::Notif`] host op and [`TraceEvent::NotifBatch`]) are what
 //! [`TraceLog::expanded`](crate::TraceLog::expanded) yields; nothing records
-//! them.
+//! them. In the same way one [`TraceEvent::CounterTick`] per sampling tick
+//! stands for a [`TraceEvent::CounterSample`] per [`TICK_COUNTERS`] entry.
 
 use std::fmt;
 use std::sync::Arc;
@@ -491,7 +492,26 @@ pub enum TraceEvent {
         /// Sampled value.
         value: u64,
     },
+    /// One sampling tick of the [`TICK_COUNTERS`]; stands for a
+    /// [`TraceEvent::CounterSample`] of each, in that order, all at this
+    /// event's instant (once per tick; a tick whose values do not all fit
+    /// `u32` is recorded as the six samples instead).
+    CounterTick {
+        /// The sampled values, in [`TICK_COUNTERS`] order.
+        values: [u32; 6],
+    },
 }
+
+/// The counters a [`TraceEvent::CounterTick`] samples — the dispatcher's
+/// periodic series — in the order of its values.
+pub const TICK_COUNTERS: [&str; 6] = [
+    "ready_jobs",
+    "inflight_jobs",
+    "stream_waiters",
+    "notifq_backlog",
+    "resident_blocks",
+    "occupancy_pct",
+];
 
 /// The vocabulary's one table. A row is a variant, the field list `Debug`
 /// prints for it, and its stable [`kind`](TraceEvent::kind) label.
@@ -569,17 +589,19 @@ vocabulary! {
         DecodeStep { iter, batch, tokens } => "decode-step",
         KvAlloc { job, pages, freed, resident } => "kv-alloc",
         CounterSample { name, value } => "counter-sample",
+        CounterTick { values } => "counter-tick",
     }
 }
 
 impl TraceEvent {
     /// How many word-level events this one stands for in
     /// [`TraceLog::expanded`](crate::TraceLog::expanded): one, unless it is
-    /// a run.
+    /// a run or a tick.
     pub fn expanded_len(&self) -> usize {
         match self {
             TraceEvent::SmWaveBegin(w) | TraceEvent::SmWaveEnd(w) => w.groups.len(),
             TraceEvent::NotifRun(r) => 2 * r.words.len(),
+            TraceEvent::CounterTick { values } => values.len(),
             _ => 1,
         }
     }

@@ -155,7 +155,8 @@ const LLM_TID: u32 = 95;
 /// the track-name metadata names exactly the tracks this returns. `None` for
 /// an event with no thread of its own: job spans, journeys and counters sit
 /// on the dispatcher's process row, the halves of an SM span are drawn as
-/// one paired slice, and a run is what an expanded log holds the words of.
+/// one paired slice, and a run or a tick is what an expanded log holds the
+/// word-level events of.
 fn place(event: &TraceEvent) -> Option<Track> {
     match event {
         TraceEvent::HostOp { core, .. } => Some((0, *core)),
@@ -186,7 +187,8 @@ fn place(event: &TraceEvent) -> Option<Track> {
         | TraceEvent::SmSpanEnd { .. }
         | TraceEvent::SmWaveBegin(_)
         | TraceEvent::SmWaveEnd(_)
-        | TraceEvent::NotifRun(_) => None,
+        | TraceEvent::NotifRun(_)
+        | TraceEvent::CounterTick { .. } => None,
     }
 }
 
@@ -614,10 +616,11 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             TraceEvent::CounterSample { name, value } => counter(name, at, *value),
             // Rendered above as paired "X" slices.
             TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => continue,
-            // Runs: an expanded log holds their words instead.
-            TraceEvent::SmWaveBegin(_) | TraceEvent::SmWaveEnd(_) | TraceEvent::NotifRun(_) => {
-                continue
-            }
+            // Runs and ticks: an expanded log holds what they stand for.
+            TraceEvent::SmWaveBegin(_)
+            | TraceEvent::SmWaveEnd(_)
+            | TraceEvent::NotifRun(_)
+            | TraceEvent::CounterTick { .. } => continue,
         };
         push(line);
     }

@@ -16,7 +16,7 @@ pub use critical_path::{
 };
 pub use event::{
     HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, NotifRun, PickRationale, RouteDecision,
-    SmWave, TraceEvent,
+    SmWave, TraceEvent, TICK_COUNTERS,
 };
 pub use export::{chrome_trace_json, text_summary, validate_chrome_trace};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, TenantSloSummary};

@@ -2,7 +2,7 @@
 
 use paella_sim::SimTime;
 
-use crate::event::{HostOpKind, NotifRun, TraceEvent};
+use crate::event::{HostOpKind, NotifRun, TraceEvent, TICK_COUNTERS};
 
 /// One recorded event with its virtual timestamp and intra-source sequence
 /// number (the determinism tiebreak for same-instant events).
@@ -79,6 +79,12 @@ impl TracedEvent {
                         },
                     );
                     start = done;
+                }
+            }
+            TraceEvent::CounterTick { values } => {
+                for (name, &value) in TICK_COUNTERS.into_iter().zip(values) {
+                    let value = u64::from(value);
+                    push(self.at, TraceEvent::CounterSample { name, value });
                 }
             }
             plain => push(self.at, plain.clone()),
@@ -318,6 +324,23 @@ impl Tracer {
         }
     }
 
+    /// Records one sampling tick of the [`TICK_COUNTERS`] at virtual time
+    /// `at`: a [`TraceEvent::CounterTick`], or when a value does not fit its
+    /// `u32`, the six [`TraceEvent::CounterSample`]s it stands for.
+    pub fn record_tick(&mut self, at: SimTime, values: [u64; 6]) {
+        let Some(inner) = self.0.as_mut() else {
+            return;
+        };
+        if values.iter().all(|&v| v <= u64::from(u32::MAX)) {
+            let values = values.map(|v| v as u32);
+            inner.push(at, TraceEvent::CounterTick { values });
+        } else {
+            for (name, value) in TICK_COUNTERS.into_iter().zip(values) {
+                inner.push(at, TraceEvent::CounterSample { name, value });
+            }
+        }
+    }
+
     /// Arms the flight recorder: the tracer keeps the last `n` word-level
     /// events (see [`TraceLog::expanded`]) recorded from now on available
     /// through [`flight_snapshot`](Tracer::flight_snapshot) even after
@@ -408,6 +431,32 @@ mod tests {
         assert_eq!(kernels, vec![21, 10, 20], "time first, then source order");
         let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "merged log is re-sequenced");
+    }
+
+    #[test]
+    fn a_tick_is_one_record_unless_a_value_overflows_u32() {
+        let mut t = Tracer::enabled();
+        let big = u64::from(u32::MAX) + 1;
+        t.record_tick(SimTime::from_micros(1), [1, 2, 3, 4, 5, 6]);
+        t.record_tick(SimTime::from_micros(2), [1, 2, 3, 4, big, 6]);
+        let log = t.take();
+        let kinds: Vec<&str> = log.events.iter().map(|e| e.event.kind()).collect();
+        assert_eq!(kinds[..2], ["counter-tick", "counter-sample"]);
+        assert_eq!(log.len(), 7);
+        let words = log.expanded();
+        let samples: Vec<(u64, u64, &str, u64)> = (words.events.iter())
+            .map(|e| match e.event {
+                TraceEvent::CounterSample { name, value } => (e.at.as_nanos(), e.seq, name, value),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(samples.len(), 12);
+        assert_eq!(samples[0], (1_000, 0, "ready_jobs", 1));
+        assert_eq!(samples[5], (1_000, 5, "occupancy_pct", 6));
+        assert_eq!(samples[10], (2_000, 10, "resident_blocks", big));
+        let mut off = Tracer::disabled();
+        off.record_tick(SimTime::ZERO, [0; 6]);
+        assert!(off.take().is_empty());
     }
 
     /// Cutting makes more events than were recorded, here 1.8× as many; the

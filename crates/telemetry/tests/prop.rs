@@ -7,10 +7,10 @@ use std::sync::Arc;
 use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{NotifRun, SmWave, TraceEvent, TraceLog, TracedEvent, Tracer};
 
-/// `(at, shape, len, cost)` of one recorded event: a plain event, a wave of
-/// `len` groups, or a run of `len` words `cost` ns apart (0: all at once)
-/// that starts at `at`. Instants are drawn from a dozen values so that words
-/// collide with events of other sources and of their own.
+/// `(at, shape, len, cost)` of one recorded event: a counter tick, a plain
+/// event, a wave of `len` groups, or a run of `len` words `cost` ns apart (0:
+/// all at once) that starts at `at`. Instants are drawn from a dozen values
+/// so that words collide with events of other sources and of their own.
 type Spec = (u64, u8, usize, u64);
 
 fn specs(max: usize) -> impl Strategy<Value = Vec<Spec>> {
@@ -24,7 +24,8 @@ fn record(t: &mut Tracer, id: u64, specs: &[Spec]) {
         let at = SimTime::from_nanos(at);
         let pairs = (0..len as u32).map(|g| (g, g + 1));
         match shape {
-            0 | 1 => t.record_with(at, || TraceEvent::KernelCompleted { kernel }),
+            0 => t.record_tick(at, [kernel, 1, 2, 3, 4, len as u64]),
+            1 => t.record_with(at, || TraceEvent::KernelCompleted { kernel }),
             2 => {
                 let wave = Arc::new(SmWave {
                     kernel,
@@ -270,7 +271,7 @@ fn a_run_interleaved_word_by_word_is_cut_at_every_word() {
         let mut host = Tracer::enabled();
         record(&mut host, 0, &[(0, 3, 8, 1)]);
         let mut device = Tracer::enabled();
-        let instants: Vec<Spec> = (1..=8).map(|at| (at, 0, 1, 0)).collect();
+        let instants: Vec<Spec> = (1..=8).map(|at| (at, 1, 1, 0)).collect();
         record(&mut device, 1, &instants);
         vec![host.take(), device.take()]
     };

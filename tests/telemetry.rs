@@ -11,7 +11,7 @@ use paella_models::synthetic;
 use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{
     chrome_trace_json, export::sm_spans, flight, text_summary, validate_chrome_trace, JobEnd,
-    JobJourney, TraceEvent, TraceLog, TracedEvent,
+    JobJourney, TraceEvent, TraceLog, TracedEvent, TICK_COUNTERS,
 };
 use paella_workload::{generate, run_trace, Arrival, Mix, RunStats, WorkloadSpec};
 
@@ -645,6 +645,12 @@ fn every_variant_log() -> TraceLog {
             value: 3,
         },
     );
+    rec(
+        25,
+        TraceEvent::CounterTick {
+            values: [2, 3, 0, 41, 96, 60],
+        },
+    );
     rec(26, host(HostOpKind::Completion, 0, 25));
     for job in [1, 5] {
         rec(
@@ -713,21 +719,54 @@ fn every_variant_log() -> TraceLog {
             TraceEvent::DecodeStep { .. } => 26,
             TraceEvent::KvAlloc { .. } => 27,
             TraceEvent::CounterSample { .. } => 28,
+            TraceEvent::CounterTick { .. } => 29,
         });
     }
-    assert_eq!(seen.len(), 29, "the log must hold every variant");
+    assert_eq!(seen.len(), 30, "the log must hold every variant");
     log
+}
+
+/// `log` with every tick recorded as the six samples it stands for, as the
+/// dispatcher recorded ticks before there was a tick event.
+fn ticks_as_samples(log: &TraceLog) -> TraceLog {
+    let mut events = Vec::new();
+    for e in &log.events {
+        let TraceEvent::CounterTick { values } = e.event else {
+            events.push(e.clone());
+            continue;
+        };
+        let samples = TICK_COUNTERS.into_iter().zip(values).zip(e.seq..);
+        events.extend(samples.map(|((name, value), seq)| TracedEvent {
+            at: e.at,
+            seq,
+            event: TraceEvent::CounterSample {
+                name,
+                value: u64::from(value),
+            },
+        }));
+    }
+    TraceLog { events }
 }
 
 /// The three renderings of [`every_variant_log`], byte for byte: the Chrome
 /// export, the text summary (both of the word-level view), and a flight dump
 /// of the log as recorded, which prints `kind()` and `{:?}` of every variant.
+/// A tick renders as the six samples it replaced.
 #[test]
 fn every_variant_renders_to_pinned_bytes() {
     let log = every_variant_log();
     let json = chrome_trace_json(&log);
     validate_chrome_trace(&json).expect("valid trace");
     let summary = text_summary(&log, None);
+    let samples = ticks_as_samples(&log);
+    assert!(samples.len() > log.len());
+    assert_eq!(json, chrome_trace_json(&samples));
+    assert_eq!(summary, text_summary(&samples, None));
+    let at = SimTime::from_micros(27);
+    assert_eq!(
+        flight::render("tick", at, &[], &log.expanded().events),
+        flight::render("tick", at, &[], &samples.expanded().events)
+    );
     let dump = flight::render(
         "every-variant",
         SimTime::from_micros(27),
@@ -742,9 +781,9 @@ fn every_variant_renders_to_pinned_bytes() {
             fnv(dump.as_bytes())
         ),
         (
-            0x5711_9831_1c82_3cd5,
-            0x397f_edcf_c3df_b560,
-            0x7f27_926e_5b70_08b2
+            0x7f46_5c4d_99f7_cba0,
+            0x19a2_f688_a947_49a0,
+            0xba3c_f593_c310_35cc
         ),
         "\n{json}\n{summary}\n{dump}"
     );
