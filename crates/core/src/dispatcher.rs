@@ -827,8 +827,8 @@ impl Dispatcher {
         }
     }
 
-    /// Emits periodic virtual-time metric samples (and matching counter
-    /// trace events) on a fixed grid, so series are seed-stable.
+    /// Emits periodic virtual-time metric samples (and a matching counter
+    /// trace record) on a fixed grid, so series are seed-stable.
     fn maybe_sample(&mut self) {
         if !self.core.metrics_enabled() {
             return;
@@ -844,21 +844,9 @@ impl Dispatcher {
             let backlog = self.notifq_outstanding;
             let resident = self.gpu.resident_blocks();
             let occupancy_pct = resident * 100 / capacity.max(1);
-            let samples: [(&'static str, u64); 6] = [
-                ("ready_jobs", ready),
-                ("inflight_jobs", inflight),
-                ("stream_waiters", waiters),
-                ("notifq_backlog", backlog),
-                ("resident_blocks", resident),
-                ("occupancy_pct", occupancy_pct),
-            ];
-            for (name, value) in samples {
-                self.core.sample(name, at, value);
-            }
-            for (name, value) in samples {
-                self.core
-                    .trace(at, || TraceEvent::CounterSample { name, value });
-            }
+            // In `TICK_COUNTERS` order.
+            let values = [ready, inflight, waiters, backlog, resident, occupancy_pct];
+            self.core.tick(at, values);
         }
     }
 

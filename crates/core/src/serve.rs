@@ -189,6 +189,18 @@ impl EngineCore {
         }
     }
 
+    /// One sampling tick of the
+    /// [`TICK_COUNTERS`](paella_telemetry::TICK_COUNTERS), `values` in their
+    /// order: a sample on each one's series and one trace record (no-op with
+    /// telemetry off).
+    #[inline]
+    pub fn tick(&mut self, at: SimTime, values: [u64; 6]) {
+        if let Some(m) = self.metrics.as_mut() {
+            m.sample_tick(at, values);
+        }
+        self.tracer.record_tick(at, values);
+    }
+
     /// A request completed, its JCT decomposed as `journey` — the one record
     /// an engine builds. Everything else that reports the completion is
     /// derived from it here: the `JobEnd` and `JobJourney` events at

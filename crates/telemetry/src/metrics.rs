@@ -8,6 +8,8 @@ use std::collections::BTreeMap;
 
 use paella_sim::SimTime;
 
+use crate::event::TICK_COUNTERS;
+
 /// A power-of-two-bucketed histogram over `u64` values (typically
 /// nanoseconds). Bucket `i` counts values whose bit length is `i`, i.e.
 /// `[2^(i-1), 2^i)` for `i ≥ 1` and the single value `0` for bucket 0 —
@@ -192,6 +194,14 @@ impl MetricsRegistry {
     /// Appends one `(t, value)` sample to a virtual-time series.
     pub fn sample(&mut self, name: &'static str, at: SimTime, value: u64) {
         self.series.entry(name).push((at, value));
+    }
+
+    /// Appends one sampling tick: `values[i]` to the series of
+    /// [`TICK_COUNTERS`]`[i]`, all at `at`.
+    pub fn sample_tick(&mut self, at: SimTime, values: [u64; 6]) {
+        for (name, value) in TICK_COUNTERS.into_iter().zip(values) {
+            self.series.entry(name).push((at, value));
+        }
     }
 
     /// Records one completed request for `tenant`'s SLO ledger.

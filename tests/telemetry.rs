@@ -254,8 +254,8 @@ fn trace_events_stay_inside_the_size_budget() {
 }
 
 /// The deterministic gate on events per kernel: the device and the
-/// dispatcher record a wave and a charged stretch of words as one event each,
-/// and only the exporters' view pays per word. Pinned on a burst of Table 2
+/// dispatcher record a wave, a charged stretch of words and a sampling tick
+/// as one event each, and only the exporters' view pays per word. Pinned on a burst of Table 2
 /// jobs (many-block kernels, so every wave posts a run of words); going back
 /// to per-word recording moves the first number to the second.
 #[test]
@@ -280,13 +280,19 @@ fn recording_is_per_run_not_per_word() {
         .filter(|e| e.event.kind() == "kernel-dispatched")
         .count();
     let (recorded, words) = (log.len(), log.expanded().len());
-    // 54.9 events recorded per kernel, 710 in the word-level view.
-    assert_eq!((kernels, recorded, words), (684, 37_523, 485_661));
+    // 47.9 events recorded per kernel, 710 in the word-level view. A
+    // sampling tick is one record of its six counters.
+    assert_eq!((kernels, recorded, words), (684, 32_793, 485_661));
     assert!(
         recorded * 8 <= words,
         "{recorded} events recorded for {words} word-level ones"
     );
-    for kind in ["sm-span-begin", "sm-span-end", "notif-batch"] {
+    for kind in [
+        "sm-span-begin",
+        "sm-span-end",
+        "notif-batch",
+        "counter-sample",
+    ] {
         assert!(
             log.events.iter().all(|e| e.event.kind() != kind),
             "{kind} is a view, nothing records it"
