@@ -1,0 +1,136 @@
+//! Heap allocations per kernel, counted without a clock.
+//!
+//! Telemetry is pay-for-use: switched off, the dispatcher and its device
+//! must serve a contended burst with (almost) no allocation per kernel, and
+//! switched on, recording and taking the trace must stay within a pinned
+//! budget. An allocation count repeats exactly from run to run, so it pins
+//! what a timing on a noisy machine cannot. The burst is the one
+//! `recording_is_per_run_not_per_word` (tests/telemetry.rs) records: twelve
+//! Table 2 jobs, 684 many-block kernels.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use paella_channels::ChannelConfig;
+use paella_core::{
+    ClientId, Dispatcher, DispatcherConfig, InferenceRequest, ServingSystem, SrptDeficitScheduler,
+};
+use paella_gpu::DeviceConfig;
+use paella_models::ModelZoo;
+use paella_sim::{SimDuration, SimTime};
+use paella_telemetry::TraceLog;
+
+thread_local! {
+    /// Allocations made by this thread so far. Per thread, so the test
+    /// harness's other threads do not count.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting every `alloc`, `alloc_zeroed` and
+/// `realloc` call.
+struct Counting;
+
+fn count() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; counting touches
+// only a const-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded as received; the caller upholds `alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: forwarded as received; the caller upholds the contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: forwarded as received; `ptr` came from this allocator,
+        // which is `System`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: forwarded as received; `ptr` came from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Serves the burst twice on one dispatcher, taking the trace at idle each
+/// time when telemetry is on. Returns the allocations the second time — the
+/// first grows the queues and tables to their working size — and its trace.
+fn burst(telemetry: bool) -> (u64, Option<TraceLog>) {
+    let mut zoo = ModelZoo::new(DeviceConfig::tesla_t4());
+    let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
+    let mut d = Dispatcher::new(
+        DeviceConfig::tesla_t4(),
+        ChannelConfig::default(),
+        Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
+        DispatcherConfig::paella(),
+        5,
+    );
+    if telemetry {
+        d.enable_telemetry();
+    }
+    let ids = models.each_ref().map(|m| d.register_model(m));
+    let mut serve = |from: SimTime| {
+        let before = allocations();
+        for i in 0..12u32 {
+            d.submit(InferenceRequest {
+                client: ClientId(i % 4),
+                model: ids[i as usize % ids.len()],
+                submitted_at: from + SimDuration::from_micros(u64::from(i) * 200),
+            });
+        }
+        d.run_to_idle();
+        let done = d.drain_completions();
+        let log = d.take_trace_log();
+        let made = allocations() - before;
+        assert_eq!(done.len(), 12);
+        let idle = done.iter().map(|c| c.client_visible_at).max();
+        (made, log, idle.expect("twelve completions"))
+    };
+    let (_, _, idle) = serve(SimTime::ZERO);
+    let (made, log, _) = serve(idle);
+    (made, log)
+}
+
+#[test]
+fn telemetry_allocates_only_when_on() {
+    let (off, none) = burst(false);
+    let (on, log) = burst(true);
+    assert!(none.is_none());
+    let log = log.expect("telemetry on");
+    let dispatched = log
+        .events
+        .iter()
+        .filter(|e| e.event.kind() == "kernel-dispatched");
+    let kernels = dispatched.count() as f64;
+    assert_eq!(kernels, 684.0);
+    let (off, on) = (off as f64 / kernels, on as f64 / kernels);
+    // 0.84 off and 48.75 on: with telemetry on, every notification run and
+    // every wave recorded (17.5 and 6.4 per kernel here) takes two, its
+    // payload and its list of words or groups.
+    assert!(
+        off < 1.0,
+        "{off:.2} allocations per kernel with telemetry off"
+    );
+    assert!(
+        on <= 49.0,
+        "{on:.2} allocations per kernel with telemetry on"
+    );
+}
