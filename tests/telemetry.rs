@@ -732,8 +732,7 @@ fn every_variant_log() -> TraceLog {
     log
 }
 
-/// `log` with every tick recorded as the six samples it stands for, as the
-/// dispatcher recorded ticks before there was a tick event.
+/// `log` with every tick recorded as the six samples it stands for.
 fn ticks_as_samples(log: &TraceLog) -> TraceLog {
     let mut events = Vec::new();
     for e in &log.events {
