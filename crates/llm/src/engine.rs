@@ -39,7 +39,7 @@
 //! cannot reserve its pages head-of-line blocks admission; the wait is
 //! charged to the journey's `queue_occupancy` phase.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use paella_core::sched::{JobInfo, Scheduler, SrptDeficitScheduler};
 use paella_core::serve::{split, EngineCore, ServingSystem};
@@ -178,8 +178,46 @@ enum Ev {
 
 /// The in-flight iteration.
 struct InflightIter {
+    /// Decode steps first, ascending by job id, then prefill chunks.
     items: Vec<(JobId, Work)>,
     decode_batch: u64,
+}
+
+/// A set of job ids kept as an ascending `Vec`. The engine's sets hold a
+/// few dozen sequences and are walked every iteration: a sorted slice
+/// walks without pointer chasing and, once grown, never allocates.
+#[derive(Default)]
+struct IdSet(Vec<JobId>);
+
+impl IdSet {
+    fn insert(&mut self, id: JobId) {
+        if let Err(i) = self.0.binary_search(&id) {
+            self.0.insert(i, id);
+        }
+    }
+
+    fn remove(&mut self, id: JobId) {
+        if let Ok(i) = self.0.binary_search(&id) {
+            self.0.remove(i);
+        }
+    }
+
+    fn contains(&self, id: JobId) -> bool {
+        self.0.binary_search(&id).is_ok()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl DoubleEndedIterator<Item = JobId> + '_ {
+        self.0.iter().copied()
+    }
 }
 
 /// Per-sequence state.
@@ -254,13 +292,19 @@ pub struct LlmEngine {
     /// Live sequences, indexed by job id.
     jobs: IdMap<LlmJob>,
     /// Admission queue, submission order; recompute-preempted jobs re-enter
-    /// at the front (their original arrival already paid its wait).
+    /// at the front (their original arrival already paid its wait). A job
+    /// sits here at most once.
     pending: VecDeque<JobId>,
     /// Admitted sequences holding KV.
-    running: BTreeSet<JobId>,
+    running: IdSet,
     /// Jobs the SRPT policy parked because KV admission failed; re-readied
     /// when pages free up.
-    kv_blocked: BTreeSet<JobId>,
+    kv_blocked: IdSet,
+    /// The item buffer of the last finished iteration, emptied, for the
+    /// next one to fill.
+    spare_items: Vec<(JobId, Work)>,
+    /// Ids an iteration is about to visit, reused from one to the next.
+    scratch_ids: Vec<JobId>,
     /// In-flight jobs per client, for deficit `client_idle` resets.
     client_jobs: BTreeMap<ClientId, u64>,
     pool: KvPool,
@@ -293,8 +337,10 @@ impl LlmEngine {
             specs: Vec::new(),
             jobs: IdMap::new(),
             pending: VecDeque::new(),
-            running: BTreeSet::new(),
-            kv_blocked: BTreeSet::new(),
+            running: IdSet::default(),
+            kv_blocked: IdSet::default(),
+            spare_items: Vec::new(),
+            scratch_ids: Vec::new(),
             client_jobs: BTreeMap::new(),
             queue: EventQueue::new(),
             inflight: None,
@@ -338,8 +384,8 @@ impl LlmEngine {
             .map(|(id, _)| JobId(id))
             .filter(|id| {
                 self.pending.contains(id)
-                    || self.running.contains(id)
-                    || self.kv_blocked.contains(id)
+                    || self.running.contains(*id)
+                    || self.kv_blocked.contains(*id)
             })
             .count() as u64;
         (in_transit, arrived, structural)
@@ -432,7 +478,7 @@ impl LlmEngine {
         };
         self.pool.free(pages);
         self.emit_kv(at, victim, pages, true);
-        self.running.remove(&victim);
+        self.running.remove(victim);
         self.pending.push_front(victim);
         self.core.inc("llm_preempted", 1);
         let est = self.job(victim).remaining_estimate_ns();
@@ -442,9 +488,11 @@ impl LlmEngine {
     }
 
     /// Ensures `id` holds enough pages to decode one more token, preempting
-    /// the youngest unprotected running sequence on exhaustion. Returns
-    /// `false` when no page can be found (the caller skips or fails `id`).
-    fn ensure_decode_page(&mut self, id: JobId, at: SimTime, protected: &BTreeSet<JobId>) -> bool {
+    /// the youngest running sequence not in `protected` on exhaustion.
+    /// `protected` is the decode steps already in this iteration, ascending
+    /// by job id. Returns `false` when no page can be found (the caller
+    /// skips or fails `id`).
+    fn ensure_decode_page(&mut self, id: JobId, at: SimTime, protected: &[(JobId, Work)]) -> bool {
         // A sequence never holds more pages than its next token needs:
         // admission reserves exactly the prompt's, and each step adds at most
         // the one page the step crosses into.
@@ -470,8 +518,7 @@ impl LlmEngine {
                 .running
                 .iter()
                 .rev()
-                .find(|j| **j != id && !protected.contains(*j))
-                .copied();
+                .find(|&j| j != id && protected.binary_search_by_key(&j, |&(p, _)| p).is_err());
             match victim {
                 Some(v) => self.preempt_job(v, at),
                 None => return false,
@@ -482,9 +529,9 @@ impl LlmEngine {
     /// Removes `id` from every engine structure. The caller has already
     /// taken the job out of `self.jobs`.
     fn detach(&mut self, id: JobId, job: &LlmJob, at: SimTime) {
-        self.running.remove(&id);
-        self.kv_blocked.remove(&id);
-        self.pending.retain(|j| *j != id);
+        self.running.remove(id);
+        self.kv_blocked.remove(id);
+        self.unqueue(id);
         if job.pages_held > 0 {
             self.pool.free(job.pages_held);
             self.emit_kv(at, id, job.pages_held, true);
@@ -508,17 +555,30 @@ impl LlmEngine {
         self.unblock_kv_waiters();
     }
 
+    /// Takes `id` out of `pending`, where it sits at most once. Continuous
+    /// batching admits only the head, which `position` finds first and
+    /// `VecDeque::remove` takes without shifting.
+    fn unqueue(&mut self, id: JobId) {
+        if let Some(i) = self.pending.iter().position(|&j| j == id) {
+            self.pending.remove(i);
+        }
+        debug_assert!(!self.pending.contains(&id), "{id:?} pending twice");
+    }
+
     fn unblock_kv_waiters(&mut self) {
         if self.srpt.is_none() || self.kv_blocked.is_empty() {
             return;
         }
-        let ids: Vec<JobId> = self.kv_blocked.iter().copied().collect();
-        self.kv_blocked.clear();
-        for id in ids {
+        // Readying a job touches only the scheduler, so the set can be
+        // walked out of place and handed back emptied, capacity kept.
+        let mut parked = std::mem::take(&mut self.kv_blocked);
+        for id in parked.iter() {
             let info = self.job_info(id);
             // invariant: returned above when there is no scheduler.
             self.srpt.as_mut().expect("srpt policy").job_ready(info);
         }
+        parked.0.clear();
+        self.kv_blocked = parked;
     }
 
     fn fail_job(&mut self, id: JobId, reason: FailureReason, at: SimTime) {
@@ -629,7 +689,7 @@ impl LlmEngine {
             job.prefill_started = true;
             (first, job.prompt_tokens)
         };
-        self.pending.retain(|j| *j != id);
+        self.unqueue(id);
         self.running.insert(id);
         if emit_prefill {
             self.core.trace(at, || TraceEvent::PrefillStart {
@@ -645,11 +705,13 @@ impl LlmEngine {
         if self.inflight.is_some() {
             return;
         }
-        let items = match self.cfg.policy {
-            LlmPolicy::ContinuousBatching => self.form_batch_cb(at),
-            LlmPolicy::SrptDeficit => self.form_batch_srpt(at),
-        };
+        let mut items = std::mem::take(&mut self.spare_items);
+        match self.cfg.policy {
+            LlmPolicy::ContinuousBatching => self.form_batch_cb(at, &mut items),
+            LlmPolicy::SrptDeficit => self.form_batch_srpt(at, &mut items),
+        }
         if items.is_empty() {
+            self.spare_items = items;
             return;
         }
         let mut prefill_tokens = 0u64;
@@ -674,24 +736,21 @@ impl LlmEngine {
 
     /// Continuous batching: every decode sequence joins (up to
     /// `MAX_BATCH`), then leftover prefill budget continues admitted
-    /// prompts and admits pending ones FCFS.
-    fn form_batch_cb(&mut self, at: SimTime) -> Vec<(JobId, Work)> {
-        let mut items: Vec<(JobId, Work)> = Vec::new();
-        let mut batch: BTreeSet<JobId> = BTreeSet::new();
-
-        let decode_ids: Vec<JobId> = self
-            .running
-            .iter()
-            .filter(|j| self.job(**j).in_decode())
-            .take(MAX_BATCH)
-            .copied()
-            .collect();
-        for id in decode_ids {
-            if !self.running.contains(&id) {
+    /// prompts and admits pending ones FCFS. Fills the empty `items`.
+    fn form_batch_cb(&mut self, at: SimTime, items: &mut Vec<(JobId, Work)>) {
+        let mut ids = std::mem::take(&mut self.scratch_ids);
+        ids.extend(
+            self.running
+                .iter()
+                .filter(|&j| self.job(j).in_decode())
+                .take(MAX_BATCH),
+        );
+        for &id in &ids {
+            if !self.running.contains(id) {
                 continue; // preempted by an older sequence's page growth
             }
-            if self.ensure_decode_page(id, at, &batch) {
-                batch.insert(id);
+            // The decode steps pushed so far are this batch, ascending.
+            if self.ensure_decode_page(id, at, items) {
                 items.push((id, Work::Decode));
             } else if self.running.len() == 1 {
                 // Sole sequence and the pool cannot cover one more token:
@@ -701,13 +760,9 @@ impl LlmEngine {
         }
 
         let mut budget = PREFILL_CHUNK;
-        let prefill_ids: Vec<JobId> = self
-            .running
-            .iter()
-            .filter(|j| !self.job(**j).in_decode())
-            .copied()
-            .collect();
-        for id in prefill_ids {
+        ids.clear();
+        ids.extend(self.running.iter().filter(|&j| !self.job(j).in_decode()));
+        for &id in &ids {
             if budget == 0 {
                 break;
             }
@@ -717,6 +772,8 @@ impl LlmEngine {
                 items.push((id, Work::Prefill(t)));
             }
         }
+        ids.clear();
+        self.scratch_ids = ids;
         while budget > 0 {
             let Some(&head) = self.pending.front() else {
                 break;
@@ -734,13 +791,12 @@ impl LlmEngine {
             budget -= t; // sub: `t ≤ budget` by the `min` above
             items.push((head, Work::Prefill(t)));
         }
-        items
     }
 
     /// SRPT-with-deficit: the scheduler picks one job; it runs one prefill
-    /// chunk or a batch-of-1 decode step. KV-refused picks park until pages
-    /// free up.
-    fn form_batch_srpt(&mut self, at: SimTime) -> Vec<(JobId, Work)> {
+    /// chunk or a batch-of-1 decode step, pushed to the empty `items`.
+    /// KV-refused picks park until pages free up.
+    fn form_batch_srpt(&mut self, at: SimTime, items: &mut Vec<(JobId, Work)>) {
         loop {
             // invariant: `form_batch` calls this fn only under
             // `LlmPolicy::SrptDeficit`, which `new` builds a scheduler for.
@@ -750,9 +806,9 @@ impl LlmEngine {
                 .expect("srpt policy")
                 .pick_next_explained();
             let Some((id, rationale)) = picked else {
-                return Vec::new();
+                return;
             };
-            if !self.running.contains(&id) && !self.try_admit(id, at) {
+            if !self.running.contains(id) && !self.try_admit(id, at) {
                 if self.jobs.get(id.0).is_some() {
                     // Park until KV frees up; the scheduler must stop
                     // returning it.
@@ -773,7 +829,7 @@ impl LlmEngine {
             let work = match work {
                 Some(t) => Work::Prefill(t),
                 None => {
-                    if !self.ensure_decode_page(id, at, &BTreeSet::new()) {
+                    if !self.ensure_decode_page(id, at, &[]) {
                         // No victim can free a page: the sequence alone
                         // exceeds the pool.
                         self.fail_job(id, FailureReason::Shed, at);
@@ -793,14 +849,15 @@ impl LlmEngine {
                 rationale,
                 ready,
             });
-            return vec![(id, work)];
+            items.push((id, work));
+            return;
         }
     }
 
     /// Applies the finished iteration's work and retires completed
     /// sequences.
     fn finish_iteration(&mut self, at: SimTime) {
-        let Some(iter) = self.inflight.take() else {
+        let Some(mut iter) = self.inflight.take() else {
             return;
         };
         if iter.decode_batch > 0 {
@@ -818,7 +875,7 @@ impl LlmEngine {
         let decode_share = DECODE_FIXED_NS
             .checked_div(iter.decode_batch)
             .map_or(0, |share| DECODE_NS_PER_SEQ + share);
-        for (id, work) in iter.items {
+        for &(id, work) in &iter.items {
             let done = {
                 let Some(job) = self.jobs.get_mut(id.0) else {
                     continue; // cancelled or preempted mid-iteration
@@ -854,6 +911,8 @@ impl LlmEngine {
                 }
             }
         }
+        iter.items.clear();
+        self.spare_items = iter.items;
     }
 }
 
