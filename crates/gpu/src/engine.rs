@@ -186,7 +186,8 @@ enum StreamOp {
     Copy(MemcpyUid),
 }
 
-/// A stream with work outstanding; dropped as soon as `pending` empties.
+/// A stream with work outstanding; dropped as soon as `pending` empties,
+/// its emptied queue kept for the next stream.
 #[derive(Debug, Default)]
 struct StreamState {
     /// Ops issued on this stream that have not yet *completed*, in order.
@@ -264,6 +265,8 @@ pub struct GpuSim {
     /// Emptied group buffers, for the next waves: a finished wave's, or with
     /// telemetry on a just-placed one's.
     spare_allocs: Vec<Vec<(u32, u32)>>,
+    /// Queues of drained streams, for the next streams to open.
+    spare_streams: Vec<VecDeque<StreamOp>>,
 }
 
 impl GpuSim {
@@ -295,6 +298,7 @@ impl GpuSim {
             rr_queue: 0,
             pending_copies: Vec::new(),
             spare_allocs: Vec::new(),
+            spare_streams: Vec::new(),
         }
     }
 
@@ -388,8 +392,12 @@ impl GpuSim {
 
     /// The state of `stream`, created idle if it has no outstanding op.
     fn stream_mut(&mut self, stream: StreamId) -> &mut StreamState {
+        let spare = &mut self.spare_streams;
         self.streams
-            .get_or_insert_with(u64::from(stream.0), StreamState::default)
+            .get_or_insert_with(u64::from(stream.0), || StreamState {
+                pending: spare.pop().unwrap_or_default(),
+                ..StreamState::default()
+            })
     }
 
     /// Retires the front op of `stream`, dropping the stream once drained.
@@ -401,7 +409,9 @@ impl GpuSim {
         debug_assert_eq!(s.pending.front(), Some(&op));
         s.pending.pop_front();
         if s.pending.is_empty() {
-            self.streams.remove(id);
+            if let Some(drained) = self.streams.remove(id) {
+                self.spare_streams.push(drained.pending);
+            }
         }
     }
 
