@@ -651,6 +651,66 @@ fn mig_golden_digest() {
     );
 }
 
+/// Pins the dispatcher's stream pool under pressure: a `Pool(4)` that one
+/// 4-stream job drains alone, so jobs park as stream waiters, are handed the
+/// streams a retiring job returns in waiter order, and some hit their deadline
+/// while still parked. The 1-stream model keeps its input resident on the
+/// device (no input copy), so a parked job's first op is a kernel: it is ready
+/// in the scheduler, and its pick is held for the pool. (A parked job whose
+/// first op is a copy waits on that copy, so the pool hold never fires for it.)
+#[test]
+fn stream_pool_golden_digest() {
+    use paella_core::{DispatcherConfig, StreamPolicy};
+    use paella_telemetry::{HoldReason, TraceEvent};
+    let mut zoo = ModelZoo::new(device());
+    let mut resident_input = zoo.get("resnet18").clone();
+    resident_input.ops.remove(0);
+    let mut sys = paella_dispatcher(
+        DispatcherConfig {
+            streams: StreamPolicy::Pool(4),
+            deadline_factor: Some(8.0),
+            ..DispatcherConfig::paella()
+        },
+        17,
+    );
+    sys.enable_telemetry();
+    let ids = [
+        sys.register_model(&googlenet_4_streams()),
+        sys.register_model(&resident_input),
+    ];
+    let spec = WorkloadSpec {
+        clients: 4,
+        ..WorkloadSpec::bursty(200.0, 120)
+    };
+    let pool = golden_digest(&mut sys, &generate(&spec, &Mix::uniform(&ids)));
+
+    let log = sys.take_trace_log().expect("telemetry is on");
+    let (mut pool_held, mut dispatched, mut cancelled) = (Vec::new(), Vec::new(), Vec::new());
+    for e in &log.events {
+        match e.event {
+            TraceEvent::OccupancyHold {
+                job,
+                reason: HoldReason::StreamPool,
+            } => pool_held.push(job),
+            TraceEvent::KernelDispatched { job, .. } => dispatched.push(job),
+            TraceEvent::JobCancelled { job, .. } => cancelled.push(job),
+            _ => {}
+        }
+    }
+    // Held for the pool and cancelled before its first kernel left.
+    let cancelled_parked = cancelled
+        .iter()
+        .filter(|j| pool_held.contains(j) && !dispatched.contains(j))
+        .count();
+    assert!(!pool_held.is_empty(), "no job was held for the pool");
+    assert!(cancelled_parked > 0, "no job was cancelled while parked");
+    assert_eq!(
+        pool,
+        (0x1ccf_dd24_d274_47bc, 100, 20),
+        "(digest, completed, failed) under Pool(4) with deadlines"
+    );
+}
+
 // -- notification-path golden -------------------------------------------------
 
 /// Digest of a whole trace log: every event's instant, sequence number and
