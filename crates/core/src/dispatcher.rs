@@ -447,7 +447,8 @@ impl ServingSystem for Dispatcher {
     /// # Panics
     ///
     /// Panics if the model's multi-stream schedule is malformed or contains
-    /// a stream/dependency wait cycle: every job of such a model would wedge
+    /// a stream/dependency wait cycle, or if it needs more streams than a
+    /// [`StreamPolicy::Pool`] holds: every job of such a model would wedge
     /// at ingest, so the bad artifact is rejected once, here, where the
     /// failure names the model.
     fn register_model(&mut self, model: &CompiledModel) -> ModelId {
@@ -474,6 +475,16 @@ impl ServingSystem for Dispatcher {
         let mut vstreams: Vec<u32> = (0..dag.len()).map(|t| dag.node(t).vstream).collect();
         vstreams.sort_unstable();
         vstreams.dedup();
+        if let StreamPolicy::Pool(n) = self.cfg.streams {
+            // Its jobs could never be handed their streams, and the first
+            // one parked would block every waiter queued behind it.
+            let want = vstreams.len().max(1);
+            assert!(
+                want <= n as usize,
+                "model {:?}: {want} virtual streams exceed the stream pool of {n}",
+                compiled.name
+            );
+        }
         let kernel_descs: Vec<KernelDesc> = compiled.kernels().cloned().collect();
         let profile = bootstrap_profile(model);
         let uncontended = measure_uncontended(&compiled, self.gpu.config());
@@ -1230,8 +1241,12 @@ impl Dispatcher {
                     self.mark_occ_hold(job);
                     break;
                 }
-                // notifQ flow control: never reserve past the ring capacity.
+                // notifQ flow control: never reserve past the ring capacity,
+                // unless nothing is reserved — then no completion would ever
+                // free room, and a kernel wider than the ring would wait
+                // forever.
                 if self.cfg.instrument
+                    && self.notifq_outstanding > 0
                     && self.notifq_outstanding + 2 * u64::from(grid_blocks)
                         > self.cfg.notifq_capacity
                 {

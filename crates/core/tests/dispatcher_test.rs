@@ -329,6 +329,45 @@ fn notifq_flow_control_throttles_but_loses_nothing() {
 }
 
 #[test]
+fn a_kernel_wider_than_the_notifq_still_dispatches_on_an_idle_ring() {
+    // The worst-case reservation of one 64-block kernel is 128 slots, twice
+    // the ring. With nothing else reserved no completion will ever free
+    // room, so holding it would strand the job.
+    let cfg = DispatcherConfig {
+        notifq_capacity: 64,
+        ..DispatcherConfig::paella()
+    };
+    let mut d = paella_with(cfg, 42);
+    let model = d.register_model(&synthetic::uniform_job(
+        "wide",
+        1,
+        SimDuration::from_micros(50),
+        64,
+    ));
+    submit_n(&mut d, model, 1, SimDuration::ZERO, 0);
+    assert_eq!(run(&mut d).len(), 1, "the wide kernel's job must complete");
+    assert_eq!(d.inflight(), 0);
+    assert_eq!(d.notifq_outstanding(), 0);
+}
+
+#[test]
+#[should_panic(expected = "\"two-streams\": 2 virtual streams exceed the stream pool of 1")]
+fn register_model_rejects_more_streams_than_the_pool_holds() {
+    // The model's jobs could never be handed their streams, and the first
+    // one parked would block every waiter behind it.
+    let mut m = synthetic::uniform_job("two-streams", 1, SimDuration::from_micros(5), 1);
+    m.schedule = Some(paella_compiler::JobSchedule {
+        streams: vec![1, 2, 1],
+        deps: vec![Vec::new(), vec![0], vec![1]],
+    });
+    let cfg = DispatcherConfig {
+        streams: paella_core::StreamPolicy::Pool(1),
+        ..DispatcherConfig::paella()
+    };
+    paella_with(cfg, 1).register_model(&m);
+}
+
+#[test]
 fn parallel_schedule_speeds_up_branchy_models() {
     // An inception-style model with four independent branches: the
     // multi-stream schedule must beat the sequential lowering on an idle
