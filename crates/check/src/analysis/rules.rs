@@ -435,8 +435,8 @@ mod tests {
         let bare = "fn f(x: Option<u8>) { x.expect(\"msg\"); }\n";
         let ok = "fn f(x: Option<u8>) {\n    // invariant: checked by caller\n    x.expect(\"msg\");\n}\n";
         for path in [
-            "crates/core/src/dispatcher.rs",
-            "crates/core/src/a_file_split_out_of_it.rs",
+            "crates/core/src/dispatcher/mod.rs",
+            "crates/core/src/dispatcher/streams.rs",
             "crates/cluster/src/router.rs",
             "crates/baselines/src/triton.rs",
             "crates/gpu/src/engine.rs",

@@ -71,7 +71,7 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
         GraftMutant {
             id: "r3-dispatcher-unwrap",
             rule: "hot-path-unwrap",
-            file: "crates/core/src/dispatcher.rs",
+            file: "crates/core/src/dispatcher/feedback.rs",
             find: ".expect(\"finishing unknown job\")",
             replace: ".unwrap()",
             description: "bare unwrap grafted onto the job-finish hot path",
@@ -79,10 +79,18 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
         GraftMutant {
             id: "r3-dispatcher-invariant-stripped",
             rule: "hot-path-unwrap",
-            file: "crates/core/src/dispatcher.rs",
+            file: "crates/core/src/dispatcher/feedback.rs",
             find: "// invariant: the only caller just indexed",
             replace: "// the only caller just indexed",
             description: "expect() whose invariant: justification was deleted",
+        },
+        GraftMutant {
+            id: "r3-stream-pool-invariant-stripped",
+            rule: "hot-path-unwrap",
+            file: "crates/core/src/dispatcher/streams.rs",
+            find: "// invariant: the len() >= want guard above bounds the pops.",
+            replace: "// the len() >= want guard above bounds the pops.",
+            description: "the stream pool's expect() with its invariant: justification deleted",
         },
         GraftMutant {
             id: "r4-waitlist-sleep",
@@ -143,7 +151,7 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
         GraftMutant {
             id: "r7-dispatcher-debit-bypassed",
             rule: "unchecked-counter-sub",
-            file: "crates/core/src/dispatcher.rs",
+            file: "crates/core/src/dispatcher/feedback.rs",
             find: "self.core.debit(&mut j.outstanding, 1, \"job outstanding\");",
             replace: "j.outstanding -= 1;",
             description: "PR-5 bug class: a bare subtraction in place of the checked debit",
@@ -167,7 +175,7 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
         GraftMutant {
             id: "r7-dispatcher-saturating-debit",
             rule: "unchecked-counter-sub",
-            file: "crates/core/src/dispatcher.rs",
+            file: "crates/core/src/dispatcher/failure.rs",
             find: "self.core.debit(&mut j.outstanding, 1, \"job outstanding\");",
             replace: "j.outstanding = j.outstanding.saturating_sub(1);",
             description: "the checked debit replaced by a clamp that masks the underflow",

@@ -14,7 +14,11 @@
 //!   and the default SRPT + deficit-counter fairness algorithm (§6).
 //! * [`dispatcher`] — the single-core serving loop tying everything
 //!   together: ingest from shared-memory rings, dispatch under the occupancy
-//!   budget, hybrid interrupt-then-poll result delivery (§5).
+//!   budget, hybrid interrupt-then-poll result delivery (§5). One file per
+//!   seam: `config`, `ingest`, `dispatch`, `feedback` (notification runs,
+//!   completion, the journey), `failure`, and the three tables they share —
+//!   `ops` (dispatched-op records and notifQ slots), `streams` (the stream
+//!   pool) and `load` (the load book behind the router's load signal).
 //! * [`serve`] — the [`ServingSystem`] interface and [`EngineCore`], the
 //!   skeleton every engine shares (telemetry, the terminal-state funnel, the
 //!   accounting debit).
