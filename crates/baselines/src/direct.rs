@@ -14,15 +14,9 @@
 //!   the paper notes MPS supports at most a handful of client processes.
 
 use paella_channels::ChannelConfig;
-use paella_compiler::CompiledModel;
-use paella_core::{
-    Dispatcher, DispatcherConfig, FifoScheduler, InferenceRequest, ModelId, ServingSystem,
-    StreamPolicy,
-};
+use paella_core::{Dispatcher, DispatcherConfig, FifoScheduler, StreamPolicy};
 use paella_gpu::DeviceConfig;
-use paella_sim::{SimDuration, SimTime};
-
-use crate::layered::{Front, Layered, Tier};
+use paella_sim::SimDuration;
 
 /// Which direct-submission variant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,94 +29,40 @@ pub enum DirectMode {
     Mps,
 }
 
-impl DirectMode {
-    /// Table 3 key for this mode.
-    pub fn key(&self) -> &'static str {
-        match self {
-            DirectMode::SingleStream => "CUDA-SS",
-            DirectMode::MultiStream => "CUDA-MS",
-            DirectMode::Mps => "MPS",
-        }
-    }
-}
-
-/// A direct-submission baseline: nothing in front of a job-granularity
-/// dispatcher but the clients' own `predict` calls, so journeys, metrics and
-/// load come from the dispatcher. The hardware queues make the scheduling
-/// decisions either way.
-pub struct DirectCuda {
+/// A direct-submission baseline: a job-granularity dispatcher with nothing
+/// in front of it but the clients' own `predict` calls, each submitted at its
+/// own `submitted_at`. The hardware queues make the scheduling decisions.
+pub fn direct_cuda(
+    device: DeviceConfig,
+    channels: ChannelConfig,
     mode: DirectMode,
-}
-
-impl DirectCuda {
-    /// Creates the baseline over a fresh device.
-    pub fn new(
-        device: DeviceConfig,
-        channels: ChannelConfig,
-        mode: DirectMode,
-        seed: u64,
-    ) -> Layered<Self, Dispatcher> {
-        let streams = match mode {
-            DirectMode::SingleStream => StreamPolicy::Single,
-            DirectMode::MultiStream | DirectMode::Mps => StreamPolicy::PerJobUnbounded,
-        };
-        let mut cfg = DispatcherConfig::direct(streams);
-        match mode {
-            // CUDA-SS and CUDA-MS are a *single process*: launches serialize
-            // on one submitting context.
-            DirectMode::SingleStream | DirectMode::MultiStream => cfg.central_cpu = true,
-            // MPS keeps per-process submission but pays a small per-launch
-            // MPS-server cost.
-            DirectMode::Mps => cfg.ingest_cost = SimDuration::from_nanos(500),
-        }
-        let inner = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), cfg, seed);
-        Layered::new(DirectCuda { mode }, inner)
+    seed: u64,
+) -> Dispatcher {
+    let streams = match mode {
+        DirectMode::SingleStream => StreamPolicy::Single,
+        DirectMode::MultiStream | DirectMode::Mps => StreamPolicy::PerJobUnbounded,
+    };
+    let mut cfg = DispatcherConfig::direct(streams);
+    match mode {
+        // CUDA-SS and CUDA-MS are a *single process*: launches serialize
+        // on one submitting context.
+        DirectMode::SingleStream | DirectMode::MultiStream => cfg.central_cpu = true,
+        // MPS keeps per-process submission but pays a small per-launch
+        // MPS-server cost.
+        DirectMode::Mps => cfg.ingest_cost = SimDuration::from_nanos(500),
     }
-
-    /// The variant in use.
-    pub fn mode(&self) -> DirectMode {
-        self.mode
-    }
-}
-
-impl Tier<Dispatcher> for DirectCuda {
-    /// A client's `predict` call.
-    type Ev = InferenceRequest;
-
-    /// Device work due at the instant of a call lands first, as it would
-    /// were the call made on the dispatcher itself.
-    const INNER_FIRST: bool = true;
-
-    fn name(&self, _inner: &Dispatcher) -> String {
-        self.mode.key().to_string()
-    }
-
-    fn register_model(&mut self, inner: &mut Dispatcher, model: &CompiledModel) -> ModelId {
-        inner.register_model(model)
-    }
-
-    fn submit(&mut self, req: InferenceRequest) -> (SimTime, InferenceRequest) {
-        (req.submitted_at, req)
-    }
-
-    fn on_event(
-        &mut self,
-        front: &mut Front<Dispatcher, InferenceRequest>,
-        _at: SimTime,
-        req: InferenceRequest,
-    ) {
-        front.inner.submit(req);
-    }
+    Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), cfg, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paella_core::{ClientId, JobCompletion};
+    use paella_core::{ClientId, InferenceRequest, JobCompletion, ServingSystem};
     use paella_models::synthetic;
+    use paella_sim::SimTime;
 
     fn run(mode: DirectMode, n: usize) -> Vec<JobCompletion> {
-        let mut sys = DirectCuda::new(
+        let mut sys = direct_cuda(
             DeviceConfig::gtx_1660_super(),
             ChannelConfig::default(),
             mode,

@@ -30,7 +30,7 @@ pub mod remote;
 pub mod triton;
 
 pub use batching::{batched_model, BatchPolicy, SaturationBatcher};
-pub use direct::{DirectCuda, DirectMode};
+pub use direct::{direct_cuda, DirectMode};
 pub use layered::{Front, Layered, Tier};
 pub use remote::RemoteGateway;
 pub use triton::{Clockwork, Triton, TritonConfig};

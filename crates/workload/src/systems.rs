@@ -1,7 +1,7 @@
 //! The Table 3 system registry: every compared system and Paella variant,
 //! constructible by key so experiment binaries can iterate over them.
 
-use paella_baselines::{Clockwork, DirectCuda, DirectMode, Triton, TritonConfig};
+use paella_baselines::{direct_cuda, Clockwork, DirectMode, Triton, TritonConfig};
 use paella_channels::ChannelConfig;
 use paella_core::{
     Dispatcher, DispatcherConfig, FifoScheduler, RrScheduler, ServingSystem, SjfScheduler,
@@ -81,19 +81,14 @@ pub fn make_system(
     seed: u64,
 ) -> Box<dyn ServingSystem> {
     match key {
-        SystemKey::CudaSs => Box::new(DirectCuda::new(
+        SystemKey::CudaSs => Box::new(direct_cuda(
             device,
             channels,
             DirectMode::SingleStream,
             seed,
         )),
-        SystemKey::CudaMs => Box::new(DirectCuda::new(
-            device,
-            channels,
-            DirectMode::MultiStream,
-            seed,
-        )),
-        SystemKey::Mps => Box::new(DirectCuda::new(device, channels, DirectMode::Mps, seed)),
+        SystemKey::CudaMs => Box::new(direct_cuda(device, channels, DirectMode::MultiStream, seed)),
+        SystemKey::Mps => Box::new(direct_cuda(device, channels, DirectMode::Mps, seed)),
         SystemKey::Clockwork => Box::new(Clockwork::new(device, channels, seed)),
         SystemKey::Triton => Box::new(Triton::new(device, channels, TritonConfig::default(), seed)),
         SystemKey::PaellaSs => Box::new(Dispatcher::new(
