@@ -3,7 +3,7 @@
 
 use paella_gpu::KernelDesc;
 
-use crate::fusion::fuse;
+use crate::fusion::{fuse, FusionGroup};
 use crate::ir::{Graph, Op};
 use crate::lower::{lower_group, CostModel, LoweredKernel};
 
@@ -99,6 +99,18 @@ impl CompiledModel {
 /// `calibration` scales every kernel duration; the model zoo solves for it so
 /// uncontended simulated execution matches Table 2 (see `paella-models`).
 pub fn compile(name: &str, graph: &Graph, cost: &CostModel, calibration: f64) -> CompiledModel {
+    compile_groups(name, graph, cost, calibration).0
+}
+
+/// The one lowering of `graph`'s fused groups: the sequential model (the
+/// input copy, one kernel per group in group order, the output copy) and
+/// the groups, for a pass that lays the same ops out on several streams.
+pub(crate) fn compile_groups(
+    name: &str,
+    graph: &Graph,
+    cost: &CostModel,
+    calibration: f64,
+) -> (CompiledModel, Vec<FusionGroup>) {
     let groups = fuse(graph);
     let mut ops = Vec::with_capacity(groups.len() + 2);
     let input_bytes = graph
@@ -131,7 +143,7 @@ pub fn compile(name: &str, graph: &Graph, cost: &CostModel, calibration: f64) ->
         bytes: output_bytes,
     });
 
-    CompiledModel {
+    let model = CompiledModel {
         name: name.into(),
         ops,
         schedule: None,
@@ -139,10 +151,11 @@ pub fn compile(name: &str, graph: &Graph, cost: &CostModel, calibration: f64) ->
         output_bytes,
         weight_bytes,
         flops,
-    }
+    };
+    (model, groups)
 }
 
-fn weights_of(graph: &Graph, group: &crate::fusion::FusionGroup) -> u64 {
+fn weights_of(graph: &Graph, group: &FusionGroup) -> u64 {
     let n = &graph.nodes[group.anchor.0 as usize];
     let input = n.inputs.first().map(|&i| graph.shape(i));
     match (n.op, input) {

@@ -14,13 +14,13 @@
 
 use std::collections::HashMap;
 
-use crate::fusion::fuse;
-use crate::ir::{Graph, NodeId, Op};
-use crate::lower::{lower_group, CostModel, LoweredKernel};
-use crate::module::{CompiledModel, DeviceOp, JobSchedule};
+use crate::ir::{Graph, NodeId};
+use crate::lower::CostModel;
+use crate::module::{compile_groups, CompiledModel, JobSchedule};
 
 /// Compiles `graph` with branch-parallel stream assignment over at most
-/// `max_streams` virtual streams (≥ 1).
+/// `max_streams` virtual streams (≥ 1). The ops are [`compile`](crate::compile)'s,
+/// from the same lowering; only the schedule is added.
 ///
 /// # Panics
 ///
@@ -33,7 +33,7 @@ pub fn compile_parallel(
     max_streams: u32,
 ) -> CompiledModel {
     assert!(max_streams >= 1, "need at least one stream");
-    let groups = fuse(graph);
+    let (mut model, groups) = compile_groups(name, graph, cost, calibration);
 
     // Producer map: node -> index of the group producing it.
     let mut produced_by: HashMap<NodeId, usize> = HashMap::new();
@@ -90,36 +90,14 @@ pub fn compile_parallel(
         stream_of[gi] = stream;
     }
 
-    // Lower, mirroring `compile` for the cost side.
-    let input_bytes = graph
-        .nodes
-        .iter()
-        .filter(|n| matches!(n.op, Op::Input))
-        .map(|n| n.shape.bytes() as usize)
-        .sum::<usize>()
-        .max(4);
-    let output_bytes = graph
-        .nodes
-        .last()
-        .map(|n| n.shape.bytes() as usize)
-        .unwrap_or(4);
-
-    let mut ops = Vec::with_capacity(groups.len() + 2);
+    // Op 0 is the input copy, on stream 1; op `gi + 1` is group `gi`'s
+    // kernel.
     let mut streams = Vec::with_capacity(groups.len() + 2);
     let mut deps: Vec<Vec<usize>> = Vec::with_capacity(groups.len() + 2);
-    let mut flops = 0;
-
-    // Op 0: the input copy, on stream 1.
-    ops.push(DeviceOp::InputCopy { bytes: input_bytes });
     streams.push(1);
     deps.push(Vec::new());
-
-    for (gi, group) in groups.iter().enumerate() {
-        let LoweredKernel { desc, flops: f, .. } = lower_group(graph, group, cost, calibration);
-        flops += f;
-        let op_idx = ops.len();
+    for gi in 0..groups.len() {
         let stream = stream_of[gi];
-        ops.push(DeviceOp::Kernel(desc));
         streams.push(stream);
         let mut d: Vec<usize> = deps_of[gi]
             .iter()
@@ -132,35 +110,18 @@ pub fn compile_parallel(
             d.push(0);
         }
         deps.push(d);
-        let _ = op_idx;
     }
 
-    // Output copy on stream 1, joining every sink group.
+    // The last op, the output copy, is on stream 1, joining every sink group.
     let sinks: Vec<usize> = (0..groups.len())
         .filter(|&gi| consumer_count[gi] == 0)
         .map(|gi| gi + 1)
         .collect();
-    ops.push(DeviceOp::OutputCopy {
-        bytes: output_bytes,
-    });
     streams.push(1);
     deps.push(sinks.into_iter().filter(|&op| streams[op] != 1).collect());
 
-    let weight_bytes = {
-        // Reuse the sequential compiler's accounting for weights.
-        let seq = crate::module::compile(name, graph, cost, calibration);
-        seq.weight_bytes
-    };
-
-    CompiledModel {
-        name: name.into(),
-        ops,
-        schedule: Some(JobSchedule { streams, deps }),
-        input_bytes,
-        output_bytes,
-        weight_bytes,
-        flops,
-    }
+    model.schedule = Some(JobSchedule { streams, deps });
+    model
 }
 
 /// Number of distinct virtual streams a schedule uses.
@@ -180,7 +141,8 @@ pub fn stream_count(model: &CompiledModel) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::Shape;
+    use crate::ir::{Op, Shape};
+    use crate::module::DeviceOp;
 
     /// Two parallel conv branches joined by a concat.
     fn branchy_graph() -> Graph {
@@ -310,5 +272,8 @@ mod tests {
         assert_eq!(seq.flops, par.flops);
         assert_eq!(seq.weight_bytes, par.weight_bytes);
         assert_eq!(seq.input_bytes, par.input_bytes);
+        assert_eq!(seq.output_bytes, par.output_bytes);
+        // The same ops in the same order: only the schedule differs.
+        assert_eq!(format!("{:?}", seq.ops), format!("{:?}", par.ops));
     }
 }
