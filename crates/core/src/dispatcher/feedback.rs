@@ -61,13 +61,7 @@ impl Dispatcher {
     /// lookup, one notifQ debit, one mirror update. The words became visible
     /// together and their shard handles them back to back, so one CPU charge
     /// covers every stretch of words that nothing else interrupts.
-    fn notif_run(
-        &mut self,
-        kernel: KernelUid,
-        kind: NotifKind,
-        at: SimTime,
-        words: &[(SmId, u16)],
-    ) {
+    fn notif_run(&mut self, uid: KernelUid, kind: NotifKind, at: SimTime, words: &[(SmId, u16)]) {
         let placement = kind == NotifKind::Placement;
         // The one lookup a run costs here: the owner shard, the last-op
         // test and the notifQ reservation all come from the kernel's record.
@@ -76,11 +70,11 @@ impl Dispatcher {
         // starts the online-profiling clock.
         let placed_at = (placement && self.cfg.online_profiling).then_some(at);
         let n = words.len() as u64;
-        let live = self.ops.on_run(&mut self.core, kernel, n, placed_at);
+        let live = self.ops.on_run(&mut self.core, uid, n, placed_at);
         let owner = live.map_or(ClientId(0), |k| k.client);
         let placing = live.filter(|_| placement);
         self.core.inc("notifs_processed", n);
-        let full_at = self.occupancy.on_run(kernel, kind, words);
+        let full_at = self.occupancy.on_run(uid, kind, words);
         // What a placement word of a live kernel (not one whose job was
         // cancelled) can set off. The first: the pinned-output wakeup, the
         // job's final kernel having started. The one that completes
@@ -111,7 +105,7 @@ impl Dispatcher {
             // the notification of each word are its expansion.
             self.core.trace(start + NOTIF_COST, || {
                 TraceEvent::NotifRun(Box::new(NotifRun {
-                    kernel: u64::from(kernel),
+                    kernel: u64::from(uid),
                     placement,
                     core,
                     start,

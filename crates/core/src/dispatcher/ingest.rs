@@ -217,10 +217,14 @@ impl Dispatcher {
         let t_ingested = self.host_op(HostOpKind::Ingest, req.client, at, self.cfg.ingest_cost);
         *self.client_inflight.entry(req.client).or_insert(0) += 1;
         let model_idx = req.model.0 as usize;
-        let unknown = || panic!("unknown model {:?}", req.model);
-        let rm = self.models.get(model_idx).unwrap_or_else(unknown);
+        assert!(
+            model_idx < self.models.len(),
+            "unknown model {:?}",
+            req.model
+        );
         let id = JobId(self.next_job);
         self.next_job += 1;
+        let rm = &self.models[model_idx];
         self.core.trace(t_ingested, || {
             TraceEvent::JobBegin(Box::new(JobBegin {
                 job: id.0,

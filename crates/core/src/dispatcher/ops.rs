@@ -63,7 +63,11 @@ impl OpRecords {
     /// Worst-case notifQ slots a kernel of `grid_blocks` blocks reserves: two
     /// phases, at most one word per block per phase.
     fn slots(&self, grid_blocks: u32) -> u64 {
-        u64::from(self.instrumented) * 2 * u64::from(grid_blocks)
+        if self.instrumented {
+            2 * u64::from(grid_blocks)
+        } else {
+            0
+        }
     }
 
     /// Whether reserving a `grid_blocks`-block kernel's slots would overrun
