@@ -118,9 +118,12 @@ impl Dispatcher {
         self.cancel_where(at, reason, |_| true);
     }
 
-    /// Cancels, in job-id order, every in-flight job whose client `hit`.
+    /// Cancels, in job-id order, every in-flight job whose client `hit`
+    /// accepts.
     fn cancel_where(&mut self, at: SimTime, reason: FailureReason, hit: impl Fn(ClientId) -> bool) {
-        let ids: Vec<JobId> = (self.jobs.iter())
+        let ids: Vec<JobId> = self
+            .jobs
+            .iter()
             .filter(|(_, j)| hit(j.request.client))
             .map(|(id, _)| JobId(id))
             .collect();

@@ -311,15 +311,20 @@ impl Dispatcher {
         &self.models[self.job(id).request.model.0 as usize]
     }
 
-    /// Charges `cost` of client `c`'s CPU work that can start no earlier than
+    /// Charges `cost` of `client`'s CPU work that can start no earlier than
     /// `at` to the core it lands on: `(core, start, done)`. Central mode
     /// shards jobs across the dispatcher cores by client; in direct mode each
     /// client submits on a core of its own.
-    fn charge(&mut self, c: ClientId, at: SimTime, cost: SimDuration) -> (u32, SimTime, SimTime) {
+    fn charge(
+        &mut self,
+        client: ClientId,
+        at: SimTime,
+        cost: SimDuration,
+    ) -> (u32, SimTime, SimTime) {
         let core = match (self.cfg.central_cpu, self.cfg.dispatcher_cores) {
             (true, 0 | 1) => 0,
-            (true, cores) => c.0 % cores,
-            (false, _) => c.0,
+            (true, cores) => client.0 % cores,
+            (false, _) => client.0,
         };
         let i = core as usize;
         if i >= self.cpu_free_at.len() {
@@ -336,11 +341,11 @@ impl Dispatcher {
     fn host_op(
         &mut self,
         kind: HostOpKind,
-        c: ClientId,
+        client: ClientId,
         at: SimTime,
         cost: SimDuration,
     ) -> SimTime {
-        let (core, start, done) = self.charge(c, at, cost);
+        let (core, start, done) = self.charge(client, at, cost);
         self.core
             .trace(done, || TraceEvent::HostOp { kind, core, start });
         done
