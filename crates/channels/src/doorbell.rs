@@ -80,6 +80,7 @@ impl Doorbell {
         // lost wakeup); the acquire half orders the epoch re-check below
         // after the registration.
         self.waiters.fetch_add(1, Ordering::AcqRel);
+        let mut registered = false;
         let woke = loop {
             // acquire: pairs with ring()'s release bump.
             if self.epoch.load(Ordering::Acquire) != seen {
@@ -100,9 +101,17 @@ impl Doorbell {
                     break true;
                 }
                 sleepers.push(std::thread::current());
+                registered = true;
             }
             std::thread::park_timeout(deadline - now);
         };
+        if registered {
+            // Only `ring` drains the list; a wait that ends any other way (a
+            // timeout) takes itself off.
+            let me = std::thread::current().id();
+            let mut sleepers = self.sleepers.lock().expect("doorbell poisoned");
+            sleepers.retain(|t| t.id() != me);
+        }
         // acqrel: deregistration mirrors the increment above; release keeps
         // it ordered after our final epoch read.
         self.waiters.fetch_sub(1, Ordering::AcqRel);
@@ -201,6 +210,15 @@ mod tests {
         let t0 = Instant::now();
         assert!(!d.wait_past(seen, Duration::from_millis(10)));
         assert!(t0.elapsed() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn timed_out_waits_leave_no_sleeper_behind() {
+        let d = Doorbell::new();
+        for _ in 0..8 {
+            assert!(!d.wait_past(d.epoch(), Duration::from_millis(1)));
+        }
+        assert_eq!(d.sleepers.lock().unwrap().len(), 0);
     }
 
     #[test]

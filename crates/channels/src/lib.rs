@@ -3,18 +3,23 @@
 //! # paella-channels
 //!
 //! The specialized communication channels of the Paella design (§5 of the
-//! paper), implemented twice:
+//! paper), in two forms:
 //!
 //! 1. **For real threads** — lock-free data structures built on `std`
 //!    atomics: an SPSC request ring ([`spsc`]), the multi-writer device→host
 //!    notification ring with single-word atomic notifications ([`notifq`] +
 //!    [`notif`]), and the hybrid interrupt-then-poll doorbell ([`doorbell`]).
-//!    These are exercised by their own tests, Criterion benches, and the
-//!    `live_channels` example.
+//!    The ring and notifQ bodies exist once, generic over an
+//!    [`atomic::AtomicCell`]: the handles run them on `std` atomics, and
+//!    `paella-check` model-checks the same bodies under their shipped
+//!    orderings. All three are exercised by their own tests, Criterion
+//!    benches, and the `live_channels` example.
 //! 2. **For the discrete-event simulation** — calibrated latency models
 //!    ([`latency`]) so that end-to-end experiment figures account for every
-//!    hop's cost.
+//!    hop's cost. The simulation charges these costs; it never runs the
+//!    structures of (1).
 
+pub mod atomic;
 pub mod doorbell;
 pub mod latency;
 pub mod notif;

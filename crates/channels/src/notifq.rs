@@ -9,28 +9,111 @@
 //!
 //! Exactly as in the paper, the ring does **not** check for overruns: the
 //! dispatcher enforces flow control by never allowing more outstanding blocks
-//! than the ring has slots. [`NotifQueue::new`] therefore takes the capacity
+//! than the ring has slots. [`notif_queue`] therefore takes the capacity
 //! from that bound.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use crate::atomic::AtomicCell;
 use crate::notif::{Notification, INVALID_WORD};
 
-struct Inner {
-    slots: Box<[AtomicU64]>,
-    tail: AtomicU64,
+/// The orderings of the ring's four atomic sites, in the life of a post. The
+/// handles run [`NotifqOrds::SHIPPED`]; `paella-check` runs it too, and each
+/// of its mutants downgrades one field.
+#[derive(Clone, Copy, Debug)]
+pub struct NotifqOrds {
+    /// The writer's `tail` fetch-add claiming a slot.
+    pub claim: Ordering,
+    /// The writer's slot store publishing the word.
+    pub publish: Ordering,
+    /// The reader's slot load.
+    pub scan: Ordering,
+    /// The reader's slot reset.
+    pub reset: Ordering,
+}
+
+impl NotifqOrds {
+    /// The orderings [`NotifWriter`] and [`NotifReader`] run.
+    pub const SHIPPED: NotifqOrds = NotifqOrds {
+        // relaxed: the claim only needs the RMW's per-index uniqueness; the
+        // notification's visibility rides on the release publish, not tail.
+        claim: Ordering::Relaxed,
+        // release: every prior write of the posting thread (the block's
+        // work) is visible to the reader's acquire scan before the word is.
+        publish: Ordering::Release,
+        // acquire: pairs with the writer's release publish; everything the
+        // posting block wrote before the word is visible once we decode it.
+        scan: Ordering::Acquire,
+        // release: the reset hands the slot back to writers — it must not
+        // reorder before the acquire scan that consumed the word.
+        reset: Ordering::Release,
+    };
+}
+
+/// The ring's shared state, generic over its atomics so that `paella-check`
+/// explores the same [`post`](Self::post) and [`poll`](Self::poll) the
+/// handles run.
+pub struct NotifRing<A> {
+    /// The slots, each starting at [`INVALID_WORD`].
+    pub slots: Box<[A]>,
+    /// Claims so far, starting at 0.
+    pub tail: A,
+}
+
+impl<A> NotifRing<A> {
+    fn slot(&self, idx: u64) -> &A {
+        &self.slots[(idx % self.slots.len() as u64) as usize]
+    }
+
+    /// The post path: one `fetch_add` to claim a slot, one store to publish.
+    pub fn post<C>(&self, c: &mut C, n: Notification, ords: NotifqOrds)
+    where
+        A: AtomicCell<C>,
+    {
+        let idx = self.tail.fetch_add(c, 1, ords.claim);
+        let slot = self.slot(idx);
+        // The ring has no overrun check by design (§5.2): flow control must
+        // keep outstanding notifications within capacity. Under the
+        // `check-overrun` feature, verify that contract instead of trusting
+        // it — the claimed slot must still be invalid (consumed); a live
+        // word here means a writer lapped the reader. Checking the slot
+        // itself (not a reader cursor snapshot) keeps the assert race-free:
+        // this writer owns the slot from claim to publish.
+        #[cfg(feature = "check-overrun")]
+        assert_eq!(
+            // acquire: the overrun check must observe the reader's slot
+            // reset (its release store of INVALID_WORD), not a stale word.
+            slot.load_fresh(c, Ordering::Acquire),
+            INVALID_WORD,
+            "notifQ overrun: writer lapped the reader at index {idx} (flow control violated)",
+        );
+        slot.store(c, n.encode(), ords.publish);
+    }
+
+    /// The poll path: consumes the word at the reader's cursor `head` if it
+    /// is valid, resets its slot and advances `head`.
+    pub fn poll<C>(&self, c: &mut C, head: &mut u64, ords: NotifqOrds) -> Option<Notification>
+    where
+        A: AtomicCell<C>,
+    {
+        let slot = self.slot(*head);
+        let n = Notification::decode(slot.load_fresh(c, ords.scan))?;
+        slot.store(c, INVALID_WORD, ords.reset);
+        *head += 1;
+        Some(n)
+    }
 }
 
 /// Writer handle: any number may exist (every simulated block writes).
 #[derive(Clone)]
 pub struct NotifWriter {
-    inner: Arc<Inner>,
+    inner: Arc<NotifRing<AtomicU64>>,
 }
 
 /// Reader handle: exactly one (the dispatcher thread).
 pub struct NotifReader {
-    inner: Arc<Inner>,
+    inner: Arc<NotifRing<AtomicU64>>,
     head: u64,
 }
 
@@ -45,7 +128,7 @@ pub struct NotifReader {
 /// Panics if `cap == 0`.
 pub fn notif_queue(cap: usize) -> (NotifWriter, NotifReader) {
     assert!(cap > 0, "notifQ capacity must be positive");
-    let inner = Arc::new(Inner {
+    let inner = Arc::new(NotifRing {
         slots: (0..cap).map(|_| AtomicU64::new(INVALID_WORD)).collect(),
         tail: AtomicU64::new(0),
     });
@@ -63,30 +146,7 @@ impl NotifWriter {
     /// is why the paper's measured instrumentation overhead is so small
     /// (Fig. 15).
     pub fn post(&self, n: Notification) {
-        // relaxed: the claim only needs the RMW's per-index uniqueness —
-        // every writer gets a distinct slot. Cross-thread visibility of the
-        // notification itself rides on the release store below, not on tail.
-        let idx = self.inner.tail.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.inner.slots[(idx % self.inner.slots.len() as u64) as usize];
-        // The ring has no overrun check by design (§5.2): flow control must
-        // keep outstanding notifications within capacity. Under the
-        // `check-overrun` feature, verify that contract instead of trusting
-        // it — the claimed slot must still be invalid (consumed); a live
-        // word here means a writer lapped the reader. Checking the slot
-        // itself (not a reader cursor snapshot) keeps the assert race-free:
-        // this writer owns the slot from claim to publish.
-        // acquire: the overrun check must observe the reader's slot reset
-        // (its release store of INVALID_WORD), not a stale live word.
-        #[cfg(feature = "check-overrun")]
-        assert_eq!(
-            slot.load(Ordering::Acquire),
-            INVALID_WORD,
-            "notifQ overrun: writer lapped the reader at index {idx} (flow control violated)",
-        );
-        // release: publishing the word must make every prior write of this
-        // thread (the simulated block's work) visible to the reader's
-        // acquire scan before the word itself is observable.
-        slot.store(n.encode(), Ordering::Release);
+        self.inner.post(&mut (), n, NotifqOrds::SHIPPED);
     }
 
     /// Ring capacity in slots.
@@ -99,16 +159,8 @@ impl NotifReader {
     /// Consumes the next notification if one is ready, resetting its slot to
     /// invalid (the paper's third, `invalid` event type marks stale slots).
     pub fn poll(&mut self) -> Option<Notification> {
-        let slot = &self.inner.slots[(self.head % self.inner.slots.len() as u64) as usize];
-        // acquire: pairs with the writer's release publish; everything the
-        // posting block wrote before the word is visible once we decode it.
-        let word = slot.load(Ordering::Acquire);
-        let n = Notification::decode(word)?;
-        // release: the reset hands the slot back to writers — it must not
-        // reorder before the acquire load above consumed the word.
-        slot.store(INVALID_WORD, Ordering::Release);
-        self.head += 1;
-        Some(n)
+        self.inner
+            .poll(&mut (), &mut self.head, NotifqOrds::SHIPPED)
     }
 
     /// Drains every currently ready notification into `out`, returning how

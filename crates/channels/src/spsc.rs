@@ -7,20 +7,177 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::atomic::AtomicCell;
+
+/// The orderings of the ring's atomic sites. The handles run
+/// [`SpscOrds::SHIPPED`]; `paella-check` runs it too, and each of its
+/// mutants downgrades one field.
+#[derive(Clone, Copy, Debug)]
+pub struct SpscOrds {
+    /// Either side's load of the cursor only it writes.
+    pub own_load: Ordering,
+    /// The producer's load of `head` when the ring looks full.
+    pub head_load: Ordering,
+    /// The producer's `tail` store publishing a slot.
+    pub publish: Ordering,
+    /// The consumer's load of `tail` when the ring looks empty, and its
+    /// re-check after seeing the producer closed.
+    pub tail_load: Ordering,
+    /// The consumer's `head` store handing a slot back.
+    pub head_store: Ordering,
+    /// Either side's load of the other's liveness flag.
+    pub alive_load: Ordering,
+    /// The producer's close.
+    pub producer_close: Ordering,
+    /// The consumer's close.
+    pub consumer_close: Ordering,
+}
+
+impl SpscOrds {
+    /// The orderings [`Producer`] and [`Consumer`] run.
+    pub const SHIPPED: SpscOrds = SpscOrds {
+        // relaxed: each cursor is written only by its own side; reading our
+        // own last store needs no synchronization.
+        own_load: Ordering::Relaxed,
+        // acquire: pairs with the consumer's release head store; we may only
+        // overwrite a slot after its read completed.
+        head_load: Ordering::Acquire,
+        // release: publishes the slot write before it; the consumer's
+        // acquire tail load sees the value fully initialized.
+        publish: Ordering::Release,
+        // acquire: pairs with the producer's release tail store, making the
+        // published slot's contents visible before we read them.
+        tail_load: Ordering::Acquire,
+        // release: hands the slot back — the read completes before the
+        // producer's acquire head load can see the cursor and reuse the slot.
+        head_store: Ordering::Release,
+        // acquire: pairs with the other side's release close, so a close
+        // observed here is ordered after that side's last push or pop.
+        alive_load: Ordering::Acquire,
+        // release: orders our final push before the death flag, so a
+        // consumer that observes `!alive` and re-checks tail sees that item.
+        producer_close: Ordering::Release,
+        // release: orders our final pops before the death flag the producer
+        // reads with acquire in push().
+        consumer_close: Ordering::Release,
+    };
+}
 
 /// Pads a value to a cache line to prevent false sharing.
 #[repr(align(64))]
 struct CachePadded<T>(T);
 
+/// The ring's shared atomics, generic over their type so that `paella-check`
+/// explores the push, pop and close paths the handles run. Each path reaches
+/// a slot through an accessor its caller passes.
+pub struct Cursors<A> {
+    cap: u64,
+    head: CachePadded<A>, // next slot to read
+    tail: CachePadded<A>, // next slot to write
+    producer_alive: A,    // 1 until the producer closes
+    consumer_alive: A,    // 1 until the consumer closes
+}
+
+impl<A> Cursors<A> {
+    /// Cursors for a `cap`-slot ring; `cell(name, init)` makes each atomic.
+    pub fn new(cap: usize, mut cell: impl FnMut(&'static str, u64) -> A) -> Self {
+        Cursors {
+            cap: cap as u64,
+            head: CachePadded(cell("head", 0)),
+            tail: CachePadded(cell("tail", 0)),
+            producer_alive: cell("producer_alive", 1),
+            consumer_alive: cell("consumer_alive", 1),
+        }
+    }
+
+    /// The push path. `cached_head` is the producer's last view of `head`;
+    /// `write(c, slot, value)` fills a slot the consumer cannot touch until
+    /// the tail store that follows publishes it.
+    #[inline]
+    pub fn push<C, V>(
+        &self,
+        c: &mut C,
+        cached_head: &mut u64,
+        value: V,
+        write: impl FnOnce(&mut C, usize, V),
+        ords: SpscOrds,
+    ) -> Result<(), PushError<V>>
+    where
+        A: AtomicCell<C>,
+    {
+        if self.consumer_alive.load(c, ords.alive_load) == 0 {
+            return Err(PushError::Disconnected(value));
+        }
+        let tail = self.tail.0.load(c, ords.own_load);
+        if tail.wrapping_sub(*cached_head) >= self.cap {
+            // Refresh the consumer's progress before declaring the ring full.
+            *cached_head = self.head.0.load_fresh(c, ords.head_load);
+            if tail.wrapping_sub(*cached_head) >= self.cap {
+                return Err(PushError::Full(value));
+            }
+        }
+        write(c, (tail % self.cap) as usize, value);
+        self.tail.0.store(c, tail.wrapping_add(1), ords.publish);
+        Ok(())
+    }
+
+    /// The pop path. `cached_tail` is the consumer's last view of `tail`;
+    /// `read(c, slot)` moves the value out of a published slot before the
+    /// head store that follows hands the slot back.
+    #[inline]
+    pub fn pop<C, V>(
+        &self,
+        c: &mut C,
+        cached_tail: &mut u64,
+        read: impl FnOnce(&mut C, usize) -> V,
+        ords: SpscOrds,
+    ) -> Result<V, PopError>
+    where
+        A: AtomicCell<C>,
+    {
+        let head = self.head.0.load(c, ords.own_load);
+        if head == *cached_tail {
+            *cached_tail = self.tail.0.load_fresh(c, ords.tail_load);
+            if head == *cached_tail {
+                if self.producer_alive.load_fresh(c, ords.alive_load) != 0 {
+                    return Err(PopError::Empty);
+                }
+                // Re-check after observing the close: the producer may have
+                // pushed right before closing.
+                *cached_tail = self.tail.0.load(c, ords.tail_load);
+                if head == *cached_tail {
+                    return Err(PopError::Disconnected);
+                }
+            }
+        }
+        let value = read(c, (head % self.cap) as usize);
+        self.head.0.store(c, head.wrapping_add(1), ords.head_store);
+        Ok(value)
+    }
+
+    /// The producer's close: clears its liveness flag.
+    pub fn close_producer<C>(&self, c: &mut C, ords: SpscOrds)
+    where
+        A: AtomicCell<C>,
+    {
+        self.producer_alive.store(c, 0, ords.producer_close);
+    }
+
+    /// The consumer's close: clears its liveness flag.
+    pub fn close_consumer<C>(&self, c: &mut C, ords: SpscOrds)
+    where
+        A: AtomicCell<C>,
+    {
+        self.consumer_alive.store(c, 0, ords.consumer_close);
+    }
+}
+
 struct Shared<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
-    cap: usize,
-    head: CachePadded<AtomicUsize>, // next slot to read
-    tail: CachePadded<AtomicUsize>, // next slot to write
-    producer_alive: AtomicBool,
-    consumer_alive: AtomicBool,
+    cur: Cursors<AtomicU64>,
 }
 
 // SAFETY: slots are transferred between threads with acquire/release on
@@ -35,18 +192,15 @@ unsafe impl<T: Send> Sync for Shared<T> {}
 
 impl<T> Drop for Shared<T> {
     fn drop(&mut self) {
-        // Drop any queued-but-unread items.
-        // relaxed: by the time Shared drops both handles are gone, and the
-        // Arc's reference-count decrement already synchronized their final
-        // writes with this thread — no concurrent access remains.
-        let head = self.head.0.load(Ordering::Relaxed);
-        // relaxed: same reasoning as head above.
-        let tail = self.tail.0.load(Ordering::Relaxed);
+        // Drop any queued-but-unread items. `&mut self`: both handles are
+        // gone, so the cursors are read without a race.
+        let head = *self.cur.head.0.get_mut();
+        let tail = *self.cur.tail.0.get_mut();
         let mut i = head;
         while i != tail {
             // SAFETY: slots in [head, tail) were initialized by the producer
             // and never consumed.
-            unsafe { (*self.buf[i % self.cap].get()).assume_init_drop() };
+            unsafe { (*self.buf[(i % self.cur.cap) as usize].get()).assume_init_drop() };
             i = i.wrapping_add(1);
         }
     }
@@ -55,13 +209,13 @@ impl<T> Drop for Shared<T> {
 /// The sending half of an SPSC ring.
 pub struct Producer<T> {
     shared: Arc<Shared<T>>,
-    cached_head: usize,
+    cached_head: u64,
 }
 
 /// The receiving half of an SPSC ring.
 pub struct Consumer<T> {
     shared: Arc<Shared<T>>,
-    cached_tail: usize,
+    cached_tail: u64,
 }
 
 /// Error returned by [`Producer::push`] when the ring is full or the consumer
@@ -102,11 +256,7 @@ pub fn ring<T: Send>(cap: usize) -> (Producer<T>, Consumer<T>) {
         buf: (0..cap)
             .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
             .collect(),
-        cap,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-        producer_alive: AtomicBool::new(true),
-        consumer_alive: AtomicBool::new(true),
+        cur: Cursors::new(cap, |_, init| AtomicU64::new(init)),
     });
     (
         Producer {
@@ -124,49 +274,26 @@ impl<T: Send> Producer<T> {
     /// Attempts to enqueue `value` without blocking.
     pub fn push(&mut self, value: T) -> Result<(), PushError<T>> {
         let s = &*self.shared;
-        // acquire: pairs with the consumer's release store in its Drop, so a
-        // disconnect observed here is ordered after the consumer's last pop.
-        if !s.consumer_alive.load(Ordering::Acquire) {
-            return Err(PushError::Disconnected(value));
-        }
-        // relaxed: tail is written only by this producer thread; reading our
-        // own last store needs no synchronization.
-        let tail = s.tail.0.load(Ordering::Relaxed);
-        if tail.wrapping_sub(self.cached_head) >= s.cap {
-            // Refresh the consumer's progress before declaring the ring full.
-            // acquire: pairs with the consumer's release head store in
-            // take(); we may only overwrite a slot after its read completed.
-            self.cached_head = s.head.0.load(Ordering::Acquire);
-            if tail.wrapping_sub(self.cached_head) >= s.cap {
-                return Err(PushError::Full(value));
-            }
-        }
-        // SAFETY: slot `tail % cap` is outside [head, tail), so the consumer
-        // will not touch it until we publish the new tail below.
-        unsafe { (*s.buf[tail % s.cap].get()).write(value) };
-        // release: publishes the slot write above; the consumer's acquire
-        // tail load sees the value fully initialized.
-        s.tail.0.store(tail.wrapping_add(1), Ordering::Release);
-        Ok(())
+        // SAFETY: push passes the slot at `tail % cap`, outside [head, tail),
+        // so the consumer will not touch it until push publishes the new tail.
+        let write = |_: &mut (), i: usize, v| unsafe { s.buf[i].get().write(MaybeUninit::new(v)) };
+        let ords = SpscOrds::SHIPPED;
+        s.cur
+            .push(&mut (), &mut self.cached_head, value, write, ords)
     }
 
     /// Number of free slots (a lower bound from the producer's view).
     pub fn free_len(&self) -> usize {
-        let s = &*self.shared;
-        // acquire: a slot counted free must have finished being read (pairs
-        // with the consumer's release head store).
-        let head = s.head.0.load(Ordering::Acquire);
-        // relaxed: self-read of the producer-owned cursor.
-        let tail = s.tail.0.load(Ordering::Relaxed);
-        s.cap - tail.wrapping_sub(head)
+        let s = &self.shared.cur;
+        let head = s.head.0.load(SpscOrds::SHIPPED.head_load);
+        let tail = s.tail.0.load(SpscOrds::SHIPPED.own_load);
+        (s.cap - tail.wrapping_sub(head)) as usize
     }
 }
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        // release: orders our final push before the death flag, so a consumer
-        // that observes `!alive` and re-checks tail sees that last item.
-        self.shared.producer_alive.store(false, Ordering::Release);
+        self.shared.cur.close_producer(&mut (), SpscOrds::SHIPPED);
     }
 }
 
@@ -174,57 +301,21 @@ impl<T: Send> Consumer<T> {
     /// Attempts to dequeue one item without blocking.
     pub fn pop(&mut self) -> Result<T, PopError> {
         let s = &*self.shared;
-        // relaxed: head is written only by this consumer thread; reading our
-        // own last store needs no synchronization.
-        let head = s.head.0.load(Ordering::Relaxed);
-        if head == self.cached_tail {
-            // acquire: pairs with the producer's release tail store, making
-            // the published slot's contents visible before we read them.
-            self.cached_tail = s.tail.0.load(Ordering::Acquire);
-            if head == self.cached_tail {
-                // acquire: pairs with the producer Drop's release store, so
-                // the death flag is ordered after its final push.
-                return if s.producer_alive.load(Ordering::Acquire) {
-                    Err(PopError::Empty)
-                } else {
-                    // Re-check after observing the death flag: the producer
-                    // may have pushed right before dropping.
-                    // acquire: same pairing as the tail load above.
-                    self.cached_tail = s.tail.0.load(Ordering::Acquire);
-                    if head == self.cached_tail {
-                        Err(PopError::Disconnected)
-                    } else {
-                        Ok(self.take(head))
-                    }
-                };
-            }
-        }
-        Ok(self.take(head))
-    }
-
-    fn take(&mut self, head: usize) -> T {
-        let s = &*self.shared;
-        // SAFETY: head < tail, so this slot holds an initialized value that
-        // the producer published with a release store and will not reuse
-        // until we advance `head`.
-        let value = unsafe { (*s.buf[head % s.cap].get()).assume_init_read() };
-        // release: hands the slot back to the producer — the read above must
-        // complete before the producer's acquire head load can see the
-        // advanced cursor and overwrite the slot.
-        s.head.0.store(head.wrapping_add(1), Ordering::Release);
-        value
+        // SAFETY: pop passes the slot at `head % cap` with head < tail: it
+        // holds a value the producer published with a release store and will
+        // not reuse until pop advances `head`.
+        let read = |_: &mut (), i: usize| unsafe { (*s.buf[i].get()).assume_init_read() };
+        let ords = SpscOrds::SHIPPED;
+        s.cur.pop(&mut (), &mut self.cached_tail, read, ords)
     }
 
     /// Number of items currently queued (an upper bound from the consumer's
     /// view).
     pub fn len(&self) -> usize {
-        let s = &*self.shared;
-        // acquire: an item counted here must be fully published (pairs with
-        // the producer's release tail store).
-        let tail = s.tail.0.load(Ordering::Acquire);
-        // relaxed: self-read of the consumer-owned cursor.
-        let head = s.head.0.load(Ordering::Relaxed);
-        tail.wrapping_sub(head)
+        let s = &self.shared.cur;
+        let tail = s.tail.0.load(SpscOrds::SHIPPED.tail_load);
+        let head = s.head.0.load(SpscOrds::SHIPPED.own_load);
+        tail.wrapping_sub(head) as usize
     }
 
     /// Whether the ring appears empty.
@@ -235,9 +326,7 @@ impl<T: Send> Consumer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        // release: orders our final pops before the death flag the producer
-        // reads with acquire in push().
-        self.shared.consumer_alive.store(false, Ordering::Release);
+        self.shared.cur.close_consumer(&mut (), SpscOrds::SHIPPED);
     }
 }
 

@@ -46,7 +46,7 @@ pub struct Scope {
     /// `core/src/waitlist.rs` (it is compared against, never on a run's
     /// path, and is meant to be the naive implementation).
     pub hash_free: bool,
-    /// R8: atomic operations (channels, core).
+    /// R8: every `Ordering::X` token (channels, core).
     pub atomics: bool,
     /// R9: float comparisons feeding decisions.
     pub float_cmp: bool,
@@ -88,22 +88,6 @@ pub fn scope_of(path: &str) -> Scope {
         float_cmp: sim || core || cluster || baselines || workload || gpu || llm,
     }
 }
-
-const ATOMIC_METHODS: &[&str] = &[
-    "load",
-    "store",
-    "swap",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_and",
-    "fetch_or",
-    "fetch_xor",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-    "compare_exchange",
-    "compare_exchange_weak",
-];
 
 fn ordering_tag(ordering: &str) -> Option<&'static str> {
     match ordering {
@@ -296,38 +280,19 @@ pub(crate) fn token_rules(path: &str, src: &str, out: &mut Vec<Violation>) {
                 }
             }
         }
-        // R8: every atomic op needs a per-operation ordering justification.
-        if scope.atomics
-            && t.ident
-            && ATOMIC_METHODS.contains(&t.text.as_str())
-            && i > 0
-            && toks[i - 1].text == "."
-            && toks.get(i + 1).is_some_and(|n| n.text == "(")
-        {
-            // Scan the argument list for Ordering::X mentions; no Ordering
-            // argument ⇒ not an atomic op (e.g. `.load` of a config cache).
-            for j in i + 1..group_end(toks, i + 1) {
-                if !seq(toks, j, &["Ordering", "::"]) {
-                    continue;
-                }
-                let Some(ord) = toks.get(j + 2) else { continue };
-                // R2 already owns Relaxed-in-channels; R8 covers every other
-                // (file, ordering) pair so no op is double-reported.
-                let r2_owns = scope.channels && ord.text == "Relaxed";
-                let Some(tag) = ordering_tag(&ord.text).filter(|_| !r2_owns) else {
-                    continue;
-                };
-                let ok = justified(lines, ord.line, tag)
-                    || justified(lines, ord.line, "ordering:")
-                    || justified(lines, t.line, tag)
-                    || justified(lines, t.line, "ordering:");
-                if !ok {
+        // R8: every ordering says why, wherever it is written — in an atomic
+        // call's arguments or in a profile field a call reads later. R2
+        // already owns Relaxed-in-channels, so no site is reported twice.
+        if scope.atomics && seq(toks, i, &["Ordering", "::"]) {
+            let ord = toks.get(i + 2).map_or("", |o| o.text.as_str());
+            let r2_owns = scope.channels && ord == "Relaxed";
+            if let Some(tag) = ordering_tag(ord).filter(|_| !r2_owns) {
+                if !justified(lines, t.line, tag) && !justified(lines, t.line, "ordering:") {
                     push(
-                        ord.line,
+                        t.line,
                         R8,
                         format!(
-                            "atomic `{}` with Ordering::{} lacks an adjacent `{}` (or `ordering:`) justification",
-                            t.text, ord.text, tag
+                            "Ordering::{ord} lacks an adjacent `{tag}` (or `ordering:`) justification"
                         ),
                     );
                 }
@@ -625,6 +590,22 @@ mod tests {
         let v = analyze_snippet(CHAN, src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].rule, "relaxed-needs-justification");
+    }
+
+    #[test]
+    fn r8_follows_an_ordering_into_a_profile_field() {
+        let tagged = "const P: Ords = Ords {\n    // release: pairs with the scan\n    publish: Ordering::Release,\n};\n";
+        assert!(analyze_snippet(CHAN, tagged).is_empty());
+        let flagged = [
+            "const P: Ords = Ords {\n    publish: Ordering::Release,\n};\n",
+            // A tag belongs to its own field, not to the one below it.
+            "const P: Ords = Ords {\n    // release: pairs with the scan\n    reset: Ordering::Release,\n    publish: Ordering::Release,\n};\n",
+        ];
+        for src in flagged {
+            assert_eq!(rules_at(CHAN, src), [R8], "{src}");
+        }
+        let relaxed = "const P: Ords = Ords {\n    // relaxed: a distinct slot per claim\n    claim: Ordering::Relaxed,\n    scan: Ordering::Relaxed,\n};\n";
+        assert_eq!(rules_at(CHAN, relaxed), ["relaxed-needs-justification"]);
     }
 
     #[test]

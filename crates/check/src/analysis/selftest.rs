@@ -64,9 +64,9 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             id: "r2-notifq-ordering-downgrade",
             rule: "relaxed-needs-justification",
             file: "crates/channels/src/notifq.rs",
-            find: "let word = slot.load(Ordering::Acquire);",
-            replace: "let word = slot.load(Ordering::Relaxed);",
-            description: "acquire poll downgraded to Relaxed (stale acquire: tag)",
+            find: "scan: Ordering::Acquire,",
+            replace: "scan: Ordering::Relaxed,",
+            description: "the profile's acquire scan downgraded to Relaxed (stale acquire: tag; the claim's relaxed: tag above does not cover it)",
         },
         GraftMutant {
             id: "r3-dispatcher-unwrap",
@@ -104,8 +104,8 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             id: "r4-spsc-sleep",
             rule: "no-thread-sleep",
             file: "crates/channels/src/spsc.rs",
-            find: "self.cached_head = s.head.0.load(Ordering::Acquire);",
-            replace: "self.cached_head = s.head.0.load(Ordering::Acquire);\n            std::thread::sleep(std::time::Duration::from_nanos(1));",
+            find: "*cached_head = self.head.0.load_fresh(c, ords.head_load);",
+            replace: "*cached_head = self.head.0.load_fresh(c, ords.head_load);\n            std::thread::sleep(std::time::Duration::from_nanos(1));",
             description: "spin-to-sleep grafted into the SPSC producer",
         },
         GraftMutant {
@@ -192,9 +192,9 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             id: "r8-spsc-tag-stripped",
             rule: "atomic-ordering-audit",
             file: "crates/channels/src/spsc.rs",
-            find: "// release: publishes the slot write above",
-            replace: "// publishes the slot write above",
-            description: "release publish with its tag deleted",
+            find: "// release: publishes the slot write before it",
+            replace: "// publishes the slot write before it",
+            description: "the profile's release publish with its tag deleted",
         },
         GraftMutant {
             id: "r9-stats-partial-cmp",

@@ -7,12 +7,12 @@
 //! 1. **Memory-ordering correctness of the lock-free channels** — the
 //!    [`mc`] module is a self-contained stateless model checker (in the
 //!    spirit of `loom`) that exhaustively explores bounded-preemption
-//!    interleavings of small models of the `notifQ`, the SPSC ring, and the
-//!    doorbell under a view-based release/acquire memory model. The
-//!    [`models`] module defines those models plus a corpus of *seeded
-//!    mutants* (ordering downgrades, dropped flow control, lost-wakeup
-//!    windows) that the checker must catch — a self-test that the checker
-//!    itself has teeth.
+//!    interleavings under a view-based release/acquire memory model. The
+//!    [`models`] module runs it over the `notifQ` and SPSC code as shipped
+//!    (`paella-channels`' own bodies on the checker's atomics) and over a
+//!    model of the doorbell, plus a corpus of *seeded mutants* (downgraded
+//!    shipped orderings, dropped flow control, lost-wakeup windows) that the
+//!    checker must catch — a self-test that the checker itself has teeth.
 //! 2. **Bookkeeping invariants of the dispatcher** — the [`oracle`] module
 //!    provides brute-force reference implementations of CUDA stream
 //!    semantics and Table-1 block conservation, cross-checked against the
@@ -38,14 +38,12 @@
 //! surviving mutant, or non-exhausted model.
 
 pub mod analysis;
-pub mod atomic;
 pub mod lint;
 pub mod mc;
 pub mod models;
 pub mod oracle;
 
 pub use analysis::{analyze, analyze_sources, Analysis};
-pub use atomic::AtomicCell;
 pub use lint::Violation;
 pub use mc::{Checker, Config, Report};
 pub use models::{clean_models, mutants, ModelCheck, Mutant};

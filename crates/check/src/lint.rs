@@ -212,7 +212,8 @@ pub(crate) fn tokenize(content: &str) -> Vec<Line> {
 /// the comment block above the statement containing it. The upward scan
 /// tolerates the statement's own leading lines (a multi-line expression has
 /// no `;`, `{`, or `}` before the flagged line) and stops at the first line
-/// that ends an earlier statement or is blank.
+/// that is blank or ends an earlier statement or list item (a trailing `,`:
+/// a struct field's tag does not cover the field below it).
 pub(crate) fn justified(lines: &[Line], idx: usize, tag: &str) -> bool {
     if lines[idx].comment.contains(tag) {
         return true;
@@ -229,7 +230,11 @@ pub(crate) fn justified(lines: &[Line], idx: usize, tag: &str) -> bool {
             if l.comment.trim().is_empty() {
                 return false;
             }
-        } else if code.contains(';') || code.contains('{') || code.contains('}') {
+        } else if code.contains(';')
+            || code.contains('{')
+            || code.contains('}')
+            || code.ends_with(',')
+        {
             return false;
         }
         // Otherwise: a statement-prefix code line — keep walking up.

@@ -25,32 +25,16 @@
 //! an earlier load) is **not** modeled; see `DESIGN.md` §9 for the resulting
 //! blind spots.
 
-/// Memory-ordering annotations understood by the model (and mapped onto
-/// `std::sync::atomic::Ordering` by the real-atomics [`AtomicCell`] impl).
-///
-/// [`AtomicCell`]: crate::atomic::AtomicCell
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MemOrd {
-    /// No synchronization; only per-location coherence.
-    Relaxed,
-    /// Load side of a synchronizes-with edge.
-    Acquire,
-    /// Store side of a synchronizes-with edge.
-    Release,
-    /// Both (RMW); also the model's approximation of `SeqCst`.
-    AcqRel,
+use std::sync::atomic::Ordering;
+
+/// Whether a load with this ordering joins the message view.
+pub fn acquires(ord: Ordering) -> bool {
+    matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
 }
 
-impl MemOrd {
-    /// Whether a load with this ordering joins the message view.
-    pub fn acquires(self) -> bool {
-        matches!(self, MemOrd::Acquire | MemOrd::AcqRel)
-    }
-
-    /// Whether a store with this ordering publishes the thread view.
-    pub fn releases(self) -> bool {
-        matches!(self, MemOrd::Release | MemOrd::AcqRel)
-    }
+/// Whether a store with this ordering publishes the thread view.
+pub fn releases(ord: Ordering) -> bool {
+    matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
 }
 
 /// A per-location minimum-visible-timestamp vector, indexed by location id.
@@ -170,9 +154,11 @@ mod tests {
 
     #[test]
     fn ordering_predicates() {
-        assert!(MemOrd::Acquire.acquires() && !MemOrd::Acquire.releases());
-        assert!(MemOrd::Release.releases() && !MemOrd::Release.acquires());
-        assert!(MemOrd::AcqRel.acquires() && MemOrd::AcqRel.releases());
-        assert!(!MemOrd::Relaxed.acquires() && !MemOrd::Relaxed.releases());
+        assert!(acquires(Ordering::Acquire) && !releases(Ordering::Acquire));
+        assert!(releases(Ordering::Release) && !acquires(Ordering::Release));
+        for both in [Ordering::AcqRel, Ordering::SeqCst] {
+            assert!(acquires(both) && releases(both));
+        }
+        assert!(!acquires(Ordering::Relaxed) && !releases(Ordering::Relaxed));
     }
 }

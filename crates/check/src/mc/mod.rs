@@ -25,10 +25,11 @@
 pub mod memory;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 
-use memory::{MemOrd, Memory, Msg, VClock};
+use memory::{acquires, releases, Memory, Msg, VClock};
 
 /// Sentinel panic payload used to unwind model threads when an execution
 /// aborts (failure found elsewhere). Filtered out of the panic hook.
@@ -392,7 +393,7 @@ impl Ctx {
 
     /// Atomic load. Relaxed/acquire loads may read any message at or after
     /// this thread's view — each candidate is a separate exploration branch.
-    pub fn load(&mut self, a: VAtomic, ord: MemOrd) -> u64 {
+    pub fn load(&mut self, a: VAtomic, ord: Ordering) -> u64 {
         let mut st = self.eng.sched_point(self.tid);
         let from = st.views[self.tid].get(a.0) as usize;
         let len = st.mem.locs[a.0].history.len();
@@ -405,7 +406,7 @@ impl Ctx {
     /// so retry loops converge instead of spinning on a stale value forever.
     /// (On TSO hardware every read of a lock-prefixed location is "fresh",
     /// which is what the production channels' x86 deployment sees.)
-    pub fn load_fresh(&mut self, a: VAtomic, ord: MemOrd) -> u64 {
+    pub fn load_fresh(&mut self, a: VAtomic, ord: Ordering) -> u64 {
         let mut st = self.eng.sched_point(self.tid);
         let idx = st.mem.locs[a.0].history.len() - 1;
         self.finish_load(&mut st, a, idx, ord, true)
@@ -416,14 +417,14 @@ impl Ctx {
         st: &mut EngineState,
         a: VAtomic,
         idx: usize,
-        ord: MemOrd,
+        ord: Ordering,
         fresh: bool,
     ) -> u64 {
         let (val, view) = {
             let msg = &st.mem.locs[a.0].history[idx];
             (msg.val, msg.view.clone())
         };
-        if ord.acquires() {
+        if acquires(ord) {
             st.views[self.tid].join(&view);
         }
         st.views[self.tid].raise(a.0, idx as u64);
@@ -434,11 +435,11 @@ impl Ctx {
     }
 
     /// Atomic store.
-    pub fn store(&mut self, a: VAtomic, val: u64, ord: MemOrd) {
+    pub fn store(&mut self, a: VAtomic, val: u64, ord: Ordering) {
         let mut st = self.eng.sched_point(self.tid);
         let ts = st.mem.locs[a.0].history.len() as u64;
         st.views[self.tid].raise(a.0, ts);
-        let mut view = if ord.releases() {
+        let mut view = if releases(ord) {
             st.views[self.tid].clone()
         } else {
             VClock::new()
@@ -454,7 +455,7 @@ impl Ctx {
     /// Atomic read-modify-write: reads the latest message (per-location
     /// atomicity), stores `f(old)`, returns `old`. The written message
     /// inherits the read message's view (release-sequence continuation).
-    pub fn rmw(&mut self, a: VAtomic, ord: MemOrd, f: impl FnOnce(u64) -> u64) -> u64 {
+    pub fn rmw(&mut self, a: VAtomic, ord: Ordering, f: impl FnOnce(u64) -> u64) -> u64 {
         let mut st = self.eng.sched_point(self.tid);
         let (old, mut view) = {
             let msg = st.mem.locs[a.0]
@@ -463,13 +464,13 @@ impl Ctx {
                 .expect("history never empty");
             (msg.val, msg.view.clone())
         };
-        if ord.acquires() {
+        if acquires(ord) {
             let v = view.clone();
             st.views[self.tid].join(&v);
         }
         let ts = st.mem.locs[a.0].history.len() as u64;
         st.views[self.tid].raise(a.0, ts);
-        if ord.releases() {
+        if releases(ord) {
             view.join(&st.views[self.tid]);
         }
         view.raise(a.0, ts);
@@ -493,7 +494,7 @@ impl Ctx {
         a: VAtomic,
         current: u64,
         new: u64,
-        ord: MemOrd,
+        ord: Ordering,
     ) -> Result<u64, u64> {
         let mut st = self.eng.sched_point(self.tid);
         let (old, mut view) = {
@@ -510,13 +511,13 @@ impl Ctx {
             self.trace_op(&mut st, format!("cas {name} failed: saw {old}"));
             return Err(old);
         }
-        if ord.acquires() {
+        if acquires(ord) {
             let v = view.clone();
             st.views[self.tid].join(&v);
         }
         let ts = st.mem.locs[a.0].history.len() as u64;
         st.views[self.tid].raise(a.0, ts);
-        if ord.releases() {
+        if releases(ord) {
             view.join(&st.views[self.tid]);
         }
         view.raise(a.0, ts);
@@ -603,17 +604,6 @@ impl Ctx {
             .fail(&mut st, format!("assertion failed in {who}: {msg}"));
         drop(st);
         std::panic::panic_any(AbortExec);
-    }
-
-    /// Appends a free-form event to the execution trace.
-    pub fn note(&mut self, msg: &str) {
-        let mut st = self.eng.lock();
-        if st.aborting {
-            drop(st);
-            std::panic::panic_any(AbortExec);
-        }
-        let text = msg.to_string();
-        self.trace_op(&mut st, text);
     }
 }
 
@@ -815,21 +805,21 @@ mod tests {
             let done = b.atomic("done", 0);
             for name in ["a", "b"] {
                 b.thread(name, move |c| {
-                    let v = c.load(x, MemOrd::AcqRel);
-                    c.store(x, v + 1, MemOrd::AcqRel);
-                    c.rmw(done, MemOrd::AcqRel, |d| d + 1);
+                    let v = c.load(x, Ordering::AcqRel);
+                    c.store(x, v + 1, Ordering::AcqRel);
+                    c.rmw(done, Ordering::AcqRel, |d| d + 1);
                 });
             }
             b.thread("observer", move |c| {
                 let m = c.mark(done);
-                if c.load_fresh(done, MemOrd::Acquire) < 2 {
+                if c.load_fresh(done, Ordering::Acquire) < 2 {
                     c.wait_changed(done, m);
                 }
-                while c.load_fresh(done, MemOrd::Acquire) < 2 {
+                while c.load_fresh(done, Ordering::Acquire) < 2 {
                     let m = c.mark(done);
                     c.wait_changed(done, m);
                 }
-                let v = c.load_fresh(x, MemOrd::Acquire);
+                let v = c.load_fresh(x, Ordering::Acquire);
                 c.check(v == 2, "increments must not be lost");
             });
         });
@@ -846,11 +836,11 @@ mod tests {
             let x = b.atomic("x", 0);
             for name in ["a", "b"] {
                 b.thread(name, move |c| {
-                    c.rmw(x, MemOrd::AcqRel, |v| v + 1);
+                    c.rmw(x, Ordering::AcqRel, |v| v + 1);
                 });
             }
             b.thread("observer", move |c| {
-                while c.load_fresh(x, MemOrd::Acquire) < 2 {
+                while c.load_fresh(x, Ordering::Acquire) < 2 {
                     let m = c.mark(x);
                     c.wait_changed(x, m);
                 }
@@ -868,15 +858,15 @@ mod tests {
             let data = b.atomic("data", 0);
             let flag = b.atomic("flag", 0);
             b.thread("producer", move |c| {
-                c.store(data, 42, MemOrd::Relaxed);
-                c.store(flag, 1, MemOrd::Release);
+                c.store(data, 42, Ordering::Relaxed);
+                c.store(flag, 1, Ordering::Release);
             });
             b.thread("consumer", move |c| {
-                while c.load_fresh(flag, MemOrd::Acquire) == 0 {
+                while c.load_fresh(flag, Ordering::Acquire) == 0 {
                     let m = c.mark(flag);
                     c.wait_changed(flag, m);
                 }
-                let v = c.load(data, MemOrd::Relaxed);
+                let v = c.load(data, Ordering::Relaxed);
                 c.check(v == 42, "payload must be visible after acquire");
             });
         });
@@ -891,15 +881,15 @@ mod tests {
             let data = b.atomic("data", 0);
             let flag = b.atomic("flag", 0);
             b.thread("producer", move |c| {
-                c.store(data, 42, MemOrd::Relaxed);
-                c.store(flag, 1, MemOrd::Relaxed); // bug: no release
+                c.store(data, 42, Ordering::Relaxed);
+                c.store(flag, 1, Ordering::Relaxed); // bug: no release
             });
             b.thread("consumer", move |c| {
-                while c.load_fresh(flag, MemOrd::Acquire) == 0 {
+                while c.load_fresh(flag, Ordering::Acquire) == 0 {
                     let m = c.mark(flag);
                     c.wait_changed(flag, m);
                 }
-                let v = c.load(data, MemOrd::Relaxed);
+                let v = c.load(data, Ordering::Relaxed);
                 c.check(v == 42, "payload must be visible after acquire");
             });
         });
@@ -939,8 +929,8 @@ mod tests {
             let x = b.atomic("x", 0);
             for name in ["a", "b", "c"] {
                 b.thread(name, move |c| {
-                    c.rmw(x, MemOrd::AcqRel, |v| v + 1);
-                    c.rmw(x, MemOrd::AcqRel, |v| v + 1);
+                    c.rmw(x, Ordering::AcqRel, |v| v + 1);
+                    c.rmw(x, Ordering::AcqRel, |v| v + 1);
                 });
             }
         });

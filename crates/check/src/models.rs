@@ -1,237 +1,174 @@
-//! Checkable models of the `paella-channels` lock-free algorithms.
+//! The interleaving checker run over the shipped `paella-channels` code.
 //!
-//! The notification-queue and SPSC algorithms are re-expressed here as
-//! *generic* functions over [`AtomicCell`], with every memory ordering
-//! lifted into a profile struct ([`NotifqOrds`], [`SpscOrds`]). The correct
-//! profiles mirror the orderings in `crates/channels/src/{notifq,spsc}.rs`
-//! site by site; mutant profiles downgrade exactly one site, and the
-//! checker must produce a counterexample for each — that is the mutation
-//! self-test proving the checker has teeth.
+//! The notifQ and SPSC models do not re-express those algorithms: they call
+//! [`NotifRing::post`] / [`NotifRing::poll`] and [`Cursors::push`] /
+//! [`Cursors::pop`] / the two closes — the bodies the public handles run —
+//! with `C = Ctx` and `A = VAtomic`, so every atomic access of the shipped
+//! code, its cached cursors, liveness flags and `INVALID_WORD` decode
+//! included, is a schedule point. A `load_fresh` there is a poll and reads
+//! the latest store; a `load` is a data read and branches over every message
+//! the view admits. Each harness adds only what a non-blocking call leaves
+//! to its caller — the blocking between retries (`mark` / `wait_changed`),
+//! the payloads and the properties — and runs the shipped ordering profile.
+//! Each ordering mutant is that profile with one field downgraded: the
+//! checker must produce a counterexample for every one, which is the
+//! self-test proving it has teeth.
 //!
-//! The doorbell model exercises the park/unpark wakeup protocol directly
-//! against [`Ctx`] (parking has no `std`-generic expression); its mutants
-//! are structural (skip the under-lock epoch recheck, never drain
-//! sleepers) and surface as model deadlocks — lost wakeups.
+//! The doorbell stays a model written against [`Ctx`] directly: parking has
+//! no expression generic over an atomic cell, so its mutants are structural
+//! (skip the under-lock epoch recheck, never drain sleepers) and surface as
+//! model deadlocks — lost wakeups.
 //!
-//! Properties verified on the clean models, per §5.2 of the paper:
+//! Properties verified on the clean models, per §5 of the paper:
 //! * **publication ordering** — a consumed notification's payload is the one
-//!   written before it was posted;
+//!   written before it was posted, and a popped item is the one pushed;
 //! * **single-reader cursor monotonicity** — the reader sees each
-//!   notification exactly once, in slot order;
+//!   notification exactly once;
 //! * **no-overrun flow control** — with at most `CAP` outstanding posts the
 //!   ring never overwrites an unconsumed slot (the overrun mutant posts
 //!   `CAP + 1` and must be flagged);
+//! * **clean disconnect** — the consumer sees `Disconnected` only after it
+//!   has popped every item the producer pushed before closing;
 //! * **doorbell liveness** — no interleaving parks the waiter forever.
 
-use crate::atomic::AtomicCell;
-use crate::mc::memory::MemOrd;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use paella_channels::atomic::AtomicCell;
+use paella_channels::notifq::{NotifRing, NotifqOrds};
+use paella_channels::spsc::{Cursors, SpscOrds};
+use paella_channels::{Notification, PopError, PushError, INVALID_WORD};
+
 use crate::mc::{Checker, Config, Ctx, Report, VAtomic};
 
-/// Memory-ordering profile for the notification-queue model. Field order
-/// follows the life of a post: payload write, slot claim, publication, then
-/// the reader's scan, payload read, and slot reset.
-#[derive(Clone, Copy, Debug)]
-pub struct NotifqOrds {
-    /// Payload store before posting (`data_write`).
-    pub data_write: MemOrd,
-    /// `tail.fetch_add` claiming a slot.
-    pub claim: MemOrd,
-    /// Slot store publishing the notification word.
-    pub publish: MemOrd,
-    /// Reader's slot load.
-    pub scan: MemOrd,
-    /// Reader's payload load.
-    pub data_read: MemOrd,
-    /// Reader's slot reset store.
-    pub reset: MemOrd,
-}
-
-impl NotifqOrds {
-    /// The orderings used by `crates/channels/src/notifq.rs`.
-    pub const CORRECT: NotifqOrds = NotifqOrds {
-        data_write: MemOrd::Relaxed,
-        claim: MemOrd::Relaxed,
-        publish: MemOrd::Release,
-        scan: MemOrd::Acquire,
-        data_read: MemOrd::Relaxed,
-        reset: MemOrd::Release,
-    };
-}
-
-/// Memory-ordering profile for the SPSC ring model, mirroring
-/// `crates/channels/src/spsc.rs`.
-#[derive(Clone, Copy, Debug)]
-pub struct SpscOrds {
-    /// Producer's load of the consumer cursor (full check).
-    pub head_load: MemOrd,
-    /// Producer's payload store into the slot.
-    pub slot_write: MemOrd,
-    /// Producer's tail publication store.
-    pub publish: MemOrd,
-    /// Consumer's load of the producer cursor (empty check).
-    pub tail_load: MemOrd,
-    /// Consumer's payload load from the slot.
-    pub slot_read: MemOrd,
-    /// Consumer's head advance store.
-    pub head_store: MemOrd,
-}
-
-impl SpscOrds {
-    /// The orderings used by `crates/channels/src/spsc.rs`.
-    pub const CORRECT: SpscOrds = SpscOrds {
-        head_load: MemOrd::Acquire,
-        slot_write: MemOrd::Relaxed,
-        publish: MemOrd::Release,
-        tail_load: MemOrd::Acquire,
-        slot_read: MemOrd::Relaxed,
-        head_store: MemOrd::Release,
-    };
-}
-
-/// The notifQ post path (`NotifQueue::post`): write the payload, claim a
-/// slot with a tail fetch-add, publish the non-zero notification word.
-/// Payload for writer `w` is `100 + w`; word is `w + 1` (0 = empty).
-pub fn notifq_post<C, A: AtomicCell<C>>(
-    c: &mut C,
-    tail: &A,
-    slots: &[A],
-    data: &[A],
-    writer: usize,
-    ords: NotifqOrds,
-) {
-    data[writer].store(c, 100 + writer as u64, ords.data_write);
-    let t = tail.fetch_add(c, 1, ords.claim);
-    let slot = (t as usize) % slots.len();
-    slots[slot].store(c, writer as u64 + 1, ords.publish);
-}
-
-/// The notifQ poll path (`NotifQueue::poll`), single reader: scan the head
-/// slot until non-zero, read the payload the word points at, reset the slot,
-/// advance the private cursor. Returns `(word, payload)` pairs in
-/// consumption order; an out-of-range word yields payload `u64::MAX`.
-pub fn notifq_consume<C, A: AtomicCell<C>>(
-    c: &mut C,
-    slots: &[A],
-    data: &[A],
-    count: usize,
-    ords: NotifqOrds,
-) -> Vec<(u64, u64)> {
-    let mut out = Vec::with_capacity(count);
-    for head in 0..count {
-        let slot = head % slots.len();
-        let word = slots[slot].wait_until(c, ords.scan, |v| v != 0);
-        let w = (word as usize).wrapping_sub(1);
-        let payload = if w < data.len() {
-            data[w].load(c, ords.data_read)
-        } else {
-            u64::MAX
-        };
-        slots[slot].store(c, 0, ords.reset);
-        out.push((word, payload));
+impl AtomicCell<Ctx> for VAtomic {
+    fn load(&self, c: &mut Ctx, ord: Ordering) -> u64 {
+        c.load(*self, ord)
     }
-    out
-}
 
-/// The SPSC push path: wait for room, write the slot, publish the tail.
-pub fn spsc_produce<C, A: AtomicCell<C>>(
-    c: &mut C,
-    head: &A,
-    tail: &A,
-    slots: &[A],
-    items: &[u64],
-    ords: SpscOrds,
-) {
-    let cap = slots.len() as u64;
-    let mut t = 0u64;
-    for &item in items {
-        head.wait_until(c, ords.head_load, |h| t - h < cap);
-        slots[(t % cap) as usize].store(c, item, ords.slot_write);
-        t += 1;
-        tail.store(c, t, ords.publish);
+    fn load_fresh(&self, c: &mut Ctx, ord: Ordering) -> u64 {
+        c.load_fresh(*self, ord)
     }
-}
 
-/// The SPSC pop path: wait for data, read the slot, advance the head.
-pub fn spsc_consume<C, A: AtomicCell<C>>(
-    c: &mut C,
-    head: &A,
-    tail: &A,
-    slots: &[A],
-    count: usize,
-    ords: SpscOrds,
-) -> Vec<u64> {
-    let cap = slots.len() as u64;
-    let mut h = 0u64;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        tail.wait_until(c, ords.tail_load, |t| t > h);
-        let v = slots[(h % cap) as usize].load(c, ords.slot_read);
-        out.push(v);
-        h += 1;
-        head.store(c, h, ords.head_store);
+    fn store(&self, c: &mut Ctx, val: u64, ord: Ordering) {
+        c.store(*self, val, ord);
     }
-    out
+
+    fn fetch_add(&self, c: &mut Ctx, val: u64, ord: Ordering) -> u64 {
+        c.rmw(*self, ord, |v| v.wrapping_add(val))
+    }
 }
 
 const NOTIFQ_CAP: usize = 2;
 
-/// Model-checks the notifQ algorithm with `writers` concurrent posters and
-/// one reader over a `NOTIFQ_CAP`-slot ring. `writers > NOTIFQ_CAP`
-/// deliberately violates the flow-control precondition.
+/// Model-checks the notifQ with `writers` concurrent posters and one reader
+/// over a `NOTIFQ_CAP`-slot ring. Writer `w` stores payload `100 + w` (the
+/// block's work), then posts a placement from SM `w`; the reader polls until
+/// it has `writers` notifications and reads each one's payload.
+/// `writers > NOTIFQ_CAP` deliberately violates the flow-control
+/// precondition.
 pub fn notifq_check(ords: NotifqOrds, writers: usize) -> Report {
     Checker::new(Config::default()).check(move |b| {
-        let tail = b.atomic("tail", 0);
-        let slots: Vec<VAtomic> = (0..NOTIFQ_CAP)
-            .map(|i| b.atomic(&format!("slot{i}"), 0))
-            .collect();
+        let ring = Arc::new(NotifRing {
+            slots: (0..NOTIFQ_CAP)
+                .map(|i| b.atomic(&format!("slot{i}"), INVALID_WORD))
+                .collect(),
+            tail: b.atomic("tail", 0),
+        });
         let data: Vec<VAtomic> = (0..writers)
             .map(|w| b.atomic(&format!("data{w}"), 0))
             .collect();
-        for w in 0..writers {
-            let slots = slots.clone();
-            let data = data.clone();
+        for (w, &payload) in data.iter().enumerate() {
+            let ring = Arc::clone(&ring);
             b.thread(&format!("writer{w}"), move |c| {
-                notifq_post(c, &tail, &slots, &data, w, ords);
+                c.store(payload, 100 + w as u64, Ordering::Relaxed);
+                ring.post(c, Notification::placement(w as u8, w as u32, 1), ords);
             });
         }
-        let slots = slots.clone();
-        let data = data.clone();
         b.thread("reader", move |c| {
-            let got = notifq_consume(c, &slots, &data, writers, ords);
+            let mut head = 0;
             let mut seen = vec![false; writers];
-            for (word, payload) in got {
-                let w = (word as usize).wrapping_sub(1);
-                c.check(w < writers, "notification word decodes to a live writer");
-                if w < writers {
-                    c.check(!seen[w], "reader cursor sees each notification once");
-                    seen[w] = true;
-                    c.check(
-                        payload == 100 + w as u64,
-                        "payload store happens-before its notification",
-                    );
-                }
+            for _ in 0..writers {
+                let n = loop {
+                    let slot = ring.slots[head as usize % NOTIFQ_CAP];
+                    let m = c.mark(slot);
+                    if let Some(n) = ring.poll(c, &mut head, ords) {
+                        break n;
+                    }
+                    c.wait_changed(slot, m);
+                };
+                let w = usize::from(n.sm_id);
+                c.check(!seen[w], "reader cursor sees each notification once");
+                seen[w] = true;
+                let payload = c.load(data[w], Ordering::Relaxed);
+                c.check(
+                    payload == 100 + w as u64,
+                    "payload store happens-before its notification",
+                );
             }
         });
     })
 }
 
-/// Model-checks the SPSC ring with a capacity-1 buffer and two items, which
-/// exercises both the empty wait (consumer) and the full wait (producer).
+/// Model-checks the SPSC ring with a capacity-1 buffer: the producer pushes
+/// two items and closes, the consumer pops until `Disconnected` and closes.
+/// That exercises the empty wait (consumer), the full wait (producer) and
+/// the close handshake.
 pub fn spsc_check(ords: SpscOrds) -> Report {
+    const ITEMS: [u64; 2] = [41, 42];
     Checker::new(Config::default()).check(move |b| {
-        let head = b.atomic("head", 0);
-        let tail = b.atomic("tail", 0);
-        let slots = vec![b.atomic("slot0", 0)];
-        let items = [41u64, 42];
-        {
-            let slots = slots.clone();
-            b.thread("producer", move |c| {
-                spsc_produce(c, &head, &tail, &slots, &items, ords);
-            });
-        }
+        let mut cells = Vec::new();
+        let ring = Arc::new(Cursors::new(1, |name, init| {
+            cells.push(b.atomic(name, init));
+            cells[cells.len() - 1]
+        }));
+        // `Cursors::new` makes its cells in field order.
+        let [head, tail, producer_alive, _] = cells[..] else {
+            unreachable!("Cursors has four cells")
+        };
+        let slots = [b.atomic("slot0", 0)];
+        let write = move |c: &mut Ctx, i: usize, v| c.store(slots[i], v, Ordering::Relaxed);
+        let read = move |c: &mut Ctx, i: usize| c.load(slots[i], Ordering::Relaxed);
+        let producer = Arc::clone(&ring);
+        b.thread("producer", move |c| {
+            let mut cached_head = 0;
+            for item in ITEMS {
+                loop {
+                    let m = c.mark(head);
+                    match producer.push(c, &mut cached_head, item, write, ords) {
+                        Err(PushError::Full(_)) => c.wait_changed(head, m),
+                        done => {
+                            c.check(done.is_ok(), "the consumer outlives the producer");
+                            break;
+                        }
+                    }
+                }
+            }
+            producer.close_producer(c, ords);
+        });
         b.thread("consumer", move |c| {
-            let got = spsc_consume(c, &head, &tail, &slots, items.len(), ords);
-            c.check(got == items, "consumer pops the published items in order");
+            let mut cached_tail = 0;
+            let mut got = Vec::new();
+            loop {
+                // Until every item is in, only a push ends an empty spell;
+                // after that, only the producer's close.
+                let wake = if got.len() < ITEMS.len() {
+                    tail
+                } else {
+                    producer_alive
+                };
+                let m = c.mark(wake);
+                match ring.pop(c, &mut cached_tail, read, ords) {
+                    Ok(v) => got.push(v),
+                    Err(PopError::Empty) => c.wait_changed(wake, m),
+                    Err(PopError::Disconnected) => break,
+                }
+            }
+            c.check(
+                got == ITEMS,
+                "every pushed item is popped, in order, before Disconnected",
+            );
+            ring.close_consumer(c, ords);
         });
     })
 }
@@ -248,8 +185,8 @@ pub struct DoorbellCfg {
 }
 
 impl DoorbellCfg {
-    /// The protocol as implemented by `crates/channels/src/doorbell.rs`.
-    pub const CORRECT: DoorbellCfg = DoorbellCfg {
+    /// The protocol `crates/channels/src/doorbell.rs` ships.
+    pub const SHIPPED: DoorbellCfg = DoorbellCfg {
         recheck_under_lock: true,
         ring_checks_sleepers: true,
     };
@@ -262,7 +199,7 @@ impl DoorbellCfg {
 fn spin_lock(c: &mut Ctx, lock: VAtomic) {
     loop {
         let m = c.mark(lock);
-        if c.compare_exchange(lock, 0, 1, MemOrd::Acquire).is_ok() {
+        if c.compare_exchange(lock, 0, 1, Ordering::Acquire).is_ok() {
             return;
         }
         c.wait_changed(lock, m);
@@ -270,13 +207,19 @@ fn spin_lock(c: &mut Ctx, lock: VAtomic) {
 }
 
 fn spin_unlock(c: &mut Ctx, lock: VAtomic) {
-    c.store(lock, 0, MemOrd::Release);
+    c.store(lock, 0, Ordering::Release);
 }
 
 /// Model-checks the doorbell wakeup protocol: one waiter polling a data
 /// word with an epoch-guarded park, one ringer posting the data and ringing.
 /// The property is liveness — no interleaving may leave the waiter parked
 /// (a lost wakeup), which the engine reports as a deadlock.
+///
+/// Unlike the two models above, this one is a second copy: `Doorbell` parks
+/// through `std::thread` and a `Mutex`, which have no expression generic over
+/// an atomic cell, so its protocol is re-expressed here with a CAS spinlock
+/// and the checker's park/unpark, and a change to `doorbell.rs` must be
+/// mirrored by hand.
 ///
 /// Freshness note: the loop-control reads (`data`, epoch at loop tops,
 /// `waiters` on the ring path) use `load_fresh`, modeling the
@@ -293,37 +236,37 @@ pub fn doorbell_check(cfg: DoorbellCfg) -> Report {
         let lock = b.atomic("lock", 0);
         let waiter = b.thread("waiter", move |c| {
             loop {
-                let seen = c.load_fresh(epoch, MemOrd::Acquire);
-                if c.load_fresh(data, MemOrd::Acquire) != 0 {
+                let seen = c.load_fresh(epoch, Ordering::Acquire);
+                if c.load_fresh(data, Ordering::Acquire) != 0 {
                     break;
                 }
                 // wait_past(seen)
-                c.rmw(waiters, MemOrd::AcqRel, |w| w + 1);
+                c.rmw(waiters, Ordering::AcqRel, |w| w + 1);
                 loop {
-                    if c.load_fresh(epoch, MemOrd::Acquire) != seen {
+                    if c.load_fresh(epoch, Ordering::Acquire) != seen {
                         break;
                     }
                     spin_lock(c, lock);
-                    if cfg.recheck_under_lock && c.load(epoch, MemOrd::Acquire) != seen {
+                    if cfg.recheck_under_lock && c.load(epoch, Ordering::Acquire) != seen {
                         spin_unlock(c, lock);
                         break;
                     }
-                    c.store(sleeping, 1, MemOrd::Relaxed);
+                    c.store(sleeping, 1, Ordering::Relaxed);
                     spin_unlock(c, lock);
                     c.park();
                 }
-                c.rmw(waiters, MemOrd::AcqRel, |w| w.wrapping_sub(1));
+                c.rmw(waiters, Ordering::AcqRel, |w| w.wrapping_sub(1));
             }
-            let v = c.load_fresh(data, MemOrd::Acquire);
+            let v = c.load_fresh(data, Ordering::Acquire);
             c.check(v == 1, "woken waiter observes the posted data");
         });
         b.thread("ringer", move |c| {
-            c.store(data, 1, MemOrd::Relaxed);
-            c.rmw(epoch, MemOrd::Release, |e| e + 1);
-            if cfg.ring_checks_sleepers && c.load_fresh(waiters, MemOrd::Acquire) > 0 {
+            c.store(data, 1, Ordering::Relaxed);
+            c.rmw(epoch, Ordering::Release, |e| e + 1);
+            if cfg.ring_checks_sleepers && c.load_fresh(waiters, Ordering::Acquire) > 0 {
                 spin_lock(c, lock);
-                if c.load(sleeping, MemOrd::Acquire) == 1 {
-                    c.store(sleeping, 0, MemOrd::Relaxed);
+                if c.load(sleeping, Ordering::Acquire) == 1 {
+                    c.store(sleeping, 0, Ordering::Relaxed);
                     c.unpark(waiter);
                 }
                 spin_unlock(c, lock);
@@ -349,18 +292,18 @@ pub fn clean_models() -> Vec<ModelCheck> {
             name: "notifq",
             description: "2 writers / 1 reader: publication ordering, cursor \
                           monotonicity, no overrun within flow control",
-            run: || notifq_check(NotifqOrds::CORRECT, 2),
+            run: || notifq_check(NotifqOrds::SHIPPED, 2),
         },
         ModelCheck {
             name: "spsc",
-            description: "capacity-1 ring, 2 items: in-order delivery with \
-                          published payloads through both wait paths",
-            run: || spsc_check(SpscOrds::CORRECT),
+            description: "capacity-1 ring, 2 items then close: in-order delivery \
+                          through both wait paths, no Disconnected before the last item",
+            run: || spsc_check(SpscOrds::SHIPPED),
         },
         ModelCheck {
             name: "doorbell",
             description: "1 waiter / 1 ringer: no interleaving loses the wakeup",
-            run: || doorbell_check(DoorbellCfg::CORRECT),
+            run: || doorbell_check(DoorbellCfg::SHIPPED),
         },
     ]
 }
@@ -390,8 +333,8 @@ pub fn mutants() -> Vec<Mutant> {
             run: || {
                 notifq_check(
                     NotifqOrds {
-                        publish: MemOrd::Relaxed,
-                        ..NotifqOrds::CORRECT
+                        publish: Ordering::Relaxed,
+                        ..NotifqOrds::SHIPPED
                     },
                     2,
                 )
@@ -405,8 +348,8 @@ pub fn mutants() -> Vec<Mutant> {
             run: || {
                 notifq_check(
                     NotifqOrds {
-                        scan: MemOrd::Relaxed,
-                        ..NotifqOrds::CORRECT
+                        scan: Ordering::Relaxed,
+                        ..NotifqOrds::SHIPPED
                     },
                     2,
                 )
@@ -419,8 +362,8 @@ pub fn mutants() -> Vec<Mutant> {
                           (consumer may pop a stale slot)",
             run: || {
                 spsc_check(SpscOrds {
-                    publish: MemOrd::Relaxed,
-                    ..SpscOrds::CORRECT
+                    publish: Ordering::Relaxed,
+                    ..SpscOrds::SHIPPED
                 })
             },
         },
@@ -431,8 +374,21 @@ pub fn mutants() -> Vec<Mutant> {
                           (slot read no longer ordered after the tail)",
             run: || {
                 spsc_check(SpscOrds {
-                    tail_load: MemOrd::Relaxed,
-                    ..SpscOrds::CORRECT
+                    tail_load: Ordering::Relaxed,
+                    ..SpscOrds::SHIPPED
+                })
+            },
+        },
+        Mutant {
+            id: "spsc-disconnect-relaxed",
+            class: "memory-ordering",
+            description: "spsc producer close downgraded Release -> Relaxed \
+                          (consumer sees the close, re-reads a stale tail and \
+                          reports Disconnected with an item still queued)",
+            run: || {
+                spsc_check(SpscOrds {
+                    producer_close: Ordering::Relaxed,
+                    ..SpscOrds::SHIPPED
                 })
             },
         },
@@ -442,7 +398,7 @@ pub fn mutants() -> Vec<Mutant> {
             description: "3 posts into a 2-slot ring (flow-control precondition \
                           violated): a writer laps the reader and a notification \
                           is lost",
-            run: || notifq_check(NotifqOrds::CORRECT, NOTIFQ_CAP + 1),
+            run: || notifq_check(NotifqOrds::SHIPPED, NOTIFQ_CAP + 1),
         },
         Mutant {
             id: "doorbell-no-recheck",
@@ -452,7 +408,7 @@ pub fn mutants() -> Vec<Mutant> {
             run: || {
                 doorbell_check(DoorbellCfg {
                     recheck_under_lock: false,
-                    ..DoorbellCfg::CORRECT
+                    ..DoorbellCfg::SHIPPED
                 })
             },
         },
@@ -464,7 +420,7 @@ pub fn mutants() -> Vec<Mutant> {
             run: || {
                 doorbell_check(DoorbellCfg {
                     ring_checks_sleepers: false,
-                    ..DoorbellCfg::CORRECT
+                    ..DoorbellCfg::SHIPPED
                 })
             },
         },
@@ -474,23 +430,22 @@ pub fn mutants() -> Vec<Mutant> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn clean_notifq_exhausts_without_failure() {
-        let r = notifq_check(NotifqOrds::CORRECT, 2);
+        let r = notifq_check(NotifqOrds::SHIPPED, 2);
         assert!(r.passed(), "{r:?}");
     }
 
     #[test]
     fn clean_spsc_exhausts_without_failure() {
-        let r = spsc_check(SpscOrds::CORRECT);
+        let r = spsc_check(SpscOrds::SHIPPED);
         assert!(r.passed(), "{r:?}");
     }
 
     #[test]
     fn clean_doorbell_exhausts_without_failure() {
-        let r = doorbell_check(DoorbellCfg::CORRECT);
+        let r = doorbell_check(DoorbellCfg::SHIPPED);
         assert!(r.passed(), "{r:?}");
     }
 
@@ -505,51 +460,5 @@ mod tests {
                 r.executions
             );
         }
-    }
-
-    /// The same generic algorithms run on real `AtomicU64`s with real
-    /// threads — the abstraction is executable, not just checkable.
-    #[test]
-    fn generic_notifq_runs_on_real_atomics() {
-        let tail = AtomicU64::new(0);
-        let slots = [AtomicU64::new(0), AtomicU64::new(0)];
-        let data = [AtomicU64::new(0), AtomicU64::new(0)];
-        std::thread::scope(|s| {
-            let t0 = s.spawn(|| notifq_post(&mut (), &tail, &slots, &data, 0, NotifqOrds::CORRECT));
-            let t1 = s.spawn(|| notifq_post(&mut (), &tail, &slots, &data, 1, NotifqOrds::CORRECT));
-            let got = notifq_consume(&mut (), &slots, &data, 2, NotifqOrds::CORRECT);
-            t0.join().unwrap();
-            t1.join().unwrap();
-            let mut seen = [false; 2];
-            for (word, payload) in got {
-                let w = (word as usize) - 1;
-                assert!(!seen[w]);
-                seen[w] = true;
-                assert_eq!(payload, 100 + w as u64);
-            }
-            assert!(seen[0] && seen[1]);
-        });
-    }
-
-    #[test]
-    fn generic_spsc_runs_on_real_atomics() {
-        let head = AtomicU64::new(0);
-        let tail = AtomicU64::new(0);
-        let slots = [AtomicU64::new(0)];
-        let items: Vec<u64> = (1..=64).collect();
-        std::thread::scope(|s| {
-            let producer =
-                s.spawn(|| spsc_produce(&mut (), &head, &tail, &slots, &items, SpscOrds::CORRECT));
-            let got = spsc_consume(
-                &mut (),
-                &head,
-                &tail,
-                &slots,
-                items.len(),
-                SpscOrds::CORRECT,
-            );
-            producer.join().unwrap();
-            assert_eq!(got, items);
-        });
     }
 }
