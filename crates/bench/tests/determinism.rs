@@ -7,11 +7,11 @@
 //! (the pre-harness reference path), so these tests also pin the parallel
 //! grids against the original serial loops.
 //!
-//! The binaries whose grid does not depend on `PAELLA_BENCH_SCALE` also pin
-//! a golden digest of that serial stdout: "the figures are byte-identical"
-//! is a constant a refactor must leave alone, not a manual `cmp` against a
-//! build of the parent. A change that means to move a figure re-records its
-//! digest and says so.
+//! Most binaries also pin a golden digest of that serial stdout, taken at
+//! the tests' fixed `PAELLA_BENCH_SCALE=0.05`: "the figures are
+//! byte-identical" is a constant a refactor must leave alone, not a manual
+//! `cmp` against a build of the parent. A change that means to move a figure
+//! re-records its digest and says so.
 
 use std::path::Path;
 use std::process::Command;
@@ -81,13 +81,38 @@ fn fig02_stdout_is_thread_count_invariant() {
 }
 
 #[test]
+fn fig04_stdout_is_thread_count_invariant() {
+    // The callback, synchronize and launch costs of the CUDA runtime model.
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig04"),
+        &[],
+        Some(0x4448_6dff_ebc5_2678),
+    );
+}
+
+#[test]
 fn fig13_stdout_is_thread_count_invariant() {
     assert_deterministic(env!("CARGO_BIN_EXE_fig13"), &[], None);
 }
 
 #[test]
 fn fig14_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig14"), &[], None);
+    // The socket syscall cost, charged per client wake-up.
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig14"),
+        &[],
+        Some(0x5219_f631_7508_3ea1),
+    );
+}
+
+#[test]
+fn fig15_stdout_is_thread_count_invariant() {
+    // The launch plus synchronize costs around each measured kernel.
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig15"),
+        &[],
+        Some(0x7517_0e1d_d180_93ab),
+    );
 }
 
 #[test]
