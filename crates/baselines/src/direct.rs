@@ -32,12 +32,7 @@ pub enum DirectMode {
 /// A direct-submission baseline: a job-granularity dispatcher with nothing
 /// in front of it but the clients' own `predict` calls, each submitted at its
 /// own `submitted_at`. The hardware queues make the scheduling decisions.
-pub fn direct_cuda(
-    device: DeviceConfig,
-    channels: ChannelConfig,
-    mode: DirectMode,
-    seed: u64,
-) -> Dispatcher {
+pub fn direct_cuda(device: DeviceConfig, mode: DirectMode, seed: u64) -> Dispatcher {
     let streams = match mode {
         DirectMode::SingleStream => StreamPolicy::Single,
         DirectMode::MultiStream | DirectMode::Mps => StreamPolicy::PerJobUnbounded,
@@ -51,7 +46,13 @@ pub fn direct_cuda(
         // MPS-server cost.
         DirectMode::Mps => cfg.ingest_cost = SimDuration::from_nanos(500),
     }
-    Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), cfg, seed)
+    Dispatcher::new(
+        device,
+        ChannelConfig::default(),
+        Box::new(FifoScheduler::new()),
+        cfg,
+        seed,
+    )
 }
 
 #[cfg(test)]
@@ -62,12 +63,7 @@ mod tests {
     use paella_sim::SimTime;
 
     fn run(mode: DirectMode, n: usize) -> Vec<JobCompletion> {
-        let mut sys = direct_cuda(
-            DeviceConfig::gtx_1660_super(),
-            ChannelConfig::default(),
-            mode,
-            9,
-        );
+        let mut sys = direct_cuda(DeviceConfig::gtx_1660_super(), mode, 9);
         let model = sys.register_model(&synthetic::fig2_job());
         for i in 0..n {
             sys.submit(InferenceRequest {

@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 
-use paella_channels::ChannelConfig;
+use paella_channels::{ChannelConfig, CudaRuntimeModel, RpcModel};
 use paella_compiler::CompiledModel;
 use paella_core::{
     split, Dispatcher, DispatcherConfig, FifoScheduler, InferenceRequest, JobCompletion,
@@ -66,7 +66,6 @@ pub enum TritonEv {
 /// The Triton-like serving system's front end; the backend is a dispatcher.
 pub struct Triton {
     cfg: TritonConfig,
-    channels: ChannelConfig,
     models: Vec<ModelState>,
     /// The backend model of each `(model, batch size)` executed so far.
     variants: BatchVariants,
@@ -76,22 +75,22 @@ type TritonFront = Front<Dispatcher, TritonEv>;
 
 impl Triton {
     /// Creates a Triton-like server over a fresh device.
-    pub fn new(
-        device: DeviceConfig,
-        channels: ChannelConfig,
-        cfg: TritonConfig,
-        seed: u64,
-    ) -> Layered<Self, Dispatcher> {
+    pub fn new(device: DeviceConfig, cfg: TritonConfig, seed: u64) -> Layered<Self, Dispatcher> {
         // The TVM-in-TensorFlow backend funnels every execution through
         // TensorFlow's single compute stream, and the wrapper's per-call CPU
         // serializes on the server process.
         let mut bcfg = DispatcherConfig::direct(StreamPolicy::Single);
         bcfg.central_cpu = true;
         bcfg.ingest_cost = WRAPPER_COST;
-        let backend = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed);
+        let backend = Dispatcher::new(
+            device,
+            ChannelConfig::default(),
+            Box::new(FifoScheduler::new()),
+            bcfg,
+            seed,
+        );
         let tier = Triton {
             cfg,
-            channels,
             models: Vec::new(),
             variants: BatchVariants::default(),
         };
@@ -99,15 +98,11 @@ impl Triton {
     }
 
     fn rpc_in(&self, model: usize) -> SimDuration {
-        self.channels
-            .rpc
-            .one_way(self.models[model].model.input_bytes)
+        RpcModel::one_way(self.models[model].model.input_bytes)
     }
 
     fn rpc_out(&self, model: usize) -> SimDuration {
-        self.channels
-            .rpc
-            .one_way(self.models[model].model.output_bytes)
+        RpcModel::one_way(self.models[model].model.output_bytes)
     }
 
     fn try_launch(&mut self, front: &mut TritonFront, model_idx: usize, now: SimTime) {
@@ -200,7 +195,7 @@ impl Tier<Dispatcher> for Triton {
                     c.breakdown.device,
                     rpc_in + rpc_out,
                     DISPATCH_COST + c.breakdown.framework,
-                    self.channels.cuda.launch_latency * 2,
+                    CudaRuntimeModel::LAUNCH_LATENCY * 2,
                 ],
             );
             front.deliver(JobCompletion {
@@ -228,35 +223,34 @@ impl Tier<Dispatcher> for Triton {
 /// Boost-Asio style ingress of the Clockwork-like system: cheaper than gRPC,
 /// pricier than shm.
 const CLOCKWORK_INGRESS: SimDuration = SimDuration::from_micros(25);
+/// Controller→worker action + result RPC costs, each way.
+const CLOCKWORK_CONTROLLER_COST: SimDuration = SimDuration::from_micros(45);
 
 /// A Clockwork-like system (§9 related work; Table 3): a controller that
 /// runs exactly one model execution on the GPU at a time, prioritizing
 /// predictability. Controller↔worker coordination costs (Boost Asio) apply
 /// per request.
 pub struct Clockwork {
-    channels: ChannelConfig,
     queue: VecDeque<InferenceRequest>,
     busy: Option<InferenceRequest>,
-    /// Controller→worker action + result RPC costs.
-    controller_cost: SimDuration,
 }
 
 type ClockworkFront = Front<Dispatcher, InferenceRequest>;
 
 impl Clockwork {
     /// Creates a Clockwork-like server over a fresh device.
-    pub fn new(
-        device: DeviceConfig,
-        channels: ChannelConfig,
-        seed: u64,
-    ) -> Layered<Self, Dispatcher> {
+    pub fn new(device: DeviceConfig, seed: u64) -> Layered<Self, Dispatcher> {
         let bcfg = DispatcherConfig::direct(StreamPolicy::Single);
-        let backend = Dispatcher::new(device, channels, Box::new(FifoScheduler::new()), bcfg, seed);
+        let backend = Dispatcher::new(
+            device,
+            ChannelConfig::default(),
+            Box::new(FifoScheduler::new()),
+            bcfg,
+            seed,
+        );
         let tier = Clockwork {
-            channels,
             queue: VecDeque::new(),
             busy: None,
-            controller_cost: SimDuration::from_micros(45),
         };
         Layered::new(tier, backend)
     }
@@ -270,7 +264,7 @@ impl Clockwork {
         };
         self.busy = Some(req);
         front.inner.submit(InferenceRequest {
-            submitted_at: now + self.controller_cost,
+            submitted_at: now + CLOCKWORK_CONTROLLER_COST,
             ..req
         });
     }
@@ -305,14 +299,14 @@ impl Tier<Dispatcher> for Clockwork {
         // invariant: the controller submits one request at a time and holds
         // it in `busy` until the worker answers.
         let request = self.busy.take().expect("completion without busy job");
-        let visible = c.client_visible_at + self.controller_cost;
+        let visible = c.client_visible_at + CLOCKWORK_CONTROLLER_COST;
         let ([device, client_send_recv, framework, communication], queuing) = split(
             visible.saturating_since(request.submitted_at),
             [
                 c.breakdown.device,
                 CLOCKWORK_INGRESS,
-                self.controller_cost * 2 + c.breakdown.framework,
-                self.channels.cuda.launch_latency * 2,
+                CLOCKWORK_CONTROLLER_COST * 2 + c.breakdown.framework,
+                CudaRuntimeModel::LAUNCH_LATENCY * 2,
             ],
         );
         front.deliver(JobCompletion {
@@ -352,12 +346,7 @@ mod tests {
 
     #[test]
     fn triton_single_request_pays_rpc_overhead() {
-        let mut t = Triton::new(
-            DeviceConfig::tesla_t4(),
-            ChannelConfig::default(),
-            TritonConfig::default(),
-            1,
-        );
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), TritonConfig::default(), 1);
         let m = t.register_model(&synthetic::tiny_model(SimDuration::from_micros(100)));
         t.submit(req(m, 0));
         t.run_to_idle();
@@ -375,12 +364,7 @@ mod tests {
 
     #[test]
     fn triton_instance_serializes_same_model() {
-        let mut t = Triton::new(
-            DeviceConfig::tesla_t4(),
-            ChannelConfig::default(),
-            TritonConfig::default(),
-            1,
-        );
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), TritonConfig::default(), 1);
         let m = t.register_model(&synthetic::uniform_job(
             "u",
             4,
@@ -403,12 +387,7 @@ mod tests {
     fn triton_tf_backend_serializes_across_models() {
         // The TVM-in-TensorFlow wrapper funnels every model through one
         // compute stream, so even different models execute back to back.
-        let mut t = Triton::new(
-            DeviceConfig::tesla_t4(),
-            ChannelConfig::default(),
-            TritonConfig::default(),
-            1,
-        );
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), TritonConfig::default(), 1);
         let a = t.register_model(&synthetic::uniform_job(
             "a",
             4,
@@ -435,7 +414,7 @@ mod tests {
     #[test]
     fn triton_dynamic_batching_coalesces() {
         let cfg = TritonConfig { max_batch: 4 };
-        let mut t = Triton::new(DeviceConfig::tesla_t4(), ChannelConfig::default(), cfg, 1);
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), cfg, 1);
         let m = t.register_model(&synthetic::uniform_job(
             "u",
             4,
@@ -458,7 +437,7 @@ mod tests {
 
     #[test]
     fn clockwork_runs_one_at_a_time() {
-        let mut cw = Clockwork::new(DeviceConfig::tesla_t4(), ChannelConfig::default(), 1);
+        let mut cw = Clockwork::new(DeviceConfig::tesla_t4(), 1);
         let m = cw.register_model(&synthetic::uniform_job(
             "u",
             4,

@@ -4,7 +4,8 @@
 //! independent blocks could run, but job-by-job submission fills the 32
 //! queues with dependent chains and uses only 32/176 = 18 % of the device.
 
-use paella_bench::{channels, f, header, row, scaled};
+use paella_bench::{f, header, row, scaled};
+use paella_channels::ChannelConfig;
 use paella_core::ServingSystem;
 
 use paella_gpu::{blocks_per_sm, BlockFootprint, DeviceConfig, SmLimits};
@@ -50,7 +51,7 @@ fn main() {
             SystemKey::PaellaMsJbj => "job-by-job",
             _ => "paella",
         };
-        let mut sys = make_system(key, DeviceConfig::gtx_1660_super(), channels(), 7);
+        let mut sys = make_system(key, DeviceConfig::gtx_1660_super(), 7);
         let m = sys.register_model(&synthetic::fig2_job());
         let spec = WorkloadSpec {
             clients: 16,
@@ -87,7 +88,7 @@ fn main() {
         cfg.lookahead_blocks = b;
         let mut sys = paella_core::Dispatcher::new(
             DeviceConfig::tesla_t4(),
-            channels(),
+            ChannelConfig::default(),
             Box::new(paella_core::SrptDeficitScheduler::new(Some(2_000.0))),
             cfg,
             7,

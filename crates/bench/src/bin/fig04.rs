@@ -6,7 +6,8 @@
 //! per kernel, while the Paella dispatcher reacts to the shared-memory
 //! notifQ.
 
-use paella_bench::{channels, f, header, row, scaled};
+use paella_bench::{f, header, row, scaled};
+use paella_channels::CudaRuntimeModel;
 use paella_core::{ClientId, InferenceRequest};
 use paella_gpu::{DeviceConfig, GpuSim, KernelLaunch, StreamId};
 use paella_models::synthetic;
@@ -43,13 +44,14 @@ fn direct_sync_total(streams: u32, per_kernel_host: SimDuration) -> SimDuration 
     }
     // Host work serializes on the runtime thread and cannot finish before
     // the device does.
-    let host = channels().cuda.launch_overhead * kernels as u64 + per_kernel_host * kernels as u64;
+    let host =
+        CudaRuntimeModel::LAUNCH_OVERHEAD * kernels as u64 + per_kernel_host * kernels as u64;
     device_done.saturating_since(SimTime::ZERO).max(host)
 }
 
 /// The Paella dispatcher path: jobs of 1000 empty kernels each.
 fn paella_total(streams: u32) -> SimDuration {
-    let mut sys = make_system(SystemKey::Paella, DeviceConfig::tesla_t4(), channels(), 5);
+    let mut sys = make_system(SystemKey::Paella, DeviceConfig::tesla_t4(), 5);
     let m = sys.register_model(&synthetic::uniform_job(
         "empty",
         scaled(KERNELS_PER_STREAM) as u32,
@@ -84,14 +86,13 @@ fn main() {
         "streamsync_ms".into(),
         "paella_ms".into(),
     ]);
-    let cuda = channels().cuda;
     let stream_counts = [1u32, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20];
     // Grid: stream count × method (callback / streamsync / paella).
     let grid = paella_bench::sweep::run_grid(stream_counts.len() * 3, |i| {
         let streams = stream_counts[i / 3];
         match i % 3 {
-            0 => direct_sync_total(streams, cuda.stream_callback),
-            1 => direct_sync_total(streams, cuda.stream_synchronize),
+            0 => direct_sync_total(streams, CudaRuntimeModel::STREAM_CALLBACK),
+            1 => direct_sync_total(streams, CudaRuntimeModel::STREAM_SYNCHRONIZE),
             _ => paella_total(streams),
         }
     });

@@ -3,7 +3,7 @@
 //! the MNIST-scale model at saturation; throughput holds until the
 //! per-decision cost reaches the ~10 µs range, then collapses.
 
-use paella_bench::{channels, device, f, header, row, scaled, zoo};
+use paella_bench::{device, f, header, row, scaled, zoo};
 use paella_sim::SimDuration;
 use paella_workload::systems::make_paella_with_delay;
 use paella_workload::{generate, run_trace, Mix, WorkloadSpec};
@@ -21,12 +21,7 @@ fn main() {
     // One saturation run per injected-delay point.
     let grid = paella_bench::sweep::run_grid(delays.len(), |i| {
         let delay_us = delays[i];
-        let mut sys = make_paella_with_delay(
-            device(),
-            channels(),
-            SimDuration::from_micros_f64(delay_us),
-            13,
-        );
+        let mut sys = make_paella_with_delay(device(), SimDuration::from_micros_f64(delay_us), 13);
         let id = sys.register_model(&model);
         // Offer far more load than the dispatcher can take so the measured
         // throughput is the saturation point.

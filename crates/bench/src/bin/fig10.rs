@@ -3,7 +3,7 @@
 //! request across Paella, its ablations, Triton, and Clockwork. All CUDA
 //! execution time is excluded.
 
-use paella_bench::{channels, device, f, header, row, zoo};
+use paella_bench::{device, f, header, row, zoo};
 use paella_core::{ClientId, InferenceRequest};
 use paella_sim::SimTime;
 use paella_workload::{average_breakdown, make_system, SystemKey};
@@ -36,7 +36,7 @@ fn main() {
     // One isolated-request run per compared system.
     let grid = paella_bench::sweep::run_grid(systems.len(), |i| {
         let key = systems[i];
-        let mut sys = make_system(key, device(), channels(), 17);
+        let mut sys = make_system(key, device(), 17);
         let id = sys.register_model(&model);
         // Average over several isolated requests (spaced far apart so no
         // queuing from contention).

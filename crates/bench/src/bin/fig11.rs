@@ -3,7 +3,7 @@
 //! lognormal arrivals, across every compared system. Per-model p99 curves
 //! come from the same mixed runs.
 
-use paella_bench::{channels, device, f, header, row, scaled, zoo};
+use paella_bench::{device, f, header, row, scaled, zoo};
 use paella_workload::{generate, make_system, run_trace, Mix, SystemKey, WorkloadSpec};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
         let sigma = sigmas[i / (systems.len() * rates.len())];
         let key = systems[(i / rates.len()) % systems.len()];
         let rate = rates[i % rates.len()];
-        let mut sys = make_system(key, device(), channels(), 23);
+        let mut sys = make_system(key, device(), 23);
         let ids: Vec<_> = table2.iter().map(|m| sys.register_model(m)).collect();
         let spec = WorkloadSpec {
             sigma,

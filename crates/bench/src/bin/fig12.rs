@@ -3,7 +3,7 @@
 //! both lognormal burstiness settings, including the MPS baseline. Paella's
 //! SRPT-like policy improves short-job p99 latency substantially.
 
-use paella_bench::{channels, device, f, header, row, scaled, zoo};
+use paella_bench::{device, f, header, row, scaled, zoo};
 use paella_workload::{generate, make_system, run_trace, Mix, SystemKey, WorkloadSpec};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
         let sigma = sigmas[i / (systems.len() * rates.len())];
         let key = systems[(i / rates.len()) % systems.len()];
         let rate = rates[i % rates.len()];
-        let mut sys = make_system(key, device(), channels(), 29);
+        let mut sys = make_system(key, device(), 29);
         let short = sys.register_model(&short_model);
         let long = sys.register_model(&long_model);
         let mix = Mix::weighted(vec![(short, ratio), (long, 1.0)]);

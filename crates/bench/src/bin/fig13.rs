@@ -3,7 +3,7 @@
 //! Lowering the threshold (more fair) trades short-job latency for long-job
 //! latency; as it approaches zero the system emulates Paella-SS behaviour.
 
-use paella_bench::{channels, device, f, header, row, scaled};
+use paella_bench::{device, f, header, row, scaled};
 use paella_models::synthetic;
 use paella_sim::SimDuration;
 use paella_workload::systems::make_paella_with_fairness;
@@ -29,7 +29,7 @@ fn main() {
     // One contended run per fairness-threshold point.
     let grid = paella_bench::sweep::run_grid(thresholds.len(), |i| {
         let threshold = thresholds[i];
-        let mut sys = make_paella_with_fairness(device(), channels(), Some(threshold), 31);
+        let mut sys = make_paella_with_fairness(device(), Some(threshold), 31);
         let s = sys.register_model(&short);
         let l = sys.register_model(&long);
         // Every client issues both job types: with SRPT the per-client

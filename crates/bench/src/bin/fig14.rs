@@ -2,7 +2,8 @@
 //! protocols — plain Unix-socket IPC, unmitigated polling, and Paella's
 //! hybrid interrupt-then-poll — while submitting a stream of small jobs.
 
-use paella_bench::{channels, device, f, header, row, scaled};
+use paella_bench::{device, f, header, row, scaled};
+use paella_channels::ChannelConfig;
 use paella_core::{Dispatcher, DispatcherConfig, ServingSystem, SrptDeficitScheduler, WakeupMode};
 use paella_models::synthetic;
 use paella_sim::SimDuration;
@@ -13,7 +14,7 @@ fn run(mode: WakeupMode) -> (f64, f64) {
     cfg.wakeup = mode;
     let mut sys = Dispatcher::new(
         device(),
-        channels(),
+        ChannelConfig::default(),
         Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
         cfg,
         37,
@@ -33,7 +34,7 @@ fn run(mode: WakeupMode) -> (f64, f64) {
     };
     let arrivals = generate(&spec, &Mix::single(m));
     let stats = run_trace(&mut sys, &arrivals, n / 10);
-    let util = client_utilization(&stats.completions, mode, channels().socket.send_syscall);
+    let util = client_utilization(&stats.completions, mode);
     (util * 100.0, stats.mean_us())
 }
 

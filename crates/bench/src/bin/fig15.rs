@@ -7,13 +7,13 @@
 
 #![allow(clippy::explicit_counter_loop)]
 
-use paella_bench::{channels, f, header, row, scaled};
+use paella_bench::{f, header, row, scaled};
+use paella_channels::CudaRuntimeModel;
 use paella_gpu::{DeviceConfig, GpuSim, InstrumentationSpec, KernelLaunch, StreamId};
 use paella_models::synthetic;
 use paella_sim::{Percentiles, SimTime};
 
 fn exec_times(blocks: u32, instr: Option<InstrumentationSpec>, runs: usize) -> Percentiles {
-    let cuda = channels().cuda;
     let mut p = Percentiles::new();
     let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), 41);
     let mut out = Vec::new();
@@ -44,7 +44,8 @@ fn exec_times(blocks: u32, instr: Option<InstrumentationSpec>, runs: usize) -> P
         }
         // Host-observed execution: launch overhead + device time + the
         // synchronization return.
-        let host_us = (cuda.launch_overhead + cuda.stream_synchronize).as_micros_f64();
+        let host_us = (CudaRuntimeModel::LAUNCH_OVERHEAD + CudaRuntimeModel::STREAM_SYNCHRONIZE)
+            .as_micros_f64();
         p.push(done_at.saturating_since(launch_at).as_micros_f64() + host_us);
         t = done_at + paella_sim::SimDuration::from_micros(5);
     }

@@ -18,7 +18,8 @@
 //! EXPERIMENTS.md; CI replays it and the determinism test re-runs it at
 //! several thread counts expecting byte-identical stdout.
 
-use paella_bench::{channels, device, header, scaled};
+use paella_bench::{device, header, scaled};
+use paella_channels::ChannelConfig;
 use paella_core::{Dispatcher, DispatcherConfig, ServingSystem, SrptDeficitScheduler};
 use paella_models::synthetic;
 use paella_sim::SimDuration;
@@ -33,9 +34,9 @@ const CELLS: [&str; 4] = ["CUDA-SS", "CUDA-MS", "Paella", "Paella+faults"];
 
 fn build(i: usize) -> Box<dyn ServingSystem> {
     match CELLS[i] {
-        "CUDA-SS" => make_system(SystemKey::CudaSs, device(), channels(), SEED),
-        "CUDA-MS" => make_system(SystemKey::CudaMs, device(), channels(), SEED),
-        "Paella" => make_system(SystemKey::Paella, device(), channels(), SEED),
+        "CUDA-SS" => make_system(SystemKey::CudaSs, device(), SEED),
+        "CUDA-MS" => make_system(SystemKey::CudaMs, device(), SEED),
+        "Paella" => make_system(SystemKey::Paella, device(), SEED),
         _ => {
             // Paella under fire: injected kernel faults exercise the
             // retry-backoff phase, deadlines exercise the SLO ledger's
@@ -46,7 +47,7 @@ fn build(i: usize) -> Box<dyn ServingSystem> {
             cfg.deadline_factor = Some(1.6);
             Box::new(Dispatcher::new(
                 device(),
-                channels(),
+                ChannelConfig::default(),
                 Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS))),
                 cfg,
                 SEED,

@@ -8,7 +8,8 @@
 
 use std::fs;
 
-use paella_bench::{channels, header};
+use paella_bench::header;
+use paella_channels::ChannelConfig;
 use paella_core::{Dispatcher, DispatcherConfig, ServingSystem, SrptDeficitScheduler};
 use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
@@ -27,7 +28,7 @@ fn main() {
     let mut grid = paella_bench::sweep::run_grid(1, |_| {
         let mut sys = Dispatcher::new(
             DeviceConfig::gtx_1660_super(),
-            channels(),
+            ChannelConfig::default(),
             Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
             DispatcherConfig::paella(),
             7,

@@ -7,7 +7,8 @@
 //!
 //! Run with: `./target/release/validate`
 
-use paella_bench::{channels, device, zoo};
+use paella_bench::{device, zoo};
+use paella_channels::ChannelConfig;
 use paella_core::{ClientId, InferenceRequest, ServingSystem};
 use paella_gpu::{blocks_per_sm, BlockFootprint, DeviceConfig, SmLimits};
 use paella_models::{measure_uncontended, registry, synthetic};
@@ -62,7 +63,7 @@ fn check_table2() -> Check {
 // Fig. 2: Paella sustains more HoL-workload goodput than job-by-job.
 fn check_fig02() -> Check {
     let goodput = |key: SystemKey| {
-        let mut sys = make_system(key, DeviceConfig::gtx_1660_super(), channels(), 7);
+        let mut sys = make_system(key, DeviceConfig::gtx_1660_super(), 7);
         let m = sys.register_model(&synthetic::fig2_job());
         let spec = WorkloadSpec {
             clients: 16,
@@ -88,7 +89,6 @@ fn check_fig09() -> Check {
     let tput_at = |delay_us: f64| {
         let mut sys = paella_workload::systems::make_paella_with_delay(
             device(),
-            channels(),
             SimDuration::from_micros_f64(delay_us),
             13,
         );
@@ -115,7 +115,7 @@ fn check_fig10() -> Check {
     let mut zoo = zoo();
     let mobilenet = zoo.get("mobilenetv2").clone();
     let overhead = |key: SystemKey| {
-        let mut sys = make_system(key, device(), channels(), 17);
+        let mut sys = make_system(key, device(), 17);
         let id = sys.register_model(&mobilenet);
         sys.submit(InferenceRequest {
             client: ClientId(0),
@@ -142,7 +142,7 @@ fn check_fig12() -> Check {
     let short = zoo.get("resnet18").clone();
     let long = zoo.get("inceptionv3").clone();
     let r18_p99 = |key: SystemKey| {
-        let mut sys = make_system(key, device(), channels(), 29);
+        let mut sys = make_system(key, device(), 29);
         let s = sys.register_model(&short);
         let l = sys.register_model(&long);
         let spec = WorkloadSpec {
@@ -177,7 +177,7 @@ fn check_fig14() -> Check {
         cfg.wakeup = mode;
         let mut sys = Dispatcher::new(
             device(),
-            channels(),
+            ChannelConfig::default(),
             Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
             cfg,
             37,
@@ -192,7 +192,7 @@ fn check_fig14() -> Check {
         };
         let arrivals = generate(&spec, &Mix::single(m));
         let stats = run_trace(&mut sys, &arrivals, 150);
-        client_utilization(&stats.completions, mode, channels().socket.send_syscall)
+        client_utilization(&stats.completions, mode)
     };
     let socket = util(WakeupMode::Socket);
     let poll = util(WakeupMode::Polling);

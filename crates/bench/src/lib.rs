@@ -8,7 +8,6 @@
 pub mod chart;
 pub mod sweep;
 
-use paella_channels::ChannelConfig;
 use paella_gpu::DeviceConfig;
 use paella_models::ModelZoo;
 
@@ -30,11 +29,6 @@ pub fn scaled(n: usize) -> usize {
 /// The evaluation device (§7 Methodology): an NVIDIA Tesla T4.
 pub fn device() -> DeviceConfig {
     DeviceConfig::tesla_t4()
-}
-
-/// Default channel cost models.
-pub fn channels() -> ChannelConfig {
-    ChannelConfig::default()
 }
 
 /// A model zoo calibrated for the evaluation device.

@@ -4,144 +4,92 @@
 //! follow the magnitudes the paper reports or that are well established for
 //! the mechanism in question (gRPC marshal + HTTP/2 round trip: hundreds of
 //! µs; Unix socket wakeup: ~5–10 µs; shared-memory poll: tens–hundreds of ns;
-//! PCIe kernel launch: ~5–10 µs). Each model is a small struct so
-//! experiments can ablate individual costs.
+//! PCIe kernel launch: ~5–10 µs). Each cost is a fixed constant of its
+//! mechanism, as `paella_core::RpcNetModel`'s network crossing is.
 
 use paella_sim::SimDuration;
 
 /// Cost model for a shared-memory SPSC ring hop (client→dispatcher and the
 /// completion ring back).
-#[derive(Clone, Copy, Debug)]
-pub struct ShmRingModel {
-    /// Producer-side cost of a push (write + release store).
-    pub push: SimDuration,
-    /// Visibility delay: time until a polling consumer can observe the entry
-    /// (cache-coherence transfer of the line).
-    pub visibility: SimDuration,
-    /// Consumer-side cost of a pop.
-    pub pop: SimDuration,
-}
-
-impl Default for ShmRingModel {
-    fn default() -> Self {
-        ShmRingModel {
-            push: SimDuration::from_nanos(60),
-            visibility: SimDuration::from_nanos(200),
-            pop: SimDuration::from_nanos(60),
-        }
-    }
-}
+pub struct ShmRingModel;
 
 impl ShmRingModel {
+    /// Producer-side cost of a push (write + release store).
+    const PUSH: SimDuration = SimDuration::from_nanos(60);
+    /// Visibility delay: time until a polling consumer can observe the entry
+    /// (cache-coherence transfer of the line).
+    const VISIBILITY: SimDuration = SimDuration::from_nanos(200);
+    /// Consumer-side cost of a pop.
+    const POP: SimDuration = SimDuration::from_nanos(60);
+
     /// One-way latency for a message through the ring, excluding any time the
     /// consumer spends before its next poll.
-    pub fn one_way(&self) -> SimDuration {
-        self.push + self.visibility + self.pop
+    pub fn one_way() -> SimDuration {
+        Self::PUSH + Self::VISIBILITY + Self::POP
     }
 }
 
 /// Cost model for a Unix-domain-socket style interrupt channel.
-#[derive(Clone, Copy, Debug)]
-pub struct UnixSocketModel {
-    /// Sender syscall cost (`write(2)`).
-    pub send_syscall: SimDuration,
-    /// Receiver wakeup latency: scheduler wakeup + `read(2)` return.
-    pub wakeup: SimDuration,
-}
-
-impl Default for UnixSocketModel {
-    fn default() -> Self {
-        UnixSocketModel {
-            send_syscall: SimDuration::from_micros(1),
-            wakeup: SimDuration::from_micros(7),
-        }
-    }
-}
+pub struct UnixSocketModel;
 
 impl UnixSocketModel {
+    /// Sender syscall cost (`write(2)`).
+    pub const SEND_SYSCALL: SimDuration = SimDuration::from_micros(1);
+    /// Receiver wakeup latency: scheduler wakeup + `read(2)` return.
+    const WAKEUP: SimDuration = SimDuration::from_micros(7);
+
     /// One-way latency for an interrupt-style notification.
-    pub fn one_way(&self) -> SimDuration {
-        self.send_syscall + self.wakeup
+    pub fn one_way() -> SimDuration {
+        Self::SEND_SYSCALL + Self::WAKEUP
     }
 }
 
 /// Cost model for an RPC stack (gRPC in Triton's case): per-message base plus
-/// per-byte marshal/unmarshal.
-#[derive(Clone, Copy, Debug)]
-pub struct RpcModel {
-    /// Fixed per-message cost on the sender (framing, HTTP/2, syscalls).
-    pub send_base: SimDuration,
-    /// Fixed per-message cost on the receiver.
-    pub recv_base: SimDuration,
-    /// Serialization cost per byte of payload, in nanoseconds (applies on
-    /// both sides).
-    pub per_byte_ns: f64,
-}
-
-impl Default for RpcModel {
-    fn default() -> Self {
-        // Loopback gRPC with protobuf tensors: ~100 µs fixed each way plus
-        // ~0.25 ns/B (≈ 4 GB/s effective marshal bandwidth).
-        RpcModel {
-            send_base: SimDuration::from_micros(110),
-            recv_base: SimDuration::from_micros(90),
-            per_byte_ns: 0.25,
-        }
-    }
-}
+/// per-byte marshal/unmarshal. Loopback gRPC with protobuf tensors: ~100 µs
+/// fixed each way plus ~0.25 ns/B (≈ 4 GB/s effective marshal bandwidth).
+pub struct RpcModel;
 
 impl RpcModel {
+    /// Fixed per-message cost on the sender (framing, HTTP/2, syscalls).
+    const SEND_BASE: SimDuration = SimDuration::from_micros(110);
+    /// Fixed per-message cost on the receiver.
+    const RECV_BASE: SimDuration = SimDuration::from_micros(90);
+    /// Serialization cost per byte of payload, in nanoseconds (applies on
+    /// both sides).
+    const PER_BYTE_NS: f64 = 0.25;
+
     /// Total cost to move a `bytes`-sized payload one way, including both
     /// sides' fixed costs and marshal/unmarshal.
-    pub fn one_way(&self, bytes: usize) -> SimDuration {
-        let marshal = SimDuration::from_micros_f64(self.per_byte_ns * bytes as f64 / 1_000.0);
-        self.send_base + self.recv_base + marshal * 2
+    pub fn one_way(bytes: usize) -> SimDuration {
+        let marshal = SimDuration::from_micros_f64(Self::PER_BYTE_NS * bytes as f64 / 1_000.0);
+        Self::SEND_BASE + Self::RECV_BASE + marshal * 2
     }
 }
 
 /// Cost model for CUDA runtime interactions from the host.
-#[derive(Clone, Copy, Debug)]
-pub struct CudaRuntimeModel {
+pub struct CudaRuntimeModel;
+
+impl CudaRuntimeModel {
     /// Host-side cost of `cudaLaunchKernel` (driver + ring doorbell).
-    pub launch_overhead: SimDuration,
+    pub const LAUNCH_OVERHEAD: SimDuration = SimDuration::from_micros(4);
     /// Latency from launch until the hardware queue sees the kernel.
-    pub launch_latency: SimDuration,
+    pub const LAUNCH_LATENCY: SimDuration = SimDuration::from_micros(6);
     /// Cost of `cudaStreamSynchronize` per call (blocking poll in driver).
-    pub stream_synchronize: SimDuration,
+    pub const STREAM_SYNCHRONIZE: SimDuration = SimDuration::from_micros(12);
     /// Cost of a `cudaStreamAddCallback` completion: the runtime executes
-    /// callbacks on an internal thread with notorious latency.
-    pub stream_callback: SimDuration,
+    /// callbacks on an internal thread with notorious latency. It serializes
+    /// onto one runtime thread and wakes it through the OS; tens of µs per
+    /// callback is typical and is what makes the Fig. 4 curve so steep.
+    pub const STREAM_CALLBACK: SimDuration = SimDuration::from_micros(85);
     /// Host-side cost of queuing an async memcpy.
-    pub memcpy_overhead: SimDuration,
+    pub const MEMCPY_OVERHEAD: SimDuration = SimDuration::from_micros(3);
 }
 
-impl Default for CudaRuntimeModel {
-    fn default() -> Self {
-        CudaRuntimeModel {
-            launch_overhead: SimDuration::from_micros(4),
-            launch_latency: SimDuration::from_micros(6),
-            stream_synchronize: SimDuration::from_micros(12),
-            // cudaStreamAddCallback serializes onto one runtime thread and
-            // wakes it through the OS; tens of µs per callback is typical and
-            // is what makes the Fig. 4 curve so steep.
-            stream_callback: SimDuration::from_micros(85),
-            memcpy_overhead: SimDuration::from_micros(3),
-        }
-    }
-}
-
-/// The full set of channel/runtime cost models used by an experiment.
+/// Carries nothing: every channel and CUDA-runtime cost above is a constant.
+/// It stays only so that `Dispatcher::new`'s signature, which an external
+/// benchmark calls, still compiles.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ChannelConfig {
-    /// Client→dispatcher request ring and dispatcher→client completion ring.
-    pub shm: ShmRingModel,
-    /// The interrupt half of the hybrid wakeup.
-    pub socket: UnixSocketModel,
-    /// RPC stack used by Triton-style baselines.
-    pub rpc: RpcModel,
-    /// CUDA runtime emulation costs.
-    pub cuda: CudaRuntimeModel,
-}
+pub struct ChannelConfig {}
 
 #[cfg(test)]
 mod tests {
@@ -149,22 +97,19 @@ mod tests {
 
     #[test]
     fn shm_is_sub_microsecond() {
-        let m = ShmRingModel::default();
-        assert!(m.one_way() < SimDuration::from_micros(1));
+        assert!(ShmRingModel::one_way() < SimDuration::from_micros(1));
     }
 
     #[test]
     fn socket_is_microseconds() {
-        let m = UnixSocketModel::default();
-        assert!(m.one_way() >= SimDuration::from_micros(5));
-        assert!(m.one_way() <= SimDuration::from_micros(20));
+        assert!(UnixSocketModel::one_way() >= SimDuration::from_micros(5));
+        assert!(UnixSocketModel::one_way() <= SimDuration::from_micros(20));
     }
 
     #[test]
     fn rpc_scales_with_payload() {
-        let m = RpcModel::default();
-        let small = m.one_way(16);
-        let large = m.one_way(602_112); // a 224×224×3 float32 tensor
+        let small = RpcModel::one_way(16);
+        let large = RpcModel::one_way(602_112); // a 224×224×3 float32 tensor
         assert!(large > small);
         // Fixed costs dominate small messages.
         assert!(small >= SimDuration::from_micros(190));
@@ -175,21 +120,21 @@ mod tests {
 
     #[test]
     fn rpc_zero_bytes_is_just_fixed_cost() {
-        let m = RpcModel::default();
-        assert_eq!(m.one_way(0), m.send_base + m.recv_base);
+        assert_eq!(
+            RpcModel::one_way(0),
+            RpcModel::SEND_BASE + RpcModel::RECV_BASE
+        );
     }
 
     #[test]
     fn cuda_callback_much_slower_than_sync() {
-        let m = CudaRuntimeModel::default();
-        assert!(m.stream_callback > m.stream_synchronize * 4);
+        assert!(CudaRuntimeModel::STREAM_CALLBACK > CudaRuntimeModel::STREAM_SYNCHRONIZE * 4);
     }
 
     #[test]
     fn ordering_of_mechanisms_matches_paper() {
         // shm ≪ socket ≪ rpc: the premise of §5's channel specialization.
-        let c = ChannelConfig::default();
-        assert!(c.shm.one_way() < c.socket.one_way());
-        assert!(c.socket.one_way() < c.rpc.one_way(0));
+        assert!(ShmRingModel::one_way() < UnixSocketModel::one_way());
+        assert!(UnixSocketModel::one_way() < RpcModel::one_way(0));
     }
 }

@@ -196,7 +196,6 @@ const NODE_DEPTH: [&str; 16] = [
 /// harness that drives a single node drives a cluster unchanged.
 pub struct Cluster {
     device: DeviceConfig,
-    channels: ChannelConfig,
     cfg: ClusterConfig,
     nodes: Vec<Node>,
     models: Vec<ClusterModel>,
@@ -222,15 +221,13 @@ impl Cluster {
     /// configuration (SRPT + deficit) on every node.
     pub fn new(device: DeviceConfig, nodes: usize, cfg: ClusterConfig) -> Self {
         assert!(nodes > 0, "a cluster needs at least one node");
-        let channels = ChannelConfig::default();
         let node_vec = (0..nodes)
-            .map(|i| Node::new(make_dispatcher(&device, channels, &cfg, i as u64)))
+            .map(|i| Node::new(make_dispatcher(&device, &cfg, i as u64)))
             .collect();
         let mut rng = Xoshiro256pp::seed_from_u64(cfg.seed ^ 0xC1A5_7E2D);
         let router_seed = rng.next_u64();
         Cluster {
             device,
-            channels,
             placement: PlacementManager::new(nodes),
             router: ClusterRouter::new(cfg.policy, router_seed),
             autoscaler: cfg.autoscale.map(Autoscaler::new),
@@ -590,12 +587,7 @@ impl Cluster {
         // Fresh node: register every model that fits (public-id order) and
         // pay for its weights over PCIe.
         let i = self.placement.add_node();
-        let mut node = Node::new(make_dispatcher(
-            &self.device,
-            self.channels,
-            &self.cfg,
-            i as u64,
-        ));
+        let mut node = Node::new(make_dispatcher(&self.device, &self.cfg, i as u64));
         let compiled: Vec<CompiledModel> = self.models.iter().map(|m| m.model.clone()).collect();
         let placed = self.placement.fill_node(i, &compiled);
         let mut weight = 0u64;
@@ -722,15 +714,10 @@ impl Cluster {
     }
 }
 
-fn make_dispatcher(
-    device: &DeviceConfig,
-    channels: ChannelConfig,
-    cfg: &ClusterConfig,
-    node: u64,
-) -> Dispatcher {
+fn make_dispatcher(device: &DeviceConfig, cfg: &ClusterConfig, node: u64) -> Dispatcher {
     Dispatcher::new(
         device.clone(),
-        channels,
+        ChannelConfig::default(),
         Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
         cfg.dispatcher,
         cfg.seed
@@ -976,7 +963,6 @@ mod tests {
         let m = synthetic::uniform_job("net", 4, SimDuration::from_micros(150), 64);
         let mut solo = make_dispatcher(
             &DeviceConfig::tesla_t4(),
-            ChannelConfig::default(),
             &ClusterConfig {
                 seed: 11,
                 ..ClusterConfig::with_policy(RoutingPolicy::RoundRobin)

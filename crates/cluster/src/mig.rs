@@ -126,7 +126,6 @@ impl MigServing {
     pub fn new(
         device: &DeviceConfig,
         slices: &[u32],
-        channels: ChannelConfig,
         cfg: DispatcherConfig,
         mut make_scheduler: impl FnMut() -> Box<dyn Scheduler>,
         seed: u64,
@@ -137,7 +136,7 @@ impl MigServing {
             .map(|(i, d)| {
                 Host::new(Dispatcher::new(
                     d,
-                    channels,
+                    ChannelConfig::default(),
                     make_scheduler(),
                     cfg,
                     seed.wrapping_add(i as u64),
@@ -157,7 +156,6 @@ impl MigServing {
         MigServing::new(
             device,
             slices,
-            ChannelConfig::default(),
             DispatcherConfig::paella(),
             || Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
             seed,

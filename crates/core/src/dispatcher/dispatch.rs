@@ -3,6 +3,7 @@
 //! streams, the §6 occupancy budget, notifQ flow control), and otherwise
 //! launches the kernel and whatever copies it unblocks.
 
+use paella_channels::CudaRuntimeModel;
 use paella_compiler::DagResources;
 use paella_gpu::{BlockFootprint, CopyDir, KernelLaunch, MemcpyOp};
 use paella_sim::SimTime;
@@ -66,7 +67,7 @@ impl Dispatcher {
                 if matches!(kind, DagResources::D2H(_)) && last {
                     self.fire_almost_finished(id, ready);
                 }
-                let overhead = self.channels.cuda.memcpy_overhead;
+                let overhead = CudaRuntimeModel::MEMCPY_OVERHEAD;
                 let (.., done) = self.charge(client, ready, overhead);
                 let uid = self.ops.copy(id, token);
                 let op = MemcpyOp {
@@ -81,9 +82,9 @@ impl Dispatcher {
             DagResources::Kernel { loc, .. } => {
                 let loc = loc as usize;
                 let cost = if whole_job {
-                    self.channels.cuda.launch_overhead
+                    CudaRuntimeModel::LAUNCH_OVERHEAD
                 } else {
-                    SCHED_COST + self.cfg.injected_delay + self.channels.cuda.launch_overhead
+                    SCHED_COST + self.cfg.injected_delay + CudaRuntimeModel::LAUNCH_OVERHEAD
                 };
                 let done = self.host_op(HostOpKind::Sched, client, ready, cost);
                 // The dag numbered `loc` by enumerating this same model's
@@ -114,7 +115,7 @@ impl Dispatcher {
                     self.occupancy
                         .on_launch(uid, desc.footprint, desc.grid_blocks);
                 }
-                let at = (done + self.channels.cuda.launch_latency).max(self.now);
+                let at = (done + CudaRuntimeModel::LAUNCH_LATENCY).max(self.now);
                 self.gpu
                     .launch_kernel(at, KernelLaunch { uid, stream, desc });
                 let j = self.job_mut(id);

@@ -2,7 +2,9 @@
 //! completions releasing successors, a finished job's wake-up and journey,
 //! and the one retire path a job leaves the dispatcher by.
 
-use paella_channels::{KernelUid, NotifKind, SmId};
+use paella_channels::{
+    CudaRuntimeModel, KernelUid, NotifKind, ShmRingModel, SmId, UnixSocketModel,
+};
 use paella_gpu::{GpuRunOutput, StreamId};
 use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{HostOpKind, JobJourney, NotifRun, TraceEvent};
@@ -196,7 +198,7 @@ impl Dispatcher {
 
     /// Rings the client's almost-finished doorbell (§4.2), once per job.
     pub(super) fn fire_almost_finished(&mut self, id: JobId, at: SimTime) {
-        let wake = at + self.channels.socket.one_way();
+        let wake = at + UnixSocketModel::one_way();
         let Some(j) = self.jobs.get_mut(id.0) else {
             return;
         };
@@ -215,8 +217,8 @@ impl Dispatcher {
         // Completion path: dispatcher posts the result, client picks it up.
         let client = j.request.client;
         let t_posted = self.host_op(HostOpKind::Completion, client, device_done, COMPLETION_COST);
-        let ring = self.channels.shm.one_way();
-        let socket = self.channels.socket.one_way();
+        let ring = ShmRingModel::one_way();
+        let socket = UnixSocketModel::one_way();
         // A hybrid client the almost-finished interrupt reached in time is
         // already polling; otherwise it eats a socket wakeup.
         let wake = match (self.cfg.wakeup, j.almost_finished_at) {
@@ -232,7 +234,7 @@ impl Dispatcher {
         // JCT: device time first, then the host costs (which may have
         // overlapped device execution under pipelined dispatch), and
         // queuing is what remains.
-        let communication = self.channels.cuda.launch_latency
+        let communication = CudaRuntimeModel::LAUNCH_LATENCY
             + self.gpu.config().notif_visibility
             + match self.cfg.wakeup {
                 WakeupMode::Socket => socket,

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use paella_channels::ShmRingModel;
 use paella_compiler::{
     bootstrap_profile, instrumented, measure_uncontended, CompiledModel, DagResources, KernelDag,
     ModelProfile,
@@ -200,7 +201,7 @@ impl Dispatcher {
     /// The client→dispatcher ring crossing.
     pub(super) fn channel_submit_latency(&self) -> SimDuration {
         if self.cfg.central_cpu {
-            self.channels.shm.one_way()
+            ShmRingModel::one_way()
         } else {
             SimDuration::ZERO // direct submission: no serving channel
         }

@@ -75,7 +75,6 @@ enum Ev {
 /// The dispatcher plus the device it drives.
 pub struct Dispatcher {
     cfg: DispatcherConfig,
-    channels: ChannelConfig,
     gpu: GpuSim,
     scheduler: Box<dyn Scheduler>,
     models: Vec<RegisteredModel>,
@@ -220,17 +219,17 @@ impl ServingSystem for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher over a fresh device.
+    /// Creates a dispatcher over a fresh device. The channel argument is
+    /// inert: every channel cost is a constant of `paella_channels::latency`.
     pub fn new(
         device: DeviceConfig,
-        channels: ChannelConfig,
+        _channels: ChannelConfig,
         scheduler: Box<dyn Scheduler>,
         cfg: DispatcherConfig,
         seed: u64,
     ) -> Self {
         Dispatcher {
             cfg,
-            channels,
             occupancy: OccupancyTracker::new(device.num_sms, device.sm_limits),
             gpu: GpuSim::new(device, seed),
             scheduler,

@@ -1,5 +1,6 @@
 //! Latency-breakdown and client-CPU-utilization reductions (Figs. 10 & 14).
 
+use paella_channels::UnixSocketModel;
 use paella_core::{JobCompletion, LatencyBreakdown, WakeupMode};
 use paella_sim::SimDuration;
 
@@ -55,14 +56,11 @@ pub fn average_breakdown(completions: &[JobCompletion]) -> BreakdownUs {
 /// * **Polling** — the client burns CPU from submission until the result is
 ///   visible: utilization ≈ 100 % while jobs are in flight.
 /// * **Socket** — the client sleeps; CPU is only the syscall path per
-///   request.
+///   request, each syscall costing a socket send.
 /// * **Hybrid** — the client sleeps until the *almost finished* interrupt,
 ///   then polls until the completion lands.
-pub fn client_utilization(
-    completions: &[JobCompletion],
-    mode: WakeupMode,
-    syscall_cost: SimDuration,
-) -> f64 {
+pub fn client_utilization(completions: &[JobCompletion], mode: WakeupMode) -> f64 {
+    let syscall_cost = UnixSocketModel::SEND_SYSCALL;
     if completions.is_empty() {
         return 0.0;
     }
@@ -145,10 +143,9 @@ mod tests {
         let cs: Vec<JobCompletion> = (0..10)
             .map(|i| completion(i * 1_000, i * 1_000 + 800, (i + 1) * 1_000))
             .collect();
-        let sys = SimDuration::from_micros(2);
-        let poll = client_utilization(&cs, WakeupMode::Polling, sys);
-        let hybrid = client_utilization(&cs, WakeupMode::Hybrid, sys);
-        let socket = client_utilization(&cs, WakeupMode::Socket, sys);
+        let poll = client_utilization(&cs, WakeupMode::Polling);
+        let hybrid = client_utilization(&cs, WakeupMode::Hybrid);
+        let socket = client_utilization(&cs, WakeupMode::Socket);
         assert!(poll > 0.95, "continuous polling pegs the core: {poll}");
         assert!(
             hybrid > socket && hybrid < poll,

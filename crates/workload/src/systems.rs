@@ -74,61 +74,51 @@ impl SystemKey {
 }
 
 /// Builds a fresh instance of the keyed system over a fresh device.
-pub fn make_system(
-    key: SystemKey,
-    device: DeviceConfig,
-    channels: ChannelConfig,
-    seed: u64,
-) -> Box<dyn ServingSystem> {
+pub fn make_system(key: SystemKey, device: DeviceConfig, seed: u64) -> Box<dyn ServingSystem> {
     match key {
-        SystemKey::CudaSs => Box::new(direct_cuda(
-            device,
-            channels,
-            DirectMode::SingleStream,
-            seed,
-        )),
-        SystemKey::CudaMs => Box::new(direct_cuda(device, channels, DirectMode::MultiStream, seed)),
-        SystemKey::Mps => Box::new(direct_cuda(device, channels, DirectMode::Mps, seed)),
-        SystemKey::Clockwork => Box::new(Clockwork::new(device, channels, seed)),
-        SystemKey::Triton => Box::new(Triton::new(device, channels, TritonConfig::default(), seed)),
+        SystemKey::CudaSs => Box::new(direct_cuda(device, DirectMode::SingleStream, seed)),
+        SystemKey::CudaMs => Box::new(direct_cuda(device, DirectMode::MultiStream, seed)),
+        SystemKey::Mps => Box::new(direct_cuda(device, DirectMode::Mps, seed)),
+        SystemKey::Clockwork => Box::new(Clockwork::new(device, seed)),
+        SystemKey::Triton => Box::new(Triton::new(device, TritonConfig::default(), seed)),
         SystemKey::PaellaSs => Box::new(Dispatcher::new(
             device,
-            channels,
+            ChannelConfig::default(),
             Box::new(FifoScheduler::new()),
             DispatcherConfig::paella_ss(),
             seed,
         )),
         SystemKey::PaellaMsJbj => Box::new(Dispatcher::new(
             device,
-            channels,
+            ChannelConfig::default(),
             Box::new(FifoScheduler::new()),
             DispatcherConfig::paella_ms_jbj(),
             seed,
         )),
         SystemKey::PaellaMsKbk => Box::new(Dispatcher::new(
             device,
-            channels,
+            ChannelConfig::default(),
             Box::new(FifoScheduler::new()),
             DispatcherConfig::paella_ms_kbk(),
             seed,
         )),
         SystemKey::Paella => Box::new(Dispatcher::new(
             device,
-            channels,
+            ChannelConfig::default(),
             Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS))),
             DispatcherConfig::paella(),
             seed,
         )),
         SystemKey::PaellaSjf => Box::new(Dispatcher::new(
             device,
-            channels,
+            ChannelConfig::default(),
             Box::new(SjfScheduler::new()),
             DispatcherConfig::paella(),
             seed,
         )),
         SystemKey::PaellaRr => Box::new(Dispatcher::new(
             device,
-            channels,
+            ChannelConfig::default(),
             Box::new(RrScheduler::new()),
             DispatcherConfig::paella(),
             seed,
@@ -140,13 +130,12 @@ pub fn make_system(
 /// the Fig. 13 sweep.
 pub fn make_paella_with_fairness(
     device: DeviceConfig,
-    channels: ChannelConfig,
     threshold: Option<f64>,
     seed: u64,
 ) -> Box<dyn ServingSystem> {
     Box::new(Dispatcher::new(
         device,
-        channels,
+        ChannelConfig::default(),
         Box::new(SrptDeficitScheduler::new(threshold)),
         DispatcherConfig::paella(),
         seed,
@@ -156,7 +145,6 @@ pub fn make_paella_with_fairness(
 /// Paella with a specific injected scheduling delay — the Fig. 9 sweep.
 pub fn make_paella_with_delay(
     device: DeviceConfig,
-    channels: ChannelConfig,
     delay: paella_sim::SimDuration,
     seed: u64,
 ) -> Box<dyn ServingSystem> {
@@ -164,7 +152,7 @@ pub fn make_paella_with_delay(
     cfg.injected_delay = delay;
     Box::new(Dispatcher::new(
         device,
-        channels,
+        ChannelConfig::default(),
         Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS))),
         cfg,
         seed,
@@ -182,7 +170,7 @@ mod tests {
     #[test]
     fn every_system_constructs_and_serves() {
         for key in SystemKey::ALL {
-            let mut sys = make_system(key, DeviceConfig::tesla_t4(), ChannelConfig::default(), 1);
+            let mut sys = make_system(key, DeviceConfig::tesla_t4(), 1);
             let m = sys.register_model(&synthetic::uniform_job(
                 "u",
                 4,

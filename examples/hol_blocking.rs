@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example hol_blocking`
 
-use paella_channels::ChannelConfig;
 use paella_core::{ClientId, InferenceRequest};
 use paella_gpu::{blocks_per_sm, BlockFootprint, DeviceConfig, SmLimits};
 use paella_models::synthetic;
@@ -35,7 +34,7 @@ fn main() {
     // 128 jobs of 8 chained single-block kernels (~300 µs each), all at t=0.
     const JOBS: u32 = 128;
     for key in [SystemKey::PaellaMsJbj, SystemKey::Paella] {
-        let mut sys = make_system(key, device.clone(), ChannelConfig::default(), 3);
+        let mut sys = make_system(key, device.clone(), 3);
         let m = sys.register_model(&synthetic::fig2_job());
         for j in 0..JOBS {
             sys.submit(InferenceRequest {

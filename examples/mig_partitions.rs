@@ -48,12 +48,7 @@ fn victim_mean_ms(done: &[JobCompletion], victim: ModelId) -> f64 {
 }
 
 fn shared_run(with_noise: bool) -> f64 {
-    let mut sys = make_system(
-        SystemKey::Paella,
-        DeviceConfig::tesla_t4(),
-        paella_channels::ChannelConfig::default(),
-        3,
-    );
+    let mut sys = make_system(SystemKey::Paella, DeviceConfig::tesla_t4(), 3);
     let noisy = sys.register_model(&tenant_model("noisy"));
     let victim = sys.register_model(&tenant_model("victim"));
     submit_load(sys.as_mut(), with_noise.then_some(noisy), victim);

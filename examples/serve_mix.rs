@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example serve_mix`
 
-use paella_channels::ChannelConfig;
 use paella_gpu::DeviceConfig;
 use paella_models::ModelZoo;
 use paella_workload::{generate, make_system, run_trace, Mix, SystemKey, WorkloadSpec};
@@ -25,7 +24,7 @@ fn main() {
         "system", "tput (r/s)", "p50 (ms)", "p99 (ms)", "p99 resnet18"
     );
     for key in [SystemKey::Triton, SystemKey::CudaMs, SystemKey::Paella] {
-        let mut sys = make_system(key, DeviceConfig::tesla_t4(), ChannelConfig::default(), 7);
+        let mut sys = make_system(key, DeviceConfig::tesla_t4(), 7);
         let ids: Vec<_> = table2.iter().map(|m| sys.register_model(m)).collect();
         let spec = WorkloadSpec {
             sigma: 2.0,

@@ -46,12 +46,7 @@ fn paella_dispatcher(cfg: paella_core::DispatcherConfig, seed: u64) -> paella_co
 /// Triton with its dynamic batcher on (the `BatchTimeout` path).
 fn triton_batch4(seed: u64) -> Box<dyn ServingSystem> {
     let cfg = paella_baselines::TritonConfig { max_batch: 4 };
-    Box::new(paella_baselines::Triton::new(
-        device(),
-        ChannelConfig::default(),
-        cfg,
-        seed,
-    ))
+    Box::new(paella_baselines::Triton::new(device(), cfg, seed))
 }
 
 #[test]
@@ -65,7 +60,7 @@ fn no_system_loses_or_duplicates_jobs() {
     let mut systems: Vec<(String, Box<dyn ServingSystem>, bool)> = SystemKey::ALL
         .iter()
         .map(|&key| {
-            let sys = make_system(key, device(), ChannelConfig::default(), 5);
+            let sys = make_system(key, device(), 5);
             (key.key().to_string(), sys, false)
         })
         .collect();
@@ -133,7 +128,7 @@ fn no_wrapper_loses_a_request_or_hides_load() {
     let srpt = || -> Box<dyn paella_core::Scheduler> {
         Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS)))
     };
-    let mig = |cfg| MigServing::new(&device(), &[20, 20], ChannelConfig::default(), cfg, srpt, 7);
+    let mig = |cfg| MigServing::new(&device(), &[20, 20], cfg, srpt, 7);
     // Forty requests 5 µs apart from four clients, spread over `ids`.
     let burst = |sys: &mut dyn ServingSystem, ids: &[ModelId]| -> Vec<(u32, u32, u64)> {
         (0..40u64)
@@ -203,7 +198,7 @@ fn no_wrapper_loses_a_request_or_hides_load() {
     // 2. Load, traces, metrics and post-mortems reach the caller through
     // every front end.
     let roomy = DispatcherConfig::paella();
-    let baseline = |key| make_system(key, device(), ChannelConfig::default(), 5);
+    let baseline = |key| make_system(key, device(), 5);
     let systems: [(&str, Box<dyn ServingSystem>); 6] = [
         ("mig", Box::new(mig(roomy))),
         (
@@ -242,7 +237,7 @@ fn full_runs_are_deterministic_across_repeats() {
     let run = || {
         let mut zoo = ModelZoo::new(device());
         let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
-        let mut sys = make_system(SystemKey::Paella, device(), ChannelConfig::default(), 99);
+        let mut sys = make_system(SystemKey::Paella, device(), 99);
         let ids: Vec<_> = models.iter().map(|m| sys.register_model(m)).collect();
         let spec = WorkloadSpec {
             clients: 4,
@@ -266,7 +261,7 @@ fn paella_dominates_triton_on_tail_latency_under_load() {
     let table2 = zoo.table2();
     let mut results = Vec::new();
     for key in [SystemKey::Triton, SystemKey::Paella] {
-        let mut sys = make_system(key, device(), ChannelConfig::default(), 5);
+        let mut sys = make_system(key, device(), 5);
         let ids: Vec<_> = table2.iter().map(|m| sys.register_model(m)).collect();
         let spec = WorkloadSpec {
             clients: 8,
@@ -297,7 +292,7 @@ fn srpt_scheduling_protects_short_jobs() {
     let long = zoo.get("inceptionv3").clone();
     let mut p99 = Vec::new();
     for key in [SystemKey::CudaMs, SystemKey::Paella] {
-        let mut sys = make_system(key, device(), ChannelConfig::default(), 5);
+        let mut sys = make_system(key, device(), 5);
         let s = sys.register_model(&short);
         let l = sys.register_model(&long);
         let spec = WorkloadSpec {
@@ -319,7 +314,7 @@ fn srpt_scheduling_protects_short_jobs() {
 #[test]
 fn instrumentation_tracks_ground_truth_occupancy() {
     // The dispatcher's mirror drains exactly when the device does.
-    let mut sys = make_system(SystemKey::Paella, device(), ChannelConfig::default(), 5);
+    let mut sys = make_system(SystemKey::Paella, device(), 5);
     let id = sys.register_model(&synthetic::uniform_job(
         "probe",
         6,
@@ -337,7 +332,7 @@ fn instrumentation_tracks_ground_truth_occupancy() {
 
 #[test]
 fn hybrid_wakeup_fires_before_completion() {
-    let mut sys = make_system(SystemKey::Paella, device(), ChannelConfig::default(), 5);
+    let mut sys = make_system(SystemKey::Paella, device(), 5);
     let id = sys.register_model(&synthetic::fig2_job());
     let spec = WorkloadSpec {
         clients: 1,
@@ -364,7 +359,7 @@ fn trends_hold_on_tesla_p100() {
     let p100 = DeviceConfig::tesla_p100();
 
     let makespan = |key: SystemKey| {
-        let mut sys = make_system(key, p100.clone(), ChannelConfig::default(), 11);
+        let mut sys = make_system(key, p100.clone(), 11);
         let id = sys.register_model(&synthetic::fig2_job());
         for j in 0..256u32 {
             sys.submit(paella_core::InferenceRequest {
@@ -390,7 +385,7 @@ fn trends_hold_on_tesla_p100() {
     let long = zoo.get("inceptionv3").clone();
     let mut p99 = Vec::new();
     for key in [SystemKey::CudaMs, SystemKey::Paella] {
-        let mut sys = make_system(key, p100.clone(), ChannelConfig::default(), 11);
+        let mut sys = make_system(key, p100.clone(), 11);
         let s = sys.register_model(&short);
         let l = sys.register_model(&long);
         let spec = WorkloadSpec {
@@ -514,12 +509,7 @@ fn default_path_golden_digests() {
 
     // 3. Job granularity: whole jobs pushed to the device, scheduled models
     // run as one sequential stream.
-    let mut sys = make_system(
-        SystemKey::PaellaMsJbj,
-        device(),
-        ChannelConfig::default(),
-        5,
-    );
+    let mut sys = make_system(SystemKey::PaellaMsJbj, device(), 5);
     let ids = [
         sys.register_model(zoo.get("resnet18")),
         sys.register_model(&googlenet_4_streams()),
@@ -582,7 +572,7 @@ fn front_end_golden_digests() {
         SystemKey::CudaMs,
         SystemKey::Mps,
     ]
-    .map(|key| two_models(make_system(key, device(), ChannelConfig::default(), 5).as_mut()));
+    .map(|key| two_models(make_system(key, device(), 5).as_mut()));
     let triton_b4 = two_models(triton_batch4(5).as_mut());
     let remote = two_models(&mut RemoteGateway::new(paella_dispatcher(
         DispatcherConfig::paella(),
@@ -634,7 +624,7 @@ fn mig_golden_digest() {
     let srpt = || -> Box<dyn Scheduler> {
         Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS)))
     };
-    let mut sys = MigServing::new(&device(), &[20, 20], ChannelConfig::default(), cfg, srpt, 7);
+    let mut sys = MigServing::new(&device(), &[20, 20], cfg, srpt, 7);
     let ids = [
         sys.register_model(zoo.get("resnet18")),
         sys.register_model(zoo.get("googlenet")),
