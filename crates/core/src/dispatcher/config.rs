@@ -86,17 +86,15 @@ pub struct DispatcherConfig {
     /// Whether host-side costs serialize on one dispatcher core (serving
     /// systems) or per client (direct CUDA submission).
     pub central_cpu: bool,
-    /// Refine per-kernel profiles online from observed placement→completion
-    /// spans (§6: "these profiles can be further refined online").
-    pub online_profiling: bool,
     /// Capacity of the device→host notifQ in slots. The ring does not detect
     /// overruns, so the dispatcher reserves slots at kernel dispatch and
     /// delays dispatches that would exceed the capacity (§5.2 flow control).
     pub notifq_capacity: u64,
     /// Dispatcher threads in central-CPU mode (§4.2: "it can be parallelized
-    /// by sharding jobs across threads"). Jobs shard by client id; each
-    /// shard gets its own notifQ (§5.2: "a single notifQ for each dispatcher
-    /// thread").
+    /// by sharding jobs across threads"). Jobs shard by client id, and only
+    /// the host CPU timeline is sharded: each shard's work is charged to its
+    /// own core. All shards share one notifQ reservation against
+    /// `notifq_capacity`, not the paper's one notifQ per thread (§5.2).
     pub dispatcher_cores: u32,
     /// Injected per-kernel fault probability (DESIGN §11): each kernel
     /// completion is independently declared a fault with this probability,
@@ -137,7 +135,6 @@ impl Default for DispatcherConfig {
             injected_delay: SimDuration::ZERO,
             ingest_cost: SimDuration::from_nanos(800),
             central_cpu: true,
-            online_profiling: true,
             notifq_capacity: 65_536,
             dispatcher_cores: 1,
             kernel_fault_rate: 0.0,

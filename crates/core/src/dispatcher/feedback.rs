@@ -67,10 +67,9 @@ impl Dispatcher {
         let placement = kind == NotifKind::Placement;
         // The one lookup a run costs here: the owner shard, the last-op
         // test and the notifQ reservation all come from the kernel's record.
-        // Each dispatcher thread polls its own notifQ (§5.2), so the
-        // processing cost lands on the owning job's shard. First placement
-        // starts the online-profiling clock.
-        let placed_at = (placement && self.cfg.online_profiling).then_some(at);
+        // The processing cost lands on the owning job's shard's core. First
+        // placement starts the online-profiling clock (§6).
+        let placed_at = placement.then_some(at);
         let n = words.len() as u64;
         let live = self.ops.on_run(&mut self.core, uid, n, placed_at);
         let owner = live.map_or(ClientId(0), |k| k.client);

@@ -257,39 +257,6 @@ fn online_profiling_converges_toward_observed_runtime() {
 }
 
 #[test]
-fn online_profiling_can_be_disabled() {
-    let mut cfg = DispatcherConfig::paella();
-    cfg.online_profiling = false;
-    let mut d = Dispatcher::new(
-        DeviceConfig::tesla_t4(),
-        ChannelConfig::default(),
-        Box::new(SrptDeficitScheduler::new(Some(2_000.0))),
-        cfg,
-        42,
-    );
-    let model = d.register_model(&synthetic::uniform_job(
-        "probe",
-        6,
-        SimDuration::from_micros(200),
-        320,
-    ));
-    let before = d.profile_estimate(model);
-    for i in 0..20 {
-        d.submit(InferenceRequest {
-            client: ClientId(0),
-            model,
-            submitted_at: SimTime::from_micros(i as u64 * 20),
-        });
-    }
-    run(&mut d);
-    assert_eq!(
-        d.profile_estimate(model),
-        before,
-        "no refinement when disabled"
-    );
-}
-
-#[test]
 fn notifq_flow_control_throttles_but_loses_nothing() {
     // A tiny notifQ forces the dispatcher to hold kernels back; everything
     // must still complete, just later than with a large ring.

@@ -769,7 +769,6 @@ fn notification_path_golden_digests() {
     let two_shards = DispatcherConfig {
         dispatcher_cores: 2,
         release_on_placement: false,
-        online_profiling: false,
         ..DispatcherConfig::paella()
     };
     assert_eq!(
@@ -796,7 +795,7 @@ fn notification_path_golden_digests() {
             ),
         ],
         "((digest, completed, failed), (trace digest, events), words handled) of: 3 % loss on \
-         two shards without pipelined release or online profiling, 3 % loss on the default \
+         two shards without pipelined release, 3 % loss on the default \
          config, the default config"
     );
 }
