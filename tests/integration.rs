@@ -779,9 +779,9 @@ fn notification_path_golden_digests() {
         ],
         [
             (
-                (0x5844_06dc_901b_9f13, 20, 0),
-                (0x9943_256f_c150_0b32, 535_563),
-                171_708
+                (0x820e_6a66_f4ce_63dd, 20, 0),
+                (0xbbf7_6c25_bd30_96a6, 546_596),
+                175_228
             ),
             (
                 (0x28a6_1b9e_7800_4241, 20, 0),
