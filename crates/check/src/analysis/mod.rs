@@ -1,4 +1,5 @@
-//! Source rules (R1–R9) over the whole workspace — the one lint engine.
+//! Source rules (R1–R9) over the whole workspace, and the doc-path rule
+//! (R10, [`docs`]) over its prose docs — the one lint engine.
 //!
 //! The [`crate::lint`] tokenizer blanks literals and splits off comments,
 //! [`tree::lex`] turns the code into a flat token stream, and
@@ -12,6 +13,7 @@
 //! The entry points are [`analyze`] (filesystem) and [`analyze_sources`]
 //! (pure, for tests and the [`selftest`] mutant harness).
 
+pub mod docs;
 pub mod rules;
 pub mod selftest;
 pub mod tree;
@@ -51,31 +53,45 @@ impl fmt::Display for Analysis {
     }
 }
 
+/// The prose docs R10 checks. CHANGES.md and ISSUE.md are history and
+/// name what was true when they were written.
+pub const DOCS: [&str; 5] = [
+    "README.md",
+    "DESIGN.md",
+    "ROADMAP.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+];
+
 /// Analyzes in-memory sources: `(workspace-relative path, source)` pairs.
+/// Each of [`DOCS`] gets R10, resolved against every path listed; any other
+/// file gets R1–R9.
 #[must_use]
 pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
+    let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
     let mut findings = Vec::new();
     for (path, src) in files {
-        rules::token_rules(path, src, &mut findings);
+        if DOCS.contains(&path.as_str()) {
+            docs::doc_rules(path, src, &paths, &mut findings);
+        } else {
+            rules::token_rules(path, src, &mut findings);
+        }
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Analysis { findings }
 }
 
-/// Loads every `crates/*/src/**/*.rs` under `root` as workspace-relative
-/// `(path, source)` pairs, sorted by path.
+/// Lists every file under `root` as workspace-relative `(path, source)`
+/// pairs, sorted by path. Only `crates/*/src/**/*.rs` and [`DOCS`] are read;
+/// every other file is listed with empty source, for R10 to resolve paths
+/// against.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
 pub fn load_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut paths = Vec::new();
-    for entry in std::fs::read_dir(root.join("crates"))? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            lint::rs_files(&src, &mut paths)?;
-        }
-    }
+    lint::files_under(root, &mut paths)?;
     paths.sort();
     let mut files = Vec::new();
     for p in paths {
@@ -86,7 +102,15 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        files.push((rel, std::fs::read_to_string(&p)?));
+        let parts: Vec<&str> = rel.split('/').collect();
+        let rust_source = parts.len() > 3 && parts[0] == "crates" && parts[2] == "src";
+        let read = (rust_source && rel.ends_with(".rs")) || DOCS.contains(&rel.as_str());
+        let src = if read {
+            std::fs::read_to_string(&p)?
+        } else {
+            String::new()
+        };
+        files.push((rel, src));
     }
     Ok(files)
 }

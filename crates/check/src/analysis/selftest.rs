@@ -29,7 +29,7 @@ pub struct GraftMutant {
     pub description: &'static str,
 }
 
-/// The mutant corpus: ≥2 per rule R1–R9. (R5 once had an
+/// The mutant corpus: ≥2 per rule R1–R10. (R5 once had an
 /// `r5-unhandled-variant` graft; with no wildcard arm allowed, a variant
 /// without an arm is a compile error rather than an analysis finding, so the
 /// second R5 mutant is a wildcard in the exporter instead.)
@@ -212,6 +212,22 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             replace: "fn worst(v: &[f64]) -> Option<&f64> {\n        v.iter().max_by(|a, b| a.partial_cmp(b).unwrap())\n    }\n\n    fn key(info: &JobInfo) -> (u64, u64) {",
             description: "NaN-unsafe max_by argmax grafted into the scheduler",
         },
+        GraftMutant {
+            id: "r10-readme-dangling-path",
+            rule: "doc-path",
+            file: "README.md",
+            find: "(`crates/core/src/serve.rs`)",
+            replace: "(`crates/core/src/serve/mod.rs`)",
+            description: "the README pointing at a file that does not exist",
+        },
+        GraftMutant {
+            id: "r10-design-line-anchor",
+            rule: "doc-path",
+            file: "DESIGN.md",
+            find: "(`cluster/src/host.rs`)",
+            replace: "(`cluster/src/host.rs:40`)",
+            description: "a line anchor grafted into DESIGN.md: right today, wrong after the next edit",
+        },
     ]
 }
 
@@ -300,6 +316,7 @@ mod tests {
             "unchecked-counter-sub",
             "atomic-ordering-audit",
             "float-cmp-totality",
+            "doc-path",
         ] {
             let n = mutants.iter().filter(|m| m.rule == rule).count();
             assert!(n >= 2, "rule {rule} has only {n} mutant(s)");

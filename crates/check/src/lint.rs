@@ -1,6 +1,6 @@
 //! What the [`crate::analysis`] engine shares with its rules: the
 //! comment/string-aware tokenizer, justification comments, the
-//! [`Violation`] record and the `.rs` file walk. The rules themselves live
+//! [`Violation`] record and the workspace file walk. The rules themselves live
 //! in [`crate::analysis::rules`].
 
 use std::fs;
@@ -242,14 +242,21 @@ pub(crate) fn justified(lines: &[Line], idx: usize, tag: &str) -> bool {
     false
 }
 
-/// Recursively collects `.rs` files under `dir`.
-pub(crate) fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+/// Directories the file walk skips: version control, build output and
+/// generated run output.
+const SKIP_DIRS: [&str; 5] = [".git", ".bench_build", "out", "results", "target"];
+
+/// Recursively collects every file under `dir`, skipping [`SKIP_DIRS`].
+pub(crate) fn files_under(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        if path.is_dir() {
-            rs_files(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
+        if !path.is_dir() {
             out.push(path);
+        } else if !path
+            .file_name()
+            .is_some_and(|n| SKIP_DIRS.iter().any(|s| n == *s))
+        {
+            files_under(&path, out)?;
         }
     }
     Ok(())

@@ -4,7 +4,8 @@
 //! paella-check [all|analyze|selftest|model|mutate] [--root <workspace-root>]
 //! ```
 //!
-//! * `analyze`  — run the source rules (R1–R9) over `crates/*/src`.
+//! * `analyze`  — run the source rules (R1–R9) over `crates/*/src` and the
+//!   doc-path rule (R10) over the prose docs.
 //! * `selftest` — graft every analyzer mutant into the real sources and
 //!   require its rule to fire (the analyzer's own mutation test).
 //! * `model`    — exhaustively model-check the clean channel models.
@@ -46,7 +47,7 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
 }
 
 fn run_analyze(root: &Path) -> bool {
-    println!("== analyze: source rules R1–R9 over crates/*/src ==");
+    println!("== analyze: source rules R1–R9 over crates/*/src, R10 over the docs ==");
     match analysis::analyze(root) {
         Ok(a) => {
             println!("{a}");
