@@ -43,7 +43,9 @@ fn main() {
 
     // 3. Stand up the Paella dispatcher over a simulated Tesla T4. The
     //    dispatcher instruments the kernels (the §4.1 compiler pass) and
-    //    bootstraps the profile the SRPT scheduler uses.
+    //    bootstraps the profile the SRPT scheduler uses. The channel
+    //    argument carries nothing: every channel cost is a constant of
+    //    `paella_channels::latency`.
     let mut paella = Dispatcher::new(
         DeviceConfig::tesla_t4(),
         ChannelConfig::default(),
