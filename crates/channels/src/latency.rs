@@ -86,8 +86,8 @@ impl CudaRuntimeModel {
 }
 
 /// Carries nothing: every channel and CUDA-runtime cost above is a constant.
-/// It stays only so that `Dispatcher::new`'s signature, which an external
-/// benchmark calls, still compiles.
+/// It stays only so that the standalone `benchmark` crate's call to
+/// `Dispatcher::new`, which passes one, still compiles.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChannelConfig {}
 
