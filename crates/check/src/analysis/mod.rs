@@ -53,8 +53,8 @@ impl fmt::Display for Analysis {
     }
 }
 
-/// The prose docs R10 checks. CHANGES.md and ISSUE.md are history and
-/// name what was true when they were written.
+/// The prose docs R10 checks. CHANGES.md is history: it names what was
+/// true when each line was written, so it is not checked.
 pub const DOCS: [&str; 5] = [
     "README.md",
     "DESIGN.md",
