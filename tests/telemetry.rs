@@ -253,13 +253,9 @@ fn trace_events_stay_inside_the_size_budget() {
     assert!(std::mem::size_of::<TracedEvent>() <= 48);
 }
 
-/// The deterministic gate on events per kernel: the device and the
-/// dispatcher record a wave, a charged stretch of words and a sampling tick
-/// as one event each, and only the exporters' view pays per word. Pinned on a burst of Table 2
-/// jobs (many-block kernels, so every wave posts a run of words); going back
-/// to per-word recording moves the first number to the second.
-#[test]
-fn recording_is_per_run_not_per_word() {
+/// The merged log of a burst of 12 Table 2 jobs (684 kernels): many-block
+/// kernels whose words interleave with other events, so the merge cuts runs.
+fn zoo_burst_log() -> TraceLog {
     let mut zoo = paella_models::ModelZoo::new(DeviceConfig::tesla_t4());
     let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
     let mut sys = dispatcher(5);
@@ -274,8 +270,17 @@ fn recording_is_per_run_not_per_word() {
     }
     sys.run_to_idle();
     assert_eq!(sys.drain_completions().len(), 12);
+    sys.take_trace_log().expect("telemetry on")
+}
 
-    let log = sys.take_trace_log().expect("telemetry on");
+/// The deterministic gate on events per kernel: the device and the
+/// dispatcher record a wave, a charged stretch of words and a sampling tick
+/// as one event each, and only the exporters' view pays per word. Pinned on a burst of Table 2
+/// jobs (many-block kernels, so every wave posts a run of words); going back
+/// to per-word recording moves the first number to the second.
+#[test]
+fn recording_is_per_run_not_per_word() {
+    let log = zoo_burst_log();
     let kernels = (log.events.iter())
         .filter(|e| e.event.kind() == "kernel-dispatched")
         .count();
@@ -298,6 +303,22 @@ fn recording_is_per_run_not_per_word() {
             "{kind} is a view, nothing records it"
         );
     }
+}
+
+/// What the exporters make of a merged log with cut runs, byte for byte:
+/// the Chrome export, the text summary and the word-level event count.
+#[test]
+fn zoo_burst_exports_are_pinned() {
+    let log = zoo_burst_log();
+    let digests = (
+        fnv(chrome_trace_json(&log).as_bytes()),
+        fnv(text_summary(&log, None).as_bytes()),
+        log.expanded().len(),
+    );
+    assert_eq!(
+        digests,
+        (0x089e_b78c_1878_8482, 0xd197_78b8_050e_b140, 485_661)
+    );
 }
 
 /// The flight recorder prints events with `{:?}` and its dump is a
