@@ -780,43 +780,41 @@ mod tests {
         use paella_sim::SimTime;
         use paella_telemetry::{JobEnd, JobJourney, TraceEvent, TracedEvent};
         let queuing: u64 = queue_split.iter().sum();
-        paella_telemetry::TraceLog {
-            events: vec![
-                TracedEvent {
-                    at: SimTime::from_micros(5),
-                    seq: 0,
-                    event: TraceEvent::JobEnd(Box::new(JobEnd {
-                        job: 1,
-                        client: 0,
-                        jct_ns: 1_000 + queuing,
-                        client_send_recv_ns: 100,
-                        communication_ns: 200,
-                        queuing_scheduling_ns: queuing,
-                        framework_ns: 300,
-                        device_ns: 400,
-                    })),
-                },
-                TracedEvent {
-                    at: SimTime::from_micros(5),
-                    seq: 1,
-                    event: TraceEvent::JobJourney(Box::new(JobJourney {
-                        job: 1,
-                        client: 0,
-                        jct_ns: 1_000 + queuing,
-                        client_send_recv_ns: 100,
-                        communication_ns: 200,
-                        framework_ns: 300,
-                        device_ns: 400,
-                        retry_backoff_ns: queue_split[0],
-                        queue_dep_ns: queue_split[1],
-                        queue_occupancy_ns: queue_split[2],
-                        queue_hol_ns: queue_split[3],
-                        device_prefill_ns: 400,
-                        device_decode_ns: 0,
-                    })),
-                },
-            ],
-        }
+        paella_telemetry::TraceLog::from(vec![
+            TracedEvent {
+                at: SimTime::from_micros(5),
+                seq: 0,
+                event: TraceEvent::JobEnd(Box::new(JobEnd {
+                    job: 1,
+                    client: 0,
+                    jct_ns: 1_000 + queuing,
+                    client_send_recv_ns: 100,
+                    communication_ns: 200,
+                    queuing_scheduling_ns: queuing,
+                    framework_ns: 300,
+                    device_ns: 400,
+                })),
+            },
+            TracedEvent {
+                at: SimTime::from_micros(5),
+                seq: 1,
+                event: TraceEvent::JobJourney(Box::new(JobJourney {
+                    job: 1,
+                    client: 0,
+                    jct_ns: 1_000 + queuing,
+                    client_send_recv_ns: 100,
+                    communication_ns: 200,
+                    framework_ns: 300,
+                    device_ns: 400,
+                    retry_backoff_ns: queue_split[0],
+                    queue_dep_ns: queue_split[1],
+                    queue_occupancy_ns: queue_split[2],
+                    queue_hol_ns: queue_split[3],
+                    device_prefill_ns: 400,
+                    device_decode_ns: 0,
+                })),
+            },
+        ])
     }
 
     #[test]

@@ -7,7 +7,7 @@ use paella_channels::{
 };
 use paella_gpu::{GpuRunOutput, StreamId};
 use paella_sim::{SimDuration, SimTime};
-use paella_telemetry::{HostOpKind, JobJourney, NotifRun, TraceEvent};
+use paella_telemetry::{HostOpKind, JobJourney, TraceEvent};
 
 use super::config::{Granularity, WakeupMode, COMPLETION_COST, NOTIF_COST, PIPELINE_WINDOW};
 use super::ingest::{Job, RELEASED};
@@ -104,17 +104,14 @@ impl Dispatcher {
             self.now = self.now.max(done);
             // One event per charge, at its first word's end; the host op and
             // the notification of each word are its expansion.
-            self.core.trace(start + NOTIF_COST, || {
-                TraceEvent::NotifRun(Box::new(NotifRun {
-                    kernel: u64::from(uid),
-                    placement,
-                    core,
-                    start,
-                    cost: NOTIF_COST,
-                    words: (words[from..to].iter())
-                        .map(|&(sm, group)| (u32::from(sm), u32::from(group)))
-                        .collect(),
-                }))
+            let charged = words[from..to].iter().copied();
+            let tracer = &mut self.core.tracer;
+            tracer.record_words(start + NOTIF_COST, charged, |range| TraceEvent::NotifRun {
+                kernel: u64::from(uid),
+                start,
+                core,
+                placement,
+                range,
             });
             if let Some(k) = placing {
                 if wake && from == 0 {

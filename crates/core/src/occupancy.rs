@@ -45,7 +45,16 @@ pub struct OccupancyTracker {
 
 impl OccupancyTracker {
     /// Creates a tracker for a device with `num_sms` SMs of the given limits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_sms` exceeds 256: a notification names its SM by an
+    /// 8-bit [`SmId`], so the words of a larger device's SMs would alias.
     pub fn new(num_sms: u32, limits: SmLimits) -> Self {
+        assert!(
+            num_sms <= 1 << SmId::BITS,
+            "{num_sms} SMs: a notification word's SM id has 8 bits"
+        );
         OccupancyTracker {
             pool: SmPool::new(num_sms, limits),
             kernels: IdMap::new(),
@@ -259,6 +268,12 @@ mod tests {
             regs_per_thread: 9,
             shmem: 0,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "SM id has 8 bits")]
+    fn more_sms_than_an_sm_id_tells_apart_panics() {
+        let _ = OccupancyTracker::new(257, SmLimits::TURING);
     }
 
     fn tracker() -> OccupancyTracker {

@@ -24,12 +24,11 @@
 //! simulated time forward and collect host-visible [`GpuOutput`]s.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use paella_channels::{KernelUid, NotifKind, Notification, SmId};
 use paella_sim::rng::Xoshiro256pp;
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime};
-use paella_telemetry::{SmWave, TraceEvent, TraceLog, Tracer};
+use paella_telemetry::{TraceEvent, TraceLog, Tracer};
 
 use crate::config::DeviceConfig;
 use crate::kernel::{KernelLaunch, StreamId};
@@ -151,32 +150,15 @@ impl GpuRuns {
 enum Ev {
     /// A launch reached its hardware queue and may now be considered.
     QueueArrival { uid: KernelUid },
-    /// A placed wave of block groups finished.
+    /// A placed wave of block groups finished; `groups` is the `(sm,
+    /// blocks)` buffer they were placed into.
     GroupFinish {
         uid: KernelUid,
         wave: u32,
-        groups: Groups,
+        groups: Vec<(u32, u32)>,
     },
     /// A memcpy finished on its engine.
     CopyFinish { uid: MemcpyUid, engine: u32 },
-}
-
-/// The per-SM block counts of a placed wave, in the one slot its finish event
-/// has for them: the buffer they were placed into, or with telemetry on the
-/// payload its begin event shares (the buffer went back to the spares).
-#[derive(Clone, Debug)]
-enum Groups {
-    Plain(Vec<(u32, u32)>),
-    Traced(Arc<SmWave>),
-}
-
-impl Groups {
-    fn as_slice(&self) -> &[(u32, u32)] {
-        match self {
-            Groups::Plain(allocs) => allocs,
-            Groups::Traced(span) => &span.groups,
-        }
-    }
 }
 
 /// Per-stream op, in issue order.
@@ -218,16 +200,19 @@ struct KernelState {
     wave_quantum: u64,
 }
 
-impl KernelState {
-    /// What the telemetry events of wave `wave`, placed as `allocs`, carry.
-    fn wave_span(&self, wave: u32, allocs: &[(u32, u32)]) -> Arc<SmWave> {
-        Arc::new(SmWave {
-            kernel: u64::from(self.launch.uid),
-            wave,
-            name: self.launch.desc.name.clone(),
-            groups: allocs.into(),
-        })
-    }
+/// The SM id of SM `sm`: exact, since a device has at most 256 SMs.
+fn sm_id(sm: u32) -> SmId {
+    debug_assert!(sm <= u32::from(SmId::MAX), "SM {sm} has no 8-bit id");
+    sm as SmId
+}
+
+/// A wave's `(sm, blocks)` groups as trace words: exact, since a device has
+/// at most 256 SMs and an SM holds at most `u16::MAX` blocks.
+fn group_words(allocs: &[(u32, u32)]) -> impl Iterator<Item = (SmId, u16)> + '_ {
+    allocs.iter().map(|&(sm, blocks)| {
+        debug_assert!(blocks <= u32::from(u16::MAX));
+        (sm_id(sm), blocks as u16)
+    })
 }
 
 struct CopyEngine {
@@ -262,8 +247,7 @@ pub struct GpuSim {
     rr_queue: usize,
     /// Copies submitted but not yet at the front of their stream.
     pending_copies: Vec<(MemcpyOp, SimTime)>,
-    /// Emptied group buffers, for the next waves: a finished wave's, or with
-    /// telemetry on a just-placed one's.
+    /// Emptied group buffers of finished waves, for the next waves.
     spare_allocs: Vec<Vec<(u32, u32)>>,
     /// Queues of drained streams, for the next streams to open.
     spare_streams: Vec<VecDeque<StreamOp>>,
@@ -271,7 +255,19 @@ pub struct GpuSim {
 
 impl GpuSim {
     /// Creates a device in the idle state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device has more than 256 SMs, the most a notification
+    /// word's 8-bit SM id tells apart, or an SM may hold more than
+    /// `u16::MAX` blocks, the most a word counts.
     pub fn new(cfg: DeviceConfig, seed: u64) -> Self {
+        assert!(
+            cfg.num_sms <= 1 << SmId::BITS,
+            "{} SMs: a notification word's SM id has 8 bits",
+            cfg.num_sms
+        );
+        assert!(cfg.sm_limits.max_blocks <= u32::from(u16::MAX));
         let pool = SmPool::new(cfg.num_sms, cfg.sm_limits);
         let num_queues = cfg.num_hw_queues as usize;
         assert!(num_queues <= 64, "one bit of `busy_queues` per queue");
@@ -507,12 +503,14 @@ impl GpuSim {
                 });
                 self.schedule_blocks(at);
             }
-            Ev::GroupFinish { uid, wave, groups } => {
+            Ev::GroupFinish {
+                uid,
+                wave,
+                mut groups,
+            } => {
                 self.on_group_finish(at, uid, wave, &groups);
-                if let Groups::Plain(mut allocs) = groups {
-                    allocs.clear();
-                    self.spare_allocs.push(allocs);
-                }
+                groups.clear();
+                self.spare_allocs.push(groups);
             }
             Ev::CopyFinish { uid, engine } => {
                 self.on_copy_finish(at, uid, engine);
@@ -661,7 +659,7 @@ impl GpuSim {
             };
         }
 
-        let (wave, span) = {
+        let wave = {
             // invariant: `self.kernel(uid)` resolved at the top of this fn.
             let k = self
                 .kernels
@@ -675,12 +673,14 @@ impl GpuSim {
             k.running += placed;
             let wave = k.waves;
             k.waves += 1;
-            let span = self.tracer.is_enabled().then(|| k.wave_span(wave, &allocs));
-            if let Some(span) = &span {
-                self.tracer
-                    .record_with(now, || TraceEvent::SmWaveBegin(span.clone()));
-            }
-            (wave, span)
+            self.tracer
+                .record_words(now, group_words(&allocs), |range| TraceEvent::SmWaveBegin {
+                    kernel: u64::from(uid),
+                    wave,
+                    name: k.launch.desc.name.clone(),
+                    range,
+                });
+            wave
         };
 
         // Placement notifications, attributed to the SM each group landed
@@ -689,16 +689,14 @@ impl GpuSim {
             self.emit_notif_run(now, uid, &allocs, spec.aggregation, NotifKind::Placement);
         }
 
-        let groups = match span {
-            Some(span) => {
-                allocs.clear();
-                self.spare_allocs.push(allocs);
-                Groups::Traced(span)
-            }
-            None => Groups::Plain(allocs),
-        };
-        self.events
-            .schedule_at(now + dur, Ev::GroupFinish { uid, wave, groups });
+        self.events.schedule_at(
+            now + dur,
+            Ev::GroupFinish {
+                uid,
+                wave,
+                groups: allocs,
+            },
+        );
     }
 
     /// Emits a wave's start or end notifications as one run, group by group.
@@ -729,7 +727,7 @@ impl GpuSim {
                 if self.cfg.notif_drop_rate > 0.0 && self.rng.chance(self.cfg.notif_drop_rate) {
                     continue;
                 }
-                self.outputs.words.push(((sm % 256) as u8, g));
+                self.outputs.words.push((sm_id(sm), g));
             }
         }
         let len = (self.outputs.words.len() - first) as u32;
@@ -744,8 +742,7 @@ impl GpuSim {
         }
     }
 
-    fn on_group_finish(&mut self, at: SimTime, uid: KernelUid, wave: u32, groups: &Groups) {
-        let allocs = groups.as_slice();
+    fn on_group_finish(&mut self, at: SimTime, uid: KernelUid, wave: u32, allocs: &[(u32, u32)]) {
         let (fp, instr) = {
             let k = self.kernel(uid);
             (k.launch.desc.footprint, k.launch.desc.instrumentation)
@@ -774,14 +771,12 @@ impl GpuSim {
             );
             k.running -= blocks;
             k.finished_blocks += blocks;
-            if self.tracer.is_enabled() {
-                let span = match groups {
-                    Groups::Traced(span) => span.clone(),
-                    // Telemetry came on with the wave already running.
-                    Groups::Plain(allocs) => k.wave_span(wave, allocs),
-                };
-                self.tracer.record_with(at, || TraceEvent::SmWaveEnd(span));
-            }
+            self.tracer
+                .record_words(at, group_words(allocs), |range| TraceEvent::SmWaveEnd {
+                    kernel: u64::from(uid),
+                    wave,
+                    range,
+                });
             k.finished_blocks == k.launch.desc.grid_blocks && k.running == 0 && k.unplaced == 0
         };
 
@@ -1297,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn a_wave_shares_one_record_unless_telemetry_came_on_under_it() {
+    fn a_waves_begin_and_end_expand_to_the_same_groups() {
         let launch = |gpu: &mut GpuSim| {
             gpu.launch_kernel(
                 SimTime::ZERO,
@@ -1308,11 +1303,23 @@ mod tests {
                 },
             );
         };
-        let waves = |log: TraceLog| -> Vec<(&'static str, Arc<SmWave>)> {
-            (log.events.into_iter())
+        // `(kind, kernel, wave, sm, blocks)` of every span edge.
+        let edges = |log: &TraceLog| -> Vec<(&'static str, u64, u32, u32, u32)> {
+            (log.expanded().events.into_iter())
                 .filter_map(|e| match e.event {
-                    TraceEvent::SmWaveBegin(w) => Some(("begin", w)),
-                    TraceEvent::SmWaveEnd(w) => Some(("end", w)),
+                    TraceEvent::SmSpanBegin {
+                        kernel,
+                        wave,
+                        sm,
+                        blocks,
+                        ..
+                    } => Some(("begin", kernel, wave, sm, blocks)),
+                    TraceEvent::SmSpanEnd {
+                        kernel,
+                        wave,
+                        sm,
+                        blocks,
+                    } => Some(("end", kernel, wave, sm, blocks)),
                     _ => None,
                 })
                 .collect()
@@ -1321,11 +1328,22 @@ mod tests {
         gpu.set_tracer(Tracer::enabled());
         launch(&mut gpu);
         drain_all(&mut gpu);
-        let whole = waves(gpu.take_trace_log());
-        assert_eq!((whole[0].0, whole[1].0, whole.len()), ("begin", "end", 2));
-        assert!(Arc::ptr_eq(&whole[0].1, &whole[1].1));
+        let log = gpu.take_trace_log();
+        let waves: Vec<&str> = (log.events.iter())
+            .map(|e| e.event.kind())
+            .filter(|kind| kind.starts_with("sm-wave"))
+            .collect();
+        assert_eq!(waves, ["sm-wave-begin", "sm-wave-end"], "one wave");
+        let whole = edges(&log);
+        let groups = [(1, 1, 0, 0, 1), (1, 1, 0, 1, 1)];
+        let (begins, ends) = whole.split_at(2);
+        assert_eq!(
+            begins,
+            groups.map(|(_, k, w, sm, b)| ("begin", k, w, sm, b))
+        );
+        assert_eq!(ends, groups.map(|(_, k, w, sm, b)| ("end", k, w, sm, b)));
 
-        // Switched on mid-wave, the end carries a record of its own.
+        // Switched on mid-wave, the end records the groups all the same.
         let mut gpu = GpuSim::new(DeviceConfig::tiny(2, 2, Microarch::KeplerPlus), 1);
         launch(&mut gpu);
         let mut out = Vec::new();
@@ -1335,9 +1353,13 @@ mod tests {
         drain_all(&mut gpu);
         let log = gpu.take_trace_log();
         assert!(paella_telemetry::export::sm_spans(&log).is_empty());
-        let late = waves(log);
-        assert_eq!((late[0].0, late.len()), ("end", 1));
-        assert_eq!(late[0].1, whole[1].1);
+        assert_eq!(edges(&log), ends);
+    }
+
+    #[test]
+    #[should_panic(expected = "SM id has 8 bits")]
+    fn more_sms_than_an_sm_id_tells_apart_panics() {
+        let _ = GpuSim::new(DeviceConfig::tiny(257, 2, Microarch::KeplerPlus), 1);
     }
 
     #[test]

@@ -342,34 +342,32 @@ mod tests {
     fn extract_reads_journeys_back() {
         let j = journey(42, 5, 300, 70);
         let b = j.breakdown;
-        let log = TraceLog {
-            events: vec![
-                TracedEvent {
-                    at: SimTime::ZERO,
-                    seq: 0,
-                    event: TraceEvent::KernelCompleted { kernel: 1 },
-                },
-                TracedEvent {
-                    at: SimTime::from_micros(1),
-                    seq: 1,
-                    event: TraceEvent::JobJourney(Box::new(JobJourney {
-                        job: 42,
-                        client: 5,
-                        jct_ns: b.jct_ns,
-                        client_send_recv_ns: b.client_send_recv_ns,
-                        communication_ns: b.communication_ns,
-                        framework_ns: b.framework_ns,
-                        device_ns: b.device_ns,
-                        retry_backoff_ns: b.retry_backoff_ns,
-                        queue_dep_ns: b.queue_dep_ns,
-                        queue_occupancy_ns: b.queue_occupancy_ns,
-                        queue_hol_ns: b.queue_hol_ns,
-                        device_prefill_ns: b.device_prefill_ns,
-                        device_decode_ns: b.device_decode_ns,
-                    })),
-                },
-            ],
-        };
+        let log = TraceLog::from(vec![
+            TracedEvent {
+                at: SimTime::ZERO,
+                seq: 0,
+                event: TraceEvent::KernelCompleted { kernel: 1 },
+            },
+            TracedEvent {
+                at: SimTime::from_micros(1),
+                seq: 1,
+                event: TraceEvent::JobJourney(Box::new(JobJourney {
+                    job: 42,
+                    client: 5,
+                    jct_ns: b.jct_ns,
+                    client_send_recv_ns: b.client_send_recv_ns,
+                    communication_ns: b.communication_ns,
+                    framework_ns: b.framework_ns,
+                    device_ns: b.device_ns,
+                    retry_backoff_ns: b.retry_backoff_ns,
+                    queue_dep_ns: b.queue_dep_ns,
+                    queue_occupancy_ns: b.queue_occupancy_ns,
+                    queue_hol_ns: b.queue_hol_ns,
+                    device_prefill_ns: b.device_prefill_ns,
+                    device_decode_ns: b.device_decode_ns,
+                })),
+            },
+        ]);
         let out = extract_journeys(&log);
         assert_eq!(out, vec![j]);
     }

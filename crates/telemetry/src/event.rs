@@ -7,14 +7,14 @@
 //!
 //! Size budget (DESIGN §8): a [`TraceEvent`] is at most 32 bytes, because
 //! recording costs what its bytes cost. The four variants that occur once
-//! per request or per job carry their payload behind a `Box`. So do the
-//! three *run* variants ([`TraceEvent::SmWaveBegin`] and
-//! [`TraceEvent::SmWaveEnd`] behind an `Arc` the two share,
+//! per request or per job carry their payload behind a `Box`. The three *run*
+//! variants ([`TraceEvent::SmWaveBegin`], [`TraceEvent::SmWaveEnd`] and
 //! [`TraceEvent::NotifRun`]), which are what the device and the dispatcher
-//! record per wave and per charged stretch of
-//! notification words. The per-word variants they stand for
-//! ([`TraceEvent::SmSpanBegin`], [`TraceEvent::SmSpanEnd`], the
-//! [`HostOpKind::Notif`] host op and [`TraceEvent::NotifBatch`]) are what
+//! record per wave and per charged stretch of notification words, carry no
+//! payload at all: their groups or words sit in the recording log's word
+//! pool, and the event holds a [`WordRange`] into it. The per-word variants
+//! they stand for ([`TraceEvent::SmSpanBegin`], [`TraceEvent::SmSpanEnd`],
+//! the [`HostOpKind::Notif`] host op and [`TraceEvent::NotifBatch`]) are what
 //! [`TraceLog::expanded`](crate::TraceLog::expanded) yields; nothing records
 //! them. In the same way one [`TraceEvent::CounterTick`] per sampling tick
 //! stands for a [`TraceEvent::CounterSample`] per [`TICK_COUNTERS`] entry.
@@ -22,7 +22,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use paella_sim::{SimDuration, SimTime};
+use paella_sim::SimTime;
 
 /// Which host-side CPU charge a [`TraceEvent::HostOp`] span covers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -222,39 +222,55 @@ pub struct RouteDecision {
     pub candidates: u32,
 }
 
-/// Payload of [`TraceEvent::SmWaveBegin`] and [`TraceEvent::SmWaveEnd`]: one
-/// placement pass of a kernel, a group of blocks per SM it landed on. The two
-/// events of a wave share one payload.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SmWave {
-    /// Owning kernel uid.
-    pub kernel: u64,
-    /// Wave index within the kernel (0-based placement pass).
-    pub wave: u32,
-    /// Kernel name, for slice labels (shared with the kernel).
-    pub name: Arc<String>,
-    /// `(sm, blocks)` of every group, in placement order.
-    pub groups: Box<[(u32, u32)]>,
+/// Where the `(sm, blocks)` entries of a run or a wave sit in the word pool
+/// of the tracer or log that recorded it: `len` entries from `from`. Only
+/// [`Tracer::record_words`](crate::Tracer::record_words) makes one, as it
+/// pushes the entries, so a range always names what its event recorded.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct WordRange {
+    from: u32,
+    len: u32,
 }
 
-/// Payload of [`TraceEvent::NotifRun`]: notification words of one kernel and
-/// one kind that a dispatcher core folded back to back under one CPU charge.
-/// Word `i` took the core from `start + i·cost` to `start + (i+1)·cost`; the
-/// event is recorded at the first word's end, `start + cost`.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct NotifRun {
-    /// Kernel every word belongs to.
-    pub kernel: u64,
-    /// `true` for placement words, `false` for completion words.
-    pub placement: bool,
-    /// Dispatcher core (shard) that handled the words.
-    pub core: u32,
-    /// When the core started on the first word.
-    pub start: SimTime,
-    /// CPU time per word.
-    pub cost: SimDuration,
-    /// `(sm, blocks)` of every word, in handling order.
-    pub words: Vec<(u32, u32)>,
+impl WordRange {
+    /// The range of pool entries `from..to`.
+    pub(crate) fn new(from: usize, to: usize) -> Self {
+        let at = |i: usize| u32::try_from(i).expect("a word pool holds at most u32::MAX entries");
+        WordRange {
+            from: at(from),
+            len: at(to - from),
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether the range holds no entry.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
+
+    /// The entries in `pool`.
+    pub(crate) fn of(self, pool: &[(u8, u16)]) -> &[(u8, u16)] {
+        &pool[self.from as usize..][..self.len()]
+    }
+
+    /// The same entries in a pool that `base` entries were put in front of.
+    pub(crate) fn rebased(self, base: usize) -> Self {
+        WordRange::new(
+            self.from as usize + base,
+            self.from as usize + base + self.len(),
+        )
+    }
+
+    /// Cuts the range before its `at`-th entry, returning the rest.
+    pub(crate) fn split_off(&mut self, at: usize) -> Self {
+        let tail = WordRange::new(self.from as usize + at, self.from as usize + self.len());
+        self.len = at as u32;
+        tail
+    }
 }
 
 /// One virtual-time-stamped observation. The timestamp lives in the
@@ -333,16 +349,46 @@ pub enum TraceEvent {
     },
     /// A wave of block groups was placed; stands for one
     /// [`TraceEvent::SmSpanBegin`] per group, all at this event's instant
-    /// (once per wave; payload shared with the wave's end).
-    SmWaveBegin(Arc<SmWave>),
+    /// (once per wave).
+    SmWaveBegin {
+        /// Owning kernel uid.
+        kernel: u64,
+        /// Wave index within the kernel (0-based placement pass).
+        wave: u32,
+        /// Kernel name, for slice labels (shared with the kernel).
+        name: Arc<String>,
+        /// `(sm, blocks)` of every group, in placement order.
+        range: WordRange,
+    },
     /// The matching end of a [`TraceEvent::SmWaveBegin`]; stands for one
     /// [`TraceEvent::SmSpanEnd`] per group.
-    SmWaveEnd(Arc<SmWave>),
-    /// The host folded a stretch of notifQ words into the occupancy mirror;
-    /// stands for a [`HostOpKind::Notif`] [`TraceEvent::HostOp`] and a
+    SmWaveEnd {
+        /// Owning kernel uid.
+        kernel: u64,
+        /// Wave index within the kernel.
+        wave: u32,
+        /// `(sm, blocks)` of every group, in placement order.
+        range: WordRange,
+    },
+    /// The host folded a stretch of notifQ words of one kernel and one kind
+    /// into the occupancy mirror, back to back under one CPU charge; stands
+    /// for a [`HostOpKind::Notif`] [`TraceEvent::HostOp`] and a
     /// [`TraceEvent::NotifBatch`] per word, at the word's own instant (once
-    /// per CPU charge; payload out of line).
-    NotifRun(Box<NotifRun>),
+    /// per CPU charge). Word `i` took the core from `start + i·cost` to
+    /// `start + (i+1)·cost`, and the event is recorded at the first word's
+    /// end, so `cost` is the event's instant minus `start`.
+    NotifRun {
+        /// Kernel every word belongs to.
+        kernel: u64,
+        /// When the core started on the first word.
+        start: SimTime,
+        /// Dispatcher core (shard) that handled the words.
+        core: u32,
+        /// `true` for placement words, `false` for completion words.
+        placement: bool,
+        /// `(sm, blocks)` of every word, in handling order.
+        range: WordRange,
+    },
     /// A group of blocks was placed on one SM (one allocation of a wave).
     /// Word-level view of [`TraceEvent::SmWaveBegin`].
     SmSpanBegin {
@@ -520,12 +566,10 @@ pub const TICK_COUNTERS: [&str; 6] = [
 /// were inline struct variants — `JobEnd { job: 1, .. }`, never
 /// `JobEnd(JobEnd { .. })` — because the flight recorder's dump renders
 /// events with `{:?}` and that text is a byte-stable output. A `payload` row
-/// is a variant boxing the struct it is named after, which prints itself; a
-/// `shared` row prints as the tuple variant it is.
+/// is a variant boxing the struct it is named after, which prints itself.
 macro_rules! vocabulary {
     (
         payload { $($p:ident => $pl:literal,)* }
-        shared { $($s:ident => $sl:literal,)* }
         inline { $($v:ident { $($f:ident),* } => $vl:literal,)* }
     ) => {
         impl TraceEvent {
@@ -533,7 +577,6 @@ macro_rules! vocabulary {
             pub fn kind(&self) -> &'static str {
                 match self {
                     $(TraceEvent::$p(_) => $pl,)*
-                    $(TraceEvent::$s(_) => $sl,)*
                     $(TraceEvent::$v { .. } => $vl,)*
                 }
             }
@@ -543,7 +586,6 @@ macro_rules! vocabulary {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 match self {
                     $(TraceEvent::$p(p) => p.fmt(f),)*
-                    $(TraceEvent::$s(p) => f.debug_tuple(stringify!($s)).field(p).finish(),)*
                     $(TraceEvent::$v { $($f),* } => f
                         .debug_struct(stringify!($v))
                         $(.field(stringify!($f), $f))*
@@ -559,12 +601,7 @@ vocabulary! {
         JobBegin => "job-begin",
         JobEnd => "job-end",
         JobJourney => "job-journey",
-        NotifRun => "notif-run",
         RouteDecision => "route-decision",
-    }
-    shared {
-        SmWaveBegin => "sm-wave-begin",
-        SmWaveEnd => "sm-wave-end",
     }
     inline {
         HostOp { kind, core, start } => "host-op",
@@ -574,6 +611,9 @@ vocabulary! {
         HwQueueStall { hw_queue, kernel } => "hw-queue-stall",
         KernelDispatched { job, kernel, stream, grid_blocks } => "kernel-dispatched",
         KernelCompleted { kernel } => "kernel-completed",
+        SmWaveBegin { kernel, wave, name, range } => "sm-wave-begin",
+        SmWaveEnd { kernel, wave, range } => "sm-wave-end",
+        NotifRun { kernel, start, core, placement, range } => "notif-run",
         SmSpanBegin { kernel, wave, sm, blocks, name } => "sm-span-begin",
         SmSpanEnd { kernel, wave, sm, blocks } => "sm-span-end",
         NotifBatch { kernel, sm, placement, blocks } => "notif-batch",
@@ -599,10 +639,33 @@ impl TraceEvent {
     /// a run or a tick.
     pub fn expanded_len(&self) -> usize {
         match self {
-            TraceEvent::SmWaveBegin(w) | TraceEvent::SmWaveEnd(w) => w.groups.len(),
-            TraceEvent::NotifRun(r) => 2 * r.words.len(),
+            TraceEvent::SmWaveBegin { range, .. } | TraceEvent::SmWaveEnd { range, .. } => {
+                range.len()
+            }
+            TraceEvent::NotifRun { range, .. } => 2 * range.len(),
             TraceEvent::CounterTick { values } => values.len(),
             _ => 1,
+        }
+    }
+
+    /// Where the event's groups or words sit in its log's pool; `None` unless
+    /// it is a run.
+    pub(crate) fn range(&self) -> Option<WordRange> {
+        match *self {
+            TraceEvent::SmWaveBegin { range, .. }
+            | TraceEvent::SmWaveEnd { range, .. }
+            | TraceEvent::NotifRun { range, .. } => Some(range),
+            _ => None,
+        }
+    }
+
+    /// [`range`](Self::range), to move.
+    pub(crate) fn range_mut(&mut self) -> Option<&mut WordRange> {
+        match self {
+            TraceEvent::SmWaveBegin { range, .. }
+            | TraceEvent::SmWaveEnd { range, .. }
+            | TraceEvent::NotifRun { range, .. } => Some(range),
+            _ => None,
         }
     }
 }

@@ -185,9 +185,9 @@ fn place(event: &TraceEvent) -> Option<Track> {
         | TraceEvent::CounterSample { .. }
         | TraceEvent::SmSpanBegin { .. }
         | TraceEvent::SmSpanEnd { .. }
-        | TraceEvent::SmWaveBegin(_)
-        | TraceEvent::SmWaveEnd(_)
-        | TraceEvent::NotifRun(_)
+        | TraceEvent::SmWaveBegin { .. }
+        | TraceEvent::SmWaveEnd { .. }
+        | TraceEvent::NotifRun { .. }
         | TraceEvent::CounterTick { .. } => None,
     }
 }
@@ -617,9 +617,9 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
             // Rendered above as paired "X" slices.
             TraceEvent::SmSpanBegin { .. } | TraceEvent::SmSpanEnd { .. } => continue,
             // Runs and ticks: an expanded log holds what they stand for.
-            TraceEvent::SmWaveBegin(_)
-            | TraceEvent::SmWaveEnd(_)
-            | TraceEvent::NotifRun(_)
+            TraceEvent::SmWaveBegin { .. }
+            | TraceEvent::SmWaveEnd { .. }
+            | TraceEvent::NotifRun { .. }
             | TraceEvent::CounterTick { .. } => continue,
         };
         push(line);
@@ -1405,17 +1405,15 @@ mod tests {
         assert!(json.contains(r#""name":"journey job 1""#));
         assert!(json.contains(r#""retry_backoff_ns":2000"#));
         let s = text_summary(
-            &TraceLog {
-                events: vec![crate::tracer::TracedEvent {
-                    at: SimTime::ZERO,
-                    seq: 0,
-                    event: TraceEvent::FailoverHop {
-                        client: 6,
-                        model: 0,
-                        attempt: 2,
-                    },
-                }],
-            },
+            &TraceLog::from(vec![crate::tracer::TracedEvent {
+                at: SimTime::ZERO,
+                seq: 0,
+                event: TraceEvent::FailoverHop {
+                    client: 6,
+                    model: 0,
+                    attempt: 2,
+                },
+            }]),
             None,
         );
         assert!(s.contains("failover-hop"));

@@ -15,8 +15,8 @@ pub use critical_path::{
     extract_journeys, p99_blame, per_tenant_blame, BlameReport, Journey, PhaseBreakdown, PHASES,
 };
 pub use event::{
-    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, NotifRun, PickRationale, RouteDecision,
-    SmWave, TraceEvent, TICK_COUNTERS,
+    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, PickRationale, RouteDecision, TraceEvent,
+    WordRange, TICK_COUNTERS,
 };
 pub use export::{chrome_trace_json, text_summary, validate_chrome_trace};
 pub use metrics::{MetricsRegistry, MetricsSnapshot, TenantSloSummary};

@@ -2,7 +2,7 @@
 
 use paella_sim::SimTime;
 
-use crate::event::{HostOpKind, NotifRun, TraceEvent, TICK_COUNTERS};
+use crate::event::{HostOpKind, TraceEvent, WordRange, TICK_COUNTERS};
 
 /// One recorded event with its virtual timestamp and intra-source sequence
 /// number (the determinism tiebreak for same-instant events).
@@ -25,17 +25,26 @@ impl TracedEvent {
     }
 
     /// Appends the word-level events this one stands for — itself, unless it
-    /// is a run — numbered from `self.seq`.
-    fn expand_into(&self, out: &mut Vec<TracedEvent>) {
+    /// is a run — numbered from `self.seq`. `pool` is the word pool of the
+    /// log or tracer that holds the event.
+    fn expand_into(&self, pool: &[(u8, u16)], out: &mut Vec<TracedEvent>) {
         let mut seq = self.seq;
         let mut push = |at, event| {
             out.push(TracedEvent { at, seq, event });
             seq += 1;
         };
+        let words = |range: &WordRange| {
+            (range.of(pool).iter()).map(|&(sm, n)| (u32::from(sm), u32::from(n)))
+        };
         match &self.event {
-            TraceEvent::SmWaveBegin(w) => {
-                for &(sm, blocks) in w.groups.iter() {
-                    let (kernel, wave, name) = (w.kernel, w.wave, w.name.clone());
+            TraceEvent::SmWaveBegin {
+                kernel,
+                wave,
+                name,
+                range,
+            } => {
+                for (sm, blocks) in words(range) {
+                    let (kernel, wave, name) = (*kernel, *wave, name.clone());
                     push(
                         self.at,
                         TraceEvent::SmSpanBegin {
@@ -48,9 +57,13 @@ impl TracedEvent {
                     );
                 }
             }
-            TraceEvent::SmWaveEnd(w) => {
-                for &(sm, blocks) in w.groups.iter() {
-                    let (kernel, wave) = (w.kernel, w.wave);
+            TraceEvent::SmWaveEnd {
+                kernel,
+                wave,
+                range,
+            } => {
+                for (sm, blocks) in words(range) {
+                    let (kernel, wave) = (*kernel, *wave);
                     push(
                         self.at,
                         TraceEvent::SmSpanEnd {
@@ -62,13 +75,20 @@ impl TracedEvent {
                     );
                 }
             }
-            TraceEvent::NotifRun(run) => {
-                let mut start = run.start;
-                for &(sm, blocks) in &run.words {
-                    let done = start + run.cost;
-                    let (kind, core) = (HostOpKind::Notif, run.core);
+            TraceEvent::NotifRun {
+                kernel,
+                start,
+                core,
+                placement,
+                range,
+            } => {
+                let cost = self.at - *start;
+                let mut start = *start;
+                for (sm, blocks) in words(range) {
+                    let done = start + cost;
+                    let (kind, core) = (HostOpKind::Notif, *core);
                     push(done, TraceEvent::HostOp { kind, core, start });
-                    let (kernel, placement) = (run.kernel, run.placement);
+                    let (kernel, placement) = (*kernel, *placement);
                     push(
                         done,
                         TraceEvent::NotifBatch {
@@ -93,27 +113,38 @@ impl TracedEvent {
 
     /// Cuts a run before its first word whose key is not below `bound`,
     /// returning the cut-off words as an event of their own, at their own
-    /// first instant and with this event's `seq`. `None` when every word
-    /// sorts below `bound`; always so for events of one instant.
+    /// first instant and with this event's `seq`; both pieces keep their
+    /// words where they are in the pool. `None` when every word sorts below
+    /// `bound`; always so for events of one instant.
     fn split_before(&mut self, bound: (SimTime, u64)) -> Option<TracedEvent> {
-        let TraceEvent::NotifRun(run) = &mut self.event else {
+        let (at, seq) = (self.at, self.seq);
+        let TraceEvent::NotifRun {
+            kernel,
+            start,
+            core,
+            placement,
+            range,
+        } = &mut self.event
+        else {
             return None;
         };
-        let (start, cost, seq) = (run.start, run.cost, self.seq);
-        let done = |word: usize| start + cost * (word as u64 + 1);
-        if (done(run.words.len().saturating_sub(1)), seq) < bound {
+        let (first, cost) = (*start, at - *start);
+        let done = |word: usize| first + cost * (word as u64 + 1);
+        if (done(range.len().saturating_sub(1)), seq) < bound {
             return None;
         }
-        let keep = (1..run.words.len()).find(|&word| (done(word), seq) >= bound)?;
-        let tail = NotifRun {
+        let keep = (1..range.len()).find(|&word| (done(word), seq) >= bound)?;
+        let event = TraceEvent::NotifRun {
+            kernel: *kernel,
             start: done(keep - 1),
-            words: run.words.split_off(keep),
-            ..**run
+            core: *core,
+            placement: *placement,
+            range: range.split_off(keep),
         };
         Some(TracedEvent {
-            at: tail.start + cost,
+            at: done(keep),
             seq,
-            event: TraceEvent::NotifRun(Box::new(tail)),
+            event,
         })
     }
 }
@@ -131,6 +162,21 @@ const HOLE: TracedEvent = TracedEvent {
 pub struct TraceLog {
     /// Events in `(at, source, seq)` order.
     pub events: Vec<TracedEvent>,
+    /// The word pool: the `(sm, blocks)` entries of every run's words and
+    /// every wave's groups, which those events hold ranges into.
+    words: Vec<(u8, u16)>,
+}
+
+/// A log of events that hold no words, as [`TraceLog::expanded`] and the
+/// flight recorder yield them.
+impl From<Vec<TracedEvent>> for TraceLog {
+    fn from(events: Vec<TracedEvent>) -> Self {
+        debug_assert!(events.iter().all(|e| e.event.range().is_none()));
+        TraceLog {
+            events,
+            words: Vec::new(),
+        }
+    }
 }
 
 impl TraceLog {
@@ -152,13 +198,28 @@ impl TraceLog {
     /// The merge holds the log once: the sources are moved into the first
     /// one's buffer, sorted there and merged in place, so it never needs
     /// more than that buffer plus a quarter (the room cut-off pieces take,
-    /// grown only if they need more).
+    /// grown only if they need more). The later sources' word pools are
+    /// appended to the first one's, each dropped once it is, and their
+    /// events' ranges moved to match; a cut leaves the words where they are.
     pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
         let len: usize = sources.iter().map(TraceLog::len).sum();
+        let pool: usize = sources.iter().map(|log| log.words.len()).sum();
         let mut sources = sources.into_iter();
-        let mut events = sources.next().map(|log| log.events).unwrap_or_default();
+        let TraceLog {
+            mut events,
+            mut words,
+        } = sources.next().unwrap_or_default();
         events.reserve_exact(len + len / 4 - events.len());
+        words.reserve_exact(pool - words.len());
         for mut log in sources {
+            let base = words.len();
+            words.extend_from_slice(&log.words);
+            drop(log.words);
+            for e in &mut log.events {
+                if let Some(range) = e.event.range_mut() {
+                    *range = range.rebased(base);
+                }
+            }
             events.append(&mut log.events);
         }
         // Until the renumbering below, `seq` is the position in source
@@ -213,7 +274,8 @@ impl TraceLog {
         }
         events.truncate(out);
         events.shrink_to_fit();
-        TraceLog { events }
+        words.shrink_to_fit();
+        TraceLog { events, words }
     }
 
     /// The word-level log: every run replaced, in place, by the per-word
@@ -228,9 +290,15 @@ impl TraceLog {
         let len = self.events.iter().map(|e| e.event.expanded_len()).sum();
         let mut events = Vec::with_capacity(len);
         for e in &self.events {
-            e.expand_into(&mut events);
+            e.expand_into(&self.words, &mut events);
         }
-        TraceLog { events }
+        TraceLog::from(events)
+    }
+
+    /// The `(sm, blocks)` entries of `event`, one of this log's: a run's
+    /// words or a wave's groups, in order. Empty unless it is a run.
+    pub fn words(&self, event: &TraceEvent) -> &[(u8, u16)] {
+        event.range().map_or(&[], |range| range.of(&self.words))
     }
 
     /// Number of recorded events.
@@ -247,6 +315,8 @@ impl TraceLog {
 #[derive(Default, Debug)]
 struct Inner {
     events: Vec<TracedEvent>,
+    /// The word pool `events` hold ranges into (see [`TraceLog`]).
+    words: Vec<(u8, u16)>,
     next_seq: u64,
     /// Flight recorder: the last `flight_cap` word-level events recorded
     /// since arming, kept even as `take` drains the main log. They are the
@@ -283,7 +353,7 @@ impl Inner {
             .min(self.flight_carry.len());
         let mut tail = self.flight_carry[self.flight_carry.len() - from_carry..].to_vec();
         for e in &live[from..] {
-            e.expand_into(&mut tail);
+            e.expand_into(&self.words, &mut tail);
         }
         // The first live event taken may be a run that overshoots.
         tail.drain(..tail.len().saturating_sub(self.flight_cap));
@@ -321,6 +391,24 @@ impl Tracer {
     pub fn record_with(&mut self, at: SimTime, f: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = self.0.as_mut() {
             inner.push(at, f());
+        }
+    }
+
+    /// Records a run or a wave: pushes `words` to the word pool, then the
+    /// event `f` builds around the range they took, at virtual time `at`.
+    /// When disabled, neither `words` nor `f` is consumed.
+    #[inline]
+    pub fn record_words(
+        &mut self,
+        at: SimTime,
+        words: impl IntoIterator<Item = (u8, u16)>,
+        f: impl FnOnce(WordRange) -> TraceEvent,
+    ) {
+        if let Some(inner) = self.0.as_mut() {
+            let from = inner.words.len();
+            inner.words.extend(words);
+            let range = WordRange::new(from, inner.words.len());
+            inner.push(at, f(range));
         }
     }
 
@@ -371,6 +459,7 @@ impl Tracer {
                 inner.flight_start = 0;
                 TraceLog {
                     events: std::mem::take(&mut inner.events),
+                    words: std::mem::take(&mut inner.words),
                 }
             }
             None => TraceLog::default(),
@@ -460,21 +549,19 @@ mod tests {
     }
 
     /// Cutting makes more events than were recorded, here 1.8× as many; the
-    /// merged log still takes about what it holds.
+    /// merged log still takes about what it holds, and its word pool exactly
+    /// what its sources' did: a cut moves no word.
     #[test]
     fn merged_capacity_stays_near_its_length() {
         let (mut host, mut device) = (Tracer::enabled(), Tracer::enabled());
         let ns = SimTime::from_nanos;
         for k in 0..500u64 {
-            host.record_with(ns(k * 100 + 1), || {
-                TraceEvent::NotifRun(Box::new(NotifRun {
-                    kernel: k,
-                    placement: true,
-                    core: 0,
-                    start: ns(k * 100),
-                    cost: paella_sim::SimDuration::from_nanos(1),
-                    words: vec![(0, 1); 8],
-                }))
+            host.record_words(ns(k * 100 + 1), [(0, 1); 8], |range| TraceEvent::NotifRun {
+                kernel: k,
+                start: ns(k * 100),
+                core: 0,
+                placement: true,
+                range,
             });
             for word in 1..=8 {
                 device.record_with(ns(k * 100 + word), || TraceEvent::KernelCompleted {
@@ -482,14 +569,23 @@ mod tests {
                 });
             }
         }
+        device.record_words(ns(0), [(1, 2); 100], |range| TraceEvent::SmWaveEnd {
+            kernel: 0,
+            wave: 0,
+            range,
+        });
         let log = TraceLog::merged(vec![host.take(), device.take()]);
-        assert_eq!(log.len(), 8_000, "every run cut at every word");
+        assert_eq!(log.len(), 8_001, "every run cut at every word");
         assert!(
             log.events.capacity() * 4 < log.len() * 5,
             "capacity {} for {} events",
             log.events.capacity(),
             log.len()
         );
+        assert_eq!((log.words.len(), log.words.capacity()), (4_100, 4_100));
+        let runs = log.events.iter().filter(|e| e.event.kind() == "notif-run");
+        assert!(runs.map(|e| log.words(&e.event)).all(|w| w == [(0, 1)]));
+        assert_eq!(log.words(&log.events[0].event), [(1, 2); 100]);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use paella_sim::{SimDuration, SimTime};
-use paella_telemetry::{NotifRun, SmWave, TraceEvent, TraceLog, TracedEvent, Tracer};
+use paella_telemetry::{TraceEvent, TraceLog, TracedEvent, Tracer};
 
 /// `(at, shape, len, cost)` of one recorded event: a counter tick, a plain
 /// event, a wave of `len` groups, or a run of `len` words `cost` ns apart (0:
@@ -22,91 +22,121 @@ fn record(t: &mut Tracer, id: u64, specs: &[Spec]) {
     for (i, &(at, shape, len, cost)) in specs.iter().enumerate() {
         let kernel = id << 32 | i as u64;
         let at = SimTime::from_nanos(at);
-        let pairs = (0..len as u32).map(|g| (g, g + 1));
+        let pairs = (0..len as u8).map(|g| (g, u16::from(g) + 1));
         match shape {
             0 => t.record_tick(at, [kernel, 1, 2, 3, 4, len as u64]),
             1 => t.record_with(at, || TraceEvent::KernelCompleted { kernel }),
             2 => {
-                let wave = Arc::new(SmWave {
+                let wave = i as u32;
+                t.record_words(at, pairs.clone(), |range| TraceEvent::SmWaveBegin {
                     kernel,
-                    wave: i as u32,
+                    wave,
                     name: Arc::new("k".to_string()),
-                    groups: pairs.collect(),
+                    range,
                 });
-                t.record_with(at, || TraceEvent::SmWaveBegin(wave.clone()));
-                t.record_with(at, || TraceEvent::SmWaveEnd(wave));
+                t.record_words(at, pairs, |range| TraceEvent::SmWaveEnd {
+                    kernel,
+                    wave,
+                    range,
+                });
             }
             _ => {
                 let cost = SimDuration::from_nanos(cost);
-                t.record_with(at + cost, || {
-                    TraceEvent::NotifRun(Box::new(NotifRun {
-                        kernel,
-                        placement: i % 2 == 0,
-                        core: id as u32,
-                        start: at,
-                        cost,
-                        words: pairs.collect(),
-                    }))
+                t.record_words(at + cost, pairs, |range| TraceEvent::NotifRun {
+                    kernel,
+                    start: at,
+                    core: id as u32,
+                    placement: i % 2 == 0,
+                    range,
                 });
             }
         }
     }
 }
 
-/// What two logs must agree on: instants, numbering and rendering.
-fn lines(log: &TraceLog) -> Vec<String> {
-    let line = |e: &TracedEvent| format!("{} {} {:?}", e.at.as_nanos(), e.seq, e.event);
-    log.events.iter().map(line).collect()
+/// An event with its words: a run's or a wave's, in order; none otherwise.
+type Owned = (TracedEvent, Vec<(u8, u16)>);
+
+/// `log`'s events, each with its words.
+fn owned(log: &TraceLog) -> Vec<Owned> {
+    let words = |e: &TracedEvent| log.words(&e.event).to_vec();
+    log.events.iter().map(|e| (e.clone(), words(e))).collect()
 }
 
-/// `TraceLog::merged` as it was when it cut runs into a second vector:
-/// concatenate, stable-sort on `at`, then push every event and every cut-off
-/// tail into a new `Vec`. Verbatim but for `TracedEvent`'s two private
-/// helpers, which are free functions here. It is the reference the merge in
-/// one buffer must equal.
-mod reference {
-    use paella_sim::SimTime;
-    use paella_telemetry::{NotifRun, TraceEvent, TraceLog, TracedEvent};
+/// What two logs must agree on: instants, numbering, and every event as what
+/// it records — a run with its words, not where they sit in its log's pool.
+fn lines(events: &[Owned]) -> Vec<String> {
+    let line = |(e, words): &Owned| {
+        let event = match &e.event {
+            TraceEvent::SmWaveBegin {
+                kernel, wave, name, ..
+            } => format!("SmWaveBegin {kernel} {wave} {name}"),
+            TraceEvent::SmWaveEnd { kernel, wave, .. } => format!("SmWaveEnd {kernel} {wave}"),
+            TraceEvent::NotifRun {
+                kernel,
+                start,
+                core,
+                placement,
+                ..
+            } => format!("NotifRun {kernel} {start:?} {core} {placement}"),
+            other => format!("{other:?}"),
+        };
+        format!("{} {} {event} {words:?}", e.at.as_nanos(), e.seq)
+    };
+    events.iter().map(line).collect()
+}
 
-    fn key(e: &TracedEvent) -> (SimTime, u64) {
+/// [`lines`] of a log.
+fn log_lines(log: &TraceLog) -> Vec<String> {
+    lines(&owned(log))
+}
+
+/// `TraceLog::merged` as it was when it cut runs into a second vector and a
+/// run owned its words: concatenate, stable-sort on `at`, then push every
+/// event and every cut-off tail into a new `Vec`. Verbatim but for
+/// `TracedEvent`'s two private helpers, which are free functions here, and
+/// each event's words, which ride beside it. It is the reference the merge
+/// in one buffer and one pool must equal.
+mod reference {
+    use super::Owned;
+    use paella_sim::SimTime;
+    use paella_telemetry::{TraceEvent, TraceLog};
+
+    fn key((e, _): &Owned) -> (SimTime, u64) {
         (e.at, e.seq)
     }
 
-    fn split_before(e: &mut TracedEvent, bound: (SimTime, u64)) -> Option<TracedEvent> {
-        let TraceEvent::NotifRun(run) = &mut e.event else {
+    fn split_before((e, words): &mut Owned, bound: (SimTime, u64)) -> Option<Owned> {
+        let TraceEvent::NotifRun { start, .. } = &e.event else {
             return None;
         };
-        let (start, cost, seq) = (run.start, run.cost, e.seq);
+        let (start, cost, seq) = (*start, e.at - *start, e.seq);
         let done = |word: usize| start + cost * (word as u64 + 1);
-        if (done(run.words.len().saturating_sub(1)), seq) < bound {
+        if (done(words.len().saturating_sub(1)), seq) < bound {
             return None;
         }
-        let keep = (1..run.words.len()).find(|&word| (done(word), seq) >= bound)?;
-        let tail = NotifRun {
-            start: done(keep - 1),
-            words: run.words.split_off(keep),
-            ..**run
-        };
-        Some(TracedEvent {
-            at: tail.start + cost,
-            seq,
-            event: TraceEvent::NotifRun(Box::new(tail)),
-        })
+        let keep = (1..words.len()).find(|&word| (done(word), seq) >= bound)?;
+        let mut tail = e.clone();
+        if let TraceEvent::NotifRun { start, .. } = &mut tail.event {
+            *start = done(keep - 1);
+        }
+        tail.at = done(keep);
+        Some((tail, words.split_off(keep)))
     }
 
-    pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
-        let mut sources = sources.into_iter();
-        let mut events = sources.next().map(|log| log.events).unwrap_or_default();
+    pub fn merged(sources: Vec<TraceLog>) -> Vec<Owned> {
+        let mut sources = sources.iter().map(super::owned);
+        let mut events = sources.next().unwrap_or_default();
         for mut log in sources {
-            events.append(&mut log.events);
+            events.append(&mut log);
         }
-        for (i, e) in events.iter_mut().enumerate() {
+        for (i, (e, _)) in events.iter_mut().enumerate() {
             e.seq = i as u64;
         }
-        events.sort_by_key(|e| e.at);
+        events.sort_by_key(|(e, _)| e.at);
         let mut merged = Vec::with_capacity(events.len());
         let mut whole = events.into_iter().peekable();
-        let mut cut: Vec<TracedEvent> = Vec::new();
+        let mut cut: Vec<Owned> = Vec::new();
         let mut seq = 0;
         loop {
             let from_cut = match (cut.last(), whole.peek()) {
@@ -125,11 +155,14 @@ mod reference {
                 let behind = cut.partition_point(|c| key(c) > key(&tail));
                 cut.insert(behind, tail);
             }
-            e.seq = seq;
-            seq += e.event.expanded_len() as u64;
+            e.0.seq = seq;
+            seq += match e.0.event {
+                TraceEvent::NotifRun { .. } => 2 * e.1.len() as u64,
+                ref other => other.expanded_len() as u64,
+            };
             merged.push(e);
         }
-        TraceLog { events: merged }
+        merged
     }
 }
 
@@ -196,7 +229,7 @@ proptest! {
         };
         let word_level = TraceLog::merged(logs().iter().map(TraceLog::expanded).collect());
         let merged = TraceLog::merged(logs());
-        prop_assert_eq!(lines(&merged.expanded()), lines(&word_level));
+        prop_assert_eq!(log_lines(&merged.expanded()), log_lines(&word_level));
 
         // The merged log is itself in recording order: sorted on the first
         // word, numbered in word-level events, every piece of a run a run.
@@ -204,8 +237,8 @@ proptest! {
         for e in &merged.events {
             prop_assert_eq!(e.seq, seq);
             seq += e.event.expanded_len() as u64;
-            if let TraceEvent::NotifRun(run) = &e.event {
-                prop_assert_eq!(e.at, run.start + run.cost);
+            if e.event.kind() == "notif-run" {
+                prop_assert!(!merged.words(&e.event).is_empty(), "a piece holds a word");
             }
         }
         prop_assert!(merged.events.windows(2).all(|w| w[0].at <= w[1].at));
@@ -214,12 +247,12 @@ proptest! {
         let mut head = logs();
         let tail = head.split_off(split.min(head.len()));
         let nested = TraceLog::merged(vec![TraceLog::merged(head), TraceLog::merged(tail)]);
-        prop_assert_eq!(lines(&nested.expanded()), lines(&word_level));
+        prop_assert_eq!(log_lines(&nested.expanded()), log_lines(&word_level));
     }
 
     /// The merge gives what the two-buffer reference gives — the same events
-    /// at the same instants with the same numbers, so the same word-level
-    /// view — on a host and a device log whose runs get cut.
+    /// with the same words at the same instants with the same numbers, so the
+    /// same word-level view — on a host and a device log whose runs get cut.
     #[test]
     fn merged_equals_the_two_buffer_reference(
         host in specs(40),
@@ -238,8 +271,7 @@ proptest! {
         };
         let want = reference::merged(logs());
         let got = TraceLog::merged(logs());
-        prop_assert_eq!(lines(&got), lines(&want));
-        prop_assert_eq!(lines(&got.expanded()), lines(&want.expanded()));
+        prop_assert_eq!(log_lines(&got), lines(&want));
     }
 
     /// The flight recorder holds the last N *word-level* events recorded
@@ -259,7 +291,7 @@ proptest! {
         let snapshot = t.flight_snapshot();
         all.extend(t.take().expanded().events);
         let tail = all.split_off(all.len().saturating_sub(cap));
-        prop_assert_eq!(lines(&TraceLog { events: snapshot }), lines(&TraceLog { events: tail }));
+        prop_assert_eq!(log_lines(&snapshot.into()), log_lines(&tail.into()));
     }
 }
 
@@ -276,8 +308,8 @@ fn a_run_interleaved_word_by_word_is_cut_at_every_word() {
         vec![host.take(), device.take()]
     };
     let got = TraceLog::merged(logs());
-    assert_eq!(lines(&got), lines(&reference::merged(logs())));
+    assert_eq!(log_lines(&got), lines(&reference::merged(logs())));
     let runs = got.events.iter().filter(|e| e.event.kind() == "notif-run");
-    assert!(runs.map(|e| e.event.expanded_len()).all(|len| len == 2));
+    assert!(runs.map(|e| got.words(&e.event).len()).all(|len| len == 1));
     assert_eq!(got.len(), 16);
 }

@@ -1,10 +1,11 @@
-//! Heap allocations per kernel, counted without a clock.
+//! Heap allocations and held bytes per kernel, counted without a clock.
 //!
 //! Telemetry is pay-for-use: switched off, the dispatcher and its device
 //! must serve a contended burst with (almost) no allocation per kernel, and
 //! switched on, recording and taking the trace must stay within a pinned
-//! budget. An allocation count repeats exactly from run to run, so it pins
-//! what a timing on a noisy machine cannot. The burst is the one
+//! budget of allocations, and the taken trace within one of heap bytes.
+//! Both counts repeat exactly from run to run, so they pin what a timing or
+//! an RSS reading on a noisy machine cannot. The burst is the one
 //! `recording_is_per_run_not_per_word` (tests/telemetry.rs) records: twelve
 //! Table 2 jobs, 684 many-block kernels. The LLM engine, whose unit of
 //! device work is a generated token, must form, run and retire its
@@ -28,14 +29,22 @@ thread_local! {
     /// Allocations made by this thread so far. Per thread, so the test
     /// harness's other threads do not count.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus the bytes it freed: what it holds,
+    /// while nothing it allocated is freed on another thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// The system allocator, counting every `alloc`, `alloc_zeroed` and
-/// `realloc` call.
+/// `realloc` call and the bytes each takes or gives back.
 struct Counting;
 
-fn count() {
+fn count(grown: i64) {
     ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    LIVE_BYTES.with(|n| n.set(n.get() + grown));
+}
+
+fn freed(bytes: usize) {
+    LIVE_BYTES.with(|n| n.set(n.get() - bytes as i64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -43,25 +52,26 @@ fn count() {
 // only a const-initialised thread-local `Cell`, which never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: forwarded as received; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         // SAFETY: forwarded as received; the caller upholds the contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded as received; `ptr` came from this allocator,
         // which is `System`'s.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        freed(layout.size());
         // SAFETY: forwarded as received; `ptr` came from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -72,6 +82,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// Serves the burst twice on one dispatcher, taking the trace at idle each
@@ -125,19 +139,30 @@ fn telemetry_allocates_only_when_on() {
         .filter(|e| e.event.kind() == "kernel-dispatched");
     let kernels = dispatched.count() as f64;
     assert_eq!(kernels, 684.0);
+    let holding = live_bytes();
+    drop(log);
+    let held = (holding - live_bytes()) as f64 / kernels;
     let (off, on) = (off as f64 / kernels, on as f64 / kernels);
-    // 0.13 off and 48.04 on (0.09 and 48.00 in release): with telemetry on,
+    // 0.13 off and 0.29 on (0.09 and 0.25 in release). On was 48.04 while
     // every notification run and every wave recorded (17.5 and 6.4 per
-    // kernel here) takes two, its payload and its list of words or groups.
-    // Off was 0.84 while a drained stream dropped its queue, so every
-    // launch on a fresh stream allocated one.
+    // kernel here) took two allocations, its payload and its list of words
+    // or groups; they now go to the tracer's word pool. Off was 0.84 while a
+    // drained stream dropped its queue, so every launch on a fresh stream
+    // allocated one.
     assert!(
         off < 0.2,
         "{off:.2} allocations per kernel with telemetry off"
     );
     assert!(
-        on <= 49.0,
+        on <= 1.0,
         "{on:.2} allocations per kernel with telemetry on"
+    );
+    // 3,884 bytes per kernel: 30,307 records of 48 bytes and 298,108 pool
+    // entries of 4. It was 6,565 while runs and waves held boxed payloads
+    // with lists of 8-byte words and groups.
+    assert!(
+        held <= 4_000.0,
+        "the taken trace holds {held:.0} heap bytes per kernel"
     );
 }
 

@@ -459,13 +459,13 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// until it is added to the log.
 fn every_variant_log() -> TraceLog {
     use paella_telemetry::{
-        HoldReason, HostOpKind, JobBegin, NotifRun, PickRationale, RouteDecision, SmWave, Tracer,
+        HoldReason, HostOpKind, JobBegin, PickRationale, RouteDecision, Tracer,
     };
     use std::sync::Arc;
 
     let us = SimTime::from_micros;
     let mut t = Tracer::enabled();
-    let mut rec = |at: u64, e: TraceEvent| t.record_with(us(at), || e);
+    let rec = |t: &mut Tracer, at: u64, e: TraceEvent| t.record_with(us(at), || e);
     let begin = |job: u64, client: u32, model: &str, at: u64| {
         TraceEvent::JobBegin(Box::new(JobBegin {
             job,
@@ -479,18 +479,14 @@ fn every_variant_log() -> TraceLog {
         core,
         start: us(start),
     };
-    let wave = Arc::new(SmWave {
-        kernel: 7,
-        wave: 0,
-        name: Arc::new("conv\"1\\x\n".into()),
-        groups: vec![(0, 2), (1, 4)].into(),
-    });
+    let groups = [(0, 2), (1, 4)];
 
-    rec(1, begin(1, 0, "resnet\"18", 0));
-    rec(2, host(HostOpKind::Ingest, 0, 1));
-    rec(2, begin(2, 1, "open-ended", 1));
-    rec(3, begin(3, 2, "cancelled", 2));
+    rec(&mut t, 1, begin(1, 0, "resnet\"18", 0));
+    rec(&mut t, 2, host(HostOpKind::Ingest, 0, 1));
+    rec(&mut t, 2, begin(2, 1, "open-ended", 1));
+    rec(&mut t, 3, begin(3, 2, "cancelled", 2));
     rec(
+        &mut t,
         3,
         TraceEvent::RouteDecision(Box::new(RouteDecision {
             model: 4,
@@ -501,6 +497,7 @@ fn every_variant_log() -> TraceLog {
         })),
     );
     rec(
+        &mut t,
         4,
         TraceEvent::SchedDecision {
             job: 1,
@@ -509,17 +506,18 @@ fn every_variant_log() -> TraceLog {
             ready: 3,
         },
     );
-    rec(5, host(HostOpKind::Sched, 1, 4));
+    rec(&mut t, 5, host(HostOpKind::Sched, 1, 4));
     for reason in [
         HoldReason::OccupancyBudget,
         HoldReason::NotifqBackpressure,
         HoldReason::StreamPool,
         HoldReason::DepWait,
     ] {
-        rec(5, TraceEvent::OccupancyHold { job: 2, reason });
+        rec(&mut t, 5, TraceEvent::OccupancyHold { job: 2, reason });
     }
     for kernel in [7, 8, 9] {
         rec(
+            &mut t,
             6,
             TraceEvent::KernelDispatched {
                 job: 1,
@@ -530,6 +528,7 @@ fn every_variant_log() -> TraceLog {
         );
     }
     rec(
+        &mut t,
         7,
         TraceEvent::KernelQueued {
             kernel: 7,
@@ -538,13 +537,19 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         7,
         TraceEvent::HwQueueStall {
             hw_queue: 5,
             kernel: 8,
         },
     );
-    rec(8, TraceEvent::SmWaveBegin(wave.clone()));
+    t.record_words(us(8), groups, |range| TraceEvent::SmWaveBegin {
+        kernel: 7,
+        wave: 0,
+        name: Arc::new("conv\"1\\x\n".into()),
+        range,
+    });
     // Word-level spans beside the run: kernel 8 overlaps kernel 7 on SM 0
     // (a second lane), kernel 9 follows it on the first.
     let name = Arc::new(String::from("gemm"));
@@ -561,19 +566,18 @@ fn every_variant_log() -> TraceLog {
         sm,
         blocks: 3,
     };
-    rec(9, span(8, 0));
+    rec(&mut t, 9, span(8, 0));
+    // Two words 400 ns apart from 9 µs: recorded at the first one's end.
+    let ns = SimTime::from_nanos;
+    t.record_words(ns(9_400), groups, |range| TraceEvent::NotifRun {
+        kernel: 7,
+        start: us(9),
+        core: 1,
+        placement: true,
+        range,
+    });
     rec(
-        10,
-        TraceEvent::NotifRun(Box::new(NotifRun {
-            kernel: 7,
-            placement: true,
-            core: 1,
-            start: us(9),
-            cost: SimDuration::from_nanos(400),
-            words: vec![(0, 2), (1, 4)],
-        })),
-    );
-    rec(
+        &mut t,
         11,
         TraceEvent::NotifBatch {
             kernel: 8,
@@ -582,16 +586,21 @@ fn every_variant_log() -> TraceLog {
             blocks: 3,
         },
     );
-    rec(11, host(HostOpKind::Notif, 0, 10));
-    rec(12, TraceEvent::SmWaveEnd(wave));
-    rec(13, span(9, 0));
-    rec(14, span_end(8, 0));
-    rec(15, span_end(9, 0));
+    rec(&mut t, 11, host(HostOpKind::Notif, 0, 10));
+    t.record_words(us(12), groups, |range| TraceEvent::SmWaveEnd {
+        kernel: 7,
+        wave: 0,
+        range,
+    });
+    rec(&mut t, 13, span(9, 0));
+    rec(&mut t, 14, span_end(8, 0));
+    rec(&mut t, 15, span_end(9, 0));
     // An end whose begin precedes the window.
-    rec(15, span_end(6, 2));
-    rec(16, TraceEvent::KernelCompleted { kernel: 7 });
-    rec(16, TraceEvent::DoorbellWake { job: 1 });
+    rec(&mut t, 15, span_end(6, 2));
+    rec(&mut t, 16, TraceEvent::KernelCompleted { kernel: 7 });
+    rec(&mut t, 16, TraceEvent::DoorbellWake { job: 1 });
     rec(
+        &mut t,
         17,
         TraceEvent::KernelFault {
             job: 3,
@@ -600,6 +609,7 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         17,
         TraceEvent::RetryBackoff {
             job: 3,
@@ -609,6 +619,7 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         18,
         TraceEvent::FailoverHop {
             client: 2,
@@ -617,6 +628,7 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         19,
         TraceEvent::JobCancelled {
             job: 3,
@@ -624,6 +636,7 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         19,
         TraceEvent::JobCancelled {
             job: 4,
@@ -631,15 +644,17 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         20,
         TraceEvent::RequestShed {
             client: 5,
             model: 4,
         },
     );
-    rec(20, TraceEvent::NodeCrash { node: 2 });
-    rec(21, TraceEvent::NodeRecover { node: 2 });
+    rec(&mut t, 20, TraceEvent::NodeCrash { node: 2 });
+    rec(&mut t, 21, TraceEvent::NodeRecover { node: 2 });
     rec(
+        &mut t,
         22,
         TraceEvent::PrefillStart {
             job: 6,
@@ -648,6 +663,7 @@ fn every_variant_log() -> TraceLog {
     );
     for (at, freed, resident) in [(22, false, 8), (24, true, 0)] {
         rec(
+            &mut t,
             at,
             TraceEvent::KvAlloc {
                 job: 6,
@@ -658,6 +674,7 @@ fn every_variant_log() -> TraceLog {
         );
     }
     rec(
+        &mut t,
         23,
         TraceEvent::DecodeStep {
             iter: 0,
@@ -666,6 +683,7 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         25,
         TraceEvent::CounterSample {
             name: "inflight_jobs",
@@ -673,14 +691,16 @@ fn every_variant_log() -> TraceLog {
         },
     );
     rec(
+        &mut t,
         25,
         TraceEvent::CounterTick {
             values: [2, 3, 0, 41, 96, 60],
         },
     );
-    rec(26, host(HostOpKind::Completion, 0, 25));
+    rec(&mut t, 26, host(HostOpKind::Completion, 0, 25));
     for job in [1, 5] {
         rec(
+            &mut t,
             27,
             TraceEvent::JobEnd(Box::new(JobEnd {
                 job,
@@ -695,6 +715,7 @@ fn every_variant_log() -> TraceLog {
         );
     }
     rec(
+        &mut t,
         27,
         TraceEvent::JobJourney(Box::new(JobJourney {
             job: 1,
@@ -727,9 +748,9 @@ fn every_variant_log() -> TraceLog {
             TraceEvent::HwQueueStall { .. } => 7,
             TraceEvent::KernelDispatched { .. } => 8,
             TraceEvent::KernelCompleted { .. } => 9,
-            TraceEvent::SmWaveBegin(_) => 10,
-            TraceEvent::SmWaveEnd(_) => 11,
-            TraceEvent::NotifRun(_) => 12,
+            TraceEvent::SmWaveBegin { .. } => 10,
+            TraceEvent::SmWaveEnd { .. } => 11,
+            TraceEvent::NotifRun { .. } => 12,
             TraceEvent::SmSpanBegin { .. } => 13,
             TraceEvent::SmSpanEnd { .. } => 14,
             TraceEvent::NotifBatch { .. } => 15,
@@ -753,7 +774,8 @@ fn every_variant_log() -> TraceLog {
     log
 }
 
-/// `log` with every tick recorded as the six samples it stands for.
+/// `log` with every tick recorded as the six samples it stands for. The runs
+/// stay as they are, so their words do too.
 fn ticks_as_samples(log: &TraceLog) -> TraceLog {
     let mut events = Vec::new();
     for e in &log.events {
@@ -771,13 +793,16 @@ fn ticks_as_samples(log: &TraceLog) -> TraceLog {
             },
         }));
     }
-    TraceLog { events }
+    let mut samples = log.clone();
+    samples.events = events;
+    samples
 }
 
 /// The three renderings of [`every_variant_log`], byte for byte: the Chrome
 /// export, the text summary (both of the word-level view), and a flight dump
 /// of the log as recorded, which prints `kind()` and `{:?}` of every variant.
-/// A tick renders as the six samples it replaced.
+/// A tick renders as the six samples it replaced. The dump prints a run as
+/// the range it holds into the word pool; the exports print its words.
 #[test]
 fn every_variant_renders_to_pinned_bytes() {
     let log = every_variant_log();
@@ -809,7 +834,7 @@ fn every_variant_renders_to_pinned_bytes() {
         (
             0x7f46_5c4d_99f7_cba0,
             0x19a2_f688_a947_49a0,
-            0xba3c_f593_c310_35cc
+            0xc52a_8f46_ec72_f5b9
         ),
         "\n{json}\n{summary}\n{dump}"
     );
