@@ -1,5 +1,5 @@
-//! Source rules (R1–R9) over the whole workspace, and the doc-path rule
-//! (R10, [`docs`]) over its prose docs — the one lint engine.
+//! Source rules (R1–R9) over the whole workspace, and the doc rules (R10
+//! paths, R11 items, [`docs`]) over its prose docs — the one lint engine.
 //!
 //! The [`crate::lint`] tokenizer blanks literals and splits off comments,
 //! [`tree::lex`] turns the code into a flat token stream, and
@@ -64,15 +64,21 @@ pub const DOCS: [&str; 5] = [
 ];
 
 /// Analyzes in-memory sources: `(workspace-relative path, source)` pairs.
-/// Each of [`DOCS`] gets R10, resolved against every path listed; any other
-/// file gets R1–R9.
+/// Each of [`DOCS`] gets R10 and R11, resolved against every path listed and
+/// everything the listed `.rs` sources declare; any other file gets R1–R9.
 #[must_use]
 pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
+    let mut decls = docs::Decls::default();
+    for (path, src) in files {
+        if path.ends_with(".rs") {
+            decls.add_source(src);
+        }
+    }
     let mut findings = Vec::new();
     for (path, src) in files {
         if DOCS.contains(&path.as_str()) {
-            docs::doc_rules(path, src, &paths, &mut findings);
+            docs::doc_rules(path, src, &paths, &decls, &mut findings);
         } else {
             rules::token_rules(path, src, &mut findings);
         }

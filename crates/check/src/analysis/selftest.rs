@@ -29,7 +29,7 @@ pub struct GraftMutant {
     pub description: &'static str,
 }
 
-/// The mutant corpus: ≥2 per rule R1–R10. (R5 once had an
+/// The mutant corpus: ≥2 per rule R1–R10 and one for R11. (R5 once had an
 /// `r5-unhandled-variant` graft; with no wildcard arm allowed, a variant
 /// without an arm is a compile error rather than an analysis finding, so the
 /// second R5 mutant is a wildcard in the exporter instead.)
@@ -228,6 +228,14 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             replace: "(`cluster/src/host.rs:40`)",
             description: "a line anchor grafted into DESIGN.md: right today, wrong after the next edit",
         },
+        GraftMutant {
+            id: "r11-design-deleted-fn",
+            rule: "doc-item",
+            file: "DESIGN.md",
+            find: "which is what `Dispatcher::submit` does",
+            replace: "which is what `Dispatcher::submit_now` does",
+            description: "DESIGN.md naming a fn that no longer exists",
+        },
     ]
 }
 
@@ -321,6 +329,7 @@ mod tests {
             let n = mutants.iter().filter(|m| m.rule == rule).count();
             assert!(n >= 2, "rule {rule} has only {n} mutant(s)");
         }
+        assert!(mutants.iter().any(|m| m.rule == "doc-item"));
     }
 
     #[test]

@@ -21,14 +21,15 @@
 //!    [`analysis`] module is a std-only token-level engine (tokenizer, a
 //!    flat lexed stream, one pass per file; no parser and no classification
 //!    of what a name means) hosting the repo rules no off-the-shelf linter
-//!    knows, R1–R10: no wall clock in the virtual-time stack, justified
+//!    knows, R1–R11: no wall clock in the virtual-time stack, justified
 //!    `Relaxed` orderings, no `unwrap()` or unexplained `expect()` in the
 //!    serving engines, no `thread::sleep` in library code, no wildcard arm
 //!    where every `TraceEvent` variant is consumed, no hash container in
 //!    the virtual-time stack (R6), no engine subtraction without an assert
 //!    naming it or a written `sub:` reason (R7), per-operation atomic
 //!    ordering justifications (R8), and total float comparators (R9); and
-//!    over the prose docs, paths that resolve and no line anchors (R10). A
+//!    over the prose docs, paths that resolve and no line anchors (R10) and
+//!    `Type::item` names the sources declare (R11). A
 //!    rule's exception is a tagged comment at the site, never a list
 //!    elsewhere, and a graft-mutant self-test ([`analysis::selftest`])
 //!    proves every rule fires. The [`lint`] module holds what the rules

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! * `analyze`  — run the source rules (R1–R9) over `crates/*/src` and the
-//!   doc-path rule (R10) over the prose docs.
+//!   doc rules (R10 paths, R11 items) over the prose docs.
 //! * `selftest` — graft every analyzer mutant into the real sources and
 //!   require its rule to fire (the analyzer's own mutation test).
 //! * `model`    — exhaustively model-check the clean channel models.
@@ -47,7 +47,7 @@ fn workspace_root(explicit: Option<PathBuf>) -> PathBuf {
 }
 
 fn run_analyze(root: &Path) -> bool {
-    println!("== analyze: source rules R1–R9 over crates/*/src, R10 over the docs ==");
+    println!("== analyze: source rules R1–R9 over crates/*/src, R10–R11 over the docs ==");
     match analysis::analyze(root) {
         Ok(a) => {
             println!("{a}");
