@@ -243,13 +243,8 @@ impl WordRange {
     }
 
     /// Number of entries.
-    pub fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         self.len as usize
-    }
-
-    /// Whether the range holds no entry.
-    pub fn is_empty(self) -> bool {
-        self.len == 0
     }
 
     /// The entries in `pool`.

@@ -312,6 +312,13 @@ impl TraceLog {
     }
 }
 
+/// Entries a tracer's word pool makes room for when it takes its first: 16 MB
+/// of address space, which the kernel backs only as entries are written. A
+/// pool grown by doubling from empty was copied into fresh pages at every
+/// step, and those page faults cost more host time than the allocations the
+/// pool replaced.
+const POOL_ROOM: usize = 1 << 22;
+
 #[derive(Default, Debug)]
 struct Inner {
     events: Vec<TracedEvent>,
@@ -336,6 +343,24 @@ impl Inner {
         let seq = self.next_seq;
         self.next_seq += event.expanded_len() as u64;
         self.events.push(TracedEvent { at, seq, event });
+    }
+
+    /// [`push`](Self::push) of a run or a wave, its entries first; out of
+    /// line for the same reason.
+    #[inline(never)]
+    fn push_words(
+        &mut self,
+        at: SimTime,
+        words: impl IntoIterator<Item = (u8, u16)>,
+        f: impl FnOnce(WordRange) -> TraceEvent,
+    ) {
+        if self.words.capacity() == 0 {
+            self.words.reserve_exact(POOL_ROOM);
+        }
+        let from = self.words.len();
+        self.words.extend(words);
+        let range = WordRange::new(from, self.words.len());
+        self.push(at, f(range));
     }
 
     fn flight_tail(&self) -> Vec<TracedEvent> {
@@ -405,10 +430,7 @@ impl Tracer {
         f: impl FnOnce(WordRange) -> TraceEvent,
     ) {
         if let Some(inner) = self.0.as_mut() {
-            let from = inner.words.len();
-            inner.words.extend(words);
-            let range = WordRange::new(from, inner.words.len());
-            inner.push(at, f(range));
+            inner.push_words(at, words, f);
         }
     }
 

@@ -143,7 +143,7 @@ fn telemetry_allocates_only_when_on() {
     drop(log);
     let held = (holding - live_bytes()) as f64 / kernels;
     let (off, on) = (off as f64 / kernels, on as f64 / kernels);
-    // 0.13 off and 0.29 on (0.09 and 0.25 in release). On was 48.04 while
+    // 0.13 off and 0.25 on (0.09 and 0.21 in release). On was 48.04 while
     // every notification run and every wave recorded (17.5 and 6.4 per
     // kernel here) took two allocations, its payload and its list of words
     // or groups; they now go to the tracer's word pool. Off was 0.84 while a
