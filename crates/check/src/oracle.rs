@@ -783,7 +783,6 @@ mod tests {
         paella_telemetry::TraceLog::from(vec![
             TracedEvent {
                 at: SimTime::from_micros(5),
-                seq: 0,
                 event: TraceEvent::JobEnd(Box::new(JobEnd {
                     job: 1,
                     client: 0,
@@ -797,7 +796,6 @@ mod tests {
             },
             TracedEvent {
                 at: SimTime::from_micros(5),
-                seq: 1,
                 event: TraceEvent::JobJourney(Box::new(JobJourney {
                     job: 1,
                     client: 0,

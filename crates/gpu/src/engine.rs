@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use paella_channels::{KernelUid, NotifKind, Notification, SmId};
 use paella_sim::rng::Xoshiro256pp;
 use paella_sim::{EventQueue, IdMap, SimDuration, SimTime};
-use paella_telemetry::{TraceEvent, TraceLog, Tracer};
+use paella_telemetry::{TraceEvent, TraceLog, Tracer, WordRange};
 
 use crate::config::DeviceConfig;
 use crate::kernel::{KernelLaunch, StreamId};
@@ -198,6 +198,11 @@ struct KernelState {
     /// Smallest wave worth a finish event (fewer blocks only when fewer
     /// remain): 1/8 of an empty device's fill of this footprint.
     wave_quantum: u64,
+    /// By wave, where the tracer's pool holds the groups of a wave its
+    /// begin recorded in the tracer's current window and whose end has not
+    /// been recorded: that end names them rather than push them again.
+    /// Empty unless telemetry is on.
+    wave_groups: Vec<Option<WordRange>>,
 }
 
 /// The SM id of SM `sm`: exact, since a device has at most 256 SMs.
@@ -249,6 +254,8 @@ pub struct GpuSim {
     pending_copies: Vec<(MemcpyOp, SimTime)>,
     /// Emptied group buffers of finished waves, for the next waves.
     spare_allocs: Vec<Vec<(u32, u32)>>,
+    /// Emptied `wave_groups` of completed kernels, for the next kernels.
+    spare_wave_groups: Vec<Vec<Option<WordRange>>>,
     /// Queues of drained streams, for the next streams to open.
     spare_streams: Vec<VecDeque<StreamOp>>,
 }
@@ -294,19 +301,32 @@ impl GpuSim {
             rr_queue: 0,
             pending_copies: Vec::new(),
             spare_allocs: Vec::new(),
+            spare_wave_groups: Vec::new(),
             spare_streams: Vec::new(),
         }
     }
 
     /// Enables structured telemetry: hardware-queue, per-SM placement, and
-    /// completion events flow into the given sink.
+    /// completion events flow into the given sink. The end of a wave that is
+    /// running records its groups itself.
     pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.forget_wave_groups();
         self.tracer = tracer;
     }
 
-    /// Takes everything the telemetry sink recorded so far.
+    /// Takes everything the telemetry sink recorded so far. The end of a
+    /// wave that is running records its groups itself, in the next log.
     pub fn take_trace_log(&mut self) -> TraceLog {
+        self.forget_wave_groups();
         self.tracer.take()
+    }
+
+    /// Forgets where the tracer's pool holds the groups of running waves:
+    /// the pool is about to go.
+    fn forget_wave_groups(&mut self) {
+        for k in self.kernels.values_mut() {
+            k.wave_groups.clear();
+        }
     }
 
     /// The device configuration.
@@ -381,6 +401,7 @@ impl GpuSim {
                 finished_blocks: 0,
                 waves: 0,
                 wave_quantum,
+                wave_groups: Vec::new(),
             },
         );
         self.events.schedule_at(at, Ev::QueueArrival { uid });
@@ -673,13 +694,22 @@ impl GpuSim {
             k.running += placed;
             let wave = k.waves;
             k.waves += 1;
-            self.tracer
+            let begun = self
+                .tracer
                 .record_words(now, group_words(&allocs), |range| TraceEvent::SmWaveBegin {
                     kernel: u64::from(uid),
                     wave,
                     name: k.launch.desc.name.clone(),
                     range,
                 });
+            if let Some(range) = begun {
+                let kept = &mut k.wave_groups;
+                if kept.capacity() == 0 {
+                    *kept = self.spare_wave_groups.pop().unwrap_or_default();
+                }
+                kept.resize(wave as usize, None);
+                kept.push(Some(range));
+            }
             wave
         };
 
@@ -771,12 +801,15 @@ impl GpuSim {
             );
             k.running -= blocks;
             k.finished_blocks += blocks;
-            self.tracer
-                .record_words(at, group_words(allocs), |range| TraceEvent::SmWaveEnd {
-                    kernel: u64::from(uid),
-                    wave,
-                    range,
-                });
+            let end = |range| TraceEvent::SmWaveEnd {
+                kernel: u64::from(uid),
+                wave,
+                range,
+            };
+            match k.wave_groups.get_mut(wave as usize).and_then(Option::take) {
+                Some(range) => self.tracer.record_range(at, range, end),
+                None => _ = self.tracer.record_words(at, group_words(allocs), end),
+            }
             k.finished_blocks == k.launch.desc.grid_blocks && k.running == 0 && k.unplaced == 0
         };
 
@@ -799,6 +832,11 @@ impl GpuSim {
             .expect("completing unknown kernel");
         debug_assert!(k.in_queue, "kernel completed before reaching its queue");
         self.pop_stream_front(k.launch.stream, StreamOp::Kernel(uid));
+        let mut kept = k.wave_groups;
+        if kept.capacity() > 0 {
+            kept.clear();
+            self.spare_wave_groups.push(kept);
+        }
         self.tracer.record_with(at, || TraceEvent::KernelCompleted {
             kernel: u64::from(uid),
         });
@@ -1335,6 +1373,13 @@ mod tests {
             .collect();
         assert_eq!(waves, ["sm-wave-begin", "sm-wave-end"], "one wave");
         let whole = edges(&log);
+        let [begin, end] = wave_ranges(&log)[..] else {
+            panic!("one wave")
+        };
+        assert_eq!(
+            begin, end,
+            "recorded in one window, the end names the begin's groups"
+        );
         let groups = [(1, 1, 0, 0, 1), (1, 1, 0, 1, 1)];
         let (begins, ends) = whole.split_at(2);
         assert_eq!(
@@ -1354,6 +1399,34 @@ mod tests {
         let log = gpu.take_trace_log();
         assert!(paella_telemetry::export::sm_spans(&log).is_empty());
         assert_eq!(edges(&log), ends);
+
+        // Taken, or replaced by another tracer, while the wave runs: the
+        // pool its begin pushed to goes, and the end pushes the groups again.
+        for take in [true, false] {
+            let mut gpu = GpuSim::new(DeviceConfig::tiny(2, 2, Microarch::KeplerPlus), 1);
+            gpu.set_tracer(Tracer::enabled());
+            launch(&mut gpu);
+            gpu.advance_until(SimTime::from_micros(50), &mut out);
+            if take {
+                assert_eq!(edges(&gpu.take_trace_log()), begins);
+            } else {
+                gpu.set_tracer(Tracer::enabled());
+            }
+            drain_all(&mut gpu);
+            assert_eq!(edges(&gpu.take_trace_log()), ends);
+        }
+    }
+
+    /// The range every wave edge `log` records holds, in order.
+    fn wave_ranges(log: &TraceLog) -> Vec<WordRange> {
+        (log.events.iter())
+            .filter_map(|e| match e.event {
+                TraceEvent::SmWaveBegin { range, .. } | TraceEvent::SmWaveEnd { range, .. } => {
+                    Some(range)
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]

@@ -159,6 +159,11 @@ impl<T> IdMap<T> {
             .zip(self.slots.iter())
             .filter_map(|(id, slot)| slot.as_ref().map(|v| (id, v)))
     }
+
+    /// Live entries' values in ascending id order, to change.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.slots.iter_mut().flatten()
+    }
 }
 
 #[cfg(test)]

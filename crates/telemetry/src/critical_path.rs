@@ -345,12 +345,10 @@ mod tests {
         let log = TraceLog::from(vec![
             TracedEvent {
                 at: SimTime::ZERO,
-                seq: 0,
                 event: TraceEvent::KernelCompleted { kernel: 1 },
             },
             TracedEvent {
                 at: SimTime::from_micros(1),
-                seq: 1,
                 event: TraceEvent::JobJourney(Box::new(JobJourney {
                     job: 42,
                     client: 5,

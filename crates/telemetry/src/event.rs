@@ -225,7 +225,10 @@ pub struct RouteDecision {
 /// Where the `(sm, blocks)` entries of a run or a wave sit in the word pool
 /// of the tracer or log that recorded it: `len` entries from `from`. Only
 /// [`Tracer::record_words`](crate::Tracer::record_words) makes one, as it
-/// pushes the entries, so a range always names what its event recorded.
+/// pushes the entries, so a range always names what its event recorded. A
+/// wave's end may hold the range its begin got
+/// ([`Tracer::record_range`](crate::Tracer::record_range)): the two name the
+/// same groups.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct WordRange {
     from: u32,
@@ -247,6 +250,11 @@ impl WordRange {
         self.len as usize
     }
 
+    /// One past the last entry's index in the pool.
+    pub(crate) fn end(self) -> usize {
+        self.from as usize + self.len()
+    }
+
     /// The entries in `pool`.
     pub(crate) fn of(self, pool: &[(u8, u16)]) -> &[(u8, u16)] {
         &pool[self.from as usize..][..self.len()]
@@ -254,15 +262,12 @@ impl WordRange {
 
     /// The same entries in a pool that `base` entries were put in front of.
     pub(crate) fn rebased(self, base: usize) -> Self {
-        WordRange::new(
-            self.from as usize + base,
-            self.from as usize + base + self.len(),
-        )
+        WordRange::new(self.from as usize + base, self.end() + base)
     }
 
     /// Cuts the range before its `at`-th entry, returning the rest.
     pub(crate) fn split_off(&mut self, at: usize) -> Self {
-        let tail = WordRange::new(self.from as usize + at, self.from as usize + self.len());
+        let tail = WordRange::new(self.from as usize + at, self.end());
         self.len = at as u32;
         tail
     }

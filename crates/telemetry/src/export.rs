@@ -16,8 +16,8 @@
 //! ([`TraceLog::expanded`]): a recorded run shows as the per-group spans and
 //! per-word instants it stands for.
 //!
-//! Determinism: all output is derived from virtual timestamps and stable
-//! sequence numbers; timestamps are formatted with integer arithmetic; all
+//! Determinism: all output is derived from virtual timestamps and positions
+//! in the log; timestamps are formatted with integer arithmetic; all
 //! grouping uses ordered maps. Identical logs produce identical bytes.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,11 +47,11 @@ pub struct SmSpan {
     pub start: SimTime,
     /// Completion time.
     pub end: SimTime,
-    /// Sequence number of the begin event (stable tiebreak).
-    pub seq: u64,
+    /// Position of the begin event in the word-level log (stable tiebreak).
+    pub pos: usize,
 }
 
-/// Pairs SM begin/end events into spans, ordered by `(start, seq)`.
+/// Pairs SM begin/end events into spans, ordered by `(start, pos)`.
 ///
 /// A log may be one window of a run ([`Tracer::take`](crate::Tracer::take)
 /// leaves the tracer recording), so a span can straddle its edges: an end
@@ -64,12 +64,12 @@ pub fn sm_spans(log: &TraceLog) -> Vec<SmSpan> {
 /// [`sm_spans`] of an expanded log, plus the number of ends skipped for want
 /// of a begin.
 fn pair_sm_spans(log: &TraceLog) -> (Vec<SmSpan>, u64) {
-    // (kernel, wave, sm) -> (blocks, name, start, seq) of the open span.
-    type OpenSpans = BTreeMap<(u64, u32, u32), (u32, std::sync::Arc<String>, SimTime, u64)>;
+    // (kernel, wave, sm) -> (blocks, name, start, pos) of the open span.
+    type OpenSpans = BTreeMap<(u64, u32, u32), (u32, std::sync::Arc<String>, SimTime, usize)>;
     let mut open: OpenSpans = BTreeMap::new();
     let mut spans = Vec::new();
     let mut orphan_ends = 0u64;
-    for e in &log.events {
+    for (pos, e) in log.events.iter().enumerate() {
         match &e.event {
             TraceEvent::SmSpanBegin {
                 kernel,
@@ -78,12 +78,12 @@ fn pair_sm_spans(log: &TraceLog) -> (Vec<SmSpan>, u64) {
                 blocks,
                 name,
             } => {
-                open.insert((*kernel, *wave, *sm), (*blocks, name.clone(), e.at, e.seq));
+                open.insert((*kernel, *wave, *sm), (*blocks, name.clone(), e.at, pos));
             }
             TraceEvent::SmSpanEnd {
                 kernel, wave, sm, ..
             } => {
-                let Some((blocks, name, start, seq)) = open.remove(&(*kernel, *wave, *sm)) else {
+                let Some((blocks, name, start, pos)) = open.remove(&(*kernel, *wave, *sm)) else {
                     orphan_ends += 1;
                     continue;
                 };
@@ -95,13 +95,13 @@ fn pair_sm_spans(log: &TraceLog) -> (Vec<SmSpan>, u64) {
                     name,
                     start,
                     end: e.at,
-                    seq,
+                    pos,
                 });
             }
             _ => {}
         }
     }
-    spans.sort_by_key(|s| (s.start, s.seq));
+    spans.sort_by_key(|s| (s.start, s.pos));
     (spans, orphan_ends)
 }
 
@@ -303,9 +303,10 @@ fn flow(ph: &str, job: u64, (pid, tid): Track, at_ns: u64) -> String {
 /// Renders the log as Chrome-trace JSON (array-of-events form).
 pub fn chrome_trace_json(log: &TraceLog) -> String {
     let log = &log.expanded();
-    // Stable global order, independent of how sources were merged.
-    let mut events: Vec<&TracedEvent> = log.events.iter().collect();
-    events.sort_by_key(|e| (e.at, e.seq));
+    // Stable global order, independent of how sources were merged: by
+    // instant, then position in the log.
+    let mut events: Vec<(usize, &TracedEvent)> = log.events.iter().enumerate().collect();
+    events.sort_by_key(|&(pos, e)| (e.at, pos));
 
     let spans = pair_sm_spans(log).0;
 
@@ -335,7 +336,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     // below, so paella-check R5 allows no wildcard arm anywhere in it.
     let mut begun_jobs: BTreeSet<u64> = BTreeSet::new();
     let mut closed_jobs: BTreeSet<u64> = BTreeSet::new();
-    for e in &events {
+    for (_, e) in &events {
         if let TraceEvent::JobBegin(b) = &e.event {
             begun_jobs.insert(b.job);
         } else if let TraceEvent::JobEnd(end) = &e.event {
@@ -347,23 +348,23 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     let whole_jobs: BTreeSet<u64> = begun_jobs.intersection(&closed_jobs).copied().collect();
 
     // Flow anchors per job: every kernel-dispatch instant plus the first SM
-    // placement of each dispatched kernel, as (ts_ns, seq, track); seq keeps
-    // same-instant anchors stable.
+    // placement of each dispatched kernel, as (ts_ns, pos, track); the
+    // position keeps same-instant anchors stable.
     let mut first_span_of_kernel: BTreeMap<u64, usize> = BTreeMap::new();
     for (i, s) in spans.iter().enumerate() {
         first_span_of_kernel.entry(s.kernel).or_insert(i);
     }
-    let mut anchors: BTreeMap<u64, Vec<(u64, u64, Track)>> = BTreeMap::new();
-    for e in &events {
+    let mut anchors: BTreeMap<u64, Vec<(u64, usize, Track)>> = BTreeMap::new();
+    for &(pos, e) in &events {
         let (TraceEvent::KernelDispatched { job, kernel, .. }, Some(track)) =
             (&e.event, place(&e.event))
         else {
             continue;
         };
         let list = anchors.entry(*job).or_default();
-        list.push((e.at.as_nanos(), e.seq, track));
+        list.push((e.at.as_nanos(), pos, track));
         if let Some(&i) = first_span_of_kernel.get(kernel) {
-            list.push((spans[i].start.as_nanos(), spans[i].seq, span_track(i)));
+            list.push((spans[i].start.as_nanos(), spans[i].pos, span_track(i)));
         }
     }
 
@@ -388,7 +389,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     // and every SM lane a slice is drawn on.
     let mut tracks: BTreeSet<Track> = BTreeSet::new();
     tracks.extend([SCHED_TID, NOTIF_TID, DISPATCH_TID].map(|tid| (0, tid)));
-    tracks.extend(events.iter().filter_map(|e| place(&e.event)));
+    tracks.extend(events.iter().filter_map(|(_, e)| place(&e.event)));
     tracks.extend((0..spans.len()).map(span_track));
     for &track in &tracks {
         let name = track_name(track, stride);
@@ -417,7 +418,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     }
 
     // -- everything else, in global time order -------------------------------
-    for e in &events {
+    for (_, e) in &events {
         let at = e.at;
         let track = place(&e.event).unwrap_or(PROCESS_ROW);
         // An instant on the event's track: category, name, then the fields
@@ -1407,7 +1408,6 @@ mod tests {
         let s = text_summary(
             &TraceLog::from(vec![crate::tracer::TracedEvent {
                 at: SimTime::ZERO,
-                seq: 0,
                 event: TraceEvent::FailoverHop {
                     client: 6,
                     model: 0,

@@ -16,12 +16,13 @@
 
 use paella_sim::SimTime;
 
-use crate::tracer::TracedEvent;
+use crate::tracer::TraceLog;
 
 /// Renders one post-mortem dump. `state` pairs print in the order given —
-/// callers must pass a fixed order. Events print oldest first, via the
-/// event's derived `Debug` (stable for a fixed enum definition).
-pub fn render(trigger: &str, at: SimTime, state: &[(&str, u64)], events: &[TracedEvent]) -> String {
+/// callers must pass a fixed order. The log's events print oldest first,
+/// each with its sequence number ([`TraceLog::numbered`]), via the event's
+/// derived `Debug` (stable for a fixed enum definition).
+pub fn render(trigger: &str, at: SimTime, state: &[(&str, u64)], log: &TraceLog) -> String {
     let mut out = String::new();
     out.push_str("=== paella flight recorder ===\n");
     out.push_str(&format!("trigger: {trigger}\n"));
@@ -29,11 +30,10 @@ pub fn render(trigger: &str, at: SimTime, state: &[(&str, u64)], events: &[Trace
     for (k, v) in state {
         out.push_str(&format!("state: {k}={v}\n"));
     }
-    for e in events {
+    for (seq, e) in log.numbered() {
         out.push_str(&format!(
-            "event: at_ns={} seq={} kind={} {:?}\n",
+            "event: at_ns={} seq={seq} kind={} {:?}\n",
             e.at.as_nanos(),
-            e.seq,
             e.event.kind(),
             e.event
         ));
@@ -44,7 +44,8 @@ pub fn render(trigger: &str, at: SimTime, state: &[(&str, u64)], events: &[Trace
 
 /// Validates a dump's structure: header and trailer lines, a `trigger:`
 /// line, a parseable `at_ns:` line, and every body line being a `state:`
-/// or `event:` record (events with parseable `at_ns=`/`seq=` fields).
+/// or `event:` record (events with parseable `at_ns=`/`seq=` fields and a
+/// non-empty `kind=`).
 pub fn validate_dump(dump: &str) -> Result<(), String> {
     let mut lines = dump.lines();
     if lines.next() != Some("=== paella flight recorder ===") {
@@ -84,8 +85,15 @@ pub fn validate_dump(dump: &str) -> Result<(), String> {
                 .ok_or_else(|| format!("bad event line: {l:?}"))?;
             at.parse::<u64>()
                 .map_err(|e| format!("unparseable event at_ns {at:?}: {e}"))?;
-            if !rest.contains(" seq=") || !rest.contains(" kind=") {
-                return Err(format!("event line missing seq/kind: {l:?}"));
+            let mut fields = rest.split(' ').skip(1);
+            let seq = (fields.next())
+                .and_then(|f| f.strip_prefix("seq="))
+                .ok_or_else(|| format!("event line missing seq: {l:?}"))?;
+            seq.parse::<u64>()
+                .map_err(|e| format!("unparseable event seq {seq:?}: {e}"))?;
+            match fields.next().and_then(|f| f.strip_prefix("kind=")) {
+                Some(kind) if !kind.is_empty() => {}
+                _ => return Err(format!("event line missing kind: {l:?}")),
             }
         } else {
             return Err(format!("unrecognized line: {l:?}"));
@@ -101,25 +109,25 @@ pub fn validate_dump(dump: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
+    use crate::tracer::TracedEvent;
 
     fn sample() -> String {
-        let events = vec![
+        let mut log = TraceLog::from(vec![
             TracedEvent {
                 at: SimTime::from_micros(10),
-                seq: 3,
                 event: TraceEvent::KernelCompleted { kernel: 7 },
             },
             TracedEvent {
                 at: SimTime::from_micros(12),
-                seq: 4,
                 event: TraceEvent::NodeCrash { node: 0 },
             },
-        ];
+        ]);
+        log.first_seq = 3;
         render(
             "node-crash-sole-replica",
             SimTime::from_micros(12),
             &[("jobs_inflight", 3), ("queued_ingest", 1)],
-            &events,
+            &log,
         )
     }
 
@@ -131,7 +139,7 @@ mod tests {
         validate_dump(&a).unwrap();
         assert!(a.contains("trigger: node-crash-sole-replica"));
         assert!(a.contains("state: jobs_inflight=3"));
-        assert!(a.contains("kind=node-crash"));
+        assert!(a.contains("event: at_ns=12000 seq=4 kind=node-crash NodeCrash { node: 0 }"));
     }
 
     #[test]
@@ -147,5 +155,11 @@ mod tests {
         assert!(validate_dump(&stray).is_err());
         let after = format!("{good}extra\n");
         assert!(validate_dump(&after).is_err());
+        let bad_seq = good.replace("seq=4", "seq=x");
+        assert!(validate_dump(&bad_seq).unwrap_err().contains("seq"));
+        let no_seq = good.replace("seq=4 ", "");
+        assert!(validate_dump(&no_seq).unwrap_err().contains("seq"));
+        let no_kind = good.replace("kind=node-crash", "kind=");
+        assert!(validate_dump(&no_kind).unwrap_err().contains("kind"));
     }
 }

@@ -4,35 +4,23 @@ use paella_sim::SimTime;
 
 use crate::event::{HostOpKind, TraceEvent, WordRange, TICK_COUNTERS};
 
-/// One recorded event with its virtual timestamp and intra-source sequence
-/// number (the determinism tiebreak for same-instant events).
+/// One recorded event with its virtual timestamp. Its sequence number, the
+/// determinism tiebreak for same-instant events, is not stored: the log that
+/// holds the event derives it (see [`TraceLog::numbered`]).
 #[derive(Clone, PartialEq, Debug)]
 pub struct TracedEvent {
     /// Virtual time of the observation; of a run, of its first word.
     pub at: SimTime,
-    /// Recording order within the source tracer, counted in word-level
-    /// events: a run takes as many numbers as it stands for events.
-    pub seq: u64,
     /// The observation.
     pub event: TraceEvent,
 }
 
 impl TracedEvent {
-    /// Sort key of the event's first word among the events being merged:
-    /// its instant, then (`seq` holding it during a merge) its position.
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-
     /// Appends the word-level events this one stands for — itself, unless it
-    /// is a run — numbered from `self.seq`. `pool` is the word pool of the
-    /// log or tracer that holds the event.
+    /// is a run or a tick. `pool` is the word pool of the log or tracer that
+    /// holds the event.
     fn expand_into(&self, pool: &[(u8, u16)], out: &mut Vec<TracedEvent>) {
-        let mut seq = self.seq;
-        let mut push = |at, event| {
-            out.push(TracedEvent { at, seq, event });
-            seq += 1;
-        };
+        let mut push = |at, event| out.push(TracedEvent { at, event });
         let words = |range: &WordRange| {
             (range.of(pool).iter()).map(|&(sm, n)| (u32::from(sm), u32::from(n)))
         };
@@ -113,11 +101,11 @@ impl TracedEvent {
 
     /// Cuts a run before its first word whose key is not below `bound`,
     /// returning the cut-off words as an event of their own, at their own
-    /// first instant and with this event's `seq`; both pieces keep their
-    /// words where they are in the pool. `None` when every word sorts below
-    /// `bound`; always so for events of one instant.
-    fn split_before(&mut self, bound: (SimTime, u64)) -> Option<TracedEvent> {
-        let (at, seq) = (self.at, self.seq);
+    /// first instant; both pieces keep their words where they are in the
+    /// pool. A word's key is its instant and `pos`, the event's position
+    /// among those being merged. `None` when every word sorts below `bound`;
+    /// always so for events of one instant.
+    fn split_before(&mut self, pos: u32, bound: (SimTime, u32)) -> Option<TracedEvent> {
         let TraceEvent::NotifRun {
             kernel,
             start,
@@ -128,12 +116,12 @@ impl TracedEvent {
         else {
             return None;
         };
-        let (first, cost) = (*start, at - *start);
+        let (first, cost) = (*start, self.at - *start);
         let done = |word: usize| first + cost * (word as u64 + 1);
-        if (done(range.len().saturating_sub(1)), seq) < bound {
+        if (done(range.len().saturating_sub(1)), pos) < bound {
             return None;
         }
-        let keep = (1..range.len()).find(|&word| (done(word), seq) >= bound)?;
+        let keep = (1..range.len()).find(|&word| (done(word), pos) >= bound)?;
         let event = TraceEvent::NotifRun {
             kernel: *kernel,
             start: done(keep - 1),
@@ -143,7 +131,6 @@ impl TracedEvent {
         };
         Some(TracedEvent {
             at: done(keep),
-            seq,
             event,
         })
     }
@@ -153,7 +140,6 @@ impl TracedEvent {
 /// written one.
 const HOLE: TracedEvent = TracedEvent {
     at: SimTime::ZERO,
-    seq: 0,
     event: TraceEvent::KernelCompleted { kernel: 0 },
 };
 
@@ -162,19 +148,48 @@ const HOLE: TracedEvent = TracedEvent {
 pub struct TraceLog {
     /// Events in `(at, source, seq)` order.
     pub events: Vec<TracedEvent>,
+    /// The sequence number of the first event: how many word-level events
+    /// its tracer recorded before this log's window opened; 0 for a merged
+    /// log. Each later event's is the one before it plus that event's
+    /// [`expanded_len`](TraceEvent::expanded_len) (see
+    /// [`numbered`](Self::numbered)).
+    pub first_seq: u64,
     /// The word pool: the `(sm, blocks)` entries of every run's words and
-    /// every wave's groups, which those events hold ranges into.
+    /// every wave's groups, which those events hold ranges into. A wave's
+    /// begin and end may hold the same range.
     words: Vec<(u8, u16)>,
 }
 
 /// A log of events that hold no words, as [`TraceLog::expanded`] and the
-/// flight recorder yield them.
+/// flight recorder yield them, numbered from 0.
 impl From<Vec<TracedEvent>> for TraceLog {
     fn from(events: Vec<TracedEvent>) -> Self {
         debug_assert!(events.iter().all(|e| e.event.range().is_none()));
         TraceLog {
             events,
+            first_seq: 0,
             words: Vec::new(),
+        }
+    }
+}
+
+/// Reorders `events` in place so that `events[k]` becomes what was at
+/// `events[from[k]]`; `from` must be a permutation of the positions. Each
+/// cycle of the permutation is walked once, by swaps, and a bitset marks
+/// the positions already written.
+fn permute(events: &mut [TracedEvent], from: &[u32]) {
+    debug_assert_eq!(events.len(), from.len());
+    let mut done = vec![0u64; from.len().div_ceil(64)];
+    for start in 0..from.len() {
+        let mut k = start;
+        while done[k / 64] & 1 << (k % 64) == 0 {
+            done[k / 64] |= 1 << (k % 64);
+            let src = from[k] as usize;
+            if src == start {
+                break;
+            }
+            events.swap(k, src);
+            k = src;
         }
     }
 }
@@ -185,7 +200,7 @@ impl TraceLog {
     /// log in `sources` (callers must pass sources in a fixed order), then
     /// on recording order within the source.
     ///
-    /// Each source must hold its events in recording (`seq`) order, as
+    /// Each source must hold its events in recording order, as
     /// [`Tracer::take`] and `merged` itself produce them.
     ///
     /// That order is defined on the word-level events (see
@@ -198,9 +213,11 @@ impl TraceLog {
     /// The merge holds the log once: the sources are moved into the first
     /// one's buffer, sorted there and merged in place, so it never needs
     /// more than that buffer plus a quarter (the room cut-off pieces take,
-    /// grown only if they need more). The later sources' word pools are
-    /// appended to the first one's, each dropped once it is, and their
-    /// events' ranges moved to match; a cut leaves the words where they are.
+    /// grown only if they need more). The tie key, each event's position in
+    /// source order, lives in a `u32` array beside the buffer for the length
+    /// of the merge only. The later sources' word pools are appended to the
+    /// first one's, each dropped once it is, and their events' ranges moved
+    /// to match; a cut leaves the words where they are.
     pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
         let len: usize = sources.iter().map(TraceLog::len).sum();
         let pool: usize = sources.iter().map(|log| log.words.len()).sum();
@@ -208,6 +225,7 @@ impl TraceLog {
         let TraceLog {
             mut events,
             mut words,
+            ..
         } = sources.next().unwrap_or_default();
         events.reserve_exact(len + len / 4 - events.len());
         words.reserve_exact(pool - words.len());
@@ -222,60 +240,80 @@ impl TraceLog {
             }
             events.append(&mut log.events);
         }
-        // Until the renumbering below, `seq` is the position in source
-        // order: with the instant, what words that tie are ordered by. It
-        // is unique, so the unstable sort is the stable one on `at`.
-        for (i, e) in events.iter_mut().enumerate() {
-            e.seq = i as u64;
-        }
-        events.sort_unstable_by_key(TracedEvent::key);
+        // `pos[i]` is the position in source order of the event at
+        // `events[i]`: with the instant, what words that tie are ordered by.
+        // Sorting the positions stably on `at` sorts on that key.
+        let n = u32::try_from(len).expect("a merged log holds at most u32::MAX events");
+        let mut pos: Vec<u32> = Vec::with_capacity(len + len / 4);
+        pos.extend(0..n);
+        pos.sort_by_key(|&i| events[i as usize].at);
+        permute(&mut events, &pos);
         // `events` is now ordered by first word. Take events in key order,
         // each up to the key of what follows it; what that cuts off a run
-        // waits in `cut` (latest first — a handful, one per dispatcher core
-        // at most, since a core's runs do not overlap). The merged events
-        // are written over the front of `events`: `..out` is merged,
-        // `next..` still to take, and `out..next` holes.
+        // waits in `cut` with its event's position (latest first — a
+        // handful, one per dispatcher core at most, since a core's runs do
+        // not overlap). The merged events are written over the front of
+        // `events`: `..out` is merged, `next..` still to take, and
+        // `out..next` holes.
+        let key = |(e, pos): (&TracedEvent, u32)| (e.at, pos);
         let (mut out, mut next) = (0, 0);
-        let mut cut: Vec<TracedEvent> = Vec::new();
-        let mut seq = 0;
+        let mut cut: Vec<(TracedEvent, u32)> = Vec::new();
         loop {
-            let from_cut = match (cut.last(), events.get(next)) {
-                (Some(c), Some(w)) => c.key() < w.key(),
+            let whole = events.get(next).map(|e| (e, pos[next]));
+            let from_cut = match (cut.last(), whole) {
+                (Some((c, p)), Some(w)) => key((c, *p)) < key(w),
                 (c, _) => c.is_some(),
             };
-            let Some(mut e) = (if from_cut {
+            let Some((mut e, p)) = (if from_cut {
                 cut.pop()
             } else {
-                events.get_mut(next).map(|e| std::mem::replace(e, HOLE))
+                (events.get_mut(next)).map(|e| (std::mem::replace(e, HOLE), pos[next]))
             }) else {
                 break;
             };
             next += usize::from(!from_cut);
-            let bound = [cut.last(), events.get(next)]
+            let whole = events.get(next).map(|e| (e, pos[next]));
+            let bound = [cut.last().map(|(c, p)| (c, *p)), whole]
                 .into_iter()
                 .flatten()
-                .map(TracedEvent::key)
+                .map(key)
                 .min();
-            if let Some(tail) = bound.and_then(|bound| e.split_before(bound)) {
-                let behind = cut.partition_point(|c| c.key() > tail.key());
-                cut.insert(behind, tail);
+            if let Some(tail) = bound.and_then(|bound| e.split_before(p, bound)) {
+                let behind = cut.partition_point(|(c, q)| key((c, *q)) > (tail.at, p));
+                cut.insert(behind, (tail, p));
             }
-            e.seq = seq;
-            seq += e.event.expanded_len() as u64;
             if out == next {
                 // A piece of a run is one event more than was taken: open
                 // a gap before what is still to take.
                 let room = (events.len() - next) / 8 + 1;
                 events.splice(next..next, std::iter::repeat_n(HOLE, room));
+                pos.splice(next..next, std::iter::repeat_n(0, room));
                 next += room;
             }
             events[out] = e;
             out += 1;
         }
+        drop(pos);
         events.truncate(out);
         events.shrink_to_fit();
         words.shrink_to_fit();
-        TraceLog { events, words }
+        TraceLog {
+            events,
+            first_seq: 0,
+            words,
+        }
+    }
+
+    /// Every event with its sequence number: its recording order within the
+    /// source tracer, counted in word-level events — a run or a tick takes
+    /// as many numbers as it stands for events. In the word-level view
+    /// ([`expanded`](Self::expanded)) the numbers are consecutive.
+    pub fn numbered(&self) -> impl Iterator<Item = (u64, &TracedEvent)> {
+        self.events.iter().scan(self.first_seq, |seq, e| {
+            let at = *seq;
+            *seq += e.event.expanded_len() as u64;
+            Some((at, e))
+        })
     }
 
     /// The word-level log: every run replaced, in place, by the per-word
@@ -283,16 +321,19 @@ impl TraceLog {
     /// [`TraceEvent::SmSpanEnd`] per group of a wave, one
     /// [`HostOpKind::Notif`] host op and one [`TraceEvent::NotifBatch`] per
     /// notification word — each at its own instant and numbered on from the
-    /// run's `seq`. The exporters, the text summary and the flight recorder
-    /// read this view; journeys, blame, the SLO ledger and counts by
-    /// [`kind`](TraceEvent::kind) read the log as recorded.
+    /// run's sequence number. The exporters, the text summary and the
+    /// flight recorder read this view; journeys, blame, the SLO ledger and
+    /// counts by [`kind`](TraceEvent::kind) read the log as recorded.
     pub fn expanded(&self) -> TraceLog {
         let len = self.events.iter().map(|e| e.event.expanded_len()).sum();
         let mut events = Vec::with_capacity(len);
         for e in &self.events {
             e.expand_into(&self.words, &mut events);
         }
-        TraceLog::from(events)
+        TraceLog {
+            first_seq: self.first_seq,
+            ..TraceLog::from(events)
+        }
     }
 
     /// The `(sm, blocks)` entries of `event`, one of this log's: a run's
@@ -324,12 +365,14 @@ struct Inner {
     events: Vec<TracedEvent>,
     /// The word pool `events` hold ranges into (see [`TraceLog`]).
     words: Vec<(u8, u16)>,
-    next_seq: u64,
+    /// The sequence number of `events[0]`: the word-level events recorded
+    /// in the windows already taken.
+    first_seq: u64,
     /// Flight recorder: the last `flight_cap` word-level events recorded
     /// since arming, kept even as `take` drains the main log. They are the
     /// tail of `events[flight_start..]` expanded, preceded by `flight_carry`
-    /// — the tail saved from drained logs — so recording an event costs the
-    /// recorder nothing.
+    /// — the tail saved from drained logs, which ends where `events` starts —
+    /// so recording an event costs the recorder nothing.
     flight_carry: Vec<TracedEvent>,
     flight_start: usize,
     flight_cap: usize,
@@ -340,20 +383,18 @@ impl Inner {
     /// telemetry off all that should sit in its hot code is the branch.
     #[inline(never)]
     fn push(&mut self, at: SimTime, event: TraceEvent) {
-        let seq = self.next_seq;
-        self.next_seq += event.expanded_len() as u64;
-        self.events.push(TracedEvent { at, seq, event });
+        self.events.push(TracedEvent { at, event });
     }
 
     /// [`push`](Self::push) of a run or a wave, its entries first; out of
-    /// line for the same reason.
+    /// line for the same reason. Returns the range the entries took.
     #[inline(never)]
     fn push_words(
         &mut self,
         at: SimTime,
         words: impl IntoIterator<Item = (u8, u16)>,
         f: impl FnOnce(WordRange) -> TraceEvent,
-    ) {
+    ) -> WordRange {
         if self.words.capacity() == 0 {
             self.words.reserve_exact(POOL_ROOM);
         }
@@ -361,9 +402,14 @@ impl Inner {
         self.words.extend(words);
         let range = WordRange::new(from, self.words.len());
         self.push(at, f(range));
+        range
     }
 
-    fn flight_tail(&self) -> Vec<TracedEvent> {
+    /// The flight recorder's contents, numbered.
+    fn flight_tail(&self) -> TraceLog {
+        if self.flight_cap == 0 {
+            return TraceLog::default();
+        }
         // The shortest suffix of the live events that stands for at least
         // `flight_cap` word-level ones (all of them if they fall short).
         let live = &self.events[self.flight_start..];
@@ -381,8 +427,16 @@ impl Inner {
             e.expand_into(&self.words, &mut tail);
         }
         // The first live event taken may be a run that overshoots.
-        tail.drain(..tail.len().saturating_sub(self.flight_cap));
-        tail
+        let over = tail.len().saturating_sub(self.flight_cap);
+        tail.drain(..over);
+        // The carry is taken from only when every live event is, and ends
+        // where they start.
+        let before = self.events[..self.flight_start + from].iter();
+        let seq = before.fold(self.first_seq, |seq, e| seq + e.event.expanded_len() as u64);
+        TraceLog {
+            first_seq: seq - from_carry as u64 + over as u64,
+            ..TraceLog::from(tail)
+        }
     }
 }
 
@@ -421,16 +475,38 @@ impl Tracer {
 
     /// Records a run or a wave: pushes `words` to the word pool, then the
     /// event `f` builds around the range they took, at virtual time `at`.
-    /// When disabled, neither `words` nor `f` is consumed.
+    /// Returns that range, for [`record_range`](Tracer::record_range); when
+    /// disabled, `None`, and neither `words` nor `f` is consumed.
     #[inline]
     pub fn record_words(
         &mut self,
         at: SimTime,
         words: impl IntoIterator<Item = (u8, u16)>,
         f: impl FnOnce(WordRange) -> TraceEvent,
+    ) -> Option<WordRange> {
+        self.0.as_mut().map(|inner| inner.push_words(at, words, f))
+    }
+
+    /// Records the event `f` builds around `range` at virtual time `at`,
+    /// pushing no entry: `range` must be one that
+    /// [`record_words`](Tracer::record_words) of this tracer returned since
+    /// its last [`take`](Tracer::take), so the entries are in its pool — a
+    /// wave's end naming the groups its begin pushed. When disabled, `f` is
+    /// never called.
+    #[inline]
+    pub fn record_range(
+        &mut self,
+        at: SimTime,
+        range: WordRange,
+        f: impl FnOnce(WordRange) -> TraceEvent,
     ) {
         if let Some(inner) = self.0.as_mut() {
-            inner.push_words(at, words, f);
+            debug_assert!(
+                range.end() <= inner.words.len(),
+                "{range:?} lies outside the word pool of {} entries",
+                inner.words.len()
+            );
+            inner.push(at, f(range));
         }
     }
 
@@ -464,23 +540,30 @@ impl Tracer {
         }
     }
 
-    /// The flight recorder's contents, oldest first. Empty when it is
-    /// disarmed or the tracer is disabled.
-    pub fn flight_snapshot(&self) -> Vec<TracedEvent> {
+    /// The flight recorder's contents, oldest first, as a word-level log
+    /// numbered as the tracer numbered them. Empty when it is disarmed or
+    /// the tracer is disabled.
+    pub fn flight_snapshot(&self) -> TraceLog {
         self.0
             .as_ref()
-            .map_or_else(Vec::new, |inner| inner.flight_tail())
+            .map_or_else(TraceLog::default, |inner| inner.flight_tail())
     }
 
     /// Takes everything recorded so far, leaving the tracer enabled (or a
-    /// no-op if it never was).
+    /// no-op if it never was). Every range [`record_words`](Tracer::record_words)
+    /// returned goes with the log.
     pub fn take(&mut self) -> TraceLog {
         match self.0.as_mut() {
             Some(inner) => {
-                inner.flight_carry = inner.flight_tail();
+                inner.flight_carry = inner.flight_tail().events;
                 inner.flight_start = 0;
+                let events = std::mem::take(&mut inner.events);
+                let first_seq = inner.first_seq;
+                let taken = events.iter().map(|e| e.event.expanded_len() as u64);
+                inner.first_seq += taken.sum::<u64>();
                 TraceLog {
-                    events: std::mem::take(&mut inner.events),
+                    events,
+                    first_seq,
                     words: std::mem::take(&mut inner.words),
                 }
             }
@@ -491,6 +574,8 @@ impl Tracer {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -512,9 +597,17 @@ mod tests {
         });
         let log = t.take();
         assert_eq!(log.len(), 2);
-        assert_eq!(log.events[0].seq, 0);
-        assert_eq!(log.events[1].seq, 1);
+        let seqs: Vec<u64> = log.numbered().map(|(seq, _)| seq).collect();
+        assert_eq!(seqs, [0, 1]);
         assert!(t.is_enabled(), "take leaves recording on");
+        // The next window numbers on from the last.
+        t.record_tick(SimTime::from_micros(3), [0; 6]);
+        t.record_with(SimTime::from_micros(3), || TraceEvent::KernelCompleted {
+            kernel: 3,
+        });
+        let log = t.take();
+        let seqs: Vec<u64> = log.numbered().map(|(seq, _)| seq).collect();
+        assert_eq!((log.first_seq, seqs), (2, vec![2, 8]));
     }
 
     #[test]
@@ -540,7 +633,7 @@ mod tests {
             })
             .collect();
         assert_eq!(kernels, vec![21, 10, 20], "time first, then source order");
-        let seqs: Vec<u64> = log.events.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = log.numbered().map(|(seq, _)| seq).collect();
         assert_eq!(seqs, vec![0, 1, 2], "merged log is re-sequenced");
     }
 
@@ -555,9 +648,9 @@ mod tests {
         assert_eq!(kinds[..2], ["counter-tick", "counter-sample"]);
         assert_eq!(log.len(), 7);
         let words = log.expanded();
-        let samples: Vec<(u64, u64, &str, u64)> = (words.events.iter())
-            .map(|e| match e.event {
-                TraceEvent::CounterSample { name, value } => (e.at.as_nanos(), e.seq, name, value),
+        let samples: Vec<(u64, u64, &str, u64)> = (words.numbered())
+            .map(|(seq, e)| match e.event {
+                TraceEvent::CounterSample { name, value } => (e.at.as_nanos(), seq, name, value),
                 _ => unreachable!(),
             })
             .collect();
@@ -610,6 +703,45 @@ mod tests {
         assert_eq!(log.words(&log.events[0].event), [(1, 2); 100]);
     }
 
+    /// A wave's end recorded around its begin's range pushes no entry, and
+    /// both expand to the same groups.
+    #[test]
+    fn a_wave_end_can_name_its_begins_groups() {
+        let mut t = Tracer::enabled();
+        let name = Arc::new(String::from("k"));
+        let begin = |range| TraceEvent::SmWaveBegin {
+            kernel: 1,
+            wave: 0,
+            name,
+            range,
+        };
+        let range = t.record_words(SimTime::ZERO, [(0, 2), (1, 3)], begin);
+        let range = range.expect("enabled");
+        let end = |range| TraceEvent::SmWaveEnd {
+            kernel: 1,
+            wave: 0,
+            range,
+        };
+        t.record_range(SimTime::from_micros(1), range, end);
+        let log = t.take();
+        assert_eq!(log.words.len(), 2, "the groups sit in the pool once");
+        assert_eq!(log.words(&log.events[1].event), [(0, 2), (1, 3)]);
+        let spans: Vec<(&str, u64)> = (log.expanded().numbered())
+            .map(|(seq, e)| (e.event.kind(), seq))
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                ("sm-span-begin", 0),
+                ("sm-span-begin", 1),
+                ("sm-span-end", 2),
+                ("sm-span-end", 3)
+            ]
+        );
+        let mut off = Tracer::disabled();
+        assert_eq!(off.record_words(SimTime::ZERO, [(0, 1)], end), None);
+    }
+
     #[test]
     fn flight_ring_keeps_last_n_across_takes() {
         let mut t = Tracer::enabled();
@@ -625,14 +757,14 @@ mod tests {
             kernel: 9,
         });
         let flight = t.flight_snapshot();
-        let kernels: Vec<u64> = flight
-            .iter()
-            .map(|e| match e.event {
-                TraceEvent::KernelCompleted { kernel } => kernel,
+        let kernels: Vec<(u64, u64)> = flight
+            .numbered()
+            .map(|(seq, e)| match e.event {
+                TraceEvent::KernelCompleted { kernel } => (seq, kernel),
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(kernels, vec![3, 4, 9], "last 3, oldest first");
+        assert_eq!(kernels, [(3, 3), (4, 4), (5, 9)], "last 3, oldest first");
     }
 
     #[test]
@@ -644,8 +776,11 @@ mod tests {
         t.set_flight_capacity(8);
         t.record_with(SimTime::ZERO, || TraceEvent::KernelCompleted { kernel: 2 });
         let armed = t.flight_snapshot();
-        assert_eq!(armed.len(), 1);
-        assert_eq!(armed[0].event, TraceEvent::KernelCompleted { kernel: 2 });
+        assert_eq!((armed.len(), armed.first_seq), (1, 1));
+        assert_eq!(
+            armed.events[0].event,
+            TraceEvent::KernelCompleted { kernel: 2 }
+        );
         let mut d = Tracer::disabled();
         d.set_flight_capacity(8);
         assert!(d.flight_snapshot().is_empty());

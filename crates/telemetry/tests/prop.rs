@@ -8,13 +8,15 @@ use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{TraceEvent, TraceLog, TracedEvent, Tracer};
 
 /// `(at, shape, len, cost)` of one recorded event: a counter tick, a plain
-/// event, a wave of `len` groups, or a run of `len` words `cost` ns apart (0:
-/// all at once) that starts at `at`. Instants are drawn from a dozen values
-/// so that words collide with events of other sources and of their own.
+/// event, a wave of `len` groups whose end pushes them again, one whose end
+/// names its begin's, or a run of `len` words `cost` ns apart (0: all at
+/// once) that starts at `at`. A wave's end is recorded `cost` ns after its
+/// begin. Instants are drawn from a dozen values so that words collide with
+/// events of other sources and of their own.
 type Spec = (u64, u8, usize, u64);
 
 fn specs(max: usize) -> impl Strategy<Value = Vec<Spec>> {
-    proptest::collection::vec((0u64..12, 0u8..4, 1usize..5, 0u64..3), 0..max)
+    proptest::collection::vec((0u64..12, 0u8..5, 1usize..5, 0u64..3), 0..max)
 }
 
 /// Records `specs` in order; `id` names the source.
@@ -26,19 +28,24 @@ fn record(t: &mut Tracer, id: u64, specs: &[Spec]) {
         match shape {
             0 => t.record_tick(at, [kernel, 1, 2, 3, 4, len as u64]),
             1 => t.record_with(at, || TraceEvent::KernelCompleted { kernel }),
-            2 => {
+            2 | 3 => {
                 let wave = i as u32;
-                t.record_words(at, pairs.clone(), |range| TraceEvent::SmWaveBegin {
+                let begun = t.record_words(at, pairs.clone(), |range| TraceEvent::SmWaveBegin {
                     kernel,
                     wave,
                     name: Arc::new("k".to_string()),
                     range,
                 });
-                t.record_words(at, pairs, |range| TraceEvent::SmWaveEnd {
+                let end = |range| TraceEvent::SmWaveEnd {
                     kernel,
                     wave,
                     range,
-                });
+                };
+                let at = at + SimDuration::from_nanos(cost);
+                match begun {
+                    Some(range) if shape == 3 => t.record_range(at, range, end),
+                    _ => _ = t.record_words(at, pairs, end),
+                }
             }
             _ => {
                 let cost = SimDuration::from_nanos(cost);
@@ -63,10 +70,23 @@ fn owned(log: &TraceLog) -> Vec<Owned> {
     log.events.iter().map(|e| (e.clone(), words(e))).collect()
 }
 
-/// What two logs must agree on: instants, numbering, and every event as what
-/// it records — a run with its words, not where they sit in its log's pool.
-fn lines(events: &[Owned]) -> Vec<String> {
-    let line = |(e, words): &Owned| {
+/// How many word-level events `e` stands for, counted on the words beside
+/// it: the range a cut-off piece of the reference holds is its whole run's.
+fn width((e, words): &Owned) -> u64 {
+    match e.event {
+        TraceEvent::NotifRun { .. } => 2 * words.len() as u64,
+        TraceEvent::SmWaveBegin { .. } | TraceEvent::SmWaveEnd { .. } => words.len() as u64,
+        ref other => other.expanded_len() as u64,
+    }
+}
+
+/// What two logs must agree on: instants, numbering from `first_seq`, and
+/// every event as what it records — a run with its words, not where they
+/// sit in its log's pool.
+fn lines(first_seq: u64, events: &[Owned]) -> Vec<String> {
+    let mut seq = first_seq;
+    let mut line = |owned: &Owned| {
+        let (e, words) = owned;
         let event = match &e.event {
             TraceEvent::SmWaveBegin {
                 kernel, wave, name, ..
@@ -81,47 +101,53 @@ fn lines(events: &[Owned]) -> Vec<String> {
             } => format!("NotifRun {kernel} {start:?} {core} {placement}"),
             other => format!("{other:?}"),
         };
-        format!("{} {} {event} {words:?}", e.at.as_nanos(), e.seq)
+        let line = format!("{} {seq} {event} {words:?}", e.at.as_nanos());
+        seq += width(owned);
+        line
     };
-    events.iter().map(line).collect()
+    events.iter().map(&mut line).collect()
 }
 
 /// [`lines`] of a log.
 fn log_lines(log: &TraceLog) -> Vec<String> {
-    lines(&owned(log))
+    lines(log.first_seq, &owned(log))
 }
 
 /// `TraceLog::merged` as it was when it cut runs into a second vector and a
 /// run owned its words: concatenate, stable-sort on `at`, then push every
 /// event and every cut-off tail into a new `Vec`. Verbatim but for
-/// `TracedEvent`'s two private helpers, which are free functions here, and
-/// each event's words, which ride beside it. It is the reference the merge
-/// in one buffer and one pool must equal.
+/// `TracedEvent`'s two private helpers, which are free functions here, each
+/// event's words, which ride beside it, and its position in source order,
+/// the tie key, which rides beside both. It is the reference the merge in
+/// one buffer and one pool must equal; its events are numbered from 0.
 mod reference {
     use super::Owned;
     use paella_sim::SimTime;
     use paella_telemetry::{TraceEvent, TraceLog};
 
-    fn key((e, _): &Owned) -> (SimTime, u64) {
-        (e.at, e.seq)
+    /// An event with its words and its position in source order.
+    type Placed = (Owned, usize);
+
+    fn key(((e, _), pos): &Placed) -> (SimTime, usize) {
+        (e.at, *pos)
     }
 
-    fn split_before((e, words): &mut Owned, bound: (SimTime, u64)) -> Option<Owned> {
+    fn split_before(((e, words), pos): &mut Placed, bound: (SimTime, usize)) -> Option<Placed> {
         let TraceEvent::NotifRun { start, .. } = &e.event else {
             return None;
         };
-        let (start, cost, seq) = (*start, e.at - *start, e.seq);
+        let (start, cost, pos) = (*start, e.at - *start, *pos);
         let done = |word: usize| start + cost * (word as u64 + 1);
-        if (done(words.len().saturating_sub(1)), seq) < bound {
+        if (done(words.len().saturating_sub(1)), pos) < bound {
             return None;
         }
-        let keep = (1..words.len()).find(|&word| (done(word), seq) >= bound)?;
+        let keep = (1..words.len()).find(|&word| (done(word), pos) >= bound)?;
         let mut tail = e.clone();
         if let TraceEvent::NotifRun { start, .. } = &mut tail.event {
             *start = done(keep - 1);
         }
         tail.at = done(keep);
-        Some((tail, words.split_off(keep)))
+        Some(((tail, words.split_off(keep)), pos))
     }
 
     pub fn merged(sources: Vec<TraceLog>) -> Vec<Owned> {
@@ -130,14 +156,11 @@ mod reference {
         for mut log in sources {
             events.append(&mut log);
         }
-        for (i, (e, _)) in events.iter_mut().enumerate() {
-            e.seq = i as u64;
-        }
-        events.sort_by_key(|(e, _)| e.at);
+        let mut events: Vec<Placed> = events.into_iter().zip(0..).collect();
+        events.sort_by_key(|((e, _), _)| e.at);
         let mut merged = Vec::with_capacity(events.len());
         let mut whole = events.into_iter().peekable();
-        let mut cut: Vec<Owned> = Vec::new();
-        let mut seq = 0;
+        let mut cut: Vec<Placed> = Vec::new();
         loop {
             let from_cut = match (cut.last(), whole.peek()) {
                 (Some(c), Some(w)) => key(c) < key(w),
@@ -155,12 +178,7 @@ mod reference {
                 let behind = cut.partition_point(|c| key(c) > key(&tail));
                 cut.insert(behind, tail);
             }
-            e.0.seq = seq;
-            seq += match e.0.event {
-                TraceEvent::NotifRun { .. } => 2 * e.1.len() as u64,
-                ref other => other.expanded_len() as u64,
-            };
-            merged.push(e);
+            merged.push(e.0);
         }
         merged
     }
@@ -194,16 +212,16 @@ proptest! {
 
         let mut tagged: Vec<(SimTime, usize, u64, TraceEvent)> = Vec::new();
         for (src, log) in logs.iter().enumerate() {
-            for e in &log.events {
-                tagged.push((e.at, src, e.seq, e.event.clone()));
+            for (seq, e) in log.numbered() {
+                tagged.push((e.at, src, seq, e.event.clone()));
             }
         }
         tagged.sort_by_key(|t| (t.0, t.1, t.2));
 
         let merged = TraceLog::merged(logs);
         prop_assert_eq!(merged.len(), tagged.len());
-        for (i, (got, want)) in merged.events.iter().zip(&tagged).enumerate() {
-            prop_assert_eq!(got.seq, i as u64, "merged log is re-sequenced");
+        for (i, ((seq, got), want)) in merged.numbered().zip(&tagged).enumerate() {
+            prop_assert_eq!(seq, i as u64, "merged log is re-sequenced");
             prop_assert_eq!(got.at, want.0);
             prop_assert_eq!(&got.event, &want.3);
         }
@@ -232,11 +250,10 @@ proptest! {
         prop_assert_eq!(log_lines(&merged.expanded()), log_lines(&word_level));
 
         // The merged log is itself in recording order: sorted on the first
-        // word, numbered in word-level events, every piece of a run a run.
-        let mut seq = 0;
+        // word, numbered in word-level events from 0, every piece of a run a
+        // run.
+        prop_assert_eq!(merged.first_seq, 0);
         for e in &merged.events {
-            prop_assert_eq!(e.seq, seq);
-            seq += e.event.expanded_len() as u64;
             if e.event.kind() == "notif-run" {
                 prop_assert!(!merged.words(&e.event).is_empty(), "a piece holds a word");
             }
@@ -271,7 +288,7 @@ proptest! {
         };
         let want = reference::merged(logs());
         let got = TraceLog::merged(logs());
-        prop_assert_eq!(log_lines(&got), lines(&want));
+        prop_assert_eq!(log_lines(&got), lines(0, &want));
     }
 
     /// The flight recorder holds the last N *word-level* events recorded
@@ -290,8 +307,9 @@ proptest! {
         record(&mut t, 1, &after);
         let snapshot = t.flight_snapshot();
         all.extend(t.take().expanded().events);
-        let tail = all.split_off(all.len().saturating_sub(cap));
-        prop_assert_eq!(log_lines(&snapshot.into()), log_lines(&tail.into()));
+        let mut tail = TraceLog::from(all.split_off(all.len().saturating_sub(cap)));
+        tail.first_seq = all.len() as u64;
+        prop_assert_eq!(log_lines(&snapshot), log_lines(&tail));
     }
 }
 
@@ -301,14 +319,14 @@ proptest! {
 fn a_run_interleaved_word_by_word_is_cut_at_every_word() {
     let logs = || {
         let mut host = Tracer::enabled();
-        record(&mut host, 0, &[(0, 3, 8, 1)]);
+        record(&mut host, 0, &[(0, 4, 8, 1)]);
         let mut device = Tracer::enabled();
         let instants: Vec<Spec> = (1..=8).map(|at| (at, 1, 1, 0)).collect();
         record(&mut device, 1, &instants);
         vec![host.take(), device.take()]
     };
     let got = TraceLog::merged(logs());
-    assert_eq!(log_lines(&got), lines(&reference::merged(logs())));
+    assert_eq!(log_lines(&got), lines(0, &reference::merged(logs())));
     let runs = got.events.iter().filter(|e| e.event.kind() == "notif-run");
     assert!(runs.map(|e| got.words(&e.event).len()).all(|len| len == 1));
     assert_eq!(got.len(), 16);

@@ -706,8 +706,8 @@ fn stream_pool_golden_digest() {
 /// Digest of a whole trace log: every event's instant, sequence number and
 /// `Debug` rendering, in log order.
 fn trace_digest(log: &paella_telemetry::TraceLog) -> (u64, usize) {
-    let digest = log.events.iter().fold(0xcbf2_9ce4_8422_2325, |h, e| {
-        let h = fold(fold(h, e.at.as_nanos()), e.seq);
+    let digest = log.numbered().fold(0xcbf2_9ce4_8422_2325, |h, (seq, e)| {
+        let h = fold(fold(h, e.at.as_nanos()), seq);
         format!("{:?}", e.event)
             .bytes()
             .fold(h, |h, b| fold(h, u64::from(b)))

@@ -67,9 +67,14 @@ fn trace_spans_pair_and_time_is_monotone() {
     for view in [log, &words] {
         for w in view.events.windows(2) {
             assert!(w[0].at <= w[1].at, "merged log out of order");
-            assert!(w[0].seq < w[1].seq, "merged log not re-sequenced");
         }
+        let seqs: Vec<u64> = view.numbered().map(|(seq, _)| seq).collect();
+        assert!(
+            seqs.windows(2).all(|w| w[0] < w[1]),
+            "a record stands for no event"
+        );
     }
+    assert_eq!(log.first_seq, 0, "merged log is re-sequenced");
 
     // Every SM span begin has exactly one matching end, at or after it.
     // Spans are the word-level view of what is recorded, a wave at a time.
@@ -250,7 +255,7 @@ fn disabled_telemetry_changes_nothing_and_records_nothing() {
 #[test]
 fn trace_events_stay_inside_the_size_budget() {
     assert!(std::mem::size_of::<TraceEvent>() <= 32);
-    assert!(std::mem::size_of::<TracedEvent>() <= 48);
+    assert!(std::mem::size_of::<TracedEvent>() <= 40);
 }
 
 /// The merged log of a burst of 12 Table 2 jobs (684 kernels): many-block
@@ -326,10 +331,9 @@ fn zoo_burst_exports_are_pinned() {
 /// variants they replaced.
 #[test]
 fn flight_dump_lines_for_boxed_payloads_are_pinned() {
-    let events = [
+    let mut log = TraceLog::from(vec![
         TracedEvent {
             at: SimTime::from_micros(8),
-            seq: 41,
             event: TraceEvent::JobEnd(Box::new(JobEnd {
                 job: 1,
                 client: 6,
@@ -343,7 +347,6 @@ fn flight_dump_lines_for_boxed_payloads_are_pinned() {
         },
         TracedEvent {
             at: SimTime::from_micros(8),
-            seq: 42,
             event: TraceEvent::JobJourney(Box::new(JobJourney {
                 job: 1,
                 client: 6,
@@ -360,8 +363,9 @@ fn flight_dump_lines_for_boxed_payloads_are_pinned() {
                 device_decode_ns: 0,
             })),
         },
-    ];
-    let dump = flight::render("test", SimTime::from_micros(8), &[], &events);
+    ]);
+    log.first_seq = 41;
+    let dump = flight::render("test", SimTime::from_micros(8), &[], &log);
     flight::validate_dump(&dump).expect("dump parses");
     let lines: Vec<&str> = dump.lines().filter(|l| l.starts_with("event: ")).collect();
     assert_eq!(
@@ -783,10 +787,9 @@ fn ticks_as_samples(log: &TraceLog) -> TraceLog {
             events.push(e.clone());
             continue;
         };
-        let samples = TICK_COUNTERS.into_iter().zip(values).zip(e.seq..);
-        events.extend(samples.map(|((name, value), seq)| TracedEvent {
+        let samples = TICK_COUNTERS.into_iter().zip(values);
+        events.extend(samples.map(|(name, value)| TracedEvent {
             at: e.at,
-            seq,
             event: TraceEvent::CounterSample {
                 name,
                 value: u64::from(value),
@@ -815,14 +818,14 @@ fn every_variant_renders_to_pinned_bytes() {
     assert_eq!(summary, text_summary(&samples, None));
     let at = SimTime::from_micros(27);
     assert_eq!(
-        flight::render("tick", at, &[], &log.expanded().events),
-        flight::render("tick", at, &[], &samples.expanded().events)
+        flight::render("tick", at, &[], &log.expanded()),
+        flight::render("tick", at, &[], &samples.expanded())
     );
     let dump = flight::render(
         "every-variant",
         SimTime::from_micros(27),
         &[("jobs_inflight", 2)],
-        &log.events,
+        &log,
     );
     flight::validate_dump(&dump).expect("dump parses");
     assert_eq!(
