@@ -75,7 +75,6 @@ fn owned(log: &TraceLog) -> Vec<Owned> {
 fn width((e, words): &Owned) -> u64 {
     match e.event {
         TraceEvent::NotifRun { .. } => 2 * words.len() as u64,
-        TraceEvent::SmWaveBegin { .. } | TraceEvent::SmWaveEnd { .. } => words.len() as u64,
         ref other => other.expanded_len() as u64,
     }
 }
