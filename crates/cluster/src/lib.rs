@@ -1143,7 +1143,10 @@ mod tests {
     fn crashed_node_recovers_through_a_full_cold_start() {
         use paella_sim::FaultEvent;
         let mut c = cluster(2, RoutingPolicy::Jsq);
-        let m = synthetic::uniform_job("rec", 4, SimDuration::from_micros(150), 64);
+        let m = CompiledModel {
+            weight_bytes: 1_200_000_000,
+            ..synthetic::uniform_job("rec", 4, SimDuration::from_micros(150), 64)
+        };
         let id = c.register_model(&m);
         c.enable_telemetry();
         submit_n(&mut c, id, 24, 100);
@@ -1160,6 +1163,16 @@ mod tests {
                 },
             ],
         });
+        c.advance_until(SimTime::from_micros(700));
+        // 1.2 GB of weights over the T4's 12 GB/s PCIe is 100 ms, and that
+        // is the whole cold start.
+        assert_eq!(
+            c.node_state(1),
+            NodeState::ColdStarting {
+                ready_at: SimTime::from_micros(100_700)
+            },
+            "recovery reloads the weights over PCIe"
+        );
         c.run_to_idle();
         let done = c.drain_completions();
         let failed = c.drain_failures();
@@ -1175,6 +1188,46 @@ mod tests {
         assert_eq!(snap.counter("node_crashes"), 1);
         assert_eq!(snap.counter("node_recoveries"), 1);
         assert_eq!(snap.counter("accounting_underflow"), 0);
+    }
+
+    #[test]
+    fn sole_replica_refuses_while_crashed_and_serves_while_cold_starting() {
+        use paella_sim::FaultEvent;
+        let mut c = cluster(1, RoutingPolicy::RoundRobin);
+        let m = CompiledModel {
+            weight_bytes: 1_200_000_000,
+            ..synthetic::uniform_job("cold", 4, SimDuration::from_micros(150), 64)
+        };
+        let id = c.register_model(&m);
+        // Crashed from 100 to 200 us, then cold-starting until 100.2 ms.
+        c.inject(&FaultPlan {
+            kernel_fault_rate: 0.0,
+            events: vec![
+                FaultEvent {
+                    at: SimTime::from_micros(100),
+                    kind: FaultKind::NodeCrash(0),
+                },
+                FaultEvent {
+                    at: SimTime::from_micros(200),
+                    kind: FaultKind::NodeRecover(0),
+                },
+            ],
+        });
+        for us in [150, 1_000] {
+            c.submit(InferenceRequest {
+                client: ClientId(0),
+                model: id,
+                submitted_at: SimTime::from_micros(us),
+            });
+        }
+        c.run_to_idle();
+        let failed = c.drain_failures();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(failed[0].reason, FailureReason::NodeCrash);
+        assert_eq!(failed[0].request.submitted_at, SimTime::from_micros(150));
+        let done = c.drain_completions();
+        assert_eq!(done.len(), 1, "a cold-starting replica still takes work");
+        assert_eq!(done[0].request.submitted_at, SimTime::from_micros(1_000));
     }
 
     #[test]
