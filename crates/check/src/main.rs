@@ -4,8 +4,9 @@
 //! paella-check [all|analyze|selftest|model|mutate] [--root <workspace-root>]
 //! ```
 //!
-//! * `analyze`  — run the source rules (R1–R9) over `crates/*/src` and the
-//!   doc rules (R10 paths, R11 items) over the prose docs.
+//! * `analyze`  — run the rules R1–R11: the source rules (R1–R9) over
+//!   `crates/*/src` and the doc rules (R10 paths, R11 items) over the prose
+//!   docs.
 //! * `selftest` — graft every analyzer mutant into the real sources and
 //!   require its rule to fire (the analyzer's own mutation test).
 //! * `model`    — exhaustively model-check the clean channel models.

@@ -7,10 +7,10 @@
 //! remote inference uses. A [`ClusterRouter`] balances requests across each
 //! model's replica set — round-robin, JSQ, power-of-two-choices, or the
 //! Paella-native least-remaining-work policy fed by every node's SRPT load
-//! signal — a [`PlacementManager`] pins models to replica sets under a
-//! per-node memory budget, and an optional [`Autoscaler`] grows and drains
-//! the fleet on sustained backlog, paying a modelled cold-start (weights
-//! over PCIe) for every node it adds.
+//! signal — and a [`PlacementManager`] pins models to replica sets under a
+//! per-node memory budget. The fleet is fixed at construction; a node that
+//! crashes and recovers pays a modelled cold start (its weights over PCIe)
+//! before it is online again.
 //!
 //! [`MigServing`] is the same idea one level down (§8): static MIG
 //! partitions of one device, each behind its own dispatcher. A cluster node
@@ -26,13 +26,11 @@
 
 #![warn(missing_docs)]
 
-pub mod autoscaler;
 mod host;
 pub mod mig;
 pub mod placement;
 pub mod router;
 
-pub use autoscaler::{AutoscaleConfig, Autoscaler, ScaleDecision};
 pub use mig::{partition_device, MigServing};
 pub use placement::PlacementManager;
 pub use router::{ClusterRouter, NodeLoad, RoutingPolicy};
@@ -61,8 +59,6 @@ use host::Host;
 pub struct ClusterConfig {
     /// Balancing policy.
     pub policy: RoutingPolicy,
-    /// Autoscaling; `None` pins the fleet at its initial size.
-    pub autoscale: Option<AutoscaleConfig>,
     /// Configuration for every node's dispatcher (deadlines, shedding, and
     /// retry knobs included — DESIGN §11).
     pub dispatcher: DispatcherConfig,
@@ -74,12 +70,11 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Defaults with the given policy: no autoscaling, the Paella
-    /// dispatcher on every node, and up to 3 crash re-routes per request.
+    /// Defaults with the given policy: the Paella dispatcher on every node
+    /// and up to 3 crash re-routes per request.
     pub fn with_policy(policy: RoutingPolicy) -> Self {
         ClusterConfig {
             policy,
-            autoscale: None,
             dispatcher: DispatcherConfig::paella(),
             crash_retries: 3,
             seed: 0,
@@ -88,30 +83,26 @@ impl ClusterConfig {
 }
 
 /// Node lifecycle. Requests route only to `Online` nodes (with a fallback
-/// to warming/draining replicas if a model has no online replica at all).
+/// to cold-starting replicas if a model has no online replica at all).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum NodeState {
-    /// Activating and loading weights; becomes `Online` at the stored time.
+    /// Reloading its weights after a crash; becomes `Online` at the stored
+    /// time.
     ColdStarting {
         /// When the node finishes warming.
         ready_at: SimTime,
     },
     /// Serving.
     Online,
-    /// Excluded from routing; finishing its outstanding requests.
-    Draining,
-    /// Drained; retains its (warm) weights and can be reactivated cheaply.
-    Offline,
+    /// Crashed by fault injection: its device memory is gone, and it takes
+    /// no request until a recovery event starts a cold start.
+    Crashed,
 }
 
 struct Node {
     /// The node's dispatcher and the table of models replicated here.
     host: Host,
     state: NodeState,
-    /// Crashed by fault injection: `Offline` but *not* reactivatable until a
-    /// recovery event lands (a crash drops the node's device memory, so even
-    /// the autoscaler must treat it as gone, not warm).
-    crashed: bool,
     /// Requests crossing the router→node link, with the work estimate the
     /// router charged them (`(request-with-public-id, estimate)`).
     ingress: EventQueue<(InferenceRequest, SimDuration)>,
@@ -128,7 +119,6 @@ impl Node {
         Node {
             host: Host::new(dispatcher),
             state: NodeState::Online,
-            crashed: false,
             ingress: EventQueue::new(),
             in_network: 0,
             in_network_work: SimDuration::ZERO,
@@ -162,10 +152,8 @@ enum FrontEv {
     /// across re-routes so deadlines and reported latency stay anchored to
     /// when the client actually called predict.
     Reroute(InferenceRequest),
-    /// A cold-starting node finished warming.
+    /// A cold-starting node finished warming, at the event's instant.
     NodeReady(usize),
-    /// Periodic autoscaler evaluation.
-    ScaleTick,
     /// An injected fault fires (node crash/recovery, client disconnect).
     Fault(FaultKind),
 }
@@ -201,10 +189,7 @@ pub struct Cluster {
     models: Vec<ClusterModel>,
     placement: PlacementManager,
     router: ClusterRouter,
-    autoscaler: Option<Autoscaler>,
     frontend: EventQueue<FrontEv>,
-    /// Whether a ScaleTick is already scheduled (one in flight at a time).
-    tick_scheduled: bool,
     /// Crash re-routes consumed per request, keyed by
     /// `(client, public model, original submitted_at ns)`.
     reroutes: BTreeMap<(u32, u32, u64), u32>,
@@ -212,8 +197,6 @@ pub struct Cluster {
     /// series, the failure ledger), its outboxes — results carry public ids
     /// and original submission times — and the accounting debit.
     core: EngineCore,
-    scale_ups: u64,
-    scale_downs: u64,
 }
 
 impl Cluster {
@@ -230,22 +213,13 @@ impl Cluster {
             device,
             placement: PlacementManager::new(nodes),
             router: ClusterRouter::new(cfg.policy, router_seed),
-            autoscaler: cfg.autoscale.map(Autoscaler::new),
             cfg,
             nodes: node_vec,
             models: Vec::new(),
             frontend: EventQueue::new(),
-            tick_scheduled: false,
             reroutes: BTreeMap::new(),
             core: EngineCore::default(),
-            scale_ups: 0,
-            scale_downs: 0,
         }
-    }
-
-    /// Total nodes (any state).
-    pub fn nodes_total(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Nodes currently serving.
@@ -266,33 +240,6 @@ impl Cluster {
         &self.models[model.0 as usize].replicas
     }
 
-    /// `(scale-ups, scale-downs)` performed so far.
-    pub fn scale_events(&self) -> (u64, u64) {
-        (self.scale_ups, self.scale_downs)
-    }
-
-    /// Cold-start cost of a node holding `weight_bytes` of models: fixed
-    /// activation plus the weights over one PCIe copy engine.
-    fn cold_start_cost(&self, weight_bytes: u64) -> SimDuration {
-        let activation = self
-            .cfg
-            .autoscale
-            .map_or(SimDuration::ZERO, |a| a.activation);
-        let copy_us = weight_bytes as f64 / self.device.pcie_bytes_per_sec * 1e6;
-        activation + SimDuration::from_micros_f64(copy_us)
-    }
-
-    fn schedule_tick_after(&mut self, t: SimTime) {
-        if self.autoscaler.is_none() || self.tick_scheduled {
-            return;
-        }
-        // invariant: autoscaler.is_none() was just checked above.
-        let interval = self.autoscaler.as_ref().expect("checked").config().interval;
-        self.frontend
-            .schedule_at(t.max(self.frontend.now()) + interval, FrontEv::ScaleTick);
-        self.tick_scheduled = true;
-    }
-
     /// Requests anywhere in the cluster (in-network, queued, in-flight).
     fn total_outstanding(&self) -> u64 {
         self.nodes.iter().map(|n| n.outstanding).sum()
@@ -300,33 +247,26 @@ impl Cluster {
 
     // -- event handlers -----------------------------------------------------
 
-    /// The routable replica subset of a model: online members first, then
-    /// warming/draining members (the request waits in the node's
-    /// ingress/queue rather than being dropped), then warm-offline members.
-    /// Crashed nodes never qualify — routing to one would lose the request
-    /// again. Empty means every replica is currently crashed.
+    /// The routable replica subset of a model: its online members, else its
+    /// cold-starting ones. A cold-starting node's dispatcher is not told it
+    /// is cold, so it serves a request as soon as the request lands, even
+    /// before `ready_at`. Crashed nodes never qualify — routing to one would
+    /// lose the request again. Empty means every replica is currently
+    /// crashed.
     fn route_candidates(&self, public: usize) -> Vec<usize> {
         let all = &self.models[public].replicas;
-        let mut candidates: Vec<usize> = all
+        let online: Vec<usize> = all
             .iter()
             .copied()
             .filter(|&i| self.nodes[i].state == NodeState::Online)
             .collect();
-        if candidates.is_empty() {
-            candidates = all
-                .iter()
-                .copied()
-                .filter(|&i| self.nodes[i].state != NodeState::Offline)
-                .collect();
+        if !online.is_empty() {
+            return online;
         }
-        if candidates.is_empty() {
-            candidates = all
-                .iter()
-                .copied()
-                .filter(|&i| !self.nodes[i].crashed)
-                .collect();
-        }
-        candidates
+        all.iter()
+            .copied()
+            .filter(|&i| !self.node_crashed(i))
+            .collect()
     }
 
     /// Routes a request (public ids) to one node and puts it on the wire.
@@ -411,7 +351,8 @@ impl Cluster {
         // router tier's flight ring and fixed-order cluster state into a
         // post-mortem dump (DESIGN §12).
         if reason == FailureReason::NodeCrash {
-            let crashed = self.nodes.iter().filter(|n| n.crashed).count() as u64;
+            let crashed = self.nodes.iter().filter(|n| n.state == NodeState::Crashed);
+            let crashed = crashed.count() as u64;
             let state = [
                 ("frontend_queued", self.frontend.len() as u64),
                 ("nodes_online", self.nodes_online() as u64),
@@ -457,18 +398,16 @@ impl Cluster {
     /// A node crash: results already produced survive, everything else on
     /// the node — queued ingress, queued jobs, in-flight kernels — is lost
     /// and re-enters routing under the per-request crash budget. The node
-    /// goes `Offline` with `crashed` set, so neither the router nor the
-    /// autoscaler touches it until a recovery event lands.
+    /// goes `Crashed`, so the router skips it until a recovery event lands.
     fn on_node_crash(&mut self, at: SimTime, i: usize) {
-        if i >= self.nodes.len() || self.nodes[i].crashed {
+        if i >= self.nodes.len() || self.node_crashed(i) {
             return;
         }
         self.core
             .trace(at, || TraceEvent::NodeCrash { node: i as u32 });
         self.core.inc("node_crashes", 1);
         self.collect_completions(i);
-        self.nodes[i].crashed = true;
-        self.nodes[i].state = NodeState::Offline;
+        self.nodes[i].state = NodeState::Crashed;
         self.nodes[i]
             .host
             .dispatcher
@@ -499,17 +438,16 @@ impl Cluster {
         }
     }
 
-    /// Recovery from a crash pays a *full* cold start — activation plus all
-    /// replicated weights back over PCIe — because the crash dropped the
-    /// node's device memory (unlike a drained node, which stays warm).
+    /// Recovery from a crash pays a full cold start — every replicated
+    /// model's weights back over one PCIe copy engine — because the crash
+    /// dropped the node's device memory.
     fn on_node_recover(&mut self, at: SimTime, i: usize) {
-        if i >= self.nodes.len() || !self.nodes[i].crashed {
+        if i >= self.nodes.len() || !self.node_crashed(i) {
             return;
         }
         self.core
             .trace(at, || TraceEvent::NodeRecover { node: i as u32 });
         self.core.inc("node_recoveries", 1);
-        self.nodes[i].crashed = false;
         let weight: u64 = self
             .models
             .iter()
@@ -517,7 +455,8 @@ impl Cluster {
             .filter(|&(p, _)| self.nodes[i].host.local(ModelId(p as u32)).is_some())
             .map(|(_, m)| m.model.weight_bytes)
             .sum();
-        let ready_at = at + self.cold_start_cost(weight);
+        let copy_us = weight as f64 / self.device.pcie_bytes_per_sec * 1e6;
+        let ready_at = at + SimDuration::from_micros_f64(copy_us);
         self.nodes[i].state = NodeState::ColdStarting { ready_at };
         self.frontend.schedule_at(ready_at, FrontEv::NodeReady(i));
     }
@@ -533,93 +472,12 @@ impl Cluster {
         }
     }
 
-    fn on_node_ready(&mut self, node: usize) {
-        if matches!(self.nodes[node].state, NodeState::ColdStarting { .. }) {
-            self.nodes[node].state = NodeState::Online;
-        }
-    }
-
-    fn on_scale_tick(&mut self, at: SimTime) {
-        self.tick_scheduled = false;
-        let outstanding = self.total_outstanding();
-        let online = self.nodes_online();
-        let active = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n.state, NodeState::Online | NodeState::ColdStarting { .. }))
-            .count();
-        let decision = match self.autoscaler.as_mut() {
-            Some(a) => a.observe(at, outstanding, online, active),
-            None => ScaleDecision::Hold,
-        };
-        match decision {
-            ScaleDecision::Up => self.scale_up(at),
-            ScaleDecision::Down => self.drain_one(),
-            ScaleDecision::Hold => {}
-        }
-        // Keep ticking while there is anything to watch — outstanding work,
-        // pending arrivals, or an over-provisioned fleet that still needs to
-        // drain down to `min_nodes`. Going quiet once all three clear is
-        // what lets `run_to_idle` terminate.
-        let min_nodes = self.autoscaler.as_ref().map_or(0, |a| a.config().min_nodes);
-        if outstanding > 0 || !self.frontend.is_empty() || self.nodes_online() > min_nodes {
-            self.schedule_tick_after(at);
-        }
-    }
-
-    fn scale_up(&mut self, at: SimTime) {
-        self.scale_ups += 1;
-        self.core.inc("scale_ups", 1);
-        // Prefer re-activating a warm offline node: weights are resident,
-        // only the activation delay applies. Crashed nodes are *not* warm —
-        // the crash dropped their device memory — so they are skipped until
-        // a recovery event brings them back.
-        if let Some(i) = self
-            .nodes
-            .iter()
-            .position(|n| n.state == NodeState::Offline && !n.crashed)
-        {
-            let ready_at = at + self.cold_start_cost(0);
-            self.nodes[i].state = NodeState::ColdStarting { ready_at };
-            self.frontend.schedule_at(ready_at, FrontEv::NodeReady(i));
-            return;
-        }
-        // Fresh node: register every model that fits (public-id order) and
-        // pay for its weights over PCIe.
-        let i = self.placement.add_node();
-        let mut node = Node::new(make_dispatcher(&self.device, &self.cfg, i as u64));
-        let compiled: Vec<CompiledModel> = self.models.iter().map(|m| m.model.clone()).collect();
-        let placed = self.placement.fill_node(i, &compiled);
-        let mut weight = 0u64;
-        for idx in placed {
-            node.host.register(ModelId(idx as u32), &compiled[idx]);
-            weight += compiled[idx].weight_bytes;
-            self.models[idx].replicas.push(i);
-        }
-        let ready_at = at + self.cold_start_cost(weight);
-        node.state = NodeState::ColdStarting { ready_at };
-        self.nodes.push(node);
-        self.frontend.schedule_at(ready_at, FrontEv::NodeReady(i));
-    }
-
-    fn drain_one(&mut self) {
-        // Drain the least-loaded online node, highest index on ties, so the
-        // fleet shrinks from the most recently added capacity.
-        let victim = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.state == NodeState::Online)
-            .min_by_key(|(i, n)| (n.outstanding, usize::MAX - i))
-            .map(|(i, _)| i);
-        if let Some(i) = victim {
-            self.scale_downs += 1;
-            self.core.inc("scale_downs", 1);
-            self.nodes[i].state = if self.nodes[i].outstanding == 0 {
-                NodeState::Offline
-            } else {
-                NodeState::Draining
-            };
+    /// Node `i`'s cold start due `at` finished. A crash since then made
+    /// the event stale: the node is crashed, or cold-starting toward a later
+    /// instant, and stays so.
+    fn on_node_ready(&mut self, at: SimTime, i: usize) {
+        if self.nodes[i].state == (NodeState::ColdStarting { ready_at: at }) {
+            self.nodes[i].state = NodeState::Online;
         }
     }
 
@@ -641,15 +499,10 @@ impl Cluster {
         (public, ingress)
     }
 
-    /// Node `i` answered `n` of the requests routed to it; a draining node
-    /// that answered its last goes offline.
+    /// Node `i` answered `n` of the requests routed to it.
     fn settle(&mut self, i: usize, n: u64) {
-        let node = &mut self.nodes[i];
         self.core
-            .debit(&mut node.outstanding, n, "node outstanding");
-        if node.state == NodeState::Draining && node.outstanding == 0 {
-            node.state = NodeState::Offline;
-        }
+            .debit(&mut self.nodes[i].outstanding, n, "node outstanding");
     }
 
     /// Drains completions from node `i`, translating them back to the
@@ -691,17 +544,15 @@ impl Cluster {
         }
     }
 
-    /// Whether node `i` is currently crashed (offline and not warm).
+    /// Whether node `i` is currently crashed.
     pub fn node_crashed(&self, i: usize) -> bool {
-        self.nodes[i].crashed
+        self.nodes[i].state == NodeState::Crashed
     }
 
     /// Arms a deterministic fault plan: the kernel-fault rate reaches every
-    /// node's dispatcher (current and future — future nodes inherit it via
-    /// the stored config) and each timed event is scheduled on the frontend
+    /// node's dispatcher and each timed event is scheduled on the frontend
     /// clock, where it interleaves deterministically with workload events.
     pub fn inject(&mut self, plan: &FaultPlan) {
-        self.cfg.dispatcher.kernel_fault_rate = plan.kernel_fault_rate;
         for n in &mut self.nodes {
             n.host
                 .dispatcher
@@ -750,7 +601,6 @@ impl ServingSystem for Cluster {
         let input = self.models[req.model.0 as usize].model.input_bytes;
         let arrive = (req.submitted_at + RpcNetModel::transfer(input)).max(self.frontend.now());
         self.frontend.schedule_at(arrive, FrontEv::Arrive(req));
-        self.schedule_tick_after(arrive);
     }
 
     fn next_event_time(&mut self) -> Option<SimTime> {
@@ -793,8 +643,7 @@ impl ServingSystem for Cluster {
                 match ev {
                     FrontEv::Arrive(req) => self.on_arrive(at, req),
                     FrontEv::Reroute(req) => self.on_reroute(at, req),
-                    FrontEv::NodeReady(i) => self.on_node_ready(i),
-                    FrontEv::ScaleTick => self.on_scale_tick(at),
+                    FrontEv::NodeReady(i) => self.on_node_ready(at, i),
                     FrontEv::Fault(kind) => self.on_fault(at, kind),
                 }
             } else if let Some((_, i)) = ti.filter(|&(a, _)| a == next) {
@@ -1023,39 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn autoscaler_grows_on_sustained_backlog_and_drains_after() {
-        let mut c = Cluster::new(
-            DeviceConfig::tesla_t4(),
-            1,
-            ClusterConfig {
-                seed: 5,
-                autoscale: Some(AutoscaleConfig {
-                    min_nodes: 1,
-                    max_nodes: 3,
-                    high_watermark: 6.0,
-                    low_watermark: 1.0,
-                    sustain: SimDuration::from_micros(400),
-                    interval: SimDuration::from_micros(200),
-                    activation: SimDuration::from_micros(300),
-                }),
-                ..ClusterConfig::with_policy(RoutingPolicy::Jsq)
-            },
-        );
-        let m = synthetic::uniform_job("as", 8, SimDuration::from_micros(300), 128);
-        let id = c.register_model(&m);
-        // A heavy burst, then silence: the cluster must grow, then shrink.
-        submit_n(&mut c, id, 120, 10);
-        c.run_to_idle();
-        let done = c.drain_completions();
-        assert_eq!(done.len(), 120, "scaling must not lose requests");
-        let (ups, downs) = c.scale_events();
-        assert!(ups >= 1, "sustained backlog must add capacity");
-        assert!(downs >= 1, "idle fleet must drain back");
-        assert!(c.nodes_total() > 1, "a node was added");
-        assert_eq!(c.nodes_online(), 1, "drained back to min_nodes");
-    }
-
-    #[test]
     fn node_crash_reroutes_to_surviving_replica() {
         use paella_sim::FaultEvent;
         let mut c = cluster(2, RoutingPolicy::Jsq);
@@ -1080,7 +896,7 @@ mod tests {
             "a surviving replica absorbs everything: {failed:?}"
         );
         assert!(c.node_crashed(0));
-        assert_eq!(c.node_state(0), NodeState::Offline);
+        assert_eq!(c.node_state(0), NodeState::Crashed);
         let snap = c.metrics_snapshot().expect("metrics enabled");
         assert_eq!(snap.counter("node_crashes"), 1);
         assert!(
@@ -1188,6 +1004,44 @@ mod tests {
         assert_eq!(snap.counter("node_crashes"), 1);
         assert_eq!(snap.counter("node_recoveries"), 1);
         assert_eq!(snap.counter("accounting_underflow"), 0);
+    }
+
+    #[test]
+    fn a_stale_ready_event_leaves_a_later_cold_start_running() {
+        use paella_sim::FaultEvent;
+        let mut c = cluster(2, RoutingPolicy::Jsq);
+        let m = CompiledModel {
+            weight_bytes: 1_200_000_000,
+            ..synthetic::uniform_job("stale", 4, SimDuration::from_micros(150), 64)
+        };
+        c.register_model(&m);
+        // Two crash/recover cycles on node 1; the first cold start's ready
+        // event (100.2 ms) fires inside the second (ready at 100.4 ms).
+        let events = [(100, true), (200, false), (300, true), (400, false)]
+            .map(|(us, crash)| FaultEvent {
+                at: SimTime::from_micros(us),
+                kind: if crash {
+                    FaultKind::NodeCrash(1)
+                } else {
+                    FaultKind::NodeRecover(1)
+                },
+            })
+            .to_vec();
+        c.inject(&FaultPlan {
+            kernel_fault_rate: 0.0,
+            events,
+        });
+        let second = NodeState::ColdStarting {
+            ready_at: SimTime::from_micros(100_400),
+        };
+        c.advance_until(SimTime::from_micros(100_300));
+        assert_eq!(
+            c.node_state(1),
+            second,
+            "the first cold start's event is stale"
+        );
+        c.advance_until(SimTime::from_micros(100_400));
+        assert_eq!(c.node_state(1), NodeState::Online);
     }
 
     #[test]

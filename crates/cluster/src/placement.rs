@@ -26,17 +26,6 @@ impl PlacementManager {
         }
     }
 
-    /// Weight bytes charged to `node`.
-    pub fn used(&self, node: usize) -> u64 {
-        self.used[node]
-    }
-
-    /// Registers one more (empty) node and returns its index.
-    pub fn add_node(&mut self) -> usize {
-        self.used.push(0);
-        self.used.len() - 1
-    }
-
     /// Picks the replica set for `model`: up to `REPLICATION` nodes with
     /// room, most-free-memory first (ties to the lower index), and charges
     /// the weight bytes against each. The returned indices are sorted.
@@ -66,20 +55,6 @@ impl PlacementManager {
             self.used[i] += weight;
         }
         fits
-    }
-
-    /// Greedily charges `node` for every model in `models` (public-id
-    /// order) that still fits, returning the indices of the models placed.
-    /// Used when the autoscaler brings up a fresh node.
-    pub fn fill_node(&mut self, node: usize, models: &[CompiledModel]) -> Vec<usize> {
-        let mut placed = Vec::new();
-        for (idx, m) in models.iter().enumerate() {
-            if self.used[node] + m.weight_bytes <= MEM_BUDGET_BYTES {
-                self.used[node] += m.weight_bytes;
-                placed.push(idx);
-            }
-        }
-        placed
     }
 }
 
@@ -127,15 +102,5 @@ mod tests {
     fn unplaceable_model_rejected() {
         let mut p = PlacementManager::new(2);
         p.place(&weighted("huge", 101));
-    }
-
-    #[test]
-    fn fill_node_respects_budget() {
-        let mut p = PlacementManager::new(1);
-        let n = p.add_node();
-        let models = vec![weighted("a", 70), weighted("b", 50), weighted("c", 20)];
-        // 70 fits, 50 no longer does, 20 still does.
-        assert_eq!(p.fill_node(n, &models), vec![0, 2]);
-        assert_eq!(p.used(n), 90 * PCT);
     }
 }

@@ -70,7 +70,7 @@ pub trait ServingSystem {
         Vec::new()
     }
 
-    /// Current load as seen by layers above (routers, autoscalers).
+    /// Current load as seen by layers above (routers, wrapping tiers).
     /// Systems that don't track load return the zero signal.
     fn load_signal(&self) -> LoadSignal {
         LoadSignal::default()

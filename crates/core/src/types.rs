@@ -72,7 +72,7 @@ impl From<&JobJourney> for LatencyBreakdown {
 }
 
 /// A point-in-time load summary a serving system exports to layers above it
-/// (a cluster router, an autoscaler). The `remaining_work` field is the
+/// (a cluster router, a wrapping tier). The `remaining_work` field is the
 /// dispatcher's SRPT signal — the profiled estimated-remaining-time summed
 /// over everything it has accepted — which is exactly the quantity Paella's
 /// scheduler already maintains per job.
