@@ -800,6 +800,61 @@ fn notification_path_golden_digests() {
     );
 }
 
+/// FNV-1a over bytes.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the trace of a system whose taken log is built from other taken
+/// logs: a 2-node cluster (the router's log, then each node's host + device
+/// log) and a 2-partition MIG facade (each partition's host + device log),
+/// each under a small fixed-seed burst with telemetry on. Both the word-level
+/// view and the Chrome export are pinned, so how the sources are put
+/// together may change only if neither moves.
+#[test]
+fn nested_trace_golden_digests() {
+    use paella_cluster::{Cluster, ClusterConfig, MigServing, RoutingPolicy};
+    use paella_core::{DispatcherConfig, Scheduler, SrptDeficitScheduler};
+    let mut zoo = ModelZoo::new(device());
+    let models = [zoo.get("resnet18").clone(), googlenet_4_streams()];
+    let run = |sys: &mut dyn ServingSystem| {
+        sys.enable_telemetry();
+        let ids: Vec<_> = models.iter().map(|m| sys.register_model(m)).collect();
+        let spec = WorkloadSpec {
+            clients: 4,
+            ..WorkloadSpec::bursty(800.0, 24)
+        };
+        golden_digest(sys, &generate(&spec, &Mix::uniform(&ids)));
+        let log = sys.take_trace_log().expect("telemetry is on");
+        let chrome = paella_telemetry::chrome_trace_json(&log);
+        (trace_digest(&log.expanded()), fnv(chrome.as_bytes()))
+    };
+    let cluster = run(&mut Cluster::new(
+        device(),
+        2,
+        ClusterConfig {
+            seed: 17,
+            ..ClusterConfig::with_policy(RoutingPolicy::LeastRemainingWork)
+        },
+    ));
+    let srpt = || -> Box<dyn Scheduler> {
+        Box::new(SrptDeficitScheduler::new(Some(SystemKey::DEFAULT_FAIRNESS)))
+    };
+    let cfg = DispatcherConfig::paella();
+    let mig = run(&mut MigServing::new(&device(), &[20, 20], cfg, srpt, 17));
+    assert_eq!(
+        [cluster, mig],
+        [
+            ((0xc6d0_f6b8_aa62_0e9e, 814_167), 0x691d_2915_bc0e_4c34),
+            ((0x7f76_d87f_cdc1_6e34, 1_199_318), 0x3c63_fded_f52c_0e9c),
+        ],
+        "((word-level digest, events), Chrome JSON FNV) of: a 2-node cluster, \
+         MigServing over two 20-SM partitions"
+    );
+}
+
 // -- engine-output golden ---------------------------------------------------
 
 #[path = "common/contended.rs"]
