@@ -1,5 +1,5 @@
 //! Telemetry's own cost: the dispatcher's zoo burst served with telemetry on,
-//! then its merged host + device trace taken — recording and the merge —
+//! then its host + device trace taken, concatenated — recording and the take —
 //! beside the same burst with telemetry off.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};

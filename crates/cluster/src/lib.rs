@@ -697,7 +697,7 @@ impl ServingSystem for Cluster {
         }
     }
 
-    /// The router's trace merged with every node's host+device trace.
+    /// The router's trace, then every node's host+device trace, concatenated.
     fn take_trace_log(&mut self) -> Option<TraceLog> {
         if !self.core.tracer.is_enabled() {
             return None;
@@ -706,7 +706,7 @@ impl ServingSystem for Cluster {
         for n in &mut self.nodes {
             sources.extend(n.host.dispatcher.take_trace_log());
         }
-        Some(TraceLog::merged(sources))
+        Some(TraceLog::concat(sources))
     }
 
     /// The cluster-level registry (routing counters, per-node depth series).

@@ -253,14 +253,14 @@ impl ServingSystem for MigServing {
         }
     }
 
-    /// Every partition's host + device trace, merged in partition order.
+    /// Every partition's host + device trace, concatenated in partition order.
     fn take_trace_log(&mut self) -> Option<TraceLog> {
         let logs: Vec<TraceLog> = self
             .partitions
             .iter_mut()
             .filter_map(|h| h.dispatcher.take_trace_log())
             .collect();
-        (!logs.is_empty()).then(|| TraceLog::merged(logs))
+        (!logs.is_empty()).then(|| TraceLog::concat(logs))
     }
 
     /// The facade-level registry: completions returned and the failure

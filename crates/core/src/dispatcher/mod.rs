@@ -188,12 +188,12 @@ impl ServingSystem for Dispatcher {
         self.gpu.set_tracer(paella_telemetry::Tracer::enabled());
     }
 
-    /// Takes the merged host + device trace recorded so far. Merge order is
-    /// fixed — dispatcher events sort before device events at equal
-    /// timestamps — so output is deterministic.
+    /// Takes the host + device trace recorded so far, concatenated in that
+    /// order: in the word-level view dispatcher events sort before device
+    /// events at equal timestamps, so output is deterministic.
     fn take_trace_log(&mut self) -> Option<TraceLog> {
         (self.core.tracer.is_enabled())
-            .then(|| TraceLog::merged(vec![self.core.tracer.take(), self.gpu.take_trace_log()]))
+            .then(|| TraceLog::concat(vec![self.core.tracer.take(), self.gpu.take_trace_log()]))
     }
 
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {

@@ -264,13 +264,6 @@ impl WordRange {
     pub(crate) fn rebased(self, base: usize) -> Self {
         WordRange::new(self.from as usize + base, self.end() + base)
     }
-
-    /// Cuts the range before its `at`-th entry, returning the rest.
-    pub(crate) fn split_off(&mut self, at: usize) -> Self {
-        let tail = WordRange::new(self.from as usize + at, self.end());
-        self.len = at as u32;
-        tail
-    }
 }
 
 /// One virtual-time-stamped observation. The timestamp lives in the

@@ -303,7 +303,7 @@ fn flow(ph: &str, job: u64, (pid, tid): Track, at_ns: u64) -> String {
 /// Renders the log as Chrome-trace JSON (array-of-events form).
 pub fn chrome_trace_json(log: &TraceLog) -> String {
     let log = &log.expanded();
-    // Stable global order, independent of how sources were merged: by
+    // Stable global order, independent of how sources were concatenated: by
     // instant, then position in the log.
     let mut events: Vec<(usize, &TracedEvent)> = log.events.iter().enumerate().collect();
     events.sort_by_key(|&(pos, e)| (e.at, pos));

@@ -98,66 +98,27 @@ impl TracedEvent {
             plain => push(self.at, plain.clone()),
         }
     }
-
-    /// Cuts a run before its first word whose key is not below `bound`,
-    /// returning the cut-off words as an event of their own, at their own
-    /// first instant; both pieces keep their words where they are in the
-    /// pool. A word's key is its instant and `pos`, the event's position
-    /// among those being merged. `None` when every word sorts below `bound`;
-    /// always so for events of one instant.
-    fn split_before(&mut self, pos: u32, bound: (SimTime, u32)) -> Option<TracedEvent> {
-        let TraceEvent::NotifRun {
-            kernel,
-            start,
-            core,
-            placement,
-            range,
-        } = &mut self.event
-        else {
-            return None;
-        };
-        let (first, cost) = (*start, self.at - *start);
-        let done = |word: usize| first + cost * (word as u64 + 1);
-        if (done(range.len().saturating_sub(1)), pos) < bound {
-            return None;
-        }
-        let keep = (1..range.len()).find(|&word| (done(word), pos) >= bound)?;
-        let event = TraceEvent::NotifRun {
-            kernel: *kernel,
-            start: done(keep - 1),
-            core: *core,
-            placement: *placement,
-            range: range.split_off(keep),
-        };
-        Some(TracedEvent {
-            at: done(keep),
-            event,
-        })
-    }
 }
 
-/// What [`TraceLog::merged`] leaves where it took an event and has not yet
-/// written one.
-const HOLE: TracedEvent = TracedEvent {
-    at: SimTime::ZERO,
-    event: TraceEvent::KernelCompleted { kernel: 0 },
-};
-
-/// An ordered batch of recorded events.
+/// A batch of recorded events.
 #[derive(Clone, Default, Debug)]
 pub struct TraceLog {
-    /// Events in `(at, source, seq)` order.
+    /// Events in recording order; in a [`concat`](Self::concat)enation,
+    /// each source's in turn.
     pub events: Vec<TracedEvent>,
     /// The sequence number of the first event: how many word-level events
-    /// its tracer recorded before this log's window opened; 0 for a merged
-    /// log. Each later event's is the one before it plus that event's
-    /// [`expanded_len`](TraceEvent::expanded_len) (see
+    /// its tracer recorded before this log's window opened; 0 for a
+    /// concatenation. Each later event's is the one before it plus that
+    /// event's [`expanded_len`](TraceEvent::expanded_len) (see
     /// [`numbered`](Self::numbered)).
     pub first_seq: u64,
     /// The word pool: the `(sm, blocks)` entries of every run's words and
     /// every wave's groups, which those events hold ranges into. A wave's
     /// begin and end may hold the same range.
     words: Vec<(u8, u16)>,
+    /// Whether the log is a concatenation, whose word-level view is sorted
+    /// on instant.
+    concatenated: bool,
 }
 
 /// A log of events that hold no words, as [`TraceLog::expanded`] and the
@@ -167,58 +128,21 @@ impl From<Vec<TracedEvent>> for TraceLog {
         debug_assert!(events.iter().all(|e| e.event.range().is_none()));
         TraceLog {
             events,
-            first_seq: 0,
-            words: Vec::new(),
-        }
-    }
-}
-
-/// Reorders `events` in place so that `events[k]` becomes what was at
-/// `events[from[k]]`; `from` must be a permutation of the positions. Each
-/// cycle of the permutation is walked once, by swaps, and a bitset marks
-/// the positions already written.
-fn permute(events: &mut [TracedEvent], from: &[u32]) {
-    debug_assert_eq!(events.len(), from.len());
-    let mut done = vec![0u64; from.len().div_ceil(64)];
-    for start in 0..from.len() {
-        let mut k = start;
-        while done[k / 64] & 1 << (k % 64) == 0 {
-            done[k / 64] |= 1 << (k % 64);
-            let src = from[k] as usize;
-            if src == start {
-                break;
-            }
-            events.swap(k, src);
-            k = src;
+            ..TraceLog::default()
         }
     }
 }
 
 impl TraceLog {
-    /// Merges per-component logs into one deterministic timeline. Events are
-    /// ordered by timestamp; ties break first on the position of the source
-    /// log in `sources` (callers must pass sources in a fixed order), then
-    /// on recording order within the source.
-    ///
-    /// Each source must hold its events in recording order, as
-    /// [`Tracer::take`] and `merged` itself produce them.
-    ///
-    /// That order is defined on the word-level events (see
-    /// [`expanded`](Self::expanded)), and merging commutes with expanding:
-    /// `merged(sources).expanded()` is `merged` of the expanded sources. A
-    /// run's words have instants of their own, so an event of another source
-    /// — or of the same one, recorded earlier with a later `at` — can fall
-    /// between two of them; the run is cut there, and each piece is a run.
-    ///
-    /// The merge holds the log once: the sources are moved into the first
-    /// one's buffer, sorted there and merged in place, so it never needs
-    /// more than that buffer plus a quarter (the room cut-off pieces take,
-    /// grown only if they need more). The tie key, each event's position in
-    /// source order, lives in a `u32` array beside the buffer for the length
-    /// of the merge only. The later sources' word pools are appended to the
-    /// first one's, each dropped once it is, and their events' ranges moved
-    /// to match; a cut leaves the words where they are.
-    pub fn merged(sources: Vec<TraceLog>) -> TraceLog {
+    /// Puts per-component logs end to end, numbered from 0: the sources'
+    /// events in the order of `sources` (callers must pass them in a fixed
+    /// order), and the later sources' word pools after the first one's, their
+    /// events' ranges moved to match. Both buffers are shrunk to fit, so no
+    /// tracer's reserved pool rides along. Nothing is sorted here: only
+    /// [`expanded`](Self::expanded) is, stably on instant, so its events come
+    /// in `(at, source, seq)` order, also when a concatenation is a source in
+    /// turn.
+    pub fn concat(sources: Vec<TraceLog>) -> TraceLog {
         let len: usize = sources.iter().map(TraceLog::len).sum();
         let pool: usize = sources.iter().map(|log| log.words.len()).sum();
         let mut sources = sources.into_iter();
@@ -227,7 +151,7 @@ impl TraceLog {
             mut words,
             ..
         } = sources.next().unwrap_or_default();
-        events.reserve_exact(len + len / 4 - events.len());
+        events.reserve_exact(len - events.len());
         words.reserve_exact(pool - words.len());
         for mut log in sources {
             let base = words.len();
@@ -240,67 +164,13 @@ impl TraceLog {
             }
             events.append(&mut log.events);
         }
-        // `pos[i]` is the position in source order of the event at
-        // `events[i]`: with the instant, what words that tie are ordered by.
-        // Sorting the positions stably on `at` sorts on that key.
-        let n = u32::try_from(len).expect("a merged log holds at most u32::MAX events");
-        let mut pos: Vec<u32> = Vec::with_capacity(len + len / 4);
-        pos.extend(0..n);
-        pos.sort_by_key(|&i| events[i as usize].at);
-        permute(&mut events, &pos);
-        // `events` is now ordered by first word. Take events in key order,
-        // each up to the key of what follows it; what that cuts off a run
-        // waits in `cut` with its event's position (latest first — a
-        // handful, one per dispatcher core at most, since a core's runs do
-        // not overlap). The merged events are written over the front of
-        // `events`: `..out` is merged, `next..` still to take, and
-        // `out..next` holes.
-        let key = |(e, pos): (&TracedEvent, u32)| (e.at, pos);
-        let (mut out, mut next) = (0, 0);
-        let mut cut: Vec<(TracedEvent, u32)> = Vec::new();
-        loop {
-            let whole = events.get(next).map(|e| (e, pos[next]));
-            let from_cut = match (cut.last(), whole) {
-                (Some((c, p)), Some(w)) => key((c, *p)) < key(w),
-                (c, _) => c.is_some(),
-            };
-            let Some((mut e, p)) = (if from_cut {
-                cut.pop()
-            } else {
-                (events.get_mut(next)).map(|e| (std::mem::replace(e, HOLE), pos[next]))
-            }) else {
-                break;
-            };
-            next += usize::from(!from_cut);
-            let whole = events.get(next).map(|e| (e, pos[next]));
-            let bound = [cut.last().map(|(c, p)| (c, *p)), whole]
-                .into_iter()
-                .flatten()
-                .map(key)
-                .min();
-            if let Some(tail) = bound.and_then(|bound| e.split_before(p, bound)) {
-                let behind = cut.partition_point(|(c, q)| key((c, *q)) > (tail.at, p));
-                cut.insert(behind, (tail, p));
-            }
-            if out == next {
-                // A piece of a run is one event more than was taken: open
-                // a gap before what is still to take.
-                let room = (events.len() - next) / 8 + 1;
-                events.splice(next..next, std::iter::repeat_n(HOLE, room));
-                pos.splice(next..next, std::iter::repeat_n(0, room));
-                next += room;
-            }
-            events[out] = e;
-            out += 1;
-        }
-        drop(pos);
-        events.truncate(out);
         events.shrink_to_fit();
         words.shrink_to_fit();
         TraceLog {
             events,
             first_seq: 0,
             words,
+            concatenated: true,
         }
     }
 
@@ -321,7 +191,8 @@ impl TraceLog {
     /// [`TraceEvent::SmSpanEnd`] per group of a wave, one
     /// [`HostOpKind::Notif`] host op and one [`TraceEvent::NotifBatch`] per
     /// notification word — each at its own instant and numbered on from the
-    /// run's sequence number. The exporters, the text summary and the
+    /// run's sequence number. A [`concat`](Self::concat)enation's view is
+    /// then sorted stably on instant. The exporters, the text summary and the
     /// flight recorder read this view; journeys, blame, the SLO ledger and
     /// counts by [`kind`](TraceEvent::kind) read the log as recorded.
     pub fn expanded(&self) -> TraceLog {
@@ -329,6 +200,9 @@ impl TraceLog {
         let mut events = Vec::with_capacity(len);
         for e in &self.events {
             e.expand_into(&self.words, &mut events);
+        }
+        if self.concatenated {
+            events.sort_by_key(|e| e.at);
         }
         TraceLog {
             first_seq: self.first_seq,
@@ -565,6 +439,7 @@ impl Tracer {
                     events,
                     first_seq,
                     words: std::mem::take(&mut inner.words),
+                    concatenated: false,
                 }
             }
             None => TraceLog::default(),
@@ -578,6 +453,11 @@ mod tests {
 
     use super::*;
 
+    /// What records a `KernelCompleted` of `kernel`.
+    fn done(kernel: u64) -> impl FnOnce() -> TraceEvent {
+        move || TraceEvent::KernelCompleted { kernel }
+    }
+
     #[test]
     fn disabled_never_runs_closure() {
         let mut t = Tracer::disabled();
@@ -589,12 +469,8 @@ mod tests {
     #[test]
     fn enabled_records_in_order() {
         let mut t = Tracer::enabled();
-        t.record_with(SimTime::from_micros(2), || TraceEvent::KernelCompleted {
-            kernel: 1,
-        });
-        t.record_with(SimTime::from_micros(1), || TraceEvent::KernelCompleted {
-            kernel: 2,
-        });
+        t.record_with(SimTime::from_micros(2), done(1));
+        t.record_with(SimTime::from_micros(1), done(2));
         let log = t.take();
         assert_eq!(log.len(), 2);
         let seqs: Vec<u64> = log.numbered().map(|(seq, _)| seq).collect();
@@ -602,39 +478,35 @@ mod tests {
         assert!(t.is_enabled(), "take leaves recording on");
         // The next window numbers on from the last.
         t.record_tick(SimTime::from_micros(3), [0; 6]);
-        t.record_with(SimTime::from_micros(3), || TraceEvent::KernelCompleted {
-            kernel: 3,
-        });
+        t.record_with(SimTime::from_micros(3), done(3));
         let log = t.take();
         let seqs: Vec<u64> = log.numbered().map(|(seq, _)| seq).collect();
         assert_eq!((log.first_seq, seqs), (2, vec![2, 8]));
     }
 
+    /// The recorded log is the sources end to end; the word-level view is
+    /// ordered by time, then source.
     #[test]
-    fn merged_orders_by_time_then_source() {
-        let mut a = Tracer::enabled();
-        let mut b = Tracer::enabled();
-        a.record_with(SimTime::from_micros(5), || TraceEvent::KernelCompleted {
-            kernel: 10,
-        });
-        b.record_with(SimTime::from_micros(5), || TraceEvent::KernelCompleted {
-            kernel: 20,
-        });
-        b.record_with(SimTime::from_micros(1), || TraceEvent::KernelCompleted {
-            kernel: 21,
-        });
-        let log = TraceLog::merged(vec![a.take(), b.take()]);
-        let kernels: Vec<u64> = log
-            .events
-            .iter()
-            .map(|e| match e.event {
-                TraceEvent::KernelCompleted { kernel } => kernel,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kernels, vec![21, 10, 20], "time first, then source order");
-        let seqs: Vec<u64> = log.numbered().map(|(seq, _)| seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2], "merged log is re-sequenced");
+    fn concat_keeps_source_order_and_its_word_view_sorts() {
+        let (mut a, mut b) = (Tracer::enabled(), Tracer::enabled());
+        a.record_with(SimTime::from_micros(5), done(10));
+        b.record_with(SimTime::from_micros(5), done(20));
+        b.record_with(SimTime::from_micros(1), done(21));
+        let log = TraceLog::concat(vec![a.take(), b.take()]);
+        let kernels = |log: &TraceLog| -> Vec<(u64, u64)> {
+            (log.numbered())
+                .map(|(seq, e)| match e.event {
+                    TraceEvent::KernelCompleted { kernel } => (seq, kernel),
+                    _ => unreachable!(),
+                })
+                .collect()
+        };
+        assert_eq!(kernels(&log), [(0, 10), (1, 20), (2, 21)], "part order");
+        assert_eq!(
+            kernels(&log.expanded()),
+            [(0, 21), (1, 10), (2, 20)],
+            "time first, then source order"
+        );
     }
 
     #[test]
@@ -663,44 +535,34 @@ mod tests {
         assert!(off.take().is_empty());
     }
 
-    /// Cutting makes more events than were recorded, here 1.8× as many; the
-    /// merged log still takes about what it holds, and its word pool exactly
-    /// what its sources' did: a cut moves no word.
+    /// A concatenation holds exactly what it keeps: no tracer's reserved
+    /// pool or spare event room rides along.
     #[test]
-    fn merged_capacity_stays_near_its_length() {
+    fn concat_capacity_equals_its_length() {
         let (mut host, mut device) = (Tracer::enabled(), Tracer::enabled());
-        let ns = SimTime::from_nanos;
         for k in 0..500u64 {
-            host.record_words(ns(k * 100 + 1), [(0, 1); 8], |range| TraceEvent::NotifRun {
+            let at = SimTime::from_nanos(k);
+            host.record_words(at, [(0, 1); 8], |range| TraceEvent::NotifRun {
                 kernel: k,
-                start: ns(k * 100),
+                start: at,
                 core: 0,
                 placement: true,
                 range,
             });
-            for word in 1..=8 {
-                device.record_with(ns(k * 100 + word), || TraceEvent::KernelCompleted {
-                    kernel: k,
-                });
-            }
+            device.record_with(at, done(k));
         }
-        device.record_words(ns(0), [(1, 2); 100], |range| TraceEvent::SmWaveEnd {
-            kernel: 0,
-            wave: 0,
-            range,
+        device.record_words(SimTime::ZERO, [(1, 2); 100], |range| {
+            TraceEvent::SmWaveEnd {
+                kernel: 0,
+                wave: 0,
+                range,
+            }
         });
-        let log = TraceLog::merged(vec![host.take(), device.take()]);
-        assert_eq!(log.len(), 8_001, "every run cut at every word");
-        assert!(
-            log.events.capacity() * 4 < log.len() * 5,
-            "capacity {} for {} events",
-            log.events.capacity(),
-            log.len()
-        );
+        let log = TraceLog::concat(vec![host.take(), device.take()]);
+        assert_eq!((log.len(), log.events.capacity()), (1_001, 1_001));
         assert_eq!((log.words.len(), log.words.capacity()), (4_100, 4_100));
-        let runs = log.events.iter().filter(|e| e.event.kind() == "notif-run");
-        assert!(runs.map(|e| log.words(&e.event)).all(|w| w == [(0, 1)]));
-        assert_eq!(log.words(&log.events[0].event), [(1, 2); 100]);
+        assert_eq!(log.words(&log.events[499].event), [(0, 1); 8]);
+        assert_eq!(log.words(&log.events[1_000].event), [(1, 2); 100]);
     }
 
     /// A wave's end recorded around its begin's range pushes no entry, and
@@ -747,15 +609,11 @@ mod tests {
         let mut t = Tracer::enabled();
         t.set_flight_capacity(3);
         for k in 0..5u64 {
-            t.record_with(SimTime::from_micros(k), || TraceEvent::KernelCompleted {
-                kernel: k,
-            });
+            t.record_with(SimTime::from_micros(k), done(k));
         }
         let _ = t.take();
         // Record one more after the drain: the ring must still be armed.
-        t.record_with(SimTime::from_micros(9), || TraceEvent::KernelCompleted {
-            kernel: 9,
-        });
+        t.record_with(SimTime::from_micros(9), done(9));
         let flight = t.flight_snapshot();
         let kernels: Vec<(u64, u64)> = flight
             .numbered()
@@ -770,11 +628,11 @@ mod tests {
     #[test]
     fn flight_ring_disarmed_or_disabled_is_empty() {
         let mut t = Tracer::enabled();
-        t.record_with(SimTime::ZERO, || TraceEvent::KernelCompleted { kernel: 1 });
+        t.record_with(SimTime::ZERO, done(1));
         assert!(t.flight_snapshot().is_empty(), "ring off by default");
         // Arming starts the recorder from here: earlier events stay out.
         t.set_flight_capacity(8);
-        t.record_with(SimTime::ZERO, || TraceEvent::KernelCompleted { kernel: 2 });
+        t.record_with(SimTime::ZERO, done(2));
         let armed = t.flight_snapshot();
         assert_eq!((armed.len(), armed.first_seq), (1, 1));
         assert_eq!(

@@ -70,15 +70,6 @@ fn owned(log: &TraceLog) -> Vec<Owned> {
     log.events.iter().map(|e| (e.clone(), words(e))).collect()
 }
 
-/// How many word-level events `e` stands for, counted on the words beside
-/// it: the range a cut-off piece of the reference holds is its whole run's.
-fn width((e, words): &Owned) -> u64 {
-    match e.event {
-        TraceEvent::NotifRun { .. } => 2 * words.len() as u64,
-        ref other => other.expanded_len() as u64,
-    }
-}
-
 /// What two logs must agree on: instants, numbering from `first_seq`, and
 /// every event as what it records — a run with its words, not where they
 /// sit in its log's pool.
@@ -101,7 +92,7 @@ fn lines(first_seq: u64, events: &[Owned]) -> Vec<String> {
             other => format!("{other:?}"),
         };
         let line = format!("{} {seq} {event} {words:?}", e.at.as_nanos());
-        seq += width(owned);
+        seq += e.event.expanded_len() as u64;
         line
     };
     events.iter().map(&mut line).collect()
@@ -112,13 +103,58 @@ fn log_lines(log: &TraceLog) -> Vec<String> {
     lines(log.first_seq, &owned(log))
 }
 
+/// The word-level view of `events`, each with its words, as a tracer that
+/// recorded them in this order expands them, numbered from 0.
+fn expand(events: &[Owned]) -> TraceLog {
+    let mut t = Tracer::enabled();
+    for (e, words) in events {
+        let event = |range| match e.event.clone() {
+            TraceEvent::SmWaveBegin {
+                kernel, wave, name, ..
+            } => TraceEvent::SmWaveBegin {
+                kernel,
+                wave,
+                name,
+                range,
+            },
+            TraceEvent::SmWaveEnd { kernel, wave, .. } => TraceEvent::SmWaveEnd {
+                kernel,
+                wave,
+                range,
+            },
+            TraceEvent::NotifRun {
+                kernel,
+                start,
+                core,
+                placement,
+                ..
+            } => TraceEvent::NotifRun {
+                kernel,
+                start,
+                core,
+                placement,
+                range,
+            },
+            other => unreachable!("{other:?} holds no words"),
+        };
+        match e.event.kind() {
+            "sm-wave-begin" | "sm-wave-end" | "notif-run" => {
+                t.record_words(e.at, words.iter().copied(), event);
+            }
+            _ => t.record_with(e.at, || e.event.clone()),
+        }
+    }
+    t.take().expanded()
+}
+
 /// `TraceLog::merged` as it was when it cut runs into a second vector and a
 /// run owned its words: concatenate, stable-sort on `at`, then push every
 /// event and every cut-off tail into a new `Vec`. Verbatim but for
 /// `TracedEvent`'s two private helpers, which are free functions here, each
 /// event's words, which ride beside it, and its position in source order,
 /// the tie key, which rides beside both. It is the reference the merge in
-/// one buffer and one pool must equal; its events are numbered from 0.
+/// one buffer and one pool had to equal, and what a concatenation's
+/// word-level view must expand to; its events are numbered from 0.
 mod reference {
     use super::Owned;
     use paella_sim::SimTime;
@@ -183,111 +219,82 @@ mod reference {
     }
 }
 
+/// `sources` recorded by one tracer each and taken.
+fn taken(sources: &[Vec<Spec>]) -> Vec<TraceLog> {
+    (sources.iter().enumerate())
+        .map(|(id, specs)| {
+            let mut t = Tracer::enabled();
+            record(&mut t, id as u64, specs);
+            t.take()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `TraceLog::merged` (concatenate, stable sort on `at`) equals the
-    /// reference it replaced — tag every event with `(at, source, seq)` and
-    /// sort on the tag — on logs with duplicate timestamps across and within
-    /// sources and with `at` out of order inside a source.
+    /// The word-level view of a concatenation is its sources' word-level
+    /// events, each tagged `(at, part, seq)` and sorted on the tag — on logs
+    /// with duplicate timestamps across and within sources, `at` out of
+    /// order inside a source, and runs whose words interleave with other
+    /// events.
     #[test]
-    fn merged_is_the_at_source_seq_sort(
-        sources in proptest::collection::vec(proptest::collection::vec(0u64..8, 0..40), 0..5),
-    ) {
-        let logs: Vec<TraceLog> = sources
-            .iter()
-            .enumerate()
-            .map(|(src, ats)| {
-                let mut t = Tracer::enabled();
-                for (i, &at) in ats.iter().enumerate() {
-                    // The kernel id names the event: source and recording order.
-                    t.record_with(SimTime::from_nanos(at), || TraceEvent::KernelCompleted {
-                        kernel: (src as u64) << 32 | i as u64,
-                    });
-                }
-                t.take()
-            })
-            .collect();
-
+    fn concat_word_view_is_the_at_part_seq_sort(sources in proptest::collection::vec(specs(12), 0..5)) {
         let mut tagged: Vec<(SimTime, usize, u64, TraceEvent)> = Vec::new();
-        for (src, log) in logs.iter().enumerate() {
-            for (seq, e) in log.numbered() {
-                tagged.push((e.at, src, seq, e.event.clone()));
+        for (part, log) in taken(&sources).iter().enumerate() {
+            for (seq, e) in log.expanded().numbered() {
+                tagged.push((e.at, part, seq, e.event.clone()));
             }
         }
         tagged.sort_by_key(|t| (t.0, t.1, t.2));
 
-        let merged = TraceLog::merged(logs);
-        prop_assert_eq!(merged.len(), tagged.len());
-        for (i, ((seq, got), want)) in merged.numbered().zip(&tagged).enumerate() {
-            prop_assert_eq!(seq, i as u64, "merged log is re-sequenced");
+        let words = TraceLog::concat(taken(&sources)).expanded();
+        prop_assert_eq!(words.len(), tagged.len());
+        for (i, ((seq, got), want)) in words.numbered().zip(&tagged).enumerate() {
+            prop_assert_eq!(seq, i as u64, "the word view is numbered from 0");
             prop_assert_eq!(got.at, want.0);
             prop_assert_eq!(&got.event, &want.3);
         }
     }
 
-    /// Runs are expanded for the exporters only, so merging the recorded
-    /// logs must give what merging their word-level views gives: a run is
-    /// cut wherever an event of another source, or an earlier-recorded one
-    /// of its own, sorts between two of its words.
+    /// Runs are expanded for the exporters only, so concatenating the
+    /// recorded logs must give the word-level view that concatenating their
+    /// word-level views gives, however the sources are grouped. The recorded
+    /// log is the sources end to end, numbered from 0.
     #[test]
-    fn expansion_commutes_with_merge(
+    fn expansion_commutes_with_concat(
         sources in proptest::collection::vec(specs(12), 0..5),
         split in 0usize..5,
     ) {
-        let logs = || -> Vec<TraceLog> {
-            (sources.iter().enumerate())
-                .map(|(id, specs)| {
-                    let mut t = Tracer::enabled();
-                    record(&mut t, id as u64, specs);
-                    t.take()
-                })
-                .collect()
-        };
-        let word_level = TraceLog::merged(logs().iter().map(TraceLog::expanded).collect());
-        let merged = TraceLog::merged(logs());
-        prop_assert_eq!(log_lines(&merged.expanded()), log_lines(&word_level));
+        let logs = || taken(&sources);
+        let word_level = TraceLog::concat(logs().iter().map(TraceLog::expanded).collect());
+        let joined = TraceLog::concat(logs());
+        prop_assert_eq!(log_lines(&joined.expanded()), log_lines(&word_level.expanded()));
 
-        // The merged log is itself in recording order: sorted on the first
-        // word, numbered in word-level events from 0, every piece of a run a
-        // run.
-        prop_assert_eq!(merged.first_seq, 0);
-        for e in &merged.events {
-            if e.event.kind() == "notif-run" {
-                prop_assert!(!merged.words(&e.event).is_empty(), "a piece holds a word");
-            }
-        }
-        prop_assert!(merged.events.windows(2).all(|w| w[0].at <= w[1].at));
+        let end_to_end: Vec<Owned> = logs().iter().flat_map(owned).collect();
+        prop_assert_eq!(log_lines(&joined), lines(0, &end_to_end));
 
-        // So it can be a source in turn: merging in two steps changes nothing.
+        // A concatenation can be a source in turn: concatenating in two
+        // steps changes nothing.
         let mut head = logs();
         let tail = head.split_off(split.min(head.len()));
-        let nested = TraceLog::merged(vec![TraceLog::merged(head), TraceLog::merged(tail)]);
-        prop_assert_eq!(log_lines(&nested.expanded()), log_lines(&word_level));
+        let nested = TraceLog::concat(vec![TraceLog::concat(head), TraceLog::concat(tail)]);
+        prop_assert_eq!(log_lines(&nested.expanded()), log_lines(&word_level.expanded()));
     }
 
-    /// The merge gives what the two-buffer reference gives — the same events
-    /// with the same words at the same instants with the same numbers, so the
-    /// same word-level view — on a host and a device log whose runs get cut.
+    /// A concatenation's word-level view is the word-level view of what the
+    /// two-buffer merge made of the same sources: the same word-level events
+    /// at the same instants with the same numbers, on a host and a device
+    /// log whose runs that merge cut.
     #[test]
-    fn merged_equals_the_two_buffer_reference(
+    fn concat_expands_to_the_reference_merge(
         host in specs(40),
         device in specs(40),
     ) {
-        let logs = || -> Vec<TraceLog> {
-            [&host, &device]
-                .into_iter()
-                .enumerate()
-                .map(|(id, specs)| {
-                    let mut t = Tracer::enabled();
-                    record(&mut t, id as u64, specs);
-                    t.take()
-                })
-                .collect()
-        };
-        let want = reference::merged(logs());
-        let got = TraceLog::merged(logs());
-        prop_assert_eq!(log_lines(&got), lines(0, &want));
+        let logs = || taken(&[host.clone(), device.clone()]);
+        let want = expand(&reference::merged(logs()));
+        let got = TraceLog::concat(logs()).expanded();
+        prop_assert_eq!(log_lines(&got), log_lines(&want));
     }
 
     /// The flight recorder holds the last N *word-level* events recorded
@@ -310,23 +317,4 @@ proptest! {
         tail.first_seq = all.len() as u64;
         prop_assert_eq!(log_lines(&snapshot), log_lines(&tail));
     }
-}
-
-/// The comparison above cuts runs: eight words 1 ns apart, with a device
-/// event at every word's instant, come out as eight one-word runs.
-#[test]
-fn a_run_interleaved_word_by_word_is_cut_at_every_word() {
-    let logs = || {
-        let mut host = Tracer::enabled();
-        record(&mut host, 0, &[(0, 4, 8, 1)]);
-        let mut device = Tracer::enabled();
-        let instants: Vec<Spec> = (1..=8).map(|at| (at, 1, 1, 0)).collect();
-        record(&mut device, 1, &instants);
-        vec![host.take(), device.take()]
-    };
-    let got = TraceLog::merged(logs());
-    assert_eq!(log_lines(&got), lines(0, &reference::merged(logs())));
-    let runs = got.events.iter().filter(|e| e.event.kind() == "notif-run");
-    assert!(runs.map(|e| got.words(&e.event).len()).all(|len| len == 1));
-    assert_eq!(got.len(), 16);
 }

@@ -61,20 +61,21 @@ fn trace_spans_pair_and_time_is_monotone() {
     let log = trace_of(&stats);
     assert!(!log.is_empty());
 
-    // The merged log is globally ordered on virtual time — as recorded (a
-    // run sorts at its first word) and in the word-level view.
+    // The word-level view of the host + device concatenation is globally
+    // ordered on virtual time; the log as recorded is its sources end to
+    // end. Both are numbered from 0, every record standing for an event.
     let words = log.expanded();
+    for w in words.events.windows(2) {
+        assert!(w[0].at <= w[1].at, "word-level view out of order");
+    }
     for view in [log, &words] {
-        for w in view.events.windows(2) {
-            assert!(w[0].at <= w[1].at, "merged log out of order");
-        }
         let seqs: Vec<u64> = view.numbered().map(|(seq, _)| seq).collect();
         assert!(
             seqs.windows(2).all(|w| w[0] < w[1]),
             "a record stands for no event"
         );
     }
-    assert_eq!(log.first_seq, 0, "merged log is re-sequenced");
+    assert_eq!(log.first_seq, 0, "a concatenation is numbered from 0");
 
     // Every SM span begin has exactly one matching end, at or after it.
     // Spans are the word-level view of what is recorded, a wave at a time.
@@ -258,8 +259,8 @@ fn trace_events_stay_inside_the_size_budget() {
     assert!(std::mem::size_of::<TracedEvent>() <= 40);
 }
 
-/// The merged log of a burst of 12 Table 2 jobs (684 kernels): many-block
-/// kernels whose words interleave with other events, so the merge cuts runs.
+/// The taken log of a burst of 12 Table 2 jobs (684 kernels): many-block
+/// kernels whose words interleave with other events in the word-level view.
 fn zoo_burst_log() -> TraceLog {
     let mut zoo = paella_models::ModelZoo::new(DeviceConfig::tesla_t4());
     let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
@@ -310,7 +311,8 @@ fn recording_is_per_run_not_per_word() {
     }
 }
 
-/// What the exporters make of a merged log with cut runs, byte for byte:
+/// What the exporters make of a host + device concatenation whose runs
+/// interleave with other events, byte for byte:
 /// the Chrome export, the text summary and the word-level event count.
 #[test]
 fn zoo_burst_exports_are_pinned() {
