@@ -46,7 +46,7 @@ fn bench_zoo_burst_traced(c: &mut Criterion) {
                     d.run_to_idle();
                     assert_eq!(d.drain_completions().len(), JOBS as usize);
                     let log = d.take_trace_log();
-                    assert_eq!(log.is_some_and(|log| log.len() == 32_793), on);
+                    assert_eq!(log.is_some_and(|log| log.len() == 29_301), on);
                 },
                 BatchSize::SmallInput,
             );

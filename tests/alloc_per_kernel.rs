@@ -157,11 +157,12 @@ fn telemetry_allocates_only_when_on() {
         on <= 1.0,
         "{on:.2} allocations per kernel with telemetry on"
     );
-    // 3,094 bytes per kernel: 30,307 records of 40 bytes and 223,581 pool
-    // entries of 4, the rest the boxed per-job payloads. It was 3,884 while
-    // a record kept its sequence number (48 bytes) and a wave's end pushed
-    // its 74,527 groups again, and 6,565 while runs and waves held boxed
-    // payloads with lists of 8-byte words and groups.
+    // 2,907 bytes per kernel: 27,108 records of 40 bytes and 223,581 pool
+    // entries of 4, the rest the boxed per-job payloads. It was 3,094 while
+    // the take cut runs to keep the recorded log in time order (30,307
+    // records), 3,884 while a record kept its sequence number (48 bytes) and
+    // a wave's end pushed its 74,527 groups again, and 6,565 while runs and
+    // waves held boxed payloads with lists of 8-byte words and groups.
     assert!(
         held <= 3_200.0,
         "the taken trace holds {held:.0} heap bytes per kernel"

@@ -291,9 +291,10 @@ fn recording_is_per_run_not_per_word() {
         .filter(|e| e.event.kind() == "kernel-dispatched")
         .count();
     let (recorded, words) = (log.len(), log.expanded().len());
-    // 47.9 events recorded per kernel, 710 in the word-level view. A
-    // sampling tick is one record of its six counters.
-    assert_eq!((kernels, recorded, words), (684, 32_793, 485_661));
+    // 42.8 events recorded per kernel, 710 in the word-level view. A
+    // sampling tick is one record of its six counters. It was 32,793 (47.9)
+    // while the take cut runs to keep the recorded log in time order.
+    assert_eq!((kernels, recorded, words), (684, 29_301, 485_661));
     assert!(
         recorded * 8 <= words,
         "{recorded} events recorded for {words} word-level ones"
