@@ -17,35 +17,29 @@ use paella_sim::SimDuration;
 use crate::fusion::FusionGroup;
 use crate::ir::{Graph, Op, Shape};
 
-/// Cost-model constants for the target device.
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Effective FLOP/s achieved by generated kernels (well below peak).
-    pub flops_per_sec: f64,
-    /// Effective device memory bandwidth, bytes/s.
-    pub bytes_per_sec: f64,
-    /// Fixed device-side time per kernel (prologue, tails, sync).
-    pub kernel_floor: SimDuration,
-    /// Per-block duration jitter fraction.
-    pub jitter_frac: f64,
-    /// How many blocks the target device runs concurrently when otherwise
-    /// idle (≈ SMs × blocks-per-SM for a typical footprint); used to convert
-    /// whole-kernel roofline time into per-block time.
-    pub device_parallel_blocks: u32,
-}
+/// Carries nothing: the cost model's constants below are fixed for the
+/// target device. It stays only so that callers that pass one to
+/// [`lower_group`], `compile` and the model zoo — the standalone `benchmark`
+/// crate's among them — still compile.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CostModel {}
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Tesla T4: 8.1 TFLOP/s peak fp32; TVM-generated kernels on small
-        // batch-1 tensors land far below that. 320 GB/s peak bandwidth.
-        CostModel {
-            flops_per_sec: 1.6e12,
-            bytes_per_sec: 180e9,
-            kernel_floor: SimDuration::from_micros(3),
-            jitter_frac: 0.05,
-            device_parallel_blocks: 320, // T4: 40 SMs × ~8 blocks
-        }
-    }
+/// Tesla T4: 8.1 TFLOP/s peak fp32, which TVM-generated kernels on small
+/// batch-1 tensors land far below; 320 GB/s peak bandwidth.
+impl CostModel {
+    /// Effective FLOP/s achieved by generated kernels (well below peak).
+    const FLOPS_PER_SEC: f64 = 1.6e12;
+    /// Effective device memory bandwidth, bytes/s.
+    const BYTES_PER_SEC: f64 = 180e9;
+    /// Fixed device-side time per kernel (prologue, tails, sync).
+    const KERNEL_FLOOR: SimDuration = SimDuration::from_micros(3);
+    /// Per-block duration jitter fraction.
+    const JITTER_FRAC: f64 = 0.05;
+    /// How many blocks the target device runs concurrently when otherwise
+    /// idle (≈ SMs × blocks-per-SM for a typical footprint; T4: 40 SMs × ~8
+    /// blocks); used to convert whole-kernel roofline time into per-block
+    /// time.
+    const DEVICE_PARALLEL_BLOCKS: u32 = 320;
 }
 
 /// FLOPs performed by an operator producing `out` from `input`.
@@ -111,12 +105,12 @@ pub struct LoweredKernel {
     pub bytes: u64,
 }
 
-/// Lowers one fusion group to a kernel under `cost` with duration scaling
-/// factor `calibration` (1.0 = raw cost model).
+/// Lowers one fusion group to a kernel under the [`CostModel`] with duration
+/// scaling factor `calibration` (1.0 = raw cost model).
 pub fn lower_group(
     graph: &Graph,
     group: &FusionGroup,
-    cost: &CostModel,
+    _cost: &CostModel,
     calibration: f64,
 ) -> LoweredKernel {
     let anchor = &graph.nodes[group.anchor.0 as usize];
@@ -155,20 +149,20 @@ pub fn lower_group(
     // thread rather than launching tens of waves of tiny blocks.
     let (threads_per_block, regs, shmem) = kernel_shape(&anchor.op);
     let elems = graph.shape(anchor.id).elems().max(1);
-    let grid_cap = u64::from(cost.device_parallel_blocks.max(1)) * 2;
+    let grid_cap = u64::from(CostModel::DEVICE_PARALLEL_BLOCKS) * 2;
     let grid_blocks =
         u64::max(1, elems.div_ceil(u64::from(threads_per_block))).min(grid_cap) as u32;
 
     // Duration: roofline with a floor, split evenly across blocks.
-    let compute_s = flops as f64 / cost.flops_per_sec;
-    let memory_s = bytes as f64 / cost.bytes_per_sec;
+    let compute_s = flops as f64 / CostModel::FLOPS_PER_SEC;
+    let memory_s = bytes as f64 / CostModel::BYTES_PER_SEC;
     let total = SimDuration::from_secs_f64(compute_s.max(memory_s))
-        .max(cost.kernel_floor)
+        .max(CostModel::KERNEL_FLOOR)
         .mul_f64(calibration.max(1e-6));
-    // Blocks execute in waves of up to `device_parallel_blocks`; per-block
+    // Blocks execute in waves of up to `DEVICE_PARALLEL_BLOCKS`; per-block
     // time is the whole-kernel roofline time split across those waves, so an
     // uncontended run still completes in `total`.
-    let waves = u64::from(grid_blocks).div_ceil(u64::from(cost.device_parallel_blocks.max(1)));
+    let waves = u64::from(grid_blocks).div_ceil(u64::from(CostModel::DEVICE_PARALLEL_BLOCKS));
     let per_block = total / waves.max(1);
 
     LoweredKernel {
@@ -180,7 +174,7 @@ pub fn lower_group(
                 regs_per_thread: regs,
                 shmem,
             },
-            duration: DurationModel::jittered(per_block, cost.jitter_frac),
+            duration: DurationModel::jittered(per_block, CostModel::JITTER_FRAC),
             instrumentation: None,
         },
         flops,
@@ -305,7 +299,7 @@ mod tests {
         let _ = r;
         let groups = fuse(&g);
         let k = lower_group(&g, &groups[0], &CostModel::default(), 1.0);
-        assert_eq!(k.desc.duration.base, CostModel::default().kernel_floor);
+        assert_eq!(k.desc.duration.base, CostModel::KERNEL_FLOOR);
         assert_eq!(k.desc.grid_blocks, 1);
     }
 
@@ -319,8 +313,7 @@ mod tests {
         let _ = s;
         let groups = fuse(&g);
         let k = lower_group(&g, &groups[0], &CostModel::default(), 1.0);
-        let cm = CostModel::default();
-        let mem_time = SimDuration::from_secs_f64(k.bytes as f64 / cm.bytes_per_sec);
+        let mem_time = SimDuration::from_secs_f64(k.bytes as f64 / CostModel::BYTES_PER_SEC);
         let waves = u64::from(k.desc.grid_blocks).div_ceil(320).max(1);
         let whole = k.desc.duration.base * waves;
         // Rounding splits/joins lose at most one nanosecond per wave.
@@ -337,8 +330,7 @@ mod tests {
         let r = g.add(Op::Relu, &[x]).unwrap();
         let _ = r;
         let groups = fuse(&g);
-        let cm = CostModel::default();
-        let k = lower_group(&g, &groups[0], &cm, 1.0);
-        assert_eq!(k.desc.grid_blocks, cm.device_parallel_blocks * 2);
+        let k = lower_group(&g, &groups[0], &CostModel::default(), 1.0);
+        assert_eq!(k.desc.grid_blocks, CostModel::DEVICE_PARALLEL_BLOCKS * 2);
     }
 }
