@@ -117,7 +117,8 @@ pub struct Journey {
     pub breakdown: PhaseBreakdown,
 }
 
-/// Extracts every [`TraceEvent::JobJourney`] from a trace, in log order.
+/// Extracts every [`TraceEvent::JobJourney`] from a trace, in log order (a
+/// concatenation's is source by source); every consumer is order-insensitive.
 pub fn extract_journeys(log: &TraceLog) -> Vec<Journey> {
     log.events
         .iter()

@@ -156,7 +156,6 @@ impl TraceLog {
         for mut log in sources {
             let base = words.len();
             words.extend_from_slice(&log.words);
-            drop(log.words);
             for e in &mut log.events {
                 if let Some(range) = e.event.range_mut() {
                     *range = range.rebased(base);

@@ -292,8 +292,7 @@ fn recording_is_per_run_not_per_word() {
         .count();
     let (recorded, words) = (log.len(), log.expanded().len());
     // 42.8 events recorded per kernel, 710 in the word-level view. A
-    // sampling tick is one record of its six counters. It was 32,793 (47.9)
-    // while the take cut runs to keep the recorded log in time order.
+    // sampling tick is one record of its six counters.
     assert_eq!((kernels, recorded, words), (684, 29_301, 485_661));
     assert!(
         recorded * 8 <= words,
