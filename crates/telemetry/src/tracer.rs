@@ -156,6 +156,10 @@ impl TraceLog {
         for mut log in sources {
             let base = words.len();
             words.extend_from_slice(&log.words);
+            // Freed before the append below touches fresh pages, so at its
+            // peak the take holds two copies of a source's events, one of its
+            // words.
+            drop(log.words);
             for e in &mut log.events {
                 if let Some(range) = e.event.range_mut() {
                     *range = range.rebased(base);
@@ -457,6 +461,16 @@ mod tests {
         move || TraceEvent::KernelCompleted { kernel }
     }
 
+    /// `(seq, kernel)` of each of `log`'s events, all `KernelCompleted`.
+    fn kernels(log: &TraceLog) -> Vec<(u64, u64)> {
+        (log.numbered())
+            .map(|(seq, e)| match e.event {
+                TraceEvent::KernelCompleted { kernel } => (seq, kernel),
+                _ => unreachable!(),
+            })
+            .collect()
+    }
+
     #[test]
     fn disabled_never_runs_closure() {
         let mut t = Tracer::disabled();
@@ -492,14 +506,6 @@ mod tests {
         b.record_with(SimTime::from_micros(5), done(20));
         b.record_with(SimTime::from_micros(1), done(21));
         let log = TraceLog::concat(vec![a.take(), b.take()]);
-        let kernels = |log: &TraceLog| -> Vec<(u64, u64)> {
-            (log.numbered())
-                .map(|(seq, e)| match e.event {
-                    TraceEvent::KernelCompleted { kernel } => (seq, kernel),
-                    _ => unreachable!(),
-                })
-                .collect()
-        };
         assert_eq!(kernels(&log), [(0, 10), (1, 20), (2, 21)], "part order");
         assert_eq!(
             kernels(&log.expanded()),
@@ -613,15 +619,8 @@ mod tests {
         let _ = t.take();
         // Record one more after the drain: the ring must still be armed.
         t.record_with(SimTime::from_micros(9), done(9));
-        let flight = t.flight_snapshot();
-        let kernels: Vec<(u64, u64)> = flight
-            .numbered()
-            .map(|(seq, e)| match e.event {
-                TraceEvent::KernelCompleted { kernel } => (seq, kernel),
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kernels, [(3, 3), (4, 4), (5, 9)], "last 3, oldest first");
+        let last_3 = [(3, 3), (4, 4), (5, 9)];
+        assert_eq!(kernels(&t.flight_snapshot()), last_3, "oldest first");
     }
 
     #[test]
