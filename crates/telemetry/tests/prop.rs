@@ -104,11 +104,16 @@ fn log_lines(log: &TraceLog) -> Vec<String> {
 }
 
 /// The word-level view of `events`, each with its words, as a tracer that
-/// recorded them in this order expands them, numbered from 0.
+/// recorded them in this order expands them, numbered from 0. An event with
+/// words is a run or a wave; it is recorded around them.
 fn expand(events: &[Owned]) -> TraceLog {
     let mut t = Tracer::enabled();
     for (e, words) in events {
-        let event = |range| match e.event.clone() {
+        if words.is_empty() {
+            t.record_with(e.at, || e.event.clone());
+            continue;
+        }
+        t.record_words(e.at, words.iter().copied(), |range| match e.event.clone() {
             TraceEvent::SmWaveBegin {
                 kernel, wave, name, ..
             } => TraceEvent::SmWaveBegin {
@@ -136,13 +141,7 @@ fn expand(events: &[Owned]) -> TraceLog {
                 range,
             },
             other => unreachable!("{other:?} holds no words"),
-        };
-        match e.event.kind() {
-            "sm-wave-begin" | "sm-wave-end" | "notif-run" => {
-                t.record_words(e.at, words.iter().copied(), event);
-            }
-            _ => t.record_with(e.at, || e.event.clone()),
-        }
+        });
     }
     t.take().expanded()
 }
