@@ -7,37 +7,34 @@
 //! polling shared memory to catch the actual completion with polling-grade
 //! latency.
 //!
-//! [`Doorbell`] is the interrupt half — a futex-style park/unpark built on an
-//! event counter and `std::thread` parking. [`HybridWaiter::wait_until`]
+//! [`Doorbell`] is the interrupt half: an epoch and a waiter count under one
+//! `Mutex`, and a `Condvar` that a ring notifies. [`HybridWaiter::wait_until`]
 //! implements the full hybrid protocol against an arbitrary poll closure.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::Thread;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// What the doorbell's lock guards.
+#[derive(Default)]
+struct Bell {
+    /// Rings so far.
+    epoch: u64,
+    /// Threads inside [`Doorbell::wait_past`].
+    waiters: usize,
+}
 
 /// An edge-triggered wakeup channel. Multiple rings coalesce, like a Unix
 /// socket used purely as a doorbell.
+#[derive(Default)]
 pub struct Doorbell {
-    epoch: AtomicU64,
-    sleepers: Mutex<Vec<Thread>>,
-    waiters: AtomicUsize,
-}
-
-impl Default for Doorbell {
-    fn default() -> Self {
-        Self::new()
-    }
+    bell: Mutex<Bell>,
+    rung: Condvar,
 }
 
 impl Doorbell {
     /// Creates a doorbell with no pending rings.
     pub fn new() -> Self {
-        Doorbell {
-            epoch: AtomicU64::new(0),
-            sleepers: Mutex::new(Vec::new()),
-            waiters: AtomicUsize::new(0),
-        }
+        Self::default()
     }
 
     /// Creates a shared doorbell.
@@ -49,73 +46,30 @@ impl Doorbell {
     /// sleeps are remembered (edge → level via the epoch counter), so a ring
     /// that races with a sleeper's registration is never lost.
     pub fn ring(&self) {
-        // release: orders the work that prompted this ring (e.g. the result
-        // write) before the epoch bump a waiter's acquire load observes.
-        self.epoch.fetch_add(1, Ordering::Release);
-        // acquire: pairs with the waiter's AcqRel registration increment —
-        // if a waiter got past `fetch_add` before our epoch bump, we must
-        // see its count and take the sleeper lock to unpark it.
-        if self.waiters.load(Ordering::Acquire) > 0 {
-            let mut sleepers = self.sleepers.lock().expect("doorbell poisoned");
-            for t in sleepers.drain(..) {
-                t.unpark();
-            }
+        let mut bell = self.bell.lock().expect("doorbell poisoned");
+        bell.epoch += 1;
+        if bell.waiters > 0 {
+            self.rung.notify_all();
         }
     }
 
     /// Current epoch; a later [`wait_past`](Self::wait_past) with this value
     /// returns once `ring` has been called at least once more.
     pub fn epoch(&self) -> u64 {
-        // acquire: pairs with ring()'s release bump, so an observed epoch
-        // carries the ringing thread's prior writes.
-        self.epoch.load(Ordering::Acquire)
+        self.bell.lock().expect("doorbell poisoned").epoch
     }
 
     /// Blocks until the epoch advances past `seen`, or `timeout` elapses.
     /// Returns `true` if woken by a ring, `false` on timeout.
     pub fn wait_past(&self, seen: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        // acqrel: the release half makes our registration visible to ring()'s
-        // acquire waiters check (the Dekker-style handshake that prevents a
-        // lost wakeup); the acquire half orders the epoch re-check below
-        // after the registration.
-        self.waiters.fetch_add(1, Ordering::AcqRel);
-        let mut registered = false;
-        let woke = loop {
-            // acquire: pairs with ring()'s release bump.
-            if self.epoch.load(Ordering::Acquire) != seen {
-                break true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break false;
-            }
-            {
-                let mut sleepers = self.sleepers.lock().expect("doorbell poisoned");
-                // Re-check under the lock so a concurrent `ring` cannot slip
-                // between our epoch check and registration.
-                // acquire: combined with the sleepers mutex this is what
-                // makes the park below safe — a ring that bumped the epoch
-                // before we took the lock is observed here.
-                if self.epoch.load(Ordering::Acquire) != seen {
-                    break true;
-                }
-                sleepers.push(std::thread::current());
-                registered = true;
-            }
-            std::thread::park_timeout(deadline - now);
-        };
-        if registered {
-            // Only `ring` drains the list; a wait that ends any other way (a
-            // timeout) takes itself off.
-            let me = std::thread::current().id();
-            let mut sleepers = self.sleepers.lock().expect("doorbell poisoned");
-            sleepers.retain(|t| t.id() != me);
-        }
-        // acqrel: deregistration mirrors the increment above; release keeps
-        // it ordered after our final epoch read.
-        self.waiters.fetch_sub(1, Ordering::AcqRel);
-        woke
+        let mut bell = self.bell.lock().expect("doorbell poisoned");
+        bell.waiters += 1;
+        let (mut bell, _) = self
+            .rung
+            .wait_timeout_while(bell, timeout, |b| b.epoch == seen)
+            .expect("doorbell poisoned");
+        bell.waiters -= 1;
+        bell.epoch != seen
     }
 }
 
@@ -168,8 +122,12 @@ impl HybridWaiter {
                 return (v, stats);
             }
             let t0 = Instant::now();
-            self.doorbell.wait_past(seen, max_block);
+            let rung = self.doorbell.wait_past(seen, max_block);
             stats.blocked += t0.elapsed();
+            if !rung {
+                // No ring within `max_block`: poll once more and sleep again.
+                continue;
+            }
             // Poll phase: spin until the completion is visible.
             let t1 = Instant::now();
             loop {
@@ -192,7 +150,7 @@ impl HybridWaiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
     #[test]
@@ -218,7 +176,29 @@ mod tests {
         for _ in 0..8 {
             assert!(!d.wait_past(d.epoch(), Duration::from_millis(1)));
         }
-        assert_eq!(d.sleepers.lock().unwrap().len(), 0);
+        assert_eq!(d.bell.lock().unwrap().waiters, 0);
+    }
+
+    #[test]
+    fn a_ring_racing_a_registration_is_never_lost() {
+        // Every round, the partner's ring races this side's registration.
+        const ROUNDS: usize = 10_000;
+        let (ping, pong) = (Doorbell::shared(), Doorbell::shared());
+        let (ping2, pong2) = (Arc::clone(&ping), Arc::clone(&pong));
+        let h = thread::spawn(move || {
+            let mut seen = 0;
+            for _ in 0..ROUNDS {
+                assert!(pong2.wait_past(seen, Duration::from_secs(10)));
+                seen = pong2.epoch();
+                ping2.ring();
+            }
+        });
+        for _ in 0..ROUNDS {
+            let seen = ping.epoch();
+            pong.ring();
+            assert!(ping.wait_past(seen, Duration::from_secs(10)));
+        }
+        h.join().unwrap();
     }
 
     #[test]
@@ -305,6 +285,25 @@ mod tests {
             Duration::from_millis(5),
         );
         assert_eq!(v, 1);
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn hybrid_wait_without_a_ring_never_spins() {
+        // A timed-out wait is not a ring: re-poll and sleep, never spin.
+        let d = Doorbell::shared();
+        let flag = Arc::new(AtomicBool::new(false));
+        let f2 = Arc::clone(&flag);
+        let h = thread::spawn(move || {
+            thread::sleep(Duration::from_millis(30));
+            f2.store(true, Ordering::Release);
+        });
+        let w = HybridWaiter::new(d);
+        let (_, stats) = w.wait_until(
+            || flag.load(Ordering::Acquire).then_some(()),
+            Duration::from_millis(5),
+        );
+        assert_eq!(stats.polled, Duration::ZERO);
         h.join().unwrap();
     }
 }
