@@ -53,12 +53,12 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "SystemTime read grafted into the GPU engine",
         },
         GraftMutant {
-            id: "r2-doorbell-unjustified-relaxed",
+            id: "r2-spsc-head-load-downgrade",
             rule: "relaxed-needs-justification",
-            file: "crates/channels/src/doorbell.rs",
-            find: "self.epoch.fetch_add(1, Ordering::Release);",
-            replace: "self.epoch.fetch_add(1, Ordering::Release);\n        let _peek = self.epoch.load(Ordering::Relaxed);",
-            description: "untagged Relaxed load grafted next to the ring",
+            file: "crates/channels/src/spsc.rs",
+            find: "head_load: Ordering::Acquire,",
+            replace: "head_load: Ordering::Relaxed,",
+            description: "the producer's head load downgraded to Relaxed under its acquire: tag",
         },
         GraftMutant {
             id: "r2-notifq-ordering-downgrade",
@@ -181,12 +181,12 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "the checked debit replaced by a clamp that masks the underflow",
         },
         GraftMutant {
-            id: "r8-doorbell-tag-stripped",
+            id: "r8-notifq-tag-stripped",
             rule: "atomic-ordering-audit",
-            file: "crates/channels/src/doorbell.rs",
-            find: "// acqrel: the release half makes our registration",
-            replace: "// the release half makes our registration",
-            description: "AcqRel registration increment with its tag deleted",
+            file: "crates/channels/src/notifq.rs",
+            find: "// release: every prior write of the posting thread",
+            replace: "// every prior write of the posting thread",
+            description: "the profile's release publish with its tag deleted",
         },
         GraftMutant {
             id: "r8-spsc-tag-stripped",

@@ -9,10 +9,11 @@
 //!    spirit of `loom`) that exhaustively explores bounded-preemption
 //!    interleavings under a view-based release/acquire memory model. The
 //!    [`models`] module runs it over the `notifQ` and SPSC code as shipped
-//!    (`paella-channels`' own bodies on the checker's atomics) and over a
-//!    model of the doorbell, plus a corpus of *seeded mutants* (downgraded
-//!    shipped orderings, dropped flow control, lost-wakeup windows) that the
-//!    checker must catch — a self-test that the checker itself has teeth.
+//!    (`paella-channels`' own bodies on the checker's atomics), plus a
+//!    corpus of *seeded mutants* (downgraded shipped orderings, dropped flow
+//!    control) that the checker must catch — a self-test that the checker
+//!    itself has teeth. The doorbell is a `std` `Mutex` and `Condvar` and
+//!    has no model.
 //! 2. **Bookkeeping invariants of the dispatcher** — the [`oracle`] module
 //!    provides brute-force reference implementations of CUDA stream
 //!    semantics and Table-1 block conservation, cross-checked against the

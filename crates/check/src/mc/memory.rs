@@ -118,11 +118,6 @@ impl Memory {
         });
         id
     }
-
-    /// Latest timestamp of `loc`.
-    pub fn latest(&self, loc: usize) -> u64 {
-        (self.locs[loc].history.len() - 1) as u64
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +143,7 @@ mod tests {
         let mut m = Memory::default();
         let x = m.alloc("x", 7);
         assert_eq!(x, 0);
-        assert_eq!(m.latest(x), 0);
+        assert_eq!(m.locs[x].history.len(), 1);
         assert_eq!(m.locs[x].history[0].val, 7);
     }
 

@@ -3,8 +3,8 @@
 //!
 //! [`Checker::check`] repeatedly executes a small concurrent *model* under a
 //! cooperative scheduler: model threads run on real OS threads, but exactly
-//! one is runnable at a time, and every visible operation (atomic access,
-//! park/unpark, blocking wait) is a *schedule point* where the engine
+//! one is runnable at a time, and every visible operation (atomic access or
+//! blocking wait) is a *schedule point* where the engine
 //! consults a decision log. Depth-first search over that log — which thread
 //! runs next, and which message a relaxed/acquire load reads (see
 //! [`memory`]) — enumerates every interleaving and every weak-memory read
@@ -90,11 +90,6 @@ impl Report {
     }
 }
 
-/// Identifies a model thread; returned by [`Builder::thread`] so models can
-/// target [`Ctx::unpark`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ThreadId(pub usize);
-
 /// Handle to a modeled atomic location (a plain id — copy freely into
 /// thread closures).
 #[derive(Clone, Copy, Debug)]
@@ -118,10 +113,9 @@ impl Builder {
 
     /// Registers a model thread. Threads start when exploration schedules
     /// them, in any order.
-    pub fn thread(&mut self, name: &str, body: impl FnOnce(&mut Ctx) + Send + 'static) -> ThreadId {
+    pub fn thread(&mut self, name: &str, body: impl FnOnce(&mut Ctx) + Send + 'static) {
         self.names.push(name.to_string());
         self.bodies.push(Box::new(body));
-        ThreadId(self.names.len() - 1)
     }
 }
 
@@ -129,8 +123,6 @@ impl Builder {
 enum Status {
     /// Schedulable.
     Ready,
-    /// Parked, waiting for an unpark token.
-    Parked,
     /// Blocked until some store appends to the location's history.
     WaitingOnLoc(usize),
     /// Finished (normally or by abort).
@@ -152,7 +144,6 @@ struct EngineState {
     mem: Memory,
     views: Vec<VClock>,
     statuses: Vec<Status>,
-    park_tokens: Vec<bool>,
     current: usize,
     preemptions: u32,
     steps: u64,
@@ -173,7 +164,6 @@ impl EngineState {
             mem: Memory::default(),
             views: Vec::new(),
             statuses: Vec::new(),
-            park_tokens: Vec::new(),
             current: 0,
             preemptions: 0,
             steps: 0,
@@ -193,7 +183,6 @@ impl EngineState {
         self.mem = mem;
         self.views = vec![VClock::new(); n];
         self.statuses = vec![Status::Ready; n];
-        self.park_tokens = vec![false; n];
         self.current = usize::MAX;
         self.preemptions = 0;
         self.steps = 0;
@@ -486,52 +475,6 @@ impl Ctx {
         old
     }
 
-    /// Compare-exchange on the latest message. On success behaves like
-    /// [`rmw`](Self::rmw); on failure it is a relaxed load of the latest
-    /// value.
-    pub fn compare_exchange(
-        &mut self,
-        a: VAtomic,
-        current: u64,
-        new: u64,
-        ord: Ordering,
-    ) -> Result<u64, u64> {
-        let mut st = self.eng.sched_point(self.tid);
-        let (old, mut view) = {
-            let msg = st.mem.locs[a.0]
-                .history
-                .last()
-                .expect("history never empty");
-            (msg.val, msg.view.clone())
-        };
-        if old != current {
-            let latest = st.mem.latest(a.0);
-            st.views[self.tid].raise(a.0, latest);
-            let name = st.mem.locs[a.0].name.clone();
-            self.trace_op(&mut st, format!("cas {name} failed: saw {old}"));
-            return Err(old);
-        }
-        if acquires(ord) {
-            let v = view.clone();
-            st.views[self.tid].join(&v);
-        }
-        let ts = st.mem.locs[a.0].history.len() as u64;
-        st.views[self.tid].raise(a.0, ts);
-        if releases(ord) {
-            view.join(&st.views[self.tid]);
-        }
-        view.raise(a.0, ts);
-        st.mem.locs[a.0].history.push(Msg { val: new, ts, view });
-        let name = st.mem.locs[a.0].name.clone();
-        self.trace_op(
-            &mut st,
-            format!("cas {name}: {old} -> {new} ({ord:?}, ts{ts})"),
-        );
-        self.eng.wake_loc_waiters(&mut st, a.0);
-        self.eng.cv.notify_all();
-        Ok(old)
-    }
-
     /// Snapshot of a location's history length, for pairing with
     /// [`wait_changed`](Self::wait_changed). Not a schedule point.
     pub fn mark(&mut self, a: VAtomic) -> u64 {
@@ -557,39 +500,6 @@ impl Ctx {
         self.trace_op(&mut st, format!("blocks waiting on {name}"));
         self.eng.handoff(&mut st, self.tid);
         let _st = self.eng.wait_scheduled(st, self.tid);
-    }
-
-    /// Parks the calling thread until a token from [`unpark`](Self::unpark)
-    /// is available, consuming it — `std::thread::park` semantics, except
-    /// that (deliberately, conservatively) **no** happens-before edge is
-    /// modeled between unparker and parkee: protocols must synchronize
-    /// through their own atomics.
-    pub fn park(&mut self) {
-        let mut st = self.eng.sched_point(self.tid);
-        if st.park_tokens[self.tid] {
-            st.park_tokens[self.tid] = false;
-            self.trace_op(&mut st, "park consumed pending token".to_string());
-            return;
-        }
-        st.statuses[self.tid] = Status::Parked;
-        self.trace_op(&mut st, "parks".to_string());
-        self.eng.handoff(&mut st, self.tid);
-        let _st = self.eng.wait_scheduled(st, self.tid);
-    }
-
-    /// Makes `t`'s next (or current) [`park`](Self::park) return.
-    pub fn unpark(&mut self, t: ThreadId) {
-        let mut st = self.eng.sched_point(self.tid);
-        if st.statuses[t.0] == Status::Parked {
-            st.statuses[t.0] = Status::Ready;
-            let name = st.names[t.0].clone();
-            self.trace_op(&mut st, format!("unparks {name}"));
-        } else {
-            st.park_tokens[t.0] = true;
-            let name = st.names[t.0].clone();
-            self.trace_op(&mut st, format!("queues unpark token for {name}"));
-        }
-        self.eng.cv.notify_all();
     }
 
     /// Model assertion: on failure the execution is recorded as a
@@ -897,25 +807,18 @@ mod tests {
         assert!(f.message.contains("payload must be visible"), "{f:?}");
     }
 
-    /// A parked thread nobody unparks is a deadlock.
+    /// A thread waiting on a location nothing stores to is a deadlock.
     #[test]
     fn detects_deadlock() {
         let report = Checker::default().check(|b| {
-            b.thread("sleeper", |c| c.park());
+            let x = b.atomic("x", 0);
+            b.thread("sleeper", move |c| {
+                let m = c.mark(x);
+                c.wait_changed(x, m);
+            });
         });
         let f = report.failure.expect("deadlock must be found");
         assert!(f.message.contains("deadlock"), "{f:?}");
-    }
-
-    /// Unpark-before-park leaves a token; no deadlock.
-    #[test]
-    fn unpark_token_prevents_deadlock() {
-        let report = Checker::default().check(|b| {
-            b.thread("sleeper", |c| c.park());
-            let s = ThreadId(0);
-            b.thread("waker", move |c| c.unpark(s));
-        });
-        assert!(report.passed(), "{report:?}");
     }
 
     /// Preemption bounding keeps exploration finite and small.

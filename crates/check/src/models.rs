@@ -14,10 +14,8 @@
 //! checker must produce a counterexample for every one, which is the
 //! self-test proving it has teeth.
 //!
-//! The doorbell stays a model written against [`Ctx`] directly: parking has
-//! no expression generic over an atomic cell, so its mutants are structural
-//! (skip the under-lock epoch recheck, never drain sleepers) and surface as
-//! model deadlocks — lost wakeups.
+//! The doorbell has no model: it is a `Mutex` and a `Condvar` from `std`,
+//! with no atomic of its own to explore.
 //!
 //! Properties verified on the clean models, per §5 of the paper:
 //! * **publication ordering** — a consumed notification's payload is the one
@@ -28,8 +26,7 @@
 //!   ring never overwrites an unconsumed slot (the overrun mutant posts
 //!   `CAP + 1` and must be flagged);
 //! * **clean disconnect** — the consumer sees `Disconnected` only after it
-//!   has popped every item the producer pushed before closing;
-//! * **doorbell liveness** — no interleaving parks the waiter forever.
+//!   has popped every item the producer pushed before closing.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -173,111 +170,9 @@ pub fn spsc_check(ords: SpscOrds) -> Report {
     })
 }
 
-/// Structural knobs for the doorbell model; the clean configuration has both
-/// enabled, each mutant disables one.
-#[derive(Clone, Copy, Debug)]
-pub struct DoorbellCfg {
-    /// Re-check the epoch under the sleeper lock before parking (closes the
-    /// check-then-park race against a concurrent ring).
-    pub recheck_under_lock: bool,
-    /// The ring path inspects `waiters` and drains sleepers.
-    pub ring_checks_sleepers: bool,
-}
-
-impl DoorbellCfg {
-    /// The protocol `crates/channels/src/doorbell.rs` ships.
-    pub const SHIPPED: DoorbellCfg = DoorbellCfg {
-        recheck_under_lock: true,
-        ring_checks_sleepers: true,
-    };
-}
-
-/// A CAS spinlock standing in for the doorbell's sleeper mutex. Lock
-/// acquisition is `Acquire` (joins the unlocker's view — this edge is what
-/// makes the under-lock epoch recheck sound), release is a plain `Release`
-/// store.
-fn spin_lock(c: &mut Ctx, lock: VAtomic) {
-    loop {
-        let m = c.mark(lock);
-        if c.compare_exchange(lock, 0, 1, Ordering::Acquire).is_ok() {
-            return;
-        }
-        c.wait_changed(lock, m);
-    }
-}
-
-fn spin_unlock(c: &mut Ctx, lock: VAtomic) {
-    c.store(lock, 0, Ordering::Release);
-}
-
-/// Model-checks the doorbell wakeup protocol: one waiter polling a data
-/// word with an epoch-guarded park, one ringer posting the data and ringing.
-/// The property is liveness — no interleaving may leave the waiter parked
-/// (a lost wakeup), which the engine reports as a deadlock.
-///
-/// Unlike the two models above, this one is a second copy: `Doorbell` parks
-/// through `std::thread` and a `Mutex`, which have no expression generic over
-/// an atomic cell, so its protocol is re-expressed here with a CAS spinlock
-/// and the checker's park/unpark, and a change to `doorbell.rs` must be
-/// mirrored by hand.
-///
-/// Freshness note: the loop-control reads (`data`, epoch at loop tops,
-/// `waiters` on the ring path) use `load_fresh`, modeling the
-/// eventual-visibility guarantee real spin loops rely on. The epoch recheck
-/// *under the lock* is a regular candidate-choice load: its correctness must
-/// come from the lock's release/acquire edge alone, so the model genuinely
-/// verifies that edge.
-pub fn doorbell_check(cfg: DoorbellCfg) -> Report {
-    Checker::new(Config::default()).check(move |b| {
-        let data = b.atomic("data", 0);
-        let epoch = b.atomic("epoch", 0);
-        let waiters = b.atomic("waiters", 0);
-        let sleeping = b.atomic("sleeping", 0);
-        let lock = b.atomic("lock", 0);
-        let waiter = b.thread("waiter", move |c| {
-            loop {
-                let seen = c.load_fresh(epoch, Ordering::Acquire);
-                if c.load_fresh(data, Ordering::Acquire) != 0 {
-                    break;
-                }
-                // wait_past(seen)
-                c.rmw(waiters, Ordering::AcqRel, |w| w + 1);
-                loop {
-                    if c.load_fresh(epoch, Ordering::Acquire) != seen {
-                        break;
-                    }
-                    spin_lock(c, lock);
-                    if cfg.recheck_under_lock && c.load(epoch, Ordering::Acquire) != seen {
-                        spin_unlock(c, lock);
-                        break;
-                    }
-                    c.store(sleeping, 1, Ordering::Relaxed);
-                    spin_unlock(c, lock);
-                    c.park();
-                }
-                c.rmw(waiters, Ordering::AcqRel, |w| w.wrapping_sub(1));
-            }
-            let v = c.load_fresh(data, Ordering::Acquire);
-            c.check(v == 1, "woken waiter observes the posted data");
-        });
-        b.thread("ringer", move |c| {
-            c.store(data, 1, Ordering::Relaxed);
-            c.rmw(epoch, Ordering::Release, |e| e + 1);
-            if cfg.ring_checks_sleepers && c.load_fresh(waiters, Ordering::Acquire) > 0 {
-                spin_lock(c, lock);
-                if c.load(sleeping, Ordering::Acquire) == 1 {
-                    c.store(sleeping, 0, Ordering::Relaxed);
-                    c.unpark(waiter);
-                }
-                spin_unlock(c, lock);
-            }
-        });
-    })
-}
-
 /// A named clean-model check that must pass exhaustively.
 pub struct ModelCheck {
-    /// Short identifier (`notifq`, `spsc`, `doorbell`).
+    /// Short identifier (`notifq`, `spsc`).
     pub name: &'static str,
     /// What the model verifies.
     pub description: &'static str,
@@ -300,11 +195,6 @@ pub fn clean_models() -> Vec<ModelCheck> {
                           through both wait paths, no Disconnected before the last item",
             run: || spsc_check(SpscOrds::SHIPPED),
         },
-        ModelCheck {
-            name: "doorbell",
-            description: "1 waiter / 1 ringer: no interleaving loses the wakeup",
-            run: || doorbell_check(DoorbellCfg::SHIPPED),
-        },
     ]
 }
 
@@ -312,7 +202,7 @@ pub fn clean_models() -> Vec<ModelCheck> {
 pub struct Mutant {
     /// Short identifier.
     pub id: &'static str,
-    /// Bug class: `memory-ordering`, `flow-control`, or `lost-wakeup`.
+    /// Bug class: `memory-ordering` or `flow-control`.
     pub class: &'static str,
     /// What was broken.
     pub description: &'static str,
@@ -400,30 +290,6 @@ pub fn mutants() -> Vec<Mutant> {
                           is lost",
             run: || notifq_check(NotifqOrds::SHIPPED, NOTIFQ_CAP + 1),
         },
-        Mutant {
-            id: "doorbell-no-recheck",
-            class: "lost-wakeup",
-            description: "doorbell waiter parks without re-checking the epoch \
-                          under the sleeper lock (classic check-then-park race)",
-            run: || {
-                doorbell_check(DoorbellCfg {
-                    recheck_under_lock: false,
-                    ..DoorbellCfg::SHIPPED
-                })
-            },
-        },
-        Mutant {
-            id: "doorbell-no-drain",
-            class: "lost-wakeup",
-            description: "doorbell ring never drains sleepers (parked waiter is \
-                          never unparked)",
-            run: || {
-                doorbell_check(DoorbellCfg {
-                    ring_checks_sleepers: false,
-                    ..DoorbellCfg::SHIPPED
-                })
-            },
-        },
     ]
 }
 
@@ -440,12 +306,6 @@ mod tests {
     #[test]
     fn clean_spsc_exhausts_without_failure() {
         let r = spsc_check(SpscOrds::SHIPPED);
-        assert!(r.passed(), "{r:?}");
-    }
-
-    #[test]
-    fn clean_doorbell_exhausts_without_failure() {
-        let r = doorbell_check(DoorbellCfg::SHIPPED);
         assert!(r.passed(), "{r:?}");
     }
 
