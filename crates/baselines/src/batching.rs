@@ -9,8 +9,7 @@
 //! in these cases." [`SaturationBatcher`] is that extension: a front end
 //! over any [`ServingSystem`] that passes requests straight through while
 //! the system keeps up, and coalesces same-model requests into batched
-//! executions only once the backlog crosses a threshold. Triton's dynamic
-//! batcher keeps its variants in the same `BatchVariants` table.
+//! executions only once the backlog crosses a threshold.
 
 use std::collections::{BTreeMap, VecDeque};
 

@@ -12,13 +12,13 @@
 //!   out.
 //! * [`direct`] — CUDA-SS / CUDA-MS / MPS: clients submit whole jobs
 //!   directly to the (emulated) CUDA runtime.
-//! * [`triton`] — a Triton-like gRPC server (per-model backend instances,
-//!   optional dynamic batching) and a Clockwork-like one-model-at-a-time
-//!   executor.
+//! * [`triton`] — a Triton-like gRPC server (one backend instance per
+//!   model, one request per execution) and a Clockwork-like
+//!   one-model-at-a-time executor.
 //! * [`remote`] — the remote-inference gateway (§5.1).
-//! * [`batching`] — batch-`b` model variants, the one table of variants
-//!   Triton and the saturation batcher register, and saturation-aware
-//!   dynamic batching (§8).
+//! * [`batching`] — batch-`b` model variants, the table of variants the
+//!   saturation batcher registers, and saturation-aware dynamic batching
+//!   (§8).
 //!
 //! All systems implement [`paella_core::ServingSystem`] so the experiment
 //! harness drives them interchangeably.
@@ -33,4 +33,4 @@ pub use batching::{batched_model, BatchPolicy, SaturationBatcher};
 pub use direct::{direct_cuda, DirectMode};
 pub use layered::{Front, Layered, Tier};
 pub use remote::RemoteGateway;
-pub use triton::{Clockwork, Triton, TritonConfig};
+pub use triton::{Clockwork, Triton};

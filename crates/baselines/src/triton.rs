@@ -4,8 +4,7 @@
 //! setup (§2.2, §7): clients reach the server over gRPC (marshal +
 //! HTTP/2 per-message costs, per-byte serialization of tensor payloads);
 //! each model has one backend *instance* that executes requests one job at a
-//! time on its own stream; an optional dynamic batcher groups queued
-//! requests for the same model.
+//! time on its own stream, one request per execution.
 
 use std::collections::VecDeque;
 
@@ -18,64 +17,37 @@ use paella_core::{
 use paella_gpu::DeviceConfig;
 use paella_sim::{SimDuration, SimTime};
 
-use crate::batching::BatchVariants;
 use crate::layered::{Front, Layered, Tier};
 
-/// Triton configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct TritonConfig {
-    /// Maximum dynamic batch size (1 disables batching).
-    pub max_batch: usize,
-}
-
-impl Default for TritonConfig {
-    fn default() -> Self {
-        TritonConfig { max_batch: 1 }
-    }
-}
-
-/// How long the dynamic batcher waits for more requests before launching a
-/// partial batch.
-const BATCH_TIMEOUT: SimDuration = SimDuration::from_micros(100);
 /// Server-side per-request dispatch bookkeeping cost.
 const DISPATCH_COST: SimDuration = SimDuration::from_micros(15);
+/// Server-side cost of forming a request's input tensor for the backend.
+const FORM_COST: SimDuration = SimDuration::from_nanos(500);
 /// Per-execution CPU cost of the TVM-in-TensorFlow wrapper the paper had to
 /// build (§7 Baselines): SavedModel invocation, tensor hand-off, and output
 /// copies, serialized on the backend.
 const WRAPPER_COST: SimDuration = SimDuration::from_micros(1_400);
 
 struct ModelState {
-    model: CompiledModel,
+    /// gRPC one-way cost of the model's input and of its output.
+    rpc_in: SimDuration,
+    rpc_out: SimDuration,
     /// Requests that cleared RPC ingress, waiting for the instance.
     queue: VecDeque<InferenceRequest>,
-    /// Whether the single backend instance is busy.
-    busy: bool,
-    /// Requests inside the currently executing batch.
-    executing: Vec<InferenceRequest>,
-}
-
-/// A front-end event of the Triton-like server.
-#[derive(Clone, Copy, Debug)]
-pub enum TritonEv {
-    /// A request finished gRPC ingress.
-    Ingress(InferenceRequest),
-    /// Batch window expired for a model.
-    BatchTimeout(u32),
+    /// The request the single backend instance is executing, if any.
+    executing: Option<InferenceRequest>,
 }
 
 /// The Triton-like serving system's front end; the backend is a dispatcher.
 pub struct Triton {
-    cfg: TritonConfig,
     models: Vec<ModelState>,
-    /// The backend model of each `(model, batch size)` executed so far.
-    variants: BatchVariants,
 }
 
-type TritonFront = Front<Dispatcher, TritonEv>;
+type TritonFront = Front<Dispatcher, InferenceRequest>;
 
 impl Triton {
     /// Creates a Triton-like server over a fresh device.
-    pub fn new(device: DeviceConfig, cfg: TritonConfig, seed: u64) -> Layered<Self, Dispatcher> {
+    pub fn new(device: DeviceConfig, seed: u64) -> Layered<Self, Dispatcher> {
         // The TVM-in-TensorFlow backend funnels every execution through
         // TensorFlow's single compute stream, and the wrapper's per-call CPU
         // serializes on the server process.
@@ -89,63 +61,28 @@ impl Triton {
             bcfg,
             seed,
         );
-        let tier = Triton {
-            cfg,
-            models: Vec::new(),
-            variants: BatchVariants::default(),
-        };
-        Layered::new(tier, backend)
-    }
-
-    fn rpc_in(&self, model: usize) -> SimDuration {
-        RpcModel::one_way(self.models[model].model.input_bytes)
-    }
-
-    fn rpc_out(&self, model: usize) -> SimDuration {
-        RpcModel::one_way(self.models[model].model.output_bytes)
+        Layered::new(Triton { models: Vec::new() }, backend)
     }
 
     fn try_launch(&mut self, front: &mut TritonFront, model_idx: usize, now: SimTime) {
-        let st = &self.models[model_idx];
-        let Some(oldest) = st.queue.front().filter(|_| !st.busy) else {
+        let st = &mut self.models[model_idx];
+        if st.executing.is_some() {
+            return;
+        }
+        let Some(req) = st.queue.pop_front() else {
             return;
         };
-        let want = self.cfg.max_batch.max(1);
-        let have = st.queue.len();
-        if have < want {
-            // Wait for more requests unless the batch window expired; arm a
-            // timeout on first queued request.
-            let deadline = oldest.submitted_at + self.rpc_in(model_idx) + BATCH_TIMEOUT;
-            if now < deadline {
-                front
-                    .events
-                    .schedule_at(deadline, TritonEv::BatchTimeout(model_idx as u32));
-                return;
-            }
-        }
-        let b = have.min(want);
-        // Register (or reuse) the backend variant for this batch size.
-        let backend_id = self.variants.id(
-            &mut front.inner,
-            model_idx,
-            &self.models[model_idx].model,
-            b,
-        );
-        let st = &mut self.models[model_idx];
-        st.busy = true;
-        st.executing = st.queue.drain(..b).collect();
-        // Dispatch bookkeeping (+ batch formation cost per request).
-        let submit_at = now + DISPATCH_COST + SimDuration::from_nanos(500) * b as u64;
+        st.executing = Some(req);
         front.inner.submit(InferenceRequest {
-            client: st.executing[0].client,
-            model: backend_id,
-            submitted_at: submit_at,
+            submitted_at: now + DISPATCH_COST + FORM_COST,
+            ..req
         });
     }
 }
 
 impl Tier<Dispatcher> for Triton {
-    type Ev = TritonEv;
+    /// A request that finished gRPC ingress.
+    type Ev = InferenceRequest;
 
     /// The server re-examines a model's queue on every backend completion,
     /// before it looks at requests landing at the same instant.
@@ -155,63 +92,60 @@ impl Tier<Dispatcher> for Triton {
         "Triton".to_string()
     }
 
-    fn register_model(&mut self, _backend: &mut Dispatcher, model: &CompiledModel) -> ModelId {
+    fn register_model(&mut self, backend: &mut Dispatcher, model: &CompiledModel) -> ModelId {
+        let id = backend.register_model(model);
+        // The backend's ids index `models`: Triton is its only registrant.
+        assert_eq!(id.0 as usize, self.models.len(), "backend ids are dense");
         self.models.push(ModelState {
-            model: model.clone(),
+            rpc_in: RpcModel::one_way(model.input_bytes),
+            rpc_out: RpcModel::one_way(model.output_bytes),
             queue: VecDeque::new(),
-            busy: false,
-            executing: Vec::new(),
+            executing: None,
         });
-        ModelId(self.models.len() as u32 - 1)
+        id
     }
 
-    fn submit(&mut self, req: InferenceRequest) -> (SimTime, TritonEv) {
+    fn submit(&mut self, req: InferenceRequest) -> (SimTime, InferenceRequest) {
         let m = req.model.0 as usize;
         assert!(m < self.models.len(), "unknown model");
-        (req.submitted_at + self.rpc_in(m), TritonEv::Ingress(req))
+        (req.submitted_at + self.models[m].rpc_in, req)
     }
 
-    fn on_event(&mut self, front: &mut TritonFront, at: SimTime, ev: TritonEv) {
-        match ev {
-            TritonEv::Ingress(req) => {
-                let m = req.model.0 as usize;
-                self.models[m].queue.push_back(req);
-                self.try_launch(front, m, at);
-            }
-            TritonEv::BatchTimeout(m) => self.try_launch(front, m as usize, at),
-        }
+    fn on_event(&mut self, front: &mut TritonFront, at: SimTime, req: InferenceRequest) {
+        let m = req.model.0 as usize;
+        self.models[m].queue.push_back(req);
+        self.try_launch(front, m, at);
     }
 
     fn on_completion(&mut self, front: &mut TritonFront, c: JobCompletion) {
-        let (model_idx, _) = self.variants.key(c.request.model);
-        let (rpc_in, rpc_out) = (self.rpc_in(model_idx), self.rpc_out(model_idx));
+        let model_idx = c.request.model.0 as usize;
         let st = &mut self.models[model_idx];
-        st.busy = false;
-        for request in std::mem::take(&mut st.executing) {
-            let visible = c.client_visible_at + rpc_out;
-            let ([device, client_send_recv, framework, communication], queuing) = split(
-                visible.saturating_since(request.submitted_at),
-                [
-                    c.breakdown.device,
-                    rpc_in + rpc_out,
-                    DISPATCH_COST + c.breakdown.framework,
-                    CudaRuntimeModel::LAUNCH_LATENCY * 2,
-                ],
-            );
-            front.deliver(JobCompletion {
-                request,
-                almost_finished_at: None,
-                client_visible_at: visible,
-                breakdown: LatencyBreakdown {
-                    client_send_recv,
-                    communication,
-                    queuing_scheduling: queuing,
-                    framework,
-                    device,
-                },
-                ..c
-            });
-        }
+        // invariant: the instance submits one request at a time and holds it
+        // in `executing` until the backend answers.
+        let request = st.executing.take().expect("no job executing");
+        let visible = c.client_visible_at + st.rpc_out;
+        let ([device, client_send_recv, framework, communication], queuing) = split(
+            visible.saturating_since(request.submitted_at),
+            [
+                c.breakdown.device,
+                st.rpc_in + st.rpc_out,
+                DISPATCH_COST + c.breakdown.framework,
+                CudaRuntimeModel::LAUNCH_LATENCY * 2,
+            ],
+        );
+        front.deliver(JobCompletion {
+            request,
+            almost_finished_at: None,
+            client_visible_at: visible,
+            breakdown: LatencyBreakdown {
+                client_send_recv,
+                communication,
+                queuing_scheduling: queuing,
+                framework,
+                device,
+            },
+            ..c
+        });
         self.try_launch(front, model_idx, c.client_visible_at);
     }
 
@@ -346,7 +280,7 @@ mod tests {
 
     #[test]
     fn triton_single_request_pays_rpc_overhead() {
-        let mut t = Triton::new(DeviceConfig::tesla_t4(), TritonConfig::default(), 1);
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), 1);
         let m = t.register_model(&synthetic::tiny_model(SimDuration::from_micros(100)));
         t.submit(req(m, 0));
         t.run_to_idle();
@@ -364,7 +298,7 @@ mod tests {
 
     #[test]
     fn triton_instance_serializes_same_model() {
-        let mut t = Triton::new(DeviceConfig::tesla_t4(), TritonConfig::default(), 1);
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), 1);
         let m = t.register_model(&synthetic::uniform_job(
             "u",
             4,
@@ -387,7 +321,7 @@ mod tests {
     fn triton_tf_backend_serializes_across_models() {
         // The TVM-in-TensorFlow wrapper funnels every model through one
         // compute stream, so even different models execute back to back.
-        let mut t = Triton::new(DeviceConfig::tesla_t4(), TritonConfig::default(), 1);
+        let mut t = Triton::new(DeviceConfig::tesla_t4(), 1);
         let a = t.register_model(&synthetic::uniform_job(
             "a",
             4,
@@ -409,30 +343,6 @@ mod tests {
         // Two ~2 ms jobs on one stream plus wrapper CPU: well beyond one
         // job's latency.
         assert!(last >= SimTime::from_micros(4_000), "last = {last}");
-    }
-
-    #[test]
-    fn triton_dynamic_batching_coalesces() {
-        let cfg = TritonConfig { max_batch: 4 };
-        let mut t = Triton::new(DeviceConfig::tesla_t4(), cfg, 1);
-        let m = t.register_model(&synthetic::uniform_job(
-            "u",
-            4,
-            SimDuration::from_micros(500),
-            8,
-        ));
-        for _ in 0..4 {
-            t.submit(req(m, 0));
-        }
-        t.run_to_idle();
-        let done = t.drain_completions();
-        assert_eq!(done.len(), 4);
-        // All four share one execution: completion times equal.
-        let times: Vec<SimTime> = done.iter().map(|c| c.client_visible_at).collect();
-        assert!(
-            times.windows(2).all(|w| w[0] == w[1]),
-            "batched together: {times:?}"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! requests to the Triton-like server, as a percentage of the CUDA
 //! execution time (kernels + memcpys), for batch sizes 1 and 64.
 
-use paella_baselines::{batched_model, Triton, TritonConfig};
+use paella_baselines::{batched_model, Triton};
 use paella_bench::{device, f, header, row, zoo};
 use paella_core::{ClientId, InferenceRequest, ServingSystem};
 use paella_sim::SimTime;
@@ -23,7 +23,7 @@ fn overhead_pct(model_name: &str, batch: usize) -> f64 {
     // The paper submits the entire batch immediately (one pre-formed
     // batch-`b` tensor) to elide the dynamic batcher's configurable wait.
     let submitted = batched_model(&model, batch);
-    let mut triton = Triton::new(device(), TritonConfig::default(), 3);
+    let mut triton = Triton::new(device(), 3);
     let id = triton.register_model(&submitted);
     triton.submit(InferenceRequest {
         client: ClientId(0),

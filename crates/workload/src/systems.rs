@@ -1,7 +1,7 @@
 //! The Table 3 system registry: every compared system and Paella variant,
 //! constructible by key so experiment binaries can iterate over them.
 
-use paella_baselines::{direct_cuda, Clockwork, DirectMode, Triton, TritonConfig};
+use paella_baselines::{direct_cuda, Clockwork, DirectMode, Triton};
 use paella_channels::ChannelConfig;
 use paella_core::{
     Dispatcher, DispatcherConfig, FifoScheduler, RrScheduler, ServingSystem, SjfScheduler,
@@ -80,7 +80,7 @@ pub fn make_system(key: SystemKey, device: DeviceConfig, seed: u64) -> Box<dyn S
         SystemKey::CudaMs => Box::new(direct_cuda(device, DirectMode::MultiStream, seed)),
         SystemKey::Mps => Box::new(direct_cuda(device, DirectMode::Mps, seed)),
         SystemKey::Clockwork => Box::new(Clockwork::new(device, seed)),
-        SystemKey::Triton => Box::new(Triton::new(device, TritonConfig::default(), seed)),
+        SystemKey::Triton => Box::new(Triton::new(device, seed)),
         SystemKey::PaellaSs => Box::new(Dispatcher::new(
             device,
             ChannelConfig::default(),

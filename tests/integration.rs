@@ -43,12 +43,6 @@ fn paella_dispatcher(cfg: paella_core::DispatcherConfig, seed: u64) -> paella_co
     )
 }
 
-/// Triton with its dynamic batcher on (the `BatchTimeout` path).
-fn triton_batch4(seed: u64) -> Box<dyn ServingSystem> {
-    let cfg = paella_baselines::TritonConfig { max_batch: 4 };
-    Box::new(paella_baselines::Triton::new(device(), cfg, seed))
-}
-
 #[test]
 fn no_system_loses_or_duplicates_jobs() {
     use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
@@ -65,7 +59,6 @@ fn no_system_loses_or_duplicates_jobs() {
         })
         .collect();
     let inner = || paella_dispatcher(DispatcherConfig::paella(), 5);
-    systems.push(("Triton b4".into(), triton_batch4(5), true));
     systems.push((
         "remote".into(),
         Box::new(RemoteGateway::new(inner())),
@@ -573,7 +566,6 @@ fn front_end_golden_digests() {
         SystemKey::Mps,
     ]
     .map(|key| two_models(make_system(key, device(), 5).as_mut()));
-    let triton_b4 = two_models(triton_batch4(5).as_mut());
     let remote = two_models(&mut RemoteGateway::new(paella_dispatcher(
         DispatcherConfig::paella(),
         5,
@@ -593,17 +585,16 @@ fn front_end_golden_digests() {
     let batched = golden_digest(&mut sys, &generate(&spec, &Mix::single(id)));
 
     assert_eq!(
-        [keyed[0], keyed[1], keyed[2], keyed[3], triton_b4, remote, batched],
+        [keyed[0], keyed[1], keyed[2], keyed[3], remote, batched],
         [
             (0x9feb_f3f9_f25a_d93d, 120, 0),
             (0x5f35_b616_8580_8d13, 120, 0),
             (0xe75c_86e5_06b5_31a7, 120, 0),
             (0x4b57_c731_7cc7_bb74, 120, 0),
-            (0x1cfe_ed9a_753f_6410, 120, 0),
             (0xfcf4_fb93_cdfb_0ccf, 120, 0),
             (0xa4a8_55fa_4084_a432, 96, 0),
         ],
-        "(digest, completed, failed) of: Triton, Clockwork, CUDA-MS, MPS, Triton max_batch 4, \
+        "(digest, completed, failed) of: Triton, Clockwork, CUDA-MS, MPS, \
          RemoteGateway<Dispatcher>, SaturationBatcher<Dispatcher> under a saturating burst"
     );
 }
