@@ -4,8 +4,8 @@
 //! [`Checker::check`] repeatedly executes a small concurrent *model* under a
 //! cooperative scheduler: model threads run on real OS threads, but exactly
 //! one is runnable at a time, and every visible operation (atomic access or
-//! blocking wait) is a *schedule point* where the engine
-//! consults a decision log. Depth-first search over that log — which thread
+//! blocking wait) is a *schedule point* where the engine consults a
+//! decision log. Depth-first search over that log — which thread
 //! runs next, and which message a relaxed/acquire load reads (see
 //! [`memory`]) — enumerates every interleaving and every weak-memory read
 //! choice up to a bounded number of preemptions (CHESS-style: almost all

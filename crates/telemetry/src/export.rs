@@ -303,8 +303,10 @@ fn flow(ph: &str, job: u64, (pid, tid): Track, at_ns: u64) -> String {
 /// Renders the log as Chrome-trace JSON (array-of-events form).
 pub fn chrome_trace_json(log: &TraceLog) -> String {
     let log = &log.expanded();
-    // Stable global order, independent of how sources were concatenated: by
-    // instant, then position in the log.
+    // Stable global order: by instant, then position in the log. `expanded()`
+    // sorts only a concatenation; one tracer's take expands in recording
+    // order, which is not time order (`LlmEngine::submit` records each
+    // `JobBegin` at its `submitted_at`, ahead of the engine's clock).
     let mut events: Vec<(usize, &TracedEvent)> = log.events.iter().enumerate().collect();
     events.sort_by_key(|&(pos, e)| (e.at, pos));
 
