@@ -158,27 +158,6 @@ enum FrontEv {
     Fault(FaultKind),
 }
 
-/// Per-node outstanding-depth series names (the metrics registry requires
-/// `'static` keys, so the first 16 nodes get named series).
-const NODE_DEPTH: [&str; 16] = [
-    "node0_outstanding",
-    "node1_outstanding",
-    "node2_outstanding",
-    "node3_outstanding",
-    "node4_outstanding",
-    "node5_outstanding",
-    "node6_outstanding",
-    "node7_outstanding",
-    "node8_outstanding",
-    "node9_outstanding",
-    "node10_outstanding",
-    "node11_outstanding",
-    "node12_outstanding",
-    "node13_outstanding",
-    "node14_outstanding",
-    "node15_outstanding",
-];
-
 /// A multi-GPU Paella deployment: N dispatcher nodes behind one router, all
 /// on the shared virtual clock. Implements [`ServingSystem`] so every
 /// harness that drives a single node drives a cluster unchanged.
@@ -193,8 +172,8 @@ pub struct Cluster {
     /// Crash re-routes consumed per request, keyed by
     /// `(client, public model, original submitted_at ns)`.
     reroutes: BTreeMap<(u32, u32, u64), u32>,
-    /// The router tier's telemetry (routing counters, per-node depth
-    /// series, the failure ledger), its outboxes — results carry public ids
+    /// The router tier's telemetry (routing decisions and counters, the
+    /// failure ledger), its outboxes — results carry public ids
     /// and original submission times — and the accounting debit.
     core: EngineCore,
 }
@@ -303,10 +282,6 @@ impl Cluster {
             });
         }
         self.core.inc("requests_routed", 1);
-        if let Some(name) = NODE_DEPTH.get(chosen) {
-            self.core.gauge(name, outstanding + 1);
-            self.core.sample(name, at, outstanding + 1);
-        }
         let est = self.models[public].estimate;
         let hop = RpcNetModel::transfer(self.models[public].model.input_bytes);
         let node = &mut self.nodes[chosen];
@@ -709,7 +684,7 @@ impl ServingSystem for Cluster {
         Some(TraceLog::concat(sources))
     }
 
-    /// The cluster-level registry (routing counters, per-node depth series).
+    /// The cluster-level registry (routing counters, the SLO ledger).
     fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.core.metrics_snapshot()
     }
@@ -866,9 +841,13 @@ mod tests {
             kinds.contains(&"job-begin"),
             "node dispatcher events must be forwarded"
         );
+        let to_node0 = |e: &TraceEvent| matches!(e, TraceEvent::RouteDecision(r) if r.node == 0);
+        assert!(
+            trace.events.iter().any(|e| to_node0(&e.event)),
+            "the trace must name node 0's routing"
+        );
         let snap = c.metrics_snapshot().expect("metrics enabled");
         assert_eq!(snap.counter("requests_routed"), 8);
-        assert!(snap.series("node0_outstanding").is_some());
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct Dispatcher {
     /// Host-side telemetry, the completion / failure / post-mortem outboxes
     /// and the accounting debit.
     core: EngineCore,
-    /// Next virtual-time series sample instant.
+    /// Next sampling tick's grid instant.
     next_sample: SimTime,
 }
 
@@ -350,10 +350,12 @@ impl Dispatcher {
         done
     }
 
-    /// Emits periodic virtual-time metric samples (and a matching counter
-    /// trace record) on a fixed grid, so series are seed-stable.
+    /// Records a [`CounterTick`](paella_telemetry::TraceEvent::CounterTick)
+    /// of the [`TICK_COUNTERS`](paella_telemetry::TICK_COUNTERS) at every
+    /// grid instant up to `now`, so the sampled series are seed-stable. The
+    /// trace is their only record; with telemetry off nothing is sampled.
     fn maybe_sample(&mut self) {
-        if !self.core.metrics_enabled() {
+        if !self.core.tracer.is_enabled() {
             return;
         }
         let capacity = u64::from(self.gpu.config().num_sms)
@@ -369,7 +371,7 @@ impl Dispatcher {
             let occupancy_pct = resident * 100 / capacity.max(1);
             // In `TICK_COUNTERS` order.
             let values = [ready, inflight, waiters, backlog, resident, occupancy_pct];
-            self.core.tick(at, values);
+            self.core.tracer.record_tick(at, values);
         }
     }
 }

@@ -139,12 +139,6 @@ impl EngineCore {
         self.metrics = Some(Box::default());
     }
 
-    /// Whether a metrics registry is counting.
-    #[inline]
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
     /// A frozen copy of the metrics registry, if telemetry is enabled.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
         self.metrics.as_ref().map(|m| m.snapshot())
@@ -171,34 +165,6 @@ impl EngineCore {
         if let Some(m) = self.metrics.as_mut() {
             m.observe(name, value);
         }
-    }
-
-    /// Sets a gauge (no-op with telemetry off).
-    #[inline]
-    pub fn gauge(&mut self, name: &'static str, value: u64) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.gauge(name, value);
-        }
-    }
-
-    /// Appends a virtual-time series sample (no-op with telemetry off).
-    #[inline]
-    pub fn sample(&mut self, name: &'static str, at: SimTime, value: u64) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.sample(name, at, value);
-        }
-    }
-
-    /// One sampling tick of the
-    /// [`TICK_COUNTERS`](paella_telemetry::TICK_COUNTERS), `values` in their
-    /// order: a sample on each one's series and one trace record (no-op with
-    /// telemetry off).
-    #[inline]
-    pub fn tick(&mut self, at: SimTime, values: [u64; 6]) {
-        if let Some(m) = self.metrics.as_mut() {
-            m.sample_tick(at, values);
-        }
-        self.tracer.record_tick(at, values);
     }
 
     /// A request completed, its JCT decomposed as `journey` — the one record

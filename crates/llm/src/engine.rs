@@ -445,7 +445,6 @@ impl LlmEngine {
             "kv_pages_allocated"
         };
         self.core.inc(counter, pages);
-        self.core.gauge("kv_pages_resident", resident);
     }
 
     fn job_info(&self, id: JobId) -> JobInfo {

@@ -978,7 +978,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 // ---------------------------------------------------------------------------
 
 /// Renders a human-readable run summary: event counts, the busiest SMs, and
-/// (when provided) the metrics snapshot.
+/// (when provided) the metrics snapshot, followed by each counter series'
+/// sample count and peak from the log's [`TraceEvent::CounterSample`]s.
 pub fn text_summary(log: &TraceLog, metrics: Option<&MetricsSnapshot>) -> String {
     let log = &log.expanded();
     let mut out = String::new();
@@ -1042,11 +1043,21 @@ pub fn text_summary(log: &TraceLog, metrics: Option<&MetricsSnapshot>) -> String
                 );
             }
         }
-        if !m.series.is_empty() {
+        // Counted from the log's samples, but printed only beside a snapshot,
+        // so the pinned `text_summary(&log, None)` digests and `trace_dump`'s
+        // stdout keep their bytes.
+        let mut series: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+        for e in &log.events {
+            if let TraceEvent::CounterSample { name, value } = e.event {
+                let (samples, peak) = series.entry(name).or_default();
+                *samples += 1;
+                *peak = (*peak).max(value);
+            }
+        }
+        if !series.is_empty() {
             let _ = writeln!(out, "series:");
-            for (k, v) in &m.series {
-                let peak = v.iter().map(|&(_, x)| x).max().unwrap_or(0);
-                let _ = writeln!(out, "  {k:<28} {} samples, peak {}", v.len(), peak);
+            for (k, (samples, peak)) in &series {
+                let _ = writeln!(out, "  {k:<28} {samples} samples, peak {peak}");
             }
         }
         if !m.tenant_slo.is_empty() {

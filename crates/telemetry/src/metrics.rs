@@ -1,14 +1,11 @@
-//! The metrics registry: counters, gauges, log-bucketed histograms, and
-//! periodic virtual-time series.
+//! The metrics registry: aggregates only — counters, log-bucketed
+//! histograms and the per-tenant SLO ledger. A per-instant value (a queue
+//! depth, a sampling tick) lives only in the trace.
 //!
 //! Metrics are kept by name in first-use order and listed by name, so every
 //! exported rendering is deterministic.
 
 use std::collections::BTreeMap;
-
-use paella_sim::SimTime;
-
-use crate::event::TICK_COUNTERS;
 
 /// A power-of-two-bucketed histogram over `u64` values (typically
 /// nanoseconds). Bucket `i` counts values whose bit length is `i`, i.e.
@@ -164,9 +161,7 @@ impl<T> Named<T> {
 #[derive(Clone, Default, Debug)]
 pub struct MetricsRegistry {
     counters: Named<u64>,
-    gauges: Named<u64>,
     histograms: Named<LogHistogram>,
-    series: Named<Vec<(SimTime, u64)>>,
     tenant_slo: BTreeMap<u32, TenantSlo>,
 }
 
@@ -181,27 +176,9 @@ impl MetricsRegistry {
         *self.counters.entry(name) += n;
     }
 
-    /// Sets a gauge to its current value.
-    pub fn gauge(&mut self, name: &'static str, value: u64) {
-        *self.gauges.entry(name) = value;
-    }
-
     /// Adds one observation to a log-bucketed histogram.
     pub fn observe(&mut self, name: &'static str, value: u64) {
         self.histograms.entry(name).push(value);
-    }
-
-    /// Appends one `(t, value)` sample to a virtual-time series.
-    pub fn sample(&mut self, name: &'static str, at: SimTime, value: u64) {
-        self.series.entry(name).push((at, value));
-    }
-
-    /// Appends one sampling tick: `values[i]` to the series of
-    /// [`TICK_COUNTERS`]`[i]`, all at `at`.
-    pub fn sample_tick(&mut self, at: SimTime, values: [u64; 6]) {
-        for (name, value) in TICK_COUNTERS.into_iter().zip(values) {
-            self.series.entry(name).push((at, value));
-        }
     }
 
     /// Records one completed request for `tenant`'s SLO ledger.
@@ -243,16 +220,10 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Series by name, if any sample was recorded.
-    pub fn series(&self, name: &str) -> Option<&[(SimTime, u64)]> {
-        self.series.get(name).map(Vec::as_slice)
-    }
-
     /// Freezes the registry into a plain snapshot for reports.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self.counters.sorted(|&v| v),
-            gauges: self.gauges.sorted(|&v| v),
             histograms: self.histograms.sorted(|h| HistogramSummary {
                 count: h.count(),
                 mean: h.mean(),
@@ -261,7 +232,6 @@ impl MetricsRegistry {
                 p50_bound: h.quantile_bound(0.50).unwrap_or(0),
                 p99_bound: h.quantile_bound(0.99).unwrap_or(0),
             }),
-            series: self.series.sorted(Vec::clone),
             tenant_slo: self
                 .tenant_slo
                 .iter()
@@ -337,12 +307,8 @@ impl TenantSloSummary {
 pub struct MetricsSnapshot {
     /// Counter values, name-sorted.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values, name-sorted.
-    pub gauges: Vec<(String, u64)>,
     /// Histogram summaries, name-sorted.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Time series, name-sorted.
-    pub series: Vec<(String, Vec<(SimTime, u64)>)>,
     /// Per-tenant SLO ledgers, tenant-sorted.
     pub tenant_slo: Vec<(u32, TenantSloSummary)>,
 }
@@ -355,14 +321,6 @@ impl MetricsSnapshot {
             .find(|(k, _)| k == name)
             .map(|&(_, v)| v)
             .unwrap_or(0)
-    }
-
-    /// Series by name.
-    pub fn series(&self, name: &str) -> Option<&[(SimTime, u64)]> {
-        self.series
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_slice())
     }
 
     /// Completions booked across every tenant's SLO ledger.
@@ -427,15 +385,11 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.inc("jobs", 2);
         m.inc("jobs", 3);
-        m.gauge("depth", 7);
         m.observe("jct_ns", 1500);
-        m.sample("ready", SimTime::from_micros(1), 4);
-        m.sample("ready", SimTime::from_micros(2), 6);
         assert_eq!(m.counter("jobs"), 5);
         assert_eq!(m.counter("missing"), 0);
         let snap = m.snapshot();
         assert_eq!(snap.counter("jobs"), 5);
-        assert_eq!(snap.series("ready").unwrap().len(), 2);
         assert_eq!(snap.histograms[0].0, "jct_ns");
         assert_eq!(snap.histograms[0].1.count, 1);
     }
@@ -447,11 +401,12 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.inc("jobs", 1);
         m.inc(copy, 2);
-        m.sample(copy, SimTime::ZERO, 4);
-        m.sample("jobs", SimTime::ZERO, 5);
+        m.observe(copy, 4);
+        m.observe("jobs", 5);
         let snap = m.snapshot();
         assert_eq!(snap.counters, vec![("jobs".to_string(), 3)]);
-        assert_eq!(snap.series("jobs").unwrap().len(), 2);
+        assert_eq!(snap.histograms.len(), 1);
+        assert_eq!(snap.histograms[0].1.count, 2);
     }
 
     #[test]
@@ -494,17 +449,15 @@ mod tests {
         let mut a = MetricsRegistry::new();
         a.inc("x", 1);
         a.inc("y", 2);
-        a.gauge("g", 3);
         a.observe("h", 10);
-        a.sample("s", SimTime::from_micros(1), 5);
+        a.observe("i", 5);
         a.slo_fail(2, "shed");
         a.slo_complete(1, true, 0);
         let mut b = MetricsRegistry::new();
         b.slo_complete(1, true, 0);
         b.slo_fail(2, "shed");
-        b.sample("s", SimTime::from_micros(1), 5);
+        b.observe("i", 5);
         b.observe("h", 10);
-        b.gauge("g", 3);
         b.inc("y", 2);
         b.inc("x", 1);
         assert_eq!(a.snapshot(), b.snapshot());

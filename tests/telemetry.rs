@@ -11,7 +11,7 @@ use paella_models::synthetic;
 use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{
     chrome_trace_json, export::sm_spans, flight, text_summary, validate_chrome_trace, JobEnd,
-    JobJourney, TraceEvent, TraceLog, TracedEvent, TICK_COUNTERS,
+    JobJourney, MetricsRegistry, TraceEvent, TraceLog, TracedEvent, Tracer, TICK_COUNTERS,
 };
 use paella_workload::{generate, run_trace, Arrival, Mix, RunStats, WorkloadSpec};
 
@@ -247,7 +247,55 @@ fn disabled_telemetry_changes_nothing_and_records_nothing() {
     assert_eq!(m.counter("jobs_completed"), on.completions.len() as u64);
     assert_eq!(m.counter("jobs_ingested"), on.completions.len() as u64);
     assert!(m.counter("kernels_dispatched") > 0);
-    assert!(m.series("inflight_jobs").is_some());
+
+    // The sampling tick lives only in the trace: one per 50 µs grid
+    // instant from time zero, none skipped or doubled.
+    let ticks: Vec<SimTime> = (trace_of(&on).events.iter())
+        .filter(|e| matches!(e.event, TraceEvent::CounterTick { .. }))
+        .map(|e| e.at)
+        .collect();
+    assert!(ticks.len() > 1, "a contended run spans several ticks");
+    for (i, &at) in ticks.iter().enumerate() {
+        assert_eq!(at, SimTime::from_micros(50 * i as u64));
+    }
+}
+
+/// `text_summary`'s `series:` block counts the trace's counter samples, one
+/// line per counter: a tick whose values all fit `u32` and one that fell
+/// back to six `CounterSample`s count alike.
+#[test]
+fn summary_series_count_and_peak_every_tick_shape() {
+    let mut t = Tracer::enabled();
+    t.record_tick(SimTime::ZERO, [1, 2, 3, 4, 5, 6]);
+    t.record_tick(SimTime::from_micros(50), [9, 1, 1 << 32, 0, 7, 2]);
+    t.record_tick(SimTime::from_micros(100), [3, 3, 3, 3, 3, 3]);
+    let log = t.take();
+    let ticks = log
+        .events
+        .iter()
+        .filter(|e| e.event.kind() == "counter-tick");
+    assert_eq!(
+        ticks.count(),
+        2,
+        "the middle tick must fall back to samples"
+    );
+    let snap = MetricsRegistry::new().snapshot();
+    let summary = text_summary(&log, Some(&snap));
+    let series: Vec<&str> = (summary.lines())
+        .skip_while(|l| *l != "series:")
+        .skip(1)
+        .take_while(|l| l.starts_with("  "))
+        .collect();
+    let expected = [
+        ("inflight_jobs", 3),
+        ("notifq_backlog", 4),
+        ("occupancy_pct", 6),
+        ("ready_jobs", 9),
+        ("resident_blocks", 7),
+        ("stream_waiters", 1 << 32),
+    ]
+    .map(|(k, peak): (&str, u64)| format!("  {k:<28} 3 samples, peak {peak}"));
+    assert_eq!(series, expected);
 }
 
 /// The deterministic gate on bytes per recorded event (DESIGN §8): recording
