@@ -16,6 +16,10 @@ use paella_channels::{
 };
 
 const REQUESTS: u32 = 10_000;
+/// The completion count at which the dispatcher rings the client's doorbell
+/// once: the job is *almost finished* (§5.3), so the client wakes a little
+/// before its result and spins only for the rest.
+const ALMOST_DONE: u32 = REQUESTS - 128;
 
 fn main() {
     // Client → dispatcher request ring (the paper's predict() channel).
@@ -49,7 +53,7 @@ fn main() {
     });
 
     // The dispatcher: poll the request ring and the notifQ, count work, ring
-    // the client's doorbell as results become ready.
+    // the client's doorbell once the results are almost all in.
     let d_completed = Arc::clone(&completed);
     let d_doorbell = Arc::clone(&doorbell);
     let d_consumed = Arc::clone(&consumed);
@@ -69,8 +73,9 @@ fn main() {
                     NotifKind::Completion => {
                         completions_seen += 1;
                         d_completed.store(u64::from(completions_seen), Ordering::Release);
-                        // Almost-finished interrupt for the waiting client.
-                        d_doorbell.ring();
+                        if completions_seen == ALMOST_DONE {
+                            d_doorbell.ring();
+                        }
                     }
                 }
             }
