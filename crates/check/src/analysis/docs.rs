@@ -15,7 +15,7 @@
 //! enum, union, trait or type alias the workspace's non-test sources declare,
 //! and `item` a fn, const, static, field or variant they declare — so a doc
 //! naming a deleted or renamed one fails at once. Types of the standard
-//! library in [`STD_TYPES`] are exempt, and so are placeholders: a one-letter
+//! library in `STD_TYPES` are exempt, and so are placeholders: a one-letter
 //! type (a generic parameter, `T::Ev`) and `Type::item` itself.
 
 use std::collections::BTreeSet;

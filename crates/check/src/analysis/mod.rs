@@ -2,8 +2,8 @@
 //! paths, R11 items, [`docs`]) over its prose docs — the one lint engine.
 //!
 //! The [`crate::lint`] tokenizer blanks literals and splits off comments,
-//! [`tree::lex`] turns the code into a flat token stream, and
-//! [`rules::token_rules`] makes one pass over it per file. There is no
+//! `tree::lex` turns the code into a flat token stream, and
+//! `rules::token_rules` makes one pass over it per file. There is no
 //! parser above that and no classification of what a name means: each rule
 //! is a ban on a token pattern within a directory scope, and where a ban has
 //! exceptions the exception is a tagged comment at the site (`relaxed:`,

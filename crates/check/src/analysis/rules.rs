@@ -5,9 +5,8 @@
 //! `fn`; R7: which asserts are still in scope) count brace depth as the pass
 //! goes. Each rule is either a flat ban (R1, R4, R5, R6, R9) or a ban whose
 //! exception is written at the site as a tagged comment found by
-//! [`justified`](crate::lint::justified): `relaxed:` (R2), `invariant:`
-//! (R3), `sub:` (R7), the ordering tags (R8). There is no second place to
-//! suppress a finding.
+//! `lint::justified`: `relaxed:` (R2), `invariant:` (R3), `sub:` (R7), the
+//! ordering tags (R8). There is no second place to suppress a finding.
 //!
 //! The rules must never panic on odd code, and they err toward flagging.
 

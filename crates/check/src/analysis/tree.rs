@@ -5,11 +5,11 @@
 //! 1. the comment/string-aware line tokenizer in [`crate::lint`] blanks
 //!    literals and splits comments from code, so a pattern inside a string
 //!    can never trip a rule;
-//! 2. [`lex`] turns each blanked code line into [`Tok`]s — identifiers and
+//! 2. `lex` turns each blanked code line into [`Tok`]s — identifiers and
 //!    punctuation, with a small set of fused multi-char operators (`::`,
 //!    `-=`, `=>`, …) so rules match on operators, not character pairs.
 //!
-//! [`test_mask`] marks the tokens of `#[cfg(test)]` items on that stream;
+//! `test_mask` marks the tokens of `#[cfg(test)]` items on that stream;
 //! scope (brace depth, fn extent) is counted by the rules pass itself.
 
 use crate::lint::Line;

@@ -7,7 +7,8 @@
 //! encoded edge set reproduces CUDA stream semantics precisely:
 //!
 //! * the explicit cross-stream dependencies of the model's
-//!   [`JobSchedule`] (`cudaStreamWaitEvent`-style joins);
+//!   [`JobSchedule`](crate::module::JobSchedule)
+//!   (`cudaStreamWaitEvent`-style joins);
 //! * the implicit in-stream predecessor edge (within one stream, ops
 //!   release in issue order, so the immediate predecessor edge covers the
 //!   whole chain);

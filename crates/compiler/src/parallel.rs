@@ -6,11 +6,10 @@
 //! This pass is the natural *extension*: branches of the dataflow graph with
 //! no mutual dependencies (inception modules, fire modules, residual
 //! shortcuts) are assigned distinct virtual streams, with
-//! `cudaStreamWaitEvent`-style joins recorded in the
-//! [`JobSchedule`](crate::module::JobSchedule) so the serving layer preserves
-//! correctness. Under Paella, each virtual stream is bound to a real CUDA
-//! stream at launch time — giving intra-job parallelism on top of inter-job
-//! scheduling (what Rammer does at compile time, §9).
+//! `cudaStreamWaitEvent`-style joins recorded in the [`JobSchedule`] so the
+//! serving layer preserves correctness. Under Paella, each virtual stream is
+//! bound to a real CUDA stream at launch time — giving intra-job parallelism
+//! on top of inter-job scheduling (what Rammer does at compile time, §9).
 
 use std::collections::HashMap;
 

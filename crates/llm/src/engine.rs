@@ -16,12 +16,11 @@
 //! # Policies
 //!
 //! * [`LlmPolicy::SrptDeficit`] — the paper's dispatcher policy lifted to
-//!   token granularity: the real
-//!   [`SrptDeficitScheduler`](paella_core::sched::SrptDeficitScheduler)
-//!   arbitrates between jobs, and the winner runs one unit (a prefill
-//!   chunk or a batch-of-1 decode step) per iteration. Remaining-time
-//!   estimates shrink as tokens retire, so SRPT's preference for
-//!   nearly-done jobs carries over — but nothing co-batches, so every
+//!   token granularity: the real [`SrptDeficitScheduler`] arbitrates
+//!   between jobs, and the winner runs one unit (a prefill chunk or a
+//!   batch-of-1 decode step) per iteration. Remaining-time estimates
+//!   shrink as tokens retire, so SRPT's preference for nearly-done jobs
+//!   carries over — but nothing co-batches, so every
 //!   outstanding decode stream pays the full fixed cost per token.
 //! * [`LlmPolicy::ContinuousBatching`] — Orca-style iteration-level
 //!   batching: every decode-phase sequence joins each iteration (up to

@@ -1,4 +1,4 @@
-//! `proptest::collection` subset: the [`vec`] strategy.
+//! `proptest::collection` subset: the [`vec()`] strategy.
 
 use crate::{Strategy, TestRng};
 use std::ops::Range;
