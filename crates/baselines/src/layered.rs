@@ -1,116 +1,86 @@
-//! The one driver of a front end over an inner serving system (DESIGN
+//! The one driver of a front end over a backend dispatcher (DESIGN
 //! "Serving skeleton"): a [`Tier`] says what a request costs to reach the
-//! inner system, what it holds back and how results translate on the way
+//! backend, what it holds back and how completions translate on the way
 //! out, and [`Layered`] supplies everything else.
 
 use paella_compiler::CompiledModel;
 use paella_core::types::LoadSignal;
 use paella_core::{
-    earliest, EngineCore, InferenceRequest, JobCompletion, JobFailure, ModelId, ServingSystem,
+    earliest, Dispatcher, EngineCore, InferenceRequest, JobCompletion, JobFailure, ModelId,
+    ServingSystem,
 };
 use paella_sim::{EventQueue, SimTime};
 use paella_telemetry::{MetricsSnapshot, TraceLog};
 
 /// What a [`Tier`]'s callbacks work on besides the tier's own state.
-pub struct Front<S, E> {
-    /// The wrapped system.
-    pub inner: S,
+pub struct Front<E> {
+    /// The backend.
+    pub inner: Dispatcher,
     /// Front-end events not yet due.
     pub events: EventQueue<E>,
     /// Results translated back to what the caller submitted.
     out: EngineCore,
 }
 
-impl<S, E> Front<S, E> {
-    /// Hands the caller a completion (booked by the inner system).
+impl<E> Front<E> {
+    /// Hands the caller a completion (booked by the backend).
     pub fn deliver(&mut self, c: JobCompletion) {
         self.out.forward(c);
     }
-
-    /// Hands the caller a failure (booked by the inner system; the outbox
-    /// keeps no ledger of its own).
-    pub fn deliver_failure(&mut self, f: JobFailure) {
-        self.out.fail(f.request, f.reason, f.at);
-    }
 }
 
-/// A front end over an inner serving system: what it costs a request to
-/// reach the inner system, what it holds back, and how results translate on
-/// the way out. [`Layered`] supplies everything else.
-pub trait Tier<S: ServingSystem> {
+/// A front end over a backend dispatcher: what it costs a request to reach
+/// the backend, what it holds back, and how completions translate on the
+/// way out. [`Layered`] supplies everything else, failures included: they
+/// reach the caller as the backend reports them.
+pub trait Tier {
     /// A front-end event.
     type Ev;
 
-    /// Which side steps first when a front-end event and inner work fall on
-    /// the same instant. A server that re-examines its queues on every
-    /// backend completion steps the inner system first; a pass-through that
-    /// must hand a request over before the inner system moves past its
-    /// arrival steps the front end first.
-    const INNER_FIRST: bool;
-
     /// Display name.
-    fn name(&self, inner: &S) -> String;
+    fn name(&self) -> String;
 
     /// Registers a model; returns the id callers submit under.
-    fn register_model(&mut self, inner: &mut S, model: &CompiledModel) -> ModelId;
+    fn register_model(&mut self, backend: &mut Dispatcher, model: &CompiledModel) -> ModelId;
 
     /// Accepts a request: the instant it reaches the front end and the
     /// event that fires then.
     fn submit(&mut self, req: InferenceRequest) -> (SimTime, Self::Ev);
 
     /// A front-end event came due.
-    fn on_event(&mut self, front: &mut Front<S, Self::Ev>, at: SimTime, ev: Self::Ev);
+    fn on_event(&mut self, front: &mut Front<Self::Ev>, at: SimTime, ev: Self::Ev);
 
-    /// The inner system completed a job this tier submitted.
-    fn on_completion(&mut self, front: &mut Front<S, Self::Ev>, c: JobCompletion) {
-        front.deliver(c);
-    }
-
-    /// The inner system failed a request this tier submitted.
-    fn on_failure(&mut self, front: &mut Front<S, Self::Ev>, f: JobFailure) {
-        front.deliver_failure(f);
-    }
+    /// The backend completed a job this tier submitted.
+    fn on_completion(&mut self, front: &mut Front<Self::Ev>, c: JobCompletion);
 
     /// Requests the tier holds that neither the front-end queue nor the
-    /// inner system counts.
-    fn parked(&self) -> u64 {
-        0
-    }
+    /// backend counts.
+    fn parked(&self) -> u64;
 }
 
-/// The one driver of a front end over an inner system: merges the two event
-/// sources on one clock under the tier's tie rule, hands inner completions
-/// and failures to the tier, and forwards telemetry, post-mortems and load.
-pub struct Layered<T: Tier<S>, S: ServingSystem> {
+/// The one driver of a front end over a backend dispatcher: merges the two
+/// event sources on one clock, hands backend completions to the tier and
+/// failures to the caller, and forwards telemetry, post-mortems and load.
+pub struct Layered<T: Tier> {
     tier: T,
-    front: Front<S, T::Ev>,
+    front: Front<T::Ev>,
 }
 
-impl<T: Tier<S>, S: ServingSystem> Layered<T, S> {
-    /// Puts `tier` in front of `inner`.
-    pub fn new(tier: T, inner: S) -> Self {
+impl<T: Tier> Layered<T> {
+    /// Puts `tier` in front of `backend`.
+    pub fn new(tier: T, backend: Dispatcher) -> Self {
         Layered {
             tier,
             front: Front {
-                inner,
+                inner: backend,
                 events: EventQueue::new(),
                 out: EngineCore::default(),
             },
         }
     }
-
-    /// The front end.
-    pub fn tier(&self) -> &T {
-        &self.tier
-    }
-
-    /// The wrapped system.
-    pub fn inner(&self) -> &S {
-        &self.front.inner
-    }
 }
 
-impl<T: Tier<S>, S: ServingSystem> ServingSystem for Layered<T, S> {
+impl<T: Tier> ServingSystem for Layered<T> {
     fn register_model(&mut self, model: &CompiledModel) -> ModelId {
         self.tier.register_model(&mut self.front.inner, model)
     }
@@ -131,25 +101,23 @@ impl<T: Tier<S>, S: ServingSystem> ServingSystem for Layered<T, S> {
     fn advance_until(&mut self, t: SimTime) {
         let (tier, front) = (&mut self.tier, &mut self.front);
         loop {
-            let ti = front.inner.next_event_time();
-            let te = front.events.peek_time();
-            let Some(next) = earliest(ti, te).filter(|&next| next <= t) else {
+            let backend = front.inner.next_event_time();
+            let Some(next) = earliest(backend, front.events.peek_time()).filter(|&next| next <= t)
+            else {
                 break;
             };
-            let inner_turn = if T::INNER_FIRST {
-                ti == Some(next)
-            } else {
-                te != Some(next)
-            };
-            if inner_turn {
+            // On a tie the backend steps first: a server re-examines its
+            // queues on every backend completion before it looks at
+            // requests landing at the same instant.
+            if backend == Some(next) {
                 front.inner.advance_until(next);
             } else {
-                // invariant: `next` is the earlier of the two peeks and it is
-                // not the inner system's turn, so peek_time returned it.
+                // invariant: `next` is the earlier of the two peeks and not
+                // the backend's, so peek_time returned it.
                 let (at, ev) = front.events.pop().expect("peeked event");
                 tier.on_event(front, at, ev);
             }
-            // A callback may submit inward, and a submission the inner system
+            // A callback may submit inward, and a submission the backend
             // refuses fails on the spot: drain until nothing new comes back.
             loop {
                 let done = front.inner.drain_completions();
@@ -160,8 +128,10 @@ impl<T: Tier<S>, S: ServingSystem> ServingSystem for Layered<T, S> {
                 for c in done {
                     tier.on_completion(front, c);
                 }
+                // Booked by the backend; the outbox keeps no ledger of its
+                // own.
                 for f in failed {
-                    tier.on_failure(front, f);
+                    front.out.fail(f.request, f.reason, f.at);
                 }
             }
         }
@@ -176,7 +146,7 @@ impl<T: Tier<S>, S: ServingSystem> ServingSystem for Layered<T, S> {
     }
 
     fn name(&self) -> String {
-        self.tier.name(&self.front.inner)
+        self.tier.name()
     }
 
     fn enable_telemetry(&mut self) {
@@ -196,8 +166,8 @@ impl<T: Tier<S>, S: ServingSystem> ServingSystem for Layered<T, S> {
     }
 
     fn load_signal(&self) -> LoadSignal {
-        // Requests the front end still holds are load the inner system
-        // cannot see yet; the node is committed to them all the same.
+        // Requests the front end still holds are load the backend cannot see
+        // yet; the node is committed to them all the same.
         let mut s = self.front.inner.load_signal();
         s.queued += self.front.events.len() as u64 + self.tier.parked();
         s

@@ -43,11 +43,11 @@ pub struct Triton {
     models: Vec<ModelState>,
 }
 
-type TritonFront = Front<Dispatcher, InferenceRequest>;
+type TritonFront = Front<InferenceRequest>;
 
 impl Triton {
     /// Creates a Triton-like server over a fresh device.
-    pub fn new(device: DeviceConfig, seed: u64) -> Layered<Self, Dispatcher> {
+    pub fn new(device: DeviceConfig, seed: u64) -> Layered<Self> {
         // The TVM-in-TensorFlow backend funnels every execution through
         // TensorFlow's single compute stream, and the wrapper's per-call CPU
         // serializes on the server process.
@@ -80,15 +80,11 @@ impl Triton {
     }
 }
 
-impl Tier<Dispatcher> for Triton {
+impl Tier for Triton {
     /// A request that finished gRPC ingress.
     type Ev = InferenceRequest;
 
-    /// The server re-examines a model's queue on every backend completion,
-    /// before it looks at requests landing at the same instant.
-    const INNER_FIRST: bool = true;
-
-    fn name(&self, _backend: &Dispatcher) -> String {
+    fn name(&self) -> String {
         "Triton".to_string()
     }
 
@@ -169,11 +165,11 @@ pub struct Clockwork {
     busy: Option<InferenceRequest>,
 }
 
-type ClockworkFront = Front<Dispatcher, InferenceRequest>;
+type ClockworkFront = Front<InferenceRequest>;
 
 impl Clockwork {
     /// Creates a Clockwork-like server over a fresh device.
-    pub fn new(device: DeviceConfig, seed: u64) -> Layered<Self, Dispatcher> {
+    pub fn new(device: DeviceConfig, seed: u64) -> Layered<Self> {
         let bcfg = DispatcherConfig::direct(StreamPolicy::Single);
         let backend = Dispatcher::new(
             device,
@@ -204,15 +200,11 @@ impl Clockwork {
     }
 }
 
-impl Tier<Dispatcher> for Clockwork {
+impl Tier for Clockwork {
     /// A request that finished ingress.
     type Ev = InferenceRequest;
 
-    /// The controller starts the next queued action on a worker's result
-    /// before it looks at requests landing at the same instant.
-    const INNER_FIRST: bool = true;
-
-    fn name(&self, _backend: &Dispatcher) -> String {
+    fn name(&self) -> String {
         "Clockwork".to_string()
     }
 

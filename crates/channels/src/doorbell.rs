@@ -8,8 +8,10 @@
 //! latency.
 //!
 //! [`Doorbell`] is the interrupt half: an epoch and a waiter count under one
-//! `Mutex`, and a `Condvar` that a ring notifies. [`HybridWaiter::wait_until`]
-//! implements the full hybrid protocol against an arbitrary poll closure.
+//! `Mutex`, and a `Condvar` that a ring notifies. [`HybridWaiter::arm`] takes
+//! the epoch when the request is submitted, and [`HybridWaiter::wait`] runs
+//! the full hybrid protocol from it against an arbitrary poll closure, so a
+//! ring that fires before the wait begins still counts.
 
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -83,6 +85,16 @@ pub struct WaitStats {
     pub polled: Duration,
     /// Number of poll iterations executed.
     pub poll_iters: u64,
+    /// Sleeps that ended at `max_block` with no ring.
+    pub timeouts: u64,
+}
+
+/// The doorbell's epoch when a request was submitted; a wait armed with it
+/// takes any later ring as the request's *almost finished* notification.
+#[derive(Clone, Copy, Debug)]
+#[must_use = "a ticket is only useful to `HybridWaiter::wait`"]
+pub struct Ticket {
+    epoch: u64,
 }
 
 /// A client-side waiter implementing the hybrid interrupt-then-poll protocol.
@@ -96,38 +108,47 @@ impl HybridWaiter {
         HybridWaiter { doorbell }
     }
 
+    /// Arms the waiter: call it before submitting the request, so that
+    /// [`wait`](Self::wait) sees a ring that fires before the wait begins.
+    pub fn arm(&self) -> Ticket {
+        Ticket {
+            epoch: self.doorbell.epoch(),
+        }
+    }
+
     /// Blocks until `poll` returns `Some`, using the hybrid protocol:
-    /// sleep on the doorbell (the dispatcher rings it when the job is
-    /// *almost finished*), then spin on `poll` until the result lands.
+    /// sleep on the doorbell until it rings past `ticket` (the dispatcher
+    /// rings it when the job is *almost finished*), then spin on `poll`
+    /// until the result lands.
     ///
     /// `max_block` bounds each sleep so a lost wakeup degrades to periodic
-    /// polling instead of a hang.
-    pub fn wait_until<T>(
+    /// polling instead of a hang, and each spin so an early or spurious ring
+    /// goes back to sleeping.
+    pub fn wait<T>(
         &self,
+        ticket: Ticket,
         mut poll: impl FnMut() -> Option<T>,
         max_block: Duration,
     ) -> (T, WaitStats) {
         let mut stats = WaitStats::default();
+        let mut seen = ticket.epoch;
         loop {
-            // Fast path: the result may already be there.
+            // The result may already be there.
             stats.poll_iters += 1;
             if let Some(v) = poll() {
                 return (v, stats);
             }
             // Interrupt phase: sleep until the almost-finished ring.
-            let seen = self.doorbell.epoch();
-            // One more check: the ring may have fired between poll and epoch.
-            stats.poll_iters += 1;
-            if let Some(v) = poll() {
-                return (v, stats);
-            }
             let t0 = Instant::now();
             let rung = self.doorbell.wait_past(seen, max_block);
             stats.blocked += t0.elapsed();
             if !rung {
                 // No ring within `max_block`: poll once more and sleep again.
+                stats.timeouts += 1;
                 continue;
             }
+            // A ring from here on is a new one for the next sleep.
+            seen = self.doorbell.epoch();
             // Poll phase: spin until the completion is visible.
             let t1 = Instant::now();
             loop {
@@ -236,7 +257,7 @@ mod tests {
     fn hybrid_wait_immediate_result_skips_sleep() {
         let d = Doorbell::shared();
         let w = HybridWaiter::new(Arc::clone(&d));
-        let (v, stats) = w.wait_until(|| Some(42), Duration::from_millis(100));
+        let (v, stats) = w.wait(w.arm(), || Some(42), Duration::from_millis(100));
         assert_eq!(v, 42);
         assert_eq!(stats.blocked, Duration::ZERO);
     }
@@ -255,7 +276,8 @@ mod tests {
             f2.store(true, Ordering::Release);
         });
         let w = HybridWaiter::new(d);
-        let (v, stats) = w.wait_until(
+        let (v, stats) = w.wait(
+            w.arm(),
             || flag.load(Ordering::Acquire).then_some(7),
             Duration::from_secs(1),
         );
@@ -280,7 +302,8 @@ mod tests {
             f2.store(true, Ordering::Release);
         });
         let w = HybridWaiter::new(d);
-        let (v, _) = w.wait_until(
+        let (v, _) = w.wait(
+            w.arm(),
             || flag.load(Ordering::Acquire).then_some(1),
             Duration::from_millis(5),
         );
@@ -299,11 +322,33 @@ mod tests {
             f2.store(true, Ordering::Release);
         });
         let w = HybridWaiter::new(d);
-        let (_, stats) = w.wait_until(
+        let (_, stats) = w.wait(
+            w.arm(),
             || flag.load(Ordering::Acquire).then_some(()),
             Duration::from_millis(5),
         );
         assert_eq!(stats.polled, Duration::ZERO);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_ring_before_the_wait_is_the_wakeup() {
+        // Armed at submission, rung before the client starts waiting: the
+        // wait goes straight to its poll phase instead of sleeping out
+        // `max_block` on a ring that already fired.
+        let d = Doorbell::shared();
+        let w = HybridWaiter::new(Arc::clone(&d));
+        let ticket = w.arm();
+        d.ring();
+        let mut calls = 0;
+        let (v, stats) = w.wait(
+            ticket,
+            || {
+                calls += 1;
+                (calls == 3).then_some(calls)
+            },
+            Duration::from_secs(1),
+        );
+        assert_eq!((v, stats.poll_iters, stats.timeouts), (3, 3, 0));
     }
 }

@@ -26,7 +26,7 @@ pub mod notif;
 pub mod notifq;
 pub mod spsc;
 
-pub use doorbell::{Doorbell, HybridWaiter, WaitStats};
+pub use doorbell::{Doorbell, HybridWaiter, Ticket, WaitStats};
 pub use latency::{ChannelConfig, CudaRuntimeModel, RpcModel, ShmRingModel, UnixSocketModel};
 pub use notif::{KernelUid, NotifKind, Notification, SmId, INVALID_WORD};
 pub use notifq::{notif_queue, NotifReader, NotifWriter};

@@ -141,12 +141,12 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "a lookup-only hash set added to the router: banned by name, not audited per use",
         },
         GraftMutant {
-            id: "r6-batch-variants-hashmap",
+            id: "r6-llm-client-jobs-hashmap",
             rule: "det-hash-container",
-            file: "crates/baselines/src/batching.rs",
-            find: "    ids: BTreeMap<(usize, usize), ModelId>,",
-            replace: "    ids: std::collections::HashMap<(usize, usize), ModelId>,",
-            description: "the front ends' batch-variant table keyed by a per-process seeded hash",
+            file: "crates/llm/src/engine.rs",
+            find: "    client_jobs: BTreeMap<ClientId, u64>,",
+            replace: "    client_jobs: std::collections::HashMap<ClientId, u64>,",
+            description: "the LLM engine's per-client in-flight table keyed by a per-process seeded hash",
         },
         GraftMutant {
             id: "r7-dispatcher-debit-bypassed",

@@ -27,9 +27,8 @@
 //! * [`types`] — requests, completions, and the Fig. 10 latency-breakdown
 //!   categories.
 //!
-//! The front ends (the Table 3 baselines, the remote gateway, saturation
-//! batching) live in `paella-baselines`; the MIG facade and the multi-node
-//! router in `paella-cluster`.
+//! The Table 3 baselines live in `paella-baselines`; the MIG facade and the
+//! multi-node router in `paella-cluster`.
 
 pub mod dispatcher;
 pub mod occupancy;

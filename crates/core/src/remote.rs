@@ -4,8 +4,8 @@
 //! RPC server for remote callers, transparently forwarding messages between
 //! the remote client and the shared-memory protocol, with both ends using
 //! kernel-bypass networking (the paper cites eRPC). [`RpcNetModel`] prices
-//! one such crossing; the remote gateway (`paella-baselines`) and the
-//! cluster's router (`paella-cluster`) both charge it.
+//! one such crossing; the cluster's router (`paella-cluster`) charges it on
+//! the client↔router and router↔node hops.
 
 use paella_sim::{SimDuration, SimTime};
 

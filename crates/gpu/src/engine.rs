@@ -349,11 +349,6 @@ impl GpuSim {
         *self.pool.usage(sm as usize).expect("SM out of range")
     }
 
-    /// Number of kernels the device still knows about (queued or running).
-    pub fn inflight_kernels(&self) -> usize {
-        self.kernels.len()
-    }
-
     /// Whether all queues, SMs, and copy engines are idle.
     pub fn is_idle(&self) -> bool {
         self.kernels.is_empty()

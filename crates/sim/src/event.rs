@@ -8,7 +8,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Identifier of a scheduled event, usable for cancellation: the event's
 /// insertion sequence number.
@@ -191,12 +191,6 @@ impl<E> EventQueue<E> {
         EventId(seq)
     }
 
-    /// Schedules `payload` after a delay from the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
-        let at = self.now.saturating_add(delay);
-        self.schedule_at(at, payload)
-    }
-
     /// Cancels a previously scheduled event in O(1). Returns `true` if the
     /// event was still pending. Cancelled events are dropped lazily on pop,
     /// or eagerly once tombstones exceed the compaction threshold.
@@ -315,17 +309,6 @@ mod tests {
         }
         let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn schedule_after_uses_current_clock() {
-        let mut q = EventQueue::new();
-        q.schedule_at(SimTime::from_nanos(100), 1);
-        q.pop();
-        q.schedule_after(SimDuration::from_nanos(50), 2);
-        let (t, e) = q.pop().unwrap();
-        assert_eq!(e, 2);
-        assert_eq!(t, SimTime::from_nanos(150));
     }
 
     #[test]

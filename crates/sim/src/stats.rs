@@ -1,8 +1,6 @@
 //! Streaming statistics: online mean/variance, percentile collectors and
 //! CDFs for the evaluation harness.
 
-use crate::time::SimDuration;
-
 /// Online mean/variance accumulator (Welford's algorithm).
 #[derive(Clone, Debug, Default)]
 pub struct OnlineStats {
@@ -114,11 +112,6 @@ impl Percentiles {
     pub fn push(&mut self, x: f64) {
         self.samples.push(x);
         self.sorted = false;
-    }
-
-    /// Adds a duration observation, in microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_micros_f64());
     }
 
     /// Number of observations.

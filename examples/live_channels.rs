@@ -29,6 +29,10 @@ fn main() {
     // Dispatcher → client completion slot + almost-finished doorbell (§5.3).
     let completed = Arc::new(AtomicU64::new(0));
     let doorbell = Doorbell::shared();
+    // Armed before the submit loop, and before the device and dispatcher
+    // start: the one ring may fire before the client begins to wait.
+    let waiter = HybridWaiter::new(Arc::clone(&doorbell));
+    let ticket = waiter.arm();
 
     let t0 = Instant::now();
 
@@ -101,8 +105,8 @@ fn main() {
                 }
             }
         }
-        let waiter = HybridWaiter::new(doorbell);
-        let (final_count, stats) = waiter.wait_until(
+        let (final_count, stats) = waiter.wait(
+            ticket,
             || {
                 let done = c_completed.load(Ordering::Acquire);
                 (done >= u64::from(REQUESTS)).then_some(done)
@@ -122,8 +126,8 @@ fn main() {
     );
     println!("client observed final completion count {final_count}");
     println!(
-        "hybrid wait: blocked {:?}, polled {:?}, {} poll iterations",
-        wait_stats.blocked, wait_stats.polled, wait_stats.poll_iters
+        "hybrid wait: blocked {:?}, polled {:?}, {} poll iterations, {} timeouts",
+        wait_stats.blocked, wait_stats.polled, wait_stats.poll_iters, wait_stats.timeouts
     );
     println!(
         "total wall time {wall:?} ({:.1} M channel ops/s)",

@@ -45,31 +45,11 @@ fn paella_dispatcher(cfg: paella_core::DispatcherConfig, seed: u64) -> paella_co
 
 #[test]
 fn no_system_loses_or_duplicates_jobs() {
-    use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
-    use paella_core::DispatcherConfig;
     let mut zoo = ModelZoo::new(device());
     let r18 = zoo.get("resnet18").clone();
-    // `(name, system, shares job ids)`: a batching system reports one inner
-    // job per batch, so its members share that job's id.
-    let mut systems: Vec<(String, Box<dyn ServingSystem>, bool)> = SystemKey::ALL
-        .iter()
-        .map(|&key| {
-            let sys = make_system(key, device(), 5);
-            (key.key().to_string(), sys, false)
-        })
-        .collect();
-    let inner = || paella_dispatcher(DispatcherConfig::paella(), 5);
-    systems.push((
-        "remote".into(),
-        Box::new(RemoteGateway::new(inner())),
-        false,
-    ));
-    systems.push((
-        "batched".into(),
-        Box::new(SaturationBatcher::new(inner(), BatchPolicy::default())),
-        true,
-    ));
-    for (name, mut sys, shares_job_ids) in systems {
+    for key in SystemKey::ALL {
+        let name = key.key();
+        let mut sys = make_system(key, device(), 5);
         let id = sys.register_model(&r18);
         let spec = WorkloadSpec {
             clients: 4,
@@ -78,8 +58,7 @@ fn no_system_loses_or_duplicates_jobs() {
         let arrivals = generate(&spec, &Mix::single(id));
         let stats = run_trace(sys.as_mut(), &arrivals, 0);
         assert_eq!(stats.completions.len(), 120, "{name}");
-        // Each request comes back exactly once, and (where jobs are not
-        // shared) so does each job id.
+        // Each request comes back exactly once, and so does each job id.
         let mut requests: Vec<(u32, u64)> = stats
             .completions
             .iter()
@@ -92,12 +71,10 @@ fn no_system_loses_or_duplicates_jobs() {
             .collect();
         submitted.sort_unstable();
         assert_eq!(requests, submitted, "{name} lost or duplicated a request");
-        if !shares_job_ids {
-            let mut jobs: Vec<u64> = stats.completions.iter().map(|c| c.job.0).collect();
-            jobs.sort_unstable();
-            jobs.dedup();
-            assert_eq!(jobs.len(), 120, "{name} duplicated completions");
-        }
+        let mut jobs: Vec<u64> = stats.completions.iter().map(|c| c.job.0).collect();
+        jobs.sort_unstable();
+        jobs.dedup();
+        assert_eq!(jobs.len(), 120, "{name} duplicated completions");
         // Completion timestamps never precede submission.
         for c in &stats.completions {
             assert_eq!(c.request.model, id, "{name}");
@@ -111,8 +88,7 @@ fn no_system_loses_or_duplicates_jobs() {
 /// shows the load it is holding.
 #[test]
 fn no_wrapper_loses_a_request_or_hides_load() {
-    use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
-    use paella_cluster::MigServing;
+    use paella_cluster::{Cluster, ClusterConfig, MigServing, RoutingPolicy};
     use paella_core::{
         ClientId, DispatcherConfig, InferenceRequest, ModelId, SrptDeficitScheduler,
     };
@@ -144,22 +120,15 @@ fn no_wrapper_loses_a_request_or_hides_load() {
         deadline_factor: Some(4.0),
         ..DispatcherConfig::paella()
     };
-    let eager = BatchPolicy {
-        saturation_threshold: 2,
-        max_batch: 4,
+    // The cluster tier charges the remote client's network crossings
+    // (`RpcNetModel`) on its way in and out.
+    let cluster = ClusterConfig {
+        dispatcher: tight,
+        ..ClusterConfig::with_policy(RoutingPolicy::LeastRemainingWork)
     };
-    let mut wrappers: [(&str, &mut dyn ServingSystem, usize); 3] = [
+    let mut wrappers: [(&str, &mut dyn ServingSystem, usize); 2] = [
         ("mig", &mut mig(tight), 2),
-        (
-            "remote",
-            &mut RemoteGateway::new(paella_dispatcher(tight, 5)),
-            1,
-        ),
-        (
-            "batched",
-            &mut SaturationBatcher::new(paella_dispatcher(tight, 5), eager),
-            1,
-        ),
+        ("cluster", &mut Cluster::new(device(), 2, cluster), 2),
     ];
     for (name, sys, models) in &mut wrappers {
         let ids: Vec<ModelId> = (0..*models).map(|_| sys.register_model(&model)).collect();
@@ -180,28 +149,14 @@ fn no_wrapper_loses_a_request_or_hides_load() {
             "{name}: every request, once, as submitted"
         );
         assert_eq!(sys.load_signal().outstanding(), 0, "{name}");
-        if *name == "batched" {
-            // A failed submission frees its slot in the batcher's window of
-            // four: that many used to park the saturated path for good, with
-            // the rest of the burst still queued behind it.
-            assert!(failed.len() > 4, "{} failed", failed.len());
-        }
     }
 
     // 2. Load, traces, metrics and post-mortems reach the caller through
     // every front end.
     let roomy = DispatcherConfig::paella();
     let baseline = |key| make_system(key, device(), 5);
-    let systems: [(&str, Box<dyn ServingSystem>); 6] = [
+    let systems: [(&str, Box<dyn ServingSystem>); 4] = [
         ("mig", Box::new(mig(roomy))),
-        (
-            "remote",
-            Box::new(RemoteGateway::new(paella_dispatcher(roomy, 5))),
-        ),
-        (
-            "batched",
-            Box::new(SaturationBatcher::new(paella_dispatcher(roomy, 5), eager)),
-        ),
         ("CUDA-MS", baseline(SystemKey::CudaMs)),
         ("Triton", baseline(SystemKey::Triton)),
         ("Clockwork", baseline(SystemKey::Clockwork)),
@@ -538,16 +493,14 @@ fn default_path_golden_digests() {
     );
 }
 
-/// Pins the virtual-time behaviour of every front end that drives an inner
-/// system through its own event queue — the baselines of Table 3 and the §8
-/// wrappers: when a front-end event and inner work fall on the same instant,
-/// which one steps first; when a batch window closes; how a completion is
-/// translated on the way out. Recorded with each system running its own
-/// hand-written event loop; the shared driver must reproduce them.
+/// Pins the virtual-time behaviour of the baselines of Table 3 — among them
+/// the front ends that drive a backend through their own event queue: when
+/// a front-end event and backend work fall on the same instant, which one
+/// steps first; how a completion is translated on the way out. Recorded with
+/// each system running its own hand-written event loop; the shared driver
+/// must reproduce them.
 #[test]
 fn front_end_golden_digests() {
-    use paella_baselines::{BatchPolicy, RemoteGateway, SaturationBatcher};
-    use paella_core::DispatcherConfig;
     let mut zoo = ModelZoo::new(device());
     let models = [zoo.get("resnet18").clone(), zoo.get("googlenet").clone()];
     // The bursty two-model mix.
@@ -566,36 +519,16 @@ fn front_end_golden_digests() {
         SystemKey::Mps,
     ]
     .map(|key| two_models(make_system(key, device(), 5).as_mut()));
-    let remote = two_models(&mut RemoteGateway::new(paella_dispatcher(
-        DispatcherConfig::paella(),
-        5,
-    )));
-
-    // A burst far beyond one device's capacity, so the saturation detector
-    // engages and batches of every size up to the cap are in flight at once.
-    let mut sys = SaturationBatcher::new(
-        paella_dispatcher(DispatcherConfig::paella(), 13),
-        BatchPolicy::default(),
-    );
-    let id = sys.register_model(&models[0]);
-    let spec = WorkloadSpec {
-        clients: 4,
-        ..WorkloadSpec::bursty(4_000.0, 96)
-    };
-    let batched = golden_digest(&mut sys, &generate(&spec, &Mix::single(id)));
 
     assert_eq!(
-        [keyed[0], keyed[1], keyed[2], keyed[3], remote, batched],
+        keyed,
         [
             (0x9feb_f3f9_f25a_d93d, 120, 0),
             (0x5f35_b616_8580_8d13, 120, 0),
             (0xe75c_86e5_06b5_31a7, 120, 0),
             (0x4b57_c731_7cc7_bb74, 120, 0),
-            (0xfcf4_fb93_cdfb_0ccf, 120, 0),
-            (0xa4a8_55fa_4084_a432, 96, 0),
         ],
-        "(digest, completed, failed) of: Triton, Clockwork, CUDA-MS, MPS, \
-         RemoteGateway<Dispatcher>, SaturationBatcher<Dispatcher> under a saturating burst"
+        "(digest, completed, failed) of: Triton, Clockwork, CUDA-MS, MPS"
     );
 }
 
