@@ -185,7 +185,7 @@ fn trace_dump_stdout_and_export_are_pinned() {
         let json = std::fs::read(dir.join("results/trace_dump.json")).expect("trace file");
         assert_eq!(
             (digest(&stdout), digest(&json)),
-            (0x8117_b3d9_6d87_004f, 0xa2ed_3b8a_301e_7602),
+            (0x3150_6cf1_c9ce_c2de, 0xa2ed_3b8a_301e_7602),
             "trace_dump moved at {threads} thread(s): (stdout, results/trace_dump.json)\n{}",
             String::from_utf8_lossy(&stdout)
         );

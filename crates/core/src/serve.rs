@@ -8,7 +8,7 @@
 use paella_compiler::CompiledModel;
 use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{
-    JobEnd, JobJourney, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
+    JobJourney, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceLog, Tracer,
 };
 
 use crate::types::{
@@ -168,9 +168,8 @@ impl EngineCore {
     }
 
     /// A request completed, its JCT decomposed as `journey` — the one record
-    /// an engine builds. Everything else that reports the completion is
-    /// derived from it here: the `JobEnd` and `JobJourney` events at
-    /// `client_visible_at`, the `jct_ns` histogram, the tenant's SLO ledger
+    /// an engine builds. Everything that reports the completion comes from
+    /// it here: the `JobJourney` event at `client_visible_at`, the `jct_ns` histogram, the tenant's SLO ledger
     /// entry — met unless it became visible after `deadline` — and the queued
     /// [`JobCompletion`] with its [`LatencyBreakdown`].
     pub fn complete(
@@ -182,9 +181,6 @@ impl EngineCore {
         client_visible_at: SimTime,
         deadline: Option<SimTime>,
     ) {
-        self.trace(client_visible_at, || {
-            TraceEvent::JobEnd(Box::new(JobEnd::from(&journey)))
-        });
         self.trace(client_visible_at, || {
             TraceEvent::JobJourney(Box::new(journey))
         });

@@ -1,7 +1,7 @@
 //! Core identifiers and request/response types of the Paella service.
 
 use paella_sim::{SimDuration, SimTime};
-use paella_telemetry::{JobEnd, JobJourney};
+use paella_telemetry::JobJourney;
 
 /// Identifier of a registered model in the dispatcher's library.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -57,16 +57,16 @@ impl LatencyBreakdown {
 }
 
 impl From<&JobJourney> for LatencyBreakdown {
-    /// The five categories of a journey (its [`JobEnd`] view), as durations.
+    /// The paper's five categories of a journey, as durations: its four
+    /// queue phases are the one `queuing_scheduling`.
     fn from(journey: &JobJourney) -> Self {
-        let end = JobEnd::from(journey);
         let ns = SimDuration::from_nanos;
         LatencyBreakdown {
-            client_send_recv: ns(end.client_send_recv_ns),
-            communication: ns(end.communication_ns),
-            queuing_scheduling: ns(end.queuing_scheduling_ns),
-            framework: ns(end.framework_ns),
-            device: ns(end.device_ns),
+            client_send_recv: ns(journey.client_send_recv_ns),
+            communication: ns(journey.communication_ns),
+            queuing_scheduling: ns(journey.queuing_scheduling_ns()),
+            framework: ns(journey.framework_ns),
+            device: ns(journey.device_ns),
         }
     }
 }

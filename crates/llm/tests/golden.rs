@@ -171,8 +171,8 @@ fn llm_output_golden_digests() {
     assert_eq!(
         got,
         [
-            ("continuous-batching", 0xebca_c82f_d021_4a88, 63, 33),
-            ("srpt+deficit", 0xec6f_06c6_8a25_adca, 63, 33),
+            ("continuous-batching", 0xbccd_630b_0fa4_9863, 63, 33),
+            ("srpt+deficit", 0x8ef8_ef5a_1ea8_839b, 63, 33),
         ],
         "LLM engine output moved"
     );

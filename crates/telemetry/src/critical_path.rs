@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::TraceEvent;
+use crate::event::{JobJourney, TraceEvent};
 use crate::tracer::TraceLog;
 
 /// The phase taxonomy, in fixed report order. Blame ties break toward the
@@ -27,94 +27,13 @@ pub const PHASES: [&str; 8] = [
     "queue_hol",
 ];
 
-/// One request's JCT decomposed into the eight-phase taxonomy. All values
-/// are nanoseconds of virtual time.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PhaseBreakdown {
-    /// End-to-end JCT.
-    pub jct_ns: u64,
-    /// Client send/receive channel time.
-    pub client_send_recv_ns: u64,
-    /// PCIe/launch/notification communication time.
-    pub communication_ns: u64,
-    /// Framework (dispatcher CPU) time.
-    pub framework_ns: u64,
-    /// Device execution time.
-    pub device_ns: u64,
-    /// Retry backoff after injected kernel faults.
-    pub retry_backoff_ns: u64,
-    /// Frontier blocked on the job's own dependencies.
-    pub queue_dep_ns: u64,
-    /// Held by dispatcher flow control.
-    pub queue_occupancy_ns: u64,
-    /// Residual queuing (scheduler head-of-line wait).
-    pub queue_hol_ns: u64,
-    /// Prefill sub-split of `device_ns` for autoregressive jobs (zero for
-    /// fixed-trace jobs). Not a ninth phase: `device_prefill_ns +
-    /// device_decode_ns == device_ns` is its own conservation law, checked
-    /// by [`PhaseBreakdown::check_device_split`].
-    pub device_prefill_ns: u64,
-    /// Decode sub-split of `device_ns` (zero for fixed-trace jobs).
-    pub device_decode_ns: u64,
-}
-
-impl PhaseBreakdown {
-    /// The phase values in [`PHASES`] order.
-    pub fn phases(&self) -> [u64; 8] {
-        [
-            self.client_send_recv_ns,
-            self.communication_ns,
-            self.framework_ns,
-            self.device_ns,
-            self.retry_backoff_ns,
-            self.queue_dep_ns,
-            self.queue_occupancy_ns,
-            self.queue_hol_ns,
-        ]
-    }
-
-    /// The conservation law: the eight phases must sum *exactly* to the
-    /// JCT. Exact equality on virtual time — any slack is a bug.
-    pub fn check_conservation(&self) -> Result<(), String> {
-        let sum: u64 = self.phases().iter().sum();
-        if sum == self.jct_ns {
-            Ok(())
-        } else {
-            Err(format!(
-                "phase sum {} != jct {} (delta {})",
-                sum,
-                self.jct_ns,
-                self.jct_ns as i128 - sum as i128
-            ))
-        }
-    }
-
-    /// The device sub-split conservation law: prefill + decode must equal
-    /// device time exactly. Fixed-trace jobs carry their whole device time
-    /// as prefill (one uninterrupted pass over the precompiled trace is the
-    /// degenerate "prompt"), so the law is uniform across job classes.
-    pub fn check_device_split(&self) -> Result<(), String> {
-        let sum = self.device_prefill_ns + self.device_decode_ns;
-        if sum == self.device_ns {
-            Ok(())
-        } else {
-            Err(format!(
-                "device split {} + {} != device {}",
-                self.device_prefill_ns, self.device_decode_ns, self.device_ns
-            ))
-        }
-    }
-}
-
 /// One completed request's journey, extracted from the trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Journey {
     /// Dispatcher-assigned job id.
     pub job: u64,
-    /// Submitting client — the tenant.
-    pub tenant: u32,
-    /// The phase decomposition.
-    pub breakdown: PhaseBreakdown,
+    /// The phase decomposition; its `client` is the tenant.
+    pub breakdown: JobJourney,
 }
 
 /// Extracts every [`TraceEvent::JobJourney`] from a trace, in log order (a
@@ -125,20 +44,7 @@ pub fn extract_journeys(log: &TraceLog) -> Vec<Journey> {
         .filter_map(|e| match &e.event {
             TraceEvent::JobJourney(j) => Some(Journey {
                 job: j.job,
-                tenant: j.client,
-                breakdown: PhaseBreakdown {
-                    jct_ns: j.jct_ns,
-                    client_send_recv_ns: j.client_send_recv_ns,
-                    communication_ns: j.communication_ns,
-                    framework_ns: j.framework_ns,
-                    device_ns: j.device_ns,
-                    retry_backoff_ns: j.retry_backoff_ns,
-                    queue_dep_ns: j.queue_dep_ns,
-                    queue_occupancy_ns: j.queue_occupancy_ns,
-                    queue_hol_ns: j.queue_hol_ns,
-                    device_prefill_ns: j.device_prefill_ns,
-                    device_decode_ns: j.device_decode_ns,
-                },
+                breakdown: **j,
             }),
             _ => None,
         })
@@ -244,7 +150,7 @@ pub fn p99_blame(journeys: &[Journey]) -> Option<BlameReport> {
 pub fn per_tenant_blame(journeys: &[Journey]) -> Vec<(u32, BlameReport)> {
     let mut by_tenant: BTreeMap<u32, Vec<Journey>> = BTreeMap::new();
     for j in journeys {
-        by_tenant.entry(j.tenant).or_default().push(*j);
+        by_tenant.entry(j.breakdown.client).or_default().push(*j);
     }
     by_tenant
         .into_iter()
@@ -255,15 +161,15 @@ pub fn per_tenant_blame(journeys: &[Journey]) -> Vec<(u32, BlameReport)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::JobJourney;
     use crate::tracer::TracedEvent;
     use paella_sim::SimTime;
 
     fn journey(job: u64, tenant: u32, device: u64, hol: u64) -> Journey {
         Journey {
             job,
-            tenant,
-            breakdown: PhaseBreakdown {
+            breakdown: JobJourney {
+                job,
+                client: tenant,
                 jct_ns: device + hol,
                 client_send_recv_ns: 0,
                 communication_ns: 0,
@@ -342,7 +248,6 @@ mod tests {
     #[test]
     fn extract_reads_journeys_back() {
         let j = journey(42, 5, 300, 70);
-        let b = j.breakdown;
         let log = TraceLog::from(vec![
             TracedEvent {
                 at: SimTime::ZERO,
@@ -350,21 +255,7 @@ mod tests {
             },
             TracedEvent {
                 at: SimTime::from_micros(1),
-                event: TraceEvent::JobJourney(Box::new(JobJourney {
-                    job: 42,
-                    client: 5,
-                    jct_ns: b.jct_ns,
-                    client_send_recv_ns: b.client_send_recv_ns,
-                    communication_ns: b.communication_ns,
-                    framework_ns: b.framework_ns,
-                    device_ns: b.device_ns,
-                    retry_backoff_ns: b.retry_backoff_ns,
-                    queue_dep_ns: b.queue_dep_ns,
-                    queue_occupancy_ns: b.queue_occupancy_ns,
-                    queue_hol_ns: b.queue_hol_ns,
-                    device_prefill_ns: b.device_prefill_ns,
-                    device_decode_ns: b.device_decode_ns,
-                })),
+                event: TraceEvent::JobJourney(Box::new(j.breakdown)),
             },
         ]);
         let out = extract_journeys(&log);

@@ -120,56 +120,14 @@ pub struct JobBegin {
     pub submitted_at: SimTime,
 }
 
-/// Payload of [`TraceEvent::JobEnd`]: the job's result became
-/// client-visible; closes the end-to-end span. Breakdown components are
-/// nanoseconds and sum to the end-to-end JCT.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct JobEnd {
-    /// Dispatcher-assigned job id.
-    pub job: u64,
-    /// Submitting client.
-    pub client: u32,
-    /// End-to-end JCT in nanoseconds.
-    pub jct_ns: u64,
-    /// Client send/receive channel time.
-    pub client_send_recv_ns: u64,
-    /// PCIe/launch/notification communication time.
-    pub communication_ns: u64,
-    /// Queuing + scheduling time.
-    pub queuing_scheduling_ns: u64,
-    /// Framework (dispatcher CPU) time.
-    pub framework_ns: u64,
-    /// Device execution time.
-    pub device_ns: u64,
-}
-
-impl From<&JobJourney> for JobEnd {
-    /// The paper's five categories of a journey: its four queuing phases are
-    /// the one `queuing_scheduling_ns`.
-    fn from(j: &JobJourney) -> Self {
-        JobEnd {
-            job: j.job,
-            client: j.client,
-            jct_ns: j.jct_ns,
-            client_send_recv_ns: j.client_send_recv_ns,
-            communication_ns: j.communication_ns,
-            queuing_scheduling_ns: j.retry_backoff_ns
-                + j.queue_dep_ns
-                + j.queue_occupancy_ns
-                + j.queue_hol_ns,
-            framework_ns: j.framework_ns,
-            device_ns: j.device_ns,
-        }
-    }
-}
-
-/// Payload of [`TraceEvent::JobJourney`]: the request's JCT decomposed into
-/// the full phase taxonomy (DESIGN §12). Emitted alongside
-/// [`TraceEvent::JobEnd`]; where `JobEnd` keeps the paper's legacy
-/// 5-category breakdown, the journey further splits the queuing remainder
-/// into retry backoff, dependency wait, occupancy/flow-control wait, and
-/// scheduler head-of-line wait. All fields are nanoseconds and the eight
-/// phases sum *exactly* to `jct_ns` (conservation is oracle-enforced).
+/// Payload of [`TraceEvent::JobJourney`]: the job's result became
+/// client-visible, and its JCT decomposed into the full phase taxonomy
+/// (DESIGN §12). It closes the job's end-to-end span. The paper's five
+/// categories are its first level; the journey further splits the queuing
+/// one ([`JobJourney::queuing_scheduling_ns`]) into retry backoff,
+/// dependency wait, occupancy/flow-control wait, and scheduler head-of-line
+/// wait. All fields are nanoseconds and the eight phases sum *exactly* to
+/// `jct_ns` ([`JobJourney::check_conservation`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct JobJourney {
     /// Dispatcher-assigned job id.
@@ -204,6 +162,59 @@ pub struct JobJourney {
     /// Device time spent in per-token decode iterations; zero for
     /// fixed-trace jobs.
     pub device_decode_ns: u64,
+}
+
+impl JobJourney {
+    /// The phase values in [`PHASES`](crate::PHASES) order.
+    pub fn phases(&self) -> [u64; 8] {
+        [
+            self.client_send_recv_ns,
+            self.communication_ns,
+            self.framework_ns,
+            self.device_ns,
+            self.retry_backoff_ns,
+            self.queue_dep_ns,
+            self.queue_occupancy_ns,
+            self.queue_hol_ns,
+        ]
+    }
+
+    /// The paper's queuing + scheduling category: the four queue phases.
+    pub fn queuing_scheduling_ns(&self) -> u64 {
+        self.retry_backoff_ns + self.queue_dep_ns + self.queue_occupancy_ns + self.queue_hol_ns
+    }
+
+    /// The conservation law: the eight phases must sum *exactly* to the
+    /// JCT. Exact equality on virtual time — any slack is a bug.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let sum: u64 = self.phases().iter().sum();
+        if sum == self.jct_ns {
+            Ok(())
+        } else {
+            Err(format!(
+                "phase sum {} != jct {} (delta {})",
+                sum,
+                self.jct_ns,
+                self.jct_ns as i128 - sum as i128
+            ))
+        }
+    }
+
+    /// The device sub-split conservation law: prefill + decode must equal
+    /// device time exactly. Fixed-trace jobs carry their whole device time
+    /// as prefill (one uninterrupted pass over the precompiled trace is the
+    /// degenerate "prompt"), so the law is uniform across job classes.
+    pub fn check_device_split(&self) -> Result<(), String> {
+        let sum = self.device_prefill_ns + self.device_decode_ns;
+        if sum == self.device_ns {
+            Ok(())
+        } else {
+            Err(format!(
+                "device split {} + {} != device {}",
+                self.device_prefill_ns, self.device_decode_ns, self.device_ns
+            ))
+        }
+    }
 }
 
 /// Payload of [`TraceEvent::RouteDecision`]: a cluster router sent a request
@@ -273,11 +284,8 @@ impl WordRange {
 pub enum TraceEvent {
     /// A request was ingested (once per request; payload out of line).
     JobBegin(Box<JobBegin>),
-    /// The job's result became client-visible (once per job; payload out of
-    /// line).
-    JobEnd(Box<JobEnd>),
-    /// The journey record, emitted alongside [`TraceEvent::JobEnd`] (once
-    /// per job; payload out of line).
+    /// The job's result became client-visible: its journey record, which
+    /// closes the job's span (once per job; payload out of line).
     JobJourney(Box<JobJourney>),
     /// A host CPU charge: `start..` the event timestamp.
     HostOp {
@@ -556,8 +564,8 @@ pub const TICK_COUNTERS: [&str; 6] = [
 /// prints for it, and its stable [`kind`](TraceEvent::kind) label.
 ///
 /// `Debug` prints every variant as `#[derive(Debug)]` did when all payloads
-/// were inline struct variants — `JobEnd { job: 1, .. }`, never
-/// `JobEnd(JobEnd { .. })` — because the flight recorder's dump renders
+/// were inline struct variants — `JobJourney { job: 1, .. }`, never
+/// `JobJourney(JobJourney { .. })` — because the flight recorder's dump renders
 /// events with `{:?}` and that text is a byte-stable output. A `payload` row
 /// is a variant boxing the struct it is named after, which prints itself.
 macro_rules! vocabulary {
@@ -592,7 +600,6 @@ macro_rules! vocabulary {
 vocabulary! {
     payload {
         JobBegin => "job-begin",
-        JobEnd => "job-end",
         JobJourney => "job-journey",
         RouteDecision => "route-decision",
     }

@@ -25,7 +25,7 @@ use std::fmt::{self, Write as _};
 
 use paella_sim::SimTime;
 
-use crate::event::{JobBegin, JobEnd, JobJourney, RouteDecision, TraceEvent};
+use crate::event::{JobBegin, JobJourney, RouteDecision, TraceEvent};
 use crate::metrics::MetricsSnapshot;
 use crate::tracer::{TraceLog, TracedEvent};
 
@@ -180,7 +180,6 @@ fn place(event: &TraceEvent) -> Option<Track> {
             Some((GPU_PID, HWQ_TID_BASE + hw_queue))
         }
         TraceEvent::JobBegin(_)
-        | TraceEvent::JobEnd(_)
         | TraceEvent::JobJourney(_)
         | TraceEvent::CounterSample { .. }
         | TraceEvent::SmSpanBegin { .. }
@@ -341,8 +340,8 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
     for (_, e) in &events {
         if let TraceEvent::JobBegin(b) = &e.event {
             begun_jobs.insert(b.job);
-        } else if let TraceEvent::JobEnd(end) = &e.event {
-            closed_jobs.insert(end.job);
+        } else if let TraceEvent::JobJourney(journey) = &e.event {
+            closed_jobs.insert(journey.job);
         } else if let TraceEvent::JobCancelled { job, .. } = e.event {
             closed_jobs.insert(job);
         }
@@ -443,31 +442,6 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 }
                 async_begin(*job, model, *submitted_at, args![client])
             }
-            TraceEvent::JobEnd(end) => {
-                let JobEnd {
-                    job,
-                    client,
-                    jct_ns,
-                    client_send_recv_ns,
-                    communication_ns,
-                    queuing_scheduling_ns,
-                    framework_ns,
-                    device_ns,
-                } = **end;
-                if !whole_jobs.contains(&job) {
-                    continue;
-                }
-                let args = args![
-                    client,
-                    jct_ns,
-                    client_send_recv_ns,
-                    communication_ns,
-                    queuing_scheduling_ns,
-                    framework_ns,
-                    device_ns
-                ];
-                async_end(job, at, args)
-            }
             TraceEvent::JobJourney(journey) => {
                 let JobJourney {
                     job,
@@ -484,6 +458,24 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                     device_prefill_ns,
                     device_decode_ns,
                 } = **journey;
+                // The journey closes the job's async span, in the paper's
+                // five categories, when this log opened it.
+                if whole_jobs.contains(&job) {
+                    let queuing_scheduling_ns = journey.queuing_scheduling_ns();
+                    push(async_end(
+                        job,
+                        at,
+                        args![
+                            client,
+                            jct_ns,
+                            client_send_recv_ns,
+                            communication_ns,
+                            queuing_scheduling_ns,
+                            framework_ns,
+                            device_ns
+                        ],
+                    ));
+                }
                 instant!(
                     "journey",
                     "journey job {job}",
@@ -585,7 +577,7 @@ pub fn chrome_trace_json(log: &TraceLog) -> String {
                 let reason = Quoted(reason);
                 let cancel = instant!("fault", "cancel job {job}", reason);
                 // Close the job's async span: a cancelled job gets no
-                // JobEnd. Only when this log opened the span — partial
+                // journey. Only when this log opened the span — partial
                 // logs may carry the cancel alone.
                 if !whole_jobs.contains(job) {
                     cancel
@@ -1132,15 +1124,20 @@ mod tests {
             blocks: 2,
         });
         t.record_with(SimTime::from_micros(10), || {
-            TraceEvent::JobEnd(Box::new(JobEnd {
+            TraceEvent::JobJourney(Box::new(JobJourney {
                 job: 1,
                 client: 0,
                 jct_ns: 10_000,
                 client_send_recv_ns: 1_000,
                 communication_ns: 1_000,
-                queuing_scheduling_ns: 2_000,
                 framework_ns: 1_000,
                 device_ns: 5_000,
+                retry_backoff_ns: 0,
+                queue_dep_ns: 500,
+                queue_occupancy_ns: 500,
+                queue_hol_ns: 1_000,
+                device_prefill_ns: 5_000,
+                device_decode_ns: 0,
             }))
         });
         t.take()

@@ -12,10 +12,10 @@ pub mod metrics;
 pub mod tracer;
 
 pub use critical_path::{
-    extract_journeys, p99_blame, per_tenant_blame, BlameReport, Journey, PhaseBreakdown, PHASES,
+    extract_journeys, p99_blame, per_tenant_blame, BlameReport, Journey, PHASES,
 };
 pub use event::{
-    HoldReason, HostOpKind, JobBegin, JobEnd, JobJourney, PickRationale, RouteDecision, TraceEvent,
+    HoldReason, HostOpKind, JobBegin, JobJourney, PickRationale, RouteDecision, TraceEvent,
     WordRange, TICK_COUNTERS,
 };
 pub use export::{chrome_trace_json, text_summary, validate_chrome_trace};

@@ -143,7 +143,7 @@ fn telemetry_allocates_only_when_on() {
     drop(log);
     let held = (holding - live_bytes()) as f64 / kernels;
     let (off, on) = (off as f64 / kernels, on as f64 / kernels);
-    // 0.13 off and 0.25 on (0.09 and 0.21 in release). On was 48.04 while
+    // 0.13 off and 0.22 on (0.09 and 0.19 in release). On was 48.04 while
     // every notification run and every wave recorded (17.5 and 6.4 per
     // kernel here) took two allocations, its payload and its list of words
     // or groups; they now go to the tracer's word pool. Off was 0.84 while a
@@ -157,9 +157,10 @@ fn telemetry_allocates_only_when_on() {
         on <= 1.0,
         "{on:.2} allocations per kernel with telemetry on"
     );
-    // 2,907 bytes per kernel: 27,108 records of 40 bytes and 223,581 pool
-    // entries of 4, the rest the boxed per-job payloads. It was 3,094 while
-    // the take cut runs to keep the recorded log in time order (30,307
+    // 2,905 bytes per kernel: 27,096 records of 40 bytes and 223,581 pool
+    // entries of 4, the rest the boxed per-job payloads. It was 2,907 while
+    // a completion recorded a second boxed event beside its journey, 3,094
+    // while the take cut runs to keep the recorded log in time order (30,307
     // records), 3,884 while a record kept its sequence number (48 bytes) and
     // a wave's end pushed its 74,527 groups again, and 6,565 while runs and
     // waves held boxed payloads with lists of 8-byte words and groups.

@@ -704,17 +704,17 @@ fn notification_path_golden_digests() {
         [
             (
                 (0x820e_6a66_f4ce_63dd, 20, 0),
-                (0xbbf7_6c25_bd30_96a6, 546_596),
+                (0x9304_5929_b47c_a0ef, 546_576),
                 175_228
             ),
             (
                 (0x28a6_1b9e_7800_4241, 20, 0),
-                (0xf017_fa42_35d8_0e6c, 514_421),
+                (0xc088_89d9_2756_cf9f, 514_401),
                 164_836
             ),
             (
                 (0x7e26_168c_f814_0b94, 20, 0),
-                (0x160b_bfee_697e_60d9, 536_958),
+                (0x7c90_ceaf_a193_ec80, 536_938),
                 173_912
             ),
         ],
@@ -771,8 +771,8 @@ fn nested_trace_golden_digests() {
     assert_eq!(
         [cluster, mig],
         [
-            ((0xc6d0_f6b8_aa62_0e9e, 814_167), 0x691d_2915_bc0e_4c34),
-            ((0x7f76_d87f_cdc1_6e34, 1_199_318), 0x3c63_fded_f52c_0e9c),
+            ((0x503e_9e3f_ccde_75b8, 814_143), 0x691d_2915_bc0e_4c34),
+            ((0xcdd1_743f_f325_2977, 1_199_294), 0x3c63_fded_f52c_0e9c),
         ],
         "((word-level digest, events), Chrome JSON FNV) of: a 2-node cluster, \
          MigServing over two 20-SM partitions"

@@ -10,8 +10,8 @@ use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
 use paella_sim::{SimDuration, SimTime};
 use paella_telemetry::{
-    chrome_trace_json, export::sm_spans, flight, text_summary, validate_chrome_trace, JobEnd,
-    JobJourney, MetricsRegistry, TraceEvent, TraceLog, TracedEvent, Tracer, TICK_COUNTERS,
+    chrome_trace_json, export::sm_spans, flight, text_summary, validate_chrome_trace, JobJourney,
+    MetricsRegistry, TraceEvent, TraceLog, TracedEvent, Tracer, TICK_COUNTERS,
 };
 use paella_workload::{generate, run_trace, Arrival, Mix, RunStats, WorkloadSpec};
 
@@ -112,7 +112,8 @@ fn trace_spans_pair_and_time_is_monotone() {
         *prev = s.start;
     }
 
-    // Job spans: one JobBegin and one JobEnd per completed job.
+    // Job spans: one JobBegin and one JobJourney, which closes the span,
+    // per completed job.
     let begins = log
         .events
         .iter()
@@ -121,54 +122,30 @@ fn trace_spans_pair_and_time_is_monotone() {
     let ends = log
         .events
         .iter()
-        .filter(|e| matches!(e.event, TraceEvent::JobEnd(_)))
+        .filter(|e| matches!(e.event, TraceEvent::JobJourney(_)))
         .count();
     assert_eq!(begins, stats.completions.len());
     assert_eq!(ends, stats.completions.len());
 }
 
 #[test]
-fn job_end_breakdown_sums_to_jct() {
+fn journey_breakdown_is_the_completions_breakdown() {
     let stats = run(7, true);
-    let log = trace_of(&stats);
-    let mut checked = 0;
-    for e in &log.events {
-        if let TraceEvent::JobEnd(end) = &e.event {
-            let JobEnd {
-                jct_ns,
-                client_send_recv_ns,
-                communication_ns,
-                queuing_scheduling_ns,
-                framework_ns,
-                device_ns,
-                ..
-            } = **end;
-            assert_eq!(
-                client_send_recv_ns
-                    + communication_ns
-                    + queuing_scheduling_ns
-                    + framework_ns
-                    + device_ns,
-                jct_ns,
-                "breakdown must sum to end-to-end JCT"
-            );
-            checked += 1;
-        }
-    }
-    assert_eq!(checked, stats.completions.len());
+    let by_job: std::collections::HashMap<u64, JobJourney> =
+        (paella_telemetry::extract_journeys(trace_of(&stats)).into_iter())
+            .map(|j| (j.job, j.breakdown))
+            .collect();
+    assert_eq!(by_job.len(), stats.completions.len());
 
-    // And the trace agrees with the completions' own breakdowns.
+    // The completion's five categories are its journey's, field by field,
+    // and they sum to the JCT the client observed.
     for c in &stats.completions {
-        let LatencyBreakdown {
-            client_send_recv,
-            communication,
-            queuing_scheduling,
-            framework,
-            device,
-        } = c.breakdown;
+        let journey = by_job.get(&c.job.0).expect("journey for completion");
+        assert_eq!(c.breakdown, LatencyBreakdown::from(journey));
         assert_eq!(
-            client_send_recv + communication + queuing_scheduling + framework + device,
+            c.breakdown.total(),
             c.jct(),
+            "breakdown must sum to end-to-end JCT"
         );
     }
 }
@@ -178,7 +155,7 @@ fn journeys_cover_every_completion_and_conserve_exactly() {
     let stats = run(7, true);
     let log = trace_of(&stats);
 
-    // The journey layer refines the JobEnd breakdown: one JobJourney per
+    // The journey layer refines the paper's breakdown: one JobJourney per
     // completion, phases summing *exactly* to the JCT — zero slack — and
     // matching the JCT the client observed.
     let journeys = paella_telemetry::extract_journeys(log);
@@ -190,8 +167,8 @@ fn journeys_cover_every_completion_and_conserve_exactly() {
         b.check_conservation().expect("exact phase conservation");
         assert_eq!(b.jct_ns, c.jct().as_nanos(), "trace and API agree");
     }
-    // The full oracle (first- and second-level conservation, one-to-one
-    // JobEnd pairing) agrees.
+    // The full oracle (phase and device-split conservation, one journey
+    // per job) agrees.
     assert_eq!(
         paella_check::check_journeys(log),
         Ok(stats.completions.len())
@@ -341,7 +318,7 @@ fn recording_is_per_run_not_per_word() {
     let (recorded, words) = (log.len(), log.expanded().len());
     // 42.8 events recorded per kernel, 710 in the word-level view. A
     // sampling tick is one record of its six counters.
-    assert_eq!((kernels, recorded, words), (684, 29_301, 485_661));
+    assert_eq!((kernels, recorded, words), (684, 29_289, 485_649));
     assert!(
         recorded * 8 <= words,
         "{recorded} events recorded for {words} word-level ones"
@@ -372,7 +349,7 @@ fn zoo_burst_exports_are_pinned() {
     );
     assert_eq!(
         digests,
-        (0x089e_b78c_1878_8482, 0xd197_78b8_050e_b140, 485_661)
+        (0x089e_b78c_1878_8482, 0xe227_ad73_971b_6ff4, 485_649)
     );
 }
 
@@ -381,39 +358,24 @@ fn zoo_burst_exports_are_pinned() {
 /// variants they replaced.
 #[test]
 fn flight_dump_lines_for_boxed_payloads_are_pinned() {
-    let mut log = TraceLog::from(vec![
-        TracedEvent {
-            at: SimTime::from_micros(8),
-            event: TraceEvent::JobEnd(Box::new(JobEnd {
-                job: 1,
-                client: 6,
-                jct_ns: 8_000,
-                client_send_recv_ns: 1_000,
-                communication_ns: 500,
-                queuing_scheduling_ns: 3_000,
-                framework_ns: 500,
-                device_ns: 3_000,
-            })),
-        },
-        TracedEvent {
-            at: SimTime::from_micros(8),
-            event: TraceEvent::JobJourney(Box::new(JobJourney {
-                job: 1,
-                client: 6,
-                jct_ns: 8_000,
-                client_send_recv_ns: 1_000,
-                communication_ns: 500,
-                framework_ns: 500,
-                device_ns: 3_000,
-                retry_backoff_ns: 2_000,
-                queue_dep_ns: 400,
-                queue_occupancy_ns: 300,
-                queue_hol_ns: 300,
-                device_prefill_ns: 3_000,
-                device_decode_ns: 0,
-            })),
-        },
-    ]);
+    let mut log = TraceLog::from(vec![TracedEvent {
+        at: SimTime::from_micros(8),
+        event: TraceEvent::JobJourney(Box::new(JobJourney {
+            job: 1,
+            client: 6,
+            jct_ns: 8_000,
+            client_send_recv_ns: 1_000,
+            communication_ns: 500,
+            framework_ns: 500,
+            device_ns: 3_000,
+            retry_backoff_ns: 2_000,
+            queue_dep_ns: 400,
+            queue_occupancy_ns: 300,
+            queue_hol_ns: 300,
+            device_prefill_ns: 3_000,
+            device_decode_ns: 0,
+        })),
+    }]);
     log.first_seq = 41;
     let dump = flight::render("test", SimTime::from_micros(8), &[], &log);
     flight::validate_dump(&dump).expect("dump parses");
@@ -421,10 +383,7 @@ fn flight_dump_lines_for_boxed_payloads_are_pinned() {
     assert_eq!(
         lines,
         [
-            "event: at_ns=8000 seq=41 kind=job-end JobEnd { job: 1, client: 6, jct_ns: 8000, \
-             client_send_recv_ns: 1000, communication_ns: 500, queuing_scheduling_ns: 3000, \
-             framework_ns: 500, device_ns: 3000 }",
-            "event: at_ns=8000 seq=42 kind=job-journey JobJourney { job: 1, client: 6, \
+            "event: at_ns=8000 seq=41 kind=job-journey JobJourney { job: 1, client: 6, \
              jct_ns: 8000, client_send_recv_ns: 1000, communication_ns: 500, framework_ns: 500, \
              device_ns: 3000, retry_backoff_ns: 2000, queue_dep_ns: 400, queue_occupancy_ns: 300, \
              queue_hol_ns: 300, device_prefill_ns: 3000, device_decode_ns: 0 }",
@@ -478,7 +437,7 @@ fn windowed_logs_export_without_their_straddling_spans() {
         "their ends land in the second window"
     );
     assert!(
-        count(&mid_run, "job-begin") > count(&mid_run, "job-end"),
+        count(&mid_run, "job-begin") > count(&mid_run, "job-journey"),
         "and through running jobs"
     );
 
@@ -506,7 +465,7 @@ fn fnv(bytes: &[u8]) -> u64 {
 /// golden has no cluster, fault, LLM or cancelled-job event — including the
 /// cases the exporter treats specially: a whole job span, a `JobBegin` whose
 /// end falls outside the window, a `JobCancelled` that closes a span and one
-/// that arrives alone, a `JobEnd` without its begin, two dispatcher cores,
+/// that arrives alone, a journey without its begin, two dispatcher cores,
 /// overlapping groups on one SM, a kernel name that needs escaping, a job with
 /// three flow anchors, and the three run variants beside their word-level
 /// views. The match is wildcard-free, so a new variant fails to compile here
@@ -756,75 +715,60 @@ fn every_variant_log() -> TraceLog {
         rec(
             &mut t,
             27,
-            TraceEvent::JobEnd(Box::new(JobEnd {
+            TraceEvent::JobJourney(Box::new(JobJourney {
                 job,
                 client: 0,
                 jct_ns: 27_000,
                 client_send_recv_ns: 1_000,
                 communication_ns: 2_000,
-                queuing_scheduling_ns: 9_000,
                 framework_ns: 3_000,
                 device_ns: 12_000,
+                retry_backoff_ns: 4_000,
+                queue_dep_ns: 3_000,
+                queue_occupancy_ns: 1_500,
+                queue_hol_ns: 500,
+                device_prefill_ns: 7_000,
+                device_decode_ns: 5_000,
             })),
         );
     }
-    rec(
-        &mut t,
-        27,
-        TraceEvent::JobJourney(Box::new(JobJourney {
-            job: 1,
-            client: 0,
-            jct_ns: 27_000,
-            client_send_recv_ns: 1_000,
-            communication_ns: 2_000,
-            framework_ns: 3_000,
-            device_ns: 12_000,
-            retry_backoff_ns: 4_000,
-            queue_dep_ns: 3_000,
-            queue_occupancy_ns: 1_500,
-            queue_hol_ns: 500,
-            device_prefill_ns: 7_000,
-            device_decode_ns: 5_000,
-        })),
-    );
     let log = t.take();
 
     let mut seen = std::collections::BTreeSet::new();
     for e in log.events.iter().chain(&log.expanded().events) {
         seen.insert(match e.event {
             TraceEvent::JobBegin(_) => 0,
-            TraceEvent::JobEnd(_) => 1,
-            TraceEvent::JobJourney(_) => 2,
-            TraceEvent::HostOp { .. } => 3,
-            TraceEvent::SchedDecision { .. } => 4,
-            TraceEvent::OccupancyHold { .. } => 5,
-            TraceEvent::KernelQueued { .. } => 6,
-            TraceEvent::HwQueueStall { .. } => 7,
-            TraceEvent::KernelDispatched { .. } => 8,
-            TraceEvent::KernelCompleted { .. } => 9,
-            TraceEvent::SmWaveBegin { .. } => 10,
-            TraceEvent::SmWaveEnd { .. } => 11,
-            TraceEvent::NotifRun { .. } => 12,
-            TraceEvent::SmSpanBegin { .. } => 13,
-            TraceEvent::SmSpanEnd { .. } => 14,
-            TraceEvent::NotifBatch { .. } => 15,
-            TraceEvent::DoorbellWake { .. } => 16,
-            TraceEvent::RouteDecision(_) => 17,
-            TraceEvent::KernelFault { .. } => 18,
-            TraceEvent::RetryBackoff { .. } => 19,
-            TraceEvent::FailoverHop { .. } => 20,
-            TraceEvent::JobCancelled { .. } => 21,
-            TraceEvent::RequestShed { .. } => 22,
-            TraceEvent::NodeCrash { .. } => 23,
-            TraceEvent::NodeRecover { .. } => 24,
-            TraceEvent::PrefillStart { .. } => 25,
-            TraceEvent::DecodeStep { .. } => 26,
-            TraceEvent::KvAlloc { .. } => 27,
-            TraceEvent::CounterSample { .. } => 28,
-            TraceEvent::CounterTick { .. } => 29,
+            TraceEvent::JobJourney(_) => 1,
+            TraceEvent::HostOp { .. } => 2,
+            TraceEvent::SchedDecision { .. } => 3,
+            TraceEvent::OccupancyHold { .. } => 4,
+            TraceEvent::KernelQueued { .. } => 5,
+            TraceEvent::HwQueueStall { .. } => 6,
+            TraceEvent::KernelDispatched { .. } => 7,
+            TraceEvent::KernelCompleted { .. } => 8,
+            TraceEvent::SmWaveBegin { .. } => 9,
+            TraceEvent::SmWaveEnd { .. } => 10,
+            TraceEvent::NotifRun { .. } => 11,
+            TraceEvent::SmSpanBegin { .. } => 12,
+            TraceEvent::SmSpanEnd { .. } => 13,
+            TraceEvent::NotifBatch { .. } => 14,
+            TraceEvent::DoorbellWake { .. } => 15,
+            TraceEvent::RouteDecision(_) => 16,
+            TraceEvent::KernelFault { .. } => 17,
+            TraceEvent::RetryBackoff { .. } => 18,
+            TraceEvent::FailoverHop { .. } => 19,
+            TraceEvent::JobCancelled { .. } => 20,
+            TraceEvent::RequestShed { .. } => 21,
+            TraceEvent::NodeCrash { .. } => 22,
+            TraceEvent::NodeRecover { .. } => 23,
+            TraceEvent::PrefillStart { .. } => 24,
+            TraceEvent::DecodeStep { .. } => 25,
+            TraceEvent::KvAlloc { .. } => 26,
+            TraceEvent::CounterSample { .. } => 27,
+            TraceEvent::CounterTick { .. } => 28,
         });
     }
-    assert_eq!(seen.len(), 30, "the log must hold every variant");
+    assert_eq!(seen.len(), 29, "the log must hold every variant");
     log
 }
 
@@ -885,9 +829,9 @@ fn every_variant_renders_to_pinned_bytes() {
             fnv(dump.as_bytes())
         ),
         (
-            0x7f46_5c4d_99f7_cba0,
-            0x19a2_f688_a947_49a0,
-            0xc52a_8f46_ec72_f5b9
+            0x5688_cb40_3095_011f,
+            0x35a1_92a2_eafe_f45f,
+            0x94e4_dddf_f410_8329
         ),
         "\n{json}\n{summary}\n{dump}"
     );
