@@ -306,11 +306,6 @@ impl KernelDag {
     pub fn roots(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.nodes.len()).filter(|&t| self.pred_count[t] == 0)
     }
-
-    /// Total edge count (diagnostics).
-    pub fn edge_count(&self) -> usize {
-        self.succ.len()
-    }
 }
 
 #[cfg(test)]
@@ -364,7 +359,6 @@ mod tests {
         assert_eq!(dag.successors(1), &[2]);
         assert_eq!(dag.successors(3), &[] as &[u32]);
         assert_eq!(dag.roots().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(dag.edge_count(), 3);
         match dag.node(2).resources {
             DagResources::Kernel {
                 loc, grid_blocks, ..

@@ -97,27 +97,6 @@ impl DeviceConfig {
         }
     }
 
-    /// A Fermi-era device: one hardware queue regardless of streams.
-    pub fn fermi_like() -> Self {
-        DeviceConfig {
-            name: "Fermi-era",
-            num_sms: 16,
-            sm_limits: SmLimits {
-                max_blocks: 8,
-                max_threads: 1536,
-                max_registers: 32_768,
-                max_shmem: 49_152,
-            },
-            num_hw_queues: 1,
-            microarch: Microarch::Fermi,
-            pcie_bytes_per_sec: 6.0e9,
-            copy_engines: 1,
-            notif_visibility: SimDuration::from_micros(2),
-            queue_to_scheduler: SimDuration::from_nanos(500),
-            notif_drop_rate: 0.0,
-        }
-    }
-
     /// A toy device for the Figure 1 illustration: `num_sms` SMs, each able
     /// to hold exactly one block of the illustration's kernels.
     pub fn tiny(num_sms: u32, num_hw_queues: u32, microarch: Microarch) -> Self {
@@ -167,7 +146,7 @@ mod tests {
 
     #[test]
     fn fermi_maps_all_streams_to_queue_zero() {
-        let d = DeviceConfig::fermi_like();
+        let d = DeviceConfig::tiny(2, 4, Microarch::Fermi);
         for s in 0..100 {
             assert_eq!(d.queue_for_stream(s), 0);
         }

@@ -56,11 +56,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.n > 0).then_some(self.min)
@@ -213,7 +208,7 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
+        assert_eq!(s.variance(), 4.0);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
