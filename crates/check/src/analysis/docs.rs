@@ -8,7 +8,11 @@
 //! requires every backticked path ending in `.rs`, `.md`, `.toml`, `.json` or
 //! `.yml` outside a fenced block to resolve: as a path from the workspace
 //! root, as one under `crates/`, or as the suffix of exactly one workspace
-//! file. Generated `results/` paths are exempt.
+//! file. Generated `results/` paths are exempt. R10 also resolves every
+//! reference to a DESIGN.md section — `DESIGN §12`, `DESIGN.md §11` or
+//! `DESIGN "Serving skeleton"`, in those docs and in the comments of every
+//! `.rs` file — against DESIGN.md's `##` and `###` headings, by number or by
+//! title prefix.
 //!
 //! R11 reads the same spans for `Type::item` paths (the last two segments of
 //! a path whose second to last starts upper-case). `Type` must be a struct,
@@ -165,6 +169,101 @@ fn resolves(p: &str, files: &[&str]) -> bool {
         || files.iter().filter(suffix_of).count() == 1
 }
 
+/// DESIGN.md's sections: the `(number, title)` of each `##` and `###`
+/// heading, `("4b", "Modeling decisions …")` for `## 4b. Modeling decisions …`
+/// and an empty number for a heading without one.
+pub(crate) fn design_sections(design: &str) -> Vec<(&str, &str)> {
+    design
+        .lines()
+        .filter_map(|l| l.strip_prefix("### ").or_else(|| l.strip_prefix("## ")))
+        .map(|h| match h.split_once(". ") {
+            Some((n, title)) if n.chars().all(|c| c.is_ascii_alphanumeric()) => (n, title),
+            _ => ("", h),
+        })
+        .collect()
+}
+
+/// Every DESIGN.md section reference in `text`, with its byte offset: the
+/// number after `DESIGN §`, or the quoted title after `DESIGN` and a space;
+/// `DESIGN` also spelled `DESIGN.md` or `` `DESIGN.md` ``.
+fn design_refs(text: &str) -> Vec<(usize, &str)> {
+    let mut refs = Vec::new();
+    for (at, _) in text.match_indices("DESIGN") {
+        if text[..at].ends_with(ident_char) {
+            continue;
+        }
+        let rest = &text[at + "DESIGN".len()..];
+        let rest = rest.strip_prefix(".md").unwrap_or(rest);
+        let rest = rest.strip_prefix('`').unwrap_or(rest);
+        let after = rest.trim_start();
+        if after.len() == rest.len() {
+            continue;
+        }
+        if let Some(n) = after.strip_prefix('§') {
+            let digits = n.len() - n.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+            let letter = n[digits..].starts_with(|c: char| c.is_ascii_lowercase());
+            if digits > 0 {
+                refs.push((at, &n[..digits + usize::from(letter)]));
+            }
+        } else if let Some((title, _)) = after.strip_prefix('"').and_then(|t| t.split_once('"')) {
+            refs.push((at, title));
+        }
+    }
+    refs
+}
+
+/// Runs R10's section check over `lines` (numbered from 1) of the file at
+/// `path`: prose for a doc, comment text for Rust. A reference may wrap onto
+/// the next line; a blank line ends it.
+pub(crate) fn section_refs<'a>(
+    path: &str,
+    lines: impl Iterator<Item = &'a str>,
+    sections: &[(&str, &str)],
+    out: &mut Vec<Violation>,
+) {
+    // One paragraph at a time: its text joined by spaces, and the offset at
+    // which each of its lines starts.
+    let (mut text, mut starts) = (String::new(), Vec::new());
+    let mut check = |text: &mut String, starts: &mut Vec<(usize, usize)>| {
+        for (at, r) in design_refs(text) {
+            let numbered = r.starts_with(|c: char| c.is_ascii_digit());
+            let found = sections.iter().any(|&(n, title)| {
+                if numbered {
+                    n == r
+                } else {
+                    title.starts_with(r)
+                }
+            });
+            if !found {
+                let line = starts[starts.partition_point(|&(o, _)| o <= at) - 1].1;
+                out.push(Violation {
+                    file: path.to_string(),
+                    line,
+                    rule: R10,
+                    message: if numbered {
+                        format!("DESIGN §{r}: DESIGN.md has no section {r}")
+                    } else {
+                        format!("DESIGN \"{r}\": no DESIGN.md heading starts so")
+                    },
+                });
+            }
+        }
+        text.clear();
+        starts.clear();
+    };
+    for (n, line) in lines.enumerate() {
+        let line = line.trim().trim_start_matches(['!', '/', '*']).trim();
+        if line.is_empty() {
+            check(&mut text, &mut starts);
+            continue;
+        }
+        starts.push((text.len(), n + 1));
+        text.push_str(line);
+        text.push(' ');
+    }
+    check(&mut text, &mut starts);
+}
+
 /// Runs R10 and R11 over the markdown `src` of the doc at `path`, resolving
 /// paths against the workspace listing `files` and items against `decls`.
 pub(crate) fn doc_rules(
@@ -317,6 +416,51 @@ mod tests {
         assert_eq!(findings("```\nerror at src/x.rs:3:5\n```\n").len(), 1);
         // No file name, or no number: not an anchor.
         assert!(findings(".rs:12 and sched.rs: the scheduler").is_empty());
+    }
+
+    const DESIGN: &str = "# DESIGN\n## 4b. Modeling decisions\n### 7b. Sweeps\n\
+                          ## 16. Serving skeleton (`serve`)\n## Appendix\n";
+
+    fn section_findings(lines: &[&str]) -> Vec<String> {
+        let mut out = Vec::new();
+        let sections = design_sections(DESIGN);
+        section_refs("x.rs", lines.iter().copied(), &sections, &mut out);
+        out.into_iter()
+            .map(|v| format!("{}: {}", v.line, v.message))
+            .collect()
+    }
+
+    #[test]
+    fn design_sections_resolve_by_number_or_title_prefix() {
+        for line in [
+            "see DESIGN §4b, DESIGN.md §7b's sweeps and `DESIGN.md` §16",
+            "the driver (DESIGN \"Serving skeleton\") and DESIGN \"Appendix\"",
+            // Not a reference: no section follows, or a longer word.
+            "DESIGN.md is long; DESIGNS §99; the DESIGN cut; DESIGN §x",
+        ] {
+            assert!(section_findings(&[line]).is_empty(), "{line}");
+        }
+        // A reference may wrap onto the next line, as in a comment block.
+        assert!(section_findings(&["! the driver (DESIGN", "! \"Serving skeleton\")"]).is_empty());
+    }
+
+    #[test]
+    fn missing_design_sections_are_flagged() {
+        assert_eq!(
+            section_findings(&[
+                "DESIGN §4b and",
+                "DESIGN.md §99",
+                "",
+                "DESIGN \"Serving loop\""
+            ]),
+            [
+                "2: DESIGN §99: DESIGN.md has no section 99",
+                "4: DESIGN \"Serving loop\": no DESIGN.md heading starts so",
+            ]
+        );
+        // §4 is not §4b, and a blank line ends a reference.
+        assert_eq!(section_findings(&["DESIGN §4"]).len(), 1);
+        assert_eq!(section_findings(&["DESIGN", "", "§99"]).len(), 0);
     }
 
     #[test]

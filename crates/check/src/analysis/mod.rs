@@ -1,5 +1,6 @@
 //! Source rules (R1–R9) over the whole workspace, and the doc rules (R10
-//! paths, R11 items, [`docs`]) over its prose docs — the one lint engine.
+//! paths and DESIGN.md sections, R11 items, [`docs`]) over its prose docs —
+//! the one lint engine.
 //!
 //! The [`crate::lint`] tokenizer blanks literals and splits off comments,
 //! `tree::lex` turns the code into a flat token stream, and
@@ -63,24 +64,43 @@ pub const DOCS: [&str; 5] = [
     ".claude/skills/verify/SKILL.md",
 ];
 
+/// Whether `path` (workspace-relative) is a crate's library or binary
+/// source, `crates/*/src/**/*.rs`: what R1–R9 check and R11 resolves against.
+fn crate_source(path: &str) -> bool {
+    let parts: Vec<&str> = path.split('/').collect();
+    parts.len() > 3 && parts[0] == "crates" && parts[2] == "src" && path.ends_with(".rs")
+}
+
 /// Analyzes in-memory sources: `(workspace-relative path, source)` pairs.
 /// Each of [`DOCS`] gets R10 and R11, resolved against every path listed and
-/// everything the listed `.rs` sources declare; any other file gets R1–R9.
+/// everything the crate sources declare, and the crate sources get R1–R9.
+/// R10's DESIGN.md section references are resolved in the docs and in the
+/// comments of every `.rs` file.
 #[must_use]
 pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     let paths: Vec<&str> = files.iter().map(|(p, _)| p.as_str()).collect();
     let mut decls = docs::Decls::default();
     for (path, src) in files {
-        if path.ends_with(".rs") {
+        if crate_source(path) {
             decls.add_source(src);
         }
     }
+    let design = files.iter().find(|(p, _)| p == "DESIGN.md");
+    let sections = design.map_or(Vec::new(), |(_, src)| docs::design_sections(src));
     let mut findings = Vec::new();
     for (path, src) in files {
         if DOCS.contains(&path.as_str()) {
             docs::doc_rules(path, src, &paths, &decls, &mut findings);
-        } else {
-            rules::token_rules(path, src, &mut findings);
+            docs::section_refs(path, src.lines(), &sections, &mut findings);
+        } else if path.ends_with(".rs") {
+            if crate_source(path) {
+                rules::token_rules(path, src, &mut findings);
+            }
+            if src.contains("DESIGN") {
+                let lines = lint::tokenize(src);
+                let comments = lines.iter().map(|l| l.comment.as_str());
+                docs::section_refs(path, comments, &sections, &mut findings);
+            }
         }
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
@@ -88,9 +108,8 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
 }
 
 /// Lists every file under `root` as workspace-relative `(path, source)`
-/// pairs, sorted by path. Only `crates/*/src/**/*.rs` and [`DOCS`] are read;
-/// every other file is listed with empty source, for R10 to resolve paths
-/// against.
+/// pairs, sorted by path. Only `.rs` files and [`DOCS`] are read; every
+/// other file is listed with empty source, for R10 to resolve paths against.
 ///
 /// # Errors
 ///
@@ -108,10 +127,7 @@ pub fn load_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let parts: Vec<&str> = rel.split('/').collect();
-        let rust_source = parts.len() > 3 && parts[0] == "crates" && parts[2] == "src";
-        let read = (rust_source && rel.ends_with(".rs")) || DOCS.contains(&rel.as_str());
-        let src = if read {
+        let src = if rel.ends_with(".rs") || DOCS.contains(&rel.as_str()) {
             std::fs::read_to_string(&p)?
         } else {
             String::new()

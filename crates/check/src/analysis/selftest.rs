@@ -229,6 +229,14 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "a line anchor grafted into DESIGN.md: right today, wrong after the next edit",
         },
         GraftMutant {
+            id: "r10-source-design-section",
+            rule: "doc-path",
+            file: "crates/sim/src/fault.rs",
+            find: "//! Deterministic fault injection (DESIGN §11).",
+            replace: "//! Deterministic fault injection (DESIGN §99).",
+            description: "a source comment citing a DESIGN.md section that does not exist",
+        },
+        GraftMutant {
             id: "r11-design-deleted-fn",
             rule: "doc-item",
             file: "DESIGN.md",
