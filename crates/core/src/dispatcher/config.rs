@@ -63,15 +63,15 @@ pub struct DispatcherConfig {
     pub granularity: Granularity,
     /// The §6 lookahead slack `B`, in blocks.
     pub lookahead_blocks: u64,
-    /// Release a job's next op when its predecessor is *fully placed*
-    /// (pipelined, requires instrumentation) instead of completed. Only
-    /// applied when the predecessor's expected runtime is within
-    /// `PIPELINE_WINDOW`, so a dependent kernel is dispatched only when it
-    /// can be placed "soon" (§3) rather than parking at a hardware-queue
-    /// head.
-    pub release_on_placement: bool,
     /// Gate kernel dispatch on the occupancy mirror. When `false`, active
     /// kernels dispatch immediately (the -kbk ablation).
+    ///
+    /// The same knob turns on pipelined release, which reads the mirror too:
+    /// a job's next op is released when its predecessor is *fully placed*
+    /// (requires instrumentation) instead of completed. Only applied when the
+    /// predecessor's expected runtime is within `PIPELINE_WINDOW`, so a
+    /// dependent kernel is dispatched only when it can be placed "soon" (§3)
+    /// rather than parking at a hardware-queue head.
     pub hold_for_occupancy: bool,
     /// Instrument kernels with the compiler pass.
     pub instrument: bool,
@@ -124,7 +124,6 @@ impl Default for DispatcherConfig {
             // queued work to ride out notification latency without deep
             // hardware queues. The Criterion lookahead ablation sweeps this.
             lookahead_blocks: 320,
-            release_on_placement: true,
             hold_for_occupancy: true,
             instrument: true,
             // Virtual streams bound to real streams at launch (§5.2): the
@@ -155,7 +154,6 @@ impl DispatcherConfig {
     pub fn paella_ms_kbk() -> Self {
         DispatcherConfig {
             streams: StreamPolicy::PerJobUnbounded,
-            release_on_placement: false,
             hold_for_occupancy: false,
             ..Self::default()
         }

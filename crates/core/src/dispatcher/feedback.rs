@@ -79,15 +79,16 @@ impl Dispatcher {
         // What a placement word of a live kernel (not one whose job was
         // cancelled) can set off. The first: the pinned-output wakeup, the
         // job's final kernel having started. The one that completes
-        // placement: the pipelined release of the successor — but only for
-        // kernels that will finish "soon", otherwise a dependent successor
+        // placement: with `hold_for_occupancy` on, the pipelined release of
+        // the successor — but only for kernels that will finish "soon",
+        // otherwise a dependent successor
         // would park at a hardware-queue head for the predecessor's whole
         // runtime.
         let wake = placing.is_some_and(|k| k.is_last);
         let release_at = full_at.filter(|_| {
             placing.is_some_and(|k| {
                 let expected_us = self.models[k.model].profile.kernels[k.loc].time_us.mean();
-                self.cfg.release_on_placement
+                self.cfg.hold_for_occupancy
                     && SimDuration::from_micros_f64(expected_us) <= PIPELINE_WINDOW
             })
         });

@@ -448,9 +448,7 @@ fn default_path_golden_digests() {
 
     // 2. A 4-stream model under contention: cross-stream joins, pipelined
     // release on placement, several jobs ready at once.
-    let cfg = DispatcherConfig::paella();
-    assert!(cfg.release_on_placement);
-    let mut sys = paella(cfg, 21);
+    let mut sys = paella(DispatcherConfig::paella(), 21);
     let par = sys.register_model(&googlenet_4_streams());
     let arrivals = generate(&WorkloadSpec::bursty(900.0, 96), &Mix::single(par));
     let multi_stream = golden_digest(&mut sys, &arrivals);
@@ -692,7 +690,6 @@ fn notification_path_golden_digests() {
     };
     let two_shards = DispatcherConfig {
         dispatcher_cores: 2,
-        release_on_placement: false,
         ..DispatcherConfig::paella()
     };
     assert_eq!(
@@ -703,9 +700,9 @@ fn notification_path_golden_digests() {
         ],
         [
             (
-                (0x820e_6a66_f4ce_63dd, 20, 0),
-                (0x9304_5929_b47c_a0ef, 546_576),
-                175_228
+                (0x1f0e_cfe1_91b6_4dad, 20, 0),
+                (0x58b5_3da6_cd55_8b57, 529_650),
+                169_803
             ),
             (
                 (0x28a6_1b9e_7800_4241, 20, 0),
@@ -719,8 +716,7 @@ fn notification_path_golden_digests() {
             ),
         ],
         "((digest, completed, failed), (trace digest, events), words handled) of: 3 % loss on \
-         two shards without pipelined release, 3 % loss on the default \
-         config, the default config"
+         two shards, 3 % loss on the default config, the default config"
     );
 }
 
