@@ -1007,6 +1007,27 @@ mod tests {
     }
 
     #[test]
+    fn same_stream_launches_reach_the_queue_in_call_order() {
+        // Two host threads share a stream, and the second call carries the
+        // earlier timestamp: the queue still sees the calls in order, so the
+        // second kernel neither jumps the first nor wedges the queue.
+        let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), 1);
+        for (uid, at_us) in [(1, 50), (2, 10)] {
+            gpu.launch_kernel(
+                SimTime::from_micros(at_us),
+                KernelLaunch {
+                    uid,
+                    stream: StreamId(1),
+                    desc: kernel("k", 1, 128, 100),
+                },
+            );
+        }
+        let out = drain_all(&mut gpu);
+        let t1 = completion_time(&out, 1);
+        assert!(completion_time(&out, 2) >= t1 + SimDuration::from_micros(100));
+    }
+
+    #[test]
     fn independent_streams_run_concurrently() {
         let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), 1);
         for uid in 1..=4u32 {
