@@ -195,7 +195,7 @@ fn design_refs(text: &str) -> Vec<(usize, &str)> {
         let rest = &text[at + "DESIGN".len()..];
         let rest = rest.strip_prefix(".md").unwrap_or(rest);
         let rest = rest.strip_prefix('`').unwrap_or(rest);
-        let after = rest.trim_start();
+        let after = rest.trim_start_matches(' ');
         if after.len() == rest.len() {
             continue;
         }
@@ -221,47 +221,37 @@ pub(crate) fn section_refs<'a>(
     sections: &[(&str, &str)],
     out: &mut Vec<Violation>,
 ) {
-    // One paragraph at a time: its text joined by spaces, and the offset at
-    // which each of its lines starts.
+    // The lines joined by spaces, a blank one as a `\n` no reference spans,
+    // and the offset at which each line starts.
     let (mut text, mut starts) = (String::new(), Vec::new());
-    let mut check = |text: &mut String, starts: &mut Vec<(usize, usize)>| {
-        for (at, r) in design_refs(text) {
-            let numbered = r.starts_with(|c: char| c.is_ascii_digit());
-            let found = sections.iter().any(|&(n, title)| {
-                if numbered {
-                    n == r
-                } else {
-                    title.starts_with(r)
-                }
-            });
-            if !found {
-                let line = starts[starts.partition_point(|&(o, _)| o <= at) - 1].1;
-                out.push(Violation {
-                    file: path.to_string(),
-                    line,
-                    rule: R10,
-                    message: if numbered {
-                        format!("DESIGN §{r}: DESIGN.md has no section {r}")
-                    } else {
-                        format!("DESIGN \"{r}\": no DESIGN.md heading starts so")
-                    },
-                });
-            }
-        }
-        text.clear();
-        starts.clear();
-    };
     for (n, line) in lines.enumerate() {
         let line = line.trim().trim_start_matches(['!', '/', '*']).trim();
-        if line.is_empty() {
-            check(&mut text, &mut starts);
-            continue;
-        }
         starts.push((text.len(), n + 1));
-        text.push_str(line);
+        text.push_str(if line.is_empty() { "\n" } else { line });
         text.push(' ');
     }
-    check(&mut text, &mut starts);
+    for (at, r) in design_refs(&text) {
+        let numbered = r.starts_with(|c: char| c.is_ascii_digit());
+        let found = sections.iter().any(|&(n, title)| {
+            if numbered {
+                n == r
+            } else {
+                title.starts_with(r)
+            }
+        });
+        if !found {
+            out.push(Violation {
+                file: path.to_string(),
+                line: starts[starts.partition_point(|&(o, _)| o <= at) - 1].1,
+                rule: R10,
+                message: if numbered {
+                    format!("DESIGN §{r}: DESIGN.md has no section {r}")
+                } else {
+                    format!("DESIGN \"{r}\": no DESIGN.md heading starts so")
+                },
+            });
+        }
+    }
 }
 
 /// Runs R10 and R11 over the markdown `src` of the doc at `path`, resolving

@@ -29,7 +29,8 @@
 //!    the virtual-time stack (R6), no engine subtraction without an assert
 //!    naming it or a written `sub:` reason (R7), per-operation atomic
 //!    ordering justifications (R8), and total float comparators (R9); and
-//!    over the prose docs, paths that resolve and no line anchors (R10) and
+//!    over the prose docs, paths that resolve, no line anchors and DESIGN.md
+//!    section references that resolve, also in `.rs` comments (R10), and
 //!    `Type::item` names the sources declare (R11). A
 //!    rule's exception is a tagged comment at the site, never a list
 //!    elsewhere, and a graft-mutant self-test ([`analysis::selftest`])

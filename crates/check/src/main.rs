@@ -5,8 +5,8 @@
 //! ```
 //!
 //! * `analyze`  — run the rules R1–R11: the source rules (R1–R9) over
-//!   `crates/*/src` and the doc rules (R10 paths, R11 items) over the prose
-//!   docs.
+//!   `crates/*/src` and the doc rules (R10 paths and DESIGN.md section
+//!   references, R11 items) over the prose docs.
 //! * `selftest` — graft every analyzer mutant into the real sources and
 //!   require its rule to fire (the analyzer's own mutation test).
 //! * `model`    — exhaustively model-check the clean channel models.
