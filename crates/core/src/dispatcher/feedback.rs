@@ -81,9 +81,8 @@ impl Dispatcher {
         // job's final kernel having started. The one that completes
         // placement: with `hold_for_occupancy` on, the pipelined release of
         // the successor — but only for kernels that will finish "soon",
-        // otherwise a dependent successor
-        // would park at a hardware-queue head for the predecessor's whole
-        // runtime.
+        // otherwise a dependent successor would park at a hardware-queue head
+        // for the predecessor's whole runtime.
         let wake = placing.is_some_and(|k| k.is_last);
         let release_at = full_at.filter(|_| {
             placing.is_some_and(|k| {
