@@ -77,7 +77,20 @@ fn assert_deterministic(bin: &str, args: &[&str], golden: Option<u64>) {
 
 #[test]
 fn fig02_stdout_is_thread_count_invariant() {
-    assert_deterministic(env!("CARGO_BIN_EXE_fig02"), &[], None);
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig02"),
+        &[],
+        Some(0x01ed_22b7_6163_32df),
+    );
+}
+
+#[test]
+fn fig03_stdout_is_thread_count_invariant() {
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig03"),
+        &[],
+        Some(0xccf8_98db_321a_bceb),
+    );
 }
 
 #[test]
@@ -87,6 +100,24 @@ fn fig04_stdout_is_thread_count_invariant() {
         env!("CARGO_BIN_EXE_fig04"),
         &[],
         Some(0x4448_6dff_ebc5_2678),
+    );
+}
+
+#[test]
+fn fig09_stdout_is_thread_count_invariant() {
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig09"),
+        &[],
+        Some(0x9c05_a09f_f031_812d),
+    );
+}
+
+#[test]
+fn fig10_stdout_is_thread_count_invariant() {
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_fig10"),
+        &[],
+        Some(0xf1ae_7495_70ab_d33f),
     );
 }
 
@@ -112,6 +143,15 @@ fn fig15_stdout_is_thread_count_invariant() {
         env!("CARGO_BIN_EXE_fig15"),
         &[],
         Some(0x7517_0e1d_d180_93ab),
+    );
+}
+
+#[test]
+fn table2_stdout_is_thread_count_invariant() {
+    assert_deterministic(
+        env!("CARGO_BIN_EXE_table2"),
+        &[],
+        Some(0x3015_7bd2_d344_ba4c),
     );
 }
 
