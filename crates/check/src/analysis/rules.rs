@@ -1,12 +1,13 @@
-//! Rules R1–R9: one pass over the flat token stream of each file.
+//! Rules R1 and R3–R9: one pass over the flat token stream of each file.
+//! (R2, `Relaxed` in the channels, is retired: R8 covers every ordering.)
 //!
 //! Every rule needs operator fusion, literal blanking and the `#[cfg(test)]`
 //! mask and nothing more; the two that care about scope (R5: inside which
 //! `fn`; R7: which asserts are still in scope) count brace depth as the pass
 //! goes. Each rule is either a flat ban (R1, R4, R5, R6, R9) or a ban whose
 //! exception is written at the site as a tagged comment found by
-//! `lint::justified`: `relaxed:` (R2), `invariant:` (R3), `sub:` (R7), the
-//! ordering tags (R8). There is no second place to suppress a finding.
+//! `lint::justified`: `invariant:` (R3), `sub:` (R7), the ordering tags
+//! (R8). There is no second place to suppress a finding.
 //!
 //! The rules must never panic on odd code, and they err toward flagging.
 
@@ -31,8 +32,6 @@ pub struct Scope {
     /// R1: virtual-time stack (sim/core/gpu/cluster/baselines/llm/workload/
     /// telemetry and the bench harness, which is not carved out).
     pub sim_stack: bool,
-    /// R2: lock-free channels.
-    pub channels: bool,
     /// R3 and R7: the serving engines (core, cluster, baselines, gpu, llm)
     /// minus the reference model `core/src/waitlist.rs`.
     pub engine: bool,
@@ -73,7 +72,6 @@ pub fn scope_of(path: &str) -> Scope {
         || starts("crates/telemetry/src/");
     Scope {
         sim_stack,
-        channels: starts("crates/channels/src/"),
         engine: (core || cluster || baselines || gpu || llm) && !reference_model,
         library: starts("crates/") && path.contains("/src/"),
         exhaustive_fns: match path {
@@ -167,17 +165,6 @@ pub(crate) fn token_rules(path: &str, src: &str, out: &mut Vec<Violation>) {
         }
         if mask[i] {
             continue;
-        }
-        // R2: Relaxed in channels needs a written argument.
-        if scope.channels
-            && seq(toks, i, &["Ordering", "::", "Relaxed"])
-            && !justified(lines, t.line, "relaxed:")
-        {
-            push(
-                t.line,
-                "relaxed-needs-justification",
-                "Ordering::Relaxed without a `relaxed:` justification comment".into(),
-            );
         }
         // R3: unwrap/bare expect in an engine.
         if scope.engine {
@@ -280,19 +267,15 @@ pub(crate) fn token_rules(path: &str, src: &str, out: &mut Vec<Violation>) {
             }
         }
         // R8: every ordering says why, wherever it is written — in an atomic
-        // call's arguments or in a profile field a call reads later. R2
-        // already owns Relaxed-in-channels, so no site is reported twice.
+        // call's arguments or in a profile field a call reads later.
         if scope.atomics && seq(toks, i, &["Ordering", "::"]) {
             let ord = toks.get(i + 2).map_or("", |o| o.text.as_str());
-            let r2_owns = scope.channels && ord == "Relaxed";
-            if let Some(tag) = ordering_tag(ord).filter(|_| !r2_owns) {
-                if !justified(lines, t.line, tag) && !justified(lines, t.line, "ordering:") {
+            if let Some(tag) = ordering_tag(ord) {
+                if !justified(lines, t.line, tag) {
                     push(
                         t.line,
                         R8,
-                        format!(
-                            "Ordering::{ord} lacks an adjacent `{tag}` (or `ordering:`) justification"
-                        ),
+                        format!("Ordering::{ord} lacks an adjacent `{tag}` justification"),
                     );
                 }
             }
@@ -370,15 +353,17 @@ mod tests {
     }
 
     #[test]
-    fn r2_relaxed_needs_a_justification_on_its_statement() {
+    fn r8_relaxed_needs_a_justification_on_its_statement() {
         const CH: &str = "crates/channels/src/x.rs";
         let flagged = [
             "fn f(a: &A) { a.load(Ordering::Relaxed); }\n",
             // The comment belongs to an earlier statement.
             "fn f(a: &A) {\n    // relaxed: justification\n    let y = 1;\n    a.load(Ordering::Relaxed);\n}\n",
+            // A generic tag names no ordering.
+            "fn f(a: &A) {\n    // ordering: why\n    a.load(Ordering::Relaxed);\n}\n",
         ];
         for src in flagged {
-            assert_eq!(rules_at(CH, src), ["relaxed-needs-justification"], "{src}");
+            assert_eq!(rules_at(CH, src), [R8], "{src}");
         }
         let clean = [
             "fn f(a: &A) { a.load(Ordering::Relaxed); } // relaxed: why\n",
@@ -584,14 +569,6 @@ mod tests {
     }
 
     #[test]
-    fn r8_relaxed_in_channels_is_r2_territory() {
-        let src = "fn f(a: &AtomicU64) -> u64 { a.load(Ordering::Relaxed) }\n";
-        let v = analyze_snippet(CHAN, src);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "relaxed-needs-justification");
-    }
-
-    #[test]
     fn r8_follows_an_ordering_into_a_profile_field() {
         let tagged = "const P: Ords = Ords {\n    // release: pairs with the scan\n    publish: Ordering::Release,\n};\n";
         assert!(analyze_snippet(CHAN, tagged).is_empty());
@@ -604,7 +581,7 @@ mod tests {
             assert_eq!(rules_at(CHAN, src), [R8], "{src}");
         }
         let relaxed = "const P: Ords = Ords {\n    // relaxed: a distinct slot per claim\n    claim: Ordering::Relaxed,\n    scan: Ordering::Relaxed,\n};\n";
-        assert_eq!(rules_at(CHAN, relaxed), ["relaxed-needs-justification"]);
+        assert_eq!(rules_at(CHAN, relaxed), [R8]);
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub struct GraftMutant {
     pub description: &'static str,
 }
 
-/// The mutant corpus: ≥2 per rule R1–R11. (R5 once had an
+/// The mutant corpus: ≥2 per rule R1 and R3–R11 (R2 is retired). (R5 once had an
 /// `r5-unhandled-variant` graft; with no wildcard arm allowed, a variant
 /// without an arm is a compile error rather than an analysis finding, so the
 /// second R5 mutant is a wildcard in the exporter instead.)
@@ -53,16 +53,16 @@ pub fn graft_mutants() -> Vec<GraftMutant> {
             description: "SystemTime read grafted into the GPU engine",
         },
         GraftMutant {
-            id: "r2-spsc-head-load-downgrade",
-            rule: "relaxed-needs-justification",
+            id: "r8-spsc-head-load-downgrade",
+            rule: "atomic-ordering-audit",
             file: "crates/channels/src/spsc.rs",
             find: "head_load: Ordering::Acquire,",
             replace: "head_load: Ordering::Relaxed,",
             description: "the producer's head load downgraded to Relaxed under its acquire: tag",
         },
         GraftMutant {
-            id: "r2-notifq-ordering-downgrade",
-            rule: "relaxed-needs-justification",
+            id: "r8-notifq-ordering-downgrade",
+            rule: "atomic-ordering-audit",
             file: "crates/channels/src/notifq.rs",
             find: "scan: Ordering::Acquire,",
             replace: "scan: Ordering::Relaxed,",
@@ -332,7 +332,6 @@ mod tests {
         let mutants = graft_mutants();
         for rule in [
             "no-wall-clock",
-            "relaxed-needs-justification",
             "hot-path-unwrap",
             "no-thread-sleep",
             "trace-event-exhaustiveness",

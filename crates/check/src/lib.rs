@@ -22,8 +22,8 @@
 //!    [`analysis`] module is a std-only token-level engine (tokenizer, a
 //!    flat lexed stream, one pass per file; no parser and no classification
 //!    of what a name means) hosting the repo rules no off-the-shelf linter
-//!    knows, R1–R11: no wall clock in the virtual-time stack, justified
-//!    `Relaxed` orderings, no `unwrap()` or unexplained `expect()` in the
+//!    knows, R1 and R3–R11 (R2 is retired into R8): no wall clock in the
+//!    virtual-time stack, no `unwrap()` or unexplained `expect()` in the
 //!    serving engines, no `thread::sleep` in library code, no wildcard arm
 //!    where every `TraceEvent` variant is consumed, no hash container in
 //!    the virtual-time stack (R6), no engine subtraction without an assert

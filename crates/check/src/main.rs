@@ -4,7 +4,7 @@
 //! paella-check [all|analyze|selftest|model|mutate] [--root <workspace-root>]
 //! ```
 //!
-//! * `analyze`  — run the rules R1–R11: the source rules (R1–R9) over
+//! * `analyze`  — run the rules R1–R11 (R2 retired): the source rules over
 //!   `crates/*/src` and the doc rules (R10 paths and DESIGN.md section
 //!   references, R11 items) over the prose docs.
 //! * `selftest` — graft every analyzer mutant into the real sources and
