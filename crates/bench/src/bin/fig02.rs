@@ -4,14 +4,15 @@
 //! independent blocks could run, but job-by-job submission fills the 32
 //! queues with dependent chains and uses only 32/176 = 18 % of the device.
 
+use paella_bench::claims::{fig02, sec21_capacity};
 use paella_bench::{f, header, row, scaled};
 use paella_channels::ChannelConfig;
 use paella_core::ServingSystem;
 
-use paella_gpu::{blocks_per_sm, BlockFootprint, DeviceConfig, SmLimits};
+use paella_gpu::DeviceConfig;
 use paella_models::synthetic;
 use paella_sim::SimDuration;
-use paella_workload::{generate, make_system, run_trace, Mix, SystemKey, WorkloadSpec};
+use paella_workload::{generate, run_trace, Mix, SystemKey, WorkloadSpec};
 
 fn main() {
     header(
@@ -19,17 +20,9 @@ fn main() {
         "p99 JCT vs goodput: job-by-job submission vs Paella dispatching (GTX 1660 SUPER)",
     );
     // Sanity-check the §2.1 arithmetic before running anything.
-    let fp = BlockFootprint {
-        threads: 128,
-        regs_per_thread: 9,
-        shmem: 0,
-    };
-    let per_sm = blocks_per_sm(&fp, &SmLimits::TURING);
-    assert_eq!(per_sm * 22, 176, "paper's concurrency bound");
-    println!(
-        "# concurrency bound: {} blocks; worst-case HoL utilization 32/176 = 18%",
-        per_sm * 22
-    );
+    let capacity = sec21_capacity();
+    assert_eq!(capacity, 176, "paper's concurrency bound");
+    println!("# concurrency bound: {capacity} blocks; worst-case HoL utilization 32/176 = 18%");
 
     row(&[
         "system".into(),
@@ -51,14 +44,7 @@ fn main() {
             SystemKey::PaellaMsJbj => "job-by-job",
             _ => "paella",
         };
-        let mut sys = make_system(key, DeviceConfig::gtx_1660_super(), 7);
-        let m = sys.register_model(&synthetic::fig2_job());
-        let spec = WorkloadSpec {
-            clients: 16,
-            ..WorkloadSpec::steady(rate, n)
-        };
-        let arrivals = generate(&spec, &Mix::single(m));
-        let mut stats = run_trace(sys.as_mut(), &arrivals, n / 10);
+        let mut stats = fig02(key, rate, n, 7);
         [
             label.to_string(),
             f(rate),

@@ -3,10 +3,9 @@
 //! request across Paella, its ablations, Triton, and Clockwork. All CUDA
 //! execution time is excluded.
 
-use paella_bench::{device, f, header, row, zoo};
-use paella_core::{ClientId, InferenceRequest};
-use paella_sim::SimTime;
-use paella_workload::{average_breakdown, make_system, SystemKey};
+use paella_bench::claims::fig10;
+use paella_bench::{f, header, row};
+use paella_workload::SystemKey;
 
 fn main() {
     header(
@@ -21,8 +20,6 @@ fn main() {
         "client_send_recv_us".into(),
         "total_overhead_us".into(),
     ]);
-    let mut zoo = zoo();
-    let model = zoo.get("mobilenetv2").clone();
     let systems = [
         SystemKey::Triton,
         SystemKey::Clockwork,
@@ -36,21 +33,7 @@ fn main() {
     // One isolated-request run per compared system.
     let grid = paella_bench::sweep::run_grid(systems.len(), |i| {
         let key = systems[i];
-        let mut sys = make_system(key, device(), 17);
-        let id = sys.register_model(&model);
-        // Average over several isolated requests (spaced far apart so no
-        // queuing from contention).
-        for i in 0..20u64 {
-            sys.submit(InferenceRequest {
-                client: ClientId(0),
-                model: id,
-                submitted_at: SimTime::from_millis(i * 50),
-            });
-        }
-        sys.run_to_idle();
-        let done = sys.drain_completions();
-        assert_eq!(done.len(), 20, "{}", key.key());
-        let b = average_breakdown(&done);
+        let b = fig10(key, 20, 17);
         [
             key.key().to_string(),
             f(b.framework),

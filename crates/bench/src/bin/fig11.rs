@@ -3,8 +3,10 @@
 //! lognormal arrivals, across every compared system. Per-model p99 curves
 //! come from the same mixed runs.
 
-use paella_bench::{device, f, header, row, scaled, zoo};
-use paella_workload::{generate, make_system, run_trace, Mix, SystemKey, WorkloadSpec};
+use paella_bench::claims::fig11;
+use paella_bench::{f, header, row, scaled};
+use paella_models::registry;
+use paella_workload::SystemKey;
 
 fn main() {
     header(
@@ -19,9 +21,11 @@ fn main() {
         "throughput_req_per_s".into(),
         "p99_ms".into(),
     ]);
-    let mut zoo = zoo();
-    let table2 = zoo.table2();
-    let names: Vec<std::sync::Arc<str>> = table2.iter().map(|m| m.name.clone()).collect();
+    let names: Vec<_> = registry()
+        .into_iter()
+        .filter(|e| e.in_table2)
+        .map(|e| e.name)
+        .collect();
     let systems = [
         SystemKey::CudaSs,
         SystemKey::CudaMs,
@@ -44,15 +48,7 @@ fn main() {
         let sigma = sigmas[i / (systems.len() * rates.len())];
         let key = systems[(i / rates.len()) % systems.len()];
         let rate = rates[i % rates.len()];
-        let mut sys = make_system(key, device(), 23);
-        let ids: Vec<_> = table2.iter().map(|m| sys.register_model(m)).collect();
-        let spec = WorkloadSpec {
-            sigma,
-            clients: 8,
-            ..WorkloadSpec::steady(rate, n)
-        };
-        let arrivals = generate(&spec, &Mix::uniform(&ids));
-        let mut stats = run_trace(sys.as_mut(), &arrivals, n / 10);
+        let (mut stats, ids) = fig11(key, sigma, rate, n, 23);
         let mut rows = vec![[
             f(sigma),
             key.key().to_string(),

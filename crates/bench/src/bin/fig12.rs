@@ -3,8 +3,9 @@
 //! both lognormal burstiness settings, including the MPS baseline. Paella's
 //! SRPT-like policy improves short-job p99 latency substantially.
 
-use paella_bench::{device, f, header, row, scaled, zoo};
-use paella_workload::{generate, make_system, run_trace, Mix, SystemKey, WorkloadSpec};
+use paella_bench::claims::fig12;
+use paella_bench::{device, f, header, row, scaled};
+use paella_workload::SystemKey;
 
 fn main() {
     header(
@@ -19,9 +20,6 @@ fn main() {
         "throughput_req_per_s".into(),
         "p99_ms".into(),
     ]);
-    let mut zoo = zoo();
-    let short_model = zoo.get("resnet18").clone();
-    let long_model = zoo.get("inceptionv3").clone();
     // Inverse-size ratio: 31.2 ms : 1.58 ms ≈ 19.7 : 1 short : long.
     let ratio = 31.2 / 1.58;
     let systems = [
@@ -44,19 +42,7 @@ fn main() {
         let sigma = sigmas[i / (systems.len() * rates.len())];
         let key = systems[(i / rates.len()) % systems.len()];
         let rate = rates[i % rates.len()];
-        let mut sys = make_system(key, device(), 29);
-        let short = sys.register_model(&short_model);
-        let long = sys.register_model(&long_model);
-        let mix = Mix::weighted(vec![(short, ratio), (long, 1.0)]);
-        // MPS supports only a handful of client processes (§7 note).
-        let clients = if key == SystemKey::Mps { 7 } else { 8 };
-        let spec = WorkloadSpec {
-            sigma,
-            clients,
-            ..WorkloadSpec::steady(rate, n)
-        };
-        let arrivals = generate(&spec, &mix);
-        let mut stats = run_trace(sys.as_mut(), &arrivals, n / 10);
+        let (mut stats, [short, long]) = fig12(device(), key, sigma, rate, n, ratio, 29);
         let labelled = [
             ("All".to_string(), Some(stats.p99_us())),
             ("ResNet-18".to_string(), stats.model_p99_us(short)),

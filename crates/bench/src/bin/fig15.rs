@@ -5,52 +5,9 @@
 //! uninstrumented kernel, instrumentation without block aggregation, and
 //! full instrumentation, at grid sizes 16 and 160 blocks.
 
-#![allow(clippy::explicit_counter_loop)]
-
+use paella_bench::claims::fig15;
 use paella_bench::{f, header, row, scaled};
-use paella_channels::CudaRuntimeModel;
-use paella_gpu::{DeviceConfig, GpuSim, InstrumentationSpec, KernelLaunch, StreamId};
-use paella_models::synthetic;
-use paella_sim::{Percentiles, SimTime};
-
-fn exec_times(blocks: u32, instr: Option<InstrumentationSpec>, runs: usize) -> Percentiles {
-    let mut p = Percentiles::new();
-    let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), 41);
-    let mut out = Vec::new();
-    let mut uid = 0;
-    let mut t = SimTime::ZERO;
-    for _ in 0..runs {
-        uid += 1;
-        let launch_at = t;
-        gpu.launch_kernel(
-            launch_at,
-            KernelLaunch {
-                uid,
-                stream: StreamId(1),
-                desc: synthetic::empty_kernel(blocks, instr),
-            },
-        );
-        // Drain until this kernel completes.
-        let mut done_at = launch_at;
-        while let Some(next) = gpu.next_time() {
-            out.clear();
-            gpu.advance_until(next, &mut out);
-            if out.iter().any(
-                |o| matches!(o, paella_gpu::GpuOutput::KernelCompleted { uid: u, .. } if *u == uid),
-            ) {
-                done_at = next;
-                break;
-            }
-        }
-        // Host-observed execution: launch overhead + device time + the
-        // synchronization return.
-        let host_us = (CudaRuntimeModel::LAUNCH_OVERHEAD + CudaRuntimeModel::STREAM_SYNCHRONIZE)
-            .as_micros_f64();
-        p.push(done_at.saturating_since(launch_at).as_micros_f64() + host_us);
-        t = done_at + paella_sim::SimDuration::from_micros(5);
-    }
-    p
-}
+use paella_gpu::InstrumentationSpec;
 
 fn main() {
     header(
@@ -78,7 +35,7 @@ fn main() {
     // One repeated-execution CDF per instrumentation variant.
     let grid = paella_bench::sweep::run_grid(variants.len(), |i| {
         let (_, blocks, instr) = variants[i];
-        exec_times(blocks, instr, runs)
+        fig15(blocks, instr, runs, 41)
     });
     let mut p90s = Vec::new();
     for ((name, _, _), mut p) in variants.into_iter().zip(grid) {
@@ -123,7 +80,7 @@ fn main() {
         }
     };
     let ablation = paella_bench::sweep::run_grid(aggs.len(), |i| {
-        exec_times(160, Some(spec_for(aggs[i])), runs / 2)
+        fig15(160, Some(spec_for(aggs[i])), runs / 2, 41)
     });
     for (&agg, mut p) in aggs.iter().zip(ablation) {
         row(&[

@@ -1,8 +1,9 @@
 //! Table 2: the evaluation models, their calibrated uncontended execution
 //! time versus the paper's measured "TVM Exec Time", and size.
 
-use paella_bench::{device, f, header, row};
-use paella_models::{measure_uncontended, registry, ModelZoo};
+use paella_bench::claims::table2;
+use paella_bench::{f, header, row};
+use paella_models::registry;
 
 fn main() {
     header(
@@ -24,18 +25,13 @@ fn main() {
     // and a shared one produce identical numbers.
     let grid = paella_bench::sweep::run_grid(entries.len(), |i| {
         let e = &entries[i];
-        let mut zoo = ModelZoo::new(device());
-        let model = zoo.get(e.name).clone();
-        let measured = measure_uncontended(&model, &device());
-        let target_ms = e.target_exec.as_millis_f64();
-        let measured_ms = measured.as_millis_f64();
-        let err = (measured_ms - target_ms).abs() / target_ms * 100.0;
+        let (model, measured, err) = table2(e);
         let nodes = (e.build)().len();
         [
             e.display.to_string(),
-            f(target_ms),
-            f(measured_ms),
-            f(err),
+            f(e.target_exec.as_millis_f64()),
+            f(measured.as_millis_f64()),
+            f(err * 100.0),
             f(e.size_bytes as f64 / (1 << 20) as f64),
             nodes.to_string(),
             model.kernel_count().to_string(),

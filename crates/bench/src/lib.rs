@@ -6,6 +6,7 @@
 //! on stdout; see EXPERIMENTS.md for the paper-vs-measured record.
 
 pub mod chart;
+pub mod claims;
 pub mod sweep;
 
 use paella_gpu::DeviceConfig;
