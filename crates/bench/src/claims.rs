@@ -8,6 +8,7 @@
 //! hold, so no scenario is built in two places. Nothing here reads the
 //! environment: only the binaries scale their sizes.
 
+use paella_baselines::{batched_model, Triton};
 use paella_channels::{ChannelConfig, CudaRuntimeModel};
 use paella_compiler::CompiledModel;
 use paella_core::{
@@ -59,6 +60,106 @@ pub fn fig02(key: SystemKey, rate: f64, n: usize, seed: u64) -> RunStats {
         ..WorkloadSpec::steady(rate, n)
     };
     run_trace(sys.as_mut(), &generate(&spec, &Mix::single(m)), n / 10)
+}
+
+/// The models of Fig. 3, in the figure's order.
+pub const FIG03_MODELS: [&str; 7] = [
+    "densenet",
+    "googlenet",
+    "gpt2",
+    "mobilenetv2",
+    "resnet50",
+    "vgg16",
+    "yolov5",
+];
+
+/// Fig. 3: Triton's serving overhead for one pre-formed batch of `batch`
+/// requests to `model`, in percent of the CUDA execution time.
+pub fn fig03(model: &str, batch: usize, seed: u64) -> f64 {
+    let model = zoo().get(model).clone();
+    // The paper submits the entire batch immediately (one pre-formed
+    // batch-`b` tensor) to elide the dynamic batcher's configurable wait.
+    let mut triton = Triton::new(device(), seed);
+    let id = triton.register_model(&batched_model(&model, batch));
+    triton.submit(InferenceRequest {
+        client: ClientId(0),
+        model: id,
+        submitted_at: SimTime::ZERO,
+    });
+    triton.run_to_idle();
+    let done = triton.drain_completions();
+    assert_eq!(done.len(), 1);
+    // Overhead = end-to-end latency minus CUDA work, relative to CUDA work.
+    let device_us = done[0].breakdown.device.as_micros_f64();
+    (done[0].jct().as_micros_f64() - device_us) / device_us * 100.0
+}
+
+/// The stream counts of Fig. 4.
+pub const FIG04_STREAMS: [u32; 11] = [1, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20];
+
+/// Fig. 4, a host-serialized synchronization method: every kernel plays
+/// through the device, then each pays the launch and `per_kernel_host` on
+/// one runtime thread (which is exactly why these APIs scale so poorly).
+pub fn fig04_host_sync(
+    streams: u32,
+    per_kernel_host: SimDuration,
+    kernels_per_stream: usize,
+    seed: u64,
+) -> SimDuration {
+    let kernels = kernels_per_stream * streams as usize;
+    let mut gpu = GpuSim::new(DeviceConfig::tesla_t4(), seed);
+    let mut uid = 0;
+    for s in 0..streams {
+        for _ in 0..kernels_per_stream {
+            uid += 1;
+            gpu.launch_kernel(
+                SimTime::ZERO,
+                KernelLaunch {
+                    uid,
+                    stream: StreamId(s + 1),
+                    desc: synthetic::empty_kernel(4, None),
+                },
+            );
+        }
+    }
+    let mut out = Vec::new();
+    let mut device_done = SimTime::ZERO;
+    while let Some(t) = gpu.next_time() {
+        gpu.advance_until(t, &mut out);
+        device_done = t;
+    }
+    // Host work serializes on the runtime thread and cannot finish before
+    // the device does.
+    let host =
+        CudaRuntimeModel::LAUNCH_OVERHEAD * kernels as u64 + per_kernel_host * kernels as u64;
+    device_done.saturating_since(SimTime::ZERO).max(host)
+}
+
+/// Fig. 4, the Paella dispatcher: one job of `kernels_per_stream` empty
+/// kernels per stream, all submitted at once; returns the makespan.
+pub fn fig04_paella(streams: u32, kernels_per_stream: usize, seed: u64) -> SimDuration {
+    let mut sys = make_system(SystemKey::Paella, DeviceConfig::tesla_t4(), seed);
+    let m = sys.register_model(&synthetic::uniform_job(
+        "empty",
+        kernels_per_stream as u32,
+        SimDuration::from_micros(2),
+        4,
+    ));
+    for c in 0..streams {
+        sys.submit(InferenceRequest {
+            client: ClientId(c),
+            model: m,
+            submitted_at: SimTime::ZERO,
+        });
+    }
+    sys.run_to_idle();
+    let done = sys.drain_completions();
+    assert_eq!(done.len(), streams as usize);
+    done.iter()
+        .map(|c| c.client_visible_at)
+        .max()
+        .unwrap()
+        .saturating_since(SimTime::ZERO)
 }
 
 /// Fig. 9: Paella's throughput on the MNIST-scale model with `delay_us`
@@ -241,8 +342,8 @@ pub struct Claim {
     pub check: fn() -> Verdict,
 }
 
-/// Every claim, in print order: the §2.1, Table 2 and Fig. 2–15 checks,
-/// then Fig. 12's second parameter point and the §7 P100 trends.
+/// Every claim, in the paper's order: §2.1, Table 2, the figures, then the
+/// §7 P100 trends.
 pub fn all() -> Vec<Claim> {
     vec![
         Claim {
@@ -261,6 +362,16 @@ pub fn all() -> Vec<Claim> {
             check: fig02_claim,
         },
         Claim {
+            id: "fig03",
+            text: "MobileNetV2 has the worst batch-1 Triton overhead",
+            check: fig03_claim,
+        },
+        Claim {
+            id: "fig04",
+            text: "AddCallback > StreamSynchronize > Paella at every stream count",
+            check: fig04_claim,
+        },
+        Claim {
             id: "fig09",
             text: "per-decision delay ≥100 µs collapses dispatcher throughput",
             check: fig09_claim,
@@ -271,9 +382,19 @@ pub fn all() -> Vec<Claim> {
             check: fig10_claim,
         },
         Claim {
+            id: "fig11",
+            text: "Paella beats Triton on throughput and p99 under bursty 8-model load",
+            check: fig11_claim,
+        },
+        Claim {
             id: "fig12",
             text: "ResNet-18 p99 improves ≥3x under Paella vs CUDA-MS",
             check: || fig12_claim(29, 600),
+        },
+        Claim {
+            id: "fig12.s5",
+            text: "ResNet-18 p99 improves ≥3x under Paella vs CUDA-MS (seed 5, 400 requests)",
+            check: || fig12_claim(5, 400),
         },
         Claim {
             id: "fig14",
@@ -284,16 +405,6 @@ pub fn all() -> Vec<Claim> {
             id: "fig15",
             text: "aggregation costs more device time but fewer notifications",
             check: fig15_claim,
-        },
-        Claim {
-            id: "fig11",
-            text: "Paella beats Triton on throughput and p99 under bursty 8-model load",
-            check: fig11_claim,
-        },
-        Claim {
-            id: "fig12.s5",
-            text: "ResNet-18 p99 improves ≥3x under Paella vs CUDA-MS (seed 5, 400 requests)",
-            check: || fig12_claim(5, 400),
         },
         Claim {
             id: "p100",
@@ -335,6 +446,44 @@ fn fig02_claim() -> Verdict {
     Verdict {
         ok: paella > jbj * 1.3,
         detail: format!("paella {paella:.0} vs job-by-job {jbj:.0} jobs/s"),
+    }
+}
+
+// Fig. 3: the framework overhead of a single small request hurts the
+// fastest model most.
+fn fig03_claim() -> Verdict {
+    let mut pct = FIG03_MODELS.map(|m| (fig03(m, 1, 3), m));
+    pct.sort_by(|a, b| b.0.total_cmp(&a.0));
+    let [(worst, model), (next, next_model), ..] = pct;
+    Verdict {
+        ok: model == "mobilenetv2",
+        detail: format!(
+            "{model} {worst:.1}% vs {next:.1}% for {next_model}, the next worst ({:.1}x)",
+            worst / next
+        ),
+    }
+}
+
+// Fig. 4: synchronizing through the runtime costs more than the notifQ, and
+// a callback more than a synchronize, at every stream count.
+fn fig04_claim() -> Verdict {
+    const KERNELS_PER_STREAM: usize = 50;
+    let (mut cb_over_sync, mut sync_over_paella) = (f64::INFINITY, f64::INFINITY);
+    for streams in FIG04_STREAMS {
+        let ms = |per_kernel| {
+            fig04_host_sync(streams, per_kernel, KERNELS_PER_STREAM, 5).as_millis_f64()
+        };
+        let callback = ms(CudaRuntimeModel::STREAM_CALLBACK);
+        let sync = ms(CudaRuntimeModel::STREAM_SYNCHRONIZE);
+        let paella = fig04_paella(streams, KERNELS_PER_STREAM, 5).as_millis_f64();
+        cb_over_sync = cb_over_sync.min(callback / sync);
+        sync_over_paella = sync_over_paella.min(sync / paella);
+    }
+    Verdict {
+        ok: cb_over_sync > 1.0 && sync_over_paella > 1.0,
+        detail: format!(
+            "{KERNELS_PER_STREAM} kernels per stream: AddCallback ≥ {cb_over_sync:.2}x StreamSynchronize ≥ {sync_over_paella:.2}x Paella"
+        ),
     }
 }
 
