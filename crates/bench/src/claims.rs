@@ -27,7 +27,7 @@ use paella_workload::{
     RunStats, SystemKey, WorkloadSpec,
 };
 
-use crate::{device, zoo};
+use crate::device;
 
 /// §2.1: how many of Fig. 2's 128-thread, 9-register blocks the 22 Turing
 /// SMs of a GTX 1660 SUPER hold at once.
@@ -43,7 +43,7 @@ pub fn sec21_capacity() -> u32 {
 /// Table 2: `entry` calibrated for the evaluation device, its uncontended
 /// execution time, and that time's relative error against the paper's.
 pub fn table2(entry: &ZooEntry) -> (CompiledModel, SimDuration, f64) {
-    let model = zoo().get(entry.name).clone();
+    let model = ModelZoo::new(device()).get(entry.name).clone();
     let measured = measure_uncontended(&model, &device());
     let target_ms = entry.target_exec.as_millis_f64();
     let err = (measured.as_millis_f64() - target_ms).abs() / target_ms;
@@ -76,7 +76,7 @@ pub const FIG03_MODELS: [&str; 7] = [
 /// Fig. 3: Triton's serving overhead for one pre-formed batch of `batch`
 /// requests to `model`, in percent of the CUDA execution time.
 pub fn fig03(model: &str, batch: usize, seed: u64) -> f64 {
-    let model = zoo().get(model).clone();
+    let model = ModelZoo::new(device()).get(model).clone();
     // The paper submits the entire batch immediately (one pre-formed
     // batch-`b` tensor) to elide the dynamic batcher's configurable wait.
     let mut triton = Triton::new(device(), seed);
@@ -166,7 +166,7 @@ pub fn fig04_paella(streams: u32, kernels_per_stream: usize, seed: u64) -> SimDu
 /// injected into every scheduling decision, offered far more load (`n`
 /// requests at 100,000 req/s) than it can take.
 pub fn fig09(delay_us: f64, n: usize, seed: u64) -> f64 {
-    let model = zoo().get("mnist").clone();
+    let model = ModelZoo::new(device()).get("mnist").clone();
     let mut sys = make_paella_with_delay(device(), SimDuration::from_micros_f64(delay_us), seed);
     let id = sys.register_model(&model);
     let spec = WorkloadSpec {
@@ -179,7 +179,7 @@ pub fn fig09(delay_us: f64, n: usize, seed: u64) -> f64 {
 /// Fig. 10: `key`'s overhead breakdown averaged over `requests` isolated
 /// MobileNetV2 requests, spaced 50 ms apart so none queues behind another.
 pub fn fig10(key: SystemKey, requests: u64, seed: u64) -> BreakdownUs {
-    let model = zoo().get("mobilenetv2").clone();
+    let model = ModelZoo::new(device()).get("mobilenetv2").clone();
     let mut sys = make_system(key, device(), seed);
     let id = sys.register_model(&model);
     for i in 0..requests {
@@ -206,7 +206,7 @@ pub fn fig11(
     seed: u64,
 ) -> (RunStats, Vec<ModelId>) {
     let mut sys = make_system(key, device(), seed);
-    let ids: Vec<_> = zoo()
+    let ids: Vec<_> = ModelZoo::new(device())
         .table2()
         .iter()
         .map(|m| sys.register_model(m))
@@ -332,7 +332,6 @@ pub struct Verdict {
 }
 
 /// One qualitative result of the paper, checked at reduced scale.
-#[derive(Clone, Copy)]
 pub struct Claim {
     /// Short id (`fig12`), printed first and named by a failing test.
     pub id: &'static str,
@@ -349,7 +348,7 @@ pub fn all() -> Vec<Claim> {
         Claim {
             id: "sec2.1",
             text: "GTX 1660 SUPER holds 176 synthetic blocks; 32 queues = 18% worst case",
-            check: sec21,
+            check: sec21_claim,
         },
         Claim {
             id: "table2",
@@ -409,13 +408,13 @@ pub fn all() -> Vec<Claim> {
         Claim {
             id: "p100",
             text: "on a Tesla P100 Paella still beats job-by-job and SRPT protects short jobs",
-            check: p100,
+            check: p100_claim,
         },
     ]
 }
 
 // §2.1 arithmetic: the 176-block bound and the 18% HoL worst case.
-fn sec21() -> Verdict {
+fn sec21_claim() -> Verdict {
     let cap = sec21_capacity();
     Verdict {
         ok: cap == 176,
@@ -507,22 +506,36 @@ fn fig10_claim() -> Verdict {
     }
 }
 
-// Fig. 12: SRPT protects short jobs in a short/long mix.
-fn fig12_claim(seed: u64, n: usize) -> Verdict {
-    let r18_p99 = |key| {
-        let (mut stats, [short, _]) = fig12(device(), key, 1.5, 200.0, n, 19.7, seed);
-        stats.model_p99_us(short).unwrap_or(f64::NAN)
+// Fig. 11: at a load Triton cannot sustain, Paella serves more, faster.
+fn fig11_claim() -> Verdict {
+    let run = |key| {
+        let (mut stats, _) = fig11(key, 2.0, 150.0, 300, 5);
+        (stats.throughput, stats.p99_us() / 1_000.0)
     };
-    let cuda_ms = r18_p99(SystemKey::CudaMs);
-    let paella = r18_p99(SystemKey::Paella);
+    let (triton, triton_p99) = run(SystemKey::Triton);
+    let (paella, paella_p99) = run(SystemKey::Paella);
     Verdict {
-        ok: paella * 3.0 < cuda_ms,
+        ok: paella > triton && paella_p99 < triton_p99,
         detail: format!(
-            "CUDA-MS {:.1} ms vs Paella {:.1} ms",
-            cuda_ms / 1_000.0,
-            paella / 1_000.0
+            "paella {paella:.1} req/s, p99 {paella_p99:.1} ms vs triton {triton:.1} req/s, p99 {triton_p99:.1} ms"
         ),
     }
+}
+
+// Fig. 12: SRPT protects short jobs in a short/long mix.
+fn fig12_claim(seed: u64, n: usize) -> Verdict {
+    let cuda_ms = short_p99_ms(&device(), SystemKey::CudaMs, n, seed);
+    let paella = short_p99_ms(&device(), SystemKey::Paella, n, seed);
+    Verdict {
+        ok: paella * 3.0 < cuda_ms,
+        detail: format!("CUDA-MS {cuda_ms:.1} ms vs Paella {paella:.1} ms"),
+    }
+}
+
+// ResNet-18's p99 in ms in the Fig. 12 mix at 200 req/s, σ = 1.5.
+fn short_p99_ms(device: &DeviceConfig, key: SystemKey, n: usize, seed: u64) -> f64 {
+    let (mut stats, [short, _]) = fig12(device.clone(), key, 1.5, 200.0, n, 19.7, seed);
+    stats.model_p99_us(short).unwrap_or(f64::NAN) / 1_000.0
 }
 
 // Fig. 14: hybrid wakeup sits between socket and polling CPU use.
@@ -556,27 +569,11 @@ fn fig15_claim() -> Verdict {
     }
 }
 
-// Fig. 11: at a load Triton cannot sustain, Paella serves more, faster.
-fn fig11_claim() -> Verdict {
-    let run = |key| {
-        let (mut stats, _) = fig11(key, 2.0, 150.0, 300, 5);
-        (stats.throughput, stats.p99_us() / 1_000.0)
-    };
-    let (triton, triton_p99) = run(SystemKey::Triton);
-    let (paella, paella_p99) = run(SystemKey::Paella);
-    Verdict {
-        ok: paella > triton && paella_p99 < triton_p99,
-        detail: format!(
-            "paella {paella:.1} req/s, p99 {paella_p99:.1} ms vs triton {triton:.1} req/s, p99 {triton_p99:.1} ms"
-        ),
-    }
-}
-
 // §7 Methodology: "We also evaluated our system on a Tesla P100 but omitted
 // those results as the trends were identical." The two headline trends on
 // the Pascal part: Paella beats job-by-job submission on a burst of HoL
 // jobs, and SRPT protects short jobs.
-fn p100() -> Verdict {
+fn p100_claim() -> Verdict {
     let p100 = DeviceConfig::tesla_p100();
     let makespan = |key| {
         let mut sys = make_system(key, p100.clone(), 11);
@@ -594,15 +591,12 @@ fn p100() -> Verdict {
         let end = done.iter().map(|c| c.client_visible_at).max().unwrap();
         end.saturating_since(SimTime::ZERO).as_millis_f64()
     };
-    let r18_p99 = |key| {
-        let (mut stats, [short, _]) = fig12(p100.clone(), key, 1.5, 200.0, 300, 19.7, 11);
-        stats.model_p99_us(short).unwrap_or(f64::NAN) / 1_000.0
-    };
     let (jbj, paella) = (
         makespan(SystemKey::PaellaMsJbj),
         makespan(SystemKey::Paella),
     );
-    let (cuda_ms_p99, paella_p99) = (r18_p99(SystemKey::CudaMs), r18_p99(SystemKey::Paella));
+    let cuda_ms_p99 = short_p99_ms(&p100, SystemKey::CudaMs, 300, 11);
+    let paella_p99 = short_p99_ms(&p100, SystemKey::Paella, 300, 11);
     Verdict {
         ok: paella < jbj && paella_p99 < cuda_ms_p99,
         detail: format!(

@@ -10,7 +10,6 @@ pub mod claims;
 pub mod sweep;
 
 use paella_gpu::DeviceConfig;
-use paella_models::ModelZoo;
 
 /// Scale factor for experiment sizes: set `PAELLA_BENCH_SCALE` (e.g. `0.1`)
 /// to shrink request counts for quick smoke runs.
@@ -30,11 +29,6 @@ pub fn scaled(n: usize) -> usize {
 /// The evaluation device (§7 Methodology): an NVIDIA Tesla T4.
 pub fn device() -> DeviceConfig {
     DeviceConfig::tesla_t4()
-}
-
-/// A model zoo calibrated for the evaluation device.
-pub fn zoo() -> ModelZoo {
-    ModelZoo::new(device())
 }
 
 /// Prints a figure header.
