@@ -224,6 +224,42 @@ fn hybrid_wakeup_fires_before_completion() {
     }
 }
 
+// -- paper claims -------------------------------------------------------------
+//
+// Each scenario is built once, in `paella_bench::claims`; these tests assert
+// one claim each. `every_paper_claim_holds` (`crates/bench/tests/claims.rs`)
+// asserts the whole list.
+
+/// Asserts that the claim with this id in `paella_bench::claims::all` holds.
+fn assert_claim(id: &str) {
+    let claim = paella_bench::claims::all()
+        .into_iter()
+        .find(|c| c.id == id)
+        .unwrap_or_else(|| panic!("no paper claim has id {id}"));
+    let verdict = (claim.check)();
+    assert!(verdict.ok, "{id}: {} ({})", claim.text, verdict.detail);
+}
+
+#[test]
+fn every_table2_model_calibrates_within_two_percent() {
+    assert_claim("table2");
+}
+
+#[test]
+fn paella_dominates_triton_on_tail_latency_under_load() {
+    assert_claim("fig11");
+}
+
+#[test]
+fn srpt_scheduling_protects_short_jobs() {
+    assert_claim("fig12.s5");
+}
+
+#[test]
+fn trends_hold_on_tesla_p100() {
+    assert_claim("p100");
+}
+
 // -- default-path golden ----------------------------------------------------
 
 /// FNV-1a, one 64-bit word at a time.
